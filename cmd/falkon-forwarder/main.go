@@ -30,7 +30,6 @@ func main() {
 		addr        = flag.String("addr", ":7524", "listen address for clients")
 		dispatchers = flag.String("dispatchers", "127.0.0.1:7523", "comma-separated dispatcher addresses")
 		bundle      = flag.Int("bundle", 0, "root→leaf bundle size (0 = default 64)")
-		noCapacity  = flag.Bool("no-capacity", false, "disable capacity-hint routing, fall back to round-robin")
 		secure      = flag.Bool("secure", false, "use the secure-conversation transport profile on both tiers")
 		pskFile     = flag.String("psk-file", "", "pre-shared key file (required with -secure)")
 		debugAddr   = flag.String("debug-addr", "", "HTTP address serving /metrics and /debug/pprof/ (empty = off)")
@@ -40,7 +39,6 @@ func main() {
 	opts := forward.Options{
 		Dispatchers: fproto.SplitAddrs(*dispatchers),
 		Bundle:      *bundle,
-		NoCapacity:  *noCapacity,
 		Logf:        log.Printf,
 	}
 	if *secure {

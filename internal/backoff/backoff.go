@@ -1,5 +1,6 @@
-// Package backoff provides the jittered exponential backoff policy shared
-// by the client and executor reconnect paths. Jitter matters here: after a
+// Package backoff provides the jittered exponential backoff policy behind
+// every redial loop (wsrpc.Session for client, executor and tree root; the
+// replication standby's follow loop). Jitter matters here: after a
 // dispatcher restart every executor in the deployment notices at once, and
 // without it they would all redial on the same schedule (the thundering
 // herd the provisioning experiments in §4 are sensitive to).
@@ -52,9 +53,8 @@ func (p Policy) Delay(attempt int) time.Duration {
 
 // Schedule is a Policy with its attempt counter attached: Next hands out
 // the successive delays of one retry sequence and Reset — called after a
-// success — starts the sequence over from Base. It replaces the hand-rolled
-// attempt counters the reconnect loops used to carry. Not safe for
-// concurrent use; each retry loop owns its own Schedule.
+// success — starts the sequence over from Base. Not safe for concurrent
+// use; each retry loop owns its own Schedule.
 type Schedule struct {
 	p       Policy
 	attempt int
@@ -70,9 +70,6 @@ func (s *Schedule) Next() time.Duration {
 	s.attempt++
 	return d
 }
-
-// Attempt reports how many delays Next has handed out since the last Reset.
-func (s *Schedule) Attempt() int { return s.attempt }
 
 // Reset rewinds the schedule to the first delay. Call it after a success so
 // the next failure backs off from Base again instead of the cap.

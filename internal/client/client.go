@@ -77,21 +77,9 @@ type Options struct {
 type Client struct {
 	opts Options
 
-	// addrs is the parsed DispatcherAddr chain; addrIdx (under mu) is the
-	// element the live connection used, where redials start. eprIdx is the
-	// address the current instance was created on — EPRs are per-dispatcher,
-	// so a reconnect that lands elsewhere must not reattach by EPR (the same
-	// name could be a stranger's instance there) and starts fresh instead.
-	addrs   []string
-	addrIdx int
-	eprIdx  int
-
-	// cluster is the HA cluster id the dispatcher reported at create time
-	// ("" for a standalone dispatcher). Within a cluster the EPR is valid
-	// on every member — standbys replay the leader's journal — so a
-	// failover to another address in the chain reattaches by EPR (scoped by
-	// the cluster id) instead of abandoning the instance.
-	cluster string
+	// sess owns the dispatcher connection: the address chain, redial with
+	// backoff, and the create-or-reattach handshake below.
+	sess *wsrpc.Session
 
 	// traceBase is the random per-client base trace IDs are derived from:
 	// a task's trace is traceBase + its ID, so the mapping is stable across
@@ -99,14 +87,21 @@ type Client struct {
 	// probability.
 	traceBase uint64
 
-	mu   sync.Mutex
-	cond *sync.Cond // broadcast on reconnect, close, and death
-	cli  *wsrpc.Client
-	epr  string
-	gen  int // connection generation, bumped on every successful reconnect
+	mu  sync.Mutex
+	epr string
+	// eprIdx is the chain address the current instance was created on — EPRs
+	// are per-dispatcher, so a reconnect that lands elsewhere must not
+	// reattach by EPR (the same name could be a stranger's instance there)
+	// and starts fresh instead.
+	eprIdx int
+	// cluster is the HA cluster id the dispatcher reported at create time
+	// ("" for a standalone dispatcher). Within a cluster the EPR is valid
+	// on every member — standbys replay the leader's journal — so a
+	// failover to another address in the chain reattaches by EPR (scoped by
+	// the cluster id) instead of abandoning the instance.
+	cluster string
 
 	submitted  int64
-	received   int64
 	deduped    int64 // resubmitted tasks the dispatcher already held
 	dupDrops   int64 // redelivered results dropped client-side
 	reconnects int64
@@ -118,15 +113,7 @@ type Client struct {
 	pending map[task.ID]task.Task
 	done    map[task.ID]struct{}
 
-	closed  bool
-	dead    bool
-	deadErr error
-
 	results  chan task.Result
-	closedCh chan struct{}
-	deadCh   chan struct{}
-
-	pollStop chan struct{}
 	pollDone chan struct{}
 }
 
@@ -143,41 +130,35 @@ func Connect(opts Options) (*Client, error) {
 	}
 	c := &Client{
 		opts:      opts,
-		addrs:     fproto.SplitAddrs(opts.DispatcherAddr),
 		traceBase: randTraceBase(),
 		results:   make(chan task.Result, 4096),
-		closedCh:  make(chan struct{}),
-		deadCh:    make(chan struct{}),
 	}
-	if len(c.addrs) == 0 {
+	addrs := fproto.SplitAddrs(opts.DispatcherAddr)
+	if len(addrs) == 0 {
 		return nil, fmt.Errorf("client: no dispatcher address")
 	}
-	c.cond = sync.NewCond(&c.mu)
 	if opts.Reconnect {
 		c.pending = make(map[task.ID]task.Task)
 		c.done = make(map[task.ID]struct{})
 	}
-	cli, err := c.dial()
-	if err != nil {
+	c.sess = wsrpc.NewSession(wsrpc.SessionOptions{
+		Addrs: addrs,
+		Client: wsrpc.ClientOptions{
+			Security: opts.Security,
+			PSK:      opts.PSK,
+			OnNotify: c.onNotify,
+			Faults:   opts.Faults,
+		},
+		Reconnect:        opts.Reconnect,
+		ReconnectTimeout: opts.ReconnectTimeout,
+		Backoff:          opts.Backoff,
+		Handshake:        c.handshake,
+		OnUp:             c.resubmitOwed,
+	})
+	if err := c.sess.Open(); err != nil {
 		return nil, err
 	}
-	var reply fproto.CreateInstanceReply
-	err = cli.Call(fproto.MethodCreateInstance, fproto.CreateInstanceRequest{
-		ClientName:        opts.Name,
-		WantNotifications: !opts.Poll,
-		Tenant:            opts.Tenant,
-	}, &reply)
-	if err != nil {
-		cli.Close()
-		return nil, fmt.Errorf("client: create instance: %w", err)
-	}
-	c.cli = cli
-	c.epr = reply.EPR
-	c.eprIdx = c.addrIdx
-	c.cluster = reply.Cluster
-	go c.supervise(cli)
 	if opts.Poll {
-		c.pollStop = make(chan struct{})
 		c.pollDone = make(chan struct{})
 		go c.pollLoop()
 	}
@@ -194,180 +175,61 @@ func randTraceBase() uint64 {
 	return binary.LittleEndian.Uint64(b[:])
 }
 
-// dial connects to the first reachable address in the chain, starting at
-// the one the previous connection used: a blip redials the same dispatcher
-// (preserving the instance), a dead leaf rotates to the fallback.
-func (c *Client) dial() (*wsrpc.Client, error) {
-	c.mu.Lock()
-	start := c.addrIdx
-	c.mu.Unlock()
-	var firstErr error
-	for i := 0; i < len(c.addrs); i++ {
-		idx := (start + i) % len(c.addrs)
-		cli, err := wsrpc.Dial(c.addrs[idx], wsrpc.ClientOptions{
-			Security: c.opts.Security,
-			PSK:      c.opts.PSK,
-			OnNotify: c.onNotify,
-			Faults:   c.opts.Faults,
-		})
-		if err != nil {
-			if firstErr == nil {
-				firstErr = err
-			}
-			continue
-		}
-		c.mu.Lock()
-		c.addrIdx = idx
-		c.mu.Unlock()
-		return cli, nil
-	}
-	return nil, firstErr
-}
-
 // EPR returns the instance endpoint reference.
 func (c *Client) EPR() string { c.mu.Lock(); defer c.mu.Unlock(); return c.epr }
 
-// conn returns the live connection and its generation.
-func (c *Client) conn() (*wsrpc.Client, int, error) {
+// handshake gives a fresh connection its instance before the session
+// publishes it: the first connection creates one; a replacement re-attaches
+// to it (a journaling dispatcher recovers it across restarts) and falls back
+// to a fresh instance where the EPR is unknown.
+func (c *Client) handshake(cli *wsrpc.Client, addrIdx int) error {
 	c.mu.Lock()
-	defer c.mu.Unlock()
-	if c.closed {
-		return nil, 0, fmt.Errorf("client: closed")
+	req := fproto.CreateInstanceRequest{
+		ClientName:        c.opts.Name,
+		WantNotifications: !c.opts.Poll,
+		EPR:               c.epr,
+		Cluster:           c.cluster,
+		Tenant:            c.opts.Tenant,
 	}
-	if c.dead {
-		return nil, 0, fmt.Errorf("client: connection lost: %w", c.deadErr)
-	}
-	return c.cli, c.gen, nil
-}
-
-// awaitReconnect blocks until the connection generation moves past gen.
-// false means the client closed or gave up instead.
-func (c *Client) awaitReconnect(gen int) bool {
-	c.mu.Lock()
-	defer c.mu.Unlock()
-	for c.gen == gen && !c.closed && !c.dead {
-		c.cond.Wait()
-	}
-	return !c.closed && !c.dead
-}
-
-func (c *Client) markDead(err error) {
-	c.mu.Lock()
-	if !c.dead && !c.closed {
-		c.dead = true
-		c.deadErr = err
-		close(c.deadCh)
+	if addrIdx != c.eprIdx && req.Cluster == "" {
+		// Failed over to a standalone dispatcher: the EPR means nothing
+		// (or worse) there. Within an HA cluster the EPR stays valid on
+		// every member, so keep it and let the new leader replay it.
+		req.EPR = ""
 	}
 	c.mu.Unlock()
-	c.cond.Broadcast()
+	var reply fproto.CreateInstanceReply
+	err := cli.Call(fproto.MethodCreateInstance, req, &reply)
+	var remote *wsrpc.RemoteError
+	if errors.As(err, &remote) && req.EPR != "" {
+		// The dispatcher is up but doesn't know the instance (no journal,
+		// or it was pruned): start fresh; resubmitOwed re-sends everything.
+		req.EPR, req.Cluster = "", ""
+		err = cli.Call(fproto.MethodCreateInstance, req, &reply)
+	}
+	if err != nil {
+		return fmt.Errorf("client: create instance: %w", err)
+	}
+	c.mu.Lock()
+	c.epr, c.eprIdx, c.cluster = reply.EPR, addrIdx, reply.Cluster
+	c.mu.Unlock()
+	return nil
 }
 
-// supervise watches the current connection and, in Reconnect mode,
-// replaces it when it drops: redial with jittered backoff, re-attach to
-// the instance (a journaling dispatcher recovers it across restarts; on an
-// unknown EPR fall back to a fresh instance), resubmit every task still
-// awaiting a result, and hand the new connection to the other goroutines.
-func (c *Client) supervise(cli *wsrpc.Client) {
-	for {
-		select {
-		case <-cli.Done():
-		case <-c.closedCh:
-			return
-		}
-		c.mu.Lock()
-		closed := c.closed
-		c.mu.Unlock()
-		if closed {
-			return
-		}
-		if !c.opts.Reconnect {
-			c.markDead(wsrpc.ErrClientClosed)
-			return
-		}
-		next, ok := c.reconnect()
-		if !ok {
-			return
-		}
-		cli = next
+// resubmitOwed runs after every reconnect: it idempotently resubmits each
+// task still awaiting a result. The dispatcher drops the ones it still holds
+// (reply.Deduped) and re-runs the ones that died with the crash. An error
+// here needs no handling: if the connection died again the session redials
+// and calls back, and a rejected bundle is no worse off than before.
+func (c *Client) resubmitOwed(*wsrpc.Client) {
+	c.mu.Lock()
+	c.reconnects++
+	resubmit := make([]task.Task, 0, len(c.pending))
+	for _, t := range c.pending {
+		resubmit = append(resubmit, t)
 	}
-}
-
-// reconnect runs the backoff redial loop for one outage. It returns the
-// new connection, or ok=false when the client closed or gave up.
-func (c *Client) reconnect() (*wsrpc.Client, bool) {
-	start := time.Now()
-	sched := backoff.NewSchedule(c.opts.Backoff)
-	for {
-		select {
-		case <-c.closedCh:
-			return nil, false
-		case <-time.After(sched.Next()):
-		}
-		if time.Since(start) > c.opts.ReconnectTimeout {
-			c.markDead(fmt.Errorf("reconnect timed out after %v", c.opts.ReconnectTimeout))
-			return nil, false
-		}
-		cli, err := c.dial()
-		if err != nil {
-			continue
-		}
-		c.mu.Lock()
-		epr, name, poll := c.epr, c.opts.Name, c.opts.Poll
-		cluster := c.cluster
-		if c.addrIdx != c.eprIdx && cluster == "" {
-			// Failed over to a standalone dispatcher: the EPR means nothing
-			// (or worse) there. Within an HA cluster the EPR stays valid on
-			// every member, so keep it and let the new leader replay it.
-			epr = ""
-		}
-		c.mu.Unlock()
-		var reply fproto.CreateInstanceReply
-		err = cli.Call(fproto.MethodCreateInstance, fproto.CreateInstanceRequest{
-			ClientName:        name,
-			WantNotifications: !poll,
-			EPR:               epr,
-			Cluster:           cluster,
-			Tenant:            c.opts.Tenant,
-		}, &reply)
-		var remote *wsrpc.RemoteError
-		if errors.As(err, &remote) && epr != "" {
-			// The dispatcher is up but doesn't know the instance (no journal,
-			// or it was pruned): start fresh and resubmit everything.
-			err = cli.Call(fproto.MethodCreateInstance, fproto.CreateInstanceRequest{
-				ClientName:        name,
-				WantNotifications: !poll,
-				Tenant:            c.opts.Tenant,
-			}, &reply)
-		}
-		if err != nil {
-			cli.Close()
-			continue
-		}
-		c.mu.Lock()
-		c.cli = cli
-		c.epr = reply.EPR
-		c.eprIdx = c.addrIdx
-		c.cluster = reply.Cluster
-		c.gen++
-		c.reconnects++
-		resubmit := make([]task.Task, 0, len(c.pending))
-		for _, t := range c.pending {
-			resubmit = append(resubmit, t)
-		}
-		c.mu.Unlock()
-		c.cond.Broadcast()
-		// Idempotent resubmission: the dispatcher drops tasks it still
-		// holds (reply.Deduped) and re-runs the ones that died with the
-		// crash. Errors here just trigger another supervise round.
-		if err := c.submitTasks(resubmit, true); err == nil {
-			return cli, true
-		}
-		select {
-		case <-cli.Done(): // connection died again mid-resubmit; retry
-		default:
-			return cli, true // submit rejected but connection is live
-		}
-	}
+	c.mu.Unlock()
+	_ = c.submitTasks(resubmit, true)
 }
 
 // onNotify receives pushed results. It runs on the read loop; the results
@@ -385,10 +247,11 @@ func (c *Client) onNotify(method string, body json.RawMessage) {
 }
 
 // deliver pushes results to the channel, spilling to a goroutine if full so
-// the transport read loop never stalls. In Reconnect mode it first drops
-// results already delivered once — redeliveries are expected after a
-// crash (the journal redelivers anything not provably collected) and after
-// resubmission races, and this filter is what makes delivery exactly-once.
+// the transport read loop never stalls (the channel is buffered; genuine
+// backpressure is rare). In Reconnect mode it first drops results already
+// delivered once — redeliveries are expected after a crash (the journal
+// redelivers anything not provably collected) and after resubmission races,
+// and this filter is what makes delivery exactly-once.
 func (c *Client) deliver(rs []task.Result) {
 	if c.done != nil {
 		c.mu.Lock()
@@ -402,40 +265,21 @@ func (c *Client) deliver(rs []task.Result) {
 			delete(c.pending, r.ID)
 			fresh = append(fresh, r)
 		}
-		c.received += int64(len(fresh))
+		rs = fresh
 		c.mu.Unlock()
-		for _, r := range fresh {
-			select {
-			case c.results <- r:
-			default:
-				go blockingDeliver(c.results, r)
-			}
-		}
-		return
 	}
 	for i, r := range rs {
 		select {
 		case c.results <- r:
 		default:
-			rest := rs[i:]
-			go func() {
+			go func(rest []task.Result) {
 				for _, r := range rest {
 					c.results <- r
 				}
-			}()
-			c.bumpReceived(len(rs))
+			}(rs[i:])
 			return
 		}
 	}
-	c.bumpReceived(len(rs))
-}
-
-func blockingDeliver(ch chan<- task.Result, r task.Result) { ch <- r }
-
-func (c *Client) bumpReceived(n int) {
-	c.mu.Lock()
-	c.received += int64(n)
-	c.mu.Unlock()
 }
 
 // pollLoop drives Collect when notifications are disabled. In Reconnect
@@ -443,12 +287,7 @@ func (c *Client) bumpReceived(n int) {
 func (c *Client) pollLoop() {
 	defer close(c.pollDone)
 	for {
-		select {
-		case <-c.pollStop:
-			return
-		default:
-		}
-		cli, gen, err := c.conn()
+		cli, gen, err := c.sess.Conn()
 		if err != nil {
 			return
 		}
@@ -459,10 +298,7 @@ func (c *Client) pollLoop() {
 		}, &reply)
 		if err != nil {
 			var remote *wsrpc.RemoteError
-			if !c.opts.Reconnect || errors.As(err, &remote) {
-				return
-			}
-			if !c.awaitReconnect(gen) {
+			if !c.opts.Reconnect || errors.As(err, &remote) || !c.sess.Await(gen) {
 				return
 			}
 			continue
@@ -505,7 +341,7 @@ func (c *Client) submitTasks(tasks []task.Task, resubmit bool) error {
 		bundle := tasks[:n]
 		var reply fproto.SubmitReply
 		for {
-			cli, gen, err := c.conn()
+			cli, gen, err := c.sess.Conn()
 			if err != nil {
 				return fmt.Errorf("client: submit: %w", err)
 			}
@@ -529,7 +365,7 @@ func (c *Client) submitTasks(tasks []task.Task, resubmit bool) error {
 					wait += time.Duration(rand.Int63n(int64(wait)/4 + 1))
 					select {
 					case <-time.After(wait):
-					case <-c.closedCh:
+					case <-c.sess.Done():
 						return fmt.Errorf("client: closed while awaiting retry-after")
 					}
 					continue
@@ -542,11 +378,9 @@ func (c *Client) submitTasks(tasks []task.Task, resubmit bool) error {
 			}
 			// Connection-level failure: wait out the outage and retry this
 			// bundle on the replacement connection. Tasks the dispatcher
-			// already journaled before the crash come back Deduped.
-			if !c.awaitReconnect(gen) {
-				_, _, cerr := c.conn()
-				return fmt.Errorf("client: submit: %w", cerr)
-			}
+			// already journaled before the crash come back Deduped. If the
+			// session ends instead, the next Conn says why.
+			c.sess.Await(gen)
 		}
 		if reply.Accepted != n {
 			return fmt.Errorf("client: submitted %d tasks, dispatcher accepted %d", n, reply.Accepted)
@@ -588,9 +422,7 @@ func (c *Client) WaitN(n int, timeout time.Duration) ([]task.Result, error) {
 		select {
 		case r := <-c.results:
 			out = append(out, r)
-		case <-c.deadCh:
-			return out, fmt.Errorf("client: connection closed with %d/%d results", len(out), n)
-		case <-c.closedCh:
+		case <-c.sess.Done():
 			return out, fmt.Errorf("client: connection closed with %d/%d results", len(out), n)
 		case <-deadline:
 			return out, fmt.Errorf("client: timeout with %d/%d results", len(out), n)
@@ -617,29 +449,27 @@ func (c *Client) Deduped() int64 { c.mu.Lock(); defer c.mu.Unlock(); return c.de
 // side of the exactly-once story).
 func (c *Client) DuplicatesDropped() int64 { c.mu.Lock(); defer c.mu.Unlock(); return c.dupDrops }
 
+// call runs one request/reply method on the current connection.
+func call[T any](c *Client, method string, arg any) (T, error) {
+	var reply T
+	cli, _, err := c.sess.Conn()
+	if err == nil {
+		err = cli.Call(method, arg, &reply)
+	}
+	return reply, err
+}
+
 // Stats fetches the dispatcher's state over the wire (the provisioner's
 // {POLL} request, available to any client).
 func (c *Client) Stats() (fproto.StatsReply, error) {
-	cli, _, err := c.conn()
-	if err != nil {
-		return fproto.StatsReply{}, err
-	}
-	var st fproto.StatsReply
-	err = cli.Call(fproto.MethodStats, nil, &st)
-	return st, err
+	return call[fproto.StatsReply](c, fproto.MethodStats, nil)
 }
 
 // Metrics fetches the dispatcher's full instrument snapshot — counters,
 // gauges, and stage/RPC latency histograms (falkon.metrics). Through a
 // forwarder the reply is the merge of every downstream dispatcher.
 func (c *Client) Metrics() (fproto.MetricsReply, error) {
-	cli, _, err := c.conn()
-	if err != nil {
-		return fproto.MetricsReply{}, err
-	}
-	var ms fproto.MetricsReply
-	err = cli.Call(fproto.MethodMetrics, nil, &ms)
-	return ms, err
+	return call[fproto.MetricsReply](c, fproto.MethodMetrics, nil)
 }
 
 // Events fetches task-lifecycle trace events recorded after sinceSeq (0 for
@@ -647,32 +477,15 @@ func (c *Client) Metrics() (fproto.MetricsReply, error) {
 // NextSeq tails the stream on a direct dispatcher connection; through a
 // forwarder it is 0 (pagination unavailable).
 func (c *Client) Events(sinceSeq uint64, max int) (fproto.EventsReply, error) {
-	cli, _, err := c.conn()
-	if err != nil {
-		return fproto.EventsReply{}, err
-	}
-	var er fproto.EventsReply
-	err = cli.Call(fproto.MethodEvents, fproto.EventsRequest{SinceSeq: sinceSeq, Max: max}, &er)
-	return er, err
+	return call[fproto.EventsReply](c, fproto.MethodEvents, fproto.EventsRequest{SinceSeq: sinceSeq, Max: max})
 }
 
 // Close destroys the instance and disconnects.
 func (c *Client) Close() error {
-	c.mu.Lock()
-	if c.closed {
-		c.mu.Unlock()
-		return nil
+	if cli, _, err := c.sess.Conn(); err == nil {
+		_ = cli.Call(fproto.MethodDestroyInstance, fproto.DestroyInstanceRequest{EPR: c.EPR()}, nil)
 	}
-	c.closed = true
-	cli, epr := c.cli, c.epr
-	c.mu.Unlock()
-	close(c.closedCh)
-	c.cond.Broadcast()
-	if c.pollStop != nil {
-		close(c.pollStop)
-	}
-	_ = cli.Call(fproto.MethodDestroyInstance, fproto.DestroyInstanceRequest{EPR: epr}, nil)
-	err := cli.Close()
+	err := c.sess.Close()
 	if c.pollDone != nil {
 		<-c.pollDone
 	}

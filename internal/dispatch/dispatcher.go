@@ -64,9 +64,6 @@ type Options struct {
 	// journal recovery, so a restart re-partitions identically.
 	Shards int
 
-	// NotifyWorkers sizes the notification engine's thread pool (default 4).
-	NotifyWorkers int
-
 	// ReplayTimeout re-dispatches tasks whose executor has not responded
 	// within this duration (0 disables timeout-based replay; disconnect-
 	// based replay is always on).
@@ -469,7 +466,7 @@ func New(opts Options) *Dispatcher {
 	d.hSchedCore = d.reg.Histogram(obs.OverheadKey(obs.OverheadSchedCore))
 	d.hFxFlush = d.reg.Histogram(obs.OverheadKey(obs.OverheadFxFlush))
 	d.hWALWait = d.reg.Histogram(obs.OverheadKey(obs.OverheadWALWait))
-	d.eng = newNotifyEngine(opts.NotifyWorkers, opts.Logf,
+	d.eng = newNotifyEngine(notifyLanes, opts.Logf,
 		d.reg.Gauge("falkon_notify_queue_depth"), d.reg.Counter("falkon_notifications_total"),
 		d.reg.Counter("falkon_notify_errors_total"))
 	d.srv = wsrpc.NewServer(wsrpc.ServerOptions{Security: opts.Security, PSK: opts.PSK, Logf: d.logf, Metrics: d.reg, Faults: opts.Faults})
@@ -757,7 +754,7 @@ func (d *Dispatcher) restore(st *wal.State) {
 			notify:    win.Notify,
 			tenant:    tenant,
 			submitted: win.Submitted,
-			results:   win.Results,
+			buf:       task.ResultBuffer{Results: win.Results},
 			live:      make(map[task.ID]struct{}, len(win.Results)),
 		}
 		for _, r := range win.Results {
@@ -796,7 +793,7 @@ func (d *Dispatcher) captureAllLocked() *wal.State {
 			Notify:    inst.notify,
 			Tenant:    inst.tenant,
 			Submitted: inst.submitted,
-			Results:   append([]task.Result(nil), inst.results...),
+			Results:   append([]task.Result(nil), inst.buf.Results...),
 		})
 		inst.mu.Unlock()
 	}
@@ -1159,7 +1156,7 @@ func (d *Dispatcher) onDisconnect(p *wsrpc.Peer) {
 		if d.replSrc != nil {
 			d.replSrc.DropPeer(p)
 		}
-		d.parents.drop(p)
+		d.parents.Drop(p)
 		d.imu.RLock()
 		for _, inst := range d.instances {
 			inst.mu.Lock()
@@ -1385,7 +1382,7 @@ func (d *Dispatcher) finalize(f *fx, s *shard, tr taskRef, r task.Result) {
 		f.pushes = append(f.pushes, resultPush{peer: peer, epr: tr.epr, r: r})
 		return
 	}
-	inst.addResult(r)
+	inst.buf.Add(r)
 	inst.mu.Unlock()
 }
 

@@ -298,7 +298,7 @@ func (d *Dispatcher) handleSubmit(p *wsrpc.Peer, body json.RawMessage) (any, err
 		d.hWALWait.Observe(time.Since(t3).Seconds())
 	}
 	reply := fproto.SubmitReply{Accepted: len(req.Tasks), Deduped: deduped}
-	if d.parents.has(p) {
+	if d.parents.Has(p) {
 		// A submitting parent gets a fresh capacity hint piggy-backed on the
 		// acknowledgment — its routing table tracks this leaf's backlog with
 		// zero extra round trips.
@@ -329,8 +329,7 @@ func (d *Dispatcher) handleCollect(_ *wsrpc.Peer, body json.RawMessage) (any, er
 			return fproto.CollectReply{Results: results, Pending: pendingN}, nil
 		}
 		// Block until results arrive or the deadline passes.
-		w := make(chan struct{}, 1)
-		inst.waiters = append(inst.waiters, w)
+		w := inst.buf.Wait()
 		inst.mu.Unlock()
 		select {
 		case <-w:

@@ -45,14 +45,11 @@ type instance struct {
 	submitted int64
 	inFlight  int
 
-	// results buffers finished tasks awaiting Collect (only when notify is
+	// buf holds finished tasks awaiting Collect (only when notify is
 	// false — pushed results never buffer). A notify instance whose peer is
 	// detached (client dropped, or recovered from the journal and not yet
 	// re-attached) buffers here too, and the buffer flushes on re-attach.
-	results []task.Result
-
-	// waiters are blocked Collect calls to wake when results arrive.
-	waiters []chan struct{}
+	buf task.ResultBuffer
 
 	// live, when journaling, holds every task ID the dispatcher still owes
 	// this client a delivery for: queued, outstanding, or buffered. It is
@@ -63,39 +60,14 @@ type instance struct {
 	live map[task.ID]struct{}
 }
 
-// addResult buffers r and wakes any blocked Collect. Callers hold in.mu.
-func (in *instance) addResult(r task.Result) {
-	in.results = append(in.results, r)
-	for _, w := range in.waiters {
-		select {
-		case w <- struct{}{}:
-		default:
-		}
-	}
-	in.waiters = in.waiters[:0]
-}
-
-// takeResults removes and returns up to max buffered results (0 = all).
-// Callers hold in.mu.
+// takeResults removes and returns up to max buffered results (0 = all);
+// collected, their delivery obligation is discharged. Callers hold in.mu.
 func (in *instance) takeResults(max int) []task.Result {
-	n := len(in.results)
-	if max > 0 && max < n {
-		n = max
-	}
-	if n == 0 {
-		return nil
-	}
-	out := make([]task.Result, n)
-	copy(out, in.results)
+	out := in.buf.Take(max)
 	if in.live != nil {
 		for _, r := range out {
-			delete(in.live, r.ID) // collected: delivery obligation discharged
+			delete(in.live, r.ID)
 		}
 	}
-	rest := copy(in.results, in.results[n:])
-	for i := rest; i < len(in.results); i++ {
-		in.results[i] = task.Result{}
-	}
-	in.results = in.results[:rest]
 	return out
 }

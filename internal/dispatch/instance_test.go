@@ -6,36 +6,17 @@ import (
 	"falkon/internal/task"
 )
 
-func TestInstanceResultBuffer(t *testing.T) {
-	in := &instance{epr: "x"}
-	for i := 1; i <= 5; i++ {
-		in.addResult(task.Result{ID: task.ID(i)})
+// Collecting a buffered result discharges the delivery obligation that the
+// journal's live set records.
+func TestTakeResultsClearsLive(t *testing.T) {
+	in := &instance{epr: "x", live: map[task.ID]struct{}{1: {}, 2: {}}}
+	in.buf.Add(task.Result{ID: 1})
+	in.buf.Add(task.Result{ID: 2})
+	if got := in.takeResults(1); len(got) != 1 || got[0].ID != 1 {
+		t.Fatalf("take(1) = %v", got)
 	}
-	got := in.takeResults(2)
-	if len(got) != 2 || got[0].ID != 1 || got[1].ID != 2 {
-		t.Fatalf("take(2) = %v", got)
-	}
-	got = in.takeResults(0) // 0 = all
-	if len(got) != 3 || got[0].ID != 3 {
-		t.Fatalf("take(all) = %v", got)
-	}
-	if got := in.takeResults(0); got != nil {
-		t.Fatalf("empty take = %v", got)
-	}
-}
-
-func TestInstanceWaitersWoken(t *testing.T) {
-	in := &instance{epr: "x"}
-	w := make(chan struct{}, 1)
-	in.waiters = append(in.waiters, w)
-	in.addResult(task.Result{ID: 1})
-	select {
-	case <-w:
-	default:
-		t.Fatal("waiter not woken")
-	}
-	if len(in.waiters) != 0 {
-		t.Fatal("waiters not cleared")
+	if _, ok := in.live[1]; ok || len(in.live) != 1 {
+		t.Fatalf("live = %v, want only the uncollected task", in.live)
 	}
 }
 

@@ -57,12 +57,12 @@ type notifyItem struct {
 	body   any
 }
 
+// notifyLanes is the dispatcher's lane count.
+const notifyLanes = 4
+
 // newNotifyEngine starts workers lanes, each drained by its own goroutine.
 // The instruments must be non-nil (use unregistered ones when unmetered).
 func newNotifyEngine(workers int, logf func(string, ...any), depth *metrics.Gauge, sent, errs *metrics.Counter) *notifyEngine {
-	if workers <= 0 {
-		workers = 4
-	}
 	e := &notifyEngine{depth: depth, sent: sent, errs: errs}
 	e.lanes = make([]*notifyLane, workers)
 	for i := range e.lanes {

@@ -2,7 +2,6 @@ package dispatch
 
 import (
 	"encoding/json"
-	"sync"
 	"sync/atomic"
 	"time"
 
@@ -20,43 +19,9 @@ const capPushInterval = 20 * time.Millisecond
 // whenever the dispatcher's headroom changes materially, and their submit
 // acknowledgments piggy-back a fresh hint.
 type parents struct {
-	n  atomic.Int32 // lock-free emptiness check for the hot path
-	mu sync.Mutex
-	m  map[uint64]*wsrpc.Peer
-
+	wsrpc.PeerSet
 	seq      atomic.Uint64
 	lastPush atomic.Int64 // unix nanos of the last throttled push
-}
-
-func (ps *parents) add(p *wsrpc.Peer) {
-	ps.mu.Lock()
-	if ps.m == nil {
-		ps.m = make(map[uint64]*wsrpc.Peer)
-	}
-	if _, ok := ps.m[p.ID()]; !ok {
-		ps.m[p.ID()] = p
-		ps.n.Add(1)
-	}
-	ps.mu.Unlock()
-}
-
-func (ps *parents) drop(p *wsrpc.Peer) {
-	ps.mu.Lock()
-	if _, ok := ps.m[p.ID()]; ok {
-		delete(ps.m, p.ID())
-		ps.n.Add(-1)
-	}
-	ps.mu.Unlock()
-}
-
-func (ps *parents) has(p *wsrpc.Peer) bool {
-	if ps.n.Load() == 0 {
-		return false
-	}
-	ps.mu.Lock()
-	_, ok := ps.m[p.ID()]
-	ps.mu.Unlock()
-	return ok
 }
 
 // handleAttachParent registers the peer as a tree parent and returns the
@@ -68,7 +33,7 @@ func (d *Dispatcher) handleAttachParent(p *wsrpc.Peer, body json.RawMessage) (an
 			return nil, err
 		}
 	}
-	d.parents.add(p)
+	d.parents.Add(p)
 	if req.Parent != "" {
 		d.logf("dispatch: parent %q attached from %s", req.Parent, p.RemoteAddr())
 	}
@@ -100,7 +65,7 @@ func (d *Dispatcher) capacityHint() fproto.CapacityHint {
 // no-parent fast path is a single atomic load, so the Deliver hot path pays
 // nothing when no tree is attached.
 func (d *Dispatcher) noteCapacityChange(force bool) {
-	if d.parents.n.Load() == 0 {
+	if d.parents.Len() == 0 {
 		return
 	}
 	now := time.Now().UnixNano()
@@ -113,9 +78,5 @@ func (d *Dispatcher) noteCapacityChange(force bool) {
 		d.parents.lastPush.Store(now)
 	}
 	h := d.capacityHint()
-	d.parents.mu.Lock()
-	for _, p := range d.parents.m {
-		d.eng.push(p, fproto.NotifyCapacity, h)
-	}
-	d.parents.mu.Unlock()
+	d.parents.Each(func(p *wsrpc.Peer) { d.eng.push(p, fproto.NotifyCapacity, h) })
 }

@@ -12,6 +12,7 @@ package executor
 import (
 	"context"
 	"encoding/json"
+	"errors"
 	"fmt"
 	"os"
 	"os/exec"
@@ -102,11 +103,10 @@ type Options struct {
 type Executor struct {
 	opts Options
 
-	// addrs is the parsed DispatcherAddr chain; addrIdx is the element the
-	// live connection used, where redials start. Only Start and the
-	// supervise goroutine touch addrIdx, never concurrently.
-	addrs   []string
-	addrIdx int
+	// sess owns the dispatcher connection: the address chain, re-register
+	// with backoff (the distributed-falkon restart story — executors outlive
+	// the dispatcher that recovers from its journal), and the outage bound.
+	sess *wsrpc.Session
 
 	// Observability. epoch is the dispatcher's wall-clock epoch (UnixNano)
 	// from registration; trace events are stamped relative to it so executor
@@ -130,10 +130,6 @@ type Executor struct {
 	done chan struct{}
 
 	mu       sync.Mutex
-	cli      *wsrpc.Client
-	gen      int // connection generation, bumped per reconnect
-	connDead bool
-	cond     *sync.Cond // broadcast on reconnect, death, and stop
 	active   int
 	lastBusy time.Time
 	stopped  bool
@@ -158,15 +154,15 @@ func Start(opts Options) (*Executor, error) {
 	if opts.ReconnectTimeout <= 0 {
 		opts.ReconnectTimeout = 30 * time.Second
 	}
-	e := &Executor{
-		opts:  opts,
-		addrs: fproto.SplitAddrs(opts.DispatcherAddr),
-		wake:  make(chan struct{}, opts.Slots),
-		stop:  make(chan struct{}),
-		done:  make(chan struct{}),
-	}
-	if len(e.addrs) == 0 {
+	addrs := fproto.SplitAddrs(opts.DispatcherAddr)
+	if len(addrs) == 0 {
 		return nil, fmt.Errorf("executor %s: no dispatcher address", opts.ID)
+	}
+	e := &Executor{
+		opts: opts,
+		wake: make(chan struct{}, opts.Slots),
+		stop: make(chan struct{}),
+		done: make(chan struct{}),
 	}
 	e.reg = opts.Metrics
 	if e.reg == nil {
@@ -182,29 +178,24 @@ func Start(opts Options) (*Executor, error) {
 	e.hRun = e.reg.Histogram("falkon_executor_run_seconds")
 	e.hOverhed = e.reg.Histogram("falkon_executor_overhead_seconds")
 	e.lastBusy = time.Now()
-	e.cond = sync.NewCond(&e.mu)
-	cli, err := e.dialChain()
-	if err != nil {
+	e.sess = wsrpc.NewSession(wsrpc.SessionOptions{
+		Addrs: addrs,
+		Client: wsrpc.ClientOptions{
+			Security: opts.Security,
+			PSK:      opts.PSK,
+			OnNotify: e.onNotify,
+			Metrics:  e.reg,
+			Faults:   opts.Faults,
+		},
+		Reconnect:        opts.Reconnect,
+		ReconnectTimeout: opts.ReconnectTimeout,
+		Backoff:          opts.Backoff,
+		Handshake:        e.register,
+		OnUp:             e.onReconnect,
+		Retries:          e.cRegRetries,
+	})
+	if err := e.sess.Open(); err != nil {
 		return nil, err
-	}
-	e.cli = cli
-	var reply fproto.RegisterReply
-	err = cli.Call(fproto.MethodRegister, fproto.RegisterRequest{
-		ExecutorID: opts.ID,
-		Slots:      opts.Slots,
-		Allocation: opts.Allocation,
-	}, &reply)
-	if err != nil {
-		cli.Close()
-		return nil, fmt.Errorf("executor %s: register: %w", opts.ID, err)
-	}
-	if reply.DispatcherEpoch != 0 {
-		e.epoch.Store(reply.DispatcherEpoch)
-	} else {
-		e.epoch.Store(time.Now().UnixNano()) // old dispatcher: local timeline
-	}
-	if opts.Reconnect {
-		go e.supervise(cli)
 	}
 	var wg sync.WaitGroup
 	for i := 0; i < opts.Slots; i++ {
@@ -216,153 +207,59 @@ func Start(opts Options) (*Executor, error) {
 	}
 	go func() {
 		wg.Wait()
-		e.curCli().Close()
+		if _, _, err := e.sess.Conn(); err != nil && !e.isStopping() {
+			e.logf("executor %s: %v", opts.ID, err)
+		}
+		e.sess.Close()
 		close(e.done)
 	}()
 	return e, nil
 }
 
-// dialChain connects to the first reachable address in the chain, starting
-// at the one the previous connection used: a dispatcher blip redials the
-// same leaf, a dead leaf rotates to the fallback (typically the tree root).
-func (e *Executor) dialChain() (*wsrpc.Client, error) {
-	var firstErr error
-	for i := 0; i < len(e.addrs); i++ {
-		idx := (e.addrIdx + i) % len(e.addrs)
-		cli, err := wsrpc.Dial(e.addrs[idx], wsrpc.ClientOptions{
-			Security: e.opts.Security,
-			PSK:      e.opts.PSK,
-			OnNotify: e.onNotify,
-			Metrics:  e.reg,
-			Faults:   e.opts.Faults,
-		})
-		if err != nil {
-			if firstErr == nil {
-				firstErr = err
-			}
-			continue
-		}
-		e.addrIdx = idx
-		return cli, nil
+// register is the session handshake: no slot sees a connection the
+// dispatcher has not registered this executor on.
+func (e *Executor) register(cli *wsrpc.Client, _ int) error {
+	var reply fproto.RegisterReply
+	err := cli.Call(fproto.MethodRegister, fproto.RegisterRequest{
+		ExecutorID: e.opts.ID,
+		Slots:      e.opts.Slots,
+		Allocation: e.opts.Allocation,
+	}, &reply)
+	if err != nil {
+		return fmt.Errorf("executor %s: register: %w", e.opts.ID, err)
 	}
-	return nil, firstErr
-}
-
-// curCli returns the current connection.
-func (e *Executor) curCli() *wsrpc.Client {
-	e.mu.Lock()
-	defer e.mu.Unlock()
-	return e.cli
-}
-
-// conn returns the current connection and its generation.
-func (e *Executor) conn() (*wsrpc.Client, int) {
-	e.mu.Lock()
-	defer e.mu.Unlock()
-	return e.cli, e.gen
-}
-
-// awaitConn blocks until the connection generation moves past gen (a
-// reconnect landed) or the executor stopped or gave up. It reports whether a
-// fresh connection is available to retry on.
-func (e *Executor) awaitConn(gen int) bool {
-	e.mu.Lock()
-	defer e.mu.Unlock()
-	for e.gen == gen && !e.stopped && !e.connDead {
-		e.cond.Wait()
+	if reply.DispatcherEpoch != 0 {
+		e.epoch.Store(reply.DispatcherEpoch)
+	} else if e.epoch.Load() == 0 {
+		e.epoch.Store(time.Now().UnixNano()) // old dispatcher: local timeline
 	}
-	return !e.stopped && !e.connDead
+	return nil
 }
 
-// markConnDead gives up on reconnecting and releases every waiting slot.
-func (e *Executor) markConnDead() {
-	e.mu.Lock()
-	e.connDead = true
-	e.cond.Broadcast()
-	e.mu.Unlock()
+// onReconnect wakes every slot once a replacement connection is up: the
+// recovered dispatcher may hold replayed work whose work-available push
+// raced the reconnect.
+func (e *Executor) onReconnect(*wsrpc.Client) {
+	e.logf("executor %s: re-registered", e.opts.ID)
+	e.wakeSlots(e.opts.Slots)
 }
 
-// supervise keeps the executor registered across dispatcher restarts: it
-// watches the live connection and, when it drops, redials and re-registers
-// with jittered exponential backoff (the distributed-falkon restart story —
-// executors outlive the dispatcher that recovers from its journal).
-func (e *Executor) supervise(cli *wsrpc.Client) {
-	for {
+// wakeSlots signals up to n slots. It never blocks: the wake channel is
+// buffered per slot and extra signals are dropped (workers re-pull until
+// the queue is dry anyway).
+func (e *Executor) wakeSlots(n int) {
+	for i := 0; i < n; i++ {
 		select {
-		case <-e.stop:
-			return
-		case <-cli.Done():
-		}
-		if e.isStopping() {
+		case e.wake <- struct{}{}:
+		default:
 			return
 		}
-		next, ok := e.reregister()
-		if !ok {
-			return
-		}
-		cli = next
 	}
 }
 
-// reregister runs the backoff redial loop. It returns ok=false once the
-// executor stopped or a continuous outage outlasted ReconnectTimeout.
-func (e *Executor) reregister() (*wsrpc.Client, bool) {
-	deadline := time.Now().Add(e.opts.ReconnectTimeout)
-	sched := backoff.NewSchedule(e.opts.Backoff)
-	for {
-		select {
-		case <-e.stop:
-			return nil, false
-		case <-time.After(sched.Next()):
-		}
-		if time.Now().After(deadline) {
-			e.logf("executor %s: reconnect timed out after %v", e.opts.ID, e.opts.ReconnectTimeout)
-			e.markConnDead()
-			return nil, false
-		}
-		e.cRegRetries.Inc()
-		cli, err := e.dialChain()
-		if err != nil {
-			continue
-		}
-		var reply fproto.RegisterReply
-		err = cli.Call(fproto.MethodRegister, fproto.RegisterRequest{
-			ExecutorID: e.opts.ID,
-			Slots:      e.opts.Slots,
-			Allocation: e.opts.Allocation,
-		}, &reply)
-		if err != nil {
-			cli.Close()
-			continue
-		}
-		if reply.DispatcherEpoch != 0 {
-			e.epoch.Store(reply.DispatcherEpoch)
-		}
-		e.mu.Lock()
-		old := e.cli
-		e.cli = cli
-		e.gen++
-		e.cond.Broadcast()
-		e.mu.Unlock()
-		old.Close()
-		e.logf("executor %s: re-registered after %d attempt(s)", e.opts.ID, sched.Attempt())
-		// Wake every slot: the recovered dispatcher may hold replayed work
-		// whose work-available push raced the reconnect.
-		for i := 0; i < e.opts.Slots; i++ {
-			select {
-			case e.wake <- struct{}{}:
-			default:
-			}
-		}
-		return cli, true
-	}
-}
-
-// onNotify wakes workers on work-available pushes. It runs on the client
-// read loop, so it must not block: the wake channel is buffered per slot and
-// extra signals are dropped (workers re-pull until the queue is dry anyway).
-// The notification's queued-tasks hint wakes one slot per waiting task, so
-// multi-slot executors ramp up from a single push.
+// onNotify wakes workers on work-available pushes; it runs on the client
+// read loop. The notification's queued-tasks hint wakes one slot per waiting
+// task, so multi-slot executors ramp up from a single push.
 func (e *Executor) onNotify(method string, body json.RawMessage) {
 	if method != fproto.NotifyWorkAvailable {
 		return
@@ -372,16 +269,7 @@ func (e *Executor) onNotify(method string, body json.RawMessage) {
 	if err := json.Unmarshal(body, &wa); err == nil && wa.Queued > n {
 		n = wa.Queued
 	}
-	if n > e.opts.Slots {
-		n = e.opts.Slots
-	}
-	for i := 0; i < n; i++ {
-		select {
-		case e.wake <- struct{}{}:
-		default:
-			return
-		}
-	}
+	e.wakeSlots(min(n, e.opts.Slots))
 }
 
 // logf logs through the configured sink.
@@ -412,9 +300,11 @@ func (e *Executor) SpanHeader() obs.DumpHeader {
 		Proc:          "executor:" + e.opts.ID,
 		EpochUnixNano: e.epoch.Load(),
 	}
-	if off, rtt, ok := e.curCli().ClockOffset(); ok {
-		h.ClockOffsetNS = int64(off)
-		h.ClockRTTNS = int64(rtt)
+	if cli, _, err := e.sess.Conn(); err == nil {
+		if off, rtt, ok := cli.ClockOffset(); ok {
+			h.ClockOffsetNS = int64(off)
+			h.ClockRTTNS = int64(rtt)
+		}
 	}
 	return h
 }
@@ -438,89 +328,82 @@ func (e *Executor) Done() <-chan struct{} { return e.done }
 // Stop deregisters and shuts the executor down, waiting for in-flight tasks
 // to finish delivering.
 func (e *Executor) Stop() {
-	e.mu.Lock()
-	if e.stopped {
-		e.mu.Unlock()
-		<-e.done
-		return
-	}
-	e.stopped = true
-	e.cond.Broadcast()
-	cli := e.cli
-	e.mu.Unlock()
-	// Best-effort deregistration; the dispatcher also handles disconnects.
-	_ = cli.Call(fproto.MethodDeregister, fproto.DeregisterRequest{ExecutorID: e.opts.ID, Reason: "stopped"}, nil)
-	close(e.stop)
+	e.shutdown("stopped")
 	<-e.done
 }
 
 // releaseIdle implements the distributed release policy once the idle
 // timeout expires.
 func (e *Executor) releaseIdle() {
+	if e.shutdown("idle release") {
+		e.logf("executor %s: idle for %v, released", e.opts.ID, e.opts.IdleTimeout)
+	}
+}
+
+// shutdown begins the stop sequence once: a best-effort deregistration (the
+// dispatcher also handles disconnects), then the stop signal. It reports
+// whether this call was the one that began it.
+func (e *Executor) shutdown(reason string) bool {
 	e.mu.Lock()
 	if e.stopped {
 		e.mu.Unlock()
-		return
+		return false
 	}
 	e.stopped = true
-	e.cond.Broadcast()
-	cli := e.cli
 	e.mu.Unlock()
-	e.logf("executor %s: idle for %v, releasing", e.opts.ID, e.opts.IdleTimeout)
-	_ = cli.Call(fproto.MethodDeregister, fproto.DeregisterRequest{ExecutorID: e.opts.ID, Reason: "idle release"}, nil)
+	if cli, _, err := e.sess.Conn(); err == nil {
+		_ = cli.Call(fproto.MethodDeregister, fproto.DeregisterRequest{ExecutorID: e.opts.ID, Reason: reason}, nil)
+	}
 	close(e.stop)
+	return true
 }
 
 // workLoop is one slot's serve loop: wait for a notification, pull work,
 // and keep running piggy-backed assignments until the dispatcher runs dry.
 func (e *Executor) workLoop() {
 	for {
-		cli, gen := e.conn()
 		var idleC <-chan time.Time
 		var idleTimer *time.Timer
 		if e.opts.IdleTimeout > 0 {
 			idleTimer = time.NewTimer(e.idleRemaining())
 			idleC = idleTimer.C
 		}
+		woke := false
 		select {
 		case <-e.stop:
-			if idleTimer != nil {
-				idleTimer.Stop()
+		case <-e.sess.Done(): // dropped without Reconnect, or gave up redialing
+		case <-idleC:
+			if !e.idleExpired() {
+				continue // another slot was busy; re-arm
 			}
+			e.releaseIdle()
+		case <-e.wake:
+			woke = true
+		}
+		if idleTimer != nil {
+			idleTimer.Stop()
+		}
+		if !woke {
 			return
-		case <-cli.Done():
-			if idleTimer != nil {
-				idleTimer.Stop()
-			}
-			if !e.opts.Reconnect || !e.awaitConn(gen) {
+		}
+		cli, _, err := e.sess.Conn()
+		if err != nil {
+			return
+		}
+		var reply fproto.GetWorkReply
+		err = cli.Call(fproto.MethodGetWork, fproto.GetWorkRequest{ExecutorID: e.opts.ID, Max: e.opts.Prefetch}, &reply)
+		if err != nil {
+			// A dropped connection is the session's to replace: park again
+			// until onReconnect wakes the slots on the re-registered one (or
+			// the session ends). A refusal from a live dispatcher ends the slot.
+			var remote *wsrpc.RemoteError
+			if stopping := e.isStopping(); stopping || errors.As(err, &remote) {
+				if !stopping {
+					e.logf("executor %s: get-work: %v", e.opts.ID, err)
+				}
 				return
 			}
 			continue
-		case <-idleC:
-			if e.idleExpired() {
-				e.releaseIdle()
-				return
-			}
-			continue // another slot was busy; re-arm
-		case <-e.wake:
-			if idleTimer != nil {
-				idleTimer.Stop()
-			}
-		}
-		var reply fproto.GetWorkReply
-		err := cli.Call(fproto.MethodGetWork, fproto.GetWorkRequest{ExecutorID: e.opts.ID, Max: e.opts.Prefetch}, &reply)
-		if err != nil {
-			if e.isStopping() {
-				return
-			}
-			if e.opts.Reconnect {
-				if !e.awaitConn(gen) {
-					return
-				}
-				continue
-			}
-			e.logf("executor %s: get-work: %v", e.opts.ID, err)
-			return
 		}
 		for _, a := range reply.Assignments {
 			e.tracer.Record(e.at(), obs.EvPulled, a.Task.Trace, a.Task.ID, a.EPR, e.opts.ID)

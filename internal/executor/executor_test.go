@@ -51,12 +51,9 @@ func TestIdleReleaseDeregisters(t *testing.T) {
 	case <-time.After(10 * time.Second):
 		t.Fatal("executor never idle-released")
 	}
-	deadline := time.Now().Add(5 * time.Second)
-	for d.Stats().TotalExecutors != 0 {
-		if time.Now().After(deadline) {
-			t.Fatalf("executor still registered after idle release")
-		}
-		time.Sleep(5 * time.Millisecond)
+	// The release deregisters before the executor stops: Done implies gone.
+	if n := d.Stats().TotalExecutors; n != 0 {
+		t.Fatalf("%d executor(s) still registered after idle release", n)
 	}
 }
 
@@ -87,11 +84,10 @@ func TestIdleTimerResetByWork(t *testing.T) {
 		if _, err := c.WaitN(1, 10*time.Second); err != nil {
 			t.Fatal(err)
 		}
-		time.Sleep(100 * time.Millisecond)
 		select {
 		case <-ex.Done():
 			t.Fatal("executor released while work kept arriving")
-		default:
+		case <-time.After(100 * time.Millisecond):
 		}
 	}
 	if ex.TasksRun() != 5 {
@@ -356,12 +352,9 @@ func TestPrefetchAheadLive(t *testing.T) {
 		seen[r.ID] = true
 	}
 	// TasksRun updates when the work loop drains, shortly after the last
-	// delivery reaches the client.
-	deadline := time.Now().Add(5 * time.Second)
-	for ex.TasksRun() != 100 {
-		if time.Now().After(deadline) {
-			t.Fatalf("tasks run = %d", ex.TasksRun())
-		}
-		time.Sleep(5 * time.Millisecond)
+	// delivery reaches the client; Stop waits for the loops.
+	ex.Stop()
+	if n := ex.TasksRun(); n != 100 {
+		t.Fatalf("tasks run = %d", n)
 	}
 }

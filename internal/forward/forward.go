@@ -10,8 +10,7 @@
 // round-robin. Results aggregate back through the root, which buffers them
 // per instance and replays any work a dead leaf still owed.
 //
-// Leaves are ordinary dispatchers: a leaf that predates the capacity
-// protocol simply routes round-robin, and a leaf can itself be another
+// Leaves are ordinary dispatchers, and a leaf can itself be another
 // forwarder, giving trees deeper than two levels.
 package forward
 
@@ -30,9 +29,18 @@ import (
 	"falkon/internal/wsrpc"
 )
 
+// rootName identifies this root to its leaves (attach-parent, downstream
+// instance names).
+const rootName = "falkon-forwarder"
+
 // routeTimeout bounds how long a submit blocks waiting for any leaf to be
-// routable before failing upstream.
-const routeTimeout = 30 * time.Second
+// routable before failing upstream; routeRetry paces attempts after a leaf
+// refused or dropped a bundle (long enough for the leaf's session to have
+// marked a dead leaf unroutable).
+const (
+	routeTimeout = 30 * time.Second
+	routeRetry   = 50 * time.Millisecond
+)
 
 // Options configures a Forwarder.
 type Options struct {
@@ -50,9 +58,6 @@ type Options struct {
 	Bundle int
 	// Backoff shapes leaf redial pacing (zero value = backoff.Default).
 	Backoff backoff.Policy
-	// NoCapacity disables the capacity-hint protocol, forcing round-robin
-	// routing (compatibility testing).
-	NoCapacity bool
 	// Logf receives forwarder logs; nil silences them.
 	Logf func(format string, args ...any)
 	// Metrics receives the forwarder's own wsrpc instruments (upstream
@@ -70,16 +75,15 @@ type realKey struct {
 
 // Forwarder is the dispatch-tree root. Create with New, then Listen.
 type Forwarder struct {
-	opts    Options
-	srv     *wsrpc.Server
-	reg     *obs.Registry
-	backoff backoff.Policy
-	bundle  int
-	stop    chan struct{}
-	wg      sync.WaitGroup
+	opts Options
+	srv  *wsrpc.Server
+	reg  *obs.Registry
+	stop chan struct{}
+	wg   sync.WaitGroup
 
 	// mu guards the leaf table and instance maps. Lock order: mu →
-	// finst.mu; neither is held across a downstream call.
+	// finst.mu; neither is held across a downstream call or a leaf
+	// session's Close.
 	mu       sync.Mutex
 	leaves   []*leaf
 	rr       int                // round-robin cursor for score ties
@@ -88,6 +92,12 @@ type Forwarder struct {
 	nextEPR  int64
 	closed   bool
 	routable *sync.Cond // signaled when a leaf comes up
+
+	// parents are upstream roots that attached to this forwarder as their
+	// leaf (a tree deeper than two levels).
+	parents wsrpc.PeerSet
+	capSeq  uint64
+	epoch   int64 // boot time: orders this incarnation's hints after a dead one's
 }
 
 // New connects to every leaf dispatcher, attaches as their tree parent, and
@@ -97,49 +107,36 @@ func New(opts Options) (*Forwarder, error) {
 		return nil, fmt.Errorf("forward: no dispatchers configured")
 	}
 	f := &Forwarder{
-		opts:    opts,
-		reg:     opts.Metrics,
-		backoff: opts.Backoff,
-		bundle:  opts.Bundle,
-		stop:    make(chan struct{}),
-		byFwd:   make(map[string]*finst),
-		byReal:  make(map[realKey]*finst),
+		opts:   opts,
+		reg:    opts.Metrics,
+		stop:   make(chan struct{}),
+		byFwd:  make(map[string]*finst),
+		byReal: make(map[realKey]*finst),
+		epoch:  time.Now().UnixNano(),
 	}
 	if f.reg == nil {
 		f.reg = obs.NewRegistry()
 	}
-	if f.backoff == (backoff.Policy{}) {
-		f.backoff = backoff.Default
-	}
-	if f.bundle <= 0 {
-		f.bundle = 64
+	if f.opts.Bundle <= 0 {
+		f.opts.Bundle = 64
 	}
 	f.routable = sync.NewCond(&f.mu)
-	// Every leaf slot exists before any leaf is dialed: attach-parent makes a
-	// leaf start pushing capacity notifies immediately, and the notify
-	// handler indexes f.leaves — registration must not race the first push.
+	// Every leaf and its session exist before any leaf is dialed:
+	// attach-parent makes a leaf start pushing capacity notifies
+	// immediately, and the notify handler indexes f.leaves.
 	for i, addr := range opts.Dispatchers {
-		f.leaves = append(f.leaves, &leaf{idx: i, addr: addr})
+		l := &leaf{idx: i, addr: addr}
+		l.sess = f.newLeafSession(l)
+		f.leaves = append(f.leaves, l)
 	}
 	for _, l := range f.leaves {
-		cli, hint, capOK, err := f.dialLeaf(l)
-		if err != nil {
+		if err := l.sess.Open(); err != nil {
 			f.closeLeaves()
 			return nil, fmt.Errorf("forward: dial dispatcher %s: %w", l.addr, err)
 		}
 		f.mu.Lock()
-		l.cli = cli
 		l.up = true
-		l.capOK = capOK
-		// absorbHint, not assignment: a capacity push that beat the
-		// attach-parent reply here must not be rolled back to the older
-		// attach-time snapshot.
-		l.absorbHint(hint)
 		f.mu.Unlock()
-	}
-	for _, l := range f.leaves {
-		f.wg.Add(1)
-		go f.superviseLeaf(l)
 	}
 	f.wg.Add(1)
 	go f.rescueStarvedLeaves()
@@ -154,10 +151,6 @@ func (f *Forwarder) Listen(addr string) error { return f.srv.Listen(addr) }
 
 // Addr returns the upstream address.
 func (f *Forwarder) Addr() string { return f.srv.Addr() }
-
-// name identifies this root to its leaves (attach-parent, downstream
-// instance names).
-func (f *Forwarder) name() string { return "falkon-forwarder" }
 
 func (f *Forwarder) logf(format string, args ...any) {
 	if f.opts.Logf != nil {
@@ -182,15 +175,11 @@ func (f *Forwarder) Close() error {
 	return err
 }
 
+// closeLeaves ends every leaf session. It runs without f.mu: a session's
+// Close waits for its read loop and hooks, which take f.mu.
 func (f *Forwarder) closeLeaves() {
-	f.mu.Lock()
-	defer f.mu.Unlock()
 	for _, l := range f.leaves {
-		if l.cli != nil {
-			l.cli.Close()
-			l.cli = nil
-		}
-		l.up = false
+		l.sess.Close()
 	}
 }
 
@@ -200,9 +189,10 @@ func (f *Forwarder) register() {
 	f.srv.Register(fproto.MethodDestroyInstance, f.handleDestroyInstance)
 	f.srv.Register(fproto.MethodSubmit, f.handleSubmit)
 	f.srv.Register(fproto.MethodCollect, f.handleCollect)
-	f.srv.Register(fproto.MethodStats, f.handleStats)
-	f.srv.Register(fproto.MethodMetrics, f.handleMetrics)
+	f.srv.Register(fproto.MethodStats, func(*wsrpc.Peer, json.RawMessage) (any, error) { return f.Stats(), nil })
+	f.srv.Register(fproto.MethodMetrics, func(*wsrpc.Peer, json.RawMessage) (any, error) { return f.MergedMetricsSnapshot(), nil })
 	f.srv.Register(fproto.MethodEvents, f.handleEvents)
+	f.srv.Register(fproto.MethodAttachParent, f.handleAttachParent)
 }
 
 // Metrics returns the forwarder's own instrument registry (its wsrpc
@@ -212,19 +202,25 @@ func (f *Forwarder) Metrics() *obs.Registry { return f.reg }
 // onUpstreamDisconnect detaches instances bound to a dropped client
 // connection so their results buffer for redelivery on reattach.
 func (f *Forwarder) onUpstreamDisconnect(p *wsrpc.Peer) {
-	f.mu.Lock()
-	insts := make([]*finst, 0, len(f.byFwd))
-	for _, inst := range f.byFwd {
-		insts = append(insts, inst)
-	}
-	f.mu.Unlock()
-	for _, inst := range insts {
+	f.parents.Drop(p)
+	for _, inst := range f.instances() {
 		inst.mu.Lock()
 		if inst.peer == upstreamPeer(p) {
 			inst.peer = nil
 		}
 		inst.mu.Unlock()
 	}
+}
+
+// instances snapshots the live root instances.
+func (f *Forwarder) instances() []*finst {
+	f.mu.Lock()
+	defer f.mu.Unlock()
+	insts := make([]*finst, 0, len(f.byFwd))
+	for _, inst := range f.byFwd {
+		insts = append(insts, inst)
+	}
+	return insts
 }
 
 // lookup resolves a root EPR.
@@ -246,7 +242,7 @@ func (f *Forwarder) handleCreateInstance(p *wsrpc.Peer, body json.RawMessage) (a
 	if req.EPR != "" {
 		return f.reattachInstance(p, &req)
 	}
-	inst := newFinst("", req.ClientName, len(f.leaves))
+	inst := newFinst("", len(f.leaves))
 	inst.tenant = req.Tenant
 	if req.WantNotifications {
 		inst.peer = p
@@ -275,18 +271,10 @@ func (f *Forwarder) reattachInstance(p *wsrpc.Peer, req *fproto.CreateInstanceRe
 	inst.notify = req.WantNotifications
 	var flush []task.Result
 	if inst.notify {
-		flush = inst.takeResults(0)
+		flush = inst.buf.Take(0)
 	}
 	inst.mu.Unlock()
-	if len(flush) > 0 {
-		if err := p.Notify(fproto.NotifyResults, fproto.ResultsNotify{EPR: inst.epr, Results: flush}); err != nil {
-			inst.mu.Lock()
-			for _, r := range flush {
-				inst.addResult(r)
-			}
-			inst.mu.Unlock()
-		}
-	}
+	inst.deliver(flush)
 	return fproto.CreateInstanceReply{EPR: req.EPR, Recovered: true}, nil
 }
 
@@ -300,32 +288,28 @@ func (f *Forwarder) handleDestroyInstance(_ *wsrpc.Peer, body json.RawMessage) (
 		return nil, err
 	}
 	inst.destroyed.Store(true)
-	type downRef struct {
-		cli *wsrpc.Client
-		epr string
-	}
-	var downs []downRef
-	f.mu.Lock()
-	delete(f.byFwd, inst.epr)
-	f.mu.Unlock()
 	inst.mu.Lock()
 	eprs := append([]string(nil), inst.downEPR...)
 	inst.mu.Unlock()
 	f.mu.Lock()
+	delete(f.byFwd, inst.epr)
+	for i, epr := range eprs {
+		delete(f.byReal, realKey{i, epr})
+	}
+	f.mu.Unlock()
 	for i, epr := range eprs {
 		if epr == "" {
 			continue
 		}
-		delete(f.byReal, realKey{i, epr})
-		if l := f.leaves[i]; l.up {
-			downs = append(downs, downRef{l.cli, epr})
+		// On a leaf that is down the call fails at once; its handshake
+		// drops whatever this root left there when it returns.
+		cli, _, err := f.leaves[i].sess.Conn()
+		if err == nil {
+			var out struct{}
+			err = cli.Call(fproto.MethodDestroyInstance, fproto.DestroyInstanceRequest{EPR: epr}, &out)
 		}
-	}
-	f.mu.Unlock()
-	for _, d := range downs {
-		var out struct{}
-		if err := d.cli.Call(fproto.MethodDestroyInstance, fproto.DestroyInstanceRequest{EPR: d.epr}, &out); err != nil {
-			f.logf("forward: destroy downstream %s: %v", d.epr, err)
+		if err != nil {
+			f.logf("forward: destroy downstream %s: %v", epr, err)
 		}
 	}
 	return struct{}{}, nil
@@ -342,24 +326,22 @@ func (f *Forwarder) handleSubmit(_ *wsrpc.Peer, body json.RawMessage) (any, erro
 	}
 	// Idempotent resubmission, mirroring the dispatcher's instance
 	// semantics: tasks whose delivery is still owed are dropped (their
-	// results are coming); tasks already delivered re-run, leaving the
-	// done set so the fresh result is not mistaken for a duplicate.
+	// results are coming); tasks already delivered re-enter pending and
+	// re-run.
 	fresh := make([]task.Task, 0, len(req.Tasks))
 	inst.mu.Lock()
 	for _, t := range req.Tasks {
 		if _, owed := inst.pending[t.ID]; owed {
 			continue
 		}
-		delete(inst.done, t.ID)
 		fresh = append(fresh, t)
 	}
 	deduped := len(req.Tasks) - len(fresh)
-	inst.submitted += int64(len(fresh))
 	inst.mu.Unlock()
 	// Re-chunk into root→leaf bundles: an upstream mega-bundle spreads
 	// across leaves, while per-bundle envelope cost stays amortized.
-	for start := 0; start < len(fresh); start += f.bundle {
-		end := min(start+f.bundle, len(fresh))
+	for start := 0; start < len(fresh); start += f.opts.Bundle {
+		end := min(start+f.opts.Bundle, len(fresh))
 		chunk := fresh[start:end]
 		if err := f.routeBundle(inst, chunk, chunk[0].Trace, -1); err != nil {
 			return nil, err
@@ -369,42 +351,30 @@ func (f *Forwarder) handleSubmit(_ *wsrpc.Peer, body json.RawMessage) (any, erro
 }
 
 // ensureDown returns inst's EPR on leaf idx, creating the downstream
-// instance on cli if this is the first bundle routed there. Concurrent
-// submits for the same (instance, leaf) serialize on a creation barrier so
-// only one downstream instance exists.
+// instance on cli if this is the first bundle routed there. Creations for
+// one instance serialize on createMu, so concurrent submits cannot create
+// two downstream instances on the same leaf.
 func (f *Forwarder) ensureDown(inst *finst, idx int, cli *wsrpc.Client) (string, error) {
-	inst.mu.Lock()
-	for {
-		if epr := inst.downEPR[idx]; epr != "" {
-			inst.mu.Unlock()
-			return epr, nil
-		}
-		ch := inst.creating[idx]
-		if ch == nil {
-			break
-		}
-		inst.mu.Unlock()
-		<-ch
-		inst.mu.Lock()
+	if epr := inst.downOn(idx); epr != "" {
+		return epr, nil
 	}
-	ch := make(chan struct{})
-	inst.creating[idx] = ch
-	inst.mu.Unlock()
+	inst.createMu.Lock()
+	defer inst.createMu.Unlock()
+	if epr := inst.downOn(idx); epr != "" {
+		return epr, nil
+	}
 	var rep fproto.CreateInstanceReply
 	// The root always subscribes to notifications: results stream upward
 	// as they finish, whether the client polls or pushes.
 	err := cli.Call(fproto.MethodCreateInstance, fproto.CreateInstanceRequest{
-		ClientName:        f.name() + "/" + inst.epr,
+		ClientName:        rootName + "/" + inst.epr,
 		WantNotifications: true,
 		Tenant:            inst.tenant,
 	}, &rep)
-	inst.mu.Lock()
-	inst.creating[idx] = nil
-	close(ch)
 	if err != nil {
-		inst.mu.Unlock()
 		return "", err
 	}
+	inst.mu.Lock()
 	inst.downEPR[idx] = rep.EPR
 	inst.mu.Unlock()
 	f.mu.Lock()
@@ -422,24 +392,20 @@ func (f *Forwarder) ensureDown(inst *finst, idx int, cli *wsrpc.Client) (string,
 func (f *Forwarder) routeBundle(inst *finst, tasks []task.Task, trace uint64, avoid int) error {
 	deadline := time.Now().Add(routeTimeout)
 	var lastErr error
-	for attempt := 0; ; attempt++ {
+	for {
 		if inst.destroyed.Load() {
 			return fmt.Errorf("forward: instance %q destroyed", inst.epr)
 		}
 		f.mu.Lock()
-		if err := f.waitRoutable(deadline); err != nil {
+		l, err := f.pickLeaf(avoid, deadline)
+		if err != nil {
 			f.mu.Unlock()
 			if lastErr != nil {
 				return fmt.Errorf("%w (last leaf error: %v)", err, lastErr)
 			}
 			return err
 		}
-		l, ok := f.pickLeaf(avoid)
-		if !ok {
-			f.mu.Unlock()
-			continue
-		}
-		cli, idx := l.cli, l.idx
+		idx := l.idx
 		l.inflight += len(tasks)
 		f.mu.Unlock()
 
@@ -449,33 +415,29 @@ func (f *Forwarder) routeBundle(inst *finst, tasks []task.Task, trace uint64, av
 		}
 		inst.mu.Unlock()
 
-		epr, err := f.ensureDown(inst, idx, cli)
+		var epr string
+		var cli *wsrpc.Client
+		if cli, _, err = l.sess.Conn(); err == nil {
+			epr, err = f.ensureDown(inst, idx, cli)
+		}
+		wait := routeRetry
 		if err == nil {
 			var rep fproto.SubmitReply
 			// The bundle head's trace rides the downstream envelope, keeping
 			// the forwarded hop attributable across the EPR rewrite.
 			err = cli.CallTrace(fproto.MethodSubmit, fproto.SubmitRequest{EPR: epr, Tasks: tasks}, &rep, trace, 0)
-			if err == nil && rep.RetryAfterMillis > 0 {
+			var remote *wsrpc.RemoteError
+			switch {
+			case err == nil && rep.RetryAfterMillis > 0:
 				// The leaf's admission control deferred the bundle (the
 				// instance's tenant is over quota or rate there). Honor the
 				// hint the way a direct client would: back off, then route
 				// again — possibly to a leaf with headroom. The wait is
 				// backpressure, not failure, so it extends the routing
 				// deadline instead of consuming it.
-				f.mu.Lock()
-				l.inflight -= len(tasks)
-				f.mu.Unlock()
-				wait := time.Duration(rep.RetryAfterMillis) * time.Millisecond
+				wait = time.Duration(rep.RetryAfterMillis) * time.Millisecond
 				deadline = deadline.Add(wait)
-				select {
-				case <-f.stop:
-					f.failBundle(inst, tasks, idx)
-					return fmt.Errorf("forward: closed")
-				case <-time.After(wait):
-				}
-				continue
-			}
-			if err == nil {
+			case err == nil:
 				f.mu.Lock()
 				l.bundles++
 				l.tasks += int64(len(tasks))
@@ -483,10 +445,9 @@ func (f *Forwarder) routeBundle(inst *finst, tasks []task.Task, trace uint64, av
 					l.absorbHint(*rep.Capacity)
 				}
 				f.mu.Unlock()
+				f.pushCapacity()
 				return nil
-			}
-			var remote *wsrpc.RemoteError
-			if errors.As(err, &remote) {
+			case errors.As(err, &remote):
 				// The downstream instance evaporated (leaf restarted without
 				// its state): drop the stale mapping and recreate on retry.
 				f.mu.Lock()
@@ -499,20 +460,21 @@ func (f *Forwarder) routeBundle(inst *finst, tasks []task.Task, trace uint64, av
 				inst.mu.Unlock()
 			}
 		}
-		lastErr = err
 		f.mu.Lock()
 		l.inflight -= len(tasks)
 		f.mu.Unlock()
-		avoid = idx
-		if !time.Now().Before(deadline) {
-			f.failBundle(inst, tasks, idx)
-			return fmt.Errorf("forward: route bundle: %w", lastErr)
+		if err != nil {
+			lastErr, avoid = err, idx
+			if !time.Now().Before(deadline) {
+				f.failBundle(inst, tasks, idx)
+				return fmt.Errorf("forward: route bundle: %w", lastErr)
+			}
 		}
 		select {
 		case <-f.stop:
 			f.failBundle(inst, tasks, idx)
 			return fmt.Errorf("forward: closed")
-		case <-time.After(f.backoff.Delay(attempt)):
+		case <-time.After(wait):
 		}
 	}
 }
@@ -536,15 +498,8 @@ func (f *Forwarder) failBundle(inst *finst, tasks []task.Task, leafIdx int) {
 func (f *Forwarder) onLeafResults(idx int, realEPR string, results []task.Result) {
 	f.mu.Lock()
 	inst := f.byReal[realKey{idx, realEPR}]
-	if inst != nil && idx < len(f.leaves) {
-		l := f.leaves[idx]
-		l.results += int64(len(results))
-		if !l.capOK {
-			// Legacy leaves never report capacity, so their inflight estimate
-			// decays on results instead — without this they would starve once
-			// their routed-task count outgrew every hint-reporting peer's.
-			l.inflight = max(0, l.inflight-len(results))
-		}
+	if inst != nil {
+		f.leaves[idx].results += int64(len(results))
 	}
 	f.mu.Unlock()
 	if inst == nil || inst.destroyed.Load() {
@@ -553,36 +508,17 @@ func (f *Forwarder) onLeafResults(idx int, realEPR string, results []task.Result
 	var deliver []task.Result
 	inst.mu.Lock()
 	for _, r := range results {
-		delete(inst.pending, r.ID)
-		if _, dup := inst.done[r.ID]; dup {
+		// A result is deliverable iff its task is still owed: the second
+		// result of a replayed task finds pending already cleared.
+		if _, owed := inst.pending[r.ID]; !owed {
 			inst.dupDrops++
 			continue
 		}
-		inst.done[r.ID] = struct{}{}
+		delete(inst.pending, r.ID)
 		deliver = append(deliver, r)
 	}
-	if len(deliver) == 0 {
-		inst.mu.Unlock()
-		return
-	}
-	peer, notify := inst.peer, inst.notify
-	if notify && peer != nil {
-		inst.mu.Unlock()
-		if err := peer.Notify(fproto.NotifyResults, fproto.ResultsNotify{EPR: inst.epr, Results: deliver}); err != nil {
-			// The upstream connection died mid-push: buffer for redelivery
-			// when the client reattaches.
-			inst.mu.Lock()
-			for _, r := range deliver {
-				inst.addResult(r)
-			}
-			inst.mu.Unlock()
-		}
-		return
-	}
-	for _, r := range deliver {
-		inst.addResult(r)
-	}
 	inst.mu.Unlock()
+	inst.deliver(deliver)
 }
 
 func (f *Forwarder) handleCollect(_ *wsrpc.Peer, body json.RawMessage) (any, error) {
@@ -597,14 +533,13 @@ func (f *Forwarder) handleCollect(_ *wsrpc.Peer, body json.RawMessage) (any, err
 			return nil, fmt.Errorf("forward: no such instance %q", req.EPR)
 		}
 		inst.mu.Lock()
-		results := inst.takeResults(req.Max)
+		results := inst.buf.Take(req.Max)
 		pendingN := len(inst.pending)
 		if len(results) > 0 || req.WaitMillis <= 0 || !time.Now().Before(deadline) {
 			inst.mu.Unlock()
 			return fproto.CollectReply{Results: results, Pending: pendingN}, nil
 		}
-		w := make(chan struct{}, 1)
-		inst.waiters = append(inst.waiters, w)
+		w := inst.buf.Wait()
 		inst.mu.Unlock()
 		select {
 		case <-w:
@@ -613,26 +548,14 @@ func (f *Forwarder) handleCollect(_ *wsrpc.Peer, body json.RawMessage) (any, err
 	}
 }
 
-// handleStats aggregates leaf dispatchers' stats and reports the per-leaf
-// rows plus the tree depth. A dead leaf contributes its routing counters
+// Stats snapshots the tree from the root: aggregate totals, the tree
+// depth, and one row per leaf. A dead leaf contributes its routing counters
 // but no downstream numbers.
-func (f *Forwarder) handleStats(_ *wsrpc.Peer, _ json.RawMessage) (any, error) {
-	return f.Stats(), nil
-}
-
-// Stats snapshots the tree from the root: aggregate totals plus one row per
-// leaf.
 func (f *Forwarder) Stats() fproto.StatsReply {
-	type leafSnap struct {
-		addr string
-		cli  *wsrpc.Client
-		up   bool
-		row  fproto.LeafStats
-	}
 	f.mu.Lock()
-	snaps := make([]leafSnap, len(f.leaves))
+	rows := make([]fproto.LeafStats, len(f.leaves))
 	for i, l := range f.leaves {
-		snaps[i] = leafSnap{addr: l.addr, cli: l.cli, up: l.up, row: fproto.LeafStats{
+		rows[i] = fproto.LeafStats{
 			Leaf:       l.addr,
 			Up:         l.up,
 			Bundles:    l.bundles,
@@ -640,97 +563,43 @@ func (f *Forwarder) Stats() fproto.StatsReply {
 			Results:    l.results,
 			Reroutes:   l.reroutes,
 			Reconnects: l.reconnects,
-		}}
+		}
 	}
-	insts := make([]*finst, 0, len(f.byFwd))
-	for _, inst := range f.byFwd {
-		insts = append(insts, inst)
-	}
-	nInst := len(f.byFwd)
 	f.mu.Unlock()
+	insts := f.instances()
 	for _, inst := range insts {
 		inst.mu.Lock()
 		for _, pe := range inst.pending {
-			if pe.leaf >= 0 && pe.leaf < len(snaps) {
-				snaps[pe.leaf].row.Pending++
+			if pe.leaf >= 0 && pe.leaf < len(rows) {
+				rows[pe.leaf].Pending++
 			}
 		}
 		inst.mu.Unlock()
 	}
 	var agg fproto.StatsReply
-	tenantAgg := make(map[string]*fproto.TenantStats)
-	childDepth := 1
-	for i := range snaps {
-		s := &snaps[i]
-		if s.up && s.cli != nil {
-			var st fproto.StatsReply
-			if err := s.cli.Call(fproto.MethodStats, nil, &st); err == nil {
-				for _, ts := range st.Tenants {
-					row := tenantAgg[ts.Name]
-					if row == nil {
-						row = &fproto.TenantStats{Name: ts.Name, Weight: ts.Weight, Quota: ts.Quota, Rate: ts.Rate}
-						tenantAgg[ts.Name] = row
-					}
-					row.Queued += ts.Queued
-					row.InFlight += ts.InFlight
-					row.Submitted += ts.Submitted
-					row.Completed += ts.Completed
-					row.Failed += ts.Failed
-					row.Throttled += ts.Throttled
-				}
-				s.row.Queued = st.Queued
-				s.row.Outstanding = st.Outstanding
-				s.row.Executors = st.TotalExecutors
-				s.row.Busy = st.BusyExecutors
-				agg.Queued += st.Queued
-				agg.Outstanding += st.Outstanding
-				agg.IdleExecutors += st.IdleExecutors
-				agg.BusyExecutors += st.BusyExecutors
-				agg.TotalExecutors += st.TotalExecutors
-				agg.Submitted += st.Submitted
-				agg.Completed += st.Completed
-				agg.Failed += st.Failed
-				agg.Retried += st.Retried
-				agg.Dispatched += st.Dispatched
-				agg.Duplicates += st.Duplicates
-				agg.CacheHits += st.CacheHits
-				agg.CacheMisses += st.CacheMisses
-				if d := max(st.Depth, 1); d > childDepth {
-					childDepth = d
-				}
-				agg.Leaves = append(agg.Leaves, s.row)
-				// A forwarder child reports its own leaf rows: flatten
-				// them upward so the root sees the whole tree, not just
-				// its direct children — falkon-top's per-leaf panel and
-				// the chaos harness's healed check depend on true leaves
-				// being visible at any depth.
-				agg.Leaves = append(agg.Leaves, st.Leaves...)
-				continue
+	for i := range rows {
+		row := &rows[i]
+		var st fproto.StatsReply
+		if row.Up {
+			cli, _, err := f.leaves[i].sess.Conn()
+			if err == nil {
+				err = cli.Call(fproto.MethodStats, nil, &st)
 			}
-			s.row.Up = false
+			row.Up = err == nil
+			row.Queued = st.Queued
+			row.Outstanding = st.Outstanding
+			row.Executors = st.TotalExecutors
+			row.Busy = st.BusyExecutors
 		}
-		agg.Leaves = append(agg.Leaves, s.row)
+		// The direct child's row first, then (in Merge) the rows a forwarder
+		// child reports for its own leaves: falkon-top's per-leaf panel and
+		// the chaos harness's healed check need the true leaves at any depth.
+		agg.Leaves = append(agg.Leaves, *row)
+		agg.Merge(st)
 	}
-	agg.Depth = childDepth + 1
-	agg.Instances = nInst
-	if len(tenantAgg) > 0 {
-		names := make([]string, 0, len(tenantAgg))
-		for name := range tenantAgg {
-			names = append(names, name)
-		}
-		sort.Strings(names)
-		for _, name := range names {
-			agg.Tenants = append(agg.Tenants, *tenantAgg[name])
-		}
-	}
+	agg.Depth++
+	agg.Instances = len(insts)
 	return agg
-}
-
-// handleMetrics merges every leaf's registry snapshot with the forwarder's
-// own: counters and gauges sum, fixed-layout histograms merge bucket-wise,
-// so stage quantiles stay computable across the whole tree.
-func (f *Forwarder) handleMetrics(_ *wsrpc.Peer, _ json.RawMessage) (any, error) {
-	return f.MergedMetricsSnapshot(), nil
 }
 
 // liveClients snapshots the connections of currently-up leaves.
@@ -739,16 +608,18 @@ func (f *Forwarder) liveClients() []*wsrpc.Client {
 	defer f.mu.Unlock()
 	var out []*wsrpc.Client
 	for _, l := range f.leaves {
-		if l.up && l.cli != nil {
-			out = append(out, l.cli)
+		if cli, _, err := l.sess.Conn(); l.up && err == nil {
+			out = append(out, cli)
 		}
 	}
 	return out
 }
 
 // MergedMetricsSnapshot folds every reachable leaf's snapshot into the
-// forwarder's own. An unreachable leaf is skipped rather than failing the
-// whole aggregate; its contribution simply drops out of this sample.
+// forwarder's own: counters and gauges sum, fixed-layout histograms merge
+// bucket-wise, so stage quantiles stay computable across the whole tree. An
+// unreachable leaf is skipped rather than failing the whole aggregate; its
+// contribution simply drops out of this sample.
 func (f *Forwarder) MergedMetricsSnapshot() obs.MetricsSnapshot {
 	agg := f.reg.Snapshot()
 	for _, cli := range f.liveClients() {

@@ -4,6 +4,7 @@ import (
 	"sync"
 	"sync/atomic"
 
+	"falkon/internal/fproto"
 	"falkon/internal/task"
 )
 
@@ -22,8 +23,7 @@ type pentry struct {
 // Lock order: Forwarder.mu → finst.mu. Neither is ever held across a
 // downstream call.
 type finst struct {
-	epr  string
-	name string
+	epr string
 
 	// tenant is the creating client's tenant, forwarded verbatim on every
 	// downstream instance so leaf dispatchers attribute and admit the
@@ -32,30 +32,29 @@ type finst struct {
 
 	destroyed atomic.Bool
 
+	// createMu serializes downstream instance creation (held across the
+	// create call, so it is its own lock and never nests inside mu).
+	createMu sync.Mutex
+
 	mu     sync.Mutex
 	peer   upstreamPeer // client connection for pushed results (nil = detached)
 	notify bool
 
-	// pending maps every task awaiting a result to its current leaf; done
-	// records delivered task IDs so replayed duplicates drop exactly like
-	// the client library's dedupe. A resubmit of a done task re-runs it
-	// (the ID leaves done), mirroring dispatcher instance semantics.
+	// pending maps every task awaiting a result to its current leaf. It is
+	// recorded before the downstream call and cleared by the first result,
+	// so membership alone decides delivery: a replay's second result finds
+	// nothing owed and drops, and the instance retains O(in-flight) state.
+	// A resubmit of a delivered task re-enters pending and re-runs,
+	// mirroring dispatcher instance semantics.
 	pending map[task.ID]pentry
-	done    map[task.ID]struct{}
 
-	submitted int64
-	dupDrops  int64
+	dupDrops int64
 
-	// downEPR[i] is this instance's EPR on leaf i ("" until first use);
-	// creating[i] is a barrier channel while a create call is in flight so
-	// concurrent submits don't create duplicate downstream instances.
-	downEPR  []string
-	creating []chan struct{}
+	// downEPR[i] is this instance's EPR on leaf i ("" until first use).
+	downEPR []string
 
-	// results buffers deliveries for poll-mode (or detached) clients;
-	// waiters are blocked Collect calls.
-	results []task.Result
-	waiters []chan struct{}
+	// buf holds deliveries for poll-mode (or detached) clients.
+	buf task.ResultBuffer
 }
 
 // upstreamPeer is the slice of wsrpc.Peer the instance needs; an interface
@@ -64,56 +63,42 @@ type upstreamPeer interface {
 	Notify(method string, arg any) error
 }
 
-func newFinst(epr, name string, leaves int) *finst {
+func newFinst(epr string, leaves int) *finst {
 	return &finst{
-		epr:      epr,
-		name:     name,
-		pending:  make(map[task.ID]pentry),
-		done:     make(map[task.ID]struct{}),
-		downEPR:  make([]string, leaves),
-		creating: make([]chan struct{}, leaves),
+		epr:     epr,
+		pending: make(map[task.ID]pentry),
+		downEPR: make([]string, leaves),
 	}
 }
 
-// addResult buffers r and wakes blocked Collect calls. Callers hold mu.
-func (in *finst) addResult(r task.Result) {
-	in.results = append(in.results, r)
-	for _, w := range in.waiters {
-		select {
-		case w <- struct{}{}:
-		default:
-		}
-	}
-	in.waiters = in.waiters[:0]
+// downOn returns this instance's EPR on leaf idx ("" = none yet).
+func (in *finst) downOn(idx int) string {
+	in.mu.Lock()
+	defer in.mu.Unlock()
+	return in.downEPR[idx]
 }
 
-// takeResults removes up to max buffered results (0 = all). Callers hold mu.
-func (in *finst) takeResults(max int) []task.Result {
-	n := len(in.results)
-	if max > 0 && max < n {
-		n = max
+// deliver hands results to the client: pushed when it subscribed and is
+// attached, otherwise — or when the push fails because the upstream
+// connection died — buffered for Collect or for redelivery on reattach.
+func (in *finst) deliver(rs []task.Result) {
+	if len(rs) == 0 {
+		return
 	}
-	if n == 0 {
-		return nil
+	in.mu.Lock()
+	peer := in.peer
+	if !in.notify {
+		peer = nil
 	}
-	out := make([]task.Result, n)
-	copy(out, in.results)
-	in.results = in.results[n:]
-	if len(in.results) == 0 {
-		in.results = nil
+	in.mu.Unlock()
+	if peer != nil && peer.Notify(fproto.NotifyResults, fproto.ResultsNotify{EPR: in.epr, Results: rs}) == nil {
+		return
 	}
-	return out
-}
-
-// pendingFor counts tasks currently routed to leaf idx. Callers hold mu.
-func (in *finst) pendingFor(idx int) int {
-	n := 0
-	for _, pe := range in.pending {
-		if pe.leaf == idx {
-			n++
-		}
+	in.mu.Lock()
+	for _, r := range rs {
+		in.buf.Add(r)
 	}
-	return n
+	in.mu.Unlock()
 }
 
 // takePendingFor collects the tasks currently routed to leaf idx, in

@@ -1,0 +1,124 @@
+package forward
+
+import (
+	"reflect"
+	"testing"
+	"time"
+
+	"falkon/internal/client"
+	"falkon/internal/dispatch"
+	"falkon/internal/executor"
+	"falkon/internal/fproto"
+	"falkon/internal/task"
+)
+
+// retained counts the entries in every map an instance holds, whatever the
+// fields are called: the bound is on the instance, not on one field.
+func retained(in *finst) int {
+	in.mu.Lock()
+	defer in.mu.Unlock()
+	n := 0
+	v := reflect.ValueOf(in).Elem()
+	for i := 0; i < v.NumField(); i++ {
+		if f := v.Field(i); f.Kind() == reflect.Map {
+			n += f.Len()
+		}
+	}
+	return n
+}
+
+// A root instance must hold state for what is in flight, not for everything
+// it ever delivered; and a delivered ID submitted again runs and delivers
+// again, exactly once.
+func TestInstanceRetainsOnlyInFlight(t *testing.T) {
+	d := dispatch.New(dispatch.Options{Logf: t.Logf})
+	if err := d.Listen("127.0.0.1:0"); err != nil {
+		t.Fatal(err)
+	}
+	defer d.Close()
+	ex, err := executor.Start(executor.Options{ID: "ret-exec", DispatcherAddr: d.Addr(), Slots: 2})
+	if err != nil {
+		t.Fatal(err)
+	}
+	defer ex.Stop()
+	f, err := New(Options{Dispatchers: []string{d.Addr()}, Bundle: 50, Logf: t.Logf})
+	if err != nil {
+		t.Fatal(err)
+	}
+	if err := f.Listen("127.0.0.1:0"); err != nil {
+		t.Fatal(err)
+	}
+	defer f.Close()
+	c, err := client.Connect(client.Options{DispatcherAddr: f.Addr(), BundleSize: 100})
+	if err != nil {
+		t.Fatal(err)
+	}
+	defer c.Close()
+
+	const n = 3000 // ≫ anything in flight at once
+	var gen task.IDGen
+	tasks := task.Batch(&gen, n, 0)
+	for start := 0; start < n; start += 500 {
+		if err := c.Submit(tasks[start : start+500]); err != nil {
+			t.Fatal(err)
+		}
+		if _, err := c.WaitN(500, 30*time.Second); err != nil {
+			t.Fatal(err)
+		}
+	}
+	f.mu.Lock()
+	inst := f.byFwd[c.EPR()]
+	f.mu.Unlock()
+	if got := retained(inst); got != 0 {
+		t.Fatalf("instance retains %d map entries after delivering all %d tasks, want 0", got, n)
+	}
+
+	again := tasks[0]
+	if err := c.Submit([]task.Task{again}); err != nil {
+		t.Fatal(err)
+	}
+	rs, err := c.WaitN(1, 30*time.Second)
+	if err != nil || rs[0].ID != again.ID {
+		t.Fatalf("resubmitted delivered task: results %v, err %v", rs, err)
+	}
+	// The leaf ran n+1 tasks and the client holds n+1 results: no second
+	// copy is on its way.
+	if st := d.Stats(); st.Completed != n+1 {
+		t.Fatalf("leaf completed %d tasks, want %d", st.Completed, n+1)
+	}
+	if got := retained(inst); got != 0 {
+		t.Fatalf("instance retains %d map entries after the resubmit, want 0", got)
+	}
+}
+
+// pushRecorder is an upstream peer that records what the root pushes.
+type pushRecorder struct{ got []task.ID }
+
+func (p *pushRecorder) Notify(_ string, arg any) error {
+	for _, r := range arg.(fproto.ResultsNotify).Results {
+		p.got = append(p.got, r.ID)
+	}
+	return nil
+}
+
+// After redistribute re-pins a task to a second leaf, both leaves may answer:
+// the first result delivers and clears the debt, the second finds nothing
+// owed and drops.
+func TestDuplicateResultAfterRedistributeDrops(t *testing.T) {
+	up := &pushRecorder{}
+	inst := newFinst("fwd-1", 2)
+	inst.peer, inst.notify = up, true
+	f := &Forwarder{
+		leaves: []*leaf{{idx: 0}, {idx: 1}},
+		byReal: map[realKey]*finst{{0, "r0"}: inst, {1, "r1"}: inst},
+	}
+	tk := task.Task{ID: 7}
+	inst.pending[tk.ID] = pentry{t: tk, leaf: 0}
+	inst.pending[tk.ID] = pentry{t: tk, leaf: 1} // leaf 0 dropped; replayed onto leaf 1
+	f.onLeafResults(0, "r0", []task.Result{{ID: tk.ID}})
+	f.onLeafResults(1, "r1", []task.Result{{ID: tk.ID}})
+	if len(up.got) != 1 || inst.dupDrops != 1 || len(inst.pending) != 0 {
+		t.Fatalf("delivered %v, dupDrops %d, pending %d; want one delivery, one drop, nothing owed",
+			up.got, inst.dupDrops, len(inst.pending))
+	}
+}

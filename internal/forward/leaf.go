@@ -2,7 +2,6 @@ package forward
 
 import (
 	"encoding/json"
-	"errors"
 	"fmt"
 	"time"
 
@@ -10,20 +9,17 @@ import (
 	"falkon/internal/wsrpc"
 )
 
-// leaf is one downstream dispatcher from the root's point of view: its
-// connection (nil while down), the freshest capacity hint it reported, and
-// the bundle-routing counters falkon-top surfaces per leaf.
+// leaf is one downstream dispatcher from the root's point of view: the
+// session that owns its connection, whether it is routable, the freshest
+// capacity hint it reported, and the bundle-routing counters falkon-top
+// surfaces per leaf. Everything but idx, addr and sess is guarded by
+// Forwarder.mu.
 type leaf struct {
 	idx  int
 	addr string
+	sess *wsrpc.Session // set once in New, before any leaf is dialed
 
-	cli *wsrpc.Client // nil while down
-	up  bool
-	gen int64 // bumped per reconnect; stamps log lines, not correctness
-
-	// capOK is false when the leaf never acknowledged attach-parent (an
-	// old dispatcher); such leaves are routed to round-robin.
-	capOK    bool
+	up       bool // routable: flipped by the session's OnDown/OnUp
 	cap      fproto.CapacityHint
 	inflight int // tasks routed since cap was last refreshed
 
@@ -45,16 +41,13 @@ type leaf struct {
 // backlogged one even when the backlogged leaf has more executors. Callers
 // hold Forwarder.mu.
 func (l *leaf) score() int {
-	s := l.inflight
-	if l.capOK {
-		s += l.cap.Queued + l.cap.Outstanding - l.cap.IdleSlots
-		if l.cap.Executors == 0 {
-			// An executor-less leaf drains nothing: its empty queue would
-			// otherwise look maximally idle and absorb bundles no one will
-			// run. The first executor registration forces a capacity push,
-			// lifting the penalty promptly.
-			s += 1 << 20
-		}
+	s := l.inflight + l.cap.Queued + l.cap.Outstanding - l.cap.IdleSlots
+	if l.cap.Executors == 0 {
+		// An executor-less leaf drains nothing: its empty queue would
+		// otherwise look maximally idle and absorb bundles no one will
+		// run. The first executor registration forces a capacity push,
+		// lifting the penalty promptly.
+		s += 1 << 20
 	}
 	return s
 }
@@ -67,44 +60,53 @@ func (l *leaf) score() int {
 // table on pre-crash capacity (an idle leaf pushes nothing to correct it).
 // Callers hold Forwarder.mu.
 func (l *leaf) absorbHint(h fproto.CapacityHint) {
-	if !l.capOK || h.Epoch > l.cap.Epoch || (h.Epoch == l.cap.Epoch && h.Seq >= l.cap.Seq) {
+	if h.Epoch > l.cap.Epoch || (h.Epoch == l.cap.Epoch && h.Seq >= l.cap.Seq) {
 		l.cap = h
 		l.inflight = 0
 	}
 }
 
-// dialLeaf establishes leaf l's downstream connection and attaches the root
-// as a tree parent. A leaf that rejects attach-parent (an old dispatcher
-// without the capacity protocol) still works — it just routes round-robin.
-// Called without Forwarder.mu; the caller installs the returned state.
-func (f *Forwarder) dialLeaf(l *leaf) (*wsrpc.Client, fproto.CapacityHint, bool, error) {
-	idx := l.idx
-	cli, err := wsrpc.Dial(l.addr, wsrpc.ClientOptions{
-		Security: f.opts.Security,
-		PSK:      f.opts.PSK,
-		OnNotify: func(method string, body json.RawMessage) {
-			f.onLeafNotify(idx, method, body)
+// newLeafSession builds (without opening) the session that owns leaf l's
+// connection: redialed forever, attached as a tree parent before any bundle
+// can be routed over it, and reported to the routing table as it comes and goes.
+func (f *Forwarder) newLeafSession(l *leaf) *wsrpc.Session {
+	return wsrpc.NewSession(wsrpc.SessionOptions{
+		Addrs: []string{l.addr},
+		Client: wsrpc.ClientOptions{
+			Security: f.opts.Security,
+			PSK:      f.opts.PSK,
+			OnNotify: func(method string, body json.RawMessage) {
+				f.onLeafNotify(l.idx, method, body)
+			},
+			Metrics: f.reg,
 		},
-		Metrics: f.reg,
+		Reconnect: true,
+		Backoff:   f.opts.Backoff,
+		Handshake: func(cli *wsrpc.Client, _ int) error { return f.attachLeaf(l, cli) },
+		OnDown:    func() { f.leafChanged(l, false) },
+		OnUp:      func(*wsrpc.Client) { f.leafChanged(l, true) },
 	})
-	if err != nil {
-		return nil, fproto.CapacityHint{}, false, err
-	}
-	if f.opts.NoCapacity {
-		return cli, fproto.CapacityHint{}, false, nil
-	}
+}
+
+// attachLeaf is the leaf session's handshake: attach the root as a tree
+// parent, then drop whatever downstream instances an earlier connection
+// left on the leaf — their tasks replay through redistribute, and the next
+// bundle routed here creates fresh ones.
+func (f *Forwarder) attachLeaf(l *leaf, cli *wsrpc.Client) error {
 	var hint fproto.CapacityHint
-	err = cli.Call(fproto.MethodAttachParent, fproto.AttachParentRequest{Parent: f.name()}, &hint)
-	if err != nil {
-		var remote *wsrpc.RemoteError
-		if errors.As(err, &remote) {
-			f.logf("forward: leaf %s has no capacity protocol, routing round-robin: %v", l.addr, err)
-			return cli, fproto.CapacityHint{}, false, nil
-		}
-		cli.Close()
-		return nil, fproto.CapacityHint{}, false, err
+	if err := cli.Call(fproto.MethodAttachParent, fproto.AttachParentRequest{Parent: rootName}, &hint); err != nil {
+		return err
 	}
-	return cli, hint, true, nil
+	f.dropDownstreamInstances(l.idx, cli)
+	f.mu.Lock()
+	l.inflight = 0
+	// absorbHint, not assignment: the leaf pushes capacity from the moment
+	// attach-parent lands, so a fresher push can beat this snapshot here —
+	// overwriting it would pin the leaf at its attach-moment population
+	// until the next push, which an idle leaf never sends.
+	l.absorbHint(hint)
+	f.mu.Unlock()
+	return nil
 }
 
 // onLeafNotify handles pushes from leaf idx: capacity hints update the
@@ -117,10 +119,9 @@ func (f *Forwarder) onLeafNotify(idx int, method string, body json.RawMessage) {
 			return
 		}
 		f.mu.Lock()
-		if idx < len(f.leaves) {
-			f.leaves[idx].absorbHint(h)
-		}
+		f.leaves[idx].absorbHint(h)
 		f.mu.Unlock()
+		f.pushCapacity()
 	case fproto.NotifyResults:
 		var n fproto.ResultsNotify
 		if err := json.Unmarshal(body, &n); err != nil {
@@ -130,149 +131,86 @@ func (f *Forwarder) onLeafNotify(idx int, method string, body json.RawMessage) {
 	}
 }
 
-// superviseLeaf owns leaf l's connection lifecycle: it waits for the
-// current connection to die, fails the leaf over (rerouting its pending
-// work), and redials with backoff until the forwarder closes — the same
-// shape as the client library's dispatcher supervision, but per leaf.
-func (f *Forwarder) superviseLeaf(l *leaf) {
-	defer f.wg.Done()
-	for {
-		f.mu.Lock()
-		cli := l.cli
-		f.mu.Unlock()
-		if cli == nil {
-			return
-		}
-		select {
-		case <-cli.Done():
-		case <-f.stop:
-			return
-		}
-		f.leafDown(l)
-		if !f.redialLeaf(l) {
-			return
-		}
-	}
+// handleAttachParent makes this forwarder a leaf of a deeper tree: the
+// calling root is told this node's aggregate capacity exactly as a
+// dispatcher would tell it its own — in the reply, then pushed whenever a
+// leaf's report or liveness changes the sum.
+func (f *Forwarder) handleAttachParent(p *wsrpc.Peer, _ json.RawMessage) (any, error) {
+	f.parents.Add(p)
+	f.mu.Lock()
+	defer f.mu.Unlock()
+	return f.capacity(), nil
 }
 
-// leafDown marks l unroutable and kicks its pending tasks to surviving
-// leaves. The instance mappings (byReal, downEPR) are kept: if the leaf
-// merely lost its connection — or restarted on a journal — the redial path
-// reattaches and drains any results buffered downstream before discarding
-// the old downstream instances.
-func (f *Forwarder) leafDown(l *leaf) {
-	f.mu.Lock()
-	if l.cli != nil {
-		l.cli.Close()
+// capacity sums the up leaves' hints, and what was routed to them since,
+// into this node's own. Callers hold f.mu.
+func (f *Forwarder) capacity() fproto.CapacityHint {
+	f.capSeq++
+	h := fproto.CapacityHint{Seq: f.capSeq, Epoch: f.epoch}
+	for _, l := range f.leaves {
+		if l.up {
+			h.Queued += l.cap.Queued + l.inflight
+			h.Outstanding += l.cap.Outstanding
+			h.IdleSlots += l.cap.IdleSlots
+			h.Executors += l.cap.Executors
+		}
 	}
-	l.cli = nil
-	l.up = false
+	return h
+}
+
+// pushCapacity sends the current aggregate to every attached parent. Hints
+// can overtake each other between here and the wire; Seq lets the parent
+// drop the stale one.
+func (f *Forwarder) pushCapacity() {
+	if f.parents.Len() == 0 {
+		return // every plain root: one atomic load
+	}
+	f.mu.Lock()
+	h := f.capacity()
 	f.mu.Unlock()
-	f.logf("forward: leaf %s down, rerouting its pending tasks", l.addr)
-	// Asynchronous: with no surviving leaf the reroute parks in waitRoutable,
-	// and the supervisor must be free to redial — the very thing that makes
-	// the system routable again. Safe to run concurrently with the redial's
-	// own redistribute: routing re-pins each pending entry, and any task that
-	// double-executes in the overlap dedupes at the root.
-	f.wg.Add(1)
+	// A dead parent is onUpstreamDisconnect's to drop.
+	f.parents.Each(func(p *wsrpc.Peer) { _ = p.Notify(fproto.NotifyCapacity, h) })
+}
+
+// leafChanged is the leaf session's OnDown (up=false) and OnUp (up=true)
+// hook: it flips the leaf in the routing table and replays every task still
+// routed to it — away from a dead leaf, or back onto a returned one if no
+// survivor took them meanwhile. The replay is asynchronous: with no leaf up
+// it parks in pickLeaf, and the session must stay free to redial. Concurrent
+// replays are safe: routing re-pins each pending entry, and a task that
+// double-executes in the overlap dedupes at the root.
+func (f *Forwarder) leafChanged(l *leaf, up bool) {
+	f.mu.Lock()
+	if f.closed {
+		f.mu.Unlock()
+		return
+	}
+	l.up = up
+	if up {
+		l.reconnects++
+		f.routable.Broadcast()
+	}
+	f.wg.Add(1) // under mu and before closed: Close's Wait cannot have begun
+	f.mu.Unlock()
+	f.pushCapacity()
+	if up {
+		f.logf("forward: leaf %s reconnected", l.addr)
+	} else {
+		f.logf("forward: leaf %s down, rerouting its pending tasks", l.addr)
+	}
 	go func() {
 		defer f.wg.Done()
 		f.redistribute(l.idx)
 	}()
 }
 
-// redialLeaf reconnects to l with jittered backoff, recovers what the old
-// downstream instances still hold, and puts the leaf back in the routing
-// set. Returns false when the forwarder closed instead.
-func (f *Forwarder) redialLeaf(l *leaf) bool {
-	for attempt := 0; ; attempt++ {
-		select {
-		case <-f.stop:
-			return false
-		case <-time.After(f.backoff.Delay(attempt)):
-		}
-		cli, hint, capOK, err := f.dialLeaf(l)
-		if err != nil {
-			continue
-		}
-		f.recoverLeafInstances(l, cli)
-		f.mu.Lock()
-		l.cli = cli
-		l.up = true
-		l.gen++
-		l.capOK = capOK
-		// absorbHint, not assignment: recoverLeafInstances above takes long
-		// enough that a forced capacity push from the fresh incarnation (an
-		// executor re-registering, say) can land first — overwriting it with
-		// the attach-time snapshot would pin this leaf at its attach-moment
-		// population until the next push, which an idle leaf never sends.
-		l.absorbHint(hint)
-		l.inflight = 0
-		l.reconnects++
-		f.routable.Broadcast()
-		f.mu.Unlock()
-		f.logf("forward: leaf %s reconnected (attempt %d)", l.addr, attempt+1)
-		// Anything still routed here (no surviving leaf took it while we
-		// were down) resubmits against the fresh connection.
-		f.redistribute(l.idx)
-		return true
-	}
-}
-
-// recoverLeafInstances drains the old downstream instances on a freshly
-// redialed leaf. If the leaf survived (connection blip) or recovered from
-// its journal, reattaching by EPR flushes the results it buffered while
-// detached — the root dedupes any overlap with rerouted replays. The
-// recovered instance is then destroyed: its re-queued tasks are dropped so
-// the root's own replay is the single execution, and the next bundle routed
-// here creates a fresh downstream instance.
-func (f *Forwarder) recoverLeafInstances(l *leaf, cli *wsrpc.Client) {
-	type oldRoute struct {
-		realEPR string
-		inst    *finst
-	}
-	var olds []oldRoute
-	f.mu.Lock()
-	for k, inst := range f.byReal {
-		if k.down == l.idx {
-			olds = append(olds, oldRoute{k.epr, inst})
-			delete(f.byReal, k)
-		}
-	}
-	f.mu.Unlock()
-	for _, o := range olds {
-		var rep fproto.CreateInstanceReply
-		err := cli.Call(fproto.MethodCreateInstance, fproto.CreateInstanceRequest{
-			ClientName: f.name(), WantNotifications: true, EPR: o.realEPR,
-		}, &rep)
-		if err == nil {
-			// Buffered results were pushed during reattach and are being
-			// dispatched through onLeafResults; restore the mapping just for
-			// the destroy window, then drop the downstream instance.
-			var out struct{}
-			_ = cli.Call(fproto.MethodDestroyInstance, fproto.DestroyInstanceRequest{EPR: o.realEPR}, &out)
-		}
-		o.inst.mu.Lock()
-		if o.inst.downEPR[l.idx] == o.realEPR {
-			o.inst.downEPR[l.idx] = ""
-		}
-		o.inst.mu.Unlock()
-	}
-}
-
 // redistribute replays every task currently routed to leaf `from` through
 // the normal routing path, which picks whatever leaf is healthiest now
-// (possibly `from` itself, freshly reconnected). Tasks whose results landed
-// in the meantime fall out via the done-map dedupe.
+// (possibly `from` itself, freshly reconnected). A task whose result lands
+// in the meantime leaves pending, so its replay's result is dropped.
 func (f *Forwarder) redistribute(from int) {
-	f.mu.Lock()
-	insts := make([]*finst, 0, len(f.byFwd))
-	for _, inst := range f.byFwd {
-		insts = append(insts, inst)
-	}
-	f.mu.Unlock()
 	total := 0
-	for _, inst := range insts {
+	for _, inst := range f.instances() {
 		if inst.destroyed.Load() {
 			continue
 		}
@@ -283,12 +221,9 @@ func (f *Forwarder) redistribute(from int) {
 			continue
 		}
 		total += len(ts)
-		var trace uint64
-		if len(ts) > 0 {
-			trace = ts[0].Trace
-		}
-		for start := 0; start < len(ts); start += f.bundle {
-			end := min(start+f.bundle, len(ts))
+		trace := ts[0].Trace
+		for start := 0; start < len(ts); start += f.opts.Bundle {
+			end := min(start+f.opts.Bundle, len(ts))
 			if err := f.routeBundle(inst, ts[start:end], trace, from); err != nil {
 				f.logf("forward: reroute %d tasks from leaf %d: %v", end-start, from, err)
 			}
@@ -325,17 +260,17 @@ func (f *Forwarder) rescueStarvedLeaves() {
 		}
 		f.mu.Lock()
 		// A rescue only helps when some other up leaf can actually run the
-		// tasks; a legacy leaf (no capacity protocol) is assumed able.
+		// tasks.
 		runnable := false
 		for _, l := range f.leaves {
-			if l.up && (!l.capOK || l.cap.Executors > 0) {
+			if l.up && l.cap.Executors > 0 {
 				runnable = true
 				break
 			}
 		}
 		var starved []int
 		for _, l := range f.leaves {
-			if !runnable || !l.up || !l.capOK || l.cap.Executors > 0 {
+			if !runnable || !l.up || l.cap.Executors > 0 {
 				l.starved = 0
 				continue
 			}
@@ -347,29 +282,28 @@ func (f *Forwarder) rescueStarvedLeaves() {
 		}
 		f.mu.Unlock()
 		for _, idx := range starved {
-			if f.owesTasks(idx) {
+			cli, _, err := f.leaves[idx].sess.Conn()
+			if err == nil && f.owesTasks(idx) {
 				f.logf("forward: leaf %d is executor-less but owes tasks, rescuing them", idx)
-				f.dropDownstreamInstances(idx)
+				f.dropDownstreamInstances(idx, cli)
 				f.redistribute(idx)
 			}
 		}
 	}
 }
 
-// dropDownstreamInstances destroys every downstream instance on leaf idx,
-// dropping whatever that dispatcher still holds queued for this root. The
-// next bundle routed there creates a fresh downstream instance.
-func (f *Forwarder) dropDownstreamInstances(idx int) {
+// dropDownstreamInstances forgets every downstream instance this root holds
+// on leaf idx and destroys them over cli, dropping whatever that dispatcher
+// still has queued or buffered for them (each holds only work this root
+// routed there; a leaf that restarted without a journal just reports them
+// unknown). The next bundle routed there creates a fresh downstream instance.
+func (f *Forwarder) dropDownstreamInstances(idx int, cli *wsrpc.Client) {
 	type oldRoute struct {
 		epr  string
 		inst *finst
 	}
 	var olds []oldRoute
 	f.mu.Lock()
-	var cli *wsrpc.Client
-	if idx < len(f.leaves) && f.leaves[idx].up {
-		cli = f.leaves[idx].cli
-	}
 	for k, inst := range f.byReal {
 		if k.down == idx {
 			olds = append(olds, oldRoute{k.epr, inst})
@@ -383,23 +317,15 @@ func (f *Forwarder) dropDownstreamInstances(idx int) {
 			o.inst.downEPR[idx] = ""
 		}
 		o.inst.mu.Unlock()
-		if cli != nil {
-			var out struct{}
-			_ = cli.Call(fproto.MethodDestroyInstance, fproto.DestroyInstanceRequest{EPR: o.epr}, &out)
-		}
+		var out struct{}
+		_ = cli.Call(fproto.MethodDestroyInstance, fproto.DestroyInstanceRequest{EPR: o.epr}, &out)
 	}
 }
 
 // owesTasks reports whether any instance has pending tasks routed to leaf
 // idx.
 func (f *Forwarder) owesTasks(idx int) bool {
-	f.mu.Lock()
-	insts := make([]*finst, 0, len(f.byFwd))
-	for _, inst := range f.byFwd {
-		insts = append(insts, inst)
-	}
-	f.mu.Unlock()
-	for _, inst := range insts {
+	for _, inst := range f.instances() {
 		inst.mu.Lock()
 		for _, pe := range inst.pending {
 			if pe.leaf == idx {
@@ -413,45 +339,34 @@ func (f *Forwarder) owesTasks(idx int) bool {
 }
 
 // pickLeaf chooses the routing target for the next bundle: the up leaf with
-// the lowest backlog score, round-robin on ties (and therefore plain
-// round-robin when no leaf speaks the capacity protocol, since all scores
-// sit at zero in steady state). avoid is the leaf a failed attempt just
-// came from (-1 = none); it loses ties but is not excluded — with one leaf
-// it is still the only choice. Callers hold f.mu.
-func (f *Forwarder) pickLeaf(avoid int) (*leaf, bool) {
-	var best *leaf
-	n := len(f.leaves)
-	for i := 0; i < n; i++ {
-		l := f.leaves[(f.rr+i)%n]
-		if !l.up {
-			continue
-		}
-		if best == nil || l.score() < best.score() ||
-			(l.score() == best.score() && best.idx == avoid && l.idx != avoid) {
-			best = l
-		}
-	}
-	if best == nil {
-		return nil, false
-	}
-	f.rr = (best.idx + 1) % n
-	return best, true
-}
-
-// waitRoutable blocks until at least one leaf is up or the deadline passes.
-// Callers hold f.mu; the lock is released while parked.
-func (f *Forwarder) waitRoutable(deadline time.Time) error {
+// the lowest backlog score, round-robin on ties. avoid is the leaf a failed
+// attempt just came from (-1 = none); it loses ties but is not excluded —
+// with one leaf it is still the only choice. While no leaf is up it parks
+// until one comes up, the deadline passes or the forwarder closes. Callers
+// hold f.mu; the lock is released while parked.
+func (f *Forwarder) pickLeaf(avoid int, deadline time.Time) (*leaf, error) {
 	for {
 		if f.closed {
-			return fmt.Errorf("forward: closed")
+			return nil, fmt.Errorf("forward: closed")
 		}
-		for _, l := range f.leaves {
-			if l.up {
-				return nil
+		var best *leaf
+		n := len(f.leaves)
+		for i := 0; i < n; i++ {
+			l := f.leaves[(f.rr+i)%n]
+			if !l.up {
+				continue
+			}
+			if best == nil || l.score() < best.score() ||
+				(l.score() == best.score() && best.idx == avoid && l.idx != avoid) {
+				best = l
 			}
 		}
+		if best != nil {
+			f.rr = (best.idx + 1) % n
+			return best, nil
+		}
 		if !time.Now().Before(deadline) {
-			return fmt.Errorf("forward: no dispatcher reachable")
+			return nil, fmt.Errorf("forward: no dispatcher reachable")
 		}
 		t := time.AfterFunc(time.Until(deadline), f.routable.Broadcast)
 		f.routable.Wait()

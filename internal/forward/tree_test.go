@@ -3,7 +3,6 @@ package forward_test
 import (
 	"encoding/json"
 	"fmt"
-	"sync"
 	"testing"
 	"time"
 
@@ -69,17 +68,11 @@ func TestForwarderSurvivesLeafRestart(t *testing.T) {
 	}
 	d1.Abort() // crash: no drain, no journal — outstanding work evaporates
 
-	// Restart a fresh dispatcher on the same address (bind may race the
-	// dying listener briefly).
+	// Restart a fresh dispatcher on the same address: Abort returned, so
+	// the old listener is closed.
 	d2 := dispatch.New(dispatch.Options{Logf: t.Logf})
-	deadline := time.Now().Add(10 * time.Second)
-	for {
-		if err := d2.Listen(addr); err == nil {
-			break
-		} else if time.Now().After(deadline) {
-			t.Fatalf("rebind %s: %v", addr, err)
-		}
-		time.Sleep(20 * time.Millisecond)
+	if err := d2.Listen(addr); err != nil {
+		t.Fatalf("rebind %s: %v", addr, err)
 	}
 	t.Cleanup(func() { d2.Close() })
 
@@ -224,73 +217,12 @@ func TestForwarderRoutesByCapacity(t *testing.T) {
 	}
 }
 
-// legacyProxy fronts a real dispatcher while refusing to speak the capacity
-// protocol — the wire shape of a dispatcher predating this release. Only
-// the legacy client-facing methods exist; attach-parent fails as an unknown
-// method, which the root must treat as "route this leaf round-robin", not
-// as a fatal error.
-type legacyProxy struct {
-	srv  *wsrpc.Server
-	down *wsrpc.Client
-
-	mu   sync.Mutex
-	peer *wsrpc.Peer // the root's connection, for result relay
-}
-
-func startLegacyProxy(t *testing.T, downstream string) string {
-	t.Helper()
-	p := &legacyProxy{}
-	down, err := wsrpc.Dial(downstream, wsrpc.ClientOptions{
-		OnNotify: func(method string, body json.RawMessage) {
-			if method != fproto.NotifyResults {
-				return
-			}
-			p.mu.Lock()
-			peer := p.peer
-			p.mu.Unlock()
-			if peer != nil {
-				var n fproto.ResultsNotify
-				if json.Unmarshal(body, &n) == nil {
-					peer.Notify(fproto.NotifyResults, n)
-				}
-			}
-		},
-	})
-	if err != nil {
-		t.Fatal(err)
-	}
-	p.down = down
-	p.srv = wsrpc.NewServer(wsrpc.ServerOptions{Logf: t.Logf})
-	relay := func(method string) func(*wsrpc.Peer, json.RawMessage) (any, error) {
-		return func(peer *wsrpc.Peer, body json.RawMessage) (any, error) {
-			p.mu.Lock()
-			p.peer = peer
-			p.mu.Unlock()
-			var out json.RawMessage
-			if err := p.down.Call(method, body, &out); err != nil {
-				return nil, err
-			}
-			return out, nil
-		}
-	}
-	for _, m := range []string{
-		fproto.MethodCreateInstance, fproto.MethodDestroyInstance,
-		fproto.MethodSubmit, fproto.MethodCollect,
-		fproto.MethodStats, fproto.MethodMetrics, fproto.MethodEvents,
-	} {
-		p.srv.Register(m, relay(m))
-	}
-	if err := p.srv.Listen("127.0.0.1:0"); err != nil {
-		t.Fatal(err)
-	}
-	t.Cleanup(func() { p.srv.Close(); p.down.Close() })
-	return p.srv.Addr()
-}
-
-// TestForwarderLegacyLeafWireCompat runs a mixed tree: one leaf speaks the
-// capacity protocol, the other is a legacy dispatcher behind a proxy that
-// rejects attach-parent. Work must still flow through both.
-func TestForwarderLegacyLeafWireCompat(t *testing.T) {
+// TestForwarderOfForwardersRoutesByCapacity is TestForwarderRoutesByCapacity
+// one level up: an interior forwarder answers attach-parent with the sum of
+// its leaves' hints, so the root never feeds the subtree that has no
+// executors.
+func TestForwarderOfForwardersRoutesByCapacity(t *testing.T) {
+	var mids []string
 	var ds []*dispatch.Dispatcher
 	for i := 0; i < 2; i++ {
 		d := dispatch.New(dispatch.Options{Logf: t.Logf})
@@ -298,95 +230,73 @@ func TestForwarderLegacyLeafWireCompat(t *testing.T) {
 			t.Fatal(err)
 		}
 		t.Cleanup(func() { d.Close() })
+		ds = append(ds, d)
+		mid, err := forward.New(forward.Options{Dispatchers: []string{d.Addr()}, Bundle: 10, Logf: t.Logf})
+		if err != nil {
+			t.Fatal(err)
+		}
+		if err := mid.Listen("127.0.0.1:0"); err != nil {
+			t.Fatal(err)
+		}
+		t.Cleanup(func() { mid.Close() })
+		mids = append(mids, mid.Addr())
+	}
+	empty, busy := ds[0], ds[1]
+	for i := 0; i < 4; i++ {
 		ex, err := executor.Start(executor.Options{
-			ID: fmt.Sprintf("wc-exec-%d", i), DispatcherAddr: d.Addr(), SleepScale: 0.001,
+			ID: fmt.Sprintf("deep-exec-%d", i), DispatcherAddr: busy.Addr(), SleepScale: 0.001,
 		})
 		if err != nil {
 			t.Fatal(err)
 		}
 		t.Cleanup(ex.Stop)
-		ds = append(ds, d)
 	}
-	legacyAddr := startLegacyProxy(t, ds[1].Addr())
-
-	f, err := forward.New(forward.Options{Dispatchers: []string{ds[0].Addr(), legacyAddr}, Bundle: 5, Logf: t.Logf})
+	root, err := forward.New(forward.Options{Dispatchers: mids, Bundle: 10, Logf: t.Logf})
 	if err != nil {
-		t.Fatalf("mixed tree must come up despite the legacy leaf: %v", err)
+		t.Fatalf("a forwarder must accept a forwarder as its leaf: %v", err)
 	}
-	if err := f.Listen("127.0.0.1:0"); err != nil {
+	if err := root.Listen("127.0.0.1:0"); err != nil {
 		t.Fatal(err)
 	}
-	t.Cleanup(func() { f.Close() })
+	t.Cleanup(func() { root.Close() })
+	if st := root.Stats(); st.Depth != 3 {
+		t.Fatalf("depth = %d, want 3", st.Depth)
+	}
 
-	c, err := client.Connect(client.Options{DispatcherAddr: f.Addr(), BundleSize: 30})
+	c, err := client.Connect(client.Options{DispatcherAddr: root.Addr(), BundleSize: 25})
 	if err != nil {
 		t.Fatal(err)
 	}
 	t.Cleanup(func() { c.Close() })
 	var gen task.IDGen
-	if err := c.Submit(task.Batch(&gen, 120, 0)); err != nil {
+	if err := c.Submit(task.Batch(&gen, 100, 0)); err != nil {
 		t.Fatal(err)
 	}
-	rs, err := c.WaitN(120, 30*time.Second)
-	if err != nil {
+	if _, err := c.WaitN(100, 30*time.Second); err != nil {
 		t.Fatal(err)
 	}
-	if len(rs) != 120 {
-		t.Fatalf("results = %d", len(rs))
+	if st := empty.Stats(); st.Submitted != 0 {
+		t.Fatalf("executor-less subtree received %d tasks", st.Submitted)
 	}
-	if st := ds[1].Stats(); st.Completed == 0 {
-		t.Fatal("legacy leaf served nothing")
-	}
-	if st := ds[0].Stats(); st.Completed == 0 {
-		t.Fatal("capacity leaf served nothing")
+	if st := busy.Stats(); st.Completed != 100 {
+		t.Fatalf("busy subtree completed %d, want 100", st.Completed)
 	}
 }
 
-// TestForwarderNoCapacityOption pins the pure round-robin fallback: with
-// the protocol disabled the tree still works end to end.
-func TestForwarderNoCapacityOption(t *testing.T) {
-	var addrs []string
-	var ds []*dispatch.Dispatcher
-	for i := 0; i < 2; i++ {
-		d := dispatch.New(dispatch.Options{Logf: t.Logf})
-		if err := d.Listen("127.0.0.1:0"); err != nil {
-			t.Fatal(err)
-		}
-		t.Cleanup(func() { d.Close() })
-		ex, err := executor.Start(executor.Options{
-			ID: fmt.Sprintf("nc-exec-%d", i), DispatcherAddr: d.Addr(), SleepScale: 0.001,
-		})
-		if err != nil {
-			t.Fatal(err)
-		}
-		t.Cleanup(ex.Stop)
-		addrs = append(addrs, d.Addr())
-		ds = append(ds, d)
-	}
-	f, err := forward.New(forward.Options{Dispatchers: addrs, Bundle: 10, NoCapacity: true, Logf: t.Logf})
-	if err != nil {
+// TestForwarderRejectsLeafWithoutCapacityProtocol pins the end of the
+// round-robin fallback: every dispatcher in this repo answers attach-parent,
+// so a leaf that does not is a misconfiguration New reports, not a peer to
+// route blind.
+func TestForwarderRejectsLeafWithoutCapacityProtocol(t *testing.T) {
+	srv := wsrpc.NewServer(wsrpc.ServerOptions{Logf: t.Logf}) // no attach-parent handler
+	if err := srv.Listen("127.0.0.1:0"); err != nil {
 		t.Fatal(err)
 	}
-	if err := f.Listen("127.0.0.1:0"); err != nil {
-		t.Fatal(err)
-	}
-	t.Cleanup(func() { f.Close() })
-	c, err := client.Connect(client.Options{DispatcherAddr: f.Addr(), BundleSize: 40})
-	if err != nil {
-		t.Fatal(err)
-	}
-	t.Cleanup(func() { c.Close() })
-	var gen task.IDGen
-	if err := c.Submit(task.Batch(&gen, 80, 0)); err != nil {
-		t.Fatal(err)
-	}
-	if _, err := c.WaitN(80, 30*time.Second); err != nil {
-		t.Fatal(err)
-	}
-	for i, d := range ds {
-		if st := d.Stats(); st.Completed == 0 {
-			t.Fatalf("round-robin leaf %d served nothing", i)
-		}
+	t.Cleanup(func() { srv.Close() })
+	f, err := forward.New(forward.Options{Dispatchers: []string{srv.Addr()}, Logf: t.Logf})
+	if err == nil {
+		f.Close()
+		t.Fatal("New accepted a leaf that refuses attach-parent")
 	}
 }
 

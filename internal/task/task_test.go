@@ -212,3 +212,25 @@ func TestJSONLRoundTrip(t *testing.T) {
 		t.Fatalf("task3 = %+v", out[3])
 	}
 }
+
+func TestResultBufferTakeAndWake(t *testing.T) {
+	var b ResultBuffer
+	w := b.Wait()
+	for i := 1; i <= 5; i++ {
+		b.Add(Result{ID: ID(i)})
+	}
+	select {
+	case <-w:
+	default:
+		t.Fatal("waiter not woken by Add")
+	}
+	if got := b.Take(2); len(got) != 2 || got[0].ID != 1 || got[1].ID != 2 {
+		t.Fatalf("Take(2) = %v", got)
+	}
+	if got := b.Take(0); len(got) != 3 || got[0].ID != 3 { // 0 = all
+		t.Fatalf("Take(all) = %v", got)
+	}
+	if got := b.Take(0); got != nil {
+		t.Fatalf("empty Take = %v", got)
+	}
+}

@@ -38,8 +38,6 @@ type ClientOptions struct {
 	PSK []byte
 	// OnNotify handles pushed notifications; may be nil.
 	OnNotify NotifyHandler
-	// OnClose, when set, runs once when the connection ends for any reason.
-	OnClose func(err error)
 	// Metrics, when set, receives per-method call counts and round-trip
 	// latency histograms plus framed-byte counters (client-side view).
 	Metrics *obs.Registry
@@ -60,7 +58,6 @@ type Client struct {
 	seq     uint64
 	pending map[uint64]chan *frame
 	closed  bool
-	readErr error
 
 	interned map[string]string // notify method names; readLoop-only
 
@@ -77,7 +74,13 @@ type Client struct {
 
 // Dial connects to a Server at addr.
 func Dial(addr string, opts ClientOptions) (*Client, error) {
-	c, err := net.Dial("tcp", addr)
+	return dial(context.Background(), addr, opts, new(net.Dialer).DialContext)
+}
+
+// dial is Dial over an arbitrary connector; cancelling ctx aborts the
+// connect and the security handshake, never an established client.
+func dial(ctx context.Context, addr string, opts ClientOptions, connect func(ctx context.Context, network, addr string) (net.Conn, error)) (*Client, error) {
+	c, err := connect(ctx, "tcp", addr)
 	if err != nil {
 		return nil, fmt.Errorf("wsrpc: dial %s: %w", addr, err)
 	}
@@ -91,7 +94,9 @@ func Dial(addr string, opts ClientOptions) (*Client, error) {
 			perFlush: opts.Metrics.Histogram("wsrpc_client_frames_per_flush"),
 		}
 	}
+	stop := context.AfterFunc(ctx, func() { c.Close() })
 	fc, err := newFrameConn(c, opts.Security, opts.PSK, true, stats)
+	stop()
 	if err != nil {
 		c.Close()
 		return nil, err
@@ -154,7 +159,7 @@ func (c *Client) readLoop() {
 			break
 		}
 	}
-	c.teardown(err)
+	c.teardown()
 }
 
 // intern returns the string for a notify method name, reusing one
@@ -176,14 +181,13 @@ func (c *Client) intern(b []byte) string {
 }
 
 // teardown fails all pending calls and signals closure.
-func (c *Client) teardown(err error) {
+func (c *Client) teardown() {
 	c.mu.Lock()
 	if c.closed {
 		c.mu.Unlock()
 		return
 	}
 	c.closed = true
-	c.readErr = err
 	pend := c.pending
 	c.pending = nil
 	c.mu.Unlock()
@@ -192,9 +196,6 @@ func (c *Client) teardown(err error) {
 		close(ch)
 	}
 	close(c.done)
-	if c.opts.OnClose != nil {
-		c.opts.OnClose(err)
-	}
 }
 
 // Close shuts the connection down. Pending calls fail with ErrClientClosed.

@@ -168,8 +168,11 @@ func TestCoalescedWritesDecodeIdentically(t *testing.T) {
 					}
 				}(g)
 			}
+			// The writers index bodies until wg.Wait, so the reader must not
+			// mutate it: it counts frames, and the per-writer order check below
+			// is what rejects a duplicate.
 			lastSeq := make(map[int]int) // writer -> last frame index seen
-			for range bodies {
+			for n := 0; n < writers*frames; n++ {
 				raw, err := srv.ReadFrame()
 				if err != nil {
 					t.Fatal(err)
@@ -191,7 +194,6 @@ func TestCoalescedWritesDecodeIdentically(t *testing.T) {
 					t.Fatalf("writer %d frame %d arrived after %d", g, i, last)
 				}
 				lastSeq[g] = i
-				delete(bodies, f.Seq)
 			}
 			wg.Wait()
 		})

@@ -393,3 +393,55 @@ func (p *Peer) Notify(method string, arg any) error {
 
 // Close tears down the peer's connection.
 func (p *Peer) Close() error { return p.fc.Close() }
+
+// PeerSet is a set of connected peers some event is pushed to — the tree
+// parents attached to a dispatcher or to a forwarder. The zero value is
+// ready to use, and Len is one atomic load, so a hot path can skip an empty
+// set for free.
+type PeerSet struct {
+	n  atomic.Int32
+	mu sync.Mutex
+	m  map[uint64]*Peer
+}
+
+// Add puts p in the set.
+func (s *PeerSet) Add(p *Peer) {
+	s.mu.Lock()
+	if s.m == nil {
+		s.m = make(map[uint64]*Peer)
+	}
+	s.m[p.ID()] = p
+	s.n.Store(int32(len(s.m)))
+	s.mu.Unlock()
+}
+
+// Drop removes p (a no-op if it was never added).
+func (s *PeerSet) Drop(p *Peer) {
+	s.mu.Lock()
+	delete(s.m, p.ID())
+	s.n.Store(int32(len(s.m)))
+	s.mu.Unlock()
+}
+
+// Len returns the number of peers in the set.
+func (s *PeerSet) Len() int { return int(s.n.Load()) }
+
+// Has reports whether p is in the set.
+func (s *PeerSet) Has(p *Peer) bool {
+	if s.Len() == 0 {
+		return false
+	}
+	s.mu.Lock()
+	defer s.mu.Unlock()
+	return s.m[p.ID()] == p
+}
+
+// Each calls fn for every peer in the set, under the set's lock: fn must
+// not block for long (a corked notify write, an enqueue) nor re-enter the set.
+func (s *PeerSet) Each(fn func(*Peer)) {
+	s.mu.Lock()
+	defer s.mu.Unlock()
+	for _, p := range s.m {
+		fn(p)
+	}
+}

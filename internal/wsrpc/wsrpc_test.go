@@ -261,7 +261,15 @@ func TestSecureProfileMismatchFails(t *testing.T) {
 	c, err := Dial(s.Addr(), ClientOptions{Security: SecurityNone})
 	if err == nil {
 		defer c.Close()
-		if callErr := c.Call("echo", "x", nil); callErr == nil {
+		// Bounded: the server reads the plaintext frame as a nonce and then
+		// waits for a proof that never comes, while the client reads the
+		// server's random nonce as a length prefix — one time in ~64 a
+		// plausible one, and then both sides wait for ever (no handshake
+		// deadline; filed in ROADMAP item 5's overload list). Not getting a
+		// reply is as good a failure as getting an error.
+		ctx, cancel := context.WithTimeout(context.Background(), 2*time.Second)
+		defer cancel()
+		if callErr := c.CallContext(ctx, "echo", "x", nil); callErr == nil {
 			t.Fatal("plaintext client talked to secure server")
 		}
 	}

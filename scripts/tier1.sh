@@ -20,6 +20,13 @@ set -x
 go build ./...
 go vet ./...
 go test ./...
+# benchmark/ is a module of its own (the root ./... skips it) that calls the
+# product's constructors: a product-API change that stops it compiling must
+# fail here, not in the benchmark pipeline. Its smoke test boots the real
+# runtime and stays out of tier 1; these are its pure unit tests.
+# (-o /dev/null: a bare `go build` of the one main package would drop a
+# binary into benchmark/, which no PR may touch.)
+(cd benchmark && go build -o /dev/null ./... && go vet ./... && go test -run 'TestBenchmarkJSON|TestHist|TestWindow|TestSpanRing' .)
 
 if [ "$QUICK" = 1 ]; then
     exit 0

@@ -21,6 +21,7 @@ import (
 
 	"falkon/internal/executor"
 	"falkon/internal/faultinj"
+	"falkon/internal/fproto"
 	"falkon/internal/obs"
 	"falkon/internal/wsrpc"
 )
@@ -104,7 +105,7 @@ func main() {
 	if *debugAddr != "" && len(execs) > 0 {
 		// Traces come from the first executor; metrics cover all of them.
 		ds, err := obs.ServeDebugOpts(*debugAddr, obs.DebugOptions{
-			Snap:       reg.Snapshot,
+			Snap:       func() obs.MetricsSnapshot { return fproto.NoteCodec(reg.Snapshot()) },
 			Tracer:     execs[0].Tracer(),
 			SpanHeader: execs[0].SpanHeader,
 		})

@@ -21,6 +21,7 @@ import (
 
 	"falkon/internal/client"
 	"falkon/internal/faultinj"
+	"falkon/internal/fproto"
 	"falkon/internal/metrics"
 	"falkon/internal/obs"
 	"falkon/internal/task"
@@ -50,7 +51,7 @@ func main() {
 	if *debugAddr != "" {
 		reg := obs.NewRegistry()
 		obs.RegisterBuildInfo(reg, "submit")
-		ds, err := obs.ServeDebug(*debugAddr, reg, nil)
+		ds, err := obs.ServeDebugSnapshot(*debugAddr, func() obs.MetricsSnapshot { return fproto.NoteCodec(reg.Snapshot()) }, nil)
 		if err != nil {
 			log.Fatalf("falkon-submit: debug server: %v", err)
 		}

@@ -477,6 +477,12 @@ func TestBinariesMetricsExposition(t *testing.T) {
 			t.Fatalf("%s /metrics status %d", daemon, resp.StatusCode)
 		}
 		checkPromExposition(t, daemon, string(body))
+		// Every process here runs this repo's encoders, so no task-carrying
+		// body may have needed the decoders' encoding/json fallback.
+		if !regexp.MustCompile(`(?m)^falkon_codec_fallbacks_total 0$`).MatchString(string(body)) {
+			t.Errorf("%s /metrics: want falkon_codec_fallbacks_total 0, got:\n%s", daemon,
+				regexp.MustCompile(`(?m)^.*codec.*$`).FindAllString(string(body), -1))
+		}
 	}
 }
 

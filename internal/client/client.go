@@ -240,10 +240,20 @@ func (c *Client) onNotify(method string, body json.RawMessage) {
 		return
 	}
 	var n fproto.ResultsNotify
-	if err := json.Unmarshal(body, &n); err != nil {
+	if err := n.DecodeInterned(body, c.ownEPR); err != nil {
 		return
 	}
 	c.deliver(n.Results)
+}
+
+// ownEPR is the fproto.Intern of a client: the one EPR pushes name.
+func (c *Client) ownEPR(b []byte) string {
+	c.mu.Lock()
+	defer c.mu.Unlock()
+	if c.epr == string(b) {
+		return c.epr
+	}
+	return ""
 }
 
 // deliver pushes results to the channel, spilling to a goroutine if full so

@@ -1141,7 +1141,7 @@ func (d *Dispatcher) MetricsSnapshot() obs.MetricsSnapshot {
 	s.Counters["falkon_tasks_retried_total"] = st.Retried
 	s.Counters["falkon_tasks_dispatched_total"] = st.Dispatched
 	s.Counters["falkon_duplicate_deliveries_total"] = st.Duplicates
-	return s
+	return fproto.NoteCodec(s)
 }
 
 // onDisconnect requeues work from dropped executors and detaches dropped

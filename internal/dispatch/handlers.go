@@ -34,12 +34,28 @@ func (d *Dispatcher) register() {
 	d.srv.RegisterFast(fproto.MethodEvents, d.handleEvents)
 }
 
+// decode is for the cold requests; the per-task ones (Submit, GetWork,
+// Deliver) decode themselves (fproto's body codec).
 func decode[T any](body json.RawMessage) (*T, error) {
 	var v T
 	if err := json.Unmarshal(body, &v); err != nil {
-		return nil, fmt.Errorf("dispatch: bad request body: %w", err)
+		return nil, badBody(err)
 	}
 	return &v, nil
+}
+
+func badBody(err error) error { return fmt.Errorf("dispatch: bad request body: %w", err) }
+
+// internEPR is the fproto.Intern over the instance table: a request naming
+// a live instance shares that instance's EPR string.
+func (d *Dispatcher) internEPR(b []byte) string {
+	d.imu.RLock()
+	inst := d.instances[string(b)]
+	d.imu.RUnlock()
+	if inst == nil {
+		return ""
+	}
+	return inst.epr
 }
 
 func (d *Dispatcher) handleCreateInstance(p *wsrpc.Peer, body json.RawMessage) (any, error) {
@@ -162,9 +178,9 @@ func (d *Dispatcher) handleDestroyInstance(_ *wsrpc.Peer, body json.RawMessage) 
 }
 
 func (d *Dispatcher) handleSubmit(p *wsrpc.Peer, body json.RawMessage) (any, error) {
-	req, err := decode[fproto.SubmitRequest](body)
-	if err != nil {
-		return nil, err
+	var req fproto.SubmitRequest
+	if err := req.DecodeInterned(body, d.internEPR); err != nil {
+		return nil, badBody(err)
 	}
 	d.imu.RLock()
 	inst, ok := d.instances[req.EPR]
@@ -389,10 +405,20 @@ func (d *Dispatcher) handleDeregister(_ *wsrpc.Peer, body json.RawMessage) (any,
 	return struct{}{}, nil
 }
 
-func (d *Dispatcher) handleGetWork(_ *wsrpc.Peer, body json.RawMessage) (any, error) {
-	req, err := decode[fproto.GetWorkRequest](body)
-	if err != nil {
-		return nil, err
+// internFrom is the fproto.Intern for an executor's requests: the ID the
+// connection registered under (what every request on it names), else an
+// instance's EPR.
+func (d *Dispatcher) internFrom(p *wsrpc.Peer, b []byte) string {
+	if exec, _ := p.Meta().(string); exec == string(b) {
+		return exec
+	}
+	return d.internEPR(b)
+}
+
+func (d *Dispatcher) handleGetWork(p *wsrpc.Peer, body json.RawMessage) (any, error) {
+	var req fproto.GetWorkRequest
+	if err := req.DecodeInterned(body, func(b []byte) string { return d.internFrom(p, b) }); err != nil {
+		return nil, badBody(err)
 	}
 	f := getFx()
 	defer putFx(f)
@@ -429,10 +455,10 @@ func (d *Dispatcher) handleGetWork(_ *wsrpc.Peer, body json.RawMessage) (any, er
 	return fproto.GetWorkReply{Assignments: as}, nil
 }
 
-func (d *Dispatcher) handleDeliver(_ *wsrpc.Peer, body json.RawMessage) (any, error) {
-	req, err := decode[fproto.DeliverRequest](body)
-	if err != nil {
-		return nil, err
+func (d *Dispatcher) handleDeliver(p *wsrpc.Peer, body json.RawMessage) (any, error) {
+	var req fproto.DeliverRequest
+	if err := req.DecodeInterned(body, func(b []byte) string { return d.internFrom(p, b) }); err != nil {
+		return nil, badBody(err)
 	}
 	f := getFx()
 	defer putFx(f)

@@ -266,7 +266,7 @@ func (e *Executor) onNotify(method string, body json.RawMessage) {
 	}
 	n := 1
 	var wa fproto.WorkAvailable
-	if err := json.Unmarshal(body, &wa); err == nil && wa.Queued > n {
+	if err := wa.DecodeJSON(body); err == nil && wa.Queued > n {
 		n = wa.Queued
 	}
 	e.wakeSlots(min(n, e.opts.Slots))

@@ -234,6 +234,16 @@ func (f *Forwarder) lookup(fwdEPR string) (*finst, error) {
 	return inst, nil
 }
 
+// internEPR is the fproto.Intern over the root instance table.
+func (f *Forwarder) internEPR(b []byte) string {
+	f.mu.Lock()
+	defer f.mu.Unlock()
+	if inst := f.byFwd[string(b)]; inst != nil {
+		return inst.epr
+	}
+	return ""
+}
+
 func (f *Forwarder) handleCreateInstance(p *wsrpc.Peer, body json.RawMessage) (any, error) {
 	var req fproto.CreateInstanceRequest
 	if err := json.Unmarshal(body, &req); err != nil {
@@ -317,7 +327,7 @@ func (f *Forwarder) handleDestroyInstance(_ *wsrpc.Peer, body json.RawMessage) (
 
 func (f *Forwarder) handleSubmit(_ *wsrpc.Peer, body json.RawMessage) (any, error) {
 	var req fproto.SubmitRequest
-	if err := json.Unmarshal(body, &req); err != nil {
+	if err := req.DecodeInterned(body, f.internEPR); err != nil {
 		return nil, err
 	}
 	inst, err := f.lookup(req.EPR)
@@ -621,7 +631,7 @@ func (f *Forwarder) liveClients() []*wsrpc.Client {
 // unreachable leaf is skipped rather than failing the whole aggregate; its
 // contribution simply drops out of this sample.
 func (f *Forwarder) MergedMetricsSnapshot() obs.MetricsSnapshot {
-	agg := f.reg.Snapshot()
+	agg := fproto.NoteCodec(f.reg.Snapshot())
 	for _, cli := range f.liveClients() {
 		var ms fproto.MetricsReply
 		if err := cli.Call(fproto.MethodMetrics, nil, &ms); err != nil {

@@ -124,7 +124,7 @@ func (f *Forwarder) onLeafNotify(idx int, method string, body json.RawMessage) {
 		f.pushCapacity()
 	case fproto.NotifyResults:
 		var n fproto.ResultsNotify
-		if err := json.Unmarshal(body, &n); err != nil {
+		if err := n.DecodeJSON(body); err != nil {
 			return
 		}
 		f.onLeafResults(idx, n.EPR, n.Results)

@@ -1,0 +1,438 @@
+package fproto
+
+import (
+	"bytes"
+	"encoding/json"
+	"time"
+
+	"falkon/internal/jsonwire"
+	"falkon/internal/metrics"
+	"falkon/internal/obs"
+	"falkon/internal/task"
+)
+
+// The body codec (DESIGN.md §9): hand-written JSON for the eight messages
+// that carry tasks or run once per task — Submit, GetWork and Deliver with
+// their replies, and the WorkAvailable and Results pushes. Everything else
+// in this package is cold and stays on encoding/json.
+//
+// AppendJSON emits what json.Marshal would (field order, omitempty, null
+// for a nil non-omitempty slice) up to string escapes that decode the same,
+// so any peer's json.Unmarshal reads it. DecodeJSON overwrites its receiver
+// and accepts exactly what json.Unmarshal into a zero value accepts, with
+// the same result: the canonical layout both encoders emit is parsed in one
+// reflection-free pass, and anything else — unknown or reordered keys,
+// whitespace, a value that is malformed or out of range — is handed, whole,
+// to json.Unmarshal. None of these types implements json.Marshaler or
+// json.Unmarshaler, which keeps encoding/json an independent oracle for the
+// differential tests.
+//
+// The body a decoder is given aliases the connection's read buffer, so it
+// copies every string it keeps.
+
+// CodecFallbacks counts bodies DecodeJSON handed to encoding/json, in this
+// process. Peers running this code only ever send the canonical layout, so
+// it stays at zero unless something else is on the wire.
+var CodecFallbacks metrics.Counter
+
+// NoteCodec adds the process's codec counter to a /metrics snapshot, as
+// falkon_codec_fallbacks_total, and returns the snapshot.
+func NoteCodec(s obs.MetricsSnapshot) obs.MetricsSnapshot {
+	s.Counters["falkon_codec_fallbacks_total"] = CodecFallbacks.Value()
+	return s
+}
+
+// Intern maps the bytes of a string on the wire to an equal string the
+// decoding side already holds — an instance's EPR, a registered executor's
+// ID — so that one is not allocated per message. It returns "" when it
+// holds none; a nil Intern holds none.
+type Intern func(b []byte) string
+
+// str reads a string field. like is the same field of the previous element.
+func str(r *jsonwire.Reader, like string, known Intern) string {
+	b := r.Str()
+	if string(b) == like {
+		return like
+	}
+	if known != nil {
+		if s := known(b); s != "" {
+			return s
+		}
+	}
+	return string(b)
+}
+
+// finish ends a DecodeJSON: a body the reader could not take whole goes to
+// encoding/json, whose result replaces whatever the reader had filled in.
+// (It decodes into a value of its own so that m does not escape and callers'
+// messages stay on their stacks.)
+func finish[T any](r *jsonwire.Reader, b []byte, m *T) error {
+	if r.OK() {
+		return nil
+	}
+	CodecFallbacks.Inc()
+	v := new(T)
+	err := json.Unmarshal(b, v)
+	*m = *v
+	return err
+}
+
+// maxPresize bounds what elems lets a decoder allocate before it has
+// validated anything.
+const maxPresize = 1024
+
+// elems sizes a message's one slice before it is parsed. Every element type
+// here is, or nests exactly one, object opening `{"id":` (a Task or a
+// Result), and a string literal cannot contain that sequence unescaped, so
+// in the canonical layout the count is exact and the slice is allocated
+// once; it is only a capacity, so being wrong about anything else is safe.
+func elems(b []byte) int {
+	return min(bytes.Count(b, []byte(`{"id":`)), maxPresize)
+}
+
+// AppendJSON appends m's JSON encoding to dst.
+func (m SubmitRequest) AppendJSON(dst []byte) []byte {
+	dst = append(dst, `{"epr":`...)
+	dst = jsonwire.AppendString(dst, m.EPR)
+	dst = append(dst, `,"tasks":`...)
+	if m.Tasks == nil {
+		return append(dst, `null}`...)
+	}
+	dst = append(dst, '[')
+	for i := range m.Tasks {
+		if i > 0 {
+			dst = append(dst, ',')
+		}
+		dst = m.Tasks[i].AppendJSON(dst)
+	}
+	return append(dst, `]}`...)
+}
+
+// DecodeJSON decodes b into m.
+func (m *SubmitRequest) DecodeJSON(b []byte) error { return m.DecodeInterned(b, nil) }
+
+// DecodeInterned is DecodeJSON with the EPR shared through known.
+func (m *SubmitRequest) DecodeInterned(b []byte, known Intern) error {
+	var r jsonwire.Reader
+	r.Reset(b)
+	*m = SubmitRequest{}
+	r.Expect(`{"epr":`)
+	m.EPR = str(&r, "", known)
+	r.Expect(`,"tasks":`)
+	if !r.Lit(`null`) {
+		r.Expect(`[`)
+		m.Tasks = make([]task.Task, 0, elems(b))
+		var zero task.Task
+		for prev := &zero; r.Elem(len(m.Tasks)); {
+			m.Tasks = append(m.Tasks, task.Task{})
+			t := &m.Tasks[len(m.Tasks)-1]
+			t.ParseJSON(&r, prev)
+			prev = t
+		}
+	}
+	r.Expect(`}`)
+	return finish(&r, b, m)
+}
+
+// AppendJSON appends m's JSON encoding to dst.
+func (m SubmitReply) AppendJSON(dst []byte) []byte {
+	dst = append(dst, `{"accepted":`...)
+	dst = jsonwire.AppendInt(dst, int64(m.Accepted))
+	if m.Deduped != 0 {
+		dst = append(dst, `,"deduped":`...)
+		dst = jsonwire.AppendInt(dst, int64(m.Deduped))
+	}
+	if h := m.Capacity; h != nil {
+		dst = append(dst, `,"capacity":{"queued":`...)
+		dst = jsonwire.AppendInt(dst, int64(h.Queued))
+		dst = append(dst, `,"outstanding":`...)
+		dst = jsonwire.AppendInt(dst, int64(h.Outstanding))
+		dst = append(dst, `,"idle_slots":`...)
+		dst = jsonwire.AppendInt(dst, int64(h.IdleSlots))
+		dst = append(dst, `,"executors":`...)
+		dst = jsonwire.AppendInt(dst, int64(h.Executors))
+		if h.Seq != 0 {
+			dst = append(dst, `,"seq":`...)
+			dst = jsonwire.AppendUint(dst, h.Seq)
+		}
+		if h.Epoch != 0 {
+			dst = append(dst, `,"epoch":`...)
+			dst = jsonwire.AppendInt(dst, h.Epoch)
+		}
+		dst = append(dst, '}')
+	}
+	if m.RetryAfterMillis != 0 {
+		dst = append(dst, `,"retry_after_ms":`...)
+		dst = jsonwire.AppendInt(dst, m.RetryAfterMillis)
+	}
+	return append(dst, '}')
+}
+
+// DecodeJSON decodes b into m.
+func (m *SubmitReply) DecodeJSON(b []byte) error {
+	var r jsonwire.Reader
+	r.Reset(b)
+	*m = SubmitReply{}
+	r.Expect(`{"accepted":`)
+	m.Accepted = r.Int()
+	if r.Lit(`,"deduped":`) {
+		m.Deduped = r.Int()
+	}
+	if r.Lit(`,"capacity":{"queued":`) {
+		h := new(CapacityHint)
+		h.Queued = r.Int()
+		r.Expect(`,"outstanding":`)
+		h.Outstanding = r.Int()
+		r.Expect(`,"idle_slots":`)
+		h.IdleSlots = r.Int()
+		r.Expect(`,"executors":`)
+		h.Executors = r.Int()
+		if r.Lit(`,"seq":`) {
+			h.Seq = r.Uint()
+		}
+		if r.Lit(`,"epoch":`) {
+			h.Epoch = r.Int64()
+		}
+		r.Expect(`}`)
+		m.Capacity = h
+	}
+	if r.Lit(`,"retry_after_ms":`) {
+		m.RetryAfterMillis = r.Int64()
+	}
+	r.Expect(`}`)
+	return finish(&r, b, m)
+}
+
+// AppendJSON appends m's JSON encoding to dst.
+func (m GetWorkRequest) AppendJSON(dst []byte) []byte {
+	dst = append(dst, `{"executor_id":`...)
+	dst = jsonwire.AppendString(dst, m.ExecutorID)
+	dst = append(dst, `,"max":`...)
+	dst = jsonwire.AppendInt(dst, int64(m.Max))
+	return append(dst, '}')
+}
+
+// DecodeJSON decodes b into m.
+func (m *GetWorkRequest) DecodeJSON(b []byte) error { return m.DecodeInterned(b, nil) }
+
+// DecodeInterned is DecodeJSON with the executor ID shared through known.
+func (m *GetWorkRequest) DecodeInterned(b []byte, known Intern) error {
+	var r jsonwire.Reader
+	r.Reset(b)
+	*m = GetWorkRequest{}
+	r.Expect(`{"executor_id":`)
+	m.ExecutorID = str(&r, "", known)
+	r.Expect(`,"max":`)
+	m.Max = r.Int()
+	r.Expect(`}`)
+	return finish(&r, b, m)
+}
+
+// appendAssignments appends the whole `{"assignments":[...]}` object that is
+// both GetWorkReply and DeliverReply.
+func appendAssignments(dst []byte, as []Assignment) []byte {
+	if len(as) == 0 {
+		return append(dst, `{}`...)
+	}
+	dst = append(dst, `{"assignments":[`...)
+	for i := range as {
+		a := &as[i]
+		if i > 0 {
+			dst = append(dst, ',')
+		}
+		dst = append(dst, `{"epr":`...)
+		dst = jsonwire.AppendString(dst, a.EPR)
+		dst = append(dst, `,"task":`...)
+		dst = a.Task.AppendJSON(dst)
+		if a.CacheHit {
+			dst = append(dst, `,"cache_hit":true`...)
+		}
+		dst = append(dst, '}')
+	}
+	return append(dst, `]}`...)
+}
+
+// parseAssignments is appendAssignments' inverse, up to the reader's end.
+func parseAssignments(r *jsonwire.Reader, b []byte) []Assignment {
+	var as []Assignment
+	r.Expect(`{`)
+	if r.Lit(`"assignments":[`) {
+		as = make([]Assignment, 0, elems(b))
+		var zero Assignment
+		for prev := &zero; r.Elem(len(as)); {
+			as = append(as, Assignment{})
+			a := &as[len(as)-1]
+			r.Expect(`{"epr":`)
+			a.EPR = r.String(prev.EPR)
+			r.Expect(`,"task":`)
+			a.Task.ParseJSON(r, &prev.Task)
+			if r.Lit(`,"cache_hit":`) {
+				a.CacheHit = r.Bool()
+			}
+			r.Expect(`}`)
+			prev = a
+		}
+	}
+	r.Expect(`}`)
+	return as
+}
+
+// AppendJSON appends m's JSON encoding to dst.
+func (m GetWorkReply) AppendJSON(dst []byte) []byte { return appendAssignments(dst, m.Assignments) }
+
+// DecodeJSON decodes b into m.
+func (m *GetWorkReply) DecodeJSON(b []byte) error {
+	var r jsonwire.Reader
+	r.Reset(b)
+	*m = GetWorkReply{Assignments: parseAssignments(&r, b)}
+	return finish(&r, b, m)
+}
+
+// AppendJSON appends m's JSON encoding to dst.
+func (m DeliverReply) AppendJSON(dst []byte) []byte { return appendAssignments(dst, m.Assignments) }
+
+// DecodeJSON decodes b into m.
+func (m *DeliverReply) DecodeJSON(b []byte) error {
+	var r jsonwire.Reader
+	r.Reset(b)
+	*m = DeliverReply{Assignments: parseAssignments(&r, b)}
+	return finish(&r, b, m)
+}
+
+// AppendJSON appends m's JSON encoding to dst.
+func (m DeliverRequest) AppendJSON(dst []byte) []byte {
+	dst = append(dst, `{"executor_id":`...)
+	dst = jsonwire.AppendString(dst, m.ExecutorID)
+	if len(m.Results) > 0 {
+		dst = append(dst, `,"results":[`...)
+		for i := range m.Results {
+			tr := &m.Results[i]
+			if i > 0 {
+				dst = append(dst, ',')
+			}
+			dst = append(dst, `{"epr":`...)
+			dst = jsonwire.AppendString(dst, tr.EPR)
+			dst = append(dst, `,"result":`...)
+			dst = tr.Result.AppendJSON(dst)
+			dst = append(dst, `,"run_dur":`...)
+			dst = jsonwire.AppendInt(dst, int64(tr.RunDur))
+			if tr.OverheadDur != 0 {
+				dst = append(dst, `,"overhead_dur":`...)
+				dst = jsonwire.AppendInt(dst, int64(tr.OverheadDur))
+			}
+			dst = append(dst, '}')
+		}
+		dst = append(dst, ']')
+	}
+	if m.WantWork {
+		dst = append(dst, `,"want_work":true`...)
+	}
+	if m.MaxNew != 0 {
+		dst = append(dst, `,"max_new":`...)
+		dst = jsonwire.AppendInt(dst, int64(m.MaxNew))
+	}
+	return append(dst, '}')
+}
+
+// DecodeJSON decodes b into m.
+func (m *DeliverRequest) DecodeJSON(b []byte) error { return m.DecodeInterned(b, nil) }
+
+// DecodeInterned is DecodeJSON with the executor ID and the results' EPRs
+// shared through known. Each result's own executor field shares the
+// request's, which is what an executor puts there.
+func (m *DeliverRequest) DecodeInterned(b []byte, known Intern) error {
+	var r jsonwire.Reader
+	r.Reset(b)
+	*m = DeliverRequest{}
+	r.Expect(`{"executor_id":`)
+	m.ExecutorID = str(&r, "", known)
+	if r.Lit(`,"results":[`) {
+		m.Results = make([]TaggedResult, 0, elems(b))
+		first := TaggedResult{Result: task.Result{ExecutorID: m.ExecutorID}}
+		for prev := &first; r.Elem(len(m.Results)); {
+			m.Results = append(m.Results, TaggedResult{})
+			tr := &m.Results[len(m.Results)-1]
+			r.Expect(`{"epr":`)
+			tr.EPR = str(&r, prev.EPR, known)
+			r.Expect(`,"result":`)
+			tr.Result.ParseJSON(&r, &prev.Result)
+			r.Expect(`,"run_dur":`)
+			tr.RunDur = time.Duration(r.Int64())
+			if r.Lit(`,"overhead_dur":`) {
+				tr.OverheadDur = time.Duration(r.Int64())
+			}
+			r.Expect(`}`)
+			prev = tr
+		}
+	}
+	if r.Lit(`,"want_work":`) {
+		m.WantWork = r.Bool()
+	}
+	if r.Lit(`,"max_new":`) {
+		m.MaxNew = r.Int()
+	}
+	r.Expect(`}`)
+	return finish(&r, b, m)
+}
+
+// AppendJSON appends m's JSON encoding to dst.
+func (m WorkAvailable) AppendJSON(dst []byte) []byte {
+	dst = append(dst, `{"queued":`...)
+	dst = jsonwire.AppendInt(dst, int64(m.Queued))
+	return append(dst, '}')
+}
+
+// DecodeJSON decodes b into m.
+func (m *WorkAvailable) DecodeJSON(b []byte) error {
+	var r jsonwire.Reader
+	r.Reset(b)
+	*m = WorkAvailable{}
+	r.Expect(`{"queued":`)
+	m.Queued = r.Int()
+	r.Expect(`}`)
+	return finish(&r, b, m)
+}
+
+// AppendJSON appends m's JSON encoding to dst.
+func (m ResultsNotify) AppendJSON(dst []byte) []byte {
+	dst = append(dst, `{"epr":`...)
+	dst = jsonwire.AppendString(dst, m.EPR)
+	dst = append(dst, `,"results":`...)
+	if m.Results == nil {
+		return append(dst, `null}`...)
+	}
+	dst = append(dst, '[')
+	for i := range m.Results {
+		if i > 0 {
+			dst = append(dst, ',')
+		}
+		dst = m.Results[i].AppendJSON(dst)
+	}
+	return append(dst, `]}`...)
+}
+
+// DecodeJSON decodes b into m.
+func (m *ResultsNotify) DecodeJSON(b []byte) error { return m.DecodeInterned(b, nil) }
+
+// DecodeInterned is DecodeJSON with the EPR shared through known.
+func (m *ResultsNotify) DecodeInterned(b []byte, known Intern) error {
+	var r jsonwire.Reader
+	r.Reset(b)
+	*m = ResultsNotify{}
+	r.Expect(`{"epr":`)
+	m.EPR = str(&r, "", known)
+	r.Expect(`,"results":`)
+	if !r.Lit(`null`) {
+		r.Expect(`[`)
+		m.Results = make([]task.Result, 0, elems(b))
+		var zero task.Result
+		for prev := &zero; r.Elem(len(m.Results)); {
+			m.Results = append(m.Results, task.Result{})
+			res := &m.Results[len(m.Results)-1]
+			res.ParseJSON(&r, prev)
+			prev = res
+		}
+	}
+	r.Expect(`}`)
+	return finish(&r, b, m)
+}

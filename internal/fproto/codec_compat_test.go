@@ -1,0 +1,171 @@
+package fproto
+
+import (
+	"encoding/json"
+	"reflect"
+	"testing"
+	"time"
+
+	"falkon/internal/task"
+)
+
+// Old↔new wire pins for the body codec. The golden bytes are what the
+// commit before the codec put on the wire for these values (its
+// json.Marshal output, captured by running it), and the "old" structs are
+// the message shapes as that commit decoded them, frozen here. A peer built
+// from that commit and one built from this must read each other.
+
+type (
+	oldIOSpec struct {
+		ReadBytes  int64  `json:"read_bytes,omitempty"`
+		WriteBytes int64  `json:"write_bytes,omitempty"`
+		Location   string `json:"location,omitempty"`
+		Dataset    string `json:"dataset,omitempty"`
+	}
+	oldTask struct {
+		ID         uint64        `json:"id"`
+		Engine     uint8         `json:"engine,omitempty"`
+		Dir        string        `json:"dir,omitempty"`
+		Command    string        `json:"command,omitempty"`
+		Args       []string      `json:"args,omitempty"`
+		Env        []string      `json:"env,omitempty"`
+		IO         *oldIOSpec    `json:"io,omitempty"`
+		Duration   time.Duration `json:"duration,omitempty"`
+		MaxRetries int           `json:"max_retries,omitempty"`
+		Stage      int           `json:"stage,omitempty"`
+		Trace      uint64        `json:"trace,omitempty"`
+	}
+	oldResult struct {
+		ID           uint64        `json:"id"`
+		ExitCode     int           `json:"exit_code,omitempty"`
+		Stdout       string        `json:"stdout,omitempty"`
+		Stderr       string        `json:"stderr,omitempty"`
+		Err          string        `json:"err,omitempty"`
+		ExecutorID   string        `json:"executor,omitempty"`
+		QueuedAt     time.Duration `json:"queued_at,omitempty"`
+		DispatchedAt time.Duration `json:"dispatched_at,omitempty"`
+		StartedAt    time.Duration `json:"started_at,omitempty"`
+		FinishedAt   time.Duration `json:"finished_at,omitempty"`
+		Attempts     int           `json:"attempts,omitempty"`
+		Trace        uint64        `json:"trace,omitempty"`
+	}
+	oldAssignment struct {
+		EPR      string  `json:"epr"`
+		Task     oldTask `json:"task"`
+		CacheHit bool    `json:"cache_hit,omitempty"`
+	}
+	oldTaggedResult struct {
+		EPR         string        `json:"epr"`
+		Result      oldResult     `json:"result"`
+		RunDur      time.Duration `json:"run_dur"`
+		OverheadDur time.Duration `json:"overhead_dur,omitempty"`
+	}
+	oldCapacityHint struct {
+		Queued      int    `json:"queued"`
+		Outstanding int    `json:"outstanding"`
+		IdleSlots   int    `json:"idle_slots"`
+		Executors   int    `json:"executors"`
+		Seq         uint64 `json:"seq,omitempty"`
+		Epoch       int64  `json:"epoch,omitempty"`
+	}
+	oldSubmitRequest struct {
+		EPR   string    `json:"epr"`
+		Tasks []oldTask `json:"tasks"`
+	}
+	oldSubmitReplyV2 struct { // oldSubmitReply above predates retry_after_ms
+		Accepted         int              `json:"accepted"`
+		Deduped          int              `json:"deduped,omitempty"`
+		Capacity         *oldCapacityHint `json:"capacity,omitempty"`
+		RetryAfterMillis int64            `json:"retry_after_ms,omitempty"`
+	}
+	oldGetWorkRequest struct {
+		ExecutorID string `json:"executor_id"`
+		Max        int    `json:"max"`
+	}
+	oldAssignments struct { // GetWorkReply and DeliverReply
+		Assignments []oldAssignment `json:"assignments,omitempty"`
+	}
+	oldDeliverRequest struct {
+		ExecutorID string            `json:"executor_id"`
+		Results    []oldTaggedResult `json:"results,omitempty"`
+		WantWork   bool              `json:"want_work,omitempty"`
+		MaxNew     int               `json:"max_new,omitempty"`
+	}
+	oldWorkAvailable struct {
+		Queued int `json:"queued"`
+	}
+	oldResultsNotify struct {
+		EPR     string      `json:"epr"`
+		Results []oldResult `json:"results"`
+	}
+)
+
+func TestBodyCodecWireCompat(t *testing.T) {
+	tk := task.Task{ID: 7, Engine: task.EngineData, Dir: "/tmp/w", Command: `stage "in"`,
+		Args: []string{"a b", "tab\there", "line\nbreak", `back\slash`}, Env: []string{"K=v"},
+		IO:       &task.IOSpec{ReadBytes: 1024, WriteBytes: 2, Location: "shared", Dataset: "d1"},
+		Duration: 1500 * time.Millisecond, MaxRetries: 3, Stage: 2, Trace: 18446744073709551615}
+	sleep := task.Task{ID: 8, Command: "sleep", Args: []string{"0"}}
+	res := task.Result{ID: 7, ExitCode: -1, Stdout: "out\n\x01 é 世界", Stderr: "warn", Err: "exit status 255",
+		ExecutorID: "exec-3", QueuedAt: 1, DispatchedAt: 2, StartedAt: 3, FinishedAt: -9223372036854775808,
+		Attempts: 2, Trace: 99}
+	ok := task.Result{ID: 8, ExecutorID: "exec-3"}
+
+	const (
+		goldTask   = `{"id":7,"engine":1,"dir":"/tmp/w","command":"stage \"in\"","args":["a b","tab\there","line\nbreak","back\\slash"],"env":["K=v"],"io":{"read_bytes":1024,"write_bytes":2,"location":"shared","dataset":"d1"},"duration":1500000000,"max_retries":3,"stage":2,"trace":18446744073709551615}`
+		goldSleep  = `{"id":8,"command":"sleep","args":["0"]}`
+		goldResult = `{"id":7,"exit_code":-1,"stdout":"out\n\u0001 é 世界","stderr":"warn","err":"exit status 255","executor":"exec-3","queued_at":1,"dispatched_at":2,"started_at":3,"finished_at":-9223372036854775808,"attempts":2,"trace":99}`
+		goldOK     = `{"id":8,"executor":"exec-3"}`
+	)
+	for _, tc := range []struct {
+		msg    bodyMsg
+		golden string
+		old    any // zero value of the frozen shape
+	}{
+		{&SubmitRequest{EPR: "falkon-instance-1", Tasks: []task.Task{tk, sleep}},
+			`{"epr":"falkon-instance-1","tasks":[` + goldTask + `,` + goldSleep + `]}`, &oldSubmitRequest{}},
+		{&SubmitRequest{EPR: "e"}, `{"epr":"e","tasks":null}`, &oldSubmitRequest{}},
+		{&SubmitReply{Accepted: 64}, `{"accepted":64}`, &oldSubmitReplyV2{}},
+		{&SubmitReply{Accepted: 2, Deduped: 1, RetryAfterMillis: 40,
+			Capacity: &CapacityHint{Queued: 5, Outstanding: 4, IdleSlots: 3, Executors: 8, Seq: 12, Epoch: 1700000000000000000}},
+			`{"accepted":2,"deduped":1,"capacity":{"queued":5,"outstanding":4,"idle_slots":3,"executors":8,"seq":12,"epoch":1700000000000000000},"retry_after_ms":40}`,
+			&oldSubmitReplyV2{}},
+		{&GetWorkRequest{ExecutorID: "exec-3", Max: 1}, `{"executor_id":"exec-3","max":1}`, &oldGetWorkRequest{}},
+		{&GetWorkReply{}, `{}`, &oldAssignments{}},
+		{&GetWorkReply{Assignments: []Assignment{{EPR: "falkon-instance-1", Task: tk, CacheHit: true}, {EPR: "falkon-instance-1", Task: sleep}}},
+			`{"assignments":[{"epr":"falkon-instance-1","task":` + goldTask + `,"cache_hit":true},{"epr":"falkon-instance-1","task":` + goldSleep + `}]}`,
+			&oldAssignments{}},
+		{&DeliverRequest{ExecutorID: "exec-3"}, `{"executor_id":"exec-3"}`, &oldDeliverRequest{}},
+		{&DeliverRequest{ExecutorID: "exec-3", WantWork: true, MaxNew: 4, Results: []TaggedResult{
+			{EPR: "falkon-instance-1", Result: res, RunDur: 1234, OverheadDur: 56}, {EPR: "falkon-instance-1", Result: ok}}},
+			`{"executor_id":"exec-3","results":[{"epr":"falkon-instance-1","result":` + goldResult + `,"run_dur":1234,"overhead_dur":56},{"epr":"falkon-instance-1","result":` + goldOK + `,"run_dur":0}],"want_work":true,"max_new":4}`,
+			&oldDeliverRequest{}},
+		{&DeliverReply{Assignments: []Assignment{{EPR: "falkon-instance-1", Task: sleep}}},
+			`{"assignments":[{"epr":"falkon-instance-1","task":` + goldSleep + `}]}`, &oldAssignments{}},
+		{&WorkAvailable{Queued: 17}, `{"queued":17}`, &oldWorkAvailable{}},
+		{&ResultsNotify{EPR: "falkon-instance-1", Results: []task.Result{res, ok}},
+			`{"epr":"falkon-instance-1","results":[` + goldResult + `,` + goldOK + `]}`, &oldResultsNotify{}},
+		{&ResultsNotify{EPR: "e", Results: []task.Result{}}, `{"epr":"e","results":[]}`, &oldResultsNotify{}},
+	} {
+		// Old peer's bytes, new decoder: the fast path takes them.
+		got := reflect.New(reflect.TypeOf(tc.msg).Elem()).Interface().(bodyMsg)
+		decodeFast(t, got, []byte(tc.golden))
+		if !reflect.DeepEqual(got, tc.msg) {
+			t.Errorf("DecodeJSON(%s)\n got %+v\nwant %+v", tc.golden, got, tc.msg)
+		}
+		// New encoder's bytes: none of these strings holds <, > or &, so they
+		// are the old bytes exactly...
+		enc := tc.msg.AppendJSON(nil)
+		if string(enc) != tc.golden {
+			t.Errorf("AppendJSON(%+v)\n got %s\nwant %s", tc.msg, enc, tc.golden)
+		}
+		// ...and the old peer's structs read them back to the same message.
+		if err := json.Unmarshal(enc, tc.old); err != nil {
+			t.Errorf("old decode of %s: %v", enc, err)
+			continue
+		}
+		if back, _ := json.Marshal(tc.old); string(back) != tc.golden {
+			t.Errorf("old peer read %s as %s", enc, back)
+		}
+	}
+}

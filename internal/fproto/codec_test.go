@@ -1,0 +1,481 @@
+package fproto
+
+import (
+	"encoding/json"
+	"math"
+	"math/rand"
+	"reflect"
+	"strings"
+	"testing"
+	"time"
+	"unsafe"
+
+	"falkon/internal/task"
+)
+
+// The body codec's contract, checked against encoding/json as the oracle:
+// what AppendJSON emits, json.Unmarshal reads as the same value; what
+// json.Marshal emits, DecodeJSON reads as the same value on its fast path;
+// and on any bytes at all DecodeJSON and json.Unmarshal agree.
+
+// bodyMsg is a pointer to one of the eight hot messages.
+type bodyMsg interface {
+	AppendJSON(dst []byte) []byte
+	DecodeJSON(b []byte) error
+}
+
+var bodyKinds = []struct {
+	name  string
+	fresh func() bodyMsg
+	gen   func(g *gen) bodyMsg
+}{
+	{"SubmitRequest", func() bodyMsg { return new(SubmitRequest) }, func(g *gen) bodyMsg {
+		m := &SubmitRequest{EPR: g.str()}
+		if n := g.count(); n >= 0 {
+			m.Tasks = make([]task.Task, n)
+			for i := range m.Tasks {
+				m.Tasks[i] = g.task()
+			}
+		}
+		return m
+	}},
+	{"SubmitReply", func() bodyMsg { return new(SubmitReply) }, func(g *gen) bodyMsg {
+		m := &SubmitReply{Accepted: int(g.i64()), Deduped: int(g.i64()), RetryAfterMillis: g.i64()}
+		if g.rng.Intn(2) == 0 {
+			m.Capacity = &CapacityHint{Queued: int(g.i64()), Outstanding: int(g.i64()), IdleSlots: int(g.i64()),
+				Executors: int(g.i64()), Seq: g.u64(), Epoch: g.i64()}
+		}
+		return m
+	}},
+	{"GetWorkRequest", func() bodyMsg { return new(GetWorkRequest) }, func(g *gen) bodyMsg {
+		return &GetWorkRequest{ExecutorID: g.str(), Max: int(g.i64())}
+	}},
+	{"GetWorkReply", func() bodyMsg { return new(GetWorkReply) }, func(g *gen) bodyMsg {
+		return &GetWorkReply{Assignments: g.assignments()}
+	}},
+	{"DeliverRequest", func() bodyMsg { return new(DeliverRequest) }, func(g *gen) bodyMsg {
+		m := &DeliverRequest{ExecutorID: g.str(), WantWork: g.rng.Intn(2) == 0, MaxNew: int(g.i64())}
+		if n := g.count(); n >= 0 {
+			m.Results = make([]TaggedResult, n)
+			for i := range m.Results {
+				m.Results[i] = TaggedResult{EPR: g.str(), Result: g.result(),
+					RunDur: time.Duration(g.i64()), OverheadDur: time.Duration(g.i64())}
+			}
+		}
+		return m
+	}},
+	{"DeliverReply", func() bodyMsg { return new(DeliverReply) }, func(g *gen) bodyMsg {
+		return &DeliverReply{Assignments: g.assignments()}
+	}},
+	{"WorkAvailable", func() bodyMsg { return new(WorkAvailable) }, func(g *gen) bodyMsg {
+		return &WorkAvailable{Queued: int(g.i64())}
+	}},
+	{"ResultsNotify", func() bodyMsg { return new(ResultsNotify) }, func(g *gen) bodyMsg {
+		m := &ResultsNotify{EPR: g.str()}
+		if n := g.count(); n >= 0 {
+			m.Results = make([]task.Result, n)
+			for i := range m.Results {
+				m.Results[i] = g.result()
+			}
+		}
+		return m
+	}},
+}
+
+// gen draws message fields from the edges the codec has to get right.
+type gen struct{ rng *rand.Rand }
+
+var edgeStrings = []string{
+	"", "sleep", "falkon-instance-1", "exec-0",
+	strings.Repeat("x", 1024),
+	strings.Repeat("line\n", 205),
+	`say "hi"`, `back\slash`, `\u0041 not an escape`, "/slash/",
+	"\x00\x01\x02\b\f\n\r\t\x1f\x7f",
+	"<script>&amp;</script>",
+	"bad utf8 \xff\xfe\xc0\xaf \xed\xa0\x80 end", "\xe4\xb8", // invalid, and truncated
+	"line\u2028sep\u2029", "é 世界 😀 \U0010ffff", "\ufffd",
+}
+
+func (g *gen) str() string {
+	if g.rng.Intn(4) == 0 {
+		b := make([]byte, g.rng.Intn(24))
+		g.rng.Read(b)
+		return string(b) // arbitrary bytes: mostly invalid UTF-8
+	}
+	return edgeStrings[g.rng.Intn(len(edgeStrings))]
+}
+
+var edgeInts = []int64{0, 0, 1, -1, 64, 255, 256, math.MaxInt32, math.MinInt32, math.MaxInt64, math.MinInt64}
+
+func (g *gen) i64() int64 { return edgeInts[g.rng.Intn(len(edgeInts))] }
+
+func (g *gen) u64() uint64 {
+	return []uint64{0, 1, 10, math.MaxInt64, math.MaxUint64, 1<<63 + 1}[g.rng.Intn(6)]
+}
+
+// count is a slice length: -1 for nil, else 0, small, or the 64 of a bundle.
+func (g *gen) count() int { return []int{-1, 0, 1, 2, 3, 64}[g.rng.Intn(6)] }
+
+func (g *gen) strs() []string {
+	n := g.count()
+	if n < 0 {
+		return nil
+	}
+	ss := make([]string, n)
+	for i := range ss {
+		ss[i] = g.str()
+	}
+	return ss
+}
+
+func (g *gen) task() task.Task {
+	t := task.Task{ID: task.ID(g.u64()), Engine: task.Engine(g.rng.Intn(5)), Dir: g.str(), Command: g.str(),
+		Args: g.strs(), Env: g.strs(), Duration: time.Duration(g.i64()), MaxRetries: int(g.i64()),
+		Stage: int(g.i64()), Trace: g.u64()}
+	switch g.rng.Intn(4) {
+	case 0:
+		t.IO = &task.IOSpec{} // encodes as {}
+	case 1:
+		t.IO = &task.IOSpec{ReadBytes: g.i64(), WriteBytes: g.i64(), Location: g.str(), Dataset: g.str()}
+	}
+	return t
+}
+
+func (g *gen) result() task.Result {
+	return task.Result{ID: task.ID(g.u64()), ExitCode: int(g.i64()), Stdout: g.str(), Stderr: g.str(), Err: g.str(),
+		ExecutorID: g.str(), QueuedAt: time.Duration(g.i64()), DispatchedAt: time.Duration(g.i64()),
+		StartedAt: time.Duration(g.i64()), FinishedAt: time.Duration(g.i64()), Attempts: int(g.i64()), Trace: g.u64()}
+}
+
+func (g *gen) assignments() []Assignment {
+	n := g.count()
+	if n < 0 {
+		return nil
+	}
+	as := make([]Assignment, n)
+	for i := range as {
+		as[i] = Assignment{EPR: g.str(), Task: g.task(), CacheHit: g.rng.Intn(2) == 0}
+	}
+	return as
+}
+
+// viaJSON is v after a trip through encoding/json: the value any decoder of
+// v's encoding must produce (invalid UTF-8 repaired, empty omitempty slices
+// gone).
+func viaJSON(t testing.TB, fresh func() bodyMsg, v bodyMsg) (ref []byte, want bodyMsg) {
+	t.Helper()
+	ref, err := json.Marshal(v)
+	if err != nil {
+		t.Fatal(err)
+	}
+	want = fresh()
+	if err := json.Unmarshal(ref, want); err != nil {
+		t.Fatal(err)
+	}
+	return ref, want
+}
+
+// decodeFast runs DecodeJSON and fails the test if it took the fallback.
+func decodeFast(t testing.TB, m bodyMsg, b []byte) {
+	t.Helper()
+	before := CodecFallbacks.Value()
+	if err := m.DecodeJSON(b); err != nil {
+		t.Fatalf("DecodeJSON(%s): %v", b, err)
+	}
+	if n := CodecFallbacks.Value() - before; n != 0 {
+		t.Fatalf("DecodeJSON took the encoding/json fallback on canonical input %s", b)
+	}
+}
+
+func TestBodyCodecMatchesEncodingJSON(t *testing.T) {
+	for _, k := range bodyKinds {
+		t.Run(k.name, func(t *testing.T) {
+			g := &gen{rand.New(rand.NewSource(1))}
+			for i := 0; i < 300; i++ {
+				v := k.gen(g)
+				ref, want := viaJSON(t, k.fresh, v)
+				enc := v.AppendJSON(nil)
+
+				got := k.fresh()
+				if err := json.Unmarshal(enc, got); err != nil {
+					t.Fatalf("json.Unmarshal rejects AppendJSON output %s: %v", enc, err)
+				}
+				if !reflect.DeepEqual(got, want) {
+					t.Fatalf("json.Unmarshal(AppendJSON(v)) differs from json's own round trip\n enc %s\n ref %s", enc, ref)
+				}
+				for _, b := range [][]byte{ref, enc} {
+					got := k.fresh()
+					decodeFast(t, got, b)
+					if !reflect.DeepEqual(got, want) {
+						t.Fatalf("DecodeJSON(%s)\n got %+v\nwant %+v", b, got, want)
+					}
+				}
+			}
+		})
+	}
+}
+
+// DecodeJSON overwrites: a field the body omits is zero afterwards, whatever
+// the receiver held (json.Unmarshal would keep it).
+func TestDecodeJSONOverwritesReceiver(t *testing.T) {
+	m := SubmitReply{Accepted: 1, Deduped: 2, RetryAfterMillis: 3, Capacity: &CapacityHint{}}
+	decodeFast(t, &m, []byte(`{"accepted":9}`))
+	if !reflect.DeepEqual(m, SubmitReply{Accepted: 9}) {
+		t.Fatalf("stale fields survived: %+v", m)
+	}
+	m = SubmitReply{Deduped: 2}
+	if err := m.DecodeJSON([]byte(` {"accepted":9}`)); err != nil || !reflect.DeepEqual(m, SubmitReply{Accepted: 9}) {
+		t.Fatalf("stale fields survived the fallback: %+v, %v", m, err)
+	}
+}
+
+// Inputs that are valid for json.Unmarshal but outside the canonical layout
+// must come out the same through the fallback, and be counted.
+func TestDecodeJSONFallback(t *testing.T) {
+	for _, tc := range []struct {
+		kind int
+		body string
+	}{
+		{0, `{"tasks":[{"id":1}],"epr":"reordered"}`},
+		{0, `{"epr":"e","tasks":[{"id":1,"unknown":{"id":2}}]}`},
+		{0, ` {"epr":"e","tasks":[]}`},
+		{0, `{"epr":null,"tasks":[{"id":1,"io":null,"args":null}]}`},
+		{0, `{"epr":"lone \ud800 surrogate","tasks":null}`},
+		{0, "{\"epr\":\"raw \xff byte\",\"tasks\":null}"},
+		{0, `{"EPR":"case","Tasks":[]}`},
+		{1, `{"accepted":1,"capacity":null}`},
+		{1, `{"accepted":1.0}`},
+		{4, `{"executor_id":"x","results":[{"epr":"e","result":{"id":01},"run_dur":0}]}`},
+		{6, `{"queued":7,"queued":8}`},
+		{7, `{"epr":"e","results":[{"id":1,"executor":"x"} ]}`},
+	} {
+		k := bodyKinds[tc.kind]
+		got, want := k.fresh(), k.fresh()
+		before := CodecFallbacks.Value()
+		gerr, werr := got.DecodeJSON([]byte(tc.body)), json.Unmarshal([]byte(tc.body), want)
+		if (gerr == nil) != (werr == nil) || !reflect.DeepEqual(got, want) {
+			t.Errorf("%s %s:\n got %+v, %v\nwant %+v, %v", k.name, tc.body, got, gerr, want, werr)
+		}
+		if CodecFallbacks.Value() != before+1 {
+			t.Errorf("%s %s: fallback not counted", k.name, tc.body)
+		}
+	}
+}
+
+// Escapes encoding/json emits or accepts that AppendJSON never writes.
+func TestDecodeJSONEscapes(t *testing.T) {
+	var m GetWorkRequest
+	decodeFast(t, &m, []byte(`{"executor_id":"\u003c\u00e9\u2028\ud83d\ude00\/\b\f\"\\\u0000>","max":1}`))
+	if want := "<é\u2028😀/\b\f\"\\\x00>"; m.ExecutorID != want {
+		t.Fatalf("got %q, want %q", m.ExecutorID, want)
+	}
+}
+
+// An Intern's string is the one the message ends up holding.
+func TestDecodeInterned(t *testing.T) {
+	epr, exec := "falkon-instance-1", "exec-3"
+	known := func(b []byte) string {
+		switch string(b) {
+		case epr:
+			return epr
+		case exec:
+			return exec
+		}
+		return ""
+	}
+	same := func(a, b string) bool { return a == b && unsafe.StringData(a) == unsafe.StringData(b) }
+
+	var d DeliverRequest
+	if err := d.DecodeInterned([]byte(`{"executor_id":"exec-3","results":[{"epr":"falkon-instance-1","result":{"id":1,"executor":"exec-3"},"run_dur":1},{"epr":"other","result":{"id":2,"executor":"exec-9"},"run_dur":1},{"epr":"other","result":{"id":3,"executor":"exec-9"},"run_dur":1}]}`), known); err != nil {
+		t.Fatal(err)
+	}
+	if !same(d.ExecutorID, exec) || !same(d.Results[0].EPR, epr) || !same(d.Results[0].Result.ExecutorID, exec) {
+		t.Fatalf("known strings were copied, not shared: %+v", d)
+	}
+	if d.Results[1].EPR != "other" || !same(d.Results[2].EPR, d.Results[1].EPR) ||
+		!same(d.Results[2].Result.ExecutorID, d.Results[1].Result.ExecutorID) {
+		t.Fatalf("a repeated string was not shared with the element before: %+v", d)
+	}
+	var s SubmitRequest
+	if err := s.DecodeInterned([]byte(`{"epr":"falkon-instance-1","tasks":null}`), known); err != nil || !same(s.EPR, epr) {
+		t.Fatalf("SubmitRequest: %+v, %v", s, err)
+	}
+	var n ResultsNotify
+	if err := n.DecodeInterned([]byte(`{"epr":"falkon-instance-1","results":[]}`), known); err != nil || !same(n.EPR, epr) {
+		t.Fatalf("ResultsNotify: %+v, %v", n, err)
+	}
+	var w GetWorkRequest
+	if err := w.DecodeInterned([]byte(`{"executor_id":"exec-3","max":2}`), known); err != nil || !same(w.ExecutorID, exec) {
+		t.Fatalf("GetWorkRequest: %+v, %v", w, err)
+	}
+}
+
+// FuzzBodyCodec: on arbitrary bytes DecodeJSON and json.Unmarshal agree on
+// error versus value, and on the value; and what decodes re-encodes to
+// something json.Unmarshal reads back the same.
+func FuzzBodyCodec(f *testing.F) {
+	g := &gen{rand.New(rand.NewSource(2))}
+	for i, k := range bodyKinds {
+		v := k.gen(g)
+		ref, _ := json.Marshal(v)
+		f.Add(uint8(i), ref)
+		f.Add(uint8(i), v.AppendJSON(nil))
+	}
+	f.Fuzz(func(t *testing.T, kind uint8, data []byte) {
+		k := bodyKinds[int(kind)%len(bodyKinds)]
+		got, want := k.fresh(), k.fresh()
+		gerr, werr := got.DecodeJSON(data), json.Unmarshal(data, want)
+		if (gerr == nil) != (werr == nil) {
+			t.Fatalf("%s %q: DecodeJSON err %v, json.Unmarshal err %v", k.name, data, gerr, werr)
+		}
+		if !reflect.DeepEqual(got, want) {
+			t.Fatalf("%s %q:\n got %+v\nwant %+v", k.name, data, got, want)
+		}
+		if gerr != nil {
+			return
+		}
+		_, want = viaJSON(t, k.fresh, got)
+		back := k.fresh()
+		if err := json.Unmarshal(got.AppendJSON(nil), back); err != nil || !reflect.DeepEqual(back, want) {
+			t.Fatalf("%s %q: re-encoded as %s, which reads back as %+v (%v), want %+v",
+				k.name, data, got.AppendJSON(nil), back, err, want)
+		}
+	})
+}
+
+// bundleShapes are the two 64-element frames benchmark/layers.go prices:
+// a bundle's SubmitRequest and its ResultsNotify.
+func bundleShapes(payload string) (SubmitRequest, ResultsNotify) {
+	submit := SubmitRequest{EPR: "falkon-instance-1"}
+	notify := ResultsNotify{EPR: "falkon-instance-1"}
+	for i := 0; i < 64; i++ {
+		id := task.ID(1_000_000_000 + i)
+		t := task.Task{ID: id, Engine: task.EngineSleep, Command: "sleep", Trace: 1<<40 + uint64(id)}
+		if payload != "" {
+			t.Args = []string{payload}
+		}
+		submit.Tasks = append(submit.Tasks, t)
+		notify.Results = append(notify.Results, task.Result{
+			ID: id, Stdout: payload, ExecutorID: "exec-0", Attempts: 1, Trace: t.Trace,
+			QueuedAt: 5 * time.Second, DispatchedAt: 5*time.Second + 9*time.Millisecond,
+			StartedAt: 5*time.Second + 10*time.Millisecond, FinishedAt: 5*time.Second + 10*time.Millisecond + 3*time.Microsecond,
+		})
+	}
+	return submit, notify
+}
+
+// Allocation pins on the codec itself (the whole-system budget is
+// internal/core's TestAllocsPerTaskBudget).
+func TestCodecAllocs(t *testing.T) {
+	submit, notify := bundleShapes(strings.Repeat("x", 1024))
+	buf := notify.AppendJSON(submit.AppendJSON(nil))
+	if n := testing.AllocsPerRun(100, func() { buf = notify.AppendJSON(submit.AppendJSON(buf[:0])) }); n != 0 {
+		t.Errorf("AppendJSON into a warmed buffer allocates %.0f times, want 0", n)
+	}
+
+	// A piggy-backed one-argument assignment: what the decoder must keep is the
+	// Assignments slice, the EPR, the command, the Args slice and its one
+	// string — 5 objects. (encoding/json took 13 for the same body.)
+	body := DeliverReply{Assignments: []Assignment{{EPR: "falkon-instance-1",
+		Task: task.Task{ID: 7, Command: "sleep", Args: []string{"0.25"}, Trace: 9}}}}.AppendJSON(nil)
+	var reply DeliverReply
+	if n := testing.AllocsPerRun(100, func() {
+		if err := reply.DecodeJSON(body); err != nil {
+			t.Fatal(err)
+		}
+	}); n != 5 {
+		t.Errorf("DecodeJSON of a one-assignment DeliverReply allocates %.0f times, want 5", n)
+	}
+
+	// A bundle of results from one executor: the Results slice, and the first
+	// result's Stdout and executor ID — the other 63 repeat both and share
+	// them. The EPR is the caller's.
+	body = notify.AppendJSON(nil)
+	var n ResultsNotify
+	own := func(b []byte) string {
+		if string(b) == notify.EPR {
+			return notify.EPR
+		}
+		return ""
+	}
+	if got := testing.AllocsPerRun(100, func() {
+		if err := n.DecodeInterned(body, own); err != nil {
+			t.Fatal(err)
+		}
+	}); got != 3 {
+		t.Errorf("DecodeInterned of a 64-result ResultsNotify allocates %.0f times, want 3", got)
+	}
+}
+
+// The Benchmark pairs price the codec against encoding/json on the same
+// value; jsonSubmit and jsonNotify are the messages without their methods.
+type (
+	jsonSubmit SubmitRequest
+	jsonNotify ResultsNotify
+)
+
+func benchmarkEncode(b *testing.B, codec func([]byte) []byte, ref any) {
+	b.Run("codec", func(b *testing.B) {
+		b.ReportAllocs()
+		var buf []byte
+		for i := 0; i < b.N; i++ {
+			buf = codec(buf[:0])
+		}
+		b.SetBytes(int64(len(buf)))
+	})
+	b.Run("encoding-json", func(b *testing.B) {
+		b.ReportAllocs()
+		for i := 0; i < b.N; i++ {
+			buf, err := json.Marshal(ref)
+			if err != nil {
+				b.Fatal(err)
+			}
+			b.SetBytes(int64(len(buf)))
+		}
+	})
+}
+
+func benchmarkDecode(b *testing.B, body []byte, codec func([]byte) error, ref func() any) {
+	b.Run("codec", func(b *testing.B) {
+		b.ReportAllocs()
+		b.SetBytes(int64(len(body)))
+		for i := 0; i < b.N; i++ {
+			if err := codec(body); err != nil {
+				b.Fatal(err)
+			}
+		}
+	})
+	b.Run("encoding-json", func(b *testing.B) {
+		b.ReportAllocs()
+		b.SetBytes(int64(len(body)))
+		for i := 0; i < b.N; i++ {
+			if err := json.Unmarshal(body, ref()); err != nil {
+				b.Fatal(err)
+			}
+		}
+	})
+}
+
+func BenchmarkSubmitRequestEncode(b *testing.B) {
+	submit, _ := bundleShapes("")
+	benchmarkEncode(b, submit.AppendJSON, jsonSubmit(submit))
+}
+
+func BenchmarkResultsNotifyEncode(b *testing.B) {
+	_, notify := bundleShapes("")
+	benchmarkEncode(b, notify.AppendJSON, jsonNotify(notify))
+}
+
+func BenchmarkSubmitRequestDecode(b *testing.B) {
+	submit, _ := bundleShapes("")
+	benchmarkDecode(b, submit.AppendJSON(nil),
+		func(body []byte) error { return new(SubmitRequest).DecodeJSON(body) },
+		func() any { return new(jsonSubmit) })
+}
+
+func BenchmarkResultsNotifyDecode(b *testing.B) {
+	_, notify := bundleShapes("")
+	benchmarkDecode(b, notify.AppendJSON(nil),
+		func(body []byte) error { return new(ResultsNotify).DecodeJSON(body) },
+		func() any { return new(jsonNotify) })
+}

@@ -9,6 +9,10 @@
 //	       tasks ride back on the reply)
 //	{8}    dispatcher -> client     Results notification
 //	{9,10} client    -> dispatcher  Collect (poll alternative to {8})
+//
+// Everything is JSON. The messages of {1}–{8}, which carry tasks or run once
+// per task, encode and decode themselves (codec.go); the rest go through
+// encoding/json.
 package fproto
 
 import (
@@ -50,8 +54,9 @@ const (
 	// MethodAttachParent registers the calling peer as a tree parent (a
 	// forwarder root): the dispatcher replies with its current capacity and
 	// thereafter pushes NotifyCapacity hints so the parent can route bundles
-	// by headroom. Dispatchers predating the hierarchical tree reject the
-	// method; parents treat that as "no hints" and fall back to round-robin.
+	// by headroom. Every node of a tree answers it — an interior forwarder
+	// with its leaves' aggregate — and a parent does not route to a child
+	// that refuses it.
 	MethodAttachParent = "falkon.attach-parent"
 )
 
@@ -125,8 +130,7 @@ type SubmitReply struct {
 	Deduped int `json:"deduped,omitempty"`
 	// Capacity piggy-backs a fresh capacity hint when the submitting peer
 	// attached as a tree parent, so every bundle acknowledgment refreshes
-	// the root's routing view. Absent for ordinary clients (and from
-	// dispatchers predating the tree, which old parents tolerate).
+	// the root's routing view. Absent for ordinary clients.
 	Capacity *CapacityHint `json:"capacity,omitempty"`
 	// RetryAfterMillis, when positive, means the bundle was NOT accepted:
 	// admission control (tenant quota or rate limit) shed it, and the

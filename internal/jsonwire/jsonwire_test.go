@@ -1,0 +1,158 @@
+package jsonwire
+
+import (
+	"encoding/json"
+	"math"
+	"strconv"
+	"testing"
+	"testing/quick"
+)
+
+func TestParseNumbers(t *testing.T) {
+	for _, tc := range []struct {
+		in   string
+		ok   bool
+		u    uint64
+		rest string
+	}{
+		{"0", true, 0, ""}, {"7,", true, 7, ","}, {"18446744073709551615}", true, math.MaxUint64, "}"},
+		{"18446744073709551616", false, 0, ""}, // MaxUint64+1 used to wrap to 0
+		{"18446744073709551619", false, 0, ""},
+		{"99999999999999999999", false, 0, ""},
+		{"01", false, 0, ""}, {"00", false, 0, ""}, // JSON has no leading zeros
+		{"", false, 0, ""}, {"-1", false, 0, ""}, {"x", false, 0, ""},
+	} {
+		u, rest, ok := ParseUint([]byte(tc.in))
+		if ok != tc.ok || (ok && (u != tc.u || string(rest) != tc.rest)) {
+			t.Errorf("ParseUint(%q) = %d, %q, %v", tc.in, u, rest, ok)
+		}
+	}
+	for _, tc := range []struct {
+		in string
+		ok bool
+		v  int64
+	}{
+		{"0", true, 0}, {"-0", true, 0}, {"-1", true, -1},
+		{"9223372036854775807", true, math.MaxInt64}, {"9223372036854775808", false, 0},
+		{"-9223372036854775808", true, math.MinInt64}, {"-9223372036854775809", false, 0},
+		{"-", false, 0}, {"-01", false, 0}, {"+1", false, 0},
+	} {
+		v, _, ok := ParseInt([]byte(tc.in))
+		if ok != tc.ok || v != tc.v {
+			t.Errorf("ParseInt(%q) = %d, %v", tc.in, v, ok)
+		}
+	}
+	roundTrip := func(u uint64, i int64) bool {
+		gu, ru, oku := ParseUint(AppendUint(nil, u))
+		gi, ri, oki := ParseInt(AppendInt(nil, i))
+		return oku && oki && gu == u && gi == i && len(ru)+len(ri) == 0 &&
+			string(AppendInt(nil, i)) == strconv.FormatInt(i, 10)
+	}
+	if err := quick.Check(roundTrip, nil); err != nil {
+		t.Fatal(err)
+	}
+}
+
+// Every string literal the parsers take, encoding/json reads as the same
+// string; what they decline is an escape form left to encoding/json (a lone
+// surrogate, malformed UTF-8) or not JSON at all.
+func TestParseStringsAgainstEncodingJSON(t *testing.T) {
+	for _, tc := range []struct {
+		lit  string
+		take bool
+	}{
+		{`""`, true}, {`"plain"`, true}, {`"é 世界 😀"`, true}, {`"a\"b\\c\/d\b\f\n\r\t"`, true},
+		{`"\u0041\u00e9\u00E9 \ud83d\ude00 \u0000"`, true},
+		{"\"raw\ttab\"", false}, {"\"raw\nnewline\"", false}, {`"\x41"`, false}, {`"\u12"`, false}, {`"\u12G4"`, false},
+		{`"unterminated`, false}, {`"trailing\"`, false},
+		{`"\ud800"`, false}, {`"\ud800A"`, false}, {`"\udc00\ud800"`, false}, {`"\ud800\u0041"`, false},
+		{"\"\xff\"", false}, {"\"\xed\xa0\x80\"", false}, {"\"\xc0\xaf\"", false}, {"\"caf\xc3\"", false},
+	} {
+		got, rest, ok := appendUnquoted([]byte("keep:"), []byte(tc.lit[1:]))
+		if ok != tc.take {
+			t.Errorf("%s: taken = %v, want %v", tc.lit, ok, tc.take)
+			continue
+		}
+		plain, prest, okPlain := ParsePlainString([]byte(tc.lit[1:]))
+		if okPlain && (!ok || string(plain) != string(got[5:]) || len(prest) != len(rest)) {
+			t.Errorf("%s: ParsePlainString took it as %q, appendUnquoted as %q, %v", tc.lit, plain, got, ok)
+		}
+		if !ok {
+			if string(got) != "keep:" {
+				t.Errorf("%s: a declined literal left %q in dst", tc.lit, got)
+			}
+			continue
+		}
+		var want string
+		if err := json.Unmarshal([]byte(tc.lit), &want); err != nil || string(got) != "keep:"+want || len(rest) != 0 {
+			t.Errorf("%s: appendUnquoted = %q, encoding/json = %q, %v", tc.lit, got, want, err)
+		}
+	}
+	prop := func(s string) bool {
+		lit := AppendString(nil, s)
+		var want string
+		if err := json.Unmarshal(lit, &want); err != nil {
+			return false
+		}
+		got, rest, ok := appendUnquoted(nil, lit[1:])
+		return ok && len(rest) == 0 && string(got) == want
+	}
+	if err := quick.Check(prop, &quick.Config{MaxCount: 2000}); err != nil {
+		t.Fatal(err)
+	}
+}
+
+func TestReader(t *testing.T) {
+	var r Reader
+	r.Reset([]byte(`{"a":12,"s":"x\ny","t":"x\ny","neg":-3,"ok":true,"xs":[1,2],"ys":[],"o":{"k":1}}`))
+	r.Expect(`{"a":`)
+	if r.Uint() != 12 {
+		t.Fatal("Uint")
+	}
+	if r.Lit(`,"missing":`) {
+		t.Fatal("Lit matched a key that is not there")
+	}
+	r.Expect(`,"s":`)
+	s := r.String("")
+	r.Expect(`,"t":`)
+	if s2 := r.String(s); s != "x\ny" || s2 != s {
+		t.Fatalf("String = %q, %q", s, s2)
+	}
+	r.Expect(`,"neg":`)
+	if r.Int() != -3 {
+		t.Fatal("Int")
+	}
+	r.Expect(`,"ok":`)
+	if !r.Bool() {
+		t.Fatal("Bool")
+	}
+	r.Expect(`,"xs":[`)
+	var xs []uint64
+	for r.Elem(len(xs)) {
+		xs = append(xs, r.Uint())
+	}
+	r.Expect(`,"ys":[`)
+	if r.Elem(0) {
+		t.Fatal("Elem found an element in []")
+	}
+	r.Expect(`,"o":{`)
+	first := true
+	if r.Field(&first, `"j":`) || !r.Field(&first, `"k":`) || r.Uint8() != 1 || r.Field(&first, `"k":`) {
+		t.Fatal("Field")
+	}
+	r.Expect(`}}`)
+	if !r.OK() || len(xs) != 2 || xs[1] != 2 {
+		t.Fatalf("OK = %v, xs = %v", r.OK(), xs)
+	}
+
+	// Failure is sticky, and trailing input is a failure.
+	for _, doc := range []string{`{"a":1} `, `{"a":x}`, `{"a":256}`, `{"a":1`} {
+		r.Reset([]byte(doc))
+		r.Expect(`{"a":`)
+		r.Uint8()
+		r.Expect(`}`)
+		if r.OK() {
+			t.Errorf("%q parsed", doc)
+		}
+	}
+}

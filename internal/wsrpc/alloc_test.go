@@ -45,24 +45,34 @@ func TestWriteEnvelopeAllocFree(t *testing.T) {
 	body, _ := json.Marshal("ping")
 	meta := envMeta{trace: 7, recvNS: 1700000000000000000, sendNS: 1700000000000000100}
 	for i := 0; i < 8; i++ { // warm the cork buffer to steady-state capacity
-		if _, err := p.WriteEnvelope(kindCall, uint64(i), "falkon.deliver", "", meta, body); err != nil {
+		if _, err := p.WriteEnvelope(kindCall, uint64(i), "falkon.deliver", "", meta, frameBody{raw: body}); err != nil {
 			t.Fatal(err)
 		}
 	}
 	avg := testing.AllocsPerRun(200, func() {
-		if _, err := p.WriteEnvelope(kindCall, 9, "falkon.deliver", "", meta, body); err != nil {
+		if _, err := p.WriteEnvelope(kindCall, 9, "falkon.deliver", "", meta, frameBody{raw: body}); err != nil {
 			t.Fatal(err)
 		}
 	})
 	if avg > 0 {
 		t.Fatalf("WriteEnvelope allocates %.1f objects/op, want 0", avg)
 	}
+	// A body that appends itself goes straight into the (warm) cork buffer.
+	self := frameBody{app: &selfCoded{N: 7, Text: "ping"}}
+	avg = testing.AllocsPerRun(200, func() {
+		if _, err := p.WriteEnvelope(kindCall, 9, "falkon.deliver", "", meta, self); err != nil {
+			t.Fatal(err)
+		}
+	})
+	if avg > 0 {
+		t.Fatalf("WriteEnvelope of a BodyAppender allocates %.1f objects/op, want 0", avg)
+	}
 }
 
 // The read path must reuse its scratch buffer: decode work is the callers'
 // business, but framing itself stays allocation-free.
 func TestReadFrameAllocFree(t *testing.T) {
-	raw := appendFrame(nil, kindCall, 42, "falkon.deliver", "", envMeta{}, []byte(`"ping"`))
+	raw := appendFrame(nil, kindCall, 42, "falkon.deliver", "", envMeta{}, frameBody{raw: []byte(`"ping"`)})
 	var one []byte
 	var hdr [4]byte
 	binary.BigEndian.PutUint32(hdr[:], uint32(len(raw)))

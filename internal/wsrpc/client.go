@@ -57,6 +57,7 @@ type Client struct {
 	mu      sync.Mutex
 	seq     uint64
 	pending map[uint64]chan *frame
+	stats   map[string]*methodStats // per-method instruments, built on first call; nil when unmetered
 	closed  bool
 
 	interned map[string]string // notify method names; readLoop-only
@@ -95,7 +96,7 @@ func dial(ctx context.Context, addr string, opts ClientOptions, connect func(ctx
 		}
 	}
 	stop := context.AfterFunc(ctx, func() { c.Close() })
-	fc, err := newFrameConn(c, opts.Security, opts.PSK, true, stats)
+	fc, err := newFrameConn(c, opts.Security, opts.PSK, true, stats, handshakeTimeout)
 	stop()
 	if err != nil {
 		c.Close()
@@ -105,6 +106,7 @@ func dial(ctx context.Context, addr string, opts ClientOptions, connect func(ctx
 	if opts.Metrics != nil {
 		cl.rxBytes = opts.Metrics.Counter("wsrpc_client_rx_bytes_total")
 		cl.txBytes = opts.Metrics.Counter("wsrpc_client_tx_bytes_total")
+		cl.stats = make(map[string]*methodStats)
 	}
 	go cl.readLoop()
 	return cl, nil
@@ -231,13 +233,9 @@ func (c *Client) CallTrace(method string, arg, reply any, trace, parent uint64) 
 }
 
 func (c *Client) call(ctx context.Context, method string, arg, reply any, trace, parent uint64) error {
-	var body json.RawMessage
-	if arg != nil {
-		b, err := json.Marshal(arg)
-		if err != nil {
-			return fmt.Errorf("wsrpc: marshal %s arg: %w", method, err)
-		}
-		body = b
+	body, err := bodyOf(arg)
+	if err != nil {
+		return fmt.Errorf("wsrpc: marshal %s arg: %w", method, err)
 	}
 	ch := make(chan *frame, 1)
 	c.mu.Lock()
@@ -248,6 +246,17 @@ func (c *Client) call(ctx context.Context, method string, arg, reply any, trace,
 	c.seq++
 	seq := c.seq
 	c.pending[seq] = ch
+	var ms *methodStats
+	if c.stats != nil {
+		// The labeled registry keys are built once per method, not per call.
+		if ms = c.stats[method]; ms == nil {
+			ms = &methodStats{
+				calls: c.opts.Metrics.Counter(obs.Labeled("wsrpc_client_calls_total", "method", method)),
+				lat:   c.opts.Metrics.Histogram(obs.Labeled("wsrpc_client_seconds", "method", method)),
+			}
+			c.stats[method] = ms
+		}
+	}
 	c.mu.Unlock()
 
 	start := time.Now()
@@ -272,15 +281,20 @@ func (c *Client) call(ctx context.Context, method string, arg, reply any, trace,
 		if f.RecvNS > 0 && f.SendNS > 0 {
 			c.noteOffset(start, time.Now(), f.RecvNS, f.SendNS)
 		}
-		if c.opts.Metrics != nil {
-			c.opts.Metrics.Counter(obs.Labeled("wsrpc_client_calls_total", "method", method)).Inc()
-			c.opts.Metrics.Histogram(obs.Labeled("wsrpc_client_seconds", "method", method)).Observe(time.Since(start).Seconds())
+		if ms != nil {
+			ms.calls.Inc()
+			ms.lat.Observe(time.Since(start).Seconds())
 		}
 		if f.Err != "" {
 			return &RemoteError{Msg: f.Err}
 		}
 		if reply != nil && len(f.Body) > 0 {
-			if err := json.Unmarshal(f.Body, reply); err != nil {
+			if d, ok := reply.(BodyDecoder); ok {
+				err = d.DecodeJSON(f.Body)
+			} else {
+				err = json.Unmarshal(f.Body, reply)
+			}
+			if err != nil {
 				return fmt.Errorf("wsrpc: decode %s reply: %w", method, err)
 			}
 		}

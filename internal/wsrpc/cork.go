@@ -4,8 +4,8 @@ import (
 	"io"
 	"net"
 	"sync"
-	"unicode/utf8"
 
+	"falkon/internal/jsonwire"
 	"falkon/internal/metrics"
 )
 
@@ -155,117 +155,46 @@ func growScratch(b []byte, n int) []byte {
 
 // appendFrame appends the JSON wire envelope for one frame to dst. It
 // produces exactly the document json.Marshal(frame{...}) would — same field
-// order and omitempty rules — without re-marshalling the pre-encoded body,
-// which is what made the old path copy every payload twice. body must be
-// valid JSON (or empty); callers marshal it once and splice it in raw.
-func appendFrame(dst []byte, kind frameKind, seq uint64, method, errStr string, meta envMeta, body []byte) []byte {
+// order and omitempty rules — without re-marshalling the body: pre-encoded
+// bytes are spliced in raw (they must be valid JSON), and a body that
+// encodes itself appends straight into dst, which on the write path is the
+// cork buffer — no intermediate []byte at all.
+func appendFrame(dst []byte, kind frameKind, seq uint64, method, errStr string, meta envMeta, body frameBody) []byte {
 	dst = append(dst, `{"k":`...)
-	dst = appendUint(dst, uint64(kind))
+	dst = jsonwire.AppendUint(dst, uint64(kind))
 	dst = append(dst, `,"seq":`...)
-	dst = appendUint(dst, seq)
+	dst = jsonwire.AppendUint(dst, seq)
 	if method != "" {
 		dst = append(dst, `,"m":`...)
-		dst = appendJSONString(dst, method)
+		dst = jsonwire.AppendString(dst, method)
 	}
 	if errStr != "" {
 		dst = append(dst, `,"e":`...)
-		dst = appendJSONString(dst, errStr)
+		dst = jsonwire.AppendString(dst, errStr)
 	}
 	if meta.trace != 0 {
 		dst = append(dst, `,"tr":`...)
-		dst = appendUint(dst, meta.trace)
+		dst = jsonwire.AppendUint(dst, meta.trace)
 	}
 	if meta.parent != 0 {
 		dst = append(dst, `,"ps":`...)
-		dst = appendUint(dst, meta.parent)
+		dst = jsonwire.AppendUint(dst, meta.parent)
 	}
 	if meta.recvNS != 0 {
 		dst = append(dst, `,"rt":`...)
-		dst = appendInt(dst, meta.recvNS)
+		dst = jsonwire.AppendInt(dst, meta.recvNS)
 	}
 	if meta.sendNS != 0 {
 		dst = append(dst, `,"st":`...)
-		dst = appendInt(dst, meta.sendNS)
+		dst = jsonwire.AppendInt(dst, meta.sendNS)
 	}
-	if len(body) > 0 {
+	switch {
+	case body.app != nil:
 		dst = append(dst, `,"b":`...)
-		dst = append(dst, body...)
+		dst = body.app.AppendJSON(dst)
+	case len(body.raw) > 0:
+		dst = append(dst, `,"b":`...)
+		dst = append(dst, body.raw...)
 	}
 	return append(dst, '}')
-}
-
-// appendInt appends the decimal form of v. Timestamps are always positive in
-// practice, but the encoding must match encoding/json for any int64 so the
-// decode-equivalence property holds.
-func appendInt(dst []byte, v int64) []byte {
-	if v < 0 {
-		dst = append(dst, '-')
-		return appendUint(dst, uint64(-v)) // MinInt64 negates to itself; uint64 conversion keeps the magnitude
-	}
-	return appendUint(dst, uint64(v))
-}
-
-// appendUint appends the decimal form of v (strconv.AppendUint without the
-// import weight; frames only carry small kinds and sequence numbers).
-func appendUint(dst []byte, v uint64) []byte {
-	var tmp [20]byte
-	i := len(tmp)
-	for {
-		i--
-		tmp[i] = byte('0' + v%10)
-		v /= 10
-		if v == 0 {
-			break
-		}
-	}
-	return append(dst, tmp[i:]...)
-}
-
-const hexDigits = "0123456789abcdef"
-
-// appendJSONString appends s as a JSON string literal. Escaping matches
-// encoding/json's decode semantics: quotes, backslashes, and control
-// characters escape; invalid UTF-8 bytes become U+FFFD exactly as the
-// standard encoder emits them. (encoding/json additionally escapes <, >,
-// and & for HTML embedding; those decode identically unescaped, so the wire
-// stays compatible with peers using json.Unmarshal.)
-func appendJSONString(dst []byte, s string) []byte {
-	dst = append(dst, '"')
-	start := 0
-	for i := 0; i < len(s); {
-		c := s[i]
-		if c < utf8.RuneSelf {
-			if c >= 0x20 && c != '"' && c != '\\' {
-				i++
-				continue
-			}
-			dst = append(dst, s[start:i]...)
-			switch c {
-			case '"', '\\':
-				dst = append(dst, '\\', c)
-			case '\n':
-				dst = append(dst, '\\', 'n')
-			case '\r':
-				dst = append(dst, '\\', 'r')
-			case '\t':
-				dst = append(dst, '\\', 't')
-			default:
-				dst = append(dst, '\\', 'u', '0', '0', hexDigits[c>>4], hexDigits[c&0xf])
-			}
-			i++
-			start = i
-			continue
-		}
-		r, size := utf8.DecodeRuneInString(s[i:])
-		if r == utf8.RuneError && size == 1 {
-			dst = append(dst, s[start:i]...)
-			dst = append(dst, `�`...)
-			i++
-			start = i
-			continue
-		}
-		i += size
-	}
-	dst = append(dst, s[start:]...)
-	return append(dst, '"')
 }

@@ -1,5 +1,7 @@
 package wsrpc
 
+import "falkon/internal/jsonwire"
+
 // frameView is a zero-copy view of a parsed envelope: method, errs, and body
 // alias the read scratch and are valid only until the next ReadFrame on the
 // same connection. Consumers that retain bytes past that point must copy.
@@ -21,67 +23,68 @@ type frameView struct {
 //	{"k":N,"seq":N[,"m":"..."][,"e":"..."][,"tr":N][,"ps":N][,"rt":N][,"st":N][,"b":...]}
 //
 // in that field order, with no whitespace. It returns ok=false for anything
-// non-canonical — reordered or unknown fields, escaped strings, whitespace —
-// and the caller falls back to decodeFrame, so the accepted wire language is
-// unchanged; this is purely an allocation-free shortcut for the common case.
+// non-canonical — reordered or unknown fields, escaped strings, whitespace,
+// numbers with leading zeros — and the caller falls back to decodeFrame, so
+// the accepted wire language is unchanged; this is purely an allocation-free
+// shortcut for the common case.
 // The body slice is not validated as JSON here: it is json.Unmarshal'ed by
 // whoever consumes it, which reports garbage exactly like decodeFrame did.
 func fastParseFrame(raw []byte) (frameView, bool) {
 	var v frameView
 	p := raw
-	if !hasPrefix(p, `{"k":`) {
+	if !jsonwire.HasPrefix(p, `{"k":`) {
 		return v, false
 	}
 	p = p[5:]
-	k, p, ok := parseUint(p)
+	k, p, ok := jsonwire.ParseUint(p)
 	if !ok || k < uint64(kindCall) || k > uint64(kindNotify) {
 		return v, false
 	}
 	v.kind = frameKind(k)
-	if !hasPrefix(p, `,"seq":`) {
+	if !jsonwire.HasPrefix(p, `,"seq":`) {
 		return v, false
 	}
-	v.seq, p, ok = parseUint(p[7:])
+	v.seq, p, ok = jsonwire.ParseUint(p[7:])
 	if !ok {
 		return v, false
 	}
-	if hasPrefix(p, `,"m":"`) {
-		v.method, p, ok = parsePlainString(p[6:])
+	if jsonwire.HasPrefix(p, `,"m":"`) {
+		v.method, p, ok = jsonwire.ParsePlainString(p[6:])
 		if !ok {
 			return v, false
 		}
 	}
-	if hasPrefix(p, `,"e":"`) {
-		v.errs, p, ok = parsePlainString(p[6:])
+	if jsonwire.HasPrefix(p, `,"e":"`) {
+		v.errs, p, ok = jsonwire.ParsePlainString(p[6:])
 		if !ok {
 			return v, false
 		}
 	}
-	if hasPrefix(p, `,"tr":`) {
-		v.trace, p, ok = parseUint(p[6:])
+	if jsonwire.HasPrefix(p, `,"tr":`) {
+		v.trace, p, ok = jsonwire.ParseUint(p[6:])
 		if !ok {
 			return v, false
 		}
 	}
-	if hasPrefix(p, `,"ps":`) {
-		v.parent, p, ok = parseUint(p[6:])
+	if jsonwire.HasPrefix(p, `,"ps":`) {
+		v.parent, p, ok = jsonwire.ParseUint(p[6:])
 		if !ok {
 			return v, false
 		}
 	}
-	if hasPrefix(p, `,"rt":`) {
-		v.recvNS, p, ok = parseInt(p[6:])
+	if jsonwire.HasPrefix(p, `,"rt":`) {
+		v.recvNS, p, ok = jsonwire.ParseInt(p[6:])
 		if !ok {
 			return v, false
 		}
 	}
-	if hasPrefix(p, `,"st":`) {
-		v.sendNS, p, ok = parseInt(p[6:])
+	if jsonwire.HasPrefix(p, `,"st":`) {
+		v.sendNS, p, ok = jsonwire.ParseInt(p[6:])
 		if !ok {
 			return v, false
 		}
 	}
-	if hasPrefix(p, `,"b":`) {
+	if jsonwire.HasPrefix(p, `,"b":`) {
 		p = p[5:]
 		if len(p) < 2 || p[len(p)-1] != '}' {
 			return v, false
@@ -90,58 +93,4 @@ func fastParseFrame(raw []byte) (frameView, bool) {
 		return v, true
 	}
 	return v, len(p) == 1 && p[0] == '}'
-}
-
-func hasPrefix(b []byte, s string) bool {
-	return len(b) >= len(s) && string(b[:len(s)]) == s
-}
-
-// parseUint consumes leading decimal digits.
-func parseUint(p []byte) (uint64, []byte, bool) {
-	var n uint64
-	i := 0
-	for i < len(p) && p[i] >= '0' && p[i] <= '9' {
-		if n > (1<<64-1)/10 {
-			return 0, p, false
-		}
-		n = n*10 + uint64(p[i]-'0')
-		i++
-	}
-	if i == 0 {
-		return 0, p, false
-	}
-	return n, p[i:], true
-}
-
-// parseInt consumes an optional minus sign and decimal digits. Magnitudes
-// past MaxInt64 bail to the slow path rather than guessing.
-func parseInt(p []byte) (int64, []byte, bool) {
-	neg := false
-	if len(p) > 0 && p[0] == '-' {
-		neg = true
-		p = p[1:]
-	}
-	n, rest, ok := parseUint(p)
-	if !ok || n > 1<<63-1 {
-		return 0, p, false
-	}
-	if neg {
-		return -int64(n), rest, true
-	}
-	return int64(n), rest, true
-}
-
-// parsePlainString consumes bytes up to an unescaped closing quote; any
-// backslash bails to the slow path (escapes are rare on method/error
-// strings, and decodeFrame handles them correctly).
-func parsePlainString(p []byte) ([]byte, []byte, bool) {
-	for i := 0; i < len(p); i++ {
-		switch p[i] {
-		case '"':
-			return p[:i], p[i+1:], true
-		case '\\':
-			return nil, p, false
-		}
-	}
-	return nil, p, false
 }

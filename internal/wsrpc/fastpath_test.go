@@ -32,7 +32,7 @@ func TestAppendFrameDecodeEquivalence(t *testing.T) {
 			body = b
 		}
 		meta := envMeta{trace: trace, parent: parent, recvNS: recvNS, sendNS: sendNS}
-		raw := appendFrame(nil, kind, seq, method, errStr, meta, body)
+		raw := appendFrame(nil, kind, seq, method, errStr, meta, frameBody{raw: body})
 		got, err := decodeFrame(raw)
 		if err != nil {
 			t.Logf("appendFrame output rejected: %s: %v", raw, err)
@@ -112,14 +112,14 @@ func tcpPair(t *testing.T, profile SecurityProfile, psk []byte) (frameConn, fram
 			srvc <- res{nil, err}
 			return
 		}
-		fc, err := newFrameConn(c, profile, psk, false, flushStats{})
+		fc, err := newFrameConn(c, profile, psk, false, flushStats{}, handshakeTimeout)
 		srvc <- res{fc, err}
 	}()
 	cc, err := net.Dial("tcp", ln.Addr().String())
 	if err != nil {
 		t.Fatal(err)
 	}
-	cli, err := newFrameConn(cc, profile, psk, true, flushStats{})
+	cli, err := newFrameConn(cc, profile, psk, true, flushStats{}, handshakeTimeout)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -161,7 +161,7 @@ func TestCoalescedWritesDecodeIdentically(t *testing.T) {
 					for i := 0; i < frames; i++ {
 						seq := uint64(g*1000 + i)
 						body, _ := json.Marshal(bodies[seq])
-						if _, err := cli.WriteEnvelope(kindCall, seq, "m", "", envMeta{}, body); err != nil {
+						if _, err := cli.WriteEnvelope(kindCall, seq, "m", "", envMeta{}, frameBody{raw: body}); err != nil {
 							t.Error(err)
 							return
 						}

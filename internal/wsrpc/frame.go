@@ -55,6 +55,44 @@ type envMeta struct {
 	recvNS, sendNS int64
 }
 
+// BodyAppender is a message body that encodes itself. AppendJSON appends
+// one JSON document that decodes as json.Marshal's encoding of the value
+// would. Call, a handler's reply and Notify write such a body straight into
+// the connection's cork buffer; any other value goes through json.Marshal.
+//
+// AppendJSON runs under the connection's write lock, so it must neither
+// block nor write to that connection.
+type BodyAppender interface {
+	AppendJSON(dst []byte) []byte
+}
+
+// BodyDecoder is a reply body that decodes itself. DecodeJSON accepts what
+// json.Unmarshal into the zero value accepts, with the same result, and
+// copies whatever it keeps of b. Call decodes such a reply without
+// encoding/json; any other goes through json.Unmarshal.
+type BodyDecoder interface {
+	DecodeJSON(b []byte) error
+}
+
+// frameBody is a frame's payload on the write path: pre-marshalled JSON, or
+// a body that appends itself.
+type frameBody struct {
+	raw []byte
+	app BodyAppender
+}
+
+// bodyOf prepares v (nil for none) as a frame payload.
+func bodyOf(v any) (frameBody, error) {
+	switch v := v.(type) {
+	case nil:
+		return frameBody{}, nil
+	case BodyAppender:
+		return frameBody{app: v}, nil
+	}
+	b, err := json.Marshal(v)
+	return frameBody{raw: b}, err
+}
+
 // frameConn reads and writes whole frames. Implementations must support one
 // concurrent reader and any number of concurrent writers.
 //
@@ -63,10 +101,10 @@ type envMeta struct {
 // (decodeFrame's json.RawMessage copy satisfies this).
 type frameConn interface {
 	ReadFrame() ([]byte, error)
-	// WriteEnvelope encodes a frame envelope straight into the connection's
-	// corked write buffer — the fast path; body must be pre-marshalled JSON.
-	// It returns the envelope's encoded size for byte accounting.
-	WriteEnvelope(kind frameKind, seq uint64, method, errStr string, meta envMeta, body []byte) (int, error)
+	// WriteEnvelope encodes a frame envelope, body included, straight into
+	// the connection's corked write buffer — the fast path. It returns the
+	// envelope's encoded size for byte accounting.
+	WriteEnvelope(kind frameKind, seq uint64, method, errStr string, meta envMeta, body frameBody) (int, error)
 	// WriteFrame sends an already-encoded payload verbatim (compat/test
 	// path; the fast path is WriteEnvelope).
 	WriteFrame(p []byte) error
@@ -105,7 +143,7 @@ func (p *plainConn) ReadFrame() ([]byte, error) {
 	return p.rbuf, nil
 }
 
-func (p *plainConn) WriteEnvelope(kind frameKind, seq uint64, method, errStr string, meta envMeta, body []byte) (int, error) {
+func (p *plainConn) WriteEnvelope(kind frameKind, seq uint64, method, errStr string, meta envMeta, body frameBody) (int, error) {
 	buf, err := p.cw.beginFrame()
 	if err != nil {
 		return 0, err

@@ -6,6 +6,7 @@ import (
 	"errors"
 	"io"
 	"net"
+	"os"
 	"testing"
 	"testing/quick"
 	"time"
@@ -124,7 +125,7 @@ func TestSecureFrameTamperDetected(t *testing.T) {
 			srvc <- res{nil, err}
 			return
 		}
-		fc, err := newSecureConn(c, psk, false, flushStats{})
+		fc, err := newSecureConn(c, psk, false, flushStats{}, handshakeTimeout)
 		srvc <- res{fc, err}
 	}()
 	cc, err := net.Dial("tcp", ln.Addr().String())
@@ -134,7 +135,7 @@ func TestSecureFrameTamperDetected(t *testing.T) {
 	// Tampering man-in-the-middle: wrap the client conn to flip a bit in
 	// the first data frame after the handshake.
 	tc := &tamperConn{Conn: cc, skip: 32 + 32} // nonce + proof pass through
-	cli, err := newSecureConn(tc, psk, true, flushStats{})
+	cli, err := newSecureConn(tc, psk, true, flushStats{}, handshakeTimeout)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -174,3 +175,69 @@ func (c *tamperConn) Write(p []byte) (int, error) {
 }
 
 var _ io.Writer = (*tamperConn)(nil)
+
+// A peer that starts the secure handshake and stalls must not pin the
+// server: the handshake deadline closes the connection, the goroutine that
+// owned it exits, and Close (which waits for every connection goroutine)
+// returns.
+func TestSecureHandshakeStallReleasesServer(t *testing.T) {
+	s := NewServer(ServerOptions{Security: SecuritySecureConversation, PSK: []byte("k"), Logf: func(string, ...any) {}})
+	s.handshake = 200 * time.Millisecond
+	if err := s.Listen("127.0.0.1:0"); err != nil {
+		t.Fatal(err)
+	}
+	raw, err := net.Dial("tcp", s.Addr())
+	if err != nil {
+		t.Fatal(err)
+	}
+	defer raw.Close()
+	if _, err := raw.Write([]byte{1, 2, 3}); err != nil { // a nonce is 32 bytes
+		t.Fatal(err)
+	}
+	raw.SetReadDeadline(time.Now().Add(5 * time.Second))
+	if _, err := raw.Read(make([]byte, 1)); err == nil || errors.Is(err, os.ErrDeadlineExceeded) {
+		t.Fatalf("server did not hang up on a stalled handshake: read err = %v", err)
+	}
+	closed := make(chan struct{})
+	go func() { s.Close(); close(closed) }()
+	select {
+	case <-closed:
+	case <-time.After(5 * time.Second):
+		t.Fatal("Server.Close still waits on the stalled connection's goroutine")
+	}
+}
+
+// The initiating side is bounded too: a listener that accepts and says
+// nothing fails the handshake instead of hanging the dial.
+func TestSecureHandshakeStallFailsClient(t *testing.T) {
+	cc, sc := net.Pipe()
+	defer sc.Close()
+	go io.Copy(io.Discard, sc) // swallow the client's nonce, answer nothing
+	start := time.Now()
+	_, err := newFrameConn(cc, SecuritySecureConversation, []byte("k"), true, flushStats{}, 200*time.Millisecond)
+	if !errors.Is(err, errHandshake) || time.Since(start) > 5*time.Second {
+		t.Fatalf("handshake against a silent peer: err = %v after %v", err, time.Since(start))
+	}
+}
+
+// After a handshake the deadline is gone: an idle secured connection
+// outlives it.
+func TestSecureHandshakeDeadlineCleared(t *testing.T) {
+	s := NewServer(ServerOptions{Security: SecuritySecureConversation, PSK: []byte("k"), Logf: t.Logf})
+	s.handshake = 100 * time.Millisecond
+	s.Register("echo", func(_ *Peer, body json.RawMessage) (any, error) { return body, nil })
+	if err := s.Listen("127.0.0.1:0"); err != nil {
+		t.Fatal(err)
+	}
+	defer s.Close()
+	c, err := Dial(s.Addr(), ClientOptions{Security: SecuritySecureConversation, PSK: []byte("k")})
+	if err != nil {
+		t.Fatal(err)
+	}
+	defer c.Close()
+	time.Sleep(3 * s.handshake)
+	var out string
+	if err := c.Call("echo", "still here", &out); err != nil || out != "still here" {
+		t.Fatalf("call after the handshake deadline passed: %q, %v", out, err)
+	}
+}

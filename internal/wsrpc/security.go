@@ -14,6 +14,7 @@ import (
 	"hash"
 	"io"
 	"net"
+	"time"
 )
 
 // SecurityProfile selects the per-connection security mode, mirroring the
@@ -50,6 +51,12 @@ var errHandshake = errors.New("wsrpc: security handshake failed")
 
 const nonceLen = 32
 
+// handshakeTimeout bounds the secure profile's nonce and proof exchange. A
+// peer that connects and stalls — or one speaking the plaintext profile,
+// whose first frame reads as a nonce and whose proof never comes — would
+// otherwise pin a goroutine (and, on the server, a connection) for ever.
+const handshakeTimeout = 10 * time.Second
+
 // secureConn wraps a net.Conn with framewise AES-CTR encryption and
 // HMAC-SHA256 authentication, keyed from a pre-shared key and per-connection
 // nonces. Sealing happens in place inside the cork buffer — the envelope is
@@ -76,12 +83,17 @@ type secureConn struct {
 	recvCnt [8]byte // MAC counter scratch, single-reader like rbuf
 }
 
-// newSecureConn runs the handshake (client initiates) and returns the
-// secured frame transport.
-func newSecureConn(c net.Conn, psk []byte, isClient bool, stats flushStats) (*secureConn, error) {
+// newSecureConn runs the handshake (client initiates), which must finish
+// within timeout, and returns the secured frame transport.
+func newSecureConn(c net.Conn, psk []byte, isClient bool, stats flushStats, timeout time.Duration) (*secureConn, error) {
 	if len(psk) == 0 {
 		return nil, fmt.Errorf("%w: empty pre-shared key", errHandshake)
 	}
+	if err := c.SetDeadline(time.Now().Add(timeout)); err != nil {
+		return nil, fmt.Errorf("%w: %v", errHandshake, err)
+	}
+	// Cleared whatever the outcome: on failure the caller closes c anyway.
+	defer c.SetDeadline(time.Time{})
 	var myNonce, peerNonce [nonceLen]byte
 	if _, err := rand.Read(myNonce[:]); err != nil {
 		return nil, fmt.Errorf("%w: %v", errHandshake, err)
@@ -182,7 +194,7 @@ func (s *secureConn) sealLocked(buf []byte, start int) []byte {
 	return s.sendMAC.Sum(buf)
 }
 
-func (s *secureConn) WriteEnvelope(kind frameKind, seq uint64, method, errStr string, meta envMeta, body []byte) (int, error) {
+func (s *secureConn) WriteEnvelope(kind frameKind, seq uint64, method, errStr string, meta envMeta, body frameBody) (int, error) {
 	buf, err := s.cw.beginFrame()
 	if err != nil {
 		return 0, err
@@ -245,14 +257,14 @@ func (s *secureConn) Close() error {
 }
 
 // newFrameConn wraps c according to the profile; psk is required for the
-// secure profile. stats instruments the corked write path (zero value for
-// unmetered connections).
-func newFrameConn(c net.Conn, profile SecurityProfile, psk []byte, isClient bool, stats flushStats) (frameConn, error) {
+// secure profile, whose handshake must finish within handshake. stats
+// instruments the corked write path (zero value for unmetered connections).
+func newFrameConn(c net.Conn, profile SecurityProfile, psk []byte, isClient bool, stats flushStats, handshake time.Duration) (frameConn, error) {
 	switch profile {
 	case SecurityNone:
 		return newPlainConn(c, stats), nil
 	case SecuritySecureConversation:
-		return newSecureConn(c, psk, isClient, stats)
+		return newSecureConn(c, psk, isClient, stats, handshake)
 	default:
 		return nil, fmt.Errorf("wsrpc: unknown security profile %v", profile)
 	}

@@ -57,6 +57,7 @@ type Server struct {
 	txBytes    *metrics.Counter
 	hWrite     *metrics.FixedHistogram // reply encode + cork commit time; nil when unmetered
 	flushStats flushStats
+	handshake  time.Duration // handshakeTimeout; a field so a test need not wait it out
 
 	mu     sync.Mutex
 	peers  map[*Peer]struct{}
@@ -70,10 +71,11 @@ type Server struct {
 // NewServer returns a server with no registered methods.
 func NewServer(opts ServerOptions) *Server {
 	s := &Server{
-		opts:     opts,
-		handlers: make(map[string]Handler),
-		fast:     make(map[string]bool),
-		peers:    make(map[*Peer]struct{}),
+		opts:      opts,
+		handlers:  make(map[string]Handler),
+		fast:      make(map[string]bool),
+		peers:     make(map[*Peer]struct{}),
+		handshake: handshakeTimeout,
 	}
 	if opts.Metrics != nil {
 		s.stats = make(map[string]*methodStats)
@@ -202,7 +204,7 @@ func (s *Server) handleConn(c net.Conn) {
 	if s.opts.Faults != nil {
 		c = s.opts.Faults.WrapConn(c)
 	}
-	fc, err := newFrameConn(c, s.opts.Security, s.opts.PSK, false, s.flushStats)
+	fc, err := newFrameConn(c, s.opts.Security, s.opts.PSK, false, s.flushStats, s.handshake)
 	if err != nil {
 		s.logf("wsrpc: handshake with %s: %v", remote, err)
 		c.Close()
@@ -302,16 +304,13 @@ func (s *Server) handleConn(c net.Conn) {
 // not returned, because the reader loop owns connection teardown.
 func (s *Server) reply(p *Peer, seq, trace uint64, recvNS int64, res any, herr error) {
 	var errStr string
-	var body []byte
+	var body frameBody
 	if herr != nil {
 		errStr = herr.Error()
-	} else if res != nil {
-		b, err := json.Marshal(res)
-		if err != nil {
-			errStr = "wsrpc: marshal reply: " + err.Error()
-		} else {
-			body = b
-		}
+	} else if b, err := bodyOf(res); err != nil {
+		errStr = "wsrpc: marshal reply: " + err.Error()
+	} else {
+		body = b
 	}
 	var t0 time.Time
 	if s.hWrite != nil {
@@ -366,13 +365,9 @@ func (p *Peer) Meta() any { p.mu.Lock(); defer p.mu.Unlock(); return p.meta }
 // Notify pushes a one-way notification to the peer. It is safe to call from
 // any goroutine.
 func (p *Peer) Notify(method string, arg any) error {
-	var body json.RawMessage
-	if arg != nil {
-		b, err := json.Marshal(arg)
-		if err != nil {
-			return fmt.Errorf("wsrpc: marshal notify: %w", err)
-		}
-		body = b
+	body, err := bodyOf(arg)
+	if err != nil {
+		return fmt.Errorf("wsrpc: marshal notify: %w", err)
 	}
 	n, err := p.fc.WriteEnvelope(kindNotify, 0, method, "", envMeta{}, body)
 	if err != nil {

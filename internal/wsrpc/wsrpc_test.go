@@ -8,6 +8,8 @@ import (
 	"sync"
 	"testing"
 	"time"
+
+	"falkon/internal/obs"
 )
 
 // startEcho starts a server with an "echo" method plus an "add" method, and
@@ -257,21 +259,25 @@ func TestSecureHandshakeRejectsWrongKey(t *testing.T) {
 }
 
 func TestSecureProfileMismatchFails(t *testing.T) {
-	s := startEcho(t, ServerOptions{Security: SecuritySecureConversation, PSK: []byte("k"), Logf: func(string, ...any) {}})
+	s := NewServer(ServerOptions{Security: SecuritySecureConversation, PSK: []byte("k"), Logf: func(string, ...any) {}})
+	s.handshake = 300 * time.Millisecond
+	s.Register("echo", func(_ *Peer, body json.RawMessage) (any, error) { return body, nil })
+	if err := s.Listen("127.0.0.1:0"); err != nil {
+		t.Fatal(err)
+	}
+	defer s.Close()
 	c, err := Dial(s.Addr(), ClientOptions{Security: SecurityNone})
-	if err == nil {
-		defer c.Close()
-		// Bounded: the server reads the plaintext frame as a nonce and then
-		// waits for a proof that never comes, while the client reads the
-		// server's random nonce as a length prefix — one time in ~64 a
-		// plausible one, and then both sides wait for ever (no handshake
-		// deadline; filed in ROADMAP item 5's overload list). Not getting a
-		// reply is as good a failure as getting an error.
-		ctx, cancel := context.WithTimeout(context.Background(), 2*time.Second)
-		defer cancel()
-		if callErr := c.CallContext(ctx, "echo", "x", nil); callErr == nil {
-			t.Fatal("plaintext client talked to secure server")
-		}
+	if err != nil {
+		return
+	}
+	defer c.Close()
+	// The server reads the plaintext frame as a nonce and waits for a proof
+	// that never comes, while the client reads the server's random nonce as
+	// a length prefix — one time in ~64 a plausible one, and then waits for
+	// a frame body. The handshake deadline ends it: the server hangs up and
+	// the call fails by itself.
+	if callErr := c.Call("echo", "x", nil); callErr == nil {
+		t.Fatal("plaintext client talked to secure server")
 	}
 }
 
@@ -390,5 +396,47 @@ func TestCallContextCancellation(t *testing.T) {
 	var got string
 	if err := c.Call("quick", nil, &got); err != nil || got != "ok" {
 		t.Fatalf("follow-up call: %q, %v", got, err)
+	}
+}
+
+// The client's per-method instruments are looked up once and cached; their
+// registry keys — what /metrics exposes — are the ones every call used to
+// build: wsrpc_client_calls_total{method="..."} and
+// wsrpc_client_seconds{method="..."}.
+func TestClientMethodMetrics(t *testing.T) {
+	s := startEcho(t, ServerOptions{})
+	reg := obs.NewRegistry()
+	c, err := Dial(s.Addr(), ClientOptions{Metrics: reg})
+	if err != nil {
+		t.Fatal(err)
+	}
+	defer c.Close()
+	var wg sync.WaitGroup
+	for g := 0; g < 4; g++ { // first use of a method races itself
+		wg.Add(1)
+		go func() {
+			defer wg.Done()
+			for i := 0; i < 5; i++ {
+				if err := c.Call("echo", "x", nil); err != nil {
+					t.Error(err)
+				}
+			}
+		}()
+	}
+	wg.Wait()
+	if err := c.Call("add", [2]int{1, 2}, nil); err != nil {
+		t.Fatal(err)
+	}
+	snap := reg.Snapshot()
+	for key, want := range map[string]int64{
+		`wsrpc_client_calls_total{method="echo"}`: 20,
+		`wsrpc_client_calls_total{method="add"}`:  1,
+	} {
+		if got := snap.Counters[key]; got != want {
+			t.Errorf("%s = %d, want %d (counters: %v)", key, got, want, snap.Counters)
+		}
+	}
+	if h := snap.Histograms[`wsrpc_client_seconds{method="echo"}`]; h.Count != 20 {
+		t.Errorf("echo latency histogram holds %d observations, want 20", h.Count)
 	}
 }

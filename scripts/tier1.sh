@@ -49,6 +49,10 @@ go test -run='TestTreeMillionExecutors' -count=1 -v ./internal/simfalkon/
 # Short fuzz pass over the journal decoder: it must never panic and never
 # fabricate records, whatever bytes a torn tail left behind.
 go test -run='^$' -fuzz=FuzzJournalDecode -fuzztime=5s ./internal/wal/
+# And over the two hand-written wire codecs, with encoding/json as the
+# oracle: on any bytes the fast decoders and json.Unmarshal must agree.
+go test -run='^$' -fuzz=FuzzBodyCodec -fuzztime=5s ./internal/fproto/
+go test -run='^$' -fuzz=FuzzFrameEnvelope -fuzztime=5s ./internal/wsrpc/
 # Compile-and-run every benchmark exactly once, so bitrot in benchmark-only
 # code fails tier 1 instead of the next perf investigation.
 go test -run='^$' -bench=. -benchtime=1x ./...

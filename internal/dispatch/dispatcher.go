@@ -238,12 +238,15 @@ type traceEv struct {
 	exec  string
 }
 
-// resultPush is one deferred result notification ({8}) to a push-mode
-// client.
-type resultPush struct {
+// resultRun is one deferred result notification ({8}) to a push-mode
+// client: the results finalized back to back for one (peer, instance),
+// fx.results[previous run's end:end]. A Deliver batch is normally one run,
+// so it rides one ResultsNotify frame; contiguity (rather than a map) keeps
+// per-instance result order intact.
+type resultRun struct {
 	peer *wsrpc.Peer
-	epr  string
-	r    task.Result
+	inst *instance
+	end  int
 }
 
 // notifyPush is one deferred work-available notification ({3}). It holds a
@@ -275,7 +278,8 @@ type fx struct {
 	events   []traceEv
 	stamps   []stampRec
 	notifies []notifyPush
-	pushes   []resultPush
+	results  []task.Result // pushed results, run after run
+	runs     []resultRun
 	// requeues are replayed attempts owed back to their affinity shard.
 	// They are deferred because the orphaning shard (the executor's home)
 	// and the task's affinity shard can differ, and no handler holds two
@@ -286,6 +290,17 @@ type fx struct {
 
 func (f *fx) trace(at time.Duration, kind obs.EventKind, trace uint64, id task.ID, epr, exec string) {
 	f.events = append(f.events, traceEv{at, kind, trace, id, epr, exec})
+}
+
+// push defers results for inst's client at peer, extending the current run
+// when it is for the same pair.
+func (f *fx) push(peer *wsrpc.Peer, inst *instance, rs ...task.Result) {
+	f.results = append(f.results, rs...)
+	if n := len(f.runs); n > 0 && f.runs[n-1].peer == peer && f.runs[n-1].inst == inst {
+		f.runs[n-1].end = len(f.results)
+		return
+	}
+	f.runs = append(f.runs, resultRun{peer: peer, inst: inst, end: len(f.results)})
 }
 
 // fxPool recycles fx backing arrays between handler calls: every Deliver
@@ -300,28 +315,29 @@ func getFx() *fx { return fxPool.Get().(*fx) }
 // burst doesn't park megabytes in the pool.
 func putFx(f *fx) {
 	const keep = 1024
-	if cap(f.events) > keep || cap(f.stamps) > keep || cap(f.notifies) > keep || cap(f.pushes) > keep || cap(f.requeues) > keep {
+	if cap(f.events) > keep || cap(f.stamps) > keep || cap(f.notifies) > keep || cap(f.results) > keep || cap(f.runs) > keep || cap(f.requeues) > keep {
 		*f = fx{}
 	} else {
-		clear(f.events)
-		clear(f.stamps)
-		clear(f.notifies)
-		clear(f.pushes)
-		clear(f.requeues)
-		f.events = f.events[:0]
-		f.stamps = f.stamps[:0]
-		f.notifies = f.notifies[:0]
-		f.pushes = f.pushes[:0]
-		f.requeues = f.requeues[:0]
+		f.events = emptied(f.events)
+		f.stamps = emptied(f.stamps)
+		f.notifies = emptied(f.notifies)
+		f.results = emptied(f.results)
+		f.runs = emptied(f.runs)
+		f.requeues = emptied(f.requeues)
 	}
 	fxPool.Put(f)
+}
+
+// emptied returns s with length 0 and no reference left in its array.
+func emptied[T any](s []T) []T {
+	clear(s)
+	return s[:0]
 }
 
 // Dispatcher is the Falkon dispatch service. Create with New, then Listen.
 type Dispatcher struct {
 	opts  Options
 	srv   *wsrpc.Server
-	eng   *notifyEngine
 	epoch time.Time
 
 	reg    *obs.Registry
@@ -341,6 +357,9 @@ type Dispatcher struct {
 	hSchedCore *metrics.FixedHistogram
 	hFxFlush   *metrics.FixedHistogram
 	hWALWait   *metrics.FixedHistogram
+	// Pushes attempted ({3}, {8} and capacity hints) and pushes that failed.
+	notifications *metrics.Counter
+	notifyErrs    *metrics.Counter
 
 	// tenants is the multi-tenant admission table (nil when multi-tenancy
 	// is off — no admission checks, no per-tenant labels on the hot path).
@@ -466,9 +485,8 @@ func New(opts Options) *Dispatcher {
 	d.hSchedCore = d.reg.Histogram(obs.OverheadKey(obs.OverheadSchedCore))
 	d.hFxFlush = d.reg.Histogram(obs.OverheadKey(obs.OverheadFxFlush))
 	d.hWALWait = d.reg.Histogram(obs.OverheadKey(obs.OverheadWALWait))
-	d.eng = newNotifyEngine(notifyLanes, opts.Logf,
-		d.reg.Gauge("falkon_notify_queue_depth"), d.reg.Counter("falkon_notifications_total"),
-		d.reg.Counter("falkon_notify_errors_total"))
+	d.notifications = d.reg.Counter("falkon_notifications_total")
+	d.notifyErrs = d.reg.Counter("falkon_notify_errors_total")
 	d.srv = wsrpc.NewServer(wsrpc.ServerOptions{Security: opts.Security, PSK: opts.PSK, Logf: d.logf, Metrics: d.reg, Faults: opts.Faults})
 	d.register()
 	d.srv.OnDisconnect(d.onDisconnect)
@@ -547,9 +565,10 @@ func (d *Dispatcher) tenantHistsFor(tenant string) *tenantHists {
 }
 
 // flush applies the effects gathered under shard locks. Must be called
-// after releasing them: the tracer, histograms, and notification engine
-// all have their own synchronization, and deferred requeues take other
-// shards' locks.
+// after releasing them: the tracer and histograms have their own
+// synchronization, a push encodes straight into its connection's cork
+// buffer (and may wait there on a slow peer, up to wsrpc's write-stall
+// bound), and deferred requeues take other shards' locks.
 func (d *Dispatcher) flush(f *fx) {
 	if len(f.requeues) > 0 {
 		d.requeueAll(f)
@@ -575,24 +594,60 @@ func (d *Dispatcher) flush(f *fx) {
 	}
 	for _, n := range f.notifies {
 		d.tracer.Record(n.at, obs.EvNotified, 0, 0, "", n.exec)
-		d.eng.notifyWork(n.peer, n.queued)
+		// A failed push needs no recovery here: the executor's disconnect
+		// handling replays whatever it held.
+		d.notify(n.peer, fproto.NotifyWorkAvailable, fproto.WorkAvailable{Queued: n.queued})
 	}
-	// Batch result pushes per (peer, instance): one ResultsNotify frame per
-	// contiguous run instead of one per result. A Deliver handler's flush is
-	// normally a single run, so the whole batch rides one frame; contiguity
-	// (rather than a map) keeps per-instance result order intact.
-	for start := 0; start < len(f.pushes); {
-		p := f.pushes[start]
-		end := start + 1
-		for end < len(f.pushes) && f.pushes[end].peer == p.peer && f.pushes[end].epr == p.epr {
-			end++
+	start := 0
+	for _, run := range f.runs {
+		d.pushResults(run.peer, run.inst, f.results[start:run.end])
+		start = run.end
+	}
+}
+
+// notify pushes one notification to p, counting it and its failure.
+func (d *Dispatcher) notify(p *wsrpc.Peer, method string, body any) error {
+	d.notifications.Inc()
+	err := p.Notify(method, body)
+	if err != nil {
+		d.notifyErrs.Inc()
+	}
+	return err
+}
+
+// pushResults sends one run of results ({8}) to inst's client at peer. The
+// results are still owed if the push fails (finalize discharged them on the
+// strength of the attached peer): the instance is detached from that peer,
+// and the run goes to the connection that reattached meanwhile or, with
+// none, back into the buffer and the live set, where the next reattach
+// finds it and a resubmission dedupes against it. rs aliases fx's pooled
+// array; Notify encodes it before returning and the buffer copies.
+func (d *Dispatcher) pushResults(peer *wsrpc.Peer, inst *instance, rs []task.Result) {
+	for peer != nil {
+		err := d.notify(peer, fproto.NotifyResults, fproto.ResultsNotify{EPR: inst.epr, Results: rs})
+		if err == nil {
+			return
 		}
-		results := make([]task.Result, end-start)
-		for i := start; i < end; i++ {
-			results[i-start] = f.pushes[i].r
+		failed := peer
+		inst.mu.Lock()
+		detached := inst.peer == failed
+		if detached {
+			inst.peer = nil
 		}
-		d.eng.push(p.peer, fproto.NotifyResults, fproto.ResultsNotify{EPR: p.epr, Results: results})
-		start = end
+		if peer = inst.peer; peer == nil || !inst.notify {
+			peer = nil
+			for _, r := range rs {
+				inst.buf.Add(r)
+				if inst.live != nil {
+					inst.live[r.ID] = struct{}{}
+				}
+			}
+		}
+		inst.mu.Unlock()
+		if detached {
+			d.logf("dispatch: result push to instance %s (peer %d, %s) failed, buffering until it reattaches: %v",
+				inst.epr, failed.ID(), failed.RemoteAddr(), err)
+		}
 	}
 }
 
@@ -920,7 +975,17 @@ func (d *Dispatcher) Addr() string { return d.srv.Addr() }
 // Close shuts the dispatcher down. With a journal, every buffered record
 // is flushed and fsynced before Close returns — a clean shutdown seals the
 // journal.
-func (d *Dispatcher) Close() error {
+func (d *Dispatcher) Close() error { return d.shutdown((*wal.Journal).Close) }
+
+// Abort simulates a crash for tests: the transport drops and the journal
+// is abandoned without flushing its in-memory batch — only records the
+// committer already wrote survive, the same post-condition as a kill -9.
+func (d *Dispatcher) Abort() {
+	d.shutdown(func(j *wal.Journal) error { j.Abort(); return nil })
+}
+
+// shutdown is Close and Abort, which differ only in how the journal ends.
+func (d *Dispatcher) shutdown(endJournal func(*wal.Journal) error) error {
 	if d.closed.Swap(true) {
 		return nil
 	}
@@ -933,43 +998,17 @@ func (d *Dispatcher) Close() error {
 		<-d.sweeperDone
 	}
 	err := d.srv.Close()
-	d.eng.close()
 	if d.wal != nil {
 		// smu barrier: any maybeSnapshot that passed the closed check has
 		// finished its Add by the time we acquire smu, so Wait is safe.
 		d.smu.Lock()
 		d.smu.Unlock() //nolint:staticcheck // empty section is the barrier
 		d.snapWG.Wait()
-		if werr := d.wal.Close(); err == nil {
+		if werr := endJournal(d.wal); err == nil {
 			err = werr
 		}
 	}
 	return err
-}
-
-// Abort simulates a crash for tests: the transport drops and the journal
-// is abandoned without flushing its in-memory batch — only records the
-// committer already wrote survive, the same post-condition as a kill -9.
-func (d *Dispatcher) Abort() {
-	if d.closed.Swap(true) {
-		return
-	}
-	d.wakeDrainAlways()
-	if d.replSrc != nil {
-		d.replSrc.Close()
-	}
-	if d.sweeperStop != nil {
-		close(d.sweeperStop)
-		<-d.sweeperDone
-	}
-	d.srv.Close()
-	d.eng.close()
-	if d.wal != nil {
-		d.smu.Lock()
-		d.smu.Unlock() //nolint:staticcheck // empty section is the barrier
-		d.snapWG.Wait()
-		d.wal.Abort()
-	}
 }
 
 // wakeDrain nudges blocked Drain calls after a handler (having released
@@ -1092,7 +1131,7 @@ func (d *Dispatcher) Stats() fproto.StatsReply {
 	st.CacheHits = ct.CacheHits
 	st.CacheMisses = ct.CacheMisses
 	st.IdleExecutors = st.TotalExecutors - st.BusyExecutors
-	st.NotifyErrors = d.eng.errs.Value()
+	st.NotifyErrors = d.notifyErrs.Value()
 	st.Tenants = d.tenants.snapshot(tenantQueued)
 	d.imu.RLock()
 	st.Instances = len(d.instances)
@@ -1374,12 +1413,10 @@ func (d *Dispatcher) finalize(f *fx, s *shard, tr taskRef, r task.Result) {
 	inst.mu.Lock()
 	inst.inFlight--
 	if inst.notify && inst.peer != nil {
-		if inst.live != nil {
-			delete(inst.live, r.ID) // pushed: delivery obligation discharged
-		}
+		delete(inst.live, r.ID) // pushed: discharged, unless pushResults finds the push failed
 		peer := inst.peer
 		inst.mu.Unlock()
-		f.pushes = append(f.pushes, resultPush{peer: peer, epr: tr.epr, r: r})
+		f.push(peer, inst, r)
 		return
 	}
 	inst.buf.Add(r)

@@ -129,8 +129,8 @@ func (d *Dispatcher) reattachInstance(p *wsrpc.Peer, req *fproto.CreateInstanceR
 	inst.peer = p
 	inst.notify = req.WantNotifications
 	if inst.notify {
-		for _, r := range inst.takeResults(0) {
-			f.pushes = append(f.pushes, resultPush{peer: p, epr: req.EPR, r: r})
+		if rs := inst.takeResults(0); len(rs) > 0 {
+			f.push(p, inst, rs...)
 		}
 	}
 	inst.mu.Unlock()

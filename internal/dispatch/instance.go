@@ -47,8 +47,9 @@ type instance struct {
 
 	// buf holds finished tasks awaiting Collect (only when notify is
 	// false — pushed results never buffer). A notify instance whose peer is
-	// detached (client dropped, or recovered from the journal and not yet
-	// re-attached) buffers here too, and the buffer flushes on re-attach.
+	// detached (client dropped, a push at it failed, or recovered from the
+	// journal and not yet re-attached) buffers here too, and the buffer
+	// flushes on re-attach.
 	buf task.ResultBuffer
 
 	// live, when journaling, holds every task ID the dispatcher still owes

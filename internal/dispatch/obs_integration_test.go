@@ -118,8 +118,11 @@ func TestEventsRPCRoundTrip(t *testing.T) {
 	if len(er.Events) == 0 || er.NextSeq == 0 {
 		t.Fatalf("events = %d, next = %d", len(er.Events), er.NextSeq)
 	}
-	// Per-task lifecycle: enqueued before delivered, all kinds decoded.
-	firstKind := make(map[task.ID]obs.EventKind)
+	// Per-task lifecycle: enqueued before everything else, all kinds decoded.
+	// "Before" is by timestamp: the ring is in recording order, and handlers
+	// record after releasing the shard lock, so the Deliver that piggy-backs a
+	// task out may record its pickup ahead of the Submit that enqueued it.
+	first := make(map[task.ID]obs.Event)
 	delivered := 0
 	for _, ev := range er.Events {
 		if ev.Kind == 0 {
@@ -128,8 +131,8 @@ func TestEventsRPCRoundTrip(t *testing.T) {
 		if ev.Task == 0 {
 			continue // executor-level notify events
 		}
-		if _, seen := firstKind[ev.Task]; !seen {
-			firstKind[ev.Task] = ev.Kind
+		if f, seen := first[ev.Task]; !seen || ev.At < f.At || (ev.At == f.At && ev.Kind == obs.EvEnqueued) {
+			first[ev.Task] = ev
 		}
 		if ev.Kind == obs.EvDelivered {
 			delivered++
@@ -138,9 +141,9 @@ func TestEventsRPCRoundTrip(t *testing.T) {
 	if delivered != n {
 		t.Fatalf("delivered events = %d, want %d", delivered, n)
 	}
-	for id, k := range firstKind {
-		if k != obs.EvEnqueued {
-			t.Fatalf("task %v first event = %v, want enqueued", id, k)
+	for id, ev := range first {
+		if ev.Kind != obs.EvEnqueued {
+			t.Fatalf("task %v earliest event = %v, want enqueued", id, ev.Kind)
 		}
 	}
 	// Tailing from NextSeq with no new work returns nothing new.

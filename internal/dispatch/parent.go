@@ -78,5 +78,6 @@ func (d *Dispatcher) noteCapacityChange(force bool) {
 		d.parents.lastPush.Store(now)
 	}
 	h := d.capacityHint()
-	d.parents.Each(func(p *wsrpc.Peer) { d.eng.push(p, fproto.NotifyCapacity, h) })
+	// A dead parent is onDisconnect's to drop.
+	d.parents.Each(func(p *wsrpc.Peer) { d.notify(p, fproto.NotifyCapacity, h) })
 }

@@ -41,7 +41,7 @@ func (c *nopConn) SetWriteDeadline(time.Time) error { return nil }
 // allocation-free in steady state: it runs twice per task (call + reply) at
 // dispatch rates where every object becomes GC pressure.
 func TestWriteEnvelopeAllocFree(t *testing.T) {
-	p := newPlainConn(&nopConn{}, flushStats{})
+	p := newPlainConn(&nopConn{}, flushStats{}, writeStall)
 	body, _ := json.Marshal("ping")
 	meta := envMeta{trace: 7, recvNS: 1700000000000000000, sendNS: 1700000000000000100}
 	for i := 0; i < 8; i++ { // warm the cork buffer to steady-state capacity
@@ -78,7 +78,7 @@ func TestReadFrameAllocFree(t *testing.T) {
 	binary.BigEndian.PutUint32(hdr[:], uint32(len(raw)))
 	one = append(one, hdr[:]...)
 	one = append(one, raw...)
-	p := newPlainConn(&nopConn{stream: one}, flushStats{})
+	p := newPlainConn(&nopConn{stream: one}, flushStats{}, writeStall)
 	for i := 0; i < 8; i++ {
 		if _, err := p.ReadFrame(); err != nil {
 			t.Fatal(err)

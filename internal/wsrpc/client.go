@@ -96,7 +96,7 @@ func dial(ctx context.Context, addr string, opts ClientOptions, connect func(ctx
 		}
 	}
 	stop := context.AfterFunc(ctx, func() { c.Close() })
-	fc, err := newFrameConn(c, opts.Security, opts.PSK, true, stats, handshakeTimeout)
+	fc, err := newFrameConn(c, opts.Security, opts.PSK, true, stats, handshakeTimeout, writeStall)
 	stop()
 	if err != nil {
 		c.Close()

@@ -1,9 +1,12 @@
 package wsrpc
 
 import (
-	"io"
+	"errors"
+	"fmt"
 	"net"
+	"os"
 	"sync"
+	"time"
 
 	"falkon/internal/jsonwire"
 	"falkon/internal/metrics"
@@ -28,6 +31,12 @@ const corkMaxBuffer = 4 << 20
 // flushes, so one burst of large frames does not pin memory forever.
 const corkRetainBuffer = 1 << 20
 
+// writeStall bounds how long a connection may take no bytes while frames
+// wait for it: past it the connection is failed and closed, so neither a
+// writer parked on a full cork buffer nor the flusher inside the socket
+// write waits on a wedged peer for ever.
+const writeStall = 10 * time.Second
+
 // corkedWriter coalesces frame writes into single socket writes. Writers
 // append complete wire frames to buf under mu (beginFrame/endFrame); the
 // first writer to find no flush in progress becomes the flusher and loops —
@@ -38,8 +47,12 @@ const corkRetainBuffer = 1 << 20
 // frame still hits the wire immediately (the writer itself flushes inline),
 // which keeps call latency identical to the old flush-per-frame path.
 type corkedWriter struct {
-	w     io.Writer
+	c     net.Conn
 	stats flushStats
+	stall time.Duration // writeStall; a field so a test need not wait it out
+	// deadline is the write deadline armed on c. Only the flusher touches it,
+	// and the flusher role changes hands under mu.
+	deadline time.Time
 
 	mu       sync.Mutex
 	room     *sync.Cond // signals drain below corkMaxBuffer (and errors)
@@ -52,15 +65,16 @@ type corkedWriter struct {
 
 // init prepares the writer. Nil stats instruments are replaced with
 // unregistered ones.
-func (cw *corkedWriter) init(w io.Writer, stats flushStats) {
+func (cw *corkedWriter) init(c net.Conn, stats flushStats, stall time.Duration) {
 	if stats.flushes == nil {
 		stats.flushes = &metrics.Counter{}
 	}
 	if stats.perFlush == nil {
 		stats.perFlush = &metrics.FixedHistogram{}
 	}
-	cw.w = w
+	cw.c = c
 	cw.stats = stats
+	cw.stall = stall
 	cw.room = sync.NewCond(&cw.mu)
 	cw.buf = make([]byte, 0, 16<<10)
 	cw.spare = make([]byte, 0, 16<<10)
@@ -106,7 +120,7 @@ func (cw *corkedWriter) endFrame(buf []byte) error {
 		out, n := cw.buf, cw.frames
 		cw.buf, cw.frames = cw.spare[:0], 0
 		cw.mu.Unlock()
-		_, werr := cw.w.Write(out)
+		werr := cw.write(out)
 		cw.stats.flushes.Inc()
 		cw.stats.perFlush.Observe(float64(n))
 		if cap(out) > corkRetainBuffer {
@@ -115,7 +129,12 @@ func (cw *corkedWriter) endFrame(buf []byte) error {
 		cw.mu.Lock()
 		cw.spare = out[:0]
 		if werr != nil && cw.err == nil {
+			// Closing ends the read loop, whose owner then runs its disconnect
+			// handling: a peer that merely stopped reading would otherwise never
+			// be noticed. The error is recorded first, or that teardown's plain
+			// "closed" could get in ahead and mask the cause.
 			cw.err = werr
+			cw.c.Close()
 		}
 		cw.room.Broadcast()
 	}
@@ -125,17 +144,44 @@ func (cw *corkedWriter) endFrame(buf []byte) error {
 	return err
 }
 
-// fail marks the writer broken (e.g. on Close), waking blocked writers.
-func (cw *corkedWriter) fail(err error) {
-	if err == nil {
-		err = net.ErrClosed
+// write sends out under the write-stall rule. The socket's write deadline is
+// kept between stall/2 and stall ahead, re-armed only once less than half
+// remains, so a busy connection pays one time.Now per flush and a
+// SetWriteDeadline every stall/2. A Write that times out having moved no
+// byte is the stall; one that moved some re-arms and carries on (the peer is
+// slow, not stalled).
+func (cw *corkedWriter) write(out []byte) error {
+	for {
+		if now := time.Now(); cw.deadline.Sub(now) < cw.stall/2 {
+			cw.deadline = now.Add(cw.stall)
+			cw.c.SetWriteDeadline(cw.deadline) // fails only on a closed socket, and then so does the Write
+		}
+		n, err := cw.c.Write(out)
+		if err == nil {
+			return nil
+		}
+		if errors.Is(err, os.ErrDeadlineExceeded) {
+			if n > 0 {
+				out = out[n:]
+				continue
+			}
+			err = fmt.Errorf("wsrpc: %s took no bytes for over %v: %w", cw.c.RemoteAddr(), cw.stall/2, err)
+		}
+		return err
 	}
+}
+
+// close closes the socket and marks the writer broken, waking blocked
+// writers.
+func (cw *corkedWriter) close() error {
+	err := cw.c.Close()
 	cw.mu.Lock()
 	if cw.err == nil {
-		cw.err = err
+		cw.err = net.ErrClosed
 	}
 	cw.room.Broadcast()
 	cw.mu.Unlock()
+	return err
 }
 
 // growScratch returns a buffer of length n reusing b's storage when it

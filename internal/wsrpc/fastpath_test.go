@@ -112,14 +112,14 @@ func tcpPair(t *testing.T, profile SecurityProfile, psk []byte) (frameConn, fram
 			srvc <- res{nil, err}
 			return
 		}
-		fc, err := newFrameConn(c, profile, psk, false, flushStats{}, handshakeTimeout)
+		fc, err := newFrameConn(c, profile, psk, false, flushStats{}, handshakeTimeout, writeStall)
 		srvc <- res{fc, err}
 	}()
 	cc, err := net.Dial("tcp", ln.Addr().String())
 	if err != nil {
 		t.Fatal(err)
 	}
-	cli, err := newFrameConn(cc, profile, psk, true, flushStats{}, handshakeTimeout)
+	cli, err := newFrameConn(cc, profile, psk, true, flushStats{}, handshakeTimeout, writeStall)
 	if err != nil {
 		t.Fatal(err)
 	}

@@ -15,6 +15,7 @@ import (
 	"fmt"
 	"io"
 	"net"
+	"time"
 )
 
 // MaxFrameSize bounds a single frame; large task bundles fit comfortably,
@@ -115,16 +116,15 @@ type frameConn interface {
 // prefix followed by the payload. Writes coalesce through a corkedWriter;
 // reads reuse a per-connection scratch buffer.
 type plainConn struct {
-	c    net.Conn
 	r    *bufio.Reader
 	rbuf []byte
 	hdr  [4]byte // read-side length prefix scratch (avoids an escape per frame)
 	cw   corkedWriter
 }
 
-func newPlainConn(c net.Conn, stats flushStats) *plainConn {
-	p := &plainConn{c: c, r: bufio.NewReaderSize(c, 64<<10)}
-	p.cw.init(c, stats)
+func newPlainConn(c net.Conn, stats flushStats, stall time.Duration) *plainConn {
+	p := &plainConn{r: bufio.NewReaderSize(c, 64<<10)}
+	p.cw.init(c, stats, stall)
 	return p
 }
 
@@ -175,11 +175,7 @@ func (p *plainConn) WriteFrame(b []byte) error {
 	return p.cw.endFrame(buf)
 }
 
-func (p *plainConn) Close() error {
-	err := p.c.Close()
-	p.cw.fail(net.ErrClosed)
-	return err
-}
+func (p *plainConn) Close() error { return p.cw.close() }
 
 // encodeFrame marshals a frame envelope through encoding/json — the
 // reference encoding that WriteEnvelope's appendFrame must stay

@@ -7,6 +7,8 @@ import (
 	"io"
 	"net"
 	"os"
+	"strings"
+	"sync/atomic"
 	"testing"
 	"testing/quick"
 	"time"
@@ -125,7 +127,7 @@ func TestSecureFrameTamperDetected(t *testing.T) {
 			srvc <- res{nil, err}
 			return
 		}
-		fc, err := newSecureConn(c, psk, false, flushStats{}, handshakeTimeout)
+		fc, err := newSecureConn(c, psk, false, flushStats{}, handshakeTimeout, writeStall)
 		srvc <- res{fc, err}
 	}()
 	cc, err := net.Dial("tcp", ln.Addr().String())
@@ -135,7 +137,7 @@ func TestSecureFrameTamperDetected(t *testing.T) {
 	// Tampering man-in-the-middle: wrap the client conn to flip a bit in
 	// the first data frame after the handshake.
 	tc := &tamperConn{Conn: cc, skip: 32 + 32} // nonce + proof pass through
-	cli, err := newSecureConn(tc, psk, true, flushStats{}, handshakeTimeout)
+	cli, err := newSecureConn(tc, psk, true, flushStats{}, handshakeTimeout, writeStall)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -214,7 +216,7 @@ func TestSecureHandshakeStallFailsClient(t *testing.T) {
 	defer sc.Close()
 	go io.Copy(io.Discard, sc) // swallow the client's nonce, answer nothing
 	start := time.Now()
-	_, err := newFrameConn(cc, SecuritySecureConversation, []byte("k"), true, flushStats{}, 200*time.Millisecond)
+	_, err := newFrameConn(cc, SecuritySecureConversation, []byte("k"), true, flushStats{}, 200*time.Millisecond, writeStall)
 	if !errors.Is(err, errHandshake) || time.Since(start) > 5*time.Second {
 		t.Fatalf("handshake against a silent peer: err = %v after %v", err, time.Since(start))
 	}
@@ -239,5 +241,153 @@ func TestSecureHandshakeDeadlineCleared(t *testing.T) {
 	var out string
 	if err := c.Call("echo", "still here", &out); err != nil || out != "still here" {
 		t.Fatalf("call after the handshake deadline passed: %q, %v", out, err)
+	}
+}
+
+// The write-stall rule on a bare connection, against a peer that never
+// reads: the write fails after at least half the bound and about the whole of
+// it, the socket is closed under the peer, and the failure is sticky. The
+// half matters after an idle spell, when most of the armed deadline is spent:
+// the flusher re-arms rather than let the next write inherit the remainder.
+func TestWriteStallFailsAndClosesConn(t *testing.T) {
+	const stall = 200 * time.Millisecond
+	cc, sc := net.Pipe()
+	defer sc.Close()
+	p := newPlainConn(cc, flushStats{}, stall)
+
+	read := make(chan struct{})
+	go func() { io.ReadFull(sc, make([]byte, 5)); close(read) }()
+	if err := p.WriteFrame([]byte("a")); err != nil { // arms the deadline
+		t.Fatal(err)
+	}
+	<-read
+	time.Sleep(stall * 3 / 5) // under half is left
+
+	start := time.Now()
+	err := p.WriteFrame([]byte("b"))
+	if el := time.Since(start); !errors.Is(err, os.ErrDeadlineExceeded) || el < stall/2 || el > 10*stall {
+		t.Fatalf("write to a peer that never reads: err = %v after %v, want a deadline error within [%v, %v]", err, el, stall/2, stall)
+	}
+	sc.SetReadDeadline(time.Now().Add(5 * time.Second))
+	if _, err := sc.Read(make([]byte, 1)); err != io.EOF {
+		t.Fatalf("stalled connection not closed: peer's read err = %v", err)
+	}
+	if err := p.WriteFrame([]byte("c")); !errors.Is(err, os.ErrDeadlineExceeded) {
+		t.Fatalf("write after the stall: err = %v, want the sticky failure", err)
+	}
+}
+
+// A peer that takes bytes slowly is not stalled: a frame that needs several
+// deadlines' worth of time still goes out whole.
+func TestWriteStallToleratesSlowReader(t *testing.T) {
+	const stall = 100 * time.Millisecond
+	cc, sc := net.Pipe()
+	defer sc.Close()
+	p := newPlainConn(cc, flushStats{}, stall)
+	payload := make([]byte, 4<<10)
+	got := make(chan int)
+	go func() {
+		n, chunk := 0, make([]byte, 256)
+		for n < 4+len(payload) {
+			time.Sleep(stall / 4)
+			m, err := sc.Read(chunk)
+			if err != nil {
+				break
+			}
+			n += m
+		}
+		got <- n
+	}()
+	if err := p.WriteFrame(payload); err != nil {
+		t.Fatalf("write to a slow reader: %v", err)
+	}
+	if n := <-got; n != 4+len(payload) {
+		t.Fatalf("slow reader received %d of %d bytes", n, 4+len(payload))
+	}
+}
+
+// The overload case the rule exists for: a peer that connects and then never
+// reads, while several writers push at it (as many Deliver handlers pushing
+// results at one client). The first to find the socket full sits in the
+// write as flusher, the rest park on the full cork buffer; every one of them
+// must come back with the error, the server must run its disconnect
+// handling for the peer, and a healthy peer must be served throughout.
+func TestWriteStallDropsNeverReadingPeer(t *testing.T) {
+	s := NewServer(ServerOptions{Logf: t.Logf})
+	s.writeStall = 300 * time.Millisecond
+	peers := make(chan *Peer, 2)
+	s.RegisterFast("hello", func(p *Peer, _ json.RawMessage) (any, error) { peers <- p; return nil, nil })
+	dropped := make(chan *Peer, 2)
+	s.OnDisconnect(func(p *Peer) { dropped <- p })
+	if err := s.Listen("127.0.0.1:0"); err != nil {
+		t.Fatal(err)
+	}
+	defer s.Close()
+
+	raw, err := net.Dial("tcp", s.Addr())
+	if err != nil {
+		t.Fatal(err)
+	}
+	defer raw.Close()
+	hello, err := encodeFrame(&frame{Kind: kindCall, Seq: 1, Method: "hello"})
+	if err != nil {
+		t.Fatal(err)
+	}
+	if _, err := raw.Write(append(binary.BigEndian.AppendUint32(nil, uint32(len(hello))), hello...)); err != nil {
+		t.Fatal(err)
+	}
+	stalled := <-peers // and raw reads nothing, ever
+
+	var pings atomic.Int64
+	cli, err := Dial(s.Addr(), ClientOptions{OnNotify: func(string, json.RawMessage) { pings.Add(1) }})
+	if err != nil {
+		t.Fatal(err)
+	}
+	defer cli.Close()
+	if err := cli.Call("hello", nil, nil); err != nil {
+		t.Fatal(err)
+	}
+	healthy := <-peers
+
+	const writers = 4
+	blob := strings.Repeat("x", 64<<10)
+	errs := make(chan error, writers)
+	for i := 0; i < writers; i++ {
+		go func() {
+			for {
+				if err := stalled.Notify("blob", blob); err != nil {
+					errs <- err
+					return
+				}
+			}
+		}()
+	}
+	for i := 0; i < writers; i++ {
+		select {
+		case err := <-errs:
+			if !errors.Is(err, os.ErrDeadlineExceeded) {
+				t.Fatalf("writer %d: err = %v, want the write-stall failure", i, err)
+			}
+		case <-time.After(30 * time.Second):
+			t.Fatalf("%d of %d writers still wait on the peer that never reads", writers-i, writers)
+		}
+		// One push to the healthy peer per stalled writer accounted for: the
+		// first of them goes out while the others are still parked.
+		if err := healthy.Notify("ping", nil); err != nil {
+			t.Fatalf("healthy peer: %v", err)
+		}
+	}
+	select {
+	case p := <-dropped:
+		if p != stalled {
+			t.Fatalf("dropped peer %d, want the stalled peer %d", p.ID(), stalled.ID())
+		}
+	case <-time.After(5 * time.Second):
+		t.Fatal("no disconnect handling for the stalled peer")
+	}
+	for deadline := time.Now().Add(5 * time.Second); pings.Load() < writers; time.Sleep(time.Millisecond) {
+		if time.Now().After(deadline) {
+			t.Fatalf("healthy peer received %d of %d pushes", pings.Load(), writers)
+		}
 	}
 }

@@ -65,7 +65,6 @@ const handshakeTimeout = 10 * time.Second
 // and send counter are guarded by the cork mutex, which already serializes
 // frame order; the receive side is single-reader by the frameConn contract.
 type secureConn struct {
-	c net.Conn
 	r *bufio.Reader
 
 	cw      corkedWriter
@@ -85,7 +84,7 @@ type secureConn struct {
 
 // newSecureConn runs the handshake (client initiates), which must finish
 // within timeout, and returns the secured frame transport.
-func newSecureConn(c net.Conn, psk []byte, isClient bool, stats flushStats, timeout time.Duration) (*secureConn, error) {
+func newSecureConn(c net.Conn, psk []byte, isClient bool, stats flushStats, timeout, stall time.Duration) (*secureConn, error) {
 	if len(psk) == 0 {
 		return nil, fmt.Errorf("%w: empty pre-shared key", errHandshake)
 	}
@@ -166,8 +165,8 @@ func newSecureConn(c net.Conn, psk []byte, isClient bool, stats flushStats, time
 	c2sEnc, s2cEnc := derive("enc:c2s"), derive("enc:s2c")
 	c2sMac, s2cMac := derive("mac:c2s"), derive("mac:s2c")
 
-	sc := &secureConn{c: c, r: r, macBuf: make([]byte, 0, sha256.Size)}
-	sc.cw.init(c, stats)
+	sc := &secureConn{r: r, macBuf: make([]byte, 0, sha256.Size)}
+	sc.cw.init(c, stats, stall)
 	if isClient {
 		sc.sendC, sc.sendMAC = mkStream(c2sEnc), hmac.New(sha256.New, c2sMac)
 		sc.recvC, sc.recvMAC = mkStream(s2cEnc), hmac.New(sha256.New, s2cMac)
@@ -250,21 +249,18 @@ func (s *secureConn) ReadFrame() ([]byte, error) {
 	return ct, nil
 }
 
-func (s *secureConn) Close() error {
-	err := s.c.Close()
-	s.cw.fail(net.ErrClosed)
-	return err
-}
+func (s *secureConn) Close() error { return s.cw.close() }
 
 // newFrameConn wraps c according to the profile; psk is required for the
-// secure profile, whose handshake must finish within handshake. stats
-// instruments the corked write path (zero value for unmetered connections).
-func newFrameConn(c net.Conn, profile SecurityProfile, psk []byte, isClient bool, stats flushStats, handshake time.Duration) (frameConn, error) {
+// secure profile, whose handshake must finish within handshake; stall is the
+// corked writer's write-stall bound. stats instruments the corked write path
+// (zero value for unmetered connections).
+func newFrameConn(c net.Conn, profile SecurityProfile, psk []byte, isClient bool, stats flushStats, handshake, stall time.Duration) (frameConn, error) {
 	switch profile {
 	case SecurityNone:
-		return newPlainConn(c, stats), nil
+		return newPlainConn(c, stats, stall), nil
 	case SecuritySecureConversation:
-		return newSecureConn(c, psk, isClient, stats, handshake)
+		return newSecureConn(c, psk, isClient, stats, handshake, stall)
 	default:
 		return nil, fmt.Errorf("wsrpc: unknown security profile %v", profile)
 	}

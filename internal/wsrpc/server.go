@@ -58,6 +58,7 @@ type Server struct {
 	hWrite     *metrics.FixedHistogram // reply encode + cork commit time; nil when unmetered
 	flushStats flushStats
 	handshake  time.Duration // handshakeTimeout; a field so a test need not wait it out
+	writeStall time.Duration // writeStall, likewise
 
 	mu     sync.Mutex
 	peers  map[*Peer]struct{}
@@ -71,11 +72,12 @@ type Server struct {
 // NewServer returns a server with no registered methods.
 func NewServer(opts ServerOptions) *Server {
 	s := &Server{
-		opts:      opts,
-		handlers:  make(map[string]Handler),
-		fast:      make(map[string]bool),
-		peers:     make(map[*Peer]struct{}),
-		handshake: handshakeTimeout,
+		opts:       opts,
+		handlers:   make(map[string]Handler),
+		fast:       make(map[string]bool),
+		peers:      make(map[*Peer]struct{}),
+		handshake:  handshakeTimeout,
+		writeStall: writeStall,
 	}
 	if opts.Metrics != nil {
 		s.stats = make(map[string]*methodStats)
@@ -204,7 +206,7 @@ func (s *Server) handleConn(c net.Conn) {
 	if s.opts.Faults != nil {
 		c = s.opts.Faults.WrapConn(c)
 	}
-	fc, err := newFrameConn(c, s.opts.Security, s.opts.PSK, false, s.flushStats, s.handshake)
+	fc, err := newFrameConn(c, s.opts.Security, s.opts.PSK, false, s.flushStats, s.handshake, s.writeStall)
 	if err != nil {
 		s.logf("wsrpc: handshake with %s: %v", remote, err)
 		c.Close()
@@ -431,8 +433,8 @@ func (s *PeerSet) Has(p *Peer) bool {
 	return s.m[p.ID()] == p
 }
 
-// Each calls fn for every peer in the set, under the set's lock: fn must
-// not block for long (a corked notify write, an enqueue) nor re-enter the set.
+// Each calls fn for every peer in the set, under the set's lock: fn must not
+// re-enter the set nor block beyond a corked notify write (write-stall bounded).
 func (s *PeerSet) Each(fn func(*Peer)) {
 	s.mu.Lock()
 	defer s.mu.Unlock()

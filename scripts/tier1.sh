@@ -56,3 +56,5 @@ go test -run='^$' -fuzz=FuzzFrameEnvelope -fuzztime=5s ./internal/wsrpc/
 # Compile-and-run every benchmark exactly once, so bitrot in benchmark-only
 # code fails tier 1 instead of the next perf investigation.
 go test -run='^$' -bench=. -benchtime=1x ./...
+# Informational, not gating: the size of the thing that just passed.
+./scripts/loc.sh

@@ -1,11 +1,8 @@
 package falkon_test
 
 import (
-	"strings"
 	"testing"
-	"time"
 
-	"falkon"
 	"falkon/internal/bench"
 )
 
@@ -79,113 +76,6 @@ func BenchmarkFig15Montage(b *testing.B) { benchExperiment(b, "fig15", 1) }
 // Table 5: the Swift application catalog.
 func BenchmarkTable5Catalog(b *testing.B) { benchExperiment(b, "table5", 1) }
 
-// BenchmarkLiveDispatchThroughput measures the real TCP runtime end to
-// end: sleep-0 tasks through dispatcher, executors, and client on
-// loopback, reporting tasks/s (the Go analogue of the paper's 487/s).
-func BenchmarkLiveDispatchThroughput(b *testing.B) {
-	sys, err := falkon.Start(falkon.Config{Executors: 8, BundleSize: 100})
-	if err != nil {
-		b.Fatal(err)
-	}
-	defer sys.Close()
-	var gen falkon.IDGen
-	const batch = 1000
-	b.ReportAllocs()
-	b.ResetTimer()
-	start := time.Now()
-	for i := 0; i < b.N; i++ {
-		if err := sys.Submit(falkon.SleepBatch(&gen, batch, 0)); err != nil {
-			b.Fatal(err)
-		}
-		if _, err := sys.WaitN(batch, time.Minute); err != nil {
-			b.Fatal(err)
-		}
-	}
-	elapsed := time.Since(start)
-	b.ReportMetric(float64(b.N*batch)/elapsed.Seconds(), "tasks/s")
-}
-
-// BenchmarkLiveJournaledDispatch measures the same live path with the
-// write-ahead task journal enabled (group-commit fsync): the durable
-// dispatcher's throughput cost relative to BenchmarkLiveDispatchThroughput.
-func BenchmarkLiveJournaledDispatch(b *testing.B) {
-	sys, err := falkon.Start(falkon.Config{Executors: 8, BundleSize: 100, JournalDir: b.TempDir()})
-	if err != nil {
-		b.Fatal(err)
-	}
-	defer sys.Close()
-	var gen falkon.IDGen
-	const batch = 1000
-	b.ReportAllocs()
-	b.ResetTimer()
-	start := time.Now()
-	for i := 0; i < b.N; i++ {
-		if err := sys.Submit(falkon.SleepBatch(&gen, batch, 0)); err != nil {
-			b.Fatal(err)
-		}
-		if _, err := sys.WaitN(batch, time.Minute); err != nil {
-			b.Fatal(err)
-		}
-	}
-	elapsed := time.Since(start)
-	b.ReportMetric(float64(b.N*batch)/elapsed.Seconds(), "tasks/s")
-}
-
-// BenchmarkLiveSecureDispatch measures the same path with the secure
-// transport profile (the paper's GSISecureConversation analogue).
-func BenchmarkLiveSecureDispatch(b *testing.B) {
-	sys, err := falkon.Start(falkon.Config{
-		Executors:  8,
-		BundleSize: 100,
-		Security:   falkon.SecuritySecureConversation,
-		PSK:        []byte("bench-psk"),
-	})
-	if err != nil {
-		b.Fatal(err)
-	}
-	defer sys.Close()
-	var gen falkon.IDGen
-	const batch = 1000
-	b.ReportAllocs()
-	b.ResetTimer()
-	start := time.Now()
-	for i := 0; i < b.N; i++ {
-		if err := sys.Submit(falkon.SleepBatch(&gen, batch, 0)); err != nil {
-			b.Fatal(err)
-		}
-		if _, err := sys.WaitN(batch, time.Minute); err != nil {
-			b.Fatal(err)
-		}
-	}
-	elapsed := time.Since(start)
-	b.ReportMetric(float64(b.N*batch)/elapsed.Seconds(), "tasks/s")
-}
-
-// BenchmarkDispatchOverheadBreakdown runs the journaled live path and
-// reports where the dispatcher's own time goes, in ns of scheduler work per
-// task per hot-path stage (mutex wait, sched core, fx flush, WAL
-// group-commit wait, frame write, WAL commit I/O). The same experiment is
-// available as `falkon-bench -experiment overhead-breakdown -json`, which
-// also appends the structured per-stage row to BENCH_live.json.
-func BenchmarkDispatchOverheadBreakdown(b *testing.B) {
-	b.ReportAllocs()
-	for i := 0; i < b.N; i++ {
-		res, err := bench.Run("overhead-breakdown", 0.5)
-		if err != nil {
-			b.Fatal(err)
-		}
-		if len(res.Rows) == 0 {
-			b.Fatal("overhead-breakdown produced no rows")
-		}
-		for k, v := range res.Values {
-			if stage, ok := strings.CutPrefix(k, "ns_per_task_"); ok {
-				b.ReportMetric(v, stage+"_ns/task")
-			}
-		}
-		b.ReportMetric(res.Values["tasks_per_sec"], "tasks/s")
-	}
-}
-
 // Ablation experiments (DESIGN.md §6 and the paper's §6 future work).
 
 // Hybrid push/pull vs pure pull polling.
@@ -214,22 +104,6 @@ func BenchmarkAblTrace(b *testing.B) { benchExperiment(b, "abl-trace", 0.25) }
 
 // 3-tier sharding at BlueGene/P scale (paper §6 extension).
 func BenchmarkAbl3Tier(b *testing.B) { benchExperiment(b, "abl-3tier", 0.1) }
-
-// Live-runtime throughput sweep inside the experiment registry.
-func BenchmarkLiveThroughputExperiment(b *testing.B) { benchExperiment(b, "live-throughput", 0.1) }
-
-// Live 2-level dispatch tree (1 forwarder root, 4 dispatcher leaves) vs the
-// flat dispatcher at the same executor count. The same experiment at full
-// scale is `falkon-bench -experiment tree-throughput -json`, which appends
-// the tasks_per_sec_by_depth row to BENCH_live.json.
-func BenchmarkTreeDispatchThroughput(b *testing.B) { benchExperiment(b, "tree-throughput", 0.1) }
-
-// Client-dispatcher bundle-size sweep on the live runtime (Figure 5's
-// economics, which also set the tree root's bundle knob).
-func BenchmarkBundleSweep(b *testing.B) { benchExperiment(b, "bundle-sweep", 0.1) }
-
-// Live Figure 4 miniature with real shared-bandwidth contention.
-func BenchmarkLiveFig4(b *testing.B) { benchExperiment(b, "live-fig4", 0.1) }
 
 // Dynamic-contention rederivation of Figure 4 (cross-validates fig4).
 func BenchmarkFig4Sim(b *testing.B) { benchExperiment(b, "fig4-sim", 0.25) }

@@ -4,55 +4,18 @@
 //
 //	falkon-bench -experiment fig3            # one experiment
 //	falkon-bench -experiment fig8 -scale 0.1 # scaled-down endurance run
-//	falkon-bench -experiment live-throughput -json  # append a BENCH_live.json row
 //	falkon-bench -all                        # everything
 //	falkon-bench -list                       # available ids
 package main
 
 import (
-	"encoding/json"
 	"flag"
 	"fmt"
 	"os"
-	"os/exec"
 	"strings"
-	"time"
 
 	"falkon/internal/bench"
 )
-
-// benchRow is one line of BENCH_live.json: a headline scalar per experiment
-// run, stamped with when and at which commit it was measured, so the perf
-// trajectory is tracked across PRs.
-type benchRow struct {
-	Experiment  string  `json:"experiment"`
-	TasksPerSec float64 `json:"tasks_per_sec,omitempty"`
-	NsPerOp     float64 `json:"ns_per_op,omitempty"`
-	AllocsPerOp float64 `json:"allocs_per_op,omitempty"`
-	// Per-stage scheduler overhead in ns/task (overhead-breakdown only),
-	// keyed by stage name: lock_wait, sched_core, fx_flush, ...
-	NsPerTask map[string]float64 `json:"ns_per_task,omitempty"`
-	// Per-shard-count throughput (live-throughput only), keyed by shard
-	// count: "1" is the legacy single-lock core, "4" the sharded core.
-	TasksPerSecByShards map[string]float64 `json:"tasks_per_sec_by_shards,omitempty"`
-	// Shards and Depth describe the measured topology: scheduler shard
-	// count inside one dispatcher, and dispatch-tree depth (1 = flat
-	// dispatcher, 2 = root + leaves).
-	Shards int `json:"shards,omitempty"`
-	Depth  int `json:"depth,omitempty"`
-	// Per-depth throughput (tree-throughput only), keyed by tree depth:
-	// "1" is the flat dispatcher, "2" the root+leaves tree.
-	TasksPerSecByDepth map[string]float64 `json:"tasks_per_sec_by_depth,omitempty"`
-	// Per-bundle-size throughput (bundle-sweep only), keyed by the client
-	// bundle size — the paper's Figure 5 curve.
-	TasksPerSecByBundle map[string]float64 `json:"tasks_per_sec_by_bundle,omitempty"`
-	// Per-tenant p99 end-to-end latency in ms (hostile-tenant only), keyed
-	// by tenant name, measured with fair-share on while the flood runs.
-	P99ByTenant map[string]float64 `json:"p99_by_tenant,omitempty"`
-	Scale       float64            `json:"scale"`
-	Date        string             `json:"date"`
-	Commit      string             `json:"commit,omitempty"`
-}
 
 func main() {
 	var (
@@ -61,8 +24,6 @@ func main() {
 		all        = flag.Bool("all", false, "run every experiment")
 		list       = flag.Bool("list", false, "list experiment ids and exit")
 		plot       = flag.Bool("plot", false, "render ASCII charts for figure experiments")
-		jsonOut    = flag.Bool("json", false, "append machine-readable rows to -json-file for experiments with headline scalars")
-		jsonFile   = flag.String("json-file", "BENCH_live.json", "destination for -json rows (one JSON object per line)")
 	)
 	flag.Parse()
 
@@ -90,92 +51,5 @@ func main() {
 		if *plot {
 			fmt.Print(res.RenderPlots())
 		}
-		if *jsonOut {
-			p99ByTenant := prefixValues(res.Values, "p99_by_tenant_")
-			if tput, ok := res.Values["tasks_per_sec"]; ok || len(p99ByTenant) > 0 {
-				if err := appendRow(*jsonFile, benchRow{
-					Experiment:          res.ID,
-					TasksPerSec:         tput,
-					NsPerOp:             res.Values["ns_per_op"],
-					AllocsPerOp:         res.Values["allocs_per_op"],
-					NsPerTask:           stageValues(res.Values),
-					TasksPerSecByShards: shardValues(res.Values),
-					Shards:              int(res.Values["shards"]),
-					Depth:               int(res.Values["depth"]),
-					TasksPerSecByDepth:  prefixValues(res.Values, "tasks_per_sec_depth_"),
-					TasksPerSecByBundle: prefixValues(res.Values, "tasks_per_sec_bundle_"),
-					P99ByTenant:         p99ByTenant,
-					Scale:               *scale,
-					Date:                time.Now().UTC().Format(time.RFC3339),
-					Commit:              gitCommit(),
-				}); err != nil {
-					fmt.Fprintln(os.Stderr, "falkon-bench:", err)
-					os.Exit(1)
-				}
-				fmt.Fprintf(os.Stderr, "falkon-bench: appended %s row to %s\n", res.ID, *jsonFile)
-			}
-		}
 	}
-}
-
-// appendRow appends one JSON object per line, so successive runs accumulate
-// a trend file that is trivially diffable and parseable.
-func appendRow(path string, row benchRow) error {
-	b, err := json.Marshal(row)
-	if err != nil {
-		return err
-	}
-	f, err := os.OpenFile(path, os.O_APPEND|os.O_CREATE|os.O_WRONLY, 0o644)
-	if err != nil {
-		return err
-	}
-	defer f.Close()
-	_, err = f.Write(append(b, '\n'))
-	return err
-}
-
-// stageValues extracts per-stage "ns_per_task_<stage>" scalars into the
-// structured map the JSON row carries (nil when the experiment has none).
-// shardValues extracts tasks_per_sec_shards_<n> keys into a shard-count map.
-func shardValues(values map[string]float64) map[string]float64 {
-	return prefixValues(values, "tasks_per_sec_shards_")
-}
-
-// prefixValues collects "<prefix><key>" scalars into a map keyed by the
-// suffix (nil when the experiment has none) — the depth/bundle/shard
-// breakdowns of the JSON row.
-func prefixValues(values map[string]float64, prefix string) map[string]float64 {
-	var m map[string]float64
-	for k, v := range values {
-		if n, ok := strings.CutPrefix(k, prefix); ok {
-			if m == nil {
-				m = make(map[string]float64)
-			}
-			m[n] = v
-		}
-	}
-	return m
-}
-
-func stageValues(values map[string]float64) map[string]float64 {
-	var m map[string]float64
-	for k, v := range values {
-		if stage, ok := strings.CutPrefix(k, "ns_per_task_"); ok {
-			if m == nil {
-				m = make(map[string]float64)
-			}
-			m[stage] = v
-		}
-	}
-	return m
-}
-
-// gitCommit best-effort resolves the current short commit hash ("" outside
-// a git checkout).
-func gitCommit() string {
-	out, err := exec.Command("git", "rev-parse", "--short", "HEAD").Output()
-	if err != nil {
-		return ""
-	}
-	return strings.TrimSpace(string(out))
 }

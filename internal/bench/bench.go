@@ -2,7 +2,9 @@
 // evaluation (§4-§5). Each experiment has a driver returning a Result whose
 // Render method prints the same rows or series the paper reports;
 // cmd/falkon-bench exposes them by id and bench_test.go wraps them as
-// testing.B benchmarks.
+// testing.B benchmarks. Every driver runs on the virtual-time models, so
+// its rows are the same on every machine; timing the live runtime is the
+// repo benchmark's job (benchmark/).
 //
 // Scale controls experiment size: Scale = 1 reproduces the paper's full
 // parameters (2M tasks, 54K executors); smaller scales divide task counts
@@ -30,9 +32,6 @@ type Result struct {
 	// Plots carries time series for figure experiments, rendered by
 	// RenderPlots (falkon-bench -plot).
 	Plots []*metrics.Series
-	// Values holds headline scalars in machine-readable form (e.g.
-	// "tasks_per_sec") for falkon-bench -json trend tracking.
-	Values map[string]float64
 }
 
 // RenderPlots returns ASCII charts for the experiment's series.

@@ -1,6 +1,12 @@
 package bench
 
 import (
+	"go/parser"
+	"go/token"
+	"os"
+	"path/filepath"
+	"regexp"
+	"strconv"
 	"strings"
 	"testing"
 )
@@ -59,6 +65,47 @@ func TestIDsCoverEveryPaperArtifact(t *testing.T) {
 	for _, id := range want {
 		if !have[id] {
 			t.Fatalf("experiment %q not registered", id)
+		}
+	}
+	// And the other way round: every registered id is one EXPERIMENTS.md
+	// indexes, named as a whole word.
+	doc, err := os.ReadFile("../../EXPERIMENTS.md")
+	if err != nil {
+		t.Fatal(err)
+	}
+	named := map[string]bool{}
+	for _, w := range regexp.MustCompile(`[\w-]+`).FindAll(doc, -1) {
+		named[string(w)] = true
+	}
+	for _, id := range IDs() {
+		if !named[id] {
+			t.Errorf("experiment %q is registered but EXPERIMENTS.md never names it", id)
+		}
+	}
+}
+
+// This package regenerates the paper on the simulator, in virtual time.
+// Timing the live runtime belongs in benchmark/ (reference loop, GOMAXPROCS
+// recorded) or in an exact-count test beside the code it counts; a second
+// live harness here is what this guard keeps from growing back.
+func TestNoLiveRuntimeImports(t *testing.T) {
+	live := regexp.MustCompile(`^falkon/internal/(core|client|dispatch|executor|forward|wsrpc|wal)$`)
+	files, err := filepath.Glob("*.go")
+	if err != nil {
+		t.Fatal(err)
+	}
+	for _, name := range files {
+		if strings.HasSuffix(name, "_test.go") {
+			continue
+		}
+		f, err := parser.ParseFile(token.NewFileSet(), name, nil, parser.ImportsOnly)
+		if err != nil {
+			t.Fatal(err)
+		}
+		for _, imp := range f.Imports {
+			if path, _ := strconv.Unquote(imp.Path.Value); live.MatchString(path) {
+				t.Errorf("%s imports %s", name, path)
+			}
 		}
 	}
 }

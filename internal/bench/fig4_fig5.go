@@ -4,7 +4,7 @@ import (
 	"fmt"
 
 	"falkon/internal/data"
-	"falkon/internal/wsrpc"
+	"falkon/internal/simfalkon"
 )
 
 func init() {
@@ -62,7 +62,7 @@ func byteSize(n int64) string {
 // fig5 regenerates Figure 5: bundling throughput and per-task cost as a
 // function of bundle size, under the Axis grow-able-array cost model.
 func fig5(_ float64) *Result {
-	m := wsrpc.DefaultAxisCostModel()
+	m := simfalkon.DefaultAxisCostModel()
 	res := &Result{
 		ID:     "fig5",
 		Title:  "Bundling throughput and cost per task vs bundle size",

@@ -16,7 +16,6 @@ import (
 	"falkon/internal/fproto"
 	"falkon/internal/provision"
 	"falkon/internal/task"
-	"falkon/internal/wal"
 	"falkon/internal/wsrpc"
 )
 
@@ -47,8 +46,6 @@ type Config struct {
 	// Executors statically starts this many executors at boot (ignored
 	// when Provisioning is set; the provisioner owns the pool then).
 	Executors int
-	// Slots is the per-executor concurrency (default 1).
-	Slots int
 	// Security and PSK select the transport profile.
 	Security wsrpc.SecurityProfile
 	PSK      []byte
@@ -60,10 +57,8 @@ type Config struct {
 	Funcs map[string]executor.Func
 	// DataCost prices EngineData staging.
 	DataCost func(io task.IOSpec) time.Duration
-	// ReplayTimeout, MaxRetries and NoRetryOnFailure tune the replay
-	// policy.
-	ReplayTimeout    time.Duration
-	MaxRetries       int
+	// NoRetryOnFailure reports a failed task instead of re-dispatching it
+	// (see dispatch.Options).
 	NoRetryOnFailure bool
 	// Policy selects the dispatch policy (next-available or data-aware);
 	// CacheCapacity bounds the per-executor dataset cache it tracks.
@@ -75,9 +70,6 @@ type Config struct {
 	// Provisioning, when non-nil, runs a provisioner instead of a static
 	// pool.
 	Provisioning *ProvisioningConfig
-	// Shards partitions the dispatcher's scheduling state (0 = one shard
-	// per CPU, 1 = legacy single-lock core; see dispatch.Options.Shards).
-	Shards int
 	// Tenants declares per-tenant weights and admission limits; FairShare
 	// turns on weighted fair-share scheduling across them (see
 	// dispatch.Options). Tenant names the system client's own tenant.
@@ -85,11 +77,8 @@ type Config struct {
 	FairShare bool
 	Tenant    string
 	// JournalDir enables the dispatcher's write-ahead task journal; on boot
-	// the dispatcher recovers any state the directory holds. JournalSync and
-	// SnapshotEvery tune durability and compaction (see dispatch.Options).
-	JournalDir    string
-	JournalSync   wal.SyncPolicy
-	SnapshotEvery int
+	// the dispatcher recovers any state the directory holds.
+	JournalDir string
 	// Logf receives component logs.
 	Logf func(format string, args ...any)
 }
@@ -121,9 +110,6 @@ func Attach(addr string, copts client.Options) (*System, error) {
 // Start boots the system: dispatcher first, then the executor pool (static
 // or provisioned), then a connected client.
 func Start(cfg Config) (*System, error) {
-	if cfg.Slots <= 0 {
-		cfg.Slots = 1
-	}
 	if cfg.SleepScale == 0 {
 		cfg.SleepScale = 1.0
 	}
@@ -131,17 +117,12 @@ func Start(cfg Config) (*System, error) {
 	s.dispatcher = dispatch.New(dispatch.Options{
 		Security:         cfg.Security,
 		PSK:              cfg.PSK,
-		ReplayTimeout:    cfg.ReplayTimeout,
-		MaxRetries:       cfg.MaxRetries,
 		NoRetryOnFailure: cfg.NoRetryOnFailure,
 		Policy:           cfg.Policy,
 		CacheCapacity:    cfg.CacheCapacity,
-		Shards:           cfg.Shards,
 		Tenants:          cfg.Tenants,
 		FairShare:        cfg.FairShare,
 		JournalDir:       cfg.JournalDir,
-		JournalSync:      cfg.JournalSync,
-		SnapshotEvery:    cfg.SnapshotEvery,
 		Logf:             cfg.Logf,
 	})
 	if err := s.dispatcher.Listen("127.0.0.1:0"); err != nil {
@@ -150,7 +131,6 @@ func Start(cfg Config) (*System, error) {
 
 	execTemplate := executor.Options{
 		DispatcherAddr: s.dispatcher.Addr(),
-		Slots:          cfg.Slots,
 		Security:       cfg.Security,
 		PSK:            cfg.PSK,
 		SleepScale:     cfg.SleepScale,

@@ -1,6 +1,7 @@
 package dispatch_test
 
 import (
+	"sync"
 	"testing"
 	"time"
 
@@ -79,6 +80,95 @@ func TestLiveTenantAdmissionAndStats(t *testing.T) {
 	if thr := ms.Counters[obs.TenantKey(obs.MetricTenantThrottled, "slow")]; thr == 0 {
 		t.Fatal("throttle counter metric not recorded")
 	}
+}
+
+// TestLiveHostileTenantOrder is the hostile-tenant isolation property as an
+// execution order, not a latency: a flood tenant (weight 1) queues 2,000
+// tasks, then a victim (weight 4) queues 40, and only then does the one
+// 1-slot executor start, so the dispatcher alone decides who runs when.
+// With fair-share on, start-time fair queuing serves the tenants 4:1 — the
+// victim's 40th task is due after about 10 of the flood's, position ~50 —
+// and with it off the shared FIFO runs the whole flood first: the negative
+// control that fails if Options.FairShare is ever ignored. One shard: the
+// fair-share order is per shard, and a lone executor drains its home shard
+// before it steals from another.
+func TestLiveHostileTenantOrder(t *testing.T) {
+	const nFlood, nVictim, bound = 2000, 40, 60
+	// victimSpan returns the 1-based execution positions of the victim's
+	// first and last task.
+	victimSpan := func(t *testing.T, fair bool) (first, last int) {
+		var mu sync.Mutex
+		var order []string // tenant of each executed task, in execution order
+		record := func(tk task.Task) (string, int, error) {
+			mu.Lock()
+			order = append(order, tk.Args[0])
+			mu.Unlock()
+			return "", 0, nil
+		}
+		dopts := dispatch.Options{
+			Shards:    1,
+			FairShare: fair,
+			Tenants:   []dispatch.TenantSpec{{Name: "victim", Weight: 4}, {Name: "flood", Weight: 1}},
+		}
+		d, flood, _ := startSystem(t, dopts, client.Options{Tenant: "flood", BundleSize: 100}, 0, executor.Options{})
+		victim, err := client.Connect(client.Options{DispatcherAddr: d.Addr(), Tenant: "victim", BundleSize: 100})
+		if err != nil {
+			t.Fatal(err)
+		}
+		defer victim.Close()
+		batch := func(tenant string, n int) []task.Task {
+			out := make([]task.Task, n)
+			for i := range out {
+				out[i] = task.Task{ID: task.ID(i + 1), Engine: task.EngineFunc, Command: "record", Args: []string{tenant}}
+			}
+			return out
+		}
+		// Submit returns once the dispatcher has accepted every bundle, so
+		// the whole flood is queued ahead of the victim's first task.
+		if err := flood.Submit(batch("flood", nFlood)); err != nil {
+			t.Fatal(err)
+		}
+		if err := victim.Submit(batch("victim", nVictim)); err != nil {
+			t.Fatal(err)
+		}
+		if q := d.Stats().Queued; q != nFlood+nVictim {
+			t.Fatalf("queued = %d before the executor starts, want %d", q, nFlood+nVictim)
+		}
+		ex, err := executor.Start(executor.Options{
+			ID: "lone", DispatcherAddr: d.Addr(), Funcs: map[string]executor.Func{"record": record},
+		})
+		if err != nil {
+			t.Fatal(err)
+		}
+		defer ex.Stop()
+		if _, err := victim.WaitN(nVictim, time.Minute); err != nil {
+			t.Fatal(err)
+		}
+		mu.Lock()
+		defer mu.Unlock()
+		var pos []int
+		for i, tenant := range order {
+			if tenant == "victim" {
+				pos = append(pos, i+1)
+			}
+		}
+		if len(pos) != nVictim {
+			t.Fatalf("%d victim tasks executed, want %d", len(pos), nVictim)
+		}
+		first, last = pos[0], pos[nVictim-1]
+		t.Logf("fair-share=%v: victim tasks ran at positions %d..%d of %d", fair, first, last, nFlood+nVictim)
+		return first, last
+	}
+	t.Run("fair-share", func(t *testing.T) {
+		if _, last := victimSpan(t, true); last > bound {
+			t.Fatalf("last victim task ran at position %d, want within the first %d", last, bound)
+		}
+	})
+	t.Run("fifo", func(t *testing.T) {
+		if first, _ := victimSpan(t, false); first <= nFlood {
+			t.Fatalf("first victim task ran at position %d with fair-share off, want behind the flood's %d", first, nFlood)
+		}
+	})
 }
 
 // TestLiveTenantQuotaBackpressure: a tenant capped at a small in-flight

@@ -239,7 +239,7 @@ const (
 var OverheadStages = []string{OverheadLockWait, OverheadSchedCore, OverheadFxFlush, OverheadWALWait, OverheadFrameWrite}
 
 // Overhead metric names shared by recorders (dispatch, wsrpc, wal) and
-// consumers (falkon-top, the overhead-breakdown bench).
+// consumers (falkon-top, the repo benchmark's dispatch.* metrics).
 const (
 	MetricSchedOverheadSeconds = "falkon_sched_overhead_seconds" // labeled stage=<name>
 	MetricWALCommitSeconds     = "falkon_wal_commit_seconds"

@@ -1,4 +1,4 @@
-package wsrpc
+package simfalkon
 
 import "time"
 
@@ -35,7 +35,7 @@ func DefaultAxisCostModel() AxisCostModel {
 // MessageCost returns the time to process one bundle of n tasks.
 func (m AxisCostModel) MessageCost(n int) time.Duration {
 	if n < 0 {
-		panic("wsrpc: negative bundle size")
+		panic("simfalkon: negative bundle size")
 	}
 	pairs := int64(n) * int64(n-1) / 2
 	return m.PerMessage + time.Duration(n)*m.PerTask + time.Duration(pairs)*m.CopyPerTaskPair
@@ -45,7 +45,7 @@ func (m AxisCostModel) MessageCost(n int) time.Duration {
 // n tasks (Figure 5's right-hand axis).
 func (m AxisCostModel) PerTaskCost(n int) time.Duration {
 	if n <= 0 {
-		panic("wsrpc: non-positive bundle size")
+		panic("simfalkon: non-positive bundle size")
 	}
 	return m.MessageCost(n) / time.Duration(n)
 }

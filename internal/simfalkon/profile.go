@@ -23,8 +23,6 @@ package simfalkon
 
 import (
 	"time"
-
-	"falkon/internal/wsrpc"
 )
 
 // GCProfile models JVM garbage-collection stalls on the dispatcher.
@@ -65,7 +63,7 @@ type Profile struct {
 	// Axis prices client->dispatcher submit bundles. Bundle processing runs
 	// on its own pipeline (the GT4 container's thread pool on the dual-CPU
 	// dispatcher machine), not on the dispatch path.
-	Axis wsrpc.AxisCostModel
+	Axis AxisCostModel
 	// SubmitShare is the fraction of each bundle's cost that contends with
 	// the dispatch path anyway (shared memory bus, GC pressure, queue
 	// locks). It produces the paper's small throughput bump once the client
@@ -128,7 +126,7 @@ func NoSecurity() Profile {
 		GetWorkCost:      noSecDeliver,
 		NotifyCost:       4900 * time.Microsecond,
 		ExecOverhead:     noSecCycle - noSecDeliver,
-		Axis:             wsrpc.DefaultAxisCostModel(),
+		Axis:             DefaultAxisCostModel(),
 		SubmitShare:      0.05,
 		RouteCost:        time.Millisecond,
 		RouteCostPerTask: 20 * time.Microsecond,
@@ -144,7 +142,7 @@ func Secure() Profile {
 		GetWorkCost:      secDeliver,
 		NotifyCost:       4900 * time.Microsecond,
 		ExecOverhead:     secCycle - secDeliver,
-		Axis:             wsrpc.DefaultAxisCostModel(),
+		Axis:             DefaultAxisCostModel(),
 		SubmitShare:      0.05,
 		RouteCost:        2 * time.Millisecond,
 		RouteCostPerTask: 40 * time.Microsecond,

@@ -9,7 +9,7 @@ import (
 	"falkon/internal/sim"
 )
 
-// runHostileTenant replays the hostile-tenant experiment on the virtual
+// runHostileTenant replays the hostile tenant scenario on the virtual
 // clock: a well-behaved victim submits a modest stream while a hostile
 // tenant floods the same dispatcher with a much larger backlog. It returns
 // the victim's p99 end-to-end latency. fs == nil runs the legacy shared

@@ -83,12 +83,3 @@ func BenchmarkConcurrentCalls(b *testing.B) {
 		}
 	})
 }
-
-// BenchmarkAxisCostModel measures the bundling cost-model arithmetic.
-func BenchmarkAxisCostModel(b *testing.B) {
-	b.ReportAllocs()
-	m := DefaultAxisCostModel()
-	for i := 0; i < b.N; i++ {
-		_ = m.MessageCost(300)
-	}
-}

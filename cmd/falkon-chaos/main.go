@@ -79,6 +79,7 @@ func main() {
 		standbys = flag.Int("standbys", 0, "HA cluster: boot 1 leader + N standby dispatchers sharing an election lease, SIGKILL whoever leads (0 = no HA)")
 		binDir   = flag.String("bin", "", "directory holding the falkon binaries (empty = go build into the work area)")
 		waitFor  = flag.Duration("timeout", 2*time.Minute, "per-run workload completion timeout")
+		maxSleep = flag.Duration("max-sleep", 20*time.Millisecond, "every task sleeps a seed-derived time in [0, this); 0 makes them all `sleep 0`, which executors pull in batches, so the kills and injected crashes land on processes that hold one")
 	)
 	flag.Parse()
 	log.SetFlags(log.Ltime | log.Lmicroseconds)
@@ -87,7 +88,7 @@ func main() {
 		seed: *seed, tasks: *tasks, execs: *execs, slots: *slots, kills: *kills,
 		shards: *shards, tree: *tree, treeDepth: *treeDeep, standbys: *standbys,
 		binDir: *binDir, verbose: *verbose, waitFor: *waitFor,
-		maxSleep: 20 * time.Millisecond,
+		maxSleep: *maxSleep,
 	}
 	if c.treeDepth < 2 {
 		c.treeDepth = 2
@@ -135,8 +136,8 @@ func main() {
 		if err != nil {
 			failed++
 			fmt.Printf("FAIL seed=%d: %v\n", run.seed, err)
-			fmt.Printf("REPRODUCE: go run ./cmd/falkon-chaos -seed %d -tasks %d -execs %d -slots %d -kills %d -tree %d -tree-depth %d -standbys %d\n",
-				run.seed, run.tasks, run.execs, run.slots, run.kills, run.tree, run.treeDepth, run.standbys)
+			fmt.Printf("REPRODUCE: go run ./cmd/falkon-chaos -seed %d -tasks %d -execs %d -slots %d -kills %d -tree %d -tree-depth %d -standbys %d -max-sleep %v\n",
+				run.seed, run.tasks, run.execs, run.slots, run.kills, run.tree, run.treeDepth, run.standbys, run.maxSleep)
 		}
 	}
 	if failed > 0 {

@@ -33,7 +33,7 @@ func main() {
 		n          = flag.Int("n", 1, "number of executors to run in this process")
 		slots      = flag.Int("slots", 1, "concurrent tasks per executor (one per processor in the paper)")
 		idle       = flag.Duration("idle", 0, "distributed release: deregister after this idle time (0 = never)")
-		prefetch   = flag.Int("prefetch", 1, "max tasks per work pull")
+		prefetch   = flag.Int("prefetch", 0, "cap on tasks per work pull (0 = sized by the executor up to the protocol cap of 64, 1 = the paper's per-task dispatch)")
 		secure     = flag.Bool("secure", false, "use the secure-conversation transport profile")
 		pskFile    = flag.String("psk-file", "", "pre-shared key file (required with -secure)")
 		execT      = flag.Duration("exec-timeout", 0, "kill exec-engine tasks after this long (0 = never)")

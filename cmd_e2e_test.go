@@ -483,6 +483,10 @@ func TestBinariesMetricsExposition(t *testing.T) {
 			t.Errorf("%s /metrics: want falkon_codec_fallbacks_total 0, got:\n%s", daemon,
 				regexp.MustCompile(`(?m)^.*codec.*$`).FindAllString(string(body), -1))
 		}
+		// The batch depth dispatch-ahead settled on reads off the dispatcher.
+		if daemon == "dispatcher" && !strings.Contains(string(body), "\nfalkon_dispatch_grant_tasks_count ") {
+			t.Errorf("dispatcher /metrics carries no falkon_dispatch_grant_tasks summary")
+		}
 	}
 }
 

@@ -162,35 +162,6 @@ func TestSystemDataAwarePolicy(t *testing.T) {
 	}
 }
 
-func TestSystemPrefetchAhead(t *testing.T) {
-	sys, err := falkon.Start(falkon.Config{
-		Executors:     2,
-		BundleSize:    16,
-		PrefetchAhead: true,
-		SleepScale:    0.001,
-		Logf:          t.Logf,
-	})
-	if err != nil {
-		t.Fatal(err)
-	}
-	defer sys.Close()
-	var gen falkon.IDGen
-	if err := sys.Submit(falkon.SleepBatch(&gen, 100, time.Second)); err != nil {
-		t.Fatal(err)
-	}
-	rs, err := sys.WaitN(100, 30*time.Second)
-	if err != nil {
-		t.Fatal(err)
-	}
-	seen := map[falkon.ID]bool{}
-	for _, r := range rs {
-		if r.Failed() || seen[r.ID] {
-			t.Fatalf("bad result %+v", r)
-		}
-		seen[r.ID] = true
-	}
-}
-
 func TestLiveEnduranceMini(t *testing.T) {
 	// A miniature of the paper's Figure 8 endurance run on the real TCP
 	// runtime: submit far more tasks than the pool can absorb instantly,

@@ -64,9 +64,6 @@ type Config struct {
 	// CacheCapacity bounds the per-executor dataset cache it tracks.
 	Policy        dispatch.DispatchPolicy
 	CacheCapacity int
-	// PrefetchAhead lets executors overlap the work-pull round trip with
-	// execution (paper §6).
-	PrefetchAhead bool
 	// Provisioning, when non-nil, runs a provisioner instead of a static
 	// pool.
 	Provisioning *ProvisioningConfig
@@ -136,7 +133,6 @@ func Start(cfg Config) (*System, error) {
 		SleepScale:     cfg.SleepScale,
 		Funcs:          cfg.Funcs,
 		DataCost:       cfg.DataCost,
-		PrefetchAhead:  cfg.PrefetchAhead,
 		Logf:           cfg.Logf,
 	}
 

@@ -180,6 +180,22 @@ type execRef struct {
 	peer       *wsrpc.Peer
 	allocation string
 	home       int
+	// rtt is the executor's last pull round trip as the dispatcher saw it:
+	// reply sent to results delivered, less the run time the results report.
+	// It is the declared run time one grant may hold (assignLocked); zero,
+	// so nothing declared is bundled, until the first delivery. Guarded by
+	// the home shard's lock.
+	rtt time.Duration
+}
+
+// declaredRun is the run time a task states for itself: the synthetic
+// engines' Duration (the paper's client-supplied runtime estimate). Exec and
+// func tasks state none.
+func declaredRun(t task.Task) time.Duration {
+	if t.Engine == task.EngineSleep || t.Engine == task.EngineData {
+		return t.Duration
+	}
+	return 0
 }
 
 // outKey identifies an outstanding (dispatched, unacknowledged) task.
@@ -357,6 +373,9 @@ type Dispatcher struct {
 	hSchedCore *metrics.FixedHistogram
 	hFxFlush   *metrics.FixedHistogram
 	hWALWait   *metrics.FixedHistogram
+	// hGrant is the tasks per non-empty pull reply (falkon_dispatch_grant_tasks):
+	// the batch depth dispatch-ahead settled on.
+	hGrant *metrics.FixedHistogram
 	// Pushes attempted ({3}, {8} and capacity hints) and pushes that failed.
 	notifications *metrics.Counter
 	notifyErrs    *metrics.Counter
@@ -455,6 +474,7 @@ func New(opts Options) *Dispatcher {
 			Dataset:       func(tr taskRef) string { return taskDataset(tr.t) },
 			TaskRetries:   func(tr taskRef) int { return tr.t.MaxRetries },
 			Tenant:        func(tr taskRef) string { return taskTenant(tr) },
+			Declared:      func(tr taskRef) time.Duration { return declaredRun(tr.t) },
 			FairShare:     fairShare,
 		}),
 		instances: make(map[string]*instance),
@@ -485,6 +505,7 @@ func New(opts Options) *Dispatcher {
 	d.hSchedCore = d.reg.Histogram(obs.OverheadKey(obs.OverheadSchedCore))
 	d.hFxFlush = d.reg.Histogram(obs.OverheadKey(obs.OverheadFxFlush))
 	d.hWALWait = d.reg.Histogram(obs.OverheadKey(obs.OverheadWALWait))
+	d.hGrant = d.reg.Histogram("falkon_dispatch_grant_tasks")
 	d.notifications = d.reg.Counter("falkon_notifications_total")
 	d.notifyErrs = d.reg.Counter("falkon_notify_errors_total")
 	d.srv = wsrpc.NewServer(wsrpc.ServerOptions{Security: opts.Security, PSK: opts.PSK, Logf: d.logf, Metrics: d.reg, Faults: opts.Faults})
@@ -1257,22 +1278,29 @@ func (d *Dispatcher) replay(f *fx, s *shard, o *sched.Outstanding[string, outKey
 	})
 }
 
-// assignLocked pops up to max tasks from s's own queue for executor ex
-// (homed on s), recording them as outstanding. It returns the protocol
-// assignments. piggy marks assignments riding a deliver acknowledgment
-// rather than a work pull. Callers hold s.mu.
-func (d *Dispatcher) assignLocked(f *fx, s *shard, ex *sched.Exec[string], max int, piggy bool) []fproto.Assignment {
-	if max <= 0 {
-		max = 1
-	}
+// assignLocked answers a pull by executor ex (homed on s) for asked tasks
+// from s's own queue, recording what it grants as outstanding, and returns
+// the protocol assignments. The grant is the dispatcher's half of
+// dispatch-ahead: at most an even share of the queue (sched.Core.Share), and
+// it stops short of the first task whose declared run time would take the
+// batch past the executor's last round trip (sched.Core.PickWithin) — so an
+// idle slot is never starved by a neighbour's batch and a task that says it
+// is long rides alone. piggy marks assignments riding a deliver
+// acknowledgment rather than a work pull. Callers hold s.mu.
+func (d *Dispatcher) assignLocked(f *fx, s *shard, ex *sched.Exec[string], asked int, piggy bool) []fproto.Assignment {
 	kind := obs.EvPulled
 	if piggy {
 		kind = obs.EvAcked
 	}
-	var as []fproto.Assignment
+	n := min(s.core.Share(asked), s.core.QueueLen())
+	if n == 0 {
+		return nil
+	}
+	as := make([]fproto.Assignment, 0, n) // sized by the grant, not the ask
 	now := d.now()
-	for len(as) < max {
-		it, hit, ok := s.core.Pick(ex)
+	room := sched.Unbounded // the first task is granted whatever it declares
+	for len(as) < n {
+		it, hit, ok := s.core.PickWithin(ex, room)
 		if !ok {
 			break
 		}
@@ -1282,6 +1310,10 @@ func (d *Dispatcher) assignLocked(f *fx, s *shard, ex *sched.Exec[string], max i
 			d.tenants.release(taskTenant(it.X), 1, false)
 			continue
 		}
+		if len(as) == 0 {
+			room = ex.Ref.(*execRef).rtt
+		}
+		room -= declaredRun(it.X.t)
 		s.core.Assign(now, ex, outKey{it.X.epr, it.X.t.ID}, it)
 		if s.app != nil {
 			// Advisory record: recovery uses it to restore attempt counts.
@@ -1293,12 +1325,6 @@ func (d *Dispatcher) assignLocked(f *fx, s *shard, ex *sched.Exec[string], max i
 		as = append(as, fproto.Assignment{EPR: it.X.epr, Task: it.X.t, CacheHit: hit})
 	}
 	return as
-}
-
-// stolen is one task in flight from a victim shard to a thief's home.
-type stolen struct {
-	it sched.Item[taskRef]
-	v  *shard
 }
 
 // queuedElsewhere reports (lock-free) whether any other shard has queued
@@ -1315,74 +1341,58 @@ func (d *Dispatcher) queuedElsewhere(home *shard) bool {
 	return false
 }
 
-// stealTasks pops up to max tasks from other shards' queues, scanning
-// victims in deterministic order home+1, home+2, ... guided by the
-// lock-free depth gauges. Only the victim's lock is held while popping —
-// never two shard locks — and each popped task holds a limbo count until
-// assignStolen lands or drops it. The steal is policy-blind FIFO
-// (PickAny): no dataset cache is consulted, so no executor state is read
-// under a foreign shard's lock.
-func (d *Dispatcher) stealTasks(home, max int) []stolen {
-	var st []stolen
-	for i := 1; i < d.nshards && len(st) < max; i++ {
-		v := d.shards[(home+i)%d.nshards]
+// stealTask pops one task from another shard's queue, scanning victims in
+// deterministic order home+1, home+2, ... guided by the lock-free depth
+// gauges. Only the victim's lock is held while popping — never two shard
+// locks — and the popped task holds a limbo count until assignStolen lands
+// or drops it. The steal is policy-blind FIFO (PickAny): no dataset cache
+// is consulted, so no executor state is read under a foreign shard's lock.
+// One task, whatever the thief asked for: an even share of a victim's queue
+// would have to count every shard's slots to starve nobody.
+func (d *Dispatcher) stealTask(home int) (it sched.Item[taskRef], v *shard, ok bool) {
+	for i := 1; i < d.nshards && !ok; i++ {
+		v = d.shards[(home+i)%d.nshards]
 		if v.qdepth.Value() == 0 {
 			continue
 		}
 		v.mu.Lock()
-		for len(st) < max {
-			it, ok := v.core.PickAny()
-			if !ok {
-				break
-			}
+		if it, ok = v.core.PickAny(); ok {
 			d.limbo.Add(1)
-			st = append(st, stolen{it, v})
 		}
 		v.syncDepth()
 		v.mu.Unlock()
 	}
-	return st
+	return it, v, ok
 }
 
-// assignStolen records stolen tasks as outstanding on ex's home shard s
-// and returns their assignments. Dispatch records route through each
-// task's affinity (victim) appender, keeping per-task journal order. If ex
-// was dropped while the steal ran (its registration changed under us), the
-// tasks go back to their affinity shards via f.requeues instead.  Callers
-// hold s.mu.
-func (d *Dispatcher) assignStolen(f *fx, s *shard, ex *sched.Exec[string], items []stolen, piggy bool) []fproto.Assignment {
-	if len(items) == 0 {
+// assignStolen records a task stolen from shard v as outstanding on ex's
+// home shard s and returns its assignment. The dispatch record routes
+// through the task's affinity (victim) appender, keeping per-task journal
+// order. If ex was dropped while the steal ran (its registration changed
+// under us), the task goes back to its affinity shard via f.requeues
+// instead. Callers hold s.mu.
+func (d *Dispatcher) assignStolen(f *fx, s *shard, ex *sched.Exec[string], it sched.Item[taskRef], v *shard, piggy bool) []fproto.Assignment {
+	if cur, ok := s.core.Exec(ex.ID); !ok || cur != ex {
+		f.requeues = append(f.requeues, it) // keeps the limbo count
 		return nil
 	}
-	if cur, ok := s.core.Exec(ex.ID); !ok || cur != ex {
-		for _, st := range items {
-			f.requeues = append(f.requeues, st.it) // keeps the limbo count
-		}
-		return nil
+	d.limbo.Add(-1)
+	if it.X.inst == nil || it.X.inst.destroyed.Load() {
+		d.tenants.release(taskTenant(it.X), 1, false)
+		return nil // instance destroyed while queued
 	}
 	kind := obs.EvPulled
 	if piggy {
 		kind = obs.EvAcked
 	}
-	var as []fproto.Assignment
 	now := d.now()
-	for _, st := range items {
-		it := st.it
-		if it.X.inst == nil || it.X.inst.destroyed.Load() {
-			d.tenants.release(taskTenant(it.X), 1, false)
-			d.limbo.Add(-1)
-			continue // instance destroyed while queued
-		}
-		s.core.Assign(now, ex, outKey{it.X.epr, it.X.t.ID}, it)
-		s.steals.Inc()
-		if st.v.app != nil {
-			st.v.app.Append(wal.KindDispatch, wal.DispatchRec{EPR: it.X.epr, ID: it.X.t.ID, Exec: ex.ID, Shard: st.v.idx})
-		}
-		f.trace(now, kind, it.X.t.Trace, it.X.t.ID, it.X.epr, ex.ID)
-		as = append(as, fproto.Assignment{EPR: it.X.epr, Task: it.X.t, CacheHit: false})
-		d.limbo.Add(-1)
+	s.core.Assign(now, ex, outKey{it.X.epr, it.X.t.ID}, it)
+	s.steals.Inc()
+	if v.app != nil {
+		v.app.Append(wal.KindDispatch, wal.DispatchRec{EPR: it.X.epr, ID: it.X.t.ID, Exec: ex.ID, Shard: v.idx})
 	}
-	return as
+	f.trace(now, kind, it.X.t.Trace, it.X.t.ID, it.X.epr, ex.ID)
+	return []fproto.Assignment{{EPR: it.X.epr, Task: it.X.t}}
 }
 
 // finalize delivers a finished result to its instance (push or buffer).

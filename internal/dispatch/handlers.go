@@ -430,20 +430,7 @@ func (d *Dispatcher) handleGetWork(p *wsrpc.Peer, body json.RawMessage) (any, er
 		return nil, fmt.Errorf("dispatch: unregistered executor %q", req.ExecutorID)
 	}
 	ex.Notified = false
-	want := req.Max
-	if want <= 0 {
-		want = 1
-	}
-	as := d.assignLocked(f, s, ex, want, false)
-	if len(as) < want && d.queuedElsewhere(s) {
-		// Home queue dry but work exists elsewhere: steal. Victim locks are
-		// taken one at a time with s.mu released.
-		s.syncDepth()
-		s.mu.Unlock()
-		st := d.stealTasks(s.idx, want-len(as))
-		s.mu.Lock()
-		as = append(as, d.assignStolen(f, s, ex, st, false)...)
-	}
+	as := d.pullLocked(f, s, ex, req.Max, false)
 	s.core.Offer(ex)
 	if len(as) > 0 {
 		// Other executors may still be needed for the rest of the queue.
@@ -453,6 +440,27 @@ func (d *Dispatcher) handleGetWork(p *wsrpc.Peer, body json.RawMessage) (any, er
 	s.mu.Unlock()
 	d.flush(f)
 	return fproto.GetWorkReply{Assignments: as}, nil
+}
+
+// pullLocked answers one pull by ex — a GetWork, or the ask a Deliver
+// piggy-backs — for asked tasks: a grant from the home queue (assignLocked),
+// or, when that is dry and another shard is not, one stolen task. Victim
+// locks are taken one at a time with s.mu released. Callers hold s.mu.
+func (d *Dispatcher) pullLocked(f *fx, s *shard, ex *sched.Exec[string], asked int, piggy bool) []fproto.Assignment {
+	as := d.assignLocked(f, s, ex, max(asked, 1), piggy)
+	if len(as) == 0 && d.queuedElsewhere(s) {
+		s.syncDepth()
+		s.mu.Unlock()
+		it, v, ok := d.stealTask(s.idx)
+		s.mu.Lock()
+		if ok {
+			as = d.assignStolen(f, s, ex, it, v, piggy)
+		}
+	}
+	if len(as) > 0 {
+		d.hGrant.Observe(float64(len(as)))
+	}
+	return as
 }
 
 func (d *Dispatcher) handleDeliver(p *wsrpc.Peer, body json.RawMessage) (any, error) {
@@ -472,6 +480,9 @@ func (d *Dispatcher) handleDeliver(p *wsrpc.Peer, body json.RawMessage) (any, er
 		return nil, fmt.Errorf("dispatch: unregistered executor %q", req.ExecutorID)
 	}
 	now := d.now()
+	// The batch as the dispatcher timed it: sent when its first task was
+	// dispatched, ran for what its results report.
+	sent, ran := now, time.Duration(0)
 	for _, tr := range req.Results {
 		// Outstanding entries live on the executor's home shard even for
 		// stolen tasks, so this lookup never leaves s.
@@ -479,6 +490,8 @@ func (d *Dispatcher) handleDeliver(p *wsrpc.Peer, body json.RawMessage) (any, er
 		if !ok {
 			continue // duplicate delivery, counted by the core
 		}
+		sent = min(sent, o.DispatchedAt)
+		ran += tr.RunDur
 		r := tr.Result
 		// Rebase executor-local timing onto the dispatcher epoch: the run
 		// duration is trusted, absolute stamps are not (clock skew). The
@@ -515,20 +528,10 @@ func (d *Dispatcher) handleDeliver(p *wsrpc.Peer, body json.RawMessage) (any, er
 		d.finalize(f, s, o.Item.X, r)
 	}
 	ex.Notified = false
+	ex.Ref.(*execRef).rtt = max(now-sent-ran, 0)
 	var as []fproto.Assignment
 	if req.WantWork {
-		want := req.MaxNew
-		if want <= 0 {
-			want = 1
-		}
-		as = d.assignLocked(f, s, ex, want, true)
-		if len(as) < want && d.queuedElsewhere(s) {
-			s.syncDepth()
-			s.mu.Unlock()
-			st := d.stealTasks(s.idx, want-len(as))
-			s.mu.Lock()
-			as = append(as, d.assignStolen(f, s, ex, st, true)...)
-		}
+		as = d.pullLocked(f, s, ex, req.MaxNew, true)
 	}
 	s.core.Offer(ex)
 	d.notifyShardLocked(f, s, now)

@@ -51,13 +51,11 @@ type Options struct {
 	// IdleTimeout implements the distributed resource release policy: an
 	// executor idle this long deregisters and stops (0 = never).
 	IdleTimeout time.Duration
-	// Prefetch bounds tasks per work pull (dispatcher->executor bundling);
-	// default 1, matching the paper's per-task dispatch.
+	// Prefetch caps the tasks asked for in one work pull (dispatcher->executor
+	// bundling). Under the cap the executor sizes each ask itself (see
+	// pullSizer); 0, the default, is the protocol cap of 64, and 1 is the
+	// paper's per-task dispatch.
 	Prefetch int
-	// PrefetchAhead overlaps communication with execution (paper §6 future
-	// work): while a task runs, the executor asynchronously requests the
-	// next one, so the work-pull round trip hides behind computation.
-	PrefetchAhead bool
 	// SleepScale compresses (or stretches) synthetic sleep durations;
 	// default 1.0. Tests use small values so logical seconds pass quickly.
 	SleepScale float64
@@ -145,8 +143,8 @@ func Start(opts Options) (*Executor, error) {
 	if opts.Slots <= 0 {
 		opts.Slots = 1
 	}
-	if opts.Prefetch <= 0 {
-		opts.Prefetch = 1
+	if opts.Prefetch <= 0 || opts.Prefetch > maxPull {
+		opts.Prefetch = maxPull
 	}
 	if opts.SleepScale == 0 {
 		opts.SleepScale = 1.0
@@ -361,6 +359,7 @@ func (e *Executor) shutdown(reason string) bool {
 // workLoop is one slot's serve loop: wait for a notification, pull work,
 // and keep running piggy-backed assignments until the dispatcher runs dry.
 func (e *Executor) workLoop() {
+	var ps pullSizer
 	for {
 		var idleC <-chan time.Time
 		var idleTimer *time.Timer
@@ -391,7 +390,8 @@ func (e *Executor) workLoop() {
 			return
 		}
 		var reply fproto.GetWorkReply
-		err = cli.Call(fproto.MethodGetWork, fproto.GetWorkRequest{ExecutorID: e.opts.ID, Max: e.opts.Prefetch}, &reply)
+		sent := time.Now()
+		err = cli.Call(fproto.MethodGetWork, fproto.GetWorkRequest{ExecutorID: e.opts.ID, Max: ps.ask(e.opts.Prefetch)}, &reply)
 		if err != nil {
 			// A dropped connection is the session's to replace: park again
 			// until onReconnect wakes the slots on the re-registered one (or
@@ -405,10 +405,11 @@ func (e *Executor) workLoop() {
 			}
 			continue
 		}
+		ps.rtt = time.Since(sent)
 		for _, a := range reply.Assignments {
 			e.tracer.Record(e.at(), obs.EvPulled, a.Task.Trace, a.Task.ID, a.EPR, e.opts.ID)
 		}
-		e.runAssignments(cli, reply.Assignments)
+		e.runAssignments(cli, &ps, reply.Assignments)
 	}
 }
 
@@ -463,7 +464,7 @@ func (e *Executor) markIdle(ran int64) {
 // dropped and the (journaling) dispatcher re-dispatches the tasks after
 // recovery, so nothing retries against a connection that no longer knows the
 // outstanding set.
-func (e *Executor) runAssignments(cli *wsrpc.Client, as []fproto.Assignment) {
+func (e *Executor) runAssignments(cli *wsrpc.Client, ps *pullSizer, as []fproto.Assignment) {
 	if len(as) == 0 {
 		return
 	}
@@ -471,20 +472,6 @@ func (e *Executor) runAssignments(cli *wsrpc.Client, as []fproto.Assignment) {
 	var ran int64
 	defer func() { e.markIdle(ran) }()
 	for len(as) > 0 {
-		// Pre-fetching (§6): request the next task while this batch runs,
-		// hiding the pull round trip behind execution.
-		var pfc chan []fproto.Assignment
-		if e.opts.PrefetchAhead {
-			pfc = make(chan []fproto.Assignment, 1)
-			go func() {
-				var r fproto.GetWorkReply
-				if err := cli.Call(fproto.MethodGetWork, fproto.GetWorkRequest{ExecutorID: e.opts.ID, Max: e.opts.Prefetch}, &r); err != nil {
-					pfc <- nil
-					return
-				}
-				pfc <- r.Assignments
-			}()
-		}
 		results := make([]fproto.TaggedResult, 0, len(as))
 		for _, a := range as {
 			if e.opts.Faults.ExecCrash() {
@@ -503,6 +490,7 @@ func (e *Executor) runAssignments(cli *wsrpc.Client, as []fproto.Assignment) {
 			e.cDone.Inc()
 			e.hRun.Observe(runDur.Seconds())
 			e.hOverhed.Observe(overhead.Seconds())
+			ps.observe(runDur, len(r.Stdout)+len(r.Stderr))
 			results = append(results, fproto.TaggedResult{
 				EPR:         a.EPR,
 				Result:      r,
@@ -511,18 +499,15 @@ func (e *Executor) runAssignments(cli *wsrpc.Client, as []fproto.Assignment) {
 			})
 			ran++
 		}
-		var prefetched []fproto.Assignment
-		if pfc != nil {
-			prefetched = <-pfc
-		}
 		var reply fproto.DeliverReply
+		sent := time.Now()
 		// The envelope carries the batch head's trace (per-result context
 		// rides in the result bodies), so the return hop is attributable too.
 		err := cli.CallTrace(fproto.MethodDeliver, fproto.DeliverRequest{
 			ExecutorID: e.opts.ID,
 			Results:    results,
-			WantWork:   len(prefetched) == 0,
-			MaxNew:     e.opts.Prefetch,
+			WantWork:   true,
+			MaxNew:     ps.ask(e.opts.Prefetch),
 		}, &reply, results[0].Result.Trace, 0)
 		if err != nil {
 			if !e.isStopping() {
@@ -530,6 +515,7 @@ func (e *Executor) runAssignments(cli *wsrpc.Client, as []fproto.Assignment) {
 			}
 			return
 		}
+		ps.rtt = time.Since(sent)
 		if e.opts.Faults.ResultThenDie() {
 			// The dispatcher holds the results but this executor dies before
 			// acting on the acknowledgment — the duplicate-provoking failure.
@@ -542,8 +528,60 @@ func (e *Executor) runAssignments(cli *wsrpc.Client, as []fproto.Assignment) {
 		for _, a := range reply.Assignments {
 			e.tracer.Record(now, obs.EvAcked, a.Task.Trace, a.Task.ID, a.EPR, e.opts.ID)
 		}
-		as = append(prefetched, reply.Assignments...)
+		as = reply.Assignments
 	}
+}
+
+const (
+	maxPull      = 64       // the most tasks one pull asks for
+	resultBudget = 64 << 10 // the most output (Stdout+Stderr) one Deliver is sized to carry
+	sizerBlock   = 128      // half the pullSizer's window, in results
+)
+
+// pullSizer is one slot's half of dispatch-ahead: it sizes the slot's next
+// pull from the last pull's round trip and the largest run time and output
+// among the slot's last sizerBlock to 2*sizerBlock results (two blocks of
+// running maxima: [0] is being filled, [1] is the one before).
+type pullSizer struct {
+	rtt time.Duration
+	run [2]time.Duration
+	out [2]int
+	n   int // results in block 0
+}
+
+// observe folds one finished task into the window.
+func (p *pullSizer) observe(run time.Duration, out int) {
+	if p.n == sizerBlock {
+		p.run[1], p.out[1] = p.run[0], p.out[0]
+		p.run[0], p.out[0], p.n = 0, 0, 0
+	}
+	p.n++
+	p.run[0] = max(p.run[0], run, 1) // 0 is "no result seen"
+	p.out[0] = max(p.out[0], out)
+}
+
+// ask is the tasks to ask for in the next pull, at most limit.
+func (p *pullSizer) ask(limit int) int {
+	return pullSize(p.rtt, max(p.run[0], p.run[1]), max(p.out[0], p.out[1]), limit)
+}
+
+// pullSize is the rule: 1 + ⌊rtt ÷ run⌋ tasks, so that a batch adds no more
+// head-of-line and result-return delay than the one round trip it saves; no
+// more than resultBudget ÷ out, so that its results fit one frame of that
+// size; limit at most; and 1 until both a round trip and a result have been
+// seen (rtt or run zero).
+func pullSize(rtt, run time.Duration, out, limit int) int {
+	if rtt <= 0 || run <= 0 {
+		return 1
+	}
+	n := limit
+	if q := rtt / run; q < time.Duration(limit) {
+		n = 1 + int(q)
+	}
+	if out > 0 {
+		n = min(n, resultBudget/out)
+	}
+	return max(1, min(n, limit))
 }
 
 // runTask executes one task and returns its result plus measured run time.

@@ -317,44 +317,3 @@ func TestExecTimeoutKillsRunawayProcess(t *testing.T) {
 		t.Fatal("timeout did not cut the process short")
 	}
 }
-
-func TestPrefetchAheadLive(t *testing.T) {
-	d := startDispatcher(t)
-	ex, err := executor.Start(executor.Options{
-		ID:             "pf-exec",
-		DispatcherAddr: d.Addr(),
-		PrefetchAhead:  true,
-		SleepScale:     0.001,
-		Logf:           t.Logf,
-	})
-	if err != nil {
-		t.Fatal(err)
-	}
-	defer ex.Stop()
-	c, err := client.Connect(client.Options{DispatcherAddr: d.Addr(), BundleSize: 20})
-	if err != nil {
-		t.Fatal(err)
-	}
-	defer c.Close()
-	var gen task.IDGen
-	if err := c.Submit(task.Batch(&gen, 100, time.Second)); err != nil {
-		t.Fatal(err)
-	}
-	rs, err := c.WaitN(100, 30*time.Second)
-	if err != nil {
-		t.Fatal(err)
-	}
-	seen := map[task.ID]bool{}
-	for _, r := range rs {
-		if r.Failed() || seen[r.ID] {
-			t.Fatalf("bad result: %+v", r)
-		}
-		seen[r.ID] = true
-	}
-	// TasksRun updates when the work loop drains, shortly after the last
-	// delivery reaches the client; Stop waits for the loops.
-	ex.Stop()
-	if n := ex.TasksRun(); n != 100 {
-		t.Fatalf("tasks run = %d", n)
-	}
-}

@@ -121,6 +121,11 @@ type Options[T any] struct {
 	// Tenant extracts the tenant a task was submitted under ("" = the
 	// default tenant); nil treats all work as one tenant.
 	Tenant func(T) string
+	// Declared extracts the run time a task states for itself (0 = none
+	// stated) — the paper's "clients assign each task an estimated
+	// runtime", which is what makes dispatcher→executor bundling safe with
+	// mixed task sizes (see PickWithin); nil treats every task as unstated.
+	Declared func(T) time.Duration
 	// FairShare enables the weighted fair-share tenant layer (see the
 	// FairShare type); nil keeps the single global FIFO.
 	FairShare *FairShare
@@ -140,6 +145,7 @@ type Core[E comparable, K comparable, T any] struct {
 	// one of the two holds the pending work. nil = original FIFO path.
 	fair  *fairQueue[T]
 	execs map[E]*Exec[E]
+	slots int        // sum of Slots over execs
 	idle  []*Exec[E] // LIFO stack; nil slots are tombstones
 	dead  int        // tombstone count in idle
 	out   map[K]*Outstanding[E, K, T]
@@ -320,7 +326,9 @@ func (c *Core[E, K, T]) AddExec(id E, slots int) *Exec[E] {
 	}
 	if old, ok := c.execs[id]; ok {
 		c.RemoveIdle(old)
+		c.slots -= old.Slots
 	}
+	c.slots += slots
 	x := &Exec[E]{ID: id, Slots: slots, idlePos: -1}
 	if c.opts.Policy == PolicyDataAware {
 		x.Cache = NewDatasetCache(c.opts.CacheCapacity)
@@ -354,6 +362,7 @@ func (c *Core[E, K, T]) DropExecutor(id E) (x *Exec[E], dropped []*Outstanding[E
 		return nil, nil
 	}
 	delete(c.execs, id)
+	c.slots -= x.Slots
 	c.RemoveIdle(x)
 	for k, o := range c.out {
 		if o.Executor == id {
@@ -417,55 +426,80 @@ func (c *Core[E, K, T]) RemoveIdle(x *Exec[E]) {
 	}
 }
 
+// Unbounded is the PickWithin room that refuses nothing.
+const Unbounded = time.Duration(1<<63 - 1)
+
+// Share is the even-share half of the grant rule (dispatch-ahead): an
+// executor that asks for asked tasks in one pull gets at most
+// ⌈queued ÷ registered slots⌉ and never less than 1, so one executor's
+// batch never holds a task an idle slot could be running. A pull reply is
+// then Share tasks at most: the first from Pick, the rest from PickWithin.
+func (c *Core[E, K, T]) Share(asked int) int {
+	if c.slots > 0 {
+		asked = min(asked, (c.QueueLen()+c.slots-1)/c.slots)
+	}
+	return max(asked, 1)
+}
+
 // Pick selects the next task for x under the configured policy, removing
 // it from the queue and reporting whether it is a dataset cache hit. FIFO
 // order is preserved except that the data-aware policy may pull a
 // matching task forward from within the window.
 func (c *Core[E, K, T]) Pick(x *Exec[E]) (it Item[T], hit, ok bool) {
-	if c.opts.Policy != PolicyDataAware || x.Cache == nil || c.opts.Dataset == nil {
-		if c.fair != nil {
-			it, ok = c.fair.pop()
-			return it, false, ok
-		}
-		it, ok = c.queue.Pop()
-		return it, false, ok
-	}
+	return c.PickWithin(x, Unbounded)
+}
+
+// PickWithin is Pick for the second and later tasks of one pull reply:
+// when the task Pick would select declares (Options.Declared) more run time
+// than room — what is left of the reply's budget after the declared times
+// already in it — the queue is left untouched and ok is false. A task that
+// says it is long therefore rides alone: it neither waits behind a batch
+// nor holds a batch's results back while it runs. A nil x is policy-blind
+// (PickAny).
+func (c *Core[E, K, T]) PickWithin(x *Exec[E], room time.Duration) (it Item[T], hit, ok bool) {
+	// Under fair-share SFQ selects the tenant first and locality comes
+	// second: the data-aware window scan runs within that tenant's ring, so
+	// a cache hit never lets one tenant jump another's turn.
+	ring := &c.queue
+	var tq *tenantQ[T]
+	var start float64
 	if c.fair != nil {
-		// Fairness first, locality second: SFQ selects the tenant, then
-		// the data-aware window scan runs within that tenant's ring. A
-		// cache hit never lets one tenant jump another's turn.
-		tq, start, ok := c.fair.peek()
-		if !ok {
+		if tq, start, ok = c.fair.peek(); !ok {
 			return it, false, false
 		}
-		live := tq.ring.Window(c.opts.Window)
-		for i := range live {
-			if ds := c.opts.Dataset(live[i].X); ds != "" && x.Cache.Has(ds) {
-				it = c.fair.take(tq, start, i)
-				c.Counters.CacheHits++
-				return it, true, true
+		ring = &tq.ring
+	}
+	if ring.Len() == 0 {
+		return it, false, false
+	}
+	at := 0 // offset of the selected task from the ring's head
+	dataAware := c.opts.Policy == PolicyDataAware && x != nil && x.Cache != nil && c.opts.Dataset != nil
+	if dataAware {
+		for i, cand := range ring.Window(c.opts.Window) {
+			if ds := c.opts.Dataset(cand.X); ds != "" && x.Cache.Has(ds) {
+				at, hit = i, true
+				break
 			}
 		}
-		it = c.fair.take(tq, start, 0)
-		if c.opts.Dataset(it.X) != "" {
-			c.Counters.CacheMisses++
-		}
-		return it, false, true
 	}
-	live := c.queue.Window(c.opts.Window)
-	for i := range live {
-		if ds := c.opts.Dataset(live[i].X); ds != "" && x.Cache.Has(ds) {
-			it = live[i]
-			c.queue.RemoveAt(i)
-			c.Counters.CacheHits++
-			return it, true, true
-		}
+	if room != Unbounded && c.opts.Declared != nil && c.opts.Declared(ring.Window(at + 1)[at].X) > room {
+		return it, false, false
 	}
-	it, ok = c.queue.Pop()
-	if ok && c.opts.Dataset(it.X) != "" {
+	switch {
+	case tq != nil:
+		it = c.fair.take(tq, start, at)
+	case at == 0:
+		it, _ = ring.Pop()
+	default:
+		it = ring.Window(at + 1)[at]
+		ring.RemoveAt(at)
+	}
+	if hit {
+		c.Counters.CacheHits++
+	} else if dataAware && c.opts.Dataset(it.X) != "" {
 		c.Counters.CacheMisses++
 	}
-	return it, false, ok
+	return it, hit, true
 }
 
 // PickAny pops the next task regardless of pick policy. The work-stealing
@@ -476,10 +510,8 @@ func (c *Core[E, K, T]) Pick(x *Exec[E]) (it Item[T], hit, ok bool) {
 // same weighted order its own executors would — stealing preserves
 // fairness within the victim.
 func (c *Core[E, K, T]) PickAny() (it Item[T], ok bool) {
-	if c.fair != nil {
-		return c.fair.pop()
-	}
-	return c.queue.Pop()
+	it, _, ok = c.PickWithin(nil, Unbounded)
+	return it, ok
 }
 
 // NoteCompletion records dataset residency after x ran a task reading
@@ -501,6 +533,13 @@ func (c *Core[E, K, T]) Assign(now time.Duration, x *Exec[E], key K, it Item[T])
 	if notifiedAt < it.QueuedAt || notifiedAt > now {
 		notifiedAt = now
 	}
+	if old, dup := c.out[key]; dup {
+		// A second copy of a task that is still outstanding (a client or a
+		// tree parent sent it twice): this entry replaces the first, so the
+		// first holder's slot is given back here — its result will find this
+		// entry or none, and whichever result comes second is the duplicate.
+		c.release(old.Executor)
+	}
 	o := &Outstanding[E, K, T]{Key: key, Item: it, Executor: x.ID, DispatchedAt: now, NotifiedAt: notifiedAt}
 	c.out[key] = o
 	x.Assigned++
@@ -518,10 +557,20 @@ func (c *Core[E, K, T]) Complete(id E, key K) (*Outstanding[E, K, T], bool) {
 		return nil, false
 	}
 	delete(c.out, key)
-	if x, ok := c.execs[o.Executor]; ok && x.Assigned > 0 {
-		x.Assigned--
-	}
+	c.release(o.Executor)
 	return o, true
+}
+
+// release gives back the slot an outstanding entry held on executor id:
+// Assigned counts the entries in out that name the executor, whichever way
+// an entry leaves.
+func (c *Core[E, K, T]) release(id E) *Exec[E] {
+	x, ok := c.execs[id]
+	if !ok || x.Assigned == 0 {
+		return nil
+	}
+	x.Assigned--
+	return x
 }
 
 // Expire removes every outstanding task dispatched before cutoff (the
@@ -536,8 +585,7 @@ func (c *Core[E, K, T]) Expire(cutoff time.Duration) []*Outstanding[E, K, T] {
 		}
 	}
 	for _, o := range expired {
-		if x, ok := c.execs[o.Executor]; ok && x.Assigned > 0 {
-			x.Assigned--
+		if x := c.release(o.Executor); x != nil {
 			c.Offer(x)
 		}
 	}

@@ -11,6 +11,7 @@
 #   ./scripts/chaos.sh --tree 2 --quick    # 2-level tree: SIGKILL leaves
 #   ./scripts/chaos.sh --tree 4 --tree-depth 3 --quick  # forwarder-of-forwarders
 #   ./scripts/chaos.sh --standbys 1 --quick             # HA: SIGKILL leaders
+#   ./scripts/chaos.sh --max-sleep 0 --quick            # all `sleep 0`: executors hold batches when killed
 set -euo pipefail
 
 cd "$(dirname "$0")/.."
@@ -18,6 +19,7 @@ cd "$(dirname "$0")/.."
 QUICK=()
 TREE=()
 STANDBYS=()
+MAXSLEEP=()
 SWEEP_DEFAULT=5
 while :; do
     case "${1:-}" in
@@ -36,6 +38,10 @@ while :; do
         ;;
     --standbys)
         STANDBYS=(-standbys "$2")
+        shift 2
+        ;;
+    --max-sleep)
+        MAXSLEEP=(-max-sleep "$2")
         shift 2
         ;;
     *)
@@ -60,7 +66,7 @@ ls -d "$TMP"/falkon-chaos-* 2>/dev/null | sort >"$BEFORE" || true
 
 go build -o "$BIN" ./cmd/falkon-dispatcher ./cmd/falkon-executor ./cmd/falkon-forwarder ./cmd/falkon-chaos
 
-if "$BIN/falkon-chaos" -bin "$BIN" -seed "$SEED" -sweep "$SWEEP" "${QUICK[@]}" "${TREE[@]}" "${STANDBYS[@]}"; then
+if "$BIN/falkon-chaos" -bin "$BIN" -seed "$SEED" -sweep "$SWEEP" "${QUICK[@]}" "${TREE[@]}" "${STANDBYS[@]}" "${MAXSLEEP[@]}"; then
     comm -13 "$BEFORE" <(ls -d "$TMP"/falkon-chaos-* 2>/dev/null | sort) | xargs -r rm -rf --
 else
     status=$?

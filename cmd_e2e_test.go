@@ -5,6 +5,7 @@ package falkon_test
 // forwarder — over localhost TCP, exactly as the README describes.
 
 import (
+	"encoding/json"
 	"fmt"
 	"io"
 	"net"
@@ -20,7 +21,10 @@ import (
 	"testing"
 	"time"
 
+	"falkon/internal/fproto"
 	"falkon/internal/obs"
+	"falkon/internal/task"
+	"falkon/internal/wsrpc"
 )
 
 var (
@@ -487,6 +491,110 @@ func TestBinariesMetricsExposition(t *testing.T) {
 		if daemon == "dispatcher" && !strings.Contains(string(body), "\nfalkon_dispatch_grant_tasks_count ") {
 			t.Errorf("dispatcher /metrics carries no falkon_dispatch_grant_tasks summary")
 		}
+		// And whether the executors are on the short path: grants that rode
+		// the work push instead of a pull's reply.
+		if daemon == "dispatcher" && !strings.Contains(string(body), "\nfalkon_dispatch_grants_pushed_total ") {
+			t.Errorf("dispatcher /metrics carries no falkon_dispatch_grants_pushed_total")
+		}
+	}
+}
+
+// Mixed versions against the real dispatcher binary. An executor built before
+// the work grant — played here over wsrpc: it registers without the
+// capability, pulls when told that work is available and delivers — completes
+// 2,000 tasks with not one grant pushed; the falkon-executor binary that takes
+// its place is handed unqueued tasks in the push.
+func TestBinariesOldExecutorIsNeverPushed(t *testing.T) {
+	bin := buildBinaries(t)
+	dispAddr, debugAddr := freePort(t), freePort(t)
+	startProc(t, filepath.Join(bin, "falkon-dispatcher"), "-addr", dispAddr, "-quiet", "-stats-every", "0", "-shards", "1", "-debug-addr", debugAddr)
+	waitListening(t, dispAddr)
+	waitListening(t, debugAddr)
+	pushed := func() string {
+		t.Helper()
+		resp, err := http.Get("http://" + debugAddr + "/metrics")
+		if err != nil {
+			t.Fatal(err)
+		}
+		defer resp.Body.Close()
+		body, _ := io.ReadAll(resp.Body)
+		m := regexp.MustCompile(`(?m)^falkon_dispatch_grants_pushed_total (\d+)$`).FindStringSubmatch(string(body))
+		if m == nil {
+			t.Fatalf("dispatcher /metrics carries no falkon_dispatch_grants_pushed_total:\n%s", body)
+		}
+		return m[1]
+	}
+	submit := func(args ...string) string {
+		t.Helper()
+		out, err := exec.Command(filepath.Join(bin, "falkon-submit"), append([]string{"-dispatcher", dispAddr, "-timeout", "60s"}, args...)...).CombinedOutput()
+		if err != nil {
+			t.Fatalf("falkon-submit: %v\n%s", err, out)
+		}
+		return string(out)
+	}
+
+	wake := make(chan struct{}, 1)
+	granted := make(chan string, 1)
+	old, err := wsrpc.Dial(dispAddr, wsrpc.ClientOptions{OnNotify: func(method string, _ json.RawMessage) {
+		if method != fproto.NotifyWorkAvailable {
+			select {
+			case granted <- method:
+			default:
+			}
+		}
+		select {
+		case wake <- struct{}{}:
+		default:
+		}
+	}})
+	if err != nil {
+		t.Fatal(err)
+	}
+	defer old.Close()
+	if err := old.Call(fproto.MethodRegister, fproto.RegisterRequest{ExecutorID: "old", Slots: 1}, nil); err != nil {
+		t.Fatal(err)
+	}
+	go func() {
+		for range wake {
+			var work fproto.GetWorkReply
+			if old.Call(fproto.MethodGetWork, fproto.GetWorkRequest{ExecutorID: "old", Max: 8}, &work) != nil {
+				return
+			}
+			for as := work.Assignments; len(as) > 0; {
+				req := fproto.DeliverRequest{ExecutorID: "old", WantWork: true, MaxNew: 8}
+				for _, a := range as {
+					req.Results = append(req.Results, fproto.TaggedResult{EPR: a.EPR, Result: task.Result{ID: a.Task.ID}})
+				}
+				var ack fproto.DeliverReply
+				if old.Call(fproto.MethodDeliver, req, &ack) != nil {
+					return
+				}
+				as = ack.Assignments
+			}
+		}
+	}()
+	if out := submit("-sleep0", "2000", "-bundle", "50"); !strings.Contains(out, "completed 2000 tasks (0 failed)") {
+		t.Fatalf("submit output: %s", out)
+	}
+	for i := 0; i < 5; i++ { // unqueued tasks: what a push would have carried
+		submit("-sleep0", "1")
+	}
+	select {
+	case method := <-granted:
+		t.Fatalf("the old executor was sent a %s", method)
+	default:
+	}
+	if got := pushed(); got != "0" {
+		t.Fatalf("falkon_dispatch_grants_pushed_total = %s with only an old executor registered, want 0", got)
+	}
+
+	old.Close()
+	startProc(t, filepath.Join(bin, "falkon-executor"), "-dispatcher", dispAddr)
+	for i := 0; i < 5; i++ {
+		submit("-sleep0", "1") // the first is pulled and leaves the slot waiting
+	}
+	if got := pushed(); got == "0" {
+		t.Fatal("falkon_dispatch_grants_pushed_total = 0 after five unqueued tasks on a falkon-executor")
 	}
 }
 

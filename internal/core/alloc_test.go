@@ -30,6 +30,14 @@ const allocsPerTaskCeiling = 1.5
 // (4.2 to 4.3 before), plus 15 %.
 const journaledAllocsPerTaskCeiling = 6.1
 
+// serialAllocsPerTaskCeiling is the plain system driven the opposite way — one
+// task per Submit, one task in flight, the repo benchmark's direct-serial and
+// the paper's Fig. 10 case: nothing is shared, so it is what one unqueued task
+// costs end to end. Measured 24.00 to 24.01 (38.0 before both) since the
+// work rides the push and a wsrpc call recycles its reply slot (two calls and
+// two pushes per task: Submit, the grant, Deliver, the result), plus 10 %.
+const serialAllocsPerTaskCeiling = 26.4
+
 // The per-task allocation budget of every configuration core.Config can
 // ship. It is a count, not a timing, so it holds on a loaded machine; a
 // change that puts reflection or a per-call string back on the Submit →
@@ -40,17 +48,19 @@ func TestAllocsPerTaskBudget(t *testing.T) {
 		name    string
 		ceiling float64
 		cfg     core.Config
+		serial  bool // one task per Submit, one in flight (batches of 1,024)
 	}{
-		{"plain", allocsPerTaskCeiling, core.Config{}},
-		{"secure", allocsPerTaskCeiling, core.Config{
+		{name: "plain", ceiling: allocsPerTaskCeiling},
+		{name: "secure", ceiling: allocsPerTaskCeiling, cfg: core.Config{
 			Security: wsrpc.SecuritySecureConversation, PSK: []byte("budget-psk"),
 		}},
-		{"fair-share", allocsPerTaskCeiling, core.Config{
+		{name: "fair-share", ceiling: allocsPerTaskCeiling, cfg: core.Config{
 			FairShare: true,
 			Tenant:    "a",
 			Tenants:   []dispatch.TenantSpec{{Name: "a", Weight: 4}, {Name: "b", Weight: 1}},
 		}},
-		{"journaled", journaledAllocsPerTaskCeiling, core.Config{JournalDir: t.TempDir()}},
+		{name: "journaled", ceiling: journaledAllocsPerTaskCeiling, cfg: core.Config{JournalDir: t.TempDir()}},
+		{name: "serial", ceiling: serialAllocsPerTaskCeiling, serial: true},
 	}
 	perTask := map[string]float64{}
 	for _, row := range rows {
@@ -59,7 +69,7 @@ func TestAllocsPerTaskBudget(t *testing.T) {
 			// One bundle per batch: how deep the executor's pulls find the
 			// queue is then the cap, not a race with the submitting client.
 			cfg.Executors, cfg.BundleSize, cfg.Logf = 1, 4096, t.Logf
-			perTask[row.name] = allocsPerTask(t, cfg)
+			perTask[row.name] = allocsPerTask(t, cfg, row.serial)
 			if got := perTask[row.name]; got > row.ceiling {
 				t.Errorf("%.2f allocations per task, budget %.1f", got, row.ceiling)
 			}
@@ -80,8 +90,9 @@ func TestAllocsPerTaskBudget(t *testing.T) {
 // repo's benchmark: a dispatcher has one scheduling shard per P, its one
 // executor is at home on one of them and steals from the others one task per
 // pull, so that with more Ps the count measures their number, not the code
-// (1.27, 9.3 and 13.1 at -cpu 1, 2 and 4).
-func allocsPerTask(t *testing.T, cfg core.Config) float64 {
+// (1.27, 9.3 and 13.1 at -cpu 1, 2 and 4). serial submits a batch one task at
+// a time, each once the one before has come back, and makes the batch 1,024.
+func allocsPerTask(t *testing.T, cfg core.Config, serial bool) float64 {
 	t.Helper()
 	defer runtime.GOMAXPROCS(runtime.GOMAXPROCS(1))
 	sys, err := core.Start(cfg)
@@ -92,11 +103,16 @@ func allocsPerTask(t *testing.T, cfg core.Config) float64 {
 	var gen task.IDGen
 	run := func(n int) {
 		t.Helper()
-		if err := sys.Submit(task.Batch(&gen, n, 0)); err != nil {
-			t.Fatal(err)
-		}
-		if _, err := sys.WaitN(n, time.Minute); err != nil {
-			t.Fatal(err)
+		for each := n; n > 0; n -= each {
+			if serial {
+				each = 1
+			}
+			if err := sys.Submit(task.Batch(&gen, each, 0)); err != nil {
+				t.Fatal(err)
+			}
+			if _, err := sys.WaitN(each, time.Minute); err != nil {
+				t.Fatal(err)
+			}
 		}
 	}
 	run(1024) // buffers, pools and per-method instruments reach steady state
@@ -104,7 +120,10 @@ func allocsPerTask(t *testing.T, cfg core.Config) float64 {
 	// The lowest of five batches: a stall of the host inside one measured
 	// run time holds the executor's ask at 1 for up to 256 tasks, which adds
 	// about one object per task to that batch and says nothing of the code.
-	const tasks = 4096
+	tasks := 4096
+	if serial {
+		tasks = 1024
+	}
 	fallbacks := fproto.CodecFallbacks.Value()
 	perTask := math.Inf(1)
 	for batch := 0; batch < 5; batch++ {
@@ -112,8 +131,8 @@ func allocsPerTask(t *testing.T, cfg core.Config) float64 {
 		runtime.ReadMemStats(&m0)
 		run(tasks)
 		runtime.ReadMemStats(&m1)
-		got := float64(m1.Mallocs-m0.Mallocs) / tasks
-		t.Logf("%.2f allocations and %.0f bytes per task", got, float64(m1.TotalAlloc-m0.TotalAlloc)/tasks)
+		got := float64(m1.Mallocs-m0.Mallocs) / float64(tasks)
+		t.Logf("%.2f allocations and %.0f bytes per task", got, float64(m1.TotalAlloc-m0.TotalAlloc)/float64(tasks))
 		perTask = min(perTask, got)
 	}
 	if n := fproto.CodecFallbacks.Value() - fallbacks; n != 0 {

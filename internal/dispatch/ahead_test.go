@@ -25,8 +25,8 @@ import (
 	"falkon/internal/task"
 )
 
-// grantsSince groups the dispatcher's pulled and acked trace events after
-// seq into pull replies: the tasks of one grant share an executor and a
+// grantsSince groups the dispatcher's pulled, acked and pushed trace events
+// after seq into grants: the tasks of one grant share an executor and a
 // timestamp. It returns the grants, and which grant each task last rode in.
 func grantsSince(d *dispatch.Dispatcher, seq uint64) (grants [][]task.ID, grantOf map[task.ID]int) {
 	type key struct {
@@ -37,7 +37,7 @@ func grantsSince(d *dispatch.Dispatcher, seq uint64) (grants [][]task.ID, grantO
 	index := make(map[key]int)
 	grantOf = make(map[task.ID]int)
 	for _, ev := range evs {
-		if ev.Kind != obs.EvPulled && ev.Kind != obs.EvAcked {
+		if ev.Kind != obs.EvPulled && ev.Kind != obs.EvAcked && ev.Kind != obs.EvPushed {
 			continue
 		}
 		k := key{ev.Executor, ev.At}
@@ -152,11 +152,14 @@ func (f *cuts) sever(i int) {
 }
 
 // Exactly-once through a batch. A victim executor is handed a batch of at
-// least 8 tasks whose first blocks on a gate; with the batch in its hands it
-// is lost in one of four ways; a survivor executor finishes the work. Every
-// task reaches the client once, the lost attempts are counted in Retried (or
-// the late results in Duplicates), and the dispatcher ends with nothing
-// queued, outstanding or busy.
+// least 8 tasks whose first blocks on a gate — in the work push itself, the
+// victim waiting, or in the reply to the Deliver of a task that rode alone;
+// with the batch in its hands it is lost in one of four ways; a survivor
+// executor finishes the work. Every task reaches the client once, the lost
+// attempts are counted in Retried (or the late results in Duplicates), and the
+// dispatcher ends with nothing queued, outstanding or busy. And an executor
+// that has gone quiet is not fed: between the replay of the stalled victim's
+// batch and its late Deliver it is granted nothing.
 func TestBatchLostWithItsExecutorIsDeliveredOnce(t *testing.T) {
 	type rig struct {
 		d      *dispatch.Dispatcher
@@ -164,6 +167,7 @@ func TestBatchLostWithItsExecutorIsDeliveredOnce(t *testing.T) {
 		cuts   *cuts
 		armed  *atomic.Bool // the victim's next crash hook kills it
 		batch  int          // tasks in the victim's gated batch
+		seq    uint64       // the dispatcher's trace once the victim holds the batch
 		gen    *task.IDGen
 		opened func() // opens the gate
 	}
@@ -177,7 +181,7 @@ func TestBatchLostWithItsExecutorIsDeliveredOnce(t *testing.T) {
 		// duplicates.
 		lose func(t *testing.T, r *rig) (extra int, retried, duplicates int64)
 		// late, if set, runs once the client has every result.
-		late func(r *rig)
+		late func(t *testing.T, r *rig)
 	}{
 		{
 			name:   "crashed mid-batch",
@@ -228,120 +232,162 @@ func TestBatchLostWithItsExecutorIsDeliveredOnce(t *testing.T) {
 				waitFor(t, "the batch is replayed", func() bool { return r.d.Stats().Retried >= int64(r.batch) })
 				return 0, int64(r.batch), int64(r.batch)
 			},
-			late: func(r *rig) { r.opened() }, // the stalled batch finishes and delivers
+			late: func(t *testing.T, r *rig) {
+				// Its slot was freed by the replay timeout, not by the victim:
+				// only a pull could have shown that it is alive, and it sent none.
+				evs, _ := r.d.Tracer().Since(r.seq, 0)
+				for _, ev := range evs {
+					if ev.Executor == "exec-0" && (ev.Kind == obs.EvPushed || ev.Kind == obs.EvPulled || ev.Kind == obs.EvAcked) {
+						t.Errorf("the stalled victim was granted task %d (%s) before it delivered", ev.Task, ev.Kind)
+					}
+				}
+				r.opened() // the stalled batch finishes and delivers
+			},
 		},
 	}
 	for _, sc := range scenarios {
-		t.Run(sc.name, func(t *testing.T) {
-			var armed atomic.Bool
-			// The gate holds the first attempt to pass it until closed.
-			var gate atomic.Pointer[chan struct{}]
-			entered := make(chan struct{}, 1)
-			funcs := map[string]executor.Func{
-				"gate": func(task.Task) (string, int, error) {
-					if g := gate.Swap(nil); g != nil {
-						entered <- struct{}{}
-						<-*g
-					}
-					return "", 0, nil
-				},
-				"step": func(task.Task) (string, int, error) { return "", 0, nil },
+		for _, pushed := range []bool{false, true} {
+			how := "holds a pulled batch"
+			if pushed {
+				how = "holds a pushed batch"
 			}
-			cut := &cuts{}
-			dopts := sc.dopts
-			dopts.Shards, dopts.Faults, dopts.TraceCapacity = 1, cut, 1<<16
-			d, c, _ := startSystem(t, dopts, client.Options{BundleSize: 64}, 1, executor.Options{
-				Funcs:  funcs,
-				Faults: faultinj.New(sc.faults, nil, nil),
-				CrashFunc: func(int) {
-					if armed.Load() {
-						runtime.Goexit() // the slot dies where it stands; its connection closes behind it
-					}
-				},
-			})
-			var gen task.IDGen
-			r := &rig{d: d, c: c, cuts: cut, armed: &armed, gen: &gen}
-			submitted := 0
+			t.Run(sc.name+"/"+how, func(t *testing.T) {
+				var armed atomic.Bool
+				// The gate holds the first attempt to pass it until closed.
+				var gate atomic.Pointer[chan struct{}]
+				entered := make(chan struct{}, 1)
+				funcs := map[string]executor.Func{
+					"gate": func(task.Task) (string, int, error) {
+						if g := gate.Swap(nil); g != nil {
+							entered <- struct{}{}
+							<-*g
+						}
+						return "", 0, nil
+					},
+					"step": func(task.Task) (string, int, error) { return "", 0, nil },
+				}
+				cut := &cuts{}
+				dopts := sc.dopts
+				dopts.Shards, dopts.Faults, dopts.TraceCapacity = 1, cut, 1<<16
+				d, c, _ := startSystem(t, dopts, client.Options{BundleSize: 64}, 1, executor.Options{
+					Funcs:      funcs,
+					SleepScale: 1e-15, // a declared hour is no sleep at all
+					Faults:     faultinj.New(sc.faults, nil, nil),
+					CrashFunc: func(int) {
+						if armed.Load() {
+							runtime.Goexit() // the slot dies where it stands; its connection closes behind it
+						}
+					},
+				})
+				var gen task.IDGen
+				r := &rig{d: d, c: c, cuts: cut, armed: &armed, gen: &gen}
+				submitted := 0
 
-			// Hand the victim a gated batch of at least 8. Its ask is deep
-			// after the warm-up unless the host stalled inside one of the
-			// run times it measured; then the batch is let through and the
-			// hand-off tried again.
-			const gated = 16
-			for attempt := 0; r.batch < 8; attempt++ {
-				if attempt == 10 {
-					t.Fatal("the victim was never handed 8 of 16 queued tasks in one grant")
-				}
-				submitted += warmUp(t, d, c, &gen)
-				g := make(chan struct{})
-				gate.Store(&g)
-				r.opened = func() { close(g) }
-				seq := traceSeq(d)
-				tasks := make([]task.Task, gated)
-				for i := range tasks {
-					tasks[i] = task.Task{ID: gen.Next(), Engine: task.EngineFunc, Command: "step"}
-				}
-				tasks[0].Command = "gate"
-				if err := c.Submit(tasks); err != nil {
-					t.Fatal(err)
-				}
-				submitted += gated
-				select {
-				case <-entered:
-				case <-time.After(20 * time.Second):
-					t.Fatal("the gate task never started")
-				}
-				grants, grantOf := grantsSince(d, seq)
-				if r.batch = len(grants[grantOf[tasks[0].ID]]); r.batch < 8 {
-					t.Logf("attempt %d: the gate task rode in a grant of %d, retrying", attempt, r.batch)
-					close(g)
-					if _, err := c.WaitN(gated, 30*time.Second); err != nil {
+				// Hand the victim a gated batch of at least 8. The warm-up leaves it
+				// waiting, so a bundle that starts with the gate is granted in the
+				// push; one that starts with a task declaring an hour has that task
+				// ride the push alone (a task that says it is long is not bundled),
+				// and the gated batch comes back on its Deliver. The victim's ask
+				// is deep after the warm-up unless the host stalled inside one of
+				// the run times it measured; then the batch is let through and the
+				// hand-off tried again.
+				const gated = 16
+				for attempt := 0; r.batch < 8; attempt++ {
+					if attempt == 10 {
+						t.Fatal("the victim was never handed 8 of 16 queued tasks in one grant")
+					}
+					submitted += warmUp(t, d, c, &gen)
+					g := make(chan struct{})
+					gate.Store(&g)
+					r.opened = func() { close(g) }
+					seq := traceSeq(d)
+					tasks := make([]task.Task, gated)
+					for i := range tasks {
+						tasks[i] = task.Task{ID: gen.Next(), Engine: task.EngineFunc, Command: "step"}
+					}
+					tasks[0].Command = "gate"
+					bundle := tasks
+					if !pushed {
+						bundle = append([]task.Task{{ID: gen.Next(), Engine: task.EngineSleep, Duration: time.Hour}}, tasks...)
+					}
+					if err := c.Submit(bundle); err != nil {
 						t.Fatal(err)
 					}
+					submitted += len(bundle)
+					select {
+					case <-entered:
+					case <-time.After(20 * time.Second):
+						t.Fatal("the gate task never started")
+					}
+					if !pushed { // the result that brought the batch
+						if _, err := c.WaitN(1, 30*time.Second); err != nil {
+							t.Fatal(err)
+						}
+					}
+					grants, grantOf := grantsSince(d, seq)
+					if r.batch = len(grants[grantOf[tasks[0].ID]]); r.batch < 8 {
+						t.Logf("attempt %d: the gate task rode in a grant of %d, retrying", attempt, r.batch)
+						close(g)
+						if _, err := c.WaitN(gated, 30*time.Second); err != nil {
+							t.Fatal(err)
+						}
+						continue
+					}
+					want := obs.EvAcked
+					if pushed {
+						want = obs.EvPushed
+					}
+					evs, _ := d.Tracer().Since(seq, 0)
+					for _, ev := range evs {
+						if ev.Task == tasks[0].ID && ev.Kind != obs.EvEnqueued && ev.Kind != want {
+							t.Fatalf("the gated batch reached the victim as %q, want %q", ev.Kind, want)
+						}
+					}
 				}
-			}
-			settled := d.Stats()
-			if settled.Retried != 0 || settled.Duplicates != 0 {
-				t.Fatalf("before the fault: retried=%d duplicates=%d, want 0 0", settled.Retried, settled.Duplicates)
-			}
-
-			extra, retried, duplicates := sc.lose(t, r)
-			submitted += extra
-			survivor, err := executor.Start(executor.Options{ID: "survivor", DispatcherAddr: d.Addr(), Funcs: funcs})
-			if err != nil {
-				t.Fatal(err)
-			}
-			defer survivor.Stop()
-
-			// The gated tasks and the extra ones are what is still owed.
-			rs, err := c.WaitN(gated+extra, 30*time.Second)
-			if err != nil {
-				t.Fatal(err)
-			}
-			seen := make(map[task.ID]bool)
-			for _, res := range rs {
-				if res.Failed() || seen[res.ID] {
-					t.Fatalf("bad or repeated result: %+v", res)
+				r.seq = traceSeq(d)
+				settled := d.Stats()
+				if settled.Retried != 0 || settled.Duplicates != 0 {
+					t.Fatalf("before the fault: retried=%d duplicates=%d, want 0 0", settled.Retried, settled.Duplicates)
 				}
-				seen[res.ID] = true
-			}
-			if sc.late != nil {
-				sc.late(r)
-			}
-			waitFor(t, fmt.Sprintf("%d duplicates are counted", duplicates), func() bool { return d.Stats().Duplicates >= duplicates })
-			select {
-			case res := <-c.Results():
-				t.Fatalf("a result was delivered twice: %+v", res)
-			case <-time.After(100 * time.Millisecond):
-			}
-			waitFor(t, "the dispatcher is idle", func() bool { return d.Stats().BusyExecutors == 0 })
-			st := d.Stats()
-			if st.Completed != int64(submitted) || st.Failed != 0 || st.Retried != retried || st.Duplicates != duplicates ||
-				st.Queued != 0 || st.Outstanding != 0 {
-				t.Fatalf("completed=%d failed=%d retried=%d duplicates=%d queued=%d outstanding=%d, want %d 0 %d %d 0 0",
-					st.Completed, st.Failed, st.Retried, st.Duplicates, st.Queued, st.Outstanding, submitted, retried, duplicates)
-			}
-		})
+
+				extra, retried, duplicates := sc.lose(t, r)
+				submitted += extra
+				survivor, err := executor.Start(executor.Options{ID: "survivor", DispatcherAddr: d.Addr(), Funcs: funcs})
+				if err != nil {
+					t.Fatal(err)
+				}
+				defer survivor.Stop()
+
+				// The gated tasks and the extra ones are what is still owed.
+				rs, err := c.WaitN(gated+extra, 30*time.Second)
+				if err != nil {
+					t.Fatal(err)
+				}
+				seen := make(map[task.ID]bool)
+				for _, res := range rs {
+					if res.Failed() || seen[res.ID] {
+						t.Fatalf("bad or repeated result: %+v", res)
+					}
+					seen[res.ID] = true
+				}
+				if sc.late != nil {
+					sc.late(t, r)
+				}
+				waitFor(t, fmt.Sprintf("%d duplicates are counted", duplicates), func() bool { return d.Stats().Duplicates >= duplicates })
+				select {
+				case res := <-c.Results():
+					t.Fatalf("a result was delivered twice: %+v", res)
+				case <-time.After(100 * time.Millisecond):
+				}
+				waitFor(t, "the dispatcher is idle", func() bool { return d.Stats().BusyExecutors == 0 })
+				st := d.Stats()
+				if st.Completed != int64(submitted) || st.Failed != 0 || st.Retried != retried || st.Duplicates != duplicates ||
+					st.Queued != 0 || st.Outstanding != 0 {
+					t.Fatalf("completed=%d failed=%d retried=%d duplicates=%d queued=%d outstanding=%d, want %d 0 %d %d 0 0",
+						st.Completed, st.Failed, st.Retried, st.Duplicates, st.Queued, st.Outstanding, submitted, retried, duplicates)
+				}
+			})
+		}
 	}
 }
 

@@ -186,6 +186,19 @@ type execRef struct {
 	// so nothing declared is bundled, until the first delivery. Guarded by
 	// the home shard's lock.
 	rtt time.Duration
+	// grants is the executor's Register-time announcement that it runs work
+	// pushed to it; parked counts its slots that are waiting by their own
+	// account — the slot's last GetWork or Deliver came back empty and nothing
+	// has been granted to it since — and ask is the size of the executor's
+	// last ask. A work push to a parked slot carries the grant itself
+	// (notifyShardLocked) — unless the dispatcher has freed a slot of the
+	// executor on its own (replay timeout, a replaced duplicate: sched.Exec's
+	// Suspect): the whole executor may be hung, its parked slots with it, and
+	// only a message from it proves otherwise. parked and ask are guarded by
+	// the home shard's lock.
+	grants bool
+	parked int
+	ask    int
 }
 
 // declaredRun is the run time a task states for itself: the synthetic
@@ -265,15 +278,16 @@ type resultRun struct {
 	end  int
 }
 
-// notifyPush is one deferred work-available notification ({3}). It holds a
-// snapshot of the executor fields taken under the shard lock — never the
-// live *sched.Exec, which other handlers mutate concurrently once the lock
-// is released.
+// notifyPush is one deferred work notification ({3}): work-available, or
+// with grant set the work itself. It holds a snapshot of the executor fields
+// taken under the shard lock — never the live *sched.Exec, which other
+// handlers mutate concurrently once the lock is released.
 type notifyPush struct {
 	peer   *wsrpc.Peer
 	exec   string
 	at     time.Duration
 	queued int
+	grant  fproto.GetWorkReply
 }
 
 // stampRec is one deferred stage-latency observation: the stamps plus the
@@ -373,9 +387,11 @@ type Dispatcher struct {
 	hSchedCore *metrics.FixedHistogram
 	hFxFlush   *metrics.FixedHistogram
 	hWALWait   *metrics.FixedHistogram
-	// hGrant is the tasks per non-empty pull reply (falkon_dispatch_grant_tasks):
-	// the batch depth dispatch-ahead settled on.
-	hGrant *metrics.FixedHistogram
+	// hGrant is the tasks per grant, pulled or pushed
+	// (falkon_dispatch_grant_tasks): the batch depth dispatch-ahead settled on.
+	// grantsPushed counts the grants that rode a work push instead of a reply.
+	hGrant       *metrics.FixedHistogram
+	grantsPushed *metrics.Counter
 	// Pushes attempted ({3}, {8} and capacity hints) and pushes that failed.
 	notifications *metrics.Counter
 	notifyErrs    *metrics.Counter
@@ -506,6 +522,7 @@ func New(opts Options) *Dispatcher {
 	d.hFxFlush = d.reg.Histogram(obs.OverheadKey(obs.OverheadFxFlush))
 	d.hWALWait = d.reg.Histogram(obs.OverheadKey(obs.OverheadWALWait))
 	d.hGrant = d.reg.Histogram("falkon_dispatch_grant_tasks")
+	d.grantsPushed = d.reg.Counter("falkon_dispatch_grants_pushed_total")
 	d.notifications = d.reg.Counter("falkon_notifications_total")
 	d.notifyErrs = d.reg.Counter("falkon_notify_errors_total")
 	d.srv = wsrpc.NewServer(wsrpc.ServerOptions{Security: opts.Security, PSK: opts.PSK, Logf: d.logf, Metrics: d.reg, Faults: opts.Faults})
@@ -613,10 +630,15 @@ func (d *Dispatcher) flush(f *fx) {
 			th.e2e.Observe(rec.st.E2E().Seconds())
 		}
 	}
-	for _, n := range f.notifies {
-		d.tracer.Record(n.at, obs.EvNotified, 0, 0, "", n.exec)
+	for i := range f.notifies {
 		// A failed push needs no recovery here: the executor's disconnect
-		// handling replays whatever it held.
+		// handling replays whatever it held, a pushed grant included.
+		n := &f.notifies[i]
+		if len(n.grant.Assignments) > 0 {
+			d.notify(n.peer, fproto.NotifyWorkGrant, &n.grant) // encoded before Notify returns
+			continue
+		}
+		d.tracer.Record(n.at, obs.EvNotified, 0, 0, "", n.exec)
 		d.notify(n.peer, fproto.NotifyWorkAvailable, fproto.WorkAvailable{Queued: n.queued})
 	}
 	start := 0
@@ -694,14 +716,39 @@ func (d *Dispatcher) requeueAll(f *fx) {
 // notifyShardLocked runs s's local notify pass, snapshotting each
 // notification into f while still holding s.mu (the live *sched.Exec must
 // not escape the critical section — concurrent handlers mutate it).
+//
+// Work rides the push: an executor that accepts grants and has a parked slot
+// is granted on the spot, by the function that answers its pulls, and the
+// notification carries the assignments. Everyone else — an executor that did
+// not announce it, a fresh registration, an executor the dispatcher has freed
+// a slot of by itself and not heard from since — is told that work is
+// available and pulls. A granted executor stays on offer for its other slots,
+// so the pass repeats until the queue is covered.
 func (d *Dispatcher) notifyShardLocked(f *fx, s *shard, now time.Duration) {
-	for _, n := range s.core.Notifications(now) {
-		f.notifies = append(f.notifies, notifyPush{
-			peer:   n.Exec.Ref.(*execRef).peer,
-			exec:   n.Exec.ID,
-			at:     n.Exec.LastNotifyAt,
-			queued: n.Queued,
-		})
+	for ns := s.core.Notifications(now); len(ns) > 0; ns = s.core.Notifications(now) {
+		for _, n := range ns {
+			ex, ref := n.Exec, n.Exec.Ref.(*execRef)
+			push := notifyPush{peer: ref.peer, exec: ex.ID, at: ex.LastNotifyAt, queued: n.Queued}
+			if ref.grants && ref.parked > 0 && !ex.Suspect {
+				push.grant.Assignments = d.assignLocked(f, s, ex, ref.ask, obs.EvPushed, now)
+			}
+			granted := len(push.grant.Assignments)
+			if granted == 0 && s.core.QueueLen() > 0 {
+				f.notifies = append(f.notifies, push) // told; it pulls
+				continue
+			}
+			// Nothing is left for the executor to acknowledge: it was handed
+			// the work, or an earlier grant of this pass took it.
+			ex.Notified = false
+			s.core.Offer(ex)
+			if granted > 0 {
+				ref.parked--
+				d.grantsPushed.Inc()
+				d.hGrant.Observe(float64(granted))
+				f.notifies = append(f.notifies, push)
+				s.syncDepth()
+			}
+		}
 	}
 }
 
@@ -1285,20 +1332,16 @@ func (d *Dispatcher) replay(f *fx, s *shard, o *sched.Outstanding[string, outKey
 // it stops short of the first task whose declared run time would take the
 // batch past the executor's last round trip (sched.Core.PickWithin) — so an
 // idle slot is never starved by a neighbour's batch and a task that says it
-// is long rides alone. piggy marks assignments riding a deliver
-// acknowledgment rather than a work pull. Callers hold s.mu.
-func (d *Dispatcher) assignLocked(f *fx, s *shard, ex *sched.Exec[string], asked int, piggy bool) []fproto.Assignment {
-	kind := obs.EvPulled
-	if piggy {
-		kind = obs.EvAcked
-	}
+// is long rides alone. kind is how the assignments travel: the reply to a
+// work pull, a deliver acknowledgment, or the work push itself, whose now is
+// the notification's own stamp. Callers hold s.mu.
+func (d *Dispatcher) assignLocked(f *fx, s *shard, ex *sched.Exec[string], asked int, kind obs.EventKind, now time.Duration) []fproto.Assignment {
 	n := min(s.core.Share(asked), s.core.QueueLen())
 	if n == 0 {
 		return nil
 	}
 	as := make([]fproto.Assignment, 0, n) // sized by the grant, not the ask
-	now := d.now()
-	room := sched.Unbounded // the first task is granted whatever it declares
+	room := sched.Unbounded               // the first task is granted whatever it declares
 	for len(as) < n {
 		it, hit, ok := s.core.PickWithin(ex, room)
 		if !ok {
@@ -1371,7 +1414,7 @@ func (d *Dispatcher) stealTask(home int) (it sched.Item[taskRef], v *shard, ok b
 // order. If ex was dropped while the steal ran (its registration changed
 // under us), the task goes back to its affinity shard via f.requeues
 // instead. Callers hold s.mu.
-func (d *Dispatcher) assignStolen(f *fx, s *shard, ex *sched.Exec[string], it sched.Item[taskRef], v *shard, piggy bool) []fproto.Assignment {
+func (d *Dispatcher) assignStolen(f *fx, s *shard, ex *sched.Exec[string], it sched.Item[taskRef], v *shard, kind obs.EventKind) []fproto.Assignment {
 	if cur, ok := s.core.Exec(ex.ID); !ok || cur != ex {
 		f.requeues = append(f.requeues, it) // keeps the limbo count
 		return nil
@@ -1380,10 +1423,6 @@ func (d *Dispatcher) assignStolen(f *fx, s *shard, ex *sched.Exec[string], it sc
 	if it.X.inst == nil || it.X.inst.destroyed.Load() {
 		d.tenants.release(taskTenant(it.X), 1, false)
 		return nil // instance destroyed while queued
-	}
-	kind := obs.EvPulled
-	if piggy {
-		kind = obs.EvAcked
 	}
 	now := d.now()
 	s.core.Assign(now, ex, outKey{it.X.epr, it.X.t.ID}, it)

@@ -371,7 +371,9 @@ func (d *Dispatcher) handleRegister(p *wsrpc.Peer, body json.RawMessage) (any, e
 	// A re-register replaces the old connection (e.g. executor restart);
 	// the core keeps outstanding entries so late results still resolve.
 	ex := s.core.AddExec(req.ExecutorID, req.Slots)
-	ex.Ref = &execRef{peer: p, allocation: req.Allocation, home: home}
+	// Its slots are not parked until they say so: what is queued now is
+	// announced, never pushed ahead of the register reply.
+	ex.Ref = &execRef{peer: p, allocation: req.Allocation, home: home, grants: req.AcceptsGrants}
 	s.core.Offer(ex)
 	d.notifyShardLocked(f, s, d.now())
 	s.mu.Unlock()
@@ -429,8 +431,11 @@ func (d *Dispatcher) handleGetWork(p *wsrpc.Peer, body json.RawMessage) (any, er
 		s.mu.Unlock()
 		return nil, fmt.Errorf("dispatch: unregistered executor %q", req.ExecutorID)
 	}
-	ex.Notified = false
-	as := d.pullLocked(f, s, ex, req.Max, false)
+	ex.Notified, ex.Suspect = false, false
+	if ref := ex.Ref.(*execRef); ref.parked > 0 {
+		ref.parked-- // a slot that pulls was waiting until now
+	}
+	as := d.pullLocked(f, s, ex, req.Max, obs.EvPulled)
 	s.core.Offer(ex)
 	if len(as) > 0 {
 		// Other executors may still be needed for the rest of the queue.
@@ -443,22 +448,28 @@ func (d *Dispatcher) handleGetWork(p *wsrpc.Peer, body json.RawMessage) (any, er
 }
 
 // pullLocked answers one pull by ex — a GetWork, or the ask a Deliver
-// piggy-backs — for asked tasks: a grant from the home queue (assignLocked),
-// or, when that is dry and another shard is not, one stolen task. Victim
-// locks are taken one at a time with s.mu released. Callers hold s.mu.
-func (d *Dispatcher) pullLocked(f *fx, s *shard, ex *sched.Exec[string], asked int, piggy bool) []fproto.Assignment {
-	as := d.assignLocked(f, s, ex, max(asked, 1), piggy)
+// piggy-backs (kind says which) — for asked tasks: a grant from the home
+// queue (assignLocked), or, when that is dry and another shard is not, one
+// stolen task. A pull answered with nothing parks the slot that sent it: the
+// next work push may carry its grant (notifyShardLocked). Victim locks are
+// taken one at a time with s.mu released. Callers hold s.mu.
+func (d *Dispatcher) pullLocked(f *fx, s *shard, ex *sched.Exec[string], asked int, kind obs.EventKind) []fproto.Assignment {
+	ref := ex.Ref.(*execRef)
+	ref.ask = max(asked, 1)
+	as := d.assignLocked(f, s, ex, ref.ask, kind, d.now())
 	if len(as) == 0 && d.queuedElsewhere(s) {
 		s.syncDepth()
 		s.mu.Unlock()
 		it, v, ok := d.stealTask(s.idx)
 		s.mu.Lock()
 		if ok {
-			as = d.assignStolen(f, s, ex, it, v, piggy)
+			as = d.assignStolen(f, s, ex, it, v, kind)
 		}
 	}
 	if len(as) > 0 {
 		d.hGrant.Observe(float64(len(as)))
+	} else if ref.parked < ex.Free() {
+		ref.parked++
 	}
 	return as
 }
@@ -527,11 +538,11 @@ func (d *Dispatcher) handleDeliver(p *wsrpc.Peer, body json.RawMessage) (any, er
 		f.stamps = append(f.stamps, stampRec{st: st, tenant: tenant})
 		d.finalize(f, s, o.Item.X, r)
 	}
-	ex.Notified = false
+	ex.Notified, ex.Suspect = false, false
 	ex.Ref.(*execRef).rtt = max(now-sent-ran, 0)
 	var as []fproto.Assignment
 	if req.WantWork {
-		as = d.pullLocked(f, s, ex, req.MaxNew, true)
+		as = d.pullLocked(f, s, ex, req.MaxNew, obs.EvAcked)
 	}
 	s.core.Offer(ex)
 	d.notifyShardLocked(f, s, now)

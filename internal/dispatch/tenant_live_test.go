@@ -174,20 +174,33 @@ func TestLiveHostileTenantOrder(t *testing.T) {
 // TestLiveTenantQuotaBackpressure: a tenant capped at a small in-flight
 // quota can still push a larger workload through — the client stalls on
 // retry-after hints while results open headroom, and every task completes.
+// The executors arrive once the client has been throttled: instant tasks
+// handed over in the work push can finish before the next bundle of 4 is
+// submitted, and whether the quota ever fills would be a matter of timing.
 func TestLiveTenantQuotaBackpressure(t *testing.T) {
 	dopts := dispatch.Options{
 		Tenants: []dispatch.TenantSpec{{Name: "capped", Quota: 8}},
 	}
-	_, c, _ := startSystem(t, dopts, client.Options{Tenant: "capped", BundleSize: 4}, 2, executor.Options{})
+	d, c, _ := startSystem(t, dopts, client.Options{Tenant: "capped", BundleSize: 4}, 0, executor.Options{})
 	var gen task.IDGen
-	if err := c.Submit(task.Batch(&gen, 64, 0)); err != nil {
+	submitted := make(chan error, 1)
+	go func() { submitted <- c.Submit(task.Batch(&gen, 64, 0)) }()
+	waitFor(t, "the third bundle is throttled", func() bool { return c.Throttled() > 0 })
+	if st := d.Stats(); st.Queued != 8 {
+		t.Fatalf("%d tasks queued behind a quota of 8", st.Queued)
+	}
+	for _, id := range []string{"exec-0", "exec-1"} {
+		ex, err := executor.Start(executor.Options{ID: id, DispatcherAddr: d.Addr()})
+		if err != nil {
+			t.Fatal(err)
+		}
+		defer ex.Stop()
+	}
+	if err := <-submitted; err != nil {
 		t.Fatal(err)
 	}
 	if _, err := c.WaitN(64, 30*time.Second); err != nil {
 		t.Fatal(err)
-	}
-	if c.Throttled() == 0 {
-		t.Fatal("quota-capped workload was never throttled")
 	}
 }
 

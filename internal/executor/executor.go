@@ -1,7 +1,8 @@
 // Package executor implements the Falkon executor: the lightweight agent
-// that registers with a dispatcher, listens for work-available
-// notifications (the push half of the hybrid protocol), pulls tasks, runs
-// them, and delivers results with piggy-backed requests for more work.
+// that registers with a dispatcher, listens for work notifications (the push
+// half of the hybrid protocol), pulls tasks — or is handed them in the push
+// itself, once a slot has told the dispatcher it is waiting — runs them, and
+// delivers results with piggy-backed requests for more work.
 //
 // Besides the real fork/exec engine, the executor supports synthetic task
 // engines (sleep, data, func) so experiments and tests can run without
@@ -124,8 +125,13 @@ type Executor struct {
 	hOverhed    *metrics.FixedHistogram
 
 	wake chan struct{}
-	stop chan struct{}
-	done chan struct{}
+	// pushed hands grants that rode a work push from the read loop to a
+	// waiting slot. The dispatcher pushes only to slots that told it they are
+	// waiting, so at most Slots grants are ever unconsumed and the buffer is
+	// that deep (onNotify has the read loop wait for nothing all the same).
+	pushed chan []fproto.Assignment
+	stop   chan struct{}
+	done   chan struct{}
 
 	mu       sync.Mutex
 	active   int
@@ -157,10 +163,11 @@ func Start(opts Options) (*Executor, error) {
 		return nil, fmt.Errorf("executor %s: no dispatcher address", opts.ID)
 	}
 	e := &Executor{
-		opts: opts,
-		wake: make(chan struct{}, opts.Slots),
-		stop: make(chan struct{}),
-		done: make(chan struct{}),
+		opts:   opts,
+		wake:   make(chan struct{}, opts.Slots),
+		pushed: make(chan []fproto.Assignment, opts.Slots),
+		stop:   make(chan struct{}),
+		done:   make(chan struct{}),
 	}
 	e.reg = opts.Metrics
 	if e.reg == nil {
@@ -219,9 +226,10 @@ func Start(opts Options) (*Executor, error) {
 func (e *Executor) register(cli *wsrpc.Client, _ int) error {
 	var reply fproto.RegisterReply
 	err := cli.Call(fproto.MethodRegister, fproto.RegisterRequest{
-		ExecutorID: e.opts.ID,
-		Slots:      e.opts.Slots,
-		Allocation: e.opts.Allocation,
+		ExecutorID:    e.opts.ID,
+		Slots:         e.opts.Slots,
+		Allocation:    e.opts.Allocation,
+		AcceptsGrants: true,
 	}, &reply)
 	if err != nil {
 		return fmt.Errorf("executor %s: register: %w", e.opts.ID, err)
@@ -255,19 +263,41 @@ func (e *Executor) wakeSlots(n int) {
 	}
 }
 
-// onNotify wakes workers on work-available pushes; it runs on the client
-// read loop. The notification's queued-tasks hint wakes one slot per waiting
-// task, so multi-slot executors ramp up from a single push.
+// onNotify takes the dispatcher's work pushes; it runs on the client read
+// loop. A work-available push wakes one slot per waiting task (its queued-tasks
+// hint), so multi-slot executors ramp up from a single push; a work grant is
+// handed to a waiting slot as it is. A grant that arrives once shutdown has
+// begun is left unread: the deregistration has the dispatcher replay it.
 func (e *Executor) onNotify(method string, body json.RawMessage) {
-	if method != fproto.NotifyWorkAvailable {
-		return
+	switch method {
+	case fproto.NotifyWorkAvailable:
+		n := 1
+		var wa fproto.WorkAvailable
+		if err := wa.DecodeJSON(body); err == nil && wa.Queued > n {
+			n = wa.Queued
+		}
+		e.wakeSlots(min(n, e.opts.Slots))
+	case fproto.NotifyWorkGrant:
+		var g fproto.GetWorkReply
+		if err := g.DecodeJSON(body); err != nil {
+			e.logf("executor %s: work grant: %v", e.opts.ID, err)
+			return
+		}
+		select {
+		case e.pushed <- g.Assignments:
+		default:
+			// More grants than slots were waiting for: the dispatcher's count
+			// is not this executor's to trust. The read loop cannot wait for
+			// room — the reply that frees a slot may be behind this frame —
+			// so the grant waits on a goroutine of its own.
+			go func() {
+				select {
+				case e.pushed <- g.Assignments:
+				case <-e.stop:
+				}
+			}()
+		}
 	}
-	n := 1
-	var wa fproto.WorkAvailable
-	if err := wa.DecodeJSON(body); err == nil && wa.Queued > n {
-		n = wa.Queued
-	}
-	e.wakeSlots(min(n, e.opts.Slots))
 }
 
 // logf logs through the configured sink.
@@ -356,8 +386,9 @@ func (e *Executor) shutdown(reason string) bool {
 	return true
 }
 
-// workLoop is one slot's serve loop: wait for a notification, pull work,
-// and keep running piggy-backed assignments until the dispatcher runs dry.
+// workLoop is one slot's serve loop: wait for a notification, pull work —
+// unless the notification brought it — and keep running piggy-backed
+// assignments until the dispatcher runs dry.
 func (e *Executor) workLoop() {
 	var ps pullSizer
 	for {
@@ -368,6 +399,7 @@ func (e *Executor) workLoop() {
 			idleC = idleTimer.C
 		}
 		woke := false
+		var as []fproto.Assignment
 		select {
 		case <-e.stop:
 		case <-e.sess.Done(): // dropped without Reconnect, or gave up redialing
@@ -377,6 +409,8 @@ func (e *Executor) workLoop() {
 			}
 			e.releaseIdle()
 		case <-e.wake:
+			woke = true
+		case as = <-e.pushed:
 			woke = true
 		}
 		if idleTimer != nil {
@@ -388,6 +422,11 @@ func (e *Executor) workLoop() {
 		cli, _, err := e.sess.Conn()
 		if err != nil {
 			return
+		}
+		if as != nil {
+			e.traceAssigned(e.at(), obs.EvPushed, as)
+			e.runAssignments(cli, &ps, as)
+			continue
 		}
 		var reply fproto.GetWorkReply
 		sent := time.Now()
@@ -406,10 +445,15 @@ func (e *Executor) workLoop() {
 			continue
 		}
 		ps.rtt = time.Since(sent)
-		for _, a := range reply.Assignments {
-			e.tracer.Record(e.at(), obs.EvPulled, a.Task.Trace, a.Task.ID, a.EPR, e.opts.ID)
-		}
+		e.traceAssigned(e.at(), obs.EvPulled, reply.Assignments)
 		e.runAssignments(cli, &ps, reply.Assignments)
+	}
+}
+
+// traceAssigned records how a batch of assignments reached this executor.
+func (e *Executor) traceAssigned(at time.Duration, kind obs.EventKind, as []fproto.Assignment) {
+	for _, a := range as {
+		e.tracer.Record(at, kind, a.Task.Trace, a.Task.ID, a.EPR, e.opts.ID)
 	}
 }
 
@@ -525,9 +569,7 @@ func (e *Executor) runAssignments(cli *wsrpc.Client, ps *pullSizer, as []fproto.
 		for _, tr := range results {
 			e.tracer.Record(now, obs.EvDelivered, tr.Result.Trace, tr.Result.ID, tr.EPR, e.opts.ID)
 		}
-		for _, a := range reply.Assignments {
-			e.tracer.Record(now, obs.EvAcked, a.Task.Trace, a.Task.ID, a.EPR, e.opts.ID)
-		}
+		e.traceAssigned(now, obs.EvAcked, reply.Assignments)
 		as = reply.Assignments
 	}
 }

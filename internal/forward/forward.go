@@ -397,8 +397,12 @@ func (f *Forwarder) ensureDown(inst *finst, idx int, cli *wsrpc.Client) (string,
 // leaves on failure. The bundle's tasks are recorded pending (with their
 // target leaf) before the downstream call, so a leaf dying mid-submit can
 // never lose them — redistribute replays whatever the dead leaf owed.
-// avoid biases the first pick away from a leaf that just failed (-1 =
-// none).
+// avoid is the leaf the bundle was last routed to (-1 = none yet); the first
+// pick is biased away from it. A bundle that has been routed before is a
+// replay, and of a replay only what is still pending is pinned and sent: a
+// task whose result arrived while the bundle waited for a leaf — a leaf going
+// down and coming up each replay the same set — owes nothing, and pinning it
+// again would deliver its second copy's result too.
 func (f *Forwarder) routeBundle(inst *finst, tasks []task.Task, trace uint64, avoid int) error {
 	deadline := time.Now().Add(routeTimeout)
 	var lastErr error
@@ -416,14 +420,26 @@ func (f *Forwarder) routeBundle(inst *finst, tasks []task.Task, trace uint64, av
 			return err
 		}
 		idx := l.idx
-		l.inflight += len(tasks)
+		charged := len(tasks)
+		l.inflight += charged
 		f.mu.Unlock()
 
 		inst.mu.Lock()
+		if avoid >= 0 {
+			tasks = inst.stillPending(tasks)
+		}
 		for _, t := range tasks {
 			inst.pending[t.ID] = pentry{t: t, leaf: idx}
 		}
 		inst.mu.Unlock()
+		if len(tasks) < charged {
+			f.mu.Lock()
+			l.inflight -= charged - len(tasks)
+			f.mu.Unlock()
+			if len(tasks) == 0 {
+				return nil
+			}
+		}
 
 		var epr string
 		var cli *wsrpc.Client

@@ -112,3 +112,15 @@ func (in *finst) takePendingFor(idx int) []task.Task {
 	}
 	return ts
 }
+
+// stillPending returns, in place, the tasks of a replayed bundle that are
+// still owed a result. Callers hold mu.
+func (in *finst) stillPending(tasks []task.Task) []task.Task {
+	kept := tasks[:0]
+	for _, t := range tasks {
+		if _, owed := in.pending[t.ID]; owed {
+			kept = append(kept, t)
+		}
+	}
+	return kept
+}

@@ -122,3 +122,88 @@ func TestDuplicateResultAfterRedistributeDrops(t *testing.T) {
 			up.got, inst.dupDrops, len(inst.pending))
 	}
 }
+
+// A leaf going down and coming up each replay everything it owed, so two
+// replays of one pending set can be under way at once. The one that is still
+// waiting for a routable leaf when a task's result arrives must not send that
+// task again: pinned pending a second time, its second result would be
+// delivered too.
+func TestReplayWaitingForALeafSendsOnlyWhatIsStillOwed(t *testing.T) {
+	d := dispatch.New(dispatch.Options{Logf: t.Logf})
+	if err := d.Listen("127.0.0.1:0"); err != nil {
+		t.Fatal(err)
+	}
+	defer d.Close()
+	ex, err := executor.Start(executor.Options{ID: "replay-exec", DispatcherAddr: d.Addr()})
+	if err != nil {
+		t.Fatal(err)
+	}
+	defer ex.Stop()
+	f, err := New(Options{Dispatchers: []string{d.Addr()}, Logf: t.Logf})
+	if err != nil {
+		t.Fatal(err)
+	}
+	if err := f.Listen("127.0.0.1:0"); err != nil {
+		t.Fatal(err)
+	}
+	defer f.Close()
+	c, err := client.Connect(client.Options{DispatcherAddr: f.Addr()})
+	if err != nil {
+		t.Fatal(err)
+	}
+	defer c.Close()
+
+	// One task through, so the instance exists on the leaf.
+	var gen task.IDGen
+	if err := c.Submit(task.Batch(&gen, 1, 0)); err != nil {
+		t.Fatal(err)
+	}
+	if _, err := c.WaitN(1, 30*time.Second); err != nil {
+		t.Fatal(err)
+	}
+	f.mu.Lock()
+	inst, l := f.byFwd[c.EPR()], f.leaves[0]
+	l.up = false // the leaf goes down owing two tasks
+	f.mu.Unlock()
+	owed := task.Batch(&gen, 2, 0)
+	inst.mu.Lock()
+	for _, tk := range owed {
+		inst.pending[tk.ID] = pentry{t: tk, leaf: 0}
+	}
+	replay := inst.takePendingFor(0)
+	inst.mu.Unlock()
+
+	// The replay parks: no leaf is up.
+	routed := make(chan error, 1)
+	go func() { routed <- f.routeBundle(inst, replay, 0, 0) }()
+	// Meanwhile the first task's result arrives (the other replay's copy).
+	f.onLeafResults(0, inst.downOn(0), []task.Result{{ID: owed[0].ID}})
+	// The leaf comes up and the parked replay goes ahead.
+	f.mu.Lock()
+	l.up = true
+	f.routable.Broadcast()
+	f.mu.Unlock()
+	if err := <-routed; err != nil {
+		t.Fatal(err)
+	}
+
+	if _, err := c.WaitN(2, 30*time.Second); err != nil {
+		t.Fatal(err)
+	}
+	for deadline := time.Now().Add(10 * time.Second); ; time.Sleep(2 * time.Millisecond) {
+		if st := d.Stats(); st.Queued == 0 && st.Outstanding == 0 {
+			break
+		}
+		if time.Now().After(deadline) {
+			t.Fatal("the leaf never went idle")
+		}
+	}
+	// The leaf ran the warm-up task and the one task still owed; the settled
+	// one was not sent again, so no second result for it is on its way.
+	if st := d.Stats(); st.Completed != 2 {
+		t.Fatalf("the leaf completed %d tasks, want 2: the replay re-sent a task whose result had arrived", st.Completed)
+	}
+	if got := retained(inst); got != 0 {
+		t.Fatalf("instance retains %d map entries, want 0", got)
+	}
+}

@@ -169,3 +169,39 @@ func TestBodyCodecWireCompat(t *testing.T) {
 		}
 	}
 }
+
+// The register request with the capability an executor announces since the
+// work grant: without it the bytes are what they always were, an old
+// dispatcher reads the new request as the old one, and a new dispatcher reads
+// an old request as "does not accept grants". (The grant itself is a
+// GetWorkReply body, pinned above, under a method name old executors ignore;
+// WorkAvailable is pinned above too.)
+func TestRegisterRequestWireCompat(t *testing.T) {
+	type oldRegisterRequest struct {
+		ExecutorID string `json:"executor_id"`
+		Slots      int    `json:"slots"`
+		Allocation string `json:"allocation,omitempty"`
+	}
+	for _, tc := range []struct {
+		msg    RegisterRequest
+		golden string
+	}{
+		{RegisterRequest{ExecutorID: "exec-3", Slots: 1}, `{"executor_id":"exec-3","slots":1}`},
+		{RegisterRequest{ExecutorID: "exec-3", Slots: 4, Allocation: "alloc-7"}, `{"executor_id":"exec-3","slots":4,"allocation":"alloc-7"}`},
+		{RegisterRequest{ExecutorID: "exec-3", Slots: 1, AcceptsGrants: true}, `{"executor_id":"exec-3","slots":1,"accepts_grants":true}`},
+	} {
+		enc, err := json.Marshal(tc.msg)
+		if err != nil || string(enc) != tc.golden {
+			t.Errorf("Marshal(%+v) = %s (%v), want %s", tc.msg, enc, err, tc.golden)
+		}
+		var old oldRegisterRequest
+		if err := json.Unmarshal(enc, &old); err != nil || old != (oldRegisterRequest{tc.msg.ExecutorID, tc.msg.Slots, tc.msg.Allocation}) {
+			t.Errorf("old dispatcher read %s as %+v (%v)", enc, old, err)
+		}
+		oldBytes, _ := json.Marshal(old)
+		var back RegisterRequest
+		if err := json.Unmarshal(oldBytes, &back); err != nil || back.AcceptsGrants {
+			t.Errorf("new dispatcher read the old request %s as %+v (%v)", oldBytes, back, err)
+		}
+	}
+}

@@ -5,6 +5,8 @@
 //	{1,2}  client    -> dispatcher  Submit (bundled tasks)
 //	{3}    dispatcher -> executor   WorkAvailable notification (push)
 //	{4,5}  executor  -> dispatcher  GetWork (pull)
+//	{3+5}  dispatcher -> executor   WorkGrant notification: the push carries
+//	       the assignments itself, to a slot the executor left waiting
 //	{6,7}  executor  -> dispatcher  Deliver (results + ack; piggy-backed new
 //	       tasks ride back on the reply)
 //	{8}    dispatcher -> client     Results notification
@@ -63,7 +65,12 @@ const (
 // Notification method names pushed by the dispatcher.
 const (
 	NotifyWorkAvailable = "falkon.work-available"
-	NotifyResults       = "falkon.results"
+	// NotifyWorkGrant is {3} carrying the work: its body is a GetWorkReply,
+	// the grant the executor's pull would have come back with. Only an
+	// executor that registered with AcceptsGrants is sent one, and only for a
+	// slot its own last GetWork or Deliver left waiting (DESIGN.md §9.2).
+	NotifyWorkGrant = "falkon.work-grant"
+	NotifyResults   = "falkon.results"
 	// NotifyCapacity carries a CapacityHint to attached tree parents.
 	NotifyCapacity = "falkon.capacity"
 )
@@ -198,6 +205,11 @@ type RegisterRequest struct {
 	// Allocation labels the provisioner allocation that created this
 	// executor ("" for statically started executors).
 	Allocation string `json:"allocation,omitempty"`
+	// AcceptsGrants announces that the executor runs assignments pushed to it
+	// in a NotifyWorkGrant. An executor that predates the field never sends
+	// it and is only ever told that work is available; a dispatcher that
+	// predates it ignores it and the executor pulls as before.
+	AcceptsGrants bool `json:"accepts_grants,omitempty"`
 }
 
 // RegisterReply acknowledges registration.

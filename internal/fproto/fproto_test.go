@@ -86,7 +86,7 @@ func TestMethodNamesAreNamespaced(t *testing.T) {
 	for _, m := range []string{
 		MethodCreateInstance, MethodDestroyInstance, MethodSubmit,
 		MethodCollect, MethodRegister, MethodDeregister, MethodGetWork,
-		MethodDeliver, MethodStats, NotifyWorkAvailable, NotifyResults,
+		MethodDeliver, MethodStats, NotifyWorkAvailable, NotifyWorkGrant, NotifyResults,
 	} {
 		if len(m) < 8 || m[:7] != "falkon." {
 			t.Fatalf("method %q not namespaced", m)

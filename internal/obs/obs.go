@@ -52,6 +52,10 @@ const (
 	// EvFailed: the task was reported failed (retries exhausted or
 	// failure with replay disabled).
 	EvFailed
+	// EvPushed: the task was assigned in the work push itself, to an
+	// executor slot that was waiting for one — no pull round trip at all.
+	// (Last, so the kinds before it keep their numbers.)
+	EvPushed
 )
 
 var kindNames = map[EventKind]string{
@@ -64,6 +68,7 @@ var kindNames = map[EventKind]string{
 	EvDelivered: "delivered",
 	EvRetried:   "retried",
 	EvFailed:    "failed",
+	EvPushed:    "pushed",
 }
 
 // String returns the event name used on the wire and in span dumps.
@@ -178,6 +183,7 @@ func (t *Tracer) Since(since uint64, max int) (events []Event, next uint64) {
 //	enqueue_notify: task enqueued → executor notified (queue wait; for
 //	    pulls not triggered by a push, this absorbs the whole wait)
 //	notify_pull:    notification sent → executor's pull assigned the task
+//	    (zero when the notification carried the task: a pushed grant)
 //	pull_start:     assignment → command start on the executor
 //	start_deliver:  command start → result accepted by the dispatcher
 const (

@@ -132,7 +132,7 @@ func kindRank(k EventKind) int {
 		return 0
 	case EvNotified:
 		return 1
-	case EvPulled, EvAcked:
+	case EvPulled, EvAcked, EvPushed:
 		return 2
 	case EvStarted:
 		return 3

@@ -50,6 +50,13 @@ type Exec[E comparable] struct {
 	// gets at most one (it clears when the executor next pulls or
 	// delivers).
 	Notified bool
+	// Suspect marks an executor the core took a slot back from without its
+	// word — the replay timeout expired its task (Expire), or a second copy
+	// of a task it holds replaced the entry (Assign). It has said nothing and
+	// may be hung; like Notified, the flag clears when the executor next
+	// pulls or delivers, and until then the live runtime hands it no work it
+	// has not asked for.
+	Suspect bool
 	// LastNotifyAt is when the last work-available push was sent — the
 	// anchor of the Figure-10 enqueue→notify stage.
 	LastNotifyAt time.Duration
@@ -538,7 +545,9 @@ func (c *Core[E, K, T]) Assign(now time.Duration, x *Exec[E], key K, it Item[T])
 		// tree parent sent it twice): this entry replaces the first, so the
 		// first holder's slot is given back here — its result will find this
 		// entry or none, and whichever result comes second is the duplicate.
-		c.release(old.Executor)
+		if holder := c.release(old.Executor); holder != nil {
+			holder.Suspect = true
+		}
 	}
 	o := &Outstanding[E, K, T]{Key: key, Item: it, Executor: x.ID, DispatchedAt: now, NotifiedAt: notifiedAt}
 	c.out[key] = o
@@ -586,6 +595,7 @@ func (c *Core[E, K, T]) Expire(cutoff time.Duration) []*Outstanding[E, K, T] {
 	}
 	for _, o := range expired {
 		if x := c.release(o.Executor); x != nil {
+			x.Suspect = true
 			c.Offer(x)
 		}
 	}

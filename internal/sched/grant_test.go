@@ -186,6 +186,9 @@ func TestAssignTwiceDoesNotLeakASlot(t *testing.T) {
 		if a.Assigned != 0 || b.Assigned != 1 {
 			t.Fatalf("Assigned a=%d b=%d, want 0 1: the entry is b's now", a.Assigned, b.Assigned)
 		}
+		if !a.Suspect || b.Suspect {
+			t.Fatalf("Suspect a=%v b=%v, want true false: a's slot came back without a word from a", a.Suspect, b.Suspect)
+		}
 		if _, ok := c.Complete("a", 7); ok {
 			t.Fatal("the replaced holder's result accepted")
 		}
@@ -199,4 +202,22 @@ func TestAssignTwiceDoesNotLeakASlot(t *testing.T) {
 			t.Fatal("an executor is not offerable with nothing outstanding")
 		}
 	})
+}
+
+// A slot the replay timeout takes back marks its executor suspect, all of its
+// slots: the executor said nothing. One whose result arrived is not.
+func TestExpireMarksTheExecutorSuspect(t *testing.T) {
+	c := newGrantCore(nil)
+	quiet, live := c.AddExec("quiet", 4), c.AddExec("live", 4)
+	c.Assign(10, quiet, 1, Item[dtask]{X: dtask{id: 1}})
+	c.Assign(10, live, 2, Item[dtask]{X: dtask{id: 2}})
+	if _, ok := c.Complete("live", 2); !ok {
+		t.Fatal("result refused")
+	}
+	if got := c.Expire(20); len(got) != 1 || got[0].Executor != "quiet" {
+		t.Fatalf("expired %+v, want quiet's task", got)
+	}
+	if !quiet.Suspect || live.Suspect || quiet.Free() != 4 || !quiet.Idle() {
+		t.Fatalf("Suspect quiet=%v live=%v, quiet free=%d idle=%v; want true false 4 true", quiet.Suspect, live.Suspect, quiet.Free(), quiet.Idle())
+	}
 }

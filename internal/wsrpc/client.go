@@ -56,7 +56,7 @@ type Client struct {
 
 	mu      sync.Mutex
 	seq     uint64
-	pending map[uint64]chan *frame
+	pending map[uint64]*callSlot
 	stats   map[string]*methodStats // per-method instruments, built on first call; nil when unmetered
 	closed  bool
 
@@ -72,6 +72,24 @@ type Client struct {
 
 	done chan struct{}
 }
+
+// callSlot is where one call waits for its reply: the read loop fills in the
+// reply's envelope fields and copies its body into the slot's own buffer
+// (the read scratch is reused by the next read), then signals ready. Slots are
+// recycled through callSlots, but only by a call that received its reply:
+// one abandoned on ctx.Done() may still be written by the read loop, and one
+// failed by teardown has a closed channel.
+type callSlot struct {
+	ready          chan struct{} // buffered 1; closed by teardown
+	errs           string
+	recvNS, sendNS int64
+	body           []byte
+}
+
+var callSlots = sync.Pool{New: func() any { return &callSlot{ready: make(chan struct{}, 1)} }}
+
+// maxPooledBody is the largest reply buffer a recycled slot keeps.
+const maxPooledBody = 64 << 10
 
 // Dial connects to a Server at addr.
 func Dial(addr string, opts ClientOptions) (*Client, error) {
@@ -102,7 +120,7 @@ func dial(ctx context.Context, addr string, opts ClientOptions, connect func(ctx
 		c.Close()
 		return nil, err
 	}
-	cl := &Client{fc: fc, opts: opts, pending: make(map[uint64]chan *frame), done: make(chan struct{})}
+	cl := &Client{fc: fc, opts: opts, pending: make(map[uint64]*callSlot), done: make(chan struct{})}
 	if opts.Metrics != nil {
 		cl.rxBytes = opts.Metrics.Counter("wsrpc_client_rx_bytes_total")
 		cl.txBytes = opts.Metrics.Counter("wsrpc_client_tx_bytes_total")
@@ -137,18 +155,15 @@ func (c *Client) readLoop() {
 		switch v.kind {
 		case kindReply:
 			c.mu.Lock()
-			ch := c.pending[v.seq]
+			slot := c.pending[v.seq]
 			delete(c.pending, v.seq)
 			c.mu.Unlock()
-			if ch != nil {
+			if slot != nil {
 				// Copy out of the read scratch: the waiter consumes the
-				// frame after this loop has moved on to the next read.
-				f := &frame{Kind: kindReply, Seq: v.seq, Err: string(v.errs),
-					Trace: v.trace, RecvNS: v.recvNS, SendNS: v.sendNS}
-				if len(v.body) > 0 {
-					f.Body = append(json.RawMessage(nil), v.body...)
-				}
-				ch <- f
+				// reply after this loop has moved on to the next read.
+				slot.errs, slot.recvNS, slot.sendNS = string(v.errs), v.recvNS, v.sendNS
+				slot.body = append(slot.body[:0], v.body...)
+				slot.ready <- struct{}{}
 			}
 		case kindNotify:
 			if c.opts.OnNotify != nil {
@@ -194,8 +209,8 @@ func (c *Client) teardown() {
 	c.pending = nil
 	c.mu.Unlock()
 	c.fc.Close()
-	for _, ch := range pend {
-		close(ch)
+	for _, slot := range pend {
+		close(slot.ready)
 	}
 	close(c.done)
 }
@@ -237,15 +252,16 @@ func (c *Client) call(ctx context.Context, method string, arg, reply any, trace,
 	if err != nil {
 		return fmt.Errorf("wsrpc: marshal %s arg: %w", method, err)
 	}
-	ch := make(chan *frame, 1)
+	slot := callSlots.Get().(*callSlot)
 	c.mu.Lock()
 	if c.closed {
 		c.mu.Unlock()
+		callSlots.Put(slot)
 		return ErrClientClosed
 	}
 	c.seq++
 	seq := c.seq
-	c.pending[seq] = ch
+	c.pending[seq] = slot
 	var ms *methodStats
 	if c.stats != nil {
 		// The labeled registry keys are built once per method, not per call.
@@ -274,31 +290,36 @@ func (c *Client) call(ctx context.Context, method string, arg, reply any, trace,
 	}
 
 	select {
-	case f, ok := <-ch:
+	case _, ok := <-slot.ready:
 		if !ok {
 			return ErrClientClosed
 		}
-		if f.RecvNS > 0 && f.SendNS > 0 {
-			c.noteOffset(start, time.Now(), f.RecvNS, f.SendNS)
+		if slot.recvNS > 0 && slot.sendNS > 0 {
+			c.noteOffset(start, time.Now(), slot.recvNS, slot.sendNS)
 		}
 		if ms != nil {
 			ms.calls.Inc()
 			ms.lat.Observe(time.Since(start).Seconds())
 		}
-		if f.Err != "" {
-			return &RemoteError{Msg: f.Err}
-		}
-		if reply != nil && len(f.Body) > 0 {
+		if slot.errs != "" {
+			err = &RemoteError{Msg: slot.errs}
+		} else if reply != nil && len(slot.body) > 0 {
+			// Both decoders copy what they keep, so the buffer is free again.
 			if d, ok := reply.(BodyDecoder); ok {
-				err = d.DecodeJSON(f.Body)
+				err = d.DecodeJSON(slot.body)
 			} else {
-				err = json.Unmarshal(f.Body, reply)
+				err = json.Unmarshal(slot.body, reply)
 			}
 			if err != nil {
-				return fmt.Errorf("wsrpc: decode %s reply: %w", method, err)
+				err = fmt.Errorf("wsrpc: decode %s reply: %w", method, err)
 			}
 		}
-		return nil
+		if cap(slot.body) > maxPooledBody {
+			slot.body = nil
+		}
+		slot.errs = ""
+		callSlots.Put(slot)
+		return err
 	case <-ctx.Done():
 		// Abandon the call; drop the pending slot so a late reply is
 		// discarded by the read loop.

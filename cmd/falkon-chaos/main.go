@@ -51,7 +51,6 @@ type cfg struct {
 	execs     int
 	slots     int
 	kills     int
-	shards    int
 	tree      int
 	treeDepth int
 	standbys  int
@@ -73,7 +72,6 @@ func main() {
 		quick    = flag.Bool("quick", false, "small fast run for CI smoke (overrides -tasks/-execs/-kills)")
 		keep     = flag.Bool("keep", false, "keep work directories (logs, journals) after a passing run")
 		verbose  = flag.Bool("v", false, "stream child process logs to stderr")
-		shards   = flag.Int("shards", 0, "dispatcher scheduling shards (passed through; 0 = one per CPU)")
 		tree     = flag.Int("tree", 0, "dispatch-tree leaves: boot 1 forwarder root + N journaled leaf dispatchers, SIGKILL leaves instead of the dispatcher (0 = flat single dispatcher)")
 		treeDeep = flag.Int("tree-depth", 2, "dispatch-tree levels with -tree: 2 = root over leaves, ≥3 adds forwarder-of-forwarders layers between them")
 		standbys = flag.Int("standbys", 0, "HA cluster: boot 1 leader + N standby dispatchers sharing an election lease, SIGKILL whoever leads (0 = no HA)")
@@ -86,7 +84,7 @@ func main() {
 
 	c := cfg{
 		seed: *seed, tasks: *tasks, execs: *execs, slots: *slots, kills: *kills,
-		shards: *shards, tree: *tree, treeDepth: *treeDeep, standbys: *standbys,
+		tree: *tree, treeDepth: *treeDeep, standbys: *standbys,
 		binDir: *binDir, verbose: *verbose, waitFor: *waitFor,
 		maxSleep: *maxSleep,
 	}
@@ -188,7 +186,6 @@ func runOne(c cfg, keep bool) (err error) {
 			"-snapshot-every", "200",
 			"-replay-timeout", "500ms",
 			"-max-retries", "50",
-			"-shards", fmt.Sprint(c.shards),
 			"-stats-every", "0",
 			"-faults", spec.String(),
 		)

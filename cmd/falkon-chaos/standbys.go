@@ -71,7 +71,6 @@ func runStandbysOne(c cfg, keep bool) (err error) {
 				"-snapshot-every", "200",
 				"-replay-timeout", "500ms",
 				"-max-retries", "50",
-				"-shards", fmt.Sprint(c.shards),
 				"-stats-every", "0",
 				"-lease-file", leasePath,
 				"-lease-ttl", "750ms",

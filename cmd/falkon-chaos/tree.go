@@ -73,7 +73,6 @@ func runTreeOne(c cfg, keep bool) (err error) {
 				"-snapshot-every", "200",
 				"-replay-timeout", "500ms",
 				"-max-retries", "50",
-				"-shards", fmt.Sprint(c.shards),
 				"-stats-every", "0",
 				"-faults", leafSpec(c.seed, i, restart).String(),
 			)

@@ -51,7 +51,6 @@ func main() {
 		pskFile       = flag.String("psk-file", "", "pre-shared key file (required with -secure)")
 		replayTimeout = flag.Duration("replay-timeout", 0, "re-dispatch tasks unacknowledged for this long (0 = disconnect-based only)")
 		maxRetries    = flag.Int("max-retries", 3, "per-task re-dispatch bound")
-		shards        = flag.Int("shards", 0, "scheduling shards (0 = one per CPU, 1 = legacy single-lock core)")
 		statsEvery    = flag.Duration("stats-every", 10*time.Second, "periodic stats log interval (0 = off)")
 		quiet         = flag.Bool("quiet", false, "suppress per-event logs")
 		debugAddr     = flag.String("debug-addr", "", "HTTP address serving /metrics, /events.json, and /debug/pprof/ (empty = off)")
@@ -86,7 +85,6 @@ func main() {
 	opts := dispatch.Options{
 		ReplayTimeout: *replayTimeout,
 		MaxRetries:    *maxRetries,
-		Shards:        *shards,
 		Tenants:       tenants,
 		FairShare:     *fairShare,
 		JournalDir:    *journalDir,

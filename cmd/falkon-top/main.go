@@ -32,7 +32,6 @@ func main() {
 		once       = flag.Bool("once", false, "print one snapshot and exit")
 		stages     = flag.Bool("stages", true, "show the per-stage latency panel")
 		overhead   = flag.Bool("overhead", true, "show the scheduler-overhead panel (where the dispatcher's own time goes)")
-		shards     = flag.Bool("shards", true, "show the shard-imbalance panel (hidden in single-shard mode)")
 		leaves     = flag.Bool("leaves", true, "show the per-leaf panel when polling a dispatch-tree root")
 		tenants    = flag.Bool("tenants", true, "show the per-tenant panel (hidden without tenant configuration)")
 	)
@@ -45,7 +44,6 @@ func main() {
 	defer c.Close()
 
 	var lastCompleted int64
-	lastSteals := map[int]int64{}
 	lastBundles := map[string]int64{}
 	lastThrottled := map[string]int64{}
 	lastAt := time.Now()
@@ -127,23 +125,6 @@ func main() {
 				fmt.Printf("\033[K%-16s %7.1f %8d %9d %10d %10d %7d %10d %11.1f\n",
 					tn.Name, tn.Weight, tn.Queued, tn.InFlight, tn.Submitted,
 					tn.Completed, tn.Failed, tn.Throttled, throttleRate)
-				lines++
-			}
-		}
-		// Shard-imbalance panel: per-shard queue depth, executor split, and
-		// steal rate. Only worth screen space with more than one shard.
-		if *shards && len(st.Shards) > 1 {
-			fmt.Printf("\033[K%-8s %10s %12s %14s %10s %10s\n",
-				"shard", "queued", "outstanding", "execs(busy)", "steals", "steals/s")
-			lines++
-			for _, sh := range st.Shards {
-				stealRate := 0.0
-				if prev, ok := lastSteals[sh.Shard]; ok && elapsed > 0 {
-					stealRate = float64(sh.Steals-prev) / elapsed
-				}
-				lastSteals[sh.Shard] = sh.Steals
-				fmt.Printf("\033[K%-8d %10d %12d %11d(%d) %10d %10.1f\n",
-					sh.Shard, sh.Queued, sh.Outstanding, sh.Executors, sh.Busy, sh.Steals, stealRate)
 				lines++
 			}
 		}

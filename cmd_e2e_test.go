@@ -507,7 +507,7 @@ func TestBinariesMetricsExposition(t *testing.T) {
 func TestBinariesOldExecutorIsNeverPushed(t *testing.T) {
 	bin := buildBinaries(t)
 	dispAddr, debugAddr := freePort(t), freePort(t)
-	startProc(t, filepath.Join(bin, "falkon-dispatcher"), "-addr", dispAddr, "-quiet", "-stats-every", "0", "-shards", "1", "-debug-addr", debugAddr)
+	startProc(t, filepath.Join(bin, "falkon-dispatcher"), "-addr", dispAddr, "-quiet", "-stats-every", "0", "-debug-addr", debugAddr)
 	waitListening(t, dispAddr)
 	waitListening(t, debugAddr)
 	pushed := func() string {

@@ -16,13 +16,12 @@ import (
 )
 
 // allocsPerTaskCeiling is the whole runtime's heap allocations per `sleep 0`
-// task — client, dispatcher and executor in one process over loopback, on
-// one P, each measured batch submitted as one bundle — measured at 1.27
-// since dispatch-ahead, plus 15 %: the executor finds the queue deep at
-// every pull and takes it 64 tasks at a time, so the 17 or so objects a pull
-// costs are shared and what is left is the task's own. Per-task dispatch
-// measured 18.15 in this loop at bundle 64, and 63 to 65 before the body
-// codec.
+// task — client, dispatcher and executor in one process over loopback, each
+// measured batch submitted as one bundle — measured at 1.27 since
+// dispatch-ahead, plus 15 %: the executor finds the queue deep at every pull
+// and takes it 64 tasks at a time, so the 17 or so objects a pull costs are
+// shared and what is left is the task's own. Per-task dispatch measured 18.15
+// in this loop at bundle 64, and 63 to 65 before the body codec.
 const allocsPerTaskCeiling = 1.5
 
 // journaledAllocsPerTaskCeiling is the same loop with the write-ahead
@@ -86,15 +85,12 @@ func TestAllocsPerTaskBudget(t *testing.T) {
 }
 
 // allocsPerTask boots cfg, warms it up and returns the process-wide heap
-// allocations per task over a measured batch. It runs on one P, like the
-// repo's benchmark: a dispatcher has one scheduling shard per P, its one
-// executor is at home on one of them and steals from the others one task per
-// pull, so that with more Ps the count measures their number, not the code
-// (1.27, 9.3 and 13.1 at -cpu 1, 2 and 4). serial submits a batch one task at
-// a time, each once the one before has come back, and makes the batch 1,024.
+// allocations per task over a measured batch, on however many Ps the test was
+// given (tier 1 runs it with -cpu 1,2,4: the count is the code's, not the
+// host's). serial submits a batch one task at a time, each once the one
+// before has come back, and makes the batch 1,024.
 func allocsPerTask(t *testing.T, cfg core.Config, serial bool) float64 {
 	t.Helper()
-	defer runtime.GOMAXPROCS(runtime.GOMAXPROCS(1))
 	sys, err := core.Start(cfg)
 	if err != nil {
 		t.Fatal(err)

@@ -4,9 +4,7 @@ package dispatch_test
 // dispatcher's grant promise together, as counts. The rule's two halves have
 // table tests of their own (sched.TestGrantClamp, executor.TestPullSizer);
 // these hold what only the assembled system can show — long tasks are not
-// bundled, and a batch lost with its executor is still delivered once. They
-// pin one scheduling shard: a grant comes out of the executor's home shard,
-// and work on another shard is still stolen one task per pull.
+// bundled, and a batch lost with its executor is still delivered once.
 
 import (
 	"fmt"
@@ -99,7 +97,7 @@ func warmUp(t *testing.T, d *dispatch.Dispatcher, c *client.Client, gen *task.ID
 // batches, eight declared 50 ms sleeps ride in eight grants of one, and the
 // two executors split them evenly.
 func TestDeclaredLongTasksAreNotBundled(t *testing.T) {
-	d, c, _ := startSystem(t, dispatch.Options{Shards: 1, TraceCapacity: 1 << 16}, client.Options{BundleSize: 64}, 2, executor.Options{SleepScale: 1})
+	d, c, _ := startSystem(t, dispatch.Options{TraceCapacity: 1 << 16}, client.Options{BundleSize: 64}, 2, executor.Options{SleepScale: 1})
 	var gen task.IDGen
 	warmUp(t, d, c, &gen)
 
@@ -268,7 +266,7 @@ func TestBatchLostWithItsExecutorIsDeliveredOnce(t *testing.T) {
 				}
 				cut := &cuts{}
 				dopts := sc.dopts
-				dopts.Shards, dopts.Faults, dopts.TraceCapacity = 1, cut, 1<<16
+				dopts.Faults, dopts.TraceCapacity = cut, 1<<16
 				d, c, _ := startSystem(t, dopts, client.Options{BundleSize: 64}, 1, executor.Options{
 					Funcs:      funcs,
 					SleepScale: 1e-15, // a declared hour is no sleep at all
@@ -398,7 +396,7 @@ func TestBatchLostWithItsExecutorIsDeliveredOnce(t *testing.T) {
 // its slot back, or the executor stays busy for ever with nothing
 // outstanding and the dispatcher stops notifying it.
 func TestDoublySubmittedBundleLeavesNoBusyExecutor(t *testing.T) {
-	d, c, _ := startSystem(t, dispatch.Options{Shards: 1, TraceCapacity: 1 << 16}, client.Options{BundleSize: 64}, 0, executor.Options{})
+	d, c, _ := startSystem(t, dispatch.Options{TraceCapacity: 1 << 16}, client.Options{BundleSize: 64}, 0, executor.Options{})
 	var gen task.IDGen
 	const lead, unique = 64, 16
 	for attempt := 0; ; attempt++ {

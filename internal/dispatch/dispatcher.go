@@ -8,14 +8,13 @@
 //
 // The scheduling state machine itself — queue, executor table, outstanding
 // table, replay policy, pick policies — lives in internal/sched, shared
-// with the virtual-time simulator. This package drives it from wall-clock
-// time across N shards (Options.Shards, default GOMAXPROCS), each shard a
-// sched.Core under its own mutex: tasks route to shards by a stable
-// affinity hash, executors live on the shard their ID hashes to, and an
-// executor whose home queue is dry steals FIFO from other shards. Handlers
-// gather each core's effects (trace events, notification pushes, stage
-// observations) under the shard lock and apply them after releasing it, so
-// no I/O ever runs inside a scheduler critical section.
+// with the virtual-time simulator. This package drives one sched.Core from
+// wall-clock time under one mutex. Handlers gather the core's effects (trace
+// events, notification pushes, stage observations) under that lock and apply
+// them after releasing it, so no I/O ever runs inside the scheduler's
+// critical section. One dispatcher is one queue, as in the paper; the way to
+// more than one lock's worth of throughput is more dispatchers under a
+// forwarder (internal/forward, DESIGN.md §12–13).
 //
 // In keeping with the paper's design (§1, §7), the dispatcher deliberately
 // omits LRM features: there are no priorities, no multiple queues, no
@@ -24,7 +23,6 @@ package dispatch
 
 import (
 	"fmt"
-	"runtime"
 	"sync"
 	"sync/atomic"
 	"time"
@@ -57,12 +55,6 @@ type Options struct {
 	// Security and PSK configure the wsrpc transport profile.
 	Security wsrpc.SecurityProfile
 	PSK      []byte
-
-	// Shards partitions the scheduling state into this many independently
-	// locked cores (0 = GOMAXPROCS; 1 = the legacy single-lock layout).
-	// Task→shard and executor→shard routing use stable hashes shared with
-	// journal recovery, so a restart re-partitions identically.
-	Shards int
 
 	// ReplayTimeout re-dispatches tasks whose executor has not responded
 	// within this duration (0 disables timeout-based replay; disconnect-
@@ -175,27 +167,26 @@ func taskTenant(tr taskRef) string {
 }
 
 // execRef is the transport state hung off a sched.Exec (via Ref): the
-// executor's connection, provisioner allocation, and home shard index.
+// executor's connection and provisioner allocation.
 type execRef struct {
 	peer       *wsrpc.Peer
 	allocation string
-	home       int
 	// rtt is the executor's last pull round trip as the dispatcher saw it:
 	// reply sent to results delivered, less the run time the results report.
 	// It is the declared run time one grant may hold (assignLocked); zero,
 	// so nothing declared is bundled, until the first delivery. Guarded by
-	// the home shard's lock.
+	// Dispatcher.mu.
 	rtt time.Duration
 	// grants is the executor's Register-time announcement that it runs work
 	// pushed to it; parked counts its slots that are waiting by their own
 	// account — the slot's last GetWork or Deliver came back empty and nothing
 	// has been granted to it since — and ask is the size of the executor's
 	// last ask. A work push to a parked slot carries the grant itself
-	// (notifyShardLocked) — unless the dispatcher has freed a slot of the
+	// (notifyLocked) — unless the dispatcher has freed a slot of the
 	// executor on its own (replay timeout, a replaced duplicate: sched.Exec's
 	// Suspect): the whole executor may be hung, its parked slots with it, and
 	// only a message from it proves otherwise. parked and ask are guarded by
-	// the home shard's lock.
+	// Dispatcher.mu.
 	grants bool
 	parked int
 	ask    int
@@ -222,41 +213,6 @@ type outKey struct {
 // (instance, task ID).
 type dcore = sched.Core[string, outKey, taskRef]
 
-// shard is one slice of the scheduling state: a Core under its own mutex,
-// the WAL appender the shard's per-task records route through, and the
-// shard's instruments. Lock order across the dispatcher:
-//
-//	imu (instance table) → shard.mu (one at a time, ascending when
-//	several) → instance.mu → appender internals
-//
-// No handler ever holds two shard mutexes: work stealing pops under the
-// victim's lock alone and assigns under the thief's home lock, with
-// Dispatcher.limbo accounting for the hand-off window.
-type shard struct {
-	idx  int
-	mu   sync.Mutex
-	core *dcore
-	app  *wal.Appender // per-shard journal appender (nil without journal)
-
-	// qdepth mirrors core.QueueLen() outside the lock: the steal scan, the
-	// cross-shard notify pass, and the falkon-top imbalance panel read it
-	// lock-free.
-	qdepth *metrics.Gauge
-	// steals counts tasks this shard's executors took from other shards.
-	steals *metrics.Counter
-
-	// Per-shard dimension of the overhead histograms (the aggregate,
-	// unlabeled-by-shard series lives on the Dispatcher).
-	hLockWait  *metrics.FixedHistogram
-	hSchedCore *metrics.FixedHistogram
-}
-
-// syncDepth republishes the shard's queue length. Callers hold s.mu and
-// have just mutated the queue.
-func (s *shard) syncDepth() {
-	s.qdepth.Set(int64(s.core.QueueLen()))
-}
-
 // traceEv is one deferred tracer record.
 type traceEv struct {
 	at    time.Duration
@@ -280,7 +236,7 @@ type resultRun struct {
 
 // notifyPush is one deferred work notification ({3}): work-available, or
 // with grant set the work itself. It holds a snapshot of the executor fields
-// taken under the shard lock — never the live *sched.Exec, which other
+// taken under Dispatcher.mu — never the live *sched.Exec, which other
 // handlers mutate concurrently once the lock is released.
 type notifyPush struct {
 	peer   *wsrpc.Peer
@@ -299,23 +255,17 @@ type stampRec struct {
 }
 
 // fx accumulates a handler's side effects — trace records, stage-latency
-// observations, work-available notifications, result pushes, and deferred
-// cross-shard requeues — gathered while holding a shard lock and applied
-// by flush after releasing it. Keeping this I/O outside the scheduler
-// locks is what lets deliveries from many executors pipeline instead of
-// serializing on tracer and histogram writes.
+// observations, work-available notifications and result pushes — gathered
+// while holding Dispatcher.mu and applied by flush after releasing it.
+// Keeping this I/O outside the scheduler lock is what lets deliveries from
+// many executors pipeline instead of serializing on tracer and histogram
+// writes.
 type fx struct {
 	events   []traceEv
 	stamps   []stampRec
 	notifies []notifyPush
 	results  []task.Result // pushed results, run after run
 	runs     []resultRun
-	// requeues are replayed attempts owed back to their affinity shard.
-	// They are deferred because the orphaning shard (the executor's home)
-	// and the task's affinity shard can differ, and no handler holds two
-	// shard locks; each entry holds one Dispatcher.limbo count until
-	// requeueAll lands it.
-	requeues []sched.Item[taskRef]
 }
 
 func (f *fx) trace(at time.Duration, kind obs.EventKind, trace uint64, id task.ID, epr, exec string) {
@@ -345,7 +295,7 @@ func getFx() *fx { return fxPool.Get().(*fx) }
 // burst doesn't park megabytes in the pool.
 func putFx(f *fx) {
 	const keep = 1024
-	if cap(f.events) > keep || cap(f.stamps) > keep || cap(f.notifies) > keep || cap(f.results) > keep || cap(f.runs) > keep || cap(f.requeues) > keep {
+	if cap(f.events) > keep || cap(f.stamps) > keep || cap(f.notifies) > keep || cap(f.results) > keep || cap(f.runs) > keep {
 		*f = fx{}
 	} else {
 		f.events = emptied(f.events)
@@ -353,7 +303,6 @@ func putFx(f *fx) {
 		f.notifies = emptied(f.notifies)
 		f.results = emptied(f.results)
 		f.runs = emptied(f.runs)
-		f.requeues = emptied(f.requeues)
 	}
 	fxPool.Put(f)
 }
@@ -381,8 +330,7 @@ type Dispatcher struct {
 	// wait, core work under the mutex, deferred-effect flush, and the
 	// group-commit durability wait. frame_write lives in wsrpc and
 	// wal_commit in the journal's committer; together they account for
-	// where the dispatcher's own time goes per RPC. These are the
-	// aggregates; each shard also observes its own lock_wait/sched_core.
+	// where the dispatcher's own time goes per RPC.
 	hLockWait  *metrics.FixedHistogram
 	hSchedCore *metrics.FixedHistogram
 	hFxFlush   *metrics.FixedHistogram
@@ -404,10 +352,12 @@ type Dispatcher struct {
 	thMu   sync.RWMutex
 	tHists map[string]*tenantHists
 
-	// nshards is fixed at New; shards[i].core == sharded.Shard(i).
-	nshards int
-	sharded *sched.Sharded[string, outKey, taskRef]
-	shards  []*shard
+	// mu guards core, the one scheduling state machine: queue, executor
+	// table, outstanding table. Lock order across the dispatcher:
+	//
+	//	imu (instance table) → mu → instance.mu → journal internals
+	mu   sync.Mutex
+	core *dcore
 
 	// imu guards the instance table and EPR allocation — deliberately a
 	// separate, small lock so instance lifecycle never contends with
@@ -420,18 +370,13 @@ type Dispatcher struct {
 	// capacity hints for bundle routing.
 	parents parents
 
-	// limbo counts tasks in motion between shard structures: a submit
-	// between its draining check and its enqueues, a stolen task between
-	// victim pop and home assign, a replayed task between executor drop and
-	// affinity requeue. Drain's emptiness check requires limbo == 0, so
-	// work never vanishes from its view mid-hand-off.
-	limbo    atomic.Int64
-	closed   atomic.Bool
+	closed atomic.Bool
+	// draining is stored by Drain before it first takes mu and read by
+	// Submit under mu: a submit either sees it and is refused, or has its
+	// tasks queued by the time Drain looks.
 	draining atomic.Bool
-	// dmu/drained implement the single cross-shard drain condition: Drain
-	// re-checks empty() itself; handlers just broadcast after removing
-	// work. wakeDrain is the only place dmu nests inside nothing — no
-	// handler holds a shard lock when broadcasting.
+	// dmu/drained implement the drain condition: Drain re-checks empty()
+	// itself; handlers just broadcast after removing work, with mu released.
 	dmu     sync.Mutex
 	drained *sync.Cond
 
@@ -439,12 +384,10 @@ type Dispatcher struct {
 	sweeperDone chan struct{}
 
 	// wal is the write-ahead journal (nil without JournalDir). Per-task
-	// records route through the task's affinity shard's appender while that
-	// shard's lock is held, so each appender's FIFO preserves the
-	// accept→dispatch→complete order per task; control records (instance
-	// create/destroy) ride appender 0, which every commit batch drains
-	// first. A snapshot cut takes every shard lock, so the captured state
-	// is an exact prefix of the journal.
+	// records are appended while mu is held, so the journal's order is the
+	// order of the transitions: accept, dispatch, complete. A snapshot cut
+	// takes imu and mu, so the captured state is an exact prefix of the
+	// journal.
 	wal            *wal.Journal
 	recoveredTasks int64 // pending tasks rebuilt at the last Listen
 	// replSrc is the WAL replication source (nil without
@@ -465,13 +408,6 @@ func New(opts Options) *Dispatcher {
 	if opts.Metrics == nil {
 		opts.Metrics = obs.NewRegistry()
 	}
-	n := opts.Shards
-	if n == 0 {
-		n = runtime.GOMAXPROCS(0)
-	}
-	if n < 1 {
-		n = 1
-	}
 	var fairShare *sched.FairShare
 	if opts.FairShare {
 		fairShare = &sched.FairShare{
@@ -480,10 +416,9 @@ func New(opts Options) *Dispatcher {
 		}
 	}
 	d := &Dispatcher{
-		opts:    opts,
-		epoch:   time.Now(),
-		nshards: n,
-		sharded: sched.NewSharded[string, outKey](n, sched.Options[taskRef]{
+		opts:  opts,
+		epoch: time.Now(),
+		core: sched.NewCore[string, outKey](sched.Options[taskRef]{
 			Policy:        opts.Policy,
 			CacheCapacity: opts.CacheCapacity,
 			MaxRetries:    opts.MaxRetries,
@@ -500,17 +435,6 @@ func New(opts Options) *Dispatcher {
 	if len(opts.Tenants) > 0 || opts.FairShare {
 		d.tenants = newTenantTable(opts.Tenants, d.now)
 		d.tHists = make(map[string]*tenantHists)
-	}
-	d.shards = make([]*shard, n)
-	for i := range d.shards {
-		d.shards[i] = &shard{
-			idx:        i,
-			core:       d.sharded.Shard(i),
-			qdepth:     d.reg.Gauge(obs.ShardKey(obs.MetricShardQueueDepth, i)),
-			steals:     d.reg.Counter(obs.ShardKey(obs.MetricShardStealsTotal, i)),
-			hLockWait:  d.reg.Histogram(obs.OverheadShardKey(obs.OverheadLockWait, i)),
-			hSchedCore: d.reg.Histogram(obs.OverheadShardKey(obs.OverheadSchedCore, i)),
-		}
 	}
 	d.drained = sync.NewCond(&d.dmu)
 	for i, stage := range obs.Stages {
@@ -538,38 +462,6 @@ func (d *Dispatcher) logf(format string, args ...any) {
 	if d.opts.Logf != nil {
 		d.opts.Logf(format, args...)
 	}
-}
-
-// Shards returns the shard count the dispatcher runs with.
-func (d *Dispatcher) Shards() int { return d.nshards }
-
-// taskShard routes a task to its affinity shard: the same function journal
-// recovery uses, so a restart re-partitions identically.
-func (d *Dispatcher) taskShard(epr string, t task.Task) int {
-	if d.nshards == 1 {
-		return 0
-	}
-	return sched.TaskShard(d.nshards, taskDataset(t), sched.HashString(epr)^uint64(t.ID))
-}
-
-// refShard is taskShard against an enqueued taskRef, using the instance's
-// cached EPR hash.
-func (d *Dispatcher) refShard(tr taskRef) int {
-	if d.nshards == 1 {
-		return 0
-	}
-	var h uint64
-	if tr.inst != nil {
-		h = tr.inst.eprHash
-	} else {
-		h = sched.HashString(tr.epr)
-	}
-	return sched.TaskShard(d.nshards, taskDataset(tr.t), h^uint64(tr.t.ID))
-}
-
-// execShard routes an executor ID to its home shard.
-func (d *Dispatcher) execShard(id string) int {
-	return sched.ExecShardString(d.nshards, id)
 }
 
 // tenantHists is one tenant's labeled dimension of the stage and e2e
@@ -602,15 +494,11 @@ func (d *Dispatcher) tenantHistsFor(tenant string) *tenantHists {
 	return th
 }
 
-// flush applies the effects gathered under shard locks. Must be called
-// after releasing them: the tracer and histograms have their own
-// synchronization, a push encodes straight into its connection's cork
-// buffer (and may wait there on a slow peer, up to wsrpc's write-stall
-// bound), and deferred requeues take other shards' locks.
+// flush applies the effects gathered under mu. Must be called after
+// releasing it: the tracer and histograms have their own synchronization,
+// and a push encodes straight into its connection's cork buffer (and may
+// wait there on a slow peer, up to wsrpc's write-stall bound).
 func (d *Dispatcher) flush(f *fx) {
-	if len(f.requeues) > 0 {
-		d.requeueAll(f)
-	}
 	for _, e := range f.events {
 		d.tracer.Record(e.at, e.kind, e.trace, e.id, e.epr, e.exec)
 	}
@@ -694,28 +582,9 @@ func (d *Dispatcher) pushResults(peer *wsrpc.Peer, inst *instance, rs []task.Res
 	}
 }
 
-// requeueAll returns deferred replays to their affinity shards and runs
-// those shards' notify passes. Runs first in flush, with no shard lock
-// held. Each landed task releases the limbo count its replay took.
-func (d *Dispatcher) requeueAll(f *fx) {
-	now := d.now()
-	for _, it := range f.requeues {
-		s := d.shards[d.refShard(it.X)]
-		s.mu.Lock()
-		s.core.Requeue(it) // limit was already checked by replay; always true
-		s.syncDepth()
-		d.notifyShardLocked(f, s, now)
-		s.mu.Unlock()
-		d.limbo.Add(-1)
-	}
-	f.requeues = f.requeues[:0]
-	d.crossNotify(f, now)
-	d.wakeDrain()
-}
-
-// notifyShardLocked runs s's local notify pass, snapshotting each
-// notification into f while still holding s.mu (the live *sched.Exec must
-// not escape the critical section — concurrent handlers mutate it).
+// notifyLocked runs the notify pass, snapshotting each notification into f
+// while still holding mu (the live *sched.Exec must not escape the critical
+// section — concurrent handlers mutate it).
 //
 // Work rides the push: an executor that accepts grants and has a parked slot
 // is granted on the spot, by the function that answers its pulls, and the
@@ -724,71 +593,29 @@ func (d *Dispatcher) requeueAll(f *fx) {
 // a slot of by itself and not heard from since — is told that work is
 // available and pulls. A granted executor stays on offer for its other slots,
 // so the pass repeats until the queue is covered.
-func (d *Dispatcher) notifyShardLocked(f *fx, s *shard, now time.Duration) {
-	for ns := s.core.Notifications(now); len(ns) > 0; ns = s.core.Notifications(now) {
+func (d *Dispatcher) notifyLocked(f *fx, now time.Duration) {
+	for ns := d.core.Notifications(now); len(ns) > 0; ns = d.core.Notifications(now) {
 		for _, n := range ns {
 			ex, ref := n.Exec, n.Exec.Ref.(*execRef)
 			push := notifyPush{peer: ref.peer, exec: ex.ID, at: ex.LastNotifyAt, queued: n.Queued}
 			if ref.grants && ref.parked > 0 && !ex.Suspect {
-				push.grant.Assignments = d.assignLocked(f, s, ex, ref.ask, obs.EvPushed, now)
+				push.grant.Assignments = d.assignLocked(f, ex, ref.ask, obs.EvPushed, now)
 			}
 			granted := len(push.grant.Assignments)
-			if granted == 0 && s.core.QueueLen() > 0 {
+			if granted == 0 && d.core.QueueLen() > 0 {
 				f.notifies = append(f.notifies, push) // told; it pulls
 				continue
 			}
 			// Nothing is left for the executor to acknowledge: it was handed
 			// the work, or an earlier grant of this pass took it.
 			ex.Notified = false
-			s.core.Offer(ex)
+			d.core.Offer(ex)
 			if granted > 0 {
 				ref.parked--
 				d.grantsPushed.Inc()
 				d.hGrant.Observe(float64(granted))
 				f.notifies = append(f.notifies, push)
-				s.syncDepth()
 			}
-		}
-	}
-}
-
-// crossNotify wakes idle executors on any shard for work queued anywhere:
-// shard-local notify passes only cover their own queue, so enqueue paths
-// (submit, requeue, register) follow with this global pass. Woken
-// executors pull, and the pull path steals across shards. No-op with one
-// shard or when nothing is queued; the scan reads the lock-free depth
-// gauges and only locks shards that still have idle executors.
-func (d *Dispatcher) crossNotify(f *fx, now time.Duration) {
-	if d.nshards == 1 {
-		return
-	}
-	queued := 0
-	for _, s := range d.shards {
-		queued += int(s.qdepth.Value())
-	}
-	if queued == 0 {
-		return
-	}
-	for _, s := range d.shards {
-		s.mu.Lock()
-		if s.core.IdleLen() == 0 {
-			s.mu.Unlock()
-			continue
-		}
-		covered := 0
-		for _, n := range s.core.NotifyIdle(now, queued) {
-			covered += n.Exec.Free()
-			f.notifies = append(f.notifies, notifyPush{
-				peer:   n.Exec.Ref.(*execRef).peer,
-				exec:   n.Exec.ID,
-				at:     n.Exec.LastNotifyAt,
-				queued: n.Queued,
-			})
-		}
-		s.mu.Unlock()
-		queued -= covered
-		if queued <= 0 {
-			return
 		}
 	}
 }
@@ -796,8 +623,7 @@ func (d *Dispatcher) crossNotify(f *fx, now time.Duration) {
 // Listen binds the dispatcher to addr (":0" for an ephemeral port) and
 // starts serving. With JournalDir set, it first recovers surviving state
 // from the journal — instances, queued and in-flight tasks, and
-// undelivered results all outlive a crash, re-partitioned onto shards by
-// the same affinity hash that placed them originally.
+// undelivered results all outlive a crash.
 func (d *Dispatcher) Listen(addr string) error {
 	if d.opts.Replication != nil && d.opts.JournalDir == "" {
 		return fmt.Errorf("dispatch: replication requires a journal (JournalDir)")
@@ -833,10 +659,6 @@ func (d *Dispatcher) Listen(addr string) error {
 		if d.snapEvery == 0 {
 			d.snapEvery = 1 << 16
 		}
-		apps := j.Appenders(d.nshards)
-		for i, s := range d.shards {
-			s.app = apps[i]
-		}
 		d.restore(st)
 		d.recoveredTasks = int64(info.Pending)
 		if info.Records > 0 || info.SnapshotIndex > 0 {
@@ -855,16 +677,14 @@ func (d *Dispatcher) Listen(addr string) error {
 	return nil
 }
 
-// restore loads recovered journal state into the empty shards: pending
-// tasks re-enter their affinity shard's queue (outstanding-at-crash work
-// simply becomes queued again — the executors that held it are gone),
-// instances come back peer-less with their undelivered results buffered
-// for redelivery. Runs before serving starts, so no locks are needed.
+// restore loads recovered journal state into the empty core: pending tasks
+// re-enter the queue in journal order (outstanding-at-crash work simply
+// becomes queued again — the executors that held it are gone), instances
+// come back peer-less with their undelivered results buffered for
+// redelivery. Runs before serving starts, so no locks are needed.
 func (d *Dispatcher) restore(st *wal.State) {
 	d.nextEPR = st.NextEPR
-	// Aggregate lifecycle counters live summed-across-shards; park the
-	// recovered totals on shard 0.
-	d.shards[0].core.Counters = st.Counters
+	d.core.Counters = st.Counters
 	for _, win := range st.Instances {
 		tenant := win.Tenant
 		if tenant == "" {
@@ -873,7 +693,6 @@ func (d *Dispatcher) restore(st *wal.State) {
 		inst := &instance{
 			epr:       win.EPR,
 			name:      win.Name,
-			eprHash:   sched.HashString(win.EPR),
 			notify:    win.Notify,
 			tenant:    tenant,
 			submitted: win.Submitted,
@@ -891,23 +710,19 @@ func (d *Dispatcher) restore(st *wal.State) {
 		if !ok {
 			continue // replay proved the instance gone; nothing to owe
 		}
-		s := d.shards[d.taskShard(p.EPR, p.Task)]
-		s.core.Restore(now, taskRef{epr: p.EPR, t: p.Task, inst: inst}, p.Attempts)
+		d.core.Restore(now, taskRef{epr: p.EPR, t: p.Task, inst: inst}, p.Attempts)
 		inst.live[p.Task.ID] = struct{}{}
 		inst.inFlight++
 		// Re-charge per-tenant in-flight accounting (bypassing admission:
 		// the work was admitted before the crash).
 		d.tenants.restore(inst.tenant, 1)
 	}
-	for _, s := range d.shards {
-		s.syncDepth()
-	}
 }
 
-// captureAllLocked snapshots the dispatcher state for the journal. Callers
-// hold imu and every shard mutex, so the capture is a consistent cut.
-func (d *Dispatcher) captureAllLocked() *wal.State {
-	st := &wal.State{NextEPR: d.nextEPR, Counters: d.sharded.CountersSum()}
+// captureLocked snapshots the dispatcher state for the journal. Callers hold
+// imu and mu, so the capture is a consistent cut.
+func (d *Dispatcher) captureLocked() *wal.State {
+	st := &wal.State{NextEPR: d.nextEPR, Counters: d.core.Counters}
 	for epr, inst := range d.instances {
 		inst.mu.Lock()
 		st.Instances = append(st.Instances, wal.Instance{
@@ -920,39 +735,33 @@ func (d *Dispatcher) captureAllLocked() *wal.State {
 		})
 		inst.mu.Unlock()
 	}
-	for _, s := range d.shards {
-		s.core.EachQueued(func(it sched.Item[taskRef]) {
-			st.Pending = append(st.Pending, wal.Pending{EPR: it.X.epr, Task: it.X.t, Attempts: it.Attempts, Tenant: taskTenant(it.X)})
-		})
-		s.core.EachOutstanding(func(o *sched.Outstanding[string, outKey, taskRef]) {
-			st.Pending = append(st.Pending, wal.Pending{EPR: o.Item.X.epr, Task: o.Item.X.t, Attempts: o.Item.Attempts, Tenant: taskTenant(o.Item.X)})
-		})
-	}
+	d.core.EachQueued(func(it sched.Item[taskRef]) {
+		st.Pending = append(st.Pending, wal.Pending{EPR: it.X.epr, Task: it.X.t, Attempts: it.Attempts, Tenant: taskTenant(it.X)})
+	})
+	d.core.EachOutstanding(func(o *sched.Outstanding[string, outKey, taskRef]) {
+		st.Pending = append(st.Pending, wal.Pending{EPR: o.Item.X.epr, Task: o.Item.X.t, Attempts: o.Item.Attempts, Tenant: taskTenant(o.Item.X)})
+	})
 	return st
 }
 
 // replicaBaseline produces a consistent cut for an attaching standby: the
 // full dispatcher state and the replication-stream position it corresponds
-// to. Rotation under every lock flushes all buffered appends through the
+// to. Rotation under both locks flushes all buffered appends through the
 // Mirror hook (still under the journal's write mutex), so after Rotate
 // returns the stream end is exactly the boundary the captured state sits
 // at — a standby that Resets to (state, pos) and applies the stream from
 // pos onward replays the same history the leader's own journal holds.
 func (d *Dispatcher) replicaBaseline() (*wal.State, int64, error) {
 	d.imu.Lock()
-	for _, s := range d.shards {
-		s.mu.Lock()
-	}
+	d.mu.Lock()
 	_, err := d.wal.Rotate()
 	var st *wal.State
 	var pos int64
 	if err == nil {
-		st = d.captureAllLocked()
+		st = d.captureLocked()
 		pos = d.replSrc.End()
 	}
-	for i := len(d.shards) - 1; i >= 0; i-- {
-		d.shards[i].mu.Unlock()
-	}
+	d.mu.Unlock()
 	d.imu.Unlock()
 	return st, pos, err
 }
@@ -990,25 +799,21 @@ func (d *Dispatcher) maybeSnapshot() {
 }
 
 // snapshot rotates the journal and writes a snapshot at the cut. The
-// rotation runs under every shard lock plus imu so the captured state is
+// rotation runs under imu and mu so the captured state is
 // exactly the journal prefix below the cut; the (slower) snapshot write
 // happens unlocked.
 func (d *Dispatcher) snapshot() {
 	defer d.snapWG.Done()
 	d.imu.Lock()
-	for _, s := range d.shards {
-		s.mu.Lock()
-	}
+	d.mu.Lock()
 	cut, err := d.wal.Rotate()
 	var st *wal.State
 	var mark int64
 	if err == nil {
-		st = d.captureAllLocked()
+		st = d.captureLocked()
 		mark = d.wal.Appends()
 	}
-	for i := len(d.shards) - 1; i >= 0; i-- {
-		d.shards[i].mu.Unlock()
-	}
+	d.mu.Unlock()
 	d.imu.Unlock()
 	if err != nil {
 		d.endSnapshot()
@@ -1079,9 +884,9 @@ func (d *Dispatcher) shutdown(endJournal func(*wal.Journal) error) error {
 	return err
 }
 
-// wakeDrain nudges blocked Drain calls after a handler (having released
-// its shard lock) removed work from the system. One atomic load when not
-// draining; Drain re-checks the real cross-shard condition itself.
+// wakeDrain nudges blocked Drain calls after a handler (having released mu)
+// removed work from the system. One atomic load when not draining; Drain
+// re-checks the real condition itself.
 func (d *Dispatcher) wakeDrain() {
 	if !d.draining.Load() {
 		return
@@ -1099,29 +904,18 @@ func (d *Dispatcher) wakeDrainAlways() {
 	d.dmu.Unlock()
 }
 
-// empty reports the single cross-shard drain condition: no task queued or
-// outstanding on any shard, and none in limbo between shards.
+// empty reports the drain condition: no task queued or outstanding.
 func (d *Dispatcher) empty() bool {
-	if d.limbo.Load() != 0 {
-		return false
-	}
-	for _, s := range d.shards {
-		s.mu.Lock()
-		e := s.core.Empty()
-		s.mu.Unlock()
-		if !e {
-			return false
-		}
-	}
-	return true
+	d.mu.Lock()
+	defer d.mu.Unlock()
+	return d.core.Empty()
 }
 
 // Drain puts the dispatcher into drain mode: new submissions are rejected
 // while queued and in-flight tasks complete. It returns once the system is
 // empty or the timeout expires (0 = wait forever), reporting whether the
 // drain finished. The wait is event-driven: handlers broadcast after
-// removing work, and Drain re-evaluates the cross-shard emptiness
-// condition, so it wakes as the last result arrives rather than on a poll
+// removing work, and Drain re-evaluates the emptiness condition, so it wakes as the last result arrives rather than on a poll
 // tick.
 func (d *Dispatcher) Drain(timeout time.Duration) bool {
 	d.draining.Store(true)
@@ -1150,46 +944,21 @@ func (d *Dispatcher) Drain(timeout time.Duration) bool {
 }
 
 // Stats snapshots dispatcher state (also served as an RPC for remote
-// provisioners). Per-shard rows are always populated; aggregate fields sum
-// them.
+// provisioners).
 func (d *Dispatcher) Stats() fproto.StatsReply {
 	var st fproto.StatsReply
-	var ct sched.Counters
 	var tenantQueued map[string]int
 	if d.tenants != nil {
 		tenantQueued = make(map[string]int)
 	}
-	st.Shards = make([]fproto.ShardStats, d.nshards)
-	for i, s := range d.shards {
-		s.mu.Lock()
-		c := s.core.Counters
-		q, o := s.core.QueueLen(), s.core.OutstandingLen()
-		total, busy := s.core.ExecStats()
-		if tenantQueued != nil {
-			s.core.TenantQueueLens(tenantQueued)
-		}
-		s.mu.Unlock()
-		ct.Submitted += c.Submitted
-		ct.Completed += c.Completed
-		ct.Failed += c.Failed
-		ct.Retried += c.Retried
-		ct.Dispatched += c.Dispatched
-		ct.Duplicates += c.Duplicates
-		ct.CacheHits += c.CacheHits
-		ct.CacheMisses += c.CacheMisses
-		st.Queued += q
-		st.Outstanding += o
-		st.TotalExecutors += total
-		st.BusyExecutors += busy
-		st.Shards[i] = fproto.ShardStats{
-			Shard:       i,
-			Queued:      q,
-			Outstanding: o,
-			Executors:   total,
-			Busy:        busy,
-			Steals:      s.steals.Value(),
-		}
+	d.mu.Lock()
+	ct := d.core.Counters
+	st.Queued, st.Outstanding = d.core.QueueLen(), d.core.OutstandingLen()
+	st.TotalExecutors, st.BusyExecutors = d.core.ExecStats()
+	if tenantQueued != nil {
+		d.core.TenantQueueLens(tenantQueued)
 	}
+	d.mu.Unlock()
 	st.Submitted = ct.Submitted
 	st.Completed = ct.Completed
 	st.Failed = ct.Failed
@@ -1240,7 +1009,7 @@ func (d *Dispatcher) MetricsSnapshot() obs.MetricsSnapshot {
 	d.reg.Gauge(obs.Labeled("falkon_executors", "state", "idle")).Set(int64(st.IdleExecutors))
 	d.reg.Gauge(obs.Labeled("falkon_executors", "state", "busy")).Set(int64(st.BusyExecutors))
 	s := d.reg.Snapshot()
-	// Lifecycle counters live in the scheduling cores rather than in the
+	// Lifecycle counters live in the scheduling core rather than in the
 	// registry, so fold them into the snapshot here.
 	s.Counters["falkon_tasks_submitted_total"] = st.Submitted
 	s.Counters["falkon_tasks_completed_total"] = st.Completed
@@ -1277,21 +1046,20 @@ func (d *Dispatcher) onDisconnect(p *wsrpc.Peer) {
 	}
 	f := getFx()
 	defer putFx(f)
-	s := d.shards[d.execShard(meta)]
-	s.mu.Lock()
-	ex, ok := s.core.Exec(meta)
+	d.mu.Lock()
+	ex, ok := d.core.Exec(meta)
 	if !ok || ex.Ref.(*execRef).peer != p {
-		s.mu.Unlock()
+		d.mu.Unlock()
 		return // a newer connection re-registered the id
 	}
-	_, dropped := s.core.DropExecutor(meta)
+	_, dropped := d.core.DropExecutor(meta)
 	for _, o := range dropped {
-		d.replay(f, s, o, fmt.Sprintf("executor %s disconnected", meta))
+		d.replay(f, o, fmt.Sprintf("executor %s disconnected", meta))
 	}
 	if len(dropped) > 0 {
-		d.notifyShardLocked(f, s, d.now())
+		d.notifyLocked(f, d.now())
 	}
-	s.mu.Unlock()
+	d.mu.Unlock()
 	d.wakeDrain()
 	if len(dropped) > 0 {
 		d.logf("dispatch: executor %s dropped with %d tasks in flight", meta, len(dropped))
@@ -1301,18 +1069,14 @@ func (d *Dispatcher) onDisconnect(p *wsrpc.Peer) {
 }
 
 // replay applies the replay policy to an orphaned attempt: while retries
-// remain the item is deferred into f.requeues (landed on its affinity
-// shard by flush — which may differ from s, and no handler holds two shard
-// locks), otherwise the task is finalized failed. Callers hold s.mu, the
-// shard the attempt was outstanding on.
-func (d *Dispatcher) replay(f *fx, s *shard, o *sched.Outstanding[string, outKey, taskRef], reason string) {
-	if o.Item.Attempts <= s.core.RetryLimit(o.Item) {
-		d.limbo.Add(1)
-		f.requeues = append(f.requeues, o.Item)
+// remain the item goes back on the queue, otherwise the task is finalized
+// failed. Callers hold mu and run the notify pass afterwards.
+func (d *Dispatcher) replay(f *fx, o *sched.Outstanding[string, outKey, taskRef], reason string) {
+	if d.core.Requeue(o.Item) {
 		f.trace(d.now(), obs.EvRetried, o.Item.X.t.Trace, o.Item.X.t.ID, o.Item.X.epr, o.Executor)
 		return
 	}
-	d.finalize(f, s, o.Item.X, task.Result{
+	d.finalize(f, o.Item.X, task.Result{
 		ID:           o.Item.X.t.ID,
 		Trace:        o.Item.X.t.Trace,
 		Err:          "retries exhausted: " + reason,
@@ -1325,8 +1089,8 @@ func (d *Dispatcher) replay(f *fx, s *shard, o *sched.Outstanding[string, outKey
 	})
 }
 
-// assignLocked answers a pull by executor ex (homed on s) for asked tasks
-// from s's own queue, recording what it grants as outstanding, and returns
+// assignLocked answers a pull by executor ex for asked tasks from the
+// queue, recording what it grants as outstanding, and returns
 // the protocol assignments. The grant is the dispatcher's half of
 // dispatch-ahead: at most an even share of the queue (sched.Core.Share), and
 // it stops short of the first task whose declared run time would take the
@@ -1334,16 +1098,16 @@ func (d *Dispatcher) replay(f *fx, s *shard, o *sched.Outstanding[string, outKey
 // idle slot is never starved by a neighbour's batch and a task that says it
 // is long rides alone. kind is how the assignments travel: the reply to a
 // work pull, a deliver acknowledgment, or the work push itself, whose now is
-// the notification's own stamp. Callers hold s.mu.
-func (d *Dispatcher) assignLocked(f *fx, s *shard, ex *sched.Exec[string], asked int, kind obs.EventKind, now time.Duration) []fproto.Assignment {
-	n := min(s.core.Share(asked), s.core.QueueLen())
+// the notification's own stamp. Callers hold mu.
+func (d *Dispatcher) assignLocked(f *fx, ex *sched.Exec[string], asked int, kind obs.EventKind, now time.Duration) []fproto.Assignment {
+	n := min(d.core.Share(asked), d.core.QueueLen())
 	if n == 0 {
 		return nil
 	}
 	as := make([]fproto.Assignment, 0, n) // sized by the grant, not the ask
 	room := sched.Unbounded               // the first task is granted whatever it declares
 	for len(as) < n {
-		it, hit, ok := s.core.PickWithin(ex, room)
+		it, hit, ok := d.core.PickWithin(ex, room)
 		if !ok {
 			break
 		}
@@ -1357,12 +1121,10 @@ func (d *Dispatcher) assignLocked(f *fx, s *shard, ex *sched.Exec[string], asked
 			room = ex.Ref.(*execRef).rtt
 		}
 		room -= declaredRun(it.X.t)
-		s.core.Assign(now, ex, outKey{it.X.epr, it.X.t.ID}, it)
-		if s.app != nil {
+		d.core.Assign(now, ex, outKey{it.X.epr, it.X.t.ID}, it)
+		if d.wal != nil {
 			// Advisory record: recovery uses it to restore attempt counts.
-			// Tasks in s's own queue have affinity s, so s.app IS the task's
-			// affinity appender and per-task record order is preserved.
-			s.app.Append(wal.KindDispatch, wal.DispatchRec{EPR: it.X.epr, ID: it.X.t.ID, Exec: ex.ID, Shard: s.idx})
+			d.wal.Append(wal.KindDispatch, wal.DispatchRec{EPR: it.X.epr, ID: it.X.t.ID, Exec: ex.ID})
 		}
 		f.trace(now, kind, it.X.t.Trace, it.X.t.ID, it.X.epr, ex.ID)
 		as = append(as, fproto.Assignment{EPR: it.X.epr, Task: it.X.t, CacheHit: hit})
@@ -1370,87 +1132,19 @@ func (d *Dispatcher) assignLocked(f *fx, s *shard, ex *sched.Exec[string], asked
 	return as
 }
 
-// queuedElsewhere reports (lock-free) whether any other shard has queued
-// work worth stealing.
-func (d *Dispatcher) queuedElsewhere(home *shard) bool {
-	if d.nshards == 1 {
-		return false
-	}
-	for _, s := range d.shards {
-		if s != home && s.qdepth.Value() > 0 {
-			return true
-		}
-	}
-	return false
-}
-
-// stealTask pops one task from another shard's queue, scanning victims in
-// deterministic order home+1, home+2, ... guided by the lock-free depth
-// gauges. Only the victim's lock is held while popping — never two shard
-// locks — and the popped task holds a limbo count until assignStolen lands
-// or drops it. The steal is policy-blind FIFO (PickAny): no dataset cache
-// is consulted, so no executor state is read under a foreign shard's lock.
-// One task, whatever the thief asked for: an even share of a victim's queue
-// would have to count every shard's slots to starve nobody.
-func (d *Dispatcher) stealTask(home int) (it sched.Item[taskRef], v *shard, ok bool) {
-	for i := 1; i < d.nshards && !ok; i++ {
-		v = d.shards[(home+i)%d.nshards]
-		if v.qdepth.Value() == 0 {
-			continue
-		}
-		v.mu.Lock()
-		if it, ok = v.core.PickAny(); ok {
-			d.limbo.Add(1)
-		}
-		v.syncDepth()
-		v.mu.Unlock()
-	}
-	return it, v, ok
-}
-
-// assignStolen records a task stolen from shard v as outstanding on ex's
-// home shard s and returns its assignment. The dispatch record routes
-// through the task's affinity (victim) appender, keeping per-task journal
-// order. If ex was dropped while the steal ran (its registration changed
-// under us), the task goes back to its affinity shard via f.requeues
-// instead. Callers hold s.mu.
-func (d *Dispatcher) assignStolen(f *fx, s *shard, ex *sched.Exec[string], it sched.Item[taskRef], v *shard, kind obs.EventKind) []fproto.Assignment {
-	if cur, ok := s.core.Exec(ex.ID); !ok || cur != ex {
-		f.requeues = append(f.requeues, it) // keeps the limbo count
-		return nil
-	}
-	d.limbo.Add(-1)
-	if it.X.inst == nil || it.X.inst.destroyed.Load() {
-		d.tenants.release(taskTenant(it.X), 1, false)
-		return nil // instance destroyed while queued
-	}
-	now := d.now()
-	s.core.Assign(now, ex, outKey{it.X.epr, it.X.t.ID}, it)
-	s.steals.Inc()
-	if v.app != nil {
-		v.app.Append(wal.KindDispatch, wal.DispatchRec{EPR: it.X.epr, ID: it.X.t.ID, Exec: ex.ID, Shard: v.idx})
-	}
-	f.trace(now, kind, it.X.t.Trace, it.X.t.ID, it.X.epr, ex.ID)
-	return []fproto.Assignment{{EPR: it.X.epr, Task: it.X.t}}
-}
-
 // finalize delivers a finished result to its instance (push or buffer).
-// Callers hold s.mu — the shard whose counters absorb the completion; the
-// push itself is deferred into f. The complete record routes through the
-// task's affinity appender so it serializes after that task's accept and
-// dispatch records.
-func (d *Dispatcher) finalize(f *fx, s *shard, tr taskRef, r task.Result) {
+// Callers hold mu; the push itself is deferred into f.
+func (d *Dispatcher) finalize(f *fx, tr taskRef, r task.Result) {
 	if d.wal != nil {
-		ai := d.refShard(tr)
 		// Logged with the payload so undelivered results survive a crash
 		// and are redelivered on recovery (clients dedupe by task ID).
-		d.shards[ai].app.Append(wal.KindComplete, wal.CompleteRec{EPR: tr.epr, Result: r, Shard: ai})
+		d.wal.Append(wal.KindComplete, wal.CompleteRec{EPR: tr.epr, Result: r})
 	}
 	if r.Failed() {
-		s.core.Counters.Failed++
+		d.core.Counters.Failed++
 		f.trace(d.now(), obs.EvFailed, r.Trace, r.ID, tr.epr, r.ExecutorID)
 	} else {
-		s.core.Counters.Completed++
+		d.core.Counters.Completed++
 	}
 	// Tenant accounting retires the task whether or not the instance is
 	// still around to receive the result.
@@ -1472,8 +1166,7 @@ func (d *Dispatcher) finalize(f *fx, s *shard, tr taskRef, r task.Result) {
 	inst.mu.Unlock()
 }
 
-// sweeper periodically applies the timeout half of the replay policy
-// across every shard.
+// sweeper periodically applies the timeout half of the replay policy.
 func (d *Dispatcher) sweeper() {
 	defer close(d.sweeperDone)
 	interval := d.opts.ReplayTimeout / 2
@@ -1490,22 +1183,18 @@ func (d *Dispatcher) sweeper() {
 		}
 		cutoff := d.now() - d.opts.ReplayTimeout
 		var f fx
-		total := 0
-		for _, s := range d.shards {
-			s.mu.Lock()
-			expired := s.core.Expire(cutoff)
-			for _, o := range expired {
-				d.replay(&f, s, o, "replay timeout")
-			}
-			if len(expired) > 0 {
-				d.notifyShardLocked(&f, s, d.now())
-			}
-			s.mu.Unlock()
-			total += len(expired)
+		d.mu.Lock()
+		expired := d.core.Expire(cutoff)
+		for _, o := range expired {
+			d.replay(&f, o, "replay timeout")
 		}
+		if len(expired) > 0 {
+			d.notifyLocked(&f, d.now())
+		}
+		d.mu.Unlock()
 		d.wakeDrain()
-		if total > 0 {
-			d.logf("dispatch: replayed %d timed-out tasks", total)
+		if len(expired) > 0 {
+			d.logf("dispatch: replayed %d timed-out tasks", len(expired))
 		}
 		d.flush(&f)
 	}

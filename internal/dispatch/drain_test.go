@@ -7,24 +7,19 @@ import (
 	"falkon/internal/task"
 )
 
-// enqueueRaw pushes a bare task onto its affinity shard the way a submit
-// would, bypassing the transport (tests only).
+// enqueueRaw pushes a bare task onto the queue the way a submit would,
+// bypassing the transport (tests only).
 func enqueueRaw(d *Dispatcher, epr string, t task.Task) {
-	s := d.shards[d.taskShard(epr, t)]
-	s.mu.Lock()
-	s.core.Enqueue(0, taskRef{epr: epr, t: t})
-	s.syncDepth()
-	s.mu.Unlock()
+	d.mu.Lock()
+	d.core.Enqueue(0, taskRef{epr: epr, t: t})
+	d.mu.Unlock()
 }
 
-// dropAllQueued empties every shard's queue (tests only).
+// dropAllQueued empties the queue (tests only).
 func dropAllQueued(d *Dispatcher) {
-	for _, s := range d.shards {
-		s.mu.Lock()
-		s.core.DropQueued(func(taskRef) bool { return true })
-		s.syncDepth()
-		s.mu.Unlock()
-	}
+	d.mu.Lock()
+	d.core.DropQueued(func(taskRef) bool { return true })
+	d.mu.Unlock()
 }
 
 func TestDrainEmptySystemReturnsImmediately(t *testing.T) {
@@ -74,31 +69,5 @@ func TestDrainTimesOutWhileWorkRemains(t *testing.T) {
 	}
 	if el := time.Since(start); el < 40*time.Millisecond || el > 2*time.Second {
 		t.Fatalf("timed-out drain returned after %v", el)
-	}
-}
-
-// TestDrainWaitsForLimbo pins the cross-shard hand-off accounting: work in
-// limbo (e.g. mid-steal between a victim pop and a home assign) must keep
-// Drain blocked even though no shard queue holds it.
-func TestDrainWaitsForLimbo(t *testing.T) {
-	d := New(Options{})
-	d.limbo.Add(1)
-	done := make(chan bool, 1)
-	go func() { done <- d.Drain(10 * time.Second) }()
-	time.Sleep(20 * time.Millisecond)
-	select {
-	case <-done:
-		t.Fatal("drain returned while a task was in limbo")
-	default:
-	}
-	d.limbo.Add(-1)
-	d.wakeDrain()
-	select {
-	case ok := <-done:
-		if !ok {
-			t.Fatal("drain reported timeout")
-		}
-	case <-time.After(time.Second):
-		t.Fatal("drain never woke after limbo cleared")
 	}
 }

@@ -15,8 +15,8 @@ import (
 
 // register installs the protocol handlers on the wsrpc server. Everything
 // except Collect dispatches inline on the connection's read goroutine
-// (RegisterFast): the handlers only take one shard mutex briefly and defer
-// I/O through fx/flush, so skipping the per-call goroutine removes the
+// (RegisterFast): the handlers only take the scheduler mutex briefly and
+// defer I/O through fx/flush, so skipping the per-call goroutine removes the
 // dominant scheduling overhead on the Submit/Deliver hot path. Collect
 // long-polls and must keep its own goroutine.
 func (d *Dispatcher) register() {
@@ -74,19 +74,17 @@ func (d *Dispatcher) handleCreateInstance(p *wsrpc.Peer, body json.RawMessage) (
 	d.nextEPR++
 	epr := fmt.Sprintf("falkon-instance-%d", d.nextEPR)
 	inst := &instance{
-		epr:     epr,
-		name:    req.ClientName,
-		eprHash: sched.HashString(epr),
-		peer:    p,
-		notify:  req.WantNotifications,
-		tenant:  tenant,
+		epr:    epr,
+		name:   req.ClientName,
+		peer:   p,
+		notify: req.WantNotifications,
+		tenant: tenant,
 	}
 	var h wal.Handle
 	if d.wal != nil {
 		inst.live = make(map[task.ID]struct{})
-		// Control records ride appender 0 (the journal's default), which
-		// every commit batch drains first — an instance record always lands
-		// before any accept that references it.
+		// The EPR is not handed out until this returns, so the instance
+		// record lands before any accept that references it.
 		h, err = d.wal.AppendWait(wal.KindInstance, wal.InstanceRec{EPR: epr, Name: req.ClientName, Notify: req.WantNotifications, Tenant: tenant})
 	}
 	if err == nil {
@@ -152,24 +150,24 @@ func (d *Dispatcher) handleDestroyInstance(_ *wsrpc.Peer, body json.RawMessage) 
 	inst.destroyed.Store(true)
 	delete(d.instances, req.EPR)
 	d.imu.Unlock()
-	// Sweep the instance's queued tasks off every shard. A submit racing
-	// the destroy may still land tasks afterwards; they are dropped at pick
+	// Sweep the instance's queued tasks off the queue. A submit racing the
+	// destroy may still land tasks afterwards; they are dropped at pick
 	// time by the destroyed check, and replay tombstones them the same way.
-	dropped := 0
-	for _, s := range d.shards {
-		s.mu.Lock()
-		dropped += s.core.DropQueued(func(tr taskRef) bool { return tr.epr == req.EPR })
-		s.syncDepth()
-		s.mu.Unlock()
-	}
+	d.mu.Lock()
+	dropped := d.core.DropQueued(func(tr taskRef) bool { return tr.epr == req.EPR })
+	d.mu.Unlock()
 	// Dropped tasks never reach finalize; retire their tenant charge here.
 	d.tenants.release(inst.tenant, dropped, false)
-	var h wal.Handle
-	if d.wal != nil {
-		h, _ = d.wal.AppendWait(wal.KindDestroy, wal.DestroyRec{EPR: req.EPR})
-	}
 	// Outstanding tasks' results will be dropped on delivery.
 	d.wakeDrain()
+	var h wal.Handle
+	if d.wal != nil {
+		// A journal that has failed closed takes no record: the destroy is
+		// refused, or a restart would bring the instance back acknowledged gone.
+		if h, err = d.wal.AppendWait(wal.KindDestroy, wal.DestroyRec{EPR: req.EPR}); err != nil {
+			return nil, err
+		}
+	}
 	if err := h.Wait(); err != nil {
 		return nil, err
 	}
@@ -188,13 +186,15 @@ func (d *Dispatcher) handleSubmit(p *wsrpc.Peer, body json.RawMessage) (any, err
 	if !ok || inst.destroyed.Load() {
 		return nil, fmt.Errorf("dispatch: no such instance %q", req.EPR)
 	}
-	// The limbo count makes this submit visible to Drain before the
-	// draining check: either Drain's flag-store precedes our check (we
-	// reject) or our count precedes its emptiness check (it waits for the
-	// enqueues below).
-	d.limbo.Add(1)
+	f := getFx()
+	defer putFx(f)
+	t0 := time.Now()
+	d.mu.Lock()
+	t1 := time.Now()
+	// Checked under mu, which Drain takes only after raising the flag: this
+	// submit is refused, or its tasks are queued by the time Drain looks.
 	if d.draining.Load() {
-		d.limbo.Add(-1)
+		d.mu.Unlock()
 		return nil, fmt.Errorf("dispatch: draining, not accepting submissions")
 	}
 	// Admission control: the tenant's quota and rate limit are checked on
@@ -202,12 +202,10 @@ func (d *Dispatcher) handleSubmit(p *wsrpc.Peer, body json.RawMessage) (any, err
 	// is NOT an error — the typed reply tells the client when to retry.
 	// Duplicates discovered by the dedupe pass below are refunded.
 	if retryAfter, ok := d.tenants.admit(inst.tenant, len(req.Tasks)); !ok {
-		d.limbo.Add(-1)
+		d.mu.Unlock()
 		d.reg.Counter(obs.TenantKey(obs.MetricTenantThrottled, inst.tenant)).Inc()
 		return fproto.SubmitReply{RetryAfterMillis: retryAfter}, nil
 	}
-	f := getFx()
-	defer putFx(f)
 	tasks, deduped := req.Tasks, 0
 	inst.mu.Lock()
 	if inst.live != nil {
@@ -234,83 +232,44 @@ func (d *Dispatcher) handleSubmit(p *wsrpc.Peer, body json.RawMessage) (any, err
 	// admission but are already in flight from an earlier submission.
 	d.tenants.unadmit(inst.tenant, deduped)
 
-	// Partition the bundle by affinity shard, preserving submit order
-	// within each shard (per-shard FIFO is the sharded ordering contract).
-	var byShard [][]task.Task
-	if d.nshards == 1 {
-		byShard = [][]task.Task{tasks}
-	} else {
-		byShard = make([][]task.Task, d.nshards)
-		for _, t := range tasks {
-			si := sched.TaskShard(d.nshards, taskDataset(t), inst.eprHash^uint64(t.ID))
-			byShard[si] = append(byShard[si], t)
-		}
-	}
 	now := d.now()
-	var lockWait, coreWork time.Duration
-	var handles []wal.Handle
+	var h wal.Handle
 	var werr error
-	for si, group := range byShard {
-		if len(group) == 0 {
-			continue
-		}
-		s := d.shards[si]
-		l0 := time.Now()
-		s.mu.Lock()
-		l1 := time.Now()
-		for _, t := range group {
-			s.core.Enqueue(now, taskRef{epr: req.EPR, t: t, inst: inst})
+	if len(tasks) > 0 {
+		for _, t := range tasks {
+			d.core.Enqueue(now, taskRef{epr: req.EPR, t: t, inst: inst})
 			f.trace(now, obs.EvEnqueued, t.Trace, t.ID, req.EPR, "")
 		}
-		if s.app != nil {
-			// Appended under the shard lock, before any pick can see these
-			// tasks: the accept precedes every dispatch/complete for them on
-			// this appender, so per-task journal order survives sharding.
-			h, e := s.app.AppendWait(wal.KindAccept, wal.AcceptRec{EPR: req.EPR, Tasks: group, Shard: si, Tenant: inst.tenant})
-			if e != nil {
-				if werr == nil {
-					werr = e
-				}
-			} else {
-				handles = append(handles, h)
-			}
+		if d.wal != nil {
+			// Appended under mu, before any pick can see these tasks: the
+			// accept precedes every dispatch/complete for them in the journal.
+			h, werr = d.wal.AppendWait(wal.KindAccept, wal.AcceptRec{EPR: req.EPR, Tasks: tasks, Tenant: inst.tenant})
 		}
-		d.notifyShardLocked(f, s, now)
-		s.syncDepth()
-		s.mu.Unlock()
-		l2 := time.Now()
-		lockWait += l1.Sub(l0)
-		coreWork += l2.Sub(l1)
-		s.hLockWait.Observe(l1.Sub(l0).Seconds())
-		s.hSchedCore.Observe(l2.Sub(l1).Seconds())
+		d.notifyLocked(f, now)
 	}
-	d.limbo.Add(-1)
-	d.crossNotify(f, now)
+	d.mu.Unlock()
 	t2 := time.Now()
 	d.flush(f)
 	t3 := time.Now()
-	d.hLockWait.Observe(lockWait.Seconds())
-	d.hSchedCore.Observe(coreWork.Seconds())
+	d.hLockWait.Observe(t1.Sub(t0).Seconds())
+	d.hSchedCore.Observe(t2.Sub(t1).Seconds())
 	d.hFxFlush.Observe(t3.Sub(t2).Seconds())
-	d.wakeDrain() // an all-deduped submit leaves the system unchanged
 	if werr != nil {
 		return nil, werr
 	}
-	// Durability barrier: the acknowledgment is withheld until every
-	// shard's accept record reaches disk, so an acked task survives any
-	// crash. The group committer amortizes one fsync across all of them.
-	for _, h := range handles {
-		if err := h.Wait(); err != nil {
-			return nil, err
-		}
+	// Durability barrier: the acknowledgment is withheld until the accept
+	// record reaches disk, so an acked task survives any crash. The group
+	// committer amortizes one fsync across concurrent submits.
+	if err := h.Wait(); err != nil {
+		return nil, err
 	}
 	// Quorum barrier: under -replicate quorum the acknowledgment further
-	// waits until the attached standbys have durably mirrored these records
-	// (the Mirror hook streamed them before any h.Wait released).
-	if len(handles) > 0 {
-		d.replicaBarrier()
-	}
+	// waits until the attached standbys have durably mirrored the record
+	// (the Mirror hook streamed it before h.Wait released).
 	if d.wal != nil {
+		if len(tasks) > 0 {
+			d.replicaBarrier()
+		}
 		d.hWALWait.Observe(time.Since(t3).Seconds())
 	}
 	reply := fproto.SubmitReply{Accepted: len(req.Tasks), Deduped: deduped}
@@ -365,22 +324,16 @@ func (d *Dispatcher) handleRegister(p *wsrpc.Peer, body json.RawMessage) (any, e
 	p.SetMeta(req.ExecutorID)
 	f := getFx()
 	defer putFx(f)
-	home := d.execShard(req.ExecutorID)
-	s := d.shards[home]
-	s.mu.Lock()
+	d.mu.Lock()
 	// A re-register replaces the old connection (e.g. executor restart);
 	// the core keeps outstanding entries so late results still resolve.
-	ex := s.core.AddExec(req.ExecutorID, req.Slots)
+	ex := d.core.AddExec(req.ExecutorID, req.Slots)
 	// Its slots are not parked until they say so: what is queued now is
 	// announced, never pushed ahead of the register reply.
-	ex.Ref = &execRef{peer: p, allocation: req.Allocation, home: home, grants: req.AcceptsGrants}
-	s.core.Offer(ex)
-	d.notifyShardLocked(f, s, d.now())
-	s.mu.Unlock()
-	// Work may be queued on other shards with no free executor of their
-	// own; the global pass lets this fresh executor cover it (by stealing
-	// on its first pull).
-	d.crossNotify(f, d.now())
+	ex.Ref = &execRef{peer: p, allocation: req.Allocation, grants: req.AcceptsGrants}
+	d.core.Offer(ex)
+	d.notifyLocked(f, d.now())
+	d.mu.Unlock()
 	d.flush(f)
 	d.noteCapacityChange(true) // executor population changed
 	return fproto.RegisterReply{OK: true, DispatcherEpoch: d.epoch.UnixNano()}, nil
@@ -393,14 +346,13 @@ func (d *Dispatcher) handleDeregister(_ *wsrpc.Peer, body json.RawMessage) (any,
 	}
 	f := getFx()
 	defer putFx(f)
-	s := d.shards[d.execShard(req.ExecutorID)]
-	s.mu.Lock()
-	_, dropped := s.core.DropExecutor(req.ExecutorID)
+	d.mu.Lock()
+	_, dropped := d.core.DropExecutor(req.ExecutorID)
 	for _, o := range dropped {
-		d.replay(f, s, o, "executor deregistered")
+		d.replay(f, o, "executor deregistered")
 	}
-	d.notifyShardLocked(f, s, d.now())
-	s.mu.Unlock()
+	d.notifyLocked(f, d.now())
+	d.mu.Unlock()
 	d.wakeDrain()
 	d.flush(f)
 	d.noteCapacityChange(true) // executor population changed
@@ -424,48 +376,35 @@ func (d *Dispatcher) handleGetWork(p *wsrpc.Peer, body json.RawMessage) (any, er
 	}
 	f := getFx()
 	defer putFx(f)
-	s := d.shards[d.execShard(req.ExecutorID)]
-	s.mu.Lock()
-	ex, ok := s.core.Exec(req.ExecutorID)
+	d.mu.Lock()
+	ex, ok := d.core.Exec(req.ExecutorID)
 	if !ok {
-		s.mu.Unlock()
+		d.mu.Unlock()
 		return nil, fmt.Errorf("dispatch: unregistered executor %q", req.ExecutorID)
 	}
 	ex.Notified, ex.Suspect = false, false
 	if ref := ex.Ref.(*execRef); ref.parked > 0 {
 		ref.parked-- // a slot that pulls was waiting until now
 	}
-	as := d.pullLocked(f, s, ex, req.Max, obs.EvPulled)
-	s.core.Offer(ex)
+	as := d.pullLocked(f, ex, req.Max, obs.EvPulled)
+	d.core.Offer(ex)
 	if len(as) > 0 {
 		// Other executors may still be needed for the rest of the queue.
-		d.notifyShardLocked(f, s, d.now())
+		d.notifyLocked(f, d.now())
 	}
-	s.syncDepth()
-	s.mu.Unlock()
+	d.mu.Unlock()
 	d.flush(f)
 	return fproto.GetWorkReply{Assignments: as}, nil
 }
 
 // pullLocked answers one pull by ex — a GetWork, or the ask a Deliver
-// piggy-backs (kind says which) — for asked tasks: a grant from the home
-// queue (assignLocked), or, when that is dry and another shard is not, one
-// stolen task. A pull answered with nothing parks the slot that sent it: the
-// next work push may carry its grant (notifyShardLocked). Victim locks are
-// taken one at a time with s.mu released. Callers hold s.mu.
-func (d *Dispatcher) pullLocked(f *fx, s *shard, ex *sched.Exec[string], asked int, kind obs.EventKind) []fproto.Assignment {
+// piggy-backs (kind says which) — for asked tasks (assignLocked). A pull
+// answered with nothing parks the slot that sent it: the next work push may
+// carry its grant (notifyLocked). Callers hold mu.
+func (d *Dispatcher) pullLocked(f *fx, ex *sched.Exec[string], asked int, kind obs.EventKind) []fproto.Assignment {
 	ref := ex.Ref.(*execRef)
 	ref.ask = max(asked, 1)
-	as := d.assignLocked(f, s, ex, ref.ask, kind, d.now())
-	if len(as) == 0 && d.queuedElsewhere(s) {
-		s.syncDepth()
-		s.mu.Unlock()
-		it, v, ok := d.stealTask(s.idx)
-		s.mu.Lock()
-		if ok {
-			as = d.assignStolen(f, s, ex, it, v, kind)
-		}
-	}
+	as := d.assignLocked(f, ex, ref.ask, kind, d.now())
 	if len(as) > 0 {
 		d.hGrant.Observe(float64(len(as)))
 	} else if ref.parked < ex.Free() {
@@ -481,13 +420,12 @@ func (d *Dispatcher) handleDeliver(p *wsrpc.Peer, body json.RawMessage) (any, er
 	}
 	f := getFx()
 	defer putFx(f)
-	s := d.shards[d.execShard(req.ExecutorID)]
 	t0 := time.Now()
-	s.mu.Lock()
+	d.mu.Lock()
 	t1 := time.Now()
-	ex, ok := s.core.Exec(req.ExecutorID)
+	ex, ok := d.core.Exec(req.ExecutorID)
 	if !ok {
-		s.mu.Unlock()
+		d.mu.Unlock()
 		return nil, fmt.Errorf("dispatch: unregistered executor %q", req.ExecutorID)
 	}
 	now := d.now()
@@ -495,9 +433,7 @@ func (d *Dispatcher) handleDeliver(p *wsrpc.Peer, body json.RawMessage) (any, er
 	// dispatched, ran for what its results report.
 	sent, ran := now, time.Duration(0)
 	for _, tr := range req.Results {
-		// Outstanding entries live on the executor's home shard even for
-		// stolen tasks, so this lookup never leaves s.
-		o, ok := s.core.Complete(req.ExecutorID, outKey{tr.EPR, tr.Result.ID})
+		o, ok := d.core.Complete(req.ExecutorID, outKey{tr.EPR, tr.Result.ID})
 		if !ok {
 			continue // duplicate delivery, counted by the core
 		}
@@ -523,9 +459,9 @@ func (d *Dispatcher) handleDeliver(p *wsrpc.Peer, body json.RawMessage) (any, er
 		r.Attempts = o.Item.Attempts
 		r.ExecutorID = req.ExecutorID
 		r.Trace = o.Item.X.t.Trace
-		s.core.NoteCompletion(ex, taskDataset(o.Item.X.t))
+		d.core.NoteCompletion(ex, taskDataset(o.Item.X.t))
 		if r.Failed() && !d.opts.NoRetryOnFailure {
-			d.replay(f, s, o, "task failed: "+failReason(r))
+			d.replay(f, o, "task failed: "+failReason(r))
 			continue
 		}
 		f.trace(st.Started, obs.EvStarted, r.Trace, r.ID, tr.EPR, req.ExecutorID)
@@ -536,18 +472,17 @@ func (d *Dispatcher) handleDeliver(p *wsrpc.Peer, body json.RawMessage) (any, er
 			tenant = taskTenant(o.Item.X) // labels per-tenant histograms in flush
 		}
 		f.stamps = append(f.stamps, stampRec{st: st, tenant: tenant})
-		d.finalize(f, s, o.Item.X, r)
+		d.finalize(f, o.Item.X, r)
 	}
 	ex.Notified, ex.Suspect = false, false
 	ex.Ref.(*execRef).rtt = max(now-sent-ran, 0)
 	var as []fproto.Assignment
 	if req.WantWork {
-		as = d.pullLocked(f, s, ex, req.MaxNew, obs.EvAcked)
+		as = d.pullLocked(f, ex, req.MaxNew, obs.EvAcked)
 	}
-	s.core.Offer(ex)
-	d.notifyShardLocked(f, s, now)
-	s.syncDepth()
-	s.mu.Unlock()
+	d.core.Offer(ex)
+	d.notifyLocked(f, now)
+	d.mu.Unlock()
 	t2 := time.Now()
 	d.wakeDrain()
 	d.maybeSnapshot()
@@ -556,8 +491,6 @@ func (d *Dispatcher) handleDeliver(p *wsrpc.Peer, body json.RawMessage) (any, er
 	d.hLockWait.Observe(t1.Sub(t0).Seconds())
 	d.hSchedCore.Observe(t2.Sub(t1).Seconds())
 	d.hFxFlush.Observe(t3.Sub(t2).Seconds())
-	s.hLockWait.Observe(t1.Sub(t0).Seconds())
-	s.hSchedCore.Observe(t2.Sub(t1).Seconds())
 	d.noteCapacityChange(false) // throttled: completions free leaf headroom
 	return fproto.DeliverReply{Assignments: as}, nil
 }

@@ -12,17 +12,11 @@ import (
 // the paper's factory/instance pattern: each client gets its own queue
 // accounting and result buffer, cleanly separated from other clients.
 //
-// With the sharded core an instance's tasks spread across shards, so the
-// instance carries its own small mutex instead of living under a global
-// dispatcher lock: two shards finalizing results for the same client
-// serialize here, on the client, not on each other.
+// The instance carries its own small mutex: Collect, reattach and a failed
+// result push work on one client's state without the scheduler lock.
 type instance struct {
 	epr  string
 	name string
-
-	// eprHash caches sched.HashString(epr) for task→shard routing; computed
-	// once at creation/recovery, immutable after.
-	eprHash uint64
 
 	// tenant is the owning tenant (DefaultTenant unless the create request
 	// named one); immutable after creation/recovery, so the fair-share and
@@ -33,7 +27,7 @@ type instance struct {
 	// tasks of a destroyed instance are dropped wherever they surface.
 	destroyed atomic.Bool
 
-	// mu guards everything below. Lock order: a shard mutex may be held
+	// mu guards everything below. Lock order: Dispatcher.mu may be held
 	// when taking mu (finalize); never the reverse.
 	mu     sync.Mutex
 	peer   *wsrpc.Peer // connection that created the instance

@@ -533,6 +533,37 @@ func TestDrainRejectsNewWorkAndCompletesInFlight(t *testing.T) {
 	}
 }
 
+// TestSubmitRacingDrain starts a Submit and a Drain together, 200 times, with
+// no executor to run anything: a bundle the dispatcher accepted is still in
+// it, so however the two interleave a Drain that reported the system empty
+// must not have let one in.
+func TestSubmitRacingDrain(t *testing.T) {
+	const bundle = 8
+	for round := 0; round < 200; round++ {
+		d := dispatch.New(dispatch.Options{})
+		if err := d.Listen("127.0.0.1:0"); err != nil {
+			t.Fatal(err)
+		}
+		c, err := client.Connect(client.Options{DispatcherAddr: d.Addr(), BundleSize: bundle})
+		if err != nil {
+			t.Fatal(err)
+		}
+		var gen task.IDGen
+		submitted := make(chan error, 1)
+		go func() { submitted <- c.Submit(task.Batch(&gen, bundle, 0)) }()
+		// The submit is a loopback round trip away; sweep the drain across it.
+		time.Sleep(time.Duration(round%20) * 10 * time.Microsecond)
+		drained := d.Drain(5 * time.Millisecond)
+		accepted := <-submitted == nil
+		queued := d.Stats().Queued
+		c.Close()
+		d.Close()
+		if accepted == drained || (accepted && queued != bundle) || (drained && queued != 0) {
+			t.Fatalf("round %d: submit accepted=%v, drain finished=%v, %d tasks queued", round, accepted, drained, queued)
+		}
+	}
+}
+
 func TestLateDuplicateDeliveryDropped(t *testing.T) {
 	// A task replayed by timeout whose original executor later delivers:
 	// the late result must be dropped, not double-counted.

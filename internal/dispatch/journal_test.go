@@ -6,12 +6,15 @@ package dispatch_test
 // delivered exactly once through the reconnecting client.
 
 import (
+	"errors"
+	"sync/atomic"
 	"testing"
 	"time"
 
 	"falkon/internal/client"
 	"falkon/internal/dispatch"
 	"falkon/internal/executor"
+	"falkon/internal/fproto"
 	"falkon/internal/task"
 	"falkon/internal/wal"
 )
@@ -186,4 +189,60 @@ func TestGracefulCloseLeavesNoPending(t *testing.T) {
 	if len(st.Pending) != 0 {
 		t.Fatalf("graceful shutdown left %d pending tasks in the journal", len(st.Pending))
 	}
+}
+
+// brokenDisk is the real filesystem until broken is set; from then on every
+// write to a journal file fails.
+type brokenDisk struct {
+	wal.FS
+	broken atomic.Bool
+}
+
+func (fs *brokenDisk) Create(name string, excl bool) (wal.File, error) {
+	f, err := fs.FS.Create(name, excl)
+	return brokenFile{f, fs}, err
+}
+
+type brokenFile struct {
+	wal.File
+	fs *brokenDisk
+}
+
+func (f brokenFile) Write(p []byte) (int, error) {
+	if f.fs.broken.Load() {
+		return 0, errors.New("disk gone")
+	}
+	return f.File.Write(p)
+}
+
+// TestDestroyOnFailedJournalIsRefused: once the journal has failed closed a
+// destroy cannot be recorded, so it must not be acknowledged — a restart
+// would bring the instance and its queued tasks back.
+func TestDestroyOnFailedJournalIsRefused(t *testing.T) {
+	disk := &brokenDisk{FS: wal.OS}
+	d := dispatch.New(dispatch.Options{JournalDir: t.TempDir(), JournalFS: disk, Logf: t.Logf})
+	if err := d.Listen("127.0.0.1:0"); err != nil {
+		t.Fatal(err)
+	}
+	defer d.Close()
+	cli, err := wsrpcDial(d.Addr())
+	if err != nil {
+		t.Fatal(err)
+	}
+	defer cli.Close()
+	var created fproto.CreateInstanceReply
+	if err := cli.Call(fproto.MethodCreateInstance, fproto.CreateInstanceRequest{ClientName: "t"}, &created); err != nil {
+		t.Fatal(err)
+	}
+	disk.broken.Store(true)
+	// The first record to hit the disk fails its commit and the journal with it.
+	submit := fproto.SubmitRequest{EPR: created.EPR, Tasks: []task.Task{task.Sleep(1, 0)}}
+	if err := cli.Call(fproto.MethodSubmit, &submit, new(fproto.SubmitReply)); err == nil {
+		t.Fatal("submit acknowledged though its accept record could not be written")
+	}
+	err = cli.Call(fproto.MethodDestroyInstance, fproto.DestroyInstanceRequest{EPR: created.EPR}, nil)
+	if err == nil {
+		t.Fatal("destroy acknowledged though the journal takes no records")
+	}
+	t.Logf("destroy refused: %v", err)
 }

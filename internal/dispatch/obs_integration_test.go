@@ -120,7 +120,7 @@ func TestEventsRPCRoundTrip(t *testing.T) {
 	}
 	// Per-task lifecycle: enqueued before everything else, all kinds decoded.
 	// "Before" is by timestamp: the ring is in recording order, and handlers
-	// record after releasing the shard lock, so the Deliver that piggy-backs a
+	// record after releasing the scheduler lock, so the Deliver that piggy-backs a
 	// task out may record its pickup ahead of the Submit that enqueued it.
 	first := make(map[task.ID]obs.Event)
 	delivered := 0

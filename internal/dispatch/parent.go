@@ -41,21 +41,16 @@ func (d *Dispatcher) handleAttachParent(p *wsrpc.Peer, body json.RawMessage) (an
 }
 
 // capacityHint snapshots the dispatcher's headroom: backlog (queued +
-// outstanding) and executor population across every shard. Slots are
-// approximated by executors (the paper maps one executor per processor), so
-// IdleSlots is the idle executor count.
+// outstanding) and executor population. Slots are approximated by executors
+// (the paper maps one executor per processor), so IdleSlots is the idle
+// executor count.
 func (d *Dispatcher) capacityHint() fproto.CapacityHint {
 	h := fproto.CapacityHint{Seq: d.parents.seq.Add(1), Epoch: d.epoch.UnixNano()}
-	for _, s := range d.shards {
-		s.mu.Lock()
-		q, o := s.core.QueueLen(), s.core.OutstandingLen()
-		total, busy := s.core.ExecStats()
-		s.mu.Unlock()
-		h.Queued += q
-		h.Outstanding += o
-		h.Executors += total
-		h.IdleSlots += total - busy
-	}
+	d.mu.Lock()
+	h.Queued, h.Outstanding = d.core.QueueLen(), d.core.OutstandingLen()
+	total, busy := d.core.ExecStats()
+	d.mu.Unlock()
+	h.Executors, h.IdleSlots = total, total-busy
 	return h
 }
 

@@ -52,7 +52,7 @@ func oneAtATime(t *testing.T, c *client.Client, gen *task.IDGen, n int) {
 // Figure-10 stages still partition end-to-end latency, with nothing between
 // notification and assignment.
 func TestUnqueuedTaskRidesThePush(t *testing.T) {
-	d, c, execs := startSystem(t, dispatch.Options{Shards: 1}, client.Options{BundleSize: 1}, 1, executor.Options{})
+	d, c, execs := startSystem(t, dispatch.Options{}, client.Options{BundleSize: 1}, 1, executor.Options{})
 	var gen task.IDGen
 	oneAtATime(t, c, &gen, 10) // the first is announced and pulled; its Deliver parks the slot
 
@@ -186,7 +186,7 @@ func TestRegistrationIsToldNotHanded(t *testing.T) {
 			name = "queue recovered from the journal"
 		}
 		t.Run(name, func(t *testing.T) {
-			dopts := dispatch.Options{Shards: 1}
+			dopts := dispatch.Options{}
 			if recovered {
 				dopts.JournalDir = t.TempDir()
 			}
@@ -254,7 +254,7 @@ func submitRaw(addr string, gen *task.IDGen) error {
 // all of which it completes by pulling — while a new executor registered
 // beside it is handed its work.
 func TestExecutorThatDoesNotAcceptGrantsPulls(t *testing.T) {
-	d, c, _ := startSystem(t, dispatch.Options{Shards: 1}, client.Options{BundleSize: 50}, 0, executor.Options{})
+	d, c, _ := startSystem(t, dispatch.Options{}, client.Options{BundleSize: 50}, 0, executor.Options{})
 	old := dialRawExec(t, d.Addr(), "old", 1, false)
 	stop, stopped := make(chan struct{}), make(chan struct{})
 	defer func() { close(stop); <-stopped }()
@@ -321,7 +321,7 @@ func TestExecutorThatDoesNotAcceptGrantsPulls(t *testing.T) {
 func TestLeavingExecutorRacingAPush(t *testing.T) {
 	for _, how := range []string{"Stop", "idle release"} {
 		t.Run(how, func(t *testing.T) {
-			d, c, _ := startSystem(t, dispatch.Options{Shards: 1}, client.Options{BundleSize: 1}, 1, executor.Options{})
+			d, c, _ := startSystem(t, dispatch.Options{}, client.Options{BundleSize: 1}, 1, executor.Options{})
 			var gen task.IDGen
 			oneAtATime(t, c, &gen, 5) // the stayer is parked
 			const rounds, each = 40, 6
@@ -392,7 +392,7 @@ func (x *rawExec) grants() []fproto.Assignment {
 // along. Once the quiet one speaks, it is handed work as before.
 func TestSilentMultiSlotExecutorIsNotFedAgain(t *testing.T) {
 	const replay = 100 * time.Millisecond
-	d, c, _ := startSystem(t, dispatch.Options{Shards: 1, ReplayTimeout: replay}, client.Options{BundleSize: 1}, 0, executor.Options{})
+	d, c, _ := startSystem(t, dispatch.Options{ReplayTimeout: replay}, client.Options{BundleSize: 1}, 0, executor.Options{})
 	x := dialRawExec(t, d.Addr(), "quiet", 4, true)
 	for slot := 0; slot < 4; slot++ { // each slot's Deliver asks for more, and is answered with nothing
 		var ack fproto.DeliverReply

@@ -350,7 +350,7 @@ func tenantMaxQueued(specs []TenantSpec) map[string]int {
 }
 
 // snapshot renders per-tenant stats rows, name-sorted. queued supplies
-// per-tenant queue depths gathered from the scheduler shards (may be nil).
+// per-tenant queue depths gathered from the scheduling core (may be nil).
 func (t *tenantTable) snapshot(queued map[string]int) []fproto.TenantStats {
 	if t == nil {
 		return nil

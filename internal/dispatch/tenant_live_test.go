@@ -89,9 +89,7 @@ func TestLiveTenantAdmissionAndStats(t *testing.T) {
 // With fair-share on, start-time fair queuing serves the tenants 4:1 — the
 // victim's 40th task is due after about 10 of the flood's, position ~50 —
 // and with it off the shared FIFO runs the whole flood first: the negative
-// control that fails if Options.FairShare is ever ignored. One shard: the
-// fair-share order is per shard, and a lone executor drains its home shard
-// before it steals from another.
+// control that fails if Options.FairShare is ever ignored.
 func TestLiveHostileTenantOrder(t *testing.T) {
 	const nFlood, nVictim, bound = 2000, 40, 60
 	// victimSpan returns the 1-based execution positions of the victim's
@@ -106,7 +104,6 @@ func TestLiveHostileTenantOrder(t *testing.T) {
 			return "", 0, nil
 		}
 		dopts := dispatch.Options{
-			Shards:    1,
 			FairShare: fair,
 			Tenants:   []dispatch.TenantSpec{{Name: "victim", Weight: 4}, {Name: "flood", Weight: 1}},
 		}

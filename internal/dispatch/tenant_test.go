@@ -1,8 +1,11 @@
 package dispatch
 
 import (
+	"fmt"
+	"math"
 	"os"
 	"path/filepath"
+	"strconv"
 	"strings"
 	"testing"
 	"time"
@@ -268,4 +271,42 @@ func TestTenantWeightAndMaxQueuedExtraction(t *testing.T) {
 	if tenantWeights(nil) != nil {
 		t.Fatal("empty specs produced a weight map")
 	}
+}
+
+// FuzzTenantSpec: ParseTenantSpec takes what an operator types after -tenant
+// or into a -tenants file. On any string it returns an error or a spec the
+// admission table and the fair-share weights can use as is — a name, a
+// finite weight > 0, finite non-negative limits — and that spec, written back
+// out in the syntax it came in, parses to itself.
+func FuzzTenantSpec(f *testing.F) {
+	for _, seed := range []string{
+		// README's examples, then the shapes the table test rejects.
+		"prod:weight=4,quota=20000",
+		"batch:weight=1,rate=2000,burst=500",
+		"batch:rate=2000,burst=200",
+		"prod:weight=4,quota=10000,rate=5000,burst=1000,maxq=50000",
+		"analytics", "  padded  ", "a: weight=2 , quota=5 ", "a:weight=1e-3,rate=0x1p4",
+		"", ":weight=1", "a:weight=NaN", "a:rate=Inf", "a:burst=-0", "a:quota=1.5", "a:turbo=9", "a:weight",
+	} {
+		f.Add(seed)
+	}
+	f.Fuzz(func(t *testing.T, in string) {
+		spec, err := ParseTenantSpec(in)
+		if err != nil {
+			return
+		}
+		finite := func(v float64) bool { return !math.IsNaN(v) && !math.IsInf(v, 0) }
+		if spec.Name == "" || !finite(spec.Weight) || spec.Weight <= 0 ||
+			!finite(spec.Rate) || spec.Rate < 0 || !finite(spec.Burst) || spec.Burst < 0 ||
+			spec.Quota < 0 || spec.MaxQueued < 0 {
+			t.Fatalf("ParseTenantSpec(%q) accepted %+v", in, spec)
+		}
+		g := func(v float64) string { return strconv.FormatFloat(v, 'g', -1, 64) }
+		out := fmt.Sprintf("%s:weight=%s,quota=%d,rate=%s,burst=%s,maxq=%d",
+			spec.Name, g(spec.Weight), spec.Quota, g(spec.Rate), g(spec.Burst), spec.MaxQueued)
+		again, err := ParseTenantSpec(out)
+		if err != nil || again != spec {
+			t.Fatalf("ParseTenantSpec(%q) = %+v; written back as %q it parses to %+v, %v", in, spec, out, again, err)
+		}
+	})
 }

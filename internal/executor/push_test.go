@@ -25,9 +25,7 @@ import (
 // run side by side (TestSlotsRunConcurrently's bound), so the hand-off from
 // the read loop to the slots never held a grant back.
 func TestPushedGrantsRunOnParallelSlots(t *testing.T) {
-	// One shard: work queued on another shard than the executor's is announced
-	// and stolen, never pushed.
-	d := dispatch.New(dispatch.Options{Shards: 1, Logf: t.Logf})
+	d := dispatch.New(dispatch.Options{Logf: t.Logf})
 	if err := d.Listen("127.0.0.1:0"); err != nil {
 		t.Fatal(err)
 	}

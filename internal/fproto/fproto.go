@@ -325,8 +325,9 @@ type StatsReply struct {
 	// RecoveredTasks counts pending tasks rebuilt from the journal at the
 	// last restart.
 	RecoveredTasks int64 `json:"recovered_tasks,omitempty"`
-	// Shards holds one row per scheduling shard when the dispatcher runs a
-	// sharded core (always populated; length 1 in legacy single-shard mode).
+	// Shards is what a dispatcher that sharded its core reported, one row per
+	// shard; this dispatcher leaves it nil. Its remaining reader is
+	// benchmark/run.go (dispatch.steals_per_ktask).
 	Shards []ShardStats `json:"shards,omitempty"`
 	// Depth is the dispatch-tree depth of the answering endpoint: 0 or
 	// absent for a plain dispatcher, 2 for a forwarder root fronting leaf
@@ -437,9 +438,8 @@ type StandbyStats struct {
 	Lag   int64 `json:"lag"`
 }
 
-// ShardStats is one scheduling shard's row in StatsReply: queue depth and
-// executor population show imbalance, Steals shows how much the shard's
-// executors had to take from other shards' queues to stay busy.
+// ShardStats is one scheduling shard's row in StatsReply, kept for
+// benchmark/run.go, which sums Steals (see StatsReply.Shards).
 type ShardStats struct {
 	Shard       int   `json:"shard"`
 	Queued      int   `json:"queued"`

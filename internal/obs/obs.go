@@ -16,7 +16,6 @@ package obs
 import (
 	"encoding/json"
 	"fmt"
-	"strconv"
 	"sync"
 	"time"
 
@@ -253,23 +252,3 @@ const (
 
 // OverheadKey returns the registry key of one overhead stage's histogram.
 func OverheadKey(stage string) string { return Labeled(MetricSchedOverheadSeconds, "stage", stage) }
-
-// Sharded-core metric names: per-shard queue depth (gauge, doubles as the
-// lock-free signal the steal scan reads) and tasks stolen by each shard's
-// executors from other shards' queues (counter).
-const (
-	MetricShardQueueDepth  = "falkon_shard_queue_depth"
-	MetricShardStealsTotal = "falkon_sched_shard_steals_total"
-)
-
-// ShardKey returns the registry key of a per-shard instrument.
-func ShardKey(name string, shard int) string {
-	return Labeled(name, "shard", strconv.Itoa(shard))
-}
-
-// OverheadShardKey returns the registry key of one overhead stage's
-// per-shard histogram (the aggregate, unlabeled-by-shard series under
-// OverheadKey is unchanged — consumers of the totals keep working).
-func OverheadShardKey(stage string, shard int) string {
-	return Labeled(MetricSchedOverheadSeconds, "shard", strconv.Itoa(shard), "stage", stage)
-}

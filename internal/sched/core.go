@@ -241,9 +241,9 @@ func (c *Core[E, K, T]) QueueLen() int {
 	return c.queue.Len()
 }
 
-// TenantQueueLens accumulates per-tenant queued counts into dst (sharded
-// callers pass one map across shards). Only meaningful under fair-share;
-// without it the queue is tenant-blind and nothing is reported.
+// TenantQueueLens accumulates per-tenant queued counts into dst. Only
+// meaningful under fair-share; without it the queue is tenant-blind and
+// nothing is reported.
 func (c *Core[E, K, T]) TenantQueueLens(dst map[string]int) {
 	if c.fair != nil {
 		c.fair.lens(dst)
@@ -509,13 +509,10 @@ func (c *Core[E, K, T]) PickWithin(x *Exec[E], room time.Duration) (it Item[T], 
 	return it, hit, true
 }
 
-// PickAny pops the next task regardless of pick policy. The work-stealing
-// path uses it: a thief takes from the victim shard's queue without
-// consulting any executor's dataset cache, so no executor-owned state is
-// ever read under a foreign shard's lock. Under fair-share the pop runs
-// the victim's SFQ arbitration, so steals drain the victim shard in the
-// same weighted order its own executors would — stealing preserves
-// fairness within the victim.
+// PickAny pops the next task regardless of pick policy: no executor's
+// dataset cache is consulted. Under fair-share the pop still runs the SFQ
+// arbitration, so the queue drains in the same weighted order a policy pick
+// would give it.
 func (c *Core[E, K, T]) PickAny() (it Item[T], ok bool) {
 	it, _, ok = c.PickWithin(nil, Unbounded)
 	return it, ok
@@ -602,9 +599,9 @@ func (c *Core[E, K, T]) Expire(cutoff time.Duration) []*Outstanding[E, K, T] {
 	return expired
 }
 
-// RetryLimit returns the retry bound applying to it (the per-task
+// retryLimit returns the retry bound applying to it (the per-task
 // override when present, the default otherwise).
-func (c *Core[E, K, T]) RetryLimit(it Item[T]) int {
+func (c *Core[E, K, T]) retryLimit(it Item[T]) int {
 	if c.opts.TaskRetries != nil {
 		if tr := c.opts.TaskRetries(it.X); tr > 0 {
 			return tr
@@ -618,7 +615,7 @@ func (c *Core[E, K, T]) RetryLimit(it Item[T]) int {
 // (keeping its original QueuedAt) and Requeue reports true; when
 // exhausted it reports false and the caller finalizes the failure.
 func (c *Core[E, K, T]) Requeue(it Item[T]) bool {
-	if it.Attempts > c.RetryLimit(it) {
+	if it.Attempts > c.retryLimit(it) {
 		return false
 	}
 	c.Counters.Retried++
@@ -636,17 +633,8 @@ func (c *Core[E, K, T]) Requeue(it Item[T]) bool {
 // notified and stamping LastNotifyAt = now, and returns the pushes the
 // caller owes. Each executor gets at most one outstanding notification.
 func (c *Core[E, K, T]) Notifications(now time.Duration) []Notification[E] {
-	return c.NotifyIdle(now, c.QueueLen())
-}
-
-// IdleLen returns live (non-tombstoned) entries on the idle stack.
-func (c *Core[E, K, T]) IdleLen() int { return len(c.idle) - c.dead }
-
-// NotifyIdle is Notifications against an explicit queue count: sharded
-// callers pass a cross-shard total so this shard's idle executors can be
-// woken for work queued elsewhere (they will steal it on their next pull).
-func (c *Core[E, K, T]) NotifyIdle(now time.Duration, queued int) []Notification[E] {
 	var ns []Notification[E]
+	queued := c.QueueLen()
 	for queued > 0 {
 		x, ok := c.PopIdle()
 		if !ok {

@@ -189,8 +189,7 @@ func (q *fairQueue[T]) dropWhere(match func(Item[T]) bool) int {
 	return dropped
 }
 
-// lens accumulates per-tenant queue lengths into dst (sharded callers sum
-// across shards).
+// lens accumulates per-tenant queue lengths into dst.
 func (q *fairQueue[T]) lens(dst map[string]int) {
 	for _, tq := range q.order {
 		if n := tq.ring.Len(); n > 0 {

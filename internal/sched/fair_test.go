@@ -155,8 +155,8 @@ func TestFairShareBoundedQueues(t *testing.T) {
 }
 
 func TestFairSharePickAnyPreservesFairness(t *testing.T) {
-	// PickAny is the steal path: it must run the same SFQ arbitration,
-	// not bypass to any single tenant's FIFO.
+	// The policy-blind pop must run the same SFQ arbitration, not bypass to
+	// any single tenant's FIFO.
 	c := newFairCore(&FairShare{})
 	for i := 0; i < 50; i++ {
 		c.Enqueue(0, ftask{tn: "flood", id: i})
@@ -168,7 +168,7 @@ func TestFairSharePickAnyPreservesFairness(t *testing.T) {
 		saw[tn] = true
 	}
 	if !saw["victim"] {
-		t.Fatalf("steal-path pops %v never reached the victim tenant", seq)
+		t.Fatalf("policy-blind pops %v never reached the victim tenant", seq)
 	}
 }
 

@@ -1,80 +1,16 @@
 package sched
 
-import "time"
-
-// Sharding support: Sharded partitions scheduling state across N
-// independent Cores so callers can drive each shard under its own lock (the
-// live dispatcher) or in a deterministic loop (the simulator). The hash
-// helpers here are THE shard-routing functions — the dispatcher, the
-// journal recovery path, and the simulator must all partition work with the
-// same hashes, or a restart would re-partition tasks differently than the
-// journal recorded them.
-
-// HashString is FNV-1a over s: the shard-affinity hash for string keys
-// (dataset names, executor IDs, EPRs). Stable across processes and
-// restarts by construction — never replace it with runtime map hashing.
-func HashString(s string) uint64 {
-	const (
-		offset64 = 14695981039346656037
-		prime64  = 1099511628211
-	)
-	h := uint64(offset64)
-	for i := 0; i < len(s); i++ {
-		h ^= uint64(s[i])
-		h *= prime64
-	}
-	return h
-}
-
-// Mix64 is the splitmix64 finalizer: spreads low-entropy integer keys
-// (sequential task IDs) uniformly across shards.
-func Mix64(x uint64) uint64 {
-	x ^= x >> 30
-	x *= 0xbf58476d1ce4e5b9
-	x ^= x >> 27
-	x *= 0x94d049bb133111eb
-	x ^= x >> 31
-	return x
-}
-
-// TaskShard routes a task to its affinity shard: by dataset when tagged
-// (dataset locality plus per-dataset FIFO), otherwise by the mixed numeric
-// key (uniform spread). n must be >= 1.
-func TaskShard(n int, dataset string, key uint64) int {
-	if n <= 1 {
-		return 0
-	}
-	if dataset != "" {
-		return int(HashString(dataset) % uint64(n))
-	}
-	return int(Mix64(key) % uint64(n))
-}
-
-// ExecShardString routes an executor (string ID) to its home shard.
-func ExecShardString(n int, id string) int {
-	if n <= 1 {
-		return 0
-	}
-	return int(HashString(id) % uint64(n))
-}
-
-// ExecShardInt routes an executor (integer ID) to its home shard.
-func ExecShardInt(n int, id uint64) int {
-	if n <= 1 {
-		return 0
-	}
-	return int(Mix64(id) % uint64(n))
-}
-
-// Sharded is N scheduling cores plus the routing between them. It adds no
-// synchronization: the live dispatcher wraps each shard in its own mutex,
-// the simulator is single-threaded. With N=1 every routing function returns
-// shard 0 and the behavior is exactly one Core's.
+// Sharded is what is left of the in-process sharding the dispatcher and the
+// simulator once ran on (DESIGN.md §12): N cores and a cross-core FIFO pick.
+// Nothing in this repository's product code uses it; the three names below
+// are what benchmark/layers.go compiles against for its sched.steal_ns row,
+// and they go when a benchmark PR retires that row.
 type Sharded[E comparable, K comparable, T any] struct {
 	cores []*Core[E, K, T]
 }
 
 // NewSharded builds n cores (n < 1 is clamped to 1) sharing one Options.
+// Remaining caller: benchmark/layers.go.
 func NewSharded[E comparable, K comparable, T any](n int, opts Options[T]) *Sharded[E, K, T] {
 	if n < 1 {
 		n = 1
@@ -86,78 +22,12 @@ func NewSharded[E comparable, K comparable, T any](n int, opts Options[T]) *Shar
 	return s
 }
 
-// N returns the shard count.
-func (s *Sharded[E, K, T]) N() int { return len(s.cores) }
-
-// Shard returns shard i's core.
+// Shard returns core i. Remaining caller: benchmark/layers.go.
 func (s *Sharded[E, K, T]) Shard(i int) *Core[E, K, T] { return s.cores[i] }
 
-// QueueLen sums queued tasks across shards.
-func (s *Sharded[E, K, T]) QueueLen() int {
-	n := 0
-	for _, c := range s.cores {
-		n += c.QueueLen()
-	}
-	return n
-}
-
-// OutstandingLen sums dispatched, unacknowledged tasks across shards.
-func (s *Sharded[E, K, T]) OutstandingLen() int {
-	n := 0
-	for _, c := range s.cores {
-		n += c.OutstandingLen()
-	}
-	return n
-}
-
-// Empty reports the cross-shard drain condition: nothing queued or
-// outstanding anywhere.
-func (s *Sharded[E, K, T]) Empty() bool {
-	for _, c := range s.cores {
-		if !c.Empty() {
-			return false
-		}
-	}
-	return true
-}
-
-// CountersSum aggregates the per-shard lifecycle counters.
-func (s *Sharded[E, K, T]) CountersSum() Counters {
-	var t Counters
-	for _, c := range s.cores {
-		ct := c.Counters
-		t.Submitted += ct.Submitted
-		t.Completed += ct.Completed
-		t.Failed += ct.Failed
-		t.Retried += ct.Retried
-		t.Dispatched += ct.Dispatched
-		t.Duplicates += ct.Duplicates
-		t.CacheHits += ct.CacheHits
-		t.CacheMisses += ct.CacheMisses
-	}
-	return t
-}
-
-// ExecStats aggregates registered and busy executor counts.
-func (s *Sharded[E, K, T]) ExecStats() (total, busy int) {
-	for _, c := range s.cores {
-		t, b := c.ExecStats()
-		total += t
-		busy += b
-	}
-	return total, busy
-}
-
-// StealPick picks a task for an executor whose home shard is dry: victims
-// are scanned in deterministic order home+1, home+2, ... and the FIFO head
-// of the first non-empty victim queue is returned with the victim index.
-// The caller must then Assign the item on the executor's HOME shard —
-// outstanding entries always live where the executor's deliveries will
-// look them up. The steal is policy-blind (PickAny): it never consults a
-// dataset cache, so no executor-owned state is read from a foreign shard.
-//
-// Single-threaded callers only (the simulator); the live dispatcher runs
-// the same scan itself so it can take one victim lock at a time.
+// StealPick pops the FIFO head of the first non-empty core after home,
+// scanning home+1, home+2, ..., and returns it with that core's index.
+// Remaining caller: benchmark/layers.go.
 func (s *Sharded[E, K, T]) StealPick(home int) (it Item[T], victim int, ok bool) {
 	n := len(s.cores)
 	for i := 1; i < n; i++ {
@@ -167,13 +37,4 @@ func (s *Sharded[E, K, T]) StealPick(home int) (it Item[T], victim int, ok bool)
 		}
 	}
 	return it, 0, false
-}
-
-// NotifyIdle pops up to enough idle executors from shard i to cover queued
-// tasks, marking each notified (see Core.Notifications). The cross-shard
-// notify pass uses it with a global queue count so executors idling on one
-// shard learn about work queued on another; with N=1 it is exactly
-// Core.Notifications.
-func (s *Sharded[E, K, T]) NotifyIdle(i int, now time.Duration, queued int) []Notification[E] {
-	return s.cores[i].NotifyIdle(now, queued)
 }

@@ -84,7 +84,6 @@ type mtask struct {
 // -> busy -> idle.
 type Exec struct {
 	ID           int
-	home         int // home shard (sched.ExecShardInt); 0 in single-shard mode
 	registeredAt time.Duration
 	busyFor      time.Duration // accumulated payload time (resources used)
 	idle         bool
@@ -134,20 +133,7 @@ type Model struct {
 	E *sim.Engine
 	P Profile
 
-	// Shards partitions the scheduling state the same way the live
-	// dispatcher's -shards flag does: tasks hash to affinity shards, each
-	// executor has a home shard, and a home-dry executor steals from other
-	// shards in deterministic victim order. Set after New, before any
-	// executor or task arrives; 0 or 1 (the default) is the legacy
-	// single-core model, bit-for-bit.
-	Shards int
-
-	opts sched.Options[mtask]
-	sh   *sched.Sharded[int, int, mtask]
-
-	// steals counts cross-shard picks (an executor's home queue was dry
-	// while another shard had work).
-	steals int
+	core *sched.Core[int, int, mtask]
 
 	dq sched.Ring[dispJob]
 	sq sched.Ring[dispJob] // submission pipeline (container thread pool)
@@ -214,55 +200,32 @@ type Model struct {
 
 // New creates a model on engine e.
 func New(e *sim.Engine, p Profile) *Model {
-	opts := sched.Options[mtask]{
-		MaxRetries: p.MaxRetries,
-		Dataset:    func(t mtask) string { return t.dataset },
-		Tenant:     func(t mtask) string { return t.tenant },
-	}
 	return &Model{
 		E: e, P: p,
-		opts: opts,
-		sh:   sched.NewSharded[int, int](1, opts),
+		core: sched.NewCore[int, int](sched.Options[mtask]{
+			MaxRetries: p.MaxRetries,
+			Dataset:    func(t mtask) string { return t.dataset },
+			Tenant:     func(t mtask) string { return t.tenant },
+		}),
 	}
 }
 
 // syncCore folds the model's public knobs (set after New, before work
-// arrives) into the cores. Called from every public entry point that adds
+// arrives) into the core. Called from every public entry point that adds
 // executors or tasks.
 func (m *Model) syncCore() {
-	if n := m.Shards; n > 1 && n != m.sh.N() {
-		if m.nextTask > 0 || m.nextExec > 0 {
-			panic("simfalkon: Shards must be set before any executor or task")
-		}
-		m.sh = sched.NewSharded[int, int](n, m.opts)
+	c := m.core
+	if m.DataAware && c.Policy() != sched.PolicyDataAware {
+		c.SetPolicy(sched.PolicyDataAware, m.CacheCapacity)
 	}
-	for i := 0; i < m.sh.N(); i++ {
-		c := m.sh.Shard(i)
-		if m.DataAware && c.Policy() != sched.PolicyDataAware {
-			c.SetPolicy(sched.PolicyDataAware, m.CacheCapacity)
-		}
-		if m.FairShare != nil && !c.FairShareEnabled() {
-			c.SetFairShare(m.FairShare)
-		}
-		c.SetMaxRetries(m.P.MaxRetries)
+	if m.FairShare != nil && !c.FairShareEnabled() {
+		c.SetFairShare(m.FairShare)
 	}
-}
-
-// home returns x's home-shard core: the core holding its idle membership,
-// dataset cache, and outstanding entries.
-func (m *Model) home(x *Exec) *sched.Core[int, int, mtask] { return m.sh.Shard(x.home) }
-
-// affinity returns the core a task requeues to — the same shard its original
-// enqueue hashed to, matching the live dispatcher's replay routing.
-func (m *Model) affinity(t mtask) *sched.Core[int, int, mtask] {
-	return m.sh.Shard(sched.TaskShard(m.sh.N(), t.dataset, uint64(t.id)))
+	c.SetMaxRetries(m.P.MaxRetries)
 }
 
 // QueueLen returns queued (not yet dispatched) tasks.
-func (m *Model) QueueLen() int { return m.sh.QueueLen() }
-
-// Steals returns cross-shard picks served (0 in single-shard mode).
-func (m *Model) Steals() int { return m.steals }
+func (m *Model) QueueLen() int { return m.core.QueueLen() }
 
 // BusyExecutors returns executors currently running a task.
 func (m *Model) BusyExecutors() int { return m.busyN }
@@ -278,21 +241,19 @@ func (m *Model) Executors() []*Exec { return m.execs }
 
 // Submitted and Completed return task counters (Completed includes tasks
 // that exhausted retries and were reported failed).
-func (m *Model) Submitted() int { return int(m.sh.CountersSum().Submitted) }
+func (m *Model) Submitted() int { return int(m.core.Counters.Submitted) }
 func (m *Model) Completed() int {
-	ct := m.sh.CountersSum()
-	return int(ct.Completed + ct.Failed)
+	return int(m.core.Counters.Completed + m.core.Counters.Failed)
 }
 
 // Failed and Retried report replay-policy activity under failure
 // injection.
-func (m *Model) Failed() int  { return int(m.sh.CountersSum().Failed) }
-func (m *Model) Retried() int { return int(m.sh.CountersSum().Retried) }
+func (m *Model) Failed() int  { return int(m.core.Counters.Failed) }
+func (m *Model) Retried() int { return int(m.core.Counters.Retried) }
 
 // CacheStats returns data-aware dispatch hit/miss counts.
 func (m *Model) CacheStats() (hits, misses int) {
-	ct := m.sh.CountersSum()
-	return int(ct.CacheHits), int(ct.CacheMisses)
+	return int(m.core.Counters.CacheHits), int(m.core.Counters.CacheMisses)
 }
 
 // stateChanged invokes the observer hook.
@@ -310,17 +271,16 @@ func (m *Model) AddExecutor(idleTimeout time.Duration, onRelease func(*Exec)) *E
 	m.nextExec++
 	x := &Exec{
 		ID:           m.nextExec,
-		home:         sched.ExecShardInt(m.sh.N(), uint64(m.nextExec)),
 		registeredAt: m.E.Now(),
 		idle:         true,
 		idleTimeout:  idleTimeout,
 		onRelease:    onRelease,
 	}
-	x.sx = m.home(x).AddExec(x.ID, 1)
+	x.sx = m.core.AddExec(x.ID, 1)
 	x.sx.Ref = x
 	m.execs = append(m.execs, x)
 	m.liveN++
-	m.home(x).Offer(x.sx)
+	m.core.Offer(x.sx)
 	m.armIdleTimer(x)
 	m.armPollTimer(x)
 	m.stateChanged()
@@ -360,7 +320,7 @@ func (m *Model) armPollTimer(x *Exec) {
 				return
 			}
 			if it, ok := m.pickFor(x); ok {
-				m.home(x).RemoveIdle(x.sx)
+				m.core.RemoveIdle(x.sx)
 				m.wakeExec(x)
 				m.runOn(x, it)
 				return
@@ -390,7 +350,7 @@ func (m *Model) releaseExec(x *Exec) {
 		x.pollTimer.Stop()
 		x.pollTimer = nil
 	}
-	m.home(x).RemoveIdle(x.sx)
+	m.core.RemoveIdle(x.sx)
 	m.liveN--
 	m.stateChanged()
 	if x.onRelease != nil {
@@ -521,18 +481,17 @@ func (m *Model) InjectBundle(ids []int, specs []Spec, onAccepted func()) {
 	})
 }
 
-// enqueue routes t to its affinity shard, honoring the tenant's MaxQueued
-// bound when the fair-share layer is on (rejected tasks are counted and
-// dropped — the virtual analogue of the live dispatcher refusing admission).
+// enqueue queues t, honoring the tenant's MaxQueued bound when the
+// fair-share layer is on (rejected tasks are counted and dropped — the
+// virtual analogue of the live dispatcher refusing admission).
 func (m *Model) enqueue(now time.Duration, t mtask) {
-	c := m.affinity(t)
 	if m.FairShare != nil {
-		if !c.TryEnqueue(now, t) {
+		if !m.core.TryEnqueue(now, t) {
 			m.Rejected++
 		}
 		return
 	}
-	c.Enqueue(now, t)
+	m.core.Enqueue(now, t)
 }
 
 // PreloadQueue stuffs n tasks of duration dur directly into the dispatch
@@ -545,7 +504,7 @@ func (m *Model) PreloadQueue(n int, dur time.Duration) {
 	for i := 0; i < n; i++ {
 		m.nextTask++
 		t := mtask{id: m.nextTask, dur: dur}
-		m.affinity(t).Enqueue(now, t)
+		m.core.Enqueue(now, t)
 	}
 	m.kick()
 }
@@ -559,87 +518,38 @@ func (m *Model) SubmitSleepStream(total int, dur time.Duration, bundle int) {
 	m.Submit(specs, bundle)
 }
 
-// pickFor selects the next task for x: first from its home shard under the
-// core's policy (on a data-aware cache hit the staging cost is dropped — the
-// dataset is already resident on the executor's node), then, home dry, by
-// stealing the FIFO head of the first non-empty victim shard. Steals are
-// policy-blind, so they never hit the cache.
+// pickFor selects the next task for x under the core's policy (on a
+// data-aware cache hit the staging cost is dropped — the dataset is already
+// resident on the executor's node).
 func (m *Model) pickFor(x *Exec) (sched.Item[mtask], bool) {
-	it, hit, ok := m.home(x).Pick(x.sx)
+	it, hit, ok := m.core.Pick(x.sx)
 	if hit {
 		it.X.stageIn = 0
 	}
-	if ok {
-		return it, true
-	}
-	if m.sh.N() > 1 {
-		if st, _, ok := m.sh.StealPick(x.home); ok {
-			m.steals++
-			return st, true
-		}
-	}
-	return it, false
+	return it, ok
 }
 
 // kick assigns queued tasks to idle executors over the cold dispatch path
 // (notification push + work pull). Under a pure-pull profile there are no
-// notifications: executors discover work on their own polls. Each shard
-// first notifies against its own queue (exactly the single-core path); a
-// cross-shard pass then wakes idle executors on dry shards for work queued
-// elsewhere, which their picks steal.
+// notifications: executors discover work on their own polls.
 func (m *Model) kick() {
 	if m.P.PurePullInterval > 0 {
 		return
 	}
-	now := m.E.Now()
-	for i := 0; i < m.sh.N(); i++ {
-		c := m.sh.Shard(i)
-		for _, n := range c.Notifications(now) {
-			sx := n.Exec
-			x := sx.Ref.(*Exec)
-			it, ok := m.pickFor(x)
-			if !ok {
-				// The queue drained while earmarking; return the executor.
-				sx.Notified = false
-				c.Offer(sx)
-				break
-			}
-			m.wakeExec(x)
-			m.dispSubmit(m.P.NotifyCost+m.P.GetWorkCost, func() {
-				m.runOn(x, it)
-			})
+	for _, n := range m.core.Notifications(m.E.Now()) {
+		sx := n.Exec
+		x := sx.Ref.(*Exec)
+		it, ok := m.pickFor(x)
+		if !ok {
+			// The queue drained while earmarking; return the executor.
+			sx.Notified = false
+			m.core.Offer(sx)
+			break
 		}
-	}
-	m.crossKick(now)
-}
-
-// crossKick is the cross-shard notify pass: idle executors on shards whose
-// own queues are dry learn about the global backlog, exactly like the live
-// dispatcher's crossNotify. No-op with one shard, keeping the legacy model's
-// event sequence untouched.
-func (m *Model) crossKick(now time.Duration) {
-	if m.sh.N() <= 1 {
-		return
-	}
-	for i := 0; i < m.sh.N(); i++ {
-		queued := m.sh.QueueLen()
-		if queued == 0 {
-			return
-		}
-		for _, n := range m.sh.NotifyIdle(i, now, queued) {
-			sx := n.Exec
-			x := sx.Ref.(*Exec)
-			it, ok := m.pickFor(x)
-			if !ok {
-				sx.Notified = false
-				m.home(x).Offer(sx)
-				break
-			}
-			m.wakeExec(x)
-			m.dispSubmit(m.P.NotifyCost+m.P.GetWorkCost, func() {
-				m.runOn(x, it)
-			})
-		}
+		m.wakeExec(x)
+		m.dispSubmit(m.P.NotifyCost+m.P.GetWorkCost, func() {
+			m.runOn(x, it)
+		})
 	}
 }
 
@@ -668,7 +578,7 @@ func (m *Model) runOn(x *Exec, it sched.Item[mtask]) {
 	}
 	dispatchedAt := m.E.Now()
 	t := it.X
-	o := m.home(x).Assign(dispatchedAt, sx, t.id, it)
+	o := m.core.Assign(dispatchedAt, sx, t.id, it)
 	over := m.P.ExecOverhead
 	if j := m.P.ExecOverheadJitter; j > 0 {
 		over += m.E.ExpDuration(j)
@@ -713,25 +623,24 @@ func (m *Model) runOn(x *Exec, it sched.Item[mtask]) {
 // neither piggy-back nor idle the executor.
 func (m *Model) finish(x *Exec, o *sched.Outstanding[int, int, mtask], startedAt time.Duration, prefetched bool) {
 	now := m.E.Now()
-	hc := m.home(x)
-	hc.Complete(x.sx.ID, o.Key)
+	m.core.Complete(x.sx.ID, o.Key)
 	t := o.Item.X
 	x.busyFor += t.dur
-	hc.NoteCompletion(x.sx, t.dataset)
+	m.core.NoteCompletion(x.sx, t.dataset)
 	// Failure injection: the replay policy re-queues the task unless its
 	// retries are exhausted.
 	taskFailed := false
 	if p := m.P.FailureProb; p > 0 && m.E.Rand().Float64() < p {
-		if m.affinity(t).Requeue(o.Item) {
+		if m.core.Requeue(o.Item) {
 			m.kick()
 			m.afterDelivery(x, prefetched)
 			return
 		}
 		taskFailed = true
-		hc.Counters.Failed++
+		m.core.Counters.Failed++
 	}
 	if !taskFailed {
-		hc.Counters.Completed++
+		m.core.Counters.Completed++
 	}
 	// One clamp for both runtimes: the Figure-10 stages of the resulting
 	// record partition its end-to-end latency exactly.
@@ -782,7 +691,7 @@ func (m *Model) afterDelivery(x *Exec, prefetched bool) {
 	x.busy = false
 	x.idle = true
 	m.busyN--
-	m.home(x).Offer(x.sx)
+	m.core.Offer(x.sx)
 	m.armIdleTimer(x)
 	m.armPollTimer(x)
 	m.stateChanged()

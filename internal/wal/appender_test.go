@@ -36,7 +36,7 @@ func TestShardedAppendersRecoverExactly(t *testing.T) {
 			a := apps[s]
 			for i := 0; i < perShard; i++ {
 				id := task.ID(s*1000 + i + 1)
-				h, err := a.AppendWait(KindAccept, AcceptRec{EPR: epr, Tasks: []task.Task{{ID: id}}, Shard: s})
+				h, err := a.AppendWait(KindAccept, AcceptRec{EPR: epr, Tasks: []task.Task{{ID: id}}})
 				if err != nil {
 					t.Errorf("shard %d accept: %v", s, err)
 					return
@@ -45,9 +45,9 @@ func TestShardedAppendersRecoverExactly(t *testing.T) {
 					t.Errorf("shard %d accept wait: %v", s, err)
 					return
 				}
-				a.Append(KindDispatch, DispatchRec{EPR: epr, ID: id, Exec: fmt.Sprintf("x%d", s), Shard: s})
+				a.Append(KindDispatch, DispatchRec{EPR: epr, ID: id, Exec: fmt.Sprintf("x%d", s)})
 				if i%2 == 0 {
-					a.Append(KindComplete, CompleteRec{EPR: epr, Result: task.Result{ID: id}, Shard: s})
+					a.Append(KindComplete, CompleteRec{EPR: epr, Result: task.Result{ID: id}})
 				}
 			}
 		}(s)
@@ -99,12 +99,12 @@ func TestAppenderFIFOWithinShard(t *testing.T) {
 	go func() {
 		defer close(done)
 		for i := 0; i < 100; i++ {
-			apps[1].Append(KindAccept, AcceptRec{EPR: epr, Tasks: []task.Task{{ID: task.ID(2000 + i)}}, Shard: 1})
+			apps[1].Append(KindAccept, AcceptRec{EPR: epr, Tasks: []task.Task{{ID: task.ID(2000 + i)}}})
 		}
 	}()
-	apps[0].Append(KindAccept, AcceptRec{EPR: epr, Tasks: []task.Task{{ID: 1}}, Shard: 0})
-	apps[0].Append(KindDispatch, DispatchRec{EPR: epr, ID: 1, Exec: "x0", Shard: 0})
-	apps[0].Append(KindComplete, CompleteRec{EPR: epr, Result: task.Result{ID: 1, Stdout: "ok"}, Shard: 0})
+	apps[0].Append(KindAccept, AcceptRec{EPR: epr, Tasks: []task.Task{{ID: 1}}})
+	apps[0].Append(KindDispatch, DispatchRec{EPR: epr, ID: 1, Exec: "x0"})
+	apps[0].Append(KindComplete, CompleteRec{EPR: epr, Result: task.Result{ID: 1, Stdout: "ok"}})
 	<-done
 	if err := j.Close(); err != nil {
 		t.Fatal(err)

@@ -26,34 +26,28 @@ type DestroyRec struct {
 	EPR string `json:"epr"`
 }
 
-// AcceptRec records a bundle of accepted tasks. Shard is the scheduling
-// shard the bundle was enqueued on — informational: recovery re-partitions
-// by the same affinity hash (sched.TaskShard), so the field lets tools and
-// tests verify the re-partitioning is identical rather than drive it.
+// AcceptRec records a bundle of accepted tasks. (Journals written before the
+// dispatcher stopped sharding carry an informational "shard" field in this
+// and the next two records; decoding ignores it.)
 type AcceptRec struct {
 	EPR   string      `json:"epr"`
 	Tasks []task.Task `json:"tasks"`
-	Shard int         `json:"shard,omitempty"`
 	// Tenant is the submitting instance's tenant (informational — replay
 	// derives it from the instance when absent, as in old journals).
 	Tenant string `json:"tenant,omitempty"`
 }
 
-// DispatchRec records one task assignment. Shard is the task's affinity
-// shard (informational, see AcceptRec).
+// DispatchRec records one task assignment.
 type DispatchRec struct {
-	EPR   string  `json:"epr"`
-	ID    task.ID `json:"id"`
-	Exec  string  `json:"exec,omitempty"`
-	Shard int     `json:"shard,omitempty"`
+	EPR  string  `json:"epr"`
+	ID   task.ID `json:"id"`
+	Exec string  `json:"exec,omitempty"`
 }
 
-// CompleteRec records one finalized result. Shard is the task's affinity
-// shard (informational, see AcceptRec).
+// CompleteRec records one finalized result.
 type CompleteRec struct {
 	EPR    string      `json:"epr"`
 	Result task.Result `json:"result"`
-	Shard  int         `json:"shard,omitempty"`
 }
 
 // Instance is one recovered client instance.

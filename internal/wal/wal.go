@@ -113,10 +113,9 @@ type waiter struct {
 }
 
 // Journal is a segmented append-only write-ahead log. Appends are buffered
-// in per-shard Appenders under short per-appender mutexes and flushed by a
-// single committer goroutine, so many concurrent appenders amortize one
-// write+fsync (group commit) without contending on one buffer lock. Only
-// the committer and Rotate touch the segment files.
+// in an Appender under its short mutex and flushed by a single committer
+// goroutine, so many concurrent appends amortize one write+fsync (group
+// commit). Only the committer and Rotate touch the segment files.
 type Journal struct {
 	dir  string
 	opts Options
@@ -158,7 +157,8 @@ type Journal struct {
 	done chan struct{}
 }
 
-// Appender is one shard's append buffer into the journal. Appenders are
+// Appender is one append buffer into the journal; the dispatcher uses only
+// the default one (Journal.Append/AppendWait). Appenders are
 // independent FIFOs: records appended through one Appender commit in append
 // order, while records on different Appenders only order by commit batch
 // (within a batch, lower appender index first). Callers that need two
@@ -186,7 +186,8 @@ func (a *Appender) Append(kind Kind, v any) error {
 }
 
 // AppendWait buffers one record and returns its durability Handle (see
-// Journal.AppendWait).
+// Journal.AppendWait). Beyond the default appender its remaining caller is
+// benchmark/layers.go.
 func (a *Appender) AppendWait(kind Kind, v any) (Handle, error) {
 	return a.append(kind, v, true)
 }
@@ -260,12 +261,11 @@ func (j *Journal) stickyErr() error {
 	return err
 }
 
-// Appenders grows the appender set to n (minimum 1) and returns it. The
-// sharded dispatcher takes one appender per scheduling shard so hot-path
-// appends never contend on a single buffer mutex; appender 0 doubles as the
-// journal's own default (Journal.Append) and carries control records.
-// Within one commit batch, appender 0's records land before appender 1's
-// and so on — cross-appender ordering beyond that is by batch only.
+// Appenders grows the appender set to n (minimum 1) and returns it; its
+// remaining caller is benchmark/layers.go (wal.records_per_fsync). Appender
+// 0 is the journal's own default (Journal.Append). Within one commit batch,
+// appender 0's records land before appender 1's and so on — cross-appender
+// ordering beyond that is by batch only.
 func (j *Journal) Appenders(n int) []*Appender {
 	if n < 1 {
 		n = 1

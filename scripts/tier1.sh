@@ -46,6 +46,9 @@ go test -run='TestBinariesMetricsExposition|TestBinariesSpanMergeAcrossProcesses
 # (it is skipped under -short and -race); the explicit run here makes a
 # skip regression fail loudly instead of silently shrinking coverage.
 go test -run='TestTreeMillionExecutors' -count=1 -v ./internal/simfalkon/
+# The per-task allocation budget on 1, 2 and 4 Ps: an exact count that must
+# not depend on how many cores the host has.
+go test -run='TestAllocsPerTaskBudget' -cpu 1,2,4 -count=1 ./internal/core/
 # Short fuzz pass over the journal decoder: it must never panic and never
 # fabricate records, whatever bytes a torn tail left behind.
 go test -run='^$' -fuzz=FuzzJournalDecode -fuzztime=5s ./internal/wal/
@@ -53,6 +56,9 @@ go test -run='^$' -fuzz=FuzzJournalDecode -fuzztime=5s ./internal/wal/
 # oracle: on any bytes the fast decoders and json.Unmarshal must agree.
 go test -run='^$' -fuzz=FuzzBodyCodec -fuzztime=5s ./internal/fproto/
 go test -run='^$' -fuzz=FuzzFrameEnvelope -fuzztime=5s ./internal/wsrpc/
+# And over the one parser an operator types into (-tenant, -tenants): it
+# never panics, and what it accepts is usable and parses back to itself.
+go test -run='^$' -fuzz=FuzzTenantSpec -fuzztime=5s ./internal/dispatch/
 # Compile-and-run every benchmark exactly once, so bitrot in benchmark-only
 # code fails tier 1 instead of the next perf investigation.
 go test -run='^$' -bench=. -benchtime=1x ./...

@@ -56,7 +56,7 @@ func main() {
 		debugAddr     = flag.String("debug-addr", "", "HTTP address serving /metrics, /events.json, and /debug/pprof/ (empty = off)")
 		journalDir    = flag.String("journal-dir", "", "write-ahead task journal directory; recovers state from it on start (empty = no journal)")
 		journalSync   = flag.String("journal-sync", "group", "journal durability: group (fsync per commit batch), off, or a flush interval like 5ms")
-		snapEvery     = flag.Int("snapshot-every", 0, "journal records between snapshot compactions (0 = default 65536, <0 = never)")
+		snapEvery     = flag.Int("snapshot-every", 0, "journaled task transitions (a dispatch, a completion) between snapshot compactions (0 = default 65536, <0 = never)")
 		faults        = flag.String("faults", os.Getenv("FALKON_FAULTS"), "fault-injection spec, e.g. seed=42,drop@0.01,fsyncerr@0.02 (chaos testing; default $FALKON_FAULTS)")
 		tenantsFile   = flag.String("tenants", "", "tenant config file: one name:weight=4,quota=10000,rate=5000,burst=1000,maxq=50000 spec per line ('#' comments)")
 		fairShare     = flag.Bool("fair-share", false, "weighted fair-share scheduling across tenants (SFQ)")

@@ -146,7 +146,8 @@ func main() {
 			if st.RecoveredTasks > 0 {
 				recovered = fmt.Sprintf(" recovered=%d", st.RecoveredTasks)
 			}
-			fmt.Printf("\033[Kjournal appends=%d fsyncs=%d%s\n",
+			// Records, not tasks: one per submit, grant and delivery.
+			fmt.Printf("\033[Kjournal records=%d fsyncs=%d%s\n",
 				st.JournalAppends, st.JournalFsyncs, recovered)
 			lines++
 		}

@@ -21,13 +21,13 @@ import (
 // dispatch-ahead, plus 15 %: the executor finds the queue deep at every pull
 // and takes it 64 tasks at a time, so the 17 or so objects a pull costs are
 // shared and what is left is the task's own. Per-task dispatch measured 18.15
-// in this loop at bundle 64, and 63 to 65 before the body codec.
+// in this loop at bundle 64, and 63 to 65 before the body codec. The
+// write-ahead journal shares the ceiling: its records are encoded in place,
+// one per Submit, grant and Deliver, and what it allocates is per record (the
+// durability barrier a Submit waits on) — measured 1.20 to 1.27 since, 5.21
+// to 5.31 while every dispatch and completion was a record of its own
+// through encoding/json.
 const allocsPerTaskCeiling = 1.5
-
-// journaledAllocsPerTaskCeiling is the same loop with the write-ahead
-// journal on: measured 5.27 to 5.31, i.e. 4.0 objects per task over plain
-// (4.2 to 4.3 before), plus 15 %.
-const journaledAllocsPerTaskCeiling = 6.1
 
 // serialAllocsPerTaskCeiling is the plain system driven the opposite way — one
 // task per Submit, one task in flight, the repo benchmark's direct-serial and
@@ -58,7 +58,7 @@ func TestAllocsPerTaskBudget(t *testing.T) {
 			Tenant:    "a",
 			Tenants:   []dispatch.TenantSpec{{Name: "a", Weight: 4}, {Name: "b", Weight: 1}},
 		}},
-		{name: "journaled", ceiling: journaledAllocsPerTaskCeiling, cfg: core.Config{JournalDir: t.TempDir()}},
+		{name: "journaled", ceiling: allocsPerTaskCeiling, cfg: core.Config{JournalDir: t.TempDir()}},
 		{name: "serial", ceiling: serialAllocsPerTaskCeiling, serial: true},
 	}
 	perTask := map[string]float64{}
@@ -74,9 +74,11 @@ func TestAllocsPerTaskBudget(t *testing.T) {
 			}
 		})
 	}
-	// The secure profile seals frames in place and the fair-share pick walks
-	// tenant queues that already exist: neither may cost an object per task.
-	for _, name := range []string{"secure", "fair-share"} {
+	// The secure profile seals frames in place, the fair-share pick walks
+	// tenant queues that already exist and the journal writes its records into
+	// a buffer it keeps: none may cost an object per task. (ROADMAP item 5 set
+	// the journal 1.5; it came in under the bound the other two already had.)
+	for _, name := range []string{"secure", "fair-share", "journaled"} {
 		if d := perTask[name] - perTask["plain"]; d > 0.5 {
 			t.Errorf("%s costs %.2f allocations per task more than plain (%.2f vs %.2f), want within 0.5",
 				name, d, perTask[name], perTask["plain"])

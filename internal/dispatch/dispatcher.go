@@ -97,8 +97,9 @@ type Options struct {
 	JournalSync wal.SyncPolicy
 
 	// SnapshotEvery compacts the journal with a state snapshot after this
-	// many appended records (default 65536; negative disables periodic
-	// snapshots).
+	// many journaled task transitions — one per task dispatched, one per task
+	// completed, so every SnapshotEvery/2 tasks — whatever number of records
+	// carried them (default 65536; negative disables periodic snapshots).
 	SnapshotEvery int
 
 	// JournalFS substitutes the journal's filesystem (chaos testing only;
@@ -383,19 +384,26 @@ type Dispatcher struct {
 	sweeperStop chan struct{}
 	sweeperDone chan struct{}
 
-	// wal is the write-ahead journal (nil without JournalDir). Per-task
-	// records are appended while mu is held, so the journal's order is the
-	// order of the transitions: accept, dispatch, complete. A snapshot cut
-	// takes imu and mu, so the captured state is an exact prefix of the
-	// journal.
+	// wal is the write-ahead journal (nil without JournalDir). Task records
+	// are appended while mu is held — one accept per Submit, one dispatch
+	// record per grant, one complete record per Deliver or replay pass — so
+	// the journal's order is the order of the transitions: accept, dispatch,
+	// complete. A snapshot cut takes imu and mu, so the captured state is an
+	// exact prefix of the journal.
 	wal            *wal.Journal
 	recoveredTasks int64 // pending tasks rebuilt at the last Listen
+	// granted and done are the bodies of the dispatch and complete records
+	// being gathered, reused from one record to the next; snapMark is the
+	// count of journaled task transitions (transitionsLocked) at the last
+	// snapshot cut. All three are guarded by mu.
+	granted  []wal.TaskRef
+	done     []wal.CompleteRec
+	snapMark int64
 	// replSrc is the WAL replication source (nil without
 	// Options.Replication). It is fed by the journal's Mirror hook and
 	// consulted by the quorum barriers on the acknowledgment paths.
 	replSrc   *replica.Source
 	snapEvery int64
-	snapMark  atomic.Int64 // journal append count at the last snapshot
 	// smu serializes snapshot kickoff against Close so snapWG.Add never
 	// races snapWG.Wait; snapBusy collapses concurrent kickoffs.
 	smu      sync.Mutex
@@ -685,6 +693,7 @@ func (d *Dispatcher) Listen(addr string) error {
 func (d *Dispatcher) restore(st *wal.State) {
 	d.nextEPR = st.NextEPR
 	d.core.Counters = st.Counters
+	d.snapMark = d.transitionsLocked() // what the journal just replayed is not new
 	for _, win := range st.Instances {
 		tenant := win.Tenant
 		if tenant == "" {
@@ -776,17 +785,27 @@ func (d *Dispatcher) replicaBarrier() {
 	}
 }
 
-// maybeSnapshot kicks an asynchronous snapshot once enough records have
-// accumulated since the last one. The fast path is three atomic reads,
-// cheap enough for the Deliver hot path; the kickoff itself serializes
-// with Close via smu so snapWG.Add never races snapWG.Wait.
-func (d *Dispatcher) maybeSnapshot() {
-	if d.wal == nil || d.snapEvery < 0 || d.closed.Load() {
-		return
-	}
-	if d.wal.Appends()-d.snapMark.Load() < d.snapEvery {
-		return
-	}
+// transitionsLocked counts the task transitions the journal's dispatch and
+// complete records have carried: the core counts every grant and every
+// finalized result, and each is journaled where it is counted.
+func (d *Dispatcher) transitionsLocked() int64 {
+	c := &d.core.Counters
+	return c.Dispatched + c.Completed + c.Failed
+}
+
+// snapshotDueLocked reports whether enough task transitions have been
+// journaled since the last snapshot cut to compact again. The unit is tasks,
+// not records: a record carries a whole grant or delivery, and replay cost
+// follows what the records hold. Callers hold mu and, when it is due, call
+// startSnapshot after releasing it.
+func (d *Dispatcher) snapshotDueLocked() bool {
+	return d.wal != nil && d.snapEvery >= 0 && d.transitionsLocked()-d.snapMark >= d.snapEvery
+}
+
+// startSnapshot kicks an asynchronous snapshot unless one is running. The
+// kickoff serializes with Close via smu so snapWG.Add never races
+// snapWG.Wait.
+func (d *Dispatcher) startSnapshot() {
 	d.smu.Lock()
 	if d.snapBusy || d.closed.Load() {
 		d.smu.Unlock()
@@ -808,10 +827,9 @@ func (d *Dispatcher) snapshot() {
 	d.mu.Lock()
 	cut, err := d.wal.Rotate()
 	var st *wal.State
-	var mark int64
 	if err == nil {
 		st = d.captureLocked()
-		mark = d.wal.Appends()
+		d.snapMark = d.transitionsLocked()
 	}
 	d.mu.Unlock()
 	d.imu.Unlock()
@@ -824,7 +842,6 @@ func (d *Dispatcher) snapshot() {
 	start := time.Now()
 	err = d.wal.WriteSnapshot(cut, st)
 	dur := time.Since(start)
-	d.snapMark.Store(mark)
 	d.endSnapshot()
 	if err != nil {
 		d.logf("dispatch: snapshot failed: %v", err)
@@ -1053,9 +1070,7 @@ func (d *Dispatcher) onDisconnect(p *wsrpc.Peer) {
 		return // a newer connection re-registered the id
 	}
 	_, dropped := d.core.DropExecutor(meta)
-	for _, o := range dropped {
-		d.replay(f, o, fmt.Sprintf("executor %s disconnected", meta))
-	}
+	d.replayAll(f, dropped, fmt.Sprintf("executor %s disconnected", meta))
 	if len(dropped) > 0 {
 		d.notifyLocked(f, d.now())
 	}
@@ -1068,9 +1083,20 @@ func (d *Dispatcher) onDisconnect(p *wsrpc.Peer) {
 	d.noteCapacityChange(true) // executor population changed
 }
 
+// replayAll applies the replay policy to the attempts one event orphaned and
+// journals what that finalized as one record. Callers hold mu and run the
+// notify pass afterwards.
+func (d *Dispatcher) replayAll(f *fx, orphans []*sched.Outstanding[string, outKey, taskRef], reason string) {
+	for _, o := range orphans {
+		d.replay(f, o, reason)
+	}
+	d.journalCompletesLocked()
+}
+
 // replay applies the replay policy to an orphaned attempt: while retries
 // remain the item goes back on the queue, otherwise the task is finalized
-// failed. Callers hold mu and run the notify pass afterwards.
+// failed. Callers hold mu and journal the completes (journalCompletesLocked)
+// before releasing it.
 func (d *Dispatcher) replay(f *fx, o *sched.Outstanding[string, outKey, taskRef], reason string) {
 	if d.core.Requeue(o.Item) {
 		f.trace(d.now(), obs.EvRetried, o.Item.X.t.Trace, o.Item.X.t.ID, o.Item.X.epr, o.Executor)
@@ -1122,23 +1148,45 @@ func (d *Dispatcher) assignLocked(f *fx, ex *sched.Exec[string], asked int, kind
 		}
 		room -= declaredRun(it.X.t)
 		d.core.Assign(now, ex, outKey{it.X.epr, it.X.t.ID}, it)
-		if d.wal != nil {
-			// Advisory record: recovery uses it to restore attempt counts.
-			d.wal.Append(wal.KindDispatch, wal.DispatchRec{EPR: it.X.epr, ID: it.X.t.ID, Exec: ex.ID})
-		}
 		f.trace(now, kind, it.X.t.Trace, it.X.t.ID, it.X.epr, ex.ID)
 		as = append(as, fproto.Assignment{EPR: it.X.epr, Task: it.X.t, CacheHit: hit})
+	}
+	if d.wal != nil && len(as) > 0 {
+		// One record for the grant, as it is one frame on the wire. Advisory:
+		// recovery restores attempt counts from it, so a task that keeps
+		// killing its dispatcher still runs out of retries. The append fails
+		// only on a journal that has failed closed, which said so through
+		// Options.OnJournalError; the grant stands either way.
+		d.granted = d.granted[:0]
+		for i := range as {
+			d.granted = append(d.granted, wal.TaskRef{EPR: as[i].EPR, ID: as[i].Task.ID})
+		}
+		_ = d.wal.AppendDispatches(&wal.DispatchBatchRec{Exec: ex.ID, Tasks: d.granted})
 	}
 	return as
 }
 
+// journalCompletesLocked appends the results finalized since the last call
+// as one complete record. Every path that finalizes calls it before it
+// releases mu, which keeps a task's complete record ahead of anything a
+// client can do on seeing the result. (On a failed append, as for a grant's:
+// the results are delivered regardless.)
+func (d *Dispatcher) journalCompletesLocked() {
+	if len(d.done) == 0 {
+		return
+	}
+	_ = d.wal.AppendCompletes(&wal.CompleteBatchRec{Results: d.done})
+	d.done = emptied(d.done) // the results may hold kilobytes of output
+}
+
 // finalize delivers a finished result to its instance (push or buffer).
-// Callers hold mu; the push itself is deferred into f.
+// Callers hold mu; the push itself is deferred into f, and the journal record
+// to the caller's journalCompletesLocked.
 func (d *Dispatcher) finalize(f *fx, tr taskRef, r task.Result) {
 	if d.wal != nil {
 		// Logged with the payload so undelivered results survive a crash
 		// and are redelivered on recovery (clients dedupe by task ID).
-		d.wal.Append(wal.KindComplete, wal.CompleteRec{EPR: tr.epr, Result: r})
+		d.done = append(d.done, wal.CompleteRec{EPR: tr.epr, Result: r})
 	}
 	if r.Failed() {
 		d.core.Counters.Failed++
@@ -1185,9 +1233,7 @@ func (d *Dispatcher) sweeper() {
 		var f fx
 		d.mu.Lock()
 		expired := d.core.Expire(cutoff)
-		for _, o := range expired {
-			d.replay(&f, o, "replay timeout")
-		}
+		d.replayAll(&f, expired, "replay timeout")
 		if len(expired) > 0 {
 			d.notifyLocked(&f, d.now())
 		}

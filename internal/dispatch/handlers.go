@@ -212,17 +212,24 @@ func (d *Dispatcher) handleSubmit(p *wsrpc.Peer, body json.RawMessage) (any, err
 		// Idempotent resubmission: drop tasks whose delivery is still owed
 		// (queued, running, or buffered) — their results are coming. Tasks
 		// no longer live re-run; the client dedupes duplicate deliveries.
-		fresh := tasks[:0:0]
-		for _, t := range tasks {
-			if _, dup := inst.live[t.ID]; dup {
-				continue
+		// The bundle is copied only when it holds one: a first submission,
+		// the usual case, is journaled and queued from the decoded request.
+		for i := range tasks {
+			if _, dup := inst.live[tasks[i].ID]; dup {
+				deduped++
 			}
-			fresh = append(fresh, t)
 		}
-		deduped = len(tasks) - len(fresh)
-		tasks = fresh
-		for _, t := range tasks {
-			inst.live[t.ID] = struct{}{}
+		if deduped > 0 {
+			fresh := make([]task.Task, 0, len(tasks)-deduped)
+			for i := range tasks {
+				if _, dup := inst.live[tasks[i].ID]; !dup {
+					fresh = append(fresh, tasks[i])
+				}
+			}
+			tasks = fresh
+		}
+		for i := range tasks {
+			inst.live[tasks[i].ID] = struct{}{}
 		}
 	}
 	inst.submitted += int64(len(tasks))
@@ -243,7 +250,7 @@ func (d *Dispatcher) handleSubmit(p *wsrpc.Peer, body json.RawMessage) (any, err
 		if d.wal != nil {
 			// Appended under mu, before any pick can see these tasks: the
 			// accept precedes every dispatch/complete for them in the journal.
-			h, werr = d.wal.AppendWait(wal.KindAccept, wal.AcceptRec{EPR: req.EPR, Tasks: tasks, Tenant: inst.tenant})
+			h, werr = d.wal.AppendAccept(&wal.AcceptRec{EPR: req.EPR, Tasks: tasks, Tenant: inst.tenant})
 		}
 		d.notifyLocked(f, now)
 	}
@@ -348,9 +355,7 @@ func (d *Dispatcher) handleDeregister(_ *wsrpc.Peer, body json.RawMessage) (any,
 	defer putFx(f)
 	d.mu.Lock()
 	_, dropped := d.core.DropExecutor(req.ExecutorID)
-	for _, o := range dropped {
-		d.replay(f, o, "executor deregistered")
-	}
+	d.replayAll(f, dropped, "executor deregistered")
 	d.notifyLocked(f, d.now())
 	d.mu.Unlock()
 	d.wakeDrain()
@@ -474,6 +479,7 @@ func (d *Dispatcher) handleDeliver(p *wsrpc.Peer, body json.RawMessage) (any, er
 		f.stamps = append(f.stamps, stampRec{st: st, tenant: tenant})
 		d.finalize(f, o.Item.X, r)
 	}
+	d.journalCompletesLocked() // one record for the delivery, ahead of the grant it asks for
 	ex.Notified, ex.Suspect = false, false
 	ex.Ref.(*execRef).rtt = max(now-sent-ran, 0)
 	var as []fproto.Assignment
@@ -482,10 +488,13 @@ func (d *Dispatcher) handleDeliver(p *wsrpc.Peer, body json.RawMessage) (any, er
 	}
 	d.core.Offer(ex)
 	d.notifyLocked(f, now)
+	snap := d.snapshotDueLocked()
 	d.mu.Unlock()
 	t2 := time.Now()
 	d.wakeDrain()
-	d.maybeSnapshot()
+	if snap {
+		d.startSnapshot()
+	}
 	d.flush(f)
 	t3 := time.Now()
 	d.hLockWait.Observe(t1.Sub(t0).Seconds())

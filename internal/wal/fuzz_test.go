@@ -17,20 +17,9 @@ import (
 //     an accepted record is bit-for-bit something a journal writer produced.
 //  3. Decoding always terminates and consumes monotonically.
 func FuzzJournalDecode(f *testing.F) {
-	// Seed with realistic journals: whole, torn mid-record, bit-flipped.
-	var seed []byte
-	seed, _ = marshalRecord(seed, KindInstance, InstanceRec{EPR: "falkon-instance-1", Notify: true})
-	seed, _ = marshalRecord(seed, KindAccept, AcceptRec{EPR: "falkon-instance-1", Tasks: []task.Task{{ID: 1, Command: "sleep"}, {ID: 2}}})
-	seed, _ = marshalRecord(seed, KindDispatch, DispatchRec{EPR: "falkon-instance-1", ID: 1, Exec: "x1"})
-	seed, _ = marshalRecord(seed, KindComplete, CompleteRec{EPR: "falkon-instance-1", Result: task.Result{ID: 1, Stdout: "ok"}})
-	seed, _ = marshalRecord(seed, KindDestroy, DestroyRec{EPR: "falkon-instance-1"})
-	f.Add(seed)
-	f.Add(seed[:len(seed)-3]) // torn tail
-	torn := append([]byte(nil), seed...)
-	torn[10] ^= 0x40 // corrupt first record's body
-	f.Add(torn)
-	f.Add([]byte{})
-	f.Add([]byte{0xff, 0xff, 0xff, 0xff, 0, 0, 0, 0, 1})
+	for _, seed := range journalSeeds() {
+		f.Add(seed)
+	}
 
 	f.Fuzz(func(t *testing.T, data []byte) {
 		r := newReplayer()
@@ -56,4 +45,54 @@ func FuzzJournalDecode(f *testing.F) {
 		// Materializing state must not panic either.
 		_ = r.state()
 	})
+}
+
+// journalSeeds are realistic journals for the fuzzer to start from — whole,
+// torn mid-record, bit-flipped — in the single-task record kinds journals on
+// disk hold and in the batch kinds the dispatcher writes. TestGenCorpus
+// commits them under testdata/fuzz.
+func journalSeeds() map[string][]byte {
+	epr := "falkon-instance-1"
+	var whole []byte
+	whole, _ = marshalRecord(whole, KindInstance, InstanceRec{EPR: epr, Notify: true})
+	whole, _ = marshalRecord(whole, KindAccept, AcceptRec{EPR: epr, Tasks: []task.Task{{ID: 1, Command: "sleep"}, {ID: 2}}})
+	whole, _ = marshalRecord(whole, KindDispatch, DispatchRec{EPR: epr, ID: 1, Exec: "x1"})
+	whole, _ = marshalRecord(whole, KindComplete, CompleteRec{EPR: epr, Result: task.Result{ID: 1, Stdout: "ok"}})
+	whole, _ = marshalRecord(whole, KindDestroy, DestroyRec{EPR: epr})
+
+	var batch []byte
+	batch, _ = marshalRecord(batch, KindInstance, InstanceRec{EPR: epr, Notify: true})
+	batch, _ = marshalRecord(batch, KindAccept, AcceptRec{EPR: epr, Tasks: []task.Task{{ID: 1, Command: "sleep"}, {ID: 2}, {ID: 3}}})
+	batch, _ = marshalRecord(batch, KindDispatchBatch, DispatchBatchRec{Exec: "x1", Tasks: []TaskRef{{epr, 1}, {epr, 2}, {"falkon-instance-9", 3}}})
+	batch, _ = marshalRecord(batch, KindCompleteBatch, CompleteBatchRec{Results: []CompleteRec{
+		{EPR: epr, Result: task.Result{ID: 1, Stdout: "ok"}},
+		{EPR: epr, Result: task.Result{ID: 2, ExitCode: -1, Err: "retries exhausted: replay timeout", Attempts: 4}},
+	}})
+	batch, _ = marshalRecord(batch, KindDispatchBatch, DispatchBatchRec{Exec: "x2", Tasks: []TaskRef{{epr, 3}}})
+
+	flip := func(b []byte, at int) []byte {
+		out := append([]byte(nil), b...)
+		out[at] ^= 0x40
+		return out
+	}
+
+	bigTasks := make([]task.Task, 64)
+	for i := range bigTasks {
+		bigTasks[i] = task.Task{ID: task.ID(i + 1), Command: "sleep"}
+	}
+	var big []byte
+	big, _ = marshalRecord(big, KindInstance, InstanceRec{EPR: "falkon-instance-2"})
+	big, _ = marshalRecord(big, KindAccept, AcceptRec{EPR: "falkon-instance-2", Tasks: bigTasks})
+
+	return map[string][]byte{
+		"whole-journal":    whole,
+		"torn-tail":        whole[:len(whole)-3],
+		"bitflipped-body":  flip(whole, 10),
+		"empty":            nil,
+		"garbage-header":   {0xff, 0xff, 0xff, 0xff, 0, 0, 0, 0, 1},
+		"big-accept":       big,
+		"batch-journal":    batch,
+		"batch-torn-tail":  batch[:len(batch)-9], // mid-way through the last dispatch record
+		"batch-bitflipped": flip(batch, len(batch)-60),
+	}
 }

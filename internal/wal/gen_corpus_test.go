@@ -6,8 +6,6 @@ import (
 	"path/filepath"
 	"strconv"
 	"testing"
-
-	"falkon/internal/task"
 )
 
 func TestGenCorpus(t *testing.T) {
@@ -18,33 +16,7 @@ func TestGenCorpus(t *testing.T) {
 	if err := os.MkdirAll(dir, 0o755); err != nil {
 		t.Fatal(err)
 	}
-	var whole []byte
-	whole, _ = marshalRecord(whole, KindInstance, InstanceRec{EPR: "falkon-instance-1", Notify: true})
-	whole, _ = marshalRecord(whole, KindAccept, AcceptRec{EPR: "falkon-instance-1", Tasks: []task.Task{{ID: 1, Command: "sleep"}, {ID: 2}}})
-	whole, _ = marshalRecord(whole, KindDispatch, DispatchRec{EPR: "falkon-instance-1", ID: 1, Exec: "x1"})
-	whole, _ = marshalRecord(whole, KindComplete, CompleteRec{EPR: "falkon-instance-1", Result: task.Result{ID: 1, Stdout: "ok"}})
-	whole, _ = marshalRecord(whole, KindDestroy, DestroyRec{EPR: "falkon-instance-1"})
-
-	torn := append([]byte(nil), whole...)
-	torn[10] ^= 0x40
-
-	var big []byte
-	bigTasks := make([]task.Task, 64)
-	for i := range bigTasks {
-		bigTasks[i] = task.Task{ID: task.ID(i + 1), Command: "sleep"}
-	}
-	big, _ = marshalRecord(big, KindInstance, InstanceRec{EPR: "falkon-instance-2"})
-	big, _ = marshalRecord(big, KindAccept, AcceptRec{EPR: "falkon-instance-2", Tasks: bigTasks})
-
-	seeds := map[string][]byte{
-		"whole-journal":   whole,
-		"torn-tail":       whole[:len(whole)-3],
-		"bitflipped-body": torn,
-		"empty":           nil,
-		"garbage-header":  {0xff, 0xff, 0xff, 0xff, 0, 0, 0, 0, 1},
-		"big-accept":      big,
-	}
-	for name, data := range seeds {
+	for name, data := range journalSeeds() {
 		content := fmt.Sprintf("go test fuzz v1\n[]byte(%s)\n", strconv.Quote(string(data)))
 		if err := os.WriteFile(filepath.Join(dir, name), []byte(content), 0o644); err != nil {
 			t.Fatal(err)

@@ -38,6 +38,14 @@ const (
 	// KindComplete records a finalized result, including its payload, so
 	// results awaiting collection survive a crash and are redelivered.
 	KindComplete Kind = 5
+	// KindDispatchBatch records one grant — the executor and every task it
+	// was handed — and replays as that many KindDispatch records in order.
+	// The dispatcher writes this kind; KindDispatch is read for the journals
+	// already on disk.
+	KindDispatchBatch Kind = 6
+	// KindCompleteBatch records the results one delivery (or one replay pass)
+	// finalized, and replays as that many KindComplete records in order.
+	KindCompleteBatch Kind = 7
 	// KindSnapshot frames a state snapshot (snapshot files only, never in
 	// segments).
 	KindSnapshot Kind = 9
@@ -56,6 +64,10 @@ func (k Kind) String() string {
 		return "dispatch"
 	case KindComplete:
 		return "complete"
+	case KindDispatchBatch:
+		return "dispatch-batch"
+	case KindCompleteBatch:
+		return "complete-batch"
 	case KindSnapshot:
 		return "snapshot"
 	default:
@@ -77,27 +89,58 @@ const (
 // castagnoli is the CRC-32C table (hardware-accelerated on amd64/arm64).
 var castagnoli = crc32.MakeTable(crc32.Castagnoli)
 
-// appendRecord frames one record onto dst and returns the extended slice.
-func appendRecord(dst []byte, kind Kind, body []byte) []byte {
-	n := 1 + len(body)
+// beginRecord reserves a record's header on dst and writes its kind byte;
+// the caller appends the body behind it and calls sealRecord with the
+// returned start. Writing the body in place is what keeps the append path
+// free of an intermediate slice per record.
+func beginRecord(dst []byte, kind Kind) (out []byte, start int) {
+	start = len(dst)
 	var hdr [headerSize]byte
-	binary.LittleEndian.PutUint32(hdr[0:4], uint32(n))
 	dst = append(dst, hdr[:]...)
-	payloadStart := len(dst)
-	dst = append(dst, byte(kind))
-	dst = append(dst, body...)
-	crc := crc32.Checksum(dst[payloadStart:], castagnoli)
-	binary.LittleEndian.PutUint32(dst[payloadStart-4:payloadStart], crc)
+	return append(dst, byte(kind)), start
+}
+
+// sealRecord fills in the header of the record begun at start, which runs to
+// the end of dst: the payload's length and its CRC.
+func sealRecord(dst []byte, start int) []byte {
+	payload := dst[start+headerSize:]
+	binary.LittleEndian.PutUint32(dst[start:], uint32(len(payload)))
+	binary.LittleEndian.PutUint32(dst[start+4:], crc32.Checksum(payload, castagnoli))
 	return dst
 }
 
-// marshalRecord frames a record whose body is the JSON encoding of v.
+// marshalRecord frames a record whose body is the JSON encoding of v. On
+// error dst comes back as it was given.
 func marshalRecord(dst []byte, kind Kind, v any) ([]byte, error) {
+	dst, start := beginRecord(dst, kind)
+	dst, err := appendBody(dst, kind, v)
+	if err != nil {
+		return dst[:start], err
+	}
+	return sealRecord(dst, start), nil
+}
+
+// appendBody appends v's JSON encoding: by the hand encoders (state.go) for
+// the per-task records, through encoding/json for the cold ones (instance,
+// destroy, snapshot).
+func appendBody(dst []byte, kind Kind, v any) ([]byte, error) {
+	switch rec := v.(type) {
+	case AcceptRec:
+		return rec.appendJSON(dst), nil
+	case DispatchRec:
+		return rec.appendJSON(dst), nil
+	case CompleteRec:
+		return rec.appendJSON(dst), nil
+	case DispatchBatchRec:
+		return rec.appendJSON(dst), nil
+	case CompleteBatchRec:
+		return rec.appendJSON(dst), nil
+	}
 	body, err := json.Marshal(v)
 	if err != nil {
 		return dst, fmt.Errorf("wal: marshal %v record: %w", kind, err)
 	}
-	return appendRecord(dst, kind, body), nil
+	return append(dst, body...), nil
 }
 
 // rawRecord is one decoded record: the kind byte and its JSON body. The

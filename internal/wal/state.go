@@ -4,6 +4,7 @@ import (
 	"strconv"
 	"strings"
 
+	"falkon/internal/jsonwire"
 	"falkon/internal/sched"
 	"falkon/internal/task"
 )
@@ -48,6 +49,108 @@ type DispatchRec struct {
 type CompleteRec struct {
 	EPR    string      `json:"epr"`
 	Result task.Result `json:"result"`
+}
+
+// TaskRef names one task of a DispatchBatchRec.
+type TaskRef struct {
+	EPR string  `json:"epr"`
+	ID  task.ID `json:"id"`
+}
+
+// DispatchBatchRec records one grant: the executor and, in grant order, the
+// tasks it was handed (which may belong to several instances).
+type DispatchBatchRec struct {
+	Exec  string    `json:"exec,omitempty"`
+	Tasks []TaskRef `json:"tasks"`
+}
+
+// CompleteBatchRec records the results finalized together, in that order.
+type CompleteBatchRec struct {
+	Results []CompleteRec `json:"results"`
+}
+
+// The per-task records encode themselves: appendJSON appends what
+// json.Marshal would (field order, omitempty) up to the string escapes
+// jsonwire leaves out (<, >, &, U+2028, U+2029), which decode the same, and
+// [] for a batch record's nil slice. Decoding stays on encoding/json —
+// recovery is cold, and that keeps the reader an independent oracle for
+// these writers.
+
+func (rec *AcceptRec) appendJSON(dst []byte) []byte {
+	dst = append(dst, `{"epr":`...)
+	dst = jsonwire.AppendString(dst, rec.EPR)
+	dst = append(dst, `,"tasks":`...)
+	if rec.Tasks == nil {
+		dst = append(dst, `null`...)
+	} else {
+		dst = append(dst, '[')
+		for i := range rec.Tasks {
+			if i > 0 {
+				dst = append(dst, ',')
+			}
+			dst = rec.Tasks[i].AppendJSON(dst)
+		}
+		dst = append(dst, ']')
+	}
+	if rec.Tenant != "" {
+		dst = append(dst, `,"tenant":`...)
+		dst = jsonwire.AppendString(dst, rec.Tenant)
+	}
+	return append(dst, '}')
+}
+
+func (rec *DispatchRec) appendJSON(dst []byte) []byte {
+	dst = appendTaskRef(dst, rec.EPR, rec.ID)
+	if rec.Exec != "" {
+		dst = append(dst, `,"exec":`...)
+		dst = jsonwire.AppendString(dst, rec.Exec)
+	}
+	return append(dst, '}')
+}
+
+// appendTaskRef appends {"epr":…,"id":… and leaves the object open: a whole
+// TaskRef, and the head of a DispatchRec.
+func appendTaskRef(dst []byte, epr string, id task.ID) []byte {
+	dst = append(dst, `{"epr":`...)
+	dst = jsonwire.AppendString(dst, epr)
+	dst = append(dst, `,"id":`...)
+	return jsonwire.AppendUint(dst, uint64(id))
+}
+
+func (rec *CompleteRec) appendJSON(dst []byte) []byte {
+	dst = append(dst, `{"epr":`...)
+	dst = jsonwire.AppendString(dst, rec.EPR)
+	dst = append(dst, `,"result":`...)
+	dst = rec.Result.AppendJSON(dst)
+	return append(dst, '}')
+}
+
+func (rec *DispatchBatchRec) appendJSON(dst []byte) []byte {
+	dst = append(dst, '{')
+	if rec.Exec != "" {
+		dst = append(dst, `"exec":`...)
+		dst = jsonwire.AppendString(dst, rec.Exec)
+		dst = append(dst, ',')
+	}
+	dst = append(dst, `"tasks":[`...)
+	for i, t := range rec.Tasks {
+		if i > 0 {
+			dst = append(dst, ',')
+		}
+		dst = append(appendTaskRef(dst, t.EPR, t.ID), '}')
+	}
+	return append(dst, `]}`...)
+}
+
+func (rec *CompleteBatchRec) appendJSON(dst []byte) []byte {
+	dst = append(dst, `{"results":[`...)
+	for i := range rec.Results {
+		if i > 0 {
+			dst = append(dst, ',')
+		}
+		dst = rec.Results[i].appendJSON(dst)
+	}
+	return append(dst, `]}`...)
 }
 
 // Instance is one recovered client instance.
@@ -205,30 +308,56 @@ func (r *replayer) apply(rec rawRecord) {
 		if unmarshal(rec.body, &dr) != nil {
 			return
 		}
-		if i, ok := r.pendIdx[pendKey{dr.EPR, dr.ID}]; ok {
-			r.pending[i].Attempts++
-			r.counters.Dispatched++
-		}
+		r.dispatch(dr.EPR, dr.ID)
 	case KindComplete:
 		var cr CompleteRec
 		if unmarshal(rec.body, &cr) != nil {
 			return
 		}
-		key := pendKey{cr.EPR, cr.Result.ID}
-		i, ok := r.pendIdx[key]
-		if !ok {
-			return // duplicate or foreign completion: drop, never fabricate
+		r.complete(&cr)
+	case KindDispatchBatch:
+		var db DispatchBatchRec
+		if unmarshal(rec.body, &db) != nil {
+			return
 		}
-		r.pending[i].EPR = "" // tombstone
-		delete(r.pendIdx, key)
-		if cr.Result.Failed() {
-			r.counters.Failed++
-		} else {
-			r.counters.Completed++
+		for _, t := range db.Tasks {
+			r.dispatch(t.EPR, t.ID)
 		}
-		if in, ok := r.instances[cr.EPR]; ok {
-			in.Results = append(in.Results, cr.Result)
+	case KindCompleteBatch:
+		var cb CompleteBatchRec
+		if unmarshal(rec.body, &cb) != nil {
+			return
 		}
+		for i := range cb.Results {
+			r.complete(&cb.Results[i])
+		}
+	}
+}
+
+// dispatch folds one task assignment: an attempt of a task still pending.
+func (r *replayer) dispatch(epr string, id task.ID) {
+	if i, ok := r.pendIdx[pendKey{epr, id}]; ok {
+		r.pending[i].Attempts++
+		r.counters.Dispatched++
+	}
+}
+
+// complete folds one finalized result.
+func (r *replayer) complete(cr *CompleteRec) {
+	key := pendKey{cr.EPR, cr.Result.ID}
+	i, ok := r.pendIdx[key]
+	if !ok {
+		return // duplicate or foreign completion: drop, never fabricate
+	}
+	r.pending[i].EPR = "" // tombstone
+	delete(r.pendIdx, key)
+	if cr.Result.Failed() {
+		r.counters.Failed++
+	} else {
+		r.counters.Completed++
+	}
+	if in, ok := r.instances[cr.EPR]; ok {
+		in.Results = append(in.Results, cr.Result)
 	}
 }
 

@@ -193,21 +193,39 @@ func (a *Appender) AppendWait(kind Kind, v any) (Handle, error) {
 }
 
 func (a *Appender) append(kind Kind, v any, wait bool) (Handle, error) {
-	j := a.j
-	if j.bad.Load() {
-		return Handle{}, j.stickyErr()
+	start, err := a.begin(kind)
+	if err != nil {
+		return Handle{}, err
+	}
+	if a.buf, err = appendBody(a.buf, kind, v); err != nil {
+		a.buf = a.buf[:start]
+		a.mu.Unlock()
+		return Handle{}, err
+	}
+	return a.end(start, wait), nil
+}
+
+// begin opens one record of kind in the appender's buffer, unless the
+// journal no longer takes any: the header is reserved, and the caller, which
+// now holds the appender's lock, writes the body onto a.buf and calls end.
+func (a *Appender) begin(kind Kind) (start int, err error) {
+	if a.j.bad.Load() {
+		return 0, a.j.stickyErr()
 	}
 	a.mu.Lock()
 	if a.dead {
 		a.mu.Unlock()
-		return Handle{}, j.stickyErr()
+		return 0, a.j.stickyErr()
 	}
-	var err error
-	a.buf, err = marshalRecord(a.buf, kind, v)
-	if err != nil {
-		a.mu.Unlock()
-		return Handle{}, err
-	}
+	a.buf, start = beginRecord(a.buf, kind)
+	return start, nil
+}
+
+// end seals the record begun at start, releases the appender, counts the
+// record and wakes the committer. With wait it returns the record's
+// durability barrier.
+func (a *Appender) end(start int, wait bool) Handle {
+	sealRecord(a.buf, start)
 	var h Handle
 	if wait {
 		w := &waiter{ch: make(chan struct{})}
@@ -215,12 +233,12 @@ func (a *Appender) append(kind Kind, v any, wait bool) (Handle, error) {
 		h = Handle{w: w}
 	}
 	a.mu.Unlock()
-	j.cAppends.Inc()
+	a.j.cAppends.Inc()
 	select {
-	case j.kick <- struct{}{}:
+	case a.j.kick <- struct{}{}:
 	default:
 	}
-	return h, nil
+	return h
 }
 
 // take removes the appender's buffered batch, optionally sealing it against
@@ -357,9 +375,9 @@ func (j *Journal) createSegment(i uint64) (File, error) {
 }
 
 // Append buffers one record on the default appender without waiting for
-// durability. Used for the advisory transitions (dispatch, complete):
-// losing the tail only means a task re-runs, and downstream dedupe keeps
-// delivery exactly-once.
+// durability. Its callers hand it the cold records (benchmark/layers.go, the
+// per-task kinds too); the dispatcher's per-task transitions go through the
+// typed entry points below, which box nothing.
 func (j *Journal) Append(kind Kind, v any) error {
 	return j.def.Append(kind, v)
 }
@@ -367,9 +385,45 @@ func (j *Journal) Append(kind Kind, v any) error {
 // AppendWait buffers one record on the default appender and returns a
 // Handle whose Wait releases once the record is committed per the sync
 // policy. Used for transitions that must be durable before they are
-// acknowledged (instance creation, task acceptance).
+// acknowledged (instance creation and destruction).
 func (j *Journal) AppendWait(kind Kind, v any) (Handle, error) {
 	return j.def.AppendWait(kind, v)
+}
+
+// AppendAccept buffers one accept record and returns its durability Handle:
+// the submit acknowledgment waits on it. Like the two below it encodes rec
+// straight into the appender's buffer, behind a header sealed afterwards.
+func (j *Journal) AppendAccept(rec *AcceptRec) (Handle, error) {
+	start, err := j.def.begin(KindAccept)
+	if err != nil {
+		return Handle{}, err
+	}
+	j.def.buf = rec.appendJSON(j.def.buf)
+	return j.def.end(start, true), nil
+}
+
+// AppendDispatches buffers one grant's dispatch record without waiting for
+// durability, as AppendCompletes does a delivery's results: losing the tail
+// only means a task re-runs, and downstream dedupe keeps delivery
+// exactly-once.
+func (j *Journal) AppendDispatches(rec *DispatchBatchRec) error {
+	start, err := j.def.begin(KindDispatchBatch)
+	if err == nil {
+		j.def.buf = rec.appendJSON(j.def.buf)
+		j.def.end(start, false)
+	}
+	return err
+}
+
+// AppendCompletes buffers one complete record for the results finalized
+// together (see AppendDispatches).
+func (j *Journal) AppendCompletes(rec *CompleteBatchRec) error {
+	start, err := j.def.begin(KindCompleteBatch)
+	if err == nil {
+		j.def.buf = rec.appendJSON(j.def.buf)
+		j.def.end(start, false)
+	}
+	return err
 }
 
 // run is the committer loop: drain the appender buffers, write them as one

@@ -4,6 +4,7 @@ import (
 	"bytes"
 	"os"
 	"path/filepath"
+	"runtime"
 	"sync"
 	"testing"
 	"time"
@@ -290,6 +291,12 @@ func TestBitFlipProperty(t *testing.T) {
 	}
 }
 
+// appendRecord frames one record with a ready-made body onto dst.
+func appendRecord(dst []byte, kind Kind, body []byte) []byte {
+	dst, start := beginRecord(dst, kind)
+	return sealRecord(append(dst, body...), start)
+}
+
 func decodeAll(buf []byte) []rawRecord {
 	var out []rawRecord
 	for {
@@ -474,21 +481,61 @@ func TestAbortDropsBufferedBatch(t *testing.T) {
 	}
 }
 
+// BenchmarkWALAppend is one journaled task's share of the append path, written
+// both ways: "per-task" is the record mix journals held before records
+// followed the protocol (an accept per 64 tasks, a DispatchRec and a
+// CompleteRec per task, each boxed into Append's any), "per-grant" what the
+// dispatcher writes now (the same accept, one dispatch and one complete
+// record per 16 tasks — the median grant of direct-bulk — through the typed
+// entry points). One iteration is one task.
 func BenchmarkWALAppend(b *testing.B) {
-	dir := b.TempDir()
-	_, j, _, err := Recover(dir, Options{Sync: SyncPolicy{Mode: SyncOff}})
-	if err != nil {
-		b.Fatal(err)
+	const epr, exec, bundle, grant = "falkon-instance-1", "exec-0", 64, 16
+	tasks := make([]task.Task, bundle)
+	refs := make([]TaskRef, bundle)
+	done := make([]CompleteRec, bundle)
+	for i := range tasks {
+		id := task.ID(1000 + i)
+		tasks[i] = task.Task{ID: id, Engine: task.EngineSleep, Args: []string{"0123456789abcdef"}}
+		refs[i] = TaskRef{EPR: epr, ID: id}
+		done[i] = CompleteRec{EPR: epr, Result: task.Result{ID: id, ExecutorID: exec, QueuedAt: 1e6, DispatchedAt: 2e6, StartedAt: 3e6, FinishedAt: 4e6, Attempts: 1}}
 	}
-	defer j.Close()
-	j.Append(KindInstance, InstanceRec{EPR: "falkon-instance-1"})
-	rec := DispatchRec{EPR: "falkon-instance-1", ID: 42, Exec: "x1"}
-	b.ReportAllocs()
-	b.ResetTimer()
-	for i := 0; i < b.N; i++ {
-		if err := j.Append(KindDispatch, rec); err != nil {
-			b.Fatal(err)
-		}
+	accept := AcceptRec{EPR: epr, Tasks: tasks}
+	for _, mode := range []string{"per-task", "per-grant"} {
+		b.Run(mode, func(b *testing.B) {
+			_, j, _, err := Recover(b.TempDir(), Options{Sync: SyncPolicy{Mode: SyncOff}})
+			if err != nil {
+				b.Fatal(err)
+			}
+			defer j.Close()
+			j.Append(KindInstance, InstanceRec{EPR: epr})
+			b.ReportAllocs()
+			b.ResetTimer()
+			for i := 0; i < b.N; i++ {
+				at := i % bundle
+				if at == 0 {
+					if _, err = j.AppendAccept(&accept); err != nil {
+						b.Fatal(err)
+					}
+				}
+				switch {
+				case mode == "per-task":
+					j.Append(KindDispatch, DispatchRec{EPR: epr, ID: refs[at].ID, Exec: exec})
+					err = j.Append(KindComplete, done[at])
+				case at%grant == 0:
+					j.AppendDispatches(&DispatchBatchRec{Exec: exec, Tasks: refs[at : at+grant]})
+					err = j.AppendCompletes(&CompleteBatchRec{Results: done[at : at+grant]})
+				}
+				if err != nil {
+					b.Fatal(err)
+				}
+				if at == bundle-1 {
+					// A handler returns to its connection between messages;
+					// without this a loop on one P starves the committer and
+					// times the growth of an unbounded buffer instead.
+					runtime.Gosched()
+				}
+			}
+		})
 	}
 }
 

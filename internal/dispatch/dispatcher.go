@@ -214,16 +214,6 @@ type outKey struct {
 // (instance, task ID).
 type dcore = sched.Core[string, outKey, taskRef]
 
-// traceEv is one deferred tracer record.
-type traceEv struct {
-	at    time.Duration
-	kind  obs.EventKind
-	trace uint64
-	id    task.ID
-	epr   string
-	exec  string
-}
-
 // resultRun is one deferred result notification ({8}) to a push-mode
 // client: the results finalized back to back for one (peer, instance),
 // fx.results[previous run's end:end]. A Deliver batch is normally one run,
@@ -262,7 +252,7 @@ type stampRec struct {
 // many executors pipeline instead of serializing on tracer and histogram
 // writes.
 type fx struct {
-	events   []traceEv
+	events   []obs.Event // deferred tracer records
 	stamps   []stampRec
 	notifies []notifyPush
 	results  []task.Result // pushed results, run after run
@@ -270,7 +260,7 @@ type fx struct {
 }
 
 func (f *fx) trace(at time.Duration, kind obs.EventKind, trace uint64, id task.ID, epr, exec string) {
-	f.events = append(f.events, traceEv{at, kind, trace, id, epr, exec})
+	f.events = append(f.events, obs.Event{At: at, Kind: kind, Trace: trace, Task: id, EPR: epr, Executor: exec})
 }
 
 // push defers results for inst's client at peer, extending the current run
@@ -507,9 +497,7 @@ func (d *Dispatcher) tenantHistsFor(tenant string) *tenantHists {
 // and a push encodes straight into its connection's cork buffer (and may
 // wait there on a slow peer, up to wsrpc's write-stall bound).
 func (d *Dispatcher) flush(f *fx) {
-	for _, e := range f.events {
-		d.tracer.Record(e.at, e.kind, e.trace, e.id, e.epr, e.exec)
-	}
+	d.tracer.RecordAll(f.events)
 	for _, rec := range f.stamps {
 		var th *tenantHists
 		if rec.tenant != "" {

@@ -390,7 +390,7 @@ func (e *Executor) shutdown(reason string) bool {
 // unless the notification brought it — and keep running piggy-backed
 // assignments until the dispatcher runs dry.
 func (e *Executor) workLoop() {
-	var ps pullSizer
+	var ps slot
 	for {
 		var idleC <-chan time.Time
 		var idleTimer *time.Timer
@@ -424,7 +424,7 @@ func (e *Executor) workLoop() {
 			return
 		}
 		if as != nil {
-			e.traceAssigned(e.at(), obs.EvPushed, as)
+			e.traceAssigned(&ps, e.at(), obs.EvPushed, as)
 			e.runAssignments(cli, &ps, as)
 			continue
 		}
@@ -445,16 +445,25 @@ func (e *Executor) workLoop() {
 			continue
 		}
 		ps.rtt = time.Since(sent)
-		e.traceAssigned(e.at(), obs.EvPulled, reply.Assignments)
+		e.traceAssigned(&ps, e.at(), obs.EvPulled, reply.Assignments)
 		e.runAssignments(cli, &ps, reply.Assignments)
 	}
 }
 
-// traceAssigned records how a batch of assignments reached this executor.
-func (e *Executor) traceAssigned(at time.Duration, kind obs.EventKind, as []fproto.Assignment) {
+// slot is what one workLoop keeps from batch to batch.
+type slot struct {
+	pullSizer
+	evs []obs.Event // trace events gathered for the tracer to take in one call
+}
+
+// traceAssigned records how a batch of assignments reached this executor,
+// after whatever events ps has gathered.
+func (e *Executor) traceAssigned(ps *slot, at time.Duration, kind obs.EventKind, as []fproto.Assignment) {
 	for _, a := range as {
-		e.tracer.Record(at, kind, a.Task.Trace, a.Task.ID, a.EPR, e.opts.ID)
+		ps.evs = append(ps.evs, obs.Event{At: at, Kind: kind, Trace: a.Task.Trace, Task: a.Task.ID, EPR: a.EPR, Executor: e.opts.ID})
 	}
+	e.tracer.RecordAll(ps.evs)
+	ps.evs = ps.evs[:0]
 }
 
 // isStopping reports whether shutdown has begun.
@@ -508,7 +517,7 @@ func (e *Executor) markIdle(ran int64) {
 // dropped and the (journaling) dispatcher re-dispatches the tasks after
 // recovery, so nothing retries against a connection that no longer knows the
 // outstanding set.
-func (e *Executor) runAssignments(cli *wsrpc.Client, ps *pullSizer, as []fproto.Assignment) {
+func (e *Executor) runAssignments(cli *wsrpc.Client, ps *slot, as []fproto.Assignment) {
 	if len(as) == 0 {
 		return
 	}
@@ -567,9 +576,9 @@ func (e *Executor) runAssignments(cli *wsrpc.Client, ps *pullSizer, as []fproto.
 		}
 		now := e.at()
 		for _, tr := range results {
-			e.tracer.Record(now, obs.EvDelivered, tr.Result.Trace, tr.Result.ID, tr.EPR, e.opts.ID)
+			ps.evs = append(ps.evs, obs.Event{At: now, Kind: obs.EvDelivered, Trace: tr.Result.Trace, Task: tr.Result.ID, EPR: tr.EPR, Executor: e.opts.ID})
 		}
-		e.traceAssigned(now, obs.EvAcked, reply.Assignments)
+		e.traceAssigned(ps, now, obs.EvAcked, reply.Assignments)
 		as = reply.Assignments
 	}
 }

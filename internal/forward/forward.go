@@ -337,17 +337,11 @@ func (f *Forwarder) handleSubmit(_ *wsrpc.Peer, body json.RawMessage) (any, erro
 	// Idempotent resubmission, mirroring the dispatcher's instance
 	// semantics: tasks whose delivery is still owed are dropped (their
 	// results are coming); tasks already delivered re-enter pending and
-	// re-run.
-	fresh := make([]task.Task, 0, len(req.Tasks))
+	// re-run. A first submission, the usual case, is routed as decoded.
 	inst.mu.Lock()
-	for _, t := range req.Tasks {
-		if _, owed := inst.pending[t.ID]; owed {
-			continue
-		}
-		fresh = append(fresh, t)
-	}
-	deduped := len(req.Tasks) - len(fresh)
+	fresh := inst.whereOwed(req.Tasks, false)
 	inst.mu.Unlock()
+	deduped := len(req.Tasks) - len(fresh)
 	// Re-chunk into root→leaf bundles: an upstream mega-bundle spreads
 	// across leaves, while per-bundle envelope cost stays amortized.
 	for start := 0; start < len(fresh); start += f.opts.Bundle {
@@ -426,10 +420,10 @@ func (f *Forwarder) routeBundle(inst *finst, tasks []task.Task, trace uint64, av
 
 		inst.mu.Lock()
 		if avoid >= 0 {
-			tasks = inst.stillPending(tasks)
+			tasks = inst.whereOwed(tasks, true)
 		}
-		for _, t := range tasks {
-			inst.pending[t.ID] = pentry{t: t, leaf: idx}
+		for i := range tasks {
+			inst.pending[tasks[i].ID] = pentry{t: &tasks[i], leaf: idx}
 		}
 		inst.mu.Unlock()
 		if len(tasks) < charged {
@@ -531,7 +525,8 @@ func (f *Forwarder) onLeafResults(idx int, realEPR string, results []task.Result
 	if inst == nil || inst.destroyed.Load() {
 		return
 	}
-	var deliver []task.Result
+	// Filtered in place: the decoded results are this call's own.
+	deliver := results[:0]
 	inst.mu.Lock()
 	for _, r := range results {
 		// A result is deliverable iff its task is still owed: the second

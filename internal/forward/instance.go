@@ -9,9 +9,11 @@ import (
 )
 
 // pentry is one task the root owes a result for: the task itself (kept for
-// replay if its leaf dies) and the leaf it is currently routed to.
+// replay if its leaf dies), where the bundle it was routed in holds it — a
+// copy would be 144 bytes the map has to box — and the leaf it is currently
+// routed to. Nothing writes to a bundle once its tasks are pending.
 type pentry struct {
-	t    task.Task
+	t    *task.Task
 	leaf int
 }
 
@@ -107,19 +109,31 @@ func (in *finst) takePendingFor(idx int) []task.Task {
 	var ts []task.Task
 	for _, pe := range in.pending {
 		if pe.leaf == idx {
-			ts = append(ts, pe.t)
+			ts = append(ts, *pe.t)
 		}
 	}
 	return ts
 }
 
-// stillPending returns, in place, the tasks of a replayed bundle that are
-// still owed a result. Callers hold mu.
-func (in *finst) stillPending(tasks []task.Task) []task.Task {
-	kept := tasks[:0]
-	for _, t := range tasks {
-		if _, owed := in.pending[t.ID]; owed {
-			kept = append(kept, t)
+// whereOwed returns the tasks of a bundle that are owed a result (owed: what
+// is left of a replayed bundle) or are not (what a submitted bundle holds
+// besides resubmissions). It returns tasks itself when that is all of them
+// and a copy otherwise, never tasks compacted in place: pending entries
+// point into a routed bundle. Callers hold mu.
+func (in *finst) whereOwed(tasks []task.Task, owed bool) []task.Task {
+	n := 0
+	for i := range tasks {
+		if _, ok := in.pending[tasks[i].ID]; ok == owed {
+			n++
+		}
+	}
+	if n == len(tasks) {
+		return tasks
+	}
+	kept := make([]task.Task, 0, n)
+	for i := range tasks {
+		if _, ok := in.pending[tasks[i].ID]; ok == owed {
+			kept = append(kept, tasks[i])
 		}
 	}
 	return kept

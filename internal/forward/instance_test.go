@@ -113,8 +113,8 @@ func TestDuplicateResultAfterRedistributeDrops(t *testing.T) {
 		byReal: map[realKey]*finst{{0, "r0"}: inst, {1, "r1"}: inst},
 	}
 	tk := task.Task{ID: 7}
-	inst.pending[tk.ID] = pentry{t: tk, leaf: 0}
-	inst.pending[tk.ID] = pentry{t: tk, leaf: 1} // leaf 0 dropped; replayed onto leaf 1
+	inst.pending[tk.ID] = pentry{t: &tk, leaf: 0}
+	inst.pending[tk.ID] = pentry{t: &tk, leaf: 1} // leaf 0 dropped; replayed onto leaf 1
 	f.onLeafResults(0, "r0", []task.Result{{ID: tk.ID}})
 	f.onLeafResults(1, "r1", []task.Result{{ID: tk.ID}})
 	if len(up.got) != 1 || inst.dupDrops != 1 || len(inst.pending) != 0 {
@@ -167,8 +167,8 @@ func TestReplayWaitingForALeafSendsOnlyWhatIsStillOwed(t *testing.T) {
 	f.mu.Unlock()
 	owed := task.Batch(&gen, 2, 0)
 	inst.mu.Lock()
-	for _, tk := range owed {
-		inst.pending[tk.ID] = pentry{t: tk, leaf: 0}
+	for i := range owed {
+		inst.pending[owed[i].ID] = pentry{t: &owed[i], leaf: 0}
 	}
 	replay := inst.takePendingFor(0)
 	inst.mu.Unlock()

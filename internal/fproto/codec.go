@@ -1,7 +1,6 @@
 package fproto
 
 import (
-	"bytes"
 	"encoding/json"
 	"time"
 
@@ -48,20 +47,6 @@ func NoteCodec(s obs.MetricsSnapshot) obs.MetricsSnapshot {
 // holds none; a nil Intern holds none.
 type Intern func(b []byte) string
 
-// str reads a string field. like is the same field of the previous element.
-func str(r *jsonwire.Reader, like string, known Intern) string {
-	b := r.Str()
-	if string(b) == like {
-		return like
-	}
-	if known != nil {
-		if s := known(b); s != "" {
-			return s
-		}
-	}
-	return string(b)
-}
-
 // finish ends a DecodeJSON: a body the reader could not take whole goes to
 // encoding/json, whose result replaces whatever the reader had filled in.
 // (It decodes into a value of its own so that m does not escape and callers'
@@ -85,10 +70,9 @@ const maxPresize = 1024
 // here is, or nests exactly one, object opening `{"id":` (a Task or a
 // Result), and a string literal cannot contain that sequence unescaped, so
 // in the canonical layout the count is exact and the slice is allocated
-// once; it is only a capacity, so being wrong about anything else is safe.
-func elems(b []byte) int {
-	return min(bytes.Count(b, []byte(`{"id":`)), maxPresize)
-}
+// once; the reader sizes the chunks the elements' strings share by the same
+// count.
+func elems(r *jsonwire.Reader) int { return min(r.Count(`{"id":`), maxPresize) }
 
 // AppendJSON appends m's JSON encoding to dst.
 func (m SubmitRequest) AppendJSON(dst []byte) []byte {
@@ -117,11 +101,11 @@ func (m *SubmitRequest) DecodeInterned(b []byte, known Intern) error {
 	r.Reset(b)
 	*m = SubmitRequest{}
 	r.Expect(`{"epr":`)
-	m.EPR = str(&r, "", known)
+	m.EPR = r.Interned("", known)
 	r.Expect(`,"tasks":`)
 	if !r.Lit(`null`) {
 		r.Expect(`[`)
-		m.Tasks = make([]task.Task, 0, elems(b))
+		m.Tasks = make([]task.Task, 0, elems(&r))
 		var zero task.Task
 		for prev := &zero; r.Elem(len(m.Tasks)); {
 			m.Tasks = append(m.Tasks, task.Task{})
@@ -221,7 +205,7 @@ func (m *GetWorkRequest) DecodeInterned(b []byte, known Intern) error {
 	r.Reset(b)
 	*m = GetWorkRequest{}
 	r.Expect(`{"executor_id":`)
-	m.ExecutorID = str(&r, "", known)
+	m.ExecutorID = r.Interned("", known)
 	r.Expect(`,"max":`)
 	m.Max = r.Int()
 	r.Expect(`}`)
@@ -253,11 +237,11 @@ func appendAssignments(dst []byte, as []Assignment) []byte {
 }
 
 // parseAssignments is appendAssignments' inverse, up to the reader's end.
-func parseAssignments(r *jsonwire.Reader, b []byte) []Assignment {
+func parseAssignments(r *jsonwire.Reader) []Assignment {
 	var as []Assignment
 	r.Expect(`{`)
 	if r.Lit(`"assignments":[`) {
-		as = make([]Assignment, 0, elems(b))
+		as = make([]Assignment, 0, elems(r))
 		var zero Assignment
 		for prev := &zero; r.Elem(len(as)); {
 			as = append(as, Assignment{})
@@ -284,7 +268,7 @@ func (m GetWorkReply) AppendJSON(dst []byte) []byte { return appendAssignments(d
 func (m *GetWorkReply) DecodeJSON(b []byte) error {
 	var r jsonwire.Reader
 	r.Reset(b)
-	*m = GetWorkReply{Assignments: parseAssignments(&r, b)}
+	*m = GetWorkReply{Assignments: parseAssignments(&r)}
 	return finish(&r, b, m)
 }
 
@@ -295,7 +279,7 @@ func (m DeliverReply) AppendJSON(dst []byte) []byte { return appendAssignments(d
 func (m *DeliverReply) DecodeJSON(b []byte) error {
 	var r jsonwire.Reader
 	r.Reset(b)
-	*m = DeliverReply{Assignments: parseAssignments(&r, b)}
+	*m = DeliverReply{Assignments: parseAssignments(&r)}
 	return finish(&r, b, m)
 }
 
@@ -345,15 +329,15 @@ func (m *DeliverRequest) DecodeInterned(b []byte, known Intern) error {
 	r.Reset(b)
 	*m = DeliverRequest{}
 	r.Expect(`{"executor_id":`)
-	m.ExecutorID = str(&r, "", known)
+	m.ExecutorID = r.Interned("", known)
 	if r.Lit(`,"results":[`) {
-		m.Results = make([]TaggedResult, 0, elems(b))
+		m.Results = make([]TaggedResult, 0, elems(&r))
 		first := TaggedResult{Result: task.Result{ExecutorID: m.ExecutorID}}
 		for prev := &first; r.Elem(len(m.Results)); {
 			m.Results = append(m.Results, TaggedResult{})
 			tr := &m.Results[len(m.Results)-1]
 			r.Expect(`{"epr":`)
-			tr.EPR = str(&r, prev.EPR, known)
+			tr.EPR = r.Interned(prev.EPR, known)
 			r.Expect(`,"result":`)
 			tr.Result.ParseJSON(&r, &prev.Result)
 			r.Expect(`,"run_dur":`)
@@ -420,11 +404,11 @@ func (m *ResultsNotify) DecodeInterned(b []byte, known Intern) error {
 	r.Reset(b)
 	*m = ResultsNotify{}
 	r.Expect(`{"epr":`)
-	m.EPR = str(&r, "", known)
+	m.EPR = r.Interned("", known)
 	r.Expect(`,"results":`)
 	if !r.Lit(`null`) {
 		r.Expect(`[`)
-		m.Results = make([]task.Result, 0, elems(b))
+		m.Results = make([]task.Result, 0, elems(&r))
 		var zero task.Result
 		for prev := &zero; r.Elem(len(m.Results)); {
 			m.Results = append(m.Results, task.Result{})

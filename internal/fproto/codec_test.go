@@ -1,7 +1,9 @@
 package fproto
 
 import (
+	"bytes"
 	"encoding/json"
+	"fmt"
 	"math"
 	"math/rand"
 	"reflect"
@@ -204,8 +206,9 @@ func TestBodyCodecMatchesEncodingJSON(t *testing.T) {
 					t.Fatalf("json.Unmarshal(AppendJSON(v)) differs from json's own round trip\n enc %s\n ref %s", enc, ref)
 				}
 				for _, b := range [][]byte{ref, enc} {
-					got := k.fresh()
-					decodeFast(t, got, b)
+					got, buf := k.fresh(), bytes.Clone(b)
+					decodeFast(t, got, buf)
+					disturb(got, buf)
 					if !reflect.DeepEqual(got, want) {
 						t.Fatalf("DecodeJSON(%s)\n got %+v\nwant %+v", b, got, want)
 					}
@@ -310,8 +313,43 @@ func TestDecodeInterned(t *testing.T) {
 	}
 }
 
+// disturb does what a decoded message's owner is free to do: it overwrites
+// the buffer the message was decoded from (the connection's, about to take
+// the next frame) and appends to every task's Args and Env. The message must
+// not change: its strings are copies, and no task's slice has room that is
+// another task's.
+func disturb(m bodyMsg, buf []byte) {
+	for i := range buf {
+		buf[i] = '#'
+	}
+	var tasks []*task.Task
+	var as []Assignment
+	switch m := m.(type) {
+	case *SubmitRequest:
+		for i := range m.Tasks {
+			tasks = append(tasks, &m.Tasks[i])
+		}
+	case *GetWorkReply:
+		as = m.Assignments
+	case *DeliverReply:
+		as = m.Assignments
+	}
+	for i := range as {
+		tasks = append(tasks, &as[i].Task)
+	}
+	for _, t := range tasks {
+		if len(t.Args) > 0 {
+			_ = append(t.Args, "#")
+		}
+		if len(t.Env) > 0 {
+			_ = append(t.Env, "#")
+		}
+	}
+}
+
 // FuzzBodyCodec: on arbitrary bytes DecodeJSON and json.Unmarshal agree on
-// error versus value, and on the value; and what decodes re-encodes to
+// error versus value, and on the value, which neither reusing the input nor
+// appending to a task's strings changes; and what decodes re-encodes to
 // something json.Unmarshal reads back the same.
 func FuzzBodyCodec(f *testing.F) {
 	g := &gen{rand.New(rand.NewSource(2))}
@@ -321,10 +359,13 @@ func FuzzBodyCodec(f *testing.F) {
 		f.Add(uint8(i), ref)
 		f.Add(uint8(i), v.AppendJSON(nil))
 	}
+	f.Add(uint8(0), manyArgs(3, 40)) // one element outgrowing the chunks the count sized
 	f.Fuzz(func(t *testing.T, kind uint8, data []byte) {
 		k := bodyKinds[int(kind)%len(bodyKinds)]
 		got, want := k.fresh(), k.fresh()
-		gerr, werr := got.DecodeJSON(data), json.Unmarshal(data, want)
+		buf := bytes.Clone(data)
+		gerr, werr := got.DecodeJSON(buf), json.Unmarshal(data, want)
+		disturb(got, buf)
 		if (gerr == nil) != (werr == nil) {
 			t.Fatalf("%s %q: DecodeJSON err %v, json.Unmarshal err %v", k.name, data, gerr, werr)
 		}
@@ -404,6 +445,59 @@ func TestCodecAllocs(t *testing.T) {
 		}
 	}); got != 3 {
 		t.Errorf("DecodeInterned of a 64-result ResultsNotify allocates %.0f times, want 3", got)
+	}
+}
+
+// manyArgs is the body of a SubmitRequest of n one-argument tasks whose last
+// task has args arguments instead.
+func manyArgs(n, args int) []byte {
+	req := SubmitRequest{EPR: "falkon-instance-1", Tasks: make([]task.Task, n)}
+	for i := range req.Tasks {
+		req.Tasks[i] = task.Task{ID: task.ID(i + 1), Command: "sleep", Args: []string{fmt.Sprintf("%016x", i)}}
+	}
+	last := &req.Tasks[n-1]
+	for i := 1; i < args; i++ {
+		last.Args = append(last.Args, fmt.Sprintf("%016x", i))
+	}
+	return req.AppendJSON(nil)
+}
+
+// What a message carries is allocated once per message: a SubmitRequest whose
+// tasks each have an argument of their own decodes into the Tasks slice, the
+// EPR, the command the tasks share, one chunk of argument bytes and one of
+// Args slices, however many tasks it has. (3 + 2 per task before the chunks.)
+func TestDecodeAllocsDoNotGrowWithTheBundle(t *testing.T) {
+	for _, n := range []int{1, 64, maxPresize} {
+		req := SubmitRequest{EPR: "falkon-instance-1", Tasks: make([]task.Task, n)}
+		for i := range req.Tasks {
+			req.Tasks[i] = task.Task{ID: task.ID(i + 1), Command: "sleep", Args: []string{fmt.Sprintf("%016x", i)}}
+		}
+		body := req.AppendJSON(nil)
+		var got SubmitRequest
+		if allocs := testing.AllocsPerRun(20, func() { decodeFast(t, &got, body) }); allocs != 5 {
+			t.Errorf("DecodeJSON of a %d-task SubmitRequest allocates %.0f times, want 5", n, allocs)
+		}
+		if !reflect.DeepEqual(got, req) {
+			t.Fatalf("%d tasks decoded as %+v", n, got)
+		}
+	}
+	// One task with many arguments — the only task, or the last, so that no
+	// element to come sizes a chunk for it — grows its two chunks by doubling,
+	// as append would: a few allocations per thousand arguments, not one each.
+	for _, n := range []int{1, 64} {
+		body := manyArgs(n, 1000)
+		var got, want SubmitRequest
+		if allocs := testing.AllocsPerRun(20, func() { decodeFast(t, &got, body) }); allocs > 30 {
+			t.Errorf("DecodeJSON of %d tasks, the last with 1,000 arguments, allocates %.0f times, want at most 30", n, allocs)
+		}
+		if err := json.Unmarshal(body, &want); err != nil || !reflect.DeepEqual(got, want) {
+			t.Fatalf("%d tasks, the last with 1,000 arguments: decoded differently from encoding/json (%v)", n, err)
+		}
+	}
+	var empty SubmitRequest
+	decodeFast(t, &empty, []byte(`{"epr":"e","tasks":[{"id":1,"args":[]}]}`))
+	if args := empty.Tasks[0].Args; args == nil || len(args) != 0 {
+		t.Fatalf(`"args":[] decoded as %#v, want an empty non-nil slice`, args)
 	}
 }
 

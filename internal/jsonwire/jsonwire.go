@@ -11,7 +11,9 @@
 package jsonwire
 
 import (
+	"bytes"
 	"math"
+	"strings"
 	"unicode/utf16"
 	"unicode/utf8"
 )
@@ -246,15 +248,22 @@ func hex4(p []byte) (r rune, n int) {
 // reads a whole message straight through and checks once at the end.
 //
 // Slices returned by Str alias the input or the reader's scratch and are
-// valid only until the next call; String copies.
+// valid only until the next call. What String, Interned and Strings return is
+// copied out of the input into chunks the whole document shares (DESIGN.md
+// §9, "Body codec"): one allocation serves every element's strings, and
+// keeping one of them keeps its chunk — at most this document's strings.
 type Reader struct {
 	p       []byte
 	scratch []byte // unescape buffer, reused from string to string
 	bad     bool
+	left    int             // elements Count found and Elem has not yet reached
+	chunk   strings.Builder // string bytes; a Builder never rewrites what it has handed out
+	spare   []string        // the unused tail of the chunk Strings carves from
 }
 
-// Reset points the reader at a new document.
-func (r *Reader) Reset(p []byte) { r.p, r.bad = p, false }
+// Reset points the reader at a new document, which shares no chunk with the
+// last one.
+func (r *Reader) Reset(p []byte) { *r = Reader{p: p, scratch: r.scratch} }
 
 // OK reports whether everything so far parsed and the document is used up.
 func (r *Reader) OK() bool { return !r.bad && len(r.p) == 0 }
@@ -345,12 +354,81 @@ func (r *Reader) Str() []byte {
 // like, like itself is returned and nothing is allocated: decoders pass the
 // previous element's value, since a bundle's tasks mostly share their
 // command and a batch of results their instance and executor.
-func (r *Reader) String(like string) string {
+func (r *Reader) String(like string) string { return r.Interned(like, nil) }
+
+// Interned is String for a value the decoding side may already hold: known,
+// unless nil, maps the contents to an equal string of its own, or to "".
+func (r *Reader) Interned(like string, known func([]byte) string) string {
 	b := r.Str()
 	if string(b) == like {
 		return like
 	}
-	return string(b)
+	if known != nil {
+		if s := known(b); s != "" {
+			return s
+		}
+	}
+	return r.keep(b, like != "")
+}
+
+// Count counts the occurrences of lit in the rest of the document and takes
+// them for its elements still to come, which Elem then counts off: lit is
+// what opens an element and nothing else. The decoder sizes its slice by the
+// count and the reader its chunks; both are only capacities, so a document
+// that is not what it claims can do no harm with it.
+func (r *Reader) Count(lit string) int {
+	r.left = bytes.Count(r.p, []byte(lit))
+	return r.left
+}
+
+// room sizes a new chunk, in units of size bytes (a string header is 16):
+// need for this element and as much again for each one still to come, or
+// twice the full chunk of was units it replaces when that is more — an
+// element with many strings grows its chunks as append would — but never
+// more than the document has bytes left to fill.
+func (r *Reader) room(need, was, size int) int {
+	return min(max(need*(max(r.left, 0)+1), 2*was), need+len(r.p)/size)
+}
+
+// keep copies b, which Str returned, into the document's string chunk. run
+// says b is one of a run of values that differ from element to element — an
+// argument, a field unlike the previous element's — and a chunk with no room
+// for it is then replaced by one with room for the run; any other value that
+// does not fit is allocated by itself, as the one such value a document
+// usually has (its tasks' command, say) should be.
+func (r *Reader) keep(b []byte, run bool) string {
+	if len(b) > r.chunk.Cap()-r.chunk.Len() {
+		if !run {
+			return string(b)
+		}
+		n := r.room(len(b), r.chunk.Cap(), 1)
+		r.chunk.Reset()
+		r.chunk.Grow(n)
+	}
+	off := r.chunk.Len()
+	r.chunk.Write(b)
+	return r.chunk.String()[off:]
+}
+
+// Strings reads an array of strings; like encoding/json, an empty array
+// yields an empty non-nil slice. The slices of one document are carved from
+// a shared chunk, each clipped to its length so that appending to one cannot
+// reach the next.
+func (r *Reader) Strings() []string {
+	r.Expect(`[`)
+	ss := r.spare
+	for r.elem(len(ss)) {
+		s := r.keep(r.Str(), true)
+		if len(ss) == cap(ss) {
+			ss = append(make([]string, 0, r.room(len(ss)+1, len(ss), 16)), ss...)
+		}
+		ss = append(ss, s)
+	}
+	if len(ss) == 0 {
+		return []string{}
+	}
+	r.spare = ss[len(ss):]
+	return ss[:len(ss):len(ss)]
 }
 
 // Field consumes an optional field's key (`"name":`, quotes and colon
@@ -376,10 +454,20 @@ func (r *Reader) Field(first *bool, key string) bool {
 	return true
 }
 
-// Elem steps through an array whose `[` has been consumed: it reports
-// whether element n (counting from 0) follows, consuming the comma before
-// it or the bracket that closes the array.
+// Elem steps through an array of the document's elements whose `[` has been
+// consumed: it reports whether element n (counting from 0) follows, consuming
+// the comma before it or the bracket that closes the array, and counts the
+// element off those Count found.
 func (r *Reader) Elem(n int) bool {
+	if !r.elem(n) {
+		return false
+	}
+	r.left--
+	return true
+}
+
+// elem is Elem for any array.
+func (r *Reader) elem(n int) bool {
 	if n == 0 {
 		return !r.bad && !r.Lit(`]`)
 	}

@@ -3,7 +3,9 @@ package jsonwire
 import (
 	"encoding/json"
 	"math"
+	"runtime"
 	"strconv"
+	"strings"
 	"testing"
 	"testing/quick"
 )
@@ -154,5 +156,46 @@ func TestReader(t *testing.T) {
 		if r.OK() {
 			t.Errorf("%q parsed", doc)
 		}
+	}
+}
+
+// A document's chunks are sized by its count of elements, and the count is
+// only what the bytes claim: one real element followed by a thousand bare
+// openings must not buy a thousand elements' worth of room. Each chunk is
+// bounded by what is left of the document, so the two together stay under
+// twice its length (plus the eighth a size class can round up by); an honest
+// document of the same shape gets exactly what it uses.
+func TestChunksAreBoundedByTheDocument(t *testing.T) {
+	const item = `{"id":`
+	// The least of five readings: TotalAlloc is the process's, and the runtime
+	// allocates on its own account now and then (a collection starting, say).
+	allocated := func(doc []byte) (bytes uint64, ss []string) {
+		bytes = math.MaxUint64
+		for range 5 {
+			var m0, m1 runtime.MemStats
+			runtime.ReadMemStats(&m0)
+			var r Reader
+			r.Reset(doc)
+			r.Expect(`[`)
+			r.Count(item)
+			r.Elem(0)
+			r.Expect(item)
+			ss = r.Strings()
+			runtime.ReadMemStats(&m1)
+			bytes = min(bytes, m1.TotalAlloc-m0.TotalAlloc)
+		}
+		return bytes, ss
+	}
+	one := `[{"id":["0123456789abcdef"]`
+	lying := []byte(one + strings.Repeat(item, 1000))
+	got, ss := allocated(lying)
+	if len(ss) != 1 || ss[0] != "0123456789abcdef" {
+		t.Fatalf("read %q", ss)
+	}
+	if limit := uint64(2 * len(lying) * 9 / 8); got > limit {
+		t.Errorf("a %d-byte document claiming 1,001 elements allocated %d bytes, want at most %d", len(lying), got, limit)
+	}
+	if got, _ := allocated([]byte(one)); got != 32 {
+		t.Errorf("a document of one 16-byte string allocated %d bytes, want 32: the string and its header", got)
 	}
 }

@@ -134,16 +134,25 @@ func NewTracer(capacity int) *Tracer {
 // Record appends an event stamped at, attributed to trace (0 when the
 // task carries no trace context).
 func (t *Tracer) Record(at time.Duration, kind EventKind, trace uint64, id task.ID, epr, exec string) {
-	if t == nil {
+	t.RecordAll([]Event{{At: at, Kind: kind, Trace: trace, Task: id, EPR: epr, Executor: exec}})
+}
+
+// RecordAll appends events in order under one acquisition of the lock: what
+// a handler gathered, or a batch's worth. Their Seq is assigned here, in
+// the ring's copy only.
+func (t *Tracer) RecordAll(evs []Event) {
+	if t == nil || len(evs) == 0 {
 		return
 	}
 	t.mu.Lock()
-	t.next++
-	ev := Event{Seq: t.next, At: at, Kind: kind, Trace: trace, Task: id, EPR: epr, Executor: exec}
-	if len(t.ring) < cap(t.ring) {
-		t.ring = append(t.ring, ev)
-	} else {
-		t.ring[int((t.next-1)%uint64(cap(t.ring)))] = ev
+	for _, ev := range evs {
+		t.next++
+		ev.Seq = t.next
+		if len(t.ring) < cap(t.ring) {
+			t.ring = append(t.ring, ev)
+		} else {
+			t.ring[int((t.next-1)%uint64(cap(t.ring)))] = ev
+		}
 	}
 	t.mu.Unlock()
 }

@@ -79,10 +79,10 @@ func (t *Task) ParseJSON(r *jsonwire.Reader, prev *Task) {
 		t.Command = r.String(prev.Command)
 	}
 	if r.Lit(`,"args":`) {
-		t.Args = parseStrings(r)
+		t.Args = r.Strings()
 	}
 	if r.Lit(`,"env":`) {
-		t.Env = parseStrings(r)
+		t.Env = r.Strings()
 	}
 	if r.Lit(`,"io":`) {
 		t.IO = new(IOSpec)
@@ -250,15 +250,4 @@ func appendStrings(dst []byte, ss []string) []byte {
 		dst = jsonwire.AppendString(dst, s)
 	}
 	return append(dst, ']')
-}
-
-// parseStrings reads an array of strings; like encoding/json, an empty
-// array yields an empty non-nil slice.
-func parseStrings(r *jsonwire.Reader) []string {
-	r.Expect(`[`)
-	ss := []string{}
-	for r.Elem(len(ss)) {
-		ss = append(ss, r.String(""))
-	}
-	return ss
 }

@@ -49,6 +49,9 @@ go test -run='TestTreeMillionExecutors' -count=1 -v ./internal/simfalkon/
 # The per-task allocation budget on 1, 2 and 4 Ps: an exact count that must
 # not depend on how many cores the host has.
 go test -run='TestAllocsPerTaskBudget' -cpu 1,2,4 -count=1 ./internal/core/
+# And what a level of the dispatch tree adds to it: a root over two leaves
+# against one dispatcher, same loop, plus a leaf restart mid-batch.
+go test -run='TestTreeHopAllocBudget' -cpu 1,2,4 -count=1 ./internal/forward/
 # Short fuzz pass over the journal decoder: it must never panic and never
 # fabricate records, whatever bytes a torn tail left behind.
 go test -run='^$' -fuzz=FuzzJournalDecode -fuzztime=5s ./internal/wal/

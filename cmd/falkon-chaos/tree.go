@@ -22,9 +22,9 @@ import (
 // instead of reaching the leaves directly, each layer halving the fan-in.
 // Unlike the flat run, the scheduled SIGKILLs target the LEAVES
 // (rotating), which exercises the tree's whole failure story at once: the
-// tier above redistributes the dead leaf's owed work to live siblings,
-// the restarted leaf replays its journal and re-runs whatever it already
-// owned, and the forwarders' done-sets drop the duplicate results — so
+// tier above requeues the dead leaf's owed work for live siblings, the
+// restarted leaf replays its journal and re-runs whatever it already
+// owned, and the roots above drop the duplicate results — so
 // the client must still see exactly-once delivery no matter how many
 // levels the results bubble up through.
 func runTreeOne(c cfg, keep bool) (err error) {

@@ -1,9 +1,10 @@
 // Command falkon-forwarder runs the root of the hierarchical dispatch tree
 // (paper §6, Figure 16): clients speak to it exactly as to a flat
-// dispatcher, while it bundles work downstream to leaf dispatchers, routes
-// every bundle by the leaves' reported capacity, and aggregates results —
-// and stats, and metrics — back upward. Leaves can themselves be
-// forwarders, giving trees deeper than two levels.
+// dispatcher — it is one, whose executors are links to leaf dispatchers —
+// while it hands work downstream in bundles, as much as each leaf's worker
+// slots and round trip are worth, and aggregates results — and stats, and
+// metrics — back upward. Leaves can themselves be forwarders, giving trees
+// deeper than two levels.
 //
 // Usage:
 //
@@ -64,7 +65,7 @@ func main() {
 	fmt.Printf("falkon-forwarder on %s relaying to %v\n", f.Addr(), opts.Dispatchers)
 
 	if *debugAddr != "" {
-		ds, err := obs.ServeDebugSnapshot(*debugAddr, f.MergedMetricsSnapshot, nil)
+		ds, err := obs.ServeDebugSnapshot(*debugAddr, f.MergedMetricsSnapshot, f.Tracer())
 		if err != nil {
 			log.Fatalf("falkon-forwarder: debug server: %v", err)
 		}

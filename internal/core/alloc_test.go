@@ -18,30 +18,30 @@ import (
 // allocsPerTaskCeiling is the whole runtime's heap allocations per `sleep 0`
 // task — client, dispatcher and executor in one process over loopback, each
 // measured batch submitted as one bundle, every task with one 16-byte
-// argument of its own as in the repo benchmark — measured 1.23 to 1.25 (plain,
-// secure, fair-share and journaled alike) since a message's strings and Args
-// slices are allocated once per message, plus 15 %. The same tasks cost 5.20
-// to 5.22 before that: the argument and its slice, at the dispatcher's Submit
-// and again at the executor's grant. (Without an argument, which is what this
-// table priced until then, 1.20 to 1.27 before and after.) The executor finds
-// the queue deep at every pull and takes it 64 tasks at a time, so the 17 or
-// so objects a pull costs are shared and what is left is the task's own.
-// Per-task dispatch measured 18.15 in this loop at bundle 64, and 63 to 65
-// before the body codec. The write-ahead journal shares the ceiling: its
-// records are encoded in place, one per Submit, grant and Deliver, and what
-// it allocates is per record (the durability barrier a Submit waits on).
-const allocsPerTaskCeiling = 1.42
+// argument of its own as in the repo benchmark — measured 0.24 to 0.27 (plain,
+// secure, fair-share and journaled alike, -cpu 1, 2 and 4) since sched.Core
+// carves its outstanding records from chunks, plus 15 %. The record was the
+// last object a task had to itself: 1.23 to 1.25 with it, and 5.20 to 5.22
+// before a message's strings and Args slices were allocated once per message.
+// The executor finds the queue deep at every pull and takes it 64 tasks at a
+// time, so the 17 or so objects a pull costs are shared. Per-task dispatch
+// measured 18.15 in this loop at bundle 64, and 63 to 65 before the body
+// codec. The write-ahead journal shares the ceiling: its records are encoded
+// in place, one per Submit, grant and Deliver, and what it allocates is per
+// record (the durability barrier a Submit waits on).
+const allocsPerTaskCeiling = 0.31
 
 // serialAllocsPerTaskCeiling is the plain system driven the opposite way — one
 // task per Submit, one task in flight, the repo benchmark's direct-serial and
 // the paper's Fig. 10 case: nothing is shared, so it is what one unqueued task
-// costs end to end. Measured 27.00 to 27.06 with the argument, before and
-// after the chunks (a bundle of one has nothing to share a chunk with and
-// must not pay for one: its two strings and its slice are sized exactly), and
-// 24.00 to 24.01 without it, this loop's own slice per Submit included, since
-// the work rides the push and a wsrpc call recycles its reply slot (two calls
-// and two pushes per task: Submit, the grant, Deliver, the result); plus 15 %.
-const serialAllocsPerTaskCeiling = 31.1
+// costs end to end. Measured 26.02 to 26.05 with the argument (27.00 to 27.06
+// while the outstanding record was an object of its own; a bundle of one has
+// nothing to share a message's chunk with and must not pay for one: its two
+// strings and its slice are sized exactly), this loop's own slice per Submit
+// included, since the work rides the push and a wsrpc call recycles its reply
+// slot (two calls and two pushes per task: Submit, the grant, Deliver, the
+// result); plus 15 %.
+const serialAllocsPerTaskCeiling = 30.0
 
 // The per-task allocation budget of every configuration core.Config can
 // ship. It is a count, not a timing, so it holds on a loaded machine; a

@@ -2,12 +2,14 @@ package dispatch_test
 
 import (
 	"encoding/json"
+	"fmt"
 	"sync"
 	"testing"
 	"time"
 
 	"falkon/internal/dispatch"
 	"falkon/internal/executor"
+	"falkon/internal/forward"
 	"falkon/internal/fproto"
 	"falkon/internal/task"
 	"falkon/internal/wsrpc"
@@ -102,6 +104,26 @@ func TestAttachParentCapacityProtocol(t *testing.T) {
 		t.Fatalf("pushed hint executors = %d, want 1", last.Executors)
 	}
 
+	// Hints count worker slots, not executors: a 4-slot executor is four, and
+	// an idle one has four free.
+	wide, err := executor.Start(executor.Options{ID: "cap-wide", DispatcherAddr: d.Addr(), Slots: 4, SleepScale: 0})
+	if err != nil {
+		t.Fatal(err)
+	}
+	t.Cleanup(wide.Stop)
+	var hint fproto.CapacityHint
+	for deadline := time.Now().Add(5 * time.Second); ; time.Sleep(10 * time.Millisecond) {
+		if err := cli.Call(fproto.MethodAttachParent, fproto.AttachParentRequest{}, &hint); err != nil {
+			t.Fatal(err)
+		}
+		if hint.Executors == 5 && hint.IdleSlots == 5 && hint.Queued == 0 {
+			break
+		}
+		if time.Now().After(deadline) {
+			t.Fatalf("hint with a 1-slot and a 4-slot executor idle = %+v, want 5 slots, 5 free", hint)
+		}
+	}
+
 	// A plain client (never attached) gets no hint on submit.
 	plain, err := wsrpc.Dial(d.Addr(), wsrpc.ClientOptions{})
 	if err != nil {
@@ -118,5 +140,53 @@ func TestAttachParentCapacityProtocol(t *testing.T) {
 	}
 	if rep2.Capacity != nil {
 		t.Fatalf("plain client got capacity hint %+v", rep2.Capacity)
+	}
+}
+
+// Slots compose: an interior node's executors are its links, each registered
+// with its child's slots, so at any depth a hint is the worker slots below.
+func TestCapacityHintsComposeThroughATree(t *testing.T) {
+	var leaves []string
+	for i, slots := range []int{3, 2} {
+		d := dispatch.New(dispatch.Options{Logf: t.Logf})
+		if err := d.Listen("127.0.0.1:0"); err != nil {
+			t.Fatal(err)
+		}
+		t.Cleanup(func() { d.Close() })
+		ex, err := executor.Start(executor.Options{ID: fmt.Sprintf("deep-%d", i), DispatcherAddr: d.Addr(), Slots: slots})
+		if err != nil {
+			t.Fatal(err)
+		}
+		t.Cleanup(ex.Stop)
+		leaves = append(leaves, d.Addr())
+	}
+	tier := func(children ...string) string {
+		f, err := forward.New(forward.Options{Dispatchers: children, Logf: t.Logf})
+		if err != nil {
+			t.Fatal(err)
+		}
+		if err := f.Listen("127.0.0.1:0"); err != nil {
+			t.Fatal(err)
+		}
+		t.Cleanup(func() { f.Close() })
+		return f.Addr()
+	}
+	top := tier(tier(leaves[0]), tier(leaves[1])) // depth 3: the top root's links are to roots
+	cli, err := wsrpc.Dial(top, wsrpc.ClientOptions{})
+	if err != nil {
+		t.Fatal(err)
+	}
+	t.Cleanup(func() { cli.Close() })
+	var hint fproto.CapacityHint
+	for deadline := time.Now().Add(5 * time.Second); ; time.Sleep(10 * time.Millisecond) {
+		if err := cli.Call(fproto.MethodAttachParent, fproto.AttachParentRequest{}, &hint); err != nil {
+			t.Fatal(err)
+		}
+		if hint.Executors == 5 && hint.IdleSlots == 5 {
+			return
+		}
+		if time.Now().After(deadline) {
+			t.Fatalf("the top root reports %+v, want the 5 worker slots of the bottom leaves, all free", hint)
+		}
 	}
 }

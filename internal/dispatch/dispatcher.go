@@ -13,8 +13,12 @@
 // events, notification pushes, stage observations) under that lock and apply
 // them after releasing it, so no I/O ever runs inside the scheduler's
 // critical section. One dispatcher is one queue, as in the paper; the way to
-// more than one lock's worth of throughput is more dispatchers under a
-// forwarder (internal/forward, DESIGN.md §12–13).
+// more than one lock's worth of throughput is more dispatchers under a root
+// that is itself a dispatcher: the executor's verbs are Go methods as well as
+// wire handlers (Register, Deregister, GetWork and Stock, Deliver) and its
+// pushes go to a Pusher, so a tree's root registers its links to leaf
+// dispatchers as executors of an ordinary Dispatcher (internal/forward,
+// DESIGN.md §12–13).
 //
 // In keeping with the paper's design (§1, §7), the dispatcher deliberately
 // omits LRM features: there are no priorities, no multiple queues, no
@@ -67,7 +71,10 @@ type Options struct {
 
 	// RetryOnFailure re-dispatches tasks whose result reports failure, per
 	// the paper's replay policy (default true; set NoRetryOnFailure to
-	// disable).
+	// disable). A task's own MaxRetries is a bound on what its failures may
+	// cost, so with NoRetryOnFailure it is not consulted: every replay is then
+	// for an executor lost or timed out, and MaxRetries above alone bounds
+	// those (a tree's root, whose leaves enforce the task's bound, sets both).
 	NoRetryOnFailure bool
 
 	// Policy selects the dispatch policy (default next-available, the
@@ -145,12 +152,14 @@ type Options struct {
 	Logf func(format string, args ...any)
 }
 
-// taskRef is the core's task payload: the owning instance plus the task.
-// inst is resolved once at enqueue so the finalize path never takes the
-// instance-table lock.
+// taskRef is the core's task payload: the owning instance plus the task,
+// where the bundle it was submitted in holds it — the queue's items and the
+// outstanding records are 128 bytes smaller for not holding a copy each, and
+// nothing writes to a bundle once its tasks are queued. inst is resolved once
+// at enqueue so the finalize path never takes the instance-table lock.
 type taskRef struct {
 	epr  string
-	t    task.Task
+	t    *task.Task
 	inst *instance
 }
 
@@ -167,10 +176,19 @@ func taskTenant(tr taskRef) string {
 	return DefaultTenant
 }
 
-// execRef is the transport state hung off a sched.Exec (via Ref): the
-// executor's connection and provisioner allocation.
+// Pusher is where an executor's work pushes ({3}) go: for a wire executor the
+// connection, which encodes the body; an executor inside this process (a tree
+// root's link to a leaf, internal/forward) is handed the value itself —
+// fproto.WorkAvailable, or *fproto.GetWorkReply for a grant, which is the
+// pusher's only until Notify returns.
+type Pusher interface {
+	Notify(method string, body any) error
+}
+
+// execRef is the transport state hung off a sched.Exec (via Ref): where the
+// executor's pushes go and its provisioner allocation.
 type execRef struct {
-	peer       *wsrpc.Peer
+	peer       Pusher
 	allocation string
 	// rtt is the executor's last pull round trip as the dispatcher saw it:
 	// reply sent to results delivered, less the run time the results report.
@@ -230,7 +248,7 @@ type resultRun struct {
 // taken under Dispatcher.mu — never the live *sched.Exec, which other
 // handlers mutate concurrently once the lock is released.
 type notifyPush struct {
-	peer   *wsrpc.Peer
+	peer   Pusher
 	exec   string
 	at     time.Duration
 	queued int
@@ -357,8 +375,8 @@ type Dispatcher struct {
 	instances map[string]*instance
 	nextEPR   int64
 
-	// parents tracks attached tree parents (forwarder roots) that receive
-	// capacity hints for bundle routing.
+	// parents tracks attached tree parents (roots whose link to this node is
+	// sized by the capacity hints they receive).
 	parents parents
 
 	closed atomic.Bool
@@ -413,6 +431,10 @@ func New(opts Options) *Dispatcher {
 			MaxQueuedBy: tenantMaxQueued(opts.Tenants),
 		}
 	}
+	var taskRetries func(taskRef) int // nil: Options.MaxRetries alone
+	if !opts.NoRetryOnFailure {
+		taskRetries = func(tr taskRef) int { return tr.t.MaxRetries }
+	}
 	d := &Dispatcher{
 		opts:  opts,
 		epoch: time.Now(),
@@ -420,10 +442,10 @@ func New(opts Options) *Dispatcher {
 			Policy:        opts.Policy,
 			CacheCapacity: opts.CacheCapacity,
 			MaxRetries:    opts.MaxRetries,
-			Dataset:       func(tr taskRef) string { return taskDataset(tr.t) },
-			TaskRetries:   func(tr taskRef) int { return tr.t.MaxRetries },
+			Dataset:       func(tr taskRef) string { return taskDataset(*tr.t) },
+			TaskRetries:   taskRetries,
 			Tenant:        func(tr taskRef) string { return taskTenant(tr) },
-			Declared:      func(tr taskRef) time.Duration { return declaredRun(tr.t) },
+			Declared:      func(tr taskRef) time.Duration { return declaredRun(*tr.t) },
 			FairShare:     fairShare,
 		}),
 		instances: make(map[string]*instance),
@@ -533,7 +555,7 @@ func (d *Dispatcher) flush(f *fx) {
 }
 
 // notify pushes one notification to p, counting it and its failure.
-func (d *Dispatcher) notify(p *wsrpc.Peer, method string, body any) error {
+func (d *Dispatcher) notify(p Pusher, method string, body any) error {
 	d.notifications.Inc()
 	err := p.Notify(method, body)
 	if err != nil {
@@ -595,7 +617,7 @@ func (d *Dispatcher) notifyLocked(f *fx, now time.Duration) {
 			ex, ref := n.Exec, n.Exec.Ref.(*execRef)
 			push := notifyPush{peer: ref.peer, exec: ex.ID, at: ex.LastNotifyAt, queued: n.Queued}
 			if ref.grants && ref.parked > 0 && !ex.Suspect {
-				push.grant.Assignments = d.assignLocked(f, ex, ref.ask, obs.EvPushed, now)
+				push.grant.Assignments = d.assignLocked(f, ex, nil, ref.ask, obs.EvPushed, now)
 			}
 			granted := len(push.grant.Assignments)
 			if granted == 0 && d.core.QueueLen() > 0 {
@@ -702,12 +724,13 @@ func (d *Dispatcher) restore(st *wal.State) {
 		d.instances[win.EPR] = inst
 	}
 	now := d.now()
-	for _, p := range st.Pending {
+	for i := range st.Pending {
+		p := &st.Pending[i]
 		inst, ok := d.instances[p.EPR]
 		if !ok {
 			continue // replay proved the instance gone; nothing to owe
 		}
-		d.core.Restore(now, taskRef{epr: p.EPR, t: p.Task, inst: inst}, p.Attempts)
+		d.core.Restore(now, taskRef{epr: p.EPR, t: &p.Task, inst: inst}, p.Attempts)
 		inst.live[p.Task.ID] = struct{}{}
 		inst.inFlight++
 		// Re-charge per-tenant in-flight accounting (bypassing admission:
@@ -733,10 +756,10 @@ func (d *Dispatcher) captureLocked() *wal.State {
 		inst.mu.Unlock()
 	}
 	d.core.EachQueued(func(it sched.Item[taskRef]) {
-		st.Pending = append(st.Pending, wal.Pending{EPR: it.X.epr, Task: it.X.t, Attempts: it.Attempts, Tenant: taskTenant(it.X)})
+		st.Pending = append(st.Pending, wal.Pending{EPR: it.X.epr, Task: *it.X.t, Attempts: it.Attempts, Tenant: taskTenant(it.X)})
 	})
 	d.core.EachOutstanding(func(o *sched.Outstanding[string, outKey, taskRef]) {
-		st.Pending = append(st.Pending, wal.Pending{EPR: o.Item.X.epr, Task: o.Item.X.t, Attempts: o.Item.Attempts, Tenant: taskTenant(o.Item.X)})
+		st.Pending = append(st.Pending, wal.Pending{EPR: o.Item.X.epr, Task: *o.Item.X.t, Attempts: o.Item.Attempts, Tenant: taskTenant(o.Item.X)})
 	})
 	return st
 }
@@ -990,6 +1013,29 @@ func (d *Dispatcher) Stats() fproto.StatsReply {
 	return st
 }
 
+// InstanceTenant returns the tenant instance epr was created under; ok is
+// false once the instance is gone.
+func (d *Dispatcher) InstanceTenant(epr string) (tenant string, ok bool) {
+	d.imu.RLock()
+	inst := d.instances[epr]
+	d.imu.RUnlock()
+	if inst == nil {
+		return "", false
+	}
+	return inst.tenant, true
+}
+
+// Held returns how many tasks executor id holds: dispatched to it and not yet
+// answered.
+func (d *Dispatcher) Held(id string) int {
+	d.mu.Lock()
+	defer d.mu.Unlock()
+	if ex, ok := d.core.Exec(id); ok {
+		return ex.Assigned
+	}
+	return 0
+}
+
 // Metrics returns the dispatcher's metric registry (for mounting a debug
 // HTTP endpoint or registering additional instruments).
 func (d *Dispatcher) Metrics() *obs.Registry { return d.reg }
@@ -1112,14 +1158,20 @@ func (d *Dispatcher) replay(f *fx, o *sched.Outstanding[string, outKey, taskRef]
 // idle slot is never starved by a neighbour's batch and a task that says it
 // is long rides alone. kind is how the assignments travel: the reply to a
 // work pull, a deliver acknowledgment, or the work push itself, whose now is
-// the notification's own stamp. Callers hold mu.
-func (d *Dispatcher) assignLocked(f *fx, ex *sched.Exec[string], asked int, kind obs.EventKind, now time.Duration) []fproto.Assignment {
+// the notification's own stamp. The assignments are appended to as, which is
+// nil unless the caller gathers several grants in a slice of its own
+// (Stock). Callers hold mu.
+func (d *Dispatcher) assignLocked(f *fx, ex *sched.Exec[string], as []fproto.Assignment, asked int, kind obs.EventKind, now time.Duration) []fproto.Assignment {
 	n := min(d.core.Share(asked), d.core.QueueLen())
 	if n == 0 {
-		return nil
+		return as
 	}
-	as := make([]fproto.Assignment, 0, n) // sized by the grant, not the ask
-	room := sched.Unbounded               // the first task is granted whatever it declares
+	if as == nil {
+		as = make([]fproto.Assignment, 0, n) // sized by the grant, not the ask
+	}
+	first := len(as)
+	n += first
+	room := sched.Unbounded // the first task is granted whatever it declares
 	for len(as) < n {
 		it, hit, ok := d.core.PickWithin(ex, room)
 		if !ok {
@@ -1131,22 +1183,22 @@ func (d *Dispatcher) assignLocked(f *fx, ex *sched.Exec[string], asked int, kind
 			d.tenants.release(taskTenant(it.X), 1, false)
 			continue
 		}
-		if len(as) == 0 {
+		if len(as) == first {
 			room = ex.Ref.(*execRef).rtt
 		}
-		room -= declaredRun(it.X.t)
+		room -= declaredRun(*it.X.t)
 		d.core.Assign(now, ex, outKey{it.X.epr, it.X.t.ID}, it)
 		f.trace(now, kind, it.X.t.Trace, it.X.t.ID, it.X.epr, ex.ID)
-		as = append(as, fproto.Assignment{EPR: it.X.epr, Task: it.X.t, CacheHit: hit})
+		as = append(as, fproto.Assignment{EPR: it.X.epr, Task: *it.X.t, CacheHit: hit})
 	}
-	if d.wal != nil && len(as) > 0 {
+	if d.wal != nil && len(as) > first {
 		// One record for the grant, as it is one frame on the wire. Advisory:
 		// recovery restores attempt counts from it, so a task that keeps
 		// killing its dispatcher still runs out of retries. The append fails
 		// only on a journal that has failed closed, which said so through
 		// Options.OnJournalError; the grant stands either way.
 		d.granted = d.granted[:0]
-		for i := range as {
+		for i := first; i < len(as); i++ {
 			d.granted = append(d.granted, wal.TaskRef{EPR: as[i].EPR, ID: as[i].Task.ID})
 		}
 		_ = d.wal.AppendDispatches(&wal.DispatchBatchRec{Exec: ex.ID, Tasks: d.granted})

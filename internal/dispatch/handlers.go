@@ -34,6 +34,13 @@ func (d *Dispatcher) register() {
 	d.srv.RegisterFast(fproto.MethodEvents, d.handleEvents)
 }
 
+// Override replaces one protocol handler before Listen and returns the one it
+// replaced: a tree root (internal/forward) is this dispatcher with some verbs
+// answered for the whole subtree.
+func (d *Dispatcher) Override(method string, h wsrpc.Handler) wsrpc.Handler {
+	return d.srv.Override(method, h)
+}
+
 // decode is for the cold requests; the per-task ones (Submit, GetWork,
 // Deliver) decode themselves (fproto's body codec).
 func decode[T any](body json.RawMessage) (*T, error) {
@@ -150,15 +157,25 @@ func (d *Dispatcher) handleDestroyInstance(_ *wsrpc.Peer, body json.RawMessage) 
 	inst.destroyed.Store(true)
 	delete(d.instances, req.EPR)
 	d.imu.Unlock()
-	// Sweep the instance's queued tasks off the queue. A submit racing the
-	// destroy may still land tasks afterwards; they are dropped at pick
-	// time by the destroyed check, and replay tombstones them the same way.
+	// Sweep the instance's tasks out of the core, queued and outstanding. A
+	// submit racing the destroy may still land tasks afterwards; they are
+	// dropped at pick time by the destroyed check, and replay tombstones them
+	// the same way. An executor that still answers for a swept task delivers a
+	// duplicate; one that never will (a child dispatcher the instance is being
+	// destroyed on too) is not left holding it for ever.
+	ofInst := func(tr taskRef) bool { return tr.epr == req.EPR }
+	f := getFx()
+	defer putFx(f)
 	d.mu.Lock()
-	dropped := d.core.DropQueued(func(tr taskRef) bool { return tr.epr == req.EPR })
+	dropped := d.core.DropQueued(ofInst)
+	if shed := d.core.DropOutstanding(ofInst); shed > 0 {
+		dropped += shed
+		d.notifyLocked(f, d.now()) // the slots it freed may be wanted
+	}
 	d.mu.Unlock()
-	// Dropped tasks never reach finalize; retire their tenant charge here.
+	d.flush(f)
+	// Swept tasks never reach finalize; retire their tenant charge here.
 	d.tenants.release(inst.tenant, dropped, false)
-	// Outstanding tasks' results will be dropped on delivery.
 	d.wakeDrain()
 	var h wal.Handle
 	if d.wal != nil {
@@ -243,7 +260,8 @@ func (d *Dispatcher) handleSubmit(p *wsrpc.Peer, body json.RawMessage) (any, err
 	var h wal.Handle
 	var werr error
 	if len(tasks) > 0 {
-		for _, t := range tasks {
+		for i := range tasks {
+			t := &tasks[i]
 			d.core.Enqueue(now, taskRef{epr: req.EPR, t: t, inst: inst})
 			f.trace(now, obs.EvEnqueued, t.Trace, t.ID, req.EPR, "")
 		}
@@ -329,21 +347,38 @@ func (d *Dispatcher) handleRegister(p *wsrpc.Peer, body json.RawMessage) (any, e
 		return nil, fmt.Errorf("dispatch: empty executor id")
 	}
 	p.SetMeta(req.ExecutorID)
+	return d.Register(*req, p), nil
+}
+
+// Register, Deregister, GetWork and Deliver are the executor's four verbs: the
+// wire handlers decode a request and call them, an executor inside this
+// process calls them with the values and gets its pushes through its Pusher.
+//
+// Register adds an executor whose pushes go to to. An ID registered already is
+// replaced (an executor restarted; the core keeps its outstanding entries so
+// late results still resolve) — unless the pusher that holds the ID sends the
+// registration: then it changes the slot count and nothing else.
+func (d *Dispatcher) Register(req fproto.RegisterRequest, to Pusher) fproto.RegisterReply {
 	f := getFx()
 	defer putFx(f)
 	d.mu.Lock()
-	// A re-register replaces the old connection (e.g. executor restart);
-	// the core keeps outstanding entries so late results still resolve.
-	ex := d.core.AddExec(req.ExecutorID, req.Slots)
-	// Its slots are not parked until they say so: what is queued now is
-	// announced, never pushed ahead of the register reply.
-	ex.Ref = &execRef{peer: p, allocation: req.Allocation, grants: req.AcceptsGrants}
+	ex, ok := d.core.Exec(req.ExecutorID)
+	if ok && ex.Ref.(*execRef).peer == to {
+		d.core.Resize(ex, req.Slots)
+		ref := ex.Ref.(*execRef)
+		ref.parked = min(ref.parked, max(ex.Free(), 0))
+	} else {
+		ex = d.core.AddExec(req.ExecutorID, req.Slots)
+		// Its slots are not parked until they say so: what is queued now is
+		// announced, never pushed ahead of the register reply.
+		ex.Ref = &execRef{peer: to, allocation: req.Allocation, grants: req.AcceptsGrants}
+	}
 	d.core.Offer(ex)
 	d.notifyLocked(f, d.now())
 	d.mu.Unlock()
 	d.flush(f)
 	d.noteCapacityChange(true) // executor population changed
-	return fproto.RegisterReply{OK: true, DispatcherEpoch: d.epoch.UnixNano()}, nil
+	return fproto.RegisterReply{OK: true, DispatcherEpoch: d.epoch.UnixNano()}
 }
 
 func (d *Dispatcher) handleDeregister(_ *wsrpc.Peer, body json.RawMessage) (any, error) {
@@ -351,17 +386,24 @@ func (d *Dispatcher) handleDeregister(_ *wsrpc.Peer, body json.RawMessage) (any,
 	if err != nil {
 		return nil, err
 	}
+	d.Deregister(req.ExecutorID)
+	return struct{}{}, nil
+}
+
+// Deregister removes an executor and applies the replay policy to what it
+// held, reporting how many tasks that was.
+func (d *Dispatcher) Deregister(id string) int {
 	f := getFx()
 	defer putFx(f)
 	d.mu.Lock()
-	_, dropped := d.core.DropExecutor(req.ExecutorID)
+	_, dropped := d.core.DropExecutor(id)
 	d.replayAll(f, dropped, "executor deregistered")
 	d.notifyLocked(f, d.now())
 	d.mu.Unlock()
 	d.wakeDrain()
 	d.flush(f)
 	d.noteCapacityChange(true) // executor population changed
-	return struct{}{}, nil
+	return len(dropped)
 }
 
 // internFrom is the fproto.Intern for an executor's requests: the ID the
@@ -379,39 +421,60 @@ func (d *Dispatcher) handleGetWork(p *wsrpc.Peer, body json.RawMessage) (any, er
 	if err := req.DecodeInterned(body, func(b []byte) string { return d.internFrom(p, b) }); err != nil {
 		return nil, badBody(err)
 	}
+	return d.GetWork(&req)
+}
+
+// GetWork answers one work pull ({4}, {5}).
+func (d *Dispatcher) GetWork(req *fproto.GetWorkRequest) (fproto.GetWorkReply, error) {
+	as, err := d.Stock(req.ExecutorID, req.Max, 1, nil)
+	return fproto.GetWorkReply{Assignments: as}, err
+}
+
+// Stock answers pull after pull of ask tasks by executor id, each as a GetWork
+// is answered, under one hold of the lock, until they have granted want tasks
+// or one comes back empty, and appends the grants to dst. A wire executor sends
+// its asks one by one (want 1, dst nil); an executor in this process that
+// keeps a queue of its own stocked — a tree's link to a leaf — brings the slice
+// it reuses.
+func (d *Dispatcher) Stock(id string, ask, want int, dst []fproto.Assignment) ([]fproto.Assignment, error) {
 	f := getFx()
 	defer putFx(f)
 	d.mu.Lock()
-	ex, ok := d.core.Exec(req.ExecutorID)
+	ex, ok := d.core.Exec(id)
 	if !ok {
 		d.mu.Unlock()
-		return nil, fmt.Errorf("dispatch: unregistered executor %q", req.ExecutorID)
+		return dst, fmt.Errorf("dispatch: unregistered executor %q", id)
 	}
 	ex.Notified, ex.Suspect = false, false
 	if ref := ex.Ref.(*execRef); ref.parked > 0 {
 		ref.parked-- // a slot that pulls was waiting until now
 	}
-	as := d.pullLocked(f, ex, req.Max, obs.EvPulled)
-	d.core.Offer(ex)
-	if len(as) > 0 {
-		// Other executors may still be needed for the rest of the queue.
-		d.notifyLocked(f, d.now())
+	for granted := 0; granted < want; {
+		n := len(dst)
+		if dst = d.pullLocked(f, ex, dst, ask, obs.EvPulled); len(dst) == n {
+			break // the queue has nothing more for it
+		}
+		granted += len(dst) - n
 	}
+	d.core.Offer(ex)
+	// Other executors may still be needed for the rest of the queue.
+	d.notifyLocked(f, d.now())
 	d.mu.Unlock()
 	d.flush(f)
-	return fproto.GetWorkReply{Assignments: as}, nil
+	return dst, nil
 }
 
 // pullLocked answers one pull by ex — a GetWork, or the ask a Deliver
-// piggy-backs (kind says which) — for asked tasks (assignLocked). A pull
-// answered with nothing parks the slot that sent it: the next work push may
-// carry its grant (notifyLocked). Callers hold mu.
-func (d *Dispatcher) pullLocked(f *fx, ex *sched.Exec[string], asked int, kind obs.EventKind) []fproto.Assignment {
+// piggy-backs (kind says which) — for asked tasks, appended to as
+// (assignLocked). A pull answered with nothing parks the slot that sent it:
+// the next work push may carry its grant (notifyLocked). Callers hold mu.
+func (d *Dispatcher) pullLocked(f *fx, ex *sched.Exec[string], as []fproto.Assignment, asked int, kind obs.EventKind) []fproto.Assignment {
 	ref := ex.Ref.(*execRef)
 	ref.ask = max(asked, 1)
-	as := d.assignLocked(f, ex, ref.ask, kind, d.now())
-	if len(as) > 0 {
-		d.hGrant.Observe(float64(len(as)))
+	held := len(as)
+	as = d.assignLocked(f, ex, as, ref.ask, kind, d.now())
+	if n := len(as) - held; n > 0 {
+		d.hGrant.Observe(float64(n))
 	} else if ref.parked < ex.Free() {
 		ref.parked++
 	}
@@ -423,6 +486,12 @@ func (d *Dispatcher) handleDeliver(p *wsrpc.Peer, body json.RawMessage) (any, er
 	if err := req.DecodeInterned(body, func(b []byte) string { return d.internFrom(p, b) }); err != nil {
 		return nil, badBody(err)
 	}
+	return d.Deliver(&req)
+}
+
+// Deliver takes an executor's results ({6}) and answers the work request they
+// piggy-back ({7}). It keeps nothing of req.
+func (d *Dispatcher) Deliver(req *fproto.DeliverRequest) (fproto.DeliverReply, error) {
 	f := getFx()
 	defer putFx(f)
 	t0 := time.Now()
@@ -431,7 +500,7 @@ func (d *Dispatcher) handleDeliver(p *wsrpc.Peer, body json.RawMessage) (any, er
 	ex, ok := d.core.Exec(req.ExecutorID)
 	if !ok {
 		d.mu.Unlock()
-		return nil, fmt.Errorf("dispatch: unregistered executor %q", req.ExecutorID)
+		return fproto.DeliverReply{}, fmt.Errorf("dispatch: unregistered executor %q", req.ExecutorID)
 	}
 	now := d.now()
 	// The batch as the dispatcher timed it: sent when its first task was
@@ -462,9 +531,13 @@ func (d *Dispatcher) handleDeliver(p *wsrpc.Peer, body json.RawMessage) (any, er
 		r.StartedAt = st.Started
 		r.FinishedAt = st.Finished
 		r.Attempts = o.Item.Attempts
-		r.ExecutorID = req.ExecutorID
+		if r.ExecutorID == "" {
+			// Otherwise the result says who ran it: below a tree's interior
+			// node that is an executor of a leaf, not the link that delivers.
+			r.ExecutorID = req.ExecutorID
+		}
 		r.Trace = o.Item.X.t.Trace
-		d.core.NoteCompletion(ex, taskDataset(o.Item.X.t))
+		d.core.NoteCompletion(ex, taskDataset(*o.Item.X.t))
 		if r.Failed() && !d.opts.NoRetryOnFailure {
 			d.replay(f, o, "task failed: "+failReason(r))
 			continue
@@ -484,7 +557,7 @@ func (d *Dispatcher) handleDeliver(p *wsrpc.Peer, body json.RawMessage) (any, er
 	ex.Ref.(*execRef).rtt = max(now-sent-ran, 0)
 	var as []fproto.Assignment
 	if req.WantWork {
-		as = d.pullLocked(f, ex, req.MaxNew, obs.EvAcked)
+		as = d.pullLocked(f, ex, nil, req.MaxNew, obs.EvAcked)
 	}
 	d.core.Offer(ex)
 	d.notifyLocked(f, now)

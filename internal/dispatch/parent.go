@@ -41,16 +41,16 @@ func (d *Dispatcher) handleAttachParent(p *wsrpc.Peer, body json.RawMessage) (an
 }
 
 // capacityHint snapshots the dispatcher's headroom: backlog (queued +
-// outstanding) and executor population. Slots are approximated by executors
-// (the paper maps one executor per processor), so IdleSlots is the idle
-// executor count.
+// outstanding) and worker slots, registered and free. Slots, not executors, so
+// that hints compose: a parent registers its link to this node with
+// h.Executors slots, and an interior node, whose executors are such links,
+// then reports the worker slots of everything below it.
 func (d *Dispatcher) capacityHint() fproto.CapacityHint {
 	h := fproto.CapacityHint{Seq: d.parents.seq.Add(1), Epoch: d.epoch.UnixNano()}
 	d.mu.Lock()
 	h.Queued, h.Outstanding = d.core.QueueLen(), d.core.OutstandingLen()
-	total, busy := d.core.ExecStats()
+	h.Executors, h.IdleSlots = d.core.SlotStats()
 	d.mu.Unlock()
-	h.Executors, h.IdleSlots = total, total-busy
 	return h
 }
 

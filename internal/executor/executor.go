@@ -54,7 +54,7 @@ type Options struct {
 	IdleTimeout time.Duration
 	// Prefetch caps the tasks asked for in one work pull (dispatcher->executor
 	// bundling). Under the cap the executor sizes each ask itself (see
-	// pullSizer); 0, the default, is the protocol cap of 64, and 1 is the
+	// PullSizer); 0, the default, is the protocol cap of 64, and 1 is the
 	// paper's per-task dispatch.
 	Prefetch int
 	// SleepScale compresses (or stretches) synthetic sleep durations;
@@ -430,7 +430,7 @@ func (e *Executor) workLoop() {
 		}
 		var reply fproto.GetWorkReply
 		sent := time.Now()
-		err = cli.Call(fproto.MethodGetWork, fproto.GetWorkRequest{ExecutorID: e.opts.ID, Max: ps.ask(e.opts.Prefetch)}, &reply)
+		err = cli.Call(fproto.MethodGetWork, fproto.GetWorkRequest{ExecutorID: e.opts.ID, Max: ps.Ask(e.opts.Prefetch)}, &reply)
 		if err != nil {
 			// A dropped connection is the session's to replace: park again
 			// until onReconnect wakes the slots on the re-registered one (or
@@ -444,7 +444,7 @@ func (e *Executor) workLoop() {
 			}
 			continue
 		}
-		ps.rtt = time.Since(sent)
+		ps.RTT = time.Since(sent)
 		e.traceAssigned(&ps, e.at(), obs.EvPulled, reply.Assignments)
 		e.runAssignments(cli, &ps, reply.Assignments)
 	}
@@ -452,7 +452,7 @@ func (e *Executor) workLoop() {
 
 // slot is what one workLoop keeps from batch to batch.
 type slot struct {
-	pullSizer
+	PullSizer
 	evs []obs.Event // trace events gathered for the tracer to take in one call
 }
 
@@ -543,7 +543,7 @@ func (e *Executor) runAssignments(cli *wsrpc.Client, ps *slot, as []fproto.Assig
 			e.cDone.Inc()
 			e.hRun.Observe(runDur.Seconds())
 			e.hOverhed.Observe(overhead.Seconds())
-			ps.observe(runDur, len(r.Stdout)+len(r.Stderr))
+			ps.Observe(runDur, len(r.Stdout)+len(r.Stderr))
 			results = append(results, fproto.TaggedResult{
 				EPR:         a.EPR,
 				Result:      r,
@@ -560,7 +560,7 @@ func (e *Executor) runAssignments(cli *wsrpc.Client, ps *slot, as []fproto.Assig
 			ExecutorID: e.opts.ID,
 			Results:    results,
 			WantWork:   true,
-			MaxNew:     ps.ask(e.opts.Prefetch),
+			MaxNew:     ps.Ask(e.opts.Prefetch),
 		}, &reply, results[0].Result.Trace, 0)
 		if err != nil {
 			if !e.isStopping() {
@@ -568,7 +568,7 @@ func (e *Executor) runAssignments(cli *wsrpc.Client, ps *slot, as []fproto.Assig
 			}
 			return
 		}
-		ps.rtt = time.Since(sent)
+		ps.RTT = time.Since(sent)
 		if e.opts.Faults.ResultThenDie() {
 			// The dispatcher holds the results but this executor dies before
 			// acting on the acknowledgment — the duplicate-provoking failure.
@@ -586,34 +586,48 @@ func (e *Executor) runAssignments(cli *wsrpc.Client, ps *slot, as []fproto.Assig
 const (
 	maxPull      = 64       // the most tasks one pull asks for
 	resultBudget = 64 << 10 // the most output (Stdout+Stderr) one Deliver is sized to carry
-	sizerBlock   = 128      // half the pullSizer's window, in results
+	sizerBlock   = 128      // half the PullSizer's window, in results
 )
 
-// pullSizer is one slot's half of dispatch-ahead: it sizes the slot's next
-// pull from the last pull's round trip and the largest run time and output
-// among the slot's last sizerBlock to 2*sizerBlock results (two blocks of
-// running maxima: [0] is being filled, [1] is the one before).
-type pullSizer struct {
-	rtt time.Duration
-	run [2]time.Duration
+// PullSizer is one slot's half of dispatch-ahead: it sizes the slot's next
+// pull from the last pull's round trip (RTT) and the run times and outputs of
+// the slot's last sizerBlock to 2*sizerBlock results, kept as two blocks: [0]
+// is being filled, [1] is the one before. Of a block's run times it reads the
+// second largest, so that one reading the host stalled under — a result that
+// took a scheduler quantum, not its own time — does not hold the ask at 1 for
+// the 128 to 256 tasks it stays in the window; a workload that really has
+// long tasks has more than one of them per block. A link of a dispatch tree
+// (internal/forward) sizes what it keeps at its leaf with the same rule.
+type PullSizer struct {
+	RTT time.Duration
+	run [2][2]time.Duration // per block: the largest run time, and the next
 	out [2]int
 	n   int // results in block 0
 }
 
-// observe folds one finished task into the window.
-func (p *pullSizer) observe(run time.Duration, out int) {
+// Observe folds one finished task into the window.
+func (p *PullSizer) Observe(run time.Duration, out int) {
 	if p.n == sizerBlock {
 		p.run[1], p.out[1] = p.run[0], p.out[0]
-		p.run[0], p.out[0], p.n = 0, 0, 0
+		p.run[0], p.out[0], p.n = [2]time.Duration{}, 0, 0
 	}
 	p.n++
-	p.run[0] = max(p.run[0], run, 1) // 0 is "no result seen"
+	run = max(run, 1) // 0 is "no result seen"
+	if top := &p.run[0]; run > top[0] {
+		top[0], top[1] = run, top[0]
+	} else if run > top[1] {
+		top[1] = run
+	}
 	p.out[0] = max(p.out[0], out)
 }
 
-// ask is the tasks to ask for in the next pull, at most limit.
-func (p *pullSizer) ask(limit int) int {
-	return pullSize(p.rtt, max(p.run[0], p.run[1]), max(p.out[0], p.out[1]), limit)
+// Ask is the tasks to ask for in the next pull, at most limit.
+func (p *PullSizer) Ask(limit int) int {
+	run := max(p.run[0][1], p.run[1][1])
+	if run == 0 {
+		run = p.run[0][0] // the first result of all is all there is to go by
+	}
+	return pullSize(p.RTT, run, max(p.out[0], p.out[1]), limit)
 }
 
 // pullSize is the rule: 1 + ⌊rtt ÷ run⌋ tasks, so that a batch adds no more

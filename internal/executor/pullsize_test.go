@@ -9,43 +9,52 @@ import (
 // after a given history of results, at a 50 µs pull round trip.
 func TestPullSizer(t *testing.T) {
 	const rtt = 50 * time.Microsecond
-	sleep0 := func(p *pullSizer, n int) {
+	sleep0 := func(p *PullSizer, n int) {
 		for i := 0; i < n; i++ {
-			p.observe(100*time.Nanosecond, 0)
+			p.Observe(100*time.Nanosecond, 0)
 		}
 	}
 
-	var p pullSizer
-	if got := p.ask(maxPull); got != 1 {
+	var p PullSizer
+	if got := p.Ask(maxPull); got != 1 {
 		t.Fatalf("nothing observed: ask %d, want 1", got)
 	}
-	p.rtt = rtt
-	if got := p.ask(maxPull); got != 1 {
+	p.RTT = rtt
+	if got := p.Ask(maxPull); got != 1 {
 		t.Fatalf("a round trip but no result observed: ask %d, want 1", got)
 	}
-	sleep0(&p, 256)
-	if got := p.ask(maxPull); got != maxPull {
-		t.Fatalf("after 256 sleep-0 results: ask %d, want the cap %d", got, maxPull)
+	p.Observe(50*time.Millisecond, 0)
+	if got := p.Ask(maxPull); got != 1 {
+		t.Fatalf("the only result seen took 50 ms: ask %d, want 1", got)
 	}
-	if got := p.ask(1); got != 1 {
+	sleep0(&p, 255)
+	if got := p.Ask(maxPull); got != maxPull {
+		t.Fatalf("after 255 sleep-0 results and one that stalled: ask %d, want the cap %d", got, maxPull)
+	}
+	if got := p.Ask(1); got != 1 {
 		t.Fatalf("Prefetch 1: ask %d, want per-task dispatch", got)
 	}
 
-	p.observe(50*time.Millisecond, 0)
-	if got := p.ask(maxPull); got != 1 {
-		t.Fatalf("one 50 ms result in the window: ask %d, want 1", got)
+	// One slow reading in a block is the host's; two are the workload's.
+	p.Observe(50*time.Millisecond, 0)
+	if got := p.Ask(maxPull); got != maxPull {
+		t.Fatalf("one 50 ms result in the window: ask %d, want %d still", got, maxPull)
+	}
+	p.Observe(50*time.Millisecond, 0)
+	if got := p.Ask(maxPull); got != 1 {
+		t.Fatalf("two 50 ms results in one block: ask %d, want 1", got)
 	}
 	sleep0(&p, sizerBlock)
-	if got := p.ask(maxPull); got != 1 {
-		t.Fatalf("the 50 ms result is %d results old: ask %d, want 1 still", sizerBlock, got)
+	if got := p.Ask(maxPull); got != 1 {
+		t.Fatalf("the 50 ms results are %d results old: ask %d, want 1 still", sizerBlock, got)
 	}
 	sleep0(&p, sizerBlock)
-	if got := p.ask(maxPull); got != maxPull {
-		t.Fatalf("the 50 ms result left the window: ask %d, want %d", got, maxPull)
+	if got := p.Ask(maxPull); got != maxPull {
+		t.Fatalf("the 50 ms results left the window: ask %d, want %d", got, maxPull)
 	}
 
-	p.observe(100*time.Nanosecond, 32<<10)
-	if got := p.ask(maxPull); got < 1 || got > 2 {
+	p.Observe(100*time.Nanosecond, 32<<10)
+	if got := p.Ask(maxPull); got < 1 || got > 2 {
 		t.Fatalf("one 32 KiB result in the window: ask %d, want 1 or 2", got)
 	}
 }

@@ -19,16 +19,19 @@ import (
 )
 
 // treeHopCeiling is what one level of the dispatch tree may add to a task's
-// heap allocations: the root decodes the client's bundle, points its pending
-// entries into it, re-encodes it for a leaf and passes the leaf's results on,
-// and none of that is per task — measured 0.18 to 0.22 objects per task over
-// the direct figure in this loop at -cpu 1, 2 and 4 (what is left is per
-// root→leaf bundle of 64: two calls' worth of frames and replies), 3.27 to
-// 3.28 while the root copied every bundle, boxed a 144-byte pending entry per
-// task and allocated each task's argument and its slice again. The ceiling is
-// that plus 15 % plus 0.4 for a tier whose five batches all met a stall (one
-// run in 36 read 0.59): the boxed entry alone, 1.05, would not pass. The repo
-// benchmark's tree-bulk minus direct-bulk is the same quantity end to end.
+// heap allocations. The root is a dispatcher: it decodes the client's bundle,
+// queues pointers into it, grants them to a link in a slice the link keeps,
+// encodes the grant for the leaf from that, takes the leaf's results through a
+// buffer the link keeps and passes them on, and none of that is per task —
+// measured 0.24 to 0.26 objects per task over the direct figure in this loop
+// at -cpu 1, 2 and 4 (what is left is per frame, and the root's share of an
+// outstanding-record chunk per 78 tasks); 0.18 to 0.22 with the root that kept
+// its own pending maps instead of a scheduling core, 3.27 to 3.28 while that
+// one copied every bundle, boxed a 144-byte pending entry per task and
+// allocated each task's argument and its slice again. The ceiling is the old
+// measurement plus 15 % plus 0.4 for a tier whose five batches all met a stall
+// (one run in 36 read 0.59): one object per task, 1.0, would not pass. The
+// repo benchmark's tree-bulk minus direct-bulk is the same quantity end to end.
 const treeHopCeiling = 0.65
 
 // The core budget test's loop (internal/core) run twice, with the same two
@@ -46,9 +49,9 @@ func TestTreeHopAllocBudget(t *testing.T) {
 // budgetTier boots two executors under one dispatcher, or one under each of
 // two leaves of a root, and returns the process-wide heap allocations per
 // task of the lowest of five 4,096-task batches. On the tree it then restarts
-// a leaf in the middle of a batch: what the root replays it finds through
-// pending entries that point into the bundles it routed, and every task must
-// still come back exactly once.
+// a leaf in the middle of a batch: what the root replays it finds in its
+// outstanding table, through pointers into the bundles it was sent, and every
+// task must still come back exactly once.
 func budgetTier(t *testing.T, tree bool) float64 {
 	t.Helper()
 	leaf := func(addr string) *dispatch.Dispatcher {

@@ -140,3 +140,44 @@ func TestForwarderHonorsLeafRetryAfter(t *testing.T) {
 		t.Fatal("no leaf ever throttled the metered tenant")
 	}
 }
+
+// A run of tasks a leaf's admission control defers waits its turn at the link
+// without anybody waiting on it: another tenant's submit, arriving while the
+// deferral lasts, is acknowledged, stocked and answered before it ends.
+func TestDeferredTenantDoesNotStallAnother(t *testing.T) {
+	// Bucket of 1 at 10/s: the first run of 8 (the root's bundle) overdraws
+	// it by 7, so the second is deferred for 800 ms.
+	d := startLeaf(t, "127.0.0.1:0", dispatch.Options{Tenants: []dispatch.TenantSpec{{Name: "metered", Rate: 10, Burst: 1}}})
+	startExec(t, executor.Options{ID: "sixteen-slots", DispatcherAddr: d.Addr(), Slots: 16})
+	f, metered := startRoot(t, client.Options{Tenant: "metered", BundleSize: 16}, d)
+	other, err := client.Connect(client.Options{DispatcherAddr: f.Addr(), Tenant: "other"})
+	if err != nil {
+		t.Fatal(err)
+	}
+	defer other.Close()
+
+	var gen task.IDGen
+	go metered.Submit(task.Batch(&gen, 16, 0))
+	throttled := func() (n int64) {
+		for _, ts := range d.Stats().Tenants {
+			n += ts.Throttled
+		}
+		return n
+	}
+	if !within(5*time.Second, func() bool { return throttled() > 0 }) {
+		t.Fatal("the leaf never deferred the metered tenant")
+	}
+	t0 := time.Now()
+	if err := other.Submit(task.Batch(&gen, 4, 0)); err != nil {
+		t.Fatal(err)
+	}
+	if _, err := other.WaitN(4, 10*time.Second); err != nil {
+		t.Fatal(err)
+	}
+	if held := pending(f.Stats()); held != 8 {
+		t.Fatalf("the other tenant was answered after %v, by when the link held %d tasks, want the 8 still deferred", time.Since(t0), held)
+	}
+	if _, err := metered.WaitN(16, 10*time.Second); err != nil {
+		t.Fatal(err)
+	}
+}

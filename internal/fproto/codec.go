@@ -92,6 +92,30 @@ func (m SubmitRequest) AppendJSON(dst []byte) []byte {
 	return append(dst, `]}`...)
 }
 
+// SubmitGrant is a SubmitRequest whose tasks are those of Grant, in order:
+// what a tree's interior node sends a leaf. Its JSON is SubmitRequest's,
+// encoded from the assignments as they were granted, so that no task is
+// copied into a slice of tasks first. Grant holds at least one assignment.
+type SubmitGrant struct {
+	EPR   string
+	Grant []Assignment
+}
+
+// AppendJSON appends m's JSON encoding to dst.
+func (m SubmitGrant) AppendJSON(dst []byte) []byte {
+	dst = append(dst, `{"epr":`...)
+	dst = jsonwire.AppendString(dst, m.EPR)
+	dst = append(dst, `,"tasks":`...)
+	dst = append(dst, '[')
+	for i := range m.Grant {
+		if i > 0 {
+			dst = append(dst, ',')
+		}
+		dst = m.Grant[i].Task.AppendJSON(dst)
+	}
+	return append(dst, `]}`...)
+}
+
 // DecodeJSON decodes b into m.
 func (m *SubmitRequest) DecodeJSON(b []byte) error { return m.DecodeInterned(b, nil) }
 

@@ -218,6 +218,27 @@ func TestBodyCodecMatchesEncodingJSON(t *testing.T) {
 	}
 }
 
+// What a tree's interior node sends a leaf is a SubmitRequest, byte for byte,
+// whichever of the two types encoded it.
+func TestSubmitGrantIsASubmitRequest(t *testing.T) {
+	g := &gen{rand.New(rand.NewSource(2))}
+	for i := 0; i < 300; i++ {
+		as := g.assignments()
+		if len(as) == 0 {
+			continue
+		}
+		tasks := make([]task.Task, len(as))
+		for i := range as {
+			tasks[i] = as[i].Task
+		}
+		epr := g.str()
+		want := SubmitRequest{EPR: epr, Tasks: tasks}.AppendJSON(nil)
+		if got := (SubmitGrant{EPR: epr, Grant: as}).AppendJSON(nil); !bytes.Equal(got, want) {
+			t.Fatalf("SubmitGrant encodes\n %s\nSubmitRequest\n %s", got, want)
+		}
+	}
+}
+
 // DecodeJSON overwrites: a field the body omits is zero afterwards, whatever
 // the receiver held (json.Unmarshal would keep it).
 func TestDecodeJSONOverwritesReceiver(t *testing.T) {

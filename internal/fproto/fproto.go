@@ -156,16 +156,17 @@ type AttachParentRequest struct {
 
 // CapacityHint is a leaf dispatcher's headroom summary, pushed upward to
 // tree parents (NotifyCapacity) and piggy-backed on bundle acknowledgments.
-// The root scores leaves by (Queued + Outstanding − IdleSlots) plus its own
-// optimistic in-flight count, routing each bundle to the leaf with the most
-// headroom.
+// A parent registers its link to the leaf, in its own scheduling core, with
+// Executors slots (internal/forward).
 type CapacityHint struct {
 	// Queued and Outstanding are the leaf's backlog: tasks waiting plus
 	// tasks dispatched but not yet delivered.
 	Queued      int `json:"queued"`
 	Outstanding int `json:"outstanding"`
-	// IdleSlots counts executors registered and without work; Executors is
-	// the total registered population.
+	// Executors is the worker slots registered, IdleSlots those that hold
+	// nothing — slots, not executors, so that an interior node, whose
+	// executors are links, reports the workers below it. (A leaf that
+	// predates this counts a multi-slot executor as one.)
 	IdleSlots int `json:"idle_slots"`
 	Executors int `json:"executors"`
 	// Seq orders hints from one leaf: a push that arrives after a fresher
@@ -175,7 +176,7 @@ type CapacityHint struct {
 	// (its boot time). Seq restarts from 1 when a leaf restarts, so
 	// freshness is (Epoch, Seq) lexicographic: without the epoch, a
 	// restarted leaf's early hints would lose to the dead incarnation's
-	// high-Seq leftovers and the parent would route on stale capacity.
+	// high-Seq leftovers and the parent would size its link on stale capacity.
 	Epoch int64 `json:"epoch,omitempty"`
 }
 

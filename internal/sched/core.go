@@ -1,6 +1,9 @@
 package sched
 
-import "time"
+import (
+	"time"
+	"unsafe"
+)
 
 // Policy selects how queued tasks map to executors.
 type Policy uint8
@@ -156,6 +159,11 @@ type Core[E comparable, K comparable, T any] struct {
 	idle  []*Exec[E] // LIFO stack; nil slots are tombstones
 	dead  int        // tombstone count in idle
 	out   map[K]*Outstanding[E, K, T]
+	// chunk is what is left of the array Assign carves outstanding records
+	// from: one allocation per outChunkBytes of them, not one per task. A
+	// record is handed out once, so the entry Complete, Expire or DropExecutor
+	// returned stays the caller's; the array is collected with its last one.
+	chunk []Outstanding[E, K, T]
 
 	// Counters is exported state: the caller owns Completed/Failed (see
 	// Counters doc) and snapshots the rest.
@@ -325,6 +333,24 @@ func (c *Core[E, K, T]) DropQueued(match func(T) bool) int {
 	return c.queue.DropWhere(func(it Item[T]) bool { return match(it.X) })
 }
 
+// DropOutstanding removes every outstanding task matching the predicate,
+// giving its slot back and re-offering the executor, and returns how many it
+// removed. A result that still arrives for one is a duplicate.
+func (c *Core[E, K, T]) DropOutstanding(match func(T) bool) int {
+	dropped := 0
+	for k, o := range c.out {
+		if !match(o.Item.X) {
+			continue
+		}
+		delete(c.out, k)
+		dropped++
+		if x := c.release(o.Executor); x != nil {
+			c.Offer(x)
+		}
+	}
+	return dropped
+}
+
 // AddExec registers (or re-registers, replacing scheduling state but
 // keeping outstanding entries) an executor with the given slot capacity.
 func (c *Core[E, K, T]) AddExec(id E, slots int) *Exec[E] {
@@ -359,6 +385,26 @@ func (c *Core[E, K, T]) ExecStats() (total, busy int) {
 		}
 	}
 	return total, busy
+}
+
+// SlotStats returns the registered slots and how many of them hold nothing
+// (the capacity a tree parent is told). An executor holding more than its
+// slots, a batch granted ahead, has none free, not a negative number.
+func (c *Core[E, K, T]) SlotStats() (total, free int) {
+	for _, x := range c.execs {
+		free += max(x.Free(), 0)
+	}
+	return c.slots, free
+}
+
+// Resize changes a registered executor's slot count and nothing else: what it
+// holds stays counted against it. The caller offers it again if it grew.
+func (c *Core[E, K, T]) Resize(x *Exec[E], slots int) {
+	if slots <= 0 {
+		slots = 1
+	}
+	c.slots += slots - x.Slots
+	x.Slots = slots
 }
 
 // DropExecutor removes an executor (disconnect, deregister, release) and
@@ -526,6 +572,12 @@ func (c *Core[E, K, T]) NoteCompletion(x *Exec[E], dataset string) {
 	}
 }
 
+// outChunkBytes sizes the arrays outstanding records are carved from to a
+// size class of the allocator, not to a round count of records: 78 of the live
+// dispatcher's 104-byte records fill the 8 KiB class, where 64 would leave a
+// fifth of it unused on every chunk.
+const outChunkBytes = 8 << 10
+
 // Assign marks it dispatched to x at now under key, incrementing the
 // attempt count and recording the outstanding entry. NotifiedAt is
 // clamped so that the enqueue→notify stage ends at the last push sent to
@@ -546,7 +598,12 @@ func (c *Core[E, K, T]) Assign(now time.Duration, x *Exec[E], key K, it Item[T])
 			holder.Suspect = true
 		}
 	}
-	o := &Outstanding[E, K, T]{Key: key, Item: it, Executor: x.ID, DispatchedAt: now, NotifiedAt: notifiedAt}
+	if len(c.chunk) == 0 {
+		c.chunk = make([]Outstanding[E, K, T], max(1, outChunkBytes/int(unsafe.Sizeof(Outstanding[E, K, T]{}))))
+	}
+	o := &c.chunk[0]
+	c.chunk = c.chunk[1:]
+	*o = Outstanding[E, K, T]{Key: key, Item: it, Executor: x.ID, DispatchedAt: now, NotifiedAt: notifiedAt}
 	c.out[key] = o
 	x.Assigned++
 	c.Counters.Dispatched++

@@ -408,3 +408,81 @@ func BenchmarkCorePickAssignComplete(b *testing.B) {
 		c.Complete("x", i)
 	}
 }
+
+// Outstanding records are carved from shared arrays. One handed back by
+// Complete, Expire or DropExecutor belongs to the caller — the dispatcher
+// reads o.Item after Complete, with more assignments in between — so no later
+// Assign may write to it, however many chunks go by.
+func TestReturnedOutstandingIsNeverRewritten(t *testing.T) {
+	c := newTestCore(Options[payload]{})
+	x, y := c.AddExec("x", 1), c.AddExec("y", 1)
+	assign := func(ex *Exec[string], id int) {
+		c.Enqueue(0, payload{id: id})
+		it, _, _ := c.Pick(ex)
+		c.Assign(time.Duration(id), ex, id, it)
+	}
+	assign(x, 1)
+	assign(x, 2)
+	assign(y, 3)
+	done, ok := c.Complete("x", 1)
+	expired := c.Expire(3) // id 2, dispatched at 2
+	_, dropped := c.DropExecutor("y")
+	if !ok || len(expired) != 1 || len(dropped) != 1 {
+		t.Fatalf("complete ok=%v, expired %d, dropped %d", ok, len(expired), len(dropped))
+	}
+	held := []*Outstanding[string, int, payload]{done, expired[0], dropped[0]}
+	want := []Outstanding[string, int, payload]{*done, *expired[0], *dropped[0]}
+	for id := 10; id < 10+3*outChunkBytes/64; id++ { // many chunks' worth
+		assign(x, id)
+		if _, ok := c.Complete("x", id); !ok {
+			t.Fatalf("task %d: not outstanding", id)
+		}
+	}
+	for i, o := range held {
+		if *o != want[i] {
+			t.Errorf("held entry %d now reads %+v, was %+v", i, *o, want[i])
+		}
+	}
+}
+
+// What the benchmark's sched.cycle_allocs row reads: an enqueue → pick →
+// assign → complete cycle allocates one array per chunk of outstanding
+// records, not a record per task.
+func TestCycleAllocations(t *testing.T) {
+	c := newTestCore(Options[payload]{})
+	x := c.AddExec("x", 1)
+	id := 0
+	perCycle := testing.AllocsPerRun(10000, func() {
+		id++
+		c.Enqueue(time.Duration(id), payload{id: id})
+		it, _, _ := c.Pick(x)
+		c.Assign(time.Duration(id), x, id, it)
+		c.Complete("x", id)
+	})
+	if perCycle > 0.05 {
+		t.Fatalf("%.3f allocations per cycle, want at most 0.05", perCycle)
+	}
+}
+
+func TestResizeKeepsWhatTheExecutorHolds(t *testing.T) {
+	c := newTestCore(Options[payload]{})
+	x := c.AddExec("x", 1)
+	c.AddExec("y", 3)
+	c.Enqueue(0, payload{id: 1})
+	it, _, _ := c.Pick(x)
+	c.Assign(1, x, 1, it)
+	c.Resize(x, 4)
+	if total, free := c.SlotStats(); x.Assigned != 1 || total != 7 || free != 6 {
+		t.Fatalf("after growing: assigned %d, slots %d, free %d; want 1, 7, 6", x.Assigned, total, free)
+	}
+	if !c.Offer(x) {
+		t.Fatal("an executor that grew past what it holds is not on offer")
+	}
+	c.Resize(x, 1)
+	if total, free := c.SlotStats(); total != 4 || free != 3 {
+		t.Fatalf("after shrinking: slots %d, free %d; want 4, 3", total, free)
+	}
+	if _, ok := c.Complete("x", 1); !ok || x.Assigned != 0 {
+		t.Fatalf("the task did not complete under the resized executor: ok=%v assigned=%d", ok, x.Assigned)
+	}
+}

@@ -9,7 +9,9 @@ import (
 
 // Tree is the virtual-time hierarchical dispatch tree: one root routing
 // bundles to L leaf Models, each leaf a full dispatcher with its own serial
-// CPU. It mirrors the live forwarder root: the client's bundles land on the
+// CPU. It models the push-routed root the live tree had until its root became
+// a dispatcher over links (DESIGN.md §13; re-basing the model on that is
+// ROADMAP item 2's follow-up): the client's bundles land on the
 // root's submission pipeline (Axis envelope), the root's serial CPU routes
 // fixed-size bundles to the least-loaded leaf (the capacity-hint protocol,
 // idealized to a fresh snapshot plus an in-flight estimate), leaves pay the
@@ -211,8 +213,8 @@ func (t *Tree) route() {
 
 // pickLeaf scores each leaf by estimated backlog — queued plus busy minus
 // idle executors, plus bundles routed but not yet acknowledged — and takes
-// the minimum, round-robin on ties. This is the live root's capacity-hint
-// routing with a perfectly fresh hint (the simulator reads leaf state
+// the minimum, round-robin on ties. This is the push-routed root's
+// capacity-hint routing with a perfectly fresh hint (the simulator reads leaf state
 // directly; staleness is represented only by the in-flight term).
 func (t *Tree) pickLeaf() int {
 	n := len(t.Leaves)

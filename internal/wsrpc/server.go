@@ -122,6 +122,18 @@ func (s *Server) RegisterFast(method string, h Handler) {
 	s.fast[method] = true
 }
 
+// Override replaces the handler a method was registered with (before Serve,
+// like Register) and returns the old one, for the new one to call: how a tree
+// root answers for its subtree on a dispatcher's server. The new handler runs
+// on a goroutine of its own, whatever the old one did.
+func (s *Server) Override(method string, h Handler) Handler {
+	old := s.handlers[method]
+	delete(s.handlers, method)
+	delete(s.fast, method)
+	s.Register(method, h)
+	return old
+}
+
 // OnDisconnect installs a callback invoked (once) whenever a peer's
 // connection ends, before its resources are released.
 func (s *Server) OnDisconnect(fn func(*Peer)) { s.onDrop = fn }

@@ -115,6 +115,12 @@ type Client struct {
 
 	results  chan task.Result
 	pollDone chan struct{}
+
+	// pushed is what every results push is decoded into, and so the one array
+	// their results pass through (DESIGN.md §9, "Scratch"). It is the read
+	// loop's: a session's connections follow one another, and so do their
+	// read loops.
+	pushed fproto.ResultsNotify
 }
 
 // Connect dials the dispatcher and creates a fresh instance.
@@ -239,11 +245,10 @@ func (c *Client) onNotify(method string, body json.RawMessage) {
 	if method != fproto.NotifyResults {
 		return
 	}
-	var n fproto.ResultsNotify
-	if err := n.DecodeInterned(body, c.ownEPR); err != nil {
+	if err := c.pushed.DecodeInterned(body, c.ownEPR); err != nil {
 		return
 	}
-	c.deliver(n.Results)
+	c.deliver(c.pushed.Results)
 }
 
 // ownEPR is the fproto.Intern of a client: the one EPR pushes name.
@@ -261,11 +266,12 @@ func (c *Client) ownEPR(b []byte) string {
 // backpressure is rare). In Reconnect mode it first drops results already
 // delivered once — redeliveries are expected after a crash (the journal
 // redelivers anything not provably collected) and after resubmission races,
-// and this filter is what makes delivery exactly-once.
+// and this filter is what makes delivery exactly-once. rs is the caller's to
+// reuse afterwards: the filter runs in place and the spill copies what it keeps.
 func (c *Client) deliver(rs []task.Result) {
 	if c.done != nil {
 		c.mu.Lock()
-		fresh := rs[:0:0]
+		fresh := rs[:0]
 		for _, r := range rs {
 			if _, dup := c.done[r.ID]; dup {
 				c.dupDrops++
@@ -286,7 +292,7 @@ func (c *Client) deliver(rs []task.Result) {
 				for _, r := range rest {
 					c.results <- r
 				}
-			}(rs[i:])
+			}(append([]task.Result(nil), rs[i:]...))
 			return
 		}
 	}

@@ -18,30 +18,50 @@ import (
 // allocsPerTaskCeiling is the whole runtime's heap allocations per `sleep 0`
 // task — client, dispatcher and executor in one process over loopback, each
 // measured batch submitted as one bundle, every task with one 16-byte
-// argument of its own as in the repo benchmark — measured 0.24 to 0.27 (plain,
-// secure, fair-share and journaled alike, -cpu 1, 2 and 4) since sched.Core
-// carves its outstanding records from chunks, plus 15 %. The record was the
-// last object a task had to itself: 1.23 to 1.25 with it, and 5.20 to 5.22
-// before a message's strings and Args slices were allocated once per message.
-// The executor finds the queue deep at every pull and takes it 64 tasks at a
-// time, so the 17 or so objects a pull costs are shared. Per-task dispatch
-// measured 18.15 in this loop at bundle 64, and 63 to 65 before the body
-// codec. The write-ahead journal shares the ceiling: its records are encoded
-// in place, one per Submit, grant and Deliver, and what it allocates is per
-// record (the durability barrier a Submit waits on).
-const allocsPerTaskCeiling = 0.31
+// argument of its own as in the repo benchmark — measured 0.13 to 0.14 (plain,
+// secure, fair-share and journaled alike, -cpu 1, 2 and 4) since the slice a
+// message is decoded into is its receiver's scratch, plus 15 % and 0.04 for a
+// batch that met a stall. The four slices a 64-task round trip used to make
+// were 0.11 of the 0.24 to 0.27 before; sched.Core's outstanding record, the
+// last object a task had to itself, 1.0 of the 1.23 to 1.25 before that; and
+// it was 5.20 to 5.22 before a message's strings and Args slices were
+// allocated once per message. The executor finds the queue deep at every pull
+// and takes it 64 tasks at a time, so the dozen or so objects a pull costs are
+// shared. Per-task dispatch measured 18.15 in this loop at bundle 64, and 63 to
+// 65 before the body codec. The write-ahead journal shares the ceiling: its
+// records are encoded in place, one per Submit, grant and Deliver, and what it
+// allocates is per record (the durability barrier a Submit waits on).
+const allocsPerTaskCeiling = 0.20
+
+// bytesPerTaskCeiling is the same loop's bytes: measured 1,255 to 1,307 on
+// every bulk row at -cpu 1, 2 and 4 (2,098 to 2,120 while Deliver's results,
+// the grant, and their decoded copies on the executor and the client were
+// slices made per message, about 170 bytes per task each), plus 10 %: the 15 %
+// the object ceilings take would let one such slice back in. What is left is
+// mostly the price of this loop's 4,096-task bundles, not of the task path
+// (scripts/allocs.sh, bytes per task): the decoded bundle, grown by doubling
+// past the 1,024 elements a count presizes, 465; its 4,096 enqueue events,
+// more than a pooled fx keeps, 241; the batch, its arguments and the results
+// slice the loop itself builds, 305; the outstanding records' chunks, 104.
+const bytesPerTaskCeiling = 1410
 
 // serialAllocsPerTaskCeiling is the plain system driven the opposite way — one
 // task per Submit, one task in flight, the repo benchmark's direct-serial and
 // the paper's Fig. 10 case: nothing is shared, so it is what one unqueued task
-// costs end to end. Measured 26.02 to 26.05 with the argument (27.00 to 27.06
-// while the outstanding record was an object of its own; a bundle of one has
-// nothing to share a message's chunk with and must not pay for one: its two
-// strings and its slice are sized exactly), this loop's own slice per Submit
-// included, since the work rides the push and a wsrpc call recycles its reply
-// slot (two calls and two pushes per task: Submit, the grant, Deliver, the
-// result); plus 15 %.
-const serialAllocsPerTaskCeiling = 30.0
+// costs end to end. Measured 21.02 to 21.04 with the argument (26.02 to 26.05
+// while a message of one result or one assignment still brought a slice of its
+// own on every hop but the pushed grant's; 27.00 to 27.06 while the
+// outstanding record was an object of its own; a bundle of one has nothing to
+// share a message's chunk with and must not pay for one: its two strings and
+// its slice are sized exactly), this loop's own slice per Submit included,
+// since the work rides the push and a wsrpc call recycles its reply slot (two
+// calls and two pushes per task: Submit, the grant, Deliver, the result); plus
+// 15 %. serialBytesPerTaskCeiling is its bytes, 1,338 to 1,341 measured (1,971
+// to 1,974 before), plus 10 % as above.
+const (
+	serialAllocsPerTaskCeiling = 24.0
+	serialBytesPerTaskCeiling  = 1475
+)
 
 // The per-task allocation budget of every configuration core.Config can
 // ship. It is a count, not a timing, so it holds on a loaded machine; a
@@ -50,22 +70,21 @@ const serialAllocsPerTaskCeiling = 30.0
 // numbers the secure, fair-share and journaled configurations have.
 func TestAllocsPerTaskBudget(t *testing.T) {
 	rows := []struct {
-		name    string
-		ceiling float64
-		cfg     core.Config
-		serial  bool // one task per Submit, one in flight (batches of 1,024)
+		name   string
+		cfg    core.Config
+		serial bool // one task per Submit, one in flight (batches of 1,024)
 	}{
-		{name: "plain", ceiling: allocsPerTaskCeiling},
-		{name: "secure", ceiling: allocsPerTaskCeiling, cfg: core.Config{
+		{name: "plain"},
+		{name: "secure", cfg: core.Config{
 			Security: wsrpc.SecuritySecureConversation, PSK: []byte("budget-psk"),
 		}},
-		{name: "fair-share", ceiling: allocsPerTaskCeiling, cfg: core.Config{
+		{name: "fair-share", cfg: core.Config{
 			FairShare: true,
 			Tenant:    "a",
 			Tenants:   []dispatch.TenantSpec{{Name: "a", Weight: 4}, {Name: "b", Weight: 1}},
 		}},
-		{name: "journaled", ceiling: allocsPerTaskCeiling, cfg: core.Config{JournalDir: t.TempDir()}},
-		{name: "serial", ceiling: serialAllocsPerTaskCeiling, serial: true},
+		{name: "journaled", cfg: core.Config{JournalDir: t.TempDir()}},
+		{name: "serial", serial: true},
 	}
 	perTask := map[string]float64{}
 	for _, row := range rows {
@@ -74,9 +93,19 @@ func TestAllocsPerTaskBudget(t *testing.T) {
 			// One bundle per batch: how deep the executor's pulls find the
 			// queue is then the cap, not a race with the submitting client.
 			cfg.Executors, cfg.BundleSize, cfg.Logf = 1, 4096, t.Logf
-			perTask[row.name] = allocsPerTask(t, cfg, row.serial)
-			if got := perTask[row.name]; got > row.ceiling {
-				t.Errorf("%.2f allocations per task, budget %.1f", got, row.ceiling)
+			objects, bytes := allocsPerTask(t, cfg, row.serial)
+			perTask[row.name] = objects
+			ceiling, byteCeiling := allocsPerTaskCeiling, float64(bytesPerTaskCeiling)
+			if row.serial {
+				ceiling, byteCeiling = serialAllocsPerTaskCeiling, serialBytesPerTaskCeiling
+			}
+			if objects > ceiling {
+				t.Errorf("%.2f allocations per task, budget %.2f", objects, ceiling)
+			}
+			// Bytes say what objects cannot: a slice made per message is one
+			// object in 64 tasks, and 170 bytes in every one of them.
+			if bytes > byteCeiling {
+				t.Errorf("%.0f bytes allocated per task, budget %.0f", bytes, byteCeiling)
 			}
 		})
 	}
@@ -93,12 +122,13 @@ func TestAllocsPerTaskBudget(t *testing.T) {
 }
 
 // allocsPerTask boots cfg, warms it up and returns the process-wide heap
-// allocations per task over a measured batch, on however many Ps the test was
+// allocations per task over a measured batch, and their bytes (each the lowest
+// of the batches measured), on however many Ps the test was
 // given (tier 1 runs it with -cpu 1,2,4: the count is the code's, not the
 // host's). serial submits a batch one task at a time, each once the one
 // before has come back, and makes the batch 1,024. A batch's tasks are built
 // at once either way, so what the loop itself allocates is per batch.
-func allocsPerTask(t *testing.T, cfg core.Config, serial bool) float64 {
+func allocsPerTask(t *testing.T, cfg core.Config, serial bool) (objects, bytes float64) {
 	t.Helper()
 	sys, err := core.Start(cfg)
 	if err != nil {
@@ -131,20 +161,20 @@ func allocsPerTask(t *testing.T, cfg core.Config, serial bool) float64 {
 		tasks = 1024
 	}
 	fallbacks := fproto.CodecFallbacks.Value()
-	perTask := math.Inf(1)
+	objects, bytes = math.Inf(1), math.Inf(1)
 	for batch := 0; batch < 5; batch++ {
 		var m0, m1 runtime.MemStats
 		runtime.ReadMemStats(&m0)
 		run(tasks)
 		runtime.ReadMemStats(&m1)
-		got := float64(m1.Mallocs-m0.Mallocs) / float64(tasks)
-		t.Logf("%.2f allocations and %.0f bytes per task", got, float64(m1.TotalAlloc-m0.TotalAlloc)/float64(tasks))
-		perTask = min(perTask, got)
+		o, b := float64(m1.Mallocs-m0.Mallocs)/float64(tasks), float64(m1.TotalAlloc-m0.TotalAlloc)/float64(tasks)
+		t.Logf("%.2f allocations and %.0f bytes per task", o, b)
+		objects, bytes = min(objects, o), min(bytes, b)
 	}
 	if n := fproto.CodecFallbacks.Value() - fallbacks; n != 0 {
 		t.Errorf("%d bodies between this repo's own components took the encoding/json fallback", n)
 	}
-	return perTask
+	return objects, bytes
 }
 
 // argued gives each task one argument no other task has, 16 bytes as in the

@@ -15,7 +15,7 @@
 // critical section. One dispatcher is one queue, as in the paper; the way to
 // more than one lock's worth of throughput is more dispatchers under a root
 // that is itself a dispatcher: the executor's verbs are Go methods as well as
-// wire handlers (Register, Deregister, GetWork and Stock, Deliver) and its
+// wire handlers (Register, Deregister, Stock, Deliver) and its
 // pushes go to a Pusher, so a tree's root registers its links to leaf
 // dispatchers as executors of an ordinary Dispatcher (internal/forward,
 // DESIGN.md §12–13).
@@ -269,12 +269,20 @@ type stampRec struct {
 // Keeping this I/O outside the scheduler lock is what lets deliveries from
 // many executors pipeline instead of serializing on tracer and histogram
 // writes.
+//
+// It is also the handler's scratch (DESIGN.md §9, "Scratch"): a Deliver is
+// decoded into req, and every grant — pushed, or replied with — is cut from
+// grant. A wire handler's fx goes back to the pool when wsrpc has written its
+// reply (grantReply): one per handler in flight, not one per connection.
 type fx struct {
 	events   []obs.Event // deferred tracer records
 	stamps   []stampRec
 	notifies []notifyPush
 	results  []task.Result // pushed results, run after run
 	runs     []resultRun
+	req      fproto.DeliverRequest
+	grant    []fproto.Assignment
+	reply    []fproto.Assignment // of grant, what answers the pull being served
 }
 
 func (f *fx) trace(at time.Duration, kind obs.EventKind, trace uint64, id task.ID, epr, exec string) {
@@ -304,7 +312,8 @@ func getFx() *fx { return fxPool.Get().(*fx) }
 // burst doesn't park megabytes in the pool.
 func putFx(f *fx) {
 	const keep = 1024
-	if cap(f.events) > keep || cap(f.stamps) > keep || cap(f.notifies) > keep || cap(f.results) > keep || cap(f.runs) > keep {
+	if cap(f.events) > keep || cap(f.stamps) > keep || cap(f.notifies) > keep || cap(f.results) > keep || cap(f.runs) > keep ||
+		cap(f.req.Results) > keep || cap(f.grant) > keep {
 		*f = fx{}
 	} else {
 		f.events = emptied(f.events)
@@ -312,6 +321,8 @@ func putFx(f *fx) {
 		f.notifies = emptied(f.notifies)
 		f.results = emptied(f.results)
 		f.runs = emptied(f.runs)
+		f.req = fproto.DeliverRequest{Results: emptied(f.req.Results)}
+		f.grant, f.reply = emptied(f.grant), nil
 	}
 	fxPool.Put(f)
 }
@@ -319,8 +330,18 @@ func putFx(f *fx) {
 // emptied returns s with length 0 and no reference left in its array.
 func emptied[T any](s []T) []T {
 	clear(s)
-	return s[:0]
+	return fproto.Recycle(s)
 }
+
+// grantReply is a handler's fx as the reply to a work pull — a GetWorkReply or
+// a DeliverReply, which are one encoding — released when wsrpc has written it.
+type grantReply fx
+
+func (g *grantReply) AppendJSON(dst []byte) []byte {
+	return fproto.GetWorkReply{Assignments: g.reply}.AppendJSON(dst)
+}
+
+func (g *grantReply) Release() { putFx((*fx)(g)) }
 
 // Dispatcher is the Falkon dispatch service. Create with New, then Listen.
 type Dispatcher struct {
@@ -541,7 +562,7 @@ func (d *Dispatcher) flush(f *fx) {
 		// handling replays whatever it held, a pushed grant included.
 		n := &f.notifies[i]
 		if len(n.grant.Assignments) > 0 {
-			d.notify(n.peer, fproto.NotifyWorkGrant, &n.grant) // encoded before Notify returns
+			d.notify(n.peer, fproto.NotifyWorkGrant, &n.grant) // encoded before Notify returns: the grant is f's
 			continue
 		}
 		d.tracer.Record(n.at, obs.EvNotified, 0, 0, "", n.exec)
@@ -617,7 +638,7 @@ func (d *Dispatcher) notifyLocked(f *fx, now time.Duration) {
 			ex, ref := n.Exec, n.Exec.Ref.(*execRef)
 			push := notifyPush{peer: ref.peer, exec: ex.ID, at: ex.LastNotifyAt, queued: n.Queued}
 			if ref.grants && ref.parked > 0 && !ex.Suspect {
-				push.grant.Assignments = d.assignLocked(f, ex, nil, ref.ask, obs.EvPushed, now)
+				push.grant.Assignments = d.assignLocked(f, ex, ref.ask, obs.EvPushed, now)
 			}
 			granted := len(push.grant.Assignments)
 			if granted == 0 && d.core.QueueLen() > 0 {
@@ -1158,19 +1179,11 @@ func (d *Dispatcher) replay(f *fx, o *sched.Outstanding[string, outKey, taskRef]
 // idle slot is never starved by a neighbour's batch and a task that says it
 // is long rides alone. kind is how the assignments travel: the reply to a
 // work pull, a deliver acknowledgment, or the work push itself, whose now is
-// the notification's own stamp. The assignments are appended to as, which is
-// nil unless the caller gathers several grants in a slice of its own
-// (Stock). Callers hold mu.
-func (d *Dispatcher) assignLocked(f *fx, ex *sched.Exec[string], as []fproto.Assignment, asked int, kind obs.EventKind, now time.Duration) []fproto.Assignment {
-	n := min(d.core.Share(asked), d.core.QueueLen())
-	if n == 0 {
-		return as
-	}
-	if as == nil {
-		as = make([]fproto.Assignment, 0, n) // sized by the grant, not the ask
-	}
-	first := len(as)
-	n += first
+// the notification's own stamp. The assignments are cut from f.grant, and are
+// the caller's until f is released. Callers hold mu.
+func (d *Dispatcher) assignLocked(f *fx, ex *sched.Exec[string], asked int, kind obs.EventKind, now time.Duration) []fproto.Assignment {
+	as, first := f.grant, len(f.grant)
+	n := first + min(d.core.Share(asked), d.core.QueueLen())
 	room := sched.Unbounded // the first task is granted whatever it declares
 	for len(as) < n {
 		it, hit, ok := d.core.PickWithin(ex, room)
@@ -1203,7 +1216,8 @@ func (d *Dispatcher) assignLocked(f *fx, ex *sched.Exec[string], as []fproto.Ass
 		}
 		_ = d.wal.AppendDispatches(&wal.DispatchBatchRec{Exec: ex.ID, Tasks: d.granted})
 	}
-	return as
+	f.grant = as
+	return as[first:len(as):len(as)]
 }
 
 // journalCompletesLocked appends the results finalized since the last call

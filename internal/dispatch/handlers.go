@@ -350,9 +350,10 @@ func (d *Dispatcher) handleRegister(p *wsrpc.Peer, body json.RawMessage) (any, e
 	return d.Register(*req, p), nil
 }
 
-// Register, Deregister, GetWork and Deliver are the executor's four verbs: the
-// wire handlers decode a request and call them, an executor inside this
-// process calls them with the values and gets its pushes through its Pusher.
+// Register, Deregister, Stock (a wire executor's GetWork) and Deliver are the
+// executor's four verbs: the wire handlers decode a request and do as they do,
+// an executor inside this process calls them with the values and gets its
+// pushes through its Pusher.
 //
 // Register adds an executor whose pushes go to to. An ID registered already is
 // replaced (an executor restarted; the core keeps its outstanding entries so
@@ -416,64 +417,69 @@ func (d *Dispatcher) internFrom(p *wsrpc.Peer, b []byte) string {
 	return d.internEPR(b)
 }
 
+// handleGetWork answers one work pull ({4}, {5}).
 func (d *Dispatcher) handleGetWork(p *wsrpc.Peer, body json.RawMessage) (any, error) {
 	var req fproto.GetWorkRequest
 	if err := req.DecodeInterned(body, func(b []byte) string { return d.internFrom(p, b) }); err != nil {
 		return nil, badBody(err)
 	}
-	return d.GetWork(&req)
-}
-
-// GetWork answers one work pull ({4}, {5}).
-func (d *Dispatcher) GetWork(req *fproto.GetWorkRequest) (fproto.GetWorkReply, error) {
-	as, err := d.Stock(req.ExecutorID, req.Max, 1, nil)
-	return fproto.GetWorkReply{Assignments: as}, err
+	f := getFx()
+	if err := d.stock(f, req.ExecutorID, req.Max, 1); err != nil {
+		putFx(f)
+		return nil, err
+	}
+	return (*grantReply)(f), nil
 }
 
 // Stock answers pull after pull of ask tasks by executor id, each as a GetWork
 // is answered, under one hold of the lock, until they have granted want tasks
-// or one comes back empty, and appends the grants to dst. A wire executor sends
-// its asks one by one (want 1, dst nil); an executor in this process that
-// keeps a queue of its own stocked — a tree's link to a leaf — brings the slice
-// it reuses.
+// or one comes back empty, and appends the grants to dst: an executor in this
+// process that keeps a queue of its own stocked — a tree's link to a leaf —
+// brings the slice it reuses. (A wire executor sends its asks one by one.)
 func (d *Dispatcher) Stock(id string, ask, want int, dst []fproto.Assignment) ([]fproto.Assignment, error) {
 	f := getFx()
 	defer putFx(f)
+	err := d.stock(f, id, ask, want)
+	return append(dst, f.reply...), err
+}
+
+// stock is Stock into f.reply; f is the caller's to release.
+func (d *Dispatcher) stock(f *fx, id string, ask, want int) error {
 	d.mu.Lock()
 	ex, ok := d.core.Exec(id)
 	if !ok {
 		d.mu.Unlock()
-		return dst, fmt.Errorf("dispatch: unregistered executor %q", id)
+		return fmt.Errorf("dispatch: unregistered executor %q", id)
 	}
 	ex.Notified, ex.Suspect = false, false
 	if ref := ex.Ref.(*execRef); ref.parked > 0 {
 		ref.parked-- // a slot that pulls was waiting until now
 	}
+	first := len(f.grant)
 	for granted := 0; granted < want; {
-		n := len(dst)
-		if dst = d.pullLocked(f, ex, dst, ask, obs.EvPulled); len(dst) == n {
+		n := len(d.pullLocked(f, ex, ask, obs.EvPulled))
+		if granted += n; n == 0 {
 			break // the queue has nothing more for it
 		}
-		granted += len(dst) - n
 	}
+	f.reply = f.grant[first:]
 	d.core.Offer(ex)
 	// Other executors may still be needed for the rest of the queue.
 	d.notifyLocked(f, d.now())
 	d.mu.Unlock()
 	d.flush(f)
-	return dst, nil
+	return nil
 }
 
 // pullLocked answers one pull by ex — a GetWork, or the ask a Deliver
-// piggy-backs (kind says which) — for asked tasks, appended to as
-// (assignLocked). A pull answered with nothing parks the slot that sent it:
-// the next work push may carry its grant (notifyLocked). Callers hold mu.
-func (d *Dispatcher) pullLocked(f *fx, ex *sched.Exec[string], as []fproto.Assignment, asked int, kind obs.EventKind) []fproto.Assignment {
+// piggy-backs (kind says which) — for asked tasks (assignLocked). A pull
+// answered with nothing parks the slot that sent it: the next work push may
+// carry its grant (notifyLocked). Callers hold mu.
+func (d *Dispatcher) pullLocked(f *fx, ex *sched.Exec[string], asked int, kind obs.EventKind) []fproto.Assignment {
 	ref := ex.Ref.(*execRef)
 	ref.ask = max(asked, 1)
-	held := len(as)
-	as = d.assignLocked(f, ex, as, ref.ask, kind, d.now())
-	if n := len(as) - held; n > 0 {
+	as := d.assignLocked(f, ex, ref.ask, kind, d.now())
+	if n := len(as); n > 0 {
 		d.hGrant.Observe(float64(n))
 	} else if ref.parked < ex.Free() {
 		ref.parked++
@@ -482,11 +488,15 @@ func (d *Dispatcher) pullLocked(f *fx, ex *sched.Exec[string], as []fproto.Assig
 }
 
 func (d *Dispatcher) handleDeliver(p *wsrpc.Peer, body json.RawMessage) (any, error) {
-	var req fproto.DeliverRequest
-	if err := req.DecodeInterned(body, func(b []byte) string { return d.internFrom(p, b) }); err != nil {
-		return nil, badBody(err)
+	f := getFx()
+	err := f.req.DecodeInterned(body, func(b []byte) string { return d.internFrom(p, b) })
+	if err != nil {
+		err = badBody(err)
+	} else if err = d.deliver(f, &f.req); err == nil {
+		return (*grantReply)(f), nil
 	}
-	return d.Deliver(&req)
+	putFx(f)
+	return nil, err
 }
 
 // Deliver takes an executor's results ({6}) and answers the work request they
@@ -494,19 +504,26 @@ func (d *Dispatcher) handleDeliver(p *wsrpc.Peer, body json.RawMessage) (any, er
 func (d *Dispatcher) Deliver(req *fproto.DeliverRequest) (fproto.DeliverReply, error) {
 	f := getFx()
 	defer putFx(f)
+	err := d.deliver(f, req)
+	return fproto.DeliverReply{Assignments: append([]fproto.Assignment(nil), f.reply...)}, err
+}
+
+// deliver is Deliver with the grant left in f.reply; f is the caller's to release.
+func (d *Dispatcher) deliver(f *fx, req *fproto.DeliverRequest) error {
 	t0 := time.Now()
 	d.mu.Lock()
 	t1 := time.Now()
 	ex, ok := d.core.Exec(req.ExecutorID)
 	if !ok {
 		d.mu.Unlock()
-		return fproto.DeliverReply{}, fmt.Errorf("dispatch: unregistered executor %q", req.ExecutorID)
+		return fmt.Errorf("dispatch: unregistered executor %q", req.ExecutorID)
 	}
 	now := d.now()
 	// The batch as the dispatcher timed it: sent when its first task was
 	// dispatched, ran for what its results report.
 	sent, ran := now, time.Duration(0)
-	for _, tr := range req.Results {
+	for i := range req.Results {
+		tr := &req.Results[i]
 		o, ok := d.core.Complete(req.ExecutorID, outKey{tr.EPR, tr.Result.ID})
 		if !ok {
 			continue // duplicate delivery, counted by the core
@@ -555,9 +572,8 @@ func (d *Dispatcher) Deliver(req *fproto.DeliverRequest) (fproto.DeliverReply, e
 	d.journalCompletesLocked() // one record for the delivery, ahead of the grant it asks for
 	ex.Notified, ex.Suspect = false, false
 	ex.Ref.(*execRef).rtt = max(now-sent-ran, 0)
-	var as []fproto.Assignment
 	if req.WantWork {
-		as = d.pullLocked(f, ex, nil, req.MaxNew, obs.EvAcked)
+		f.reply = d.pullLocked(f, ex, req.MaxNew, obs.EvAcked)
 	}
 	d.core.Offer(ex)
 	d.notifyLocked(f, now)
@@ -574,7 +590,7 @@ func (d *Dispatcher) Deliver(req *fproto.DeliverRequest) (fproto.DeliverReply, e
 	d.hSchedCore.Observe(t2.Sub(t1).Seconds())
 	d.hFxFlush.Observe(t3.Sub(t2).Seconds())
 	d.noteCapacityChange(false) // throttled: completions free leaf headroom
-	return fproto.DeliverReply{Assignments: as}, nil
+	return nil
 }
 
 // failReason summarizes a failed result for logs.

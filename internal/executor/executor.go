@@ -337,10 +337,11 @@ func (e *Executor) SpanHeader() obs.DumpHeader {
 	return h
 }
 
-// at returns the current time on the dispatcher-epoch timeline.
-func (e *Executor) at() time.Duration {
-	return time.Duration(time.Now().UnixNano() - e.epoch.Load())
-}
+// at returns the current time on the dispatcher-epoch timeline; on places a
+// reading of this process's clock there.
+func (e *Executor) at() time.Duration { return e.on(time.Now()) }
+
+func (e *Executor) on(t time.Time) time.Duration { return time.Duration(t.UnixNano() - e.epoch.Load()) }
 
 // TasksRun returns the number of tasks completed so far.
 func (e *Executor) TasksRun() int64 {
@@ -428,9 +429,8 @@ func (e *Executor) workLoop() {
 			e.runAssignments(cli, &ps, as)
 			continue
 		}
-		var reply fproto.GetWorkReply
 		sent := time.Now()
-		err = cli.Call(fproto.MethodGetWork, fproto.GetWorkRequest{ExecutorID: e.opts.ID, Max: ps.Ask(e.opts.Prefetch)}, &reply)
+		err = cli.Call(fproto.MethodGetWork, fproto.GetWorkRequest{ExecutorID: e.opts.ID, Max: ps.Ask(e.opts.Prefetch)}, &ps.pulled)
 		if err != nil {
 			// A dropped connection is the session's to replace: park again
 			// until onReconnect wakes the slots on the re-registered one (or
@@ -445,15 +445,20 @@ func (e *Executor) workLoop() {
 			continue
 		}
 		ps.RTT = time.Since(sent)
-		e.traceAssigned(&ps, e.at(), obs.EvPulled, reply.Assignments)
-		e.runAssignments(cli, &ps, reply.Assignments)
+		e.traceAssigned(&ps, e.at(), obs.EvPulled, ps.pulled.Assignments)
+		e.runAssignments(cli, &ps, ps.pulled.Assignments)
 	}
 }
 
-// slot is what one workLoop keeps from batch to batch.
+// slot is what one workLoop keeps from batch to batch: the sizer and its
+// scratch (DESIGN.md §9, "Scratch") — a batch is run, and its results encoded
+// from results, before the next reply is decoded over the assignments it was.
 type slot struct {
 	PullSizer
-	evs []obs.Event // trace events gathered for the tracer to take in one call
+	evs     []obs.Event // trace events gathered for the tracer to take in one call
+	pulled  fproto.GetWorkReply
+	acked   fproto.DeliverReply
+	results []fproto.TaggedResult
 }
 
 // traceAssigned records how a batch of assignments reached this executor,
@@ -524,27 +529,33 @@ func (e *Executor) runAssignments(cli *wsrpc.Client, ps *slot, as []fproto.Assig
 	e.markBusy()
 	var ran int64
 	defer func() { e.markIdle(ran) }()
+	// Two readings of the clock per task, its start and its end: a task is
+	// picked up when the one before it ended.
+	pickup := time.Now()
 	for len(as) > 0 {
-		results := make([]fproto.TaggedResult, 0, len(as))
-		for _, a := range as {
+		ps.results = fproto.Recycle(ps.results)
+		for i := range as {
+			a := &as[i]
 			if e.opts.Faults.ExecCrash() {
 				e.crash("crash mid-task")
 			}
-			pickup := time.Now()
-			e.tracer.Record(e.at(), obs.EvStarted, a.Task.Trace, a.Task.ID, a.EPR, e.opts.ID)
-			r, runDur := e.runTask(a.Task, a.CacheHit)
-			overhead := time.Since(pickup) - runDur
+			r, start, end := e.runTask(&a.Task, a.CacheHit)
+			runDur, overhead := end.Sub(start), start.Sub(pickup)
+			pickup = end
 			kind := obs.EvFinished
 			if r.Failed() {
 				kind = obs.EvFailed
 				e.cFailed.Inc()
 			}
-			e.tracer.Record(e.at(), kind, a.Task.Trace, a.Task.ID, a.EPR, e.opts.ID)
+			// Recorded with the batch's other events, after its delivery.
+			ps.evs = append(ps.evs,
+				obs.Event{At: e.on(start), Kind: obs.EvStarted, Trace: r.Trace, Task: r.ID, EPR: a.EPR, Executor: e.opts.ID},
+				obs.Event{At: e.on(end), Kind: kind, Trace: r.Trace, Task: r.ID, EPR: a.EPR, Executor: e.opts.ID})
 			e.cDone.Inc()
 			e.hRun.Observe(runDur.Seconds())
 			e.hOverhed.Observe(overhead.Seconds())
 			ps.Observe(runDur, len(r.Stdout)+len(r.Stderr))
-			results = append(results, fproto.TaggedResult{
+			ps.results = append(ps.results, fproto.TaggedResult{
 				EPR:         a.EPR,
 				Result:      r,
 				RunDur:      runDur,
@@ -552,34 +563,35 @@ func (e *Executor) runAssignments(cli *wsrpc.Client, ps *slot, as []fproto.Assig
 			})
 			ran++
 		}
-		var reply fproto.DeliverReply
-		sent := time.Now()
 		// The envelope carries the batch head's trace (per-result context
 		// rides in the result bodies), so the return hop is attributable too.
 		err := cli.CallTrace(fproto.MethodDeliver, fproto.DeliverRequest{
 			ExecutorID: e.opts.ID,
-			Results:    results,
+			Results:    ps.results,
 			WantWork:   true,
 			MaxNew:     ps.Ask(e.opts.Prefetch),
-		}, &reply, results[0].Result.Trace, 0)
+		}, &ps.acked, ps.results[0].Result.Trace, 0)
+		back := time.Now()
 		if err != nil {
+			e.traceAssigned(ps, 0, 0, nil) // what the batch gathered
 			if !e.isStopping() {
 				e.logf("executor %s: deliver: %v", e.opts.ID, err)
 			}
 			return
 		}
-		ps.RTT = time.Since(sent)
+		ps.RTT = back.Sub(pickup) // from the last task's end: what the slot waited
 		if e.opts.Faults.ResultThenDie() {
 			// The dispatcher holds the results but this executor dies before
 			// acting on the acknowledgment — the duplicate-provoking failure.
 			e.crash("result-then-die")
 		}
-		now := e.at()
-		for _, tr := range results {
+		now := e.on(back)
+		for _, tr := range ps.results {
 			ps.evs = append(ps.evs, obs.Event{At: now, Kind: obs.EvDelivered, Trace: tr.Result.Trace, Task: tr.Result.ID, EPR: tr.EPR, Executor: e.opts.ID})
 		}
-		e.traceAssigned(ps, now, obs.EvAcked, reply.Assignments)
-		as = reply.Assignments
+		as = ps.acked.Assignments
+		e.traceAssigned(ps, now, obs.EvAcked, as)
+		pickup = back
 	}
 }
 
@@ -649,17 +661,17 @@ func pullSize(rtt, run time.Duration, out, limit int) int {
 	return max(1, min(n, limit))
 }
 
-// runTask executes one task and returns its result plus measured run time.
-// cacheHit marks data-aware assignments whose input is already resident on
-// this node, so staging is skipped.
-func (e *Executor) runTask(t task.Task, cacheHit bool) (task.Result, time.Duration) {
-	r := task.Result{ID: t.ID, Trace: t.Trace, ExecutorID: e.opts.ID}
+// runTask executes one task and returns its result and when it started and
+// ended. cacheHit marks data-aware assignments whose input is already resident
+// on this node, so staging is skipped.
+func (e *Executor) runTask(t *task.Task, cacheHit bool) (r task.Result, start, end time.Time) {
+	r = task.Result{ID: t.ID, Trace: t.Trace, ExecutorID: e.opts.ID}
 	if d := e.opts.Faults.ExecStall(); d > 0 {
 		// Injected stall: long enough to trip the dispatcher's replay
 		// timeout, so the same task races its own re-dispatch.
 		time.Sleep(d)
 	}
-	start := time.Now()
+	start = time.Now()
 	switch t.Engine {
 	case task.EngineSleep:
 		e.sleepScaled(t.Duration)
@@ -675,7 +687,7 @@ func (e *Executor) runTask(t task.Task, cacheHit bool) (task.Result, time.Durati
 			r.ExitCode = -1
 			break
 		}
-		out, code, err := fn(t)
+		out, code, err := fn(*t)
 		r.Stdout, r.ExitCode = out, code
 		if err != nil {
 			r.Err = err.Error()
@@ -686,7 +698,7 @@ func (e *Executor) runTask(t task.Task, cacheHit bool) (task.Result, time.Durati
 		r.Err = fmt.Sprintf("executor: unknown engine %v", t.Engine)
 		r.ExitCode = -1
 	}
-	return r, time.Since(start)
+	return r, start, time.Now()
 }
 
 // crash terminates the process for an injected executor fault. Exit code
@@ -712,7 +724,7 @@ func (e *Executor) sleepScaled(d time.Duration) {
 }
 
 // runExec forks a real process for an EngineExec task.
-func (e *Executor) runExec(t task.Task, r *task.Result) {
+func (e *Executor) runExec(t *task.Task, r *task.Result) {
 	ctx := context.Background()
 	if e.opts.ExecTimeout > 0 {
 		var cancel context.CancelFunc

@@ -9,6 +9,7 @@ import (
 	"falkon/internal/client"
 	"falkon/internal/dispatch"
 	"falkon/internal/executor"
+	"falkon/internal/obs"
 	"falkon/internal/task"
 )
 
@@ -315,5 +316,70 @@ func TestExecTimeoutKillsRunawayProcess(t *testing.T) {
 	}
 	if time.Since(start) > 20*time.Second {
 		t.Fatal("timeout did not cut the process short")
+	}
+}
+
+// The trace ring of a one-slot executor is its batches one after another, and
+// a batch is exactly: how its tasks arrived, each task's start and finish in
+// the order they ran, then their delivery — whether the events are recorded as
+// they happen or, as now, in one call per batch. Stamps never run backwards.
+func TestTraceRingIsBatchAfterBatch(t *testing.T) {
+	d := startDispatcher(t)
+	ex, err := executor.Start(executor.Options{ID: "ring-exec", DispatcherAddr: d.Addr(), TraceCapacity: 1 << 14, Logf: t.Logf})
+	if err != nil {
+		t.Fatal(err)
+	}
+	defer ex.Stop()
+	c, err := client.Connect(client.Options{DispatcherAddr: d.Addr(), BundleSize: 500})
+	if err != nil {
+		t.Fatal(err)
+	}
+	defer c.Close()
+	const n = 1000
+	var gen task.IDGen
+	if err := c.Submit(task.Batch(&gen, n, 0)); err != nil {
+		t.Fatal(err)
+	}
+	if _, err := c.WaitN(n, 30*time.Second); err != nil {
+		t.Fatal(err)
+	}
+	// The last batch's events are recorded once its Deliver has returned,
+	// which the client's last result can beat.
+	var evs []obs.Event
+	for deadline := time.Now().Add(5 * time.Second); len(evs) < 4*n && time.Now().Before(deadline); time.Sleep(2 * time.Millisecond) {
+		evs, _ = ex.Tracer().Since(0, 0)
+	}
+	if len(evs) != 4*n {
+		t.Fatalf("%d events for %d tasks, want four each", len(evs), n)
+	}
+	largest, last := 0, time.Duration(0)
+	for i := 0; i < len(evs); {
+		var batch []task.ID
+		for ; i < len(evs) && (evs[i].Kind == obs.EvPulled || evs[i].Kind == obs.EvAcked || evs[i].Kind == obs.EvPushed); i++ {
+			batch = append(batch, evs[i].Task)
+		}
+		if len(batch) == 0 || i+3*len(batch) > len(evs) {
+			t.Fatalf("event %d (%+v) does not open a batch the ring holds whole", i, evs[i])
+		}
+		largest = max(largest, len(batch))
+		for j, id := range batch {
+			started, finished, delivered := evs[i+2*j], evs[i+2*j+1], evs[i+2*len(batch)+j]
+			if started.Kind != obs.EvStarted || finished.Kind != obs.EvFinished || delivered.Kind != obs.EvDelivered ||
+				started.Task != id || finished.Task != id || delivered.Task != id {
+				t.Fatalf("task %v, %d of a batch of %d: started %+v, finished %+v, delivered %+v", id, j, len(batch), started, finished, delivered)
+			}
+			if started.At < last || finished.At < started.At || delivered.At < finished.At {
+				t.Fatalf("task %v's stamps run backwards: %v after %v, %v, %v", id, started.At, last, finished.At, delivered.At)
+			}
+			last = finished.At
+		}
+		i += 3 * len(batch)
+	}
+	if largest < 2 {
+		t.Errorf("no batch held two tasks: the order within a batch was not exercised")
+	}
+	snap := ex.Metrics().Snapshot()
+	if run, over := snap.Histograms["falkon_executor_run_seconds"], snap.Histograms["falkon_executor_overhead_seconds"]; run.Count != n || over.Count != n {
+		t.Errorf("run and overhead histograms hold %d and %d observations, want %d each", run.Count, over.Count, n)
 	}
 }

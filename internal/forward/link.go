@@ -43,10 +43,13 @@ type link struct {
 	deferred  []fproto.Assignment
 	notBefore time.Time
 
-	// dmu guards tagged, the delivery being handed to the root; smu, what goes
-	// down the wire (the link's goroutine and submit handlers take turns, so a
-	// downstream instance is created once) and stocked, a stocking's grants.
+	// dmu guards the link's scratch for a delivery: pushed, what the leaf's push
+	// is decoded into, and tagged, the same results as handed to the root. smu
+	// guards what goes down the wire (the link's goroutine and submit handlers
+	// take turns, so a downstream instance is created once) and stocked, a
+	// stocking's grants.
 	dmu, smu sync.Mutex
+	pushed   fproto.ResultsNotify
 	tagged   []fproto.TaggedResult
 	stocked  []fproto.Assignment
 
@@ -177,15 +180,22 @@ func (l *link) due() (again []fproto.Assignment, room int) {
 // the link; a result notification is one delivery to the root, after which the
 // link's goroutine restocks the leaf.
 func (l *link) onNotify(method string, body json.RawMessage) {
-	var n fproto.ResultsNotify
-	switch {
-	case method == fproto.NotifyCapacity:
+	if method == fproto.NotifyCapacity {
 		var h fproto.CapacityHint
 		if json.Unmarshal(body, &h) == nil {
 			l.absorbHint(h)
 		}
 		return
-	case method != fproto.NotifyResults || n.DecodeJSON(body) != nil:
+	} else if method != fproto.NotifyResults {
+		return
+	}
+	// One delivery at a time (an old connection's read loop may be draining
+	// beside its replacement's), through one pair of buffers: the root keeps
+	// nothing of a request.
+	l.dmu.Lock()
+	defer l.dmu.Unlock()
+	n := &l.pushed
+	if n.DecodeJSON(body) != nil {
 		return
 	}
 	l.mu.Lock()
@@ -200,18 +210,15 @@ func (l *link) onNotify(method string, body json.RawMessage) {
 	if !ok {
 		return // an instance this root dropped or destroyed
 	}
-	// One at a time (an old connection's read loop may be draining beside its
-	// replacement's), sharing one buffer: the root keeps nothing of a request.
-	l.dmu.Lock()
-	l.tagged = l.tagged[:0]
+	l.tagged = fproto.Recycle(l.tagged)
 	for i := range n.Results {
 		r := &n.Results[i]
 		l.tagged = append(l.tagged, fproto.TaggedResult{EPR: epr, Result: *r, RunDur: r.FinishedAt - r.StartedAt})
 	}
 	// An error means the link is not registered: the root requeued these tasks.
 	_, err := l.f.root.Deliver(&fproto.DeliverRequest{ExecutorID: l.id, Results: l.tagged})
-	clear(l.tagged) // the results' output strings
-	l.dmu.Unlock()
+	clear(l.tagged) // the results' output strings, twice
+	clear(n.Results)
 	if err == nil {
 		l.Notify("", nil)
 	}
@@ -250,7 +257,7 @@ func (l *link) stock(wait bool) bool {
 		return true
 	}
 	var err error
-	l.stocked, err = l.f.root.Stock(l.id, min(want, l.f.opts.Bundle), want, l.stocked[:0])
+	l.stocked, err = l.f.root.Stock(l.id, min(want, l.f.opts.Bundle), want, fproto.Recycle(l.stocked))
 	l.send(l.stocked)
 	clear(l.stocked) // the tasks' strings
 	return err != nil || len(l.stocked) >= want

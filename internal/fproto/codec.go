@@ -27,7 +27,9 @@ import (
 // differential tests.
 //
 // The body a decoder is given aliases the connection's read buffer, so it
-// copies every string it keeps.
+// copies every string it keeps. A message's one slice is decoded into the
+// array the receiver already holds (room): whoever keeps a message value from
+// one decode to the next keeps its memory (DESIGN.md §9, "Scratch").
 
 // CodecFallbacks counts bodies DecodeJSON handed to encoding/json, in this
 // process. Peers running this code only ever send the canonical layout, so
@@ -73,6 +75,37 @@ const maxPresize = 1024
 // once; the reader sizes the chunks the elements' strings share by the same
 // count.
 func elems(r *jsonwire.Reader) int { return min(r.Count(`{"id":`), maxPresize) }
+
+// Scribble is a hook for tests: it is handed every slice of scratch, to its
+// capacity, as its owner recycles it, and overwrites it — whatever still reads
+// the message before reads garbage, and nothing may notice. Nil outside tests.
+var Scribble func(scratch any)
+
+// Recycle empties a slice of scratch its owner has finished with.
+func Recycle[T any](s []T) []T {
+	if Scribble != nil {
+		Scribble(s[:cap(s)])
+	}
+	return s[:0]
+}
+
+// room readies the slice a message value holds for a decode of n elements:
+// the array it has, emptied, unless that is too short — or longer than any
+// count presizes, which is how one huge message's array is not kept for ever.
+func room[T any](s []T, n int) []T {
+	if s == nil || cap(s) < n || cap(s) > maxPresize {
+		return make([]T, 0, n)
+	}
+	return Recycle(s)
+}
+
+// settle ends a decode into a reused array: what a longer message left past
+// the end of now is zeroed, so that nothing unreadable keeps its strings alive.
+func settle[T any](now, was []T) {
+	if len(was) > len(now) {
+		clear(was[len(now):])
+	}
+}
 
 // AppendJSON appends m's JSON encoding to dst.
 func (m SubmitRequest) AppendJSON(dst []byte) []byte {
@@ -123,13 +156,14 @@ func (m *SubmitRequest) DecodeJSON(b []byte) error { return m.DecodeInterned(b, 
 func (m *SubmitRequest) DecodeInterned(b []byte, known Intern) error {
 	var r jsonwire.Reader
 	r.Reset(b)
+	was := m.Tasks
 	*m = SubmitRequest{}
 	r.Expect(`{"epr":`)
 	m.EPR = r.Interned("", known)
 	r.Expect(`,"tasks":`)
 	if !r.Lit(`null`) {
 		r.Expect(`[`)
-		m.Tasks = make([]task.Task, 0, elems(&r))
+		m.Tasks = room(was, elems(&r))
 		var zero task.Task
 		for prev := &zero; r.Elem(len(m.Tasks)); {
 			m.Tasks = append(m.Tasks, task.Task{})
@@ -139,6 +173,7 @@ func (m *SubmitRequest) DecodeInterned(b []byte, known Intern) error {
 		}
 	}
 	r.Expect(`}`)
+	settle(m.Tasks, was)
 	return finish(&r, b, m)
 }
 
@@ -260,12 +295,13 @@ func appendAssignments(dst []byte, as []Assignment) []byte {
 	return append(dst, `]}`...)
 }
 
-// parseAssignments is appendAssignments' inverse, up to the reader's end.
-func parseAssignments(r *jsonwire.Reader) []Assignment {
-	var as []Assignment
+// parseAssignments is appendAssignments' inverse, up to the reader's end,
+// into the array of was, the assignments the reply held before.
+func parseAssignments(r *jsonwire.Reader, was []Assignment) []Assignment {
+	as := was[:0]
 	r.Expect(`{`)
 	if r.Lit(`"assignments":[`) {
-		as = make([]Assignment, 0, elems(r))
+		as = room(was, elems(r))
 		var zero Assignment
 		for prev := &zero; r.Elem(len(as)); {
 			as = append(as, Assignment{})
@@ -282,6 +318,7 @@ func parseAssignments(r *jsonwire.Reader) []Assignment {
 		}
 	}
 	r.Expect(`}`)
+	settle(as, was)
 	return as
 }
 
@@ -292,7 +329,7 @@ func (m GetWorkReply) AppendJSON(dst []byte) []byte { return appendAssignments(d
 func (m *GetWorkReply) DecodeJSON(b []byte) error {
 	var r jsonwire.Reader
 	r.Reset(b)
-	*m = GetWorkReply{Assignments: parseAssignments(&r)}
+	*m = GetWorkReply{Assignments: parseAssignments(&r, m.Assignments)}
 	return finish(&r, b, m)
 }
 
@@ -303,7 +340,7 @@ func (m DeliverReply) AppendJSON(dst []byte) []byte { return appendAssignments(d
 func (m *DeliverReply) DecodeJSON(b []byte) error {
 	var r jsonwire.Reader
 	r.Reset(b)
-	*m = DeliverReply{Assignments: parseAssignments(&r)}
+	*m = DeliverReply{Assignments: parseAssignments(&r, m.Assignments)}
 	return finish(&r, b, m)
 }
 
@@ -351,11 +388,12 @@ func (m *DeliverRequest) DecodeJSON(b []byte) error { return m.DecodeInterned(b,
 func (m *DeliverRequest) DecodeInterned(b []byte, known Intern) error {
 	var r jsonwire.Reader
 	r.Reset(b)
-	*m = DeliverRequest{}
+	was := m.Results
+	*m = DeliverRequest{Results: was[:0]}
 	r.Expect(`{"executor_id":`)
 	m.ExecutorID = r.Interned("", known)
 	if r.Lit(`,"results":[`) {
-		m.Results = make([]TaggedResult, 0, elems(&r))
+		m.Results = room(was, elems(&r))
 		first := TaggedResult{Result: task.Result{ExecutorID: m.ExecutorID}}
 		for prev := &first; r.Elem(len(m.Results)); {
 			m.Results = append(m.Results, TaggedResult{})
@@ -380,6 +418,7 @@ func (m *DeliverRequest) DecodeInterned(b []byte, known Intern) error {
 		m.MaxNew = r.Int()
 	}
 	r.Expect(`}`)
+	settle(m.Results, was)
 	return finish(&r, b, m)
 }
 
@@ -426,13 +465,14 @@ func (m *ResultsNotify) DecodeJSON(b []byte) error { return m.DecodeInterned(b, 
 func (m *ResultsNotify) DecodeInterned(b []byte, known Intern) error {
 	var r jsonwire.Reader
 	r.Reset(b)
+	was := m.Results
 	*m = ResultsNotify{}
 	r.Expect(`{"epr":`)
 	m.EPR = r.Interned("", known)
 	r.Expect(`,"results":`)
 	if !r.Lit(`null`) {
 		r.Expect(`[`)
-		m.Results = make([]task.Result, 0, elems(&r))
+		m.Results = room(was, elems(&r))
 		var zero task.Result
 		for prev := &zero; r.Elem(len(m.Results)); {
 			m.Results = append(m.Results, task.Result{})
@@ -442,5 +482,6 @@ func (m *ResultsNotify) DecodeInterned(b []byte, known Intern) error {
 		}
 	}
 	r.Expect(`}`)
+	settle(m.Results, was)
 	return finish(&r, b, m)
 }

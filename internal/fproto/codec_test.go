@@ -381,6 +381,13 @@ func FuzzBodyCodec(f *testing.F) {
 		f.Add(uint8(i), v.AppendJSON(nil))
 	}
 	f.Add(uint8(0), manyArgs(3, 40)) // one element outgrowing the chunks the count sized
+	// The integers around jsonwire.ParseUint's one overflow check (its test's
+	// uintEdges), as a task ID and as a trace.
+	for _, n := range []string{"9999999999999999999", "10000000000000000000", "18446744073709551615",
+		"18446744073709551616", "99999999999999999999", "100000000000000000000", "01", "00000000000000000001"} {
+		f.Add(uint8(0), []byte(`{"epr":"e","tasks":[{"id":`+n+`,"command":"sleep","trace":`+n+`}]}`))
+		f.Add(uint8(7), []byte(`{"epr":"e","results":[{"id":`+n+`,"trace":`+n+`}]}`))
+	}
 	f.Fuzz(func(t *testing.T, kind uint8, data []byte) {
 		k := bodyKinds[int(kind)%len(bodyKinds)]
 		got, want := k.fresh(), k.fresh()
@@ -435,9 +442,10 @@ func TestCodecAllocs(t *testing.T) {
 		t.Errorf("AppendJSON into a warmed buffer allocates %.0f times, want 0", n)
 	}
 
-	// A piggy-backed one-argument assignment: what the decoder must keep is the
-	// Assignments slice, the EPR, the command, the Args slice and its one
-	// string — 5 objects. (encoding/json took 13 for the same body.)
+	// A piggy-backed one-argument assignment: what the decoder must allocate is
+	// the EPR, the command, the Args slice and its one string — 4 objects; the
+	// Assignments slice is the one the reply already held. (encoding/json took
+	// 13 for the same body.)
 	body := DeliverReply{Assignments: []Assignment{{EPR: "falkon-instance-1",
 		Task: task.Task{ID: 7, Command: "sleep", Args: []string{"0.25"}, Trace: 9}}}}.AppendJSON(nil)
 	var reply DeliverReply
@@ -445,13 +453,13 @@ func TestCodecAllocs(t *testing.T) {
 		if err := reply.DecodeJSON(body); err != nil {
 			t.Fatal(err)
 		}
-	}); n != 5 {
-		t.Errorf("DecodeJSON of a one-assignment DeliverReply allocates %.0f times, want 5", n)
+	}); n != 4 {
+		t.Errorf("DecodeJSON of a one-assignment DeliverReply allocates %.0f times, want 4", n)
 	}
 
-	// A bundle of results from one executor: the Results slice, and the first
-	// result's Stdout and executor ID — the other 63 repeat both and share
-	// them. The EPR is the caller's.
+	// A bundle of results from one executor: the first result's Stdout and
+	// executor ID — the other 63 repeat both and share them. The EPR is the
+	// caller's, the Results slice the one the message held.
 	body = notify.AppendJSON(nil)
 	var n ResultsNotify
 	own := func(b []byte) string {
@@ -464,8 +472,8 @@ func TestCodecAllocs(t *testing.T) {
 		if err := n.DecodeInterned(body, own); err != nil {
 			t.Fatal(err)
 		}
-	}); got != 3 {
-		t.Errorf("DecodeInterned of a 64-result ResultsNotify allocates %.0f times, want 3", got)
+	}); got != 2 {
+		t.Errorf("DecodeInterned of a 64-result ResultsNotify allocates %.0f times, want 2", got)
 	}
 }
 
@@ -487,6 +495,9 @@ func manyArgs(n, args int) []byte {
 // tasks each have an argument of their own decodes into the Tasks slice, the
 // EPR, the command the tasks share, one chunk of argument bytes and one of
 // Args slices, however many tasks it has. (3 + 2 per task before the chunks.)
+// And of those the slice is allocated once per message value, not per message:
+// a second decode into the value that took the first allocates one object
+// fewer, for each of the four messages that hold a slice.
 func TestDecodeAllocsDoNotGrowWithTheBundle(t *testing.T) {
 	for _, n := range []int{1, 64, maxPresize} {
 		req := SubmitRequest{EPR: "falkon-instance-1", Tasks: make([]task.Task, n)}
@@ -495,7 +506,7 @@ func TestDecodeAllocsDoNotGrowWithTheBundle(t *testing.T) {
 		}
 		body := req.AppendJSON(nil)
 		var got SubmitRequest
-		if allocs := testing.AllocsPerRun(20, func() { decodeFast(t, &got, body) }); allocs != 5 {
+		if allocs := testing.AllocsPerRun(20, func() { got = SubmitRequest{}; decodeFast(t, &got, body) }); allocs != 5 {
 			t.Errorf("DecodeJSON of a %d-task SubmitRequest allocates %.0f times, want 5", n, allocs)
 		}
 		if !reflect.DeepEqual(got, req) {
@@ -513,6 +524,32 @@ func TestDecodeAllocsDoNotGrowWithTheBundle(t *testing.T) {
 		}
 		if err := json.Unmarshal(body, &want); err != nil || !reflect.DeepEqual(got, want) {
 			t.Fatalf("%d tasks, the last with 1,000 arguments: decoded differently from encoding/json (%v)", n, err)
+		}
+	}
+	g := &gen{rand.New(rand.NewSource(3))}
+	for _, kind := range []int{0, 3, 4, 5, 7} { // the messages that hold a slice
+		k := bodyKinds[kind]
+		var long, short []byte // 64 elements, then 3: the array is kept, its tail let go
+		for len(long) == 0 || len(short) == 0 {
+			switch v := k.gen(g); bytes.Count(v.AppendJSON(nil), []byte(`{"id":`)) {
+			case 64:
+				long = v.AppendJSON(nil)
+			case 3:
+				short = v.AppendJSON(nil)
+			}
+		}
+		for _, body := range [][]byte{long, short} {
+			m, fresh := k.fresh(), 0.0
+			decodeFast(t, m, long)
+			again := testing.AllocsPerRun(20, func() { decodeFast(t, m, body) })
+			if fresh = testing.AllocsPerRun(20, func() { decodeFast(t, k.fresh(), body) }); again != fresh-2 {
+				// Two fewer: the slice, and the message value k.fresh allocates.
+				t.Errorf("%s: a second decode into the same value allocates %.0f times, a first %.0f, want two fewer", k.name, again, fresh)
+			}
+			want := k.fresh()
+			if err := json.Unmarshal(body, want); err != nil || !reflect.DeepEqual(m, want) {
+				t.Errorf("%s: decoded into a value that held 64 elements\n got %+v\nwant %+v (%v)", k.name, m, want, err)
+			}
 		}
 	}
 	var empty SubmitRequest

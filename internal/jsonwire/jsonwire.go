@@ -99,17 +99,17 @@ func HasPrefix(b []byte, s string) bool {
 }
 
 // ParseUint consumes a JSON non-negative integer: decimal digits with no
-// leading zero. Values past MaxUint64 are not ok.
+// leading zero. Values past MaxUint64 are not ok: nineteen digits cannot
+// overflow, so only a twentieth is checked, and a twenty-first refused.
 func ParseUint(p []byte) (uint64, []byte, bool) {
 	var n uint64
 	i := 0
-	for i < len(p) && p[i] >= '0' && p[i] <= '9' {
+	for ; i < len(p) && p[i] >= '0' && p[i] <= '9'; i++ {
 		d := uint64(p[i] - '0')
-		if n > (math.MaxUint64-d)/10 {
+		if i >= 19 && (i > 19 || n > (math.MaxUint64-d)/10) {
 			return 0, p, false
 		}
 		n = n*10 + d
-		i++
 	}
 	if i == 0 || (i > 1 && p[0] == '0') {
 		return 0, p, false

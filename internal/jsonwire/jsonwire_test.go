@@ -10,6 +10,19 @@ import (
 	"testing/quick"
 )
 
+// uintEdges are the integers around ParseUint's one overflow check: nineteen
+// digits, MaxUint64 and its neighbours, twenty digits past it, twenty-one, and
+// a leading zero at each length. (FuzzBodyCodec in internal/fproto is seeded
+// with the same.)
+var uintEdges = []string{
+	"0", "9", "9999999999999999999", "10000000000000000000",
+	"18446744073709551609", "18446744073709551610", "18446744073709551614",
+	"18446744073709551615", "18446744073709551616", "18446744073709551620",
+	"19999999999999999999", "99999999999999999999",
+	"100000000000000000000", "184467440737095516150", "000000000000000000001",
+	"01", "0000000000000000001", "00000000000000000001",
+}
+
 func TestParseNumbers(t *testing.T) {
 	for _, tc := range []struct {
 		in   string
@@ -27,6 +40,15 @@ func TestParseNumbers(t *testing.T) {
 		u, rest, ok := ParseUint([]byte(tc.in))
 		if ok != tc.ok || (ok && (u != tc.u || string(rest) != tc.rest)) {
 			t.Errorf("ParseUint(%q) = %d, %q, %v", tc.in, u, rest, ok)
+		}
+	}
+	// The overflow check is on the twentieth digit alone: around it, ParseUint
+	// and strconv.ParseUint agree on every value and on what is refused.
+	for _, in := range uintEdges {
+		want, err := strconv.ParseUint(in, 10, 64)
+		wantOK := err == nil && (in == "0" || in[0] != '0') // strconv takes leading zeros
+		if u, rest, ok := ParseUint([]byte(in + "}")); ok != wantOK || (ok && (u != want || string(rest) != "}")) {
+			t.Errorf("ParseUint(%q) = %d, %q, %v; strconv says %d, %v", in, u, rest, ok, want, err)
 		}
 	}
 	for _, tc := range []struct {

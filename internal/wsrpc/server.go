@@ -21,6 +21,11 @@ import (
 // installed with RegisterFast run inline on the read loop and must not.
 type Handler func(peer *Peer, body json.RawMessage) (any, error)
 
+// Releaser is a reply on loan: Release is called once it has been encoded into
+// the connection (or could not be), and its handler may then reuse what it
+// points into. A handler that returns an error releases its own.
+type Releaser interface{ Release() }
+
 // ServerOptions configures a Server.
 type ServerOptions struct {
 	// Security selects the connection profile; clients must match.
@@ -334,6 +339,9 @@ func (s *Server) reply(p *Peer, seq, trace uint64, recvNS int64, res any, herr e
 	n, err := p.fc.WriteEnvelope(kindReply, seq, "", errStr, meta, body)
 	if s.hWrite != nil {
 		s.hWrite.Observe(time.Since(t0).Seconds())
+	}
+	if r, ok := res.(Releaser); ok {
+		r.Release()
 	}
 	if err != nil {
 		// Peer is gone; the read loop will notice and clean up.

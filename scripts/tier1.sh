@@ -52,6 +52,11 @@ go test -run='TestAllocsPerTaskBudget' -cpu 1,2,4 -count=1 ./internal/core/
 # And what a level of the dispatch tree adds to it: a root over two leaves
 # against one dispatcher, same loop, plus a leaf restart mid-batch.
 go test -run='TestTreeHopAllocBudget' -cpu 1,2,4 -count=1 ./internal/forward/
+# The repo benchmark's smoke run: all four workloads in one process, 2,048
+# tasks a window, exactly-once checked bit per task ID — the check most likely
+# to catch a reused buffer read after it was recycled. (Builds into
+# .bench_build/, which is git-ignored.)
+sh benchmark/run.sh -smoke
 # Short fuzz pass over the journal decoder: it must never panic and never
 # fabricate records, whatever bytes a torn tail left behind.
 go test -run='^$' -fuzz=FuzzJournalDecode -fuzztime=5s ./internal/wal/

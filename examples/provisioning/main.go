@@ -48,25 +48,24 @@ func main() {
 func run(w workloads.Workload, idle time.Duration) (time.Duration, float64, int) {
 	e := sim.New(7)
 	m := simfalkon.New(e, simfalkon.NoSecurity())
-	var prov *simfalkon.Provisioner
 	if idle == 0 {
 		for i := 0; i < 32; i++ {
 			m.AddExecutor(0, nil)
 		}
-	} else {
-		l := lrm.New(e, lrm.PBS(), 100)
-		gw := lrm.NewGateway(e, l, lrm.GRAM4())
-		prov = simfalkon.NewProvisioner(m, gw, simfalkon.ProvisionerConfig{
-			Max:         32,
-			IdleTimeout: idle,
-			Policy:      provision.AllAtOnce(),
-		})
 	}
 	done := false
 	var makespan time.Duration
 	simfalkon.RunStaged(m, w, 32, func() { done = true; makespan = e.Now() })
-	if prov != nil {
-		prov.StartPolling(func() bool { return done })
+	// The provisioner is the one the live runtime ships (falkon.Config's
+	// Provisioning); only its allocator and its clock are simulated.
+	var prov *provision.Provisioner
+	if idle != 0 {
+		gw := lrm.NewGateway(e, lrm.New(e, lrm.PBS(), 100), lrm.GRAM4())
+		prov, _ = simfalkon.StartProvisioner(m, gw, provision.Options{
+			MaxExecutors: 32,
+			Acquisition:  provision.AllAtOnce(),
+			IdleTimeout:  idle,
+		}, func() bool { return done })
 	}
 	e.Run()
 
@@ -78,7 +77,7 @@ func run(w workloads.Workload, idle time.Duration) (time.Duration, float64, int)
 	util := used.Seconds() / (used + wasted).Seconds()
 	allocs := 0
 	if prov != nil {
-		allocs = prov.Requests()
+		allocs = prov.Allocations()
 	}
 	return makespan, util, allocs
 }

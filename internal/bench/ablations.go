@@ -118,14 +118,11 @@ func ablAcquisition(_ float64) *Result {
 		Title:  "Acquisition policy ablation (GRAM handles ~0.5 requests/s)",
 		Header: []string{"policy", "ramp to 32 (s)", "ramp, slow GRAM 0.1 req/s (s)", "18-stage makespan (s)", "GRAM requests"},
 	}
-	w := workloads.Synthetic18()
 
 	ramp := func(pol provision.AcquisitionPolicy, gwProf lrm.GatewayProfile) time.Duration {
 		e := sim.New(35)
-		l := lrm.New(e, lrm.PBS(), 100)
-		gw := lrm.NewGateway(e, l, gwProf)
+		gw := lrm.NewGateway(e, lrm.New(e, lrm.PBS(), 100), gwProf)
 		m := simfalkon.New(e, simfalkon.NoSecurity())
-		prov := simfalkon.NewProvisioner(m, gw, simfalkon.ProvisionerConfig{Max: 32, Policy: pol})
 		m.PreloadQueue(32, time.Hour) // sustained demand for 32 executors
 		var full time.Duration
 		m.OnStateChange = func() {
@@ -134,30 +131,15 @@ func ablAcquisition(_ float64) *Result {
 				e.Stop()
 			}
 		}
-		prov.StartPolling(func() bool { return full != 0 })
+		simfalkon.StartProvisioner(m, gw, provision.Options{MaxExecutors: 32, Acquisition: pol, Release: provision.ReleaseNever},
+			func() bool { return full != 0 })
 		e.Run()
 		return full
 	}
 
 	workload := func(pol provision.AcquisitionPolicy) (time.Duration, int) {
-		e := sim.New(35)
-		l := lrm.New(e, lrm.PBS(), 100)
-		gw := lrm.NewGateway(e, l, lrm.GRAM4())
-		m := simfalkon.New(e, simfalkon.NoSecurity())
-		prov := simfalkon.NewProvisioner(m, gw, simfalkon.ProvisionerConfig{
-			Max:         32,
-			IdleTimeout: 15 * time.Second,
-			Policy:      pol,
-		})
-		done := false
-		var makespan time.Duration
-		simfalkon.RunStaged(m, w, 32, func() { done = true; makespan = e.Now() })
-		prov.StartPolling(func() bool { return done })
-		e.Run()
-		if !done {
-			panic("abl-acquisition: incomplete")
-		}
-		return makespan, prov.Requests()
+		makespan, _, prov := runProvisioned18(35, provision.Options{Acquisition: pol, IdleTimeout: 15 * time.Second})
+		return makespan, prov.Allocations()
 	}
 
 	slow := lrm.GRAM4()
@@ -179,6 +161,25 @@ func ablAcquisition(_ float64) *Result {
 	return res
 }
 
+// runProvisioned18 runs the 18-stage workload on a 32-executor pool the
+// shipped provisioner acquires through GRAM4+PBS under opts, to the end of
+// the event queue, and returns the makespan with the model and provisioner.
+func runProvisioned18(seed int64, opts provision.Options) (time.Duration, *simfalkon.Model, *provision.Provisioner) {
+	e := sim.New(seed)
+	gw := lrm.NewGateway(e, lrm.New(e, lrm.PBS(), 100), lrm.GRAM4())
+	m := simfalkon.New(e, simfalkon.NoSecurity())
+	done := false
+	var makespan time.Duration
+	simfalkon.RunStaged(m, workloads.Synthetic18(), 32, func() { done = true; makespan = e.Now() })
+	opts.MaxExecutors = 32
+	prov, _ := simfalkon.StartProvisioner(m, gw, opts, func() bool { return done })
+	e.Run()
+	if !done {
+		panic("bench: 18-stage workload incomplete")
+	}
+	return makespan, m, prov
+}
+
 // ablRelease compares the distributed idle-timeout release (the paper's
 // experiments) with the centralized queue-threshold policy it describes but
 // does not run, and with never releasing.
@@ -193,7 +194,8 @@ func ablRelease(_ float64) *Result {
 		makespan time.Duration
 		util     float64
 	}
-	measure := func(m *simfalkon.Model, makespan time.Duration) outcome {
+	run := func(opts provision.Options) outcome {
+		makespan, m, _ := runProvisioned18(37, opts)
 		var wasted time.Duration
 		for _, x := range m.Executors() {
 			wasted += x.Lifetime(makespan) - x.BusyFor()
@@ -202,62 +204,13 @@ func ablRelease(_ float64) *Result {
 		return outcome{makespan, used.Seconds() / (used + wasted).Seconds()}
 	}
 
-	// Distributed 60 s (paper's Falkon-60).
-	runDistributed := func() outcome {
-		e := sim.New(37)
-		l := lrm.New(e, lrm.PBS(), 100)
-		gw := lrm.NewGateway(e, l, lrm.GRAM4())
-		m := simfalkon.New(e, simfalkon.NoSecurity())
-		prov := simfalkon.NewProvisioner(m, gw, simfalkon.ProvisionerConfig{Max: 32, IdleTimeout: 60 * time.Second})
-		done := false
-		var makespan time.Duration
-		simfalkon.RunStaged(m, w, 32, func() { done = true; makespan = e.Now() })
-		prov.StartPolling(func() bool { return done })
-		e.Run()
-		return measure(m, makespan)
-	}
-
-	// Centralized: provisioner releases idle executors when the queue is
-	// empty, checking once per poll.
-	runCentralized := func() outcome {
-		e := sim.New(37)
-		l := lrm.New(e, lrm.PBS(), 100)
-		gw := lrm.NewGateway(e, l, lrm.GRAM4())
-		m := simfalkon.New(e, simfalkon.NoSecurity())
-		prov := simfalkon.NewProvisioner(m, gw, simfalkon.ProvisionerConfig{Max: 32})
-		done := false
-		var makespan time.Duration
-		simfalkon.RunStaged(m, w, 32, func() { done = true; makespan = e.Now() })
-		prov.StartPolling(func() bool { return done })
-		// Central release check: if nothing queued or running, release all
-		// idle executors (the paper's "if there are no queued tasks,
-		// release all resources").
-		e.Every(time.Second, func() bool {
-			if m.QueueLen() == 0 && m.BusyExecutors() == 0 {
-				prov.ReleaseIdle()
-			}
-			return !done
-		})
-		e.Run()
-		return measure(m, makespan)
-	}
-
-	// Never release (Falkon-∞ behaviour but dynamically acquired).
-	runNever := func() outcome {
-		e := sim.New(37)
-		l := lrm.New(e, lrm.PBS(), 100)
-		gw := lrm.NewGateway(e, l, lrm.GRAM4())
-		m := simfalkon.New(e, simfalkon.NoSecurity())
-		prov := simfalkon.NewProvisioner(m, gw, simfalkon.ProvisionerConfig{Max: 32})
-		done := false
-		var makespan time.Duration
-		simfalkon.RunStaged(m, w, 32, func() { done = true; makespan = e.Now() })
-		prov.StartPolling(func() bool { return done })
-		e.Run()
-		return measure(m, makespan)
-	}
-
-	d, c, n := runDistributed(), runCentralized(), runNever()
+	// Distributed 60 s is the paper's Falkon-60. Centralized is the shipped
+	// policy at its tightest setting: with nothing queued and nothing
+	// running, each poll gives back the newest allocation. Never-release is
+	// Falkon-∞ behaviour but dynamically acquired.
+	d := run(provision.Options{Release: provision.ReleaseDistributed, IdleTimeout: 60 * time.Second})
+	c := run(provision.Options{Release: provision.ReleaseCentralized, QueueThreshold: 1})
+	n := run(provision.Options{Release: provision.ReleaseNever})
 	res.Rows = append(res.Rows, []string{"distributed idle-60s (paper)", f0(d.makespan.Seconds()), pct(d.util)})
 	res.Rows = append(res.Rows, []string{"centralized queue-empty", f0(c.makespan.Seconds()), pct(c.util)})
 	res.Rows = append(res.Rows, []string{"never release", f0(n.makespan.Seconds()), pct(n.util)})

@@ -110,6 +110,53 @@ func TestNoLiveRuntimeImports(t *testing.T) {
 	}
 }
 
+// The §4.6 rows as recorded at 1792109, when a simulator-private copy of the
+// acquire rule produced them. They now come from provision.Provisioner.Poll,
+// the decision the live runtime ships, and must not have moved: a change to
+// that decision (or to the model under it) shows up here as a diff of the
+// paper's tables, to be re-pinned with its reason in EXPERIMENTS.md.
+func TestProvisioningTablesPinned(t *testing.T) {
+	pinned := map[string][]string{
+		"table3": {
+			"GRAM4+PBS|495.6|55.5|10.1%",
+			"Falkon-15|96.8|17.9|15.6%",
+			"Falkon-60|102.7|17.9|14.8%",
+			"Falkon-120|79.3|17.9|18.4%",
+			"Falkon-180|44.1|17.9|28.8%",
+			"Falkon-inf|42.2|17.9|29.7%",
+			"Ideal (32 nodes)|42.2|17.8|29.7%",
+		},
+		"table4": {
+			"GRAM4+PBS|4121|32.1%|30.6%|1000",
+			"Falkon-15|1916|88.0%|65.8%|12",
+			"Falkon-60|1787|71.5%|70.5%|9",
+			"Falkon-120|1690|62.9%|74.6%|7",
+			"Falkon-180|1630|59.1%|77.3%|6",
+			"Falkon-inf|1264|44.1%|99.7%|0",
+			"Ideal (32 nodes)|1260|100.0%|100.0%|0",
+		},
+		"abl-acquisition": {
+			"all-at-once|134.4|134.4|1916|12",
+			"one-at-a-time|134.4|366.2|1916|125",
+			"additive-4|134.4|134.4|1916|25",
+			"exponential|134.4|134.4|1916|38",
+		},
+	}
+	for id, want := range pinned {
+		res, err := Run(id, 1)
+		if err != nil {
+			t.Fatal(err)
+		}
+		var got []string
+		for _, row := range res.Rows {
+			got = append(got, strings.Join(row, "|"))
+		}
+		if strings.Join(got, "\n") != strings.Join(want, "\n") {
+			t.Errorf("%s rows moved:\n%s\nwant:\n%s", id, strings.Join(got, "\n"), strings.Join(want, "\n"))
+		}
+	}
+}
+
 func TestRenderAlignment(t *testing.T) {
 	r := &Result{
 		ID:     "x",

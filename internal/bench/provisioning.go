@@ -73,19 +73,10 @@ func runFalkonStrategy(name string, idle time.Duration, sampleTrace bool) *provO
 	m.KeepRecords = true
 
 	out := &provOutcome{name: name, used: w.TotalCPU()}
-	var prov *simfalkon.Provisioner
 	if idle == 0 {
 		for i := 0; i < 32; i++ {
 			m.AddExecutor(0, nil)
 		}
-	} else {
-		l := lrm.New(e, lrm.PBS(), 100)
-		gw := lrm.NewGateway(e, l, lrm.GRAM4())
-		prov = simfalkon.NewProvisioner(m, gw, simfalkon.ProvisionerConfig{
-			Max:         32,
-			IdleTimeout: idle,
-			Policy:      provision.AllAtOnce(),
-		})
 	}
 
 	if sampleTrace {
@@ -99,16 +90,22 @@ func runFalkonStrategy(name string, idle time.Duration, sampleTrace bool) *provO
 		done = true
 		out.makespan = e.Now()
 	})
-	if prov != nil {
-		prov.StartPolling(func() bool { return done })
+	var prov *provision.Provisioner
+	var alloc *simfalkon.Allocator
+	if idle != 0 {
+		gw := lrm.NewGateway(e, lrm.New(e, lrm.PBS(), 100), lrm.GRAM4())
+		prov, alloc = simfalkon.StartProvisioner(m, gw, provision.Options{
+			MaxExecutors: 32,
+			IdleTimeout:  idle,
+		}, func() bool { return done })
 	}
 	if sampleTrace {
 		e.Every(2*time.Second, func() bool {
-			alloc := 0
-			if prov != nil {
-				alloc = prov.Allocated()
+			starting := 0
+			if alloc != nil {
+				_, starting = alloc.Counts()
 			}
-			out.allocated.Record(e.Now(), float64(alloc))
+			out.allocated.Record(e.Now(), float64(starting))
 			out.registered.Record(e.Now(), float64(m.IdleExecutors()))
 			out.active.Record(e.Now(), float64(m.BusyExecutors()))
 			return !done
@@ -133,7 +130,7 @@ func runFalkonStrategy(name string, idle time.Duration, sampleTrace bool) *provO
 		out.wasted += life - x.BusyFor()
 	}
 	if prov != nil {
-		out.allocations = prov.Requests()
+		out.allocations = prov.Allocations()
 	}
 	return out
 }

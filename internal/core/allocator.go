@@ -1,4 +1,4 @@
-package provision
+package core
 
 import (
 	"fmt"
@@ -8,8 +8,8 @@ import (
 	"falkon/internal/executor"
 )
 
-// LocalAllocator satisfies Allocator by starting in-process executors
-// against a live dispatcher. It stands in for the paper's GRAM4+PBS
+// LocalAllocator satisfies provision.Allocator by starting in-process
+// executors against a live dispatcher. It stands in for the paper's GRAM4+PBS
 // allocation pathway in the live runtime, with a configurable startup delay
 // modelling LRM queue wait plus executor bootstrap (the paper observed
 // 5–65 s; tests use milliseconds).
@@ -29,15 +29,14 @@ type LocalAllocator struct {
 }
 
 type localAlloc struct {
-	execs  []*executor.Executor
-	cancel chan struct{}
+	cancel chan struct{} // closed by Deallocate
 	wg     sync.WaitGroup
 }
 
 // Allocate starts n executors asynchronously.
 func (l *LocalAllocator) Allocate(n int, idleTimeout time.Duration) (string, error) {
 	if n <= 0 {
-		return "", fmt.Errorf("provision: allocation size %d", n)
+		return "", fmt.Errorf("core: allocation size %d", n)
 	}
 	l.mu.Lock()
 	if l.allocs == nil {
@@ -76,9 +75,15 @@ func (l *LocalAllocator) Allocate(n int, idleTimeout time.Duration) (string, err
 				return
 			}
 			l.alive++
-			a.execs = append(a.execs, ex)
 			l.mu.Unlock()
-			<-ex.Done() // idle self-release or Stop
+			// Each executor is stopped by the goroutine that started it, so
+			// one still inside Start when Deallocate ran is stopped too: it
+			// finds cancel closed when Start returns.
+			select {
+			case <-ex.Done(): // idle self-release or dispatcher gone
+			case <-a.cancel:
+				ex.Stop()
+			}
 			l.mu.Lock()
 			l.alive--
 			l.mu.Unlock()
@@ -87,7 +92,8 @@ func (l *LocalAllocator) Allocate(n int, idleTimeout time.Duration) (string, err
 	return id, nil
 }
 
-// Deallocate stops every executor in the allocation.
+// Deallocate stops every executor in the allocation, started or starting,
+// and returns once they are gone.
 func (l *LocalAllocator) Deallocate(id string) error {
 	l.mu.Lock()
 	a, ok := l.allocs[id]
@@ -96,15 +102,9 @@ func (l *LocalAllocator) Deallocate(id string) error {
 	}
 	l.mu.Unlock()
 	if !ok {
-		return fmt.Errorf("provision: unknown allocation %q", id)
+		return fmt.Errorf("core: unknown allocation %q", id)
 	}
 	close(a.cancel)
-	l.mu.Lock()
-	execs := a.execs
-	l.mu.Unlock()
-	for _, ex := range execs {
-		ex.Stop()
-	}
 	a.wg.Wait()
 	return nil
 }
@@ -114,18 +114,4 @@ func (l *LocalAllocator) Counts() (alive, pending int) {
 	l.mu.Lock()
 	defer l.mu.Unlock()
 	return l.alive, l.pending
-}
-
-// Wait blocks until all executors from all allocations have stopped; useful
-// in tests after Deallocate/idle-release.
-func (l *LocalAllocator) Wait() {
-	l.mu.Lock()
-	allocs := make([]*localAlloc, 0, len(l.allocs))
-	for _, a := range l.allocs {
-		allocs = append(allocs, a)
-	}
-	l.mu.Unlock()
-	for _, a := range allocs {
-		a.wg.Wait()
-	}
 }

@@ -88,7 +88,6 @@ type System struct {
 	remoteAddr  string
 	cli         *client.Client
 	execs       []*executor.Executor
-	allocator   *provision.LocalAllocator
 	provisioner *provision.Provisioner
 }
 
@@ -137,15 +136,17 @@ func Start(cfg Config) (*System, error) {
 	}
 
 	if p := cfg.Provisioning; p != nil {
-		s.allocator = &provision.LocalAllocator{Template: execTemplate, StartupDelay: p.StartupDelay}
 		poll := p.PollInterval
 		if poll <= 0 {
 			poll = 100 * time.Millisecond
 		}
 		prov, err := provision.New(provision.Options{
-			Stats:          func() (fproto.StatsReply, error) { return s.dispatcher.Stats(), nil },
+			Stats: func() (provision.Stats, error) {
+				st := s.dispatcher.Stats()
+				return provision.Stats{Queued: st.Queued, Running: st.Outstanding}, nil
+			},
 			Metrics:        s.dispatcher.Metrics(),
-			Allocator:      s.allocator,
+			Allocator:      &LocalAllocator{Template: execTemplate, StartupDelay: p.StartupDelay},
 			Acquisition:    p.Acquisition,
 			Release:        p.Release,
 			IdleTimeout:    p.IdleTimeout,
@@ -259,8 +260,7 @@ func (s *System) Close() error {
 	}
 	if s.provisioner != nil {
 		s.provisioner.Stop()
-		s.provisioner.ReleaseAll()
-		s.allocator.Wait()
+		s.provisioner.ReleaseAll() // returns once the executors are gone
 	}
 	for _, ex := range s.execs {
 		ex.Stop()

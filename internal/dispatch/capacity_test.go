@@ -16,9 +16,10 @@ import (
 )
 
 // TestAttachParentCapacityProtocol exercises the tree-parent side of the
-// dispatcher: attach-parent returns a capacity snapshot, submit replies
-// piggy-back fresh hints for attached parents (and only for them), and
-// executor-population changes push NotifyCapacity upward.
+// dispatcher: attach-parent returns the slot count, and the events that change
+// it — an executor registering or going away — each push one NotifyCapacity
+// upward, fresher by (Epoch, Seq) than what came before. Nothing else pushes:
+// a submit and the deliveries of its tasks leave the count where it was.
 func TestAttachParentCapacityProtocol(t *testing.T) {
 	d := dispatch.New(dispatch.Options{Logf: t.Logf})
 	if err := d.Listen("127.0.0.1:0"); err != nil {
@@ -47,99 +48,74 @@ func TestAttachParentCapacityProtocol(t *testing.T) {
 		t.Fatal(err)
 	}
 	t.Cleanup(func() { cli.Close() })
+	// awaitPush waits for the nth push and requires it to report slots.
+	awaitPush := func(n, slots int, after string) fproto.CapacityHint {
+		t.Helper()
+		for deadline := time.Now().Add(5 * time.Second); ; time.Sleep(10 * time.Millisecond) {
+			mu.Lock()
+			got := append([]fproto.CapacityHint(nil), pushed...)
+			mu.Unlock()
+			if len(got) > n {
+				t.Fatalf("%d capacity pushes after %s, want %d: %+v", len(got), after, n, got)
+			}
+			if len(got) == n {
+				if got[n-1].Executors != slots {
+					t.Fatalf("push after %s reports %d slots, want %d", after, got[n-1].Executors, slots)
+				}
+				return got[n-1]
+			}
+			if time.Now().After(deadline) {
+				t.Fatalf("no NotifyCapacity push after %s", after)
+			}
+		}
+	}
 
 	var attach fproto.CapacityHint
 	if err := cli.Call(fproto.MethodAttachParent, fproto.AttachParentRequest{Parent: "test-root"}, &attach); err != nil {
 		t.Fatal(err)
 	}
-	if attach.Executors != 0 || attach.Queued != 0 {
-		t.Fatalf("attach snapshot = %+v, want empty dispatcher", attach)
+	if attach.Executors != 0 || attach.Epoch == 0 || attach.Seq == 0 {
+		t.Fatalf("attach snapshot = %+v, want no slots, stamped with an epoch and a seq", attach)
 	}
 
 	var create fproto.CreateInstanceReply
 	if err := cli.Call(fproto.MethodCreateInstance, fproto.CreateInstanceRequest{ClientName: "root"}, &create); err != nil {
 		t.Fatal(err)
 	}
-
-	// A parent's submit acknowledgment carries a fresh hint reflecting the
-	// queued bundle.
 	var gen task.IDGen
 	var rep fproto.SubmitReply
 	if err := cli.Call(fproto.MethodSubmit, fproto.SubmitRequest{EPR: create.EPR, Tasks: task.Batch(&gen, 10, 0)}, &rep); err != nil {
 		t.Fatal(err)
 	}
-	if rep.Capacity == nil {
-		t.Fatal("submit reply from attached parent has no capacity hint")
-	}
-	if rep.Capacity.Queued != 10 {
-		t.Fatalf("hint queued = %d, want 10", rep.Capacity.Queued)
-	}
-	if rep.Capacity.Seq <= attach.Seq {
-		t.Fatalf("hint seq %d not newer than attach seq %d", rep.Capacity.Seq, attach.Seq)
-	}
 
-	// Registering an executor is a forced capacity push to the parent.
+	// Registering an executor changes the count: one push.
 	ex, err := executor.Start(executor.Options{ID: "cap-exec", DispatcherAddr: d.Addr(), SleepScale: 0})
 	if err != nil {
 		t.Fatal(err)
 	}
 	t.Cleanup(ex.Stop)
-	deadline := time.Now().Add(5 * time.Second)
-	for {
-		mu.Lock()
-		n := len(pushed)
-		mu.Unlock()
-		if n > 0 {
-			break
-		}
+	first := awaitPush(1, 1, "an executor registered")
+	if first.Epoch != attach.Epoch || first.Seq <= attach.Seq {
+		t.Fatalf("push %+v is not fresher than the attach snapshot %+v", first, attach)
+	}
+	// Its ten deliveries change nothing a parent is told.
+	for deadline := time.Now().Add(10 * time.Second); d.Stats().Completed < 10; time.Sleep(5 * time.Millisecond) {
 		if time.Now().After(deadline) {
-			t.Fatal("no NotifyCapacity push after executor registration")
+			t.Fatalf("tasks never ran: %+v", d.Stats())
 		}
-		time.Sleep(10 * time.Millisecond)
 	}
-	mu.Lock()
-	last := pushed[len(pushed)-1]
-	mu.Unlock()
-	if last.Executors != 1 {
-		t.Fatalf("pushed hint executors = %d, want 1", last.Executors)
-	}
+	awaitPush(1, 1, "ten deliveries")
 
-	// Hints count worker slots, not executors: a 4-slot executor is four, and
-	// an idle one has four free.
+	// Hints count worker slots, not executors: a 4-slot executor is four.
 	wide, err := executor.Start(executor.Options{ID: "cap-wide", DispatcherAddr: d.Addr(), Slots: 4, SleepScale: 0})
 	if err != nil {
 		t.Fatal(err)
 	}
-	t.Cleanup(wide.Stop)
-	var hint fproto.CapacityHint
-	for deadline := time.Now().Add(5 * time.Second); ; time.Sleep(10 * time.Millisecond) {
-		if err := cli.Call(fproto.MethodAttachParent, fproto.AttachParentRequest{}, &hint); err != nil {
-			t.Fatal(err)
-		}
-		if hint.Executors == 5 && hint.IdleSlots == 5 && hint.Queued == 0 {
-			break
-		}
-		if time.Now().After(deadline) {
-			t.Fatalf("hint with a 1-slot and a 4-slot executor idle = %+v, want 5 slots, 5 free", hint)
-		}
-	}
-
-	// A plain client (never attached) gets no hint on submit.
-	plain, err := wsrpc.Dial(d.Addr(), wsrpc.ClientOptions{})
-	if err != nil {
-		t.Fatal(err)
-	}
-	t.Cleanup(func() { plain.Close() })
-	var create2 fproto.CreateInstanceReply
-	if err := plain.Call(fproto.MethodCreateInstance, fproto.CreateInstanceRequest{ClientName: "plain"}, &create2); err != nil {
-		t.Fatal(err)
-	}
-	var rep2 fproto.SubmitReply
-	if err := plain.Call(fproto.MethodSubmit, fproto.SubmitRequest{EPR: create2.EPR, Tasks: task.Batch(&gen, 1, 0)}, &rep2); err != nil {
-		t.Fatal(err)
-	}
-	if rep2.Capacity != nil {
-		t.Fatalf("plain client got capacity hint %+v", rep2.Capacity)
+	second := awaitPush(2, 5, "a 4-slot executor registered")
+	wide.Stop()
+	third := awaitPush(3, 1, "it deregistered")
+	if second.Seq <= first.Seq || third.Seq <= second.Seq {
+		t.Fatalf("push seqs %d, %d, %d do not ascend", first.Seq, second.Seq, third.Seq)
 	}
 }
 
@@ -182,11 +158,11 @@ func TestCapacityHintsComposeThroughATree(t *testing.T) {
 		if err := cli.Call(fproto.MethodAttachParent, fproto.AttachParentRequest{}, &hint); err != nil {
 			t.Fatal(err)
 		}
-		if hint.Executors == 5 && hint.IdleSlots == 5 {
+		if hint.Executors == 5 {
 			return
 		}
 		if time.Now().After(deadline) {
-			t.Fatalf("the top root reports %+v, want the 5 worker slots of the bottom leaves, all free", hint)
+			t.Fatalf("the top root reports %+v, want the 5 worker slots of the bottom leaves", hint)
 		}
 	}
 }

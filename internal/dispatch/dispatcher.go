@@ -1135,7 +1135,7 @@ func (d *Dispatcher) onDisconnect(p *wsrpc.Peer) {
 		d.logf("dispatch: executor %s dropped with %d tasks in flight", meta, len(dropped))
 	}
 	d.flush(f)
-	d.noteCapacityChange(true) // executor population changed
+	d.noteCapacityChange()
 }
 
 // replayAll applies the replay policy to the attempts one event orphaned and

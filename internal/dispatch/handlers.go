@@ -297,15 +297,7 @@ func (d *Dispatcher) handleSubmit(p *wsrpc.Peer, body json.RawMessage) (any, err
 		}
 		d.hWALWait.Observe(time.Since(t3).Seconds())
 	}
-	reply := fproto.SubmitReply{Accepted: len(req.Tasks), Deduped: deduped}
-	if d.parents.Has(p) {
-		// A submitting parent gets a fresh capacity hint piggy-backed on the
-		// acknowledgment — its routing table tracks this leaf's backlog with
-		// zero extra round trips.
-		h := d.capacityHint()
-		reply.Capacity = &h
-	}
-	return reply, nil
+	return fproto.SubmitReply{Accepted: len(req.Tasks), Deduped: deduped}, nil
 }
 
 func (d *Dispatcher) handleCollect(_ *wsrpc.Peer, body json.RawMessage) (any, error) {
@@ -378,7 +370,7 @@ func (d *Dispatcher) Register(req fproto.RegisterRequest, to Pusher) fproto.Regi
 	d.notifyLocked(f, d.now())
 	d.mu.Unlock()
 	d.flush(f)
-	d.noteCapacityChange(true) // executor population changed
+	d.noteCapacityChange()
 	return fproto.RegisterReply{OK: true, DispatcherEpoch: d.epoch.UnixNano()}
 }
 
@@ -403,7 +395,7 @@ func (d *Dispatcher) Deregister(id string) int {
 	d.mu.Unlock()
 	d.wakeDrain()
 	d.flush(f)
-	d.noteCapacityChange(true) // executor population changed
+	d.noteCapacityChange()
 	return len(dropped)
 }
 
@@ -589,7 +581,6 @@ func (d *Dispatcher) deliver(f *fx, req *fproto.DeliverRequest) error {
 	d.hLockWait.Observe(t1.Sub(t0).Seconds())
 	d.hSchedCore.Observe(t2.Sub(t1).Seconds())
 	d.hFxFlush.Observe(t3.Sub(t2).Seconds())
-	d.noteCapacityChange(false) // throttled: completions free leaf headroom
 	return nil
 }
 

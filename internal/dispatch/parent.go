@@ -2,26 +2,17 @@ package dispatch
 
 import (
 	"encoding/json"
-	"sync/atomic"
-	"time"
 
 	"falkon/internal/fproto"
 	"falkon/internal/wsrpc"
 )
 
-// capPushInterval throttles capacity pushes to attached parents: executor
-// completions arrive thousands of times per second, but a routing hint only
-// needs to be fresh on the scale of a bundle round trip.
-const capPushInterval = 20 * time.Millisecond
-
 // parents tracks the connections registered as tree parents (forwarder
-// roots) via falkon.attach-parent. Parents receive NotifyCapacity pushes
-// whenever the dispatcher's headroom changes materially, and their submit
-// acknowledgments piggy-back a fresh hint.
+// roots) via falkon.attach-parent. Parents receive a NotifyCapacity push
+// whenever the dispatcher's worker slots change.
 type parents struct {
 	wsrpc.PeerSet
-	seq      atomic.Uint64
-	lastPush atomic.Int64 // unix nanos of the last throttled push
+	seq uint64 // numbers the hints; guarded by Dispatcher.mu
 }
 
 // handleAttachParent registers the peer as a tree parent and returns the
@@ -40,37 +31,24 @@ func (d *Dispatcher) handleAttachParent(p *wsrpc.Peer, body json.RawMessage) (an
 	return d.capacityHint(), nil
 }
 
-// capacityHint snapshots the dispatcher's headroom: backlog (queued +
-// outstanding) and worker slots, registered and free. Slots, not executors, so
-// that hints compose: a parent registers its link to this node with
+// capacityHint snapshots the dispatcher's worker slots. Slots, not executors,
+// so that hints compose: a parent registers its link to this node with
 // h.Executors slots, and an interior node, whose executors are such links,
 // then reports the worker slots of everything below it.
 func (d *Dispatcher) capacityHint() fproto.CapacityHint {
-	h := fproto.CapacityHint{Seq: d.parents.seq.Add(1), Epoch: d.epoch.UnixNano()}
 	d.mu.Lock()
-	h.Queued, h.Outstanding = d.core.QueueLen(), d.core.OutstandingLen()
-	h.Executors, h.IdleSlots = d.core.SlotStats()
-	d.mu.Unlock()
-	return h
+	defer d.mu.Unlock() // Seq taken with the count it numbers
+	d.parents.seq++
+	return fproto.CapacityHint{Executors: d.core.Slots(), Seq: d.parents.seq, Epoch: d.epoch.UnixNano()}
 }
 
-// noteCapacityChange pushes a fresh capacity hint to every attached parent,
-// throttled to capPushInterval. force bypasses the throttle (executor
-// population changes shift routing more than one completion does). The
-// no-parent fast path is a single atomic load, so the Deliver hot path pays
-// nothing when no tree is attached.
-func (d *Dispatcher) noteCapacityChange(force bool) {
+// noteCapacityChange pushes a fresh capacity hint to every attached parent.
+// Its callers are the events that change the slot count: an executor
+// registering (or re-registering at another size), deregistering, or
+// disconnecting.
+func (d *Dispatcher) noteCapacityChange() {
 	if d.parents.Len() == 0 {
 		return
-	}
-	now := time.Now().UnixNano()
-	if !force {
-		last := d.parents.lastPush.Load()
-		if now-last < int64(capPushInterval) || !d.parents.lastPush.CompareAndSwap(last, now) {
-			return
-		}
-	} else {
-		d.parents.lastPush.Store(now)
 	}
 	h := d.capacityHint()
 	// A dead parent is onDisconnect's to drop.

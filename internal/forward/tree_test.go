@@ -309,7 +309,7 @@ func TestForwarderRejectsLeafWithoutCapacityProtocol(t *testing.T) {
 func TestForwarderAttachCapacityPushRace(t *testing.T) {
 	srv := wsrpc.NewServer(wsrpc.ServerOptions{Logf: t.Logf})
 	srv.Register(fproto.MethodAttachParent, func(p *wsrpc.Peer, _ json.RawMessage) (any, error) {
-		if err := p.Notify(fproto.NotifyCapacity, fproto.CapacityHint{IdleSlots: 3, Executors: 3, Seq: 9}); err != nil {
+		if err := p.Notify(fproto.NotifyCapacity, fproto.CapacityHint{Executors: 3, Seq: 9}); err != nil {
 			return nil, err
 		}
 		return fproto.CapacityHint{Executors: 3, Seq: 1}, nil

@@ -185,25 +185,6 @@ func (m SubmitReply) AppendJSON(dst []byte) []byte {
 		dst = append(dst, `,"deduped":`...)
 		dst = jsonwire.AppendInt(dst, int64(m.Deduped))
 	}
-	if h := m.Capacity; h != nil {
-		dst = append(dst, `,"capacity":{"queued":`...)
-		dst = jsonwire.AppendInt(dst, int64(h.Queued))
-		dst = append(dst, `,"outstanding":`...)
-		dst = jsonwire.AppendInt(dst, int64(h.Outstanding))
-		dst = append(dst, `,"idle_slots":`...)
-		dst = jsonwire.AppendInt(dst, int64(h.IdleSlots))
-		dst = append(dst, `,"executors":`...)
-		dst = jsonwire.AppendInt(dst, int64(h.Executors))
-		if h.Seq != 0 {
-			dst = append(dst, `,"seq":`...)
-			dst = jsonwire.AppendUint(dst, h.Seq)
-		}
-		if h.Epoch != 0 {
-			dst = append(dst, `,"epoch":`...)
-			dst = jsonwire.AppendInt(dst, h.Epoch)
-		}
-		dst = append(dst, '}')
-	}
 	if m.RetryAfterMillis != 0 {
 		dst = append(dst, `,"retry_after_ms":`...)
 		dst = jsonwire.AppendInt(dst, m.RetryAfterMillis)
@@ -220,24 +201,6 @@ func (m *SubmitReply) DecodeJSON(b []byte) error {
 	m.Accepted = r.Int()
 	if r.Lit(`,"deduped":`) {
 		m.Deduped = r.Int()
-	}
-	if r.Lit(`,"capacity":{"queued":`) {
-		h := new(CapacityHint)
-		h.Queued = r.Int()
-		r.Expect(`,"outstanding":`)
-		h.Outstanding = r.Int()
-		r.Expect(`,"idle_slots":`)
-		h.IdleSlots = r.Int()
-		r.Expect(`,"executors":`)
-		h.Executors = r.Int()
-		if r.Lit(`,"seq":`) {
-			h.Seq = r.Uint()
-		}
-		if r.Lit(`,"epoch":`) {
-			h.Epoch = r.Int64()
-		}
-		r.Expect(`}`)
-		m.Capacity = h
 	}
 	if r.Lit(`,"retry_after_ms":`) {
 		m.RetryAfterMillis = r.Int64()

@@ -126,10 +126,7 @@ func TestBodyCodecWireCompat(t *testing.T) {
 			`{"epr":"falkon-instance-1","tasks":[` + goldTask + `,` + goldSleep + `]}`, &oldSubmitRequest{}},
 		{&SubmitRequest{EPR: "e"}, `{"epr":"e","tasks":null}`, &oldSubmitRequest{}},
 		{&SubmitReply{Accepted: 64}, `{"accepted":64}`, &oldSubmitReplyV2{}},
-		{&SubmitReply{Accepted: 2, Deduped: 1, RetryAfterMillis: 40,
-			Capacity: &CapacityHint{Queued: 5, Outstanding: 4, IdleSlots: 3, Executors: 8, Seq: 12, Epoch: 1700000000000000000}},
-			`{"accepted":2,"deduped":1,"capacity":{"queued":5,"outstanding":4,"idle_slots":3,"executors":8,"seq":12,"epoch":1700000000000000000},"retry_after_ms":40}`,
-			&oldSubmitReplyV2{}},
+		{&SubmitReply{Accepted: 2, Deduped: 1, RetryAfterMillis: 40}, `{"accepted":2,"deduped":1,"retry_after_ms":40}`, &oldSubmitReplyV2{}},
 		{&GetWorkRequest{ExecutorID: "exec-3", Max: 1}, `{"executor_id":"exec-3","max":1}`, &oldGetWorkRequest{}},
 		{&GetWorkReply{}, `{}`, &oldAssignments{}},
 		{&GetWorkReply{Assignments: []Assignment{{EPR: "falkon-instance-1", Task: tk, CacheHit: true}, {EPR: "falkon-instance-1", Task: sleep}}},
@@ -167,6 +164,40 @@ func TestBodyCodecWireCompat(t *testing.T) {
 		if back, _ := json.Marshal(tc.old); string(back) != tc.golden {
 			t.Errorf("old peer read %s as %s", enc, back)
 		}
+	}
+}
+
+// A leaf from before the capacity hint was a slot count piggy-backs a hint
+// on the submit acknowledgments of an attached parent, and pushes queue depths
+// in its hints. Nothing reads either any more: the acknowledgment decodes,
+// through the encoding/json fallback (its layout is no longer canonical), to
+// the fields that are left, and the hint to its slot count and freshness.
+func TestOldLeafCapacityWireCompat(t *testing.T) {
+	const oldHint = `{"queued":5,"outstanding":4,"idle_slots":3,"executors":8,"seq":12,"epoch":1700000000000000000}`
+	before := CodecFallbacks.Value()
+	var rep SubmitReply
+	if err := rep.DecodeJSON([]byte(`{"accepted":2,"deduped":1,"capacity":` + oldHint + `,"retry_after_ms":40}`)); err != nil {
+		t.Fatal(err)
+	}
+	if want := (SubmitReply{Accepted: 2, Deduped: 1, RetryAfterMillis: 40}); rep != want {
+		t.Errorf("old leaf's acknowledgment read as %+v, want %+v", rep, want)
+	}
+	if n := CodecFallbacks.Value() - before; n != 1 {
+		t.Errorf("%d fallbacks, want 1", n)
+	}
+	var h CapacityHint
+	if err := json.Unmarshal([]byte(oldHint), &h); err != nil {
+		t.Fatal(err)
+	}
+	if want := (CapacityHint{Executors: 8, Seq: 12, Epoch: 1700000000000000000}); h != want {
+		t.Errorf("old leaf's hint read as %+v, want %+v", h, want)
+	}
+	// And the other way: an old parent reads a new leaf's hint as a leaf with
+	// those slots and nothing queued.
+	var old oldCapacityHint
+	enc, _ := json.Marshal(h)
+	if err := json.Unmarshal(enc, &old); err != nil || old != (oldCapacityHint{Executors: 8, Seq: 12, Epoch: 1700000000000000000}) {
+		t.Errorf("old parent read %s as %+v (%v)", enc, old, err)
 	}
 }
 

@@ -42,12 +42,7 @@ var bodyKinds = []struct {
 		return m
 	}},
 	{"SubmitReply", func() bodyMsg { return new(SubmitReply) }, func(g *gen) bodyMsg {
-		m := &SubmitReply{Accepted: int(g.i64()), Deduped: int(g.i64()), RetryAfterMillis: g.i64()}
-		if g.rng.Intn(2) == 0 {
-			m.Capacity = &CapacityHint{Queued: int(g.i64()), Outstanding: int(g.i64()), IdleSlots: int(g.i64()),
-				Executors: int(g.i64()), Seq: g.u64(), Epoch: g.i64()}
-		}
-		return m
+		return &SubmitReply{Accepted: int(g.i64()), Deduped: int(g.i64()), RetryAfterMillis: g.i64()}
 	}},
 	{"GetWorkRequest", func() bodyMsg { return new(GetWorkRequest) }, func(g *gen) bodyMsg {
 		return &GetWorkRequest{ExecutorID: g.str(), Max: int(g.i64())}
@@ -242,7 +237,7 @@ func TestSubmitGrantIsASubmitRequest(t *testing.T) {
 // DecodeJSON overwrites: a field the body omits is zero afterwards, whatever
 // the receiver held (json.Unmarshal would keep it).
 func TestDecodeJSONOverwritesReceiver(t *testing.T) {
-	m := SubmitReply{Accepted: 1, Deduped: 2, RetryAfterMillis: 3, Capacity: &CapacityHint{}}
+	m := SubmitReply{Accepted: 1, Deduped: 2, RetryAfterMillis: 3}
 	decodeFast(t, &m, []byte(`{"accepted":9}`))
 	if !reflect.DeepEqual(m, SubmitReply{Accepted: 9}) {
 		t.Fatalf("stale fields survived: %+v", m)

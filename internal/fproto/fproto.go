@@ -55,10 +55,10 @@ const (
 	MethodEvents          = "falkon.events"
 	// MethodAttachParent registers the calling peer as a tree parent (a
 	// forwarder root): the dispatcher replies with its current capacity and
-	// thereafter pushes NotifyCapacity hints so the parent can route bundles
-	// by headroom. Every node of a tree answers it — an interior forwarder
-	// with its leaves' aggregate — and a parent does not route to a child
-	// that refuses it.
+	// thereafter pushes a NotifyCapacity hint whenever it changes, so the
+	// parent can size its link. Every node of a tree answers it — an interior
+	// forwarder with its leaves' aggregate — and a parent sends nothing to a
+	// child that refuses it.
 	MethodAttachParent = "falkon.attach-parent"
 )
 
@@ -135,10 +135,6 @@ type SubmitReply struct {
 	// (idempotent resubmission after a reconnect); they are counted in
 	// Accepted too, since their results are still owed to the client.
 	Deduped int `json:"deduped,omitempty"`
-	// Capacity piggy-backs a fresh capacity hint when the submitting peer
-	// attached as a tree parent, so every bundle acknowledgment refreshes
-	// the root's routing view. Absent for ordinary clients.
-	Capacity *CapacityHint `json:"capacity,omitempty"`
 	// RetryAfterMillis, when positive, means the bundle was NOT accepted:
 	// admission control (tenant quota or rate limit) shed it, and the
 	// client should resubmit after roughly this many milliseconds plus
@@ -154,23 +150,21 @@ type AttachParentRequest struct {
 	Parent string `json:"parent,omitempty"`
 }
 
-// CapacityHint is a leaf dispatcher's headroom summary, pushed upward to
-// tree parents (NotifyCapacity) and piggy-backed on bundle acknowledgments.
-// A parent registers its link to the leaf, in its own scheduling core, with
-// Executors slots (internal/forward).
+// CapacityHint is what a tree parent needs to know of a node below it: how
+// many worker slots it has. The attach-parent call returns one and the node
+// pushes another (NotifyCapacity) whenever the count changes — an executor
+// registers, resizes, deregisters or disconnects. A parent registers its link
+// to the node, in its own scheduling core, with Executors slots
+// (internal/forward). (A leaf from before this was a slot count sends queue
+// depths along, and a copy under "capacity" in its submit acknowledgments;
+// both are ignored.)
 type CapacityHint struct {
-	// Queued and Outstanding are the leaf's backlog: tasks waiting plus
-	// tasks dispatched but not yet delivered.
-	Queued      int `json:"queued"`
-	Outstanding int `json:"outstanding"`
-	// Executors is the worker slots registered, IdleSlots those that hold
-	// nothing — slots, not executors, so that an interior node, whose
-	// executors are links, reports the workers below it. (A leaf that
-	// predates this counts a multi-slot executor as one.)
-	IdleSlots int `json:"idle_slots"`
+	// Executors is the worker slots registered — slots, not executors, so
+	// that an interior node, whose executors are links, reports the workers
+	// below it.
 	Executors int `json:"executors"`
-	// Seq orders hints from one leaf: a push that arrives after a fresher
-	// one (piggy-backed on a submit acknowledgment, say) is discarded.
+	// Seq orders hints from one node: a hint that arrives after a fresher
+	// one (the attach snapshot after a push, say) is discarded.
 	Seq uint64 `json:"seq,omitempty"`
 	// Epoch identifies the dispatcher incarnation that produced the hint
 	// (its boot time). Seq restarts from 1 when a leaf restarts, so
@@ -451,8 +445,8 @@ type ShardStats struct {
 }
 
 // LeafStats is one leaf dispatcher's row in a tree root's StatsReply: the
-// leaf's own backlog and executor population (from its last capacity hint
-// or stats poll) plus the root's view of the traffic routed through it.
+// leaf's own backlog and executor population (from the stats call the root
+// makes on it to answer) plus the root's view of the traffic routed through it.
 type LeafStats struct {
 	Leaf string `json:"leaf"` // leaf dispatcher address
 	Up   bool   `json:"up"`

@@ -1,16 +1,21 @@
 package provision_test
 
 import (
-	"sync"
+	"fmt"
+	"go/parser"
+	"go/token"
+	"path/filepath"
+	"reflect"
+	"regexp"
+	"strconv"
+	"strings"
 	"testing"
 	"time"
 
-	"falkon/internal/client"
-	"falkon/internal/dispatch"
-	"falkon/internal/executor"
-	"falkon/internal/fproto"
+	"falkon/internal/lrm"
 	"falkon/internal/provision"
-	"falkon/internal/task"
+	"falkon/internal/sim"
+	"falkon/internal/simfalkon"
 )
 
 func sum(xs []int) int {
@@ -138,74 +143,192 @@ func TestReleasePolicyString(t *testing.T) {
 	}
 }
 
-// fakeAllocator records allocation calls for policy-level provisioner
-// tests.
+// fakeAllocator is the wall-clock driver's stand-in for a resource manager:
+// an allocation's executors are starting until settle, alive after it.
 type fakeAllocator struct {
-	mu      sync.Mutex
-	allocs  map[string]int
-	nextID  int
-	alive   int
-	dealloc []string
+	allocs         map[string]int
+	next           int
+	alive, pending int
 }
 
-func (f *fakeAllocator) Allocate(n int, idle time.Duration) (string, error) {
-	f.mu.Lock()
-	defer f.mu.Unlock()
+func (f *fakeAllocator) Allocate(n int, _ time.Duration) (string, error) {
 	if f.allocs == nil {
 		f.allocs = make(map[string]int)
 	}
-	f.nextID++
-	id := string(rune('a' + f.nextID - 1))
+	f.next++
+	id := fmt.Sprintf("alloc-%d", f.next)
 	f.allocs[id] = n
-	f.alive += n // instantly alive for these tests
+	f.pending += n
 	return id, nil
 }
 
 func (f *fakeAllocator) Deallocate(id string) error {
-	f.mu.Lock()
-	defer f.mu.Unlock()
-	f.alive -= f.allocs[id]
+	n, ok := f.allocs[id]
+	if !ok {
+		return fmt.Errorf("unknown allocation %q", id)
+	}
+	f.alive -= n
 	delete(f.allocs, id)
-	f.dealloc = append(f.dealloc, id)
 	return nil
 }
 
-func (f *fakeAllocator) Counts() (int, int) {
-	f.mu.Lock()
-	defer f.mu.Unlock()
-	return f.alive, 0
+func (f *fakeAllocator) Counts() (int, int) { return f.alive, f.pending }
+
+func (f *fakeAllocator) settle() { f.alive, f.pending = f.alive+f.pending, 0 }
+
+// recorder notes the calls the provisioner makes on the allocator under it.
+type recorder struct {
+	provision.Allocator
+	calls []string
+}
+
+func (r *recorder) Allocate(n int, idle time.Duration) (string, error) {
+	id, err := r.Allocator.Allocate(n, idle)
+	r.calls = append(r.calls, fmt.Sprintf("allocate %d idle=%v as %s", n, idle, id))
+	return id, err
+}
+
+func (r *recorder) Deallocate(id string) error {
+	r.calls = append(r.calls, "deallocate "+id)
+	return r.Allocator.Deallocate(id)
+}
+
+// step is one Poll: the stats it reads and the allocator calls it must make.
+// settle lets what earlier steps allocated come up first.
+type step struct {
+	settle bool
+	st     provision.Stats
+	want   []string
+}
+
+// The §3.1 decision as a table: options, then polls. Each row runs against
+// the fake allocator and against the simulator's (a GRAM gateway over a PBS
+// model, executors registering with a simfalkon.Model), and both must see
+// the same calls: the decision depends on the counts, not on who supplies
+// them.
+var decisionTable = []struct {
+	name  string
+	opts  provision.Options
+	steps []step
+}{
+	{"queue depth clamps at max, then demand is met",
+		provision.Options{MaxExecutors: 8, Release: provision.ReleaseNever},
+		[]step{
+			{st: provision.Stats{Queued: 10}, want: []string{"allocate 8 idle=0s as alloc-1"}},
+			{st: provision.Stats{Queued: 10}}, // still starting: pending counts as had
+			{settle: true, st: provision.Stats{Queued: 3, Running: 8}},
+		}},
+	{"running tasks are demand too",
+		provision.Options{MaxExecutors: 8, Release: provision.ReleaseNever},
+		[]step{
+			{st: provision.Stats{Queued: 1, Running: 2}, want: []string{"allocate 3 idle=0s as alloc-1"}},
+			{settle: true, st: provision.Stats{Queued: 2, Running: 3}, want: []string{"allocate 2 idle=0s as alloc-2"}},
+		}},
+	{"min executors held with nothing to do",
+		provision.Options{MinExecutors: 2, MaxExecutors: 8, Release: provision.ReleaseNever},
+		[]step{
+			{want: []string{"allocate 2 idle=0s as alloc-1"}},
+			{settle: true},
+		}},
+	{"the acquisition policy cuts the need",
+		provision.Options{MaxExecutors: 8, Acquisition: provision.Exponential(), Release: provision.ReleaseNever},
+		[]step{
+			{st: provision.Stats{Queued: 7}, want: []string{
+				"allocate 1 idle=0s as alloc-1", "allocate 2 idle=0s as alloc-2", "allocate 4 idle=0s as alloc-3"}},
+		}},
+	{"distributed release hands executors their timeout and never deallocates",
+		provision.Options{MaxExecutors: 4, Release: provision.ReleaseDistributed, IdleTimeout: time.Hour},
+		[]step{
+			{st: provision.Stats{Queued: 4}, want: []string{"allocate 4 idle=1h0m0s as alloc-1"}},
+			{settle: true},
+		}},
+	{"centralized release: newest allocation first, one a poll, only when nothing runs",
+		provision.Options{MaxExecutors: 4, Release: provision.ReleaseCentralized, QueueThreshold: 1, IdleTimeout: time.Hour},
+		[]step{
+			{st: provision.Stats{Queued: 2}, want: []string{"allocate 2 idle=0s as alloc-1"}},
+			{settle: true, st: provision.Stats{Queued: 4}, want: []string{"allocate 2 idle=0s as alloc-2"}},
+			{settle: true, st: provision.Stats{Running: 1}},
+			{st: provision.Stats{Queued: 1}},
+			{want: []string{"deallocate alloc-2"}},
+			{want: []string{"deallocate alloc-1"}},
+			{},
+		}},
+	{"centralized release below a queue threshold, down to min",
+		provision.Options{MinExecutors: 2, MaxExecutors: 6, Release: provision.ReleaseCentralized, QueueThreshold: 3},
+		[]step{
+			{st: provision.Stats{Queued: 4}, want: []string{"allocate 4 idle=0s as alloc-1"}},
+			{settle: true, st: provision.Stats{Queued: 6}, want: []string{"allocate 2 idle=0s as alloc-2"}},
+			{settle: true, st: provision.Stats{Queued: 3}},
+			{st: provision.Stats{Queued: 2}, want: []string{"deallocate alloc-2"}},
+			// Four alive is above min, so the last allocation goes too; the
+			// next poll acquires min again.
+			{st: provision.Stats{Queued: 2}, want: []string{"deallocate alloc-1"}},
+			{st: provision.Stats{Queued: 2}, want: []string{"allocate 2 idle=0s as alloc-3"}},
+		}},
+}
+
+func TestDecisionTable(t *testing.T) {
+	allocators := map[string]func() (alloc provision.Allocator, settle func()){
+		"fake": func() (provision.Allocator, func()) {
+			f := &fakeAllocator{}
+			return f, f.settle
+		},
+		"simfalkon": func() (provision.Allocator, func()) {
+			e := sim.New(1)
+			gw := lrm.NewGateway(e, lrm.New(e, lrm.PBS(), 100), lrm.GRAM4())
+			a := simfalkon.NewAllocator(simfalkon.New(e, simfalkon.NoSecurity()), gw)
+			// Ten minutes covers PBS's worst start (the paper's 5-65 s) and
+			// is short of the rows' idle timeout.
+			return a, func() { e.RunUntil(e.Now() + 10*time.Minute) }
+		},
+	}
+	for _, row := range decisionTable {
+		for kind, build := range allocators {
+			t.Run(row.name+"/"+kind, func(t *testing.T) {
+				alloc, settle := build()
+				rec := &recorder{Allocator: alloc}
+				var st provision.Stats
+				opts := row.opts
+				opts.Allocator = rec
+				opts.Stats = func() (provision.Stats, error) { return st, nil }
+				opts.Logf = t.Logf
+				p, err := provision.New(opts)
+				if err != nil {
+					t.Fatal(err)
+				}
+				for i, s := range row.steps {
+					if s.settle {
+						settle()
+					}
+					st, rec.calls = s.st, nil
+					p.Poll()
+					if !reflect.DeepEqual(rec.calls, s.want) {
+						alive, pending := alloc.Counts()
+						t.Fatalf("poll %d (%+v, alive %d, pending %d): calls %q, want %q", i, s.st, alive, pending, rec.calls, s.want)
+					}
+				}
+			})
+		}
+	}
 }
 
 func TestProvisionerAcquiresForQueueDepth(t *testing.T) {
 	alloc := &fakeAllocator{}
-	queued := 10
 	p, err := provision.New(provision.Options{
-		Stats:        func() (fproto.StatsReply, error) { return fproto.StatsReply{Queued: queued}, nil },
+		Stats:        func() (provision.Stats, error) { return provision.Stats{Queued: 10}, nil },
 		Allocator:    alloc,
 		MaxExecutors: 8,
-		PollInterval: 10 * time.Millisecond,
 		Logf:         t.Logf,
 	})
 	if err != nil {
 		t.Fatal(err)
 	}
-	p.Start()
-	defer p.Stop()
-	deadline := time.Now().Add(5 * time.Second)
-	for {
-		if alive, _ := alloc.Counts(); alive == 8 {
-			break // clamped at MaxExecutors
+	for poll := 0; poll < 5; poll++ {
+		p.Poll()
+		alloc.settle()
+		if alive, _ := alloc.Counts(); alive != 8 {
+			t.Fatalf("poll %d: alive = %d, want 8 (clamped at MaxExecutors)", poll, alive)
 		}
-		if time.Now().After(deadline) {
-			alive, _ := alloc.Counts()
-			t.Fatalf("alive = %d, want 8", alive)
-		}
-		time.Sleep(5 * time.Millisecond)
-	}
-	// Demand satisfied: no further allocations.
-	time.Sleep(50 * time.Millisecond)
-	if alive, _ := alloc.Counts(); alive != 8 {
-		t.Fatalf("alive drifted to %d", alive)
 	}
 	if p.Allocations() != 1 {
 		t.Fatalf("allocations = %d, want 1 (all-at-once)", p.Allocations())
@@ -214,53 +337,60 @@ func TestProvisionerAcquiresForQueueDepth(t *testing.T) {
 
 func TestProvisionerCentralizedRelease(t *testing.T) {
 	alloc := &fakeAllocator{}
-	var mu sync.Mutex
 	queued := 4
 	p, err := provision.New(provision.Options{
-		Stats: func() (fproto.StatsReply, error) {
-			mu.Lock()
-			defer mu.Unlock()
-			return fproto.StatsReply{Queued: queued}, nil
-		},
+		Stats:          func() (provision.Stats, error) { return provision.Stats{Queued: queued}, nil },
 		Allocator:      alloc,
 		Release:        provision.ReleaseCentralized,
 		QueueThreshold: 1,
 		MaxExecutors:   4,
-		PollInterval:   10 * time.Millisecond,
 		Logf:           t.Logf,
 	})
 	if err != nil {
 		t.Fatal(err)
 	}
-	p.Start()
-	defer p.Stop()
-	deadline := time.Now().Add(5 * time.Second)
-	for {
-		if alive, _ := alloc.Counts(); alive == 4 {
-			break
-		}
-		if time.Now().After(deadline) {
-			t.Fatal("never acquired")
-		}
-		time.Sleep(5 * time.Millisecond)
+	p.Poll()
+	alloc.settle()
+	if alive, _ := alloc.Counts(); alive != 4 {
+		t.Fatalf("alive = %d, want 4", alive)
 	}
-	mu.Lock()
 	queued = 0
-	mu.Unlock()
-	for {
-		if alive, _ := alloc.Counts(); alive == 0 {
-			break
-		}
-		if time.Now().After(deadline) {
-			alive, _ := alloc.Counts()
-			t.Fatalf("alive = %d after queue drained", alive)
-		}
-		time.Sleep(5 * time.Millisecond)
+	p.Poll()
+	if alive, _ := alloc.Counts(); alive != 0 {
+		t.Fatalf("alive = %d after the queue drained", alive)
+	}
+	if p.Allocations() != 1 {
+		t.Fatalf("allocations = %d, want 1 (a release is not a request)", p.Allocations())
 	}
 }
 
+// The wall-clock driver is a ticker around Poll: it evaluates at once on
+// Start, and Stop returns with the loop gone.
+func TestStartPollsImmediatelyAndStops(t *testing.T) {
+	polled := make(chan struct{}, 1)
+	p, err := provision.New(provision.Options{
+		Stats: func() (provision.Stats, error) {
+			select {
+			case polled <- struct{}{}:
+			default:
+			}
+			return provision.Stats{}, nil
+		},
+		Allocator:    &fakeAllocator{},
+		MaxExecutors: 1,
+		PollInterval: time.Hour,
+	})
+	if err != nil {
+		t.Fatal(err)
+	}
+	p.Start()
+	<-polled
+	p.Stop()
+	p.Stop() // a second Stop is harmless
+}
+
 func TestProvisionerValidation(t *testing.T) {
-	stats := func() (fproto.StatsReply, error) { return fproto.StatsReply{}, nil }
+	stats := func() (provision.Stats, error) { return provision.Stats{}, nil }
 	alloc := &fakeAllocator{}
 	cases := []provision.Options{
 		{Allocator: alloc, MaxExecutors: 1},                                // nil stats
@@ -275,115 +405,27 @@ func TestProvisionerValidation(t *testing.T) {
 	}
 }
 
-// End-to-end: dynamic provisioning against a live dispatcher with the
-// LocalAllocator and distributed idle release — a miniature of §4.6.
-func TestDynamicProvisioningEndToEnd(t *testing.T) {
-	d := dispatch.New(dispatch.Options{Logf: t.Logf})
-	if err := d.Listen("127.0.0.1:0"); err != nil {
-		t.Fatal(err)
-	}
-	defer d.Close()
-
-	alloc := &provision.LocalAllocator{
-		Template: executor.Options{
-			DispatcherAddr: d.Addr(),
-			SleepScale:     0.001,
-		},
-		StartupDelay: 20 * time.Millisecond, // miniature LRM queue wait
-	}
-	p, err := provision.New(provision.Options{
-		Stats:        func() (fproto.StatsReply, error) { return d.Stats(), nil },
-		Allocator:    alloc,
-		Acquisition:  provision.AllAtOnce(),
-		Release:      provision.ReleaseDistributed,
-		IdleTimeout:  150 * time.Millisecond,
-		MaxExecutors: 4,
-		PollInterval: 20 * time.Millisecond,
-		Logf:         t.Logf,
-	})
+// The decision is clock-free and runtime-free so that the simulator can run
+// the one that ships. LocalAllocator, which starts real executors, lives with
+// its caller in internal/core; this guard keeps such code from growing back.
+func TestNoLiveRuntimeImports(t *testing.T) {
+	live := regexp.MustCompile(`^falkon/internal/(executor|wsrpc|fproto|dispatch|client|wal|core)$`)
+	files, err := filepath.Glob("*.go")
 	if err != nil {
 		t.Fatal(err)
 	}
-	p.Start()
-	defer func() {
-		p.Stop()
-		p.ReleaseAll()
-		alloc.Wait()
-	}()
-
-	c, err := client.Connect(client.Options{DispatcherAddr: d.Addr(), BundleSize: 16})
-	if err != nil {
-		t.Fatal(err)
-	}
-	defer c.Close()
-
-	var gen task.IDGen
-	if err := c.Submit(task.Batch(&gen, 64, time.Second)); err != nil {
-		t.Fatal(err)
-	}
-	rs, err := c.WaitN(64, 60*time.Second)
-	if err != nil {
-		t.Fatal(err)
-	}
-	if len(rs) != 64 {
-		t.Fatalf("results = %d", len(rs))
-	}
-	// After the queue drains, distributed idle release should shrink the
-	// pool to zero.
-	deadline := time.Now().Add(20 * time.Second)
-	for {
-		if st := d.Stats(); st.TotalExecutors == 0 {
-			break
+	for _, name := range files {
+		if strings.HasSuffix(name, "_test.go") {
+			continue
 		}
-		if time.Now().After(deadline) {
-			t.Fatalf("executors never idle-released: %+v", d.Stats())
+		f, err := parser.ParseFile(token.NewFileSet(), name, nil, parser.ImportsOnly)
+		if err != nil {
+			t.Fatal(err)
 		}
-		time.Sleep(10 * time.Millisecond)
-	}
-	if p.Allocations() == 0 {
-		t.Fatal("no allocations recorded")
-	}
-}
-
-func TestLocalAllocatorCancelBeforeStartup(t *testing.T) {
-	d := dispatch.New(dispatch.Options{Logf: t.Logf})
-	if err := d.Listen("127.0.0.1:0"); err != nil {
-		t.Fatal(err)
-	}
-	defer d.Close()
-	alloc := &provision.LocalAllocator{
-		Template:     executor.Options{DispatcherAddr: d.Addr()},
-		StartupDelay: 10 * time.Second, // long enough that cancel wins
-	}
-	id, err := alloc.Allocate(3, 0)
-	if err != nil {
-		t.Fatal(err)
-	}
-	if _, pending := alloc.Counts(); pending != 3 {
-		t.Fatalf("pending = %d", pending)
-	}
-	if err := alloc.Deallocate(id); err != nil {
-		t.Fatal(err)
-	}
-	alive, pending := alloc.Counts()
-	if alive != 0 || pending != 0 {
-		t.Fatalf("after cancel: alive=%d pending=%d", alive, pending)
-	}
-	if st := d.Stats(); st.TotalExecutors != 0 {
-		t.Fatalf("executors registered despite cancel: %+v", st)
-	}
-}
-
-func TestLocalAllocatorDeallocateUnknown(t *testing.T) {
-	alloc := &provision.LocalAllocator{}
-	if err := alloc.Deallocate("nope"); err == nil {
-		t.Fatal("unknown allocation accepted")
-	}
-}
-
-func TestLocalAllocatorRejectsBadSize(t *testing.T) {
-	alloc := &provision.LocalAllocator{}
-	if _, err := alloc.Allocate(0, 0); err == nil {
-		t.Fatal("zero-size allocation accepted")
+		for _, imp := range f.Imports {
+			if path, _ := strconv.Unquote(imp.Path.Value); live.MatchString(path) {
+				t.Errorf("%s imports %s", name, path)
+			}
+		}
 	}
 }

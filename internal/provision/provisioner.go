@@ -5,14 +5,14 @@ import (
 	"sync"
 	"time"
 
-	"falkon/internal/fproto"
 	"falkon/internal/metrics"
 	"falkon/internal/obs"
 )
 
 // Allocator abstracts the resource-allocation pathway (the paper uses GRAM4
-// over an LRM; the live runtime uses a local allocator; the simulator uses
-// a virtual-time LRM model).
+// over an LRM; the live runtime starts in-process executors,
+// core.LocalAllocator; the simulator allocates nodes of a virtual-time LRM
+// through its GRAM gateway, simfalkon.Allocator).
 type Allocator interface {
 	// Allocate requests one allocation of n executors, each configured with
 	// the given distributed idle timeout (0 = no self-release). It returns
@@ -25,9 +25,16 @@ type Allocator interface {
 	Counts() (alive, pending int)
 }
 
-// StatsSource reports current dispatcher state (a direct pointer in-process
-// or an RPC shim remotely).
-type StatsSource func() (fproto.StatsReply, error)
+// Stats is what the provisioner reads of a dispatcher: tasks queued and
+// tasks dispatched but not yet completed.
+type Stats struct {
+	Queued  int
+	Running int
+}
+
+// StatsSource reports current dispatcher state (a direct pointer in-process,
+// an RPC shim remotely, the model's counters in the simulator).
+type StatsSource func() (Stats, error)
 
 // Options configures a Provisioner.
 type Options struct {
@@ -50,8 +57,9 @@ type Options struct {
 	// synthetic workload experiments).
 	MinExecutors int
 	MaxExecutors int
-	// PollInterval is how often the provisioner polls dispatcher state
-	// (default 1 s; tests use shorter).
+	// PollInterval is how often whoever drives the provisioner calls Poll
+	// (default 1 s): Start's ticker on the wall clock, the simulator's on
+	// its virtual one.
 	PollInterval time.Duration
 	// Logf receives provisioner logs; nil silences them.
 	Logf func(format string, args ...any)
@@ -60,7 +68,9 @@ type Options struct {
 	Metrics *obs.Registry
 }
 
-// Provisioner drives dynamic resource provisioning for one dispatcher.
+// Provisioner drives dynamic resource provisioning for one dispatcher. The
+// decision is Poll, which reads no clock: Start runs it on a wall-clock
+// ticker, the simulator from its event loop.
 type Provisioner struct {
 	opts Options
 
@@ -71,7 +81,6 @@ type Provisioner struct {
 
 	mu          sync.Mutex
 	allocations []string
-	requested   int // executors requested over all time
 	releases    int
 	stopped     bool
 
@@ -113,19 +122,22 @@ func New(opts Options) (*Provisioner, error) {
 	return p, nil
 }
 
-// Start begins the polling loop.
+// PollInterval returns the configured poll period with its default resolved.
+func (p *Provisioner) PollInterval() time.Duration { return p.opts.PollInterval }
+
+// Start begins the wall-clock polling loop.
 func (p *Provisioner) Start() {
 	go func() {
 		defer close(p.done)
 		tick := time.NewTicker(p.opts.PollInterval)
 		defer tick.Stop()
-		p.poll() // immediate first evaluation
+		p.Poll() // immediate first evaluation
 		for {
 			select {
 			case <-p.stop:
 				return
 			case <-tick.C:
-				p.poll()
+				p.Poll()
 			}
 		}
 	}()
@@ -161,8 +173,8 @@ func (p *Provisioner) logf(format string, args ...any) {
 	}
 }
 
-// poll performs one evaluate/acquire/release cycle.
-func (p *Provisioner) poll() {
+// Poll performs one evaluate/acquire/release cycle. One caller at a time.
+func (p *Provisioner) Poll() {
 	st, err := p.opts.Stats()
 	if err != nil {
 		p.logf("provision: stats: %v", err)
@@ -173,7 +185,7 @@ func (p *Provisioner) poll() {
 
 	// Demand: one executor per queued or in-flight task (the workload's
 	// instantaneous width), bounded by the configured pool size.
-	demand := st.Queued + st.Outstanding
+	demand := st.Queued + st.Running
 	if demand < p.opts.MinExecutors {
 		demand = p.opts.MinExecutors
 	}
@@ -190,7 +202,6 @@ func (p *Provisioner) poll() {
 			}
 			p.mu.Lock()
 			p.allocations = append(p.allocations, id)
-			p.requested += n
 			p.mu.Unlock()
 			p.cAlloc.Inc()
 			p.cRequests.Add(int64(n))
@@ -199,9 +210,10 @@ func (p *Provisioner) poll() {
 		}
 	}
 
-	// Centralized release: when the queue is below threshold and nothing is
-	// pending, drop allocations (most recent first) down to MinExecutors.
-	if p.opts.Release == ReleaseCentralized && st.Queued < p.opts.QueueThreshold && st.Outstanding == 0 && alive > p.opts.MinExecutors {
+	// Centralized release: with the queue below threshold, nothing running
+	// and more than MinExecutors alive, give back the newest allocation —
+	// one a poll, so a burst that arrives meanwhile finds the rest.
+	if p.opts.Release == ReleaseCentralized && st.Queued < p.opts.QueueThreshold && st.Running == 0 && alive > p.opts.MinExecutors {
 		p.mu.Lock()
 		var id string
 		if n := len(p.allocations); n > 0 {

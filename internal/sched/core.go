@@ -137,7 +137,7 @@ type Options[T any] struct {
 	// mixed task sizes (see PickWithin); nil treats every task as unstated.
 	Declared func(T) time.Duration
 	// FairShare enables the weighted fair-share tenant layer (see the
-	// FairShare type); nil keeps the single global FIFO.
+	// FairShare type); nil queues all work as one FIFO flow.
 	FairShare *FairShare
 }
 
@@ -149,11 +149,10 @@ type Options[T any] struct {
 // Type parameters: E identifies executors, K identifies outstanding
 // (dispatched, unacknowledged) tasks, T is the caller's task payload.
 type Core[E comparable, K comparable, T any] struct {
-	opts  Options[T]
-	queue Ring[Item[T]]
-	// fair replaces queue when the fair-share tenant layer is on; exactly
-	// one of the two holds the pending work. nil = original FIFO path.
-	fair  *fairQueue[T]
+	opts Options[T]
+	// queue holds the pending work: per-tenant flows under fair-share, one
+	// flow (plain FIFO) without it.
+	queue *fairQueue[T]
 	execs map[E]*Exec[E]
 	slots int        // sum of Slots over execs
 	idle  []*Exec[E] // LIFO stack; nil slots are tombstones
@@ -186,40 +185,31 @@ func NewCore[E comparable, K comparable, T any](opts Options[T]) *Core[E, K, T] 
 		execs: make(map[E]*Exec[E]),
 		out:   make(map[K]*Outstanding[E, K, T]),
 	}
-	if opts.FairShare != nil {
-		c.fair = newFairQueue(*opts.FairShare, opts.Tenant)
-	}
+	c.SetFairShare(opts.FairShare)
 	return c
 }
 
-// SetFairShare reconfigures the fair-share tenant layer (nil = off),
-// migrating any queued work between the global FIFO and the per-tenant
-// rings. The simulator folds its public knobs through here; live callers
-// configure at construction.
+// SetFairShare reconfigures the fair-share tenant layer (nil = off: one
+// flow, whatever tenant a task names), moving any queued work over in the
+// order it would have been served. The simulator folds its public knobs
+// through here; live callers configure at construction.
 func (c *Core[E, K, T]) SetFairShare(fs *FairShare) {
-	if fs == nil {
-		if c.fair != nil {
-			for it, ok := c.fair.pop(); ok; it, ok = c.fair.pop() {
-				c.queue.Push(it)
-			}
-			c.fair = nil
-		}
-		c.opts.FairShare = nil
-		return
-	}
-	old := c.fair
+	old := c.queue
 	c.opts.FairShare = fs
-	c.fair = newFairQueue(*fs, c.opts.Tenant)
-	if old != nil {
-		old.each(func(it Item[T]) { c.fair.push(it) })
+	if fs != nil {
+		c.queue = newFairQueue(*fs, c.opts.Tenant)
+	} else {
+		c.queue = newFairQueue[T](FairShare{}, nil)
 	}
-	for it, ok := c.queue.Pop(); ok; it, ok = c.queue.Pop() {
-		c.fair.push(it)
+	if old != nil {
+		for it, ok := old.pop(); ok; it, ok = old.pop() {
+			c.queue.push(it)
+		}
 	}
 }
 
 // FairShareEnabled reports whether the fair-share tenant layer is active.
-func (c *Core[E, K, T]) FairShareEnabled() bool { return c.fair != nil }
+func (c *Core[E, K, T]) FairShareEnabled() bool { return c.opts.FairShare != nil }
 
 // SetPolicy switches the pick policy and cache sizing (capacity <= 0
 // keeps the current value). Executors added afterwards get caches per the
@@ -242,19 +232,14 @@ func (c *Core[E, K, T]) SetMaxRetries(n int) {
 func (c *Core[E, K, T]) Policy() Policy { return c.opts.Policy }
 
 // QueueLen returns queued (not yet dispatched) tasks.
-func (c *Core[E, K, T]) QueueLen() int {
-	if c.fair != nil {
-		return c.fair.total
-	}
-	return c.queue.Len()
-}
+func (c *Core[E, K, T]) QueueLen() int { return c.queue.total }
 
 // TenantQueueLens accumulates per-tenant queued counts into dst. Only
 // meaningful under fair-share; without it the queue is tenant-blind and
 // nothing is reported.
 func (c *Core[E, K, T]) TenantQueueLens(dst map[string]int) {
-	if c.fair != nil {
-		c.fair.lens(dst)
+	if c.FairShareEnabled() {
+		c.queue.lens(dst)
 	}
 }
 
@@ -267,11 +252,7 @@ func (c *Core[E, K, T]) Empty() bool { return c.QueueLen() == 0 && len(c.out) ==
 // Enqueue admits a new task at now. Requeues go through Requeue instead so
 // Submitted counts tasks, not attempts.
 func (c *Core[E, K, T]) Enqueue(now time.Duration, x T) {
-	if c.fair != nil {
-		c.fair.push(Item[T]{X: x, QueuedAt: now})
-	} else {
-		c.queue.Push(Item[T]{X: x, QueuedAt: now})
-	}
+	c.queue.push(Item[T]{X: x, QueuedAt: now})
 	c.Counters.Submitted++
 }
 
@@ -281,14 +262,10 @@ func (c *Core[E, K, T]) Enqueue(now time.Duration, x T) {
 // backpressure instead of growing the ring without limit. Without
 // fair-share it always admits.
 func (c *Core[E, K, T]) TryEnqueue(now time.Duration, x T) bool {
-	if c.fair != nil {
-		if !c.fair.tryPush(Item[T]{X: x, QueuedAt: now}) {
-			return false
-		}
-		c.Counters.Submitted++
-		return true
+	if !c.queue.tryPush(Item[T]{X: x, QueuedAt: now}) {
+		return false
 	}
-	c.Enqueue(now, x)
+	c.Counters.Submitted++
 	return true
 }
 
@@ -297,25 +274,13 @@ func (c *Core[E, K, T]) TryEnqueue(now time.Duration, x T) bool {
 // wholesale and must not double-count. Bounds never apply: the task was
 // already admitted in a previous incarnation.
 func (c *Core[E, K, T]) Restore(now time.Duration, x T, attempts int) {
-	if c.fair != nil {
-		c.fair.push(Item[T]{X: x, QueuedAt: now, Attempts: attempts})
-		return
-	}
-	c.queue.Push(Item[T]{X: x, QueuedAt: now, Attempts: attempts})
+	c.queue.push(Item[T]{X: x, QueuedAt: now, Attempts: attempts})
 }
 
 // EachQueued visits every queued item (snapshot capture): FIFO order, or
 // under fair-share tenants in name order with FIFO within each. The
 // callback must not mutate the core.
-func (c *Core[E, K, T]) EachQueued(fn func(Item[T])) {
-	if c.fair != nil {
-		c.fair.each(fn)
-		return
-	}
-	for _, it := range c.queue.Window(c.queue.Len()) {
-		fn(it)
-	}
-}
+func (c *Core[E, K, T]) EachQueued(fn func(Item[T])) { c.queue.each(fn) }
 
 // EachOutstanding visits every outstanding entry in unspecified order
 // (snapshot capture). The callback must not mutate the core.
@@ -327,10 +292,7 @@ func (c *Core[E, K, T]) EachOutstanding(fn func(*Outstanding[E, K, T])) {
 
 // DropQueued removes every queued task matching the predicate.
 func (c *Core[E, K, T]) DropQueued(match func(T) bool) int {
-	if c.fair != nil {
-		return c.fair.dropWhere(func(it Item[T]) bool { return match(it.X) })
-	}
-	return c.queue.DropWhere(func(it Item[T]) bool { return match(it.X) })
+	return c.queue.dropWhere(func(it Item[T]) bool { return match(it.X) })
 }
 
 // DropOutstanding removes every outstanding task matching the predicate,
@@ -387,15 +349,9 @@ func (c *Core[E, K, T]) ExecStats() (total, busy int) {
 	return total, busy
 }
 
-// SlotStats returns the registered slots and how many of them hold nothing
-// (the capacity a tree parent is told). An executor holding more than its
-// slots, a batch granted ahead, has none free, not a negative number.
-func (c *Core[E, K, T]) SlotStats() (total, free int) {
-	for _, x := range c.execs {
-		free += max(x.Free(), 0)
-	}
-	return c.slots, free
-}
+// Slots returns the registered slots, summed over executors (the capacity a
+// tree parent is told).
+func (c *Core[E, K, T]) Slots() int { return c.slots }
 
 // Resize changes a registered executor's slot count and nothing else: what it
 // holds stays counted against it. The caller offers it again if it grew.
@@ -510,21 +466,14 @@ func (c *Core[E, K, T]) Pick(x *Exec[E]) (it Item[T], hit, ok bool) {
 // nor holds a batch's results back while it runs. A nil x is policy-blind
 // (PickAny).
 func (c *Core[E, K, T]) PickWithin(x *Exec[E], room time.Duration) (it Item[T], hit, ok bool) {
-	// Under fair-share SFQ selects the tenant first and locality comes
-	// second: the data-aware window scan runs within that tenant's ring, so
-	// a cache hit never lets one tenant jump another's turn.
-	ring := &c.queue
-	var tq *tenantQ[T]
-	var start float64
-	if c.fair != nil {
-		if tq, start, ok = c.fair.peek(); !ok {
-			return it, false, false
-		}
-		ring = &tq.ring
-	}
-	if ring.Len() == 0 {
+	// SFQ selects the tenant first and locality comes second: the
+	// data-aware window scan runs within that tenant's ring, so a cache hit
+	// never lets one tenant jump another's turn.
+	tq, start, ok := c.queue.peek()
+	if !ok {
 		return it, false, false
 	}
+	ring := &tq.ring
 	at := 0 // offset of the selected task from the ring's head
 	dataAware := c.opts.Policy == PolicyDataAware && x != nil && x.Cache != nil && c.opts.Dataset != nil
 	if dataAware {
@@ -538,15 +487,14 @@ func (c *Core[E, K, T]) PickWithin(x *Exec[E], room time.Duration) (it Item[T], 
 	if room != Unbounded && c.opts.Declared != nil && c.opts.Declared(ring.Window(at + 1)[at].X) > room {
 		return it, false, false
 	}
-	switch {
-	case tq != nil:
-		it = c.fair.take(tq, start, at)
-	case at == 0:
+	if at == 0 {
 		it, _ = ring.Pop()
-	default:
+	} else {
+		// The data-aware path pulls a cache hit forward within the window.
 		it = ring.Window(at + 1)[at]
 		ring.RemoveAt(at)
 	}
+	c.queue.charge(tq, start)
 	if hit {
 		c.Counters.CacheHits++
 	} else if dataAware && c.opts.Dataset(it.X) != "" {
@@ -676,12 +624,7 @@ func (c *Core[E, K, T]) Requeue(it Item[T]) bool {
 		return false
 	}
 	c.Counters.Retried++
-	if c.fair != nil {
-		// Bounds never apply to requeues: the task was already admitted.
-		c.fair.push(it)
-	} else {
-		c.queue.Push(it)
-	}
+	c.queue.push(it) // no bound applies: the task was already admitted
 	return true
 }
 

@@ -242,7 +242,7 @@ func TestRequeueReplayPolicy(t *testing.T) {
 		if !c.Requeue(it) {
 			t.Fatalf("attempt %d not retried", attempt)
 		}
-		got, ok := c.queue.Pop()
+		got, ok := c.PickAny()
 		if !ok || got.QueuedAt != 3 || got.Attempts != attempt {
 			t.Fatalf("requeued item = %+v", got)
 		}
@@ -472,15 +472,15 @@ func TestResizeKeepsWhatTheExecutorHolds(t *testing.T) {
 	it, _, _ := c.Pick(x)
 	c.Assign(1, x, 1, it)
 	c.Resize(x, 4)
-	if total, free := c.SlotStats(); x.Assigned != 1 || total != 7 || free != 6 {
-		t.Fatalf("after growing: assigned %d, slots %d, free %d; want 1, 7, 6", x.Assigned, total, free)
+	if x.Assigned != 1 || c.Slots() != 7 || x.Free() != 3 {
+		t.Fatalf("after growing: assigned %d, slots %d, free on x %d; want 1, 7, 3", x.Assigned, c.Slots(), x.Free())
 	}
 	if !c.Offer(x) {
 		t.Fatal("an executor that grew past what it holds is not on offer")
 	}
 	c.Resize(x, 1)
-	if total, free := c.SlotStats(); total != 4 || free != 3 {
-		t.Fatalf("after shrinking: slots %d, free %d; want 4, 3", total, free)
+	if c.Slots() != 4 || x.Free() != 0 {
+		t.Fatalf("after shrinking: slots %d, free on x %d; want 4, 0", c.Slots(), x.Free())
 	}
 	if _, ok := c.Complete("x", 1); !ok || x.Assigned != 0 {
 		t.Fatalf("the task did not complete under the resized executor: ok=%v assigned=%d", ok, x.Assigned)

@@ -2,14 +2,14 @@ package sched
 
 import "sort"
 
-// Fair-share tenant layer: when enabled, the pending FIFO becomes one
-// bounded Ring per tenant arbitrated by start-time fair queuing (SFQ).
-// Every pop charges the picked tenant virtual time inversely proportional
-// to its weight, so over any busy interval tenants receive service in
-// weight ratio regardless of how many tasks each has backlogged — one
-// flooding tenant cannot push another tenant's work arbitrarily far back.
-// The layer is pluggable exactly like the pick policies: a Core built
-// without it runs the original single-Ring code path untouched.
+// The pending queue: one bounded Ring per tenant arbitrated by start-time
+// fair queuing (SFQ). Every pop charges the picked tenant virtual time
+// inversely proportional to its weight, so over any busy interval tenants
+// receive service in weight ratio regardless of how many tasks each has
+// backlogged — one flooding tenant cannot push another tenant's work
+// arbitrarily far back. A Core with fair-share off holds the same queue
+// with no tenant extractor: one flow, one ring, no bound — SFQ over one
+// flow is FIFO.
 
 // FairShare configures the weighted fair-share tenant layer of a Core.
 type FairShare struct {
@@ -49,7 +49,7 @@ func (f *FairShare) maxQueuedFor(name string) int {
 // tenantQ is one tenant's pending FIFO plus its SFQ service tag.
 type tenantQ[T any] struct {
 	name      string
-	weight    float64
+	cost      float64 // virtual service one pop is charged: 1/weight
 	maxQueued int
 	ring      Ring[Item[T]]
 	// finish is the virtual finish tag of this tenant's last pop; the
@@ -80,6 +80,18 @@ func newFairQueue[T any](cfg FairShare, tenant func(T) string) *fairQueue[T] {
 	}
 }
 
+// flow returns the queue x belongs in. With no extractor there is one flow
+// and no name to look up.
+func (q *fairQueue[T]) flow(x T) *tenantQ[T] {
+	if q.tenant != nil {
+		return q.get(q.tenant(x))
+	}
+	if len(q.order) == 0 {
+		q.get("")
+	}
+	return q.order[0]
+}
+
 // get returns name's queue, creating and order-inserting it on first use.
 func (q *fairQueue[T]) get(name string) *tenantQ[T] {
 	if tq, ok := q.byName[name]; ok {
@@ -87,7 +99,7 @@ func (q *fairQueue[T]) get(name string) *tenantQ[T] {
 	}
 	tq := &tenantQ[T]{
 		name:      name,
-		weight:    q.cfg.weightFor(name),
+		cost:      1 / q.cfg.weightFor(name),
 		maxQueued: q.cfg.maxQueuedFor(name),
 		// A new tenant starts at the current virtual time: it competes
 		// from now on, with no claim on service that predates it.
@@ -101,23 +113,15 @@ func (q *fairQueue[T]) get(name string) *tenantQ[T] {
 	return tq
 }
 
-// nameOf extracts the tenant of a payload (nil extractor = one tenant).
-func (q *fairQueue[T]) nameOf(x T) string {
-	if q.tenant == nil {
-		return ""
-	}
-	return q.tenant(x)
-}
-
 // push appends unconditionally (requeues, restores).
 func (q *fairQueue[T]) push(it Item[T]) {
-	q.get(q.nameOf(it.X)).ring.Push(it)
+	q.flow(it.X).ring.Push(it)
 	q.total++
 }
 
 // tryPush appends unless the tenant's bound is hit.
 func (q *fairQueue[T]) tryPush(it Item[T]) bool {
-	tq := q.get(q.nameOf(it.X))
+	tq := q.flow(it.X)
 	if tq.maxQueued > 0 && tq.ring.Len() >= tq.maxQueued {
 		return false
 	}
@@ -144,21 +148,12 @@ func (q *fairQueue[T]) peek() (tq *tenantQ[T], start float64, ok bool) {
 	return tq, start, tq != nil
 }
 
-// take removes offset i (into tq's ring head window) from the tenant
-// peek selected, charging it 1/weight of virtual service. i > 0 is the
-// data-aware path pulling a cache hit forward within the tenant's window.
-func (q *fairQueue[T]) take(tq *tenantQ[T], start float64, i int) Item[T] {
-	var it Item[T]
-	if i == 0 {
-		it, _ = tq.ring.Pop()
-	} else {
-		it = tq.ring.Window(i + 1)[i]
-		tq.ring.RemoveAt(i)
-	}
-	tq.finish = start + 1/tq.weight
+// charge books one item removed from tq, the tenant peek selected at virtual
+// time start: 1/weight of virtual service.
+func (q *fairQueue[T]) charge(tq *tenantQ[T], start float64) {
+	tq.finish = start + tq.cost
 	q.vt = start
 	q.total--
-	return it
 }
 
 // pop removes the next item under SFQ arbitration.
@@ -167,7 +162,8 @@ func (q *fairQueue[T]) pop() (Item[T], bool) {
 	if !ok {
 		return Item[T]{}, false
 	}
-	return q.take(tq, start, 0), true
+	q.charge(tq, start)
+	return tq.ring.Pop()
 }
 
 // each visits every queued item, tenants in name order, FIFO within each.

@@ -89,6 +89,7 @@ type Exec struct {
 	idle         bool
 	busy         bool
 	released     bool
+	draining     bool // Release found it working: released when next idle
 	releasedAt   time.Duration
 	idleTimeout  time.Duration
 	idleTimer    *sim.Timer
@@ -342,7 +343,21 @@ func (m *Model) armIdleTimer(x *Exec) {
 	})
 }
 
-// releaseExec applies the distributed release policy to x.
+// Release retires x on someone else's decision (the provisioner deallocating
+// its node): at once if it is idle, otherwise as soon as it has delivered
+// what it holds and goes idle.
+func (m *Model) Release(x *Exec) {
+	switch {
+	case x.released:
+	case x.idle:
+		m.releaseExec(x)
+	default:
+		x.draining = true
+	}
+}
+
+// releaseExec takes the idle executor x out of the pool (its own idle
+// timeout, or Release).
 func (m *Model) releaseExec(x *Exec) {
 	x.released = true
 	x.releasedAt = m.E.Now()
@@ -691,10 +706,14 @@ func (m *Model) afterDelivery(x *Exec, prefetched bool) {
 	x.busy = false
 	x.idle = true
 	m.busyN--
-	m.core.Offer(x.sx)
-	m.armIdleTimer(x)
-	m.armPollTimer(x)
-	m.stateChanged()
+	if x.draining {
+		m.releaseExec(x)
+	} else {
+		m.core.Offer(x.sx)
+		m.armIdleTimer(x)
+		m.armPollTimer(x)
+		m.stateChanged()
+	}
 	if m.P.NoPiggyback {
 		m.kick()
 	}

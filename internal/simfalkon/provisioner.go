@@ -1,141 +1,93 @@
 package simfalkon
 
 import (
+	"fmt"
 	"time"
 
 	"falkon/internal/lrm"
 	"falkon/internal/provision"
 )
 
-// ProvisionerConfig parameterizes the virtual-time provisioner, mirroring
-// the paper's §4.6 experiments.
-type ProvisionerConfig struct {
-	// Min and Max bound the executor pool (paper: 0 and 32).
-	Min int
-	Max int
-	// IdleTimeout is the distributed-release idle time; 0 disables release
-	// (Falkon-∞).
-	IdleTimeout time.Duration
-	// Policy splits acquisitions into GRAM requests (paper: all-at-once).
-	Policy provision.AcquisitionPolicy
-	// PollInterval is the provisioner's dispatcher-state poll period
-	// (default 1 s).
-	PollInterval time.Duration
+// Allocator is the resource-allocation pathway of the paper's §4.6
+// experiments, on virtual time: provision.Allocator over a GRAM gateway and
+// the Model the acquired nodes register their executors with. The decision
+// of when to call it is provision.Provisioner's, the one the live runtime
+// ships; StartProvisioner wires the two.
+type Allocator struct {
+	m  *Model
+	gw *lrm.Gateway
+
+	pending int // nodes requested whose executor has not registered yet
+	next    int
+	allocs  map[string]*lrm.NodeAllocation
+	execs   map[*lrm.Job]*Exec // a registered node's executor
 }
 
-// Provisioner drives dynamic resource provisioning for a Model against a
-// GRAM gateway, on virtual time.
-type Provisioner struct {
-	m   *Model
-	gw  *lrm.Gateway
-	cfg ProvisionerConfig
-
-	pendingNodes int
-	requests     int
-	nodeOf       map[*Exec]*lrm.Job
-	stopped      bool
+// NewAllocator returns an allocator that asks gw for nodes and registers an
+// executor with m for each one that comes up.
+func NewAllocator(m *Model, gw *lrm.Gateway) *Allocator {
+	return &Allocator{m: m, gw: gw, allocs: make(map[string]*lrm.NodeAllocation), execs: make(map[*lrm.Job]*Exec)}
 }
 
-// NewProvisioner wires a provisioner; call Pump() after submitting work,
-// and whenever the workload advances, or use StartPolling for a fixed
-// cadence.
-func NewProvisioner(m *Model, gw *lrm.Gateway, cfg ProvisionerConfig) *Provisioner {
-	if cfg.Policy == nil {
-		cfg.Policy = provision.AllAtOnce()
+// Allocate issues one GRAM request for n nodes. Each node's executor
+// registers when the LRM has started it and it has booted, and returns its
+// own node when its idle timeout releases it (distributed release).
+func (a *Allocator) Allocate(n int, idleTimeout time.Duration) (string, error) {
+	a.next++
+	id := fmt.Sprintf("alloc-%d", a.next)
+	a.pending += n
+	a.allocs[id] = a.gw.AllocateNodes(n, func(j *lrm.Job) {
+		a.pending--
+		a.execs[j] = a.m.AddExecutor(idleTimeout, func(*Exec) { a.gw.ReleaseNode(j) })
+	})
+	return id, nil
+}
+
+// Deallocate gives the allocation back: a node still in the LRM's hands is
+// cancelled, an idle executor is released with its node, and a working one
+// when it has delivered what it holds.
+func (a *Allocator) Deallocate(id string) error {
+	na, ok := a.allocs[id]
+	if !ok {
+		return fmt.Errorf("simfalkon: unknown allocation %q", id)
 	}
-	if cfg.PollInterval <= 0 {
-		cfg.PollInterval = time.Second
+	delete(a.allocs, id)
+	for _, j := range na.Jobs {
+		if x, registered := a.execs[j]; registered {
+			delete(a.execs, j)
+			a.m.Release(x)
+		} else {
+			a.gw.ReleaseNode(j)
+			a.pending--
+		}
 	}
-	return &Provisioner{m: m, gw: gw, cfg: cfg, nodeOf: make(map[*Exec]*lrm.Job)}
+	return nil
 }
 
-// Requests returns GRAM allocation requests issued (Table 4's "resource
-// allocations").
-func (p *Provisioner) Requests() int { return p.requests }
-
-// Allocated returns nodes requested but not yet registered as executors
+// Counts reports the model's live executors and the nodes still in flight
 // (Figures 12-13's "allocated" series).
-func (p *Provisioner) Allocated() int { return p.pendingNodes }
+func (a *Allocator) Counts() (alive, pending int) { return a.m.LiveExecutors(), a.pending }
 
-// Stop halts further acquisition.
-func (p *Provisioner) Stop() { p.stopped = true }
-
-// StartPolling evaluates the acquisition policy every PollInterval until
-// done() reports true.
-func (p *Provisioner) StartPolling(done func() bool) {
-	p.m.E.Every(p.cfg.PollInterval, func() bool {
-		if p.stopped || done() {
+// StartProvisioner runs the shipped provisioner against m on the virtual
+// clock: its stats are the model's queue and busy executors, its allocator a
+// new Allocator over gw, and Poll runs every PollInterval until done()
+// reports true. opts' Stats and Allocator are filled in here.
+func StartProvisioner(m *Model, gw *lrm.Gateway, opts provision.Options, done func() bool) (*provision.Provisioner, *Allocator) {
+	a := NewAllocator(m, gw)
+	opts.Allocator = a
+	opts.Stats = func() (provision.Stats, error) {
+		return provision.Stats{Queued: m.QueueLen(), Running: m.BusyExecutors()}, nil
+	}
+	p, err := provision.New(opts)
+	if err != nil {
+		panic(err) // a bug in the experiment: nothing here comes from outside
+	}
+	m.E.Every(p.PollInterval(), func() bool {
+		if done() {
 			return false
 		}
-		p.Pump()
+		p.Poll()
 		return true
 	})
-}
-
-// Pump performs one acquisition evaluation.
-func (p *Provisioner) Pump() {
-	if p.stopped {
-		return
-	}
-	demand := p.m.QueueLen() + p.m.BusyExecutors()
-	if demand < p.cfg.Min {
-		demand = p.cfg.Min
-	}
-	if demand > p.cfg.Max {
-		demand = p.cfg.Max
-	}
-	have := p.m.LiveExecutors() + p.pendingNodes
-	need := demand - have
-	if need <= 0 {
-		return
-	}
-	for _, n := range p.cfg.Policy.Requests(need) {
-		p.requests++
-		p.pendingNodes += n
-		p.gw.AllocateNodes(n, func(j *lrm.Job) {
-			p.pendingNodes--
-			x := p.m.AddExecutor(p.cfg.IdleTimeout, func(x *Exec) {
-				// Distributed release: the executor returns its own node.
-				if job := p.nodeOf[x]; job != nil {
-					p.gw.ReleaseNode(job)
-					delete(p.nodeOf, x)
-				}
-			})
-			p.nodeOf[x] = j
-		})
-	}
-}
-
-// ReleaseIdle releases every currently idle executor and returns its node —
-// the centralized release policy ("if there are no queued tasks, release
-// all resources", §3.1) driven from provisioner state.
-func (p *Provisioner) ReleaseIdle() int {
-	released := 0
-	for x, j := range p.nodeOf {
-		if !x.Idle() || x.Released() {
-			continue
-		}
-		delete(p.nodeOf, x) // before releaseExec so onRelease finds nothing
-		p.m.releaseExec(x)
-		p.gw.ReleaseNode(j)
-		released++
-	}
-	return released
-}
-
-// ReleaseAll returns every remaining node (end-of-experiment cleanup) and
-// releases still-live executors so wastage accounting has an end stamp.
-func (p *Provisioner) ReleaseAll() {
-	p.stopped = true
-	nodes := p.nodeOf
-	p.nodeOf = make(map[*Exec]*lrm.Job)
-	for x, j := range nodes {
-		if x.idle && !x.released {
-			p.m.releaseExec(x) // its onRelease finds no node entry now
-		} else if !x.released {
-			x.released = true
-			x.releasedAt = p.m.E.Now()
-		}
-		p.gw.ReleaseNode(j)
-	}
+	return p, a
 }

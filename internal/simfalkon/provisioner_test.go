@@ -13,21 +13,16 @@ import (
 // runProvisioned executes the 18-stage workload under dynamic provisioning
 // with the given idle timeout (0 disables release — Falkon-∞ behaviour but
 // still provisioned on demand).
-func runProvisioned(t *testing.T, idle time.Duration) (makespan time.Duration, m *Model, p *Provisioner) {
+func runProvisioned(t *testing.T, idle time.Duration) (makespan time.Duration, m *Model, p *provision.Provisioner) {
 	t.Helper()
 	e := sim.New(11)
 	l := lrm.New(e, lrm.PBS(), 100)
 	gw := lrm.NewGateway(e, l, lrm.GRAM4())
 	m = New(e, NoSecurity())
 	m.KeepRecords = true
-	p = NewProvisioner(m, gw, ProvisionerConfig{
-		Max:         32,
-		IdleTimeout: idle,
-		Policy:      provision.AllAtOnce(),
-	})
 	done := false
 	RunStaged(m, workloads.Synthetic18(), 32, func() { done = true })
-	p.StartPolling(func() bool { return done })
+	p, _ = StartProvisioner(m, gw, provision.Options{MaxExecutors: 32, IdleTimeout: idle}, func() bool { return done })
 	end := e.Run()
 	if !done {
 		t.Fatalf("workload incomplete: %d/%d", m.Completed(), workloads.Synthetic18().TotalTasks())
@@ -81,7 +76,7 @@ func TestFalkon15Provisioning(t *testing.T) {
 	if end < 1400*time.Second || end > 2200*time.Second {
 		t.Fatalf("Falkon-15 makespan = %v, want ~1754s", end)
 	}
-	if reqs := p.Requests(); reqs < 4 || reqs > 30 {
+	if reqs := p.Allocations(); reqs < 4 || reqs > 30 {
 		t.Fatalf("allocation requests = %d, want ~11", reqs)
 	}
 	if m.Completed() != 1000 {
@@ -187,7 +182,6 @@ func TestProvisionerAllocationWindow(t *testing.T) {
 	l := lrm.New(e, lrm.PBS(), 100)
 	gw := lrm.NewGateway(e, l, lrm.GRAM4())
 	m := New(e, NoSecurity())
-	p := NewProvisioner(m, gw, ProvisionerConfig{Max: 8})
 	m.SubmitSleepStream(8, time.Second, 8)
 	var firstExec time.Duration
 	m.OnStateChange = func() {
@@ -196,14 +190,12 @@ func TestProvisionerAllocationWindow(t *testing.T) {
 		}
 	}
 	done := false
-	prevHook := m.OnTaskDone
-	_ = prevHook
 	m.OnTaskDone = func(Rec) {
 		if m.Completed() == 8 {
 			done = true
 		}
 	}
-	p.StartPolling(func() bool { return done })
+	p, _ := StartProvisioner(m, gw, provision.Options{MaxExecutors: 8, Release: provision.ReleaseNever}, func() bool { return done })
 	e.Run()
 	if !done {
 		t.Fatalf("tasks incomplete: %d", m.Completed())

@@ -94,50 +94,16 @@ func (m *Mirror) Reset(st *State, pos int64) error {
 	}
 	boundary := max + 1
 
-	frame, err := marshalRecord(nil, KindSnapshot, st)
-	if err != nil {
-		return err
+	if err := installSnapshot(m.fs, m.dir, m.opts.Sync, boundary, st); err != nil {
+		return fmt.Errorf("wal: mirror: %w", err)
 	}
-	tmp := filepath.Join(m.dir, "snap.tmp")
-	f, err := m.fs.Create(tmp, false)
-	if err != nil {
-		return fmt.Errorf("wal: mirror snapshot: %w", err)
-	}
-	if _, err = f.Write(frame); err == nil && m.opts.Sync.Mode != SyncOff {
-		err = f.Sync()
-	}
-	if cerr := f.Close(); err == nil {
-		err = cerr
-	}
-	if err != nil {
-		m.fs.Remove(tmp)
-		return fmt.Errorf("wal: mirror snapshot: %w", err)
-	}
-	if err := m.fs.Rename(tmp, filepath.Join(m.dir, snapName(boundary))); err != nil {
-		m.fs.Remove(tmp)
-		return fmt.Errorf("wal: mirror snapshot: %w", err)
-	}
-	if m.opts.Sync.Mode != SyncOff {
-		m.fs.SyncDir(m.dir)
-	}
-
 	// The new baseline is durable: retire the old segment and prune
 	// everything it superseded.
 	if m.seg != nil {
 		m.seg.Close()
 		m.seg = nil
 	}
-	ents, err := m.fs.ReadDir(m.dir)
-	if err == nil {
-		for _, e := range ents {
-			if n, ok := parseIndexed(e.Name(), "seg-", ".wal"); ok && n < boundary {
-				m.fs.Remove(filepath.Join(m.dir, e.Name()))
-			}
-			if n, ok := parseIndexed(e.Name(), "snap-", ".snap"); ok && n < boundary {
-				m.fs.Remove(filepath.Join(m.dir, e.Name()))
-			}
-		}
-	}
+	prune(m.fs, m.dir, boundary)
 	seg, err := m.fs.Create(filepath.Join(m.dir, segName(boundary)), true)
 	if err != nil {
 		return fmt.Errorf("wal: mirror segment: %w", err)

@@ -691,54 +691,63 @@ func (j *Journal) Abort() {
 
 // WriteSnapshot durably stores st as the snapshot covering every segment
 // below boundary (the index returned by Rotate), then prunes segments and
-// snapshots the new snapshot supersedes. The write is atomic: tmp file,
-// fsync, rename, directory fsync.
+// snapshots the new snapshot supersedes.
 func (j *Journal) WriteSnapshot(boundary uint64, st *State) error {
+	if err := installSnapshot(j.fs, j.dir, j.opts.Sync, boundary, st); err != nil {
+		return err
+	}
+	prune(j.fs, j.dir, boundary)
+	j.refreshSegGauge()
+	return nil
+}
+
+// installSnapshot writes st as dir's snapshot at boundary, atomically: tmp
+// file, fsync, rename, directory fsync. A crash leaves the directory with or
+// without the whole snapshot, never part of one; only once this has returned
+// may what the snapshot covers be pruned. The journal's compaction and the
+// mirror's baseline install both go through here.
+func installSnapshot(fsys FS, dir string, policy SyncPolicy, boundary uint64, st *State) error {
 	frame, err := marshalRecord(nil, KindSnapshot, st)
 	if err != nil {
 		return err
 	}
-	tmp := filepath.Join(j.dir, "snap.tmp")
-	f, err := j.fs.Create(tmp, false)
+	tmp := filepath.Join(dir, "snap.tmp")
+	f, err := fsys.Create(tmp, false)
 	if err != nil {
 		return fmt.Errorf("wal: snapshot: %w", err)
 	}
-	if _, err = f.Write(frame); err == nil && j.opts.Sync.Mode != SyncOff {
+	if _, err = f.Write(frame); err == nil && policy.Mode != SyncOff {
 		err = f.Sync()
 	}
 	if cerr := f.Close(); err == nil {
 		err = cerr
 	}
+	if err == nil {
+		err = fsys.Rename(tmp, filepath.Join(dir, snapName(boundary)))
+	}
 	if err != nil {
-		j.fs.Remove(tmp)
+		fsys.Remove(tmp)
 		return fmt.Errorf("wal: snapshot: %w", err)
 	}
-	final := filepath.Join(j.dir, snapName(boundary))
-	if err := j.fs.Rename(tmp, final); err != nil {
-		j.fs.Remove(tmp)
-		return fmt.Errorf("wal: snapshot: %w", err)
+	if policy.Mode != SyncOff {
+		fsys.SyncDir(dir)
 	}
-	if j.opts.Sync.Mode != SyncOff {
-		j.fs.SyncDir(j.dir)
-	}
-	j.prune(boundary)
-	j.refreshSegGauge()
 	return nil
 }
 
 // prune removes segments and snapshots wholly covered by the snapshot at
 // boundary.
-func (j *Journal) prune(boundary uint64) {
-	ents, err := j.fs.ReadDir(j.dir)
+func prune(fsys FS, dir string, boundary uint64) {
+	ents, err := fsys.ReadDir(dir)
 	if err != nil {
 		return
 	}
 	for _, e := range ents {
 		if n, ok := parseIndexed(e.Name(), "seg-", ".wal"); ok && n < boundary {
-			j.fs.Remove(filepath.Join(j.dir, e.Name()))
+			fsys.Remove(filepath.Join(dir, e.Name()))
 		}
 		if n, ok := parseIndexed(e.Name(), "snap-", ".snap"); ok && n < boundary {
-			j.fs.Remove(filepath.Join(j.dir, e.Name()))
+			fsys.Remove(filepath.Join(dir, e.Name()))
 		}
 	}
 }

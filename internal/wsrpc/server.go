@@ -443,16 +443,6 @@ func (s *PeerSet) Drop(p *Peer) {
 // Len returns the number of peers in the set.
 func (s *PeerSet) Len() int { return int(s.n.Load()) }
 
-// Has reports whether p is in the set.
-func (s *PeerSet) Has(p *Peer) bool {
-	if s.Len() == 0 {
-		return false
-	}
-	s.mu.Lock()
-	defer s.mu.Unlock()
-	return s.m[p.ID()] == p
-}
-
 // Each calls fn for every peer in the set, under the set's lock: fn must not
 // re-enter the set nor block beyond a corked notify write (write-stall bounded).
 func (s *PeerSet) Each(fn func(*Peer)) {

@@ -345,17 +345,32 @@ func (c *Client) Submit(tasks []task.Task) error {
 	return c.submitTasks(tasks, false)
 }
 
+// submitCall is what one submitTasks hands wsrpc by pointer, bundle after
+// bundle: the request and the reply (DESIGN.md §9, "Scratch": a body handed to
+// Call is state its call site holds). Pooled, since Submit may be concurrent.
+type submitCall struct {
+	req   fproto.SubmitRequest
+	reply fproto.SubmitReply
+}
+
+var submitCalls = sync.Pool{New: func() any { return new(submitCall) }}
+
 // submitTasks bundles tasks over the current connection; resubmit marks
 // the reconnect path, where failures bounce back to the supervisor instead
 // of waiting here.
 func (c *Client) submitTasks(tasks []task.Task, resubmit bool) error {
+	call := submitCalls.Get().(*submitCall)
+	defer func() {
+		call.req = fproto.SubmitRequest{} // the caller's tasks are not the pool's to keep
+		submitCalls.Put(call)
+	}()
+	reply := &call.reply
 	for len(tasks) > 0 {
 		n := c.opts.BundleSize
 		if n > len(tasks) {
 			n = len(tasks)
 		}
 		bundle := tasks[:n]
-		var reply fproto.SubmitReply
 		for {
 			cli, gen, err := c.sess.Conn()
 			if err != nil {
@@ -366,8 +381,9 @@ func (c *Client) submitTasks(tasks []task.Task, resubmit bool) error {
 			// the task bodies. Reset the reply each attempt: its fields are
 			// omitempty on the wire, so a retried call must not inherit the
 			// previous attempt's throttle hint.
-			reply = fproto.SubmitReply{}
-			err = cli.CallTrace(fproto.MethodSubmit, fproto.SubmitRequest{EPR: c.EPR(), Tasks: bundle}, &reply, bundle[0].Trace, 0)
+			*reply = fproto.SubmitReply{}
+			call.req = fproto.SubmitRequest{EPR: c.EPR(), Tasks: bundle}
+			err = cli.CallTrace(fproto.MethodSubmit, &call.req, reply, bundle[0].Trace, 0)
 			if err == nil {
 				if reply.RetryAfterMillis > 0 {
 					// Admission backpressure: the dispatcher deferred the whole

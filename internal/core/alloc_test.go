@@ -21,7 +21,8 @@ import (
 // argument of its own as in the repo benchmark — measured 0.13 to 0.14 (plain,
 // secure, fair-share and journaled alike, -cpu 1, 2 and 4) since the slice a
 // message is decoded into is its receiver's scratch, plus 15 % and 0.04 for a
-// batch that met a stall. The four slices a 64-task round trip used to make
+// batch that met a stall (0.06 to 0.10 since a body handed to Call or Notify is
+// state its call site holds; the ceiling was left where it was). The four slices a 64-task round trip used to make
 // were 0.11 of the 0.24 to 0.27 before; sched.Core's outstanding record, the
 // last object a task had to itself, 1.0 of the 1.23 to 1.25 before that; and
 // it was 5.20 to 5.22 before a message's strings and Args slices were
@@ -46,21 +47,32 @@ const allocsPerTaskCeiling = 0.20
 const bytesPerTaskCeiling = 1410
 
 // serialAllocsPerTaskCeiling is the plain system driven the opposite way — one
-// task per Submit, one task in flight, the repo benchmark's direct-serial and
-// the paper's Fig. 10 case: nothing is shared, so it is what one unqueued task
-// costs end to end. Measured 21.02 to 21.04 with the argument (26.02 to 26.05
-// while a message of one result or one assignment still brought a slice of its
-// own on every hop but the pushed grant's; 27.00 to 27.06 while the
-// outstanding record was an object of its own; a bundle of one has nothing to
-// share a message's chunk with and must not pay for one: its two strings and
-// its slice are sized exactly), this loop's own slice per Submit included,
-// since the work rides the push and a wsrpc call recycles its reply slot (two
-// calls and two pushes per task: Submit, the grant, Deliver, the result); plus
-// 15 %. serialBytesPerTaskCeiling is its bytes, 1,338 to 1,341 measured (1,971
-// to 1,974 before), plus 10 % as above.
+// task per Submit, one task in flight, read through Results as the repo
+// benchmark reads it: its direct-serial and the paper's Fig. 10 case. Nothing is
+// shared, so it is what one unqueued task costs end to end over its six frames
+// (two calls and two pushes: Submit, the grant, Deliver, the result). Measured
+// 6.02 to 6.07 at -cpu 1, 2 and 4, the lowest of a run's five batches 6.02 or
+// 6.03: the dispatcher's decoded bundle, its command, its Args header and
+// bytes, and the executor's Args header and bytes — what has to live, and
+// strings that are the collector's (DESIGN.md §9, "Scratch"; EXPERIMENTS.md
+// has the ledger site by site). The ceiling is that plus 0.9: less than one
+// object, because the count repeats to two decimals and one box coming back
+// must fail. serialBytesPerTaskCeiling is its bytes, 503 to 505 measured, this
+// loop's own batch included, plus 10 %.
+//
+// History of the row, newest first: 17.02 and 946 bytes in this loop (21.02 to
+// 21.04 and 1,338 to 1,341 through WaitN, which added a timer's three objects
+// and a slice of its own to every task) while every body handed to Call or
+// Notify was a struct boxed into an interface, the pushed grant was decoded
+// into a fresh value that escaped to the overflow goroutine it almost never
+// took, Notifications returned a fresh slice and no holder remembered its last
+// message's first element; 26.02 to 26.05 while a message of one result or one
+// assignment still brought a slice of its own on every hop but the pushed
+// grant's; 27.00 to 27.06 while the outstanding record was an object of its
+// own.
 const (
-	serialAllocsPerTaskCeiling = 24.0
-	serialBytesPerTaskCeiling  = 1475
+	serialAllocsPerTaskCeiling = 6.9
+	serialBytesPerTaskCeiling  = 555
 )
 
 // The per-task allocation budget of every configuration core.Config can
@@ -146,7 +158,11 @@ func allocsPerTask(t *testing.T, cfg core.Config, serial bool) (objects, bytes f
 			if err := sys.Submit(ts[:each]); err != nil {
 				t.Fatal(err)
 			}
-			if _, err := sys.WaitN(each, time.Minute); err != nil {
+			if serial {
+				// As the repo benchmark reads its results: WaitN would add a
+				// timer (three objects) and a slice of its own to every task.
+				<-sys.Results()
+			} else if _, err := sys.WaitN(each, time.Minute); err != nil {
 				t.Fatal(err)
 			}
 		}

@@ -271,9 +271,11 @@ type stampRec struct {
 // writes.
 //
 // It is also the handler's scratch (DESIGN.md §9, "Scratch"): a Deliver is
-// decoded into req, and every grant — pushed, or replied with — is cut from
-// grant. A wire handler's fx goes back to the pool when wsrpc has written its
-// reply (grantReply): one per handler in flight, not one per connection.
+// decoded into req, every grant — pushed, or replied with — is cut from
+// grant, and what the handler sends — its reply (ack, reply) and its result
+// pushes (note) — is a field handed to wsrpc by pointer. A wire handler's fx
+// goes back to the pool when wsrpc has written its reply (grantReply,
+// submitReply): one per handler in flight, not one per connection.
 type fx struct {
 	events   []obs.Event // deferred tracer records
 	stamps   []stampRec
@@ -282,7 +284,9 @@ type fx struct {
 	runs     []resultRun
 	req      fproto.DeliverRequest
 	grant    []fproto.Assignment
-	reply    []fproto.Assignment // of grant, what answers the pull being served
+	reply    []fproto.Assignment  // of grant, what answers the pull being served
+	ack      fproto.SubmitReply   // what answers the submit being served
+	note     fproto.ResultsNotify // the result push being sent
 }
 
 func (f *fx) trace(at time.Duration, kind obs.EventKind, trace uint64, id task.ID, epr, exec string) {
@@ -323,6 +327,7 @@ func putFx(f *fx) {
 		f.runs = emptied(f.runs)
 		f.req = fproto.DeliverRequest{Results: emptied(f.req.Results)}
 		f.grant, f.reply = emptied(f.grant), nil
+		f.ack, f.note = fproto.SubmitReply{}, fproto.ResultsNotify{}
 	}
 	fxPool.Put(f)
 }
@@ -342,6 +347,13 @@ func (g *grantReply) AppendJSON(dst []byte) []byte {
 }
 
 func (g *grantReply) Release() { putFx((*fx)(g)) }
+
+// submitReply is a handler's fx as the reply to a submit, released likewise.
+type submitReply fx
+
+func (r *submitReply) AppendJSON(dst []byte) []byte { return r.ack.AppendJSON(dst) }
+
+func (r *submitReply) Release() { putFx((*fx)(r)) }
 
 // Dispatcher is the Falkon dispatch service. Create with New, then Listen.
 type Dispatcher struct {
@@ -570,7 +582,7 @@ func (d *Dispatcher) flush(f *fx) {
 	}
 	start := 0
 	for _, run := range f.runs {
-		d.pushResults(run.peer, run.inst, f.results[start:run.end])
+		d.pushResults(f, run.peer, run.inst, f.results[start:run.end])
 		start = run.end
 	}
 }
@@ -590,11 +602,12 @@ func (d *Dispatcher) notify(p Pusher, method string, body any) error {
 // strength of the attached peer): the instance is detached from that peer,
 // and the run goes to the connection that reattached meanwhile or, with
 // none, back into the buffer and the live set, where the next reattach
-// finds it and a resubmission dedupes against it. rs aliases fx's pooled
-// array; Notify encodes it before returning and the buffer copies.
-func (d *Dispatcher) pushResults(peer *wsrpc.Peer, inst *instance, rs []task.Result) {
+// finds it and a resubmission dedupes against it. rs aliases f's pooled
+// array; Notify encodes it, from f.note, before returning and the buffer copies.
+func (d *Dispatcher) pushResults(f *fx, peer *wsrpc.Peer, inst *instance, rs []task.Result) {
+	f.note = fproto.ResultsNotify{EPR: inst.epr, Results: rs}
 	for peer != nil {
-		err := d.notify(peer, fproto.NotifyResults, fproto.ResultsNotify{EPR: inst.epr, Results: rs})
+		err := d.notify(peer, fproto.NotifyResults, &f.note)
 		if err == nil {
 			return
 		}
@@ -1284,18 +1297,19 @@ func (d *Dispatcher) sweeper() {
 		case <-tick.C:
 		}
 		cutoff := d.now() - d.opts.ReplayTimeout
-		var f fx
+		f := getFx()
 		d.mu.Lock()
 		expired := d.core.Expire(cutoff)
-		d.replayAll(&f, expired, "replay timeout")
+		d.replayAll(f, expired, "replay timeout")
 		if len(expired) > 0 {
-			d.notifyLocked(&f, d.now())
+			d.notifyLocked(f, d.now())
 		}
 		d.mu.Unlock()
 		d.wakeDrain()
 		if len(expired) > 0 {
 			d.logf("dispatch: replayed %d timed-out tasks", len(expired))
 		}
-		d.flush(&f)
+		d.flush(f)
+		putFx(f)
 	}
 }

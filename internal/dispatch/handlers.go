@@ -192,19 +192,28 @@ func (d *Dispatcher) handleDestroyInstance(_ *wsrpc.Peer, body json.RawMessage) 
 	return struct{}{}, nil
 }
 
-func (d *Dispatcher) handleSubmit(p *wsrpc.Peer, body json.RawMessage) (any, error) {
+func (d *Dispatcher) handleSubmit(_ *wsrpc.Peer, body json.RawMessage) (any, error) {
 	var req fproto.SubmitRequest
 	if err := req.DecodeInterned(body, d.internEPR); err != nil {
 		return nil, badBody(err)
 	}
+	f := getFx()
+	if err := d.submit(f, &req); err != nil {
+		putFx(f)
+		return nil, err
+	}
+	return (*submitReply)(f), nil
+}
+
+// submit queues a bundle ({1}) and leaves its acknowledgment ({2}) in f.ack; f
+// is the caller's to release.
+func (d *Dispatcher) submit(f *fx, req *fproto.SubmitRequest) error {
 	d.imu.RLock()
 	inst, ok := d.instances[req.EPR]
 	d.imu.RUnlock()
 	if !ok || inst.destroyed.Load() {
-		return nil, fmt.Errorf("dispatch: no such instance %q", req.EPR)
+		return fmt.Errorf("dispatch: no such instance %q", req.EPR)
 	}
-	f := getFx()
-	defer putFx(f)
 	t0 := time.Now()
 	d.mu.Lock()
 	t1 := time.Now()
@@ -212,7 +221,7 @@ func (d *Dispatcher) handleSubmit(p *wsrpc.Peer, body json.RawMessage) (any, err
 	// submit is refused, or its tasks are queued by the time Drain looks.
 	if d.draining.Load() {
 		d.mu.Unlock()
-		return nil, fmt.Errorf("dispatch: draining, not accepting submissions")
+		return fmt.Errorf("dispatch: draining, not accepting submissions")
 	}
 	// Admission control: the tenant's quota and rate limit are checked on
 	// the whole bundle before any durable state changes. A throttled bundle
@@ -221,7 +230,8 @@ func (d *Dispatcher) handleSubmit(p *wsrpc.Peer, body json.RawMessage) (any, err
 	if retryAfter, ok := d.tenants.admit(inst.tenant, len(req.Tasks)); !ok {
 		d.mu.Unlock()
 		d.reg.Counter(obs.TenantKey(obs.MetricTenantThrottled, inst.tenant)).Inc()
-		return fproto.SubmitReply{RetryAfterMillis: retryAfter}, nil
+		f.ack = fproto.SubmitReply{RetryAfterMillis: retryAfter}
+		return nil
 	}
 	tasks, deduped := req.Tasks, 0
 	inst.mu.Lock()
@@ -256,7 +266,7 @@ func (d *Dispatcher) handleSubmit(p *wsrpc.Peer, body json.RawMessage) (any, err
 	// admission but are already in flight from an earlier submission.
 	d.tenants.unadmit(inst.tenant, deduped)
 
-	now := d.now()
+	now := t1.Sub(d.epoch) // d.now() as the lock was taken: one reading
 	var h wal.Handle
 	var werr error
 	if len(tasks) > 0 {
@@ -280,13 +290,13 @@ func (d *Dispatcher) handleSubmit(p *wsrpc.Peer, body json.RawMessage) (any, err
 	d.hSchedCore.Observe(t2.Sub(t1).Seconds())
 	d.hFxFlush.Observe(t3.Sub(t2).Seconds())
 	if werr != nil {
-		return nil, werr
+		return werr
 	}
 	// Durability barrier: the acknowledgment is withheld until the accept
 	// record reaches disk, so an acked task survives any crash. The group
 	// committer amortizes one fsync across concurrent submits.
 	if err := h.Wait(); err != nil {
-		return nil, err
+		return err
 	}
 	// Quorum barrier: under -replicate quorum the acknowledgment further
 	// waits until the attached standbys have durably mirrored the record
@@ -297,7 +307,8 @@ func (d *Dispatcher) handleSubmit(p *wsrpc.Peer, body json.RawMessage) (any, err
 		}
 		d.hWALWait.Observe(time.Since(t3).Seconds())
 	}
-	return fproto.SubmitReply{Accepted: len(req.Tasks), Deduped: deduped}, nil
+	f.ack = fproto.SubmitReply{Accepted: len(req.Tasks), Deduped: deduped}
+	return nil
 }
 
 func (d *Dispatcher) handleCollect(_ *wsrpc.Peer, body json.RawMessage) (any, error) {
@@ -510,7 +521,7 @@ func (d *Dispatcher) deliver(f *fx, req *fproto.DeliverRequest) error {
 		d.mu.Unlock()
 		return fmt.Errorf("dispatch: unregistered executor %q", req.ExecutorID)
 	}
-	now := d.now()
+	now := t1.Sub(d.epoch) // d.now() as the lock was taken: one reading
 	// The batch as the dispatcher timed it: sent when its first task was
 	// dispatched, ran for what its results report.
 	sent, ran := now, time.Duration(0)

@@ -31,11 +31,20 @@ func TestJournalRecordsFollowTheProtocol(t *testing.T) {
 	if _, err := c.WaitN(n, time.Minute); err != nil {
 		t.Fatal(err)
 	}
-	s := d.Metrics().Snapshot()
-	calls := func(method string) int64 { return s.Counters[obs.Labeled("wsrpc_calls_total", "method", method)] }
-	submits, delivers := calls(fproto.MethodSubmit), calls(fproto.MethodDeliver)
-	grants := int64(s.Histograms["falkon_dispatch_grant_tasks"].Count)
-	appends := s.Counters["falkon_wal_appends_total"]
+	var submits, delivers, grants, appends int64
+	read := func() bool {
+		s := d.Metrics().Snapshot()
+		calls := func(method string) int64 { return s.Counters[obs.Labeled("wsrpc_calls_total", "method", method)] }
+		submits, delivers = calls(fproto.MethodSubmit), calls(fproto.MethodDeliver)
+		grants = int64(s.Histograms["falkon_dispatch_grant_tasks"].Count)
+		appends = s.Counters["falkon_wal_appends_total"]
+		return appends == 1+submits+grants+delivers
+	}
+	// wsrpc counts a call when its handler has returned, and the last Deliver
+	// pushes the results WaitN saw from inside its handler: give it a moment.
+	for tries := 0; !read() && tries < 100; tries++ {
+		time.Sleep(time.Millisecond)
+	}
 	if want := 1 + submits + grants + delivers; appends != want {
 		t.Fatalf("journal holds %d records, want %d = 1 instance + %d submits + %d grants + %d delivers", appends, want, submits, grants, delivers)
 	}

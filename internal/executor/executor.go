@@ -129,7 +129,12 @@ type Executor struct {
 	// waiting slot. The dispatcher pushes only to slots that told it they are
 	// waiting, so at most Slots grants are ever unconsumed and the buffer is
 	// that deep (onNotify has the read loop wait for nothing all the same).
-	pushed chan []fproto.Assignment
+	// A grant travels in a holder off the free list (DESIGN.md §9, "Scratch"),
+	// which the slot puts back once the grant's tasks have run — before the
+	// Deliver that can bring the next push — so Slots+1 holders go round: one
+	// a slot, and one for the read loop to decode into.
+	pushed chan *fproto.GetWorkReply
+	free   chan *fproto.GetWorkReply
 	stop   chan struct{}
 	done   chan struct{}
 
@@ -165,7 +170,8 @@ func Start(opts Options) (*Executor, error) {
 	e := &Executor{
 		opts:   opts,
 		wake:   make(chan struct{}, opts.Slots),
-		pushed: make(chan []fproto.Assignment, opts.Slots),
+		pushed: make(chan *fproto.GetWorkReply, opts.Slots),
+		free:   make(chan *fproto.GetWorkReply, opts.Slots+1),
 		stop:   make(chan struct{}),
 		done:   make(chan struct{}),
 	}
@@ -278,25 +284,45 @@ func (e *Executor) onNotify(method string, body json.RawMessage) {
 		}
 		e.wakeSlots(min(n, e.opts.Slots))
 	case fproto.NotifyWorkGrant:
-		var g fproto.GetWorkReply
+		var g *fproto.GetWorkReply
+		select {
+		case g = <-e.free:
+		default: // the first pushes, or more grants than slots
+			g = new(fproto.GetWorkReply)
+		}
 		if err := g.DecodeJSON(body); err != nil {
 			e.logf("executor %s: work grant: %v", e.opts.ID, err)
+			e.release(g)
 			return
 		}
 		select {
-		case e.pushed <- g.Assignments:
+		case e.pushed <- g:
 		default:
 			// More grants than slots were waiting for: the dispatcher's count
 			// is not this executor's to trust. The read loop cannot wait for
 			// room — the reply that frees a slot may be behind this frame —
 			// so the grant waits on a goroutine of its own.
-			go func() {
-				select {
-				case e.pushed <- g.Assignments:
-				case <-e.stop:
-				}
-			}()
+			go e.handOver(g)
 		}
+	}
+}
+
+// handOver waits for a slot to take a grant the channel had no room for.
+func (e *Executor) handOver(g *fproto.GetWorkReply) {
+	select {
+	case e.pushed <- g:
+	case <-e.stop:
+	}
+}
+
+// release puts a grant holder back on the free list; nothing reads it after
+// (Recycle is here for fproto.Scribble, which holds tests to that). What it
+// still holds is kept, length and all, for the next decode to compare against.
+func (e *Executor) release(g *fproto.GetWorkReply) {
+	fproto.Recycle(g.Assignments)
+	select {
+	case e.free <- g:
+	default: // one made for a grant too many
 	}
 }
 
@@ -337,10 +363,7 @@ func (e *Executor) SpanHeader() obs.DumpHeader {
 	return h
 }
 
-// at returns the current time on the dispatcher-epoch timeline; on places a
-// reading of this process's clock there.
-func (e *Executor) at() time.Duration { return e.on(time.Now()) }
-
+// on places a reading of this process's clock on the dispatcher-epoch timeline.
 func (e *Executor) on(t time.Time) time.Duration { return time.Duration(t.UnixNano() - e.epoch.Load()) }
 
 // TasksRun returns the number of tasks completed so far.
@@ -400,7 +423,7 @@ func (e *Executor) workLoop() {
 			idleC = idleTimer.C
 		}
 		woke := false
-		var as []fproto.Assignment
+		var g *fproto.GetWorkReply
 		select {
 		case <-e.stop:
 		case <-e.sess.Done(): // dropped without Reconnect, or gave up redialing
@@ -411,7 +434,7 @@ func (e *Executor) workLoop() {
 			e.releaseIdle()
 		case <-e.wake:
 			woke = true
-		case as = <-e.pushed:
+		case g = <-e.pushed:
 			woke = true
 		}
 		if idleTimer != nil {
@@ -424,13 +447,18 @@ func (e *Executor) workLoop() {
 		if err != nil {
 			return
 		}
-		if as != nil {
-			e.traceAssigned(&ps, e.at(), obs.EvPushed, as)
-			e.runAssignments(cli, &ps, as)
+		// One reading of the clock is when the work arrived, when its first
+		// task was picked up and, for a pull, the end of the round trip.
+		if g != nil {
+			got := time.Now()
+			e.traceAssigned(&ps, e.on(got), obs.EvPushed, g.Assignments)
+			e.runAssignments(cli, &ps, g.Assignments, g, got)
 			continue
 		}
 		sent := time.Now()
-		err = cli.Call(fproto.MethodGetWork, fproto.GetWorkRequest{ExecutorID: e.opts.ID, Max: ps.Ask(e.opts.Prefetch)}, &ps.pulled)
+		ps.ask = fproto.GetWorkRequest{ExecutorID: e.opts.ID, Max: ps.Ask(e.opts.Prefetch)}
+		err = cli.Call(fproto.MethodGetWork, &ps.ask, &ps.pulled)
+		got := time.Now()
 		if err != nil {
 			// A dropped connection is the session's to replace: park again
 			// until onReconnect wakes the slots on the re-registered one (or
@@ -444,21 +472,24 @@ func (e *Executor) workLoop() {
 			}
 			continue
 		}
-		ps.RTT = time.Since(sent)
-		e.traceAssigned(&ps, e.at(), obs.EvPulled, ps.pulled.Assignments)
-		e.runAssignments(cli, &ps, ps.pulled.Assignments)
+		ps.RTT = got.Sub(sent)
+		e.traceAssigned(&ps, e.on(got), obs.EvPulled, ps.pulled.Assignments)
+		e.runAssignments(cli, &ps, ps.pulled.Assignments, nil, got)
 	}
 }
 
 // slot is what one workLoop keeps from batch to batch: the sizer and its
-// scratch (DESIGN.md §9, "Scratch") — a batch is run, and its results encoded
-// from results, before the next reply is decoded over the assignments it was.
+// scratch (DESIGN.md §9, "Scratch") — the two requests it sends, handed to Call
+// by pointer, and the two replies it decodes: a batch is run, and its results
+// encoded from deliver, before the next reply is decoded over the assignments
+// it was.
 type slot struct {
 	PullSizer
 	evs     []obs.Event // trace events gathered for the tracer to take in one call
+	ask     fproto.GetWorkRequest
 	pulled  fproto.GetWorkReply
+	deliver fproto.DeliverRequest
 	acked   fproto.DeliverReply
-	results []fproto.TaggedResult
 }
 
 // traceAssigned records how a batch of assignments reached this executor,
@@ -506,10 +537,10 @@ func (e *Executor) markBusy() {
 	e.gActive.Add(1)
 }
 
-func (e *Executor) markIdle(ran int64) {
+func (e *Executor) markIdle(ran int64, now time.Time) {
 	e.mu.Lock()
 	e.active--
-	e.lastBusy = time.Now()
+	e.lastBusy = now
 	e.tasksRun += ran
 	e.mu.Unlock()
 	e.cIdle.Inc()
@@ -521,19 +552,23 @@ func (e *Executor) markIdle(ran int64) {
 // batch is pinned to one connection: if it dies mid-delivery the results are
 // dropped and the (journaling) dispatcher re-dispatches the tasks after
 // recovery, so nothing retries against a connection that no longer knows the
-// outstanding set.
-func (e *Executor) runAssignments(cli *wsrpc.Client, ps *slot, as []fproto.Assignment) {
+// outstanding set. pushed, unless nil, is the holder as came in, given back
+// once its tasks have run; pickup is when as arrived.
+func (e *Executor) runAssignments(cli *wsrpc.Client, ps *slot, as []fproto.Assignment, pushed *fproto.GetWorkReply, pickup time.Time) {
 	if len(as) == 0 {
+		if pushed != nil {
+			e.release(pushed)
+		}
 		return
 	}
 	e.markBusy()
 	var ran int64
-	defer func() { e.markIdle(ran) }()
 	// Two readings of the clock per task, its start and its end: a task is
-	// picked up when the one before it ended.
-	pickup := time.Now()
+	// picked up when the one before it ended, and the slot is idle from when
+	// its last Deliver came back.
+	defer func() { e.markIdle(ran, pickup) }()
 	for len(as) > 0 {
-		ps.results = fproto.Recycle(ps.results)
+		results := fproto.Recycle(ps.deliver.Results)
 		for i := range as {
 			a := &as[i]
 			if e.opts.Faults.ExecCrash() {
@@ -555,7 +590,7 @@ func (e *Executor) runAssignments(cli *wsrpc.Client, ps *slot, as []fproto.Assig
 			e.hRun.Observe(runDur.Seconds())
 			e.hOverhed.Observe(overhead.Seconds())
 			ps.Observe(runDur, len(r.Stdout)+len(r.Stderr))
-			ps.results = append(ps.results, fproto.TaggedResult{
+			results = append(results, fproto.TaggedResult{
 				EPR:         a.EPR,
 				Result:      r,
 				RunDur:      runDur,
@@ -563,15 +598,19 @@ func (e *Executor) runAssignments(cli *wsrpc.Client, ps *slot, as []fproto.Assig
 			})
 			ran++
 		}
+		if pushed != nil {
+			// Before the Deliver whose answer parks this slot again: the next
+			// push finds the holder back. results has what is kept of as.
+			e.release(pushed)
+			pushed = nil
+		}
 		// The envelope carries the batch head's trace (per-result context
 		// rides in the result bodies), so the return hop is attributable too.
-		err := cli.CallTrace(fproto.MethodDeliver, fproto.DeliverRequest{
-			ExecutorID: e.opts.ID,
-			Results:    ps.results,
-			WantWork:   true,
-			MaxNew:     ps.Ask(e.opts.Prefetch),
-		}, &ps.acked, ps.results[0].Result.Trace, 0)
+		ps.deliver = fproto.DeliverRequest{ExecutorID: e.opts.ID, Results: results, WantWork: true, MaxNew: ps.Ask(e.opts.Prefetch)}
+		err := cli.CallTrace(fproto.MethodDeliver, &ps.deliver, &ps.acked, results[0].Result.Trace, 0)
 		back := time.Now()
+		waited := back.Sub(pickup) // from the last task's end
+		pickup = back
 		if err != nil {
 			e.traceAssigned(ps, 0, 0, nil) // what the batch gathered
 			if !e.isStopping() {
@@ -579,19 +618,18 @@ func (e *Executor) runAssignments(cli *wsrpc.Client, ps *slot, as []fproto.Assig
 			}
 			return
 		}
-		ps.RTT = back.Sub(pickup) // from the last task's end: what the slot waited
+		ps.RTT = waited
 		if e.opts.Faults.ResultThenDie() {
 			// The dispatcher holds the results but this executor dies before
 			// acting on the acknowledgment — the duplicate-provoking failure.
 			e.crash("result-then-die")
 		}
 		now := e.on(back)
-		for _, tr := range ps.results {
+		for _, tr := range results {
 			ps.evs = append(ps.evs, obs.Event{At: now, Kind: obs.EvDelivered, Trace: tr.Result.Trace, Task: tr.Result.ID, EPR: tr.EPR, Executor: e.opts.ID})
 		}
 		as = ps.acked.Assignments
 		e.traceAssigned(ps, now, obs.EvAcked, as)
-		pickup = back
 	}
 }
 

@@ -7,6 +7,7 @@ package executor_test
 
 import (
 	"encoding/json"
+	"fmt"
 	"sync"
 	"testing"
 	"time"
@@ -91,12 +92,13 @@ type fakeDispatcher struct {
 	next      task.ID
 	queued    int
 	delivered map[task.ID]int
+	output    map[task.ID]string // what each delivered result said its task printed, or its failure
 	pulls     int
 }
 
 func startFakeDispatcher(t *testing.T) *fakeDispatcher {
 	t.Helper()
-	f := &fakeDispatcher{srv: wsrpc.NewServer(wsrpc.ServerOptions{}), delivered: make(map[task.ID]int)}
+	f := &fakeDispatcher{srv: wsrpc.NewServer(wsrpc.ServerOptions{}), delivered: make(map[task.ID]int), output: make(map[task.ID]string)}
 	f.srv.RegisterFast(fproto.MethodRegister, func(p *wsrpc.Peer, body json.RawMessage) (any, error) {
 		var req struct { // the request as it was before AcceptsGrants
 			ExecutorID string `json:"executor_id"`
@@ -131,6 +133,7 @@ func startFakeDispatcher(t *testing.T) *fakeDispatcher {
 		defer f.mu.Unlock()
 		for _, r := range req.Results {
 			f.delivered[r.Result.ID]++
+			f.output[r.Result.ID] = r.Result.Stdout + r.Result.Err
 		}
 		return fproto.DeliverReply{Assignments: f.takeLocked(req.MaxNew)}, nil
 	})
@@ -248,4 +251,131 @@ func TestMoreGrantsThanSlotsDoNotWedgeTheReadLoop(t *testing.T) {
 	}
 	close(release) // its Deliver's reply is behind the three grants on the wire
 	f.waitDelivered(t, 1+2*len(grants))
+}
+
+// The grant holders are scratch (DESIGN.md §9, "Scratch"): a pushed grant is
+// decoded into one of Slots+1 holders, which its slot gives back once the
+// grant's tasks have run, and the read loop decodes the next push over it. As
+// in internal/forward/scratch_test.go every piece of scratch is overwritten
+// the moment it is recycled, and every task must still run once, with its own
+// argument; under -race a slot still reading a holder it gave back is a
+// reported race with the decode as well. This runs in both modes.
+
+func scribbling(t *testing.T) {
+	t.Helper()
+	fproto.Scribble = func(scratch any) {
+		junk := task.Task{ID: 1<<63 + 7, Engine: task.EngineFunc, Command: "scribbled", Args: []string{"scribbled"}}
+		switch s := scratch.(type) {
+		case []fproto.Assignment:
+			for i := range s {
+				s[i] = fproto.Assignment{EPR: "scribbled", Task: junk}
+			}
+		case []fproto.TaggedResult:
+			for i := range s {
+				s[i] = fproto.TaggedResult{EPR: "scribbled", Result: task.Result{ID: junk.ID, Stdout: "scribbled", Err: "scribbled"}}
+			}
+		}
+	}
+	t.Cleanup(func() { fproto.Scribble = nil }) // runs last: after the executor has stopped
+}
+
+// echoGrant is a grant of n tasks that each print an argument no other task has.
+func (f *fakeDispatcher) echoGrant(n int) fproto.GetWorkReply {
+	f.mu.Lock()
+	defer f.mu.Unlock()
+	var g fproto.GetWorkReply
+	for ; n > 0; n-- {
+		a := f.assignmentLocked()
+		a.Task.Engine, a.Task.Command, a.Task.Args = task.EngineFunc, "echo", []string{fmt.Sprintf("out-%d", a.Task.ID)}
+		g.Assignments = append(g.Assignments, a)
+	}
+	return g
+}
+
+// checkEchoes requires tasks 1..n delivered (waitDelivered: once each), each
+// saying what its own task printed.
+func (f *fakeDispatcher) checkEchoes(t *testing.T, n int) {
+	t.Helper()
+	f.waitDelivered(t, n)
+	f.mu.Lock()
+	defer f.mu.Unlock()
+	for id := task.ID(1); id <= task.ID(n); id++ {
+		if want := fmt.Sprintf("out-%d", id); f.output[id] != want {
+			t.Fatalf("task %d came back saying %q, want %q", id, f.output[id], want)
+		}
+	}
+}
+
+func startEchoExecutor(t *testing.T, f *fakeDispatcher, slots int) *wsrpc.Peer {
+	t.Helper()
+	ex, err := executor.Start(executor.Options{
+		ID: "echo", DispatcherAddr: f.srv.Addr(), Slots: slots, Logf: t.Logf,
+		Funcs: map[string]executor.Func{"echo": func(t task.Task) (string, int, error) { return t.Args[0], 0, nil }},
+	})
+	if err != nil {
+		t.Fatal(err)
+	}
+	t.Cleanup(ex.Stop)
+	f.mu.Lock()
+	defer f.mu.Unlock()
+	return f.peer
+}
+
+// Four grants back to back to four waiting slots, round after round: from the
+// second round on every grant is decoded over one a slot has run.
+func TestScratchGrantHoldersBackToBack(t *testing.T) {
+	scribbling(t)
+	f := startFakeDispatcher(t)
+	peer := startEchoExecutor(t, f, 4)
+	const rounds, each = 50, 3
+	for round := 1; round <= rounds; round++ {
+		for i := 0; i < 4; i++ {
+			if err := peer.Notify(fproto.NotifyWorkGrant, f.echoGrant(each)); err != nil {
+				t.Fatal(err)
+			}
+		}
+		f.checkEchoes(t, round*4*each)
+	}
+}
+
+// Three times as many grants at once as there are slots: the overflow path,
+// holders made for the grants too many, and the free list refusing them.
+func TestScratchGrantHoldersOverflow(t *testing.T) {
+	scribbling(t)
+	f := startFakeDispatcher(t)
+	peer := startEchoExecutor(t, f, 4)
+	const rounds, grants, each = 20, 12, 2
+	for round := 1; round <= rounds; round++ {
+		for i := 0; i < grants; i++ {
+			if err := peer.Notify(fproto.NotifyWorkGrant, f.echoGrant(each)); err != nil {
+				t.Fatal(err)
+			}
+		}
+		f.checkEchoes(t, round*grants*each)
+	}
+}
+
+// A stream of grants kept a few ahead of two slots: a slot gives its holder
+// back while the read loop is decoding the next push, into the holder another
+// slot gave back a moment ago.
+func TestScratchGrantHolderReturnedDuringDecode(t *testing.T) {
+	scribbling(t)
+	f := startFakeDispatcher(t)
+	peer := startEchoExecutor(t, f, 2)
+	const grants, each, ahead = 600, 2, 3
+	for sent := 0; sent < grants; sent++ {
+		for { // at most `ahead` grants pushed and not yet delivered
+			f.mu.Lock()
+			done := len(f.delivered)
+			f.mu.Unlock()
+			if sent*each-done < ahead*each {
+				break
+			}
+			time.Sleep(20 * time.Microsecond)
+		}
+		if err := peer.Notify(fproto.NotifyWorkGrant, f.echoGrant(each)); err != nil {
+			t.Fatal(err)
+		}
+	}
+	f.checkEchoes(t, grants*each)
 }

@@ -46,12 +46,15 @@ type link struct {
 	// dmu guards the link's scratch for a delivery: pushed, what the leaf's push
 	// is decoded into, and tagged, the same results as handed to the root. smu
 	// guards what goes down the wire (the link's goroutine and submit handlers
-	// take turns, so a downstream instance is created once) and stocked, a
-	// stocking's grants.
+	// take turns, so a downstream instance is created once), stocked, a
+	// stocking's grants, and sub and rep, the submit that carries a run of
+	// them down and its reply, handed to Call by pointer.
 	dmu, smu sync.Mutex
 	pushed   fproto.ResultsNotify
 	tagged   []fproto.TaggedResult
 	stocked  []fproto.Assignment
+	sub      fproto.SubmitGrant
+	rep      fproto.SubmitReply
 
 	// kick (buffered 1) has the link's goroutine stock the leaf: a downstream
 	// call from a root handler or this leaf's read loop could wait on itself.
@@ -280,15 +283,16 @@ func (l *link) send(as []fproto.Assignment) {
 		if down, err = l.ensureDown(cli, as[start].EPR); down == "" {
 			continue // destroyed since the grant: the root has swept its tasks
 		}
-		var rep fproto.SubmitReply
+		l.sub, l.rep = fproto.SubmitGrant{EPR: down, Grant: as[start:end]}, fproto.SubmitReply{}
 		sent := time.Now()
 		// The head's trace rides the envelope across the EPR rewrite.
-		err = cli.CallTrace(fproto.MethodSubmit, fproto.SubmitGrant{EPR: down, Grant: as[start:end]}, &rep, as[start].Task.Trace, 0)
+		err = cli.CallTrace(fproto.MethodSubmit, &l.sub, &l.rep, as[start].Task.Trace, 0)
+		l.sub.Grant = nil // as is the caller's
 		if err != nil {
 			break
 		}
 		l.mu.Lock()
-		if wait := time.Duration(rep.RetryAfterMillis) * time.Millisecond; wait > 0 {
+		if wait := time.Duration(l.rep.RetryAfterMillis) * time.Millisecond; wait > 0 {
 			l.deferred = append(l.deferred, as[start:end]...) // a copy: as is the caller's to reuse
 			l.notBefore = sent.Add(wait)
 			time.AfterFunc(wait, func() { l.Notify("", nil) })

@@ -107,6 +107,19 @@ func settle[T any](now, was []T) {
 	}
 }
 
+// remembered is the first element of the message a held value was decoded into
+// last (zero for a fresh value, or one its holder emptied), taken before the
+// array is recycled: this message's first element offers it as `like`, so a
+// connection that says the same command, EPR or executor ID message after
+// message allocates them once. What is remembered is only compared against
+// (DESIGN.md §11, invariants): a field the message leaves out decodes empty.
+func remembered[T any](was []T) (first T) {
+	if len(was) > 0 {
+		first = was[0]
+	}
+	return first
+}
+
 // AppendJSON appends m's JSON encoding to dst.
 func (m SubmitRequest) AppendJSON(dst []byte) []byte {
 	dst = append(dst, `{"epr":`...)
@@ -163,9 +176,9 @@ func (m *SubmitRequest) DecodeInterned(b []byte, known Intern) error {
 	r.Expect(`,"tasks":`)
 	if !r.Lit(`null`) {
 		r.Expect(`[`)
+		first := remembered(was)
 		m.Tasks = room(was, elems(&r))
-		var zero task.Task
-		for prev := &zero; r.Elem(len(m.Tasks)); {
+		for prev := &first; r.Elem(len(m.Tasks)); {
 			m.Tasks = append(m.Tasks, task.Task{})
 			t := &m.Tasks[len(m.Tasks)-1]
 			t.ParseJSON(&r, prev)
@@ -264,9 +277,9 @@ func parseAssignments(r *jsonwire.Reader, was []Assignment) []Assignment {
 	as := was[:0]
 	r.Expect(`{`)
 	if r.Lit(`"assignments":[`) {
+		first := remembered(was)
 		as = room(was, elems(r))
-		var zero Assignment
-		for prev := &zero; r.Elem(len(as)); {
+		for prev := &first; r.Elem(len(as)); {
 			as = append(as, Assignment{})
 			a := &as[len(as)-1]
 			r.Expect(`{"epr":`)
@@ -356,8 +369,9 @@ func (m *DeliverRequest) DecodeInterned(b []byte, known Intern) error {
 	r.Expect(`{"executor_id":`)
 	m.ExecutorID = r.Interned("", known)
 	if r.Lit(`,"results":[`) {
+		first := remembered(was)
+		first.Result.ExecutorID = m.ExecutorID
 		m.Results = room(was, elems(&r))
-		first := TaggedResult{Result: task.Result{ExecutorID: m.ExecutorID}}
 		for prev := &first; r.Elem(len(m.Results)); {
 			m.Results = append(m.Results, TaggedResult{})
 			tr := &m.Results[len(m.Results)-1]
@@ -435,9 +449,9 @@ func (m *ResultsNotify) DecodeInterned(b []byte, known Intern) error {
 	r.Expect(`,"results":`)
 	if !r.Lit(`null`) {
 		r.Expect(`[`)
+		first := remembered(was)
 		m.Results = room(was, elems(&r))
-		var zero task.Result
-		for prev := &zero; r.Elem(len(m.Results)); {
+		for prev := &first; r.Elem(len(m.Results)); {
 			m.Results = append(m.Results, task.Result{})
 			res := &m.Results[len(m.Results)-1]
 			res.ParseJSON(&r, prev)

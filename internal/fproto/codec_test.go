@@ -363,6 +363,23 @@ func disturb(m bodyMsg, buf []byte) {
 	}
 }
 
+// sliceOf is the one slice a message holds (invalid if it holds none).
+func sliceOf(m bodyMsg) reflect.Value {
+	return reflect.ValueOf(m).Elem().FieldByNameFunc(func(f string) bool {
+		return f == "Tasks" || f == "Assignments" || f == "Results"
+	})
+}
+
+// heldBodies is, per bodyKinds entry that holds a slice, a message whose first
+// element sets every string a later decode into the same value is offered.
+var heldBodies = [...]string{
+	0: `{"epr":"e","tasks":[{"id":1,"dir":"/tmp","command":"sleep"},{"id":2}]}`,
+	3: `{"assignments":[{"epr":"falkon-instance-1","task":{"id":1,"dir":"/tmp","command":"sleep"}},{"epr":"e","task":{"id":2}}]}`,
+	4: `{"executor_id":"exec-0","results":[{"epr":"falkon-instance-1","result":{"id":1,"stdout":"out","stderr":"err","err":"boom","executor":"exec-0"},"run_dur":1},{"epr":"e","result":{"id":2},"run_dur":1}]}`,
+	5: `{"assignments":[{"epr":"falkon-instance-1","task":{"id":1,"dir":"/tmp","command":"sleep"}},{"epr":"e","task":{"id":2}}]}`,
+	7: `{"epr":"e","results":[{"id":1,"stdout":"out","stderr":"err","err":"boom","executor":"exec-0"},{"id":2}]}`,
+}
+
 // FuzzBodyCodec: on arbitrary bytes DecodeJSON and json.Unmarshal agree on
 // error versus value, and on the value, which neither reusing the input nor
 // appending to a task's strings changes; and what decodes re-encodes to
@@ -383,6 +400,19 @@ func FuzzBodyCodec(f *testing.F) {
 		f.Add(uint8(0), []byte(`{"epr":"e","tasks":[{"id":`+n+`,"command":"sleep","trace":`+n+`}]}`))
 		f.Add(uint8(7), []byte(`{"epr":"e","results":[{"id":`+n+`,"trace":`+n+`}]}`))
 	}
+	// A first element that repeats what heldBodies left in the value it is
+	// decoded into, one that changes it and one that leaves it out.
+	for _, first := range []string{
+		`{"epr":"falkon-instance-1","task":{"id":3,"dir":"/tmp","command":"sleep"}}`,
+		`{"epr":"falkon-instance-9","task":{"id":3,"dir":"/var","command":"echo"}}`,
+		`{"epr":"","task":{"id":3}}`, `{"task":{"id":3}}`,
+	} {
+		f.Add(uint8(3), []byte(`{"assignments":[`+first+`]}`))
+	}
+	for _, first := range []string{`{"id":3,"stdout":"out","stderr":"err","err":"boom","executor":"exec-0"}`,
+		`{"id":3,"stdout":"other","executor":"exec-7"}`, `{"id":3}`} {
+		f.Add(uint8(7), []byte(`{"epr":"falkon-instance-1","results":[`+first+`]}`))
+	}
 	f.Fuzz(func(t *testing.T, kind uint8, data []byte) {
 		k := bodyKinds[int(kind)%len(bodyKinds)]
 		got, want := k.fresh(), k.fresh()
@@ -394,6 +424,27 @@ func FuzzBodyCodec(f *testing.F) {
 		}
 		if !reflect.DeepEqual(got, want) {
 			t.Fatalf("%s %q:\n got %+v\nwant %+v", k.name, data, got, want)
+		}
+		// And twice more into one value that already held another message:
+		// what it remembers of that one, then of this one, changes nothing.
+		held := k.fresh()
+		if body := heldBodies[int(kind)%len(bodyKinds)]; body != "" {
+			decodeFast(t, held, []byte(body))
+		}
+		for range 2 {
+			buf = bytes.Clone(data)
+			herr := held.DecodeJSON(buf)
+			disturb(held, buf)
+			if s := sliceOf(held); s.IsValid() && s.Len() == 0 && sliceOf(want).Len() == 0 && k.name != "SubmitRequest" && k.name != "ResultsNotify" {
+				// The one difference: a body without the array (`{}`, or a
+				// Deliver with no results) leaves a value that held one its
+				// array, emptied; a fresh value has none. (Not so the two
+				// messages that say null: theirs is a nil again.)
+				s.Set(sliceOf(want))
+			}
+			if (herr == nil) != (werr == nil) || !reflect.DeepEqual(held, want) {
+				t.Fatalf("%s %q into a value that held another message:\n got %+v, %v\nwant %+v, %v", k.name, data, held, herr, want, werr)
+			}
 		}
 		if gerr != nil {
 			return
@@ -437,10 +488,12 @@ func TestCodecAllocs(t *testing.T) {
 		t.Errorf("AppendJSON into a warmed buffer allocates %.0f times, want 0", n)
 	}
 
-	// A piggy-backed one-argument assignment: what the decoder must allocate is
-	// the EPR, the command, the Args slice and its one string — 4 objects; the
-	// Assignments slice is the one the reply already held. (encoding/json took
-	// 13 for the same body.)
+	// A piggy-backed one-argument assignment, message after message into the
+	// reply a slot holds: what the decoder must allocate is the Args slice and
+	// its one string — 2 objects; the Assignments slice is the one the reply
+	// already held, and the EPR and the command are those of the message
+	// before, which the reply remembers. A reply that holds nothing yet pays
+	// for all five. (encoding/json took 13 for the same body.)
 	body := DeliverReply{Assignments: []Assignment{{EPR: "falkon-instance-1",
 		Task: task.Task{ID: 7, Command: "sleep", Args: []string{"0.25"}, Trace: 9}}}}.AppendJSON(nil)
 	var reply DeliverReply
@@ -448,13 +501,22 @@ func TestCodecAllocs(t *testing.T) {
 		if err := reply.DecodeJSON(body); err != nil {
 			t.Fatal(err)
 		}
-	}); n != 4 {
-		t.Errorf("DecodeJSON of a one-assignment DeliverReply allocates %.0f times, want 4", n)
+	}); n != 2 {
+		t.Errorf("DecodeJSON of a one-assignment DeliverReply into the value that held the last allocates %.0f times, want 2", n)
+	}
+	if n := testing.AllocsPerRun(100, func() {
+		var fresh DeliverReply
+		if err := fresh.DecodeJSON(body); err != nil {
+			t.Fatal(err)
+		}
+	}); n != 5 {
+		t.Errorf("DecodeJSON of a one-assignment DeliverReply into a fresh value allocates %.0f times, want 5", n)
 	}
 
-	// A bundle of results from one executor: the first result's Stdout and
-	// executor ID — the other 63 repeat both and share them. The EPR is the
-	// caller's, the Results slice the one the message held.
+	// A bundle of results from one executor, push after push into the one
+	// value a client holds: nothing. The first result's Stdout and executor ID
+	// are the last push's (the other 63 repeat both and share them), the EPR is
+	// the caller's, the Results slice the one the message held.
 	body = notify.AppendJSON(nil)
 	var n ResultsNotify
 	own := func(b []byte) string {
@@ -467,8 +529,8 @@ func TestCodecAllocs(t *testing.T) {
 		if err := n.DecodeInterned(body, own); err != nil {
 			t.Fatal(err)
 		}
-	}); got != 2 {
-		t.Errorf("DecodeInterned of a 64-result ResultsNotify allocates %.0f times, want 2", got)
+	}); got != 0 {
+		t.Errorf("DecodeInterned of a 64-result ResultsNotify into the value that held the last allocates %.0f times, want 0", got)
 	}
 }
 
@@ -534,12 +596,21 @@ func TestDecodeAllocsDoNotGrowWithTheBundle(t *testing.T) {
 			}
 		}
 		for _, body := range [][]byte{long, short} {
-			m, fresh := k.fresh(), 0.0
+			m := k.fresh()
 			decodeFast(t, m, long)
+			held := sliceOf(m)
+			array := held.Pointer()
 			again := testing.AllocsPerRun(20, func() { decodeFast(t, m, body) })
-			if fresh = testing.AllocsPerRun(20, func() { decodeFast(t, k.fresh(), body) }); again != fresh-2 {
-				// Two fewer: the slice, and the message value k.fresh allocates.
-				t.Errorf("%s: a second decode into the same value allocates %.0f times, a first %.0f, want two fewer", k.name, again, fresh)
+			if held.Pointer() != array {
+				t.Errorf("%s: a second decode into the same value left the array it held for another", k.name)
+			}
+			if fresh := testing.AllocsPerRun(20, func() { decodeFast(t, k.fresh(), body) }); again > fresh-2 {
+				// Two fewer at least: the slice, and the message value k.fresh
+				// allocates. (It was "exactly two" until a held value offered
+				// its last first element as `like`: a second decode of the same
+				// body now also saves whichever of that element's strings a
+				// first has to allocate, which is the body's to say.)
+				t.Errorf("%s: a second decode into the same value allocates %.0f times, a first %.0f, want two fewer or better", k.name, again, fresh)
 			}
 			want := k.fresh()
 			if err := json.Unmarshal(body, want); err != nil || !reflect.DeepEqual(m, want) {
@@ -551,6 +622,60 @@ func TestDecodeAllocsDoNotGrowWithTheBundle(t *testing.T) {
 	decodeFast(t, &empty, []byte(`{"epr":"e","tasks":[{"id":1,"args":[]}]}`))
 	if args := empty.Tasks[0].Args; args == nil || len(args) != 0 {
 		t.Fatalf(`"args":[] decoded as %#v, want an empty non-nil slice`, args)
+	}
+}
+
+// What a held value remembers of its last message — the first element's
+// strings — is only ever compared against, never assigned: whatever the next
+// message's first element does with a field (repeats it, changes it, leaves it
+// out), the value ends up as json.Unmarshal into a fresh one would leave it; a
+// repeat shares the remembered string instead of allocating its own.
+func TestHeldValueRemembersButNeverAssigns(t *testing.T) {
+	same := func(a, b string) bool { return a == b && unsafe.StringData(a) == unsafe.StringData(b) }
+	grant := func(first string) string {
+		return `{"assignments":[` + first + `,{"epr":"falkon-instance-2","task":{"id":2,"command":"date"}}]}`
+	}
+	const was = `{"epr":"falkon-instance-1","task":{"id":1,"dir":"/tmp","command":"sleep","args":["1"]}}`
+	for name, first := range map[string]string{
+		"repeats": `{"epr":"falkon-instance-1","task":{"id":3,"dir":"/tmp","command":"sleep","args":["3"]}}`,
+		"changes": `{"epr":"falkon-instance-9","task":{"id":3,"dir":"/var","command":"echo"}}`,
+		"omits":   `{"epr":"","task":{"id":3}}`,
+		"no epr":  `{"task":{"id":3,"command":"sleep"}}`, // outside the layout: the fallback's
+	} {
+		var held, want GetWorkReply
+		if err := held.DecodeJSON([]byte(grant(was))); err != nil {
+			t.Fatal(err)
+		}
+		before := held.Assignments[0]
+		herr, werr := held.DecodeJSON([]byte(grant(first))), json.Unmarshal([]byte(grant(first)), &want)
+		if herr != nil || werr != nil || !reflect.DeepEqual(held, want) {
+			t.Errorf("GetWorkReply, first element %s:\n got %+v, %v\nwant %+v, %v", name, held, herr, want, werr)
+		}
+		if a := held.Assignments[0]; name == "repeats" && !(same(a.EPR, before.EPR) && same(a.Task.Command, before.Task.Command) && same(a.Task.Dir, before.Task.Dir)) {
+			t.Errorf("GetWorkReply: a first element that repeats the last message's did not share its strings")
+		}
+	}
+	push := func(first string) string {
+		return `{"epr":"falkon-instance-1","results":[` + first + `,{"id":2,"executor":"exec-1"}]}`
+	}
+	const last = `{"id":1,"stdout":"out","stderr":"err","err":"boom","executor":"exec-0"}`
+	for name, first := range map[string]string{
+		"repeats": `{"id":3,"stdout":"out","stderr":"err","err":"boom","executor":"exec-0"}`,
+		"changes": `{"id":3,"stdout":"other","executor":"exec-7"}`,
+		"omits":   `{"id":3}`,
+	} {
+		var held, want ResultsNotify
+		if err := held.DecodeJSON([]byte(push(last))); err != nil {
+			t.Fatal(err)
+		}
+		before := held.Results[0]
+		herr, werr := held.DecodeJSON([]byte(push(first))), json.Unmarshal([]byte(push(first)), &want)
+		if herr != nil || werr != nil || !reflect.DeepEqual(held, want) {
+			t.Errorf("ResultsNotify, first element %s:\n got %+v, %v\nwant %+v, %v", name, held, herr, want, werr)
+		}
+		if r := held.Results[0]; name == "repeats" && !(same(r.ExecutorID, before.ExecutorID) && same(r.Stdout, before.Stdout)) {
+			t.Errorf("ResultsNotify: a first element that repeats the last message's did not share its strings")
+		}
 	}
 }
 

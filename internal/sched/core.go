@@ -163,6 +163,8 @@ type Core[E comparable, K comparable, T any] struct {
 	// record is handed out once, so the entry Complete, Expire or DropExecutor
 	// returned stays the caller's; the array is collected with its last one.
 	chunk []Outstanding[E, K, T]
+	// notes is what Notifications returns, kept from call to call.
+	notes []Notification[E]
 
 	// Counters is exported state: the caller owns Completed/Failed (see
 	// Counters doc) and snapshots the rest.
@@ -631,9 +633,11 @@ func (c *Core[E, K, T]) Requeue(it Item[T]) bool {
 // Notifications runs the notify half of the hybrid push/pull protocol:
 // it pops idle executors until the queue is covered, marking each
 // notified and stamping LastNotifyAt = now, and returns the pushes the
-// caller owes. Each executor gets at most one outstanding notification.
+// caller owes. Each executor gets at most one outstanding notification. The
+// slice is the core's scratch: it is the caller's until the next call.
 func (c *Core[E, K, T]) Notifications(now time.Duration) []Notification[E] {
-	var ns []Notification[E]
+	clear(c.notes) // no executor is kept alive by a notification long sent
+	ns := c.notes[:0]
 	queued := c.QueueLen()
 	for queued > 0 {
 		x, ok := c.PopIdle()
@@ -649,5 +653,6 @@ func (c *Core[E, K, T]) Notifications(now time.Duration) []Notification[E] {
 		ns = append(ns, Notification[E]{Exec: x, Queued: queued})
 		queued -= free
 	}
+	c.notes = ns
 	return ns
 }

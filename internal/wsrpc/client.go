@@ -294,12 +294,13 @@ func (c *Client) call(ctx context.Context, method string, arg, reply any, trace,
 		if !ok {
 			return ErrClientClosed
 		}
+		end := time.Now()
 		if slot.recvNS > 0 && slot.sendNS > 0 {
-			c.noteOffset(start, time.Now(), slot.recvNS, slot.sendNS)
+			c.noteOffset(start, end, slot.recvNS, slot.sendNS)
 		}
 		if ms != nil {
 			ms.calls.Inc()
-			ms.lat.Observe(time.Since(start).Seconds())
+			ms.lat.Observe(end.Sub(start).Seconds())
 		}
 		if slot.errs != "" {
 			err = &RemoteError{Msg: slot.errs}

@@ -263,9 +263,11 @@ func (s *Server) handleConn(c net.Conn) {
 		if s.rxBytes != nil {
 			s.rxBytes.Add(int64(len(raw)))
 		}
-		// Receive stamp for the reply's rt field: taken once per call frame,
-		// it is the t1 of the client's NTP-style offset estimate.
-		recvNS := time.Now().UnixNano()
+		// One reading of the clock per call frame is its receive stamp — the
+		// reply's rt field, the t1 of the client's NTP-style offset estimate —
+		// and the start of its handler's latency.
+		start := time.Now()
+		recvNS := start.UnixNano()
 		v, okFast := fastParseFrame(raw)
 		if !okFast {
 			f, err := decodeFrame(raw)
@@ -282,20 +284,20 @@ func (s *Server) handleConn(c net.Conn) {
 		}
 		h, ok := s.handlers[string(v.method)] // no-alloc map lookup
 		if !ok {
-			s.reply(peer, v.seq, v.trace, recvNS, nil, fmt.Errorf("wsrpc: no such method %q", v.method))
+			s.reply(peer, v.seq, v.trace, recvNS, start, nil, fmt.Errorf("wsrpc: no such method %q", v.method))
 			continue
 		}
 		ms := s.stats[string(v.method)]
 		if s.fast[string(v.method)] {
 			// Inline dispatch: v.body may alias the read scratch, which is
 			// safe because the handler completes before the next ReadFrame.
-			start := time.Now()
 			res, herr := h(peer, v.body)
+			end := time.Now()
 			if ms != nil {
 				ms.calls.Inc()
-				ms.lat.Observe(time.Since(start).Seconds())
+				ms.lat.Observe(end.Sub(start).Seconds())
 			}
-			s.reply(peer, v.seq, v.trace, recvNS, res, herr)
+			s.reply(peer, v.seq, v.trace, recvNS, end, res, herr)
 			continue
 		}
 		// Goroutine dispatch: the handler runs concurrently with further
@@ -308,20 +310,23 @@ func (s *Server) handleConn(c net.Conn) {
 			defer calls.Done()
 			start := time.Now()
 			res, herr := h(peer, body)
+			end := time.Now()
 			if ms != nil {
 				ms.calls.Inc()
-				ms.lat.Observe(time.Since(start).Seconds())
+				ms.lat.Observe(end.Sub(start).Seconds())
 			}
-			s.reply(peer, seq, trace, recvNS, res, herr)
+			s.reply(peer, seq, trace, recvNS, end, res, herr)
 		}()
 	}
 }
 
 // reply sends a kindReply frame carrying the call's trace, the receive
-// stamp taken when the call frame arrived, and a send stamp taken here —
-// the t1/t2 pair of the client's clock-offset estimate. Errors are logged,
-// not returned, because the reader loop owns connection teardown.
-func (s *Server) reply(p *Peer, seq, trace uint64, recvNS int64, res any, herr error) {
+// stamp taken when the call frame arrived, and a send stamp — the t1/t2 pair
+// of the client's clock-offset estimate. now is the caller's reading of the
+// clock as the handler returned: the send stamp, and where the write's time
+// starts. Errors are logged, not returned, because the reader loop owns
+// connection teardown.
+func (s *Server) reply(p *Peer, seq, trace uint64, recvNS int64, now time.Time, res any, herr error) {
 	var errStr string
 	var body frameBody
 	if herr != nil {
@@ -331,14 +336,10 @@ func (s *Server) reply(p *Peer, seq, trace uint64, recvNS int64, res any, herr e
 	} else {
 		body = b
 	}
-	var t0 time.Time
-	if s.hWrite != nil {
-		t0 = time.Now()
-	}
-	meta := envMeta{trace: trace, recvNS: recvNS, sendNS: time.Now().UnixNano()}
+	meta := envMeta{trace: trace, recvNS: recvNS, sendNS: now.UnixNano()}
 	n, err := p.fc.WriteEnvelope(kindReply, seq, "", errStr, meta, body)
 	if s.hWrite != nil {
-		s.hWrite.Observe(time.Since(t0).Seconds())
+		s.hWrite.Observe(time.Since(now).Seconds())
 	}
 	if r, ok := res.(Releaser); ok {
 		r.Release()

@@ -1,26 +1,84 @@
 #!/usr/bin/env bash
-# allocs.sh — who allocates what in one of the allocation-budget tests:
+# allocs.sh — who allocates what, and where the time goes, in one of the
+# allocation-budget tests or in a benchmark:
 #
 #   ./scripts/allocs.sh TestAllocsPerTaskBudget/plain ./internal/core/
 #   ./scripts/allocs.sh TestTreeHopAllocBudget ./internal/forward/
+#   ./scripts/allocs.sh -bench BenchmarkSerialRound ./internal/core/
 #
 # Runs the test with every allocation sampled (-memprofilerate=1) and prints
 # the objects allocated per function, most first, then the bytes: the
 # per-function ledgers EXPERIMENTS.md quotes, without a patched copy of
 # benchmark/. Counts cover the whole test (boot, warm-up, every measured
-# batch), so divide by the tasks it ran, not by one batch. The test binary and
-# the profile go to a temporary directory that is removed afterwards.
+# batch), so divide by the tasks it ran, not by one batch. With -bench the
+# benchmark runs 20,000 iterations that way (after its own warm-up: divide by
+# what it ran in all), and 600,000 more unsampled under -cpuprofile, whose top —
+# flat, then cumulative, then summed by layer — is printed beside the two
+# allocation tables: both ledgers of a message come from this one command. The test binary and the
+# profiles go to a temporary directory that is removed afterwards.
+#
+# Reconciling the profile with MemStats.Mallocs (what the tests and the repo
+# benchmark report): an object under 16 bytes that holds no pointer — a short
+# string such as a command or an executor ID — shares a 16-byte block of the
+# tiny allocator with its neighbours. Mallocs counts every one of them; the
+# profile samples blocks, so it shows fewer (1.7 of the 21.03 objects the
+# serial row of TestAllocsPerTaskBudget read when this note was written).
 set -euo pipefail
 
+bench=0
+if [ "${1:-}" = "-bench" ]; then
+    bench=1
+    shift
+fi
 if [ $# -ne 2 ]; then
-    echo "usage: $0 <test-regexp> <package>" >&2
+    echo "usage: $0 [-bench] <test-or-benchmark-regexp> <package>" >&2
     exit 2
 fi
 cd "$(dirname "$0")/.."
 
 out=$(mktemp -d)
 trap 'rm -rf "$out"' EXIT
-go test -run "$1" -count=1 -o "$out/test.bin" -memprofile "$out/mem.prof" -memprofilerate=1 "$2"
+run=(-run "$1")
+if [ "$bench" = 1 ]; then
+    run=(-run '^$' -bench "$1" -benchtime 20000x)
+fi
+go test "${run[@]}" -count=1 -o "$out/test.bin" -memprofile "$out/mem.prof" -memprofilerate=1 "$2"
 for index in alloc_objects alloc_space; do
     go tool pprof -sample_index=$index -top -nodecount=40 "$out/test.bin" "$out/mem.prof"
 done
+if [ "$bench" = 1 ]; then
+    go test -run '^$' -bench "$1" -benchtime 600000x -count=1 -o "$out/test.bin" -cpuprofile "$out/cpu.prof" "$2"
+    go tool pprof -top -nodecount=40 "$out/test.bin" "$out/cpu.prof"
+    go tool pprof -top -cum -nodecount=60 "$out/test.bin" "$out/cpu.prof"
+    # The time ledger: every sample goes to the first layer below that has a
+    # function anywhere on its stack, so the rows are disjoint and sum to the
+    # profile. Order matters: the layers that call nothing of ours come first.
+    echo "layer                                     ms      %"
+    seen='^$' total=0 rows=()
+    while IFS='|' read -r name re; do
+        ms=$(go tool pprof -top -unit=ms -nodefraction=0 -focus="$re" -ignore="$seen" "$out/test.bin" "$out/cpu.prof" 2>/dev/null |
+            awk 'on { sum += $1 } /flat%/ { on = 1 } END { print sum + 0 }')
+        rows+=("$name|$ms") total=$((total + ms)) seen="$seen|$re"
+    done <<'LAYERS'
+write(2)|syscall\.write$
+read(2), the EAGAIN reads included|syscall\.read$
+clock readings|^time\.(Now|Since)$
+histograms and counters|^falkon/internal/metrics\.
+netpoll (epoll_wait)|^runtime\.netpoll$
+allocator and collector|^runtime\.(mallocgc|gcBgMarkWorker|bgsweep|gcAssistAlloc)$
+scheduler: park, wake, pick a goroutine|^runtime\.(mcall|schedule|goready|ready|gopark|goexit0|newproc)$
+channel operations|^runtime\.(chansend|chanrecv|selectgo|selectnbsend|selectnbrecv)$
+body codec|^falkon/internal/(fproto|task|jsonwire)\.
+sched.Core|^falkon/internal/sched\.
+tracer|^falkon/internal/obs\.
+dispatch: handlers, fx, flush|^falkon/internal/dispatch\.
+wsrpc: envelope, cork, call slots, read loops|^falkon/internal/wsrpc\.
+executor|^falkon/internal/executor\.
+client|^falkon/internal/client\.
+everything else (the driver, runtime entry)|.
+LAYERS
+    for row in "${rows[@]}"; do
+        printf '%-38s %6d  %5.1f\n' "${row%|*}" "${row#*|}" "$(echo "${row#*|} $total" | awk '{ print 100 * $1 / $2 }')"
+    done
+    printf '%-38s %6d  100.0\n' total "$total"
+fi

@@ -1,7 +1,10 @@
 package core_test
 
 import (
+	"bytes"
+	"os"
 	"runtime"
+	"strconv"
 	"testing"
 
 	"falkon/internal/core"
@@ -17,34 +20,114 @@ import (
 // ledgers EXPERIMENTS.md keeps — who allocates, and where the time goes:
 //
 //	./scripts/allocs.sh -bench BenchmarkSerialRound ./internal/core/
-func BenchmarkSerialRound(b *testing.B) {
-	defer runtime.GOMAXPROCS(runtime.GOMAXPROCS(1))
+//
+// On linux it also reports the read(2) and write(2) calls the process made
+// per task, all three connections' both ends included: six frames are six
+// writes, and a read beyond the six that take them found nothing.
+func BenchmarkSerialRound(b *testing.B) { benchRound(b, 1, true) }
+
+// BenchmarkRoundPs is the same round on the Ps -cpu gives it, alone and as a
+// bundle of 64: where the next frame can arrive on another P while a read
+// session is deciding to wait, which the repo benchmark's one P never shows.
+func BenchmarkRoundPs(b *testing.B) {
+	b.Run("serial", func(b *testing.B) { benchRound(b, 1, false) })
+	b.Run("bulk64", func(b *testing.B) { benchRound(b, 64, false) })
+}
+
+func benchRound(b *testing.B, tasks int, oneP bool) {
+	round := startRound(b, tasks, oneP)
+	b.ReportAllocs()
+	b.ResetTimer()
+	r0, w0, counted := syscallCounts()
+	for i := 0; i < b.N; i++ {
+		round()
+	}
+	if r1, w1, _ := syscallCounts(); counted {
+		b.ReportMetric(float64(r1-r0)/float64(b.N), "reads/op")
+		b.ReportMetric(float64(w1-w0)/float64(b.N), "writes/op")
+	}
+}
+
+// TestSerialRoundSyscalls holds what BenchmarkSerialRound reports: an unqueued
+// task is six frames, each written by a write(2) of its own and read by one
+// read(2) — a read session that has read short waits without asking again
+// (DESIGN.md §9, "Read session"). Half a read per task is left for the reads
+// that do find nothing: a readiness harvested while the read before it was
+// already taking its bytes.
+func TestSerialRoundSyscalls(t *testing.T) {
+	round := startRound(t, 1, true)
+	const rounds = 4096
+	r0, w0, counted := syscallCounts()
+	if !counted {
+		t.Skip("no /proc/self/io")
+	}
+	for i := 0; i < rounds; i++ {
+		round()
+	}
+	r1, w1, _ := syscallCounts()
+	reads, writes := float64(r1-r0)/rounds, float64(w1-w0)/rounds
+	t.Logf("%.3f reads and %.3f writes per task", reads, writes)
+	// The count is the process's: the odd write of the runtime's own (a log
+	// line, a timer's wake-up pipe) is let through, a seventh per task is not.
+	if writes < 6 || writes > 6.02 {
+		t.Errorf("%.3f write(2) per unqueued task, want 6.000 (one per frame)", writes)
+	}
+	if reads > 6.5 {
+		t.Errorf("%.3f read(2) per unqueued task, want at most 6.5 (one per frame, and few that find nothing)", reads)
+	}
+}
+
+// syscallCounts returns the read and write system calls this process has made
+// (syscr and syscw of /proc/self/io; reading them is two of the former).
+func syscallCounts() (reads, writes int64, ok bool) {
+	raw, err := os.ReadFile("/proc/self/io")
+	if err != nil {
+		return 0, 0, false
+	}
+	for _, line := range bytes.Split(raw, []byte("\n")) {
+		if v, found := bytes.CutPrefix(line, []byte("syscr: ")); found {
+			reads, _ = strconv.ParseInt(string(v), 10, 64)
+		} else if v, found := bytes.CutPrefix(line, []byte("syscw: ")); found {
+			writes, _ = strconv.ParseInt(string(v), 10, 64)
+		}
+	}
+	return reads, writes, true
+}
+
+// startRound boots the repo benchmark's system (on one P for the life of tb,
+// if oneP), warms it up and returns the function that submits tasks tasks at
+// once and reads their results.
+func startRound(tb testing.TB, tasks int, oneP bool) func() {
+	if oneP {
+		prev := runtime.GOMAXPROCS(1)
+		tb.Cleanup(func() { runtime.GOMAXPROCS(prev) })
+	}
 	sys, err := core.Start(core.Config{Executors: 4})
 	if err != nil {
-		b.Fatal(err)
+		tb.Fatal(err)
 	}
-	defer sys.Close()
+	tb.Cleanup(func() { sys.Close() })
 	var gen task.IDGen
-	ts, args := make([]task.Task, 1), make([]string, 1)
+	ts, args := make([]task.Task, tasks), make([]string, tasks)
 	round := func() {
-		id := gen.Next()
-		var tok [16]byte
-		for i := range tok {
-			tok[i] = "0123456789abcdef"[uint64(id)>>(4*i)&15]
+		for n := range ts {
+			id := gen.Next()
+			var tok [16]byte
+			for i := range tok {
+				tok[i] = "0123456789abcdef"[uint64(id)>>(4*i)&15]
+			}
+			args[n] = string(tok[:])
+			ts[n] = task.Task{ID: id, Engine: task.EngineSleep, Command: "sleep", Args: args[n : n+1], Trace: 1<<62 + uint64(id)}
 		}
-		args[0] = string(tok[:])
-		ts[0] = task.Task{ID: id, Engine: task.EngineSleep, Command: "sleep", Args: args, Trace: 1<<62 + uint64(id)}
 		if err := sys.Submit(ts); err != nil {
-			b.Fatal(err)
+			tb.Fatal(err)
 		}
-		<-sys.Results()
+		for range ts {
+			<-sys.Results()
+		}
 	}
 	for i := 0; i < 2048; i++ {
 		round() // buffers, pools, per-method instruments and the pull sizer settle
 	}
-	b.ReportAllocs()
-	b.ResetTimer()
-	for i := 0; i < b.N; i++ {
-		round()
-	}
+	return round
 }

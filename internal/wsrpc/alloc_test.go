@@ -69,27 +69,28 @@ func TestWriteEnvelopeAllocFree(t *testing.T) {
 	}
 }
 
-// The read path must reuse its scratch buffer: decode work is the callers'
-// business, but framing itself stays allocation-free.
+// The read session reuses one buffer: decode work is the callers' business,
+// but framing itself allocates nothing per frame. (This is the portable
+// filler; TestSessionAllocFree reads a socket.)
 func TestReadFrameAllocFree(t *testing.T) {
 	raw := appendFrame(nil, kindCall, 42, "falkon.deliver", "", envMeta{}, frameBody{raw: []byte(`"ping"`)})
-	var one []byte
-	var hdr [4]byte
-	binary.BigEndian.PutUint32(hdr[:], uint32(len(raw)))
-	one = append(one, hdr[:]...)
-	one = append(one, raw...)
+	one := append(binary.BigEndian.AppendUint32(nil, uint32(len(raw))), raw...)
 	p := newPlainConn(&nopConn{stream: one}, flushStats{}, writeStall)
-	for i := 0; i < 8; i++ {
-		if _, err := p.ReadFrame(); err != nil {
-			t.Fatal(err)
+	const frames = 1000
+	n := 0
+	fn := func([]byte) error {
+		if n++; n%frames == 0 {
+			return errStop
 		}
+		return nil
 	}
-	avg := testing.AllocsPerRun(200, func() {
-		if _, err := p.ReadFrame(); err != nil {
+	p.ReadFrames(fn)
+	avg := testing.AllocsPerRun(20, func() {
+		if err := p.ReadFrames(fn); err != errStop {
 			t.Fatal(err)
 		}
 	})
-	if avg > 0 {
-		t.Fatalf("ReadFrame allocates %.1f objects/op, want 0", avg)
+	if avg/frames >= 0.01 {
+		t.Fatalf("a session allocates %.0f objects over %d frames, want 0 per frame", avg, frames)
 	}
 }

@@ -75,7 +75,7 @@ type Client struct {
 
 // callSlot is where one call waits for its reply: the read loop fills in the
 // reply's envelope fields and copies its body into the slot's own buffer
-// (the read scratch is reused by the next read), then signals ready. Slots are
+// (the read buffer is reused by the next read), then signals ready. Slots are
 // recycled through callSlots, but only by a call that received its reply:
 // one abandoned on ctx.Done() may still be written by the read loop, and one
 // failed by teardown has a closed channel.
@@ -132,25 +132,13 @@ func dial(ctx context.Context, addr string, opts ClientOptions, connect func(ctx
 
 // readLoop dispatches replies and notifications until the connection ends.
 func (c *Client) readLoop() {
-	var err error
-	for {
-		var raw []byte
-		raw, err = c.fc.ReadFrame()
-		if err != nil {
-			break
-		}
+	c.fc.ReadFrames(func(raw []byte) error {
 		if c.rxBytes != nil {
 			c.rxBytes.Add(int64(len(raw)))
 		}
-		v, ok := fastParseFrame(raw)
-		if !ok {
-			var f *frame
-			f, err = decodeFrame(raw)
-			if err != nil {
-				break
-			}
-			v = frameView{kind: f.Kind, seq: f.Seq, method: []byte(f.Method), errs: []byte(f.Err),
-				trace: f.Trace, parent: f.Parent, recvNS: f.RecvNS, sendNS: f.SendNS, body: f.Body}
+		v, err := parseFrame(raw)
+		if err != nil {
+			return err
 		}
 		switch v.kind {
 		case kindReply:
@@ -159,8 +147,8 @@ func (c *Client) readLoop() {
 			delete(c.pending, v.seq)
 			c.mu.Unlock()
 			if slot != nil {
-				// Copy out of the read scratch: the waiter consumes the
-				// reply after this loop has moved on to the next read.
+				// Copy out of the read buffer: the waiter consumes the reply
+				// after the session has moved on.
 				slot.errs, slot.recvNS, slot.sendNS = string(v.errs), v.recvNS, v.sendNS
 				slot.body = append(slot.body[:0], v.body...)
 				slot.ready <- struct{}{}
@@ -170,12 +158,10 @@ func (c *Client) readLoop() {
 				c.opts.OnNotify(c.intern(v.method), v.body)
 			}
 		default:
-			err = fmt.Errorf("wsrpc: unexpected frame kind %d from server", v.kind)
+			return fmt.Errorf("wsrpc: unexpected frame kind %d from server", v.kind)
 		}
-		if err != nil {
-			break
-		}
-	}
+		return nil
+	})
 	c.teardown()
 }
 
@@ -276,7 +262,7 @@ func (c *Client) call(ctx context.Context, method string, arg, reply any, trace,
 	c.mu.Unlock()
 
 	start := time.Now()
-	n, err := c.fc.WriteEnvelope(kindCall, seq, method, "", envMeta{trace: trace, parent: parent}, body)
+	n, err := c.fc.WriteEnvelope(kindCall, seq, method, "", envMeta{trace: trace, parent: parent, now: start}, body)
 	if err == nil && c.txBytes != nil {
 		c.txBytes.Add(int64(n))
 	}

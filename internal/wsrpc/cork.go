@@ -84,17 +84,19 @@ func (cw *corkedWriter) init(c net.Conn, stats flushStats, stall time.Duration) 
 // with mu held. Callers append exactly one complete wire frame and pass the
 // result to endFrame (or cancel on encode failure). The append runs under
 // mu, which is what serializes stateful per-frame work (cipher streams, MAC
-// counters) with frame order.
-func (cw *corkedWriter) beginFrame() ([]byte, error) {
+// counters) with frame order. now is the caller's reading of the clock for
+// endFrame, handed back zero if the wait for room has made it stale.
+func (cw *corkedWriter) beginFrame(now time.Time) ([]byte, time.Time, error) {
 	cw.mu.Lock()
 	for cw.err == nil && len(cw.buf) >= corkMaxBuffer {
 		cw.room.Wait()
+		now = time.Time{}
 	}
 	if cw.err != nil {
 		cw.mu.Unlock()
-		return nil, cw.err
+		return nil, now, cw.err
 	}
-	return cw.buf, nil
+	return cw.buf, now, nil
 }
 
 // cancel abandons an in-progress frame, restoring the buffer to its
@@ -108,7 +110,9 @@ func (cw *corkedWriter) cancel(restore []byte) {
 // flusher is already running the frame simply rides its next iteration;
 // otherwise the caller becomes the flusher and drains the buffer, releasing
 // mu around each Write so concurrent writers keep appending into the spare.
-func (cw *corkedWriter) endFrame(buf []byte) error {
+// now is a clock reading taken just before beginFrame, or zero: the first
+// Write's stall check uses it.
+func (cw *corkedWriter) endFrame(buf []byte, now time.Time) error {
 	cw.buf = buf
 	cw.frames++
 	if cw.flushing {
@@ -120,7 +124,8 @@ func (cw *corkedWriter) endFrame(buf []byte) error {
 		out, n := cw.buf, cw.frames
 		cw.buf, cw.frames = cw.spare[:0], 0
 		cw.mu.Unlock()
-		werr := cw.write(out)
+		werr := cw.write(out, now)
+		now = time.Time{}
 		cw.stats.flushes.Inc()
 		cw.stats.perFlush.Observe(float64(n))
 		if cap(out) > corkRetainBuffer {
@@ -129,12 +134,12 @@ func (cw *corkedWriter) endFrame(buf []byte) error {
 		cw.mu.Lock()
 		cw.spare = out[:0]
 		if werr != nil && cw.err == nil {
-			// Closing ends the read loop, whose owner then runs its disconnect
+			// Closing ends the read session, whose owner then runs its disconnect
 			// handling: a peer that merely stopped reading would otherwise never
 			// be noticed. The error is recorded first, or that teardown's plain
 			// "closed" could get in ahead and mask the cause.
 			cw.err = werr
-			cw.c.Close()
+			go cw.c.Close() // as in close: this writer may be a handler inside the session
 		}
 		cw.room.Broadcast()
 	}
@@ -146,16 +151,21 @@ func (cw *corkedWriter) endFrame(buf []byte) error {
 
 // write sends out under the write-stall rule. The socket's write deadline is
 // kept between stall/2 and stall ahead, re-armed only once less than half
-// remains, so a busy connection pays one time.Now per flush and a
-// SetWriteDeadline every stall/2. A Write that times out having moved no
-// byte is the stall; one that moved some re-arms and carries on (the peer is
-// slow, not stalled).
-func (cw *corkedWriter) write(out []byte) error {
+// remains, so a busy connection pays a SetWriteDeadline every stall/2 and
+// reads the clock only where its caller had no reading to pass (now is zero:
+// a Notify, a flusher's second Write, a retry). A Write that times out having
+// moved no byte is the stall; one that moved some re-arms and carries on (the
+// peer is slow, not stalled).
+func (cw *corkedWriter) write(out []byte, now time.Time) error {
 	for {
-		if now := time.Now(); cw.deadline.Sub(now) < cw.stall/2 {
+		if now.IsZero() {
+			now = time.Now()
+		}
+		if cw.deadline.Sub(now) < cw.stall/2 {
 			cw.deadline = now.Add(cw.stall)
 			cw.c.SetWriteDeadline(cw.deadline) // fails only on a closed socket, and then so does the Write
 		}
+		now = time.Time{}
 		n, err := cw.c.Write(out)
 		if err == nil {
 			return nil
@@ -171,32 +181,19 @@ func (cw *corkedWriter) write(out []byte) error {
 	}
 }
 
-// close closes the socket and marks the writer broken, waking blocked
-// writers.
+// close marks the writer broken, waking blocked writers, and has the socket
+// closed by a goroutine of its own: net.Conn.Close waits for the read session
+// to leave the descriptor, and the caller may be a handler inside it. Its
+// first step wakes the session; every write from here on fails on err.
 func (cw *corkedWriter) close() error {
-	err := cw.c.Close()
 	cw.mu.Lock()
-	if cw.err == nil {
+	if cw.err == nil { // else a close, or the failed write, has started one
 		cw.err = net.ErrClosed
+		go cw.c.Close()
 	}
 	cw.room.Broadcast()
 	cw.mu.Unlock()
-	return err
-}
-
-// growScratch returns a buffer of length n reusing b's storage when it
-// fits. The read path calls this once per frame on a single goroutine, so
-// each connection amortizes to zero read allocations; a shrink rule stops a
-// one-off giant frame from pinning its buffer forever.
-func growScratch(b []byte, n int) []byte {
-	if cap(b) >= n && (cap(b) <= 1<<20 || n >= cap(b)/8) {
-		return b[:n]
-	}
-	c := 16 << 10
-	for c < n {
-		c <<= 1
-	}
-	return make([]byte, n, c)
+	return nil
 }
 
 // appendFrame appends the JSON wire envelope for one frame to dst. It

@@ -3,8 +3,9 @@ package wsrpc
 import "falkon/internal/jsonwire"
 
 // frameView is a zero-copy view of a parsed envelope: method, errs, and body
-// alias the read scratch and are valid only until the next ReadFrame on the
-// same connection. Consumers that retain bytes past that point must copy.
+// alias the connection's read buffer and are valid only until the function
+// its read session handed the frame to returns. Consumers that retain bytes
+// past that point must copy.
 type frameView struct {
 	kind   frameKind
 	seq    uint64
@@ -15,6 +16,20 @@ type frameView struct {
 	recvNS int64
 	sendNS int64
 	body   []byte
+}
+
+// parseFrame is what both read loops make of a frame: the fast parse, or for
+// any other layout the wire language admits, encoding/json's.
+func parseFrame(raw []byte) (frameView, error) {
+	if v, ok := fastParseFrame(raw); ok {
+		return v, nil
+	}
+	f, err := decodeFrame(raw)
+	if err != nil {
+		return frameView{}, err
+	}
+	return frameView{kind: f.Kind, seq: f.Seq, method: []byte(f.Method), errs: []byte(f.Err),
+		trace: f.Trace, parent: f.Parent, recvNS: f.RecvNS, sendNS: f.SendNS, body: f.Body}, nil
 }
 
 // fastParseFrame parses the canonical envelope layout that both appendFrame

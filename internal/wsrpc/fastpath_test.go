@@ -4,6 +4,7 @@ import (
 	"bytes"
 	"encoding/binary"
 	"encoding/json"
+	"errors"
 	"fmt"
 	"io"
 	"math/rand"
@@ -131,6 +132,9 @@ func tcpPair(t *testing.T, profile SecurityProfile, psk []byte) (frameConn, fram
 	return cli, sr.fc
 }
 
+// errStop is what a test's frame function returns to end its read session.
+var errStop = errors.New("stop")
+
 // Concurrent writers force the cork to coalesce several frames into single
 // socket writes; every frame must still arrive intact, and frames from one
 // writer must arrive in the order it wrote them.
@@ -172,11 +176,8 @@ func TestCoalescedWritesDecodeIdentically(t *testing.T) {
 			// mutate it: it counts frames, and the per-writer order check below
 			// is what rejects a duplicate.
 			lastSeq := make(map[int]int) // writer -> last frame index seen
-			for n := 0; n < writers*frames; n++ {
-				raw, err := srv.ReadFrame()
-				if err != nil {
-					t.Fatal(err)
-				}
+			n := 0
+			err := srv.ReadFrames(func(raw []byte) error {
 				f, err := decodeFrame(raw)
 				if err != nil {
 					t.Fatalf("decode: %v", err)
@@ -194,6 +195,13 @@ func TestCoalescedWritesDecodeIdentically(t *testing.T) {
 					t.Fatalf("writer %d frame %d arrived after %d", g, i, last)
 				}
 				lastSeq[g] = i
+				if n++; n == writers*frames {
+					return errStop
+				}
+				return nil
+			})
+			if err != errStop {
+				t.Fatal(err)
 			}
 			wg.Wait()
 		})

@@ -9,12 +9,15 @@
 package wsrpc
 
 import (
-	"bufio"
 	"encoding/binary"
 	"encoding/json"
+	"errors"
 	"fmt"
 	"io"
+	"math/bits"
 	"net"
+	"os"
+	"syscall"
 	"time"
 )
 
@@ -50,10 +53,13 @@ type frame struct {
 }
 
 // envMeta carries a frame's optional trace/timing envelope fields through
-// the write path without widening every call site to nine parameters.
+// the write path without widening every call site to nine parameters. now is
+// not on the wire: it is a reading of the clock the caller has just taken
+// (zero for none), which the cork's write-stall check uses for its own.
 type envMeta struct {
 	trace, parent  uint64
 	recvNS, sendNS int64
+	now            time.Time
 }
 
 // BodyAppender is a message body that encodes itself. AppendJSON appends
@@ -96,12 +102,12 @@ func bodyOf(v any) (frameBody, error) {
 
 // frameConn reads and writes whole frames. Implementations must support one
 // concurrent reader and any number of concurrent writers.
-//
-// ReadFrame returns a buffer owned by the connection, valid only until the
-// next ReadFrame; callers that keep payload bytes past that point must copy
-// (decodeFrame's json.RawMessage copy satisfies this).
 type frameConn interface {
-	ReadFrame() ([]byte, error)
+	// ReadFrames is the connection's read session: it hands fn each frame
+	// until the connection fails or fn does, and returns that error. raw lies
+	// in the read buffer, valid only until fn returns; no further frame is
+	// read until then. Called again, it carries on where it stopped.
+	ReadFrames(fn func(raw []byte) error) error
 	// WriteEnvelope encodes a frame envelope, body included, straight into
 	// the connection's corked write buffer — the fast path. It returns the
 	// envelope's encoded size for byte accounting.
@@ -109,42 +115,166 @@ type frameConn interface {
 	// WriteFrame sends an already-encoded payload verbatim (compat/test
 	// path; the fast path is WriteEnvelope).
 	WriteFrame(p []byte) error
+	// Close never waits for the read session (corkedWriter.close).
 	Close() error
+}
+
+// readBufSize is a read buffer's size at rest (frameReader.space).
+const readBufSize = 64 << 10
+
+// eofProbe bounds how long a raw session trusts a short read: a FIN the
+// poller harvested together with the data before it raises no wake-up of its
+// own, so the session ends its wait once, at most eofProbe after a short
+// read, and reads again. An idle connection arms nothing.
+const eofProbe = 200 * time.Millisecond
+
+// frameReader is a connection's read session (DESIGN.md §9): one buffer, one
+// parse loop (drain) and two ways to fill the buffer, chosen by what the
+// connection is. One with a descriptor is read inside syscall.RawConn.Read:
+// a read that came back short emptied the socket (epoll(7), Q9), so the
+// session waits on the poller instead of issuing the read that would say
+// EAGAIN. That wait is sound only inside the RawConn.Read that saw the short
+// read — a new one resets the poller's record, and a readiness with it — so
+// each new one starts with a read. Any other connection (a fault-injecting
+// wrapper, net.Pipe) is filled by its Read.
+type frameReader struct {
+	c       net.Conn
+	rc      syscall.RawConn // nil: filled by c.Read
+	trailer int             // bytes of each frame behind its payload (the secure profile's MAC)
+	buf     []byte          // buf[r:w] is read and not yet yielded
+	r, w    int
+	probe   time.Duration // eofProbe; a field so a test can tell a probe from a wake-up
+	probing bool          // a probe read deadline is armed
+}
+
+func (fr *frameReader) init(c net.Conn, trailer int) {
+	fr.c, fr.trailer, fr.probe = c, trailer, eofProbe
+	if sc, ok := c.(syscall.Conn); ok && rawRead != nil {
+		fr.rc, _ = sc.SyscallConn() // on error rc stays nil
+	}
+}
+
+// run is ReadFrames over records (payload and trailer).
+func (fr *frameReader) run(fn func(rec []byte) error) (err error) {
+	defer func() {
+		if err == io.EOF && fr.w > fr.r {
+			err = io.ErrUnexpectedEOF // the stream ended inside a frame
+		}
+	}()
+	if err = fr.drain(fn); err != nil {
+		return err
+	}
+	for fr.rc == nil {
+		n, rerr := fr.c.Read(fr.space())
+		fr.w += n
+		if err = fr.drain(fn); err != nil {
+			return err
+		}
+		if rerr != nil {
+			return rerr
+		}
+	}
+	session := func(fd uintptr) bool {
+		for {
+			p := fr.space()
+			n, rerr := rawRead(int(fd), p)
+			switch {
+			case rerr == syscall.EINTR:
+				continue
+			case rerr == syscall.EAGAIN:
+				return false
+			case rerr != nil:
+				err = rerr
+				return true
+			case n == 0:
+				err = io.EOF
+				return true
+			}
+			fr.w += n
+			if err = fr.drain(fn); err != nil || n == len(p) {
+				return true // a full read: read again, in a new RawConn.Read, where a Close is noticed
+			}
+			if !fr.probing {
+				fr.probing = true
+				fr.c.SetReadDeadline(time.Now().Add(fr.probe)) // fails only on a closed socket, as will the wait
+			}
+			return false
+		}
+	}
+	for {
+		werr := fr.rc.Read(session)
+		if err != nil {
+			return err
+		}
+		if werr != nil {
+			if !errors.Is(werr, os.ErrDeadlineExceeded) {
+				return werr
+			}
+			fr.probing = false
+			fr.c.SetReadDeadline(time.Time{})
+		}
+	}
+}
+
+// drain yields every complete record in the buffer.
+func (fr *frameReader) drain(fn func(rec []byte) error) error {
+	for fr.w-fr.r >= 4 {
+		n := binary.BigEndian.Uint32(fr.buf[fr.r:])
+		if n > MaxFrameSize {
+			return fmt.Errorf("wsrpc: frame of %d bytes exceeds limit", n)
+		}
+		end := fr.r + 4 + int(n) + fr.trailer
+		if end > fr.w {
+			break
+		}
+		rec := fr.buf[fr.r+4 : end]
+		fr.r = end
+		if err := fn(rec); err != nil {
+			return err
+		}
+	}
+	return nil
+}
+
+// space moves the unread bytes to the front and returns the room behind them.
+// The buffer is made anew when the frame they begin does not fit, and when it
+// is over 1 MiB and under an eighth in use: a giant frame pins nothing.
+func (fr *frameReader) space() []byte {
+	need := readBufSize
+	if fr.w-fr.r >= 4 {
+		need = max(need, 4+int(binary.BigEndian.Uint32(fr.buf[fr.r:]))+fr.trailer)
+	}
+	buf := fr.buf
+	if cap(buf) < need || (cap(buf) > 1<<20 && need < cap(buf)/8) {
+		buf = make([]byte, 1<<bits.Len(uint(need-1))) // need is readBufSize at least
+	}
+	if fr.r > 0 || cap(buf) != cap(fr.buf) {
+		fr.w = copy(buf, fr.buf[fr.r:fr.w])
+		fr.r = 0
+	}
+	fr.buf = buf
+	return buf[fr.w:]
 }
 
 // plainConn is the no-security frame transport: 4-byte big-endian length
 // prefix followed by the payload. Writes coalesce through a corkedWriter;
-// reads reuse a per-connection scratch buffer.
+// reads are one frameReader session.
 type plainConn struct {
-	r    *bufio.Reader
-	rbuf []byte
-	hdr  [4]byte // read-side length prefix scratch (avoids an escape per frame)
-	cw   corkedWriter
+	fr frameReader
+	cw corkedWriter
 }
 
 func newPlainConn(c net.Conn, stats flushStats, stall time.Duration) *plainConn {
-	p := &plainConn{r: bufio.NewReaderSize(c, 64<<10)}
+	p := &plainConn{}
+	p.fr.init(c, 0)
 	p.cw.init(c, stats, stall)
 	return p
 }
 
-func (p *plainConn) ReadFrame() ([]byte, error) {
-	if _, err := io.ReadFull(p.r, p.hdr[:]); err != nil {
-		return nil, err
-	}
-	n := binary.BigEndian.Uint32(p.hdr[:])
-	if n > MaxFrameSize {
-		return nil, fmt.Errorf("wsrpc: frame of %d bytes exceeds limit", n)
-	}
-	p.rbuf = growScratch(p.rbuf, int(n))
-	if _, err := io.ReadFull(p.r, p.rbuf); err != nil {
-		return nil, err
-	}
-	return p.rbuf, nil
-}
+func (p *plainConn) ReadFrames(fn func(raw []byte) error) error { return p.fr.run(fn) }
 
 func (p *plainConn) WriteEnvelope(kind frameKind, seq uint64, method, errStr string, meta envMeta, body frameBody) (int, error) {
-	buf, err := p.cw.beginFrame()
+	buf, now, err := p.cw.beginFrame(meta.now)
 	if err != nil {
 		return 0, err
 	}
@@ -157,14 +287,14 @@ func (p *plainConn) WriteEnvelope(kind frameKind, seq uint64, method, errStr str
 		return 0, fmt.Errorf("wsrpc: frame of %d bytes exceeds limit", n)
 	}
 	binary.BigEndian.PutUint32(buf[start:], uint32(n))
-	return n, p.cw.endFrame(buf)
+	return n, p.cw.endFrame(buf, now)
 }
 
 func (p *plainConn) WriteFrame(b []byte) error {
 	if len(b) > MaxFrameSize {
 		return fmt.Errorf("wsrpc: frame of %d bytes exceeds limit", len(b))
 	}
-	buf, err := p.cw.beginFrame()
+	buf, now, err := p.cw.beginFrame(time.Time{})
 	if err != nil {
 		return err
 	}
@@ -172,7 +302,7 @@ func (p *plainConn) WriteFrame(b []byte) error {
 	binary.BigEndian.PutUint32(hdr[:], uint32(len(b)))
 	buf = append(buf, hdr[:]...)
 	buf = append(buf, b...)
-	return p.cw.endFrame(buf)
+	return p.cw.endFrame(buf, now)
 }
 
 func (p *plainConn) Close() error { return p.cw.close() }

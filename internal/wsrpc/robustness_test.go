@@ -4,11 +4,14 @@ import (
 	"encoding/binary"
 	"encoding/json"
 	"errors"
+	"fmt"
 	"io"
 	"net"
 	"os"
 	"strings"
+	"sync"
 	"sync/atomic"
+	"syscall"
 	"testing"
 	"testing/quick"
 	"time"
@@ -149,7 +152,7 @@ func TestSecureFrameTamperDetected(t *testing.T) {
 	if err := cli.WriteFrame([]byte("sensitive payload")); err != nil {
 		t.Fatal(err)
 	}
-	_, err = sr.fc.ReadFrame()
+	err = sr.fc.ReadFrames(func([]byte) error { return nil })
 	if !errors.Is(err, ErrBadMAC) {
 		t.Fatalf("tampered frame error = %v, want ErrBadMAC", err)
 	}
@@ -388,6 +391,133 @@ func TestWriteStallDropsNeverReadingPeer(t *testing.T) {
 	for deadline := time.Now().Add(5 * time.Second); pings.Load() < writers; time.Sleep(time.Millisecond) {
 		if time.Now().After(deadline) {
 			t.Fatalf("healthy peer received %d of %d pushes", pings.Load(), writers)
+		}
+	}
+}
+
+// Only a reset is a disconnect not worth a log line: the server used to take
+// every *net.OpError for one, time-outs and bad descriptors included, so the
+// only read failure it ever logged was a malformed frame.
+func TestIsConnReset(t *testing.T) {
+	for _, tc := range []struct {
+		err  error
+		want bool
+	}{
+		{syscall.ECONNRESET, true}, // as a raw read session reports it
+		{syscall.EPIPE, true},
+		{&net.OpError{Op: "read", Net: "tcp", Err: os.NewSyscallError("read", syscall.ECONNRESET)}, true},
+		{&net.OpError{Op: "read", Net: "tcp", Err: os.ErrDeadlineExceeded}, false},
+		{&net.OpError{Op: "read", Net: "tcp", Err: os.NewSyscallError("read", syscall.EBADF)}, false},
+		{syscall.EBADF, false},
+		{io.ErrUnexpectedEOF, false},
+	} {
+		if got := isConnReset(tc.err); got != tc.want {
+			t.Errorf("isConnReset(%v) = %v, want %v", tc.err, got, tc.want)
+		}
+	}
+}
+
+// failingReads wraps every accepted connection so that its first read fails
+// with err (ConnFaults, the chaos seam).
+type failingReads struct{ err error }
+
+func (f failingReads) DupNotify() bool { return false }
+func (f failingReads) WrapConn(c net.Conn) net.Conn {
+	return failingConn{Conn: c, err: f.err}
+}
+
+type failingConn struct {
+	net.Conn
+	err error
+}
+
+func (c failingConn) Read([]byte) (int, error) { return 0, c.err }
+
+// logLines collects a server's log for a test to read.
+type logLines struct {
+	mu    sync.Mutex
+	lines []string
+}
+
+func (l *logLines) logf(format string, args ...any) {
+	l.mu.Lock()
+	l.lines = append(l.lines, fmt.Sprintf(format, args...))
+	l.mu.Unlock()
+}
+
+func (l *logLines) count(substr string) int {
+	l.mu.Lock()
+	defer l.mu.Unlock()
+	n := 0
+	for _, line := range l.lines {
+		if strings.Contains(line, substr) {
+			n++
+		}
+	}
+	return n
+}
+
+// A read that fails with anything but a reset or the end of the stream is
+// logged, with the peer it failed on.
+func TestServerLogsReadFailure(t *testing.T) {
+	var log logLines
+	s := NewServer(ServerOptions{Logf: log.logf, Faults: failingReads{
+		err: &net.OpError{Op: "read", Net: "tcp", Err: os.NewSyscallError("read", syscall.EBADF)},
+	}})
+	dropped := make(chan struct{}, 1)
+	s.OnDisconnect(func(*Peer) { dropped <- struct{}{} })
+	if err := s.Listen("127.0.0.1:0"); err != nil {
+		t.Fatal(err)
+	}
+	defer s.Close()
+	c, err := net.Dial("tcp", s.Addr())
+	if err != nil {
+		t.Fatal(err)
+	}
+	defer c.Close()
+	select {
+	case <-dropped:
+	case <-time.After(5 * time.Second):
+		t.Fatal("connection whose read failed was never dropped")
+	}
+	if log.count("read from") != 1 || log.count("bad file descriptor") != 1 {
+		t.Fatalf("log after a failed read = %q, want one line naming it", log.lines)
+	}
+}
+
+// Frames that are not calls are skipped and said so once per connection, not
+// once per frame: a confused peer must not be able to write the log.
+func TestServerLogsStrayFramesOnce(t *testing.T) {
+	var log logLines
+	s := NewServer(ServerOptions{Logf: log.logf})
+	s.RegisterFast("echo", func(_ *Peer, body json.RawMessage) (any, error) { return body, nil })
+	if err := s.Listen("127.0.0.1:0"); err != nil {
+		t.Fatal(err)
+	}
+	defer s.Close()
+	for conn := 1; conn <= 2; conn++ {
+		c, err := net.Dial("tcp", s.Addr())
+		if err != nil {
+			t.Fatal(err)
+		}
+		defer c.Close()
+		var wire []byte
+		for i := 0; i < 50; i++ {
+			stray, _ := encodeFrame(&frame{Kind: kindReply, Seq: uint64(i)})
+			wire = append(binary.BigEndian.AppendUint32(wire, uint32(len(stray))), stray...)
+		}
+		call, _ := encodeFrame(&frame{Kind: kindCall, Seq: 7, Method: "echo", Body: json.RawMessage(`"still served"`)})
+		wire = append(binary.BigEndian.AppendUint32(wire, uint32(len(call))), call...)
+		if _, err := c.Write(wire); err != nil {
+			t.Fatal(err)
+		}
+		c.SetReadDeadline(time.Now().Add(5 * time.Second))
+		reply, err := legacyReadFrame(c)
+		if err != nil || reply.Seq != 7 || string(reply.Body) != `"still served"` {
+			t.Fatalf("call behind 50 stray frames: reply %+v, err %v", reply, err)
+		}
+		if n := log.count("unexpected frame kind"); n != conn {
+			t.Fatalf("%d log lines for stray frames after %d connections of 50 each, want one per connection:\n%q", n, conn, log.lines)
 		}
 	}
 }

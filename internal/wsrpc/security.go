@@ -1,7 +1,6 @@
 package wsrpc
 
 import (
-	"bufio"
 	"crypto/aes"
 	"crypto/cipher"
 	"crypto/hmac"
@@ -65,21 +64,18 @@ const handshakeTimeout = 10 * time.Second
 // and send counter are guarded by the cork mutex, which already serializes
 // frame order; the receive side is single-reader by the frameConn contract.
 type secureConn struct {
-	r *bufio.Reader
-
 	cw      corkedWriter
 	sendC   cipher.Stream
 	sendMAC hash.Hash
 	sendN   uint64
 	sendCnt [8]byte // MAC counter scratch, guarded by cw's mutex
 
-	rbuf    []byte
+	fr      frameReader // yields records: ciphertext, then its MAC
 	macBuf  []byte
-	hdr     [4]byte
 	recvC   cipher.Stream
 	recvMAC hash.Hash
 	recvN   uint64
-	recvCnt [8]byte // MAC counter scratch, single-reader like rbuf
+	recvCnt [8]byte // MAC counter scratch, single-reader like fr
 }
 
 // newSecureConn runs the handshake (client initiates), which must finish
@@ -97,7 +93,8 @@ func newSecureConn(c net.Conn, psk []byte, isClient bool, stats flushStats, time
 	if _, err := rand.Read(myNonce[:]); err != nil {
 		return nil, fmt.Errorf("%w: %v", errHandshake, err)
 	}
-	r := bufio.NewReaderSize(c, 64<<10)
+	// The handshake's messages are read from c at their exact lengths, so not
+	// a byte of the first frame behind them is taken from the read session.
 	send := func(b []byte) error {
 		_, err := c.Write(b)
 		return err
@@ -108,11 +105,11 @@ func newSecureConn(c net.Conn, psk []byte, isClient bool, stats flushStats, time
 		if err := send(myNonce[:]); err != nil {
 			return nil, fmt.Errorf("%w: %v", errHandshake, err)
 		}
-		if _, err := io.ReadFull(r, peerNonce[:]); err != nil {
+		if _, err := io.ReadFull(c, peerNonce[:]); err != nil {
 			return nil, fmt.Errorf("%w: %v", errHandshake, err)
 		}
 	} else {
-		if _, err := io.ReadFull(r, peerNonce[:]); err != nil {
+		if _, err := io.ReadFull(c, peerNonce[:]); err != nil {
 			return nil, fmt.Errorf("%w: %v", errHandshake, err)
 		}
 		if err := send(myNonce[:]); err != nil {
@@ -140,7 +137,7 @@ func newSecureConn(c net.Conn, psk []byte, isClient bool, stats flushStats, time
 		return nil, fmt.Errorf("%w: %v", errHandshake, err)
 	}
 	var peerProof [sha256.Size]byte
-	if _, err := io.ReadFull(r, peerProof[:]); err != nil {
+	if _, err := io.ReadFull(c, peerProof[:]); err != nil {
 		return nil, fmt.Errorf("%w: %v", errHandshake, err)
 	}
 	if subtle.ConstantTimeCompare(peerProof[:], proofLabel(peerWho)) != 1 {
@@ -165,7 +162,8 @@ func newSecureConn(c net.Conn, psk []byte, isClient bool, stats flushStats, time
 	c2sEnc, s2cEnc := derive("enc:c2s"), derive("enc:s2c")
 	c2sMac, s2cMac := derive("mac:c2s"), derive("mac:s2c")
 
-	sc := &secureConn{r: r, macBuf: make([]byte, 0, sha256.Size)}
+	sc := &secureConn{macBuf: make([]byte, 0, sha256.Size)}
+	sc.fr.init(c, sha256.Size)
 	sc.cw.init(c, stats, stall)
 	if isClient {
 		sc.sendC, sc.sendMAC = mkStream(c2sEnc), hmac.New(sha256.New, c2sMac)
@@ -194,7 +192,7 @@ func (s *secureConn) sealLocked(buf []byte, start int) []byte {
 }
 
 func (s *secureConn) WriteEnvelope(kind frameKind, seq uint64, method, errStr string, meta envMeta, body frameBody) (int, error) {
-	buf, err := s.cw.beginFrame()
+	buf, now, err := s.cw.beginFrame(meta.now)
 	if err != nil {
 		return 0, err
 	}
@@ -206,47 +204,42 @@ func (s *secureConn) WriteEnvelope(kind frameKind, seq uint64, method, errStr st
 		s.cw.cancel(buf[:start])
 		return 0, fmt.Errorf("wsrpc: frame of %d bytes exceeds limit", n)
 	}
-	return n, s.cw.endFrame(s.sealLocked(buf, start))
+	return n, s.cw.endFrame(s.sealLocked(buf, start), now)
 }
 
 func (s *secureConn) WriteFrame(b []byte) error {
 	if len(b) > MaxFrameSize {
 		return fmt.Errorf("wsrpc: frame of %d bytes exceeds limit", len(b))
 	}
-	buf, err := s.cw.beginFrame()
+	buf, now, err := s.cw.beginFrame(time.Time{})
 	if err != nil {
 		return err
 	}
 	start := len(buf)
 	buf = append(buf, 0, 0, 0, 0)
 	buf = append(buf, b...)
-	return s.cw.endFrame(s.sealLocked(buf, start))
+	return s.cw.endFrame(s.sealLocked(buf, start), now)
 }
 
-func (s *secureConn) ReadFrame() ([]byte, error) {
-	if _, err := io.ReadFull(s.r, s.hdr[:]); err != nil {
-		return nil, err
-	}
-	n := binary.BigEndian.Uint32(s.hdr[:])
-	if n > MaxFrameSize {
-		return nil, fmt.Errorf("wsrpc: frame of %d bytes exceeds limit", n)
-	}
-	s.rbuf = growScratch(s.rbuf, int(n)+sha256.Size)
-	if _, err := io.ReadFull(s.r, s.rbuf); err != nil {
-		return nil, err
-	}
-	ct, mac := s.rbuf[:n], s.rbuf[n:]
-	binary.BigEndian.PutUint64(s.recvCnt[:], s.recvN)
-	s.recvMAC.Reset()
-	s.recvMAC.Write(s.recvCnt[:])
-	s.recvMAC.Write(ct)
-	s.macBuf = s.recvMAC.Sum(s.macBuf[:0])
-	if subtle.ConstantTimeCompare(mac, s.macBuf) != 1 {
-		return nil, ErrBadMAC
-	}
-	s.recvN++
-	s.recvC.XORKeyStream(ct, ct) // decrypt in place
-	return ct, nil
+// ReadFrames opens each record the session yields — MAC over (counter,
+// ciphertext) checked, then decrypted where it lies — and hands fn the
+// plaintext.
+func (s *secureConn) ReadFrames(fn func(raw []byte) error) error {
+	return s.fr.run(func(rec []byte) error {
+		n := len(rec) - sha256.Size
+		ct, mac := rec[:n], rec[n:]
+		binary.BigEndian.PutUint64(s.recvCnt[:], s.recvN)
+		s.recvMAC.Reset()
+		s.recvMAC.Write(s.recvCnt[:])
+		s.recvMAC.Write(ct)
+		s.macBuf = s.recvMAC.Sum(s.macBuf[:0])
+		if subtle.ConstantTimeCompare(mac, s.macBuf) != 1 {
+			return ErrBadMAC
+		}
+		s.recvN++
+		s.recvC.XORKeyStream(ct, ct)
+		return fn(ct)
+	})
 }
 
 func (s *secureConn) Close() error { return s.cw.close() }

@@ -9,6 +9,7 @@ import (
 	"net"
 	"sync"
 	"sync/atomic"
+	"syscall"
 	"time"
 
 	"falkon/internal/metrics"
@@ -49,15 +50,20 @@ type methodStats struct {
 	lat   *metrics.FixedHistogram
 }
 
+// method is all the server knows of a registered method: one lookup a call.
+type method struct {
+	h           Handler
+	fast        bool // dispatched inline on the read session (RegisterFast)
+	methodStats      // nil instruments when unmetered
+}
+
 // Server accepts wsrpc connections and dispatches calls to registered
 // handlers. It also supports server-initiated notifications to connected
 // peers — the "push" half of Falkon's hybrid dispatch protocol.
 type Server struct {
 	opts       ServerOptions
 	ln         net.Listener
-	handlers   map[string]Handler
-	fast       map[string]bool         // methods dispatched inline (RegisterFast)
-	stats      map[string]*methodStats // read-only after Listen, like handlers
+	methods    map[string]*method // read-only after Listen
 	rxBytes    *metrics.Counter
 	txBytes    *metrics.Counter
 	hWrite     *metrics.FixedHistogram // reply encode + cork commit time; nil when unmetered
@@ -78,14 +84,12 @@ type Server struct {
 func NewServer(opts ServerOptions) *Server {
 	s := &Server{
 		opts:       opts,
-		handlers:   make(map[string]Handler),
-		fast:       make(map[string]bool),
+		methods:    make(map[string]*method),
 		peers:      make(map[*Peer]struct{}),
 		handshake:  handshakeTimeout,
 		writeStall: writeStall,
 	}
 	if opts.Metrics != nil {
-		s.stats = make(map[string]*methodStats)
 		s.rxBytes = opts.Metrics.Counter("wsrpc_rx_bytes_total")
 		s.txBytes = opts.Metrics.Counter("wsrpc_tx_bytes_total")
 		s.hWrite = opts.Metrics.Histogram(obs.OverheadKey("frame_write"))
@@ -99,20 +103,19 @@ func NewServer(opts ServerOptions) *Server {
 
 // Register installs a handler for method. Registration must finish before
 // Serve is called; re-registering a method panics.
-func (s *Server) Register(method string, h Handler) {
-	if _, dup := s.handlers[method]; dup {
-		panic("wsrpc: duplicate handler for " + method)
+func (s *Server) Register(name string, h Handler) {
+	if _, dup := s.methods[name]; dup {
+		panic("wsrpc: duplicate handler for " + name)
 	}
 	if h == nil {
-		panic("wsrpc: nil handler for " + method)
+		panic("wsrpc: nil handler for " + name)
 	}
-	s.handlers[method] = h
-	if s.stats != nil {
-		s.stats[method] = &methodStats{
-			calls: s.opts.Metrics.Counter(obs.Labeled("wsrpc_calls_total", "method", method)),
-			lat:   s.opts.Metrics.Histogram(obs.Labeled("wsrpc_call_seconds", "method", method)),
-		}
+	m := &method{h: h}
+	if s.opts.Metrics != nil {
+		m.calls = s.opts.Metrics.Counter(obs.Labeled("wsrpc_calls_total", "method", name))
+		m.lat = s.opts.Metrics.Histogram(obs.Labeled("wsrpc_call_seconds", "method", name))
 	}
+	s.methods[name] = m
 }
 
 // RegisterFast installs a handler dispatched inline on the connection's
@@ -124,7 +127,7 @@ func (s *Server) Register(method string, h Handler) {
 // and is valid only for the duration of the call.
 func (s *Server) RegisterFast(method string, h Handler) {
 	s.Register(method, h)
-	s.fast[method] = true
+	s.methods[method].fast = true
 }
 
 // Override replaces the handler a method was registered with (before Serve,
@@ -132,9 +135,11 @@ func (s *Server) RegisterFast(method string, h Handler) {
 // root answers for its subtree on a dispatcher's server. The new handler runs
 // on a goroutine of its own, whatever the old one did.
 func (s *Server) Override(method string, h Handler) Handler {
-	old := s.handlers[method]
-	delete(s.handlers, method)
-	delete(s.fast, method)
+	var old Handler
+	if m := s.methods[method]; m != nil {
+		old = m.h
+		delete(s.methods, method)
+	}
 	s.Register(method, h)
 	return old
 }
@@ -252,14 +257,8 @@ func (s *Server) handleConn(c net.Conn) {
 
 	var calls sync.WaitGroup
 	defer calls.Wait()
-	for {
-		raw, err := fc.ReadFrame()
-		if err != nil {
-			if !errors.Is(err, io.EOF) && !errors.Is(err, net.ErrClosed) && !isConnReset(err) {
-				s.logf("wsrpc: read from %s: %v", peer.remote, err)
-			}
-			return
-		}
+	strays := 0 // frames that were not calls
+	err = fc.ReadFrames(func(raw []byte) error {
 		if s.rxBytes != nil {
 			s.rxBytes.Add(int64(len(raw)))
 		}
@@ -268,37 +267,32 @@ func (s *Server) handleConn(c net.Conn) {
 		// and the start of its handler's latency.
 		start := time.Now()
 		recvNS := start.UnixNano()
-		v, okFast := fastParseFrame(raw)
-		if !okFast {
-			f, err := decodeFrame(raw)
-			if err != nil {
-				s.logf("wsrpc: bad frame from %s: %v", peer.remote, err)
-				return
-			}
-			v = frameView{kind: f.Kind, seq: f.Seq, method: []byte(f.Method), errs: []byte(f.Err),
-				trace: f.Trace, parent: f.Parent, recvNS: f.RecvNS, sendNS: f.SendNS, body: f.Body}
+		v, err := parseFrame(raw)
+		if err != nil {
+			return fmt.Errorf("bad frame: %w", err)
 		}
 		if v.kind != kindCall {
-			s.logf("wsrpc: unexpected %d frame from %s", v.kind, peer.remote)
-			continue
+			if strays++; strays == 1 {
+				s.logf("wsrpc: unexpected frame kind %d from %s (logged once per connection)", v.kind, peer.remote)
+			}
+			return nil
 		}
-		h, ok := s.handlers[string(v.method)] // no-alloc map lookup
-		if !ok {
+		m := s.methods[string(v.method)] // no-alloc map lookup
+		if m == nil {
 			s.reply(peer, v.seq, v.trace, recvNS, start, nil, fmt.Errorf("wsrpc: no such method %q", v.method))
-			continue
+			return nil
 		}
-		ms := s.stats[string(v.method)]
-		if s.fast[string(v.method)] {
-			// Inline dispatch: v.body may alias the read scratch, which is
-			// safe because the handler completes before the next ReadFrame.
-			res, herr := h(peer, v.body)
+		if m.fast {
+			// Inline dispatch: v.body lies in the read buffer, which the
+			// session does not touch until this function returns.
+			res, herr := m.h(peer, v.body)
 			end := time.Now()
-			if ms != nil {
-				ms.calls.Inc()
-				ms.lat.Observe(end.Sub(start).Seconds())
+			if m.calls != nil {
+				m.calls.Inc()
+				m.lat.Observe(end.Sub(start).Seconds())
 			}
 			s.reply(peer, v.seq, v.trace, recvNS, end, res, herr)
-			continue
+			return nil
 		}
 		// Goroutine dispatch: the handler runs concurrently with further
 		// reads, so it gets its own copy of the body.
@@ -309,14 +303,18 @@ func (s *Server) handleConn(c net.Conn) {
 		go func() {
 			defer calls.Done()
 			start := time.Now()
-			res, herr := h(peer, body)
+			res, herr := m.h(peer, body)
 			end := time.Now()
-			if ms != nil {
-				ms.calls.Inc()
-				ms.lat.Observe(end.Sub(start).Seconds())
+			if m.calls != nil {
+				m.calls.Inc()
+				m.lat.Observe(end.Sub(start).Seconds())
 			}
 			s.reply(peer, seq, trace, recvNS, end, res, herr)
 		}()
+		return nil
+	})
+	if !errors.Is(err, io.EOF) && !errors.Is(err, net.ErrClosed) && !isConnReset(err) {
+		s.logf("wsrpc: read from %s: %v", peer.remote, err)
 	}
 }
 
@@ -336,7 +334,7 @@ func (s *Server) reply(p *Peer, seq, trace uint64, recvNS int64, now time.Time, 
 	} else {
 		body = b
 	}
-	meta := envMeta{trace: trace, recvNS: recvNS, sendNS: now.UnixNano()}
+	meta := envMeta{trace: trace, recvNS: recvNS, sendNS: now.UnixNano(), now: now}
 	n, err := p.fc.WriteEnvelope(kindReply, seq, "", errStr, meta, body)
 	if s.hWrite != nil {
 		s.hWrite.Observe(time.Since(now).Seconds())
@@ -353,10 +351,10 @@ func (s *Server) reply(p *Peer, seq, trace uint64, recvNS int64, now time.Time, 
 	}
 }
 
-// isConnReset reports low-level resets we treat as normal disconnects.
+// isConnReset reports the resets we treat as normal disconnects; any other
+// failure to read is worth a log line.
 func isConnReset(err error) bool {
-	var ne *net.OpError
-	return errors.As(err, &ne)
+	return errors.Is(err, syscall.ECONNRESET) || errors.Is(err, syscall.EPIPE)
 }
 
 // Peer is the server-side view of one connected client. Handlers receive the

@@ -13,8 +13,9 @@
 # batch), so divide by the tasks it ran, not by one batch. With -bench the
 # benchmark runs 20,000 iterations that way (after its own warm-up: divide by
 # what it ran in all), and 600,000 more unsampled under -cpuprofile, whose top —
-# flat, then cumulative, then summed by layer — is printed beside the two
-# allocation tables: both ledgers of a message come from this one command. The test binary and the
+# flat, then cumulative, then summed by layer under the reads/op and writes/op
+# the benchmark counted — is printed beside the two allocation tables: both
+# ledgers of a message come from this one command. The test binary and the
 # profiles go to a temporary directory that is removed afterwards.
 #
 # Reconciling the profile with MemStats.Mallocs (what the tests and the repo
@@ -47,12 +48,15 @@ for index in alloc_objects alloc_space; do
     go tool pprof -sample_index=$index -top -nodecount=40 "$out/test.bin" "$out/mem.prof"
 done
 if [ "$bench" = 1 ]; then
-    go test -run '^$' -bench "$1" -benchtime 600000x -count=1 -o "$out/test.bin" -cpuprofile "$out/cpu.prof" "$2"
+    go test -run '^$' -bench "$1" -benchtime 600000x -count=1 -o "$out/test.bin" -cpuprofile "$out/cpu.prof" "$2" | tee "$out/bench.txt"
     go tool pprof -top -nodecount=40 "$out/test.bin" "$out/cpu.prof"
     go tool pprof -top -cum -nodecount=60 "$out/test.bin" "$out/cpu.prof"
     # The time ledger: every sample goes to the first layer below that has a
     # function anywhere on its stack, so the rows are disjoint and sum to the
     # profile. Order matters: the layers that call nothing of ours come first.
+    # What the benchmark counted beside its time (BenchmarkSerialRound: the
+    # process's read(2) and write(2) per task, from /proc/self/io).
+    awk '/^Benchmark/ { for (i = 3; i < NF; i += 2) if ($(i + 1) ~ /^(reads|writes)\/op$/) printf "%-38s %9s\n", $(i + 1), $i }' "$out/bench.txt"
     echo "layer                                     ms      %"
     seen='^$' total=0 rows=()
     while IFS='|' read -r name re; do

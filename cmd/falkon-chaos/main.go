@@ -17,10 +17,13 @@
 //	falkon-chaos -seed 1 -sweep 30        # acceptance sweep
 //	falkon-chaos -seed 7 -quick           # CI smoke
 //
-// Child processes are the real binaries (cmd/falkon-dispatcher,
+// Child processes are the real binaries (cmd/falkon-dispatcher — every
+// dispatching node, a tree's roots and an HA cluster's members included — and
 // cmd/falkon-executor), built on first use; dispatcher crashes (injected
 // kills, journal fail-stops, executor faults) are supervised and restarted
-// the way an operator's init system would.
+// the way an operator's init system would. -tree and -standbys change which
+// nodes exist, who is killed when and what "healed" means (tree.go,
+// standbys.go); everything else is one run (runOne).
 package main
 
 import (
@@ -40,6 +43,7 @@ import (
 
 	"falkon/internal/client"
 	"falkon/internal/faultinj"
+	"falkon/internal/fproto"
 	"falkon/internal/obs"
 	"falkon/internal/task"
 )
@@ -72,8 +76,8 @@ func main() {
 		quick    = flag.Bool("quick", false, "small fast run for CI smoke (overrides -tasks/-execs/-kills)")
 		keep     = flag.Bool("keep", false, "keep work directories (logs, journals) after a passing run")
 		verbose  = flag.Bool("v", false, "stream child process logs to stderr")
-		tree     = flag.Int("tree", 0, "dispatch-tree leaves: boot 1 forwarder root + N journaled leaf dispatchers, SIGKILL leaves instead of the dispatcher (0 = flat single dispatcher)")
-		treeDeep = flag.Int("tree-depth", 2, "dispatch-tree levels with -tree: 2 = root over leaves, ≥3 adds forwarder-of-forwarders layers between them")
+		tree     = flag.Int("tree", 0, "dispatch-tree leaves: boot 1 root (falkon-dispatcher -leaves) + N journaled leaf dispatchers, SIGKILL leaves instead of the dispatcher (0 = flat single dispatcher)")
+		treeDeep = flag.Int("tree-depth", 2, "dispatch-tree levels with -tree: 2 = root over leaves, ≥3 adds layers of roots between them")
 		standbys = flag.Int("standbys", 0, "HA cluster: boot 1 leader + N standby dispatchers sharing an election lease, SIGKILL whoever leads (0 = no HA)")
 		binDir   = flag.String("bin", "", "directory holding the falkon binaries (empty = go build into the work area)")
 		waitFor  = flag.Duration("timeout", 2*time.Minute, "per-run workload completion timeout")
@@ -110,7 +114,7 @@ func main() {
 		}
 		defer os.RemoveAll(dir)
 		log.Printf("building binaries into %s", dir)
-		build := exec.Command("go", "build", "-o", dir, "./cmd/falkon-dispatcher", "./cmd/falkon-executor", "./cmd/falkon-forwarder")
+		build := exec.Command("go", "build", "-o", dir, "./cmd/falkon-dispatcher", "./cmd/falkon-executor")
 		build.Stderr = os.Stderr
 		if err := build.Run(); err != nil {
 			log.Fatalf("falkon-chaos: go build: %v", err)
@@ -120,22 +124,13 @@ func main() {
 
 	failed := 0
 	for i := 0; i < *sweep; i++ {
-		run := c
-		run.seed = c.seed + uint64(i)
-		var err error
-		switch {
-		case run.standbys > 0:
-			err = runStandbysOne(run, *keep)
-		case run.tree > 0:
-			err = runTreeOne(run, *keep)
-		default:
-			err = runOne(run, *keep)
-		}
-		if err != nil {
+		one := c
+		one.seed = c.seed + uint64(i)
+		if err := runOne(one, *keep); err != nil {
 			failed++
-			fmt.Printf("FAIL seed=%d: %v\n", run.seed, err)
+			fmt.Printf("FAIL seed=%d: %v\n", one.seed, err)
 			fmt.Printf("REPRODUCE: go run ./cmd/falkon-chaos -seed %d -tasks %d -execs %d -slots %d -kills %d -tree %d -tree-depth %d -standbys %d -max-sleep %v\n",
-				run.seed, run.tasks, run.execs, run.slots, run.kills, run.tree, run.treeDepth, run.standbys, run.maxSleep)
+				one.seed, one.tasks, one.execs, one.slots, one.kills, one.tree, one.treeDepth, one.standbys, one.maxSleep)
 		}
 	}
 	if failed > 0 {
@@ -145,65 +140,67 @@ func main() {
 	fmt.Printf("chaos: %d/%d seeds passed\n", *sweep, *sweep)
 }
 
-// runOne executes a full chaos run for one seed.
+// run is one seed's deployment: its parameters and every child it started.
+type run struct {
+	cfg
+	supers []*super      // in start order; stopped in reverse
+	done   chan struct{} // closed when the run ends
+}
+
+// topology is what differs between the three kinds of run — which nodes
+// exist, who is killed when, and what "healed" means — as a boot function
+// (bootFlat, bootTree, bootStandbys) hands it to runOne.
+type topology struct {
+	what    string                           // the PASS line's "(tree 2 leaves, depth 2)"; empty for the flat run
+	front   string                           // what the client dials
+	execAt  func(i int) string               // what executor i dials
+	victims []*super                         // whom the kills fall on; the report lists their restarts
+	rows    int                              // links the front reports up once healed (0: not a tree)
+	kills   func(cl *client.Client) error    // the kills while the workload runs
+	atRest  func() error                     // one more, once everything has drained
+	check   func(st fproto.StatsReply) error // what the healed front must also say of itself; may be nil
+}
+
+// runOne executes a full chaos run for one seed: a mode boots its nodes, and
+// everything else — executors, client, workload, the invariants and the report
+// — is the same whatever they are.
 func runOne(c cfg, keep bool) (err error) {
-	c.workDir, err = os.MkdirTemp("", fmt.Sprintf("falkon-chaos-%d-", c.seed))
+	boot, tag := bootFlat, ""
+	switch {
+	case c.standbys > 0:
+		boot, tag = bootStandbys, "-ha"
+	case c.tree > 0:
+		boot, tag = bootTree, "-tree"
+	}
+	r := &run{cfg: c, done: make(chan struct{})}
+	r.workDir, err = os.MkdirTemp("", fmt.Sprintf("falkon-chaos%s-%d-", tag, c.seed))
 	if err != nil {
 		return err
 	}
 	defer func() {
 		if err == nil && !keep {
-			os.RemoveAll(c.workDir)
+			os.RemoveAll(r.workDir)
 		} else {
-			log.Printf("seed %d: work dir kept at %s", c.seed, c.workDir)
+			log.Printf("seed %d: work dir kept at %s", c.seed, r.workDir)
 		}
 	}()
+	defer r.stop()
 
-	addr, err := freeAddr()
+	// The whole schedule derives from the seed, and boot prints it up front:
+	// two runs with the same seed print — and execute — the same schedule.
+	t, err := boot(r)
 	if err != nil {
 		return err
 	}
-	journal := filepath.Join(c.workDir, "journal")
 
-	// The whole schedule derives from the seed. Print it up front: two runs
-	// with the same seed print — and execute — the same schedule.
-	dspec := dispatcherSpec(c.seed, 0)
-	especs := make([]string, c.execs)
-	for i := range especs {
-		especs[i] = executorSpec(c.seed, i, 0).String()
-	}
-	killAts := killSchedule(c)
-	log.Printf("seed %d schedule: dispatcher=%q executors=%q kills=%v", c.seed, dspec.String(), especs, killAts)
-
-	// Dispatcher under supervision: restarted after injected kills and
-	// journal fail-stops, always recovering from the same journal dir.
-	disp := newSuper("dispatcher", c, func(restart int) *exec.Cmd {
-		spec := dispatcherSpec(c.seed, restart)
-		return exec.Command(filepath.Join(c.binDir, "falkon-dispatcher"),
-			"-addr", addr,
-			"-journal-dir", journal,
-			"-journal-sync", "group",
-			"-snapshot-every", "200",
-			"-replay-timeout", "500ms",
-			"-max-retries", "50",
-			"-stats-every", "0",
-			"-faults", spec.String(),
-		)
-	})
-	defer disp.stop()
-	if err := waitListening(addr, 10*time.Second); err != nil {
-		return fmt.Errorf("dispatcher never listened: %w", err)
-	}
-
-	// Executors under supervision: injected crashes (crash mid-task,
+	// Executors under supervision, reconnecting so each rides out its
+	// dispatcher's restarts: injected crashes (crash mid-task,
 	// result-then-die) kill the process; the supervisor restarts it with a
 	// fresh derived seed so a first-op crash can't loop forever.
-	sups := make([]*super, c.execs)
 	for i := 0; i < c.execs; i++ {
-		i := i
-		sups[i] = newSuper(fmt.Sprintf("executor-%d", i), c, func(restart int) *exec.Cmd {
+		r.start(fmt.Sprintf("executor-%d", i), "", func(restart int) *exec.Cmd {
 			return exec.Command(filepath.Join(c.binDir, "falkon-executor"),
-				"-dispatcher", addr,
+				"-dispatcher", t.execAt(i),
 				"-name", fmt.Sprintf("chaos-ex%d", i),
 				"-slots", fmt.Sprint(c.slots),
 				"-reconnect",
@@ -211,38 +208,18 @@ func runOne(c cfg, keep bool) (err error) {
 				"-faults", executorSpec(c.seed, i, restart).String(),
 			)
 		})
-		defer sups[i].stop()
 	}
 
-	// Scheduled dispatcher SIGKILLs — the disk-level crash story.
-	killDone := make(chan struct{})
-	go func() {
-		defer close(killDone)
-		start := time.Now()
-		for _, at := range killAts {
-			d := time.Until(start.Add(at))
-			if d > 0 {
-				select {
-				case <-time.After(d):
-				case <-disp.stopped:
-					return
-				}
-			}
-			log.Printf("seed %d: SIGKILL dispatcher (scheduled %v)", c.seed, at)
-			disp.kill()
-		}
-	}()
-
-	// The reconnecting client, in-process, with its own transport faults.
-	// The registry collects falkon_fault_injected_total{fault=...} for the
-	// final report.
+	// The reconnecting client, in-process, with its own transport faults; it
+	// cannot tell a tree or a cluster from a flat dispatcher. The registry
+	// collects falkon_fault_injected_total{fault=...} for the final report.
 	creg := obs.NewRegistry()
 	cinj := faultinj.New(clientSpec(c.seed), creg, nil)
 	var cl *client.Client
 	for attempt := 0; ; attempt++ {
 		cl, err = client.Connect(client.Options{
-			DispatcherAddr:   addr,
-			Name:             "falkon-chaos",
+			DispatcherAddr:   t.front,
+			Name:             "falkon-chaos" + tag,
 			BundleSize:       20,
 			Reconnect:        true,
 			ReconnectTimeout: 60 * time.Second,
@@ -271,49 +248,146 @@ func runOne(c cfg, keep bool) (err error) {
 	if err := cl.Submit(ts); err != nil {
 		return fmt.Errorf("submit: %w", err)
 	}
+	killErr := make(chan error, 1)
+	go func() { killErr <- t.kills(cl) }()
 	results, err := cl.WaitN(len(ts), c.waitFor)
 	if err != nil {
 		return fmt.Errorf("await results: %w", err)
 	}
-	<-killDone
+	if err := <-killErr; err != nil {
+		return err
+	}
 
 	if err := verifyExactlyOnce(c.seed, ts, results); err != nil {
 		return err
 	}
 
-	// Invariant 3: the system drained — nothing queued or outstanding once
-	// every result is delivered (stale replays may lag briefly).
-	if err := awaitDrained(cl, 15*time.Second); err != nil {
+	// Invariant 3: the system drained and healed — nothing queued or
+	// outstanding once every result is delivered (stale replays may lag
+	// briefly), and every link of a tree back up. What the nodes that ran the
+	// workload injected is read now: the next step kills one of them.
+	if err := awaitHealed(cl, t.rows, 30*time.Second); err != nil {
 		return err
 	}
+	injected, err := cl.Metrics()
+	if err != nil {
+		return fmt.Errorf("metrics after the workload: %w", err)
+	}
 
-	// Invariant 4: clean WAL recovery. Kill the dispatcher one last time;
-	// the restarted process must replay the journal to an empty pending set
-	// and still serve stats and metrics.
-	log.Printf("seed %d: final SIGKILL + recovery check", c.seed)
-	disp.kill()
-	if err := awaitDrained(cl, 30*time.Second); err != nil {
-		return fmt.Errorf("after final restart: %w", err)
+	// Invariant 4: clean recovery. One more kill, at rest; the restarted (or
+	// promoted) node must replay its journal to an empty pending set, and what
+	// the client dials must still account for the whole workload.
+	if err := t.atRest(); err != nil {
+		return err
+	}
+	if err := awaitHealed(cl, t.rows, 30*time.Second); err != nil {
+		return fmt.Errorf("after the kill at rest: %w", err)
+	}
+	if t.check != nil {
+		st, err := cl.Stats()
+		if err == nil {
+			err = t.check(st)
+		}
+		if err != nil {
+			return fmt.Errorf("after the kill at rest: %w", err)
+		}
 	}
 	ms, err := cl.Metrics()
 	if err != nil {
 		return fmt.Errorf("metrics after recovery: %w", err)
 	}
-	sub := ms.Counters["falkon_tasks_submitted_total"]
-	comp := ms.Counters["falkon_tasks_completed_total"]
-	if comp < int64(len(ts)) {
-		return fmt.Errorf("metrics inconsistent: completed=%d < submitted workload %d (submitted counter %d)", comp, len(ts), sub)
+	if comp := ms.Counters["falkon_tasks_completed_total"]; comp < int64(len(ts)) {
+		return fmt.Errorf("metrics inconsistent: completed=%d < submitted workload %d (submitted counter %d)",
+			comp, len(ts), ms.Counters["falkon_tasks_submitted_total"])
 	}
 
-	log.Printf("seed %d PASS: %d results, client reconnects=%d resubmit-deduped=%d dup-results-dropped=%d, client faults: %s, dispatcher restarts=%d",
-		c.seed, len(results), cl.Reconnects(), cl.Deduped(), cl.DuplicatesDropped(), cinj.Summary(), disp.restarts())
+	restarts := make([]string, len(t.victims))
+	for i, v := range t.victims {
+		restarts[i] = fmt.Sprintf("%s=%d", v.name, v.restarts())
+	}
+	log.Printf("seed %d PASS%s: %d results, client reconnects=%d resubmit-deduped=%d dup-results-dropped=%d, client faults: %s, restarts: %s",
+		c.seed, t.what, len(results), cl.Reconnects(), cl.Deduped(), cl.DuplicatesDropped(), cinj.Summary(), strings.Join(restarts, " "))
 	// The final report names every fault counter the run observed — the
-	// client injector's own registry plus whatever the (last incarnation of
-	// the) dispatcher counted — in the exposition's own vocabulary, so a
-	// chaos run's output is greppable against /metrics dashboards.
+	// client injector's own registry plus whatever the dispatching side (a
+	// root merges its leaves') counted — in the exposition's own vocabulary,
+	// so a chaos run's output is greppable against /metrics dashboards.
 	printFaultCounters("client", creg.Snapshot().Counters)
-	printFaultCounters("dispatcher", ms.Counters)
+	printFaultCounters("dispatcher", injected.Counters)
 	return nil
+}
+
+// bootFlat is the flat run: one journaled dispatcher, SIGKILLed on the
+// seed's wall-clock schedule and restarted over the same journal.
+func bootFlat(r *run) (topology, error) {
+	addr, err := freeAddr()
+	if err != nil {
+		return topology{}, err
+	}
+	especs := make([]string, r.execs)
+	for i := range especs {
+		especs[i] = executorSpec(r.seed, i, 0).String()
+	}
+	killAts := killSchedule(r.cfg)
+	log.Printf("seed %d schedule: dispatcher=%q executors=%q kills=%v", r.seed, dispatcherSpec(r.seed, 1000, 0).String(), especs, killAts)
+
+	victims := []*super{r.startDispatcher("dispatcher", addr, 1000)}
+	if err := allListening(victims...); err != nil {
+		return topology{}, err
+	}
+	return topology{
+		front: addr, execAt: func(int) string { return addr }, victims: victims,
+		kills: r.scheduledKills(killAts, victims), atRest: r.killAtRest(victims[0]),
+	}, nil
+}
+
+// startDispatcher supervises a journaled falkon-dispatcher — every node that
+// holds tasks of its own — restarted after injected kills and journal
+// fail-stops, always recovering from the same journal directory. Its injector
+// spec is seeded from salt and the restart count; extra flags follow the
+// common ones.
+func (r *run) startDispatcher(name, addr string, salt uint64, extra ...string) *super {
+	journal := filepath.Join(r.workDir, "journal-"+name)
+	return r.start(name, addr, func(restart int) *exec.Cmd {
+		return exec.Command(filepath.Join(r.binDir, "falkon-dispatcher"), append([]string{
+			"-addr", addr,
+			"-journal-dir", journal,
+			"-journal-sync", "group",
+			"-snapshot-every", "200",
+			"-replay-timeout", "500ms",
+			"-max-retries", "50",
+			"-stats-every", "0",
+			"-faults", dispatcherSpec(r.seed, salt, restart).String(),
+		}, extra...)...)
+	})
+}
+
+// scheduledKills SIGKILLs the victims in rotation at the seed's wall-clock
+// times, counted from when the workload was submitted — the disk-level crash
+// story.
+func (r *run) scheduledKills(killAts []time.Duration, victims []*super) func(*client.Client) error {
+	return func(*client.Client) error {
+		start := time.Now()
+		for i, at := range killAts {
+			select {
+			case <-time.After(time.Until(start.Add(at))):
+			case <-r.done:
+				return nil
+			}
+			v := victims[i%len(victims)]
+			log.Printf("seed %d: SIGKILL %s (scheduled %v)", r.seed, v.name, at)
+			v.kill()
+		}
+		return nil
+	}
+}
+
+// killAtRest is the last kill of a run whose victims restart in place.
+func (r *run) killAtRest(v *super) func() error {
+	return func() error {
+		log.Printf("seed %d: final SIGKILL %s + recovery check", r.seed, v.name)
+		v.kill()
+		return nil
+	}
 }
 
 // verifyExactlyOnce checks invariants 1 and 2 against a completed workload:
@@ -363,32 +437,49 @@ func printFaultCounters(side string, counters map[string]int64) {
 	}
 }
 
-// awaitDrained polls Stats until queue and outstanding are empty. The stats
-// RPC itself rides the reconnecting client, so this also proves the
-// dispatcher is up and serving.
-func awaitDrained(cl *client.Client, timeout time.Duration) error {
+// awaitHealed polls the front's stats until nothing is queued or outstanding
+// and wantRows links are up. The stats RPC itself rides the reconnecting
+// client, so this also proves the front is up and serving. A root aggregates
+// queued/outstanding across its live children only — a dead child drops out
+// of the sample — so "drained" must also require every node back up, or the
+// check would pass while a restarted leaf is still replaying journaled work
+// (which must execute and be dropped as dups on the way up before the tree
+// truly reads empty). Roots flatten their children's LeafStats rows upward,
+// so the front's row set covers every root→child edge in the topology — a
+// dead leaf under a live mid still shows up (and a dead mid hides its
+// subtree's rows, shrinking the set below wantRows). A flat dispatcher and an
+// HA leader report no rows, and none are wanted.
+func awaitHealed(cl *client.Client, wantRows int, timeout time.Duration) error {
 	deadline := time.Now().Add(timeout)
 	for {
 		st, err := cl.Stats()
-		if err == nil && st.Queued == 0 && st.Outstanding == 0 {
+		up := 0
+		for _, l := range st.Leaves {
+			if l.Up {
+				up++
+			}
+		}
+		if err == nil && st.Queued == 0 && st.Outstanding == 0 && up == wantRows {
 			return nil
 		}
 		if time.Now().After(deadline) {
 			if err != nil {
 				return fmt.Errorf("stats unavailable: %w", err)
 			}
-			return fmt.Errorf("not drained: queued=%d outstanding=%d", st.Queued, st.Outstanding)
+			return fmt.Errorf("not healed: queued=%d outstanding=%d nodes up %d/%d", st.Queued, st.Outstanding, up, wantRows)
 		}
 		time.Sleep(200 * time.Millisecond)
 	}
 }
 
-// dispatcherSpec derives the dispatcher's injector spec. Each restart gets
-// a fresh derived seed — same master seed, same sequence of specs — so a
-// fault that fires on the first operation cannot recur forever.
-func dispatcherSpec(seed uint64, restart int) faultinj.Spec {
+// dispatcherSpec derives a journaled dispatcher's injector spec: one fault
+// family, seeded per node by salt (the flat dispatcher 1000, tree leaf i
+// 1000+500i, cluster member i 4000+500i). Each restart gets a fresh derived
+// seed — same master seed, same sequence of specs — so a fault that fires on
+// the first operation cannot recur forever.
+func dispatcherSpec(seed, salt uint64, restart int) faultinj.Spec {
 	return faultinj.Spec{
-		Seed:       faultinj.DeriveSeed(seed, 1000+uint64(restart)),
+		Seed:       faultinj.DeriveSeed(seed, salt+uint64(restart)),
 		LatencyP:   0.01,
 		Latency:    2 * time.Millisecond,
 		DupNotifyP: 0.05,
@@ -446,6 +537,7 @@ func killSchedule(c cfg) []time.Duration {
 // log file in the work dir.
 type super struct {
 	name string
+	addr string // where the child listens; empty for an executor
 	mk   func(restart int) *exec.Cmd
 
 	mu       sync.Mutex
@@ -457,19 +549,29 @@ type super struct {
 	logC     io.Closer
 }
 
-func newSuper(name string, c cfg, mk func(restart int) *exec.Cmd) *super {
-	s := &super{name: name, mk: mk, stopped: make(chan struct{})}
-	f, err := os.Create(filepath.Join(c.workDir, name+".log"))
+// start supervises a child for the rest of the run.
+func (r *run) start(name, addr string, mk func(restart int) *exec.Cmd) *super {
+	s := &super{name: name, addr: addr, mk: mk, stopped: make(chan struct{})}
+	f, err := os.Create(filepath.Join(r.workDir, name+".log"))
 	if err != nil {
 		log.Fatalf("falkon-chaos: %v", err)
 	}
 	s.logC = f
 	s.logW = f
-	if c.verbose {
+	if r.verbose {
 		s.logW = io.MultiWriter(f, os.Stderr)
 	}
+	r.supers = append(r.supers, s)
 	go s.loop()
 	return s
+}
+
+// stop ends the run: every child, last started first.
+func (r *run) stop() {
+	close(r.done)
+	for i := len(r.supers) - 1; i >= 0; i-- {
+		r.supers[i].stop()
+	}
 }
 
 // loop starts the child and restarts it whenever it exits, until stop().

@@ -25,6 +25,15 @@
 //	    file, plus weighted fair-share scheduling across tenants
 //	falkon-dispatcher -addr :7523 -tenant 'prod:weight=4' -tenant 'batch:rate=500' -fair-share
 //	    the same, declared inline
+//
+// A dispatch tree (paper §6, Figure 16; DESIGN.md §13) is this command at
+// every level:
+//
+//	falkon-dispatcher -addr :7524 -leaves host1:7523,host2:7523
+//	    a root: clients speak to it exactly as to a flat dispatcher — it is
+//	    one, whose executors are links to the leaf dispatchers — while it
+//	    hands work downstream in bundles and aggregates results, stats and
+//	    metrics back upward. A leaf may itself be such a root.
 package main
 
 import (
@@ -38,6 +47,8 @@ import (
 
 	"falkon/internal/dispatch"
 	"falkon/internal/faultinj"
+	"falkon/internal/forward"
+	"falkon/internal/fproto"
 	"falkon/internal/obs"
 	"falkon/internal/replica"
 	"falkon/internal/wal"
@@ -60,6 +71,8 @@ func main() {
 		faults        = flag.String("faults", os.Getenv("FALKON_FAULTS"), "fault-injection spec, e.g. seed=42,drop@0.01,fsyncerr@0.02 (chaos testing; default $FALKON_FAULTS)")
 		tenantsFile   = flag.String("tenants", "", "tenant config file: one name:weight=4,quota=10000,rate=5000,burst=1000,maxq=50000 spec per line ('#' comments)")
 		fairShare     = flag.Bool("fair-share", false, "weighted fair-share scheduling across tenants (SFQ)")
+		leaves        = flag.String("leaves", "", "comma-separated leaf dispatcher addresses: run as the root of a dispatch tree, whose executors are links to them (a leaf may itself have -leaves)")
+		bundle        = flag.Int("bundle", 0, "root→leaf bundle size with -leaves (0 = default 64)")
 
 		replicate = flag.String("replicate", "", "accept standby replicas: async (acks don't wait) or quorum (client acks wait for standby acks); requires -journal-dir")
 		minAcks   = flag.Int("replica-min-acks", 0, "quorum size for -replicate quorum (0 = every attached standby)")
@@ -82,7 +95,20 @@ func main() {
 	if err != nil {
 		log.Fatalf("falkon-dispatcher: %v", err)
 	}
+	if *leaves != "" && (*journalDir != "" || *replicate != "" || *standbyOf != "" || *leaseFile != "") {
+		log.Fatal("falkon-dispatcher: -leaves cannot be combined with -journal-dir, -replicate, -standby-of or -lease-file: " +
+			"a root keeps its tasks in memory until its crash test exists (ROADMAP 6(a)); journal the leaves")
+	}
+	// One registry for the process, whichever mode it runs in: what -faults
+	// injects is counted where /metrics and falkon.metrics read. A node with
+	// leaves is labelled apart from them, so build info merged up a tree
+	// stays one series per level.
+	component := "dispatcher"
+	if *leaves != "" {
+		component = "forwarder"
+	}
 	opts := dispatch.Options{
+		Metrics:       obs.NewRegistry(),
 		ReplayTimeout: *replayTimeout,
 		MaxRetries:    *maxRetries,
 		Tenants:       tenants,
@@ -92,12 +118,12 @@ func main() {
 		SnapshotEvery: *snapEvery,
 		ClusterID:     *cluster,
 	}
+	obs.RegisterBuildInfo(opts.Metrics, component)
 	if *faults != "" {
 		spec, err := faultinj.Parse(*faults)
 		if err != nil {
 			log.Fatalf("falkon-dispatcher: %v", err)
 		}
-		opts.Metrics = obs.NewRegistry()
 		inj := faultinj.New(spec, opts.Metrics, log.Printf)
 		opts.Faults = inj
 		opts.JournalFS = inj.FS(wal.OS)
@@ -138,8 +164,22 @@ func main() {
 	case *leaseFile != "":
 		runHANode(*leaseFile, *leaseTTL, *nodeID, *addr, *journalDir, syncPolicy, opts, *debugAddr, *statsEvery)
 	default:
-		runLeader(opts, *addr, *journalDir, syncPolicy, *debugAddr, *statsEvery)
+		runLeader(opts, fproto.SplitAddrs(*leaves), *bundle, *addr, *journalDir, syncPolicy, *debugAddr, *statsEvery)
 	}
+}
+
+// node is what this command serves once it leads: a dispatcher, or with
+// -leaves a tree root — the same dispatcher with links for executors, whose
+// stats and metrics answer for its subtree.
+type node interface {
+	Listen(addr string) error
+	Addr() string
+	Stats() fproto.StatsReply
+	MetricsSnapshot() obs.MetricsSnapshot
+	Tracer() *obs.Tracer
+	SpanHeader() obs.DumpHeader
+	Drain(timeout time.Duration) bool
+	Close() error
 }
 
 // stringList is a repeatable string flag.
@@ -183,17 +223,29 @@ func loadTenants(path string, flags []string) ([]dispatch.TenantSpec, error) {
 }
 
 // runLeader is the classic single-dispatcher path (optionally accepting
-// standby replicas when -replicate is set).
-func runLeader(opts dispatch.Options, addr, journalDir string, syncPolicy wal.SyncPolicy, debugAddr string, statsEvery time.Duration) {
+// standby replicas when -replicate is set), and with leaves the tree root's:
+// the two differ in how the node is built and in nothing after.
+func runLeader(opts dispatch.Options, leaves []string, bundle int, addr, journalDir string, syncPolicy wal.SyncPolicy, debugAddr string, statsEvery time.Duration) {
 	if opts.Replication != nil {
 		opts.Replication.Term = 1
 	}
-	d := dispatch.New(opts)
-	obs.RegisterBuildInfo(d.Metrics(), "dispatcher")
+	var d node
+	if len(leaves) > 0 {
+		f, err := forward.New(forward.Options{Dispatchers: leaves, Bundle: bundle, Root: opts})
+		if err != nil {
+			log.Fatalf("falkon-dispatcher: %v", err)
+		}
+		d = f
+	} else {
+		d = dispatch.New(opts)
+	}
 	if err := d.Listen(addr); err != nil {
 		log.Fatalf("falkon-dispatcher: %v", err)
 	}
 	fmt.Printf("falkon-dispatcher listening on %s (security=%v)\n", d.Addr(), opts.Security)
+	if len(leaves) > 0 {
+		fmt.Printf("falkon-dispatcher relaying to %v\n", leaves)
+	}
 	if journalDir != "" {
 		fmt.Printf("falkon-dispatcher journaling to %s (sync=%v)\n", journalDir, syncPolicy)
 	}
@@ -213,8 +265,6 @@ func runStandby(leaderAddr, dir, id string, syncPolicy wal.SyncPolicy, opts disp
 	if dir == "" {
 		log.Fatal("falkon-dispatcher: -standby-of requires -journal-dir (the mirror directory)")
 	}
-	reg := obs.NewRegistry()
-	obs.RegisterBuildInfo(reg, "dispatcher")
 	sb, err := replica.StartStandby(replica.StandbyOptions{
 		ID:       id,
 		Leader:   func() (string, error) { return leaderAddr, nil },
@@ -222,7 +272,7 @@ func runStandby(leaderAddr, dir, id string, syncPolicy wal.SyncPolicy, opts disp
 		Sync:     syncPolicy,
 		Security: opts.Security,
 		PSK:      opts.PSK,
-		Metrics:  reg,
+		Metrics:  opts.Metrics,
 		Logf:     opts.Logf,
 	})
 	if err != nil {
@@ -230,7 +280,7 @@ func runStandby(leaderAddr, dir, id string, syncPolicy wal.SyncPolicy, opts disp
 	}
 	fmt.Printf("falkon-dispatcher standby of %s, mirroring to %s\n", leaderAddr, dir)
 	if debugAddr != "" {
-		ds, err := obs.ServeDebugOpts(debugAddr, obs.DebugOptions{Snap: reg.Snapshot})
+		ds, err := obs.ServeDebugOpts(debugAddr, obs.DebugOptions{Snap: opts.Metrics.Snapshot})
 		if err != nil {
 			log.Fatalf("falkon-dispatcher: debug server: %v", err)
 		}
@@ -266,9 +316,6 @@ func runHANode(leaseFile string, leaseTTL time.Duration, nodeID, addr, journalDi
 	if opts.ClusterID == "" {
 		opts.ClusterID = "ha:" + leaseFile
 	}
-	reg := obs.NewRegistry()
-	obs.RegisterBuildInfo(reg, "dispatcher")
-	opts.Metrics = reg
 
 	stop := make(chan struct{})
 	sig := make(chan os.Signal, 1)
@@ -312,7 +359,7 @@ func runHANode(leaseFile string, leaseTTL time.Duration, nodeID, addr, journalDi
 			log.Println("falkon-dispatcher: lease lost, exiting (fail-stop)")
 			os.Exit(4)
 		},
-		Metrics: reg,
+		Metrics: opts.Metrics,
 		Logf:    log.Printf,
 		Stop:    stop,
 	})
@@ -326,8 +373,8 @@ func runHANode(leaseFile string, leaseTTL time.Duration, nodeID, addr, journalDi
 	}
 }
 
-// startDebug serves /metrics, /events.json and pprof for a dispatcher.
-func startDebug(debugAddr string, d *dispatch.Dispatcher) func() {
+// startDebug serves /metrics, /events.json and pprof for a node.
+func startDebug(debugAddr string, d node) func() {
 	if debugAddr == "" {
 		return func() {}
 	}
@@ -344,7 +391,7 @@ func startDebug(debugAddr string, d *dispatch.Dispatcher) func() {
 }
 
 // startStatsLoop logs a stats line every interval.
-func startStatsLoop(every time.Duration, d *dispatch.Dispatcher) {
+func startStatsLoop(every time.Duration, d node) {
 	if every <= 0 {
 		return
 	}
@@ -377,7 +424,7 @@ func startStatsLoop(every time.Duration, d *dispatch.Dispatcher) {
 }
 
 // awaitShutdown blocks on SIGINT/SIGTERM, then drains and seals.
-func awaitShutdown(d *dispatch.Dispatcher, journalDir string) {
+func awaitShutdown(d node, journalDir string) {
 	sig := make(chan os.Signal, 1)
 	signal.Notify(sig, os.Interrupt, syscall.SIGTERM)
 	<-sig
@@ -393,11 +440,11 @@ func awaitShutdown(d *dispatch.Dispatcher, journalDir string) {
 
 // awaitShutdownNow drains and seals without waiting for a signal (the HA
 // node path already consumed the signal to stop the election loop).
-func awaitShutdownNow(d *dispatch.Dispatcher, journalDir string) {
+func awaitShutdownNow(d node, journalDir string) {
 	shutdown(d, journalDir)
 }
 
-func shutdown(d *dispatch.Dispatcher, journalDir string) {
+func shutdown(d node, journalDir string) {
 	log.Println("falkon-dispatcher: draining (up to 30s)")
 	if !d.Drain(30 * time.Second) {
 		log.Println("falkon-dispatcher: drain timed out; closing with work in flight")

@@ -51,7 +51,7 @@ func main() {
 	if *debugAddr != "" {
 		reg := obs.NewRegistry()
 		obs.RegisterBuildInfo(reg, "submit")
-		ds, err := obs.ServeDebugSnapshot(*debugAddr, func() obs.MetricsSnapshot { return fproto.NoteCodec(reg.Snapshot()) }, nil)
+		ds, err := obs.ServeDebugOpts(*debugAddr, obs.DebugOptions{Snap: func() obs.MetricsSnapshot { return fproto.NoteCodec(reg.Snapshot()) }})
 		if err != nil {
 			log.Fatalf("falkon-submit: debug server: %v", err)
 		}

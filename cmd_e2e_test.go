@@ -18,9 +18,11 @@ import (
 	"strconv"
 	"strings"
 	"sync"
+	"syscall"
 	"testing"
 	"time"
 
+	"falkon/internal/client"
 	"falkon/internal/fproto"
 	"falkon/internal/obs"
 	"falkon/internal/task"
@@ -44,7 +46,7 @@ func buildBinaries(t *testing.T) string {
 		if buildErr != nil {
 			return
 		}
-		for _, c := range []string{"falkon-dispatcher", "falkon-executor", "falkon-submit", "falkon-forwarder", "falkon-bench", "falkon-trace", "falkon-workflow", "falkon-top", "falkon-spans"} {
+		for _, c := range []string{"falkon-dispatcher", "falkon-executor", "falkon-submit", "falkon-bench", "falkon-trace", "falkon-workflow", "falkon-top", "falkon-spans"} {
 			cmd := exec.Command("go", "build", "-o", filepath.Join(binDir, c), "./cmd/"+c)
 			if out, err := cmd.CombinedOutput(); err != nil {
 				buildErr = fmt.Errorf("build %s: %v\n%s", c, err, out)
@@ -147,7 +149,7 @@ func TestBinariesThreeTier(t *testing.T) {
 	startProc(t, filepath.Join(bin, "falkon-executor"), "-dispatcher", d1)
 	startProc(t, filepath.Join(bin, "falkon-executor"), "-dispatcher", d2)
 	fwd := freePort(t)
-	startProc(t, filepath.Join(bin, "falkon-forwarder"), "-addr", fwd, "-dispatchers", d1+","+d2)
+	startProc(t, filepath.Join(bin, "falkon-dispatcher"), "-addr", fwd, "-leaves", d1+","+d2)
 	waitListening(t, fwd)
 
 	// The unmodified client CLI talks to the forwarder.
@@ -158,6 +160,63 @@ func TestBinariesThreeTier(t *testing.T) {
 	}
 	if !strings.Contains(string(out), "completed 50 tasks (0 failed)") {
 		t.Fatalf("submit output: %s", out)
+	}
+}
+
+// A node with leaves is a dispatcher to its operator too: SIGTERM drains it —
+// every task it holds is delivered to its client before it exits 0.
+func TestBinariesRootDrainsOnSIGTERM(t *testing.T) {
+	bin := buildBinaries(t)
+	leaf, rootAddr := freePort(t), freePort(t)
+	startProc(t, filepath.Join(bin, "falkon-dispatcher"), "-addr", leaf, "-quiet", "-stats-every", "0")
+	waitListening(t, leaf)
+	startProc(t, filepath.Join(bin, "falkon-executor"), "-dispatcher", leaf, "-n", "2")
+	root := startProc(t, filepath.Join(bin, "falkon-dispatcher"), "-addr", rootAddr, "-leaves", leaf, "-quiet", "-stats-every", "0")
+	waitListening(t, rootAddr)
+
+	cl, err := client.Connect(client.Options{DispatcherAddr: rootAddr, BundleSize: 20})
+	if err != nil {
+		t.Fatal(err)
+	}
+	defer cl.Close()
+	// 40 x 50ms over two single-slot executors: a second of work, all of it
+	// acknowledged by the root when the signal lands.
+	var gen task.IDGen
+	ts := make([]task.Task, 40)
+	for i := range ts {
+		ts[i] = task.Task{ID: gen.Next(), Engine: task.EngineSleep, Duration: 50 * time.Millisecond}
+	}
+	if err := cl.Submit(ts); err != nil {
+		t.Fatal(err)
+	}
+	if err := root.Process.Signal(syscall.SIGTERM); err != nil {
+		t.Fatal(err)
+	}
+	results, err := cl.WaitN(len(ts), 30*time.Second)
+	if err != nil {
+		t.Fatalf("%d of %d results from a draining root: %v", len(results), len(ts), err)
+	}
+	for _, r := range results {
+		if r.Failed() {
+			t.Fatalf("task %v failed under drain: %s", r.ID, r.Err)
+		}
+	}
+	if err := root.Wait(); err != nil {
+		t.Fatalf("root after SIGTERM: %v, want exit 0", err)
+	}
+}
+
+// A root keeps its tasks in memory: the flags that promise otherwise are
+// refused at startup, by the message that says where that is tracked.
+func TestBinariesLeavesRefuseJournal(t *testing.T) {
+	bin := buildBinaries(t)
+	out, err := exec.Command(filepath.Join(bin, "falkon-dispatcher"),
+		"-addr", freePort(t), "-leaves", freePort(t), "-journal-dir", t.TempDir()).CombinedOutput()
+	if err == nil {
+		t.Fatalf("falkon-dispatcher -leaves -journal-dir started:\n%s", out)
+	}
+	if !strings.Contains(string(out), "-leaves cannot be combined with -journal-dir") || !strings.Contains(string(out), "ROADMAP 6(a)") {
+		t.Fatalf("refusal does not say why: %s", out)
 	}
 }
 
@@ -452,7 +511,7 @@ func TestBinariesMetricsExposition(t *testing.T) {
 	startProc(t, filepath.Join(bin, "falkon-dispatcher"), "-addr", dispAddr, "-quiet", "-stats-every", "0", "-debug-addr", dispDebug)
 	waitListening(t, dispAddr)
 	startProc(t, filepath.Join(bin, "falkon-executor"), "-dispatcher", dispAddr, "-debug-addr", execDebug)
-	startProc(t, filepath.Join(bin, "falkon-forwarder"), "-addr", fwdAddr, "-dispatchers", dispAddr, "-debug-addr", fwdDebug)
+	startProc(t, filepath.Join(bin, "falkon-dispatcher"), "-addr", fwdAddr, "-leaves", dispAddr, "-debug-addr", fwdDebug)
 	waitListening(t, fwdAddr)
 	// A workload long enough that the client daemon is still up — and its
 	// debug endpoint scrapeable — while we poll every process.

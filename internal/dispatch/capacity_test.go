@@ -137,7 +137,7 @@ func TestCapacityHintsComposeThroughATree(t *testing.T) {
 		leaves = append(leaves, d.Addr())
 	}
 	tier := func(children ...string) string {
-		f, err := forward.New(forward.Options{Dispatchers: children, Logf: t.Logf})
+		f, err := forward.New(forward.Options{Dispatchers: children, Root: dispatch.Options{Logf: t.Logf}})
 		if err != nil {
 			t.Fatal(err)
 		}

@@ -79,7 +79,7 @@ func budgetTier(t *testing.T, tree bool) float64 {
 	front := leaves[0].Addr()
 	if tree {
 		f, err := forward.New(forward.Options{
-			Dispatchers: []string{leaves[0].Addr(), leaves[1].Addr()}, Backoff: fastBackoff, Logf: t.Logf,
+			Dispatchers: []string{leaves[0].Addr(), leaves[1].Addr()}, Backoff: fastBackoff, Root: dispatch.Options{Logf: t.Logf},
 		})
 		if err != nil {
 			t.Fatal(err)

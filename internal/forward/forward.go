@@ -14,11 +14,13 @@ import (
 	"fmt"
 	"math"
 	"sort"
+	"strings"
 	"sync"
 
 	"falkon/internal/backoff"
 	"falkon/internal/dispatch"
 	"falkon/internal/fproto"
+	"falkon/internal/metrics"
 	"falkon/internal/obs"
 	"falkon/internal/wsrpc"
 )
@@ -32,26 +34,27 @@ type Options struct {
 	// Dispatchers lists downstream leaf addresses (at least one). Every leaf
 	// must be reachable at New; afterwards each is redialed with backoff.
 	Dispatchers []string
-	// Security and PSK apply to the upstream listener and downstream alike.
-	Security wsrpc.SecurityProfile
-	PSK      []byte
 	// Bundle is the root→leaf bundle size: the most tasks a link asks the
 	// root's queue for at a time, one downstream submit carries, and a leaf is
 	// stocked with per worker slot (default 64).
 	Bundle int
 	// Backoff shapes leaf redial pacing (zero value = backoff.Default).
 	Backoff backoff.Policy
-	// Logf receives forwarder logs; nil silences them.
-	Logf func(format string, args ...any)
-	// Metrics receives the root's instruments (its dispatcher's and both
-	// sides' wsrpc traffic); nil creates a private registry.
-	Metrics *obs.Registry
+	// Root configures the root like any dispatcher (tenants, replay timeout,
+	// fault injection, …), but for NoRetryOnFailure and MaxRetries, which New
+	// sets: retries are the leaves' to count. Its Security, PSK, Metrics and
+	// Logf are the links' too, so one profile and one registry cover the
+	// upstream listener and the downstream connections.
+	Root dispatch.Options
 }
 
-// Forwarder is the dispatch-tree root. Create with New, then Listen.
+// Forwarder is the dispatch-tree root: a dispatcher (Listen, Addr, Drain,
+// Metrics, Tracer are the embedded one's) whose Stats, MetricsSnapshot and
+// Close answer for its subtree. Create with New, then Listen.
 type Forwarder struct {
+	*dispatch.Dispatcher
 	opts  Options
-	root  *dispatch.Dispatcher
+	logf  func(format string, args ...any) // Root.Logf, or a no-op
 	links []*link
 
 	submitAtRoot, destroyAtRoot wsrpc.Handler // the root dispatcher's own
@@ -70,24 +73,19 @@ func New(opts Options) (*Forwarder, error) {
 	if opts.Bundle <= 0 {
 		opts.Bundle = 64
 	}
-	if opts.Metrics == nil {
-		opts.Metrics = obs.NewRegistry()
+	f := &Forwarder{opts: opts, logf: opts.Root.Logf, stop: make(chan struct{})}
+	if f.logf == nil {
+		f.logf = func(string, ...any) {}
 	}
-	if opts.Logf == nil {
-		opts.Logf = func(string, ...any) {}
-	}
-	f := &Forwarder{opts: opts, stop: make(chan struct{})}
 	// A leaf's final word stays final: a task it reports failed has had its
 	// retries and gets none here; leaf deaths do not use up a task's retries.
-	f.root = dispatch.New(dispatch.Options{
-		Security: opts.Security, PSK: opts.PSK, Metrics: opts.Metrics, Logf: opts.Logf,
-		NoRetryOnFailure: true, MaxRetries: math.MaxInt32,
-	})
-	f.root.Override(fproto.MethodStats, func(*wsrpc.Peer, json.RawMessage) (any, error) { return f.Stats(), nil })
-	f.root.Override(fproto.MethodMetrics, func(*wsrpc.Peer, json.RawMessage) (any, error) { return f.MergedMetricsSnapshot(), nil })
-	f.root.Override(fproto.MethodEvents, f.handleEvents)
-	f.submitAtRoot = f.root.Override(fproto.MethodSubmit, f.handleSubmit)
-	f.destroyAtRoot = f.root.Override(fproto.MethodDestroyInstance, f.handleDestroyInstance)
+	opts.Root.NoRetryOnFailure, opts.Root.MaxRetries = true, math.MaxInt32
+	f.Dispatcher = dispatch.New(opts.Root)
+	f.Override(fproto.MethodStats, func(*wsrpc.Peer, json.RawMessage) (any, error) { return f.Stats(), nil })
+	f.Override(fproto.MethodMetrics, func(*wsrpc.Peer, json.RawMessage) (any, error) { return f.MetricsSnapshot(), nil })
+	f.Override(fproto.MethodEvents, f.handleEvents)
+	f.submitAtRoot = f.Override(fproto.MethodSubmit, f.handleSubmit)
+	f.destroyAtRoot = f.Override(fproto.MethodDestroyInstance, f.handleDestroyInstance)
 	// Every link exists before any leaf is dialed: capacity pushes start with
 	// attach-parent.
 	for i, addr := range opts.Dispatchers {
@@ -103,12 +101,6 @@ func New(opts Options) (*Forwarder, error) {
 	return f, nil
 }
 
-// Listen binds the upstream listener.
-func (f *Forwarder) Listen(addr string) error { return f.root.Listen(addr) }
-
-// Addr returns the upstream address.
-func (f *Forwarder) Addr() string { return f.root.Addr() }
-
 // Close tears down both sides: the leaf sessions first, so that no submit
 // handler the root's Close waits for is left waiting on a leaf. No lock is held
 // while a session closes: that waits for its hooks and read loop, which take
@@ -120,19 +112,11 @@ func (f *Forwarder) Close() error {
 		for _, l := range f.links {
 			l.sess.Close()
 		}
-		err = f.root.Close()
+		err = f.Dispatcher.Close()
 		f.wg.Wait()
 	})
 	return err
 }
-
-// Metrics returns the root's own instrument registry (leaf metrics are
-// fetched and merged per request).
-func (f *Forwarder) Metrics() *obs.Registry { return f.opts.Metrics }
-
-// Tracer returns the root's own task-lifecycle ring (falkon.events answers
-// with the leaves' windows instead).
-func (f *Forwarder) Tracer() *obs.Tracer { return f.root.Tracer() }
 
 // handleSubmit is a submit at the root and then, before the acknowledgment,
 // the links stocking their leaves, in order, with what it left queued and
@@ -170,7 +154,7 @@ func (f *Forwarder) handleDestroyInstance(p *wsrpc.Peer, body json.RawMessage) (
 		}
 		// On a leaf that is down the call fails at once.
 		if err := l.call(fproto.MethodDestroyInstance, fproto.DestroyInstanceRequest{EPR: down}, nil); err != nil {
-			f.opts.Logf("forward: destroy %s on leaf %s: %v", down, l.addr, err)
+			f.logf("forward: destroy %s on leaf %s: %v", down, l.addr, err)
 		}
 	}
 	return rep, nil
@@ -186,7 +170,7 @@ func (f *Forwarder) Stats() fproto.StatsReply {
 		l.mu.Lock()
 		row := l.row
 		l.mu.Unlock()
-		row.Pending = f.root.Held(l.id)
+		row.Pending = f.Held(l.id)
 		var st fproto.StatsReply
 		if row.Up {
 			row.Up = l.call(fproto.MethodStats, nil, &st) == nil
@@ -198,7 +182,7 @@ func (f *Forwarder) Stats() fproto.StatsReply {
 		agg.Leaves = append(agg.Leaves, row)
 		agg.Merge(st)
 	}
-	own := f.root.Stats()
+	own := f.Dispatcher.Stats()
 	agg.Depth++
 	agg.Queued += own.Queued
 	agg.Retried += own.Retried
@@ -221,20 +205,23 @@ func askLeaves[T any](f *Forwarder, method string, arg any, fold func(T)) {
 	}
 }
 
-// MergedMetricsSnapshot folds every reachable leaf's snapshot into the root's
-// own: counters and gauges sum, histograms merge bucket-wise. The root's own
-// Figure-10 stages and end-to-end latency go under node="root": a task's time
-// at the root contains its time at a leaf, and under the leaves' names every
-// task would count twice.
-func (f *Forwarder) MergedMetricsSnapshot() obs.MetricsSnapshot {
-	agg := fproto.NoteCodec(f.opts.Metrics.Snapshot())
-	asRoot := func(key, own string) {
-		agg.Histograms[own] = agg.Histograms[key]
-		delete(agg.Histograms, key)
-	}
-	asRoot(obs.MetricE2ESeconds, obs.Labeled(obs.MetricE2ESeconds, "node", "root"))
-	for _, stage := range obs.Stages {
-		asRoot(obs.StageKey(stage), obs.Labeled(obs.MetricStageSeconds, "node", "root", "stage", stage))
+// MetricsSnapshot folds every reachable leaf's snapshot into the root's own:
+// counters and gauges sum, histograms merge bucket-wise. The root's own
+// Figure-10 stages and end-to-end latency (a tenant's share of them included)
+// go under node="root": a task's time at the root contains its time at a
+// leaf, and under the leaves' names every task would count twice.
+func (f *Forwarder) MetricsSnapshot() obs.MetricsSnapshot {
+	agg := fproto.NoteCodec(f.Metrics().Snapshot())
+	own := agg.Histograms
+	agg.Histograms = make(map[string]metrics.HistSnapshot, len(own))
+	for key, h := range own {
+		name, labels, labeled := strings.Cut(key, "{")
+		if labeled && (name == obs.MetricE2ESeconds || name == obs.MetricStageSeconds) {
+			key = name + `{node="root",` + labels
+		} else if name == obs.MetricE2ESeconds {
+			key = name + `{node="root"}`
+		}
+		agg.Histograms[key] = h
 	}
 	askLeaves(f, fproto.MethodMetrics, nil, func(ms fproto.MetricsReply) { agg.Merge(ms) })
 	return agg

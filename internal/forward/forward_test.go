@@ -41,7 +41,7 @@ func startTier(t *testing.T, nDisp, nExec int) (*forward.Forwarder, []*dispatch.
 		addrs = append(addrs, d.Addr())
 		dispatchers = append(dispatchers, d)
 	}
-	f, err := forward.New(forward.Options{Dispatchers: addrs, Logf: t.Logf})
+	f, err := forward.New(forward.Options{Dispatchers: addrs, Root: dispatch.Options{Logf: t.Logf}})
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -195,7 +195,7 @@ func TestForwarderSecureBothTiers(t *testing.T) {
 		t.Fatal(err)
 	}
 	defer ex.Stop()
-	f, err := forward.New(forward.Options{Dispatchers: []string{d.Addr()}, Security: sec, PSK: psk, Logf: t.Logf})
+	f, err := forward.New(forward.Options{Dispatchers: []string{d.Addr()}, Root: dispatch.Options{Security: sec, PSK: psk, Logf: t.Logf}})
 	if err != nil {
 		t.Fatal(err)
 	}

@@ -70,16 +70,16 @@ func newLink(f *Forwarder, idx int, addr string) *link {
 	}
 	l.sess = wsrpc.NewSession(wsrpc.SessionOptions{
 		Addrs:     []string{addr},
-		Client:    wsrpc.ClientOptions{Security: f.opts.Security, PSK: f.opts.PSK, OnNotify: l.onNotify, Metrics: f.opts.Metrics},
+		Client:    wsrpc.ClientOptions{Security: f.opts.Root.Security, PSK: f.opts.Root.PSK, OnNotify: l.onNotify, Metrics: f.Metrics()},
 		Reconnect: true,
 		Backoff:   f.opts.Backoff,
 		Handshake: func(cli *wsrpc.Client, _ int) error { return l.attach(cli) },
 		OnDown: func() {
-			f.opts.Logf("forward: leaf %s down, its tasks go back on the root's queue", addr)
+			f.logf("forward: leaf %s down, its tasks go back on the root's queue", addr)
 			l.update(func() { l.row.Up = false })
 		},
 		OnUp: func(*wsrpc.Client) {
-			f.opts.Logf("forward: leaf %s reconnected", addr)
+			f.logf("forward: leaf %s reconnected", addr)
 			l.update(func() { l.row.Up, l.row.Reconnects = true, l.row.Reconnects+1 })
 		},
 	})
@@ -145,9 +145,9 @@ func (l *link) update(change func()) {
 	case want == l.slots:
 	case want > 0:
 		// Under an ID this pusher already holds, a resize: what it holds stays.
-		l.f.root.Register(fproto.RegisterRequest{ExecutorID: l.id, Slots: want}, l)
+		l.f.Register(fproto.RegisterRequest{ExecutorID: l.id, Slots: want}, l)
 	default:
-		l.row.Reroutes += int64(l.f.root.Deregister(l.id))
+		l.row.Reroutes += int64(l.f.Deregister(l.id))
 		l.deferred = nil // requeued at the root with the rest
 	}
 	l.slots = want
@@ -176,7 +176,7 @@ func (l *link) due() (again []fproto.Assignment, room int) {
 	}
 	depth := l.slots*l.sizer.Ask(l.f.opts.Bundle) + len(l.deferred)
 	l.mu.Unlock()
-	return again, max(depth-l.f.root.Held(l.id), 0)
+	return again, max(depth-l.f.Held(l.id), 0)
 }
 
 // onNotify handles the leaf's pushes, on its read loop: capacity hints resize
@@ -219,7 +219,7 @@ func (l *link) onNotify(method string, body json.RawMessage) {
 		l.tagged = append(l.tagged, fproto.TaggedResult{EPR: epr, Result: *r, RunDur: r.FinishedAt - r.StartedAt})
 	}
 	// An error means the link is not registered: the root requeued these tasks.
-	_, err := l.f.root.Deliver(&fproto.DeliverRequest{ExecutorID: l.id, Results: l.tagged})
+	_, err := l.f.Deliver(&fproto.DeliverRequest{ExecutorID: l.id, Results: l.tagged})
 	clear(l.tagged) // the results' output strings, twice
 	clear(n.Results)
 	if err == nil {
@@ -260,7 +260,7 @@ func (l *link) stock(wait bool) bool {
 		return true
 	}
 	var err error
-	l.stocked, err = l.f.root.Stock(l.id, min(want, l.f.opts.Bundle), want, fproto.Recycle(l.stocked))
+	l.stocked, err = l.f.Stock(l.id, min(want, l.f.opts.Bundle), want, fproto.Recycle(l.stocked))
 	l.send(l.stocked)
 	clear(l.stocked) // the tasks' strings
 	return err != nil || len(l.stocked) >= want
@@ -304,7 +304,7 @@ func (l *link) send(as []fproto.Assignment) {
 		l.mu.Unlock()
 	}
 	if err != nil && cli != nil {
-		l.f.opts.Logf("forward: submit to leaf %s: %v", l.addr, err)
+		l.f.logf("forward: submit to leaf %s: %v", l.addr, err)
 		cli.Close()
 	}
 }
@@ -315,7 +315,7 @@ func (l *link) ensureDown(cli *wsrpc.Client, epr string) (string, error) {
 	l.mu.Lock()
 	down := l.down[epr]
 	l.mu.Unlock()
-	tenant, ok := l.f.root.InstanceTenant(epr)
+	tenant, ok := l.f.InstanceTenant(epr)
 	if !ok {
 		return "", nil
 	} else if down != "" {

@@ -1,10 +1,15 @@
 package forward
 
 import (
+	"strings"
 	"testing"
+	"time"
 
+	"falkon/internal/client"
 	"falkon/internal/dispatch"
+	"falkon/internal/executor"
 	"falkon/internal/fproto"
+	"falkon/internal/task"
 )
 
 // Hint freshness is (Epoch, Seq) lexicographic: a restarted leaf's Seq counter
@@ -18,7 +23,7 @@ func TestAbsorbHintEpochBeatsSeq(t *testing.T) {
 		t.Fatal(err)
 	}
 	defer d.Close()
-	f, err := New(Options{Dispatchers: []string{d.Addr()}, Logf: t.Logf})
+	f, err := New(Options{Dispatchers: []string{d.Addr()}, Root: dispatch.Options{Logf: t.Logf}})
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -43,8 +48,105 @@ func TestAbsorbHintEpochBeatsSeq(t *testing.T) {
 		l.mu.Lock()
 		got := l.slots
 		l.mu.Unlock()
-		if got != step.want || f.root.Stats().TotalExecutors != min(step.want, 1) {
-			t.Fatalf("%s: link registered with %d slots (%d executors at the root), want %d", step.why, got, f.root.Stats().TotalExecutors, step.want)
+		if got != step.want || f.Dispatcher.Stats().TotalExecutors != min(step.want, 1) {
+			t.Fatalf("%s: link registered with %d slots (%d executors at the root), want %d", step.why, got, f.Dispatcher.Stats().TotalExecutors, step.want)
 		}
+	}
+}
+
+// A root built with Root.Tenants admits at the root (ROADMAP 8(e)): a bundle
+// over the tenant's quota is answered with the typed retry-after, so the
+// backpressure lands on the tenant's own client — Throttled counts it — and
+// not in link.deferred while the root goes on acknowledging; the leaf, which
+// has no limits of its own, never defers, and every task still arrives once.
+func TestRootAdmitsUnderItsOwnTenants(t *testing.T) {
+	leaf := dispatch.New(dispatch.Options{Logf: t.Logf})
+	if err := leaf.Listen("127.0.0.1:0"); err != nil {
+		t.Fatal(err)
+	}
+	defer leaf.Close()
+	ex, err := executor.Start(executor.Options{ID: "four-slots", DispatcherAddr: leaf.Addr(), Slots: 4})
+	if err != nil {
+		t.Fatal(err)
+	}
+	defer ex.Stop()
+	f, err := New(Options{Dispatchers: []string{leaf.Addr()}, Bundle: 8, Root: dispatch.Options{
+		Logf: t.Logf, Tenants: []dispatch.TenantSpec{{Name: "capped", Quota: 8}},
+	}})
+	if err != nil {
+		t.Fatal(err)
+	}
+	defer f.Close()
+	if err := f.Listen("127.0.0.1:0"); err != nil {
+		t.Fatal(err)
+	}
+	c, err := client.Connect(client.Options{DispatcherAddr: f.Addr(), Tenant: "capped", BundleSize: 8})
+	if err != nil {
+		t.Fatal(err)
+	}
+	defer c.Close()
+
+	// Five bundles of 8 against a quota of 8: each after the first waits, at
+	// the client, for the one before it to finish (two rounds of 20 ms).
+	const n = 40
+	var gen task.IDGen
+	submitted := make(chan error, 1)
+	go func() { submitted <- c.Submit(task.Batch(&gen, n, 20*time.Millisecond)) }()
+	l := f.links[0]
+	for done := false; !done; time.Sleep(time.Millisecond) {
+		select {
+		case err := <-submitted:
+			if err != nil {
+				t.Fatal(err)
+			}
+			done = true
+		default:
+		}
+		l.mu.Lock()
+		parked := len(l.deferred)
+		l.mu.Unlock()
+		if parked > 0 {
+			t.Fatalf("%d tasks parked in link.deferred: the leaf deferred what the root should have refused", parked)
+		}
+	}
+	rs, err := c.WaitN(n, 30*time.Second)
+	if err != nil {
+		t.Fatal(err)
+	}
+	seen := make(map[task.ID]bool)
+	for _, r := range rs {
+		if r.Failed() || seen[r.ID] {
+			t.Fatalf("task %v failed or came twice: %+v", r.ID, r)
+		}
+		seen[r.ID] = true
+	}
+	if len(seen) != n {
+		t.Fatalf("%d distinct results, want %d", len(seen), n)
+	}
+	if c.Throttled() == 0 {
+		t.Fatal("the client was never handed a retry-after")
+	}
+	var atRoot int64
+	for _, row := range f.Dispatcher.Stats().Tenants {
+		if row.Name == "capped" {
+			atRoot = row.Throttled
+		}
+	}
+	if atRoot == 0 || len(leaf.Stats().Tenants) != 0 {
+		t.Fatalf("throttled %d times at the root (want > 0); the leaf reports tenants %+v (want none: it admits everything)", atRoot, leaf.Stats().Tenants)
+	}
+	// The tenant's share of the root's stage and end-to-end time is the
+	// root's: merged up a tree it must not add to a leaf's series.
+	labeled := 0
+	for key := range f.MetricsSnapshot().Histograms {
+		if strings.Contains(key, `tenant="capped"`) {
+			labeled++
+			if !strings.Contains(key, `{node="root",`) {
+				t.Fatalf("the root's %s is not under node=\"root\"", key)
+			}
+		}
+	}
+	if labeled == 0 {
+		t.Fatal("the root recorded no per-tenant histogram")
 	}
 }

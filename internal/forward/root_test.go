@@ -28,7 +28,7 @@ func startRoot(t *testing.T, copts client.Options, leaves ...*dispatch.Dispatche
 	for _, d := range leaves {
 		addrs = append(addrs, d.Addr())
 	}
-	f, err := forward.New(forward.Options{Dispatchers: addrs, Bundle: 8, Backoff: fastBackoff, Logf: t.Logf})
+	f, err := forward.New(forward.Options{Dispatchers: addrs, Bundle: 8, Backoff: fastBackoff, Root: dispatch.Options{Logf: t.Logf}})
 	if err != nil {
 		t.Fatal(err)
 	}

@@ -38,7 +38,7 @@ func startTenantTier(t *testing.T, nDisp, nExec int, tenants []dispatch.TenantSp
 		addrs = append(addrs, d.Addr())
 		dispatchers = append(dispatchers, d)
 	}
-	f, err := forward.New(forward.Options{Dispatchers: addrs, Logf: t.Logf})
+	f, err := forward.New(forward.Options{Dispatchers: addrs, Root: dispatch.Options{Logf: t.Logf}})
 	if err != nil {
 		t.Fatal(err)
 	}

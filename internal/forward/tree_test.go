@@ -40,7 +40,7 @@ func TestForwarderSurvivesLeafRestart(t *testing.T) {
 	}
 	t.Cleanup(ex.Stop)
 
-	f, err := forward.New(forward.Options{Dispatchers: []string{addr}, Bundle: 10, Backoff: fastBackoff, Logf: t.Logf})
+	f, err := forward.New(forward.Options{Dispatchers: []string{addr}, Bundle: 10, Backoff: fastBackoff, Root: dispatch.Options{Logf: t.Logf}})
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -124,7 +124,7 @@ func TestForwarderLeafDeathExactlyOnce(t *testing.T) {
 		addrs = append(addrs, d.Addr())
 		ds = append(ds, d)
 	}
-	f, err := forward.New(forward.Options{Dispatchers: addrs, Bundle: 8, Backoff: fastBackoff, Logf: t.Logf})
+	f, err := forward.New(forward.Options{Dispatchers: addrs, Bundle: 8, Backoff: fastBackoff, Root: dispatch.Options{Logf: t.Logf}})
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -188,7 +188,7 @@ func TestForwarderRoutesByCapacity(t *testing.T) {
 		}
 		t.Cleanup(ex.Stop)
 	}
-	f, err := forward.New(forward.Options{Dispatchers: []string{empty.Addr(), busy.Addr()}, Bundle: 10, Logf: t.Logf})
+	f, err := forward.New(forward.Options{Dispatchers: []string{empty.Addr(), busy.Addr()}, Bundle: 10, Root: dispatch.Options{Logf: t.Logf}})
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -231,7 +231,7 @@ func TestForwarderOfForwardersRoutesByCapacity(t *testing.T) {
 		}
 		t.Cleanup(func() { d.Close() })
 		ds = append(ds, d)
-		mid, err := forward.New(forward.Options{Dispatchers: []string{d.Addr()}, Bundle: 10, Logf: t.Logf})
+		mid, err := forward.New(forward.Options{Dispatchers: []string{d.Addr()}, Bundle: 10, Root: dispatch.Options{Logf: t.Logf}})
 		if err != nil {
 			t.Fatal(err)
 		}
@@ -251,7 +251,7 @@ func TestForwarderOfForwardersRoutesByCapacity(t *testing.T) {
 		}
 		t.Cleanup(ex.Stop)
 	}
-	root, err := forward.New(forward.Options{Dispatchers: mids, Bundle: 10, Logf: t.Logf})
+	root, err := forward.New(forward.Options{Dispatchers: mids, Bundle: 10, Root: dispatch.Options{Logf: t.Logf}})
 	if err != nil {
 		t.Fatalf("a forwarder must accept a forwarder as its leaf: %v", err)
 	}
@@ -293,7 +293,7 @@ func TestForwarderRejectsLeafWithoutCapacityProtocol(t *testing.T) {
 		t.Fatal(err)
 	}
 	t.Cleanup(func() { srv.Close() })
-	f, err := forward.New(forward.Options{Dispatchers: []string{srv.Addr()}, Logf: t.Logf})
+	f, err := forward.New(forward.Options{Dispatchers: []string{srv.Addr()}, Root: dispatch.Options{Logf: t.Logf}})
 	if err == nil {
 		f.Close()
 		t.Fatal("New accepted a leaf that refuses attach-parent")
@@ -319,7 +319,7 @@ func TestForwarderAttachCapacityPushRace(t *testing.T) {
 	}
 	t.Cleanup(func() { srv.Close() })
 
-	f, err := forward.New(forward.Options{Dispatchers: []string{srv.Addr()}, Logf: t.Logf})
+	f, err := forward.New(forward.Options{Dispatchers: []string{srv.Addr()}, Root: dispatch.Options{Logf: t.Logf}})
 	if err != nil {
 		t.Fatalf("New must survive a capacity push racing the attach reply: %v", err)
 	}

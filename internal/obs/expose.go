@@ -37,13 +37,6 @@ func ServeDebug(addr string, reg *Registry, tr *Tracer) (*DebugServer, error) {
 	return ServeDebugOpts(addr, DebugOptions{Snap: reg.Snapshot, Tracer: tr})
 }
 
-// ServeDebugSnapshot is ServeDebug for components whose exposed view is
-// richer than one registry (e.g. the dispatcher folds queue state into its
-// snapshot): snap is called per /metrics request.
-func ServeDebugSnapshot(addr string, snap func() MetricsSnapshot, tr *Tracer) (*DebugServer, error) {
-	return ServeDebugOpts(addr, DebugOptions{Snap: snap, Tracer: tr})
-}
-
 // ServeDebugOpts is the full-option debug server constructor.
 func ServeDebugOpts(addr string, o DebugOptions) (*DebugServer, error) {
 	ln, err := net.Listen("tcp", addr)

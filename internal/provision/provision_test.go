@@ -260,10 +260,16 @@ var decisionTable = []struct {
 			{settle: true, st: provision.Stats{Queued: 6}, want: []string{"allocate 2 idle=0s as alloc-2"}},
 			{settle: true, st: provision.Stats{Queued: 3}},
 			{st: provision.Stats{Queued: 2}, want: []string{"deallocate alloc-2"}},
-			// Four alive is above min, so the last allocation goes too; the
-			// next poll acquires min again.
-			{st: provision.Stats{Queued: 2}, want: []string{"deallocate alloc-1"}},
-			{st: provision.Stats{Queued: 2}, want: []string{"allocate 2 idle=0s as alloc-3"}},
+			// Four alive is above min, but they are one allocation: giving it
+			// back would leave none.
+			{st: provision.Stats{Queued: 2}},
+		}},
+	{"centralized release never cuts below min: an allocation goes whole or stays",
+		provision.Options{MinExecutors: 2, MaxExecutors: 4, Release: provision.ReleaseCentralized, QueueThreshold: 1},
+		[]step{
+			{st: provision.Stats{Queued: 4}, want: []string{"allocate 4 idle=0s as alloc-1"}},
+			{settle: true}, // four alive is above min, and what would stay is below it
+			{},
 		}},
 }
 

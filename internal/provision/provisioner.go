@@ -80,12 +80,18 @@ type Provisioner struct {
 	gLive     *metrics.Gauge   // falkon_provision_allocations_live
 
 	mu          sync.Mutex
-	allocations []string
+	allocations []allocation
 	releases    int
 	stopped     bool
 
 	stop chan struct{}
 	done chan struct{}
+}
+
+// allocation is one live request: the allocator's id for it and its size.
+type allocation struct {
+	id string
+	n  int
 }
 
 // New validates options and returns an unstarted provisioner.
@@ -201,7 +207,7 @@ func (p *Provisioner) Poll() {
 				break
 			}
 			p.mu.Lock()
-			p.allocations = append(p.allocations, id)
+			p.allocations = append(p.allocations, allocation{id, n})
 			p.mu.Unlock()
 			p.cAlloc.Inc()
 			p.cRequests.Add(int64(n))
@@ -210,14 +216,16 @@ func (p *Provisioner) Poll() {
 		}
 	}
 
-	// Centralized release: with the queue below threshold, nothing running
-	// and more than MinExecutors alive, give back the newest allocation —
-	// one a poll, so a burst that arrives meanwhile finds the rest.
-	if p.opts.Release == ReleaseCentralized && st.Queued < p.opts.QueueThreshold && st.Running == 0 && alive > p.opts.MinExecutors {
+	// Centralized release: with the queue below threshold and nothing running,
+	// give back the newest allocation if what stays alive is still
+	// MinExecutors — an allocation goes whole, so the pool may rest above the
+	// minimum, never below it. One a poll, so a burst that arrives meanwhile
+	// finds the rest.
+	if p.opts.Release == ReleaseCentralized && st.Queued < p.opts.QueueThreshold && st.Running == 0 && alive > 0 {
 		p.mu.Lock()
 		var id string
-		if n := len(p.allocations); n > 0 {
-			id = p.allocations[n-1]
+		if n := len(p.allocations); n > 0 && max(alive-p.allocations[n-1].n, 0) >= p.opts.MinExecutors {
+			id = p.allocations[n-1].id
 			p.allocations = p.allocations[:n-1]
 			p.releases++
 		}
@@ -246,15 +254,15 @@ func (p *Provisioner) idleTimeout() time.Duration {
 // ReleaseAll deallocates everything (shutdown path).
 func (p *Provisioner) ReleaseAll() {
 	p.mu.Lock()
-	ids := p.allocations
+	all := p.allocations
 	p.allocations = nil
-	p.releases += len(ids)
+	p.releases += len(all)
 	p.mu.Unlock()
-	p.cRelease.Add(int64(len(ids)))
-	p.gLive.Add(int64(-len(ids)))
-	for _, id := range ids {
-		if err := p.opts.Allocator.Deallocate(id); err != nil {
-			p.logf("provision: deallocate %s: %v", id, err)
+	p.cRelease.Add(int64(len(all)))
+	p.gLive.Add(int64(-len(all)))
+	for _, a := range all {
+		if err := p.opts.Allocator.Deallocate(a.id); err != nil {
+			p.logf("provision: deallocate %s: %v", a.id, err)
 		}
 	}
 }

@@ -1,6 +1,7 @@
 #!/usr/bin/env bash
 # chaos.sh — build the Falkon binaries and run the chaos harness
-# (cmd/falkon-chaos): a real dispatcher + executors + reconnecting client
+# (cmd/falkon-chaos): real dispatchers (one binary: flat, a tree's root and
+# leaves, HA members) + executors + reconnecting client
 # under a seeded fault schedule, with exactly-once invariants asserted at
 # the end. A failing seed is printed and reproduces deterministically.
 #
@@ -9,7 +10,7 @@
 #   ./scripts/chaos.sh 42                  # one specific seed
 #   ./scripts/chaos.sh --quick 7 3         # seeds 7..9, small runs
 #   ./scripts/chaos.sh --tree 2 --quick    # 2-level tree: SIGKILL leaves
-#   ./scripts/chaos.sh --tree 4 --tree-depth 3 --quick  # forwarder-of-forwarders
+#   ./scripts/chaos.sh --tree 4 --tree-depth 3 --quick  # roots under the root
 #   ./scripts/chaos.sh --standbys 1 --quick             # HA: SIGKILL leaders
 #   ./scripts/chaos.sh --max-sleep 0 --quick            # all `sleep 0`: executors hold batches when killed
 set -euo pipefail
@@ -64,7 +65,7 @@ trap 'rm -rf "$BIN" "$BEFORE"' EXIT
 TMP="${TMPDIR:-/tmp}"
 ls -d "$TMP"/falkon-chaos-* 2>/dev/null | sort >"$BEFORE" || true
 
-go build -o "$BIN" ./cmd/falkon-dispatcher ./cmd/falkon-executor ./cmd/falkon-forwarder ./cmd/falkon-chaos
+go build -o "$BIN" ./cmd/falkon-dispatcher ./cmd/falkon-executor ./cmd/falkon-chaos
 
 if "$BIN/falkon-chaos" -bin "$BIN" -seed "$SEED" -sweep "$SWEEP" "${QUICK[@]}" "${TREE[@]}" "${STANDBYS[@]}" "${MAXSLEEP[@]}"; then
     comm -13 "$BEFORE" <(ls -d "$TMP"/falkon-chaos-* 2>/dev/null | sort) | xargs -r rm -rf --

@@ -37,7 +37,7 @@ go test -race ./...
 # restart it on the same journal, and require exactly-once delivery.
 go test -run='TestBinariesCrashRecovery' -count=1 .
 # Observability end to end: scrape every daemon's /metrics (dispatcher,
-# executor, forwarder, submit client) and strictly validate the exposition
+# executor, a dispatcher with -leaves, submit client) and strictly validate the exposition
 # format parses; merge real cross-process span dumps and require the
 # corrected stage durations to partition each task's e2e latency.
 go test -run='TestBinariesMetricsExposition|TestBinariesSpanMergeAcrossProcesses' -count=1 .

@@ -34,31 +34,33 @@ import (
 // allocates is per record (the durability barrier a Submit waits on).
 const allocsPerTaskCeiling = 0.20
 
-// bytesPerTaskCeiling is the same loop's bytes: measured 1,255 to 1,307 on
-// every bulk row at -cpu 1, 2 and 4 (2,098 to 2,120 while Deliver's results,
-// the grant, and their decoded copies on the executor and the client were
-// slices made per message, about 170 bytes per task each), plus 10 %: the 15 %
-// the object ceilings take would let one such slice back in. What is left is
-// mostly the price of this loop's 4,096-task bundles, not of the task path
-// (scripts/allocs.sh, bytes per task): the decoded bundle, grown by doubling
-// past the 1,024 elements a count presizes, 465; its 4,096 enqueue events,
-// more than a pooled fx keeps, 241; the batch, its arguments and the results
-// slice the loop itself builds, 305; the outstanding records' chunks, 104.
-const bytesPerTaskCeiling = 1410
+// bytesPerTaskCeiling is the same loop's bytes: measured 1,149 to 1,201 on
+// every bulk row at -cpu 1, 2 and 4, once 1,282 (1,255 to 1,307 while each
+// outstanding record was a 104-byte share of an 8 KiB chunk; 2,098 to 2,120
+// while Deliver's results, the grant, and their decoded copies on the executor
+// and the client were slices made per message, about 170 bytes per task
+// each), plus 10 %: the 15 % the object ceilings take would let one such
+// slice back in. What is left is mostly the price of this loop's 4,096-task
+// bundles, not of the task path (scripts/allocs.sh, bytes per task): the
+// decoded bundle, grown by doubling past the 1,024 elements a count presizes,
+// 465; its 4,096 enqueue events, more than a pooled fx keeps, 241; the batch,
+// its arguments and the results slice the loop itself builds, 305.
+const bytesPerTaskCeiling = 1320
 
 // serialAllocsPerTaskCeiling is the plain system driven the opposite way — one
 // task per Submit, one task in flight, read through Results as the repo
 // benchmark reads it: its direct-serial and the paper's Fig. 10 case. Nothing is
 // shared, so it is what one unqueued task costs end to end over its six frames
 // (two calls and two pushes: Submit, the grant, Deliver, the result). Measured
-// 6.02 to 6.07 at -cpu 1, 2 and 4, the lowest of a run's five batches 6.02 or
-// 6.03: the dispatcher's decoded bundle, its command, its Args header and
+// 6.00 to 6.07 at -cpu 1, 2 and 4, the lowest of a run's five batches 6.00 or
+// 6.01: the dispatcher's decoded bundle, its command, its Args header and
 // bytes, and the executor's Args header and bytes — what has to live, and
 // strings that are the collector's (DESIGN.md §9, "Scratch"; EXPERIMENTS.md
 // has the ledger site by site). The ceiling is that plus 0.9: less than one
 // object, because the count repeats to two decimals and one box coming back
-// must fail. serialBytesPerTaskCeiling is its bytes, 503 to 505 measured, this
-// loop's own batch included, plus 10 %.
+// must fail. serialBytesPerTaskCeiling is its bytes, 399 to 400 measured, this
+// loop's own batch included, plus 10 %: the 104-byte outstanding record a task
+// had to itself until it moved into the table's slot (503 to 505) fails it.
 //
 // History of the row, newest first: 17.02 and 946 bytes in this loop (21.02 to
 // 21.04 and 1,338 to 1,341 through WaitN, which added a timer's three objects
@@ -72,7 +74,7 @@ const bytesPerTaskCeiling = 1410
 // own.
 const (
 	serialAllocsPerTaskCeiling = 6.9
-	serialBytesPerTaskCeiling  = 555
+	serialBytesPerTaskCeiling  = 440
 )
 
 // The per-task allocation budget of every configuration core.Config can

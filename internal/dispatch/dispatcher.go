@@ -792,7 +792,7 @@ func (d *Dispatcher) captureLocked() *wal.State {
 	d.core.EachQueued(func(it sched.Item[taskRef]) {
 		st.Pending = append(st.Pending, wal.Pending{EPR: it.X.epr, Task: *it.X.t, Attempts: it.Attempts, Tenant: taskTenant(it.X)})
 	})
-	d.core.EachOutstanding(func(o *sched.Outstanding[string, outKey, taskRef]) {
+	d.core.EachOutstanding(func(o sched.Outstanding[string, outKey, taskRef]) {
 		st.Pending = append(st.Pending, wal.Pending{EPR: o.Item.X.epr, Task: *o.Item.X.t, Attempts: o.Item.Attempts, Tenant: taskTenant(o.Item.X)})
 	})
 	return st
@@ -1154,9 +1154,9 @@ func (d *Dispatcher) onDisconnect(p *wsrpc.Peer) {
 // replayAll applies the replay policy to the attempts one event orphaned and
 // journals what that finalized as one record. Callers hold mu and run the
 // notify pass afterwards.
-func (d *Dispatcher) replayAll(f *fx, orphans []*sched.Outstanding[string, outKey, taskRef], reason string) {
-	for _, o := range orphans {
-		d.replay(f, o, reason)
+func (d *Dispatcher) replayAll(f *fx, orphans []sched.Outstanding[string, outKey, taskRef], reason string) {
+	for i := range orphans {
+		d.replay(f, &orphans[i], reason)
 	}
 	d.journalCompletesLocked()
 }

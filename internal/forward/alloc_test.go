@@ -16,6 +16,7 @@ import (
 	"falkon/internal/forward"
 	"falkon/internal/fproto"
 	"falkon/internal/task"
+	"falkon/internal/wal"
 )
 
 // treeHopCeiling is what one level of the dispatch tree may add to a task's
@@ -23,12 +24,13 @@ import (
 // queues pointers into it, grants them to a link in a slice the link keeps,
 // encodes the grant for the leaf from that, takes the leaf's results through a
 // buffer the link keeps and passes them on, and none of that is per task —
-// measured 0.24 to 0.26 objects per task over the direct figure in this loop
-// at -cpu 1, 2 and 4 (what is left is per frame, and the root's share of an
-// outstanding-record chunk per 78 tasks); 0.18 to 0.22 with the root that kept
-// its own pending maps instead of a scheduling core, 3.27 to 3.28 while that
-// one copied every bundle, boxed a 144-byte pending entry per task and
-// allocated each task's argument and its slice again. The ceiling is the old
+// measured 0.10 objects per task over the direct figure in this loop at -cpu
+// 1, 2 and 4, all of it per frame (0.11 to 0.12 while the root's outstanding
+// records came in chunks of 78, and 0.24 to 0.26 when the root became a
+// dispatcher); 0.18 to 0.22 with the root that kept its own pending maps
+// instead of a scheduling core, 3.27 to 3.28 while that one copied every
+// bundle, boxed a 144-byte pending entry per task and allocated each task's
+// argument and its slice again. The ceiling is the old
 // measurement plus 15 % plus 0.4 for a tier whose five batches all met a stall
 // (one run in 36 read 0.59): one object per task, 1.0, would not pass. The
 // repo benchmark's tree-bulk minus direct-bulk is the same quantity end to end.
@@ -54,42 +56,7 @@ func TestTreeHopAllocBudget(t *testing.T) {
 // task must still come back exactly once.
 func budgetTier(t *testing.T, tree bool) float64 {
 	t.Helper()
-	leaf := func(addr string) *dispatch.Dispatcher {
-		d := dispatch.New(dispatch.Options{Logf: t.Logf})
-		if err := d.Listen(addr); err != nil {
-			t.Fatal(err)
-		}
-		t.Cleanup(func() { d.Close() })
-		return d
-	}
-	leaves := []*dispatch.Dispatcher{leaf("127.0.0.1:0")}
-	if tree {
-		leaves = append(leaves, leaf("127.0.0.1:0"))
-	}
-	for i := 0; i < 2; i++ {
-		ex, err := executor.Start(executor.Options{
-			ID: fmt.Sprintf("budget-e%d", i), DispatcherAddr: leaves[i%len(leaves)].Addr(),
-			SleepScale: 0.001, Reconnect: true, Backoff: fastBackoff,
-		})
-		if err != nil {
-			t.Fatal(err)
-		}
-		t.Cleanup(ex.Stop)
-	}
-	front := leaves[0].Addr()
-	if tree {
-		f, err := forward.New(forward.Options{
-			Dispatchers: []string{leaves[0].Addr(), leaves[1].Addr()}, Backoff: fastBackoff, Root: dispatch.Options{Logf: t.Logf},
-		})
-		if err != nil {
-			t.Fatal(err)
-		}
-		if err := f.Listen("127.0.0.1:0"); err != nil {
-			t.Fatal(err)
-		}
-		t.Cleanup(func() { f.Close() })
-		front = f.Addr()
-	}
+	front, leaves := bootTier(t, tree, 2, dispatch.Options{})
 	c, err := client.Connect(client.Options{DispatcherAddr: front, BundleSize: 4096})
 	if err != nil {
 		t.Fatal(err)
@@ -136,7 +103,7 @@ func budgetTier(t *testing.T, tree bool) float64 {
 	submit(512, 2*time.Second)
 	addr := leaves[1].Addr()
 	leaves[1].Abort()
-	leaf(addr)
+	startLeaf(t, addr, dispatch.Options{})
 	rs, err := c.WaitN(512, time.Minute)
 	if err != nil {
 		t.Fatalf("tasks lost across the leaf restart: %v", err)
@@ -150,3 +117,132 @@ func budgetTier(t *testing.T, tree bool) float64 {
 	}
 	return perTask
 }
+
+// bootTier boots execs one-slot executors under one dispatcher, or spread
+// over two leaves of a root, and returns the address a client dials and the
+// leaves. opts configures each leaf.
+func bootTier(tb testing.TB, tree bool, execs int, opts dispatch.Options) (front string, leaves []*dispatch.Dispatcher) {
+	tb.Helper()
+	leaves = []*dispatch.Dispatcher{startLeaf(tb, "127.0.0.1:0", opts)}
+	if tree {
+		leaves = append(leaves, startLeaf(tb, "127.0.0.1:0", opts))
+	}
+	for i := 0; i < execs; i++ {
+		startExec(tb, executor.Options{ID: fmt.Sprintf("budget-e%d", i), DispatcherAddr: leaves[i%len(leaves)].Addr()})
+	}
+	if !tree {
+		return leaves[0].Addr(), leaves
+	}
+	f, err := forward.New(forward.Options{
+		Dispatchers: []string{leaves[0].Addr(), leaves[1].Addr()}, Backoff: fastBackoff, Root: dispatch.Options{Logf: tb.Logf},
+	})
+	if err != nil {
+		tb.Fatal(err)
+	}
+	if err := f.Listen("127.0.0.1:0"); err != nil {
+		tb.Fatal(err)
+	}
+	tb.Cleanup(func() { f.Close() })
+	return f.Addr(), leaves
+}
+
+// The repo benchmark's bulk load, one task an op, in a form a profiler can
+// be pointed at (./scripts/allocs.sh -bench 'BenchmarkBulkRound/tree'
+// ./internal/forward/ prints who allocates what): four one-slot executors,
+// bundles of 64 from one client connection, 512 tasks in flight in a closed
+// loop. plain is direct-bulk, journal journal-bulk (group commit, fsync a
+// no-op), tree tree-bulk (a root over two leaves). It reports the process's
+// heap allocations per task, objects and bytes, as the repo benchmark counts
+// them; tree minus plain is what a hop of the tree costs.
+func BenchmarkBulkRound(b *testing.B) {
+	for _, tc := range []struct {
+		name          string
+		tree, journal bool
+	}{{"plain", false, false}, {"journal", false, true}, {"tree", true, false}} {
+		b.Run(tc.name, func(b *testing.B) {
+			var opts dispatch.Options
+			if tc.journal {
+				opts.JournalDir, opts.JournalFS = b.TempDir(), noSyncFS{wal.OS}
+			}
+			front, _ := bootTier(b, tc.tree, 4, opts)
+			c, err := client.Connect(client.Options{DispatcherAddr: front, BundleSize: bulkBundle})
+			if err != nil {
+				b.Fatal(err)
+			}
+			b.Cleanup(func() { c.Close() })
+			var gen task.IDGen
+			closedLoop(b, c, &gen, 1024)
+			n := (b.N + bulkBundle - 1) / bulkBundle * bulkBundle
+			var m0, m1 runtime.MemStats
+			runtime.ReadMemStats(&m0)
+			b.ResetTimer()
+			closedLoop(b, c, &gen, n)
+			b.StopTimer()
+			runtime.ReadMemStats(&m1)
+			b.ReportMetric(float64(m1.Mallocs-m0.Mallocs)/float64(n), "allocs/task")
+			b.ReportMetric(float64(m1.TotalAlloc-m0.TotalAlloc)/float64(n), "B/task")
+		})
+	}
+}
+
+const (
+	bulkBundle   = 64
+	bulkInFlight = 512
+)
+
+// closedLoop runs n tasks, a whole number of bundles, through c with at most
+// bulkInFlight unanswered: a goroutine submits a bundle whenever there is room
+// for one, and this one takes the results.
+func closedLoop(b *testing.B, c *client.Client, gen *task.IDGen, n int) {
+	room := make(chan struct{}, bulkInFlight/bulkBundle)
+	submitted := make(chan error, 1)
+	go func() {
+		// The argument's string is the loop's one object per task, as in the
+		// repo benchmark: the tasks and their Args arrays are reused.
+		ts, args := make([]task.Task, bulkBundle), make([][1]string, bulkBundle)
+		for sent := 0; sent < n; sent += bulkBundle {
+			room <- struct{}{}
+			for i := range ts {
+				ts[i] = task.Sleep(gen.Next(), 0)
+				args[i][0] = strconv.FormatUint(uint64(ts[i].ID)|1<<60, 16)
+				ts[i].Args = args[i][:]
+			}
+			if err := c.Submit(ts); err != nil {
+				submitted <- err
+				return
+			}
+		}
+		submitted <- nil
+	}()
+	for got := 0; got < n || submitted != nil; {
+		select {
+		case <-c.Results():
+			if got++; got%bulkBundle == 0 {
+				<-room
+			}
+		case err := <-submitted:
+			if err != nil {
+				b.Fatal(err)
+			}
+			submitted = nil
+		}
+	}
+}
+
+// noSyncFS is the real filesystem with fsync a no-op, as the repo benchmark
+// runs its journal: the journal's software cost without a device's latency.
+type noSyncFS struct{ wal.FS }
+
+type noSyncFile struct{ wal.File }
+
+func (noSyncFile) Sync() error { return nil }
+
+func (fs noSyncFS) Create(name string, excl bool) (wal.File, error) {
+	f, err := fs.FS.Create(name, excl)
+	if err != nil {
+		return nil, err
+	}
+	return noSyncFile{f}, nil
+}
+
+func (noSyncFS) SyncDir(string) error { return nil }

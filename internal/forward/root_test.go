@@ -45,7 +45,7 @@ func startRoot(t *testing.T, copts client.Options, leaves ...*dispatch.Dispatche
 	return f, c
 }
 
-func startLeaf(t *testing.T, addr string, opts dispatch.Options) *dispatch.Dispatcher {
+func startLeaf(t testing.TB, addr string, opts dispatch.Options) *dispatch.Dispatcher {
 	t.Helper()
 	opts.Logf = t.Logf
 	d := dispatch.New(opts)
@@ -56,7 +56,7 @@ func startLeaf(t *testing.T, addr string, opts dispatch.Options) *dispatch.Dispa
 	return d
 }
 
-func startExec(t *testing.T, opts executor.Options) *executor.Executor {
+func startExec(t testing.TB, opts executor.Options) *executor.Executor {
 	t.Helper()
 	opts.SleepScale, opts.Reconnect, opts.Backoff = 0.001, true, fastBackoff
 	ex, err := executor.Start(opts)

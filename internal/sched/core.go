@@ -1,9 +1,6 @@
 package sched
 
-import (
-	"time"
-	"unsafe"
-)
+import "time"
 
 // Policy selects how queued tasks map to executors.
 type Policy uint8
@@ -157,12 +154,12 @@ type Core[E comparable, K comparable, T any] struct {
 	slots int        // sum of Slots over execs
 	idle  []*Exec[E] // LIFO stack; nil slots are tombstones
 	dead  int        // tombstone count in idle
-	out   map[K]*Outstanding[E, K, T]
-	// chunk is what is left of the array Assign carves outstanding records
-	// from: one allocation per outChunkBytes of them, not one per task. A
-	// record is handed out once, so the entry Complete, Expire or DropExecutor
-	// returned stays the caller's; the array is collected with its last one.
-	chunk []Outstanding[E, K, T]
+	// out holds each outstanding record by value, in the map's own slot (Go
+	// stores a key and value of up to 128 bytes each inline): assigning a task
+	// allocates nothing. peak is its high-water mark since it was last built
+	// (see shrinkOut).
+	out  map[K]Outstanding[E, K, T]
+	peak int
 	// notes is what Notifications returns, kept from call to call.
 	notes []Notification[E]
 
@@ -185,7 +182,7 @@ func NewCore[E comparable, K comparable, T any](opts Options[T]) *Core[E, K, T] 
 	c := &Core[E, K, T]{
 		opts:  opts,
 		execs: make(map[E]*Exec[E]),
-		out:   make(map[K]*Outstanding[E, K, T]),
+		out:   make(map[K]Outstanding[E, K, T]),
 	}
 	c.SetFairShare(opts.FairShare)
 	return c
@@ -286,7 +283,7 @@ func (c *Core[E, K, T]) EachQueued(fn func(Item[T])) { c.queue.each(fn) }
 
 // EachOutstanding visits every outstanding entry in unspecified order
 // (snapshot capture). The callback must not mutate the core.
-func (c *Core[E, K, T]) EachOutstanding(fn func(*Outstanding[E, K, T])) {
+func (c *Core[E, K, T]) EachOutstanding(fn func(Outstanding[E, K, T])) {
 	for _, o := range c.out {
 		fn(o)
 	}
@@ -312,6 +309,7 @@ func (c *Core[E, K, T]) DropOutstanding(match func(T) bool) int {
 			c.Offer(x)
 		}
 	}
+	c.shrinkOut()
 	return dropped
 }
 
@@ -367,7 +365,7 @@ func (c *Core[E, K, T]) Resize(x *Exec[E], slots int) {
 
 // DropExecutor removes an executor (disconnect, deregister, release) and
 // returns its outstanding tasks for the caller to replay or finalize.
-func (c *Core[E, K, T]) DropExecutor(id E) (x *Exec[E], dropped []*Outstanding[E, K, T]) {
+func (c *Core[E, K, T]) DropExecutor(id E) (x *Exec[E], dropped []Outstanding[E, K, T]) {
 	x, ok := c.execs[id]
 	if !ok {
 		return nil, nil
@@ -381,6 +379,7 @@ func (c *Core[E, K, T]) DropExecutor(id E) (x *Exec[E], dropped []*Outstanding[E
 			dropped = append(dropped, o)
 		}
 	}
+	c.shrinkOut()
 	return x, dropped
 }
 
@@ -522,18 +521,12 @@ func (c *Core[E, K, T]) NoteCompletion(x *Exec[E], dataset string) {
 	}
 }
 
-// outChunkBytes sizes the arrays outstanding records are carved from to a
-// size class of the allocator, not to a round count of records: 78 of the live
-// dispatcher's 104-byte records fill the 8 KiB class, where 64 would leave a
-// fifth of it unused on every chunk.
-const outChunkBytes = 8 << 10
-
 // Assign marks it dispatched to x at now under key, incrementing the
 // attempt count and recording the outstanding entry. NotifiedAt is
 // clamped so that the enqueue→notify stage ends at the last push sent to
 // this executor, or absorbs the whole wait when no push followed the
 // enqueue (piggy-backed and re-pulled assignments).
-func (c *Core[E, K, T]) Assign(now time.Duration, x *Exec[E], key K, it Item[T]) *Outstanding[E, K, T] {
+func (c *Core[E, K, T]) Assign(now time.Duration, x *Exec[E], key K, it Item[T]) Outstanding[E, K, T] {
 	it.Attempts++
 	notifiedAt := x.LastNotifyAt
 	if notifiedAt < it.QueuedAt || notifiedAt > now {
@@ -548,13 +541,9 @@ func (c *Core[E, K, T]) Assign(now time.Duration, x *Exec[E], key K, it Item[T])
 			holder.Suspect = true
 		}
 	}
-	if len(c.chunk) == 0 {
-		c.chunk = make([]Outstanding[E, K, T], max(1, outChunkBytes/int(unsafe.Sizeof(Outstanding[E, K, T]{}))))
-	}
-	o := &c.chunk[0]
-	c.chunk = c.chunk[1:]
-	*o = Outstanding[E, K, T]{Key: key, Item: it, Executor: x.ID, DispatchedAt: now, NotifiedAt: notifiedAt}
+	o := Outstanding[E, K, T]{Key: key, Item: it, Executor: x.ID, DispatchedAt: now, NotifiedAt: notifiedAt}
 	c.out[key] = o
+	c.peak = max(c.peak, len(c.out))
 	x.Assigned++
 	c.Counters.Dispatched++
 	return o
@@ -563,15 +552,36 @@ func (c *Core[E, K, T]) Assign(now time.Duration, x *Exec[E], key K, it Item[T])
 // Complete acknowledges key's result from executor id, removing the
 // outstanding entry and freeing the slot. ok=false marks a duplicate
 // (late result after replay, or bogus delivery), which is counted.
-func (c *Core[E, K, T]) Complete(id E, key K) (*Outstanding[E, K, T], bool) {
+func (c *Core[E, K, T]) Complete(id E, key K) (Outstanding[E, K, T], bool) {
 	o, ok := c.out[key]
 	if !ok || o.Executor != id {
 		c.Counters.Duplicates++
-		return nil, false
+		return Outstanding[E, K, T]{}, false
 	}
 	delete(c.out, key)
 	c.release(o.Executor)
+	c.shrinkOut()
 	return o, true
+}
+
+// outFloor is the high-water mark below which the outstanding table is never
+// rebuilt: no table a closed loop of a few bundles in flight keeps pays for it.
+const outFloor = 4096
+
+// shrinkOut rebuilds the outstanding table at its live size once it has
+// drained below an eighth of its high-water mark. A Go map never gives back
+// the slots it grew, and each slot holds a whole record, so without this a
+// burst of 100,000 tasks in flight would leave 17.5 MB behind it; the copy is
+// of at most an eighth of the entries the table once held.
+func (c *Core[E, K, T]) shrinkOut() {
+	if c.peak <= outFloor || len(c.out) >= c.peak/8 {
+		return
+	}
+	out := make(map[K]Outstanding[E, K, T], len(c.out))
+	for k, o := range c.out {
+		out[k] = o
+	}
+	c.out, c.peak = out, len(out)
 }
 
 // release gives back the slot an outstanding entry held on executor id:
@@ -589,8 +599,8 @@ func (c *Core[E, K, T]) release(id E) *Exec[E] {
 // Expire removes every outstanding task dispatched before cutoff (the
 // timeout half of the replay policy), freeing the executors' slots and
 // re-offering them. The caller replays or finalizes the returned entries.
-func (c *Core[E, K, T]) Expire(cutoff time.Duration) []*Outstanding[E, K, T] {
-	var expired []*Outstanding[E, K, T]
+func (c *Core[E, K, T]) Expire(cutoff time.Duration) []Outstanding[E, K, T] {
+	var expired []Outstanding[E, K, T]
 	for k, o := range c.out {
 		if o.DispatchedAt < cutoff {
 			delete(c.out, k)
@@ -603,6 +613,7 @@ func (c *Core[E, K, T]) Expire(cutoff time.Duration) []*Outstanding[E, K, T] {
 			c.Offer(x)
 		}
 	}
+	c.shrinkOut()
 	return expired
 }
 

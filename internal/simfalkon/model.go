@@ -636,7 +636,7 @@ func (m *Model) runOn(x *Exec, it sched.Item[mtask]) {
 // is queued; otherwise x goes idle. prefetched marks completions whose
 // successor was already claimed at run end (Prefetch mode), so finish must
 // neither piggy-back nor idle the executor.
-func (m *Model) finish(x *Exec, o *sched.Outstanding[int, int, mtask], startedAt time.Duration, prefetched bool) {
+func (m *Model) finish(x *Exec, o sched.Outstanding[int, int, mtask], startedAt time.Duration, prefetched bool) {
 	now := m.E.Now()
 	m.core.Complete(x.sx.ID, o.Key)
 	t := o.Item.X

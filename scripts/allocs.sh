@@ -5,6 +5,7 @@
 #   ./scripts/allocs.sh TestAllocsPerTaskBudget/plain ./internal/core/
 #   ./scripts/allocs.sh TestTreeHopAllocBudget ./internal/forward/
 #   ./scripts/allocs.sh -bench BenchmarkSerialRound ./internal/core/
+#   ./scripts/allocs.sh -bench 'BenchmarkBulkRound/tree' ./internal/forward/
 #
 # Runs the test with every allocation sampled (-memprofilerate=1) and prints
 # the objects allocated per function, most first, then the bytes: the

@@ -50,6 +50,8 @@ go test -run='TestTreeMillionExecutors' -count=1 -v ./internal/simfalkon/
 # not depend on how many cores the host has. Beside it the other count of one
 # unqueued task: six write(2) and at most 6.5 read(2).
 go test -run='TestAllocsPerTaskBudget|TestSerialRoundSyscalls' -cpu 1,2,4 -count=1 ./internal/core/
+# Bytes a dispatcher holds per task queued, per task held, and after 100K drain.
+go test -run='TestBytesPerTaskAtRest' -cpu 1,2,4 -count=1 ./internal/dispatch/
 # And what a level of the dispatch tree adds to it: a root over two leaves
 # against one dispatcher, same loop, plus a leaf restart mid-batch.
 go test -run='TestTreeHopAllocBudget' -cpu 1,2,4 -count=1 ./internal/forward/

@@ -74,8 +74,7 @@ func main() {
 		leaves        = flag.String("leaves", "", "comma-separated leaf dispatcher addresses: run as the root of a dispatch tree, whose executors are links to them (a leaf may itself have -leaves)")
 		bundle        = flag.Int("bundle", 0, "root→leaf bundle size with -leaves (0 = default 64)")
 
-		replicate = flag.String("replicate", "", "accept standby replicas: async (acks don't wait) or quorum (client acks wait for standby acks); requires -journal-dir")
-		minAcks   = flag.Int("replica-min-acks", 0, "quorum size for -replicate quorum (0 = every attached standby)")
+		replicate = flag.String("replicate", "", "accept standby replicas: async (acks don't wait) or quorum (client acks wait for every attached standby); requires -journal-dir")
 		cluster   = flag.String("cluster", "", "HA cluster id stamped on instances so clients can reattach on any member (default: derived from -lease-file)")
 		standbyOf = flag.String("standby-of", "", "run as a permanent standby mirroring this leader's journal into -journal-dir (no serving)")
 		leaseFile = flag.String("lease-file", "", "HA election lease file shared by cluster members; follow the leader until this node wins it")
@@ -155,7 +154,7 @@ func main() {
 		log.Fatalf("falkon-dispatcher: %v", err)
 	}
 	if *replicate != "" || *leaseFile != "" {
-		opts.Replication = &dispatch.ReplicationOptions{Mode: mode, MinAcks: *minAcks}
+		opts.Replication = &dispatch.ReplicationOptions{Mode: mode}
 	}
 
 	switch {

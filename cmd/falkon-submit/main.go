@@ -22,7 +22,6 @@ import (
 	"falkon/internal/client"
 	"falkon/internal/faultinj"
 	"falkon/internal/fproto"
-	"falkon/internal/metrics"
 	"falkon/internal/obs"
 	"falkon/internal/task"
 	"falkon/internal/wsrpc"
@@ -137,7 +136,7 @@ func main() {
 		queue = append(queue, r.QueueTime())
 		exec = append(exec, r.ExecTime())
 	}
-	qs, es := metrics.DurationStats(queue), metrics.DurationStats(exec)
+	qs, es := durationStats(queue), durationStats(exec)
 	fmt.Printf("completed %d tasks (%d failed) in %v: %.1f tasks/s\n",
 		len(results), failed, elapsed.Round(time.Millisecond),
 		float64(len(results))/elapsed.Seconds())
@@ -150,6 +149,34 @@ func main() {
 	if failed > 0 {
 		os.Exit(1)
 	}
+}
+
+// stats summarizes a slice of durations for the report's time lines.
+type stats struct {
+	Mean time.Duration
+	Min  time.Duration
+	Max  time.Duration
+}
+
+// durationStats computes summary statistics over ds.
+func durationStats(ds []time.Duration) stats {
+	var st stats
+	if len(ds) == 0 {
+		return st
+	}
+	var sum time.Duration
+	st.Min, st.Max = ds[0], ds[0]
+	for _, d := range ds {
+		sum += d
+		if d < st.Min {
+			st.Min = d
+		}
+		if d > st.Max {
+			st.Max = d
+		}
+	}
+	st.Mean = sum / time.Duration(len(ds))
+	return st
 }
 
 // loadWorkload reads one JSON task per line, assigning ids when absent.

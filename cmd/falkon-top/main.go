@@ -21,7 +21,6 @@ import (
 
 	"falkon/internal/client"
 	"falkon/internal/fproto"
-	"falkon/internal/metrics"
 	"falkon/internal/obs"
 )
 
@@ -182,7 +181,7 @@ func main() {
 // samples (an older dispatcher, or nothing dispatched yet); it returns the
 // lines printed.
 func printOverhead(ms fproto.MetricsReply) int {
-	rows := make([]metrics.HistSnapshot, len(obs.OverheadStages))
+	rows := make([]obs.HistSnapshot, len(obs.OverheadStages))
 	any := false
 	for i, stage := range obs.OverheadStages {
 		rows[i] = ms.Histogram(obs.OverheadKey(stage))
@@ -208,7 +207,7 @@ func printOverhead(ms fproto.MetricsReply) int {
 }
 
 // printHist renders one latency row; it returns the lines printed.
-func printHist(label string, h metrics.HistSnapshot) int {
+func printHist(label string, h obs.HistSnapshot) int {
 	fmt.Printf("\033[K%-16s %10d %10s %10s %10s\n",
 		label, h.Count, fmtDur(h.Quantile(0.5)), fmtDur(h.Quantile(0.95)), fmtDur(h.Quantile(0.99)))
 	return 1

@@ -17,7 +17,7 @@ import (
 	"strings"
 	"time"
 
-	"falkon/internal/metrics"
+	"falkon/internal/sim"
 )
 
 // Result is one regenerated experiment.
@@ -31,14 +31,14 @@ type Result struct {
 	Notes  []string
 	// Plots carries time series for figure experiments, rendered by
 	// RenderPlots (falkon-bench -plot).
-	Plots []*metrics.Series
+	Plots []*sim.Series
 }
 
 // RenderPlots returns ASCII charts for the experiment's series.
 func (r *Result) RenderPlots() string {
 	var b strings.Builder
 	for _, s := range r.Plots {
-		b.WriteString(metrics.ASCIIPlot(s, 72, 12))
+		b.WriteString(sim.ASCIIPlot(s, 72, 12))
 		b.WriteByte('\n')
 	}
 	return b.String()

@@ -4,7 +4,6 @@ import (
 	"fmt"
 	"time"
 
-	"falkon/internal/metrics"
 	"falkon/internal/sim"
 	"falkon/internal/simfalkon"
 )
@@ -26,8 +25,8 @@ func fig8(scale float64) *Result {
 		m.AddExecutor(0, nil)
 	}
 
-	rate := metrics.NewRateSampler("raw-throughput", time.Second)
-	queueSeries := metrics.NewSeries("queue-length")
+	rate := sim.NewRateSampler("raw-throughput", time.Second)
+	queueSeries := sim.NewSeries("queue-length")
 	var submitEnd time.Duration
 	m.OnTaskDone = func(simfalkon.Rec) {
 		rate.Observe(e.Now(), 1)

@@ -4,7 +4,6 @@ import (
 	"fmt"
 	"time"
 
-	"falkon/internal/metrics"
 	"falkon/internal/sim"
 	"falkon/internal/simfalkon"
 )
@@ -17,7 +16,7 @@ func init() {
 // scale54K builds the 54,000-executor experiment: 900 executors per
 // machine on 60 machines, one sleep-480 task each, client-dispatcher
 // bundling only (piggy-backing is irrelevant with one task per executor).
-func run54K(scale float64) (*sim.Engine, *simfalkon.Model, *metrics.Series, time.Duration) {
+func run54K(scale float64) (*sim.Engine, *simfalkon.Model, *sim.Series, time.Duration) {
 	total := scaled(54000, scale, 5400)
 	e := sim.New(54)
 	p := simfalkon.NoSecurity()
@@ -30,7 +29,7 @@ func run54K(scale float64) (*sim.Engine, *simfalkon.Model, *metrics.Series, time
 	for i := 0; i < total; i++ {
 		m.AddExecutor(0, nil)
 	}
-	busySeries := metrics.NewSeries("busy-executors")
+	busySeries := sim.NewSeries("busy-executors")
 	m.OnTaskDone = func(simfalkon.Rec) {
 		if m.Completed() == total {
 			e.Stop()

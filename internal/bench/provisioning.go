@@ -5,7 +5,6 @@ import (
 	"time"
 
 	"falkon/internal/lrm"
-	"falkon/internal/metrics"
 	"falkon/internal/provision"
 	"falkon/internal/sim"
 	"falkon/internal/simfalkon"
@@ -50,9 +49,9 @@ type provOutcome struct {
 	wasted      time.Duration
 	allocations int
 
-	allocated  *metrics.Series
-	registered *metrics.Series
-	active     *metrics.Series
+	allocated  *sim.Series
+	registered *sim.Series
+	active     *sim.Series
 }
 
 func (o *provOutcome) utilization() float64 {
@@ -80,9 +79,9 @@ func runFalkonStrategy(name string, idle time.Duration, sampleTrace bool) *provO
 	}
 
 	if sampleTrace {
-		out.allocated = metrics.NewSeries("allocated")
-		out.registered = metrics.NewSeries("registered")
-		out.active = metrics.NewSeries("active")
+		out.allocated = sim.NewSeries("allocated")
+		out.registered = sim.NewSeries("registered")
+		out.active = sim.NewSeries("active")
 	}
 
 	done := false

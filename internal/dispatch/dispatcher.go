@@ -32,7 +32,6 @@ import (
 	"time"
 
 	"falkon/internal/fproto"
-	"falkon/internal/metrics"
 	"falkon/internal/obs"
 	"falkon/internal/replica"
 	"falkon/internal/sched"
@@ -46,12 +45,9 @@ type ReplicationOptions struct {
 	// Term is this leader incarnation's election term (1 for a leader that
 	// was never promoted).
 	Term uint64
-	// Mode selects async streaming or quorum-gated acknowledgment.
+	// Mode selects async streaming or quorum-gated acknowledgment (a quorum
+	// is every attached standby; see replica.Source.WaitCommitted).
 	Mode replica.Mode
-	// MinAcks and QuorumTimeout tune the quorum barrier (see
-	// replica.SourceOptions).
-	MinAcks       int
-	QuorumTimeout time.Duration
 }
 
 // Options configures a Dispatcher.
@@ -366,25 +362,25 @@ type Dispatcher struct {
 	// hStage indexes the Figure-10 stage latency histograms in obs.Stages
 	// order; hE2E is the end-to-end (enqueue→deliver) histogram the stages
 	// partition exactly.
-	hStage [sched.NStages]*metrics.FixedHistogram
-	hE2E   *metrics.FixedHistogram
+	hStage [sched.NStages]*obs.Histogram
+	hE2E   *obs.Histogram
 	// Scheduler-overhead histograms for the Submit/Deliver hot path: mutex
 	// wait, core work under the mutex, deferred-effect flush, and the
 	// group-commit durability wait. frame_write lives in wsrpc and
 	// wal_commit in the journal's committer; together they account for
 	// where the dispatcher's own time goes per RPC.
-	hLockWait  *metrics.FixedHistogram
-	hSchedCore *metrics.FixedHistogram
-	hFxFlush   *metrics.FixedHistogram
-	hWALWait   *metrics.FixedHistogram
+	hLockWait  *obs.Histogram
+	hSchedCore *obs.Histogram
+	hFxFlush   *obs.Histogram
+	hWALWait   *obs.Histogram
 	// hGrant is the tasks per grant, pulled or pushed
 	// (falkon_dispatch_grant_tasks): the batch depth dispatch-ahead settled on.
 	// grantsPushed counts the grants that rode a work push instead of a reply.
-	hGrant       *metrics.FixedHistogram
-	grantsPushed *metrics.Counter
+	hGrant       *obs.Histogram
+	grantsPushed *obs.Counter
 	// Pushes attempted ({3}, {8} and capacity hints) and pushes that failed.
-	notifications *metrics.Counter
-	notifyErrs    *metrics.Counter
+	notifications *obs.Counter
+	notifyErrs    *obs.Counter
 
 	// tenants is the multi-tenant admission table (nil when multi-tenancy
 	// is off — no admission checks, no per-tenant labels on the hot path).
@@ -521,8 +517,8 @@ func (d *Dispatcher) logf(format string, args ...any) {
 // latency histograms, cached per tenant so flush never rebuilds label keys
 // on the hot path.
 type tenantHists struct {
-	stage [sched.NStages]*metrics.FixedHistogram
-	e2e   *metrics.FixedHistogram
+	stage [sched.NStages]*obs.Histogram
+	e2e   *obs.Histogram
 }
 
 // tenantHistsFor returns tenant's labeled histogram set, creating it on
@@ -684,13 +680,11 @@ func (d *Dispatcher) Listen(addr string) error {
 		var mirror func([]byte)
 		if r := d.opts.Replication; r != nil {
 			d.replSrc = replica.NewSource(replica.SourceOptions{
-				Term:          r.Term,
-				Mode:          r.Mode,
-				MinAcks:       r.MinAcks,
-				QuorumTimeout: r.QuorumTimeout,
-				Baseline:      d.replicaBaseline,
-				Metrics:       d.reg,
-				Logf:          d.opts.Logf,
+				Term:     r.Term,
+				Mode:     r.Mode,
+				Baseline: d.replicaBaseline,
+				Metrics:  d.reg,
+				Logf:     d.opts.Logf,
 			})
 			mirror = d.replSrc.Mirror
 			d.replSrc.Register(d.srv)

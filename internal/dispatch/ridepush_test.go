@@ -299,10 +299,20 @@ func TestExecutorThatDoesNotAcceptGrantsPulls(t *testing.T) {
 	if _, err := c.WaitN(100, 30*time.Second); err != nil {
 		t.Fatal(err)
 	}
-	waitFor(t, "the new executor is idle", func() bool { return d.Stats().BusyExecutors == 0 })
+	// The new executor was told of that work as it arrived, and its slot waits
+	// by its own account only once it has pulled: the old one can drain all
+	// 100 first. Which of the two idled last is a race, and the idle stack is
+	// LIFO — whoever runs a lone task is the last to idle again — so the round
+	// is two tasks, one for each idle executor in either order.
+	waitFor(t, "the new executor has pulled and both are idle", func() bool {
+		return getWorkCalls(ex) > 0 && d.Stats().BusyExecutors == 0
+	})
 	before := pushedGrants(d)
-	for i := 0; i < 20 && pushedGrants(d) == before; i++ {
-		oneAtATime(t, c, &gen, 1) // whichever idled last gets it; the new one's turn comes
+	if err := c.Submit(task.Batch(&gen, 2, 0)); err != nil {
+		t.Fatal(err)
+	}
+	if _, err := c.WaitN(2, 30*time.Second); err != nil {
+		t.Fatal(err)
 	}
 	if pushedGrants(d) == before {
 		t.Error("the new executor was never handed a task in the push")

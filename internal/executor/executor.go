@@ -25,7 +25,6 @@ import (
 	"falkon/internal/backoff"
 	"falkon/internal/faultinj"
 	"falkon/internal/fproto"
-	"falkon/internal/metrics"
 	"falkon/internal/obs"
 	"falkon/internal/task"
 	"falkon/internal/wsrpc"
@@ -115,14 +114,14 @@ type Executor struct {
 	reg         *obs.Registry
 	tracer      *obs.Tracer
 	epoch       atomic.Int64
-	cDone       *metrics.Counter
-	cFailed     *metrics.Counter
-	cBusy       *metrics.Counter
-	cIdle       *metrics.Counter
-	cRegRetries *metrics.Counter
-	gActive     *metrics.Gauge
-	hRun        *metrics.FixedHistogram
-	hOverhed    *metrics.FixedHistogram
+	cDone       *obs.Counter
+	cFailed     *obs.Counter
+	cBusy       *obs.Counter
+	cIdle       *obs.Counter
+	cRegRetries *obs.Counter
+	gActive     *obs.Gauge
+	hRun        *obs.Histogram
+	hOverhed    *obs.Histogram
 
 	wake chan struct{}
 	// pushed hands grants that rode a work push from the read loop to a

@@ -20,7 +20,6 @@ import (
 	"falkon/internal/backoff"
 	"falkon/internal/dispatch"
 	"falkon/internal/fproto"
-	"falkon/internal/metrics"
 	"falkon/internal/obs"
 	"falkon/internal/wsrpc"
 )
@@ -213,7 +212,7 @@ func askLeaves[T any](f *Forwarder, method string, arg any, fold func(T)) {
 func (f *Forwarder) MetricsSnapshot() obs.MetricsSnapshot {
 	agg := fproto.NoteCodec(f.Metrics().Snapshot())
 	own := agg.Histograms
-	agg.Histograms = make(map[string]metrics.HistSnapshot, len(own))
+	agg.Histograms = make(map[string]obs.HistSnapshot, len(own))
 	for key, h := range own {
 		name, labels, labeled := strings.Cut(key, "{")
 		if labeled && (name == obs.MetricE2ESeconds || name == obs.MetricStageSeconds) {

@@ -5,7 +5,6 @@ import (
 	"time"
 
 	"falkon/internal/jsonwire"
-	"falkon/internal/metrics"
 	"falkon/internal/obs"
 	"falkon/internal/task"
 )
@@ -34,7 +33,7 @@ import (
 // CodecFallbacks counts bodies DecodeJSON handed to encoding/json, in this
 // process. Peers running this code only ever send the canonical layout, so
 // it stays at zero unless something else is on the wire.
-var CodecFallbacks metrics.Counter
+var CodecFallbacks obs.Counter
 
 // NoteCodec adds the process's codec counter to a /metrics snapshot, as
 // falkon_codec_fallbacks_total, and returns the snapshot.

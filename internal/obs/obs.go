@@ -1,8 +1,9 @@
 // Package obs is the observability subsystem of the live Falkon runtime:
 // a lock-cheap task-lifecycle tracer (per-task timestamped events in a
-// bounded ring buffer), a registry of named counters/gauges/histograms
-// shared by the dispatcher, executors, forwarder, provisioner, and the
-// wsrpc transport, and exposition of both — over the wire as the
+// bounded ring buffer), the runtime's instruments (Counter, Gauge and the
+// bounded-memory Histogram) and a registry of them by name, shared by the
+// dispatcher, executors, forwarder, provisioner, and the wsrpc transport,
+// and exposition of both — over the wire as the
 // falkon.metrics / falkon.events RPCs and over HTTP as a Prometheus-style
 // text endpoint with net/http/pprof mounted beside it.
 //

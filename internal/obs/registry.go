@@ -6,8 +6,6 @@ import (
 	"sort"
 	"strings"
 	"sync"
-
-	"falkon/internal/metrics"
 )
 
 // Registry is a namespace of named metrics. Components get-or-create their
@@ -16,61 +14,61 @@ import (
 // lock is only paid on lookup and snapshot.
 type Registry struct {
 	mu       sync.Mutex
-	counters map[string]*metrics.Counter
-	gauges   map[string]*metrics.Gauge
-	hists    map[string]*metrics.FixedHistogram
+	counters map[string]*Counter
+	gauges   map[string]*Gauge
+	hists    map[string]*Histogram
 }
 
 // NewRegistry returns an empty registry.
 func NewRegistry() *Registry {
 	return &Registry{
-		counters: make(map[string]*metrics.Counter),
-		gauges:   make(map[string]*metrics.Gauge),
-		hists:    make(map[string]*metrics.FixedHistogram),
+		counters: make(map[string]*Counter),
+		gauges:   make(map[string]*Gauge),
+		hists:    make(map[string]*Histogram),
 	}
 }
 
 // Counter returns the named counter, creating it on first use. A nil
 // registry hands back an unregistered counter so call sites never guard.
-func (r *Registry) Counter(name string) *metrics.Counter {
+func (r *Registry) Counter(name string) *Counter {
 	if r == nil {
-		return &metrics.Counter{}
+		return &Counter{}
 	}
 	r.mu.Lock()
 	defer r.mu.Unlock()
 	c, ok := r.counters[name]
 	if !ok {
-		c = &metrics.Counter{}
+		c = &Counter{}
 		r.counters[name] = c
 	}
 	return c
 }
 
 // Gauge returns the named gauge, creating it on first use.
-func (r *Registry) Gauge(name string) *metrics.Gauge {
+func (r *Registry) Gauge(name string) *Gauge {
 	if r == nil {
-		return &metrics.Gauge{}
+		return &Gauge{}
 	}
 	r.mu.Lock()
 	defer r.mu.Unlock()
 	g, ok := r.gauges[name]
 	if !ok {
-		g = &metrics.Gauge{}
+		g = &Gauge{}
 		r.gauges[name] = g
 	}
 	return g
 }
 
 // Histogram returns the named bounded histogram, creating it on first use.
-func (r *Registry) Histogram(name string) *metrics.FixedHistogram {
+func (r *Registry) Histogram(name string) *Histogram {
 	if r == nil {
-		return &metrics.FixedHistogram{}
+		return &Histogram{}
 	}
 	r.mu.Lock()
 	defer r.mu.Unlock()
 	h, ok := r.hists[name]
 	if !ok {
-		h = &metrics.FixedHistogram{}
+		h = &Histogram{}
 		r.hists[name] = h
 	}
 	return h
@@ -104,9 +102,9 @@ func Labeled(name string, kv ...string) string {
 // falkon.metrics RPC reply. Snapshots from different processes merge
 // (counters and gauges sum, histogram buckets sum).
 type MetricsSnapshot struct {
-	Counters   map[string]int64                `json:"counters,omitempty"`
-	Gauges     map[string]int64                `json:"gauges,omitempty"`
-	Histograms map[string]metrics.HistSnapshot `json:"histograms,omitempty"`
+	Counters   map[string]int64        `json:"counters,omitempty"`
+	Gauges     map[string]int64        `json:"gauges,omitempty"`
+	Histograms map[string]HistSnapshot `json:"histograms,omitempty"`
 }
 
 // Snapshot copies every registered metric.
@@ -114,21 +112,21 @@ func (r *Registry) Snapshot() MetricsSnapshot {
 	s := MetricsSnapshot{
 		Counters:   make(map[string]int64),
 		Gauges:     make(map[string]int64),
-		Histograms: make(map[string]metrics.HistSnapshot),
+		Histograms: make(map[string]HistSnapshot),
 	}
 	if r == nil {
 		return s
 	}
 	r.mu.Lock()
-	counters := make(map[string]*metrics.Counter, len(r.counters))
+	counters := make(map[string]*Counter, len(r.counters))
 	for k, v := range r.counters {
 		counters[k] = v
 	}
-	gauges := make(map[string]*metrics.Gauge, len(r.gauges))
+	gauges := make(map[string]*Gauge, len(r.gauges))
 	for k, v := range r.gauges {
 		gauges[k] = v
 	}
-	hists := make(map[string]*metrics.FixedHistogram, len(r.hists))
+	hists := make(map[string]*Histogram, len(r.hists))
 	for k, v := range r.hists {
 		hists[k] = v
 	}
@@ -155,7 +153,7 @@ func (s *MetricsSnapshot) Merge(o MetricsSnapshot) {
 		s.Gauges = make(map[string]int64)
 	}
 	if s.Histograms == nil {
-		s.Histograms = make(map[string]metrics.HistSnapshot)
+		s.Histograms = make(map[string]HistSnapshot)
 	}
 	for k, v := range o.Counters {
 		s.Counters[k] += v
@@ -171,7 +169,7 @@ func (s *MetricsSnapshot) Merge(o MetricsSnapshot) {
 }
 
 // Histogram returns the named histogram snapshot (zero-valued when absent).
-func (s MetricsSnapshot) Histogram(name string) metrics.HistSnapshot {
+func (s MetricsSnapshot) Histogram(name string) HistSnapshot {
 	return s.Histograms[name]
 }
 

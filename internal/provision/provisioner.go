@@ -5,7 +5,6 @@ import (
 	"sync"
 	"time"
 
-	"falkon/internal/metrics"
 	"falkon/internal/obs"
 )
 
@@ -74,10 +73,10 @@ type Options struct {
 type Provisioner struct {
 	opts Options
 
-	cAlloc    *metrics.Counter // falkon_provision_allocations_total
-	cRelease  *metrics.Counter // falkon_provision_releases_total
-	cRequests *metrics.Counter // falkon_provision_executors_requested_total
-	gLive     *metrics.Gauge   // falkon_provision_allocations_live
+	cAlloc    *obs.Counter // falkon_provision_allocations_total
+	cRelease  *obs.Counter // falkon_provision_releases_total
+	cRequests *obs.Counter // falkon_provision_executors_requested_total
+	gLive     *obs.Gauge   // falkon_provision_allocations_live
 
 	mu          sync.Mutex
 	allocations []allocation

@@ -50,8 +50,8 @@ const (
 	// clients recover it by idempotent resubmission.
 	ModeAsync Mode = iota
 	// ModeQuorum withholds task acknowledgment until every attached standby
-	// (or MinAcks of them) has durably mirrored the records — the
-	// replicated analogue of the journal's group-commit barrier.
+	// has durably mirrored the records — the replicated analogue of the
+	// journal's group-commit barrier.
 	ModeQuorum
 )
 

@@ -7,7 +7,6 @@ import (
 	"time"
 
 	"falkon/internal/fproto"
-	"falkon/internal/metrics"
 	"falkon/internal/obs"
 	"falkon/internal/wal"
 	"falkon/internal/wsrpc"
@@ -19,19 +18,6 @@ type SourceOptions struct {
 	Term uint64
 	// Mode selects async or quorum acknowledgment.
 	Mode Mode
-	// MinAcks, under ModeQuorum, is how many standby acks a barrier needs.
-	// Zero means "every standby attached at barrier time" — with none
-	// attached the barrier is trivially satisfied, so a lone leader starts
-	// serving before its standbys arrive.
-	MinAcks int
-	// QuorumTimeout bounds a quorum barrier; on expiry the barrier degrades
-	// (releases, counts falkon_replica_quorum_degraded_total) rather than
-	// wedging the submit path behind a dead standby. Default 10s.
-	QuorumTimeout time.Duration
-	// RingBytes bounds the in-memory stream ring standbys catch up from; a
-	// standby that falls further behind re-attaches for a fresh baseline.
-	// Default 64 MiB.
-	RingBytes int64
 	// Baseline produces a consistent cut for an attaching standby: the
 	// dispatcher's full state and the stream position it corresponds to.
 	// Called without any source lock held (it flushes the journal, whose
@@ -43,6 +29,18 @@ type SourceOptions struct {
 	// Logf receives source logs; nil silences them.
 	Logf func(format string, args ...any)
 }
+
+// A quorum barrier waits for every standby attached at barrier time — with
+// none attached it is trivially satisfied, so a lone leader starts serving
+// before its standbys arrive — and degrades after quorumTimeout (releases,
+// counts falkon_replica_quorum_degraded_total) rather than wedging the
+// submit path behind a dead standby. ringBytes bounds the in-memory stream
+// ring standbys catch up from; a standby that falls further behind
+// re-attaches for a fresh baseline.
+const (
+	quorumTimeout       = 10 * time.Second
+	ringBytes     int64 = 64 << 20
+)
 
 // span is one mirrored batch in the ring: whole frames, contiguous stream
 // positions starting at pos.
@@ -65,10 +63,10 @@ type standbyConn struct {
 type Source struct {
 	opts SourceOptions
 
-	gLag      *metrics.Gauge
-	gStandbys *metrics.Gauge
-	cDegraded *metrics.Counter
-	cBaseline *metrics.Counter
+	gLag      *obs.Gauge
+	gStandbys *obs.Gauge
+	cDegraded *obs.Counter
+	cBaseline *obs.Counter
 
 	mu     sync.Mutex
 	cond   *sync.Cond
@@ -84,12 +82,6 @@ type Source struct {
 func NewSource(opts SourceOptions) *Source {
 	if opts.Term == 0 {
 		opts.Term = 1
-	}
-	if opts.RingBytes <= 0 {
-		opts.RingBytes = 64 << 20
-	}
-	if opts.QuorumTimeout <= 0 {
-		opts.QuorumTimeout = 10 * time.Second
 	}
 	s := &Source{
 		opts:      opts,
@@ -124,7 +116,7 @@ func (s *Source) Mirror(batch []byte) {
 	s.spans = append(s.spans, span{pos: s.end, records: n, data: cp})
 	s.end += int64(n)
 	s.bytes += int64(len(cp))
-	for s.bytes > s.opts.RingBytes && len(s.spans) > 1 {
+	for s.bytes > ringBytes && len(s.spans) > 1 {
 		old := s.spans[0]
 		s.spans = s.spans[1:]
 		s.start = old.pos + int64(old.records)
@@ -267,16 +259,16 @@ func (s *Source) collectLocked(pos int64, maxBytes int) (frames []byte, records 
 }
 
 // WaitCommitted blocks until the quorum policy is satisfied for stream
-// position pos: every attached standby (or MinAcks of them) has acked it.
-// Async mode and a satisfied barrier return immediately; a barrier that
-// cannot complete within QuorumTimeout degrades — releases and counts —
-// rather than wedging the submit path.
+// position pos: every attached standby has acked it. Async mode and a
+// satisfied barrier return immediately; a barrier that cannot complete
+// within quorumTimeout degrades — releases and counts — rather than wedging
+// the submit path.
 func (s *Source) WaitCommitted(pos int64) {
 	if s.opts.Mode != ModeQuorum {
 		return
 	}
-	deadline := time.Now().Add(s.opts.QuorumTimeout)
-	timer := time.AfterFunc(s.opts.QuorumTimeout, func() {
+	deadline := time.Now().Add(quorumTimeout)
+	timer := time.AfterFunc(quorumTimeout, func() {
 		s.mu.Lock()
 		s.cond.Broadcast()
 		s.mu.Unlock()
@@ -289,22 +281,13 @@ func (s *Source) WaitCommitted(pos int64) {
 		if s.closed {
 			return
 		}
-		need := s.opts.MinAcks
-		if need <= 0 {
-			need = len(s.stands) // all currently attached; none → trivially met
-		} else if need > len(s.stands) {
-			// An explicit quorum size the attached population cannot meet:
-			// degrade now instead of timing out every barrier.
-			s.cDegraded.Inc()
-			return
-		}
 		acked := 0
 		for _, sc := range s.stands {
 			if sc.acked >= pos {
 				acked++
 			}
 		}
-		if acked >= need {
+		if acked >= len(s.stands) { // all currently attached; none → trivially met
 			return
 		}
 		if !time.Now().Before(deadline) {

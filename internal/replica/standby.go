@@ -7,7 +7,6 @@ import (
 
 	"falkon/internal/backoff"
 	"falkon/internal/fproto"
-	"falkon/internal/metrics"
 	"falkon/internal/obs"
 	"falkon/internal/wal"
 	"falkon/internal/wsrpc"
@@ -46,9 +45,9 @@ type Standby struct {
 	opts   StandbyOptions
 	mirror *wal.Mirror
 
-	gLag  *metrics.Gauge
-	gTerm *metrics.Gauge
-	cRebl *metrics.Counter
+	gLag  *obs.Gauge
+	gTerm *obs.Gauge
+	cRebl *obs.Counter
 
 	mu   sync.Mutex
 	term uint64

@@ -9,6 +9,14 @@
 // The engine is single-threaded: event callbacks run sequentially in
 // timestamp order (FIFO among equal timestamps) and may schedule further
 // events. Models built on the engine therefore need no locking.
+//
+// Beside the engine sits what experiments sample on its clock to regenerate
+// the paper's figures: fixed-interval time series (Figure 8's raw
+// throughput samples), moving averages (Figure 8's 60-sample smoothing), an
+// exact histogram with percentile extraction (Figure 10's overhead
+// distribution) and a text plot of a series. The live runtime's bounded
+// instruments are obs.Counter, obs.Gauge and obs.Histogram; sim imports no
+// falkon package.
 package sim
 
 import (

@@ -4,7 +4,6 @@ import (
 	"fmt"
 	"time"
 
-	"falkon/internal/metrics"
 	"falkon/internal/sched"
 	"falkon/internal/sim"
 )
@@ -163,7 +162,7 @@ type Model struct {
 
 	// OverheadHist collects executor-side per-task overhead in
 	// milliseconds (Figure 10).
-	OverheadHist metrics.Histogram
+	OverheadHist sim.Histogram
 
 	// DispatchServedTime accumulates dispatcher CPU time for utilization
 	// accounting.

@@ -10,7 +10,6 @@ import (
 	"sync/atomic"
 	"time"
 
-	"falkon/internal/metrics"
 	"falkon/internal/obs"
 )
 
@@ -120,11 +119,11 @@ type Journal struct {
 	dir  string
 	opts Options
 
-	cAppends *metrics.Counter
-	cFsyncs  *metrics.Counter
-	cBytes   *metrics.Counter
-	gSegs    *metrics.Gauge
-	hCommit  *metrics.FixedHistogram
+	cAppends *obs.Counter
+	cFsyncs  *obs.Counter
+	cBytes   *obs.Counter
+	gSegs    *obs.Gauge
+	hCommit  *obs.Histogram
 
 	fs FS
 

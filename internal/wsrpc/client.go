@@ -9,7 +9,6 @@ import (
 	"sync"
 	"time"
 
-	"falkon/internal/metrics"
 	"falkon/internal/obs"
 )
 
@@ -51,8 +50,8 @@ type ClientOptions struct {
 type Client struct {
 	fc      frameConn
 	opts    ClientOptions
-	rxBytes *metrics.Counter
-	txBytes *metrics.Counter
+	rxBytes *obs.Counter
+	txBytes *obs.Counter
 
 	mu      sync.Mutex
 	seq     uint64

@@ -9,7 +9,7 @@ import (
 	"time"
 
 	"falkon/internal/jsonwire"
-	"falkon/internal/metrics"
+	"falkon/internal/obs"
 )
 
 // flushStats instruments the corked write path. Both sides of a connection
@@ -18,8 +18,8 @@ import (
 // factor). Instruments are never nil; init defaults missing ones to
 // unregistered instances so the hot path takes no nil checks.
 type flushStats struct {
-	flushes  *metrics.Counter        // wsrpc_flushes_total
-	perFlush *metrics.FixedHistogram // wsrpc_frames_per_flush
+	flushes  *obs.Counter   // wsrpc_flushes_total
+	perFlush *obs.Histogram // wsrpc_frames_per_flush
 }
 
 // corkMaxBuffer bounds bytes buffered ahead of the socket. Writers that
@@ -67,10 +67,10 @@ type corkedWriter struct {
 // unregistered ones.
 func (cw *corkedWriter) init(c net.Conn, stats flushStats, stall time.Duration) {
 	if stats.flushes == nil {
-		stats.flushes = &metrics.Counter{}
+		stats.flushes = &obs.Counter{}
 	}
 	if stats.perFlush == nil {
-		stats.perFlush = &metrics.FixedHistogram{}
+		stats.perFlush = &obs.Histogram{}
 	}
 	cw.c = c
 	cw.stats = stats

@@ -12,7 +12,6 @@ import (
 	"syscall"
 	"time"
 
-	"falkon/internal/metrics"
 	"falkon/internal/obs"
 )
 
@@ -46,8 +45,8 @@ type ServerOptions struct {
 // methodStats holds one method's pre-created instruments, so the hot path
 // pays no registry lookup.
 type methodStats struct {
-	calls *metrics.Counter
-	lat   *metrics.FixedHistogram
+	calls *obs.Counter
+	lat   *obs.Histogram
 }
 
 // method is all the server knows of a registered method: one lookup a call.
@@ -64,9 +63,9 @@ type Server struct {
 	opts       ServerOptions
 	ln         net.Listener
 	methods    map[string]*method // read-only after Listen
-	rxBytes    *metrics.Counter
-	txBytes    *metrics.Counter
-	hWrite     *metrics.FixedHistogram // reply encode + cork commit time; nil when unmetered
+	rxBytes    *obs.Counter
+	txBytes    *obs.Counter
+	hWrite     *obs.Histogram // reply encode + cork commit time; nil when unmetered
 	flushStats flushStats
 	handshake  time.Duration // handshakeTimeout; a field so a test need not wait it out
 	writeStall time.Duration // writeStall, likewise
@@ -363,8 +362,8 @@ type Peer struct {
 	fc     frameConn
 	id     uint64
 	remote string
-	tx     *metrics.Counter // server tx byte counter; nil when unmetered
-	faults ConnFaults       // notify-duplication seam; nil in production
+	tx     *obs.Counter // server tx byte counter; nil when unmetered
+	faults ConnFaults   // notify-duplication seam; nil in production
 
 	mu   sync.Mutex
 	meta any

@@ -9,7 +9,7 @@ import (
 	"time"
 
 	"falkon/internal/backoff"
-	"falkon/internal/metrics"
+	"falkon/internal/obs"
 )
 
 // ErrSessionClosed is what Conn reports after Close.
@@ -41,7 +41,7 @@ type SessionOptions struct {
 	OnDown func()
 	OnUp   func(cli *Client)
 	// Retries, when set, counts redial attempts.
-	Retries *metrics.Counter
+	Retries *obs.Counter
 
 	connect func(ctx context.Context, network, addr string) (net.Conn, error) // tests dial a fake network
 }

@@ -68,7 +68,7 @@ if [ "$bench" = 1 ]; then
 write(2)|syscall\.write$
 read(2), the EAGAIN reads included|syscall\.read$
 clock readings|^time\.(Now|Since)$
-histograms and counters|^falkon/internal/metrics\.
+histograms and counters|^falkon/internal/obs\.(\(\*)?(Counter|Gauge|Histogram|HistSnapshot|fixed)
 netpoll (epoll_wait)|^runtime\.netpoll$
 allocator and collector|^runtime\.(mallocgc|gcBgMarkWorker|bgsweep|gcAssistAlloc)$
 scheduler: park, wake, pick a goroutine|^runtime\.(mcall|schedule|goready|ready|gopark|goexit0|newproc)$

@@ -17,6 +17,14 @@ if [ "${1:-}" = "--quick" ]; then
 fi
 
 set -x
+# Formatting is a check, not advice: any Go file gofmt would rewrite fails
+# tier 1 (.bench_build/ is the benchmark's build output, not source).
+unformatted=$(gofmt -l . | grep -v '^\.bench_build/' || true)
+if [ -n "$unformatted" ]; then
+    echo "gofmt -l lists files that are not gofmt-clean:" >&2
+    echo "$unformatted" >&2
+    exit 1
+fi
 go build ./...
 go vet ./...
 go test ./...

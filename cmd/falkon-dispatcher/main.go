@@ -20,10 +20,11 @@
 //
 // Multi-tenancy (DESIGN.md §15):
 //
-//	falkon-dispatcher -addr :7523 -tenants tenants.conf -fair-share
+//	falkon-dispatcher -addr :7523 -tenants tenants.conf
 //	    per-tenant admission control (quotas, rate limits) from a config
-//	    file, plus weighted fair-share scheduling across tenants
-//	falkon-dispatcher -addr :7523 -tenant 'prod:weight=4' -tenant 'batch:rate=500' -fair-share
+//	    file, and weighted fair-share scheduling across tenants: declaring
+//	    any tenant turns it on
+//	falkon-dispatcher -addr :7523 -tenant 'prod:weight=4' -tenant 'batch:rate=500'
 //	    the same, declared inline
 //
 // A dispatch tree (paper §6, Figure 16; DESIGN.md §13) is this command at
@@ -66,11 +67,10 @@ func main() {
 		quiet         = flag.Bool("quiet", false, "suppress per-event logs")
 		debugAddr     = flag.String("debug-addr", "", "HTTP address serving /metrics, /events.json, and /debug/pprof/ (empty = off)")
 		journalDir    = flag.String("journal-dir", "", "write-ahead task journal directory; recovers state from it on start (empty = no journal)")
-		journalSync   = flag.String("journal-sync", "group", "journal durability: group (fsync per commit batch), off, or a flush interval like 5ms")
+		journalSync   = flag.String("journal-sync", "group", "journal durability: group (fsync per commit batch) or off (never fsync)")
 		snapEvery     = flag.Int("snapshot-every", 0, "journaled task transitions (a dispatch, a completion) between snapshot compactions (0 = default 65536, <0 = never)")
 		faults        = flag.String("faults", os.Getenv("FALKON_FAULTS"), "fault-injection spec, e.g. seed=42,drop@0.01,fsyncerr@0.02 (chaos testing; default $FALKON_FAULTS)")
-		tenantsFile   = flag.String("tenants", "", "tenant config file: one name:weight=4,quota=10000,rate=5000,burst=1000,maxq=50000 spec per line ('#' comments)")
-		fairShare     = flag.Bool("fair-share", false, "weighted fair-share scheduling across tenants (SFQ)")
+		tenantsFile   = flag.String("tenants", "", "tenant config file: one name:weight=4,quota=10000,rate=5000,burst=1000 spec per line ('#' comments); any tenant declared turns on fair-share (SFQ) scheduling")
 		leaves        = flag.String("leaves", "", "comma-separated leaf dispatcher addresses: run as the root of a dispatch tree, whose executors are links to them (a leaf may itself have -leaves)")
 		bundle        = flag.Int("bundle", 0, "root→leaf bundle size with -leaves (0 = default 64)")
 
@@ -82,7 +82,7 @@ func main() {
 		nodeID    = flag.String("node-id", "", "HA node identity in the lease file (default: -addr)")
 	)
 	var tenantFlags stringList
-	flag.Var(&tenantFlags, "tenant", "one tenant spec, name or name:weight=4,quota=100,rate=50,burst=10,maxq=1000 (repeatable; merged with -tenants)")
+	flag.Var(&tenantFlags, "tenant", "one tenant spec, name or name:weight=4,quota=100,rate=50,burst=10 (repeatable; merged with -tenants; any tenant declared turns on fair-share scheduling)")
 	flag.Parse()
 
 	tenants, err := loadTenants(*tenantsFile, tenantFlags)
@@ -111,7 +111,6 @@ func main() {
 		ReplayTimeout: *replayTimeout,
 		MaxRetries:    *maxRetries,
 		Tenants:       tenants,
-		FairShare:     *fairShare,
 		JournalDir:    *journalDir,
 		JournalSync:   syncPolicy,
 		SnapshotEvery: *snapEvery,

@@ -93,9 +93,8 @@ func TestAllocsPerTaskBudget(t *testing.T) {
 			Security: wsrpc.SecuritySecureConversation, PSK: []byte("budget-psk"),
 		}},
 		{name: "fair-share", cfg: core.Config{
-			FairShare: true,
-			Tenant:    "a",
-			Tenants:   []dispatch.TenantSpec{{Name: "a", Weight: 4}, {Name: "b", Weight: 1}},
+			Tenant:  "a",
+			Tenants: []dispatch.TenantSpec{{Name: "a", Weight: 4}, {Name: "b", Weight: 1}},
 		}},
 		{name: "journaled", cfg: core.Config{JournalDir: t.TempDir()}},
 		{name: "serial", serial: true},

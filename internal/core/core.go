@@ -67,12 +67,11 @@ type Config struct {
 	// Provisioning, when non-nil, runs a provisioner instead of a static
 	// pool.
 	Provisioning *ProvisioningConfig
-	// Tenants declares per-tenant weights and admission limits; FairShare
-	// turns on weighted fair-share scheduling across them (see
-	// dispatch.Options). Tenant names the system client's own tenant.
-	Tenants   []dispatch.TenantSpec
-	FairShare bool
-	Tenant    string
+	// Tenants declares per-tenant weights and admission limits, and with them
+	// weighted fair-share scheduling (see dispatch.Options). Tenant names the
+	// system client's own tenant.
+	Tenants []dispatch.TenantSpec
+	Tenant  string
 	// JournalDir enables the dispatcher's write-ahead task journal; on boot
 	// the dispatcher recovers any state the directory holds.
 	JournalDir string
@@ -117,7 +116,6 @@ func Start(cfg Config) (*System, error) {
 		Policy:           cfg.Policy,
 		CacheCapacity:    cfg.CacheCapacity,
 		Tenants:          cfg.Tenants,
-		FairShare:        cfg.FairShare,
 		JournalDir:       cfg.JournalDir,
 		Logf:             cfg.Logf,
 	})

@@ -134,15 +134,11 @@ type Options struct {
 
 	// Tenants declares per-tenant fair-share weights, quotas, and rate
 	// limits (see TenantSpec). Setting any spec turns on multi-tenant
-	// accounting and submit-path admission control; tenants not listed are
-	// tracked but unlimited.
+	// accounting, submit-path admission control and weighted fair-share
+	// scheduling (start-time fair queuing) across tenants; tenants not listed
+	// are tracked but unlimited, at weight 1. With none the queue is the
+	// paper's single FIFO, whatever tenant a client names.
 	Tenants []TenantSpec
-
-	// FairShare switches the scheduling cores to weighted fair-share
-	// (start-time fair queuing) across tenants, using the weights from
-	// Tenants. Off, the queue is the paper's single FIFO regardless of
-	// tenancy.
-	FairShare bool
 
 	// Logf receives dispatcher logs; nil silences them.
 	Logf func(format string, args ...any)
@@ -383,7 +379,8 @@ type Dispatcher struct {
 	notifyErrs    *obs.Counter
 
 	// tenants is the multi-tenant admission table (nil when multi-tenancy
-	// is off — no admission checks, no per-tenant labels on the hot path).
+	// is off — no admission checks, no per-tenant labels on the hot path),
+	// guarded by mu.
 	tenants *tenantTable
 	// thMu guards tHists, the per-tenant labeled latency histograms. The
 	// flush path takes the read lock only when a stamp carries a tenant.
@@ -391,7 +388,7 @@ type Dispatcher struct {
 	tHists map[string]*tenantHists
 
 	// mu guards core, the one scheduling state machine: queue, executor
-	// table, outstanding table. Lock order across the dispatcher:
+	// table, outstanding table; and the tenant table. Lock order across the dispatcher:
 	//
 	//	imu (instance table) → mu → instance.mu → journal internals
 	mu   sync.Mutex
@@ -454,11 +451,8 @@ func New(opts Options) *Dispatcher {
 		opts.Metrics = obs.NewRegistry()
 	}
 	var fairShare *sched.FairShare
-	if opts.FairShare {
-		fairShare = &sched.FairShare{
-			Weights:     tenantWeights(opts.Tenants),
-			MaxQueuedBy: tenantMaxQueued(opts.Tenants),
-		}
+	if len(opts.Tenants) > 0 {
+		fairShare = &sched.FairShare{Weights: tenantWeights(opts.Tenants)}
 	}
 	var taskRetries func(taskRef) int // nil: Options.MaxRetries alone
 	if !opts.NoRetryOnFailure {
@@ -481,7 +475,7 @@ func New(opts Options) *Dispatcher {
 		reg:       opts.Metrics,
 		tracer:    obs.NewTracer(opts.TraceCapacity),
 	}
-	if len(opts.Tenants) > 0 || opts.FairShare {
+	if fairShare != nil {
 		d.tenants = newTenantTable(opts.Tenants, d.now)
 		d.tHists = make(map[string]*tenantHists)
 	}
@@ -761,9 +755,9 @@ func (d *Dispatcher) restore(st *wal.State) {
 		d.core.Restore(now, taskRef{epr: p.EPR, t: &p.Task, inst: inst}, p.Attempts)
 		inst.live[p.Task.ID] = struct{}{}
 		inst.inFlight++
-		// Re-charge per-tenant in-flight accounting (bypassing admission:
-		// the work was admitted before the crash).
-		d.tenants.restore(inst.tenant, 1)
+		// Re-charge per-tenant in-flight accounting (unchecked: the work was
+		// admitted before the crash).
+		d.tenants.admit(inst.tenant, 1, false)
 	}
 }
 
@@ -1014,6 +1008,7 @@ func (d *Dispatcher) Stats() fproto.StatsReply {
 	if tenantQueued != nil {
 		d.core.TenantQueueLens(tenantQueued)
 	}
+	st.Tenants = d.tenants.snapshot(tenantQueued)
 	d.mu.Unlock()
 	st.Submitted = ct.Submitted
 	st.Completed = ct.Completed
@@ -1025,7 +1020,6 @@ func (d *Dispatcher) Stats() fproto.StatsReply {
 	st.CacheMisses = ct.CacheMisses
 	st.IdleExecutors = st.TotalExecutors - st.BusyExecutors
 	st.NotifyErrors = d.notifyErrs.Value()
-	st.Tenants = d.tenants.snapshot(tenantQueued)
 	d.imu.RLock()
 	st.Instances = len(d.instances)
 	d.imu.RUnlock()

@@ -81,11 +81,12 @@ func (d *Dispatcher) handleCreateInstance(p *wsrpc.Peer, body json.RawMessage) (
 	d.nextEPR++
 	epr := fmt.Sprintf("falkon-instance-%d", d.nextEPR)
 	inst := &instance{
-		epr:    epr,
-		name:   req.ClientName,
-		peer:   p,
-		notify: req.WantNotifications,
-		tenant: tenant,
+		epr:        epr,
+		name:       req.ClientName,
+		peer:       p,
+		notify:     req.WantNotifications,
+		tenant:     tenant,
+		fromParent: d.parents.Has(p),
 	}
 	var h wal.Handle
 	if d.wal != nil {
@@ -172,10 +173,10 @@ func (d *Dispatcher) handleDestroyInstance(_ *wsrpc.Peer, body json.RawMessage) 
 		dropped += shed
 		d.notifyLocked(f, d.now()) // the slots it freed may be wanted
 	}
-	d.mu.Unlock()
-	d.flush(f)
 	// Swept tasks never reach finalize; retire their tenant charge here.
 	d.tenants.release(inst.tenant, dropped, false)
+	d.mu.Unlock()
+	d.flush(f)
 	d.wakeDrain()
 	var h wal.Handle
 	if d.wal != nil {
@@ -225,9 +226,10 @@ func (d *Dispatcher) submit(f *fx, req *fproto.SubmitRequest) error {
 	}
 	// Admission control: the tenant's quota and rate limit are checked on
 	// the whole bundle before any durable state changes. A throttled bundle
-	// is NOT an error — the typed reply tells the client when to retry.
-	// Duplicates discovered by the dedupe pass below are refunded.
-	if retryAfter, ok := d.tenants.admit(inst.tenant, len(req.Tasks)); !ok {
+	// is NOT an error — the typed reply tells the client when to retry. A
+	// tree parent's bundle was checked where its client attached, and is only
+	// charged here. Duplicates discovered by the dedupe pass below are refunded.
+	if retryAfter, ok := d.tenants.admit(inst.tenant, len(req.Tasks), !inst.fromParent); !ok {
 		d.mu.Unlock()
 		d.reg.Counter(obs.TenantKey(obs.MetricTenantThrottled, inst.tenant)).Inc()
 		f.ack = fproto.SubmitReply{RetryAfterMillis: retryAfter}

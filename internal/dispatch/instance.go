@@ -19,9 +19,12 @@ type instance struct {
 	name string
 
 	// tenant is the owning tenant (DefaultTenant unless the create request
-	// named one); immutable after creation/recovery, so the fair-share and
-	// admission paths read it without mu.
-	tenant string
+	// named one); fromParent, that a tree parent created the instance, so its
+	// work was admitted at the node its client attaches to. Both are immutable
+	// after creation/recovery, so the fair-share and admission paths read them
+	// without mu.
+	tenant     string
+	fromParent bool
 
 	// destroyed is checked lock-free on the pick and finalize hot paths:
 	// tasks of a destroyed instance are dropped wherever they surface.

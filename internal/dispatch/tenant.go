@@ -4,10 +4,10 @@ import (
 	"fmt"
 	"math"
 	"os"
+	"slices"
 	"sort"
 	"strconv"
 	"strings"
-	"sync"
 	"time"
 
 	"falkon/internal/fproto"
@@ -19,8 +19,10 @@ import (
 // time. A bundle that trips a limit is not an error — the reply carries a
 // retry-after hint and the client backs off, so a flooding tenant throttles
 // itself instead of starving everyone behind the shared WAL and queues.
-// Fair-share weights declared here also feed the scheduler's SFQ layer
-// (sched.FairShare) when fair-share scheduling is enabled.
+// Declaring any tenant also makes the queue start-time fair queuing over the
+// declared weights (sched.FairShare); with none it is the paper's FIFO. In a
+// tree a tenant is admitted once, where its client attaches: work a tree
+// parent sends is charged to its tenant but checked against no limit.
 
 // TenantSpec declares one tenant's scheduling weight and admission limits.
 type TenantSpec struct {
@@ -29,7 +31,7 @@ type TenantSpec struct {
 	Name string
 	// Weight is the fair-share scheduling weight (default 1): a weight-2
 	// tenant receives twice the service of a weight-1 tenant while both
-	// are backlogged. Only meaningful with fair-share scheduling on.
+	// are backlogged.
 	Weight float64
 	// Quota caps the tenant's in-flight (accepted, not yet finished)
 	// tasks; 0 = unlimited. Submissions past the cap are throttled.
@@ -39,9 +41,6 @@ type TenantSpec struct {
 	// Burst is the token-bucket depth in tasks (default = one second of
 	// Rate). Meaningless without Rate.
 	Burst float64
-	// MaxQueued bounds the tenant's queued-but-not-dispatched tasks in
-	// the scheduling core (sched.FairShare.MaxQueuedBy); 0 = unbounded.
-	MaxQueued int
 }
 
 // effectiveBurst resolves the bucket depth (one second of rate when unset).
@@ -55,9 +54,26 @@ func (s TenantSpec) effectiveBurst() float64 {
 	return 0
 }
 
-// ParseTenantSpec parses one "name" or "name:key=value,key=value" spec.
-// Keys: weight (float > 0), quota (int >= 0), rate (float >= 0 tasks/sec),
-// burst (float >= 0 tasks), maxq (int >= 0).
+// tenantKey is one option a tenant spec takes: its key, whether its value is
+// an integer, and where the value goes.
+type tenantKey struct {
+	key   string
+	whole bool
+	set   func(*TenantSpec, float64)
+}
+
+// tenantKeys is every option a tenant spec takes: the parser knows no other,
+// and TestLiveTenantKeysAct runs each on the live path. Every value is a
+// finite number >= 0; a weight must also be > 0.
+var tenantKeys = []tenantKey{
+	{"weight", false, func(s *TenantSpec, v float64) { s.Weight = v }},
+	{"quota", true, func(s *TenantSpec, v float64) { s.Quota = int(v) }},
+	{"rate", false, func(s *TenantSpec, v float64) { s.Rate = v }},
+	{"burst", false, func(s *TenantSpec, v float64) { s.Burst = v }},
+}
+
+// ParseTenantSpec parses one "name" or "name:key=value,key=value" spec, the
+// keys those of tenantKeys.
 func ParseTenantSpec(s string) (TenantSpec, error) {
 	spec := TenantSpec{Weight: 1}
 	name, opts, hasOpts := strings.Cut(strings.TrimSpace(s), ":")
@@ -78,55 +94,26 @@ func ParseTenantSpec(s string) (TenantSpec, error) {
 			return TenantSpec{}, fmt.Errorf("tenant %q: malformed option %q (want key=value)", spec.Name, kv)
 		}
 		key, val = strings.TrimSpace(key), strings.TrimSpace(val)
-		switch key {
-		case "weight":
-			w, err := strconv.ParseFloat(val, 64)
-			if err != nil || math.IsNaN(w) || math.IsInf(w, 0) {
-				return TenantSpec{}, fmt.Errorf("tenant %q: bad weight %q", spec.Name, val)
-			}
-			if w <= 0 {
-				return TenantSpec{}, fmt.Errorf("tenant %q: weight must be > 0, got %v", spec.Name, w)
-			}
-			spec.Weight = w
-		case "quota":
-			n, err := strconv.Atoi(val)
-			if err != nil {
-				return TenantSpec{}, fmt.Errorf("tenant %q: bad quota %q", spec.Name, val)
-			}
-			if n < 0 {
-				return TenantSpec{}, fmt.Errorf("tenant %q: quota must be >= 0, got %d", spec.Name, n)
-			}
-			spec.Quota = n
-		case "rate":
-			r, err := strconv.ParseFloat(val, 64)
-			if err != nil || math.IsNaN(r) || math.IsInf(r, 0) {
-				return TenantSpec{}, fmt.Errorf("tenant %q: bad rate %q", spec.Name, val)
-			}
-			if r < 0 {
-				return TenantSpec{}, fmt.Errorf("tenant %q: rate must be >= 0, got %v", spec.Name, r)
-			}
-			spec.Rate = r
-		case "burst":
-			b, err := strconv.ParseFloat(val, 64)
-			if err != nil || math.IsNaN(b) || math.IsInf(b, 0) {
-				return TenantSpec{}, fmt.Errorf("tenant %q: bad burst %q", spec.Name, val)
-			}
-			if b < 0 {
-				return TenantSpec{}, fmt.Errorf("tenant %q: burst must be >= 0, got %v", spec.Name, b)
-			}
-			spec.Burst = b
-		case "maxq":
-			n, err := strconv.Atoi(val)
-			if err != nil {
-				return TenantSpec{}, fmt.Errorf("tenant %q: bad maxq %q", spec.Name, val)
-			}
-			if n < 0 {
-				return TenantSpec{}, fmt.Errorf("tenant %q: maxq must be >= 0, got %d", spec.Name, n)
-			}
-			spec.MaxQueued = n
-		default:
+		i := slices.IndexFunc(tenantKeys, func(k tenantKey) bool { return k.key == key })
+		if i < 0 {
 			return TenantSpec{}, fmt.Errorf("tenant %q: unknown option %q", spec.Name, key)
 		}
+		k := tenantKeys[i]
+		v, err := strconv.ParseFloat(val, 64)
+		if k.whole {
+			var n int
+			n, err = strconv.Atoi(val)
+			v = float64(n)
+		}
+		switch {
+		case err != nil || math.IsNaN(v) || math.IsInf(v, 0):
+			return TenantSpec{}, fmt.Errorf("tenant %q: bad %s %q", spec.Name, key, val)
+		case key == "weight" && v <= 0:
+			return TenantSpec{}, fmt.Errorf("tenant %q: weight must be > 0, got %v", spec.Name, v)
+		case v < 0:
+			return TenantSpec{}, fmt.Errorf("tenant %q: %s must be >= 0, got %v", spec.Name, key, v)
+		}
+		k.set(&spec, v)
 	}
 	return spec, nil
 }
@@ -207,8 +194,8 @@ const quotaRetryMillis = 25
 
 // tenantTable is the dispatcher's runtime tenant registry. A nil table
 // means multi-tenancy is off: no admission checks, no per-tenant stats.
+// Every caller holds Dispatcher.mu (recovery runs before serving starts).
 type tenantTable struct {
-	mu  sync.Mutex
 	now func() time.Duration
 	m   map[string]*tenantState
 }
@@ -216,6 +203,9 @@ type tenantTable struct {
 func newTenantTable(specs []TenantSpec, now func() time.Duration) *tenantTable {
 	t := &tenantTable{now: now, m: make(map[string]*tenantState, len(specs)+1)}
 	for _, spec := range specs {
+		if spec.Weight <= 0 {
+			spec.Weight = 1 // what SFQ serves it at, so what its stats row says
+		}
 		t.m[spec.Name] = &tenantState{
 			spec:     spec,
 			tokens:   spec.effectiveBurst(), // start full: an idle tenant may burst
@@ -236,26 +226,26 @@ func (t *tenantTable) getLocked(name string) *tenantState {
 	return ts
 }
 
-// admit checks n fresh tasks from tenant name against its quota and rate
-// limit. ok means admitted — in-flight and bucket charged. Otherwise
-// retryAfterMillis tells the client how long to back off.
-func (t *tenantTable) admit(name string, n int) (retryAfterMillis int64, ok bool) {
+// admit charges n fresh tasks to tenant name. With check set they are first
+// held to the tenant's quota and rate limit: ok means admitted — in-flight
+// and bucket charged; otherwise nothing is, and retryAfterMillis tells the
+// client how long to back off. Unchecked is work admitted elsewhere: before a
+// crash (journal recovery), or by the tree parent that sent it.
+func (t *tenantTable) admit(name string, n int, check bool) (retryAfterMillis int64, ok bool) {
 	if t == nil || n <= 0 {
 		return 0, true
 	}
-	t.mu.Lock()
-	defer t.mu.Unlock()
 	ts := t.getLocked(name)
 	// Both limits tolerate a bundle bigger than the limit itself: it
 	// admits once there is full headroom and overdraws (quota overshoot,
 	// negative bucket), blocking further admissions until the debt drains.
 	// Without this an oversized bundle would be rejected forever — no
 	// amount of waiting makes an 8-deep bucket hold 64 tokens.
-	if q := int64(ts.spec.Quota); q > 0 && ts.inflight+min(int64(n), q) > q {
+	if q := int64(ts.spec.Quota); check && q > 0 && ts.inflight+min(int64(n), q) > q {
 		ts.throttled++
 		return quotaRetryMillis, false
 	}
-	if ts.spec.Rate > 0 {
+	if check && ts.spec.Rate > 0 {
 		ts.refillLocked(t.now())
 		need := math.Min(float64(n), ts.spec.effectiveBurst())
 		if ts.tokens < need {
@@ -281,8 +271,6 @@ func (t *tenantTable) unadmit(name string, n int) {
 	if t == nil || n <= 0 {
 		return
 	}
-	t.mu.Lock()
-	defer t.mu.Unlock()
 	ts := t.getLocked(name)
 	ts.inflight -= int64(n)
 	ts.submitted -= int64(n)
@@ -297,8 +285,6 @@ func (t *tenantTable) release(name string, n int, failed bool) {
 	if t == nil || n <= 0 {
 		return
 	}
-	t.mu.Lock()
-	defer t.mu.Unlock()
 	ts := t.getLocked(name)
 	ts.inflight -= int64(n)
 	if failed {
@@ -306,19 +292,6 @@ func (t *tenantTable) release(name string, n int, failed bool) {
 	} else {
 		ts.completed += int64(n)
 	}
-}
-
-// restore re-charges in-flight counts during journal recovery, bypassing
-// quota and rate limits — the work was admitted before the crash.
-func (t *tenantTable) restore(name string, n int) {
-	if t == nil || n <= 0 {
-		return
-	}
-	t.mu.Lock()
-	defer t.mu.Unlock()
-	ts := t.getLocked(name)
-	ts.inflight += int64(n)
-	ts.submitted += int64(n)
 }
 
 // weights extracts the fair-share weight map for the scheduling core.
@@ -335,28 +308,12 @@ func tenantWeights(specs []TenantSpec) map[string]float64 {
 	return w
 }
 
-// maxQueuedBy extracts the per-tenant queue bounds for the scheduling core.
-func tenantMaxQueued(specs []TenantSpec) map[string]int {
-	var m map[string]int
-	for _, s := range specs {
-		if s.MaxQueued > 0 {
-			if m == nil {
-				m = make(map[string]int)
-			}
-			m[s.Name] = s.MaxQueued
-		}
-	}
-	return m
-}
-
 // snapshot renders per-tenant stats rows, name-sorted. queued supplies
 // per-tenant queue depths gathered from the scheduling core (may be nil).
 func (t *tenantTable) snapshot(queued map[string]int) []fproto.TenantStats {
 	if t == nil {
 		return nil
 	}
-	t.mu.Lock()
-	defer t.mu.Unlock()
 	names := make([]string, 0, len(t.m))
 	for name := range t.m {
 		names = append(names, name)

@@ -1,6 +1,7 @@
 package dispatch_test
 
 import (
+	"strings"
 	"sync"
 	"testing"
 	"time"
@@ -13,13 +14,12 @@ import (
 )
 
 // TestLiveTenantAdmissionAndStats runs the multi-tenant front door end to
-// end: two tenants share a dispatcher with fair-share on, the rate-limited
-// tenant gets throttled with retry-after replies the client honors, both
-// workloads complete exactly-once, and the per-tenant stats rows and
-// labeled histograms reflect the split.
+// end: two tenants share a dispatcher (so fair-share is on), the
+// rate-limited tenant gets throttled with retry-after replies the client
+// honors, both workloads complete exactly-once, and the per-tenant stats rows
+// and labeled histograms reflect the split.
 func TestLiveTenantAdmissionAndStats(t *testing.T) {
 	dopts := dispatch.Options{
-		FairShare: true,
 		Tenants: []dispatch.TenantSpec{
 			{Name: "fast", Weight: 4},
 			{Name: "slow", Weight: 1, Rate: 500, Burst: 10},
@@ -82,69 +82,73 @@ func TestLiveTenantAdmissionAndStats(t *testing.T) {
 	}
 }
 
+// runOrder queues nFlood tasks from tenant "flood", then nVictim from
+// "victim", on a dispatcher declaring tenants, and only then starts one
+// 1-slot executor, so the dispatcher alone decides who runs when. It returns
+// the tenant of each task executed, in execution order, once the victim's
+// last task has run.
+func runOrder(t *testing.T, tenants []dispatch.TenantSpec, nFlood, nVictim int) []string {
+	var mu sync.Mutex
+	var order []string
+	record := func(tk task.Task) (string, int, error) {
+		mu.Lock()
+		order = append(order, tk.Args[0])
+		mu.Unlock()
+		return "", 0, nil
+	}
+	d, flood, _ := startSystem(t, dispatch.Options{Tenants: tenants}, client.Options{Tenant: "flood", BundleSize: 100}, 0, executor.Options{})
+	victim, err := client.Connect(client.Options{DispatcherAddr: d.Addr(), Tenant: "victim", BundleSize: 100})
+	if err != nil {
+		t.Fatal(err)
+	}
+	defer victim.Close()
+	batch := func(tenant string, n int) []task.Task {
+		out := make([]task.Task, n)
+		for i := range out {
+			out[i] = task.Task{ID: task.ID(i + 1), Engine: task.EngineFunc, Command: "record", Args: []string{tenant}}
+		}
+		return out
+	}
+	// Submit returns once the dispatcher has accepted every bundle, so the
+	// whole flood is queued ahead of the victim's first task.
+	if err := flood.Submit(batch("flood", nFlood)); err != nil {
+		t.Fatal(err)
+	}
+	if err := victim.Submit(batch("victim", nVictim)); err != nil {
+		t.Fatal(err)
+	}
+	if q := d.Stats().Queued; q != nFlood+nVictim {
+		t.Fatalf("queued = %d before the executor starts, want %d", q, nFlood+nVictim)
+	}
+	ex, err := executor.Start(executor.Options{
+		ID: "lone", DispatcherAddr: d.Addr(), Funcs: map[string]executor.Func{"record": record},
+	})
+	if err != nil {
+		t.Fatal(err)
+	}
+	defer ex.Stop()
+	if _, err := victim.WaitN(nVictim, time.Minute); err != nil {
+		t.Fatal(err)
+	}
+	mu.Lock()
+	defer mu.Unlock()
+	return append([]string(nil), order...)
+}
+
 // TestLiveHostileTenantOrder is the hostile-tenant isolation property as an
 // execution order, not a latency: a flood tenant (weight 1) queues 2,000
-// tasks, then a victim (weight 4) queues 40, and only then does the one
-// 1-slot executor start, so the dispatcher alone decides who runs when.
-// With fair-share on, start-time fair queuing serves the tenants 4:1 — the
-// victim's 40th task is due after about 10 of the flood's, position ~50 —
-// and with it off the shared FIFO runs the whole flood first: the negative
-// control that fails if Options.FairShare is ever ignored.
+// tasks, then a victim (weight 4) queues 40. With the two declared, start-time
+// fair queuing serves them 4:1 — the victim's 40th task is due after about 10
+// of the flood's, position ~50 — and with no tenant declared the shared FIFO
+// runs the whole flood first: the negative control that fails if declaring
+// tenants ever stops turning fair share on.
 func TestLiveHostileTenantOrder(t *testing.T) {
 	const nFlood, nVictim, bound = 2000, 40, 60
 	// victimSpan returns the 1-based execution positions of the victim's
 	// first and last task.
-	victimSpan := func(t *testing.T, fair bool) (first, last int) {
-		var mu sync.Mutex
-		var order []string // tenant of each executed task, in execution order
-		record := func(tk task.Task) (string, int, error) {
-			mu.Lock()
-			order = append(order, tk.Args[0])
-			mu.Unlock()
-			return "", 0, nil
-		}
-		dopts := dispatch.Options{
-			FairShare: fair,
-			Tenants:   []dispatch.TenantSpec{{Name: "victim", Weight: 4}, {Name: "flood", Weight: 1}},
-		}
-		d, flood, _ := startSystem(t, dopts, client.Options{Tenant: "flood", BundleSize: 100}, 0, executor.Options{})
-		victim, err := client.Connect(client.Options{DispatcherAddr: d.Addr(), Tenant: "victim", BundleSize: 100})
-		if err != nil {
-			t.Fatal(err)
-		}
-		defer victim.Close()
-		batch := func(tenant string, n int) []task.Task {
-			out := make([]task.Task, n)
-			for i := range out {
-				out[i] = task.Task{ID: task.ID(i + 1), Engine: task.EngineFunc, Command: "record", Args: []string{tenant}}
-			}
-			return out
-		}
-		// Submit returns once the dispatcher has accepted every bundle, so
-		// the whole flood is queued ahead of the victim's first task.
-		if err := flood.Submit(batch("flood", nFlood)); err != nil {
-			t.Fatal(err)
-		}
-		if err := victim.Submit(batch("victim", nVictim)); err != nil {
-			t.Fatal(err)
-		}
-		if q := d.Stats().Queued; q != nFlood+nVictim {
-			t.Fatalf("queued = %d before the executor starts, want %d", q, nFlood+nVictim)
-		}
-		ex, err := executor.Start(executor.Options{
-			ID: "lone", DispatcherAddr: d.Addr(), Funcs: map[string]executor.Func{"record": record},
-		})
-		if err != nil {
-			t.Fatal(err)
-		}
-		defer ex.Stop()
-		if _, err := victim.WaitN(nVictim, time.Minute); err != nil {
-			t.Fatal(err)
-		}
-		mu.Lock()
-		defer mu.Unlock()
+	victimSpan := func(t *testing.T, tenants []dispatch.TenantSpec) (first, last int) {
 		var pos []int
-		for i, tenant := range order {
+		for i, tenant := range runOrder(t, tenants, nFlood, nVictim) {
 			if tenant == "victim" {
 				pos = append(pos, i+1)
 			}
@@ -153,19 +157,120 @@ func TestLiveHostileTenantOrder(t *testing.T) {
 			t.Fatalf("%d victim tasks executed, want %d", len(pos), nVictim)
 		}
 		first, last = pos[0], pos[nVictim-1]
-		t.Logf("fair-share=%v: victim tasks ran at positions %d..%d of %d", fair, first, last, nFlood+nVictim)
+		t.Logf("tenants %v: victim tasks ran at positions %d..%d of %d", tenants, first, last, nFlood+nVictim)
 		return first, last
 	}
 	t.Run("fair-share", func(t *testing.T) {
-		if _, last := victimSpan(t, true); last > bound {
+		tenants := []dispatch.TenantSpec{{Name: "victim", Weight: 4}, {Name: "flood", Weight: 1}}
+		if _, last := victimSpan(t, tenants); last > bound {
 			t.Fatalf("last victim task ran at position %d, want within the first %d", last, bound)
 		}
 	})
 	t.Run("fifo", func(t *testing.T) {
-		if first, _ := victimSpan(t, false); first <= nFlood {
-			t.Fatalf("first victim task ran at position %d with fair-share off, want behind the flood's %d", first, nFlood)
+		if first, _ := victimSpan(t, nil); first <= nFlood {
+			t.Fatalf("first victim task ran at position %d with no tenant declared, want behind the flood's %d", first, nFlood)
 		}
 	})
+}
+
+// TestLiveTenantKeysAct: every key a tenant spec takes changes what the real
+// dispatcher does. Each row boots it twice, with the row's specs as written
+// and with its key struck from them, and the outcome must be larger with the
+// key: quota, rate and burst throttle the tenant's client (retry-after
+// replies, counted at the client); weight brings a victim's tasks ahead of a
+// flood's in execution order. A key the parser takes without a row here
+// fails the test, so a key that the live path ignores has nowhere to hide.
+func TestLiveTenantKeysAct(t *testing.T) {
+	// throttled has a client of tenant "t" submit n tasks that each run for
+	// run, in bundles of bundle, to one executor, and returns the bundles it
+	// was told to retry.
+	throttled := func(n, bundle int, run time.Duration) func(*testing.T, []dispatch.TenantSpec) int64 {
+		return func(t *testing.T, tenants []dispatch.TenantSpec) int64 {
+			_, c, _ := startSystem(t, dispatch.Options{Tenants: tenants}, client.Options{Tenant: "t", BundleSize: bundle}, 1, executor.Options{SleepScale: 1})
+			var gen task.IDGen
+			if err := c.Submit(task.Batch(&gen, n, run)); err != nil {
+				t.Fatal(err)
+			}
+			if _, err := c.WaitN(n, 30*time.Second); err != nil {
+				t.Fatal(err)
+			}
+			return c.Throttled()
+		}
+	}
+	rows := map[string]struct {
+		specs   []string
+		outcome func(*testing.T, []dispatch.TenantSpec) int64
+	}{
+		// The second bundle finds the first still running.
+		"quota": {[]string{"t:quota=4"}, throttled(8, 4, 20*time.Millisecond)},
+		// Two bundles empty the bucket (one second deep); the third waits
+		// half a second for its tokens.
+		"rate": {[]string{"t:rate=100"}, throttled(150, 50, 0)},
+		// The same rate, but a bucket one bundle deep: each bundle after the
+		// first waits 100 ms.
+		"burst": {[]string{"t:rate=100,burst=10"}, throttled(50, 10, 0)},
+		// Victim tasks among the first 20 run: 16 at 4:1, 10 at 1:1.
+		"weight": {[]string{"flood", "victim:weight=4"}, func(t *testing.T, tenants []dispatch.TenantSpec) (n int64) {
+			for _, tenant := range runOrder(t, tenants, 100, 20)[:20] {
+				if tenant == "victim" {
+					n++
+				}
+			}
+			return n
+		}},
+	}
+	for _, key := range dispatch.TenantKeys() {
+		row, ok := rows[key]
+		if !ok {
+			t.Errorf("tenant key %q has no row: show it acts on the live path", key)
+			continue
+		}
+		delete(rows, key)
+		t.Run(key, func(t *testing.T) {
+			boot := func(specs []string) int64 {
+				tenants, err := dispatch.ParseTenantSpecs(specs)
+				if err != nil {
+					t.Fatal(err)
+				}
+				return row.outcome(t, tenants)
+			}
+			var without []string
+			for _, spec := range row.specs {
+				name, opts, _ := strings.Cut(spec, ":")
+				var kept []string
+				for _, opt := range strings.Split(opts, ",") {
+					if opt != "" && !strings.HasPrefix(opt, key+"=") {
+						kept = append(kept, opt)
+					}
+				}
+				without = append(without, strings.TrimSuffix(name+":"+strings.Join(kept, ","), ":"))
+			}
+			with, base := boot(row.specs), boot(without)
+			t.Logf("%v: %d; %v: %d", row.specs, with, without, base)
+			if with <= base {
+				t.Fatalf("%v gave %d, no more than %v's %d: %s does nothing", row.specs, with, without, base, key)
+			}
+		})
+	}
+	for key := range rows {
+		t.Errorf("row %q is for a key the parser does not take", key)
+	}
+}
+
+// TestLiveTenantRowReportsQueueAndWeight: a tenant's stats row says what the
+// dispatcher holds for it and serves it at — its tasks queued (here all of
+// them: no executor), and weight 1 for a spec built in code without one.
+func TestLiveTenantRowReportsQueueAndWeight(t *testing.T) {
+	dopts := dispatch.Options{Tenants: []dispatch.TenantSpec{{Name: "a"}}}
+	d, c, _ := startSystem(t, dopts, client.Options{Tenant: "a", BundleSize: 5}, 0, executor.Options{})
+	var gen task.IDGen
+	if err := c.Submit(task.Batch(&gen, 10, 0)); err != nil {
+		t.Fatal(err)
+	}
+	st := d.Stats()
+	if len(st.Tenants) != 1 || st.Tenants[0].Queued != st.Queued || st.Tenants[0].Weight != 1 {
+		t.Fatalf("dispatcher queues %d; tenant rows %+v, want one for a with Queued %d and Weight 1", st.Queued, st.Tenants, st.Queued)
+	}
 }
 
 // TestLiveTenantQuotaBackpressure: a tenant capped at a small in-flight

@@ -22,8 +22,8 @@ func TestParseTenantSpecTable(t *testing.T) {
 		{in: "a:weight=4", want: TenantSpec{Name: "a", Weight: 4}},
 		{in: "a:weight=0.5", want: TenantSpec{Name: "a", Weight: 0.5}},
 		{
-			in:   "prod:weight=4,quota=10000,rate=5000,burst=1000,maxq=50000",
-			want: TenantSpec{Name: "prod", Weight: 4, Quota: 10000, Rate: 5000, Burst: 1000, MaxQueued: 50000},
+			in:   "prod:weight=4,quota=10000,rate=5000,burst=1000",
+			want: TenantSpec{Name: "prod", Weight: 4, Quota: 10000, Rate: 5000, Burst: 1000},
 		},
 		{in: "a: weight=2 , quota=5 ", want: TenantSpec{Name: "a", Weight: 2, Quota: 5}},
 		{in: "a:quota=0,rate=0", want: TenantSpec{Name: "a", Weight: 1}}, // zero = unlimited
@@ -39,7 +39,7 @@ func TestParseTenantSpecTable(t *testing.T) {
 		{in: "a:rate=-1", wantErr: "rate must be >= 0"},
 		{in: "a:rate=oops", wantErr: "bad rate"},
 		{in: "a:burst=-2", wantErr: "burst must be >= 0"},
-		{in: "a:maxq=-1", wantErr: "maxq must be >= 0"},
+		{in: "a:maxq=5", wantErr: "unknown option"}, // a queue bound nothing enforced, removed
 		{in: "a:turbo=9", wantErr: "unknown option"},
 		{in: "a:weight", wantErr: "malformed option"},
 	}
@@ -108,19 +108,19 @@ func (f *fakeClock) now() time.Duration { return f.at }
 func TestTenantQuotaAdmitRelease(t *testing.T) {
 	clk := &fakeClock{}
 	tbl := newTenantTable([]TenantSpec{{Name: "a", Weight: 1, Quota: 10}}, clk.now)
-	if _, ok := tbl.admit("a", 10); !ok {
+	if _, ok := tbl.admit("a", 10, true); !ok {
 		t.Fatal("admission up to quota refused")
 	}
-	retry, ok := tbl.admit("a", 1)
+	retry, ok := tbl.admit("a", 1, true)
 	if ok || retry <= 0 {
 		t.Fatalf("over-quota admit = ok=%v retry=%d, want throttle with positive retry", ok, retry)
 	}
 	// Results coming back open headroom.
 	tbl.release("a", 4, false)
-	if _, ok := tbl.admit("a", 4); !ok {
+	if _, ok := tbl.admit("a", 4, true); !ok {
 		t.Fatal("admission after release refused")
 	}
-	if _, ok := tbl.admit("a", 1); ok {
+	if _, ok := tbl.admit("a", 1, true); ok {
 		t.Fatal("quota not re-enforced after refill")
 	}
 	rows := tbl.snapshot(map[string]int{"a": 3})
@@ -133,12 +133,12 @@ func TestTenantRateBucketRefillBoundary(t *testing.T) {
 	clk := &fakeClock{}
 	// 100 tasks/sec, burst 10: the bucket starts full.
 	tbl := newTenantTable([]TenantSpec{{Name: "a", Rate: 100, Burst: 10}}, clk.now)
-	if _, ok := tbl.admit("a", 10); !ok {
+	if _, ok := tbl.admit("a", 10, true); !ok {
 		t.Fatal("burst admission refused on a full bucket")
 	}
 	// Bucket empty: the very next task must throttle with the exact
 	// one-token refill time (1 token / 100 per sec = 10ms).
-	retry, ok := tbl.admit("a", 1)
+	retry, ok := tbl.admit("a", 1, true)
 	if ok {
 		t.Fatal("admission on an empty bucket")
 	}
@@ -147,24 +147,24 @@ func TestTenantRateBucketRefillBoundary(t *testing.T) {
 	}
 	// One nanosecond before the refill boundary: still short.
 	clk.at = 10*time.Millisecond - time.Nanosecond
-	if _, ok := tbl.admit("a", 1); ok {
+	if _, ok := tbl.admit("a", 1, true); ok {
 		t.Fatal("admitted a hair before the token refilled")
 	}
 	// At the boundary the single token is there — and is consumed.
 	clk.at = 10 * time.Millisecond
-	if _, ok := tbl.admit("a", 1); !ok {
+	if _, ok := tbl.admit("a", 1, true); !ok {
 		t.Fatal("refused at the exact refill boundary")
 	}
-	if _, ok := tbl.admit("a", 1); ok {
+	if _, ok := tbl.admit("a", 1, true); ok {
 		t.Fatal("token double-spent")
 	}
 	// The bucket never overfills past burst: after a long idle stretch
 	// only burst tokens are available.
 	clk.at += time.Hour
-	if _, ok := tbl.admit("a", 10); !ok {
+	if _, ok := tbl.admit("a", 10, true); !ok {
 		t.Fatal("burst refused after idle")
 	}
-	if _, ok := tbl.admit("a", 1); ok {
+	if _, ok := tbl.admit("a", 1, true); ok {
 		t.Fatal("bucket overfilled past burst")
 	}
 }
@@ -175,12 +175,12 @@ func TestTenantOversizedBundleMakesProgress(t *testing.T) {
 	// makes the bucket hold 64 tokens, so the full bucket must cover it
 	// by going into debt.
 	tbl := newTenantTable([]TenantSpec{{Name: "a", Rate: 400, Burst: 8}}, clk.now)
-	if _, ok := tbl.admit("a", 64); !ok {
+	if _, ok := tbl.admit("a", 64, true); !ok {
 		t.Fatal("oversized bundle refused on a full bucket")
 	}
 	// The debt (-56 tokens) blocks everything until repaid: 1 task needs
 	// 57 tokens' worth of refill = 142.5ms, and the retry hint says so.
-	retry, ok := tbl.admit("a", 1)
+	retry, ok := tbl.admit("a", 1, true)
 	if ok {
 		t.Fatal("admitted while the bucket was in debt")
 	}
@@ -188,21 +188,21 @@ func TestTenantOversizedBundleMakesProgress(t *testing.T) {
 		t.Fatalf("retry-after = %dms, want 143ms (57 tokens at 400/s, rounded up)", retry)
 	}
 	clk.at = 143 * time.Millisecond
-	if _, ok := tbl.admit("a", 1); !ok {
+	if _, ok := tbl.admit("a", 1, true); !ok {
 		t.Fatal("refused after the debt was repaid")
 	}
 
 	// Same shape for quota: a bundle past the whole cap admits only from
 	// a fully drained state, then blocks until the overshoot drains.
 	tbl2 := newTenantTable([]TenantSpec{{Name: "b", Quota: 8}}, clk.now)
-	if _, ok := tbl2.admit("b", 64); !ok {
+	if _, ok := tbl2.admit("b", 64, true); !ok {
 		t.Fatal("oversized bundle refused against an idle quota")
 	}
-	if _, ok := tbl2.admit("b", 1); ok {
+	if _, ok := tbl2.admit("b", 1, true); ok {
 		t.Fatal("admitted past an overshot quota")
 	}
 	tbl2.release("b", 60, false)
-	if _, ok := tbl2.admit("b", 4); !ok {
+	if _, ok := tbl2.admit("b", 4, true); !ok {
 		t.Fatal("refused after the overshoot drained")
 	}
 }
@@ -210,13 +210,13 @@ func TestTenantOversizedBundleMakesProgress(t *testing.T) {
 func TestTenantUnadmitRefunds(t *testing.T) {
 	clk := &fakeClock{}
 	tbl := newTenantTable([]TenantSpec{{Name: "a", Quota: 10, Rate: 100, Burst: 10}}, clk.now)
-	if _, ok := tbl.admit("a", 10); !ok {
+	if _, ok := tbl.admit("a", 10, true); !ok {
 		t.Fatal("admit refused")
 	}
 	// 6 of the bundle turn out to be duplicates: refund restores both
 	// quota headroom and rate tokens.
 	tbl.unadmit("a", 6)
-	if _, ok := tbl.admit("a", 6); !ok {
+	if _, ok := tbl.admit("a", 6, true); !ok {
 		t.Fatal("refunded capacity not re-admittable")
 	}
 	rows := tbl.snapshot(nil)
@@ -229,44 +229,33 @@ func TestTenantDefaultsAndRestore(t *testing.T) {
 	clk := &fakeClock{}
 	tbl := newTenantTable(nil, clk.now)
 	// Undeclared tenants are unlimited but still tracked.
-	if _, ok := tbl.admit("stranger", 1_000_000); !ok {
+	if _, ok := tbl.admit("stranger", 1_000_000, true); !ok {
 		t.Fatal("undeclared tenant throttled")
 	}
 	// A nil table (multi-tenancy off) admits everything and snapshots nil.
 	var off *tenantTable
-	if _, ok := off.admit("x", 5); !ok {
+	if _, ok := off.admit("x", 5, true); !ok {
 		t.Fatal("nil table throttled")
 	}
 	off.release("x", 5, false)
-	off.restore("x", 5)
+	off.admit("x", 5, false)
 	off.unadmit("x", 1)
 	if off.snapshot(nil) != nil {
 		t.Fatal("nil table produced stats rows")
 	}
-	// Recovery bypasses limits.
+	// Recovery and a tree parent's work bypass limits.
 	tbl2 := newTenantTable([]TenantSpec{{Name: "a", Quota: 1}}, clk.now)
-	tbl2.restore("a", 50)
+	tbl2.admit("a", 50, false)
 	rows := tbl2.snapshot(nil)
-	if rows[0].InFlight != 50 {
-		t.Fatalf("restore did not bypass quota: %+v", rows[0])
+	if rows[0].InFlight != 50 || rows[0].Throttled != 0 {
+		t.Fatalf("an unchecked admit did not bypass quota: %+v", rows[0])
 	}
 }
 
-func TestTenantWeightAndMaxQueuedExtraction(t *testing.T) {
-	specs := []TenantSpec{
-		{Name: "a", Weight: 4, MaxQueued: 100},
-		{Name: "b", Weight: 1},
-	}
-	w := tenantWeights(specs)
+func TestTenantWeightExtraction(t *testing.T) {
+	w := tenantWeights([]TenantSpec{{Name: "a", Weight: 4}, {Name: "b", Weight: 1}})
 	if w["a"] != 4 || w["b"] != 1 {
 		t.Fatalf("weights = %v", w)
-	}
-	mq := tenantMaxQueued(specs)
-	if mq["a"] != 100 {
-		t.Fatalf("maxq = %v", mq)
-	}
-	if _, ok := mq["b"]; ok {
-		t.Fatalf("zero maxq leaked into map: %v", mq)
 	}
 	if tenantWeights(nil) != nil {
 		t.Fatal("empty specs produced a weight map")
@@ -284,7 +273,7 @@ func FuzzTenantSpec(f *testing.F) {
 		"prod:weight=4,quota=20000",
 		"batch:weight=1,rate=2000,burst=500",
 		"batch:rate=2000,burst=200",
-		"prod:weight=4,quota=10000,rate=5000,burst=1000,maxq=50000",
+		"prod:weight=4,quota=10000,rate=5000,burst=1000",
 		"analytics", "  padded  ", "a: weight=2 , quota=5 ", "a:weight=1e-3,rate=0x1p4",
 		"", ":weight=1", "a:weight=NaN", "a:rate=Inf", "a:burst=-0", "a:quota=1.5", "a:turbo=9", "a:weight",
 	} {
@@ -298,12 +287,12 @@ func FuzzTenantSpec(f *testing.F) {
 		finite := func(v float64) bool { return !math.IsNaN(v) && !math.IsInf(v, 0) }
 		if spec.Name == "" || !finite(spec.Weight) || spec.Weight <= 0 ||
 			!finite(spec.Rate) || spec.Rate < 0 || !finite(spec.Burst) || spec.Burst < 0 ||
-			spec.Quota < 0 || spec.MaxQueued < 0 {
+			spec.Quota < 0 {
 			t.Fatalf("ParseTenantSpec(%q) accepted %+v", in, spec)
 		}
 		g := func(v float64) string { return strconv.FormatFloat(v, 'g', -1, 64) }
-		out := fmt.Sprintf("%s:weight=%s,quota=%d,rate=%s,burst=%s,maxq=%d",
-			spec.Name, g(spec.Weight), spec.Quota, g(spec.Rate), g(spec.Burst), spec.MaxQueued)
+		out := fmt.Sprintf("%s:weight=%s,quota=%d,rate=%s,burst=%s",
+			spec.Name, g(spec.Weight), spec.Quota, g(spec.Rate), g(spec.Burst))
 		again, err := ParseTenantSpec(out)
 		if err != nil || again != spec {
 			t.Fatalf("ParseTenantSpec(%q) = %+v; written back as %q it parses to %+v, %v", in, spec, out, again, err)

@@ -37,11 +37,6 @@ type link struct {
 	// down maps a root instance's EPR to the instance the link created for it
 	// on the leaf (on the first grant that carries its work); real maps back.
 	down, real map[string]string
-	// deferred is what the leaf's admission control put off (RetryAfterMillis),
-	// to be sent again from notBefore on. It stays the link's at the root but
-	// takes up none of its room: other tenants' work is not kept waiting.
-	deferred  []fproto.Assignment
-	notBefore time.Time
 
 	// dmu guards the link's scratch for a delivery: pushed, what the leaf's push
 	// is decoded into, and tagged, the same results as handed to the root. smu
@@ -148,7 +143,6 @@ func (l *link) update(change func()) {
 		l.f.Register(fproto.RegisterRequest{ExecutorID: l.id, Slots: want}, l)
 	default:
 		l.row.Reroutes += int64(l.f.Deregister(l.id))
-		l.deferred = nil // requeued at the root with the rest
 	}
 	l.slots = want
 }
@@ -165,18 +159,15 @@ func (l *link) Notify(string, any) error {
 	return nil
 }
 
-// due is what the link would send now: the deferred tasks whose wait is over,
-// and how many more tasks it would hold — per worker slot what runs in one
-// round trip to the leaf, a bundle at most, one task while tasks outlast the
-// round trip. Work past that waits at the root, for the first leaf with room.
-func (l *link) due() (again []fproto.Assignment, room int) {
+// due is how many more tasks the link would hold — per worker slot what runs
+// in one round trip to the leaf, a bundle at most, one task while tasks outlast
+// the round trip. Work past that waits at the root, for the first leaf with
+// room.
+func (l *link) due() int {
 	l.mu.Lock()
-	if len(l.deferred) > 0 && !time.Now().Before(l.notBefore) {
-		again, l.deferred = l.deferred, nil
-	}
-	depth := l.slots*l.sizer.Ask(l.f.opts.Bundle) + len(l.deferred)
+	depth := l.slots * l.sizer.Ask(l.f.opts.Bundle)
 	l.mu.Unlock()
-	return again, max(depth-l.f.Held(l.id), 0)
+	return max(depth-l.f.Held(l.id), 0)
 }
 
 // onNotify handles the leaf's pushes, on its read loop: capacity hints resize
@@ -254,8 +245,7 @@ func (l *link) stock(wait bool) bool {
 		l.smu.Lock()
 	}
 	defer l.smu.Unlock()
-	again, want := l.due()
-	l.send(again)
+	want := l.due()
 	if want == 0 {
 		return true
 	}
@@ -267,11 +257,10 @@ func (l *link) stock(wait bool) bool {
 }
 
 // send runs a grant: each run of tasks from one root instance, a bundle at
-// most, is one submit to that instance's counterpart on the leaf. A run the
-// leaf's admission control defers is set aside (deferred) and a timer kicks
-// the link when its wait is over: nobody waits holding smu, and the runs
-// behind it, other tenants' among them, go down now. A submit the leaf
-// refuses, like one the connection fails under, ends the connection: the
+// most, is one submit to that instance's counterpart on the leaf. The leaf
+// admits it whole — the tenant was admitted here, where its client attaches
+// (DESIGN.md §13) — so a submit the leaf does not fully accept is refused, and
+// that, like a submit the connection fails under, ends the connection: the
 // session redials, and going down hands all the link held, sent or not, back
 // to the root's queue. Callers hold smu.
 func (l *link) send(as []fproto.Assignment) {
@@ -288,19 +277,16 @@ func (l *link) send(as []fproto.Assignment) {
 		// The head's trace rides the envelope across the EPR rewrite.
 		err = cli.CallTrace(fproto.MethodSubmit, &l.sub, &l.rep, as[start].Task.Trace, 0)
 		l.sub.Grant = nil // as is the caller's
+		if err == nil && l.rep.Accepted != end-start {
+			err = fmt.Errorf("leaf accepted %d of %d tasks (retry after %d ms)", l.rep.Accepted, end-start, l.rep.RetryAfterMillis)
+		}
 		if err != nil {
 			break
 		}
 		l.mu.Lock()
-		if wait := time.Duration(l.rep.RetryAfterMillis) * time.Millisecond; wait > 0 {
-			l.deferred = append(l.deferred, as[start:end]...) // a copy: as is the caller's to reuse
-			l.notBefore = sent.Add(wait)
-			time.AfterFunc(wait, func() { l.Notify("", nil) })
-		} else {
-			l.sizer.RTT = time.Since(sent)
-			l.row.Bundles++
-			l.row.Tasks += int64(end - start)
-		}
+		l.sizer.RTT = time.Since(sent)
+		l.row.Bundles++
+		l.row.Tasks += int64(end - start)
 		l.mu.Unlock()
 	}
 	if err != nil && cli != nil {

@@ -347,9 +347,9 @@ type TenantStats struct {
 	Name string `json:"name"`
 	// Weight is the fair-share weight in effect (1 when unconfigured).
 	Weight float64 `json:"weight,omitempty"`
-	// Queued counts tasks waiting in the per-tenant rings (only populated
-	// under fair-share, where the queue is tenant-partitioned); InFlight
-	// counts admitted tasks not yet finalized (queued + outstanding).
+	// Queued counts the tenant's tasks waiting in the queue (a dispatcher
+	// that declares tenants queues each in its own ring); InFlight counts
+	// admitted tasks not yet finalized (queued + outstanding).
 	Queued   int   `json:"queued,omitempty"`
 	InFlight int64 `json:"in_flight"`
 	// Submitted counts tasks admitted; Completed and Failed count

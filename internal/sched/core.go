@@ -255,23 +255,9 @@ func (c *Core[E, K, T]) Enqueue(now time.Duration, x T) {
 	c.Counters.Submitted++
 }
 
-// TryEnqueue is Enqueue honoring the tenant's queue bound: under
-// fair-share with MaxQueued set, a tenant at its bound is rejected
-// (reported false, not counted Submitted) so the caller can shed with
-// backpressure instead of growing the ring without limit. Without
-// fair-share it always admits.
-func (c *Core[E, K, T]) TryEnqueue(now time.Duration, x T) bool {
-	if !c.queue.tryPush(Item[T]{X: x, QueuedAt: now}) {
-		return false
-	}
-	c.Counters.Submitted++
-	return true
-}
-
 // Restore re-admits a recovered task with its prior attempt count, without
 // counting it as a new submission — journal recovery restores Counters
-// wholesale and must not double-count. Bounds never apply: the task was
-// already admitted in a previous incarnation.
+// wholesale and must not double-count.
 func (c *Core[E, K, T]) Restore(now time.Duration, x T, attempts int) {
 	c.queue.push(Item[T]{X: x, QueuedAt: now, Attempts: attempts})
 }

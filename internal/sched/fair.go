@@ -2,29 +2,21 @@ package sched
 
 import "sort"
 
-// The pending queue: one bounded Ring per tenant arbitrated by start-time
+// The pending queue: one Ring per tenant arbitrated by start-time
 // fair queuing (SFQ). Every pop charges the picked tenant virtual time
 // inversely proportional to its weight, so over any busy interval tenants
 // receive service in weight ratio regardless of how many tasks each has
 // backlogged — one flooding tenant cannot push another tenant's work
 // arbitrarily far back. A Core with fair-share off holds the same queue
-// with no tenant extractor: one flow, one ring, no bound — SFQ over one
+// with no tenant extractor: one flow, one ring — SFQ over one
 // flow is FIFO.
 
 // FairShare configures the weighted fair-share tenant layer of a Core.
 type FairShare struct {
-	// Weights maps tenant name → relative weight; unlisted tenants get
-	// DefaultWeight. A tenant with weight 2 receives twice the service of
-	// a weight-1 tenant while both are backlogged.
+	// Weights maps tenant name → relative weight; unlisted tenants get 1. A
+	// tenant with weight 2 receives twice the service of a weight-1 tenant
+	// while both are backlogged.
 	Weights map[string]float64
-	// DefaultWeight applies to tenants absent from Weights (default 1).
-	DefaultWeight float64
-	// MaxQueued bounds each tenant's queued (not yet dispatched) tasks;
-	// 0 = unbounded. TryEnqueue reports rejection; Requeue and Restore
-	// bypass the bound — work already admitted is never dropped.
-	MaxQueued int
-	// MaxQueuedBy overrides MaxQueued per tenant (0 entries fall back).
-	MaxQueuedBy map[string]int
 }
 
 // weightFor resolves the effective weight of a tenant.
@@ -32,26 +24,14 @@ func (f *FairShare) weightFor(name string) float64 {
 	if w, ok := f.Weights[name]; ok && w > 0 {
 		return w
 	}
-	if f.DefaultWeight > 0 {
-		return f.DefaultWeight
-	}
 	return 1
-}
-
-// maxQueuedFor resolves the effective queue bound of a tenant.
-func (f *FairShare) maxQueuedFor(name string) int {
-	if n, ok := f.MaxQueuedBy[name]; ok && n > 0 {
-		return n
-	}
-	return f.MaxQueued
 }
 
 // tenantQ is one tenant's pending FIFO plus its SFQ service tag.
 type tenantQ[T any] struct {
-	name      string
-	cost      float64 // virtual service one pop is charged: 1/weight
-	maxQueued int
-	ring      Ring[Item[T]]
+	name string
+	cost float64 // virtual service one pop is charged: 1/weight
+	ring Ring[Item[T]]
 	// finish is the virtual finish tag of this tenant's last pop; the
 	// next pop starts at max(finish, global virtual time), which lets an
 	// idle tenant re-enter at the current clock instead of burning saved
@@ -98,9 +78,8 @@ func (q *fairQueue[T]) get(name string) *tenantQ[T] {
 		return tq
 	}
 	tq := &tenantQ[T]{
-		name:      name,
-		cost:      1 / q.cfg.weightFor(name),
-		maxQueued: q.cfg.maxQueuedFor(name),
+		name: name,
+		cost: 1 / q.cfg.weightFor(name),
 		// A new tenant starts at the current virtual time: it competes
 		// from now on, with no claim on service that predates it.
 		finish: q.vt,
@@ -113,21 +92,10 @@ func (q *fairQueue[T]) get(name string) *tenantQ[T] {
 	return tq
 }
 
-// push appends unconditionally (requeues, restores).
+// push appends it to its tenant's ring.
 func (q *fairQueue[T]) push(it Item[T]) {
 	q.flow(it.X).ring.Push(it)
 	q.total++
-}
-
-// tryPush appends unless the tenant's bound is hit.
-func (q *fairQueue[T]) tryPush(it Item[T]) bool {
-	tq := q.flow(it.X)
-	if tq.maxQueued > 0 && tq.ring.Len() >= tq.maxQueued {
-		return false
-	}
-	tq.ring.Push(it)
-	q.total++
-	return true
 }
 
 // peek returns the SFQ-minimal backlogged tenant and its virtual start

@@ -118,42 +118,6 @@ func TestFairShareFIFOWithinTenant(t *testing.T) {
 	}
 }
 
-func TestFairShareBoundedQueues(t *testing.T) {
-	c := newFairCore(&FairShare{MaxQueued: 2, MaxQueuedBy: map[string]int{"big": 4}})
-	for i := 0; i < 3; i++ {
-		ok := c.TryEnqueue(0, ftask{tn: "small", id: i})
-		if want := i < 2; ok != want {
-			t.Fatalf("small TryEnqueue #%d = %v, want %v", i, ok, want)
-		}
-	}
-	for i := 0; i < 5; i++ {
-		ok := c.TryEnqueue(0, ftask{tn: "big", id: i})
-		if want := i < 4; ok != want {
-			t.Fatalf("big TryEnqueue #%d = %v, want %v", i, ok, want)
-		}
-	}
-	if got := c.QueueLen(); got != 6 {
-		t.Fatalf("QueueLen = %d, want 6", got)
-	}
-	if got := c.Counters.Submitted; got != 6 {
-		t.Fatalf("Submitted = %d, want 6 (rejections must not count)", got)
-	}
-	// Requeue and Restore bypass the bound: admitted work is never shed.
-	it, _, ok := c.Pick(c.AddExec("x", 1))
-	if !ok {
-		t.Fatal("pick failed")
-	}
-	if !c.Requeue(it) {
-		t.Fatal("requeue refused")
-	}
-	c.Restore(0, ftask{tn: "small", id: 99}, 1)
-	lens := map[string]int{}
-	c.TenantQueueLens(lens)
-	if lens["small"]+lens["big"] != 7 {
-		t.Fatalf("tenant lens = %v, want 7 total", lens)
-	}
-}
-
 func TestFairSharePickAnyPreservesFairness(t *testing.T) {
 	// The policy-blind pop must run the same SFQ arbitration, not bypass to
 	// any single tenant's FIFO.
@@ -207,9 +171,7 @@ func TestFairShareOffIsUnchangedFIFO(t *testing.T) {
 	}
 	c.Enqueue(0, ftask{tn: "z", id: 1})
 	c.Enqueue(0, ftask{tn: "a", id: 2})
-	if !c.TryEnqueue(0, ftask{tn: "z", id: 3}) {
-		t.Fatal("TryEnqueue must always admit without fair-share")
-	}
+	c.Enqueue(0, ftask{tn: "z", id: 3})
 	for i, want := range []int{1, 2, 3} {
 		it, ok := c.PickAny()
 		if !ok || it.X.id != want {

@@ -183,10 +183,6 @@ type Model struct {
 	// model bit-for-bit unchanged.
 	FairShare *sched.FairShare
 
-	// Rejected counts tasks refused at enqueue by a tenant's MaxQueued
-	// bound (fair-share only; such tasks never run and produce no Rec).
-	Rejected int
-
 	// Stager prices dynamic data staging: given a task's StageBytes and the
 	// number of concurrent stagings (including this one), it returns the
 	// staging duration. Models shared-bandwidth contention (Figure 4).
@@ -451,7 +447,7 @@ func (m *Model) Submit(specs []Spec, bundle int) {
 			for _, s := range batch {
 				m.nextTask++
 				t := mtask{id: m.nextTask, dur: s.Dur, stage: s.Stage, tag: s.Tag, dataset: s.Dataset, stageIn: s.StageIn, stageBytes: s.StageBytes, tenant: s.Tenant}
-				m.enqueue(now, t)
+				m.core.Enqueue(now, t)
 			}
 			if share := m.P.SubmitShare; share > 0 {
 				m.dispSubmit(time.Duration(share*float64(cost)), m.kick)
@@ -482,7 +478,7 @@ func (m *Model) InjectBundle(ids []int, specs []Spec, onAccepted func()) {
 		now := m.E.Now()
 		for i, s := range specs {
 			t := mtask{id: ids[i], dur: s.Dur, stage: s.Stage, tag: s.Tag, dataset: s.Dataset, stageIn: s.StageIn, stageBytes: s.StageBytes, tenant: s.Tenant}
-			m.enqueue(now, t)
+			m.core.Enqueue(now, t)
 		}
 		if share := m.P.SubmitShare; share > 0 {
 			m.dispSubmit(time.Duration(share*float64(cost)), m.kick)
@@ -493,19 +489,6 @@ func (m *Model) InjectBundle(ids []int, specs []Spec, onAccepted func()) {
 			onAccepted()
 		}
 	})
-}
-
-// enqueue queues t, honoring the tenant's MaxQueued bound when the
-// fair-share layer is on (rejected tasks are counted and dropped — the
-// virtual analogue of the live dispatcher refusing admission).
-func (m *Model) enqueue(now time.Duration, t mtask) {
-	if m.FairShare != nil {
-		if !m.core.TryEnqueue(now, t) {
-			m.Rejected++
-		}
-		return
-	}
-	m.core.Enqueue(now, t)
 }
 
 // PreloadQueue stuffs n tasks of duration dur directly into the dispatch

@@ -84,36 +84,3 @@ func TestHostileTenantDeterministic(t *testing.T) {
 		t.Fatalf("p99 differs across identical runs: %v vs %v", a, b)
 	}
 }
-
-// TestTenantMaxQueuedRejects: a tenant bound at MaxQueued sees enqueues
-// refused once its ring fills, and the refusals are counted, not silently
-// dropped into other tenants' capacity.
-func TestTenantMaxQueuedRejects(t *testing.T) {
-	e := sim.New(42)
-	m := New(e, NoSecurity())
-	m.FairShare = &sched.FairShare{MaxQueuedBy: map[string]int{"bounded": 50}}
-	m.KeepRecords = true
-	m.AddExecutor(0, nil)
-	specs := make([]Spec, 1000)
-	for i := range specs {
-		specs[i] = Spec{Tenant: "bounded"}
-	}
-	m.Submit(specs, 200)
-	e.Run()
-	if m.Rejected == 0 {
-		t.Fatal("overfull tenant queue rejected nothing")
-	}
-	if m.Completed()+m.Rejected != len(specs) {
-		t.Fatalf("completed %d + rejected %d != %d", m.Completed(), m.Rejected, len(specs))
-	}
-	done := 0
-	for _, r := range m.Records {
-		if r.Tenant != "bounded" {
-			t.Fatalf("record carries tenant %q", r.Tenant)
-		}
-		done++
-	}
-	if done != m.Completed() {
-		t.Fatalf("records %d != completed %d", done, m.Completed())
-	}
-}

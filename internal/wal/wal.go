@@ -21,35 +21,26 @@ const (
 	// the same batch share one fsync (group commit), and AppendWait
 	// releases only after the sync — full durability.
 	SyncGroup SyncMode = iota
-	// SyncInterval writes batches promptly but fsyncs on a timer;
-	// AppendWait releases after the OS write. A crash loses at most one
-	// interval of OS-buffered records.
-	SyncInterval
 	// SyncOff never fsyncs; the OS flushes at its leisure. Survives process
 	// crashes (kill -9) but not power loss.
 	SyncOff
 )
 
-// SyncPolicy pairs a mode with its interval (SyncInterval only).
+// SyncPolicy is the journal's fsync policy.
 type SyncPolicy struct {
-	Mode     SyncMode
-	Interval time.Duration
+	Mode SyncMode
 }
 
 // String renders the policy the way ParseSyncPolicy reads it.
 func (p SyncPolicy) String() string {
-	switch p.Mode {
-	case SyncGroup:
-		return "group"
-	case SyncOff:
+	if p.Mode == SyncOff {
 		return "off"
-	default:
-		return p.Interval.String()
 	}
+	return "group"
 }
 
-// ParseSyncPolicy reads a -journal-sync flag value: "group" (default),
-// "off", or an fsync interval such as "100ms".
+// ParseSyncPolicy reads a -journal-sync flag value: "group" (default) or
+// "off".
 func ParseSyncPolicy(s string) (SyncPolicy, error) {
 	switch strings.TrimSpace(s) {
 	case "", "group", "always":
@@ -57,11 +48,7 @@ func ParseSyncPolicy(s string) (SyncPolicy, error) {
 	case "off", "never", "none":
 		return SyncPolicy{Mode: SyncOff}, nil
 	}
-	d, err := time.ParseDuration(s)
-	if err != nil || d <= 0 {
-		return SyncPolicy{}, fmt.Errorf("wal: bad sync policy %q (want group, off, or a positive interval)", s)
-	}
-	return SyncPolicy{Mode: SyncInterval, Interval: d}, nil
+	return SyncPolicy{}, fmt.Errorf("wal: bad sync policy %q (want group or off)", s)
 }
 
 // Options configures a Journal.
@@ -429,30 +416,22 @@ func (j *Journal) AppendCompletes(rec *CompleteBatchRec) error {
 // batch, fsync per policy, release the batch's waiters.
 func (j *Journal) run() {
 	defer close(j.done)
-	var tickC <-chan time.Time
-	if j.opts.Sync.Mode == SyncInterval {
-		t := time.NewTicker(j.opts.Sync.Interval)
-		defer t.Stop()
-		tickC = t.C
-	}
 	for {
 		select {
 		case <-j.stop:
-			j.commit(true, true)
+			j.commit(true)
 			return
 		case <-j.kick:
-			j.commit(j.opts.Sync.Mode == SyncGroup, false)
-		case <-tickC:
-			j.commit(true, false)
+			j.commit(false)
 		}
 	}
 }
 
 // commit drains every appender (index order), writes the concatenated
-// batch, and optionally fsyncs. File I/O runs under wmu only, so appenders
+// batch, and fsyncs it per policy. File I/O runs under wmu only, so appenders
 // never block behind a sync. final seals the appenders (close/shutdown):
 // any append racing the last commit fails instead of parking.
-func (j *Journal) commit(sync, final bool) {
+func (j *Journal) commit(final bool) {
 	j.wmu.Lock()
 	apps := j.appenders()
 	j.mu.Lock()
@@ -476,7 +455,7 @@ func (j *Journal) commit(sync, final bool) {
 			j.cBytes.Add(int64(len(batch)))
 		}
 	}
-	if err == nil && sync && wrote && j.opts.Sync.Mode != SyncOff {
+	if err == nil && wrote && j.opts.Sync.Mode != SyncOff {
 		err = seg.Sync()
 		j.cFsyncs.Inc()
 	}
@@ -644,8 +623,8 @@ func (j *Journal) Close() error {
 	<-j.done
 	j.wmu.Lock()
 	defer j.wmu.Unlock()
-	if j.opts.Sync.Mode != SyncGroup && j.err == nil {
-		j.seg.Sync() // interval/off modes: make the seal durable anyway
+	if j.opts.Sync.Mode == SyncOff && j.err == nil {
+		j.seg.Sync() // off mode: make the seal durable anyway
 	}
 	err := j.seg.Close()
 	if j.err != nil {

@@ -7,7 +7,6 @@ import (
 	"runtime"
 	"sync"
 	"testing"
-	"time"
 
 	"falkon/internal/task"
 )
@@ -29,16 +28,16 @@ func TestParseSyncPolicy(t *testing.T) {
 	cases := []struct {
 		in   string
 		mode SyncMode
-		ival time.Duration
 		bad  bool
 	}{
-		{"group", SyncGroup, 0, false},
-		{"", SyncGroup, 0, false},
-		{"off", SyncOff, 0, false},
-		{"100ms", SyncInterval, 100 * time.Millisecond, false},
-		{"1s", SyncInterval, time.Second, false},
-		{"-5ms", 0, 0, true},
-		{"banana", 0, 0, true},
+		{"group", SyncGroup, false},
+		{"", SyncGroup, false},
+		{"off", SyncOff, false},
+		// An fsync timer no test or script set, which a standby ignored.
+		{"100ms", 0, true},
+		{"1s", 0, true},
+		{"-5ms", 0, true},
+		{"banana", 0, true},
 	}
 	for _, c := range cases {
 		p, err := ParseSyncPolicy(c.in)
@@ -52,8 +51,8 @@ func TestParseSyncPolicy(t *testing.T) {
 			t.Errorf("ParseSyncPolicy(%q): %v", c.in, err)
 			continue
 		}
-		if p.Mode != c.mode || p.Interval != c.ival {
-			t.Errorf("ParseSyncPolicy(%q) = %+v, want mode %v interval %v", c.in, p, c.mode, c.ival)
+		if p.Mode != c.mode {
+			t.Errorf("ParseSyncPolicy(%q) = %+v, want mode %v", c.in, p, c.mode)
 		}
 	}
 }

@@ -438,6 +438,13 @@ func (s *PeerSet) Drop(p *Peer) {
 	s.mu.Unlock()
 }
 
+// Has reports whether p is in the set.
+func (s *PeerSet) Has(p *Peer) bool {
+	s.mu.Lock()
+	defer s.mu.Unlock()
+	return s.m[p.ID()] == p
+}
+
 // Len returns the number of peers in the set.
 func (s *PeerSet) Len() int { return int(s.n.Load()) }
 

@@ -1,13 +1,11 @@
 package core_test
 
 import (
-	"bytes"
-	"os"
 	"runtime"
-	"strconv"
 	"testing"
 
 	"falkon/internal/core"
+	"falkon/internal/obs"
 	"falkon/internal/task"
 )
 
@@ -38,11 +36,11 @@ func benchRound(b *testing.B, tasks int, oneP bool) {
 	round := startRound(b, tasks, oneP)
 	b.ReportAllocs()
 	b.ResetTimer()
-	r0, w0, counted := syscallCounts()
+	r0, w0, counted := obs.Syscalls()
 	for i := 0; i < b.N; i++ {
 		round()
 	}
-	if r1, w1, _ := syscallCounts(); counted {
+	if r1, w1, _ := obs.Syscalls(); counted {
 		b.ReportMetric(float64(r1-r0)/float64(b.N), "reads/op")
 		b.ReportMetric(float64(w1-w0)/float64(b.N), "writes/op")
 	}
@@ -57,14 +55,14 @@ func benchRound(b *testing.B, tasks int, oneP bool) {
 func TestSerialRoundSyscalls(t *testing.T) {
 	round := startRound(t, 1, true)
 	const rounds = 4096
-	r0, w0, counted := syscallCounts()
+	r0, w0, counted := obs.Syscalls()
 	if !counted {
 		t.Skip("no /proc/self/io")
 	}
 	for i := 0; i < rounds; i++ {
 		round()
 	}
-	r1, w1, _ := syscallCounts()
+	r1, w1, _ := obs.Syscalls()
 	reads, writes := float64(r1-r0)/rounds, float64(w1-w0)/rounds
 	t.Logf("%.3f reads and %.3f writes per task", reads, writes)
 	// The count is the process's: the odd write of the runtime's own (a log
@@ -75,23 +73,6 @@ func TestSerialRoundSyscalls(t *testing.T) {
 	if reads > 6.5 {
 		t.Errorf("%.3f read(2) per unqueued task, want at most 6.5 (one per frame, and few that find nothing)", reads)
 	}
-}
-
-// syscallCounts returns the read and write system calls this process has made
-// (syscr and syscw of /proc/self/io; reading them is two of the former).
-func syscallCounts() (reads, writes int64, ok bool) {
-	raw, err := os.ReadFile("/proc/self/io")
-	if err != nil {
-		return 0, 0, false
-	}
-	for _, line := range bytes.Split(raw, []byte("\n")) {
-		if v, found := bytes.CutPrefix(line, []byte("syscr: ")); found {
-			reads, _ = strconv.ParseInt(string(v), 10, 64)
-		} else if v, found := bytes.CutPrefix(line, []byte("syscw: ")); found {
-			writes, _ = strconv.ParseInt(string(v), 10, 64)
-		}
-	}
-	return reads, writes, true
 }
 
 // startRound boots the repo benchmark's system (on one P for the life of tb,

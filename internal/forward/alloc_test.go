@@ -15,6 +15,7 @@ import (
 	"falkon/internal/executor"
 	"falkon/internal/forward"
 	"falkon/internal/fproto"
+	"falkon/internal/obs"
 	"falkon/internal/task"
 	"falkon/internal/wal"
 )
@@ -24,37 +25,51 @@ import (
 // queues pointers into it, grants them to a link in a slice the link keeps,
 // encodes the grant for the leaf from that, takes the leaf's results through a
 // buffer the link keeps and passes them on, and none of that is per task —
-// measured 0.10 objects per task over the direct figure in this loop at -cpu
-// 1, 2 and 4, all of it per frame (0.11 to 0.12 while the root's outstanding
-// records came in chunks of 78, and 0.24 to 0.26 when the root became a
-// dispatcher); 0.18 to 0.22 with the root that kept its own pending maps
-// instead of a scheduling core, 3.27 to 3.28 while that one copied every
+// measured 0.08 to 0.10 objects per task over the direct figure in this loop
+// at -cpu 1, 2 and 4, all of it per frame (0.10 to 0.11 while the server
+// copied every relayed submit's body into a fresh buffer and the link
+// allocated the EPR of every result push; 0.11 to 0.12 while the root's
+// outstanding records came in chunks of 78, and 0.24 to 0.26 when the root
+// became a dispatcher); 0.18 to 0.22 with the root that kept its own pending
+// maps instead of a scheduling core, 3.27 to 3.28 while that one copied every
 // bundle, boxed a 144-byte pending entry per task and allocated each task's
-// argument and its slice again. The ceiling is the old
-// measurement plus 15 % plus 0.4 for a tier whose five batches all met a stall
-// (one run in 36 read 0.59): one object per task, 1.0, would not pass. The
-// repo benchmark's tree-bulk minus direct-bulk is the same quantity end to end.
+// argument and its slice again. The ceiling is the old measurement plus 15 %
+// plus 0.4 for a tier whose five batches all met a stall (one run in 36 read
+// 0.59): one object per task, 1.0, would not pass. The repo benchmark's
+// tree-bulk minus direct-bulk is the same quantity end to end.
 const treeHopCeiling = 0.65
+
+// treeHopBytesCeiling is the same hop's bytes: measured 78 to 86 per task at
+// -cpu 1, 2 and 4 in most runs, 51 to 106 over 33 (now and then either tier's
+// lowest batch reads 20 to 30 B a task off its usual figure, either way). It
+// was 164 to 192, and 142 once, while the server copied each relayed submit's
+// body into a fresh buffer: about 88 B a task in this loop's 4,096-task
+// bundles. The ceiling is the highest measurement plus 15 %, and 8 more for a
+// run in which both tiers stray against it; the old copy does not pass.
+const treeHopBytesCeiling = 130
 
 // The core budget test's loop (internal/core) run twice, with the same two
 // executors: under one dispatcher, then one under each of two leaf
 // dispatchers behind a root. Every task carries an argument of its own.
 func TestTreeHopAllocBudget(t *testing.T) {
-	direct := budgetTier(t, false)
-	tree := budgetTier(t, true)
-	t.Logf("direct %.2f, tree %.2f allocations per task", direct, tree)
+	direct, directBytes := budgetTier(t, false)
+	tree, treeBytes := budgetTier(t, true)
+	t.Logf("direct %.2f, tree %.2f allocations per task; direct %.0f, tree %.0f bytes", direct, tree, directBytes, treeBytes)
 	if hop := tree - direct; hop > treeHopCeiling {
 		t.Errorf("the tree hop costs %.2f allocations per task (%.2f against %.2f direct), budget %.2f", hop, tree, direct, treeHopCeiling)
+	}
+	if hop := treeBytes - directBytes; hop > treeHopBytesCeiling {
+		t.Errorf("the tree hop costs %.0f bytes per task (%.0f against %.0f direct), budget %d", hop, treeBytes, directBytes, treeHopBytesCeiling)
 	}
 }
 
 // budgetTier boots two executors under one dispatcher, or one under each of
 // two leaves of a root, and returns the process-wide heap allocations per
-// task of the lowest of five 4,096-task batches. On the tree it then restarts
-// a leaf in the middle of a batch: what the root replays it finds in its
-// outstanding table, through pointers into the bundles it was sent, and every
-// task must still come back exactly once.
-func budgetTier(t *testing.T, tree bool) float64 {
+// task, objects and bytes, each the lowest of five 4,096-task batches. On the
+// tree it then restarts a leaf in the middle of a batch: what the root replays
+// it finds in its outstanding table, through pointers into the bundles it was
+// sent, and every task must still come back exactly once.
+func budgetTier(t *testing.T, tree bool) (objects, bytes float64) {
 	t.Helper()
 	front, leaves := bootTier(t, tree, 2, dispatch.Options{})
 	c, err := client.Connect(client.Options{DispatcherAddr: front, BundleSize: 4096})
@@ -84,19 +99,20 @@ func budgetTier(t *testing.T, tree bool) float64 {
 	}
 	run(1024) // buffers, pools and per-method instruments reach steady state
 	fallbacks := fproto.CodecFallbacks.Value()
-	perTask := math.Inf(1)
+	objects, bytes = math.Inf(1), math.Inf(1)
 	for batch := 0; batch < 5; batch++ {
 		var m0, m1 runtime.MemStats
 		runtime.ReadMemStats(&m0)
 		run(4096)
 		runtime.ReadMemStats(&m1)
-		perTask = min(perTask, float64(m1.Mallocs-m0.Mallocs)/4096)
+		objects = min(objects, float64(m1.Mallocs-m0.Mallocs)/4096)
+		bytes = min(bytes, float64(m1.TotalAlloc-m0.TotalAlloc)/4096)
 	}
 	if n := fproto.CodecFallbacks.Value() - fallbacks; n != 0 {
 		t.Errorf("%d bodies between this repo's own components took the encoding/json fallback", n)
 	}
 	if !tree {
-		return perTask
+		return objects, bytes
 	}
 
 	// 2 ms each, so that the leaf dies owing most of them.
@@ -115,7 +131,7 @@ func budgetTier(t *testing.T, tree bool) float64 {
 		}
 		seen[r.ID] = true
 	}
-	return perTask
+	return objects, bytes
 }
 
 // bootTier boots execs one-slot executors under one dispatcher, or spread
@@ -153,7 +169,9 @@ func bootTier(tb testing.TB, tree bool, execs int, opts dispatch.Options) (front
 // loop. plain is direct-bulk, journal journal-bulk (group commit, fsync a
 // no-op), tree tree-bulk (a root over two leaves). It reports the process's
 // heap allocations per task, objects and bytes, as the repo benchmark counts
-// them; tree minus plain is what a hop of the tree costs.
+// them, and on linux its read(2) and write(2) calls per task, every
+// connection's both ends included; tree minus plain is what a hop of the tree
+// costs.
 func BenchmarkBulkRound(b *testing.B) {
 	for _, tc := range []struct {
 		name          string
@@ -175,12 +193,18 @@ func BenchmarkBulkRound(b *testing.B) {
 			n := (b.N + bulkBundle - 1) / bulkBundle * bulkBundle
 			var m0, m1 runtime.MemStats
 			runtime.ReadMemStats(&m0)
+			r0, w0, counted := obs.Syscalls()
 			b.ResetTimer()
 			closedLoop(b, c, &gen, n)
 			b.StopTimer()
+			r1, w1, _ := obs.Syscalls()
 			runtime.ReadMemStats(&m1)
 			b.ReportMetric(float64(m1.Mallocs-m0.Mallocs)/float64(n), "allocs/task")
 			b.ReportMetric(float64(m1.TotalAlloc-m0.TotalAlloc)/float64(n), "B/task")
+			if counted {
+				b.ReportMetric(float64(r1-r0)/float64(n), "reads/task")
+				b.ReportMetric(float64(w1-w0)/float64(n), "writes/task")
+			}
 		})
 	}
 }

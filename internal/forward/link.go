@@ -189,7 +189,7 @@ func (l *link) onNotify(method string, body json.RawMessage) {
 	l.dmu.Lock()
 	defer l.dmu.Unlock()
 	n := &l.pushed
-	if n.DecodeJSON(body) != nil {
+	if n.DecodeInterned(body, l.downEPR) != nil {
 		return
 	}
 	l.mu.Lock()
@@ -216,6 +216,14 @@ func (l *link) onNotify(method string, body json.RawMessage) {
 	if err == nil {
 		l.Notify("", nil)
 	}
+}
+
+// downEPR is the fproto.Intern of a leaf's result push: the downstream EPR, as
+// the link already holds it, of an instance it created.
+func (l *link) downEPR(b []byte) string {
+	l.mu.Lock()
+	defer l.mu.Unlock()
+	return l.down[l.real[string(b)]]
 }
 
 // run is the link's goroutine: it restocks the leaf when kicked.

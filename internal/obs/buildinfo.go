@@ -2,6 +2,7 @@ package obs
 
 import (
 	"fmt"
+	"os"
 	"runtime"
 	"runtime/debug"
 	"time"
@@ -53,4 +54,16 @@ func RegisterBuildInfo(reg *Registry, component string) {
 			up.Set(int64(time.Since(start).Seconds()))
 		}
 	}()
+}
+
+// Syscalls returns the read and write system calls this process has made
+// (syscr and syscw of /proc/self/io; reading them is two of the former), or
+// false where there is no such file: the syscall ledger the tests keep.
+func Syscalls() (reads, writes int64, ok bool) {
+	raw, err := os.ReadFile("/proc/self/io")
+	var chars int64
+	if err == nil {
+		_, err = fmt.Sscanf(string(raw), "rchar: %d\nwchar: %d\nsyscr: %d\nsyscw: %d", &chars, &chars, &reads, &writes)
+	}
+	return reads, writes, err == nil
 }

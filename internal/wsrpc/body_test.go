@@ -6,6 +6,8 @@ import (
 	"fmt"
 	"net"
 	"reflect"
+	"runtime"
+	"strings"
 	"sync/atomic"
 	"testing"
 	"time"
@@ -100,6 +102,80 @@ func TestSelfCodedBodies(t *testing.T) {
 			}
 		})
 	}
+}
+
+// rawArg is a call argument spliced into its frame as it is, so that sending
+// it copies nothing on the caller's side.
+type rawArg []byte
+
+func (a *rawArg) AppendJSON(dst []byte) []byte { return append(dst, *a...) }
+
+// A Register'ed handler runs beside further reads, so it is handed a copy of
+// its body: one recycled once its reply is out, and its handler's alone until
+// then.
+func TestGoroutineBody(t *testing.T) {
+	fill := func(c string) rawArg { return rawArg(`"` + strings.Repeat(c, 6<<10-2) + `"`) }
+	a, b := fill("a"), fill("b")
+	held, release := make(chan struct{}, 1), make(chan struct{})
+	s := NewServer(ServerOptions{Logf: t.Logf})
+	s.Register("take", func(*Peer, json.RawMessage) (any, error) { return nil, nil })
+	s.Register("hold", func(_ *Peer, body json.RawMessage) (any, error) {
+		held <- struct{}{}
+		<-release
+		if !bytes.Equal(body, a) {
+			return nil, fmt.Errorf("the body changed under its handler: %.16q…", body)
+		}
+		return nil, nil
+	})
+	if err := s.Listen("127.0.0.1:0"); err != nil {
+		t.Fatal(err)
+	}
+	defer s.Close()
+	c, err := Dial(s.Addr(), ClientOptions{})
+	if err != nil {
+		t.Fatal(err)
+	}
+	defer c.Close()
+	take := func(t *testing.T, arg *rawArg) {
+		t.Helper()
+		if err := c.Call("take", arg, nil); err != nil {
+			t.Fatal(err)
+		}
+	}
+
+	t.Run("recycled", func(t *testing.T) {
+		for i := 0; i < 20; i++ {
+			take(t, &a) // the spare, the cork and the read buffer reach their sizes
+		}
+		const calls = 200
+		var m0, m1 runtime.MemStats
+		runtime.ReadMemStats(&m0)
+		for i := 0; i < calls; i++ {
+			take(t, &a)
+		}
+		runtime.ReadMemStats(&m1)
+		perCall := float64(m1.TotalAlloc-m0.TotalAlloc) / calls
+		t.Logf("%.0f bytes allocated per call with a %d-byte argument", perCall, len(a))
+		if perCall >= float64(len(a))/2 {
+			t.Errorf("%.0f bytes allocated per call, want under %d: the body's copy is not recycled", perCall, len(a)/2)
+		}
+	})
+
+	t.Run("own", func(t *testing.T) {
+		done := make(chan error, 1)
+		go func() { done <- c.Call("hold", &a, nil) }()
+		select {
+		case <-held:
+		case <-time.After(5 * time.Second):
+			close(release) // or the server's Close waits on the handler for ever
+			t.Fatal("the held call never reached its handler")
+		}
+		take(t, &b) // answered while the first handler still holds its body
+		close(release)
+		if err := <-done; err != nil {
+			t.Fatal(err)
+		}
+	})
 }
 
 // dupAll is a ConnFaults that duplicates every notify and nothing else.

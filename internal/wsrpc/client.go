@@ -24,9 +24,8 @@ func (e *RemoteError) Error() string { return e.Msg }
 
 // NotifyHandler receives server-pushed notifications. It runs on the
 // client's read loop goroutine: implementations must not block (hand off to
-// a channel or goroutine for real work). body aliases the connection's read
-// buffer and is valid only for the duration of the call — decode it in
-// place (json.Unmarshal copies what it keeps) or copy it to retain it.
+// a channel or goroutine for real work). body lies in the connection's read
+// buffer, under the package's body rule.
 type NotifyHandler func(method string, body json.RawMessage)
 
 // ClientOptions configures Dial.

@@ -6,6 +6,9 @@
 // server-initiated notifications (the "push" half of the hybrid model), and
 // an optional security profile that authenticates and encrypts every frame
 // (standing in for GSISecureConversation).
+//
+// The body rule: a body handed to a Handler or a NotifyHandler is valid until
+// the handler returns, and then reused; a handler copies what it keeps.
 package wsrpc
 
 import (

@@ -19,6 +19,10 @@ import (
 // JSON; the returned value is encoded as the reply. Handlers installed with
 // Register run on their own goroutine per call and may block; handlers
 // installed with RegisterFast run inline on the read loop and must not.
+//
+// The body rule holds however a handler was installed: body lies in the read
+// buffer or in the connection's recycled copy, which a reply may alias (it is
+// reused once the reply is encoded), and is valid until the handler returns.
 type Handler func(peer *Peer, body json.RawMessage) (any, error)
 
 // Releaser is a reply on loan: Release is called once it has been encoded into
@@ -122,8 +126,6 @@ func (s *Server) Register(name string, h Handler) {
 // per-call goroutine spawn on hot methods, but the handler must be
 // non-blocking: while it runs, no further frame is read from that
 // connection (long-polling handlers like collect must stay on Register).
-// The body passed to a fast handler may alias the connection's read buffer
-// and is valid only for the duration of the call.
 func (s *Server) RegisterFast(method string, h Handler) {
 	s.Register(method, h)
 	s.methods[method].fast = true
@@ -256,6 +258,9 @@ func (s *Server) handleConn(c net.Conn) {
 
 	var calls sync.WaitGroup
 	defer calls.Wait()
+	// A goroutine-dispatched call's body goes into spare (or a new buffer), given
+	// back once its reply is written unless it grew past corkRetainBuffer.
+	spare := make(chan []byte, 1)
 	strays := 0 // frames that were not calls
 	err = fc.ReadFrames(func(raw []byte) error {
 		if s.rxBytes != nil {
@@ -294,9 +299,13 @@ func (s *Server) handleConn(c net.Conn) {
 			return nil
 		}
 		// Goroutine dispatch: the handler runs concurrently with further
-		// reads, so it gets its own copy of the body.
-		body := make(json.RawMessage, len(v.body))
-		copy(body, v.body)
+		// reads, so it gets a copy of the body, its own until the reply is out.
+		var buf []byte
+		select {
+		case buf = <-spare:
+		default:
+		}
+		body := json.RawMessage(append(buf[:0], v.body...))
 		seq, trace := v.seq, v.trace
 		calls.Add(1)
 		go func() {
@@ -309,6 +318,12 @@ func (s *Server) handleConn(c net.Conn) {
 				m.lat.Observe(end.Sub(start).Seconds())
 			}
 			s.reply(peer, seq, trace, recvNS, end, res, herr)
+			if cap(body) <= corkRetainBuffer {
+				select {
+				case spare <- body:
+				default:
+				}
+			}
 		}()
 		return nil
 	})

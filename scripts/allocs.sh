@@ -14,8 +14,8 @@
 # batch), so divide by the tasks it ran, not by one batch. With -bench the
 # benchmark runs 20,000 iterations that way (after its own warm-up: divide by
 # what it ran in all), and 600,000 more unsampled under -cpuprofile, whose top —
-# flat, then cumulative, then summed by layer under the reads/op and writes/op
-# the benchmark counted — is printed beside the two allocation tables: both
+# flat, then cumulative, then summed by layer under the read(2) and write(2)
+# per task the benchmark counted — is printed beside the two allocation tables: both
 # ledgers of a message come from this one command. The test binary and the
 # profiles go to a temporary directory that is removed afterwards.
 #
@@ -55,9 +55,10 @@ if [ "$bench" = 1 ]; then
     # The time ledger: every sample goes to the first layer below that has a
     # function anywhere on its stack, so the rows are disjoint and sum to the
     # profile. Order matters: the layers that call nothing of ours come first.
-    # What the benchmark counted beside its time (BenchmarkSerialRound: the
-    # process's read(2) and write(2) per task, from /proc/self/io).
-    awk '/^Benchmark/ { for (i = 3; i < NF; i += 2) if ($(i + 1) ~ /^(reads|writes)\/op$/) printf "%-38s %9s\n", $(i + 1), $i }' "$out/bench.txt"
+    # What the benchmark counted beside its time: the process's read(2) and
+    # write(2) per task, from /proc/self/io (BenchmarkSerialRound's reads/op
+    # and writes/op, BenchmarkBulkRound's reads/task and writes/task).
+    awk '/^Benchmark/ { for (i = 3; i < NF; i += 2) if ($(i + 1) ~ /^(reads|writes)\/(op|task)$/) printf "%-38s %9s\n", $1 " " $(i + 1), $i }' "$out/bench.txt"
     echo "layer                                     ms      %"
     seen='^$' total=0 rows=()
     while IFS='|' read -r name re; do

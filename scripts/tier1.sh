@@ -61,8 +61,9 @@ go test -run='TestTreeMillionExecutors' -count=1 -v ./internal/simfalkon/
 go test -run='TestAllocsPerTaskBudget|TestSerialRoundSyscalls' -cpu 1,2,4 -count=1 ./internal/core/
 # Bytes a dispatcher holds per task queued, per task held, and after 100K drain.
 go test -run='TestBytesPerTaskAtRest' -cpu 1,2,4 -count=1 ./internal/dispatch/
-# And what a level of the dispatch tree adds to it: a root over two leaves
-# against one dispatcher, same loop, plus a leaf restart mid-batch.
+# And what a level of the dispatch tree adds to it, objects and bytes: a root
+# over two leaves against one dispatcher, same loop, plus a leaf restart
+# mid-batch.
 go test -run='TestTreeHopAllocBudget' -cpu 1,2,4 -count=1 ./internal/forward/
 # The repo benchmark's smoke run: all four workloads in one process, 2,048
 # tasks a window, exactly-once checked bit per task ID — the check most likely

@@ -267,6 +267,12 @@ func TestDecodeJSONFallback(t *testing.T) {
 		{4, `{"executor_id":"x","results":[{"epr":"e","result":{"id":01},"run_dur":0}]}`},
 		{6, `{"queued":7,"queued":8}`},
 		{7, `{"epr":"e","results":[{"id":1,"executor":"x"} ]}`},
+		// Members the decoders read by name, out of their order, twice, or
+		// unknown to them: encoding/json takes each, keeping the last of two.
+		{0, `{"epr":"e","tasks":[{"id":1,"trace":9,"command":"sleep"}]}`},
+		{7, `{"epr":"e","results":[{"id":1,"executor":"x","executor":"y","attempts":1}]}`},
+		{7, `{"epr":"e","results":[{"id":1,"executor":"x","host":"h","attempts":1}]}`},
+		{0, `{"epr":"e","tasks":[{"id":1,"io":{"write_bytes":2,"read_bytes":1}}]}`},
 	} {
 		k := bodyKinds[tc.kind]
 		got, want := k.fresh(), k.fresh()
@@ -393,10 +399,12 @@ func FuzzBodyCodec(f *testing.F) {
 		f.Add(uint8(i), v.AppendJSON(nil))
 	}
 	f.Add(uint8(0), manyArgs(3, 40)) // one element outgrowing the chunks the count sized
-	// The integers around jsonwire.ParseUint's one overflow check (its test's
-	// uintEdges), as a task ID and as a trace.
+	// The integers around jsonwire.ParseUint's one overflow check and the ends
+	// of its eight-digit strides (its test's uintEdges), as a task ID and as a
+	// trace.
 	for _, n := range []string{"9999999999999999999", "10000000000000000000", "18446744073709551615",
-		"18446744073709551616", "99999999999999999999", "100000000000000000000", "01", "00000000000000000001"} {
+		"18446744073709551616", "99999999999999999999", "100000000000000000000", "01", "00000000000000000001",
+		"99999999", "100000000", "9999999999999999", "10000000000000000"} {
 		f.Add(uint8(0), []byte(`{"epr":"e","tasks":[{"id":`+n+`,"command":"sleep","trace":`+n+`}]}`))
 		f.Add(uint8(7), []byte(`{"epr":"e","results":[{"id":`+n+`,"trace":`+n+`}]}`))
 	}
@@ -728,26 +736,57 @@ func benchmarkDecode(b *testing.B, body []byte, codec func([]byte) error, ref fu
 	})
 }
 
+// benchShape is a pair of frames the Benchmark pairs price, by name: "bundle"
+// is bundleShapes', and "bulk" the same 64 elements as the repo benchmark's
+// bulk rows send them (benchmark/loop.go) — 10-digit IDs, 19-digit traces and
+// one 16-byte argument a task, each result with its four stamps.
+type benchShape struct {
+	name   string
+	submit SubmitRequest
+	notify ResultsNotify
+}
+
+func benchShapes() []benchShape {
+	submit, notify := bundleShapes("")
+	bundle := benchShape{"bundle", submit, notify}
+	submit, notify = bundleShapes("")
+	for i := range submit.Tasks {
+		t := &submit.Tasks[i]
+		t.Trace = 1e18 + uint64(t.ID)
+		t.Args = []string{fmt.Sprintf("%016x", uint64(t.ID)*0x9e3779b97f4a7c15)}
+		notify.Results[i].Trace = t.Trace
+	}
+	return []benchShape{bundle, {"bulk", submit, notify}}
+}
+
 func BenchmarkSubmitRequestEncode(b *testing.B) {
-	submit, _ := bundleShapes("")
-	benchmarkEncode(b, submit.AppendJSON, jsonSubmit(submit))
+	for _, s := range benchShapes() {
+		b.Run(s.name, func(b *testing.B) { benchmarkEncode(b, s.submit.AppendJSON, jsonSubmit(s.submit)) })
+	}
 }
 
 func BenchmarkResultsNotifyEncode(b *testing.B) {
-	_, notify := bundleShapes("")
-	benchmarkEncode(b, notify.AppendJSON, jsonNotify(notify))
+	for _, s := range benchShapes() {
+		b.Run(s.name, func(b *testing.B) { benchmarkEncode(b, s.notify.AppendJSON, jsonNotify(s.notify)) })
+	}
 }
 
 func BenchmarkSubmitRequestDecode(b *testing.B) {
-	submit, _ := bundleShapes("")
-	benchmarkDecode(b, submit.AppendJSON(nil),
-		func(body []byte) error { return new(SubmitRequest).DecodeJSON(body) },
-		func() any { return new(jsonSubmit) })
+	for _, s := range benchShapes() {
+		b.Run(s.name, func(b *testing.B) {
+			benchmarkDecode(b, s.submit.AppendJSON(nil),
+				func(body []byte) error { return new(SubmitRequest).DecodeJSON(body) },
+				func() any { return new(jsonSubmit) })
+		})
+	}
 }
 
 func BenchmarkResultsNotifyDecode(b *testing.B) {
-	_, notify := bundleShapes("")
-	benchmarkDecode(b, notify.AppendJSON(nil),
-		func(body []byte) error { return new(ResultsNotify).DecodeJSON(body) },
-		func() any { return new(jsonNotify) })
+	for _, s := range benchShapes() {
+		b.Run(s.name, func(b *testing.B) {
+			benchmarkDecode(b, s.notify.AppendJSON(nil),
+				func(body []byte) error { return new(ResultsNotify).DecodeJSON(body) },
+				func() any { return new(jsonNotify) })
+		})
+	}
 }

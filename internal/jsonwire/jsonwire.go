@@ -12,26 +12,65 @@ package jsonwire
 
 import (
 	"bytes"
+	"encoding/binary"
 	"math"
+	"math/bits"
+	"slices"
 	"strings"
 	"unicode/utf16"
 	"unicode/utf8"
 )
 
-// AppendUint appends the decimal form of v.
+// digitPairs is "00" to "99": AppendUint writes two digits a table look-up.
+const digitPairs = "00010203040506070809" + "10111213141516171819" + "20212223242526272829" +
+	"30313233343536373839" + "40414243444546474849" + "50515253545556575859" +
+	"60616263646566676869" + "70717273747576777879" + "80818283848586878889" +
+	"90919293949596979899"
+
+// pow10 is 10^0 to 10^19.
+var pow10 = [20]uint64{1, 1e1, 1e2, 1e3, 1e4, 1e5, 1e6, 1e7, 1e8, 1e9,
+	1e10, 1e11, 1e12, 1e13, 1e14, 1e15, 1e16, 1e17, 1e18, 1e19}
+
+// AppendUint appends the decimal form of v. It sizes the digits from v's bit
+// length and writes them in place, last first: blocks of eight, one 64-bit
+// division each, as four pairs from 32-bit arithmetic — a trace ID's nineteen
+// digits take two divisions, not nineteen — and then pairs.
 func AppendUint(dst []byte, v uint64) []byte {
-	var tmp [20]byte
-	i := len(tmp)
-	for {
-		i--
-		tmp[i] = byte('0' + v%10)
-		v /= 10
-		if v == 0 {
-			break
-		}
+	if v < 10 {
+		return append(dst, byte('0'+v))
 	}
-	return append(dst, tmp[i:]...)
+	n := bits.Len64(v) * 1233 >> 12 // ⌊log10 2^len⌋: v has n or n+1 digits
+	if v >= pow10[n] {
+		n++
+	}
+	dst = slices.Grow(dst, n)[:len(dst)+n]
+	b := dst[len(dst)-n:]
+	for v >= 1e8 {
+		q := v / 1e8
+		block := uint32(v - q*1e8)
+		hi, lo := block/1e4, block%1e4
+		n -= 8
+		putPair(b[n:], hi/100)
+		putPair(b[n+2:], hi%100)
+		putPair(b[n+4:], lo/100)
+		putPair(b[n+6:], lo%100)
+		v = q
+	}
+	u := uint32(v)
+	for ; u >= 100; u /= 100 {
+		n -= 2
+		putPair(b[n:], u%100)
+	}
+	if u >= 10 {
+		putPair(b, u)
+	} else {
+		b[0] = byte('0' + u)
+	}
+	return dst
 }
+
+// putPair writes n < 100 as two digits.
+func putPair(b []byte, n uint32) { b[0], b[1] = digitPairs[2*n], digitPairs[2*n+1] }
 
 // AppendInt appends the decimal form of v, matching encoding/json for any
 // int64 so the decode-equivalence property holds.
@@ -101,9 +140,19 @@ func HasPrefix(b []byte, s string) bool {
 // ParseUint consumes a JSON non-negative integer: decimal digits with no
 // leading zero. Values past MaxUint64 are not ok: nineteen digits cannot
 // overflow, so only a twentieth is checked, and a twenty-first refused.
+//
+// The first sixteen digits are read eight at a time, as one little-endian
+// word, while eight more bytes are all digits; the rest one at a time.
 func ParseUint(p []byte) (uint64, []byte, bool) {
 	var n uint64
 	i := 0
+	for ; i <= 8 && len(p)-i >= 8; i += 8 {
+		w := binary.LittleEndian.Uint64(p[i:])
+		if !eightDigits(w) {
+			break
+		}
+		n = n*1e8 + valueOf8(w)
+	}
 	for ; i < len(p) && p[i] >= '0' && p[i] <= '9'; i++ {
 		d := uint64(p[i] - '0')
 		if i >= 19 && (i > 19 || n > (math.MaxUint64-d)/10) {
@@ -115,6 +164,23 @@ func ParseUint(p []byte) (uint64, []byte, bool) {
 		return 0, p, false
 	}
 	return n, p[i:], true
+}
+
+// eightDigits reports whether every byte of w is '0' to '9': its high nibble
+// is 3, and still 3 once 6 is added, which carries ':' to '?' out of it.
+func eightDigits(w uint64) bool {
+	const high, three = 0xf0f0f0f0f0f0f0f0, 0x3030303030303030
+	return w&high == three && (w+0x0606060606060606)&high == three
+}
+
+// valueOf8 is the number eight digits spell, read into w little-endian (the
+// first, most significant digit in the lowest byte): each step merges
+// neighbouring lanes into one twice as wide, two digits, then four, then
+// eight.
+func valueOf8(w uint64) uint64 {
+	w = (w & 0x0f0f0f0f0f0f0f0f) * (10<<8 + 1) >> 8
+	w = (w & 0x00ff00ff00ff00ff) * (100<<16 + 1) >> 16
+	return (w & 0x0000ffff0000ffff) * (10000<<32 + 1) >> 32
 }
 
 // ParseInt consumes an optional minus sign and a JSON integer within int64.
@@ -253,7 +319,8 @@ func hex4(p []byte) (r rune, n int) {
 // §9, "Body codec"): one allocation serves every element's strings, and
 // keeping one of them keeps its chunk — at most this document's strings.
 type Reader struct {
-	p       []byte
+	doc     []byte
+	at      int    // doc[:at] is read; an offset, so that advancing stores no pointer (no write barrier)
 	scratch []byte // unescape buffer, reused from string to string
 	bad     bool
 	left    int             // elements Count found and Elem has not yet reached
@@ -263,19 +330,26 @@ type Reader struct {
 
 // Reset points the reader at a new document, which shares no chunk with the
 // last one.
-func (r *Reader) Reset(p []byte) { *r = Reader{p: p, scratch: r.scratch} }
+func (r *Reader) Reset(p []byte) { *r = Reader{doc: p, scratch: r.scratch} }
+
+// rest is what is left of the document.
+func (r *Reader) rest() []byte { return r.doc[r.at:] }
+
+// took moves past what a parser consumed of rest(), leaving rest, and
+// records whether it parsed.
+func (r *Reader) took(rest []byte, ok bool) { r.at, r.bad = len(r.doc)-len(rest), !ok }
 
 // OK reports whether everything so far parsed and the document is used up.
-func (r *Reader) OK() bool { return !r.bad && len(r.p) == 0 }
+func (r *Reader) OK() bool { return !r.bad && r.at == len(r.doc) }
 
 // Lit consumes s if the input continues with it, and reports whether it did.
 // It is how optional (omitempty) fields and loop ends are tested; a miss is
 // not a failure.
 func (r *Reader) Lit(s string) bool {
-	if r.bad || !HasPrefix(r.p, s) {
+	if r.bad || !HasPrefix(r.rest(), s) {
 		return false
 	}
-	r.p = r.p[len(s):]
+	r.at += len(s)
 	return true
 }
 
@@ -291,8 +365,8 @@ func (r *Reader) Uint() uint64 {
 	if r.bad {
 		return 0
 	}
-	v, rest, ok := ParseUint(r.p)
-	r.p, r.bad = rest, !ok
+	v, rest, ok := ParseUint(r.rest())
+	r.took(rest, ok)
 	return v
 }
 
@@ -301,8 +375,8 @@ func (r *Reader) Int64() int64 {
 	if r.bad {
 		return 0
 	}
-	v, rest, ok := ParseInt(r.p)
-	r.p, r.bad = rest, !ok
+	v, rest, ok := ParseInt(r.rest())
+	r.took(rest, ok)
 	return v
 }
 
@@ -341,12 +415,12 @@ func (r *Reader) Str() []byte {
 		r.bad = true
 		return nil
 	}
-	v, rest, ok := ParsePlainString(r.p)
+	v, rest, ok := ParsePlainString(r.rest())
 	if !ok {
-		r.scratch, rest, ok = appendUnquoted(r.scratch[:0], r.p)
+		r.scratch, rest, ok = appendUnquoted(r.scratch[:0], r.rest())
 		v = r.scratch
 	}
-	r.p, r.bad = rest, !ok
+	r.took(rest, ok)
 	return v
 }
 
@@ -377,7 +451,7 @@ func (r *Reader) Interned(like string, known func([]byte) string) string {
 // count and the reader its chunks; both are only capacities, so a document
 // that is not what it claims can do no harm with it.
 func (r *Reader) Count(lit string) int {
-	r.left = bytes.Count(r.p, []byte(lit))
+	r.left = bytes.Count(r.rest(), []byte(lit))
 	return r.left
 }
 
@@ -387,7 +461,7 @@ func (r *Reader) Count(lit string) int {
 // element with many strings grows its chunks as append would — but never
 // more than the document has bytes left to fill.
 func (r *Reader) room(need, was, size int) int {
-	return min(max(need*(max(r.left, 0)+1), 2*was), need+len(r.p)/size)
+	return min(max(need*(max(r.left, 0)+1), 2*was), need+(len(r.doc)-r.at)/size)
 }
 
 // keep copies b, which Str returned, into the document's string chunk. run
@@ -431,27 +505,68 @@ func (r *Reader) Strings() []string {
 	return ss[:len(ss):len(ss)]
 }
 
-// Field consumes an optional field's key (`"name":`, quotes and colon
-// included) together with the comma separating it from the previous field,
-// for objects whose every field is optional: *first says whether the object
-// has had a field yet. Objects with a mandatory first field spell the comma
-// into the literal and use Lit.
-func (r *Reader) Field(first *bool, key string) bool {
-	if r.bad {
-		return false
-	}
-	p := r.p
-	if !*first {
+// Key reads the key of an object's next member, `,"name":` — `"name":` if
+// first, for the object's first member — and returns the name, which aliases
+// the input. Where the input does not continue with the comma and a quote
+// (the object's end, say) it returns nil and consumes nothing.
+//
+// Objects whose members are optional are read by name: the decoder switches
+// on the name, numbers each member by its place in the canonical order, and
+// hands the number to InOrder; a name it does not know is numbered 0. The
+// name is the key's bytes as written, so a key with an escape matches no
+// name, and a body that has one goes to encoding/json.
+func (r *Reader) Key(first bool) []byte {
+	p := r.rest()
+	if !first {
 		if len(p) == 0 || p[0] != ',' {
-			return false
+			return nil
 		}
 		p = p[1:]
 	}
-	if !HasPrefix(p, key) {
-		return false
+	if r.bad || len(p) == 0 || p[0] != '"' {
+		return nil
 	}
-	r.p, *first = p[len(key):], false
-	return true
+	p = p[1:]
+	i := quote(p)
+	if i <= 0 || i+1 >= len(p) || p[i+1] != ':' {
+		r.bad = true // an empty name, or a string that is not a key
+		return nil
+	}
+	r.took(p[i+2:], true)
+	return p[:i]
+}
+
+// quote is the index of the first '"' in p, or -1, found eight bytes a step:
+// x has a zero byte where p has a quote, and z flags the zero bytes of x. It
+// may flag a byte above a zero one too (subtracting borrows out of a zero
+// byte), never one below, so its lowest flag is the first quote.
+func quote(p []byte) int {
+	i := 0
+	for ; len(p)-i >= 8; i += 8 {
+		x := binary.LittleEndian.Uint64(p[i:]) ^ 0x2222222222222222
+		if z := (x - 0x0101010101010101) &^ x & 0x8080808080808080; z != 0 {
+			return i + bits.TrailingZeros64(z)/8
+		}
+	}
+	for ; i < len(p); i++ {
+		if p[i] == '"' {
+			return i
+		}
+	}
+	return -1
+}
+
+// InOrder enforces the canonical order of an object's members: at is the place
+// of the member just read (from 1; 0 for a name the decoder does not know) and
+// last that of the member before it (0 for none). Unless at comes after last
+// the reader fails — a member out of order, repeated or unknown is not the
+// canonical layout, and the body goes whole to encoding/json, which keeps the
+// last of a repeated member. It returns at, the next call's last.
+func (r *Reader) InOrder(last, at int) int {
+	if at <= last {
+		r.bad = true
+	}
+	return at
 }
 
 // Elem steps through an array of the document's elements whose `[` has been

@@ -12,8 +12,9 @@ import (
 
 // uintEdges are the integers around ParseUint's one overflow check: nineteen
 // digits, MaxUint64 and its neighbours, twenty digits past it, twenty-one, and
-// a leading zero at each length. (FuzzBodyCodec in internal/fproto is seeded
-// with the same.)
+// a leading zero at each length; and around the ends of its eight-digit
+// strides: eight digits and nine, sixteen and seventeen. (FuzzBodyCodec in
+// internal/fproto is seeded with the same.)
 var uintEdges = []string{
 	"0", "9", "9999999999999999999", "10000000000000000000",
 	"18446744073709551609", "18446744073709551610", "18446744073709551614",
@@ -21,6 +22,51 @@ var uintEdges = []string{
 	"19999999999999999999", "99999999999999999999",
 	"100000000000000000000", "184467440737095516150", "000000000000000000001",
 	"01", "0000000000000000001", "00000000000000000001",
+	"99999999", "100000000", "9999999999999999", "10000000000000000",
+}
+
+// agreeWithStrconv checks the parsers and the appenders against strconv on
+// one run of digits: ParseUint, and ParseInt with and without a minus sign,
+// take what strconv takes bar a leading zero, with the same value and
+// nothing else consumed; and what they take appends back as it was.
+func agreeWithStrconv(t *testing.T, in string) {
+	t.Helper()
+	canonical := len(in) == 1 || in[0] != '0' // strconv takes leading zeros
+	want, err := strconv.ParseUint(in, 10, 64)
+	u, rest, ok := ParseUint([]byte(in + "}"))
+	if ok != (err == nil && canonical) || (ok && (u != want || string(rest) != "}")) {
+		t.Errorf("ParseUint(%q) = %d, %q, %v; strconv says %d, %v", in, u, rest, ok, want, err)
+	}
+	if ok && string(AppendUint([]byte("x"), u)) != "x"+in {
+		t.Errorf("AppendUint(%d) = %q", u, AppendUint(nil, u))
+	}
+	for _, s := range []string{in, "-" + in} {
+		want, err := strconv.ParseInt(s, 10, 64)
+		v, rest, ok := ParseInt([]byte(s + ","))
+		if ok != (err == nil && canonical) || (ok && (v != want || string(rest) != ",")) {
+			t.Errorf("ParseInt(%q) = %d, %q, %v; strconv says %d, %v", s, v, rest, ok, want, err)
+		}
+		if ok && string(AppendInt(nil, v)) != strconv.FormatInt(v, 10) {
+			t.Errorf("AppendInt(%d) = %q", v, AppendInt(nil, v))
+		}
+	}
+}
+
+// Every length from one digit to twenty-five: 10^k−1, 10^k and 10^k+1 for k
+// from 0 to 24, each also with a leading zero. This crosses both ends of
+// ParseUint's strides (eight digits, sixteen) and of AppendUint's blocks, and
+// goes past where a third stride would end unchecked.
+func TestIntegersAtEveryLength(t *testing.T) {
+	for k := 0; k <= 24; k++ {
+		below, at, above := strings.Repeat("9", k), "1"+strings.Repeat("0", k), "1"+strings.Repeat("0", max(k-1, 0))+"1"
+		if k == 0 {
+			below, above = "0", "2"
+		}
+		for _, in := range []string{below, at, above} {
+			agreeWithStrconv(t, in)
+			agreeWithStrconv(t, "0"+in)
+		}
+	}
 }
 
 func TestParseNumbers(t *testing.T) {
@@ -36,6 +82,8 @@ func TestParseNumbers(t *testing.T) {
 		{"99999999999999999999", false, 0, ""},
 		{"01", false, 0, ""}, {"00", false, 0, ""}, // JSON has no leading zeros
 		{"", false, 0, ""}, {"-1", false, 0, ""}, {"x", false, 0, ""},
+		// ':' to '?' share the digits' high nibble: a stride must not take them.
+		{"1234567:", true, 1234567, ":"}, {"123456789012345?", true, 123456789012345, "?"},
 	} {
 		u, rest, ok := ParseUint([]byte(tc.in))
 		if ok != tc.ok || (ok && (u != tc.u || string(rest) != tc.rest)) {
@@ -45,11 +93,7 @@ func TestParseNumbers(t *testing.T) {
 	// The overflow check is on the twentieth digit alone: around it, ParseUint
 	// and strconv.ParseUint agree on every value and on what is refused.
 	for _, in := range uintEdges {
-		want, err := strconv.ParseUint(in, 10, 64)
-		wantOK := err == nil && (in == "0" || in[0] != '0') // strconv takes leading zeros
-		if u, rest, ok := ParseUint([]byte(in + "}")); ok != wantOK || (ok && (u != want || string(rest) != "}")) {
-			t.Errorf("ParseUint(%q) = %d, %q, %v; strconv says %d, %v", in, u, rest, ok, want, err)
-		}
+		agreeWithStrconv(t, in)
 	}
 	for _, tc := range []struct {
 		in string
@@ -128,7 +172,7 @@ func TestParseStringsAgainstEncodingJSON(t *testing.T) {
 
 func TestReader(t *testing.T) {
 	var r Reader
-	r.Reset([]byte(`{"a":12,"s":"x\ny","t":"x\ny","neg":-3,"ok":true,"xs":[1,2],"ys":[],"o":{"k":1}}`))
+	r.Reset([]byte(`{"a":12,"s":"x\ny","t":"x\ny","neg":-3,"ok":true,"xs":[1,2],"ys":[],"o":{"k":1,"m":2}}`))
 	r.Expect(`{"a":`)
 	if r.Uint() != 12 {
 		t.Fatal("Uint")
@@ -160,9 +204,11 @@ func TestReader(t *testing.T) {
 		t.Fatal("Elem found an element in []")
 	}
 	r.Expect(`,"o":{`)
-	first := true
-	if r.Field(&first, `"j":`) || !r.Field(&first, `"k":`) || r.Uint8() != 1 || r.Field(&first, `"k":`) {
-		t.Fatal("Field")
+	if k := r.Key(true); string(k) != "k" || r.Uint8() != 1 || r.InOrder(0, 1) != 1 {
+		t.Fatalf("Key = %q", k)
+	}
+	if k := r.Key(false); string(k) != "m" || r.Uint() != 2 || r.InOrder(1, 3) != 3 || r.Key(false) != nil {
+		t.Fatalf("Key = %q", k)
 	}
 	r.Expect(`}}`)
 	if !r.OK() || len(xs) != 2 || xs[1] != 2 {
@@ -177,6 +223,25 @@ func TestReader(t *testing.T) {
 		r.Expect(`}`)
 		if r.OK() {
 			t.Errorf("%q parsed", doc)
+		}
+	}
+	// Where no key follows its separator Key consumes nothing; a key that is
+	// empty, unterminated or without its colon fails the reader; an escape is
+	// left as written, for the decoder's switch to match no name with.
+	for _, tc := range []struct{ doc, name, rest string }{
+		{`}`, "", `}`}, {`,1`, "", `,1`}, {``, "", ``}, {`,"\u0061":1`, `\u0061`, `1`},
+		{`,"":1`, "", "bad"}, {`,"a"1`, "", "bad"}, {`,"a`, "", "bad"}, {`,"a\"b":1`, "", "bad"},
+	} {
+		r.Reset([]byte(tc.doc))
+		k := r.Key(false)
+		if string(k) != tc.name || r.bad != (tc.rest == "bad") || (!r.bad && string(r.rest()) != tc.rest) {
+			t.Errorf("Key(%q) read %q, left %q, failed %v", tc.doc, k, r.rest(), r.bad)
+		}
+	}
+	for _, order := range [][2]int{{0, 0}, {1, 1}, {2, 1}} {
+		r.Reset(nil)
+		if r.InOrder(order[0], order[1]); r.OK() {
+			t.Errorf("InOrder(%d, %d) took the member", order[0], order[1])
 		}
 	}
 }

@@ -69,38 +69,38 @@ func (t *Task) AppendJSON(dst []byte) []byte {
 func (t *Task) ParseJSON(r *jsonwire.Reader, prev *Task) {
 	r.Expect(`{"id":`)
 	t.ID = ID(r.Uint())
-	if r.Lit(`,"engine":`) {
-		t.Engine = Engine(r.Uint8())
+	// The optional members by name; at is a member's place in AppendJSON's
+	// order, which r.InOrder holds them to.
+	for last := 0; ; {
+		var at int
+		switch string(r.Key(false)) {
+		case "":
+			r.Expect(`}`)
+			return
+		case "engine":
+			at, t.Engine = 1, Engine(r.Uint8())
+		case "dir":
+			at, t.Dir = 2, r.String(prev.Dir)
+		case "command":
+			at, t.Command = 3, r.String(prev.Command)
+		case "args":
+			at, t.Args = 4, r.Strings()
+		case "env":
+			at, t.Env = 5, r.Strings()
+		case "io":
+			at, t.IO = 6, new(IOSpec)
+			t.IO.parseJSON(r)
+		case "duration":
+			at, t.Duration = 7, time.Duration(r.Int64())
+		case "max_retries":
+			at, t.MaxRetries = 8, r.Int()
+		case "stage":
+			at, t.Stage = 9, r.Int()
+		case "trace":
+			at, t.Trace = 10, r.Uint()
+		}
+		last = r.InOrder(last, at)
 	}
-	if r.Lit(`,"dir":`) {
-		t.Dir = r.String(prev.Dir)
-	}
-	if r.Lit(`,"command":`) {
-		t.Command = r.String(prev.Command)
-	}
-	if r.Lit(`,"args":`) {
-		t.Args = r.Strings()
-	}
-	if r.Lit(`,"env":`) {
-		t.Env = r.Strings()
-	}
-	if r.Lit(`,"io":`) {
-		t.IO = new(IOSpec)
-		t.IO.parseJSON(r)
-	}
-	if r.Lit(`,"duration":`) {
-		t.Duration = time.Duration(r.Int64())
-	}
-	if r.Lit(`,"max_retries":`) {
-		t.MaxRetries = r.Int()
-	}
-	if r.Lit(`,"stage":`) {
-		t.Stage = r.Int()
-	}
-	if r.Lit(`,"trace":`) {
-		t.Trace = r.Uint()
-	}
-	r.Expect(`}`)
 }
 
 func (s *IOSpec) appendJSON(dst []byte) []byte {
@@ -131,22 +131,27 @@ func optField(dst []byte, open int, key string) []byte {
 	return append(dst, key...)
 }
 
+// parseJSON reads an IOSpec by name, as Task.ParseJSON reads a task's optional
+// members; every member of this one is optional, the first one included.
 func (s *IOSpec) parseJSON(r *jsonwire.Reader) {
 	r.Expect(`{`)
-	first := true
-	if r.Field(&first, `"read_bytes":`) {
-		s.ReadBytes = r.Int64()
+	for last := 0; ; {
+		var at int
+		switch string(r.Key(last == 0)) {
+		case "":
+			r.Expect(`}`)
+			return
+		case "read_bytes":
+			at, s.ReadBytes = 1, r.Int64()
+		case "write_bytes":
+			at, s.WriteBytes = 2, r.Int64()
+		case "location":
+			at, s.Location = 3, r.String("")
+		case "dataset":
+			at, s.Dataset = 4, r.String("")
+		}
+		last = r.InOrder(last, at)
 	}
-	if r.Field(&first, `"write_bytes":`) {
-		s.WriteBytes = r.Int64()
-	}
-	if r.Field(&first, `"location":`) {
-		s.Location = r.String("")
-	}
-	if r.Field(&first, `"dataset":`) {
-		s.Dataset = r.String("")
-	}
-	r.Expect(`}`)
 }
 
 // AppendJSON appends res's JSON encoding to dst.
@@ -205,40 +210,37 @@ func (res *Result) AppendJSON(dst []byte) []byte {
 func (res *Result) ParseJSON(r *jsonwire.Reader, prev *Result) {
 	r.Expect(`{"id":`)
 	res.ID = ID(r.Uint())
-	if r.Lit(`,"exit_code":`) {
-		res.ExitCode = r.Int()
+	for last := 0; ; {
+		var at int
+		switch string(r.Key(false)) {
+		case "":
+			r.Expect(`}`)
+			return
+		case "exit_code":
+			at, res.ExitCode = 1, r.Int()
+		case "stdout":
+			at, res.Stdout = 2, r.String(prev.Stdout)
+		case "stderr":
+			at, res.Stderr = 3, r.String(prev.Stderr)
+		case "err":
+			at, res.Err = 4, r.String(prev.Err)
+		case "executor":
+			at, res.ExecutorID = 5, r.String(prev.ExecutorID)
+		case "queued_at":
+			at, res.QueuedAt = 6, time.Duration(r.Int64())
+		case "dispatched_at":
+			at, res.DispatchedAt = 7, time.Duration(r.Int64())
+		case "started_at":
+			at, res.StartedAt = 8, time.Duration(r.Int64())
+		case "finished_at":
+			at, res.FinishedAt = 9, time.Duration(r.Int64())
+		case "attempts":
+			at, res.Attempts = 10, r.Int()
+		case "trace":
+			at, res.Trace = 11, r.Uint()
+		}
+		last = r.InOrder(last, at)
 	}
-	if r.Lit(`,"stdout":`) {
-		res.Stdout = r.String(prev.Stdout)
-	}
-	if r.Lit(`,"stderr":`) {
-		res.Stderr = r.String(prev.Stderr)
-	}
-	if r.Lit(`,"err":`) {
-		res.Err = r.String(prev.Err)
-	}
-	if r.Lit(`,"executor":`) {
-		res.ExecutorID = r.String(prev.ExecutorID)
-	}
-	if r.Lit(`,"queued_at":`) {
-		res.QueuedAt = time.Duration(r.Int64())
-	}
-	if r.Lit(`,"dispatched_at":`) {
-		res.DispatchedAt = time.Duration(r.Int64())
-	}
-	if r.Lit(`,"started_at":`) {
-		res.StartedAt = time.Duration(r.Int64())
-	}
-	if r.Lit(`,"finished_at":`) {
-		res.FinishedAt = time.Duration(r.Int64())
-	}
-	if r.Lit(`,"attempts":`) {
-		res.Attempts = r.Int()
-	}
-	if r.Lit(`,"trace":`) {
-		res.Trace = r.Uint()
-	}
-	r.Expect(`}`)
 }
 
 func appendStrings(dst []byte, ss []string) []byte {

@@ -16,7 +16,10 @@
 # what it ran in all), and 600,000 more unsampled under -cpuprofile, whose top —
 # flat, then cumulative, then summed by layer under the read(2) and write(2)
 # per task the benchmark counted — is printed beside the two allocation tables: both
-# ledgers of a message come from this one command. The test binary and the
+# ledgers of a message come from this one command. Both runs are at -cpu 1, one
+# P, as the repo benchmark runs (GOMAXPROCS 1): at nproc Ps the same ledger moves
+# time between layers (on a 2-core box the body codec read 34 % and the clock
+# 3 % where one P reads 39 % and 9 %). The test binary and the
 # profiles go to a temporary directory that is removed afterwards.
 #
 # Reconciling the profile with MemStats.Mallocs (what the tests and the repo
@@ -42,14 +45,14 @@ out=$(mktemp -d)
 trap 'rm -rf "$out"' EXIT
 run=(-run "$1")
 if [ "$bench" = 1 ]; then
-    run=(-run '^$' -bench "$1" -benchtime 20000x)
+    run=(-run '^$' -bench "$1" -benchtime 20000x -cpu 1)
 fi
 go test "${run[@]}" -count=1 -o "$out/test.bin" -memprofile "$out/mem.prof" -memprofilerate=1 "$2"
 for index in alloc_objects alloc_space; do
     go tool pprof -sample_index=$index -top -nodecount=40 "$out/test.bin" "$out/mem.prof"
 done
 if [ "$bench" = 1 ]; then
-    go test -run '^$' -bench "$1" -benchtime 600000x -count=1 -o "$out/test.bin" -cpuprofile "$out/cpu.prof" "$2" | tee "$out/bench.txt"
+    go test -run '^$' -bench "$1" -benchtime 600000x -cpu 1 -count=1 -o "$out/test.bin" -cpuprofile "$out/cpu.prof" "$2" | tee "$out/bench.txt"
     go tool pprof -top -nodecount=40 "$out/test.bin" "$out/cpu.prof"
     go tool pprof -top -cum -nodecount=60 "$out/test.bin" "$out/cpu.prof"
     # The time ledger: every sample goes to the first layer below that has a

@@ -75,7 +75,6 @@ func main() {
 		bundle        = flag.Int("bundle", 0, "root→leaf bundle size with -leaves (0 = default 64)")
 
 		replicate = flag.String("replicate", "", "accept standby replicas: async (acks don't wait) or quorum (client acks wait for every attached standby); requires -journal-dir")
-		cluster   = flag.String("cluster", "", "HA cluster id stamped on instances so clients can reattach on any member (default: derived from -lease-file)")
 		standbyOf = flag.String("standby-of", "", "run as a permanent standby mirroring this leader's journal into -journal-dir (no serving)")
 		leaseFile = flag.String("lease-file", "", "HA election lease file shared by cluster members; follow the leader until this node wins it")
 		leaseTTL  = flag.Duration("lease-ttl", 3*time.Second, "election lease duration (leader renews at TTL/3)")
@@ -114,7 +113,6 @@ func main() {
 		JournalDir:    *journalDir,
 		JournalSync:   syncPolicy,
 		SnapshotEvery: *snapEvery,
-		ClusterID:     *cluster,
 	}
 	obs.RegisterBuildInfo(opts.Metrics, component)
 	if *faults != "" {
@@ -303,7 +301,8 @@ func runStandby(leaderAddr, dir, id string, syncPolicy wal.SyncPolicy, opts disp
 // runHANode is one member of an elected cluster: standby while another
 // node holds the lease, leader (over its replayed mirror) once it wins.
 // A lost lease is fail-stop: exit 4 and let the supervisor restart the
-// node as a standby.
+// node as a standby. The cluster ID a client's EPR is scoped to is the lease
+// path: only nodes that share a journal lineage share it.
 func runHANode(leaseFile string, leaseTTL time.Duration, nodeID, addr, journalDir string, syncPolicy wal.SyncPolicy, opts dispatch.Options, debugAddr string, statsEvery time.Duration) {
 	if journalDir == "" {
 		log.Fatal("falkon-dispatcher: -lease-file requires -journal-dir (the node's journal/mirror directory)")
@@ -311,9 +310,7 @@ func runHANode(leaseFile string, leaseTTL time.Duration, nodeID, addr, journalDi
 	if nodeID == "" {
 		nodeID = addr
 	}
-	if opts.ClusterID == "" {
-		opts.ClusterID = "ha:" + leaseFile
-	}
+	opts.ClusterID = "ha:" + leaseFile
 
 	stop := make(chan struct{})
 	sig := make(chan os.Signal, 1)

@@ -16,8 +16,8 @@ import (
 )
 
 // startTier brings up nDisp dispatchers each with nExec executors, plus a
-// forwarder in front.
-func startTier(t *testing.T, nDisp, nExec int) (*forward.Forwarder, []*dispatch.Dispatcher) {
+// forwarder in front with root→leaf bundles of bundle tasks (0: the default).
+func startTier(t *testing.T, nDisp, nExec, bundle int) (*forward.Forwarder, []*dispatch.Dispatcher) {
 	t.Helper()
 	var addrs []string
 	var dispatchers []*dispatch.Dispatcher
@@ -41,7 +41,7 @@ func startTier(t *testing.T, nDisp, nExec int) (*forward.Forwarder, []*dispatch.
 		addrs = append(addrs, d.Addr())
 		dispatchers = append(dispatchers, d)
 	}
-	f, err := forward.New(forward.Options{Dispatchers: addrs, Root: dispatch.Options{Logf: t.Logf}})
+	f, err := forward.New(forward.Options{Dispatchers: addrs, Bundle: bundle, Root: dispatch.Options{Logf: t.Logf}})
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -52,8 +52,14 @@ func startTier(t *testing.T, nDisp, nExec int) (*forward.Forwarder, []*dispatch.
 	return f, dispatchers
 }
 
+// parked is an executor inside a leaf's process that never pulls: the leaf
+// counts its slot, and what the leaf is stocked with stays queued there.
+type parked struct{}
+
+func (parked) Notify(string, any) error { return nil }
+
 func TestForwarderEndToEnd(t *testing.T) {
-	f, _ := startTier(t, 2, 2)
+	f, _ := startTier(t, 2, 2, 0)
 	// The ordinary client library talks to the forwarder unchanged.
 	c, err := client.Connect(client.Options{DispatcherAddr: f.Addr(), BundleSize: 10})
 	if err != nil {
@@ -78,38 +84,70 @@ func TestForwarderEndToEnd(t *testing.T) {
 	}
 }
 
+// A link holds no more than is due to its leaf — a bundle per worker slot —
+// and what a submit brings past that waits at the root for the next leaf with
+// room. Leaf 0 has one slot that never runs anything, so it is never due more
+// than one bundle: of four clients' submits, each larger than that bundle, the
+// rest must go to leaf 1; and once leaf 0 has an executor that pulls, every
+// client gets each of its tasks once.
 func TestForwarderSpreadsInstancesAcrossDispatchers(t *testing.T) {
-	f, dispatchers := startTier(t, 2, 1)
-	clients := make([]*client.Client, 4)
-	for i := range clients {
+	const bundle, clients, each = 4, 4, 5
+	f, dispatchers := startTier(t, 2, 0, bundle)
+	dispatchers[0].Register(fproto.RegisterRequest{ExecutorID: "parked", Slots: 1}, parked{})
+	startExec(t, executor.Options{ID: "d1-e0", DispatcherAddr: dispatchers[1].Addr()})
+	if !within(5*time.Second, func() bool { return f.Dispatcher.Stats().TotalExecutors == 2 }) {
+		t.Fatal("the root never registered a link to each leaf")
+	}
+
+	cs := make([]*client.Client, clients)
+	owed := make([]map[task.ID]bool, clients)
+	var gen task.IDGen
+	for i := range cs {
 		c, err := client.Connect(client.Options{DispatcherAddr: f.Addr()})
 		if err != nil {
 			t.Fatal(err)
 		}
 		defer c.Close()
-		clients[i] = c
-	}
-	var gen task.IDGen
-	for _, c := range clients {
-		if err := c.Submit(task.Batch(&gen, 5, 0)); err != nil {
+		ts := task.Batch(&gen, each, 0)
+		owed[i] = make(map[task.ID]bool, each)
+		for _, tk := range ts {
+			owed[i][tk.ID] = true
+		}
+		if err := c.Submit(ts); err != nil {
 			t.Fatal(err)
 		}
+		cs[i] = c
 	}
-	for _, c := range clients {
-		if _, err := c.WaitN(5, 20*time.Second); err != nil {
+
+	var rows []fproto.LeafStats
+	if !within(10*time.Second, func() bool {
+		rows = f.Stats().Leaves
+		return rows[0].Tasks+rows[1].Tasks == clients*each
+	}) {
+		t.Fatalf("the leaves were stocked with %+v, want %d tasks in all", rows, clients*each)
+	}
+	if rows[0].Tasks > bundle {
+		t.Fatalf("leaf 0 was stocked with %d tasks it cannot run, more than the bundle of %d due to its slot", rows[0].Tasks, bundle)
+	}
+	t.Logf("stocked: leaf 0 %d tasks, leaf 1 %d", rows[0].Tasks, rows[1].Tasks)
+
+	startExec(t, executor.Options{ID: "d0-e0", DispatcherAddr: dispatchers[0].Addr()})
+	for i, c := range cs {
+		rs, err := c.WaitN(each, 20*time.Second)
+		if err != nil {
 			t.Fatal(err)
 		}
-	}
-	// Round-robin: each dispatcher should have served some work.
-	for i, d := range dispatchers {
-		if st := d.Stats(); st.Completed == 0 {
-			t.Fatalf("dispatcher %d served nothing", i)
+		for _, r := range rs {
+			if r.Failed() || !owed[i][r.ID] {
+				t.Fatalf("client %d: result %+v failed, is another client's, or came twice", i, r)
+			}
+			delete(owed[i], r.ID)
 		}
 	}
 }
 
 func TestForwarderPollMode(t *testing.T) {
-	f, _ := startTier(t, 2, 1)
+	f, _ := startTier(t, 2, 1, 0)
 	c, err := client.Connect(client.Options{DispatcherAddr: f.Addr(), Poll: true, PollInterval: 20 * time.Millisecond})
 	if err != nil {
 		t.Fatal(err)
@@ -125,7 +163,7 @@ func TestForwarderPollMode(t *testing.T) {
 }
 
 func TestForwarderAggregatedStats(t *testing.T) {
-	f, _ := startTier(t, 3, 2)
+	f, _ := startTier(t, 3, 2, 0)
 	cli, err := wsrpc.Dial(f.Addr(), wsrpc.ClientOptions{})
 	if err != nil {
 		t.Fatal(err)
@@ -141,7 +179,7 @@ func TestForwarderAggregatedStats(t *testing.T) {
 }
 
 func TestForwarderUnknownInstance(t *testing.T) {
-	f, _ := startTier(t, 1, 1)
+	f, _ := startTier(t, 1, 1, 0)
 	cli, err := wsrpc.Dial(f.Addr(), wsrpc.ClientOptions{})
 	if err != nil {
 		t.Fatal(err)
@@ -160,7 +198,7 @@ func TestForwarderRequiresDispatchers(t *testing.T) {
 }
 
 func TestForwarderDestroyInstance(t *testing.T) {
-	f, dispatchers := startTier(t, 1, 1)
+	f, dispatchers := startTier(t, 1, 1, 0)
 	c, err := client.Connect(client.Options{DispatcherAddr: f.Addr()})
 	if err != nil {
 		t.Fatal(err)
@@ -222,7 +260,7 @@ func TestForwarderSecureBothTiers(t *testing.T) {
 // window — the dead downstream drops out of the sample and the live side's
 // data (counters, histograms, traced span events) still comes through.
 func TestForwarderMergeSurvivesDownstreamDisconnect(t *testing.T) {
-	f, dispatchers := startTier(t, 2, 1)
+	f, dispatchers := startTier(t, 2, 1, 0)
 	c, err := client.Connect(client.Options{DispatcherAddr: f.Addr(), BundleSize: 5})
 	if err != nil {
 		t.Fatal(err)
@@ -297,7 +335,7 @@ func TestForwarderMergeSurvivesDownstreamDisconnect(t *testing.T) {
 }
 
 func TestForwarderMergesMetricsAndEvents(t *testing.T) {
-	f, dispatchers := startTier(t, 2, 1)
+	f, dispatchers := startTier(t, 2, 1, 0)
 	c, err := client.Connect(client.Options{DispatcherAddr: f.Addr(), BundleSize: 5})
 	if err != nil {
 		t.Fatal(err)

@@ -460,37 +460,6 @@ func (m *Model) Submit(specs []Spec, bundle int) {
 	send(specs)
 }
 
-// InjectBundle enqueues one pre-routed bundle the way a tree root delivers
-// it: the leaf pays the same Axis envelope on its submission pipeline as a
-// direct client bundle (the root→leaf hop is a real submit), but task IDs
-// come from the caller — the root owns the tree-wide ID space, so records
-// stay unique across leaves. onAccepted, when set, fires once the bundle is
-// enqueued (the root's submit acknowledgment, which refreshes its in-flight
-// estimate). A model fed by InjectBundle must not also be fed by Submit or
-// PreloadQueue: the two ID spaces would collide.
-func (m *Model) InjectBundle(ids []int, specs []Spec, onAccepted func()) {
-	if len(ids) != len(specs) {
-		panic("simfalkon: InjectBundle ids/specs length mismatch")
-	}
-	m.syncCore()
-	cost := m.P.Axis.MessageCost(len(specs))
-	m.subSubmit(cost, func() {
-		now := m.E.Now()
-		for i, s := range specs {
-			t := mtask{id: ids[i], dur: s.Dur, stage: s.Stage, tag: s.Tag, dataset: s.Dataset, stageIn: s.StageIn, stageBytes: s.StageBytes, tenant: s.Tenant}
-			m.core.Enqueue(now, t)
-		}
-		if share := m.P.SubmitShare; share > 0 {
-			m.dispSubmit(time.Duration(share*float64(cost)), m.kick)
-		} else {
-			m.kick()
-		}
-		if onAccepted != nil {
-			onAccepted()
-		}
-	})
-}
-
 // PreloadQueue stuffs n tasks of duration dur directly into the dispatch
 // queue at the current instant, bypassing submission costs. Peak-throughput
 // benchmarks use it to measure the pure dispatch rate with a deep queue,

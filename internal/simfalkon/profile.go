@@ -99,15 +99,6 @@ type Profile struct {
 	// paper's "500 executors polling every second keep dispatcher CPU at
 	// 100%" observation (§3.3).
 	PurePullInterval time.Duration
-
-	// RouteCost and RouteCostPerTask price the tree root's CPU (Tree model
-	// only): routing one bundle down to a leaf — or relaying one bundle of
-	// results up — costs RouteCost plus RouteCostPerTask per task carried.
-	// The root never re-parses the WS envelope (leaves pay the Axis cost on
-	// their own CPUs; that parallelization is the tree's point), so these
-	// sit orders of magnitude below Axis.MessageCost.
-	RouteCost        time.Duration
-	RouteCostPerTask time.Duration
 }
 
 // secRatio is the measured security slowdown (487/204).
@@ -121,15 +112,13 @@ const (
 // NoSecurity returns the paper's no-security calibration.
 func NoSecurity() Profile {
 	return Profile{
-		Name:             "falkon-nosec",
-		DeliverCost:      noSecDeliver,
-		GetWorkCost:      noSecDeliver,
-		NotifyCost:       4900 * time.Microsecond,
-		ExecOverhead:     noSecCycle - noSecDeliver,
-		Axis:             DefaultAxisCostModel(),
-		SubmitShare:      0.05,
-		RouteCost:        time.Millisecond,
-		RouteCostPerTask: 20 * time.Microsecond,
+		Name:         "falkon-nosec",
+		DeliverCost:  noSecDeliver,
+		GetWorkCost:  noSecDeliver,
+		NotifyCost:   4900 * time.Microsecond,
+		ExecOverhead: noSecCycle - noSecDeliver,
+		Axis:         DefaultAxisCostModel(),
+		SubmitShare:  0.05,
 	}
 }
 
@@ -137,15 +126,13 @@ func NoSecurity() Profile {
 // more CPU (encryption + authentication), halving throughput.
 func Secure() Profile {
 	return Profile{
-		Name:             "falkon-secure",
-		DeliverCost:      secDeliver,
-		GetWorkCost:      secDeliver,
-		NotifyCost:       4900 * time.Microsecond,
-		ExecOverhead:     secCycle - secDeliver,
-		Axis:             DefaultAxisCostModel(),
-		SubmitShare:      0.05,
-		RouteCost:        2 * time.Millisecond,
-		RouteCostPerTask: 40 * time.Microsecond,
+		Name:         "falkon-secure",
+		DeliverCost:  secDeliver,
+		GetWorkCost:  secDeliver,
+		NotifyCost:   4900 * time.Microsecond,
+		ExecOverhead: secCycle - secDeliver,
+		Axis:         DefaultAxisCostModel(),
+		SubmitShare:  0.05,
 	}
 }
 

@@ -27,8 +27,7 @@ if [ -n "$unformatted" ]; then
 fi
 go build ./...
 go vet ./...
-# TestTreeMillionExecutors has its own step below; it is not run twice.
-go test -skip '^TestTreeMillionExecutors$' ./...
+go test ./...
 # benchmark/ is a module of its own (the root ./... skips it) that calls the
 # product's constructors: a product-API change that stops it compiling must
 # fail here, not in the benchmark pipeline. Its smoke test boots the real
@@ -50,11 +49,6 @@ go test -run='TestBinariesCrashRecovery' -count=1 .
 # format parses; merge real cross-process span dumps and require the
 # corrected stage durations to partition each task's e2e latency.
 go test -run='TestBinariesMetricsExposition|TestBinariesSpanMergeAcrossProcesses' -count=1 .
-# Petascale headline: the 1M-simulated-executor dispatch-tree run, replayed
-# twice with bit-identical digests. The plain test pass above skips it (and
-# it skips itself under -short and -race): this -v run is its one run, and
-# makes a skip regression fail loudly instead of silently shrinking coverage.
-go test -run='TestTreeMillionExecutors' -count=1 -v ./internal/simfalkon/
 # The per-task allocation budget on 1, 2 and 4 Ps: an exact count that must
 # not depend on how many cores the host has. Beside it the other count of one
 # unqueued task: six write(2) and at most 6.5 read(2).

@@ -19,6 +19,14 @@
 //	if err := sys.Submit(falkon.SleepBatch(&gen, 1000, 0)); err != nil { ... }
 //	results, err := sys.WaitN(1000, time.Minute)
 //
+// Tasks are dispatched next-available, in FIFO order, as the paper evaluates
+// them. A task that names the dataset it reads (IOSpec.Dataset) is also
+// placed by locality, the data-aware dispatch the paper proposes in §6: an
+// executor that has run a task reading a dataset is handed, from near the
+// head of the queue, the tasks that read one it holds. No option turns
+// this on or off; a workload that names no dataset is served in plain FIFO
+// order.
+//
 // For distributed deployments, run cmd/falkon-dispatcher and
 // cmd/falkon-executor and connect with NewClient. The virtual-time models
 // that regenerate the paper's experiments live in internal/simfalkon and are
@@ -30,7 +38,6 @@ import (
 
 	"falkon/internal/client"
 	"falkon/internal/core"
-	"falkon/internal/dispatch"
 	"falkon/internal/executor"
 	"falkon/internal/obs"
 	"falkon/internal/provision"
@@ -87,13 +94,6 @@ const (
 	ReleaseDistributed = provision.ReleaseDistributed
 	ReleaseCentralized = provision.ReleaseCentralized
 	ReleaseNever       = provision.ReleaseNever
-)
-
-// Dispatch policies: the paper's next-available FIFO, and the data-aware
-// extension it proposes in §6 (dataset-affinity with executor caching).
-const (
-	PolicyNextAvailable = dispatch.PolicyNextAvailable
-	PolicyDataAware     = dispatch.PolicyDataAware
 )
 
 // Start boots an in-process Falkon system.

@@ -123,11 +123,11 @@ func TestSystemFuncTasks(t *testing.T) {
 
 func TestSystemDataAwarePolicy(t *testing.T) {
 	var staged atomic.Int64
+	// No option is set: the tasks name their datasets, and that is all data-aware
+	// dispatch needs.
 	sys, err := falkon.Start(falkon.Config{
-		Executors:     2,
-		BundleSize:    8,
-		Policy:        falkon.PolicyDataAware,
-		CacheCapacity: 8,
+		Executors:  2,
+		BundleSize: 8,
 		DataCost: func(io falkon.IOSpec) time.Duration {
 			staged.Add(1)
 			return time.Millisecond

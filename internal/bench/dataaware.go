@@ -16,8 +16,10 @@ func init() {
 // executors plus a data-aware dispatcher — on a locality-rich workload:
 // many tasks re-reading a modest set of datasets (the paper's motivating
 // AstroPortal stacking service has exactly this shape). Compares the
-// next-available policy (every read stages from shared storage) against
-// data-aware dispatch with per-executor LRU caches.
+// next-available baseline, a dispatcher that does not know what a task
+// reads (the tasks name no dataset, so every read stages from shared
+// storage), against the same tasks naming their datasets, which places them
+// by locality onto per-executor LRU caches of 16.
 func ablDataAware(scale float64) *Result {
 	res := &Result{
 		ID:     "abl-dataaware",
@@ -36,8 +38,6 @@ func ablDataAware(scale float64) *Result {
 	run := func(dataAware bool) (time.Duration, float64, time.Duration) {
 		e := sim.New(61)
 		m := simfalkon.New(e, simfalkon.NoSecurity())
-		m.DataAware = dataAware
-		m.CacheCapacity = 2 * nDatasets / nExec // room for its fair share
 		for i := 0; i < nExec; i++ {
 			m.AddExecutor(0, nil)
 		}
@@ -45,10 +45,9 @@ func ablDataAware(scale float64) *Result {
 		// accidental locality): d0,d1,...,d511,d0,d1,...
 		specs := make([]simfalkon.Spec, nTasks)
 		for i := range specs {
-			specs[i] = simfalkon.Spec{
-				Dur:     compute,
-				Dataset: fmt.Sprintf("d%03d", i%nDatasets),
-				StageIn: stageIn,
+			specs[i] = simfalkon.Spec{Dur: compute, StageIn: stageIn}
+			if dataAware {
+				specs[i].Dataset = fmt.Sprintf("d%03d", i%nDatasets)
 			}
 		}
 		var staged time.Duration

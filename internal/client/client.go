@@ -6,9 +6,10 @@
 // With Reconnect enabled the client also rides out dispatcher restarts:
 // it redials with jittered backoff, re-attaches to its instance (which a
 // journaling dispatcher recovers from disk), idempotently resubmits every
-// task still awaiting a result, and dedupes redelivered results by task
-// ID — so the application sees each result exactly once no matter how
-// many times the dispatcher crashed in between.
+// task still awaiting a result, and delivers a result only while its task
+// is still awaited — so the application sees each result exactly once no
+// matter how many times the dispatcher crashed in between, and the client
+// keeps state for the tasks in flight only.
 package client
 
 import (
@@ -60,7 +61,8 @@ type Options struct {
 	// Reconnect enables crash-safe operation: on a dropped connection the
 	// client redials with jittered backoff, re-attaches to its instance,
 	// resubmits tasks still awaiting results (the dispatcher dedupes ones
-	// it already holds), and drops duplicate redeliveries by task ID.
+	// it already holds), and drops a result whose task is no longer
+	// awaited.
 	Reconnect bool
 	// ReconnectTimeout bounds one continuous outage (default 30s); past it
 	// the client gives up and Submit/WaitN fail.
@@ -107,11 +109,12 @@ type Client struct {
 	reconnects int64
 	throttled  int64 // bundles the dispatcher deferred with retry-after
 
-	// pending tracks acknowledged tasks still awaiting results; done holds
-	// every delivered result ID. Both exist only in Reconnect mode:
-	// pending drives resubmission, done drives exactly-once delivery.
+	// pending holds the tasks still awaiting results, from just before their
+	// bundle is sent until their result is delivered; it exists only in
+	// Reconnect mode. It drives resubmission, and exactly-once delivery: a
+	// result is delivered only if its task is still here, the rule a tree's
+	// root applies to its links. So the client holds O(in-flight) state.
 	pending map[task.ID]task.Task
-	done    map[task.ID]struct{}
 
 	results  chan task.Result
 	pollDone chan struct{}
@@ -145,7 +148,6 @@ func Connect(opts Options) (*Client, error) {
 	}
 	if opts.Reconnect {
 		c.pending = make(map[task.ID]task.Task)
-		c.done = make(map[task.ID]struct{})
 	}
 	c.sess = wsrpc.NewSession(wsrpc.SessionOptions{
 		Addrs: addrs,
@@ -263,21 +265,20 @@ func (c *Client) ownEPR(b []byte) string {
 
 // deliver pushes results to the channel, spilling to a goroutine if full so
 // the transport read loop never stalls (the channel is buffered; genuine
-// backpressure is rare). In Reconnect mode it first drops results already
-// delivered once — redeliveries are expected after a crash (the journal
+// backpressure is rare). In Reconnect mode it first drops every result whose
+// task is not pending — redeliveries are expected after a crash (the journal
 // redelivers anything not provably collected) and after resubmission races,
 // and this filter is what makes delivery exactly-once. rs is the caller's to
 // reuse afterwards: the filter runs in place and the spill copies what it keeps.
 func (c *Client) deliver(rs []task.Result) {
-	if c.done != nil {
+	if c.pending != nil {
 		c.mu.Lock()
 		fresh := rs[:0]
 		for _, r := range rs {
-			if _, dup := c.done[r.ID]; dup {
+			if _, owed := c.pending[r.ID]; !owed {
 				c.dupDrops++
 				continue
 			}
-			c.done[r.ID] = struct{}{}
 			delete(c.pending, r.ID)
 			fresh = append(fresh, r)
 		}
@@ -356,21 +357,36 @@ type submitCall struct {
 var submitCalls = sync.Pool{New: func() any { return new(submitCall) }}
 
 // submitTasks bundles tasks over the current connection; resubmit marks
-// the reconnect path, where failures bounce back to the supervisor instead
-// of waiting here.
-func (c *Client) submitTasks(tasks []task.Task, resubmit bool) error {
+// the reconnect path, where the tasks are already pending and failures
+// bounce back to the supervisor instead of waiting here.
+func (c *Client) submitTasks(tasks []task.Task, resubmit bool) (err error) {
 	call := submitCalls.Get().(*submitCall)
+	owe := !resubmit && c.pending != nil
+	var bundle []task.Task
 	defer func() {
 		call.req = fproto.SubmitRequest{} // the caller's tasks are not the pool's to keep
 		submitCalls.Put(call)
+		if err != nil && owe {
+			c.mu.Lock()
+			for _, t := range bundle { // refused: no result is owed for it
+				delete(c.pending, t.ID)
+			}
+			c.mu.Unlock()
+		}
 	}()
 	reply := &call.reply
 	for len(tasks) > 0 {
-		n := c.opts.BundleSize
-		if n > len(tasks) {
-			n = len(tasks)
+		n := min(c.opts.BundleSize, len(tasks))
+		bundle = tasks[:n]
+		if owe {
+			// Pending before it is sent: a result pushed ahead of the
+			// submit's reply finds its task awaited.
+			c.mu.Lock()
+			for _, t := range bundle {
+				c.pending[t.ID] = t
+			}
+			c.mu.Unlock()
 		}
-		bundle := tasks[:n]
 		for {
 			cli, gen, err := c.sess.Conn()
 			if err != nil {
@@ -421,13 +437,6 @@ func (c *Client) submitTasks(tasks []task.Task, resubmit bool) error {
 		c.deduped += int64(reply.Deduped)
 		if !resubmit {
 			c.submitted += int64(n)
-			if c.pending != nil {
-				for _, t := range bundle {
-					if _, delivered := c.done[t.ID]; !delivered {
-						c.pending[t.ID] = t
-					}
-				}
-			}
 		}
 		c.mu.Unlock()
 		tasks = tasks[n:]

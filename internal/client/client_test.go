@@ -130,6 +130,31 @@ func TestSubmitAfterCloseFails(t *testing.T) {
 	}
 }
 
+// A reconnecting client keeps state for the tasks in flight only: once every
+// result of 10,000 tasks is in, its maps hold nothing.
+func TestReconnectClientStateIsInFlightOnly(t *testing.T) {
+	d := startDispatcher(t, 2)
+	c, err := client.Connect(client.Options{DispatcherAddr: d.Addr(), BundleSize: 500, Reconnect: true})
+	if err != nil {
+		t.Fatal(err)
+	}
+	defer c.Close()
+	const n = 10000
+	var gen task.IDGen
+	if err := c.Submit(task.Batch(&gen, n, 0)); err != nil {
+		t.Fatal(err)
+	}
+	if _, err := c.WaitN(n, time.Minute); err != nil {
+		t.Fatal(err)
+	}
+	if got := c.MapEntries(); got != 0 {
+		t.Fatalf("after %d tasks the client's maps hold %d entries, want 0", n, got)
+	}
+	if got := c.DuplicatesDropped(); got != 0 {
+		t.Fatalf("%d results dropped as duplicates in a run without redelivery", got)
+	}
+}
+
 func TestLargeResultVolumeThroughBufferedChannel(t *testing.T) {
 	// More results than the channel buffer (4096): the overflow spill path
 	// must not drop or deadlock.

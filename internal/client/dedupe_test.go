@@ -23,6 +23,13 @@ func TestRedeliveredResultsAreDroppedInPlace(t *testing.T) {
 		peers <- p
 		return fproto.CreateInstanceReply{EPR: "falkon-instance-1"}, nil
 	})
+	srv.RegisterFast(fproto.MethodSubmit, func(_ *wsrpc.Peer, body json.RawMessage) (any, error) {
+		var req struct{ Tasks []json.RawMessage }
+		if err := json.Unmarshal(body, &req); err != nil {
+			return nil, err
+		}
+		return fproto.SubmitReply{Accepted: len(req.Tasks)}, nil
+	})
 	srv.RegisterFast(fproto.MethodDestroyInstance, func(*wsrpc.Peer, json.RawMessage) (any, error) { return struct{}{}, nil })
 	if err := srv.Listen("127.0.0.1:0"); err != nil {
 		t.Fatal(err)
@@ -34,6 +41,11 @@ func TestRedeliveredResultsAreDroppedInPlace(t *testing.T) {
 	}
 	defer c.Close()
 	p := <-peers
+	// A result is delivered only for a task the client awaits.
+	var gen task.IDGen
+	if err := c.Submit(task.Batch(&gen, 11, 0)); err != nil {
+		t.Fatal(err)
+	}
 
 	push := func(ids ...task.ID) {
 		t.Helper()
@@ -48,7 +60,7 @@ func TestRedeliveredResultsAreDroppedInPlace(t *testing.T) {
 	push(1, 2, 3, 4, 5, 6, 7, 8)
 	push(2, 9, 3, 3, 10, 1) // redeliveries at the head, in the middle, twice over, at the tail
 	push(10, 9)             // nothing but redeliveries
-	push(11)
+	push(12, 11)            // a task never submitted, then the last one owed
 	rs, err := c.WaitN(11, 10*time.Second)
 	if err != nil {
 		t.Fatal(err)
@@ -58,8 +70,8 @@ func TestRedeliveredResultsAreDroppedInPlace(t *testing.T) {
 			t.Fatalf("result %d of the stream is %+v, want task %d's", i, r, want)
 		}
 	}
-	if got := c.DuplicatesDropped(); got != 6 {
-		t.Errorf("DuplicatesDropped = %d, want 6", got)
+	if got := c.DuplicatesDropped(); got != 7 {
+		t.Errorf("DuplicatesDropped = %d, want 7", got)
 	}
 	select {
 	case r := <-c.Results():

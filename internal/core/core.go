@@ -60,10 +60,6 @@ type Config struct {
 	// NoRetryOnFailure reports a failed task instead of re-dispatching it
 	// (see dispatch.Options).
 	NoRetryOnFailure bool
-	// Policy selects the dispatch policy (next-available or data-aware);
-	// CacheCapacity bounds the per-executor dataset cache it tracks.
-	Policy        dispatch.DispatchPolicy
-	CacheCapacity int
 	// Provisioning, when non-nil, runs a provisioner instead of a static
 	// pool.
 	Provisioning *ProvisioningConfig
@@ -113,8 +109,6 @@ func Start(cfg Config) (*System, error) {
 		Security:         cfg.Security,
 		PSK:              cfg.PSK,
 		NoRetryOnFailure: cfg.NoRetryOnFailure,
-		Policy:           cfg.Policy,
-		CacheCapacity:    cfg.CacheCapacity,
 		Tenants:          cfg.Tenants,
 		JournalDir:       cfg.JournalDir,
 		Logf:             cfg.Logf,

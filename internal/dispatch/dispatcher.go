@@ -7,7 +7,7 @@
 // and exposes the state the provisioner polls.
 //
 // The scheduling state machine itself — queue, executor table, outstanding
-// table, replay policy, pick policies — lives in internal/sched, shared
+// table, replay policy, the pick rule — lives in internal/sched, shared
 // with the virtual-time simulator. This package drives one sched.Core from
 // wall-clock time under one mutex. Handlers gather the core's effects (trace
 // events, notification pushes, stage observations) under that lock and apply
@@ -72,14 +72,6 @@ type Options struct {
 	// for an executor lost or timed out, and MaxRetries above alone bounds
 	// those (a tree's root, whose leaves enforce the task's bound, sets both).
 	NoRetryOnFailure bool
-
-	// Policy selects the dispatch policy (default next-available, the
-	// paper's evaluated policy; PolicyDataAware adds dataset affinity).
-	Policy DispatchPolicy
-
-	// CacheCapacity is the per-executor dataset cache size tracked by the
-	// data-aware policy (default 16).
-	CacheCapacity int
 
 	// Metrics receives the dispatcher's counters, gauges, and stage
 	// latency histograms (plus the wsrpc transport's per-method metrics).
@@ -211,6 +203,16 @@ func declaredRun(t task.Task) time.Duration {
 		return t.Duration
 	}
 	return 0
+}
+
+// taskDataset is the dataset a task reads ("" when it names none): a task
+// that names one is placed by locality (sched.Core.Pick), and the executor
+// that runs it is remembered as holding it.
+func taskDataset(t *task.Task) string {
+	if t.IO == nil {
+		return ""
+	}
+	return t.IO.Dataset
 }
 
 // outKey identifies an outstanding (dispatched, unacknowledged) task.
@@ -462,14 +464,12 @@ func New(opts Options) *Dispatcher {
 		opts:  opts,
 		epoch: time.Now(),
 		core: sched.NewCore[string, outKey](sched.Options[taskRef]{
-			Policy:        opts.Policy,
-			CacheCapacity: opts.CacheCapacity,
-			MaxRetries:    opts.MaxRetries,
-			Dataset:       func(tr taskRef) string { return taskDataset(*tr.t) },
-			TaskRetries:   taskRetries,
-			Tenant:        func(tr taskRef) string { return taskTenant(tr) },
-			Declared:      func(tr taskRef) time.Duration { return declaredRun(*tr.t) },
-			FairShare:     fairShare,
+			MaxRetries:  opts.MaxRetries,
+			Dataset:     func(tr taskRef) string { return taskDataset(tr.t) },
+			TaskRetries: taskRetries,
+			Tenant:      func(tr taskRef) string { return taskTenant(tr) },
+			Declared:    func(tr taskRef) time.Duration { return declaredRun(*tr.t) },
+			FairShare:   fairShare,
 		}),
 		instances: make(map[string]*instance),
 		reg:       opts.Metrics,

@@ -559,7 +559,7 @@ func (d *Dispatcher) deliver(f *fx, req *fproto.DeliverRequest) error {
 			r.ExecutorID = req.ExecutorID
 		}
 		r.Trace = o.Item.X.t.Trace
-		d.core.NoteCompletion(ex, taskDataset(*o.Item.X.t))
+		d.core.NoteCompletion(ex, taskDataset(o.Item.X.t))
 		if r.Failed() && !d.opts.NoRetryOnFailure {
 			d.replay(f, &o, "task failed: "+failReason(r))
 			continue

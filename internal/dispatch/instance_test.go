@@ -19,9 +19,3 @@ func TestTakeResultsClearsLive(t *testing.T) {
 		t.Fatalf("live = %v, want only the uncollected task", in.live)
 	}
 }
-
-func TestDispatchPolicyString(t *testing.T) {
-	if PolicyNextAvailable.String() != "next-available" || PolicyDataAware.String() != "data-aware" {
-		t.Fatal("policy names")
-	}
-}

@@ -454,13 +454,13 @@ func TestTaskWithDurationRuns(t *testing.T) {
 
 func TestDataAwareDispatchLive(t *testing.T) {
 	// Two executors, tasks alternating over two datasets with a real
-	// staging cost charged on misses: the data-aware policy should settle
-	// each dataset onto one executor and record cache hits.
+	// staging cost charged on misses, and no option set: tasks that name
+	// their dataset settle each dataset onto one executor and record cache
+	// hits.
 	eopts := executor.Options{
 		DataCost: func(io task.IOSpec) time.Duration { return 20 * time.Millisecond },
 	}
-	dopts := dispatch.Options{Policy: dispatch.PolicyDataAware, CacheCapacity: 4}
-	d, c, _ := startSystem(t, dopts, client.Options{BundleSize: 8}, 2, eopts)
+	d, c, _ := startSystem(t, dispatch.Options{}, client.Options{BundleSize: 8}, 2, eopts)
 	var tasks []task.Task
 	var gen task.IDGen
 	for i := 0; i < 40; i++ {
@@ -488,17 +488,6 @@ func TestDataAwareDispatchLive(t *testing.T) {
 	}
 	if st.CacheHits+st.CacheMisses > 40 {
 		t.Fatalf("hit+miss = %d > tasks", st.CacheHits+st.CacheMisses)
-	}
-}
-
-func TestNextAvailableRecordsNoCacheStats(t *testing.T) {
-	_, c, _ := startSystem(t, dispatch.Options{}, client.Options{}, 1, executor.Options{})
-	err := c.Submit([]task.Task{{ID: 1, Engine: task.EngineData, IO: &task.IOSpec{Dataset: "d0"}}})
-	if err != nil {
-		t.Fatal(err)
-	}
-	if _, err := c.WaitN(1, 10*time.Second); err != nil {
-		t.Fatal(err)
 	}
 }
 

@@ -128,6 +128,33 @@ func TestRootRetainsOnlyInFlight(t *testing.T) {
 	}
 }
 
+// A root places a task that names its dataset by locality, with no option
+// set, as any dispatcher does: its executors are links, each remembered as
+// holding the datasets its leaf's results name.
+func TestRootPlacesDatasetsByLocality(t *testing.T) {
+	var leaves []*dispatch.Dispatcher
+	for i := 0; i < 2; i++ {
+		d := startLeaf(t, "127.0.0.1:0", dispatch.Options{})
+		startExec(t, executor.Options{ID: fmt.Sprintf("loc-exec-%d", i), DispatcherAddr: d.Addr()})
+		leaves = append(leaves, d)
+	}
+	f, c := startRoot(t, client.Options{BundleSize: 16}, leaves...)
+	var gen task.IDGen
+	var ts []task.Task
+	for i := 0; i < 64; i++ {
+		ts = append(ts, task.Task{ID: gen.Next(), Engine: task.EngineData, IO: &task.IOSpec{Dataset: fmt.Sprintf("d%d", i%4)}})
+	}
+	if err := c.Submit(ts); err != nil {
+		t.Fatal(err)
+	}
+	if _, err := c.WaitN(len(ts), 30*time.Second); err != nil {
+		t.Fatal(err)
+	}
+	if own := f.Dispatcher.Stats(); own.CacheHits == 0 || own.CacheHits+own.CacheMisses > int64(len(ts)) {
+		t.Fatalf("the root's own picks: %d cache hits, %d misses for %d tasks", own.CacheHits, own.CacheMisses, len(ts))
+	}
+}
+
 // A leaf that says everything twice: every result reaches the root a second
 // time. The second copy is dropped and counted, never delivered.
 func TestSecondResultIsDroppedAndCounted(t *testing.T) {

@@ -232,8 +232,8 @@ type GetWorkRequest struct {
 type Assignment struct {
 	EPR  string    `json:"epr"`
 	Task task.Task `json:"task"`
-	// CacheHit reports that the data-aware policy matched this task to the
-	// executor's cached dataset, so staging can be skipped.
+	// CacheHit reports that the pick matched this task to the executor's
+	// cached dataset, so staging can be skipped.
 	CacheHit bool `json:"cache_hit,omitempty"`
 }
 

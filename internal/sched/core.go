@@ -2,33 +2,14 @@ package sched
 
 import "time"
 
-// Policy selects how queued tasks map to executors.
-type Policy uint8
-
 const (
-	// PolicyNextAvailable is the paper's evaluated policy: strict FIFO to
-	// the next free executor.
-	PolicyNextAvailable Policy = iota
-	// PolicyDataAware scans a bounded window at the queue head for a task
-	// whose dataset is cached on the picking executor.
-	PolicyDataAware
+	// window bounds how deep into the queue a pick looks for a task whose
+	// dataset the picking executor holds; beyond it, age wins over locality
+	// (prevents starvation).
+	window = 64
+	// cacheCapacity is how many datasets an executor's cache remembers.
+	cacheCapacity = 16
 )
-
-// String names the policy.
-func (p Policy) String() string {
-	switch p {
-	case PolicyNextAvailable:
-		return "next-available"
-	case PolicyDataAware:
-		return "data-aware"
-	default:
-		return "policy(?)"
-	}
-}
-
-// DefaultWindow bounds how deep into the FIFO the data-aware policy may
-// look; beyond this, age wins over locality (prevents starvation).
-const DefaultWindow = 64
 
 // Item is one queued (or re-queued) task: the caller's payload plus the
 // bookkeeping the core owns. QueuedAt is the first enqueue time and
@@ -60,7 +41,8 @@ type Exec[E comparable] struct {
 	// LastNotifyAt is when the last work-available push was sent — the
 	// anchor of the Figure-10 enqueue→notify stage.
 	LastNotifyAt time.Duration
-	// Cache is the executor's dataset cache (nil unless data-aware).
+	// Cache is the executor's dataset cache: nil until it first finishes a
+	// task that names a dataset (NoteCompletion).
 	Cache *DatasetCache
 	Ref   any
 
@@ -110,17 +92,11 @@ type Counters struct {
 
 // Options configures a Core.
 type Options[T any] struct {
-	// Policy selects the pick policy (default next-available).
-	Policy Policy
-	// Window bounds the data-aware scan depth (default DefaultWindow).
-	Window int
-	// CacheCapacity sizes per-executor dataset caches (default 16).
-	CacheCapacity int
 	// MaxRetries bounds per-task re-dispatches (default 3); a task may be
 	// requeued MaxRetries times, so it runs at most MaxRetries+1 times.
 	MaxRetries int
 	// Dataset extracts the dataset a task reads ("" when untagged); nil
-	// disables data-aware matching.
+	// treats every task as untagged.
 	Dataset func(T) string
 	// TaskRetries extracts a per-task retry bound overriding MaxRetries
 	// (0 = no override); nil disables overrides.
@@ -139,8 +115,8 @@ type Options[T any] struct {
 }
 
 // Core is the scheduling state machine: pending queue, executor table
-// with idle tracking, outstanding table, replay bookkeeping, and pick
-// policies. It is not safe for concurrent use — the live dispatcher
+// with idle tracking, outstanding table, replay bookkeeping, and the pick
+// rule. It is not safe for concurrent use — the live dispatcher
 // serializes access under its mutex, the simulator is single-threaded.
 //
 // Type parameters: E identifies executors, K identifies outstanding
@@ -170,12 +146,6 @@ type Core[E comparable, K comparable, T any] struct {
 
 // NewCore constructs a core with opts defaults resolved.
 func NewCore[E comparable, K comparable, T any](opts Options[T]) *Core[E, K, T] {
-	if opts.Window <= 0 {
-		opts.Window = DefaultWindow
-	}
-	if opts.CacheCapacity <= 0 {
-		opts.CacheCapacity = 16
-	}
 	if opts.MaxRetries <= 0 {
 		opts.MaxRetries = 3
 	}
@@ -210,25 +180,12 @@ func (c *Core[E, K, T]) SetFairShare(fs *FairShare) {
 // FairShareEnabled reports whether the fair-share tenant layer is active.
 func (c *Core[E, K, T]) FairShareEnabled() bool { return c.opts.FairShare != nil }
 
-// SetPolicy switches the pick policy and cache sizing (capacity <= 0
-// keeps the current value). Executors added afterwards get caches per the
-// new policy; existing executors keep theirs.
-func (c *Core[E, K, T]) SetPolicy(p Policy, cacheCapacity int) {
-	c.opts.Policy = p
-	if cacheCapacity > 0 {
-		c.opts.CacheCapacity = cacheCapacity
-	}
-}
-
 // SetMaxRetries updates the default retry bound (n <= 0 keeps current).
 func (c *Core[E, K, T]) SetMaxRetries(n int) {
 	if n > 0 {
 		c.opts.MaxRetries = n
 	}
 }
-
-// Policy returns the active pick policy.
-func (c *Core[E, K, T]) Policy() Policy { return c.opts.Policy }
 
 // QueueLen returns queued (not yet dispatched) tasks.
 func (c *Core[E, K, T]) QueueLen() int { return c.queue.total }
@@ -311,9 +268,6 @@ func (c *Core[E, K, T]) AddExec(id E, slots int) *Exec[E] {
 	}
 	c.slots += slots
 	x := &Exec[E]{ID: id, Slots: slots, idlePos: -1}
-	if c.opts.Policy == PolicyDataAware {
-		x.Cache = NewDatasetCache(c.opts.CacheCapacity)
-	}
 	c.execs[id] = x
 	return x
 }
@@ -437,10 +391,11 @@ func (c *Core[E, K, T]) Share(asked int) int {
 	return max(asked, 1)
 }
 
-// Pick selects the next task for x under the configured policy, removing
-// it from the queue and reporting whether it is a dataset cache hit. FIFO
-// order is preserved except that the data-aware policy may pull a
-// matching task forward from within the window.
+// Pick selects the next task for x, removing it from the queue and
+// reporting whether it is a dataset cache hit. The queue is served in FIFO
+// (or SFQ) order, except that an executor whose cache holds a dataset takes
+// the first task within the window that reads one it holds: locality comes
+// from the tasks that name their data, and a queue naming none pops as is.
 func (c *Core[E, K, T]) Pick(x *Exec[E]) (it Item[T], hit, ok bool) {
 	return c.PickWithin(x, Unbounded)
 }
@@ -450,22 +405,21 @@ func (c *Core[E, K, T]) Pick(x *Exec[E]) (it Item[T], hit, ok bool) {
 // than room — what is left of the reply's budget after the declared times
 // already in it — the queue is left untouched and ok is false. A task that
 // says it is long therefore rides alone: it neither waits behind a batch
-// nor holds a batch's results back while it runs. A nil x is policy-blind
-// (PickAny).
+// nor holds a batch's results back while it runs. A nil x consults no
+// cache (PickAny).
 func (c *Core[E, K, T]) PickWithin(x *Exec[E], room time.Duration) (it Item[T], hit, ok bool) {
-	// SFQ selects the tenant first and locality comes second: the
-	// data-aware window scan runs within that tenant's ring, so a cache hit
-	// never lets one tenant jump another's turn.
+	// SFQ selects the tenant first and locality comes second: the window
+	// scan runs within that tenant's ring, so a cache hit never lets one
+	// tenant jump another's turn.
 	tq, start, ok := c.queue.peek()
 	if !ok {
 		return it, false, false
 	}
 	ring := &tq.ring
 	at := 0 // offset of the selected task from the ring's head
-	dataAware := c.opts.Policy == PolicyDataAware && x != nil && x.Cache != nil && c.opts.Dataset != nil
-	if dataAware {
-		for i, cand := range ring.Window(c.opts.Window) {
-			if ds := c.opts.Dataset(cand.X); ds != "" && x.Cache.Has(ds) {
+	if x != nil && x.Cache != nil && c.opts.Dataset != nil {
+		for i, cand := range ring.Window(window) {
+			if x.Cache.Has(c.opts.Dataset(cand.X)) {
 				at, hit = i, true
 				break
 			}
@@ -477,34 +431,38 @@ func (c *Core[E, K, T]) PickWithin(x *Exec[E], room time.Duration) (it Item[T], 
 	if at == 0 {
 		it, _ = ring.Pop()
 	} else {
-		// The data-aware path pulls a cache hit forward within the window.
+		// A cache hit is pulled forward from within the window.
 		it = ring.Window(at + 1)[at]
 		ring.RemoveAt(at)
 	}
 	c.queue.charge(tq, start)
 	if hit {
 		c.Counters.CacheHits++
-	} else if dataAware && c.opts.Dataset(it.X) != "" {
+	} else if x != nil && c.opts.Dataset != nil && c.opts.Dataset(it.X) != "" {
 		c.Counters.CacheMisses++
 	}
 	return it, hit, true
 }
 
-// PickAny pops the next task regardless of pick policy: no executor's
-// dataset cache is consulted. Under fair-share the pop still runs the SFQ
-// arbitration, so the queue drains in the same weighted order a policy pick
-// would give it.
+// PickAny pops the next task with no executor's dataset cache consulted.
+// Under fair-share the pop still runs the SFQ arbitration, so the queue
+// drains in the same weighted order an executor's pick would give it.
 func (c *Core[E, K, T]) PickAny() (it Item[T], ok bool) {
 	it, _, ok = c.PickWithin(nil, Unbounded)
 	return it, ok
 }
 
-// NoteCompletion records dataset residency after x ran a task reading
-// dataset (no-op unless data-aware).
+// NoteCompletion records that x holds dataset after running a task that
+// reads it. The first dataset x finishes makes its cache, and from then on
+// its picks look for the datasets it holds; "" records nothing.
 func (c *Core[E, K, T]) NoteCompletion(x *Exec[E], dataset string) {
-	if c.opts.Policy == PolicyDataAware && x.Cache != nil {
-		x.Cache.Touch(dataset)
+	if dataset == "" {
+		return
 	}
+	if x.Cache == nil {
+		x.Cache = NewDatasetCache(cacheCapacity)
+	}
+	x.Cache.Touch(dataset)
 }
 
 // Assign marks it dispatched to x at now under key, incrementing the

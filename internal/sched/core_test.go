@@ -68,12 +68,6 @@ func TestDatasetCacheEvictionSweep(t *testing.T) {
 	}
 }
 
-func TestPolicyString(t *testing.T) {
-	if PolicyNextAvailable.String() != "next-available" || PolicyDataAware.String() != "data-aware" {
-		t.Fatal("policy names")
-	}
-}
-
 func TestIdleStackLIFOWithRemovals(t *testing.T) {
 	c := newTestCore(Options[payload]{})
 	a := c.AddExec("a", 1)
@@ -157,21 +151,33 @@ func TestPickNextAvailableFIFO(t *testing.T) {
 }
 
 func TestPickDataAwarePullsForwardWithinWindow(t *testing.T) {
-	c := newTestCore(Options[payload]{Policy: PolicyDataAware, Window: 8})
+	c := newTestCore(Options[payload]{})
 	x := c.AddExec("x", 1)
-	if x.Cache == nil {
-		t.Fatal("data-aware executor missing cache")
+	if x.Cache != nil {
+		t.Fatal("an executor that has run nothing has a dataset cache")
+	}
+	c.NoteCompletion(x, "")
+	if x.Cache != nil {
+		t.Fatal("a task that names no dataset made a cache")
 	}
 	c.NoteCompletion(x, "hot")
-	c.Enqueue(0, payload{id: 1, ds: "cold"})
-	c.Enqueue(0, payload{id: 2, ds: "hot"})
-	c.Enqueue(0, payload{id: 3, ds: "cold"})
-	it, hit, ok := c.Pick(x)
-	if !ok || !hit || it.X.id != 2 {
-		t.Fatalf("pick = %+v hit=%v", it, hit)
+	// The hit is the window's last task; 70 are queued.
+	for i := 1; i < window; i++ {
+		c.Enqueue(0, payload{id: i, ds: "cold"})
 	}
-	// Next pick falls back to FIFO head and counts a miss.
-	it, hit, ok = c.Pick(x)
+	c.Enqueue(0, payload{id: window, ds: "hot"})
+	for i := window + 1; i <= 70; i++ {
+		c.Enqueue(0, payload{id: i, ds: "hot"})
+	}
+	it, hit, ok := c.Pick(x)
+	if !ok || !hit || it.X.id != window {
+		t.Fatalf("pick = %+v hit=%v, want task %d", it, hit, window)
+	}
+	// An executor whose cache holds nothing named here takes the head and
+	// counts a miss.
+	y := c.AddExec("y", 1)
+	c.NoteCompletion(y, "other")
+	it, hit, ok = c.Pick(y)
 	if !ok || hit || it.X.id != 1 {
 		t.Fatalf("fallback pick = %+v hit=%v", it, hit)
 	}
@@ -181,16 +187,70 @@ func TestPickDataAwarePullsForwardWithinWindow(t *testing.T) {
 }
 
 func TestPickDataAwareWindowBoundsStarvation(t *testing.T) {
-	c := newTestCore(Options[payload]{Policy: PolicyDataAware, Window: 4})
+	c := newTestCore(Options[payload]{})
 	x := c.AddExec("x", 1)
 	c.NoteCompletion(x, "hot")
-	for i := 1; i <= 6; i++ {
+	for i := 1; i <= window; i++ {
 		c.Enqueue(0, payload{id: i, ds: "cold"})
 	}
-	c.Enqueue(0, payload{id: 7, ds: "hot"}) // beyond the window
+	c.Enqueue(0, payload{id: window + 1, ds: "hot"}) // just beyond the window
 	it, hit, ok := c.Pick(x)
 	if !ok || hit || it.X.id != 1 {
 		t.Fatalf("pick beyond window = %+v hit=%v", it, hit)
+	}
+}
+
+// A queue that names no dataset is served as if there were no caches: in
+// exact FIFO order, or under declared weights in exact SFQ order, whether
+// the picking executor's cache is cold (nil) or warm.
+func TestPickWithoutDatasetsKeepsQueueOrder(t *testing.T) {
+	weights := &FairShare{Weights: map[string]float64{"a": 3, "b": 1, "c": 2}}
+	fill := func(c *Core[string, int, ftask]) {
+		for i := 0; i < 3*window; i++ {
+			c.Enqueue(0, ftask{tn: []string{"a", "b", "c"}[i%3], id: i})
+		}
+	}
+	for _, tc := range []struct {
+		name string
+		fs   *FairShare
+		warm bool
+	}{
+		{"fifo/cold", nil, false},
+		{"fifo/warm", nil, true},
+		{"sfq/cold", weights, false},
+		{"sfq/warm", weights, true},
+	} {
+		t.Run(tc.name, func(t *testing.T) {
+			// The reference order: the queue popped with no executor at all.
+			ref := newFairCore(tc.fs)
+			fill(ref)
+			var want []int
+			for it, ok := ref.PickAny(); ok; it, ok = ref.PickAny() {
+				want = append(want, it.X.id)
+			}
+			if tc.fs == nil {
+				for i, id := range want {
+					if id != i {
+						t.Fatalf("reference pop %d is task %d: not FIFO", i, id)
+					}
+				}
+			}
+			c := newFairCore(tc.fs)
+			x := c.AddExec("x", 1)
+			if tc.warm {
+				c.NoteCompletion(x, "warm")
+			}
+			fill(c)
+			for i, id := range want {
+				it, hit, ok := c.Pick(x)
+				if !ok || hit || it.X.id != id {
+					t.Fatalf("pick %d = task %d (hit=%v ok=%v), want task %d", i, it.X.id, hit, ok, id)
+				}
+			}
+			if c.Counters.CacheHits != 0 || c.Counters.CacheMisses != 0 {
+				t.Fatalf("hits=%d misses=%d on a queue that names no dataset", c.Counters.CacheHits, c.Counters.CacheMisses)
+			}
+		})
 	}
 }
 
@@ -381,7 +441,7 @@ func TestStampsClampAndPartition(t *testing.T) {
 	}
 }
 
-// BenchmarkDatasetCache measures the data-aware policy's LRU bookkeeping.
+// BenchmarkDatasetCache measures the dataset cache's LRU bookkeeping.
 func BenchmarkDatasetCache(b *testing.B) {
 	b.ReportAllocs()
 	c := NewDatasetCache(16)

@@ -119,7 +119,7 @@ func TestFairShareFIFOWithinTenant(t *testing.T) {
 }
 
 func TestFairSharePickAnyPreservesFairness(t *testing.T) {
-	// The policy-blind pop must run the same SFQ arbitration, not bypass to
+	// The cache-blind pop must run the same SFQ arbitration, not bypass to
 	// any single tenant's FIFO.
 	c := newFairCore(&FairShare{})
 	for i := 0; i < 50; i++ {
@@ -132,17 +132,12 @@ func TestFairSharePickAnyPreservesFairness(t *testing.T) {
 		saw[tn] = true
 	}
 	if !saw["victim"] {
-		t.Fatalf("policy-blind pops %v never reached the victim tenant", seq)
+		t.Fatalf("cache-blind pops %v never reached the victim tenant", seq)
 	}
 }
 
 func TestFairShareDataAwareWithinTenant(t *testing.T) {
-	c := NewCore[string, int, ftask](Options[ftask]{
-		Policy:    PolicyDataAware,
-		Tenant:    func(t ftask) string { return t.tn },
-		Dataset:   func(t ftask) string { return t.ds },
-		FairShare: &FairShare{},
-	})
+	c := newFairCore(&FairShare{})
 	x := c.AddExec("e1", 1)
 	c.NoteCompletion(x, "warm")
 	// Tenant "a" is up first (tie-break); its second task hits e1's

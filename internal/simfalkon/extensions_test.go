@@ -5,6 +5,7 @@ import (
 	"testing"
 	"time"
 
+	"falkon/internal/sched"
 	"falkon/internal/sim"
 )
 
@@ -124,20 +125,18 @@ func TestPrefetchConservesTasks(t *testing.T) {
 }
 
 func TestDataAwareCacheHitsSkipStaging(t *testing.T) {
+	// The next-available arm is the same workload with no dataset named.
 	run := func(aware bool) (time.Duration, int, int) {
 		e := sim.New(8)
 		m := New(e, NoSecurity())
-		m.DataAware = aware
-		m.CacheCapacity = 8
 		for i := 0; i < 4; i++ {
 			m.AddExecutor(0, nil)
 		}
 		specs := make([]Spec, 64)
 		for i := range specs {
-			specs[i] = Spec{
-				Dur:     50 * time.Millisecond,
-				Dataset: fmt.Sprintf("d%d", i%4),
-				StageIn: time.Second,
+			specs[i] = Spec{Dur: 50 * time.Millisecond, StageIn: time.Second}
+			if aware {
+				specs[i].Dataset = fmt.Sprintf("d%d", i%4)
 			}
 		}
 		m.Submit(specs, 64)
@@ -162,16 +161,15 @@ func TestDataAwareCacheHitsSkipStaging(t *testing.T) {
 }
 
 func TestDataAwareCacheEviction(t *testing.T) {
-	// The model must wire each executor a capacity-bounded LRU dataset
-	// cache from the shared scheduling core.
+	// An executor's record in the shared scheduling core carries a
+	// capacity-bounded LRU dataset cache.
 	e := sim.New(1)
 	m := New(e, NoSecurity())
-	m.DataAware = true
-	m.CacheCapacity = 4
 	x := m.AddExecutor(0, nil)
-	if x.sx.Cache == nil {
-		t.Fatal("data-aware executor has no dataset cache")
+	if x.sx.Cache != nil {
+		t.Fatal("an executor that has run nothing has a dataset cache")
 	}
+	x.sx.Cache = sched.NewDatasetCache(4)
 	for i := 0; i < 10; i++ {
 		x.sx.Cache.Touch(fmt.Sprintf("d%d", i))
 	}
@@ -190,30 +188,34 @@ func TestDataAwareCacheEviction(t *testing.T) {
 }
 
 func TestSubmittedEqualsCompletedInvariant(t *testing.T) {
-	// Conservation across every mode combination.
-	modes := []func(p *Profile, m *Model){
-		func(p *Profile, m *Model) {},
-		func(p *Profile, m *Model) { p.NoPiggyback = true },
-		func(p *Profile, m *Model) { p.Prefetch = true },
-		func(p *Profile, m *Model) { m.DataAware = true },
+	// Conservation across every mode combination, with tasks that name no
+	// dataset and with tasks placed by locality.
+	modes := []func(p *Profile){
+		func(p *Profile) {},
+		func(p *Profile) { p.NoPiggyback = true },
+		func(p *Profile) { p.Prefetch = true },
 	}
 	for i, mode := range modes {
-		e := sim.New(int64(10 + i))
-		p := NoSecurity()
-		m := New(e, p)
-		mode(&p, m)
-		m.P = p
-		for j := 0; j < 8; j++ {
-			m.AddExecutor(0, nil)
-		}
-		specs := make([]Spec, 500)
-		for k := range specs {
-			specs[k] = Spec{Dur: time.Duration(k%5) * 100 * time.Millisecond, Dataset: fmt.Sprintf("d%d", k%7)}
-		}
-		m.Submit(specs, 50)
-		e.Run()
-		if m.Submitted() != 500 || m.Completed() != 500 {
-			t.Fatalf("mode %d: submitted %d completed %d", i, m.Submitted(), m.Completed())
+		for _, named := range []bool{false, true} {
+			e := sim.New(int64(10 + i))
+			p := NoSecurity()
+			mode(&p)
+			m := New(e, p)
+			for j := 0; j < 8; j++ {
+				m.AddExecutor(0, nil)
+			}
+			specs := make([]Spec, 500)
+			for k := range specs {
+				specs[k] = Spec{Dur: time.Duration(k%5) * 100 * time.Millisecond}
+				if named {
+					specs[k].Dataset = fmt.Sprintf("d%d", k%7)
+				}
+			}
+			m.Submit(specs, 50)
+			e.Run()
+			if m.Submitted() != 500 || m.Completed() != 500 {
+				t.Fatalf("mode %d (datasets named: %v): submitted %d completed %d", i, named, m.Submitted(), m.Completed())
+			}
 		}
 	}
 }

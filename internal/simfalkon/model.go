@@ -15,9 +15,9 @@ type Spec struct {
 	// Tag is an opaque caller token carried through to the Rec (the
 	// workflow engine uses it to map completions back to graph nodes).
 	Tag any
-	// Dataset names the data object the task reads; StageIn is the staging
-	// cost paid when the executor does not already cache it (data-aware
-	// scheduling, paper §6 future work).
+	// Dataset names the data object the task reads, which places the task
+	// by locality (data-aware scheduling, paper §6 future work); StageIn is
+	// the staging cost paid when the executor does not already cache it.
 	Dataset string
 	StageIn time.Duration
 	// StageBytes, with Model.Stager set, prices staging dynamically from
@@ -125,7 +125,7 @@ type dispJob struct {
 }
 
 // Model is the virtual-time Falkon system. The scheduling state machine —
-// queue, executor/idle tracking, outstanding table, pick policies, replay
+// queue, executor/idle tracking, outstanding table, pick rule, replay
 // policy — is the same internal/sched core the live dispatcher runs on;
 // the model drives it from the discrete-event clock and prices every
 // transition with the Profile's costs.
@@ -171,11 +171,6 @@ type Model struct {
 	// polls counts pure-pull work requests (including empty ones).
 	polls int
 
-	// DataAware enables dataset-affinity dispatch; CacheCapacity bounds
-	// each executor's cached datasets (default 16 when DataAware is set).
-	DataAware     bool
-	CacheCapacity int
-
 	// FairShare, when set, runs the cores' weighted fair-share tenant
 	// layer — the same SFQ arbiter the live dispatcher uses — so
 	// multi-tenant isolation is testable deterministically. Set after New,
@@ -211,9 +206,6 @@ func New(e *sim.Engine, p Profile) *Model {
 // executors or tasks.
 func (m *Model) syncCore() {
 	c := m.core
-	if m.DataAware && c.Policy() != sched.PolicyDataAware {
-		c.SetPolicy(sched.PolicyDataAware, m.CacheCapacity)
-	}
 	if m.FairShare != nil && !c.FairShareEnabled() {
 		c.SetFairShare(m.FairShare)
 	}
@@ -247,7 +239,7 @@ func (m *Model) Completed() int {
 func (m *Model) Failed() int  { return int(m.core.Counters.Failed) }
 func (m *Model) Retried() int { return int(m.core.Counters.Retried) }
 
-// CacheStats returns data-aware dispatch hit/miss counts.
+// CacheStats returns the dataset cache hits and misses of executors' picks.
 func (m *Model) CacheStats() (hits, misses int) {
 	return int(m.core.Counters.CacheHits), int(m.core.Counters.CacheMisses)
 }
@@ -484,9 +476,8 @@ func (m *Model) SubmitSleepStream(total int, dur time.Duration, bundle int) {
 	m.Submit(specs, bundle)
 }
 
-// pickFor selects the next task for x under the core's policy (on a
-// data-aware cache hit the staging cost is dropped — the dataset is already
-// resident on the executor's node).
+// pickFor selects the next task for x (on a dataset cache hit the staging
+// cost is dropped — the dataset is already resident on the executor's node).
 func (m *Model) pickFor(x *Exec) (sched.Item[mtask], bool) {
 	it, hit, ok := m.core.Pick(x.sx)
 	if hit {
@@ -553,7 +544,7 @@ func (m *Model) runOn(x *Exec, it sched.Item[mtask]) {
 		over = lim
 	}
 	m.OverheadHist.Observe(float64(over) / float64(time.Millisecond))
-	over += t.stageIn // data staging (zero on data-aware cache hits)
+	over += t.stageIn // data staging (zero on dataset cache hits)
 	if m.Stager != nil && t.stageBytes > 0 {
 		// Dynamic staging: bandwidth is shared with every staging in
 		// flight right now; the reservation releases when staging ends.

@@ -109,9 +109,9 @@ type IOSpec struct {
 	ReadBytes  int64  `json:"read_bytes,omitempty"`
 	WriteBytes int64  `json:"write_bytes,omitempty"`
 	Location   string `json:"location,omitempty"`
-	// Dataset names the data object the task reads; the data-aware
-	// dispatch policy (paper §6 future work) uses it to route tasks to
-	// executors that already cache the object.
+	// Dataset names the data object the task reads; a task that names one
+	// is placed by locality (paper §6 future work), on an executor that
+	// already caches the object where one can take it.
 	Dataset string `json:"dataset,omitempty"`
 }
 

@@ -3,8 +3,9 @@
 # total: the figure ROADMAP.md and CHANGES.md quote when a PR's point is to
 # shrink the code. Lines as `wc -l` counts them (comments and blanks
 # included), so the number moves only when files do. Under the total, the
-# flags each daemon defines (what its -h lists): the deployment surface's
-# other figure.
+# flags each daemon defines (what its -h lists), then the exported fields of
+# the option structs a library caller sets: the deployment surface's other
+# figures.
 set -euo pipefail
 
 cd "$(dirname "$0")/.."
@@ -20,4 +21,34 @@ find internal cmd -name '*.go' ! -name '*_test.go' -print0 |
 for daemon in falkon-dispatcher falkon-executor falkon-submit; do
     printf '%7d  flags, %s\n' \
         "$(grep -hE '\bflag\.[A-Z][A-Za-z0-9]*\((&[A-Za-z]+, )?"[a-z]' cmd/"$daemon"/*.go | wc -l)" "$daemon"
+done
+
+# Exported fields of a struct type, counted at its top level: "A, B int" is
+# two, an embedded type one.
+fields() {
+    local pkg=$1 name=$2 files=() f
+    for f in internal/"$pkg"/*.go; do
+        [[ $f == *_test.go ]] || files+=("$f")
+    done
+    awk -v name="$name" '
+        $1 == "type" && ($2 == name || index($2, name "[") == 1) && /struct \{$/ { depth = 1; next }
+        depth == 0 { next }
+        {
+            line = $0
+            sub(/\/\/.*/, "", line)
+            if (depth == 1 && line ~ /^[[:space:]]*[A-Z]/) {
+                sub(/^[[:space:]]+/, "", line)
+                n = 1
+                if (match(line, /^[A-Za-z0-9_]+([[:space:]]*,[[:space:]]*[A-Za-z0-9_]+)+/)) {
+                    n = gsub(/,/, ",", line) + 1
+                }
+                count += n
+            }
+            depth += gsub(/\{/, "{", line) - gsub(/\}/, "}", line)
+            if (depth == 0) { print count + 0; exit }
+        }' "${files[@]}"
+}
+
+for spec in dispatch.Options forward.Options sched.Options core.Config client.Options executor.Options; do
+    printf '%7d  fields, %s\n' "$(fields "${spec%%.*}" "${spec#*.}")" "$spec"
 done

@@ -543,19 +543,28 @@ func (d *Dispatcher) tenantHistsFor(tenant string) *tenantHists {
 // wait there on a slow peer, up to wsrpc's write-stall bound).
 func (d *Dispatcher) flush(f *fx) {
 	d.tracer.RecordAll(f.events)
-	for _, rec := range f.stamps {
-		var th *tenantHists
-		if rec.tenant != "" {
-			th = d.tenantHistsFor(rec.tenant)
+	// Each histogram takes a grant's worth of observations under one lock,
+	// laid out in a buffer on the stack.
+	var secs [64]float64
+	for lo := 0; lo < len(f.stamps); lo += len(secs) {
+		recs := f.stamps[lo:min(lo+len(secs), len(f.stamps))]
+		for i, h := range d.hStage {
+			for j := range recs {
+				secs[j] = recs[j].st.Stages()[i].Seconds()
+			}
+			h.ObserveAll(secs[:len(recs)])
 		}
-		for i, st := range rec.st.Stages() {
-			d.hStage[i].Observe(st.Seconds())
-			if th != nil {
+		for j := range recs {
+			secs[j] = recs[j].st.E2E().Seconds()
+		}
+		d.hE2E.ObserveAll(secs[:len(recs)])
+	}
+	for _, rec := range f.stamps {
+		if rec.tenant != "" {
+			th := d.tenantHistsFor(rec.tenant)
+			for i, st := range rec.st.Stages() {
 				th.stage[i].Observe(st.Seconds())
 			}
-		}
-		d.hE2E.Observe(rec.st.E2E().Seconds())
-		if th != nil {
 			th.e2e.Observe(rec.st.E2E().Seconds())
 		}
 	}

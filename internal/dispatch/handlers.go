@@ -215,9 +215,9 @@ func (d *Dispatcher) submit(f *fx, req *fproto.SubmitRequest) error {
 	if !ok || inst.destroyed.Load() {
 		return fmt.Errorf("dispatch: no such instance %q", req.EPR)
 	}
-	t0 := time.Now()
+	t0 := d.now()
 	d.mu.Lock()
-	t1 := time.Now()
+	t1 := d.now()
 	// Checked under mu, which Drain takes only after raising the flag: this
 	// submit is refused, or its tasks are queued by the time Drain looks.
 	if d.draining.Load() {
@@ -268,7 +268,7 @@ func (d *Dispatcher) submit(f *fx, req *fproto.SubmitRequest) error {
 	// admission but are already in flight from an earlier submission.
 	d.tenants.unadmit(inst.tenant, deduped)
 
-	now := t1.Sub(d.epoch) // d.now() as the lock was taken: one reading
+	now := t1 // as the lock was taken: one reading
 	var h wal.Handle
 	var werr error
 	if len(tasks) > 0 {
@@ -285,12 +285,12 @@ func (d *Dispatcher) submit(f *fx, req *fproto.SubmitRequest) error {
 		d.notifyLocked(f, now)
 	}
 	d.mu.Unlock()
-	t2 := time.Now()
+	t2 := d.now()
 	d.flush(f)
-	t3 := time.Now()
-	d.hLockWait.Observe(t1.Sub(t0).Seconds())
-	d.hSchedCore.Observe(t2.Sub(t1).Seconds())
-	d.hFxFlush.Observe(t3.Sub(t2).Seconds())
+	t3 := d.now()
+	d.hLockWait.Observe((t1 - t0).Seconds())
+	d.hSchedCore.Observe((t2 - t1).Seconds())
+	d.hFxFlush.Observe((t3 - t2).Seconds())
 	if werr != nil {
 		return werr
 	}
@@ -307,7 +307,7 @@ func (d *Dispatcher) submit(f *fx, req *fproto.SubmitRequest) error {
 		if len(tasks) > 0 {
 			d.replicaBarrier()
 		}
-		d.hWALWait.Observe(time.Since(t3).Seconds())
+		d.hWALWait.Observe((d.now() - t3).Seconds())
 	}
 	f.ack = fproto.SubmitReply{Accepted: len(req.Tasks), Deduped: deduped}
 	return nil
@@ -515,15 +515,15 @@ func (d *Dispatcher) Deliver(req *fproto.DeliverRequest) (fproto.DeliverReply, e
 
 // deliver is Deliver with the grant left in f.reply; f is the caller's to release.
 func (d *Dispatcher) deliver(f *fx, req *fproto.DeliverRequest) error {
-	t0 := time.Now()
+	t0 := d.now()
 	d.mu.Lock()
-	t1 := time.Now()
+	t1 := d.now()
 	ex, ok := d.core.Exec(req.ExecutorID)
 	if !ok {
 		d.mu.Unlock()
 		return fmt.Errorf("dispatch: unregistered executor %q", req.ExecutorID)
 	}
-	now := t1.Sub(d.epoch) // d.now() as the lock was taken: one reading
+	now := t1 // as the lock was taken: one reading
 	// The batch as the dispatcher timed it: sent when its first task was
 	// dispatched, ran for what its results report.
 	sent, ran := now, time.Duration(0)
@@ -584,16 +584,16 @@ func (d *Dispatcher) deliver(f *fx, req *fproto.DeliverRequest) error {
 	d.notifyLocked(f, now)
 	snap := d.snapshotDueLocked()
 	d.mu.Unlock()
-	t2 := time.Now()
+	t2 := d.now()
 	d.wakeDrain()
 	if snap {
 		d.startSnapshot()
 	}
 	d.flush(f)
-	t3 := time.Now()
-	d.hLockWait.Observe(t1.Sub(t0).Seconds())
-	d.hSchedCore.Observe(t2.Sub(t1).Seconds())
-	d.hFxFlush.Observe(t3.Sub(t2).Seconds())
+	t3 := d.now()
+	d.hLockWait.Observe((t1 - t0).Seconds())
+	d.hSchedCore.Observe((t2 - t1).Seconds())
+	d.hFxFlush.Observe((t3 - t2).Seconds())
 	return nil
 }
 

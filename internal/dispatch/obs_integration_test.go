@@ -156,6 +156,68 @@ func TestEventsRPCRoundTrip(t *testing.T) {
 	}
 }
 
+// An executor stamps on its monotonic clock against a base read at register;
+// the dispatcher on its own against its epoch. Placed on one timeline, an
+// in-process executor's start and finish of every task fall between the
+// dispatcher's stamps of handing it out and taking its result back.
+func TestExecutorStampsFallInsideTheDispatchersSpan(t *testing.T) {
+	const n = 600
+	d, c, execs := startSystem(t, dispatch.Options{}, client.Options{BundleSize: 50}, 2, executor.Options{})
+	var gen task.IDGen
+	if err := c.Submit(task.Batch(&gen, n, 0)); err != nil {
+		t.Fatal(err)
+	}
+	if _, err := c.WaitN(n, 30*time.Second); err != nil {
+		t.Fatal(err)
+	}
+	type span struct{ dispatched, delivered, started, finished time.Duration }
+	spans := make(map[task.ID]*span, n)
+	at := func(id task.ID) *span {
+		if spans[id] == nil {
+			spans[id] = &span{dispatched: -1, delivered: -1, started: -1, finished: -1}
+		}
+		return spans[id]
+	}
+	evs, _ := d.Tracer().Since(0, 0)
+	for _, ev := range evs {
+		switch ev.Kind {
+		case obs.EvPulled, obs.EvAcked, obs.EvPushed:
+			at(ev.Task).dispatched = ev.At
+		case obs.EvDelivered:
+			at(ev.Task).delivered = ev.At
+		}
+	}
+	// An executor records a batch's events once its Deliver has returned,
+	// which the client's last result can beat.
+	for deadline := time.Now().Add(5 * time.Second); ; time.Sleep(2 * time.Millisecond) {
+		seen := 0
+		for _, ex := range execs {
+			evs, _ := ex.Tracer().Since(0, 0)
+			for _, ev := range evs {
+				switch ev.Kind {
+				case obs.EvStarted:
+					at(ev.Task).started = ev.At
+				case obs.EvFinished:
+					at(ev.Task).finished = ev.At
+					seen++
+				}
+			}
+		}
+		if seen == n || time.Now().After(deadline) {
+			break
+		}
+	}
+	if len(spans) != n {
+		t.Fatalf("events name %d tasks, want %d", len(spans), n)
+	}
+	for id, s := range spans {
+		if s.dispatched < 0 || s.started < s.dispatched || s.finished < s.started || s.delivered < s.finished {
+			t.Fatalf("task %v: dispatched %v, started %v, finished %v, delivered %v: want them in that order (-1s is none)",
+				id, s.dispatched, s.started, s.finished, s.delivered)
+		}
+	}
+}
+
 // TestExecutorTracerRecordsLifecycle checks the executor-side trace ring:
 // pulled/started/finished/delivered events on the dispatcher timeline.
 func TestExecutorTracerRecordsLifecycle(t *testing.T) {

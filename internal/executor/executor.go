@@ -108,12 +108,17 @@ type Executor struct {
 
 	// Observability. epoch is the dispatcher's wall-clock epoch (UnixNano)
 	// from registration; trace events are stamped relative to it so executor
-	// and dispatcher spans share one timeline despite separate clocks. It is
-	// atomic because a reconnect re-bases it onto the new dispatcher's epoch
-	// while slots are stamping events.
+	// and dispatcher spans share one timeline despite separate clocks. The
+	// executor times everything on the monotonic clock (clock), and shift
+	// places a reading on that timeline: it is the wall time of a base read as
+	// the epoch was exchanged, less the epoch and the base's own reading. Both
+	// are atomic because a reconnect re-bases them onto the new dispatcher's
+	// epoch while slots are stamping events.
 	reg         *obs.Registry
 	tracer      *obs.Tracer
+	started     time.Time // clock's zero
 	epoch       atomic.Int64
+	shift       atomic.Int64
 	cDone       *obs.Counter
 	cFailed     *obs.Counter
 	cBusy       *obs.Counter
@@ -139,7 +144,7 @@ type Executor struct {
 
 	mu       sync.Mutex
 	active   int
-	lastBusy time.Time
+	lastBusy time.Duration // a clock reading
 	stopped  bool
 
 	tasksRun int64
@@ -187,7 +192,7 @@ func Start(opts Options) (*Executor, error) {
 	e.gActive = e.reg.Gauge("falkon_executor_active_slots")
 	e.hRun = e.reg.Histogram("falkon_executor_run_seconds")
 	e.hOverhed = e.reg.Histogram("falkon_executor_overhead_seconds")
-	e.lastBusy = time.Now()
+	e.started = time.Now()
 	e.sess = wsrpc.NewSession(wsrpc.SessionOptions{
 		Addrs: addrs,
 		Client: wsrpc.ClientOptions{
@@ -239,11 +244,13 @@ func (e *Executor) register(cli *wsrpc.Client, _ int) error {
 	if err != nil {
 		return fmt.Errorf("executor %s: register: %w", e.opts.ID, err)
 	}
+	base := time.Now()
 	if reply.DispatcherEpoch != 0 {
 		e.epoch.Store(reply.DispatcherEpoch)
 	} else if e.epoch.Load() == 0 {
-		e.epoch.Store(time.Now().UnixNano()) // old dispatcher: local timeline
+		e.epoch.Store(base.UnixNano()) // old dispatcher: local timeline
 	}
+	e.shift.Store(base.UnixNano() - e.epoch.Load() - int64(base.Sub(e.started)))
 	return nil
 }
 
@@ -362,8 +369,11 @@ func (e *Executor) SpanHeader() obs.DumpHeader {
 	return h
 }
 
-// on places a reading of this process's clock on the dispatcher-epoch timeline.
-func (e *Executor) on(t time.Time) time.Duration { return time.Duration(t.UnixNano() - e.epoch.Load()) }
+// clock reads the monotonic clock: the time since the executor started.
+func (e *Executor) clock() time.Duration { return time.Since(e.started) }
+
+// on places a clock reading on the dispatcher-epoch timeline.
+func (e *Executor) on(c time.Duration) time.Duration { return c + time.Duration(e.shift.Load()) }
 
 // TasksRun returns the number of tasks completed so far.
 func (e *Executor) TasksRun() int64 {
@@ -449,15 +459,15 @@ func (e *Executor) workLoop() {
 		// One reading of the clock is when the work arrived, when its first
 		// task was picked up and, for a pull, the end of the round trip.
 		if g != nil {
-			got := time.Now()
+			got := e.clock()
 			e.traceAssigned(&ps, e.on(got), obs.EvPushed, g.Assignments)
 			e.runAssignments(cli, &ps, g.Assignments, g, got)
 			continue
 		}
-		sent := time.Now()
+		sent := e.clock()
 		ps.ask = fproto.GetWorkRequest{ExecutorID: e.opts.ID, Max: ps.Ask(e.opts.Prefetch)}
 		err = cli.Call(fproto.MethodGetWork, &ps.ask, &ps.pulled)
-		got := time.Now()
+		got := e.clock()
 		if err != nil {
 			// A dropped connection is the session's to replace: park again
 			// until onReconnect wakes the slots on the re-registered one (or
@@ -471,7 +481,7 @@ func (e *Executor) workLoop() {
 			}
 			continue
 		}
-		ps.RTT = got.Sub(sent)
+		ps.RTT = got - sent
 		e.traceAssigned(&ps, e.on(got), obs.EvPulled, ps.pulled.Assignments)
 		e.runAssignments(cli, &ps, ps.pulled.Assignments, nil, got)
 	}
@@ -485,6 +495,8 @@ func (e *Executor) workLoop() {
 type slot struct {
 	PullSizer
 	evs     []obs.Event // trace events gathered for the tracer to take in one call
+	run     []float64   // the batch's run and overhead seconds, for the histograms
+	over    []float64
 	ask     fproto.GetWorkRequest
 	pulled  fproto.GetWorkReply
 	deliver fproto.DeliverRequest
@@ -512,7 +524,7 @@ func (e *Executor) isStopping() bool {
 func (e *Executor) idleRemaining() time.Duration {
 	e.mu.Lock()
 	defer e.mu.Unlock()
-	rem := e.opts.IdleTimeout - time.Since(e.lastBusy)
+	rem := e.opts.IdleTimeout - (e.clock() - e.lastBusy)
 	if rem < time.Millisecond {
 		rem = time.Millisecond
 	}
@@ -524,7 +536,7 @@ func (e *Executor) idleRemaining() time.Duration {
 func (e *Executor) idleExpired() bool {
 	e.mu.Lock()
 	defer e.mu.Unlock()
-	return e.active == 0 && time.Since(e.lastBusy) >= e.opts.IdleTimeout
+	return e.active == 0 && e.clock()-e.lastBusy >= e.opts.IdleTimeout
 }
 
 // markBusy/markIdle maintain idle accounting across slots.
@@ -536,7 +548,7 @@ func (e *Executor) markBusy() {
 	e.gActive.Add(1)
 }
 
-func (e *Executor) markIdle(ran int64, now time.Time) {
+func (e *Executor) markIdle(ran int64, now time.Duration) {
 	e.mu.Lock()
 	e.active--
 	e.lastBusy = now
@@ -552,8 +564,8 @@ func (e *Executor) markIdle(ran int64, now time.Time) {
 // dropped and the (journaling) dispatcher re-dispatches the tasks after
 // recovery, so nothing retries against a connection that no longer knows the
 // outstanding set. pushed, unless nil, is the holder as came in, given back
-// once its tasks have run; pickup is when as arrived.
-func (e *Executor) runAssignments(cli *wsrpc.Client, ps *slot, as []fproto.Assignment, pushed *fproto.GetWorkReply, pickup time.Time) {
+// once its tasks have run; pickup is when as arrived, a clock reading.
+func (e *Executor) runAssignments(cli *wsrpc.Client, ps *slot, as []fproto.Assignment, pushed *fproto.GetWorkReply, pickup time.Duration) {
 	if len(as) == 0 {
 		if pushed != nil {
 			e.release(pushed)
@@ -568,13 +580,14 @@ func (e *Executor) runAssignments(cli *wsrpc.Client, ps *slot, as []fproto.Assig
 	defer func() { e.markIdle(ran, pickup) }()
 	for len(as) > 0 {
 		results := fproto.Recycle(ps.deliver.Results)
+		ps.run, ps.over = ps.run[:0], ps.over[:0]
 		for i := range as {
 			a := &as[i]
 			if e.opts.Faults.ExecCrash() {
 				e.crash("crash mid-task")
 			}
 			r, start, end := e.runTask(&a.Task, a.CacheHit)
-			runDur, overhead := end.Sub(start), start.Sub(pickup)
+			runDur, overhead := end-start, start-pickup
 			pickup = end
 			kind := obs.EvFinished
 			if r.Failed() {
@@ -586,8 +599,7 @@ func (e *Executor) runAssignments(cli *wsrpc.Client, ps *slot, as []fproto.Assig
 				obs.Event{At: e.on(start), Kind: obs.EvStarted, Trace: r.Trace, Task: r.ID, EPR: a.EPR, Executor: e.opts.ID},
 				obs.Event{At: e.on(end), Kind: kind, Trace: r.Trace, Task: r.ID, EPR: a.EPR, Executor: e.opts.ID})
 			e.cDone.Inc()
-			e.hRun.Observe(runDur.Seconds())
-			e.hOverhed.Observe(overhead.Seconds())
+			ps.run, ps.over = append(ps.run, runDur.Seconds()), append(ps.over, overhead.Seconds())
 			ps.Observe(runDur, len(r.Stdout)+len(r.Stderr))
 			results = append(results, fproto.TaggedResult{
 				EPR:         a.EPR,
@@ -597,6 +609,8 @@ func (e *Executor) runAssignments(cli *wsrpc.Client, ps *slot, as []fproto.Assig
 			})
 			ran++
 		}
+		e.hRun.ObserveAll(ps.run)
+		e.hOverhed.ObserveAll(ps.over)
 		if pushed != nil {
 			// Before the Deliver whose answer parks this slot again: the next
 			// push finds the holder back. results has what is kept of as.
@@ -607,8 +621,8 @@ func (e *Executor) runAssignments(cli *wsrpc.Client, ps *slot, as []fproto.Assig
 		// rides in the result bodies), so the return hop is attributable too.
 		ps.deliver = fproto.DeliverRequest{ExecutorID: e.opts.ID, Results: results, WantWork: true, MaxNew: ps.Ask(e.opts.Prefetch)}
 		err := cli.CallTrace(fproto.MethodDeliver, &ps.deliver, &ps.acked, results[0].Result.Trace, 0)
-		back := time.Now()
-		waited := back.Sub(pickup) // from the last task's end
+		back := e.clock()
+		waited := back - pickup // from the last task's end
 		pickup = back
 		if err != nil {
 			e.traceAssigned(ps, 0, 0, nil) // what the batch gathered
@@ -699,16 +713,16 @@ func pullSize(rtt, run time.Duration, out, limit int) int {
 }
 
 // runTask executes one task and returns its result and when it started and
-// ended. cacheHit marks data-aware assignments whose input is already resident
-// on this node, so staging is skipped.
-func (e *Executor) runTask(t *task.Task, cacheHit bool) (r task.Result, start, end time.Time) {
+// ended, as clock readings. cacheHit marks data-aware assignments whose input
+// is already resident on this node, so staging is skipped.
+func (e *Executor) runTask(t *task.Task, cacheHit bool) (r task.Result, start, end time.Duration) {
 	r = task.Result{ID: t.ID, Trace: t.Trace, ExecutorID: e.opts.ID}
 	if d := e.opts.Faults.ExecStall(); d > 0 {
 		// Injected stall: long enough to trip the dispatcher's replay
 		// timeout, so the same task races its own re-dispatch.
 		time.Sleep(d)
 	}
-	start = time.Now()
+	start = e.clock()
 	switch t.Engine {
 	case task.EngineSleep:
 		e.sleepScaled(t.Duration)
@@ -735,7 +749,7 @@ func (e *Executor) runTask(t *task.Task, cacheHit bool) (r task.Result, start, e
 		r.Err = fmt.Sprintf("executor: unknown engine %v", t.Engine)
 		r.ExitCode = -1
 	}
-	return r, start, time.Now()
+	return r, start, e.clock()
 }
 
 // crash terminates the process for an injected executor fault. Exit code

@@ -73,29 +73,65 @@ const (
 
 var fixedLnG = math.Log(2) / 4
 
+// fixedQuarters are the mantissa fields of 2^¼, 2^½ and 2^¾: where the
+// second, third and fourth bucket of an octave begin.
+var fixedQuarters = [3]uint64{
+	math.Float64bits(math.Pow(2, 0.25)) & fracMask,
+	math.Float64bits(math.Sqrt2) & fracMask,
+	math.Float64bits(math.Pow(2, 0.75)) & fracMask,
+}
+
+const fracMask = 1<<52 - 1
+
 // fixedBound returns the upper bound of bucket i.
 func fixedBound(i int) float64 {
 	return fixedLo * math.Exp(float64(i)*fixedLnG)
 }
 
-// fixedIndex maps a value to its bucket.
+// fixedIndex maps a value to its bucket, 1 + ⌊4·log2(v/fixedLo)⌋, read from
+// the bits of v/fixedLo: with four buckets to an octave the binary exponent
+// is a quarter of the index, and the mantissa against 2^¼, 2^½ and 2^¾ the
+// rest. No logarithm is taken.
 func fixedIndex(v float64) int {
 	if v < fixedLo {
 		return 0
 	}
-	i := 1 + int(math.Floor(math.Log(v/fixedLo)/fixedLnG))
-	if i >= fixedBuckets {
-		i = fixedBuckets - 1
+	b := math.Float64bits(v / fixedLo)
+	i := 1 + 4*(int(b>>52)-1023)
+	for _, q := range fixedQuarters {
+		if b&fracMask >= q {
+			i++
+		}
 	}
-	return i
+	return min(i, fixedBuckets-1)
 }
 
 // Observe records one value. Negative values count as zero.
 func (h *Histogram) Observe(v float64) {
+	h.mu.Lock()
+	h.observe(v)
+	h.mu.Unlock()
+}
+
+// ObserveAll records vs in order under one acquisition of the lock: a
+// handler's or a batch's worth. It leaves what Observe over each would, the
+// sum included (added in the same order).
+func (h *Histogram) ObserveAll(vs []float64) {
+	if len(vs) == 0 {
+		return
+	}
+	h.mu.Lock()
+	for _, v := range vs {
+		h.observe(v)
+	}
+	h.mu.Unlock()
+}
+
+// observe is Observe with h.mu held.
+func (h *Histogram) observe(v float64) {
 	if v < 0 {
 		v = 0
 	}
-	h.mu.Lock()
 	h.buckets[fixedIndex(v)]++
 	if h.count == 0 || v < h.min {
 		h.min = v
@@ -105,7 +141,6 @@ func (h *Histogram) Observe(v float64) {
 	}
 	h.count++
 	h.sum += v
-	h.mu.Unlock()
 }
 
 // Snapshot copies the histogram state into a mergeable, JSON-encodable

@@ -3,6 +3,8 @@ package obs
 import (
 	"encoding/json"
 	"math"
+	"math/rand/v2"
+	"slices"
 	"sync"
 	"testing"
 )
@@ -130,6 +132,89 @@ func TestHistSnapshotJSONRoundTrip(t *testing.T) {
 	if back.Count != 2 || back.Quantile(1) != 2.5 {
 		t.Fatalf("round trip = %+v", back)
 	}
+}
+
+// logIndex is the bucket index as the logarithm defines it, which fixedIndex
+// reads from a float's bits instead.
+func logIndex(v float64) int {
+	if v < fixedLo {
+		return 0
+	}
+	return min(1+int(math.Floor(math.Log(v/fixedLo)/fixedLnG)), fixedBuckets-1)
+}
+
+// fixedIndex puts a million seeded values, log-uniform over the layout's span
+// and past both ends, in the bucket the logarithm does; on each bucket bound
+// and two ulps either side of it the two may differ by one bucket, the
+// rounding of a logarithm taken that close to its own bucket's edge.
+func TestFixedIndexMatchesLogarithm(t *testing.T) {
+	r := rand.New(rand.NewPCG(38, 1))
+	for n := 0; n < 1_000_000; n++ {
+		v := fixedLo * math.Exp2(r.Float64()*40-2)
+		if got, want := fixedIndex(v), logIndex(v); got != want {
+			t.Fatalf("value %v (bits %#x): bucket %d, the logarithm says %d", v, math.Float64bits(v), got, want)
+		}
+	}
+	for i := 0; i < fixedBuckets+4; i++ {
+		b := fixedBound(i)
+		for _, v := range []float64{b, math.Nextafter(b, 0), math.Nextafter(math.Nextafter(b, 0), 0),
+			math.Nextafter(b, math.Inf(1)), math.Nextafter(math.Nextafter(b, math.Inf(1)), math.Inf(1))} {
+			if got, want := fixedIndex(v), logIndex(v); got < want-1 || got > want+1 {
+				t.Fatalf("bound %d, value %v: bucket %d, the logarithm says %d", i, v, got, want)
+			}
+		}
+	}
+	// The ends; the logarithm's index overflows on the last two.
+	last := fixedBuckets - 1
+	for v, want := range map[float64]int{0: 0, fixedLo / 2: 0, fixedLo: 1, 1e12: last, math.MaxFloat64: last, math.Inf(1): last} {
+		if got := fixedIndex(v); got != want {
+			t.Fatalf("value %v: bucket %d, want %d", v, got, want)
+		}
+	}
+}
+
+// ObserveAll over a batch leaves the snapshot Observe over each value does:
+// count, min, max, buckets, and the sum to the bit.
+func TestObserveAllMatchesObserve(t *testing.T) {
+	r := rand.New(rand.NewPCG(38, 2))
+	vs := make([]float64, 10_000)
+	for i := range vs {
+		vs[i] = fixedLo * math.Exp2(r.Float64()*30-4)
+	}
+	vs[17], vs[18] = -1, 0
+	var one, all Histogram
+	for _, v := range vs {
+		one.Observe(v)
+	}
+	for i := 0; i < len(vs); i += 16 {
+		all.ObserveAll(vs[i:min(i+16, len(vs))])
+	}
+	all.ObserveAll(nil)
+	a, b := one.Snapshot(), all.Snapshot()
+	if a.Count != b.Count || a.Min != b.Min || a.Max != b.Max || math.Float64bits(a.Sum) != math.Float64bits(b.Sum) || !slices.Equal(a.Buckets, b.Buckets) {
+		t.Fatalf("ObserveAll %+v\n    Observe %+v", b, a)
+	}
+}
+
+// BenchmarkHistogramObserve is what one observation costs, alone and in a
+// batch of 16 (per observation: divide the batch's ns/op by 16).
+func BenchmarkHistogramObserve(b *testing.B) {
+	vs := make([]float64, 16)
+	for i := range vs {
+		vs[i] = float64(i+1) * 37e-6
+	}
+	b.Run("one", func(b *testing.B) {
+		var h Histogram
+		for i := 0; i < b.N; i++ {
+			h.Observe(vs[i&15])
+		}
+	})
+	b.Run("batch16", func(b *testing.B) {
+		var h Histogram
+		for i := 0; i < b.N; i++ {
+			h.ObserveAll(vs)
+		}
+	})
 }
 
 func TestCounterGaugeConcurrent(t *testing.T) {

@@ -115,12 +115,14 @@ type Event struct {
 }
 
 // Tracer records lifecycle events into a bounded ring buffer. Recording is
-// one short critical section (no allocation once the ring is full); a nil
-// *Tracer discards events, so call sites need no guards.
+// one short critical section that allocates nothing; a nil *Tracer discards
+// events, so call sites need no guards.
 type Tracer struct {
-	mu   sync.Mutex
+	mu sync.Mutex
+	// ring holds event seq s at (s-1) % len(ring); its Seq field is not kept
+	// there but derived from that position (Since).
 	ring []Event
-	next uint64 // seq of the next event to record; seqs start at 1
+	last uint64 // seq of the newest event recorded; seqs start at 1
 }
 
 // NewTracer returns a tracer retaining the last capacity events (default
@@ -129,7 +131,7 @@ func NewTracer(capacity int) *Tracer {
 	if capacity <= 0 {
 		capacity = 8192
 	}
-	return &Tracer{ring: make([]Event, 0, capacity)}
+	return &Tracer{ring: make([]Event, capacity)}
 }
 
 // Record appends an event stamped at, attributed to trace (0 when the
@@ -139,22 +141,21 @@ func (t *Tracer) Record(at time.Duration, kind EventKind, trace uint64, id task.
 }
 
 // RecordAll appends events in order under one acquisition of the lock: what
-// a handler gathered, or a batch's worth. Their Seq is assigned here, in
-// the ring's copy only.
+// a handler gathered, or a batch's worth, in at most two copies (the second
+// when they wrap the ring). Their Seq is the order they were recorded in;
+// what the caller set there is ignored.
 func (t *Tracer) RecordAll(evs []Event) {
 	if t == nil || len(evs) == 0 {
 		return
 	}
 	t.mu.Lock()
-	for _, ev := range evs {
-		t.next++
-		ev.Seq = t.next
-		if len(t.ring) < cap(t.ring) {
-			t.ring = append(t.ring, ev)
-		} else {
-			t.ring[int((t.next-1)%uint64(cap(t.ring)))] = ev
-		}
+	t.last += uint64(len(evs))
+	if len(evs) > len(t.ring) {
+		evs = evs[len(evs)-len(t.ring):] // the older ones would be overwritten
 	}
+	at := int((t.last - uint64(len(evs))) % uint64(len(t.ring)))
+	n := copy(t.ring[at:], evs)
+	copy(t.ring, evs[n:])
 	t.mu.Unlock()
 }
 
@@ -168,22 +169,20 @@ func (t *Tracer) Since(since uint64, max int) (events []Event, next uint64) {
 	}
 	t.mu.Lock()
 	defer t.mu.Unlock()
-	n := len(t.ring)
-	if n == 0 {
-		return nil, t.next
-	}
-	oldest := t.next - uint64(n) + 1
+	size := uint64(len(t.ring))
 	from := since + 1
-	if from < oldest {
-		from = oldest
+	if t.last > size && from <= t.last-size {
+		from = t.last - size + 1 // the oldest the ring holds
 	}
 	if max <= 0 {
-		max = n
+		max = len(t.ring)
 	}
-	for seq := from; seq <= t.next && len(events) < max; seq++ {
-		events = append(events, t.ring[int((seq-1)%uint64(cap(t.ring)))])
+	for seq := from; seq <= t.last && len(events) < max; seq++ {
+		ev := t.ring[(seq-1)%size]
+		ev.Seq = seq
+		events = append(events, ev)
 	}
-	return events, t.next
+	return events, t.last
 }
 
 // Stage names of the Figure-10-style decomposition. Each task's four stage

@@ -41,6 +41,53 @@ func TestTracerRingAndPagination(t *testing.T) {
 	}
 }
 
+// One RecordAll that crosses the ring's end, and one larger than the ring:
+// Since hands back contiguous Seqs and, at each, the event recorded there.
+func TestTracerRecordAllAcrossTheWrap(t *testing.T) {
+	batch := func(first, n int) []Event {
+		evs := make([]Event, n)
+		for i := range evs {
+			evs[i] = Event{Seq: 999, Kind: EvEnqueued, Task: task.ID(first + i)}
+		}
+		return evs
+	}
+	tr := NewTracer(8)
+	tr.RecordAll(batch(1, 5))
+	tr.RecordAll(batch(6, 6)) // seqs 6..11: three at the end of the ring, three at its start
+	check := func(since uint64, wantFirst, wantLast int) {
+		t.Helper()
+		evs, next := tr.Since(since, 0)
+		if next != uint64(wantLast) || len(evs) != wantLast-wantFirst+1 {
+			t.Fatalf("Since(%d): %d events, next %d; want %d..%d", since, len(evs), next, wantFirst, wantLast)
+		}
+		for i, ev := range evs {
+			if want := wantFirst + i; ev.Seq != uint64(want) || ev.Task != task.ID(want) {
+				t.Fatalf("Since(%d)[%d] = seq %d task %d, want %d", since, i, ev.Seq, ev.Task, want)
+			}
+		}
+	}
+	check(0, 4, 11)
+	check(7, 8, 11)
+	tr.RecordAll(batch(12, 19)) // seqs 12..30: only 23..30 survive
+	check(0, 23, 30)
+	check(25, 26, 30)
+	check(30, 31, 30)
+}
+
+// BenchmarkTracerRecordAll is what recording costs per call of 16 events, a
+// typical batch (per event: divide by 16).
+func BenchmarkTracerRecordAll(b *testing.B) {
+	tr := NewTracer(0)
+	evs := make([]Event, 16)
+	for i := range evs {
+		evs[i] = Event{At: time.Duration(i), Kind: EvStarted, Trace: uint64(i), Task: task.ID(i), EPR: "epr-1", Executor: "ex-1"}
+	}
+	b.ResetTimer()
+	for i := 0; i < b.N; i++ {
+		tr.RecordAll(evs)
+	}
+}
+
 func TestTracerNilSafe(t *testing.T) {
 	var tr *Tracer
 	tr.Record(0, EvEnqueued, 0, 1, "", "")

@@ -254,35 +254,6 @@ func TestPickWithoutDatasetsKeepsQueueOrder(t *testing.T) {
 	}
 }
 
-func TestAssignCompleteLifecycle(t *testing.T) {
-	c := newTestCore(Options[payload]{})
-	x := c.AddExec("x", 2)
-	c.Enqueue(5, payload{id: 1})
-	it, _, _ := c.Pick(x)
-	x.LastNotifyAt = 7
-	o := c.Assign(10, x, 1, it)
-	if o.Item.Attempts != 1 || o.NotifiedAt != 7 || o.DispatchedAt != 10 {
-		t.Fatalf("outstanding = %+v", o)
-	}
-	if x.Assigned != 1 || c.OutstandingLen() != 1 || c.Counters.Dispatched != 1 {
-		t.Fatal("assign bookkeeping wrong")
-	}
-	// Duplicate / wrong-executor deliveries are counted and rejected.
-	if _, ok := c.Complete("y", 1); ok {
-		t.Fatal("wrong-executor complete accepted")
-	}
-	got, ok := c.Complete("x", 1)
-	if !ok || got != o || x.Assigned != 0 {
-		t.Fatal("complete failed")
-	}
-	if _, ok := c.Complete("x", 1); ok {
-		t.Fatal("duplicate complete accepted")
-	}
-	if c.Counters.Duplicates != 2 {
-		t.Fatalf("duplicates = %d", c.Counters.Duplicates)
-	}
-}
-
 func TestAssignClampsNotifyStamp(t *testing.T) {
 	c := newTestCore(Options[payload]{})
 	x := c.AddExec("x", 1)
@@ -292,28 +263,6 @@ func TestAssignClampsNotifyStamp(t *testing.T) {
 	x.LastNotifyAt = 5 // stale push, before this task was queued
 	if o := c.Assign(30, x, 1, it); o.NotifiedAt != 30 {
 		t.Fatalf("stale notify not clamped: %v", o.NotifiedAt)
-	}
-}
-
-func TestRequeueReplayPolicy(t *testing.T) {
-	c := newTestCore(Options[payload]{MaxRetries: 2})
-	it := Item[payload]{X: payload{id: 1}, QueuedAt: 3}
-	for attempt := 1; attempt <= 2; attempt++ {
-		it.Attempts = attempt
-		if !c.Requeue(it) {
-			t.Fatalf("attempt %d not retried", attempt)
-		}
-		got, ok := c.PickAny()
-		if !ok || got.QueuedAt != 3 || got.Attempts != attempt {
-			t.Fatalf("requeued item = %+v", got)
-		}
-	}
-	it.Attempts = 3
-	if c.Requeue(it) {
-		t.Fatal("retries not exhausted after MaxRetries requeues")
-	}
-	if c.Counters.Retried != 2 {
-		t.Fatalf("retried = %d", c.Counters.Retried)
 	}
 }
 
@@ -356,45 +305,6 @@ func TestNotificationsCoverQueue(t *testing.T) {
 	}
 	if ns2 := c.Notifications(11); len(ns2) != 0 {
 		t.Fatalf("third kick notified %+v with no idle executors", ns2)
-	}
-}
-
-func TestExpireReplaysOutstanding(t *testing.T) {
-	c := newTestCore(Options[payload]{})
-	x := c.AddExec("x", 1)
-	c.Enqueue(0, payload{id: 1})
-	it, _, _ := c.Pick(x)
-	c.Assign(10, x, 1, it)
-	if exp := c.Expire(5); len(exp) != 0 {
-		t.Fatalf("premature expiry: %+v", exp)
-	}
-	exp := c.Expire(20)
-	if len(exp) != 1 || exp[0].Item.X.id != 1 {
-		t.Fatalf("expire = %+v", exp)
-	}
-	if x.Assigned != 0 || !x.Idle() {
-		t.Fatal("expired executor not freed and re-offered")
-	}
-}
-
-func TestDropExecutorReturnsOutstanding(t *testing.T) {
-	c := newTestCore(Options[payload]{})
-	x := c.AddExec("x", 2)
-	for i := 1; i <= 2; i++ {
-		c.Enqueue(0, payload{id: i})
-		it, _, _ := c.Pick(x)
-		c.Assign(1, x, i, it)
-	}
-	_, dropped := c.DropExecutor("x")
-	if len(dropped) != 2 || c.OutstandingLen() != 0 {
-		t.Fatalf("dropped = %+v", dropped)
-	}
-	if _, ok := c.Exec("x"); ok {
-		t.Fatal("executor still registered")
-	}
-	total, busy := c.ExecStats()
-	if total != 0 || busy != 0 {
-		t.Fatalf("stats = %d/%d", total, busy)
 	}
 }
 

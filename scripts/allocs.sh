@@ -79,15 +79,22 @@ scheduler: park, wake, pick a goroutine|^runtime\.(mcall|schedule|goready|ready|
 channel operations|^runtime\.(chansend|chanrecv|selectgo|selectnbsend|selectnbrecv)$
 body codec|^falkon/internal/(fproto|task|jsonwire)\.
 sched.Core|^falkon/internal/sched\.
-tracer|^falkon/internal/obs\.
+tracer, and gathering its events|^falkon/internal/obs\.|^falkon/internal/dispatch\.\(\*fx\)\.trace$|^falkon/internal/executor\.\(\*Executor\)\.traceAssigned$
 dispatch: handlers, fx, flush|^falkon/internal/dispatch\.
 wsrpc: envelope, cork, call slots, read loops|^falkon/internal/wsrpc\.
 executor|^falkon/internal/executor\.
 client|^falkon/internal/client\.
 everything else (the driver, runtime entry)|.
 LAYERS
+    inst=0
     for row in "${rows[@]}"; do
         printf '%-38s %6d  %5.1f\n' "${row%|*}" "${row#*|}" "$(echo "${row#*|} $total" | awk '{ print 100 * $1 / $2 }')"
+        case ${row%|*} in
+        "clock readings" | "histograms and counters" | tracer*) inst=$((inst + ${row#*|})) ;;
+        esac
     done
     printf '%-38s %6d  100.0\n' total "$total"
+    # What the live instruments cost together: the three rows above that are
+    # the clock, the histograms and the tracer.
+    printf '%-38s %6d  %5.1f\n' "instruments: clock, histograms, tracer" "$inst" "$(echo "$inst $total" | awk '{ print 100 * $1 / $2 }')"
 fi

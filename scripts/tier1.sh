@@ -74,6 +74,10 @@ go test -run='^$' -fuzz=FuzzFrameEnvelope -fuzztime=5s ./internal/wsrpc/
 # And over the one parser an operator types into (-tenant, -tenants): it
 # never panics, and what it accepts is usable and parses back to itself.
 go test -run='^$' -fuzz=FuzzTenantSpec -fuzztime=5s ./internal/dispatch/
+# And over the scheduling state machine every dispatcher drives: operation
+# sequences against a reference model (exactly-once, slot counts, retry
+# bounds, the fair-share bound).
+go test -run='^$' -fuzz=FuzzCore -fuzztime=5s ./internal/sched/
 # Compile-and-run every benchmark exactly once, so bitrot in benchmark-only
 # code fails tier 1 instead of the next perf investigation.
 go test -run='^$' -bench=. -benchtime=1x ./...

@@ -187,9 +187,6 @@ func (l *LRM) armPoll() {
 // FreeNodes returns currently unallocated nodes.
 func (l *LRM) FreeNodes() int { return l.free }
 
-// TotalNodes returns the cluster size.
-func (l *LRM) TotalNodes() int { return l.total }
-
 // QueueLen returns the number of queued jobs.
 func (l *LRM) QueueLen() int { return len(l.queue) }
 

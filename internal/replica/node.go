@@ -21,7 +21,7 @@ type NodeOptions struct {
 	// leads. Its Leader resolver is overwritten to follow the lease.
 	Standby StandbyOptions
 	// Promote starts serving as leader at term: build the dispatcher over
-	// the standby's mirror directory (the standby is already stopped) and
+	// the standby's journal directory (the standby is already stopped) and
 	// return once it is listening. A Promote error aborts the node.
 	Promote func(term uint64) error
 	// OnLostLease, when set, runs after a leader fails to renew, just
@@ -49,7 +49,7 @@ var ErrNodeStopped = fmt.Errorf("replica: node stopped")
 
 // RunNode runs one HA cluster member until it stops: follow the current
 // leader as a replication standby, attempt the lease on every tick, and on
-// winning it stop the standby, promote (recover the mirrored journal and
+// winning it stop the standby, promote (recover the standby's journal and
 // serve), then renew until the lease is lost. It returns ErrLeaseLost after
 // a failed renewal (the caller exits; the supervisor restarts the node and
 // it rejoins as a standby), ErrNodeStopped on graceful stop, or the first
@@ -118,7 +118,7 @@ func RunNode(opts NodeOptions) error {
 		}
 		if won {
 			logf("replica: node %s won lease (term %d)", opts.ID, st.Term)
-			stopStandby() // closes the mirror; Promote recovers it
+			stopStandby() // closes its journal; Promote recovers it
 			cElections.Inc()
 			gRole.Set(1)
 			gTerm.Set(int64(st.Term))

@@ -5,12 +5,12 @@
 // The design layers on the durability tier without changing it. The
 // journal's Mirror hook hands the replication Source every committed batch
 // in exact file order, still under the journal's write mutex, so the stream
-// is a byte-faithful copy of the segment files. A Standby pulls the stream
-// (attach + long-poll fetch), appends it to a wal.Mirror directory laid out
-// exactly like a leader's journal dir, and acks durable positions back on
-// the next fetch. Promotion is the ordinary crash-recovery path: the new
-// leader runs wal.Recover over its mirror directory — replication adds no
-// second replay mechanism.
+// is a byte-faithful copy of the committed records. A Standby pulls the
+// stream (attach + long-poll fetch), verifies each span and appends it to a
+// wal.Journal of its own, and acks durable positions back on the next fetch.
+// Promotion is the ordinary crash-recovery path: the new leader runs
+// wal.Recover over the standby's directory — replication adds no second
+// writer of the journal format and no second replay mechanism.
 //
 // Exactly-once across failover rests on the same invariants as restart
 // recovery: accepted tasks are durable before acknowledgment (and, under
@@ -79,7 +79,7 @@ func ParseMode(s string) (Mode, error) {
 type AttachRequest struct {
 	// ID names the standby in leader logs and stats.
 	ID string `json:"id"`
-	// Term and Pos are where the standby's mirror currently stands. Pos -1
+	// Term and Pos are where the standby's journal currently stands. Pos -1
 	// (or a term mismatch) forces a fresh baseline.
 	Term uint64 `json:"term"`
 	Pos  int64  `json:"pos"`
@@ -92,10 +92,10 @@ type AttachReply struct {
 	Term uint64 `json:"term"`
 	// Pos is the stream position the standby must continue (or start) from.
 	Pos int64 `json:"pos"`
-	// Resume reports the standby's existing mirror is still valid: the
+	// Resume reports the standby's existing journal is still valid: the
 	// source holds every record from the standby's position onward, so no
 	// baseline is needed. False means Snapshot carries a fresh consistent
-	// cut to Reset the mirror with.
+	// cut to install as the standby's new baseline.
 	Resume bool `json:"resume"`
 	// Snapshot is the leader's state as of Pos (only when !Resume).
 	Snapshot *wal.State `json:"snapshot,omitempty"`
@@ -120,7 +120,7 @@ type FetchReply struct {
 	// Pos is the position of the first record in Frames.
 	Pos int64 `json:"pos"`
 	// Frames is a concatenation of CRC-framed records, appendable to the
-	// mirror verbatim; Records is how many it holds.
+	// standby's journal verbatim; Records is how many it holds.
 	Frames  []byte `json:"frames,omitempty"`
 	Records int    `json:"records"`
 	// End is the source's current stream end, so the standby can report lag

@@ -14,36 +14,34 @@ import (
 
 // StandbyOptions configures a standby's replication follower.
 type StandbyOptions struct {
-	// ID names this standby to the leader (defaults to the mirror dir).
+	// ID names this standby to the leader (defaults to Dir).
 	ID string
 	// Leader resolves the current leader's address before each (re)attach;
 	// an error delays the retry. Static standbys return a fixed address; HA
 	// nodes read the lease file.
 	Leader func() (string, error)
-	// Dir is the mirror journal directory a promotion recovers from.
+	// Dir is the standby's journal directory a promotion recovers from.
 	Dir string
-	// Sync is the mirror's fsync policy (default group: acks mean durable).
+	// Sync is the journal's fsync policy (default group: acks mean durable).
 	Sync wal.SyncPolicy
-	// SegmentBytes rotates mirror segments (default 16 MiB).
-	SegmentBytes int64
 	// Security and PSK must match the leader's server.
 	Security wsrpc.SecurityProfile
 	PSK      []byte
-	// Backoff paces redials (default backoff.Default).
-	Backoff backoff.Policy
-	// Metrics receives falkon_replica_* instruments; nil keeps them
-	// unregistered.
+	// Metrics receives falkon_replica_* instruments and the journal's
+	// falkon_wal_* ones; nil keeps them unregistered.
 	Metrics *obs.Registry
 	// Logf receives standby logs; nil silences them.
 	Logf func(format string, args ...any)
 }
 
-// Standby follows a leader's replication stream into a wal.Mirror. It
-// re-attaches across leader restarts and failovers, requesting a fresh
-// baseline whenever its (term, position) no longer matches the stream.
+// Standby follows a leader's replication stream into a wal.Journal of its
+// own: every fetched span is verified and appended whole before its position
+// is acked. It re-attaches across leader restarts and failovers, requesting
+// a fresh baseline whenever its (term, position) no longer matches the
+// stream.
 type Standby struct {
-	opts   StandbyOptions
-	mirror *wal.Mirror
+	opts    StandbyOptions
+	journal *wal.Journal
 
 	gLag  *obs.Gauge
 	gTerm *obs.Gauge
@@ -59,7 +57,7 @@ type Standby struct {
 	done chan struct{}
 }
 
-// StartStandby opens the mirror directory and starts following. The
+// StartStandby opens the journal directory and starts following. The
 // returned Standby streams until Stop.
 func StartStandby(opts StandbyOptions) (*Standby, error) {
 	if opts.Leader == nil {
@@ -68,24 +66,21 @@ func StartStandby(opts StandbyOptions) (*Standby, error) {
 	if opts.ID == "" {
 		opts.ID = opts.Dir
 	}
-	if opts.Backoff == (backoff.Policy{}) {
-		opts.Backoff = backoff.Default
-	}
-	m, err := wal.OpenMirror(opts.Dir, wal.MirrorOptions{
-		Sync: opts.Sync, SegmentBytes: opts.SegmentBytes, Logf: opts.Logf,
-	})
+	// What the directory holds is discarded: the first attach carries a
+	// baseline that replaces it.
+	_, j, _, err := wal.Recover(opts.Dir, wal.Options{Sync: opts.Sync, Metrics: opts.Metrics, Logf: opts.Logf})
 	if err != nil {
 		return nil, err
 	}
 	s := &Standby{
-		opts:   opts,
-		mirror: m,
-		gLag:   opts.Metrics.Gauge("falkon_replica_lag_records"),
-		gTerm:  opts.Metrics.Gauge("falkon_replica_term"),
-		cRebl:  opts.Metrics.Counter("falkon_replica_baselines_total"),
-		pos:    -1, // no baseline yet: first attach must send one
-		stop:   make(chan struct{}),
-		done:   make(chan struct{}),
+		opts:    opts,
+		journal: j,
+		gLag:    opts.Metrics.Gauge("falkon_replica_lag_records"),
+		gTerm:   opts.Metrics.Gauge("falkon_replica_term"),
+		cRebl:   opts.Metrics.Counter("falkon_replica_baselines_total"),
+		pos:     -1, // no baseline yet: first attach must send one
+		stop:    make(chan struct{}),
+		done:    make(chan struct{}),
 	}
 	opts.Metrics.Gauge("falkon_replica_role").Set(0)
 	go s.run()
@@ -102,7 +97,7 @@ func (s *Standby) logf(format string, args ...any) {
 // connection or the stream breaks, back off, repeat.
 func (s *Standby) run() {
 	defer close(s.done)
-	sched := backoff.NewSchedule(s.opts.Backoff)
+	sched := backoff.NewSchedule(backoff.Default)
 	for {
 		select {
 		case <-s.stop:
@@ -148,8 +143,10 @@ func (s *Standby) run() {
 }
 
 // follow attaches and streams over one connection. A RemoteError from a
-// fetch means the stream moved past us (term change or ring trim): reset to
-// "no baseline" so the next attach requests a fresh cut.
+// fetch means the stream moved past us (term change or ring trim), and a
+// span whose count differs from the leader's is one the journal now holds
+// but the stream does not: either resets to "no baseline" so the next attach
+// requests a fresh cut.
 func (s *Standby) follow(cli *wsrpc.Client, sched *backoff.Schedule) error {
 	s.mu.Lock()
 	term, pos := s.term, s.pos
@@ -164,7 +161,13 @@ func (s *Standby) follow(cli *wsrpc.Client, sched *backoff.Schedule) error {
 		if att.Snapshot == nil {
 			return fmt.Errorf("replica: attach reply carries neither resume nor snapshot")
 		}
-		if err := s.mirror.Reset(att.Snapshot, att.Pos); err != nil {
+		// Rotate then snapshot: the snapshot covers every older segment, and
+		// only once it is durable are they pruned.
+		cut, err := s.journal.Rotate()
+		if err != nil {
+			return err
+		}
+		if err := s.journal.WriteSnapshot(cut, att.Snapshot); err != nil {
 			return err
 		}
 		if term != 0 || pos != -1 {
@@ -192,20 +195,25 @@ func (s *Standby) follow(cli *wsrpc.Client, sched *backoff.Schedule) error {
 		}, &rep)
 		if err != nil {
 			if _, remote := err.(*wsrpc.RemoteError); remote {
-				// Stream outran us (or a new term): force a fresh baseline.
-				s.mu.Lock()
-				s.term, s.pos = 0, -1
-				s.mu.Unlock()
+				s.rebaseline() // stream outran us (or a new term)
 			}
 			return err
 		}
-		if rep.Records > 0 {
-			if err := s.mirror.Append(rep.Frames, rep.Records); err != nil {
-				return err
-			}
+		// A damaged span is refused whole; a write error fails the journal
+		// closed. Either way the position stays where the disk is.
+		records, h, err := s.journal.AppendFrames(rep.Frames)
+		if err == nil && records != rep.Records {
+			s.rebaseline()
+			err = fmt.Errorf("replica: span holds %d records, leader counted %d", records, rep.Records)
+		}
+		if err == nil {
+			err = h.Wait()
+		}
+		if err != nil {
+			return err
 		}
 		s.mu.Lock()
-		s.pos = pos + int64(rep.Records) // acked on the next fetch: durable (mirror synced)
+		s.pos = pos + int64(records) // acked on the next fetch: durable per the sync policy
 		s.end = rep.End
 		lag := s.end - s.pos
 		s.mu.Unlock()
@@ -215,6 +223,14 @@ func (s *Standby) follow(cli *wsrpc.Client, sched *backoff.Schedule) error {
 		s.gLag.Set(lag)
 		sched.Reset() // streaming: the next hiccup backs off from the base again
 	}
+}
+
+// rebaseline forgets the stream position, so the next attach asks for a
+// fresh baseline.
+func (s *Standby) rebaseline() {
+	s.mu.Lock()
+	s.term, s.pos = 0, -1
+	s.mu.Unlock()
 }
 
 // sleep pauses between retries, returning false if Stop fired.
@@ -227,21 +243,6 @@ func (s *Standby) sleep(d time.Duration) bool {
 	}
 }
 
-// Pos reports the durably mirrored stream position (-1 before the first
-// baseline lands).
-func (s *Standby) Pos() int64 {
-	s.mu.Lock()
-	defer s.mu.Unlock()
-	return s.pos
-}
-
-// Term reports the leader term the standby is following (0 before attach).
-func (s *Standby) Term() uint64 {
-	s.mu.Lock()
-	defer s.mu.Unlock()
-	return s.term
-}
-
 // Stats summarizes the standby for falkon.stats.
 func (s *Standby) Stats() *fproto.ReplicationStats {
 	s.mu.Lock()
@@ -249,7 +250,7 @@ func (s *Standby) Stats() *fproto.ReplicationStats {
 	return &fproto.ReplicationStats{Role: "standby", Term: s.term, End: s.pos}
 }
 
-// Stop ends the follow loop and closes the mirror; the directory stays
+// Stop ends the follow loop and closes the journal; the directory stays
 // recoverable (promotion runs wal.Recover over it after Stop returns).
 func (s *Standby) Stop() {
 	s.mu.Lock()
@@ -264,5 +265,5 @@ func (s *Standby) Stop() {
 	}
 	s.mu.Unlock()
 	<-s.done
-	s.mirror.Close()
+	s.journal.Close()
 }

@@ -71,10 +71,6 @@ func (s *Server) Busy() bool { return s.busy }
 // Served returns the number of completed jobs.
 func (s *Server) Served() uint64 { return s.served }
 
-// BusyTime returns the total time the server has spent (or is committed to
-// spend) serving jobs.
-func (s *Server) BusyTime() time.Duration { return s.busyFor }
-
 // Utilization returns busy time divided by elapsed virtual time (0 when no
 // time has elapsed).
 func (s *Server) Utilization() float64 {

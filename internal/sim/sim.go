@@ -78,10 +78,6 @@ type Engine struct {
 	seq     uint64
 	rng     *rand.Rand
 	stopped bool
-
-	// processed counts executed events, mostly for tests and sanity
-	// assertions on runaway models.
-	processed uint64
 }
 
 // New returns an engine whose clock starts at zero, with a deterministic
@@ -95,9 +91,6 @@ func (e *Engine) Now() time.Duration { return e.now }
 
 // Rand returns the engine's deterministic RNG stream.
 func (e *Engine) Rand() *rand.Rand { return e.rng }
-
-// Processed returns the number of events executed so far.
-func (e *Engine) Processed() uint64 { return e.processed }
 
 // Pending returns the number of events currently scheduled.
 func (e *Engine) Pending() int { return len(e.events) }
@@ -163,7 +156,6 @@ func (e *Engine) RunUntil(deadline time.Duration) time.Duration {
 		}
 		heap.Pop(&e.events)
 		e.now = next.at
-		e.processed++
 		next.fn()
 	}
 	if deadline >= 0 && e.now < deadline {

@@ -106,9 +106,6 @@ func (x *Exec) BusyFor() time.Duration { return x.busyFor }
 // Idle reports whether the executor is registered and without work.
 func (x *Exec) Idle() bool { return x.idle }
 
-// Released reports whether the executor has been released.
-func (x *Exec) Released() bool { return x.released }
-
 // Lifetime returns registration-to-release (or -to-now for live executors).
 func (x *Exec) Lifetime(now time.Duration) time.Duration {
 	end := x.releasedAt

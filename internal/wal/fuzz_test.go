@@ -2,6 +2,8 @@ package wal
 
 import (
 	"bytes"
+	"io"
+	"os"
 	"testing"
 
 	"falkon/internal/task"
@@ -16,14 +18,24 @@ import (
 //     exactly the bytes it was decoded from — the framing is canonical, so
 //     an accepted record is bit-for-bit something a journal writer produced.
 //  3. Decoding always terminates and consumes monotonically.
+//  4. AppendFrames accepts the bytes as one span exactly when the decoder
+//     consumes all of them, and then counts the records it decoded.
 func FuzzJournalDecode(f *testing.F) {
 	for _, seed := range journalSeeds() {
 		f.Add(seed)
 	}
+	// One journal for every input, writing nowhere: property 4 needs only
+	// AppendFrames' verdict.
+	_, j, _, err := Recover("fuzz", Options{FS: discardFS{}, Sync: SyncPolicy{Mode: SyncOff}})
+	if err != nil {
+		f.Fatal(err)
+	}
+	f.Cleanup(func() { j.Close() })
 
 	f.Fuzz(func(t *testing.T, data []byte) {
 		r := newReplayer()
 		buf := data
+		decoded := 0
 		for {
 			rec, rest, ok := nextRecord(buf)
 			if !ok {
@@ -41,11 +53,36 @@ func FuzzJournalDecode(f *testing.F) {
 				t.Fatalf("decode did not consume: %d -> %d", len(buf), len(rest))
 			}
 			buf = rest
+			decoded++
 		}
 		// Materializing state must not panic either.
 		_ = r.state()
+
+		n, _, err := j.AppendFrames(data)
+		if whole := len(buf) == 0; (err == nil) != whole {
+			t.Fatalf("AppendFrames err=%v, but the decoder consumed all=%v", err, whole)
+		}
+		if err == nil && n != decoded {
+			t.Fatalf("AppendFrames counted %d records, the decoder %d", n, decoded)
+		}
 	})
 }
+
+// discardFS is a filesystem with no files that swallows every write.
+type discardFS struct{}
+
+type discardFile struct{ io.Writer }
+
+func (discardFile) Sync() error  { return nil }
+func (discardFile) Close() error { return nil }
+
+func (discardFS) MkdirAll(string, os.FileMode) error    { return nil }
+func (discardFS) Create(string, bool) (File, error)     { return discardFile{io.Discard}, nil }
+func (discardFS) Rename(string, string) error           { return nil }
+func (discardFS) Remove(string) error                   { return nil }
+func (discardFS) ReadDir(string) ([]os.DirEntry, error) { return nil, nil }
+func (discardFS) ReadFile(string) ([]byte, error)       { return nil, os.ErrNotExist }
+func (discardFS) SyncDir(string) error                  { return nil }
 
 // journalSeeds are realistic journals for the fuzzer to start from — whole,
 // torn mid-record, bit-flipped — in the single-task record kinds journals on

@@ -195,23 +195,36 @@ func (a *Appender) append(kind Kind, v any, wait bool) (Handle, error) {
 // journal no longer takes any: the header is reserved, and the caller, which
 // now holds the appender's lock, writes the body onto a.buf and calls end.
 func (a *Appender) begin(kind Kind) (start int, err error) {
-	if a.j.bad.Load() {
-		return 0, a.j.stickyErr()
-	}
-	a.mu.Lock()
-	if a.dead {
-		a.mu.Unlock()
-		return 0, a.j.stickyErr()
+	if err := a.lock(); err != nil {
+		return 0, err
 	}
 	a.buf, start = beginRecord(a.buf, kind)
 	return start, nil
 }
 
-// end seals the record begun at start, releases the appender, counts the
-// record and wakes the committer. With wait it returns the record's
-// durability barrier.
+// lock takes the appender's lock unless the journal no longer takes records.
+func (a *Appender) lock() error {
+	if a.j.bad.Load() {
+		return a.j.stickyErr()
+	}
+	a.mu.Lock()
+	if a.dead {
+		a.mu.Unlock()
+		return a.j.stickyErr()
+	}
+	return nil
+}
+
+// end seals the record begun at start and releases the appender (see
+// release).
 func (a *Appender) end(start int, wait bool) Handle {
 	sealRecord(a.buf, start)
+	return a.release(1, wait)
+}
+
+// release unlocks the appender after records were buffered, counts them and
+// wakes the committer. With wait it returns their durability barrier.
+func (a *Appender) release(records int, wait bool) Handle {
 	var h Handle
 	if wait {
 		w := &waiter{ch: make(chan struct{})}
@@ -219,7 +232,7 @@ func (a *Appender) end(start int, wait bool) Handle {
 		h = Handle{w: w}
 	}
 	a.mu.Unlock()
-	a.j.cAppends.Inc()
+	a.j.cAppends.Add(int64(records))
 	select {
 	case a.j.kick <- struct{}{}:
 	default:
@@ -410,6 +423,28 @@ func (j *Journal) AppendCompletes(rec *CompleteBatchRec) error {
 		j.def.end(start, false)
 	}
 	return err
+}
+
+// AppendFrames buffers a span of whole records that another journal framed
+// — a standby's copy of its leader's stream — and returns how many it holds
+// and their durability Handle. The whole span is checked with NextFrame
+// before any of it is buffered: a torn or corrupt span is refused entire, so
+// nothing is ever appended behind a damaged record.
+func (j *Journal) AppendFrames(frames []byte) (records int, h Handle, err error) {
+	for rest := frames; len(rest) > 0; records++ {
+		var ok bool
+		if _, rest, ok = NextFrame(rest); !ok {
+			return 0, Handle{}, fmt.Errorf("wal: span damaged after %d whole records", records)
+		}
+	}
+	if records == 0 {
+		return 0, Handle{}, nil
+	}
+	if err := j.def.lock(); err != nil {
+		return 0, Handle{}, err
+	}
+	j.def.buf = append(j.def.buf, frames...)
+	return records, j.def.release(records, true), nil
 }
 
 // run is the committer loop: drain the appender buffers, write them as one
@@ -669,47 +704,40 @@ func (j *Journal) Abort() {
 
 // WriteSnapshot durably stores st as the snapshot covering every segment
 // below boundary (the index returned by Rotate), then prunes segments and
-// snapshots the new snapshot supersedes.
+// snapshots the new snapshot supersedes. The install is atomic — tmp file,
+// fsync, rename, directory fsync — so a crash leaves the directory with or
+// without the whole snapshot, never part of one, and nothing is pruned until
+// it is durable. A standby's baseline is Rotate then WriteSnapshot: a crash
+// at any point recovers either the old state or the new one, never a mix.
 func (j *Journal) WriteSnapshot(boundary uint64, st *State) error {
-	if err := installSnapshot(j.fs, j.dir, j.opts.Sync, boundary, st); err != nil {
-		return err
-	}
-	prune(j.fs, j.dir, boundary)
-	j.refreshSegGauge()
-	return nil
-}
-
-// installSnapshot writes st as dir's snapshot at boundary, atomically: tmp
-// file, fsync, rename, directory fsync. A crash leaves the directory with or
-// without the whole snapshot, never part of one; only once this has returned
-// may what the snapshot covers be pruned. The journal's compaction and the
-// mirror's baseline install both go through here.
-func installSnapshot(fsys FS, dir string, policy SyncPolicy, boundary uint64, st *State) error {
 	frame, err := marshalRecord(nil, KindSnapshot, st)
 	if err != nil {
 		return err
 	}
-	tmp := filepath.Join(dir, "snap.tmp")
-	f, err := fsys.Create(tmp, false)
+	durable := j.opts.Sync.Mode != SyncOff
+	tmp := filepath.Join(j.dir, "snap.tmp")
+	f, err := j.fs.Create(tmp, false)
 	if err != nil {
 		return fmt.Errorf("wal: snapshot: %w", err)
 	}
-	if _, err = f.Write(frame); err == nil && policy.Mode != SyncOff {
+	if _, err = f.Write(frame); err == nil && durable {
 		err = f.Sync()
 	}
 	if cerr := f.Close(); err == nil {
 		err = cerr
 	}
 	if err == nil {
-		err = fsys.Rename(tmp, filepath.Join(dir, snapName(boundary)))
+		err = j.fs.Rename(tmp, filepath.Join(j.dir, snapName(boundary)))
 	}
 	if err != nil {
-		fsys.Remove(tmp)
+		j.fs.Remove(tmp)
 		return fmt.Errorf("wal: snapshot: %w", err)
 	}
-	if policy.Mode != SyncOff {
-		fsys.SyncDir(dir)
+	if durable {
+		j.fs.SyncDir(j.dir)
 	}
+	prune(j.fs, j.dir, boundary)
+	j.refreshSegGauge()
 	return nil
 }
 

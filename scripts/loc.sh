@@ -49,6 +49,7 @@ fields() {
         }' "${files[@]}"
 }
 
-for spec in dispatch.Options forward.Options sched.Options core.Config client.Options executor.Options; do
+for spec in dispatch.Options forward.Options sched.Options core.Config client.Options executor.Options \
+    dispatch.ReplicationOptions replica.StandbyOptions replica.SourceOptions replica.NodeOptions wal.Options; do
     printf '%7d  fields, %s\n' "$(fields "${spec%%.*}" "${spec#*.}")" "$spec"
 done

@@ -52,17 +52,20 @@ const bytesPerTaskCeiling = 1320
 // benchmark reads it: its direct-serial and the paper's Fig. 10 case. Nothing is
 // shared, so it is what one unqueued task costs end to end over its six frames
 // (two calls and two pushes: Submit, the grant, Deliver, the result). Measured
-// 6.00 to 6.07 at -cpu 1, 2 and 4, the lowest of a run's five batches 6.00 or
-// 6.01: the dispatcher's decoded bundle, its command, its Args header and
-// bytes, and the executor's Args header and bytes — what has to live, and
-// strings that are the collector's (DESIGN.md §9, "Scratch"; EXPERIMENTS.md
-// has the ledger site by site). The ceiling is that plus 0.9: less than one
-// object, because the count repeats to two decimals and one box coming back
-// must fail. serialBytesPerTaskCeiling is its bytes, 399 to 400 measured, this
-// loop's own batch included, plus 10 %: the 104-byte outstanding record a task
-// had to itself until it moved into the table's slot (503 to 505) fails it.
+// 4.00 to 4.06 at -cpu 1, 2 and 4, the lowest of a run's five batches 4.00 or
+// 4.01: the dispatcher's decoded bundle and the one chunk its task's bytes are
+// relayed from (DESIGN.md §9, "Relay"), and the executor's Args header and
+// bytes — what has to live, and strings that are the collector's (DESIGN.md
+// §9, "Scratch"; EXPERIMENTS.md has the ledger site by site). The ceiling is
+// that plus 0.9: less than one object, because the count repeats to two
+// decimals and one box coming back must fail. serialBytesPerTaskCeiling is its
+// bytes, 378 to 383 measured, this loop's own batch included, plus 10 %: the
+// 104-byte outstanding record a task had to itself until it moved into the
+// table's slot fails it.
 //
-// History of the row, newest first: 17.02 and 946 bytes in this loop (21.02 to
+// History of the row, newest first: 6.00 to 6.07 objects and 399 to 400 bytes
+// while the dispatcher decoded every task whole, its command and its Args
+// header and bytes included; 17.02 and 946 bytes in this loop (21.02 to
 // 21.04 and 1,338 to 1,341 through WaitN, which added a timer's three objects
 // and a slice of its own to every task) while every body handed to Call or
 // Notify was a struct boxed into an interface, the pushed grant was decoded
@@ -73,8 +76,8 @@ const bytesPerTaskCeiling = 1320
 // grant's; 27.00 to 27.06 while the outstanding record was an object of its
 // own.
 const (
-	serialAllocsPerTaskCeiling = 6.9
-	serialBytesPerTaskCeiling  = 440
+	serialAllocsPerTaskCeiling = 4.9
+	serialBytesPerTaskCeiling  = 420
 )
 
 // The per-task allocation budget of every configuration core.Config can

@@ -136,14 +136,15 @@ type Options struct {
 	Logf func(format string, args ...any)
 }
 
-// taskRef is the core's task payload: the owning instance plus the task,
-// where the bundle it was submitted in holds it — the queue's items and the
-// outstanding records are 128 bytes smaller for not holding a copy each, and
-// nothing writes to a bundle once its tasks are queued. inst is resolved once
-// at enqueue so the finalize path never takes the instance-table lock.
+// taskRef is the core's task payload: the owning instance plus the task as
+// the dispatcher holds it (task.Relayed), where the bundle it was submitted in
+// holds it — the queue's items and the outstanding records are smaller for
+// not holding a copy each, and nothing writes to a bundle once its tasks are
+// queued. inst is resolved once at enqueue so the finalize path never takes
+// the instance-table lock.
 type taskRef struct {
 	epr  string
-	t    *task.Task
+	t    *task.Relayed
 	inst *instance
 }
 
@@ -163,7 +164,7 @@ func taskTenant(tr taskRef) string {
 // Pusher is where an executor's work pushes ({3}) go: for a wire executor the
 // connection, which encodes the body; an executor inside this process (a tree
 // root's link to a leaf, internal/forward) is handed the value itself —
-// fproto.WorkAvailable, or *fproto.GetWorkReply for a grant, which is the
+// fproto.WorkAvailable, or *fproto.RelayReply for a grant, which is the
 // pusher's only until Notify returns.
 type Pusher interface {
 	Notify(method string, body any) error
@@ -193,26 +194,6 @@ type execRef struct {
 	grants bool
 	parked int
 	ask    int
-}
-
-// declaredRun is the run time a task states for itself: the synthetic
-// engines' Duration (the paper's client-supplied runtime estimate). Exec and
-// func tasks state none.
-func declaredRun(t task.Task) time.Duration {
-	if t.Engine == task.EngineSleep || t.Engine == task.EngineData {
-		return t.Duration
-	}
-	return 0
-}
-
-// taskDataset is the dataset a task reads ("" when it names none): a task
-// that names one is placed by locality (sched.Core.Pick), and the executor
-// that runs it is remembered as holding it.
-func taskDataset(t *task.Task) string {
-	if t.IO == nil {
-		return ""
-	}
-	return t.IO.Dataset
 }
 
 // outKey identifies an outstanding (dispatched, unacknowledged) task.
@@ -246,7 +227,7 @@ type notifyPush struct {
 	exec   string
 	at     time.Duration
 	queued int
-	grant  fproto.GetWorkReply
+	grant  fproto.RelayReply
 }
 
 // stampRec is one deferred stage-latency observation: the stamps plus the
@@ -277,8 +258,8 @@ type fx struct {
 	results  []task.Result // pushed results, run after run
 	runs     []resultRun
 	req      fproto.DeliverRequest
-	grant    []fproto.Assignment
-	reply    []fproto.Assignment  // of grant, what answers the pull being served
+	grant    []fproto.Relay
+	reply    []fproto.Relay       // of grant, what answers the pull being served
 	ack      fproto.SubmitReply   // what answers the submit being served
 	note     fproto.ResultsNotify // the result push being sent
 }
@@ -337,7 +318,7 @@ func emptied[T any](s []T) []T {
 type grantReply fx
 
 func (g *grantReply) AppendJSON(dst []byte) []byte {
-	return fproto.GetWorkReply{Assignments: g.reply}.AppendJSON(dst)
+	return fproto.RelayReply{Assignments: g.reply}.AppendJSON(dst)
 }
 
 func (g *grantReply) Release() { putFx((*fx)(g)) }
@@ -465,10 +446,10 @@ func New(opts Options) *Dispatcher {
 		epoch: time.Now(),
 		core: sched.NewCore[string, outKey](sched.Options[taskRef]{
 			MaxRetries:  opts.MaxRetries,
-			Dataset:     func(tr taskRef) string { return taskDataset(tr.t) },
+			Dataset:     func(tr taskRef) string { return tr.t.Dataset },
 			TaskRetries: taskRetries,
 			Tenant:      func(tr taskRef) string { return taskTenant(tr) },
-			Declared:    func(tr taskRef) time.Duration { return declaredRun(*tr.t) },
+			Declared:    func(tr taskRef) time.Duration { return tr.t.Declared },
 			FairShare:   fairShare,
 		}),
 		instances: make(map[string]*instance),
@@ -603,10 +584,16 @@ func (d *Dispatcher) notify(p Pusher, method string, body any) error {
 // none, back into the buffer and the live set, where the next reattach
 // finds it and a resubmission dedupes against it. rs aliases f's pooled
 // array; Notify encodes it, from f.note, before returning and the buffer copies.
+// A tree parent's instance is pushed its results without the fields the
+// parent sets itself (fproto.ParentResults); what is buffered stays whole.
 func (d *Dispatcher) pushResults(f *fx, peer *wsrpc.Peer, inst *instance, rs []task.Result) {
 	f.note = fproto.ResultsNotify{EPR: inst.epr, Results: rs}
+	var body any = &f.note
+	if inst.fromParent {
+		body = (*fproto.ParentResults)(&f.note)
+	}
 	for peer != nil {
-		err := d.notify(peer, fproto.NotifyResults, &f.note)
+		err := d.notify(peer, fproto.NotifyResults, body)
 		if err == nil {
 			return
 		}
@@ -761,7 +748,7 @@ func (d *Dispatcher) restore(st *wal.State) {
 		if !ok {
 			continue // replay proved the instance gone; nothing to owe
 		}
-		d.core.Restore(now, taskRef{epr: p.EPR, t: &p.Task, inst: inst}, p.Attempts)
+		d.core.Restore(now, taskRef{epr: p.EPR, t: &task.Relay([]task.Task{p.Task})[0], inst: inst}, p.Attempts)
 		inst.live[p.Task.ID] = struct{}{}
 		inst.inFlight++
 		// Re-charge per-tenant in-flight accounting (unchecked: the work was
@@ -787,10 +774,10 @@ func (d *Dispatcher) captureLocked() *wal.State {
 		inst.mu.Unlock()
 	}
 	d.core.EachQueued(func(it sched.Item[taskRef]) {
-		st.Pending = append(st.Pending, wal.Pending{EPR: it.X.epr, Task: *it.X.t, Attempts: it.Attempts, Tenant: taskTenant(it.X)})
+		st.Pending = append(st.Pending, wal.Pending{EPR: it.X.epr, Task: it.X.t.Task(), Attempts: it.Attempts, Tenant: taskTenant(it.X)})
 	})
 	d.core.EachOutstanding(func(o sched.Outstanding[string, outKey, taskRef]) {
-		st.Pending = append(st.Pending, wal.Pending{EPR: o.Item.X.epr, Task: *o.Item.X.t, Attempts: o.Item.Attempts, Tenant: taskTenant(o.Item.X)})
+		st.Pending = append(st.Pending, wal.Pending{EPR: o.Item.X.epr, Task: o.Item.X.t.Task(), Attempts: o.Item.Attempts, Tenant: taskTenant(o.Item.X)})
 	})
 	return st
 }
@@ -1191,7 +1178,7 @@ func (d *Dispatcher) replay(f *fx, o *sched.Outstanding[string, outKey, taskRef]
 // work pull, a deliver acknowledgment, or the work push itself, whose now is
 // the notification's own stamp. The assignments are cut from f.grant, and are
 // the caller's until f is released. Callers hold mu.
-func (d *Dispatcher) assignLocked(f *fx, ex *sched.Exec[string], asked int, kind obs.EventKind, now time.Duration) []fproto.Assignment {
+func (d *Dispatcher) assignLocked(f *fx, ex *sched.Exec[string], asked int, kind obs.EventKind, now time.Duration) []fproto.Relay {
 	as, first := f.grant, len(f.grant)
 	n := first + min(d.core.Share(asked), d.core.QueueLen())
 	room := sched.Unbounded // the first task is granted whatever it declares
@@ -1209,10 +1196,10 @@ func (d *Dispatcher) assignLocked(f *fx, ex *sched.Exec[string], asked int, kind
 		if len(as) == first {
 			room = ex.Ref.(*execRef).rtt
 		}
-		room -= declaredRun(*it.X.t)
+		room -= it.X.t.Declared
 		d.core.Assign(now, ex, outKey{it.X.epr, it.X.t.ID}, it)
 		f.trace(now, kind, it.X.t.Trace, it.X.t.ID, it.X.epr, ex.ID)
-		as = append(as, fproto.Assignment{EPR: it.X.epr, Task: *it.X.t, CacheHit: hit})
+		as = append(as, fproto.Relay{EPR: it.X.epr, Task: it.X.t, CacheHit: hit})
 	}
 	if d.wal != nil && len(as) > first {
 		// One record for the grant, as it is one frame on the wire. Advisory:

@@ -11,7 +11,7 @@ import (
 // bypassing the transport (tests only).
 func enqueueRaw(d *Dispatcher, epr string, t task.Task) {
 	d.mu.Lock()
-	d.core.Enqueue(0, taskRef{epr: epr, t: &t})
+	d.core.Enqueue(0, taskRef{epr: epr, t: &task.Relay([]task.Task{t})[0]})
 	d.mu.Unlock()
 }
 

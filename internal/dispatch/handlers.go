@@ -194,7 +194,7 @@ func (d *Dispatcher) handleDestroyInstance(_ *wsrpc.Peer, body json.RawMessage) 
 }
 
 func (d *Dispatcher) handleSubmit(_ *wsrpc.Peer, body json.RawMessage) (any, error) {
-	var req fproto.SubmitRequest
+	var req fproto.Bundle
 	if err := req.DecodeInterned(body, d.internEPR); err != nil {
 		return nil, badBody(err)
 	}
@@ -208,7 +208,7 @@ func (d *Dispatcher) handleSubmit(_ *wsrpc.Peer, body json.RawMessage) (any, err
 
 // submit queues a bundle ({1}) and leaves its acknowledgment ({2}) in f.ack; f
 // is the caller's to release.
-func (d *Dispatcher) submit(f *fx, req *fproto.SubmitRequest) error {
+func (d *Dispatcher) submit(f *fx, req *fproto.Bundle) error {
 	d.imu.RLock()
 	inst, ok := d.instances[req.EPR]
 	d.imu.RUnlock()
@@ -249,7 +249,7 @@ func (d *Dispatcher) submit(f *fx, req *fproto.SubmitRequest) error {
 			}
 		}
 		if deduped > 0 {
-			fresh := make([]task.Task, 0, len(tasks)-deduped)
+			fresh := make([]task.Relayed, 0, len(tasks)-deduped)
 			for i := range tasks {
 				if _, dup := inst.live[tasks[i].ID]; !dup {
 					fresh = append(fresh, tasks[i])
@@ -280,7 +280,7 @@ func (d *Dispatcher) submit(f *fx, req *fproto.SubmitRequest) error {
 		if d.wal != nil {
 			// Appended under mu, before any pick can see these tasks: the
 			// accept precedes every dispatch/complete for them in the journal.
-			h, werr = d.wal.AppendAccept(&wal.AcceptRec{EPR: req.EPR, Tasks: tasks, Tenant: inst.tenant})
+			h, werr = d.wal.AppendAccept(req.EPR, inst.tenant, tasks)
 		}
 		d.notifyLocked(f, now)
 	}
@@ -441,7 +441,7 @@ func (d *Dispatcher) handleGetWork(p *wsrpc.Peer, body json.RawMessage) (any, er
 // or one comes back empty, and appends the grants to dst: an executor in this
 // process that keeps a queue of its own stocked — a tree's link to a leaf —
 // brings the slice it reuses. (A wire executor sends its asks one by one.)
-func (d *Dispatcher) Stock(id string, ask, want int, dst []fproto.Assignment) ([]fproto.Assignment, error) {
+func (d *Dispatcher) Stock(id string, ask, want int, dst []fproto.Relay) ([]fproto.Relay, error) {
 	f := getFx()
 	defer putFx(f)
 	err := d.stock(f, id, ask, want)
@@ -480,7 +480,7 @@ func (d *Dispatcher) stock(f *fx, id string, ask, want int) error {
 // piggy-backs (kind says which) — for asked tasks (assignLocked). A pull
 // answered with nothing parks the slot that sent it: the next work push may
 // carry its grant (notifyLocked). Callers hold mu.
-func (d *Dispatcher) pullLocked(f *fx, ex *sched.Exec[string], asked int, kind obs.EventKind) []fproto.Assignment {
+func (d *Dispatcher) pullLocked(f *fx, ex *sched.Exec[string], asked int, kind obs.EventKind) []fproto.Relay {
 	ref := ex.Ref.(*execRef)
 	ref.ask = max(asked, 1)
 	as := d.assignLocked(f, ex, ref.ask, kind, d.now())
@@ -506,11 +506,11 @@ func (d *Dispatcher) handleDeliver(p *wsrpc.Peer, body json.RawMessage) (any, er
 
 // Deliver takes an executor's results ({6}) and answers the work request they
 // piggy-back ({7}). It keeps nothing of req.
-func (d *Dispatcher) Deliver(req *fproto.DeliverRequest) (fproto.DeliverReply, error) {
+func (d *Dispatcher) Deliver(req *fproto.DeliverRequest) ([]fproto.Relay, error) {
 	f := getFx()
 	defer putFx(f)
 	err := d.deliver(f, req)
-	return fproto.DeliverReply{Assignments: append([]fproto.Assignment(nil), f.reply...)}, err
+	return append([]fproto.Relay(nil), f.reply...), err
 }
 
 // deliver is Deliver with the grant left in f.reply; f is the caller's to release.
@@ -559,7 +559,7 @@ func (d *Dispatcher) deliver(f *fx, req *fproto.DeliverRequest) error {
 			r.ExecutorID = req.ExecutorID
 		}
 		r.Trace = o.Item.X.t.Trace
-		d.core.NoteCompletion(ex, taskDataset(o.Item.X.t))
+		d.core.NoteCompletion(ex, o.Item.X.t.Dataset)
 		if r.Failed() && !d.opts.NoRetryOnFailure {
 			d.replay(f, &o, "task failed: "+failReason(r))
 			continue

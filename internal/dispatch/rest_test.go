@@ -22,12 +22,15 @@ const restTasks = 100_000
 
 // What one dispatcher holds per task at rest — the live heap after a
 // collection, less the heap before the tasks came, ÷ restTasks — measured
-// 254.1–255.0, 421.3–422.2 and 55.2–56.0 bytes at -cpu 1, 2 and 4; each
+// 230.9–231.9, 398.1–399.1 and 55.2–56.1 bytes at -cpu 1, 2 and 4; each
 // ceiling is that plus 15 %:
 //
-//   - queued (submitted, no executor registered): the decoded bundle's task
-//     and its argument, and the queue's 48-byte entry in a ring array grown by
-//     appending (58 bytes a task at this depth).
+//   - queued (submitted, no executor registered): the bundle's task as the
+//     dispatcher holds it — 64 bytes, and its JSON as received, argument and
+//     all, in one copy of the bundle — and the queue's 48-byte entry in a ring
+//     array grown by appending (58 bytes a task at this depth). While the
+//     dispatcher decoded each task whole (a 136-byte task.Task, its Args
+//     header and argument) this row read 254–255, and the next 421–422.
 //   - outstanding (granted to an executor that has not delivered): the same,
 //     and the outstanding table — a 128-byte slot, key and record, at the
 //     map's load. While each record was a 104-byte share of an 8 KiB chunk
@@ -40,8 +43,8 @@ const restTasks = 100_000
 //     a Go map keeps every slot it grew and this row read 231, and with
 //     pointer slots it read 108–109.
 const (
-	queuedBytesCeiling      = 293
-	outstandingBytesCeiling = 486
+	queuedBytesCeiling      = 266
+	outstandingBytesCeiling = 458
 	retainedBytesCeiling    = 64
 )
 
@@ -99,7 +102,7 @@ func cycle(t *testing.T, d *dispatch.Dispatcher, c *client.Client, gen *task.IDG
 	at("queued")
 
 	d.Register(fproto.RegisterRequest{ExecutorID: id, Slots: n}, discard{})
-	var as []fproto.Assignment
+	var as []fproto.Relay
 	for held := 0; held < n; held += len(as) {
 		var err error
 		if as, err = d.Stock(id, 1, min(n-held, 4096), as[:0]); err != nil || len(as) == 0 {

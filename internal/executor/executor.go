@@ -497,6 +497,7 @@ type slot struct {
 	evs     []obs.Event // trace events gathered for the tracer to take in one call
 	run     []float64   // the batch's run and overhead seconds, for the histograms
 	over    []float64
+	traces  []uint64 // the batch's trace IDs, which its results do not carry
 	ask     fproto.GetWorkRequest
 	pulled  fproto.GetWorkReply
 	deliver fproto.DeliverRequest
@@ -580,7 +581,7 @@ func (e *Executor) runAssignments(cli *wsrpc.Client, ps *slot, as []fproto.Assig
 	defer func() { e.markIdle(ran, pickup) }()
 	for len(as) > 0 {
 		results := fproto.Recycle(ps.deliver.Results)
-		ps.run, ps.over = ps.run[:0], ps.over[:0]
+		ps.run, ps.over, ps.traces = ps.run[:0], ps.over[:0], ps.traces[:0]
 		for i := range as {
 			a := &as[i]
 			if e.opts.Faults.ExecCrash() {
@@ -596,8 +597,9 @@ func (e *Executor) runAssignments(cli *wsrpc.Client, ps *slot, as []fproto.Assig
 			}
 			// Recorded with the batch's other events, after its delivery.
 			ps.evs = append(ps.evs,
-				obs.Event{At: e.on(start), Kind: obs.EvStarted, Trace: r.Trace, Task: r.ID, EPR: a.EPR, Executor: e.opts.ID},
-				obs.Event{At: e.on(end), Kind: kind, Trace: r.Trace, Task: r.ID, EPR: a.EPR, Executor: e.opts.ID})
+				obs.Event{At: e.on(start), Kind: obs.EvStarted, Trace: a.Task.Trace, Task: r.ID, EPR: a.EPR, Executor: e.opts.ID},
+				obs.Event{At: e.on(end), Kind: kind, Trace: a.Task.Trace, Task: r.ID, EPR: a.EPR, Executor: e.opts.ID})
+			ps.traces = append(ps.traces, a.Task.Trace)
 			e.cDone.Inc()
 			ps.run, ps.over = append(ps.run, runDur.Seconds()), append(ps.over, overhead.Seconds())
 			ps.Observe(runDur, len(r.Stdout)+len(r.Stderr))
@@ -620,7 +622,7 @@ func (e *Executor) runAssignments(cli *wsrpc.Client, ps *slot, as []fproto.Assig
 		// The envelope carries the batch head's trace (per-result context
 		// rides in the result bodies), so the return hop is attributable too.
 		ps.deliver = fproto.DeliverRequest{ExecutorID: e.opts.ID, Results: results, WantWork: true, MaxNew: ps.Ask(e.opts.Prefetch)}
-		err := cli.CallTrace(fproto.MethodDeliver, &ps.deliver, &ps.acked, results[0].Result.Trace, 0)
+		err := cli.CallTrace(fproto.MethodDeliver, &ps.deliver, &ps.acked, ps.traces[0], 0)
 		back := e.clock()
 		waited := back - pickup // from the last task's end
 		pickup = back
@@ -638,8 +640,8 @@ func (e *Executor) runAssignments(cli *wsrpc.Client, ps *slot, as []fproto.Assig
 			e.crash("result-then-die")
 		}
 		now := e.on(back)
-		for _, tr := range results {
-			ps.evs = append(ps.evs, obs.Event{At: now, Kind: obs.EvDelivered, Trace: tr.Result.Trace, Task: tr.Result.ID, EPR: tr.EPR, Executor: e.opts.ID})
+		for i, tr := range results {
+			ps.evs = append(ps.evs, obs.Event{At: now, Kind: obs.EvDelivered, Trace: ps.traces[i], Task: tr.Result.ID, EPR: tr.EPR, Executor: e.opts.ID})
 		}
 		as = ps.acked.Assignments
 		e.traceAssigned(ps, now, obs.EvAcked, as)
@@ -714,9 +716,11 @@ func pullSize(rtt, run time.Duration, out, limit int) int {
 
 // runTask executes one task and returns its result and when it started and
 // ended, as clock readings. cacheHit marks data-aware assignments whose input
-// is already resident on this node, so staging is skipped.
+// is already resident on this node, so staging is skipped. The result names
+// neither this executor nor the task's trace: the dispatcher sets both from
+// the Deliver and its own record (DESIGN.md §9, "Relay").
 func (e *Executor) runTask(t *task.Task, cacheHit bool) (r task.Result, start, end time.Duration) {
-	r = task.Result{ID: t.ID, Trace: t.Trace, ExecutorID: e.opts.ID}
+	r = task.Result{ID: t.ID}
 	if d := e.opts.Faults.ExecStall(); d > 0 {
 		// Injected stall: long enough to trip the dispatcher's replay
 		// timeout, so the same task races its own re-dispatch.

@@ -47,8 +47,8 @@ type link struct {
 	dmu, smu sync.Mutex
 	pushed   fproto.ResultsNotify
 	tagged   []fproto.TaggedResult
-	stocked  []fproto.Assignment
-	sub      fproto.SubmitGrant
+	stocked  []fproto.Relay
+	sub      fproto.Bundle
 	rep      fproto.SubmitReply
 
 	// kick (buffered 1) has the link's goroutine stock the leaf: a downstream
@@ -271,7 +271,7 @@ func (l *link) stock(wait bool) bool {
 // that, like a submit the connection fails under, ends the connection: the
 // session redials, and going down hands all the link held, sent or not, back
 // to the root's queue. Callers hold smu.
-func (l *link) send(as []fproto.Assignment) {
+func (l *link) send(as []fproto.Relay) {
 	cli, _, err := l.sess.Conn()
 	for start, end := 0, 0; err == nil && start < len(as); start = end {
 		for end = start + 1; end < len(as) && as[end].EPR == as[start].EPR && end-start < l.f.opts.Bundle; end++ {
@@ -280,11 +280,14 @@ func (l *link) send(as []fproto.Assignment) {
 		if down, err = l.ensureDown(cli, as[start].EPR); down == "" {
 			continue // destroyed since the grant: the root has swept its tasks
 		}
-		l.sub, l.rep = fproto.SubmitGrant{EPR: down, Grant: as[start:end]}, fproto.SubmitReply{}
+		l.sub.EPR, l.sub.Tasks, l.rep = down, l.sub.Tasks[:0], fproto.SubmitReply{}
+		for _, a := range as[start:end] {
+			l.sub.Tasks = append(l.sub.Tasks, *a.Task)
+		}
 		sent := time.Now()
 		// The head's trace rides the envelope across the EPR rewrite.
 		err = cli.CallTrace(fproto.MethodSubmit, &l.sub, &l.rep, as[start].Task.Trace, 0)
-		l.sub.Grant = nil // as is the caller's
+		clear(l.sub.Tasks) // the bundles the tasks' bytes are in
 		if err == nil && l.rep.Accepted != end-start {
 			err = fmt.Errorf("leaf accepted %d of %d tasks (retry after %d ms)", l.rep.Accepted, end-start, l.rep.RetryAfterMillis)
 		}

@@ -4,6 +4,7 @@ import (
 	"errors"
 	"fmt"
 	"net"
+	"sync"
 	"sync/atomic"
 	"testing"
 	"time"
@@ -49,6 +50,10 @@ func scribble(scratch any) {
 		for i := range s {
 			s[i] = fproto.Assignment{EPR: "scribbled", Task: task.Task{ID: junk.ID, Engine: task.EngineFunc, Command: "scribbled"}}
 		}
+	case []fproto.Relay:
+		for i := range s {
+			s[i] = fproto.Relay{EPR: "scribbled", Task: &scribbledTask}
+		}
 	case []wal.CompleteRec:
 		for i := range s {
 			s[i] = wal.CompleteRec{EPR: "scribbled", Result: junk}
@@ -59,6 +64,9 @@ func scribble(scratch any) {
 		}
 	}
 }
+
+// scribbledTask is what a scribbled grant hands out in place of a task.
+var scribbledTask = task.Relay([]task.Task{{ID: 1<<63 + 7, Engine: task.EngineFunc, Command: "scribbled"}})[0]
 
 // echoTasks are n tasks that each print an argument no other task has.
 func echoTasks(first, n int) []task.Task {
@@ -154,10 +162,13 @@ func TestScratchClientSpill(t *testing.T) {
 }
 
 // dieOnPush kills the first connection a dispatcher accepted at its first
-// write once armed: the client's, with a results push on its way.
+// write once armed: the client's, with a results push on its way. fired is
+// closed when it does.
 type dieOnPush struct {
 	accepted atomic.Int32
 	armed    atomic.Bool
+	once     sync.Once
+	fired    chan struct{}
 }
 
 func (f *dieOnPush) DupNotify() bool { return false }
@@ -177,16 +188,20 @@ type dyingConn struct {
 func (c *dyingConn) Write(p []byte) (int, error) {
 	if c.f.armed.Load() {
 		c.Conn.Close()
+		c.f.once.Do(func() { close(c.f.fired) })
 		return 0, errors.New("injected: connection died mid-push")
 	}
 	return c.Conn.Write(p)
 }
 
 // A push that fails puts its run of results — a slice of the handler's
-// scratch — back in the instance's buffer, which the reattach flushes.
+// scratch — back in the instance's buffer, which the reattach flushes. The
+// client can have every result before it counts its reconnect (the reattach
+// flushes the buffer ahead of its reply), so what the test waits for at the
+// end is the failed push and the reconnect themselves.
 func TestScratchFailedPushRebuffered(t *testing.T) {
 	scribbling(t)
-	faults := &dieOnPush{}
+	faults := &dieOnPush{fired: make(chan struct{})}
 	d := startLeaf(t, "127.0.0.1:0", dispatch.Options{JournalDir: t.TempDir(), Faults: faults})
 	c, err := client.Connect(client.Options{DispatcherAddr: d.Addr(), BundleSize: 64, Reconnect: true, Backoff: fastBackoff})
 	if err != nil {
@@ -205,8 +220,15 @@ func TestScratchFailedPushRebuffered(t *testing.T) {
 		t.Fatal(err)
 	}
 	checkEchoes(t, rs, 1, n)
-	if c.Reconnects() == 0 || d.Metrics().Counter("falkon_notify_errors_total").Value() == 0 {
-		t.Error("no push failed: nothing was re-buffered")
+	select {
+	case <-faults.fired:
+	case <-time.After(time.Minute):
+		t.Fatal("no push was attempted on the armed connection")
+	}
+	if !within(time.Minute, func() bool {
+		return c.Reconnects() > 0 && d.Metrics().Counter("falkon_notify_errors_total").Value() > 0
+	}) {
+		t.Errorf("no push failed: nothing was re-buffered (reconnects %d)", c.Reconnects())
 	}
 }
 

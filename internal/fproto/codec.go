@@ -121,57 +121,30 @@ func remembered[T any](was []T) (first T) {
 
 // AppendJSON appends m's JSON encoding to dst.
 func (m SubmitRequest) AppendJSON(dst []byte) []byte {
-	dst = append(dst, `{"epr":`...)
-	dst = jsonwire.AppendString(dst, m.EPR)
-	dst = append(dst, `,"tasks":`...)
-	if m.Tasks == nil {
-		return append(dst, `null}`...)
-	}
-	dst = append(dst, '[')
-	for i := range m.Tasks {
-		if i > 0 {
-			dst = append(dst, ',')
-		}
-		dst = m.Tasks[i].AppendJSON(dst)
-	}
-	return append(dst, `]}`...)
+	return appendSubmit(dst, m.EPR, m.Tasks, (*task.Task).AppendJSON)
 }
 
-// SubmitGrant is a SubmitRequest whose tasks are those of Grant, in order:
-// what a tree's interior node sends a leaf. Its JSON is SubmitRequest's,
-// encoded from the assignments as they were granted, so that no task is
-// copied into a slice of tasks first. Grant holds at least one assignment.
-type SubmitGrant struct {
-	EPR   string
-	Grant []Assignment
+// AppendJSON appends m's JSON encoding to dst: a SubmitRequest's, each task's
+// as received. It is what a tree's interior node sends a leaf.
+func (m *Bundle) AppendJSON(dst []byte) []byte {
+	return appendSubmit(dst, m.EPR, m.Tasks, (*task.Relayed).AppendJSON)
 }
 
-// AppendJSON appends m's JSON encoding to dst.
-func (m SubmitGrant) AppendJSON(dst []byte) []byte {
+func appendSubmit[T any](dst []byte, epr string, tasks []T, appendTask func(*T, []byte) []byte) []byte {
 	dst = append(dst, `{"epr":`...)
-	dst = jsonwire.AppendString(dst, m.EPR)
+	dst = jsonwire.AppendString(dst, epr)
 	dst = append(dst, `,"tasks":`...)
-	dst = append(dst, '[')
-	for i := range m.Grant {
-		if i > 0 {
-			dst = append(dst, ',')
-		}
-		dst = m.Grant[i].Task.AppendJSON(dst)
-	}
-	return append(dst, `]}`...)
+	return append(task.AppendArray(dst, tasks, appendTask), '}')
 }
 
 // DecodeJSON decodes b into m.
-func (m *SubmitRequest) DecodeJSON(b []byte) error { return m.DecodeInterned(b, nil) }
-
-// DecodeInterned is DecodeJSON with the EPR shared through known.
-func (m *SubmitRequest) DecodeInterned(b []byte, known Intern) error {
+func (m *SubmitRequest) DecodeJSON(b []byte) error {
 	var r jsonwire.Reader
 	r.Reset(b)
 	was := m.Tasks
 	*m = SubmitRequest{}
 	r.Expect(`{"epr":`)
-	m.EPR = r.Interned("", known)
+	m.EPR = r.String("")
 	r.Expect(`,"tasks":`)
 	if !r.Lit(`null`) {
 		r.Expect(`[`)
@@ -187,6 +160,34 @@ func (m *SubmitRequest) DecodeInterned(b []byte, known Intern) error {
 	r.Expect(`}`)
 	settle(m.Tasks, was)
 	return finish(&r, b, m)
+}
+
+// DecodeInterned decodes b, a SubmitRequest's JSON, into m, with the EPR
+// shared through known (task.Relayed.ParseJSON). A body outside the canonical
+// layout goes to encoding/json, is counted, and has its tasks encoded again.
+func (m *Bundle) DecodeInterned(b []byte, known Intern) error {
+	var r jsonwire.Reader
+	r.Reset(b)
+	*m = Bundle{}
+	r.Expect(`{"epr":`)
+	m.EPR = r.Interned("", known)
+	r.Expect(`,"tasks":`)
+	if !r.Lit(`null`) {
+		r.Expect(`[`)
+		m.Tasks = make([]task.Relayed, 0, elems(&r))
+		for r.Elem(len(m.Tasks)) {
+			m.Tasks = append(m.Tasks, task.Relayed{})
+			m.Tasks[len(m.Tasks)-1].ParseJSON(&r)
+		}
+	}
+	r.Expect(`}`)
+	if r.OK() {
+		return nil
+	}
+	var req SubmitRequest
+	err := finish(&r, b, &req)
+	*m = Bundle{EPR: req.EPR, Tasks: task.Relay(req.Tasks)}
+	return err
 }
 
 // AppendJSON appends m's JSON encoding to dst.
@@ -247,27 +248,45 @@ func (m *GetWorkRequest) DecodeInterned(b []byte, known Intern) error {
 }
 
 // appendAssignments appends the whole `{"assignments":[...]}` object that is
-// both GetWorkReply and DeliverReply.
-func appendAssignments(dst []byte, as []Assignment) []byte {
+// GetWorkReply (DeliverReply) and RelayReply alike.
+func appendAssignments[A any, P interface {
+	*A
+	appendJSON(dst []byte) []byte
+}](dst []byte, as []A) []byte {
 	if len(as) == 0 {
 		return append(dst, `{}`...)
 	}
 	dst = append(dst, `{"assignments":[`...)
 	for i := range as {
-		a := &as[i]
 		if i > 0 {
 			dst = append(dst, ',')
 		}
-		dst = append(dst, `{"epr":`...)
-		dst = jsonwire.AppendString(dst, a.EPR)
-		dst = append(dst, `,"task":`...)
-		dst = a.Task.AppendJSON(dst)
-		if a.CacheHit {
-			dst = append(dst, `,"cache_hit":true`...)
-		}
-		dst = append(dst, '}')
+		dst = P(&as[i]).appendJSON(dst)
 	}
 	return append(dst, `]}`...)
+}
+
+// openAssignment and closeAssignment write an assignment's JSON around its
+// task: only the task differs between the two kinds of element.
+func openAssignment(dst []byte, epr string) []byte {
+	dst = append(dst, `{"epr":`...)
+	dst = jsonwire.AppendString(dst, epr)
+	return append(dst, `,"task":`...)
+}
+
+func closeAssignment(dst []byte, cacheHit bool) []byte {
+	if cacheHit {
+		dst = append(dst, `,"cache_hit":true`...)
+	}
+	return append(dst, '}')
+}
+
+func (a *Assignment) appendJSON(dst []byte) []byte {
+	return closeAssignment(a.Task.AppendJSON(openAssignment(dst, a.EPR)), a.CacheHit)
+}
+
+func (a *Relay) appendJSON(dst []byte) []byte {
+	return closeAssignment(a.Task.AppendJSON(openAssignment(dst, a.EPR)), a.CacheHit)
 }
 
 // parseAssignments is appendAssignments' inverse, up to the reader's end,
@@ -309,15 +328,7 @@ func (m *GetWorkReply) DecodeJSON(b []byte) error {
 }
 
 // AppendJSON appends m's JSON encoding to dst.
-func (m DeliverReply) AppendJSON(dst []byte) []byte { return appendAssignments(dst, m.Assignments) }
-
-// DecodeJSON decodes b into m.
-func (m *DeliverReply) DecodeJSON(b []byte) error {
-	var r jsonwire.Reader
-	r.Reset(b)
-	*m = DeliverReply{Assignments: parseAssignments(&r, m.Assignments)}
-	return finish(&r, b, m)
-}
+func (m RelayReply) AppendJSON(dst []byte) []byte { return appendAssignments(dst, m.Assignments) }
 
 // AppendJSON appends m's JSON encoding to dst.
 func (m DeliverRequest) AppendJSON(dst []byte) []byte {
@@ -358,8 +369,8 @@ func (m DeliverRequest) AppendJSON(dst []byte) []byte {
 func (m *DeliverRequest) DecodeJSON(b []byte) error { return m.DecodeInterned(b, nil) }
 
 // DecodeInterned is DecodeJSON with the executor ID and the results' EPRs
-// shared through known. Each result's own executor field shares the
-// request's, which is what an executor puts there.
+// shared through known. A result that names an executor (this repo's
+// executors leave it to the request) shares the request's when it is the same.
 func (m *DeliverRequest) DecodeInterned(b []byte, known Intern) error {
 	var r jsonwire.Reader
 	r.Reset(b)
@@ -418,20 +429,24 @@ func (m *WorkAvailable) DecodeJSON(b []byte) error {
 
 // AppendJSON appends m's JSON encoding to dst.
 func (m ResultsNotify) AppendJSON(dst []byte) []byte {
+	return appendResults(dst, m.EPR, m.Results, (*task.Result).AppendJSON)
+}
+
+// AppendJSON appends m's JSON encoding to dst: a ResultsNotify's, each result
+// without the four fields its receiver sets.
+func (m *ParentResults) AppendJSON(dst []byte) []byte {
+	return appendResults(dst, m.EPR, m.Results, func(r *task.Result, dst []byte) []byte {
+		up := *r
+		up.QueuedAt, up.DispatchedAt, up.Attempts, up.Trace = 0, 0, 0, 0
+		return up.AppendJSON(dst)
+	})
+}
+
+func appendResults(dst []byte, epr string, rs []task.Result, appendResult func(*task.Result, []byte) []byte) []byte {
 	dst = append(dst, `{"epr":`...)
-	dst = jsonwire.AppendString(dst, m.EPR)
+	dst = jsonwire.AppendString(dst, epr)
 	dst = append(dst, `,"results":`...)
-	if m.Results == nil {
-		return append(dst, `null}`...)
-	}
-	dst = append(dst, '[')
-	for i := range m.Results {
-		if i > 0 {
-			dst = append(dst, ',')
-		}
-		dst = m.Results[i].AppendJSON(dst)
-	}
-	return append(dst, `]}`...)
+	return append(task.AppendArray(dst, rs, appendResult), '}')
 }
 
 // DecodeJSON decodes b into m.

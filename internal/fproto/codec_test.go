@@ -213,9 +213,9 @@ func TestBodyCodecMatchesEncodingJSON(t *testing.T) {
 	}
 }
 
-// What a tree's interior node sends a leaf is a SubmitRequest, byte for byte,
-// whichever of the two types encoded it.
-func TestSubmitGrantIsASubmitRequest(t *testing.T) {
+// What a dispatcher relays is what it was sent: a tree's interior node sends a
+// leaf a SubmitRequest, and an executor a GetWorkReply, byte for byte.
+func TestRelayedIsWhatWasSent(t *testing.T) {
 	g := &gen{rand.New(rand.NewSource(2))}
 	for i := 0; i < 300; i++ {
 		as := g.assignments()
@@ -227,9 +227,21 @@ func TestSubmitGrantIsASubmitRequest(t *testing.T) {
 			tasks[i] = as[i].Task
 		}
 		epr := g.str()
-		want := SubmitRequest{EPR: epr, Tasks: tasks}.AppendJSON(nil)
-		if got := (SubmitGrant{EPR: epr, Grant: as}).AppendJSON(nil); !bytes.Equal(got, want) {
-			t.Fatalf("SubmitGrant encodes\n %s\nSubmitRequest\n %s", got, want)
+		sent := SubmitRequest{EPR: epr, Tasks: tasks}.AppendJSON(nil)
+		var b Bundle
+		if err := b.DecodeInterned(sent, nil); err != nil {
+			t.Fatal(err)
+		}
+		if got := b.AppendJSON(nil); !bytes.Equal(got, sent) {
+			t.Fatalf("Bundle encodes\n %s\nSubmitRequest\n %s", got, sent)
+		}
+		relays := make([]Relay, len(as))
+		for i := range as {
+			relays[i] = Relay{EPR: as[i].EPR, Task: &b.Tasks[i], CacheHit: as[i].CacheHit}
+		}
+		want := GetWorkReply{Assignments: as}.AppendJSON(nil)
+		if got := (RelayReply{Assignments: relays}).AppendJSON(nil); !bytes.Equal(got, want) {
+			t.Fatalf("RelayReply encodes\n %s\nGetWorkReply\n %s", got, want)
 		}
 	}
 }
@@ -321,9 +333,9 @@ func TestDecodeInterned(t *testing.T) {
 		!same(d.Results[2].Result.ExecutorID, d.Results[1].Result.ExecutorID) {
 		t.Fatalf("a repeated string was not shared with the element before: %+v", d)
 	}
-	var s SubmitRequest
+	var s Bundle
 	if err := s.DecodeInterned([]byte(`{"epr":"falkon-instance-1","tasks":null}`), known); err != nil || !same(s.EPR, epr) {
-		t.Fatalf("SubmitRequest: %+v, %v", s, err)
+		t.Fatalf("Bundle: %+v, %v", s, err)
 	}
 	var n ResultsNotify
 	if err := n.DecodeInterned([]byte(`{"epr":"falkon-instance-1","results":[]}`), known); err != nil || !same(n.EPR, epr) {
@@ -351,9 +363,7 @@ func disturb(m bodyMsg, buf []byte) {
 		for i := range m.Tasks {
 			tasks = append(tasks, &m.Tasks[i])
 		}
-	case *GetWorkReply:
-		as = m.Assignments
-	case *DeliverReply:
+	case *GetWorkReply: // and DeliverReply
 		as = m.Assignments
 	}
 	for i := range as {
@@ -386,10 +396,84 @@ var heldBodies = [...]string{
 	7: `{"epr":"e","results":[{"id":1,"stdout":"out","stderr":"err","err":"boom","executor":"exec-0"},{"id":2}]}`,
 }
 
+// relayedTasks decodes relayed tasks whole, as an executor does.
+func relayedTasks(rs []task.Relayed) []task.Task {
+	ts := make([]task.Task, len(rs))
+	for i := range rs {
+		ts[i] = rs[i].Task()
+	}
+	return ts
+}
+
+// checkRelay is FuzzBodyCodec's half for the dispatcher's reading of a submit
+// (DESIGN.md §9, "Relay"): a Bundle is read where json.Unmarshal reads a
+// SubmitRequest, agrees with it on the five fields a dispatcher reads, and
+// relays bytes that an executor's GetWorkReply.DecodeJSON reads, without a
+// fallback, as the tasks json.Unmarshal read; a body the fast path refused is
+// relayed as AppendJSON encodes its tasks.
+func checkRelay(t *testing.T, data []byte) {
+	var want SubmitRequest
+	werr := json.Unmarshal(data, &want)
+	var b Bundle
+	buf := bytes.Clone(data)
+	before := CodecFallbacks.Value()
+	berr := b.DecodeInterned(buf, nil)
+	fellBack := CodecFallbacks.Value() != before
+	for i := range buf {
+		buf[i] = '#' // the relayed bytes are copies
+	}
+	if (berr == nil) != (werr == nil) {
+		t.Fatalf("Bundle %q: DecodeInterned err %v, json.Unmarshal err %v", data, berr, werr)
+	}
+	if berr != nil {
+		return
+	}
+	if b.EPR != want.EPR || len(b.Tasks) != len(want.Tasks) {
+		t.Fatalf("Bundle %q: EPR %q and %d tasks, want %q and %d", data, b.EPR, len(b.Tasks), want.EPR, len(want.Tasks))
+	}
+	relays := make([]Relay, len(b.Tasks))
+	for i := range b.Tasks {
+		r, w := &b.Tasks[i], &want.Tasks[i]
+		var dataset string
+		if w.IO != nil {
+			dataset = w.IO.Dataset
+		}
+		declared := w.Duration // a sleep or data task's
+		if w.Engine != task.EngineSleep && w.Engine != task.EngineData {
+			declared = 0
+		}
+		if r.ID != w.ID || r.Trace != w.Trace || r.MaxRetries != w.MaxRetries || r.Declared != declared || r.Dataset != dataset {
+			t.Fatalf("Bundle %q: task %d read as %+v, want %+v", data, i, *r, *w)
+		}
+		if canonical := string(w.AppendJSON(nil)); fellBack && r.JSON != canonical {
+			t.Fatalf("Bundle %q took the fallback and relays task %d as %s, not %s", data, i, r.JSON, canonical)
+		}
+		relays[i] = Relay{EPR: want.EPR, Task: r}
+	}
+	var got GetWorkReply
+	decodeFast(t, &got, RelayReply{Assignments: relays}.AppendJSON(nil))
+	for i := range want.Tasks {
+		w := want.Tasks[i]
+		if fellBack {
+			// Encoded again, an empty Args or Env is left out, as json.Marshal
+			// leaves it out, and reads back nil.
+			var again task.Task
+			if err := json.Unmarshal(w.AppendJSON(nil), &again); err != nil {
+				t.Fatal(err)
+			}
+			w = again
+		}
+		if !reflect.DeepEqual(got.Assignments[i].Task, w) {
+			t.Fatalf("Bundle %q: task %d relayed as\n %+v\nwant %+v", data, i, got.Assignments[i].Task, w)
+		}
+	}
+}
+
 // FuzzBodyCodec: on arbitrary bytes DecodeJSON and json.Unmarshal agree on
 // error versus value, and on the value, which neither reusing the input nor
 // appending to a task's strings changes; and what decodes re-encodes to
-// something json.Unmarshal reads back the same.
+// something json.Unmarshal reads back the same. Every input is also read as a
+// dispatcher reads a submit (checkRelay).
 func FuzzBodyCodec(f *testing.F) {
 	g := &gen{rand.New(rand.NewSource(2))}
 	for i, k := range bodyKinds {
@@ -399,6 +483,10 @@ func FuzzBodyCodec(f *testing.F) {
 		f.Add(uint8(i), v.AppendJSON(nil))
 	}
 	f.Add(uint8(0), manyArgs(3, 40)) // one element outgrowing the chunks the count sized
+	// Datasets a dispatcher keeps: one it can take from the relayed bytes, one
+	// with an escape, and one in a body the fast path refuses.
+	f.Add(uint8(0), []byte(`{"epr":"e","tasks":[{"id":1,"engine":1,"io":{"read_bytes":5,"dataset":"d0"},"duration":7},{"id":2,"io":{"dataset":"d\u00e9\/1"}}]}`))
+	f.Add(uint8(0), []byte(`{"epr":"e","tasks":[{"id":1,"io":{"dataset":"d0","location":"x"}}]}`))
 	// The integers around jsonwire.ParseUint's one overflow check and the ends
 	// of its eight-digit strides (its test's uintEdges), as a task ID and as a
 	// trace.
@@ -422,6 +510,7 @@ func FuzzBodyCodec(f *testing.F) {
 		f.Add(uint8(7), []byte(`{"epr":"falkon-instance-1","results":[`+first+`]}`))
 	}
 	f.Fuzz(func(t *testing.T, kind uint8, data []byte) {
+		checkRelay(t, data)
 		k := bodyKinds[int(kind)%len(bodyKinds)]
 		got, want := k.fresh(), k.fresh()
 		buf := bytes.Clone(data)
@@ -560,6 +649,8 @@ func manyArgs(n, args int) []byte {
 // tasks each have an argument of their own decodes into the Tasks slice, the
 // EPR, the command the tasks share, one chunk of argument bytes and one of
 // Args slices, however many tasks it has. (3 + 2 per task before the chunks.)
+// A dispatcher, which shares the EPR with its instance, reads the same body
+// into a Bundle of relayed tasks and one chunk of their bytes: two objects.
 // And of those the slice is allocated once per message value, not per message:
 // a second decode into the value that took the first allocates one object
 // fewer, for each of the four messages that hold a slice.
@@ -576,6 +667,15 @@ func TestDecodeAllocsDoNotGrowWithTheBundle(t *testing.T) {
 		}
 		if !reflect.DeepEqual(got, req) {
 			t.Fatalf("%d tasks decoded as %+v", n, got)
+		}
+		known := func([]byte) string { return req.EPR }
+		var bundle Bundle
+		before := CodecFallbacks.Value()
+		if allocs := testing.AllocsPerRun(20, func() { _ = bundle.DecodeInterned(body, known) }); allocs != 2 || CodecFallbacks.Value() != before {
+			t.Errorf("DecodeInterned of a %d-task Bundle allocates %.0f times, want 2", n, allocs)
+		}
+		if relayed := (SubmitRequest{EPR: bundle.EPR, Tasks: relayedTasks(bundle.Tasks)}); !reflect.DeepEqual(relayed, req) {
+			t.Fatalf("%d tasks relayed as %+v", n, relayed)
 		}
 	}
 	// One task with many arguments — the only task, or the last, so that no
@@ -789,4 +889,36 @@ func BenchmarkResultsNotifyDecode(b *testing.B) {
 				func() any { return new(jsonNotify) })
 		})
 	}
+}
+
+// BenchmarkRelay prices a dispatcher's half of the bulk shape (DESIGN.md §9,
+// "Relay"): reading a submit as a Bundle, and writing its 64 tasks to an
+// executor as a RelayReply. BenchmarkSubmitRequestDecode and a GetWorkReply's
+// AppendJSON are the same legs decoding and encoding every task whole.
+func BenchmarkRelay(b *testing.B) {
+	s := benchShapes()[1]
+	body := s.submit.AppendJSON(nil)
+	known := func([]byte) string { return s.submit.EPR }
+	var bundle Bundle
+	b.Run("decode", func(b *testing.B) {
+		b.ReportAllocs()
+		b.SetBytes(int64(len(body)))
+		for i := 0; i < b.N; i++ {
+			if err := bundle.DecodeInterned(body, known); err != nil {
+				b.Fatal(err)
+			}
+		}
+	})
+	relays := make([]Relay, len(bundle.Tasks))
+	for i := range relays {
+		relays[i] = Relay{EPR: bundle.EPR, Task: &bundle.Tasks[i]}
+	}
+	b.Run("encode", func(b *testing.B) {
+		b.ReportAllocs()
+		var buf []byte
+		for i := 0; i < b.N; i++ {
+			buf = RelayReply{Assignments: relays}.AppendJSON(buf[:0])
+		}
+		b.SetBytes(int64(len(buf)))
+	})
 }

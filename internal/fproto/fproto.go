@@ -127,6 +127,13 @@ type SubmitRequest struct {
 	Tasks []task.Task `json:"tasks"`
 }
 
+// Bundle is a SubmitRequest as a dispatcher reads and relays it: each task as
+// what it reads of the task and its bytes as received (DESIGN.md §9, "Relay").
+type Bundle struct {
+	EPR   string
+	Tasks []task.Relayed
+}
+
 // SubmitReply acknowledges a bundle. When the dispatcher journals, the
 // acknowledgment is withheld until every newly accepted task is durable.
 type SubmitReply struct {
@@ -242,6 +249,20 @@ type GetWorkReply struct {
 	Assignments []Assignment `json:"assignments,omitempty"`
 }
 
+// Relay is an Assignment as a dispatcher cuts it, from a task it holds, whose
+// bytes it appends as received.
+type Relay struct {
+	EPR      string
+	Task     *task.Relayed
+	CacheHit bool
+}
+
+// RelayReply is a grant as a dispatcher sends it — the reply to a GetWork or
+// a Deliver, or a WorkGrant push — and encodes as a GetWorkReply.
+type RelayReply struct {
+	Assignments []Relay
+}
+
 // TaggedResult routes a result back to its instance.
 type TaggedResult struct {
 	EPR    string      `json:"epr"`
@@ -267,10 +288,8 @@ type DeliverRequest struct {
 	MaxNew   int  `json:"max_new,omitempty"`
 }
 
-// DeliverReply acknowledges results and piggy-backs new work.
-type DeliverReply struct {
-	Assignments []Assignment `json:"assignments,omitempty"`
-}
+// DeliverReply acknowledges results and piggy-backs new work: a GetWorkReply.
+type DeliverReply = GetWorkReply
 
 // WorkAvailable is the body of the {3} push notification.
 type WorkAvailable struct {
@@ -283,6 +302,10 @@ type ResultsNotify struct {
 	EPR     string        `json:"epr"`
 	Results []task.Result `json:"results"`
 }
+
+// ParentResults is a ResultsNotify as pushed to a tree parent: its results leave
+// out queued_at, dispatched_at, attempts and trace, which the parent sets.
+type ParentResults ResultsNotify
 
 // StatsReply summarizes dispatcher state; the provisioner polls this
 // ({POLL} in Figure 2).

@@ -319,13 +319,15 @@ func hex4(p []byte) (r rune, n int) {
 // §9, "Body codec"): one allocation serves every element's strings, and
 // keeping one of them keeps its chunk — at most this document's strings.
 type Reader struct {
-	doc     []byte
-	at      int    // doc[:at] is read; an offset, so that advancing stores no pointer (no write barrier)
-	scratch []byte // unescape buffer, reused from string to string
-	bad     bool
-	left    int             // elements Count found and Elem has not yet reached
-	chunk   strings.Builder // string bytes; a Builder never rewrites what it has handed out
-	spare   []string        // the unused tail of the chunk Strings carves from
+	doc      []byte
+	at       int    // doc[:at] is read; an offset, so that advancing stores no pointer (no write barrier)
+	scratch  []byte // unescape buffer, reused from string to string
+	bad      bool
+	left     int             // elements Count found and Elem has not yet reached
+	chunk    strings.Builder // string bytes; a Builder never rewrites what it has handed out
+	spare    []string        // the unused tail of the chunk Strings carves from
+	copied   string          // the document from copyFrom on, once Span has copied it
+	copyFrom int
 }
 
 // Reset points the reader at a new document, which shares no chunk with the
@@ -482,6 +484,30 @@ func (r *Reader) keep(b []byte, run bool) string {
 	off := r.chunk.Len()
 	r.chunk.Write(b)
 	return r.chunk.String()[off:]
+}
+
+// Mark is how much of the document has been read, for Span.
+func (r *Reader) Mark() int { return r.at }
+
+// Span returns what the reader consumed since from, a Mark, as a slice of one
+// copy of the document from the first span on, made when that span is asked
+// for: a bundle's tasks, relayed as received, share one allocation.
+func (r *Reader) Span(from int) string {
+	if r.bad {
+		return ""
+	}
+	if r.copied == "" || from < r.copyFrom {
+		r.copied, r.copyFrom = string(r.doc[from:]), from
+	}
+	return r.copied[from-r.copyFrom : r.at-r.copyFrom]
+}
+
+// SkipStrings reads an array of strings as Strings does, and keeps nothing.
+func (r *Reader) SkipStrings() {
+	r.Expect(`[`)
+	for n := 0; r.elem(n); n++ {
+		r.Str()
+	}
 }
 
 // Strings reads an array of strings; like encoding/json, an empty array

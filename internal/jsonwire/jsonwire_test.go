@@ -286,3 +286,33 @@ func TestChunksAreBoundedByTheDocument(t *testing.T) {
 		t.Errorf("a document of one 16-byte string allocated %d bytes, want 32: the string and its header", got)
 	}
 }
+
+// A span is a copy of what was read since its mark, shared with every other
+// span of the document; SkipStrings reads what Strings reads.
+func TestSpanAndSkipStrings(t *testing.T) {
+	doc := []byte(`{"a":["x","é \"q\""],"b":[],"c":1}`)
+	var r Reader
+	r.Reset(doc)
+	r.Expect(`{"a":`)
+	from := r.Mark()
+	r.SkipStrings()
+	a := r.Span(from)
+	r.Expect(`,"b":`)
+	from = r.Mark()
+	r.SkipStrings()
+	b := r.Span(from)
+	r.Expect(`,"c":1}`)
+	for i := range doc {
+		doc[i] = '#'
+	}
+	if !r.OK() || a != `["x","é \"q\""]` || b != `[]` {
+		t.Fatalf("OK %v, spans %q and %q", r.OK(), a, b)
+	}
+	for _, bad := range []string{`["x",1]`, `["x"`, `["\x01"]`, `["\ud800"]`, `"x"`} {
+		r.Reset([]byte(bad))
+		r.SkipStrings()
+		if r.OK() || r.Span(0) != "" {
+			t.Errorf("SkipStrings took %q", bad)
+		}
+	}
+}

@@ -16,6 +16,23 @@ import (
 // every cold message) is untouched and stays the oracle the tests compare
 // against.
 
+// AppendArray appends ts as a JSON array, each element by appendOne, or null
+// for a nil slice, as json.Marshal writes one: the one writer of the arrays of
+// tasks and results that messages and journal records carry.
+func AppendArray[T any](dst []byte, ts []T, appendOne func(*T, []byte) []byte) []byte {
+	if ts == nil {
+		return append(dst, `null`...)
+	}
+	dst = append(dst, '[')
+	for i := range ts {
+		if i > 0 {
+			dst = append(dst, ',')
+		}
+		dst = appendOne(&ts[i], dst)
+	}
+	return append(dst, ']')
+}
+
 // AppendJSON appends t's JSON encoding to dst.
 func (t *Task) AppendJSON(dst []byte) []byte {
 	dst = append(dst, `{"id":`...)

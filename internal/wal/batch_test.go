@@ -276,8 +276,9 @@ func TestAppendMatchesEncodingJSON(t *testing.T) {
 		}
 		want = appendRecord(want, r.kind, body)
 	}
-	// The typed entry points, against the same records through Append.
-	if _, err := j.AppendAccept(&accept); err != nil {
+	// The typed entry points, against the same records through Append: an
+	// accept of relayed tasks is an AcceptRec's, byte for byte.
+	if _, err := j.AppendAccept(accept.EPR, accept.Tenant, task.Relay(accept.Tasks)); err != nil {
 		t.Fatal(err)
 	}
 	if err := j.AppendDispatches(&grant); err != nil {

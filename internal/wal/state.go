@@ -77,24 +77,19 @@ type CompleteBatchRec struct {
 // these writers.
 
 func (rec *AcceptRec) appendJSON(dst []byte) []byte {
+	return appendAccept(dst, rec.EPR, rec.Tasks, (*task.Task).AppendJSON, rec.Tenant)
+}
+
+// appendAccept is the one writer of an accept record's body, whose tasks are
+// Tasks or, from a dispatcher, its relayed tasks.
+func appendAccept[T any](dst []byte, epr string, tasks []T, appendTask func(*T, []byte) []byte, tenant string) []byte {
 	dst = append(dst, `{"epr":`...)
-	dst = jsonwire.AppendString(dst, rec.EPR)
+	dst = jsonwire.AppendString(dst, epr)
 	dst = append(dst, `,"tasks":`...)
-	if rec.Tasks == nil {
-		dst = append(dst, `null`...)
-	} else {
-		dst = append(dst, '[')
-		for i := range rec.Tasks {
-			if i > 0 {
-				dst = append(dst, ',')
-			}
-			dst = rec.Tasks[i].AppendJSON(dst)
-		}
-		dst = append(dst, ']')
-	}
-	if rec.Tenant != "" {
+	dst = task.AppendArray(dst, tasks, appendTask)
+	if tenant != "" {
 		dst = append(dst, `,"tenant":`...)
-		dst = jsonwire.AppendString(dst, rec.Tenant)
+		dst = jsonwire.AppendString(dst, tenant)
 	}
 	return append(dst, '}')
 }

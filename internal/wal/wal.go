@@ -11,6 +11,7 @@ import (
 	"time"
 
 	"falkon/internal/obs"
+	"falkon/internal/task"
 )
 
 // SyncMode selects when appended records are fsynced.
@@ -389,15 +390,17 @@ func (j *Journal) AppendWait(kind Kind, v any) (Handle, error) {
 	return j.def.AppendWait(kind, v)
 }
 
-// AppendAccept buffers one accept record and returns its durability Handle:
-// the submit acknowledgment waits on it. Like the two below it encodes rec
-// straight into the appender's buffer, behind a header sealed afterwards.
-func (j *Journal) AppendAccept(rec *AcceptRec) (Handle, error) {
+// AppendAccept buffers one accept record — an AcceptRec's, of the tasks a
+// dispatcher accepted into instance epr, each appended as received — and
+// returns its durability Handle: the submit acknowledgment waits on it. Like
+// the two below it encodes straight into the appender's buffer, behind a
+// header sealed afterwards.
+func (j *Journal) AppendAccept(epr, tenant string, tasks []task.Relayed) (Handle, error) {
 	start, err := j.def.begin(KindAccept)
 	if err != nil {
 		return Handle{}, err
 	}
-	j.def.buf = rec.appendJSON(j.def.buf)
+	j.def.buf = appendAccept(j.def.buf, epr, tasks, (*task.Relayed).AppendJSON, tenant)
 	return j.def.end(start, true), nil
 }
 

@@ -498,7 +498,7 @@ func BenchmarkWALAppend(b *testing.B) {
 		refs[i] = TaskRef{EPR: epr, ID: id}
 		done[i] = CompleteRec{EPR: epr, Result: task.Result{ID: id, ExecutorID: exec, QueuedAt: 1e6, DispatchedAt: 2e6, StartedAt: 3e6, FinishedAt: 4e6, Attempts: 1}}
 	}
-	accept := AcceptRec{EPR: epr, Tasks: tasks}
+	relayed := task.Relay(tasks)
 	for _, mode := range []string{"per-task", "per-grant"} {
 		b.Run(mode, func(b *testing.B) {
 			_, j, _, err := Recover(b.TempDir(), Options{Sync: SyncPolicy{Mode: SyncOff}})
@@ -512,7 +512,7 @@ func BenchmarkWALAppend(b *testing.B) {
 			for i := 0; i < b.N; i++ {
 				at := i % bundle
 				if at == 0 {
-					if _, err = j.AppendAccept(&accept); err != nil {
+					if _, err = j.AppendAccept(epr, "", relayed); err != nil {
 						b.Fatal(err)
 					}
 				}

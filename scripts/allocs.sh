@@ -16,7 +16,9 @@
 # what it ran in all), and 600,000 more unsampled under -cpuprofile, whose top —
 # flat, then cumulative, then summed by layer under the read(2) and write(2)
 # per task the benchmark counted — is printed beside the two allocation tables: both
-# ledgers of a message come from this one command. Both runs are at -cpu 1, one
+# ledgers of a message come from this one command. The body codec's row is then
+# split by message leg — which message, encoded or decoded where — the rest of
+# the codec (a frame envelope, a cold message) last. Both runs are at -cpu 1, one
 # P, as the repo benchmark runs (GOMAXPROCS 1): at nproc Ps the same ledger moves
 # time between layers (on a 2-core box the body codec read 34 % and the clock
 # 3 % where one P reads 39 % and 9 %). The test binary and the
@@ -63,11 +65,18 @@ if [ "$bench" = 1 ]; then
     # and writes/op, BenchmarkBulkRound's reads/task and writes/task).
     awk '/^Benchmark/ { for (i = 3; i < NF; i += 2) if ($(i + 1) ~ /^(reads|writes)\/(op|task)$/) printf "%-38s %9s\n", $1 " " $(i + 1), $i }' "$out/bench.txt"
     echo "layer                                     ms      %"
+    # The milliseconds of the samples with a function matching $1 on their
+    # stack and none matching $2.
+    msOf() {
+        go tool pprof -top -unit=ms -nodefraction=0 -focus="$1" -ignore="$2" "$out/test.bin" "$out/cpu.prof" 2>/dev/null |
+            awk 'on { sum += $1 } /flat%/ { on = 1 } END { print sum + 0 }'
+    }
     seen='^$' total=0 rows=()
     while IFS='|' read -r name re; do
-        ms=$(go tool pprof -top -unit=ms -nodefraction=0 -focus="$re" -ignore="$seen" "$out/test.bin" "$out/cpu.prof" 2>/dev/null |
-            awk 'on { sum += $1 } /flat%/ { on = 1 } END { print sum + 0 }')
-        rows+=("$name|$ms") total=$((total + ms)) seen="$seen|$re"
+        ms=$(msOf "$re" "$seen")
+        rows+=("$name|$ms") total=$((total + ms))
+        case $name in "body codec") codecSeen=$seen codecMs=$ms ;; esac
+        seen="$seen|$re"
     done <<'LAYERS'
 write(2)|syscall\.write$
 read(2), the EAGAIN reads included|syscall\.read$
@@ -97,4 +106,27 @@ LAYERS
     # What the live instruments cost together: the three rows above that are
     # the clock, the histograms and the tracer.
     printf '%-38s %6d  %5.1f\n' "instruments: clock, histograms, tracer" "$inst" "$(echo "$inst $total" | awk '{ print 100 * $1 / $2 }')"
+    # The body codec's row by message leg, each a function of fproto's that
+    # the leg's samples have on their stack (a value method, or the wrapper a
+    # call through an interface adds), out of the codec row's samples only.
+    echo "body codec by message leg                 ms      %"
+    leg=$codecSeen
+    while IFS=';' read -r name msg fn; do
+        re="^falkon/internal/fproto\.\(?\*?($msg)\)?\.$fn\$"
+        ms=$(msOf "$re" "$leg")
+        leg="$leg|$re"
+        codecMs=$((codecMs - ms))
+        printf '%-38s %6d  %5.1f\n' "$name" "$ms" "$(echo "$ms $total" | awk '{ print 100 * $1 / $2 }')"
+    done <<'LEGS'
+submit encode (client);SubmitRequest;AppendJSON
+submit decode (dispatcher);Bundle;DecodeInterned
+grant encode, to a leaf;Bundle;AppendJSON
+grant encode, to an executor;RelayReply;AppendJSON
+grant decode (executor);GetWorkReply|DeliverReply;DecodeJSON
+Deliver encode (executor);DeliverRequest;AppendJSON
+Deliver decode (dispatcher);DeliverRequest;DecodeInterned
+result-push encode;ResultsNotify|ParentResults;AppendJSON
+result-push decode;ResultsNotify;DecodeInterned
+LEGS
+    printf '%-38s %6d  %5.1f\n' "the rest of the codec" "$codecMs" "$(echo "$codecMs $total" | awk '{ print 100 * $1 / $2 }')"
 fi

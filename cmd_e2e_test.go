@@ -5,6 +5,7 @@ package falkon_test
 // forwarder — over localhost TCP, exactly as the README describes.
 
 import (
+	"bufio"
 	"encoding/json"
 	"fmt"
 	"io"
@@ -87,6 +88,66 @@ func startProc(t *testing.T, bin string, args ...string) *exec.Cmd {
 	})
 	return cmd
 }
+
+// startAnnounced launches a binary told to listen on 127.0.0.1:0 and returns
+// the addresses it prints: for each pattern, the first submatch of the first
+// line of its output (stdout or stderr) that matches. Nothing can take such a
+// port between its reservation and the daemon's bind, as it can freePort's.
+func startAnnounced(t *testing.T, bin string, patterns []string, args ...string) []string {
+	t.Helper()
+	r, w, err := os.Pipe()
+	if err != nil {
+		t.Fatal(err)
+	}
+	cmd := exec.Command(bin, args...)
+	cmd.Stdout, cmd.Stderr = w, w
+	if err := cmd.Start(); err != nil {
+		t.Fatal(err)
+	}
+	w.Close()
+	t.Cleanup(func() {
+		cmd.Process.Kill()
+		cmd.Wait()
+	})
+	res := make([]*regexp.Regexp, len(patterns))
+	for i, p := range patterns {
+		res[i] = regexp.MustCompile(p)
+	}
+	found := make(chan []string, 1)
+	go func() {
+		defer r.Close()
+		addrs, left := make([]string, len(patterns)), len(patterns)
+		lines := bufio.NewScanner(r)
+		for lines.Scan() {
+			fmt.Fprintln(os.Stderr, lines.Text())
+			for i, re := range res {
+				if m := re.FindStringSubmatch(lines.Text()); m != nil && addrs[i] == "" {
+					addrs[i] = m[1]
+					if left--; left == 0 {
+						found <- addrs
+					}
+				}
+			}
+		}
+		close(found)
+	}()
+	select {
+	case addrs, ok := <-found:
+		if !ok {
+			t.Fatalf("%s exited before printing its addresses", filepath.Base(bin))
+		}
+		return addrs
+	case <-time.After(30 * time.Second):
+		t.Fatalf("%s printed no addresses in 30 s", filepath.Base(bin))
+	}
+	return nil
+}
+
+// The address lines the daemons print.
+const (
+	listeningOn    = `listening on (\S+)`
+	debugEndpoints = `debug endpoints on http://(\S+)/metrics`
+)
 
 // waitListening blocks until addr accepts connections.
 func waitListening(t *testing.T, addr string) {
@@ -506,20 +567,16 @@ func checkPromExposition(t *testing.T, daemon, body string) {
 // build-info and uptime identification series.
 func TestBinariesMetricsExposition(t *testing.T) {
 	bin := buildBinaries(t)
-	dispAddr, dispDebug := freePort(t), freePort(t)
-	execDebug, fwdAddr, fwdDebug, subDebug := freePort(t), freePort(t), freePort(t), freePort(t)
-	startProc(t, filepath.Join(bin, "falkon-dispatcher"), "-addr", dispAddr, "-quiet", "-stats-every", "0", "-debug-addr", dispDebug)
-	waitListening(t, dispAddr)
-	startProc(t, filepath.Join(bin, "falkon-executor"), "-dispatcher", dispAddr, "-debug-addr", execDebug)
-	startProc(t, filepath.Join(bin, "falkon-dispatcher"), "-addr", fwdAddr, "-leaves", dispAddr, "-debug-addr", fwdDebug)
-	waitListening(t, fwdAddr)
+	ephemeral := "127.0.0.1:0"
+	both := []string{listeningOn, debugEndpoints}
+	addrs := startAnnounced(t, filepath.Join(bin, "falkon-dispatcher"), both, "-addr", ephemeral, "-quiet", "-stats-every", "0", "-debug-addr", ephemeral)
+	dispAddr, dispDebug := addrs[0], addrs[1]
+	execDebug := startAnnounced(t, filepath.Join(bin, "falkon-executor"), []string{debugEndpoints}, "-dispatcher", dispAddr, "-debug-addr", ephemeral)[0]
+	fwdDebug := startAnnounced(t, filepath.Join(bin, "falkon-dispatcher"), both, "-addr", ephemeral, "-leaves", dispAddr, "-debug-addr", ephemeral)[1]
 	// A workload long enough that the client daemon is still up — and its
 	// debug endpoint scrapeable — while we poll every process.
-	startProc(t, filepath.Join(bin, "falkon-submit"),
-		"-dispatcher", dispAddr, "-sleep0", "400", "-sleep", "20ms", "-bundle", "20", "-timeout", "120s", "-debug-addr", subDebug)
-	for _, addr := range []string{dispDebug, execDebug, fwdDebug, subDebug} {
-		waitListening(t, addr)
-	}
+	subDebug := startAnnounced(t, filepath.Join(bin, "falkon-submit"), []string{debugEndpoints},
+		"-dispatcher", dispAddr, "-sleep0", "400", "-sleep", "20ms", "-bundle", "20", "-timeout", "120s", "-debug-addr", ephemeral)[0]
 
 	for daemon, addr := range map[string]string{
 		"dispatcher": dispDebug,

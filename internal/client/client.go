@@ -124,6 +124,7 @@ type Client struct {
 	// loop's: a session's connections follow one another, and so do their
 	// read loops.
 	pushed fproto.ResultsNotify
+	execs  fproto.Seen // the executor IDs pushes name, the read loop's too
 }
 
 // Connect dials the dispatcher and creates a fresh instance.
@@ -247,7 +248,7 @@ func (c *Client) onNotify(method string, body json.RawMessage) {
 	if method != fproto.NotifyResults {
 		return
 	}
-	if err := c.pushed.DecodeInterned(body, c.ownEPR); err != nil {
+	if err := c.pushed.DecodeInterned(body, c.ownEPR, c.execs.Intern); err != nil {
 		return
 	}
 	c.deliver(c.pushed.Results)

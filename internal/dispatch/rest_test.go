@@ -136,6 +136,40 @@ func cycle(t *testing.T, d *dispatch.Dispatcher, c *client.Client, gen *task.IDG
 	at("retained")
 }
 
+// idleExecutors is how many executors the idle-executor test registers:
+// Figure 9 registers 54,000 with one dispatcher.
+const idleExecutors = 10_000
+
+// What a dispatcher holds per registered idle executor, through the seam
+// (Register with an in-process Pusher, so no connection): its 16-byte ID, the
+// core's 80-byte sched.Exec, the dispatcher's 64-byte execRef, and its entries
+// in the core's executor map and idle list (~50 bytes at their load). Measured
+// 212.6–213.1 bytes at -cpu 1, 2 and 4; the ceiling is that plus 15 %. A wsrpc
+// connection behind each executor adds ~100 KB: EXPERIMENTS.md "The trace ring
+// holds no pointers".
+const idleExecutorBytesCeiling = 245
+
+// TestBytesPerIdleExecutor registers idleExecutors executors of one slot each
+// with a dispatcher that has no work, and weighs them.
+func TestBytesPerIdleExecutor(t *testing.T) {
+	d := dispatch.New(dispatch.Options{Logf: func(string, ...any) {}})
+	t.Cleanup(func() { d.Close() })
+	d.Register(fproto.RegisterRequest{ExecutorID: "warm", Slots: 1}, discard{})
+	d.Deregister("warm")
+	base := liveHeap()
+	for i := range idleExecutors {
+		d.Register(fproto.RegisterRequest{ExecutorID: "exec-" + strconv.Itoa(i), Slots: 1}, discard{})
+	}
+	per := float64(int64(liveHeap())-int64(base)) / idleExecutors
+	if st := d.Stats(); st.TotalExecutors != idleExecutors {
+		t.Fatalf("%d executors registered, want %d", st.TotalExecutors, idleExecutors)
+	}
+	t.Logf("%.1f bytes per registered idle executor", per)
+	if per > idleExecutorBytesCeiling {
+		t.Errorf("%.1f bytes per registered idle executor, budget %d", per, idleExecutorBytesCeiling)
+	}
+}
+
 // liveHeap is the heap in use once a collection has run: two, so that what
 // sync.Pools dropped at the first is gone at the second.
 func liveHeap() uint64 {

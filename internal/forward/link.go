@@ -46,6 +46,7 @@ type link struct {
 	// them down and its reply, handed to Call by pointer.
 	dmu, smu sync.Mutex
 	pushed   fproto.ResultsNotify
+	execs    fproto.Seen // the leaf's executor IDs its pushes name
 	tagged   []fproto.TaggedResult
 	stocked  []fproto.Relay
 	sub      fproto.Bundle
@@ -189,7 +190,7 @@ func (l *link) onNotify(method string, body json.RawMessage) {
 	l.dmu.Lock()
 	defer l.dmu.Unlock()
 	n := &l.pushed
-	if n.DecodeInterned(body, l.downEPR) != nil {
+	if n.DecodeInterned(body, l.downEPR, l.execs.Intern) != nil {
 		return
 	}
 	l.mu.Lock()

@@ -48,6 +48,27 @@ func NoteCodec(s obs.MetricsSnapshot) obs.MetricsSnapshot {
 // holds none; a nil Intern holds none.
 type Intern func(b []byte) string
 
+// Seen is the Intern of the executor IDs a holder of results has been sent: an
+// ID is allocated the first time it comes and shared by every message after
+// that names it. It holds maxSeen at most; the next new ID starts it over. A
+// Seen is used by one decoder at a time.
+type Seen struct{ ids map[string]string }
+
+const maxSeen = 4096
+
+// Intern returns the ID b spells, as Seen holds it.
+func (s *Seen) Intern(b []byte) string {
+	id, ok := s.ids[string(b)]
+	if !ok {
+		if s.ids == nil || len(s.ids) >= maxSeen {
+			s.ids = make(map[string]string)
+		}
+		id = string(b)
+		s.ids[id] = id
+	}
+	return id
+}
+
 // finish ends a DecodeJSON: a body the reader could not take whole goes to
 // encoding/json, whose result replaces whatever the reader had filled in.
 // (It decodes into a value of its own so that m does not escape and callers'
@@ -388,7 +409,7 @@ func (m *DeliverRequest) DecodeInterned(b []byte, known Intern) error {
 			r.Expect(`{"epr":`)
 			tr.EPR = r.Interned(prev.EPR, known)
 			r.Expect(`,"result":`)
-			tr.Result.ParseJSON(&r, &prev.Result)
+			tr.Result.ParseJSON(&r, &prev.Result, known)
 			r.Expect(`,"run_dur":`)
 			tr.RunDur = time.Duration(r.Int64())
 			if r.Lit(`,"overhead_dur":`) {
@@ -450,10 +471,11 @@ func appendResults(dst []byte, epr string, rs []task.Result, appendResult func(*
 }
 
 // DecodeJSON decodes b into m.
-func (m *ResultsNotify) DecodeJSON(b []byte) error { return m.DecodeInterned(b, nil) }
+func (m *ResultsNotify) DecodeJSON(b []byte) error { return m.DecodeInterned(b, nil, nil) }
 
-// DecodeInterned is DecodeJSON with the EPR shared through known.
-func (m *ResultsNotify) DecodeInterned(b []byte, known Intern) error {
+// DecodeInterned is DecodeJSON with the EPR shared through known and the
+// results' executor IDs through execs.
+func (m *ResultsNotify) DecodeInterned(b []byte, known, execs Intern) error {
 	var r jsonwire.Reader
 	r.Reset(b)
 	was := m.Results
@@ -468,7 +490,7 @@ func (m *ResultsNotify) DecodeInterned(b []byte, known Intern) error {
 		for prev := &first; r.Elem(len(m.Results)); {
 			m.Results = append(m.Results, task.Result{})
 			res := &m.Results[len(m.Results)-1]
-			res.ParseJSON(&r, prev)
+			res.ParseJSON(&r, prev, execs)
 			prev = res
 		}
 	}

@@ -338,8 +338,18 @@ func TestDecodeInterned(t *testing.T) {
 		t.Fatalf("Bundle: %+v, %v", s, err)
 	}
 	var n ResultsNotify
-	if err := n.DecodeInterned([]byte(`{"epr":"falkon-instance-1","results":[]}`), known); err != nil || !same(n.EPR, epr) {
+	if err := n.DecodeInterned([]byte(`{"epr":"falkon-instance-1","results":[]}`), known, nil); err != nil || !same(n.EPR, epr) {
 		t.Fatalf("ResultsNotify: %+v, %v", n, err)
+	}
+	// A Seen hands every push after the first the executor ID it kept.
+	var seen Seen
+	var first, next ResultsNotify
+	push := []byte(`{"epr":"falkon-instance-1","results":[{"id":1,"executor":"exec-9"}]}`)
+	if err := first.DecodeInterned(push, known, seen.Intern); err != nil {
+		t.Fatal(err)
+	}
+	if err := next.DecodeInterned(push, known, seen.Intern); err != nil || !same(next.Results[0].ExecutorID, first.Results[0].ExecutorID) {
+		t.Fatalf("ResultsNotify through a Seen: %+v, %v", next, err)
 	}
 	var w GetWorkRequest
 	if err := w.DecodeInterned([]byte(`{"executor_id":"exec-3","max":2}`), known); err != nil || !same(w.ExecutorID, exec) {
@@ -623,11 +633,29 @@ func TestCodecAllocs(t *testing.T) {
 		return ""
 	}
 	if got := testing.AllocsPerRun(100, func() {
-		if err := n.DecodeInterned(body, own); err != nil {
+		if err := n.DecodeInterned(body, own, nil); err != nil {
 			t.Fatal(err)
 		}
 	}); got != 0 {
 		t.Errorf("DecodeInterned of a 64-result ResultsNotify into the value that held the last allocates %.0f times, want 0", got)
+	}
+	// Pushes from two executors in turn: each names an executor the last did
+	// not, which a Seen holds already.
+	other := notify
+	other.Results = append([]task.Result(nil), notify.Results...)
+	for i := range other.Results {
+		other.Results[i].ExecutorID = "exec-other"
+	}
+	bodies := [][]byte{body, other.AppendJSON(nil)}
+	var seen Seen
+	turn := 0
+	if got := testing.AllocsPerRun(100, func() {
+		turn++
+		if err := n.DecodeInterned(bodies[turn%2], own, seen.Intern); err != nil {
+			t.Fatal(err)
+		}
+	}); got != 0 {
+		t.Errorf("DecodeInterned of pushes from two executors in turn through a Seen allocates %.0f times, want 0", got)
 	}
 }
 

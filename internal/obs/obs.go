@@ -19,6 +19,7 @@ import (
 	"fmt"
 	"sync"
 	"time"
+	"unsafe"
 
 	"falkon/internal/task"
 )
@@ -115,23 +116,52 @@ type Event struct {
 }
 
 // Tracer records lifecycle events into a bounded ring buffer. Recording is
-// one short critical section that allocates nothing; a nil *Tracer discards
-// events, so call sites need no guards.
+// one short critical section that allocates nothing once the strings it is
+// handed are known; a nil *Tracer discards events, so call sites need no
+// guards.
+//
+// The ring holds no pointers, so the collector never scans it (DESIGN.md §8,
+// "The trace ring"): a record keeps an event's two strings as indexes into the
+// tracer's string table, and its Seq as its position.
 type Tracer struct {
 	mu sync.Mutex
-	// ring holds event seq s at (s-1) % len(ring); its Seq field is not kept
-	// there but derived from that position (Since).
-	ring []Event
+	// ring holds event seq s at (s-1) % len(ring).
+	ring []rec
 	last uint64 // seq of the newest event recorded; seqs start at 1
+	// strs is the string table the records index, strs[0] == "", and ids
+	// indexes the rest. The ring names at most 2*len(ring) strings; a batch
+	// that could take the table past 2*len(ring)+2 entries first rebuilds it.
+	strs []string
+	ids  map[string]uint32
+	// epr and exec are the strings the last event named, with their indexes:
+	// the next one mostly names the same, as the same string.
+	epr, exec   string
+	eprI, execI uint32
 }
 
+// rec is an Event in the ring: 32 bytes with no pointers.
+type rec struct {
+	at    time.Duration
+	trace uint64
+	task  task.ID
+	epr   uint32 // the kind in the top byte, over the EPR's index in strs
+	exec  uint32 // the executor ID's index in strs
+}
+
+// rec.epr's low idxBits are the EPR's index.
+const (
+	idxBits = 24
+	idxMask = 1<<idxBits - 1
+)
+
 // NewTracer returns a tracer retaining the last capacity events (default
-// 8192 when capacity <= 0).
+// 8192 when capacity <= 0, at most 1<<22).
 func NewTracer(capacity int) *Tracer {
 	if capacity <= 0 {
 		capacity = 8192
 	}
-	return &Tracer{ring: make([]Event, capacity)}
+	capacity = min(capacity, 1<<(idxBits-2))
+	return &Tracer{ring: make([]rec, capacity), strs: []string{""}, ids: map[string]uint32{}}
 }
 
 // Record appends an event stamped at, attributed to trace (0 when the
@@ -141,22 +171,96 @@ func (t *Tracer) Record(at time.Duration, kind EventKind, trace uint64, id task.
 }
 
 // RecordAll appends events in order under one acquisition of the lock: what
-// a handler gathered, or a batch's worth, in at most two copies (the second
-// when they wrap the ring). Their Seq is the order they were recorded in;
-// what the caller set there is ignored.
+// a handler gathered, or a batch's worth. Their Seq is the order they were
+// recorded in; what the caller set there is ignored.
 func (t *Tracer) RecordAll(evs []Event) {
 	if t == nil || len(evs) == 0 {
 		return
 	}
 	t.mu.Lock()
-	t.last += uint64(len(evs))
-	if len(evs) > len(t.ring) {
-		evs = evs[len(evs)-len(t.ring):] // the older ones would be overwritten
+	size := len(t.ring)
+	if n := len(evs) - size; n > 0 {
+		t.last += uint64(n) // the older ones would be overwritten
+		evs = evs[n:]
 	}
-	at := int((t.last - uint64(len(evs))) % uint64(len(t.ring)))
-	n := copy(t.ring[at:], evs)
-	copy(t.ring, evs[n:])
+	if len(t.strs)+2*len(evs) > 2*size+2 {
+		t.rebuild(size - len(evs))
+	}
+	ring, at := t.ring, int(t.last%uint64(size))
+	t.last += uint64(len(evs))
+	epr, eprI, exec, execI := t.epr, t.eprI, t.exec, t.execI
+	for i := 0; ; {
+		// Field by field, and with no call in the loop: a composite literal
+		// stored into the ring costs three times as much, and a call makes the
+		// loop keep its variables on the stack.
+		for ; i < len(evs); i++ {
+			ev, r := &evs[i], &ring[at]
+			if !same(ev.EPR, epr) || !same(ev.Executor, exec) {
+				break
+			}
+			r.at, r.trace, r.task = ev.At, ev.Trace, ev.Task
+			r.epr, r.exec = uint32(ev.Kind)<<idxBits|eprI, execI
+			if at++; at == size {
+				at = 0
+			}
+		}
+		if i == len(evs) {
+			break
+		}
+		ev := &evs[i]
+		if !same(ev.EPR, epr) {
+			epr, eprI = ev.EPR, t.index(ev.EPR)
+		}
+		if !same(ev.Executor, exec) {
+			exec, execI = ev.Executor, t.index(ev.Executor)
+		}
+	}
+	t.epr, t.eprI, t.exec, t.execI = epr, eprI, exec, execI
 	t.mu.Unlock()
+}
+
+// same reports whether a and b are the same string — the same bytes, not only
+// equal ones: what the tracer compares a field with the last event's by.
+func same(a, b string) bool {
+	return len(a) == len(b) && unsafe.StringData(a) == unsafe.StringData(b)
+}
+
+// index returns s's index in the string table, adding it if it is new.
+func (t *Tracer) index(s string) uint32 {
+	if s == "" {
+		return 0
+	}
+	i, ok := t.ids[s]
+	if !ok {
+		i = uint32(len(t.strs))
+		t.strs = append(t.strs, s)
+		t.ids[s] = i
+	}
+	return i
+}
+
+// rebuild makes the string table hold only what the newest keep records name
+// (the ones the batch about to be written leaves standing), and renumbers them.
+func (t *Tracer) rebuild(keep int) {
+	old := t.strs
+	to := make([]uint32, len(old)) // an old index's new one; 0 until seen
+	t.strs = make([]string, 1, len(old))
+	clear(t.ids)
+	t.epr, t.exec, t.eprI, t.execI = "", "", 0, 0
+	renumber := func(i uint32) uint32 {
+		if i != 0 && to[i] == 0 {
+			to[i] = uint32(len(t.strs))
+			t.ids[old[i]] = to[i]
+			t.strs = append(t.strs, old[i])
+		}
+		return to[i]
+	}
+	size := uint64(len(t.ring))
+	for seq := t.last - min(uint64(keep), t.last) + 1; seq <= t.last; seq++ {
+		r := &t.ring[(seq-1)%size]
+		r.epr = r.epr&^idxMask | renumber(r.epr&idxMask)
+		r.exec = renumber(r.exec)
+	}
 }
 
 // Since returns up to max events with Seq > since in recording order, plus
@@ -178,9 +282,9 @@ func (t *Tracer) Since(since uint64, max int) (events []Event, next uint64) {
 		max = len(t.ring)
 	}
 	for seq := from; seq <= t.last && len(events) < max; seq++ {
-		ev := t.ring[(seq-1)%size]
-		ev.Seq = seq
-		events = append(events, ev)
+		r := &t.ring[(seq-1)%size]
+		events = append(events, Event{Seq: seq, At: r.at, Kind: EventKind(r.epr >> idxBits), Trace: r.trace, Task: r.task,
+			EPR: t.strs[r.epr&idxMask], Executor: t.strs[r.exec]})
 	}
 	return events, t.last
 }

@@ -223,8 +223,9 @@ func (res *Result) AppendJSON(dst []byte) []byte {
 }
 
 // ParseJSON reads one result into res, which must be zero; prev is as for
-// Task.ParseJSON.
-func (res *Result) ParseJSON(r *jsonwire.Reader, prev *Result) {
+// Task.ParseJSON. execs, unless nil, maps an executor ID unlike prev's to an
+// equal string the caller holds, or to "" (jsonwire.Reader.Interned).
+func (res *Result) ParseJSON(r *jsonwire.Reader, prev *Result, execs func([]byte) string) {
 	r.Expect(`{"id":`)
 	res.ID = ID(r.Uint())
 	for last := 0; ; {
@@ -242,7 +243,7 @@ func (res *Result) ParseJSON(r *jsonwire.Reader, prev *Result) {
 		case "err":
 			at, res.Err = 4, r.String(prev.Err)
 		case "executor":
-			at, res.ExecutorID = 5, r.String(prev.ExecutorID)
+			at, res.ExecutorID = 5, r.Interned(prev.ExecutorID, execs)
 		case "queued_at":
 			at, res.QueuedAt = 6, time.Duration(r.Int64())
 		case "dispatched_at":

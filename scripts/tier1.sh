@@ -53,8 +53,9 @@ go test -run='TestBinariesMetricsExposition|TestBinariesSpanMergeAcrossProcesses
 # not depend on how many cores the host has. Beside it the other count of one
 # unqueued task: six write(2) and at most 6.5 read(2).
 go test -run='TestAllocsPerTaskBudget|TestSerialRoundSyscalls' -cpu 1,2,4 -count=1 ./internal/core/
-# Bytes a dispatcher holds per task queued, per task held, and after 100K drain.
-go test -run='TestBytesPerTaskAtRest' -cpu 1,2,4 -count=1 ./internal/dispatch/
+# Bytes a dispatcher holds per task queued, per task held, and after 100K
+# drain; per registered idle executor; and what a full trace ring weighs.
+go test -run='TestBytesPerTaskAtRest|TestBytesPerIdleExecutor|TestTracerBytesAtRest' -cpu 1,2,4 -count=1 ./internal/dispatch/ ./internal/obs/
 # And what a level of the dispatch tree adds to it, objects and bytes: a root
 # over two leaves against one dispatcher, same loop, plus a leaf restart
 # mid-batch.
@@ -78,6 +79,9 @@ go test -run='^$' -fuzz=FuzzTenantSpec -fuzztime=5s ./internal/dispatch/
 # sequences against a reference model (exactly-once, slot counts, retry
 # bounds, the fair-share bound).
 go test -run='^$' -fuzz=FuzzCore -fuzztime=5s ./internal/sched/
+# And over the trace ring every process keeps: batches against a plain slice
+# of every event, through the string table's rebuilds and the ring's wrap.
+go test -run='^$' -fuzz=FuzzTracer -fuzztime=5s ./internal/obs/
 # Compile-and-run every benchmark exactly once, so bitrot in benchmark-only
 # code fails tier 1 instead of the next perf investigation.
 go test -run='^$' -bench=. -benchtime=1x ./...

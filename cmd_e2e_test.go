@@ -9,7 +9,6 @@ import (
 	"encoding/json"
 	"fmt"
 	"io"
-	"net"
 	"net/http"
 	"os"
 	"os/exec"
@@ -61,18 +60,6 @@ func buildBinaries(t *testing.T) string {
 	return binDir
 }
 
-// freePort reserves an ephemeral port.
-func freePort(t *testing.T) string {
-	t.Helper()
-	ln, err := net.Listen("tcp", "127.0.0.1:0")
-	if err != nil {
-		t.Fatal(err)
-	}
-	addr := ln.Addr().String()
-	ln.Close()
-	return addr
-}
-
 // startProc launches a binary and registers cleanup.
 func startProc(t *testing.T, bin string, args ...string) *exec.Cmd {
 	t.Helper()
@@ -89,11 +76,12 @@ func startProc(t *testing.T, bin string, args ...string) *exec.Cmd {
 	return cmd
 }
 
-// startAnnounced launches a binary told to listen on 127.0.0.1:0 and returns
-// the addresses it prints: for each pattern, the first submatch of the first
-// line of its output (stdout or stderr) that matches. Nothing can take such a
-// port between its reservation and the daemon's bind, as it can freePort's.
-func startAnnounced(t *testing.T, bin string, patterns []string, args ...string) []string {
+// startAnnounced launches a binary and returns it with the addresses it
+// prints: for each pattern, the first submatch of the first line of its
+// output (stdout or stderr) that matches. Told to listen on ephemeral, the
+// daemon picks its own port, so no other process can take it between a
+// reservation and the bind.
+func startAnnounced(t *testing.T, bin string, patterns []string, args ...string) (*exec.Cmd, []string) {
 	t.Helper()
 	r, w, err := os.Pipe()
 	if err != nil {
@@ -136,41 +124,32 @@ func startAnnounced(t *testing.T, bin string, patterns []string, args ...string)
 		if !ok {
 			t.Fatalf("%s exited before printing its addresses", filepath.Base(bin))
 		}
-		return addrs
+		return cmd, addrs
 	case <-time.After(30 * time.Second):
 		t.Fatalf("%s printed no addresses in 30 s", filepath.Base(bin))
 	}
-	return nil
+	return nil, nil
 }
 
-// The address lines the daemons print.
+// startDispatcher starts falkon-dispatcher on addr (ephemeral for a port of
+// its own) with args and returns it with the address it listens on.
+func startDispatcher(t *testing.T, bin, addr string, args ...string) (*exec.Cmd, string) {
+	t.Helper()
+	cmd, addrs := startAnnounced(t, filepath.Join(bin, "falkon-dispatcher"), []string{listeningOn}, append([]string{"-addr", addr}, args...)...)
+	return cmd, addrs[0]
+}
+
+// The address every daemon is told to listen on, and the lines it prints
+// once it does.
 const (
+	ephemeral      = "127.0.0.1:0"
 	listeningOn    = `listening on (\S+)`
 	debugEndpoints = `debug endpoints on http://(\S+)/metrics`
 )
 
-// waitListening blocks until addr accepts connections.
-func waitListening(t *testing.T, addr string) {
-	t.Helper()
-	deadline := time.Now().Add(15 * time.Second)
-	for {
-		c, err := net.DialTimeout("tcp", addr, 200*time.Millisecond)
-		if err == nil {
-			c.Close()
-			return
-		}
-		if time.Now().After(deadline) {
-			t.Fatalf("%s never started listening", addr)
-		}
-		time.Sleep(50 * time.Millisecond)
-	}
-}
-
 func TestBinariesEndToEnd(t *testing.T) {
 	bin := buildBinaries(t)
-	dispAddr := freePort(t)
-	startProc(t, filepath.Join(bin, "falkon-dispatcher"), "-addr", dispAddr, "-quiet", "-stats-every", "0")
-	waitListening(t, dispAddr)
+	_, dispAddr := startDispatcher(t, bin, ephemeral, "-quiet", "-stats-every", "0")
 	startProc(t, filepath.Join(bin, "falkon-executor"), "-dispatcher", dispAddr, "-n", "2")
 
 	out, err := exec.Command(filepath.Join(bin, "falkon-submit"),
@@ -185,9 +164,7 @@ func TestBinariesEndToEnd(t *testing.T) {
 
 func TestBinariesExecEngine(t *testing.T) {
 	bin := buildBinaries(t)
-	dispAddr := freePort(t)
-	startProc(t, filepath.Join(bin, "falkon-dispatcher"), "-addr", dispAddr, "-quiet", "-stats-every", "0")
-	waitListening(t, dispAddr)
+	_, dispAddr := startDispatcher(t, bin, ephemeral, "-quiet", "-stats-every", "0")
 	startProc(t, filepath.Join(bin, "falkon-executor"), "-dispatcher", dispAddr)
 
 	out, err := exec.Command(filepath.Join(bin, "falkon-submit"),
@@ -202,16 +179,11 @@ func TestBinariesExecEngine(t *testing.T) {
 
 func TestBinariesThreeTier(t *testing.T) {
 	bin := buildBinaries(t)
-	d1, d2 := freePort(t), freePort(t)
-	startProc(t, filepath.Join(bin, "falkon-dispatcher"), "-addr", d1, "-quiet", "-stats-every", "0")
-	startProc(t, filepath.Join(bin, "falkon-dispatcher"), "-addr", d2, "-quiet", "-stats-every", "0")
-	waitListening(t, d1)
-	waitListening(t, d2)
+	_, d1 := startDispatcher(t, bin, ephemeral, "-quiet", "-stats-every", "0")
+	_, d2 := startDispatcher(t, bin, ephemeral, "-quiet", "-stats-every", "0")
 	startProc(t, filepath.Join(bin, "falkon-executor"), "-dispatcher", d1)
 	startProc(t, filepath.Join(bin, "falkon-executor"), "-dispatcher", d2)
-	fwd := freePort(t)
-	startProc(t, filepath.Join(bin, "falkon-dispatcher"), "-addr", fwd, "-leaves", d1+","+d2)
-	waitListening(t, fwd)
+	_, fwd := startDispatcher(t, bin, ephemeral, "-leaves", d1+","+d2)
 
 	// The unmodified client CLI talks to the forwarder.
 	out, err := exec.Command(filepath.Join(bin, "falkon-submit"),
@@ -228,12 +200,9 @@ func TestBinariesThreeTier(t *testing.T) {
 // every task it holds is delivered to its client before it exits 0.
 func TestBinariesRootDrainsOnSIGTERM(t *testing.T) {
 	bin := buildBinaries(t)
-	leaf, rootAddr := freePort(t), freePort(t)
-	startProc(t, filepath.Join(bin, "falkon-dispatcher"), "-addr", leaf, "-quiet", "-stats-every", "0")
-	waitListening(t, leaf)
+	_, leaf := startDispatcher(t, bin, ephemeral, "-quiet", "-stats-every", "0")
 	startProc(t, filepath.Join(bin, "falkon-executor"), "-dispatcher", leaf, "-n", "2")
-	root := startProc(t, filepath.Join(bin, "falkon-dispatcher"), "-addr", rootAddr, "-leaves", leaf, "-quiet", "-stats-every", "0")
-	waitListening(t, rootAddr)
+	root, rootAddr := startDispatcher(t, bin, ephemeral, "-leaves", leaf, "-quiet", "-stats-every", "0")
 
 	cl, err := client.Connect(client.Options{DispatcherAddr: rootAddr, BundleSize: 20})
 	if err != nil {
@@ -272,7 +241,7 @@ func TestBinariesRootDrainsOnSIGTERM(t *testing.T) {
 func TestBinariesLeavesRefuseJournal(t *testing.T) {
 	bin := buildBinaries(t)
 	out, err := exec.Command(filepath.Join(bin, "falkon-dispatcher"),
-		"-addr", freePort(t), "-leaves", freePort(t), "-journal-dir", t.TempDir()).CombinedOutput()
+		"-addr", ephemeral, "-leaves", ephemeral, "-journal-dir", t.TempDir()).CombinedOutput()
 	if err == nil {
 		t.Fatalf("falkon-dispatcher -leaves -journal-dir started:\n%s", out)
 	}
@@ -287,9 +256,7 @@ func TestBinariesSecureDeployment(t *testing.T) {
 	if err := os.WriteFile(psk, []byte("e2e-shared-key"), 0o600); err != nil {
 		t.Fatal(err)
 	}
-	dispAddr := freePort(t)
-	startProc(t, filepath.Join(bin, "falkon-dispatcher"), "-addr", dispAddr, "-quiet", "-stats-every", "0", "-secure", "-psk-file", psk)
-	waitListening(t, dispAddr)
+	_, dispAddr := startDispatcher(t, bin, ephemeral, "-quiet", "-stats-every", "0", "-secure", "-psk-file", psk)
 	startProc(t, filepath.Join(bin, "falkon-executor"), "-dispatcher", dispAddr, "-secure", "-psk-file", psk)
 
 	out, err := exec.Command(filepath.Join(bin, "falkon-submit"),
@@ -304,9 +271,7 @@ func TestBinariesSecureDeployment(t *testing.T) {
 
 func TestBinariesWorkloadFile(t *testing.T) {
 	bin := buildBinaries(t)
-	dispAddr := freePort(t)
-	startProc(t, filepath.Join(bin, "falkon-dispatcher"), "-addr", dispAddr, "-quiet", "-stats-every", "0")
-	waitListening(t, dispAddr)
+	_, dispAddr := startDispatcher(t, bin, ephemeral, "-quiet", "-stats-every", "0")
 	startProc(t, filepath.Join(bin, "falkon-executor"), "-dispatcher", dispAddr)
 
 	wl := filepath.Join(t.TempDir(), "tasks.jsonl")
@@ -349,10 +314,8 @@ func TestBinariesBenchAndTrace(t *testing.T) {
 
 func TestBinariesDebugEndpoints(t *testing.T) {
 	bin := buildBinaries(t)
-	dispAddr, debugAddr := freePort(t), freePort(t)
-	startProc(t, filepath.Join(bin, "falkon-dispatcher"), "-addr", dispAddr, "-quiet", "-stats-every", "0", "-debug-addr", debugAddr)
-	waitListening(t, dispAddr)
-	waitListening(t, debugAddr)
+	_, addrs := startAnnounced(t, filepath.Join(bin, "falkon-dispatcher"), []string{listeningOn, debugEndpoints}, "-addr", ephemeral, "-quiet", "-stats-every", "0", "-debug-addr", ephemeral)
+	dispAddr, debugAddr := addrs[0], addrs[1]
 	startProc(t, filepath.Join(bin, "falkon-executor"), "-dispatcher", dispAddr)
 
 	out, err := exec.Command(filepath.Join(bin, "falkon-submit"),
@@ -421,12 +384,10 @@ func TestBinariesDebugEndpoints(t *testing.T) {
 // latency exactly. The falkon-spans CLI must stitch the same dumps.
 func TestBinariesSpanMergeAcrossProcesses(t *testing.T) {
 	bin := buildBinaries(t)
-	dispAddr, dispDebug, execDebug := freePort(t), freePort(t), freePort(t)
-	startProc(t, filepath.Join(bin, "falkon-dispatcher"), "-addr", dispAddr, "-quiet", "-stats-every", "0", "-debug-addr", dispDebug)
-	waitListening(t, dispAddr)
-	waitListening(t, dispDebug)
-	startProc(t, filepath.Join(bin, "falkon-executor"), "-dispatcher", dispAddr, "-slots", "2", "-debug-addr", execDebug)
-	waitListening(t, execDebug)
+	_, addrs := startAnnounced(t, filepath.Join(bin, "falkon-dispatcher"), []string{listeningOn, debugEndpoints}, "-addr", ephemeral, "-quiet", "-stats-every", "0", "-debug-addr", ephemeral)
+	dispAddr, dispDebug := addrs[0], addrs[1]
+	_, addrs = startAnnounced(t, filepath.Join(bin, "falkon-executor"), []string{debugEndpoints}, "-dispatcher", dispAddr, "-slots", "2", "-debug-addr", ephemeral)
+	execDebug := addrs[0]
 
 	const nTasks = 20
 	out, err := exec.Command(filepath.Join(bin, "falkon-submit"),
@@ -567,16 +528,18 @@ func checkPromExposition(t *testing.T, daemon, body string) {
 // build-info and uptime identification series.
 func TestBinariesMetricsExposition(t *testing.T) {
 	bin := buildBinaries(t)
-	ephemeral := "127.0.0.1:0"
 	both := []string{listeningOn, debugEndpoints}
-	addrs := startAnnounced(t, filepath.Join(bin, "falkon-dispatcher"), both, "-addr", ephemeral, "-quiet", "-stats-every", "0", "-debug-addr", ephemeral)
+	_, addrs := startAnnounced(t, filepath.Join(bin, "falkon-dispatcher"), both, "-addr", ephemeral, "-quiet", "-stats-every", "0", "-debug-addr", ephemeral)
 	dispAddr, dispDebug := addrs[0], addrs[1]
-	execDebug := startAnnounced(t, filepath.Join(bin, "falkon-executor"), []string{debugEndpoints}, "-dispatcher", dispAddr, "-debug-addr", ephemeral)[0]
-	fwdDebug := startAnnounced(t, filepath.Join(bin, "falkon-dispatcher"), both, "-addr", ephemeral, "-leaves", dispAddr, "-debug-addr", ephemeral)[1]
+	_, addrs = startAnnounced(t, filepath.Join(bin, "falkon-executor"), []string{debugEndpoints}, "-dispatcher", dispAddr, "-debug-addr", ephemeral)
+	execDebug := addrs[0]
+	_, addrs = startAnnounced(t, filepath.Join(bin, "falkon-dispatcher"), both, "-addr", ephemeral, "-leaves", dispAddr, "-debug-addr", ephemeral)
+	fwdDebug := addrs[1]
 	// A workload long enough that the client daemon is still up — and its
 	// debug endpoint scrapeable — while we poll every process.
-	subDebug := startAnnounced(t, filepath.Join(bin, "falkon-submit"), []string{debugEndpoints},
-		"-dispatcher", dispAddr, "-sleep0", "400", "-sleep", "20ms", "-bundle", "20", "-timeout", "120s", "-debug-addr", ephemeral)[0]
+	_, addrs = startAnnounced(t, filepath.Join(bin, "falkon-submit"), []string{debugEndpoints},
+		"-dispatcher", dispAddr, "-sleep0", "400", "-sleep", "20ms", "-bundle", "20", "-timeout", "120s", "-debug-addr", ephemeral)
+	subDebug := addrs[0]
 
 	for daemon, addr := range map[string]string{
 		"dispatcher": dispDebug,
@@ -622,10 +585,8 @@ func TestBinariesMetricsExposition(t *testing.T) {
 // its place is handed unqueued tasks in the push.
 func TestBinariesOldExecutorIsNeverPushed(t *testing.T) {
 	bin := buildBinaries(t)
-	dispAddr, debugAddr := freePort(t), freePort(t)
-	startProc(t, filepath.Join(bin, "falkon-dispatcher"), "-addr", dispAddr, "-quiet", "-stats-every", "0", "-debug-addr", debugAddr)
-	waitListening(t, dispAddr)
-	waitListening(t, debugAddr)
+	_, addrs := startAnnounced(t, filepath.Join(bin, "falkon-dispatcher"), []string{listeningOn, debugEndpoints}, "-addr", ephemeral, "-quiet", "-stats-every", "0", "-debug-addr", ephemeral)
+	dispAddr, debugAddr := addrs[0], addrs[1]
 	pushed := func() string {
 		t.Helper()
 		resp, err := http.Get("http://" + debugAddr + "/metrics")
@@ -716,12 +677,9 @@ func TestBinariesOldExecutorIsNeverPushed(t *testing.T) {
 
 func TestBinariesCrashRecovery(t *testing.T) {
 	bin := buildBinaries(t)
-	dispAddr := freePort(t)
-	jdir := t.TempDir()
-	dispArgs := []string{"-addr", dispAddr, "-quiet", "-stats-every", "0",
-		"-journal-dir", jdir, "-journal-sync", "group"}
-	disp := startProc(t, filepath.Join(bin, "falkon-dispatcher"), dispArgs...)
-	waitListening(t, dispAddr)
+	dispArgs := []string{"-quiet", "-stats-every", "0",
+		"-journal-dir", t.TempDir(), "-journal-sync", "group"}
+	disp, dispAddr := startDispatcher(t, bin, ephemeral, dispArgs...)
 	startProc(t, filepath.Join(bin, "falkon-executor"), "-dispatcher", dispAddr,
 		"-n", "2", "-reconnect", "-reconnect-timeout", "60s")
 
@@ -743,10 +701,10 @@ func TestBinariesCrashRecovery(t *testing.T) {
 	disp.Process.Kill()
 	disp.Wait()
 
-	// Restart on the same address and journal directory; executors and
-	// client reconnect and the run finishes with exactly-once delivery.
-	startProc(t, filepath.Join(bin, "falkon-dispatcher"), dispArgs...)
-	waitListening(t, dispAddr)
+	// Restart on the address the first start printed and the same journal
+	// directory; executors and client reconnect and the run finishes with
+	// exactly-once delivery.
+	startDispatcher(t, bin, dispAddr, dispArgs...)
 
 	if err := submit.Wait(); err != nil {
 		t.Fatalf("falkon-submit after crash: %v\n%s", err, out.String())

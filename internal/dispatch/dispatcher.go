@@ -782,25 +782,34 @@ func (d *Dispatcher) captureLocked() *wal.State {
 	return st
 }
 
-// replicaBaseline produces a consistent cut for an attaching standby: the
-// full dispatcher state and the replication-stream position it corresponds
-// to. Rotation under both locks flushes all buffered appends through the
-// Mirror hook (still under the journal's write mutex), so after Rotate
-// returns the stream end is exactly the boundary the captured state sits
-// at — a standby that Resets to (state, pos) and applies the stream from
-// pos onward replays the same history the leader's own journal holds.
-func (d *Dispatcher) replicaBaseline() (*wal.State, int64, error) {
+// cut is a consistent cut of the journal and the state it holds: under imu
+// and mu it rotates the journal and captures the state every record below the
+// returned boundary leaves. Rotation flushes every buffered append through
+// the Mirror hook, so when replicating the stream end it also returns is
+// exactly that boundary: a standby that Resets to (state, streamEnd) and
+// applies the stream from there replays the history the leader's own journal
+// holds. markSnap restarts the snapshot cadence at the cut.
+func (d *Dispatcher) cut(markSnap bool) (boundary uint64, st *wal.State, streamEnd int64, err error) {
 	d.imu.Lock()
+	defer d.imu.Unlock()
 	d.mu.Lock()
-	_, err := d.wal.Rotate()
-	var st *wal.State
-	var pos int64
-	if err == nil {
-		st = d.captureLocked()
-		pos = d.replSrc.End()
+	defer d.mu.Unlock()
+	if boundary, err = d.wal.Rotate(); err != nil {
+		return 0, nil, 0, err
 	}
-	d.mu.Unlock()
-	d.imu.Unlock()
+	if markSnap {
+		d.snapMark = d.transitionsLocked()
+	}
+	if d.replSrc != nil {
+		streamEnd = d.replSrc.End()
+	}
+	return boundary, d.captureLocked(), streamEnd, nil
+}
+
+// replicaBaseline is an attaching standby's baseline: the state at a cut and
+// the replication-stream position it corresponds to.
+func (d *Dispatcher) replicaBaseline() (*wal.State, int64, error) {
+	_, st, pos, err := d.cut(false)
 	return st, pos, err
 }
 
@@ -846,22 +855,11 @@ func (d *Dispatcher) startSnapshot() {
 	go d.snapshot()
 }
 
-// snapshot rotates the journal and writes a snapshot at the cut. The
-// rotation runs under imu and mu so the captured state is
-// exactly the journal prefix below the cut; the (slower) snapshot write
-// happens unlocked.
+// snapshot writes a snapshot at a cut, so the captured state is exactly the
+// journal prefix below it; the (slower) snapshot write happens unlocked.
 func (d *Dispatcher) snapshot() {
 	defer d.snapWG.Done()
-	d.imu.Lock()
-	d.mu.Lock()
-	cut, err := d.wal.Rotate()
-	var st *wal.State
-	if err == nil {
-		st = d.captureLocked()
-		d.snapMark = d.transitionsLocked()
-	}
-	d.mu.Unlock()
-	d.imu.Unlock()
+	cut, st, _, err := d.cut(true)
 	if err != nil {
 		d.endSnapshot()
 		d.logf("dispatch: journal rotate failed: %v", err)

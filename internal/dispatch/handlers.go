@@ -361,19 +361,26 @@ func (d *Dispatcher) handleRegister(p *wsrpc.Peer, body json.RawMessage) (any, e
 // pushes through its Pusher.
 //
 // Register adds an executor whose pushes go to to. An ID registered already is
-// replaced (an executor restarted; the core keeps its outstanding entries so
-// late results still resolve) — unless the pusher that holds the ID sends the
-// registration: then it changes the slot count and nothing else.
+// replaced (an executor reconnected or restarted): what the old registration
+// held is replayed, as the old connection's drop would have — that drop, when
+// it comes, finds the ID re-registered and does nothing, and an executor
+// delivers a batch only on the connection it arrived on. From the pusher that
+// holds the ID, a registration changes the slot count and nothing else.
 func (d *Dispatcher) Register(req fproto.RegisterRequest, to Pusher) fproto.RegisterReply {
 	f := getFx()
 	defer putFx(f)
 	d.mu.Lock()
 	ex, ok := d.core.Exec(req.ExecutorID)
+	var dropped []sched.Outstanding[string, outKey, taskRef]
 	if ok && ex.Ref.(*execRef).peer == to {
 		d.core.Resize(ex, req.Slots)
 		ref := ex.Ref.(*execRef)
 		ref.parked = min(ref.parked, max(ex.Free(), 0))
 	} else {
+		if ok {
+			_, dropped = d.core.DropExecutor(req.ExecutorID)
+			d.replayAll(f, dropped, fmt.Sprintf("executor %s re-registered", req.ExecutorID))
+		}
 		ex = d.core.AddExec(req.ExecutorID, req.Slots)
 		// Its slots are not parked until they say so: what is queued now is
 		// announced, never pushed ahead of the register reply.
@@ -382,6 +389,10 @@ func (d *Dispatcher) Register(req fproto.RegisterRequest, to Pusher) fproto.Regi
 	d.core.Offer(ex)
 	d.notifyLocked(f, d.now())
 	d.mu.Unlock()
+	if len(dropped) > 0 {
+		d.wakeDrain()
+		d.logf("dispatch: executor %s re-registered with %d tasks in flight on its old connection", req.ExecutorID, len(dropped))
+	}
 	d.flush(f)
 	d.noteCapacityChange()
 	return fproto.RegisterReply{OK: true, DispatcherEpoch: d.epoch.UnixNano()}

@@ -155,3 +155,70 @@ func TestDestroySweepsWhatAWireExecutorHolds(t *testing.T) {
 		t.Fatal(err)
 	}
 }
+
+// An executor that registers again from a new connection leaves nothing
+// stranded on the old one: what the old registration held goes back on the
+// queue, as the old connection's drop would have put it (that drop, arriving
+// later, finds the ID re-registered and does nothing, and no executor
+// delivers a batch on a connection other than the one it came by). The new
+// connection is stocked with all of it, and the client gets each result once.
+func TestReregisterFromNewPusherReplaysWhatTheOldHeld(t *testing.T) {
+	d := dispatch.New(dispatch.Options{Logf: t.Logf})
+	if err := d.Listen("127.0.0.1:0"); err != nil {
+		t.Fatal(err)
+	}
+	defer d.Close()
+	c, err := client.Connect(client.Options{DispatcherAddr: d.Addr(), BundleSize: 100})
+	if err != nil {
+		t.Fatal(err)
+	}
+	defer c.Close()
+	const n = 16
+	var gen task.IDGen
+	if err := c.Submit(task.Batch(&gen, n, 0)); err != nil {
+		t.Fatal(err)
+	}
+
+	const id = "moved"
+	d.Register(fproto.RegisterRequest{ExecutorID: id, Slots: 2}, &pushes{})
+	if as, err := d.Stock(id, n, n, nil); err != nil || len(as) != n {
+		t.Fatalf("stocked %d tasks on the first connection (err %v), want %d", len(as), err, n)
+	}
+	d.Register(fproto.RegisterRequest{ExecutorID: id, Slots: 2}, &pushes{})
+	if st := d.Stats(); st.Outstanding != 0 || st.Queued != n {
+		t.Fatalf("after re-registering: outstanding %d, queued %d; want 0 and %d", st.Outstanding, st.Queued, n)
+	}
+	as, err := d.Stock(id, n, n, nil)
+	if err != nil || len(as) != n {
+		t.Fatalf("stocked %d tasks on the new connection (err %v), want all %d again", len(as), err, n)
+	}
+
+	deliver := fproto.DeliverRequest{ExecutorID: id}
+	for _, a := range as {
+		deliver.Results = append(deliver.Results, fproto.TaggedResult{EPR: a.EPR, Result: task.Result{ID: a.Task.ID}})
+	}
+	if _, err := d.Deliver(&deliver); err != nil {
+		t.Fatal(err)
+	}
+	rs, err := c.WaitN(n, 10*time.Second)
+	if err != nil {
+		t.Fatal(err)
+	}
+	seen := make(map[task.ID]bool, n)
+	for _, r := range rs {
+		if seen[r.ID] {
+			t.Fatalf("task %v delivered twice", r.ID)
+		}
+		seen[r.ID] = true
+	}
+	if len(seen) != n {
+		t.Fatalf("client holds %d distinct results, want %d", len(seen), n)
+	}
+	// The same results again, as a late delivery: duplicates, nothing moves.
+	if _, err := d.Deliver(&deliver); err != nil {
+		t.Fatal(err)
+	}
+	if st := d.Stats(); st.Completed != n || st.Duplicates != n || st.Outstanding != 0 {
+		t.Fatalf("completed %d, duplicates %d, outstanding %d; want %d, %d, 0", st.Completed, st.Duplicates, st.Outstanding, n, n)
+	}
+}

@@ -12,17 +12,23 @@ import (
 // TestWALSurvivesDiskFaults drives a journal through a fault-injecting FS
 // across several seeds and checks the durability contract holds under
 // disk failure: every append acknowledged before the first sticky error
-// is recoverable, and OnError fires exactly once.
+// is recoverable, and OnError fires exactly once. Segments are small, so
+// commits switch segments by size, and every third accept is acknowledged
+// by an explicit Rotate instead of its handle: the faults land on the flushes
+// that switch segments too.
 func TestWALSurvivesDiskFaults(t *testing.T) {
 	const epr = "falkon-instance-1"
-	for seed := uint64(1); seed <= 8; seed++ {
+	const seeds = 32
+	rotations, segments := 0, 0
+	for seed := uint64(1); seed <= seeds; seed++ {
 		dir := filepath.Join(t.TempDir(), "wal")
 		inj := New(Spec{Seed: seed, FsyncErrP: 0.2, TornWriteP: 0.1, ENOSPCP: 0.05}, nil, nil)
 
 		var errFires atomic.Int32
 		_, j, _, err := wal.Recover(dir, wal.Options{
-			FS:      inj.FS(wal.OS),
-			OnError: func(error) { errFires.Add(1) },
+			FS:           inj.FS(wal.OS),
+			SegmentBytes: 128,
+			OnError:      func(error) { errFires.Add(1) },
 		})
 		if err != nil {
 			t.Fatalf("seed %d: recover: %v", seed, err)
@@ -36,9 +42,20 @@ func TestWALSurvivesDiskFaults(t *testing.T) {
 		if err == nil {
 			for i := 1; i <= 50; i++ {
 				rec := wal.AcceptRec{EPR: epr, Tasks: []task.Task{{ID: task.ID(i)}}}
-				h, err := j.AppendWait(wal.KindAccept, rec)
-				if err == nil {
-					err = h.Wait()
+				if i%3 == 0 {
+					// Rotate returns once every record appended before it is
+					// in a segment below the one it opens: written, and in
+					// group mode fsynced, by Rotate's flush or the committer's.
+					if err = j.Append(wal.KindAccept, rec); err == nil {
+						if _, err = j.Rotate(); err == nil {
+							rotations++
+						}
+					}
+				} else {
+					var h wal.Handle
+					if h, err = j.AppendWait(wal.KindAccept, rec); err == nil {
+						err = h.Wait()
+					}
 				}
 				if err != nil {
 					break // first sticky error: everything after is refused
@@ -57,7 +74,7 @@ func TestWALSurvivesDiskFaults(t *testing.T) {
 
 		// Recovery must replay at least every acknowledged accept — reads
 		// go through the plain OS here, as a restarted daemon's would.
-		st, j2, _, err := wal.Recover(dir, wal.Options{})
+		st, j2, info, err := wal.Recover(dir, wal.Options{})
 		if err != nil {
 			t.Fatalf("seed %d: re-recover: %v", seed, err)
 		}
@@ -65,5 +82,11 @@ func TestWALSurvivesDiskFaults(t *testing.T) {
 		if len(st.Pending) < acked {
 			t.Fatalf("seed %d: recovered %d pending tasks, acked %d accepts", seed, len(st.Pending), acked)
 		}
+		segments += info.Segments
+	}
+	// Each seed's journal starts in one segment; every segment beyond those
+	// and the explicit rotations was switched to by size.
+	if rotations == 0 || segments <= seeds+rotations {
+		t.Fatalf("%d explicit rotations, %d segments over %d seeds: the faults never met both kinds of segment switch", rotations, segments, seeds)
 	}
 }

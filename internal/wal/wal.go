@@ -1,13 +1,13 @@
 package wal
 
 import (
+	"errors"
 	"fmt"
 	"path/filepath"
 	"sort"
 	"strconv"
 	"strings"
 	"sync"
-	"sync/atomic"
 	"time"
 
 	"falkon/internal/obs"
@@ -75,37 +75,46 @@ type Options struct {
 	// and before any AppendWait waiter is released — so a handler that
 	// passed its durability barrier can rely on the batch already being
 	// visible to the replication stream. Calls are serialized in exact file
-	// order (the committer and Rotate both invoke it under the write
-	// mutex). The batch aliases an internal buffer and is valid only for
-	// the duration of the call; implementations copy what they keep.
+	// order (every flush invokes it under the write mutex). The batch
+	// aliases an internal buffer and is valid only for the duration of the
+	// call; implementations copy what they keep.
 	Mirror func(batch []byte)
 }
 
-// Handle represents one AppendWait's durability barrier.
-type Handle struct{ w *waiter }
+// Handle is one AppendWait's durability barrier: the commit batch its record
+// joined.
+type Handle struct{ b *batch }
 
 // Wait blocks until the record is committed per the sync policy and
 // returns the write error, if any. The zero Handle waits for nothing.
 func (h Handle) Wait() error {
-	if h.w == nil {
+	if h.b == nil {
 		return nil
 	}
-	<-h.w.ch
-	return h.w.err
+	<-h.b.done
+	return h.b.err
 }
 
-type waiter struct {
-	err error
-	ch  chan struct{}
+// batch is the completion every AppendWait in one commit batch shares: the
+// flush that takes the batch sets err and closes done.
+type batch struct {
+	done chan struct{}
+	err  error
 }
 
-// Journal is a segmented append-only write-ahead log. Appends are buffered
-// in an Appender under its short mutex and flushed by a single committer
-// goroutine, so many concurrent appends amortize one write+fsync (group
-// commit). Only the committer and Rotate touch the segment files.
+var (
+	errClosed  = errors.New("wal: journal closed")
+	errAborted = errors.New("wal: aborted")
+)
+
+// Journal is a segmented append-only write-ahead log. Appends go to one
+// buffer under a short mutex, and a committer goroutine flushes it, so many
+// concurrent appends amortize one write+fsync (group commit). Every write to
+// a segment is a flush (see flush).
 type Journal struct {
 	dir  string
 	opts Options
+	fs   FS
 
 	cAppends *obs.Counter
 	cFsyncs  *obs.Counter
@@ -113,195 +122,41 @@ type Journal struct {
 	gSegs    *obs.Gauge
 	hCommit  *obs.Histogram
 
-	fs FS
-
-	// wmu serializes file writes and rotation; mu guards the appender list,
-	// segment pointer, and lifecycle state. Record appends take only their
-	// Appender's own mutex (never block on I/O or on each other).
-	wmu sync.Mutex
+	// mu guards the append buffer and the lifecycle state: an append takes
+	// only mu, never blocking on I/O. Lock order: wmu, then mu.
 	mu  sync.Mutex
-	// apps are every Appender ever handed out; def (== apps[0]) is the
-	// journal's default appender behind Append/AppendWait. A commit drains
-	// appenders in index order, which is what makes cross-appender record
-	// ordering within one batch deterministic (see Appenders).
-	apps []*Appender
-	def  *Appender
-	// scratch assembles one commit batch from the appender buffers so the
-	// segment sees a single write per commit.
-	scratch  []byte
+	buf []byte
+	// spare recycles the buffer the last flush wrote, so steady-state
+	// appends never grow a fresh array.
+	spare []byte
+	// cur is the buffered batch's completion, made by its first AppendWait.
+	cur    *batch
+	err    error // sticky I/O error: the journal fails closed
+	closed bool
+
+	// wmu serializes flushes and guards the segment.
+	wmu      sync.Mutex
 	seg      File
 	segIndex uint64
 	segSize  int64
-	err      error // sticky I/O error: the journal fails closed
-	erred    bool  // OnError already fired
-	closed   bool
-	// bad flips once the journal can no longer accept appends (closed or
-	// sticky error): the appenders' fast-path reject check.
-	bad atomic.Bool
 
 	kick chan struct{}
 	stop chan struct{}
 	done chan struct{}
 }
 
-// Appender is one append buffer into the journal; the dispatcher uses only
-// the default one (Journal.Append/AppendWait). Appenders are
-// independent FIFOs: records appended through one Appender commit in append
-// order, while records on different Appenders only order by commit batch
-// (within a batch, lower appender index first). Callers that need two
-// records ordered (a task's accept before its dispatch before its complete)
-// must route them through the same Appender.
-type Appender struct {
-	j *Journal
+// Appender is the journal under the name benchmark/layers.go still uses
+// (ROADMAP item 3 deletes it).
+type Appender = Journal
 
-	mu  sync.Mutex
-	buf []byte
-	ws  []*waiter
-	// spare recycles the drained append buffer, so steady-state appends
-	// never grow a fresh array.
-	spare []byte
-	// dead marks the final drain (close/abort): late appends fail instead
-	// of parking records in a buffer no commit will ever visit.
-	dead bool
-}
-
-// Append buffers one record without waiting for durability (see
-// Journal.Append).
-func (a *Appender) Append(kind Kind, v any) error {
-	_, err := a.append(kind, v, false)
-	return err
-}
-
-// AppendWait buffers one record and returns its durability Handle (see
-// Journal.AppendWait). Beyond the default appender its remaining caller is
-// benchmark/layers.go.
-func (a *Appender) AppendWait(kind Kind, v any) (Handle, error) {
-	return a.append(kind, v, true)
-}
-
-func (a *Appender) append(kind Kind, v any, wait bool) (Handle, error) {
-	start, err := a.begin(kind)
-	if err != nil {
-		return Handle{}, err
-	}
-	if a.buf, err = appendBody(a.buf, kind, v); err != nil {
-		a.buf = a.buf[:start]
-		a.mu.Unlock()
-		return Handle{}, err
-	}
-	return a.end(start, wait), nil
-}
-
-// begin opens one record of kind in the appender's buffer, unless the
-// journal no longer takes any: the header is reserved, and the caller, which
-// now holds the appender's lock, writes the body onto a.buf and calls end.
-func (a *Appender) begin(kind Kind) (start int, err error) {
-	if err := a.lock(); err != nil {
-		return 0, err
-	}
-	a.buf, start = beginRecord(a.buf, kind)
-	return start, nil
-}
-
-// lock takes the appender's lock unless the journal no longer takes records.
-func (a *Appender) lock() error {
-	if a.j.bad.Load() {
-		return a.j.stickyErr()
-	}
-	a.mu.Lock()
-	if a.dead {
-		a.mu.Unlock()
-		return a.j.stickyErr()
-	}
-	return nil
-}
-
-// end seals the record begun at start and releases the appender (see
-// release).
-func (a *Appender) end(start int, wait bool) Handle {
-	sealRecord(a.buf, start)
-	return a.release(1, wait)
-}
-
-// release unlocks the appender after records were buffered, counts them and
-// wakes the committer. With wait it returns their durability barrier.
-func (a *Appender) release(records int, wait bool) Handle {
-	var h Handle
-	if wait {
-		w := &waiter{ch: make(chan struct{})}
-		a.ws = append(a.ws, w)
-		h = Handle{w: w}
-	}
-	a.mu.Unlock()
-	a.j.cAppends.Add(int64(records))
-	select {
-	case a.j.kick <- struct{}{}:
-	default:
-	}
-	return h
-}
-
-// take removes the appender's buffered batch, optionally sealing it against
-// further appends (the final drain of close/abort).
-func (a *Appender) take(final bool) (buf []byte, ws []*waiter) {
-	a.mu.Lock()
-	buf, ws = a.buf, a.ws
-	a.buf, a.spare = a.spare[:0], nil
-	a.ws = nil
-	if final {
-		a.dead = true
-	}
-	a.mu.Unlock()
-	return buf, ws
-}
-
-// recycle returns a drained buffer for reuse (bounded so one burst doesn't
-// park megabytes per appender).
-func (a *Appender) recycle(buf []byte) {
-	if cap(buf) > 1<<20 {
-		return
-	}
-	a.mu.Lock()
-	if a.spare == nil {
-		a.spare = buf[:0]
-	}
-	a.mu.Unlock()
-}
-
-// stickyErr reports why the journal rejects appends.
-func (j *Journal) stickyErr() error {
-	j.mu.Lock()
-	err := j.err
-	j.mu.Unlock()
-	if err == nil {
-		err = fmt.Errorf("wal: journal closed")
-	}
-	return err
-}
-
-// Appenders grows the appender set to n (minimum 1) and returns it; its
-// remaining caller is benchmark/layers.go (wal.records_per_fsync). Appender
-// 0 is the journal's own default (Journal.Append). Within one commit batch,
-// appender 0's records land before appender 1's and so on — cross-appender
-// ordering beyond that is by batch only.
+// Appenders returns n (at least 1) references to the journal for
+// benchmark/layers.go: whatever they append shares the one buffer and its
+// order.
 func (j *Journal) Appenders(n int) []*Appender {
-	if n < 1 {
-		n = 1
+	apps := make([]*Appender, max(n, 1))
+	for i := range apps {
+		apps[i] = j
 	}
-	j.mu.Lock()
-	for len(j.apps) < n {
-		j.apps = append(j.apps, &Appender{j: j})
-	}
-	apps := j.apps[:n]
-	j.mu.Unlock()
-	return apps
-}
-
-// appenders snapshots the current appender list.
-func (j *Journal) appenders() []*Appender {
-	j.mu.Lock()
-	apps := j.apps
-	j.mu.Unlock()
 	return apps
 }
 
@@ -348,8 +203,6 @@ func open(dir string, next uint64, opts Options) (*Journal, error) {
 		stop:     make(chan struct{}),
 		done:     make(chan struct{}),
 	}
-	j.def = &Appender{j: j}
-	j.apps = []*Appender{j.def}
 	seg, err := j.createSegment(next)
 	if err != nil {
 		return nil, err
@@ -374,34 +227,48 @@ func (j *Journal) createSegment(i uint64) (File, error) {
 	return f, nil
 }
 
-// Append buffers one record on the default appender without waiting for
-// durability. Its callers hand it the cold records (benchmark/layers.go, the
-// per-task kinds too); the dispatcher's per-task transitions go through the
-// typed entry points below, which box nothing.
+// Append buffers one record without waiting for durability. Its callers hand
+// it the cold records (benchmark/layers.go, the per-task kinds too); the
+// dispatcher's per-task transitions go through the typed entry points below,
+// which box nothing.
 func (j *Journal) Append(kind Kind, v any) error {
-	return j.def.Append(kind, v)
+	_, err := j.append(kind, v, false)
+	return err
 }
 
-// AppendWait buffers one record on the default appender and returns a
-// Handle whose Wait releases once the record is committed per the sync
-// policy. Used for transitions that must be durable before they are
-// acknowledged (instance creation and destruction).
+// AppendWait buffers one record and returns a Handle whose Wait releases
+// once the record is committed per the sync policy. Used for transitions
+// that must be durable before they are acknowledged (instance creation and
+// destruction).
 func (j *Journal) AppendWait(kind Kind, v any) (Handle, error) {
-	return j.def.AppendWait(kind, v)
+	return j.append(kind, v, true)
+}
+
+func (j *Journal) append(kind Kind, v any, wait bool) (Handle, error) {
+	start, err := j.begin(kind)
+	if err != nil {
+		return Handle{}, err
+	}
+	if j.buf, err = appendBody(j.buf, kind, v); err != nil {
+		j.buf = j.buf[:start]
+		j.mu.Unlock()
+		return Handle{}, err
+	}
+	return j.end(start, wait), nil
 }
 
 // AppendAccept buffers one accept record — an AcceptRec's, of the tasks a
 // dispatcher accepted into instance epr, each appended as received — and
 // returns its durability Handle: the submit acknowledgment waits on it. Like
-// the two below it encodes straight into the appender's buffer, behind a
-// header sealed afterwards.
+// the two below it encodes straight into the append buffer, behind a header
+// sealed afterwards.
 func (j *Journal) AppendAccept(epr, tenant string, tasks []task.Relayed) (Handle, error) {
-	start, err := j.def.begin(KindAccept)
+	start, err := j.begin(KindAccept)
 	if err != nil {
 		return Handle{}, err
 	}
-	j.def.buf = appendAccept(j.def.buf, epr, tasks, (*task.Relayed).AppendJSON, tenant)
-	return j.def.end(start, true), nil
+	j.buf = appendAccept(j.buf, epr, tasks, (*task.Relayed).AppendJSON, tenant)
+	return j.end(start, true), nil
 }
 
 // AppendDispatches buffers one grant's dispatch record without waiting for
@@ -409,10 +276,10 @@ func (j *Journal) AppendAccept(epr, tenant string, tasks []task.Relayed) (Handle
 // only means a task re-runs, and downstream dedupe keeps delivery
 // exactly-once.
 func (j *Journal) AppendDispatches(rec *DispatchBatchRec) error {
-	start, err := j.def.begin(KindDispatchBatch)
+	start, err := j.begin(KindDispatchBatch)
 	if err == nil {
-		j.def.buf = rec.appendJSON(j.def.buf)
-		j.def.end(start, false)
+		j.buf = rec.appendJSON(j.buf)
+		j.end(start, false)
 	}
 	return err
 }
@@ -420,10 +287,10 @@ func (j *Journal) AppendDispatches(rec *DispatchBatchRec) error {
 // AppendCompletes buffers one complete record for the results finalized
 // together (see AppendDispatches).
 func (j *Journal) AppendCompletes(rec *CompleteBatchRec) error {
-	start, err := j.def.begin(KindCompleteBatch)
+	start, err := j.begin(KindCompleteBatch)
 	if err == nil {
-		j.def.buf = rec.appendJSON(j.def.buf)
-		j.def.end(start, false)
+		j.buf = rec.appendJSON(j.buf)
+		j.end(start, false)
 	}
 	return err
 }
@@ -443,188 +310,183 @@ func (j *Journal) AppendFrames(frames []byte) (records int, h Handle, err error)
 	if records == 0 {
 		return 0, Handle{}, nil
 	}
-	if err := j.def.lock(); err != nil {
+	if err := j.lock(); err != nil {
 		return 0, Handle{}, err
 	}
-	j.def.buf = append(j.def.buf, frames...)
-	return records, j.def.release(records, true), nil
+	j.buf = append(j.buf, frames...)
+	return records, j.release(records, true), nil
 }
 
-// run is the committer loop: drain the appender buffers, write them as one
-// batch, fsync per policy, release the batch's waiters.
+// begin opens one record of kind in the append buffer, unless the journal no
+// longer takes any: the header is reserved, and the caller, which now holds
+// mu, writes the body onto j.buf and calls end.
+func (j *Journal) begin(kind Kind) (start int, err error) {
+	if err := j.lock(); err != nil {
+		return 0, err
+	}
+	j.buf, start = beginRecord(j.buf, kind)
+	return start, nil
+}
+
+// lock takes mu unless the journal no longer takes records: closed, or
+// failed with a sticky error.
+func (j *Journal) lock() error {
+	j.mu.Lock()
+	if j.err == nil && !j.closed {
+		return nil
+	}
+	err := j.err
+	j.mu.Unlock()
+	if err == nil {
+		err = errClosed
+	}
+	return err
+}
+
+// end seals the record begun at start and releases mu (see release).
+func (j *Journal) end(start int, wait bool) Handle {
+	sealRecord(j.buf, start)
+	return j.release(1, wait)
+}
+
+// release unlocks mu after records were buffered, counts them and wakes the
+// committer. With wait it returns the barrier of the batch they joined.
+func (j *Journal) release(records int, wait bool) Handle {
+	var h Handle
+	if wait {
+		if j.cur == nil {
+			j.cur = &batch{done: make(chan struct{})}
+		}
+		h.b = j.cur
+	}
+	j.mu.Unlock()
+	j.cAppends.Add(int64(records))
+	select {
+	case j.kick <- struct{}{}:
+	default:
+	}
+	return h
+}
+
+// run is the committer loop: every kick flushes what the appends buffered.
 func (j *Journal) run() {
 	defer close(j.done)
 	for {
 		select {
 		case <-j.stop:
-			j.commit(true)
 			return
 		case <-j.kick:
-			j.commit(false)
+			j.flush(flushCommit)
 		}
 	}
 }
 
-// commit drains every appender (index order), writes the concatenated
-// batch, and fsyncs it per policy. File I/O runs under wmu only, so appenders
-// never block behind a sync. final seals the appenders (close/shutdown):
-// any append racing the last commit fails instead of parking.
-func (j *Journal) commit(final bool) {
+// flushMode is what a flush does besides writing its batch.
+type flushMode uint8
+
+const (
+	// flushCommit switches segments once the current one has reached
+	// SegmentBytes (the committer, Close).
+	flushCommit flushMode = iota
+	// flushRotate always switches segments (Rotate).
+	flushRotate
+	// flushDrop fails the batch unwritten, as a crash would lose it (Abort).
+	flushDrop
+)
+
+// flush is the journal's one write path. It takes the buffered batch and,
+// unless the journal has failed or mode drops it, writes it to the segment,
+// fsyncs it per the sync policy and hands it to Mirror; then it switches
+// segments if mode or the segment's size asks. It releases the batch's
+// waiters with the outcome, makes a failure the sticky error (the first one
+// fires OnError, unless the journal is closing) and returns the index of the
+// segment records now go to.
+func (j *Journal) flush(mode flushMode) (uint64, error) {
 	j.wmu.Lock()
-	apps := j.appenders()
 	j.mu.Lock()
-	batch := j.scratch[:0]
-	seg, err := j.seg, j.err
+	closed, err := j.closed, j.err
+	if closed && mode == flushRotate {
+		j.mu.Unlock()
+		j.wmu.Unlock()
+		return 0, errClosed
+	}
+	buf, b := j.buf, j.cur
+	j.buf, j.spare, j.cur = j.spare[:0], nil, nil
 	j.mu.Unlock()
-	var ws []*waiter
-	for _, a := range apps {
-		buf, aws := a.take(final)
-		batch = append(batch, buf...)
-		ws = append(ws, aws...)
-		a.recycle(buf)
-	}
 
-	wrote := false
-	ioStart := time.Now()
-	if err == nil && len(batch) > 0 {
-		_, err = seg.Write(batch)
-		if err == nil {
-			wrote = true
-			j.cBytes.Add(int64(len(batch)))
-		}
+	if err == nil && mode == flushDrop {
+		err = errAborted
 	}
-	if err == nil && wrote && j.opts.Sync.Mode != SyncOff {
-		err = seg.Sync()
-		j.cFsyncs.Inc()
-	}
-	if wrote {
-		// One group-commit batch's write + fsync: the committer-side half of
-		// the wal_wait appenders observe.
-		j.hCommit.Observe(time.Since(ioStart).Seconds())
-	}
-	if wrote && err == nil && j.opts.Mirror != nil {
-		// Still under wmu: mirror calls land in exact file order, and every
-		// waiter released below observes its batch already streamed.
-		j.opts.Mirror(batch)
-	}
-	j.wmu.Unlock()
-
-	j.mu.Lock()
-	if err != nil && j.err == nil {
-		j.err = err
-		j.bad.Store(true)
-	}
-	fireErr := err != nil && !j.erred && !j.closed
-	if fireErr {
-		j.erred = true
-	}
-	if cap(batch) <= 8<<20 {
-		j.scratch = batch[:0]
-	} else {
-		j.scratch = nil
-	}
-	grown := false
-	if wrote {
-		j.segSize += int64(len(batch))
-		grown = j.segSize >= j.opts.SegmentBytes
-	}
-	j.mu.Unlock()
-	if err != nil {
-		j.logf("wal: commit: %v", err)
-	}
-	if fireErr && j.opts.OnError != nil {
-		j.opts.OnError(err)
-	}
-	for _, w := range ws {
-		w.err = err
-		close(w.ch)
-	}
-	if grown {
-		if _, rerr := j.Rotate(); rerr != nil {
-			j.logf("wal: rotate: %v", rerr)
-		}
-	}
-}
-
-// Rotate seals the current segment (flushing and fsyncing any buffered
-// records from every appender into it) and opens the next. It returns the
-// new segment's index: every record appended before the call is in a
-// segment below that index, which is the snapshot boundary invariant
-// WriteSnapshot relies on.
-func (j *Journal) Rotate() (uint64, error) {
-	j.wmu.Lock()
-	defer j.wmu.Unlock()
-	apps := j.appenders()
-	j.mu.Lock()
-	seg, next := j.seg, j.segIndex+1
-	closed := j.closed
-	j.mu.Unlock()
-	var buf []byte
-	var ws []*waiter
-	for _, a := range apps {
-		abuf, aws := a.take(closed)
-		buf = append(buf, abuf...)
-		ws = append(ws, aws...)
-		a.recycle(abuf)
-	}
-	if closed {
-		err := fmt.Errorf("wal: journal closed")
-		for _, w := range ws {
-			w.err = err
-			close(w.ch)
-		}
-		return 0, err
-	}
-
-	var err error
-	if len(buf) > 0 {
-		if _, err = seg.Write(buf); err == nil {
+	if err == nil && len(buf) > 0 {
+		start := time.Now()
+		if _, err = j.seg.Write(buf); err == nil {
 			j.cBytes.Add(int64(len(buf)))
+			j.segSize += int64(len(buf))
+			if j.opts.Sync.Mode != SyncOff {
+				err = j.seg.Sync()
+				j.cFsyncs.Inc()
+			}
+			// One batch's write + fsync: the committer-side half of the
+			// wal_wait appenders observe.
+			j.hCommit.Observe(time.Since(start).Seconds())
+		}
+		if err == nil && j.opts.Mirror != nil {
+			// Under wmu: mirror calls land in exact file order, and every
+			// waiter released below finds its batch already streamed.
+			j.opts.Mirror(buf)
 		}
 	}
-	if err == nil && j.opts.Sync.Mode != SyncOff {
-		err = seg.Sync()
-		j.cFsyncs.Inc()
+	if err == nil && (mode == flushRotate || !closed && j.segSize >= j.opts.SegmentBytes) {
+		err = j.nextSegment()
 	}
-	if err == nil && len(buf) > 0 && j.opts.Mirror != nil {
-		j.opts.Mirror(buf) // under wmu, same ordering contract as commit
-	}
-	for _, w := range ws {
-		w.err = err
-		close(w.ch)
-	}
-	if err != nil {
-		j.noteErr(err)
-		return 0, err
-	}
-	newSeg, err := j.createSegment(next)
-	if err != nil {
-		j.noteErr(err)
-		return 0, err
-	}
-	seg.Close()
+
 	j.mu.Lock()
-	j.seg, j.segIndex, j.segSize = newSeg, next, 0
+	if j.spare == nil && cap(buf) <= 1<<20 {
+		j.spare = buf[:0]
+	}
+	first := err != nil && j.err == nil
+	if first {
+		j.err = err
+	}
+	closed = j.closed
 	j.mu.Unlock()
-	j.refreshSegGauge()
-	return next, nil
+	index := j.segIndex
+	j.wmu.Unlock()
+	if first && !closed {
+		j.logf("wal: %v", err)
+		if j.opts.OnError != nil {
+			j.opts.OnError(err)
+		}
+	}
+	if b != nil {
+		b.err = err
+		close(b.done)
+	}
+	if err != nil {
+		return 0, err
+	}
+	return index, nil
 }
 
-func (j *Journal) noteErr(err error) {
-	j.mu.Lock()
-	if j.err == nil {
-		j.err = err
-		j.bad.Store(true)
+// nextSegment closes the current segment and opens the one after it.
+// Callers hold wmu.
+func (j *Journal) nextSegment() error {
+	next := j.segIndex + 1
+	f, err := j.createSegment(next)
+	if err != nil {
+		return err
 	}
-	fire := !j.erred && !j.closed
-	if fire {
-		j.erred = true
-	}
-	j.mu.Unlock()
-	if fire && j.opts.OnError != nil {
-		j.opts.OnError(err)
-	}
+	j.seg.Close()
+	j.seg, j.segIndex, j.segSize = f, next, 0
+	j.refreshSegGauge()
+	return nil
 }
+
+// Rotate flushes the buffered batch into the current segment and opens the
+// next. It returns the new segment's index: every record appended before the
+// call is in a segment below that index, which is the snapshot boundary
+// invariant WriteSnapshot relies on.
+func (j *Journal) Rotate() (uint64, error) { return j.flush(flushRotate) }
 
 // refreshSegGauge recounts on-disk segments (cheap: one readdir).
 func (j *Journal) refreshSegGauge() {
@@ -647,62 +509,36 @@ func (j *Journal) Fsyncs() int64  { return j.cFsyncs.Value() }
 
 // Close flushes and fsyncs everything buffered, then seals the journal.
 // Safe to call twice.
-func (j *Journal) Close() error {
+func (j *Journal) Close() error { return j.shut(flushCommit) }
+
+// Abort closes the journal without writing its buffered batch — the
+// crash-simulation path used by tests: only records a flush already wrote
+// survive, exactly as after a kill -9.
+func (j *Journal) Abort() { j.shut(flushDrop) }
+
+// shut refuses appends from now on, takes the last batch through flush in
+// mode, stops the committer and closes the segment.
+func (j *Journal) shut(mode flushMode) error {
 	j.mu.Lock()
-	if j.closed {
-		j.mu.Unlock()
+	closed := j.closed
+	j.closed = true
+	j.mu.Unlock()
+	if closed {
 		<-j.done
 		return nil
 	}
-	j.closed = true
-	j.bad.Store(true)
-	j.mu.Unlock()
+	_, err := j.flush(mode)
 	close(j.stop)
 	<-j.done
 	j.wmu.Lock()
 	defer j.wmu.Unlock()
-	if j.opts.Sync.Mode == SyncOff && j.err == nil {
+	if mode == flushCommit && err == nil && j.opts.Sync.Mode == SyncOff {
 		j.seg.Sync() // off mode: make the seal durable anyway
 	}
-	err := j.seg.Close()
-	if j.err != nil {
-		return j.err
+	if cerr := j.seg.Close(); err == nil {
+		err = cerr
 	}
 	return err
-}
-
-// Abort closes the journal without flushing its in-memory batch — the
-// crash-simulation path used by tests: only records the committer already
-// wrote survive, exactly as after a kill -9.
-func (j *Journal) Abort() {
-	j.mu.Lock()
-	if j.closed {
-		j.mu.Unlock()
-		<-j.done
-		return
-	}
-	j.closed = true
-	if j.err == nil {
-		j.err = fmt.Errorf("wal: aborted")
-	}
-	j.bad.Store(true)
-	j.mu.Unlock()
-	// Drop every appender's unwritten batch: a crash would have lost it.
-	// Sealing (final take) makes racing appends fail instead of parking
-	// records no commit will visit.
-	for _, a := range j.appenders() {
-		buf, ws := a.take(true)
-		_ = buf
-		for _, w := range ws {
-			w.err = fmt.Errorf("wal: aborted")
-			close(w.ch)
-		}
-	}
-	close(j.stop)
-	<-j.done
-	j.wmu.Lock()
-	j.seg.Close()
-	j.wmu.Unlock()
 }
 
 // WriteSnapshot durably stores st as the snapshot covering every segment

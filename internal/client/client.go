@@ -266,11 +266,12 @@ func (c *Client) ownEPR(b []byte) string {
 
 // deliver pushes results to the channel, spilling to a goroutine if full so
 // the transport read loop never stalls (the channel is buffered; genuine
-// backpressure is rare). In Reconnect mode it first drops every result whose
-// task is not pending — redeliveries are expected after a crash (the journal
-// redelivers anything not provably collected) and after resubmission races,
-// and this filter is what makes delivery exactly-once. rs is the caller's to
-// reuse afterwards: the filter runs in place and the spill copies what it keeps.
+// backpressure is rare); a spill gives up once the session has ended. In
+// Reconnect mode it first drops every result whose task is not pending —
+// redeliveries are expected after a crash (the journal redelivers anything
+// not provably collected) and after resubmission races, and this filter is
+// what makes delivery exactly-once. rs is the caller's to reuse afterwards:
+// the filter runs in place and the spill copies what it keeps.
 func (c *Client) deliver(rs []task.Result) {
 	if c.pending != nil {
 		c.mu.Lock()
@@ -292,7 +293,11 @@ func (c *Client) deliver(rs []task.Result) {
 		default:
 			go func(rest []task.Result) {
 				for _, r := range rest {
-					c.results <- r
+					select {
+					case c.results <- r:
+					case <-c.sess.Done():
+						return
+					}
 				}
 			}(append([]task.Result(nil), rs[i:]...))
 			return
@@ -445,7 +450,8 @@ func (c *Client) submitTasks(tasks []task.Task, resubmit bool) (err error) {
 	return nil
 }
 
-// Results exposes the stream of finished task results.
+// Results exposes the stream of finished task results. Results not taken
+// before the client closes (or its session ends) are dropped.
 func (c *Client) Results() <-chan task.Result { return c.results }
 
 // WaitN blocks until n results arrive (cumulative across calls is not

@@ -1,6 +1,8 @@
 package client_test
 
 import (
+	"bytes"
+	"runtime"
 	"testing"
 	"time"
 
@@ -182,5 +184,44 @@ func TestLargeResultVolumeThroughBufferedChannel(t *testing.T) {
 	}
 	if len(seen) != n {
 		t.Fatalf("unique results = %d", len(seen))
+	}
+}
+
+// spills counts the goroutines holding results that did not fit in a client's
+// results channel.
+func spills() int {
+	buf := make([]byte, 1<<20)
+	for {
+		n := runtime.Stack(buf, true)
+		if n < len(buf) {
+			return bytes.Count(buf[:n], []byte("client.(*Client).deliver.func1("))
+		}
+		buf = make([]byte, 2*len(buf))
+	}
+}
+
+// A caller that stops reading results and closes the client leaves no
+// goroutine behind holding what it did not read: results not taken before
+// Close are dropped.
+func TestCloseEndsResultSpills(t *testing.T) {
+	d := startDispatcher(t, 4)
+	c, err := client.Connect(client.Options{DispatcherAddr: d.Addr(), BundleSize: 500})
+	if err != nil {
+		t.Fatal(err)
+	}
+	var gen task.IDGen
+	if err := c.Submit(task.Batch(&gen, 6000, 0)); err != nil { // more than the channel's 4,096
+		t.Fatal(err)
+	}
+	for deadline := time.Now().Add(time.Minute); spills() == 0; time.Sleep(5 * time.Millisecond) {
+		if time.Now().After(deadline) {
+			t.Fatalf("no result spilled: %d of 6000 in the channel", len(c.Results()))
+		}
+	}
+	c.Close()
+	for deadline := time.Now().Add(5 * time.Second); spills() > 0; time.Sleep(5 * time.Millisecond) {
+		if time.Now().After(deadline) {
+			t.Fatalf("%d goroutines still hold results 5 s after Close", spills())
+		}
 	}
 }

@@ -22,8 +22,8 @@ const restTasks = 100_000
 
 // What one dispatcher holds per task at rest — the live heap after a
 // collection, less the heap before the tasks came, ÷ restTasks — measured
-// 230.9–231.9, 398.1–399.1 and 55.2–56.1 bytes at -cpu 1, 2 and 4; each
-// ceiling is that plus 15 %:
+// 230.9–232.0, 340.6–341.7 and −2.2 to −1.2 bytes at -cpu 1, 2 and 4; the
+// first two ceilings are that plus 15 %:
 //
 //   - queued (submitted, no executor registered): the bundle's task as the
 //     dispatcher holds it — 64 bytes, and its JSON as received, argument and
@@ -31,21 +31,24 @@ const restTasks = 100_000
 //     array grown by appending (58 bytes a task at this depth). While the
 //     dispatcher decoded each task whole (a 136-byte task.Task, its Args
 //     header and argument) this row read 254–255, and the next 421–422.
-//   - outstanding (granted to an executor that has not delivered): the same,
-//     and the outstanding table — a 128-byte slot, key and record, at the
-//     map's load. While each record was a 104-byte share of an 8 KiB chunk
-//     behind a pointer slot this row read 408–409: a slot by value costs ~13
-//     bytes a task more while the table is full, and no allocation to fill.
+//   - outstanding (granted to an executor that has not delivered): the same
+//     but the queue's ring, which gave its array back as it drained, and the
+//     outstanding table — a 128-byte slot, key and record, at the map's load.
+//     While each record was a 104-byte share of an 8 KiB chunk behind a
+//     pointer slot this row read 408–409: a slot by value costs ~13 bytes a
+//     task more while the table is full, and no allocation to fill. While the
+//     drained ring kept its array it read 398–399.
 //   - retained once every result is delivered, per task the table once held:
-//     nearly all of it the queue ring's array, which keeps its capacity. The
-//     outstanding table is rebuilt at its live size once it drains below an
-//     eighth of its high-water mark (sched.Core.shrinkOut); without that rule
-//     a Go map keeps every slot it grew and this row read 231, and with
-//     pointer slots it read 108–109.
+//     nothing. The outstanding table is rebuilt at its live size once it
+//     drains below an eighth of its high-water mark (sched.Core.shrinkOut),
+//     and the queue's ring likewise (sched.Ring.Pop); below zero because the
+//     warm-up's ring array went too. Without the ring's rule this row read
+//     55–56, without the table's 231, and with pointer slots 108–109. The
+//     ceiling is 8: a drained ring that keeps its array fails it.
 const (
 	queuedBytesCeiling      = 266
-	outstandingBytesCeiling = 458
-	retainedBytesCeiling    = 64
+	outstandingBytesCeiling = 393
+	retainedBytesCeiling    = 8
 )
 
 // discard is an executor inside the test's process that is told of work and

@@ -19,6 +19,7 @@ import (
 	"falkon/internal/obs"
 	"falkon/internal/task"
 	"falkon/internal/wal"
+	"falkon/internal/wsrpc"
 )
 
 // treeHopCeiling is what one level of the dispatch tree may add to a task's
@@ -178,7 +179,7 @@ func (b *budgetTier) restartLeaf(t *testing.T) {
 
 // bootTier boots execs one-slot executors under one dispatcher, or spread
 // over two leaves of a root, and returns the address a client dials and the
-// leaves. opts configures each leaf.
+// leaves. opts configures each leaf, and its security profile the executors'.
 func bootTier(tb testing.TB, tree bool, execs int, opts dispatch.Options) (front string, leaves []*dispatch.Dispatcher) {
 	tb.Helper()
 	leaves = []*dispatch.Dispatcher{startLeaf(tb, "127.0.0.1:0", opts)}
@@ -186,7 +187,7 @@ func bootTier(tb testing.TB, tree bool, execs int, opts dispatch.Options) (front
 		leaves = append(leaves, startLeaf(tb, "127.0.0.1:0", opts))
 	}
 	for i := 0; i < execs; i++ {
-		startExec(tb, executor.Options{ID: fmt.Sprintf("budget-e%d", i), DispatcherAddr: leaves[i%len(leaves)].Addr()})
+		startExec(tb, executor.Options{ID: fmt.Sprintf("budget-e%d", i), DispatcherAddr: leaves[i%len(leaves)].Addr(), Security: opts.Security, PSK: opts.PSK})
 	}
 	if !tree {
 		return leaves[0].Addr(), leaves
@@ -209,23 +210,28 @@ func bootTier(tb testing.TB, tree bool, execs int, opts dispatch.Options) (front
 // ./internal/forward/ prints who allocates what): four one-slot executors,
 // bundles of 64 from one client connection, 512 tasks in flight in a closed
 // loop. plain is direct-bulk, journal journal-bulk (group commit, fsync a
-// no-op), tree tree-bulk (a root over two leaves). It reports the process's
+// no-op), tree tree-bulk (a root over two leaves), and secure the plain load
+// with every connection under the secure profile (no workload of the repo
+// benchmark runs it). It reports the process's
 // heap allocations per task, objects and bytes, as the repo benchmark counts
 // them, and on linux its read(2) and write(2) calls per task, every
 // connection's both ends included; tree minus plain is what a hop of the tree
 // costs.
 func BenchmarkBulkRound(b *testing.B) {
 	for _, tc := range []struct {
-		name          string
-		tree, journal bool
-	}{{"plain", false, false}, {"journal", false, true}, {"tree", true, false}} {
+		name                  string
+		tree, journal, secure bool
+	}{{"plain", false, false, false}, {"journal", false, true, false}, {"tree", true, false, false}, {"secure", false, false, true}} {
 		b.Run(tc.name, func(b *testing.B) {
 			var opts dispatch.Options
 			if tc.journal {
 				opts.JournalDir, opts.JournalFS = b.TempDir(), noSyncFS{wal.OS}
 			}
+			if tc.secure {
+				opts.Security, opts.PSK = wsrpc.SecuritySecureConversation, []byte("bulk-round-key")
+			}
 			front, _ := bootTier(b, tc.tree, 4, opts)
-			c, err := client.Connect(client.Options{DispatcherAddr: front, BundleSize: bulkBundle})
+			c, err := client.Connect(client.Options{DispatcherAddr: front, BundleSize: bulkBundle, Security: opts.Security, PSK: opts.PSK})
 			if err != nil {
 				b.Fatal(err)
 			}

@@ -14,7 +14,8 @@ package sched
 // Ring is an amortized-O(1) FIFO implemented as a two-index slice ring.
 // The endurance experiment (Figure 8) holds up to 1.5 million queued
 // tasks, so the queue must not shift elements on every pop; compaction
-// keeps memory bounded at 2x the live item count.
+// keeps memory bounded at 2x the live item count, and a drained queue gives
+// its array back.
 type Ring[T any] struct {
 	items []T
 	head  int
@@ -23,6 +24,12 @@ type Ring[T any] struct {
 // compactFloor is the dead-prefix length below which Pop never compacts
 // (avoids thrashing tiny queues).
 const compactFloor = 1024
+
+// shrinkFloor is the array length up to which a compaction keeps the array
+// it compacts in: a queue that cycles through compactFloor items with few of
+// them live reuses its array (TestCycleAllocations) instead of growing a new
+// one after every compaction.
+const shrinkFloor = 8 * compactFloor
 
 // Push appends an item.
 func (q *Ring[T]) Push(v T) { q.items = append(q.items, v) }
@@ -36,11 +43,19 @@ func (q *Ring[T]) Pop() (T, bool) {
 	v := q.items[q.head]
 	q.items[q.head] = zero // release references
 	q.head++
-	// Compact once the dead prefix dominates, bounding memory at 2x live.
+	// Compact once the dead prefix dominates, bounding memory at 2x live;
+	// into an array sized for the live items once they would fill under an
+	// eighth of this one, as the outstanding table is rebuilt
+	// (Core.shrinkOut): a drained queue keeps no array its peak grew.
 	if q.head > compactFloor && q.head*2 >= len(q.items) {
-		n := copy(q.items, q.items[q.head:])
-		clearTail(q.items, n)
-		q.items = q.items[:n]
+		live := q.items[q.head:]
+		if cap(q.items) > shrinkFloor && len(live) < cap(q.items)/8 {
+			q.items = append([]T(nil), live...)
+		} else {
+			n := copy(q.items, live)
+			clearTail(q.items, n)
+			q.items = q.items[:n]
+		}
 		q.head = 0
 	}
 	return v, true

@@ -31,6 +31,10 @@ const corkMaxBuffer = 4 << 20
 // flushes, so one burst of large frames does not pin memory forever.
 const corkRetainBuffer = 1 << 20
 
+// corkBufSize is a cork buffer's capacity at first, and after a flush of over
+// corkRetainBuffer: appends grow it to what the connection's bursts need.
+const corkBufSize = 1 << 10
+
 // writeStall bounds how long a connection may take no bytes while frames
 // wait for it: past it the connection is failed and closed, so neither a
 // writer parked on a full cork buffer nor the flusher inside the socket
@@ -76,8 +80,8 @@ func (cw *corkedWriter) init(c net.Conn, stats flushStats, stall time.Duration) 
 	cw.stats = stats
 	cw.stall = stall
 	cw.room = sync.NewCond(&cw.mu)
-	cw.buf = make([]byte, 0, 16<<10)
-	cw.spare = make([]byte, 0, 16<<10)
+	cw.buf = make([]byte, 0, corkBufSize)
+	cw.spare = make([]byte, 0, corkBufSize)
 }
 
 // beginFrame blocks until there is room in the cork buffer, then returns it
@@ -129,7 +133,7 @@ func (cw *corkedWriter) endFrame(buf []byte, now time.Time) error {
 		cw.stats.flushes.Inc()
 		cw.stats.perFlush.Observe(float64(n))
 		if cap(out) > corkRetainBuffer {
-			out = make([]byte, 0, 16<<10)
+			out = make([]byte, 0, corkBufSize)
 		}
 		cw.mu.Lock()
 		cw.spare = out[:0]

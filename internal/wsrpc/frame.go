@@ -122,8 +122,13 @@ type frameConn interface {
 	Close() error
 }
 
-// readBufSize is a read buffer's size at rest (frameReader.space).
-const readBufSize = 64 << 10
+// readBufSize is a read buffer's size at first, a page: most connections
+// never carry more at once. A read that fills the buffer doubles it for the
+// next, up to readBufGrown (frameReader.space).
+const (
+	readBufSize  = 4 << 10
+	readBufGrown = 64 << 10
+)
 
 // eofProbe bounds how long a raw session trusts a short read: a FIN the
 // poller harvested together with the data before it raises no wake-up of its
@@ -241,15 +246,20 @@ func (fr *frameReader) drain(fn func(rec []byte) error) error {
 
 // space moves the unread bytes to the front and returns the room behind them.
 // The buffer is made anew when the frame they begin does not fit, and when it
-// is over 1 MiB and under an eighth in use: a giant frame pins nothing.
+// is over 1 MiB and under an eighth in use: a giant frame pins nothing. It is
+// made twice the size when the last read filled it, up to readBufGrown: a
+// connection's buffer follows its largest burst, not a worst case.
 func (fr *frameReader) space() []byte {
 	need := readBufSize
 	if fr.w-fr.r >= 4 {
 		need = max(need, 4+int(binary.BigEndian.Uint32(fr.buf[fr.r:]))+fr.trailer)
 	}
 	buf := fr.buf
-	if cap(buf) < need || (cap(buf) > 1<<20 && need < cap(buf)/8) {
+	switch {
+	case cap(buf) < need || (cap(buf) > 1<<20 && need < cap(buf)/8):
 		buf = make([]byte, 1<<bits.Len(uint(need-1))) // need is readBufSize at least
+	case fr.w == len(buf) && cap(buf) < readBufGrown:
+		buf = make([]byte, 2*cap(buf))
 	}
 	if fr.r > 0 || cap(buf) != cap(fr.buf) {
 		fr.w = copy(buf, fr.buf[fr.r:fr.w])

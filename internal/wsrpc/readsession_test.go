@@ -20,8 +20,20 @@ import (
 )
 
 // portable hides a connection's descriptor, as a fault-injecting wrapper
-// does, so its frames are read by the portable filler.
-type portable struct{ net.Conn }
+// does, so its frames are read by the portable filler. It counts the reads
+// that return bytes.
+type portable struct {
+	net.Conn
+	reads *atomic.Int64
+}
+
+func (c portable) Read(p []byte) (int, error) {
+	n, err := c.Conn.Read(p)
+	if n > 0 {
+		c.reads.Add(1)
+	}
+	return n, err
+}
 
 // steppedConn cuts every write into pieces of step bytes (0: whole) and lets
 // each be read before it sends the next: how a test decides where the
@@ -63,10 +75,12 @@ func unread(c net.Conn) int {
 
 // sessionPair is a writing frameConn and the frameConn that reads it, over
 // loopback TCP, with the writer's raw connection for bytes no frameConn would
-// send. raw picks the reader's filler.
+// send. raw picks the reader's filler; reads counts the portable filler's
+// reads that returned bytes.
 type sessionPair struct {
-	w, r frameConn
-	wire *steppedConn
+	w, r  frameConn
+	wire  *steppedConn
+	reads atomic.Int64
 }
 
 func newSessionPair(t *testing.T, profile SecurityProfile, raw bool) *sessionPair {
@@ -77,6 +91,7 @@ func newSessionPair(t *testing.T, profile SecurityProfile, raw bool) *sessionPai
 	}
 	defer ln.Close()
 	psk := []byte("session-test-key")
+	sp := &sessionPair{}
 	type res struct {
 		fc  frameConn
 		err error
@@ -92,7 +107,7 @@ func newSessionPair(t *testing.T, profile SecurityProfile, raw bool) *sessionPai
 		accepted <- c
 		rc := c
 		if !raw {
-			rc = portable{c}
+			rc = portable{c, &sp.reads}
 		}
 		fc, err := newFrameConn(rc, profile, psk, false, flushStats{}, handshakeTimeout, writeStall)
 		acc <- res{fc, err}
@@ -101,17 +116,32 @@ func newSessionPair(t *testing.T, profile SecurityProfile, raw bool) *sessionPai
 	if err != nil {
 		t.Fatal(err)
 	}
-	wire := &steppedConn{Conn: cc, reader: <-accepted}
-	w, err := newFrameConn(wire, profile, psk, true, flushStats{}, handshakeTimeout, writeStall)
-	if err != nil {
+	sp.wire = &steppedConn{Conn: cc, reader: <-accepted}
+	if sp.w, err = newFrameConn(sp.wire, profile, psk, true, flushStats{}, handshakeTimeout, writeStall); err != nil {
 		t.Fatal(err)
 	}
 	a := <-acc
 	if a.err != nil {
 		t.Fatal(a.err)
 	}
-	t.Cleanup(func() { w.Close(); a.fc.Close() })
-	return &sessionPair{w: w, r: a.fc, wire: wire}
+	sp.r = a.fc
+	t.Cleanup(func() { sp.w.Close(); a.fc.Close() })
+	return sp
+}
+
+// countRawReads counts in n, until the test ends, the raw filler's read(2)s
+// that return bytes. It swaps the filler's read for its own, so it is called
+// before the test makes a connection and while nothing else reads.
+func countRawReads(t *testing.T, n *atomic.Int64) {
+	read := rawRead
+	rawRead = func(fd int, p []byte) (int, error) {
+		k, err := read(fd, p)
+		if k > 0 {
+			n.Add(1)
+		}
+		return k, err
+	}
+	t.Cleanup(func() { rawRead = read })
 }
 
 // reader returns the frameReader under a frameConn.
@@ -163,8 +193,9 @@ func sameFrames(t *testing.T, got, want [][]byte) {
 }
 
 // The read session over both fillers and both profiles: however the stream is
-// cut into reads, the frames that went in come out, the buffer goes back to
-// its size at rest, and what cannot be a frame ends the session.
+// cut into reads, the frames that went in come out, the buffer grows by
+// doubling with the bursts it is handed and goes back to its first size after
+// a giant frame, and what cannot be a frame ends the session.
 func TestReadSession(t *testing.T) {
 	for _, filler := range []string{"raw", "portable"} {
 		for _, profile := range []SecurityProfile{SecurityNone, SecuritySecureConversation} {
@@ -198,6 +229,59 @@ func TestReadSession(t *testing.T) {
 					runtime.Gosched()
 				}
 				sameFrames(t, collect(t, p.r, len(want)), want)
+			})
+
+			t.Run(name+"/burst-grows-the-buffer", func(t *testing.T) {
+				var rawReads atomic.Int64
+				if filler == "raw" {
+					countRawReads(t, &rawReads)
+				}
+				p := pair(t)
+				fr, reads := readerOf(p.r), &p.reads
+				if filler == "raw" {
+					reads = &rawReads
+				}
+				// burst writes n frames and waits until all of them sit in the
+				// reader's socket: how many reads take them is the buffer's doing.
+				burst := func(n int) [][]byte {
+					want := payloads(n, 100)
+					size := 0
+					for _, b := range want {
+						if err := p.w.WriteFrame(b); err != nil {
+							t.Fatal(err)
+						}
+						size += 4 + len(b) + fr.trailer
+					}
+					for unread(p.wire.reader) < size {
+						runtime.Gosched()
+					}
+					reads.Store(0)
+					return want
+				}
+				// 33–43 KB: reads of 4, 8 and 16 KiB each fill the buffer and
+				// double it; a fourth, into 32 KiB, takes the rest.
+				want := burst(300)
+				sameFrames(t, collect(t, p.r, len(want)), want)
+				if n, c := reads.Load(), cap(fr.buf); n != 4 || c != 32<<10 {
+					t.Fatalf("a burst of %d frames took %d reads and left a %d-byte buffer, want 4 and %d", len(want), n, c, 32<<10)
+				}
+				// A burst the grown buffer holds is one read.
+				want = burst(200)
+				sameFrames(t, collect(t, p.r, len(want)), want)
+				if n, c := reads.Load(), cap(fr.buf); n != 1 || c != 32<<10 {
+					t.Fatalf("a burst of %d frames took %d reads and left a %d-byte buffer, want 1 and %d", len(want), n, c, 32<<10)
+				}
+				// However long the stream, doubling stops at readBufGrown.
+				want = payloads(3000, 100)
+				go func() {
+					for _, b := range want {
+						p.w.WriteFrame(b)
+					}
+				}()
+				sameFrames(t, collect(t, p.r, len(want)), want)
+				if c := cap(fr.buf); c > readBufGrown {
+					t.Fatalf("read buffer grew to %d bytes on frames of %d, want at most %d", c, len(want[0]), readBufGrown)
+				}
 			})
 
 			t.Run(name+"/large-frame-then-small", func(t *testing.T) {

@@ -6,6 +6,7 @@
 #   ./scripts/allocs.sh TestTreeHopAllocBudget ./internal/forward/
 #   ./scripts/allocs.sh -bench BenchmarkSerialRound ./internal/core/
 #   ./scripts/allocs.sh -bench 'BenchmarkBulkRound/tree' ./internal/forward/
+#   ./scripts/allocs.sh -bench 'BenchmarkBulkRound/secure' ./internal/forward/
 #
 # Runs the test with every allocation sampled (-memprofilerate=1) and prints
 # the objects allocated per function, most first, then the bytes: the

@@ -54,8 +54,9 @@ go test -run='TestBinariesMetricsExposition|TestBinariesSpanMergeAcrossProcesses
 # unqueued task: six write(2) and at most 6.5 read(2).
 go test -run='TestAllocsPerTaskBudget|TestSerialRoundSyscalls' -cpu 1,2,4 -count=1 ./internal/core/
 # Bytes a dispatcher holds per task queued, per task held, and after 100K
-# drain; per registered idle executor; and what a full trace ring weighs.
-go test -run='TestBytesPerTaskAtRest|TestBytesPerIdleExecutor|TestTracerBytesAtRest' -cpu 1,2,4 -count=1 ./internal/dispatch/ ./internal/obs/
+# drain; per registered idle executor, through the seam and with a connection
+# behind it; and what a full trace ring weighs.
+go test -run='TestBytesPerTaskAtRest|TestBytesPerIdleExecutor|TestBytesPerConnectedExecutor|TestTracerBytesAtRest' -cpu 1,2,4 -count=1 ./internal/dispatch/ ./internal/obs/
 # And what a level of the dispatch tree adds to it, objects and bytes: a root
 # over two leaves against one dispatcher, same loop, plus a leaf restart
 # mid-batch.

@@ -34,17 +34,21 @@ import (
 // allocates is per record (the durability barrier a Submit waits on).
 const allocsPerTaskCeiling = 0.20
 
-// bytesPerTaskCeiling is the same loop's bytes: measured 1,149 to 1,201 on
-// every bulk row at -cpu 1, 2 and 4, once 1,282 (1,255 to 1,307 while each
+// bytesPerTaskCeiling is the same loop's bytes: measured 716 to 719 on every
+// bulk row at -cpu 1, 2 and 4, the lowest of five batches (a batch that finds
+// the scratch a submit is read into gone with a collection reads ~1,100); 953
+// to 957 while the dispatcher kept each task's whole JSON in a copy of the
+// rest of the bundle, in a slice presized to 1,024 tasks and grown by
+// doubling; 1,149 to 1,201 before a dispatcher relayed tasks undecoded, once
+// 1,282 (1,255 to 1,307 while each
 // outstanding record was a 104-byte share of an 8 KiB chunk; 2,098 to 2,120
 // while Deliver's results, the grant, and their decoded copies on the executor
 // and the client were slices made per message, about 170 bytes per task
 // each), plus 10 %: the 15 % the object ceilings take would let one such
-// slice back in. What is left is mostly the price of this loop's 4,096-task
-// bundles, not of the task path (scripts/allocs.sh, bytes per task): the
-// decoded bundle, grown by doubling past the 1,024 elements a count presizes,
-// 465; its 4,096 enqueue events, more than a pooled fx keeps, 241; the batch,
-// its arguments and the results slice the loop itself builds, 305.
+// slice back in. The ceiling was left there. What is left is mostly the price
+// of this loop's 4,096-task bundles, not of the task path (scripts/allocs.sh,
+// bytes per task): its 4,096 enqueue events, more than a pooled fx keeps, 241;
+// the batch, its arguments and the results slice the loop itself builds, 305.
 const bytesPerTaskCeiling = 1320
 
 // serialAllocsPerTaskCeiling is the plain system driven the opposite way — one
@@ -53,17 +57,18 @@ const bytesPerTaskCeiling = 1320
 // shared, so it is what one unqueued task costs end to end over its six frames
 // (two calls and two pushes: Submit, the grant, Deliver, the result). Measured
 // 4.00 to 4.06 at -cpu 1, 2 and 4, the lowest of a run's five batches 4.00 or
-// 4.01: the dispatcher's decoded bundle and the one chunk its task's bytes are
-// relayed from (DESIGN.md §9, "Relay"), and the executor's Args header and
+// 4.01: the dispatcher's decoded bundle and the one string its task's bytes
+// less their ID and trace are relayed from (DESIGN.md §9, "Relay"), and the executor's Args header and
 // bytes — what has to live, and strings that are the collector's (DESIGN.md
 // §9, "Scratch"; EXPERIMENTS.md has the ledger site by site). The ceiling is
 // that plus 0.9: less than one object, because the count repeats to two
 // decimals and one box coming back must fail. serialBytesPerTaskCeiling is its
-// bytes, 378 to 383 measured, this loop's own batch included, plus 10 %: the
-// 104-byte outstanding record a task had to itself until it moved into the
-// table's slot fails it.
+// bytes, 330 to 335 measured, this loop's own batch included, plus 10 %: the
+// 48 bytes of a task's ID and trace digits a dispatcher kept twice until it
+// wrote them again from its numbers fail it.
 //
-// History of the row, newest first: 6.00 to 6.07 objects and 399 to 400 bytes
+// History of the row, newest first: 378 to 383 bytes, 4.00 to 4.06 objects,
+// while the dispatcher kept each task's whole JSON; 6.00 to 6.07 objects and 399 to 400 bytes
 // while the dispatcher decoded every task whole, its command and its Args
 // header and bytes included; 17.02 and 946 bytes in this loop (21.02 to
 // 21.04 and 1,338 to 1,341 through WaitN, which added a timer's three objects
@@ -77,7 +82,7 @@ const bytesPerTaskCeiling = 1320
 // own.
 const (
 	serialAllocsPerTaskCeiling = 4.9
-	serialBytesPerTaskCeiling  = 420
+	serialBytesPerTaskCeiling  = 368
 )
 
 // The per-task allocation budget of every configuration core.Config can

@@ -4,6 +4,7 @@ package forward_test
 
 import (
 	"fmt"
+	"path/filepath"
 	"runtime"
 	"runtime/debug"
 	"slices"
@@ -182,9 +183,16 @@ func (b *budgetTier) restartLeaf(t *testing.T) {
 // leaves. opts configures each leaf, and its security profile the executors'.
 func bootTier(tb testing.TB, tree bool, execs int, opts dispatch.Options) (front string, leaves []*dispatch.Dispatcher) {
 	tb.Helper()
-	leaves = []*dispatch.Dispatcher{startLeaf(tb, "127.0.0.1:0", opts)}
+	leaf := func(i int) *dispatch.Dispatcher {
+		o := opts
+		if o.JournalDir != "" {
+			o.JournalDir = filepath.Join(opts.JournalDir, strconv.Itoa(i)) // a journal of its own
+		}
+		return startLeaf(tb, "127.0.0.1:0", o)
+	}
+	leaves = []*dispatch.Dispatcher{leaf(0)}
 	if tree {
-		leaves = append(leaves, startLeaf(tb, "127.0.0.1:0", opts))
+		leaves = append(leaves, leaf(1))
 	}
 	for i := 0; i < execs; i++ {
 		startExec(tb, executor.Options{ID: fmt.Sprintf("budget-e%d", i), DispatcherAddr: leaves[i%len(leaves)].Addr(), Security: opts.Security, PSK: opts.PSK})
@@ -210,18 +218,24 @@ func bootTier(tb testing.TB, tree bool, execs int, opts dispatch.Options) (front
 // ./internal/forward/ prints who allocates what): four one-slot executors,
 // bundles of 64 from one client connection, 512 tasks in flight in a closed
 // loop. plain is direct-bulk, journal journal-bulk (group commit, fsync a
-// no-op), tree tree-bulk (a root over two leaves), and secure the plain load
-// with every connection under the secure profile (no workload of the repo
-// benchmark runs it). It reports the process's
+// no-op), tree tree-bulk (a root over two leaves); no workload of the repo
+// benchmark runs the other three: secure is the plain load with every
+// connection under the secure profile, fair the plain load through a
+// dispatcher with eight tenants declared (the client's the first), and
+// tree-journal the tree over journaled leaves, each with a journal directory
+// of its own (a root keeps no journal). It reports the process's
 // heap allocations per task, objects and bytes, as the repo benchmark counts
 // them, and on linux its read(2) and write(2) calls per task, every
 // connection's both ends included; tree minus plain is what a hop of the tree
 // costs.
 func BenchmarkBulkRound(b *testing.B) {
 	for _, tc := range []struct {
-		name                  string
-		tree, journal, secure bool
-	}{{"plain", false, false, false}, {"journal", false, true, false}, {"tree", true, false, false}, {"secure", false, false, true}} {
+		name                        string
+		tree, journal, secure, fair bool
+	}{
+		{name: "plain"}, {name: "journal", journal: true}, {name: "tree", tree: true}, {name: "secure", secure: true},
+		{name: "fair", fair: true}, {name: "tree-journal", tree: true, journal: true},
+	} {
 		b.Run(tc.name, func(b *testing.B) {
 			var opts dispatch.Options
 			if tc.journal {
@@ -230,8 +244,15 @@ func BenchmarkBulkRound(b *testing.B) {
 			if tc.secure {
 				opts.Security, opts.PSK = wsrpc.SecuritySecureConversation, []byte("bulk-round-key")
 			}
+			var tenant string
+			if tc.fair {
+				for i := range 8 {
+					opts.Tenants = append(opts.Tenants, dispatch.TenantSpec{Name: "tenant-" + strconv.Itoa(i), Weight: 1})
+				}
+				tenant = opts.Tenants[0].Name
+			}
 			front, _ := bootTier(b, tc.tree, 4, opts)
-			c, err := client.Connect(client.Options{DispatcherAddr: front, BundleSize: bulkBundle, Security: opts.Security, PSK: opts.PSK})
+			c, err := client.Connect(client.Options{DispatcherAddr: front, BundleSize: bulkBundle, Security: opts.Security, PSK: opts.PSK, Tenant: tenant})
 			if err != nil {
 				b.Fatal(err)
 			}

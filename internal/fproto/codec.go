@@ -2,6 +2,7 @@ package fproto
 
 import (
 	"encoding/json"
+	"sync"
 	"time"
 
 	"falkon/internal/jsonwire"
@@ -88,13 +89,12 @@ func finish[T any](r *jsonwire.Reader, b []byte, m *T) error {
 // validated anything.
 const maxPresize = 1024
 
-// elems sizes a message's one slice before it is parsed. Every element type
-// here is, or nests exactly one, object opening `{"id":` (a Task or a
-// Result), and a string literal cannot contain that sequence unescaped, so
-// in the canonical layout the count is exact and the slice is allocated
-// once; the reader sizes the chunks the elements' strings share by the same
-// count.
-func elems(r *jsonwire.Reader) int { return min(r.Count(`{"id":`), maxPresize) }
+// elems sizes a message's one slice before it is parsed, from the length of
+// its first element (jsonwire.Reader.Elems): in the canonical layout elements
+// of one message differ only in their numbers' digits and their strings, so
+// the estimate is close and the slice is allocated once; the reader sizes the
+// chunks the elements' strings share by the same estimate.
+func elems(r *jsonwire.Reader) int { return min(r.Elems(), maxPresize) }
 
 // Scribble is a hook for tests: it is handed every slice of scratch, to its
 // capacity, as its owner recycles it, and overwrites it — whatever still reads
@@ -183,9 +183,19 @@ func (m *SubmitRequest) DecodeJSON(b []byte) error {
 	return finish(&r, b, m)
 }
 
+// received is the scratch a submit's tasks are read into before they are
+// kept: one pass cannot know how many tasks a bundle has, or how many bytes
+// they keep, before it has read them all. A bundle larger than maxScratch
+// leaves its scratch to the collector.
+var received = sync.Pool{New: func() any { return new([]task.Received) }}
+
+const maxScratch = 16 * maxPresize
+
 // DecodeInterned decodes b, a SubmitRequest's JSON, into m, with the EPR
-// shared through known (task.Relayed.ParseJSON). A body outside the canonical
-// layout goes to encoding/json, is counted, and has its tasks encoded again.
+// shared through known. It reads the body in one pass into scratch, and then
+// keeps the tasks in two allocations of their exact size (task.Keep). A body
+// outside the canonical layout goes to encoding/json, is counted, and has its
+// tasks encoded again.
 func (m *Bundle) DecodeInterned(b []byte, known Intern) error {
 	var r jsonwire.Reader
 	r.Reset(b)
@@ -193,15 +203,27 @@ func (m *Bundle) DecodeInterned(b []byte, known Intern) error {
 	r.Expect(`{"epr":`)
 	m.EPR = r.Interned("", known)
 	r.Expect(`,"tasks":`)
-	if !r.Lit(`null`) {
+	if r.Lit(`null`) {
+		r.Expect(`}`)
+	} else {
 		r.Expect(`[`)
-		m.Tasks = make([]task.Relayed, 0, elems(&r))
-		for r.Elem(len(m.Tasks)) {
-			m.Tasks = append(m.Tasks, task.Relayed{})
-			m.Tasks[len(m.Tasks)-1].ParseJSON(&r)
+		s := received.Get().(*[]task.Received)
+		rs := (*s)[:0]
+		if cap(rs) == 0 {
+			rs = make([]task.Received, 0, elems(&r)) // a new scratch
+		}
+		for r.Elem(len(rs)) {
+			rs = append(rs, task.Received{})
+			rs[len(rs)-1].ParseJSON(&r)
+		}
+		if r.Expect(`}`); r.OK() {
+			m.Tasks = task.Keep(b, rs)
+		}
+		clear(rs) // an escaped dataset is a string of its own
+		if *s = rs[:0]; cap(rs) <= maxScratch {
+			received.Put(s)
 		}
 	}
-	r.Expect(`}`)
 	if r.OK() {
 		return nil
 	}

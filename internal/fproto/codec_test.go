@@ -7,6 +7,7 @@ import (
 	"math"
 	"math/rand"
 	"reflect"
+	"strconv"
 	"strings"
 	"testing"
 	"time"
@@ -214,7 +215,9 @@ func TestBodyCodecMatchesEncodingJSON(t *testing.T) {
 }
 
 // What a dispatcher relays is what it was sent: a tree's interior node sends a
-// leaf a SubmitRequest, and an executor a GetWorkReply, byte for byte.
+// leaf a SubmitRequest, and an executor a GetWorkReply, byte for byte. What it
+// keeps of each task's bytes is neither its ID's digits nor its trace's, and
+// what it decodes whole (a snapshot's task) is the task that was sent.
 func TestRelayedIsWhatWasSent(t *testing.T) {
 	g := &gen{rand.New(rand.NewSource(2))}
 	for i := 0; i < 300; i++ {
@@ -234,6 +237,21 @@ func TestRelayedIsWhatWasSent(t *testing.T) {
 		}
 		if got := b.AppendJSON(nil); !bytes.Equal(got, sent) {
 			t.Fatalf("Bundle encodes\n %s\nSubmitRequest\n %s", got, sent)
+		}
+		var whole SubmitRequest
+		decodeFast(t, &whole, sent)
+		for i := range tasks {
+			r := &b.Tasks[i]
+			digits := len(strconv.FormatUint(uint64(r.ID), 10))
+			if r.Trace != 0 {
+				digits += len(`,"trace":`) + len(strconv.FormatUint(r.Trace, 10))
+			}
+			if whole := len(tasks[i].AppendJSON(nil)); len(r.Rest) != whole-len(`{"id":}`)-digits {
+				t.Fatalf("task %s keeps %d bytes of its %d: %s", tasks[i].AppendJSON(nil), len(r.Rest), whole, r.Rest)
+			}
+			if got := r.Task(); !reflect.DeepEqual(got, whole.Tasks[i]) {
+				t.Fatalf("task %d decodes whole as\n %+v\nnot as sent\n %+v", i, got, whole.Tasks[i])
+			}
 		}
 		relays := make([]Relay, len(as))
 		for i := range as {
@@ -441,6 +459,16 @@ func checkRelay(t *testing.T, data []byte) {
 	if b.EPR != want.EPR || len(b.Tasks) != len(want.Tasks) {
 		t.Fatalf("Bundle %q: EPR %q and %d tasks, want %q and %d", data, b.EPR, len(b.Tasks), want.EPR, len(want.Tasks))
 	}
+	if !fellBack {
+		// Read without a fallback, every task relays as the bytes it came as:
+		// its ID and trace written again from the numbers a dispatcher keeps
+		// instead of their digits. (The first `,"tasks":` ends the EPR: a
+		// quote a literal holds is escaped.)
+		sent := data[bytes.Index(data, []byte(`,"tasks":`))+len(`,"tasks":`) : len(data)-1]
+		if relayed := task.AppendArray(nil, b.Tasks, (*task.Relayed).AppendJSON); !bytes.Equal(relayed, sent) {
+			t.Fatalf("Bundle %q relays its tasks as\n %s\nnot as sent\n %s", data, relayed, sent)
+		}
+	}
 	relays := make([]Relay, len(b.Tasks))
 	for i := range b.Tasks {
 		r, w := &b.Tasks[i], &want.Tasks[i]
@@ -455,8 +483,8 @@ func checkRelay(t *testing.T, data []byte) {
 		if r.ID != w.ID || r.Trace != w.Trace || r.MaxRetries != w.MaxRetries || r.Declared != declared || r.Dataset != dataset {
 			t.Fatalf("Bundle %q: task %d read as %+v, want %+v", data, i, *r, *w)
 		}
-		if canonical := string(w.AppendJSON(nil)); fellBack && r.JSON != canonical {
-			t.Fatalf("Bundle %q took the fallback and relays task %d as %s, not %s", data, i, r.JSON, canonical)
+		if relayed, canonical := string(r.AppendJSON(nil)), string(w.AppendJSON(nil)); fellBack && relayed != canonical {
+			t.Fatalf("Bundle %q took the fallback and relays task %d as %s, not %s", data, i, relayed, canonical)
 		}
 		relays[i] = Relay{EPR: want.EPR, Task: r}
 	}
@@ -497,6 +525,13 @@ func FuzzBodyCodec(f *testing.F) {
 	// with an escape, and one in a body the fast path refuses.
 	f.Add(uint8(0), []byte(`{"epr":"e","tasks":[{"id":1,"engine":1,"io":{"read_bytes":5,"dataset":"d0"},"duration":7},{"id":2,"io":{"dataset":"d\u00e9\/1"}}]}`))
 	f.Add(uint8(0), []byte(`{"epr":"e","tasks":[{"id":1,"io":{"dataset":"d0","location":"x"}}]}`))
+	// What a dispatcher writes again rather than keeps: a trace of 0 sent as
+	// such, IDs and traces of twenty digits, and the ID and trace around a
+	// task that sets every member, an escaped dataset among them.
+	f.Add(uint8(0), []byte(`{"epr":"e","tasks":[{"id":1,"command":"sleep","trace":0},{"id":2,"trace":0},{"id":3,"trace":7}]}`))
+	f.Add(uint8(0), []byte(`{"epr":"e","tasks":[{"id":18446744073709551615,"args":["0"],"trace":10000000000000000000},{"id":10000000000000000000,"trace":18446744073709551615}]}`))
+	f.Add(uint8(0), []byte(`{"epr":"e","tasks":[{"id":9,"engine":1,"dir":"/d","command":"c","args":["a","b"],"env":["K=V"],`+
+		`"io":{"read_bytes":1,"write_bytes":2,"location":"shared","dataset":"d\u00e9\"s"},"duration":3,"max_retries":4,"stage":5,"trace":6}]}`))
 	// The integers around jsonwire.ParseUint's one overflow check and the ends
 	// of its eight-digit strides (its test's uintEdges), as a task ID and as a
 	// trace.

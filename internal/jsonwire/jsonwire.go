@@ -319,15 +319,13 @@ func hex4(p []byte) (r rune, n int) {
 // §9, "Body codec"): one allocation serves every element's strings, and
 // keeping one of them keeps its chunk — at most this document's strings.
 type Reader struct {
-	doc      []byte
-	at       int    // doc[:at] is read; an offset, so that advancing stores no pointer (no write barrier)
-	scratch  []byte // unescape buffer, reused from string to string
-	bad      bool
-	left     int             // elements Count found and Elem has not yet reached
-	chunk    strings.Builder // string bytes; a Builder never rewrites what it has handed out
-	spare    []string        // the unused tail of the chunk Strings carves from
-	copied   string          // the document from copyFrom on, once Span has copied it
-	copyFrom int
+	doc     []byte
+	at      int    // doc[:at] is read; an offset, so that advancing stores no pointer (no write barrier)
+	scratch []byte // unescape buffer, reused from string to string
+	bad     bool
+	left    int             // elements Elems estimated and Elem has not yet reached
+	chunk   strings.Builder // string bytes; a Builder never rewrites what it has handed out
+	spare   []string        // the unused tail of the chunk Strings carves from
 }
 
 // Reset points the reader at a new document, which shares no chunk with the
@@ -447,13 +445,24 @@ func (r *Reader) Interned(like string, known func([]byte) string) string {
 	return r.keep(b, like != "")
 }
 
-// Count counts the occurrences of lit in the rest of the document and takes
-// them for its elements still to come, which Elem then counts off: lit is
-// what opens an element and nothing else. The decoder sizes its slice by the
-// count and the reader its chunks; both are only capacities, so a document
-// that is not what it claims can do no harm with it.
-func (r *Reader) Count(lit string) int {
-	r.left = bytes.Count(r.rest(), []byte(lit))
+// Elems estimates how many elements the array whose `[` was just consumed
+// holds, and takes them for the elements still to come, which Elem then counts
+// off: what is left of the document over the length of its first element,
+// which ends at the first `},{` — the seam between two elements, which a task,
+// a result or an assignment in the canonical layout holds nowhere but inside a
+// string. It reads one element ahead, not the whole document. The decoder
+// sizes its slice by the estimate and the reader its chunks; both are only
+// capacities, so elements of unequal length, or a document that is not what
+// it claims, can cost an allocation or some bytes, never a wrong value.
+func (r *Reader) Elems() int {
+	p := r.rest()
+	r.left = 0
+	if !r.bad && len(p) > 0 && p[0] != ']' {
+		r.left = 1
+		if first := bytes.Index(p, []byte("},{")); first >= 0 {
+			r.left = (len(p) + 1) / (first + 2) // an element and the comma after it
+		}
+	}
 	return r.left
 }
 
@@ -486,21 +495,8 @@ func (r *Reader) keep(b []byte, run bool) string {
 	return r.chunk.String()[off:]
 }
 
-// Mark is how much of the document has been read, for Span.
+// Mark is how much of the document has been read: an offset in it.
 func (r *Reader) Mark() int { return r.at }
-
-// Span returns what the reader consumed since from, a Mark, as a slice of one
-// copy of the document from the first span on, made when that span is asked
-// for: a bundle's tasks, relayed as received, share one allocation.
-func (r *Reader) Span(from int) string {
-	if r.bad {
-		return ""
-	}
-	if r.copied == "" || from < r.copyFrom {
-		r.copied, r.copyFrom = string(r.doc[from:]), from
-	}
-	return r.copied[from-r.copyFrom : r.at-r.copyFrom]
-}
 
 // SkipStrings reads an array of strings as Strings does, and keeps nothing.
 func (r *Reader) SkipStrings() {
@@ -598,7 +594,7 @@ func (r *Reader) InOrder(last, at int) int {
 // Elem steps through an array of the document's elements whose `[` has been
 // consumed: it reports whether element n (counting from 0) follows, consuming
 // the comma before it or the bracket that closes the array, and counts the
-// element off those Count found.
+// element off those Elems estimated.
 func (r *Reader) Elem(n int) bool {
 	if !r.elem(n) {
 		return false

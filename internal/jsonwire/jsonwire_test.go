@@ -246,17 +246,17 @@ func TestReader(t *testing.T) {
 	}
 }
 
-// A document's chunks are sized by its count of elements, and the count is
-// only what the bytes claim: one real element followed by a thousand bare
-// openings must not buy a thousand elements' worth of room. Each chunk is
-// bounded by what is left of the document, so the two together stay under
-// twice its length (plus the eighth a size class can round up by); an honest
-// document of the same shape gets exactly what it uses.
+// A document's chunks are sized by its estimate of elements, and the estimate
+// is only what the bytes claim: a first element of three bytes followed by a
+// real one and three kilobytes of anything else must not buy a thousand
+// elements' worth of room. Each chunk is bounded by what is left of the
+// document, so the two together stay under twice its length (plus the eighth
+// a size class can round up by); an honest document of the same shape gets
+// exactly what it uses.
 func TestChunksAreBoundedByTheDocument(t *testing.T) {
-	const item = `{"id":`
 	// The least of five readings: TotalAlloc is the process's, and the runtime
 	// allocates on its own account now and then (a collection starting, say).
-	allocated := func(doc []byte) (bytes uint64, ss []string) {
+	allocated := func(doc []byte, first string) (bytes uint64, ss []string) {
 		bytes = math.MaxUint64
 		for range 5 {
 			var m0, m1 runtime.MemStats
@@ -264,54 +264,70 @@ func TestChunksAreBoundedByTheDocument(t *testing.T) {
 			var r Reader
 			r.Reset(doc)
 			r.Expect(`[`)
-			r.Count(item)
-			r.Elem(0)
-			r.Expect(item)
+			r.Elems()
+			if first != "" {
+				r.Elem(0)
+				r.Expect(first)
+			}
+			r.Elem(len(first))
+			r.Expect(`{"id":`)
 			ss = r.Strings()
 			runtime.ReadMemStats(&m1)
 			bytes = min(bytes, m1.TotalAlloc-m0.TotalAlloc)
 		}
 		return bytes, ss
 	}
-	one := `[{"id":["0123456789abcdef"]`
-	lying := []byte(one + strings.Repeat(item, 1000))
-	got, ss := allocated(lying)
+	one := `{"id":["0123456789abcdef"]`
+	lying := []byte(`[{},` + one + strings.Repeat(`x`, 3000))
+	got, ss := allocated(lying, `{}`)
 	if len(ss) != 1 || ss[0] != "0123456789abcdef" {
 		t.Fatalf("read %q", ss)
 	}
 	if limit := uint64(2 * len(lying) * 9 / 8); got > limit {
 		t.Errorf("a %d-byte document claiming 1,001 elements allocated %d bytes, want at most %d", len(lying), got, limit)
 	}
-	if got, _ := allocated([]byte(one)); got != 32 {
+	if got, _ := allocated([]byte(`[`+one), ""); got != 32 {
 		t.Errorf("a document of one 16-byte string allocated %d bytes, want 32: the string and its header", got)
 	}
 }
 
-// A span is a copy of what was read since its mark, shared with every other
-// span of the document; SkipStrings reads what Strings reads.
-func TestSpanAndSkipStrings(t *testing.T) {
-	doc := []byte(`{"a":["x","é \"q\""],"b":[],"c":1}`)
-	var r Reader
-	r.Reset(doc)
-	r.Expect(`{"a":`)
-	from := r.Mark()
-	r.SkipStrings()
-	a := r.Span(from)
-	r.Expect(`,"b":`)
-	from = r.Mark()
-	r.SkipStrings()
-	b := r.Span(from)
-	r.Expect(`,"c":1}`)
-	for i := range doc {
-		doc[i] = '#'
+// Elems estimates from the first element's length: exactly, when the elements
+// are alike and what follows the array is shorter than one.
+func TestElemsEstimatesFromTheFirst(t *testing.T) {
+	for _, c := range []struct {
+		doc  string
+		want int
+	}{
+		{`]}`, 0},
+		{`{"id":1}]}`, 1},
+		{`{"id":1},{"id":2},{"id":3}]}`, 3},
+		{`{"id":1,"command":"sleep"},{"id":2,"command":"sleep"}],"want_work":true}`, 2},
+		{`{"id":1},{"id":22222},{"id":33333}]}`, 4}, // a short first element over-counts
+		{`{"id":111},{"id":2},{"id":3}]}`, 2},       // and a long one under-counts
+	} {
+		var r Reader
+		r.Reset([]byte(c.doc))
+		if got := r.Elems(); got != c.want {
+			t.Errorf("Elems of %s = %d, want %d", c.doc, got, c.want)
+		}
 	}
-	if !r.OK() || a != `["x","é \"q\""]` || b != `[]` {
-		t.Fatalf("OK %v, spans %q and %q", r.OK(), a, b)
+}
+
+// SkipStrings reads what Strings reads, and keeps nothing.
+func TestSkipStrings(t *testing.T) {
+	var r Reader
+	r.Reset([]byte(`{"a":["x","é \"q\""],"b":[],"c":1}`))
+	r.Expect(`{"a":`)
+	r.SkipStrings()
+	r.Expect(`,"b":`)
+	r.SkipStrings()
+	if r.Expect(`,"c":1}`); !r.OK() {
+		t.Fatal("SkipStrings did not read both arrays")
 	}
 	for _, bad := range []string{`["x",1]`, `["x"`, `["\x01"]`, `["\ud800"]`, `"x"`} {
 		r.Reset([]byte(bad))
 		r.SkipStrings()
-		if r.OK() || r.Span(0) != "" {
+		if r.OK() {
 			t.Errorf("SkipStrings took %q", bad)
 		}
 	}

@@ -2,6 +2,7 @@ package sched
 
 import (
 	"fmt"
+	"math"
 	"runtime"
 	"testing"
 	"time"
@@ -383,7 +384,11 @@ func BenchmarkCorePickAssignComplete(b *testing.B) {
 // What the benchmark's sched.cycle_allocs row reads: an enqueue → pick →
 // assign → complete cycle allocates nothing, in objects or in bytes: the
 // outstanding record lives in the table's own slot. Records carved from shared
-// chunks, one allocation per 102 of this test's, fail it.
+// chunks, one allocation per 102 of this test's, fail it, as does one per
+// cycle. MemStats are the process's, so what else runs in it (the race
+// detector's runtime, a test beside this one) can land in a batch of cycles:
+// the lowest of five batches is read. An allocation the cycle makes lands in
+// every batch.
 func TestCycleAllocations(t *testing.T) {
 	c := newTestCore(Options[payload]{})
 	x := c.AddExec("x", 1)
@@ -398,14 +403,18 @@ func TestCycleAllocations(t *testing.T) {
 	for i := 0; i < 10000; i++ {
 		cycle() // the queue's ring reaches the size it compacts at
 	}
-	var m0, m1 runtime.MemStats
-	runtime.ReadMemStats(&m0)
-	for i := 0; i < 10000; i++ {
-		cycle()
+	n, b := uint64(math.MaxUint64), uint64(math.MaxUint64)
+	for range 5 {
+		var m0, m1 runtime.MemStats
+		runtime.ReadMemStats(&m0)
+		for i := 0; i < 10000; i++ {
+			cycle()
+		}
+		runtime.ReadMemStats(&m1)
+		n, b = min(n, m1.Mallocs-m0.Mallocs), min(b, m1.TotalAlloc-m0.TotalAlloc)
 	}
-	runtime.ReadMemStats(&m1)
-	if n, b := m1.Mallocs-m0.Mallocs, m1.TotalAlloc-m0.TotalAlloc; n != 0 || b != 0 {
-		t.Fatalf("%d allocations, %d bytes over 10,000 cycles, want none", n, b)
+	if n != 0 || b != 0 {
+		t.Fatalf("%d allocations, %d bytes over 10,000 cycles (the lowest of five batches), want none", n, b)
 	}
 }
 

@@ -1,23 +1,28 @@
 package task
 
 import (
+	"strings"
+	"sync"
 	"time"
 
 	"falkon/internal/jsonwire"
 )
 
 // Relayed is a task as a dispatcher holds it (DESIGN.md §9, "Relay"): the five
-// things it reads of a task, and the task's JSON as received, which it appends
-// wherever the task goes next. Only an executor decodes a task whole.
+// things it reads of a task, and the rest of the task's JSON as received, which
+// AppendJSON puts back around the ID and trace wherever the task goes next.
+// Only an executor decodes a task whole.
 type Relayed struct {
 	ID         ID
 	Trace      uint64
 	MaxRetries int
 	Declared   time.Duration // what it states it runs for (declared)
 	Dataset    string        // IO.Dataset
-	// JSON is what Task.AppendJSON emits, or a span of a message that
-	// Task.ParseJSON reads without a fallback.
-	JSON string
+	// Rest is the task's members after its ID and before a trace other than
+	// 0, as received: the task is `{"id":`, ID, Rest, then `,"trace":` and
+	// Trace unless Trace is 0, and `}`. The digits of both numbers are not
+	// kept twice.
+	Rest string
 }
 
 // declared is the run time a task states for itself: the synthetic engines'
@@ -30,48 +35,78 @@ func declared(e Engine, d time.Duration) time.Duration {
 	return 0
 }
 
-// AppendJSON appends the task's JSON, as received.
-func (t *Relayed) AppendJSON(dst []byte) []byte { return append(dst, t.JSON...) }
+// AppendJSON appends the task's JSON. It is the bytes the task was received as:
+// neither number has a second decimal form (jsonwire.ParseUint takes no
+// leading zero), and a trace of 0 that was sent is still in Rest.
+func (t *Relayed) AppendJSON(dst []byte) []byte {
+	dst = append(dst, `{"id":`...)
+	dst = jsonwire.AppendUint(dst, uint64(t.ID))
+	dst = append(dst, t.Rest...)
+	if t.Trace != 0 {
+		dst = append(dst, `,"trace":`...)
+		dst = jsonwire.AppendUint(dst, t.Trace)
+	}
+	return append(dst, '}')
+}
 
-// Task decodes the whole task. JSON is canonical, so ParseJSON reads it all.
+// rebuilt holds the buffers Task rebuilds a task's bytes in.
+var rebuilt = sync.Pool{New: func() any { return new([]byte) }}
+
+// Task decodes the whole task from its bytes, rebuilt in a buffer that serves
+// call after call. They are canonical, so ParseJSON reads them all, and copies
+// out every string it keeps.
 func (t *Relayed) Task() (out Task) {
+	buf := rebuilt.Get().(*[]byte)
+	*buf = t.AppendJSON((*buf)[:0])
 	var r jsonwire.Reader
-	r.Reset([]byte(t.JSON))
+	r.Reset(*buf)
 	out.ParseJSON(&r, &Task{})
+	rebuilt.Put(buf)
 	return out
 }
 
 // Relay returns tasks as a dispatcher holds them, each encoded by AppendJSON.
 func Relay(tasks []Task) []Relayed {
 	out := make([]Relayed, len(tasks))
+	var buf []byte
 	for i := range tasks {
-		t := &tasks[i]
-		out[i] = Relayed{ID: t.ID, Trace: t.Trace, MaxRetries: t.MaxRetries, Declared: declared(t.Engine, t.Duration), JSON: string(t.AppendJSON(nil))}
+		t := tasks[i]
+		out[i] = Relayed{ID: t.ID, Trace: t.Trace, MaxRetries: t.MaxRetries, Declared: declared(t.Engine, t.Duration)}
 		if t.IO != nil {
 			out[i].Dataset = t.IO.Dataset
 		}
+		t.ID, t.Trace = 0, 0
+		buf = t.AppendJSON(buf[:0])
+		out[i].Rest = string(buf[len(`{"id":0`) : len(buf)-1])
 	}
 	return out
 }
 
+// Received is a task of a submit as ParseJSON reads it, before Keep copies
+// its bytes: its Rest and a plain dataset are still offsets in the document.
+type Received struct {
+	Relayed
+	rest, end int // Rest is the document's [rest, end)
+	plain, n  int // and a plain dataset its [plain, plain+n)
+}
+
 // ParseJSON reads one task into t, which must be zero, as Task.ParseJSON reads
 // it — the same jsonwire primitives, members numbered alike, every string
-// validated — keeping what a dispatcher reads, and the task's bytes as a span
-// of one copy of the document (jsonwire.Reader.Span), as is a plain dataset.
-func (t *Relayed) ParseJSON(r *jsonwire.Reader) {
-	from := r.Mark()
+// validated — keeping what a dispatcher reads, and where in the document its
+// Rest and its dataset are, when the dataset's literal is its contents.
+func (t *Received) ParseJSON(r *jsonwire.Reader) {
 	r.Expect(`{"id":`)
 	t.ID = ID(r.Uint())
+	t.rest = r.Mark()
 	var engine Engine
 	var duration time.Duration
-	plain, n := -1, 0 // the plain dataset's offset in the span, and length
 	for last := 0; ; {
-		var at int
+		at, mark := 0, r.Mark()
 		switch string(r.Key(false)) {
 		case "":
 			r.Expect(`}`)
-			if t.JSON, t.Declared = r.Span(from), declared(engine, duration); plain >= 0 && t.JSON != "" {
-				t.Dataset = t.JSON[plain : plain+n]
+			if t.Declared = declared(engine, duration); t.end == 0 {
+				t.end = mark
 			}
 			return
 		case "engine":
@@ -106,7 +141,7 @@ func (t *Relayed) ParseJSON(r *jsonwire.Reader) {
 					at = 4
 					open := r.Mark()
 					if b := r.Str(); r.Mark()-open-2 == len(b) {
-						plain, n = open+1-from, len(b) // the literal is its contents
+						t.plain, t.n = open+1, len(b) // the literal is its contents
 					} else {
 						t.Dataset = string(b)
 					}
@@ -120,8 +155,38 @@ func (t *Relayed) ParseJSON(r *jsonwire.Reader) {
 		case "stage":
 			at, _ = 9, r.Int()
 		case "trace":
-			at, t.Trace = 10, r.Uint()
+			if at, t.Trace = 10, r.Uint(); t.Trace != 0 {
+				t.end = mark // the last member: AppendJSON writes it back
+			}
 		}
 		last = r.InOrder(last, at)
 	}
+}
+
+// Keep returns the tasks ParseJSON read from doc as a dispatcher holds them,
+// in two allocations of exactly their size: the slice, and one string of
+// every task's Rest, of which plain datasets are substrings. Nothing of doc is
+// kept.
+func Keep(doc []byte, rs []Received) []Relayed {
+	n := 0
+	for i := range rs {
+		n += rs[i].end - rs[i].rest
+	}
+	var b strings.Builder
+	b.Grow(n)
+	for i := range rs {
+		b.Write(doc[rs[i].rest:rs[i].end])
+	}
+	all, at := b.String(), 0
+	out := make([]Relayed, len(rs))
+	for i := range rs {
+		r := &rs[i]
+		out[i] = r.Relayed
+		out[i].Rest = all[at : at+r.end-r.rest]
+		if r.n > 0 {
+			out[i].Dataset = out[i].Rest[r.plain-r.rest : r.plain-r.rest+r.n]
+		}
+		at += r.end - r.rest
+	}
+	return out
 }

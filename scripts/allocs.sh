@@ -7,6 +7,14 @@
 #   ./scripts/allocs.sh -bench BenchmarkSerialRound ./internal/core/
 #   ./scripts/allocs.sh -bench 'BenchmarkBulkRound/tree' ./internal/forward/
 #   ./scripts/allocs.sh -bench 'BenchmarkBulkRound/secure' ./internal/forward/
+#   ./scripts/allocs.sh -bench 'BenchmarkBulkRound/fair' ./internal/forward/
+#   ./scripts/allocs.sh -bench 'BenchmarkBulkRound/tree-journal' ./internal/forward/
+#
+# (plain, journal and tree are the repo benchmark's bulk workloads; secure,
+# fair — eight tenants declared — and tree-journal — journaled leaves — are the
+# configurations it does not run. With -bench the name's last element is
+# matched whole — a `$` is appended — so `…/tree` is the tree row alone, not
+# tree-journal too.)
 #
 # Runs the test with every allocation sampled (-memprofilerate=1) and prints
 # the objects allocated per function, most first, then the bytes: the
@@ -48,6 +56,7 @@ out=$(mktemp -d)
 trap 'rm -rf "$out"' EXIT
 run=(-run "$1")
 if [ "$bench" = 1 ]; then
+    set -- "$1\$" "$2"
     run=(-run '^$' -bench "$1" -benchtime 20000x -cpu 1)
 fi
 go test "${run[@]}" -count=1 -o "$out/test.bin" -memprofile "$out/mem.prof" -memprofilerate=1 "$2"

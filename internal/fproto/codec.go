@@ -2,7 +2,6 @@ package fproto
 
 import (
 	"encoding/json"
-	"sync"
 	"time"
 
 	"falkon/internal/jsonwire"
@@ -111,7 +110,7 @@ func Recycle[T any](s []T) []T {
 
 // room readies the slice a message value holds for a decode of n elements:
 // the array it has, emptied, unless that is too short — or longer than any
-// count presizes, which is how one huge message's array is not kept for ever.
+// estimate presizes, which is how one huge message's array is not kept for ever.
 func room[T any](s []T, n int) []T {
 	if s == nil || cap(s) < n || cap(s) > maxPresize {
 		return make([]T, 0, n)
@@ -183,19 +182,10 @@ func (m *SubmitRequest) DecodeJSON(b []byte) error {
 	return finish(&r, b, m)
 }
 
-// received is the scratch a submit's tasks are read into before they are
-// kept: one pass cannot know how many tasks a bundle has, or how many bytes
-// they keep, before it has read them all. A bundle larger than maxScratch
-// leaves its scratch to the collector.
-var received = sync.Pool{New: func() any { return new([]task.Received) }}
-
-const maxScratch = 16 * maxPresize
-
 // DecodeInterned decodes b, a SubmitRequest's JSON, into m, with the EPR
-// shared through known. It reads the body in one pass into scratch, and then
-// keeps the tasks in two allocations of their exact size (task.Keep). A body
-// outside the canonical layout goes to encoding/json, is counted, and has its
-// tasks encoded again.
+// shared through known, and the tasks read in one pass and kept as a
+// dispatcher holds them (task.ReadRelayed). A body outside the canonical
+// layout goes to encoding/json, is counted, and has its tasks encoded again.
 func (m *Bundle) DecodeInterned(b []byte, known Intern) error {
 	var r jsonwire.Reader
 	r.Reset(b)
@@ -203,27 +193,11 @@ func (m *Bundle) DecodeInterned(b []byte, known Intern) error {
 	r.Expect(`{"epr":`)
 	m.EPR = r.Interned("", known)
 	r.Expect(`,"tasks":`)
-	if r.Lit(`null`) {
-		r.Expect(`}`)
-	} else {
+	if !r.Lit(`null`) {
 		r.Expect(`[`)
-		s := received.Get().(*[]task.Received)
-		rs := (*s)[:0]
-		if cap(rs) == 0 {
-			rs = make([]task.Received, 0, elems(&r)) // a new scratch
-		}
-		for r.Elem(len(rs)) {
-			rs = append(rs, task.Received{})
-			rs[len(rs)-1].ParseJSON(&r)
-		}
-		if r.Expect(`}`); r.OK() {
-			m.Tasks = task.Keep(b, rs)
-		}
-		clear(rs) // an escaped dataset is a string of its own
-		if *s = rs[:0]; cap(rs) <= maxScratch {
-			received.Put(s)
-		}
+		m.Tasks = task.ReadRelayed(&r, b)
 	}
+	r.Expect(`}`)
 	if r.OK() {
 		return nil
 	}

@@ -520,7 +520,7 @@ func FuzzBodyCodec(f *testing.F) {
 		f.Add(uint8(i), ref)
 		f.Add(uint8(i), v.AppendJSON(nil))
 	}
-	f.Add(uint8(0), manyArgs(3, 40)) // one element outgrowing the chunks the count sized
+	f.Add(uint8(0), manyArgs(3, 40)) // one element outgrowing the chunks the estimate sized
 	// Datasets a dispatcher keeps: one it can take from the relayed bytes, one
 	// with an escape, and one in a body the fast path refuses.
 	f.Add(uint8(0), []byte(`{"epr":"e","tasks":[{"id":1,"engine":1,"io":{"read_bytes":5,"dataset":"d0"},"duration":7},{"id":2,"io":{"dataset":"d\u00e9\/1"}}]}`))

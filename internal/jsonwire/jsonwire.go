@@ -342,6 +342,9 @@ func (r *Reader) took(rest []byte, ok bool) { r.at, r.bad = len(r.doc)-len(rest)
 // OK reports whether everything so far parsed and the document is used up.
 func (r *Reader) OK() bool { return !r.bad && r.at == len(r.doc) }
 
+// Failed reports whether something so far did not parse.
+func (r *Reader) Failed() bool { return r.bad }
+
 // Lit consumes s if the input continues with it, and reports whether it did.
 // It is how optional (omitempty) fields and loop ends are tested; a miss is
 // not a failure.

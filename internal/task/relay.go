@@ -82,19 +82,61 @@ func Relay(tasks []Task) []Relayed {
 	return out
 }
 
-// Received is a task of a submit as ParseJSON reads it, before Keep copies
-// its bytes: its Rest and a plain dataset are still offsets in the document.
-type Received struct {
+// scratch holds what ReadRelayed reads a bundle's tasks into before it keeps
+// them: one pass cannot know how many tasks a bundle has, or how many bytes
+// they keep, before it has read them all. A bundle of more than maxScratch
+// tasks leaves its scratch to the collector.
+var scratch = sync.Pool{New: func() any { return new([]received) }}
+
+const (
+	maxScratch = 16 << 10
+	// maxPresize bounds the scratch a new one is presized to before anything
+	// is validated, as fproto bounds a message's slice.
+	maxPresize = 1024
+)
+
+// ReadRelayed reads the tasks of an array whose `[` has been consumed, through
+// its `]`, as a dispatcher holds them. It reads them in one pass, each as
+// Task.ParseJSON would and keeping only what a dispatcher reads, and then
+// makes them two allocations of exactly their size: the slice, and one string
+// of every task's Rest, of which a dataset whose literal is its contents is a
+// substring. Nothing of doc, the reader's document, is kept. A reader that
+// failed keeps nothing and returns nil.
+func ReadRelayed(r *jsonwire.Reader, doc []byte) []Relayed {
+	s := scratch.Get().(*[]received)
+	rs := (*s)[:0]
+	if cap(rs) == 0 {
+		rs = make([]received, 0, min(r.Elems(), maxPresize))
+	}
+	for r.Elem(len(rs)) {
+		rs = append(rs, received{})
+		rs[len(rs)-1].parseJSON(r)
+	}
+	var out []Relayed
+	if !r.Failed() {
+		out = keep(doc, rs)
+	}
+	clear(rs) // an escaped dataset is a string of its own
+	if *s = rs[:0]; cap(rs) <= maxScratch {
+		scratch.Put(s)
+	}
+	return out
+}
+
+// received is a task as parseJSON reads it: what a dispatcher keeps, with its
+// Rest and a plain dataset still offsets in the document.
+type received struct {
 	Relayed
 	rest, end int // Rest is the document's [rest, end)
 	plain, n  int // and a plain dataset its [plain, plain+n)
 }
 
-// ParseJSON reads one task into t, which must be zero, as Task.ParseJSON reads
-// it — the same jsonwire primitives, members numbered alike, every string
-// validated — keeping what a dispatcher reads, and where in the document its
-// Rest and its dataset are, when the dataset's literal is its contents.
-func (t *Received) ParseJSON(r *jsonwire.Reader) {
+// parseJSON reads one task into t, which must be zero, as Task.ParseJSON
+// reads it — the same jsonwire primitives, members numbered alike, every
+// string validated — keeping what a dispatcher reads, and where in the
+// document its Rest and its dataset are, when the dataset's literal is its
+// contents.
+func (t *received) parseJSON(r *jsonwire.Reader) {
 	r.Expect(`{"id":`)
 	t.ID = ID(r.Uint())
 	t.rest = r.Mark()
@@ -163,11 +205,8 @@ func (t *Received) ParseJSON(r *jsonwire.Reader) {
 	}
 }
 
-// Keep returns the tasks ParseJSON read from doc as a dispatcher holds them,
-// in two allocations of exactly their size: the slice, and one string of
-// every task's Rest, of which plain datasets are substrings. Nothing of doc is
-// kept.
-func Keep(doc []byte, rs []Received) []Relayed {
+// keep makes the tasks parseJSON read from doc into what a dispatcher holds.
+func keep(doc []byte, rs []received) []Relayed {
 	n := 0
 	for i := range rs {
 		n += rs[i].end - rs[i].rest

@@ -313,16 +313,23 @@ func TestElemsEstimatesFromTheFirst(t *testing.T) {
 	}
 }
 
-// SkipStrings reads what Strings reads, and keeps nothing.
-func TestSkipStrings(t *testing.T) {
+// SkipStrings reads what Strings reads and keeps nothing: the span it read,
+// from the mark before it to the mark after it, is the whole array.
+func TestSpanAndSkipStrings(t *testing.T) {
+	doc := []byte(`{"a":["x","é \"q\""],"b":[],"c":1}`)
 	var r Reader
-	r.Reset([]byte(`{"a":["x","é \"q\""],"b":[],"c":1}`))
+	r.Reset(doc)
 	r.Expect(`{"a":`)
+	from := r.Mark()
 	r.SkipStrings()
+	a := string(doc[from:r.Mark()])
 	r.Expect(`,"b":`)
+	from = r.Mark()
 	r.SkipStrings()
-	if r.Expect(`,"c":1}`); !r.OK() {
-		t.Fatal("SkipStrings did not read both arrays")
+	b := string(doc[from:r.Mark()])
+	r.Expect(`,"c":1}`)
+	if !r.OK() || a != `["x","é \"q\""]` || b != `[]` {
+		t.Fatalf("OK %v, spans %q and %q", r.OK(), a, b)
 	}
 	for _, bad := range []string{`["x",1]`, `["x"`, `["\x01"]`, `["\ud800"]`, `"x"`} {
 		r.Reset([]byte(bad))

@@ -84,17 +84,6 @@ func finish[T any](r *jsonwire.Reader, b []byte, m *T) error {
 	return err
 }
 
-// maxPresize bounds what elems lets a decoder allocate before it has
-// validated anything.
-const maxPresize = 1024
-
-// elems sizes a message's one slice before it is parsed, from the length of
-// its first element (jsonwire.Reader.Elems): in the canonical layout elements
-// of one message differ only in their numbers' digits and their strings, so
-// the estimate is close and the slice is allocated once; the reader sizes the
-// chunks the elements' strings share by the same estimate.
-func elems(r *jsonwire.Reader) int { return min(r.Elems(), maxPresize) }
-
 // Scribble is a hook for tests: it is handed every slice of scratch, to its
 // capacity, as its owner recycles it, and overwrites it — whatever still reads
 // the message before reads garbage, and nothing may notice. Nil outside tests.
@@ -108,11 +97,16 @@ func Recycle[T any](s []T) []T {
 	return s[:0]
 }
 
-// room readies the slice a message value holds for a decode of n elements:
-// the array it has, emptied, unless that is too short — or longer than any
-// estimate presizes, which is how one huge message's array is not kept for ever.
+// room readies the slice a message value holds for a decode of n elements,
+// the estimate jsonwire.Reader.Elems makes from the length of the message's
+// first element: in the canonical layout elements of one message differ only
+// in their numbers' digits and their strings, so the estimate is close and the
+// slice is allocated once (the reader sizes the chunks the elements' strings
+// share by the same estimate). It is the array the value has, emptied, unless
+// that is too short — or longer than any estimate presizes, which is how one
+// huge message's array is not kept for ever.
 func room[T any](s []T, n int) []T {
-	if s == nil || cap(s) < n || cap(s) > maxPresize {
+	if s == nil || cap(s) < n || cap(s) > jsonwire.MaxElems {
 		return make([]T, 0, n)
 	}
 	return Recycle(s)
@@ -169,7 +163,7 @@ func (m *SubmitRequest) DecodeJSON(b []byte) error {
 	if !r.Lit(`null`) {
 		r.Expect(`[`)
 		first := remembered(was)
-		m.Tasks = room(was, elems(&r))
+		m.Tasks = room(was, r.Elems())
 		for prev := &first; r.Elem(len(m.Tasks)); {
 			m.Tasks = append(m.Tasks, task.Task{})
 			t := &m.Tasks[len(m.Tasks)-1]
@@ -195,7 +189,7 @@ func (m *Bundle) DecodeInterned(b []byte, known Intern) error {
 	r.Expect(`,"tasks":`)
 	if !r.Lit(`null`) {
 		r.Expect(`[`)
-		m.Tasks = task.ReadRelayed(&r, b)
+		m.Tasks = task.ReadRelayed(&r)
 	}
 	r.Expect(`}`)
 	if r.OK() {
@@ -313,7 +307,7 @@ func parseAssignments(r *jsonwire.Reader, was []Assignment) []Assignment {
 	r.Expect(`{`)
 	if r.Lit(`"assignments":[`) {
 		first := remembered(was)
-		as = room(was, elems(r))
+		as = room(was, r.Elems())
 		for prev := &first; r.Elem(len(as)); {
 			as = append(as, Assignment{})
 			a := &as[len(as)-1]
@@ -398,7 +392,7 @@ func (m *DeliverRequest) DecodeInterned(b []byte, known Intern) error {
 	if r.Lit(`,"results":[`) {
 		first := remembered(was)
 		first.Result.ExecutorID = m.ExecutorID
-		m.Results = room(was, elems(&r))
+		m.Results = room(was, r.Elems())
 		for prev := &first; r.Elem(len(m.Results)); {
 			m.Results = append(m.Results, TaggedResult{})
 			tr := &m.Results[len(m.Results)-1]
@@ -482,7 +476,7 @@ func (m *ResultsNotify) DecodeInterned(b []byte, known, execs Intern) error {
 	if !r.Lit(`null`) {
 		r.Expect(`[`)
 		first := remembered(was)
-		m.Results = room(was, elems(&r))
+		m.Results = room(was, r.Elems())
 		for prev := &first; r.Elem(len(m.Results)); {
 			m.Results = append(m.Results, task.Result{})
 			res := &m.Results[len(m.Results)-1]

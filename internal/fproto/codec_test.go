@@ -13,6 +13,7 @@ import (
 	"time"
 	"unsafe"
 
+	"falkon/internal/jsonwire"
 	"falkon/internal/task"
 )
 
@@ -697,15 +698,21 @@ func TestCodecAllocs(t *testing.T) {
 // manyArgs is the body of a SubmitRequest of n one-argument tasks whose last
 // task has args arguments instead.
 func manyArgs(n, args int) []byte {
-	req := SubmitRequest{EPR: "falkon-instance-1", Tasks: make([]task.Task, n)}
-	for i := range req.Tasks {
-		req.Tasks[i] = task.Task{ID: task.ID(i + 1), Command: "sleep", Args: []string{fmt.Sprintf("%016x", i)}}
-	}
+	req := bundleOf(n)
 	last := &req.Tasks[n-1]
 	for i := 1; i < args; i++ {
 		last.Args = append(last.Args, fmt.Sprintf("%016x", i))
 	}
 	return req.AppendJSON(nil)
+}
+
+// bundleOf is a submit of n tasks, each with an argument of its own.
+func bundleOf(n int) SubmitRequest {
+	req := SubmitRequest{EPR: "falkon-instance-1", Tasks: make([]task.Task, n)}
+	for i := range req.Tasks {
+		req.Tasks[i] = task.Task{ID: task.ID(i + 1), Command: "sleep", Args: []string{fmt.Sprintf("%016x", i)}}
+	}
+	return req
 }
 
 // What a message carries is allocated once per message: a SubmitRequest whose
@@ -718,11 +725,8 @@ func manyArgs(n, args int) []byte {
 // a second decode into the value that took the first allocates one object
 // fewer, for each of the four messages that hold a slice.
 func TestDecodeAllocsDoNotGrowWithTheBundle(t *testing.T) {
-	for _, n := range []int{1, 64, maxPresize} {
-		req := SubmitRequest{EPR: "falkon-instance-1", Tasks: make([]task.Task, n)}
-		for i := range req.Tasks {
-			req.Tasks[i] = task.Task{ID: task.ID(i + 1), Command: "sleep", Args: []string{fmt.Sprintf("%016x", i)}}
-		}
+	for _, n := range []int{1, 64, jsonwire.MaxElems} {
+		req := bundleOf(n)
 		body := req.AppendJSON(nil)
 		var got SubmitRequest
 		if allocs := testing.AllocsPerRun(20, func() { got = SubmitRequest{}; decodeFast(t, &got, body) }); allocs != 5 {

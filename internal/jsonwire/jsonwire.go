@@ -456,7 +456,9 @@ func (r *Reader) Interned(like string, known func([]byte) string) string {
 // string. It reads one element ahead, not the whole document. The decoder
 // sizes its slice by the estimate and the reader its chunks; both are only
 // capacities, so elements of unequal length, or a document that is not what
-// it claims, can cost an allocation or some bytes, never a wrong value.
+// it claims, can cost an allocation or some bytes, never a wrong value. What
+// it returns is at most MaxElems; the chunks are bounded by the document's
+// bytes instead (room).
 func (r *Reader) Elems() int {
 	p := r.rest()
 	r.left = 0
@@ -466,8 +468,13 @@ func (r *Reader) Elems() int {
 			r.left = (len(p) + 1) / (first + 2) // an element and the comma after it
 		}
 	}
-	return r.left
+	return min(r.left, MaxElems)
 }
+
+// MaxElems bounds the estimate Elems returns: a decoder sizes a slice by it
+// before it has validated anything, so that a short document which claims
+// many elements cannot make it allocate a large one.
+const MaxElems = 1024
 
 // room sizes a new chunk, in units of size bytes (a string header is 16):
 // need for this element and as much again for each one still to come, or
@@ -500,6 +507,10 @@ func (r *Reader) keep(b []byte, run bool) string {
 
 // Mark is how much of the document has been read: an offset in it.
 func (r *Reader) Mark() int { return r.at }
+
+// Between returns the document's bytes between two marks. They alias the
+// document.
+func (r *Reader) Between(from, to int) []byte { return r.doc[from:to] }
 
 // SkipStrings reads an array of strings as Strings does, and keeps nothing.
 func (r *Reader) SkipStrings() {

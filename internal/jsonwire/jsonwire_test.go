@@ -292,7 +292,8 @@ func TestChunksAreBoundedByTheDocument(t *testing.T) {
 }
 
 // Elems estimates from the first element's length: exactly, when the elements
-// are alike and what follows the array is shorter than one.
+// are alike, what follows the array is shorter than one and there are at most
+// MaxElems of them.
 func TestElemsEstimatesFromTheFirst(t *testing.T) {
 	for _, c := range []struct {
 		doc  string
@@ -302,8 +303,9 @@ func TestElemsEstimatesFromTheFirst(t *testing.T) {
 		{`{"id":1}]}`, 1},
 		{`{"id":1},{"id":2},{"id":3}]}`, 3},
 		{`{"id":1,"command":"sleep"},{"id":2,"command":"sleep"}],"want_work":true}`, 2},
-		{`{"id":1},{"id":22222},{"id":33333}]}`, 4}, // a short first element over-counts
-		{`{"id":111},{"id":2},{"id":3}]}`, 2},       // and a long one under-counts
+		{`{"id":1},{"id":22222},{"id":33333}]}`, 4},     // a short first element over-counts
+		{`{"id":111},{"id":2},{"id":3}]}`, 2},           // and a long one under-counts
+		{strings.Repeat(`{},`, 2000) + `{}]`, MaxElems}, // and no more than MaxElems
 	} {
 		var r Reader
 		r.Reset([]byte(c.doc))
@@ -314,7 +316,7 @@ func TestElemsEstimatesFromTheFirst(t *testing.T) {
 }
 
 // SkipStrings reads what Strings reads and keeps nothing: the span it read,
-// from the mark before it to the mark after it, is the whole array.
+// Between the mark before it and the mark after it, is the whole array.
 func TestSpanAndSkipStrings(t *testing.T) {
 	doc := []byte(`{"a":["x","é \"q\""],"b":[],"c":1}`)
 	var r Reader
@@ -322,11 +324,11 @@ func TestSpanAndSkipStrings(t *testing.T) {
 	r.Expect(`{"a":`)
 	from := r.Mark()
 	r.SkipStrings()
-	a := string(doc[from:r.Mark()])
+	a := string(r.Between(from, r.Mark()))
 	r.Expect(`,"b":`)
 	from = r.Mark()
 	r.SkipStrings()
-	b := string(doc[from:r.Mark()])
+	b := string(r.Between(from, r.Mark()))
 	r.Expect(`,"c":1}`)
 	if !r.OK() || a != `["x","é \"q\""]` || b != `[]` {
 		t.Fatalf("OK %v, spans %q and %q", r.OK(), a, b)

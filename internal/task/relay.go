@@ -49,8 +49,12 @@ func (t *Relayed) AppendJSON(dst []byte) []byte {
 	return append(dst, '}')
 }
 
-// rebuilt holds the buffers Task rebuilds a task's bytes in.
+// rebuilt holds the buffers Task rebuilds a task's bytes in. A buffer that
+// grew past maxRebuilt bytes, for a task over forty times the size of the
+// repo benchmark's 91 B, is left to the collector.
 var rebuilt = sync.Pool{New: func() any { return new([]byte) }}
+
+const maxRebuilt = 4 << 10
 
 // Task decodes the whole task from its bytes, rebuilt in a buffer that serves
 // call after call. They are canonical, so ParseJSON reads them all, and copies
@@ -61,7 +65,9 @@ func (t *Relayed) Task() (out Task) {
 	var r jsonwire.Reader
 	r.Reset(*buf)
 	out.ParseJSON(&r, &Task{})
-	rebuilt.Put(buf)
+	if cap(*buf) <= maxRebuilt {
+		rebuilt.Put(buf)
+	}
 	return out
 }
 
@@ -84,29 +90,29 @@ func Relay(tasks []Task) []Relayed {
 
 // scratch holds what ReadRelayed reads a bundle's tasks into before it keeps
 // them: one pass cannot know how many tasks a bundle has, or how many bytes
-// they keep, before it has read them all. A bundle of more than maxScratch
-// tasks leaves its scratch to the collector.
+// they keep, before it has read them all. A scratch is presized to the
+// estimate jsonwire.Reader.Elems makes (at most jsonwire.MaxElems), grown by
+// append past it, and put back only when the bundle it served had at most
+// maxScratch tasks: the largest bundle this repository sends, its tests'
+// 4,096 (the repo benchmark sends 64 and 1). So every scratch the pool keeps
+// has served only such bundles, and holds at most 5,034 tasks of 96 B (what
+// append grows 1,024 to for 4,096), some 480 KB.
 var scratch = sync.Pool{New: func() any { return new([]received) }}
 
-const (
-	maxScratch = 16 << 10
-	// maxPresize bounds the scratch a new one is presized to before anything
-	// is validated, as fproto bounds a message's slice.
-	maxPresize = 1024
-)
+const maxScratch = 4096
 
 // ReadRelayed reads the tasks of an array whose `[` has been consumed, through
 // its `]`, as a dispatcher holds them. It reads them in one pass, each as
 // Task.ParseJSON would and keeping only what a dispatcher reads, and then
 // makes them two allocations of exactly their size: the slice, and one string
 // of every task's Rest, of which a dataset whose literal is its contents is a
-// substring. Nothing of doc, the reader's document, is kept. A reader that
-// failed keeps nothing and returns nil.
-func ReadRelayed(r *jsonwire.Reader, doc []byte) []Relayed {
+// substring. Nothing of the reader's document is kept. A reader that failed
+// keeps nothing and returns nil.
+func ReadRelayed(r *jsonwire.Reader) []Relayed {
 	s := scratch.Get().(*[]received)
 	rs := (*s)[:0]
 	if cap(rs) == 0 {
-		rs = make([]received, 0, min(r.Elems(), maxPresize))
+		rs = make([]received, 0, r.Elems())
 	}
 	for r.Elem(len(rs)) {
 		rs = append(rs, received{})
@@ -114,10 +120,10 @@ func ReadRelayed(r *jsonwire.Reader, doc []byte) []Relayed {
 	}
 	var out []Relayed
 	if !r.Failed() {
-		out = keep(doc, rs)
+		out = keep(r, rs)
 	}
 	clear(rs) // an escaped dataset is a string of its own
-	if *s = rs[:0]; cap(rs) <= maxScratch {
+	if *s = rs[:0]; len(rs) <= maxScratch {
 		scratch.Put(s)
 	}
 	return out
@@ -205,8 +211,9 @@ func (t *received) parseJSON(r *jsonwire.Reader) {
 	}
 }
 
-// keep makes the tasks parseJSON read from doc into what a dispatcher holds.
-func keep(doc []byte, rs []received) []Relayed {
+// keep makes the tasks parseJSON read from r's document into what a
+// dispatcher holds.
+func keep(r *jsonwire.Reader, rs []received) []Relayed {
 	n := 0
 	for i := range rs {
 		n += rs[i].end - rs[i].rest
@@ -214,18 +221,18 @@ func keep(doc []byte, rs []received) []Relayed {
 	var b strings.Builder
 	b.Grow(n)
 	for i := range rs {
-		b.Write(doc[rs[i].rest:rs[i].end])
+		b.Write(r.Between(rs[i].rest, rs[i].end))
 	}
 	all, at := b.String(), 0
 	out := make([]Relayed, len(rs))
 	for i := range rs {
-		r := &rs[i]
-		out[i] = r.Relayed
-		out[i].Rest = all[at : at+r.end-r.rest]
-		if r.n > 0 {
-			out[i].Dataset = out[i].Rest[r.plain-r.rest : r.plain-r.rest+r.n]
+		t := &rs[i]
+		out[i] = t.Relayed
+		out[i].Rest = all[at : at+t.end-t.rest]
+		if t.n > 0 {
+			out[i].Dataset = out[i].Rest[t.plain-t.rest : t.plain-t.rest+t.n]
 		}
-		at += r.end - r.rest
+		at += t.end - t.rest
 	}
 	return out
 }

@@ -193,9 +193,15 @@ func (d *Dispatcher) handleDestroyInstance(_ *wsrpc.Peer, body json.RawMessage) 
 	return struct{}{}, nil
 }
 
-func (d *Dispatcher) handleSubmit(_ *wsrpc.Peer, body json.RawMessage) (any, error) {
+func (d *Dispatcher) handleSubmit(p *wsrpc.Peer, body json.RawMessage) (any, error) {
+	s, _ := p.Scratch().(*task.Scratch) // the connection's (DESIGN.md §9, "Scratch")
+	if s == nil {
+		s = new(task.Scratch)
+	}
 	var req fproto.Bundle
-	if err := req.DecodeInterned(body, d.internEPR); err != nil {
+	err := req.DecodeInterned(body, d.internEPR, s)
+	p.KeepScratch(s)
+	if err != nil {
 		return nil, badBody(err)
 	}
 	f := getFx()

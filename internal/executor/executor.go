@@ -25,6 +25,7 @@ import (
 	"falkon/internal/backoff"
 	"falkon/internal/faultinj"
 	"falkon/internal/fproto"
+	"falkon/internal/jsonwire"
 	"falkon/internal/obs"
 	"falkon/internal/task"
 	"falkon/internal/wsrpc"
@@ -139,8 +140,11 @@ type Executor struct {
 	// a slot, and one for the read loop to decode into.
 	pushed chan *fproto.GetWorkReply
 	free   chan *fproto.GetWorkReply
-	stop   chan struct{}
-	done   chan struct{}
+	// readers are the grant decoders, whose chunks outlive a grant (DESIGN.md
+	// §9, "Chunks"): [0] the read loop's, for pushes, and [1+i] slot i's.
+	readers []jsonwire.Reader
+	stop    chan struct{}
+	done    chan struct{}
 
 	mu       sync.Mutex
 	active   int
@@ -172,12 +176,13 @@ func Start(opts Options) (*Executor, error) {
 		return nil, fmt.Errorf("executor %s: no dispatcher address", opts.ID)
 	}
 	e := &Executor{
-		opts:   opts,
-		wake:   make(chan struct{}, opts.Slots),
-		pushed: make(chan *fproto.GetWorkReply, opts.Slots),
-		free:   make(chan *fproto.GetWorkReply, opts.Slots+1),
-		stop:   make(chan struct{}),
-		done:   make(chan struct{}),
+		opts:    opts,
+		wake:    make(chan struct{}, opts.Slots),
+		pushed:  make(chan *fproto.GetWorkReply, opts.Slots),
+		free:    make(chan *fproto.GetWorkReply, opts.Slots+1),
+		readers: make([]jsonwire.Reader, opts.Slots+1),
+		stop:    make(chan struct{}),
+		done:    make(chan struct{}),
 	}
 	e.reg = opts.Metrics
 	if e.reg == nil {
@@ -217,7 +222,7 @@ func Start(opts Options) (*Executor, error) {
 		wg.Add(1)
 		go func() {
 			defer wg.Done()
-			e.workLoop()
+			e.workLoop(&e.readers[1+i])
 		}()
 	}
 	go func() {
@@ -296,7 +301,7 @@ func (e *Executor) onNotify(method string, body json.RawMessage) {
 		default: // the first pushes, or more grants than slots
 			g = new(fproto.GetWorkReply)
 		}
-		if err := g.DecodeJSON(body); err != nil {
+		if err := g.DecodeKept(body, &e.readers[0]); err != nil {
 			e.logf("executor %s: work grant: %v", e.opts.ID, err)
 			e.release(g)
 			return
@@ -421,9 +426,10 @@ func (e *Executor) shutdown(reason string) bool {
 
 // workLoop is one slot's serve loop: wait for a notification, pull work —
 // unless the notification brought it — and keep running piggy-backed
-// assignments until the dispatcher runs dry.
-func (e *Executor) workLoop() {
+// assignments until the dispatcher runs dry. rd is the slot's grant decoder.
+func (e *Executor) workLoop(rd *jsonwire.Reader) {
 	var ps slot
+	ps.pulled.rd, ps.acked.rd = rd, rd
 	for {
 		var idleC <-chan time.Time
 		var idleTimer *time.Timer
@@ -499,10 +505,18 @@ type slot struct {
 	over    []float64
 	traces  []uint64 // the batch's trace IDs, which its results do not carry
 	ask     fproto.GetWorkRequest
-	pulled  fproto.GetWorkReply
+	pulled  grant
 	deliver fproto.DeliverRequest
-	acked   fproto.DeliverReply
+	acked   grant // a DeliverReply
 }
+
+// grant is a reply a slot decodes through its grant decoder, rd.
+type grant struct {
+	fproto.GetWorkReply
+	rd *jsonwire.Reader
+}
+
+func (g *grant) DecodeJSON(b []byte) error { return g.DecodeKept(b, g.rd) }
 
 // traceAssigned records how a batch of assignments reached this executor,
 // after whatever events ps has gathered.

@@ -379,3 +379,50 @@ func TestScratchGrantHolderReturnedDuringDecode(t *testing.T) {
 	}
 	f.checkEchoes(t, grants*each)
 }
+
+// What an idle executor keeps of the grants it decoded: each of its Slots+1
+// grant decoders (the read loop's, for pushed grants, and one a slot, for the
+// replies to its pulls and Delivers) keeps its chunks from grant to grant,
+// each within a 4 KiB size class — at most (Slots+1) × 8 KiB, however many
+// grants went through, after a run shaped as the repo benchmark's direct-bulk
+// (bundles of 64 `sleep 0` tasks with a 16-byte argument of their own, 512 in
+// flight).
+func TestIdleExecutorKeepsBoundedChunks(t *testing.T) {
+	for _, slots := range []int{1, 4} {
+		t.Run(fmt.Sprintf("slots=%d", slots), func(t *testing.T) {
+			d := dispatch.New(dispatch.Options{Logf: t.Logf})
+			if err := d.Listen("127.0.0.1:0"); err != nil {
+				t.Fatal(err)
+			}
+			defer d.Close()
+			ex, err := executor.Start(executor.Options{ID: "bulk", DispatcherAddr: d.Addr(), Slots: slots, Logf: t.Logf})
+			if err != nil {
+				t.Fatal(err)
+			}
+			c, err := client.Connect(client.Options{DispatcherAddr: d.Addr(), BundleSize: 64})
+			if err != nil {
+				t.Fatal(err)
+			}
+			defer c.Close()
+			var gen task.IDGen
+			for range 40 {
+				ts := task.Batch(&gen, 512, 0)
+				for i := range ts {
+					ts[i].Args = []string{fmt.Sprintf("%016x", uint64(ts[i].ID))}
+				}
+				if err := c.Submit(ts); err != nil {
+					t.Fatal(err)
+				}
+				if _, err := c.WaitN(len(ts), 20*time.Second); err != nil {
+					t.Fatal(err)
+				}
+			}
+			ex.Stop() // what the idle executor held, read once its goroutines are done
+			held, bound := executor.DecodeChunks(ex), (slots+1)*8<<10
+			t.Logf("%d slots: %d bytes of decode chunks after 20,480 tasks", slots, held)
+			if held == 0 || held > bound {
+				t.Errorf("an idle %d-slot executor keeps %d bytes of decode chunks, want some and at most %d", slots, held, bound)
+			}
+		})
+	}
+}

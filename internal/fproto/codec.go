@@ -177,10 +177,10 @@ func (m *SubmitRequest) DecodeJSON(b []byte) error {
 }
 
 // DecodeInterned decodes b, a SubmitRequest's JSON, into m, with the EPR
-// shared through known, and the tasks read in one pass and kept as a
-// dispatcher holds them (task.ReadRelayed). A body outside the canonical
+// shared through known, and the tasks read in one pass through s and kept as
+// a dispatcher holds them (task.ReadRelayed). A body outside the canonical
 // layout goes to encoding/json, is counted, and has its tasks encoded again.
-func (m *Bundle) DecodeInterned(b []byte, known Intern) error {
+func (m *Bundle) DecodeInterned(b []byte, known Intern, s *task.Scratch) error {
 	var r jsonwire.Reader
 	r.Reset(b)
 	*m = Bundle{}
@@ -189,7 +189,7 @@ func (m *Bundle) DecodeInterned(b []byte, known Intern) error {
 	r.Expect(`,"tasks":`)
 	if !r.Lit(`null`) {
 		r.Expect(`[`)
-		m.Tasks = task.ReadRelayed(&r)
+		m.Tasks = task.ReadRelayed(&r, s)
 	}
 	r.Expect(`}`)
 	if r.OK() {
@@ -336,6 +336,15 @@ func (m *GetWorkReply) DecodeJSON(b []byte) error {
 	r.Reset(b)
 	*m = GetWorkReply{Assignments: parseAssignments(&r, m.Assignments)}
 	return finish(&r, b, m)
+}
+
+// DecodeKept decodes b into m through r, which an executor keeps from grant to
+// grant: the strings go on filling r's chunks (jsonwire.Reader.Next; DESIGN.md
+// §9, "Chunks").
+func (m *GetWorkReply) DecodeKept(b []byte, r *jsonwire.Reader) error {
+	r.Next(b)
+	*m = GetWorkReply{Assignments: parseAssignments(r, m.Assignments)}
+	return finish(r, b, m)
 }
 
 // AppendJSON appends m's JSON encoding to dst.

@@ -233,7 +233,7 @@ func TestRelayedIsWhatWasSent(t *testing.T) {
 		epr := g.str()
 		sent := SubmitRequest{EPR: epr, Tasks: tasks}.AppendJSON(nil)
 		var b Bundle
-		if err := b.DecodeInterned(sent, nil); err != nil {
+		if err := b.DecodeInterned(sent, nil, new(task.Scratch)); err != nil {
 			t.Fatal(err)
 		}
 		if got := b.AppendJSON(nil); !bytes.Equal(got, sent) {
@@ -353,7 +353,7 @@ func TestDecodeInterned(t *testing.T) {
 		t.Fatalf("a repeated string was not shared with the element before: %+v", d)
 	}
 	var s Bundle
-	if err := s.DecodeInterned([]byte(`{"epr":"falkon-instance-1","tasks":null}`), known); err != nil || !same(s.EPR, epr) {
+	if err := s.DecodeInterned([]byte(`{"epr":"falkon-instance-1","tasks":null}`), known, new(task.Scratch)); err != nil || !same(s.EPR, epr) {
 		t.Fatalf("Bundle: %+v, %v", s, err)
 	}
 	var n ResultsNotify
@@ -446,7 +446,7 @@ func checkRelay(t *testing.T, data []byte) {
 	var b Bundle
 	buf := bytes.Clone(data)
 	before := CodecFallbacks.Value()
-	berr := b.DecodeInterned(buf, nil)
+	berr := b.DecodeInterned(buf, nil, new(task.Scratch))
 	fellBack := CodecFallbacks.Value() != before
 	for i := range buf {
 		buf[i] = '#' // the relayed bytes are copies
@@ -655,6 +655,17 @@ func TestCodecAllocs(t *testing.T) {
 	}); n != 5 {
 		t.Errorf("DecodeJSON of a one-assignment DeliverReply into a fresh value allocates %.0f times, want 5", n)
 	}
+	// As an executor decodes it, through the reader its slot keeps: the Args
+	// slice and its string are carved from chunks that last grant after grant,
+	// one chunk pair in every 256 or so such replies (DESIGN.md §9, "Chunks").
+	var rd jsonwire.Reader
+	if n := testing.AllocsPerRun(100, func() {
+		if err := reply.DecodeKept(body, &rd); err != nil {
+			t.Fatal(err)
+		}
+	}); n != 0 {
+		t.Errorf("DecodeKept of a one-assignment DeliverReply through a kept reader allocates %.0f times, want 0", n)
+	}
 
 	// A bundle of results from one executor, push after push into the one
 	// value a client holds: nothing. The first result's Stdout and executor ID
@@ -737,8 +748,9 @@ func TestDecodeAllocsDoNotGrowWithTheBundle(t *testing.T) {
 		}
 		known := func([]byte) string { return req.EPR }
 		var bundle Bundle
+		var scratch task.Scratch
 		before := CodecFallbacks.Value()
-		if allocs := testing.AllocsPerRun(20, func() { _ = bundle.DecodeInterned(body, known) }); allocs != 2 || CodecFallbacks.Value() != before {
+		if allocs := testing.AllocsPerRun(20, func() { _ = bundle.DecodeInterned(body, known, &scratch) }); allocs != 2 || CodecFallbacks.Value() != before {
 			t.Errorf("DecodeInterned of a %d-task Bundle allocates %.0f times, want 2", n, allocs)
 		}
 		if relayed := (SubmitRequest{EPR: bundle.EPR, Tasks: relayedTasks(bundle.Tasks)}); !reflect.DeepEqual(relayed, req) {
@@ -967,11 +979,12 @@ func BenchmarkRelay(b *testing.B) {
 	body := s.submit.AppendJSON(nil)
 	known := func([]byte) string { return s.submit.EPR }
 	var bundle Bundle
+	var scratch task.Scratch
 	b.Run("decode", func(b *testing.B) {
 		b.ReportAllocs()
 		b.SetBytes(int64(len(body)))
 		for i := 0; i < b.N; i++ {
-			if err := bundle.DecodeInterned(body, known); err != nil {
+			if err := bundle.DecodeInterned(body, known, &scratch); err != nil {
 				b.Fatal(err)
 			}
 		}

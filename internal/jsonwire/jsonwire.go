@@ -316,21 +316,36 @@ func hex4(p []byte) (r rune, n int) {
 // Slices returned by Str alias the input or the reader's scratch and are
 // valid only until the next call. What String, Interned and Strings return is
 // copied out of the input into chunks the whole document shares (DESIGN.md
-// §9, "Body codec"): one allocation serves every element's strings, and
-// keeping one of them keeps its chunk — at most this document's strings.
+// §9, "Chunks"): one allocation serves every element's strings, and keeping
+// one of them keeps its chunk — this document's strings, or a kept chunk's.
 type Reader struct {
 	doc     []byte
 	at      int    // doc[:at] is read; an offset, so that advancing stores no pointer (no write barrier)
 	scratch []byte // unescape buffer, reused from string to string
 	bad     bool
+	kept    bool            // the chunks outlive the document (Next)
 	left    int             // elements Elems estimated and Elem has not yet reached
 	chunk   strings.Builder // string bytes; a Builder never rewrites what it has handed out
 	spare   []string        // the unused tail of the chunk Strings carves from
+	heads   int             // the capacity of that chunk
 }
+
+// A kept chunk is at most a 4 KiB size class: 4,096 bytes of strings, or 255
+// string headers, which with the 8-byte malloc header a pointer-bearing object
+// over 512 bytes carries fill the class exactly.
+const keptBytes, keptHeads = 4 << 10, (4<<10 - 8) / 16
 
 // Reset points the reader at a new document, which shares no chunk with the
 // last one.
 func (r *Reader) Reset(p []byte) { *r = Reader{doc: p, scratch: r.scratch} }
+
+// Next points the reader at a new document whose strings go on filling the
+// chunks the last one's did, kept chunks where Reset would drop them. No chunk
+// is written where it has handed something out.
+func (r *Reader) Next(p []byte) { r.doc, r.at, r.bad, r.left, r.kept = p, 0, false, 0, true }
+
+// Chunks is the bytes of the chunks the reader holds between documents.
+func (r *Reader) Chunks() int { return r.chunk.Cap() + 16*r.heads }
 
 // rest is what is left of the document.
 func (r *Reader) rest() []byte { return r.doc[r.at:] }
@@ -480,23 +495,27 @@ const MaxElems = 1024
 // need for this element and as much again for each one still to come, or
 // twice the full chunk of was units it replaces when that is more — an
 // element with many strings grows its chunks as append would — but never
-// more than the document has bytes left to fill.
-func (r *Reader) room(need, was, size int) int {
-	return min(max(need*(max(r.left, 0)+1), 2*was), need+(len(r.doc)-r.at)/size)
+// more than the document has bytes left to fill, or, kept, than limit units.
+func (r *Reader) room(need, was, size, limit int) int {
+	if !r.kept {
+		limit = need + (len(r.doc)-r.at)/size
+	}
+	return min(max(need*(max(r.left, 0)+1), 2*was), limit)
 }
 
-// keep copies b, which Str returned, into the document's string chunk. run
+// keep copies b, which Str returned, into the reader's string chunk. run
 // says b is one of a run of values that differ from element to element — an
 // argument, a field unlike the previous element's — and a chunk with no room
 // for it is then replaced by one with room for the run; any other value that
 // does not fit is allocated by itself, as the one such value a document
-// usually has (its tasks' command, say) should be.
+// usually has (its tasks' command, say) should be, and so is one larger than
+// a kept chunk.
 func (r *Reader) keep(b []byte, run bool) string {
 	if len(b) > r.chunk.Cap()-r.chunk.Len() {
-		if !run {
+		if !run || r.kept && len(b) > keptBytes {
 			return string(b)
 		}
-		n := r.room(len(b), r.chunk.Cap(), 1)
+		n := r.room(len(b), r.chunk.Cap(), 1, keptBytes)
 		r.chunk.Reset()
 		r.chunk.Grow(n)
 	}
@@ -523,21 +542,25 @@ func (r *Reader) SkipStrings() {
 // Strings reads an array of strings; like encoding/json, an empty array
 // yields an empty non-nil slice. The slices of one document are carved from
 // a shared chunk, each clipped to its length so that appending to one cannot
-// reach the next.
+// reach the next. An array larger than a kept chunk is allocated by itself,
+// and the chunk kept.
 func (r *Reader) Strings() []string {
 	r.Expect(`[`)
-	ss := r.spare
+	ss, heads, alone := r.spare, r.heads, false
 	for r.elem(len(ss)) {
 		s := r.keep(r.Str(), true)
-		if len(ss) == cap(ss) {
-			ss = append(make([]string, 0, r.room(len(ss)+1, len(ss), 16)), ss...)
+		if alone = alone || r.kept && len(ss) >= keptHeads; len(ss) == cap(ss) && !alone {
+			ss = append(make([]string, 0, r.room(len(ss)+1, heads, 16, keptHeads)), ss...)
+			heads = cap(ss)
 		}
 		ss = append(ss, s)
 	}
 	if len(ss) == 0 {
 		return []string{}
 	}
-	r.spare = ss[len(ss):]
+	if !alone {
+		r.spare, r.heads = ss[len(ss):], heads
+	}
 	return ss[:len(ss):len(ss)]
 }
 

@@ -4,6 +4,7 @@ import (
 	"strings"
 	"sync"
 	"time"
+	"unsafe"
 
 	"falkon/internal/jsonwire"
 )
@@ -88,29 +89,24 @@ func Relay(tasks []Task) []Relayed {
 	return out
 }
 
-// scratch holds what ReadRelayed reads a bundle's tasks into before it keeps
+// Scratch is what ReadRelayed reads a bundle's tasks into before it keeps
 // them: one pass cannot know how many tasks a bundle has, or how many bytes
-// they keep, before it has read them all. A scratch is presized to the
-// estimate jsonwire.Reader.Elems makes (at most jsonwire.MaxElems), grown by
-// append past it, and put back only when the bundle it served had at most
-// maxScratch tasks: the largest bundle this repository sends, its tests'
-// 4,096 (the repo benchmark sends 64 and 1). So every scratch the pool keeps
-// has served only such bundles, and holds at most 5,034 tasks of 96 B (what
-// append grows 1,024 to for 4,096), some 480 KB.
-var scratch = sync.Pool{New: func() any { return new([]received) }}
-
-const maxScratch = 4096
+// they keep, before it has read them all. It is owned by whoever decodes — a
+// dispatcher's is the connection's the submit came in on (DESIGN.md §9,
+// "Scratch") — and used by one decode at a time. It grows by append to the
+// largest bundle its owner reads, and is made anew, as a connection's read
+// buffer is, once it is over 1 MiB and a bundle uses under an eighth of it.
+type Scratch struct{ rs []received }
 
 // ReadRelayed reads the tasks of an array whose `[` has been consumed, through
-// its `]`, as a dispatcher holds them. It reads them in one pass, each as
+// its `]`, as a dispatcher holds them, in s. It reads them in one pass, each as
 // Task.ParseJSON would and keeping only what a dispatcher reads, and then
 // makes them two allocations of exactly their size: the slice, and one string
 // of every task's Rest, of which a dataset whose literal is its contents is a
 // substring. Nothing of the reader's document is kept. A reader that failed
 // keeps nothing and returns nil.
-func ReadRelayed(r *jsonwire.Reader) []Relayed {
-	s := scratch.Get().(*[]received)
-	rs := (*s)[:0]
+func ReadRelayed(r *jsonwire.Reader, s *Scratch) []Relayed {
+	rs := s.rs[:0]
 	if cap(rs) == 0 {
 		rs = make([]received, 0, r.Elems())
 	}
@@ -123,9 +119,10 @@ func ReadRelayed(r *jsonwire.Reader) []Relayed {
 		out = keep(r, rs)
 	}
 	clear(rs) // an escaped dataset is a string of its own
-	if *s = rs[:0]; len(rs) <= maxScratch {
-		scratch.Put(s)
+	if cap(rs)*int(unsafe.Sizeof(received{})) > 1<<20 && len(rs) < cap(rs)/8 {
+		rs = nil
 	}
+	s.rs = rs[:0]
 	return out
 }
 

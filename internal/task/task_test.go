@@ -7,6 +7,9 @@ import (
 	"testing"
 	"testing/quick"
 	"time"
+	"unsafe"
+
+	"falkon/internal/jsonwire"
 )
 
 func TestEngineStringRoundTrip(t *testing.T) {
@@ -232,5 +235,47 @@ func TestResultBufferTakeAndWake(t *testing.T) {
 	}
 	if got := b.Take(0); got != nil {
 		t.Fatalf("empty Take = %v", got)
+	}
+}
+
+// A Scratch is kept under the rule a connection's read buffer is: grown to the
+// largest bundle it reads, and made anew once it is over 1 MiB and a bundle
+// uses under an eighth of it.
+func TestScratchKeepsUnderTheBufferRule(t *testing.T) {
+	bundle := func(n int) []byte {
+		b := []byte(`[`)
+		for i := range n {
+			if i > 0 {
+				b = append(b, ',')
+			}
+			b = (&Task{ID: ID(i + 1), Command: "sleep", Args: []string{"0123456789abcdef"}}).AppendJSON(b)
+		}
+		return append(b, ']')
+	}
+	var s Scratch
+	read := func(n int) int {
+		var r jsonwire.Reader
+		r.Reset(bundle(n))
+		r.Expect(`[`)
+		if got := ReadRelayed(&r, &s); len(got) != n || !r.OK() || got[n-1].ID != ID(n) {
+			t.Fatalf("read %d of %d tasks", len(got), n)
+		}
+		return cap(s.rs)
+	}
+	if c := read(4096); c < 4096 {
+		t.Fatalf("a 4,096-task bundle left a scratch of %d", c)
+	}
+	if c := read(1); c < 4096 {
+		t.Errorf("a 1-task bundle dropped a %d-task scratch, under 1 MiB", c)
+	}
+	big := read(16384)
+	if size := big * int(unsafe.Sizeof(received{})); size <= 1<<20 {
+		t.Fatalf("a 16,384-task scratch is %d B, want over 1 MiB", size)
+	}
+	if c := read(big/8 + 1); c != big {
+		t.Errorf("a bundle using an eighth of a %d-task scratch left %d", big, c)
+	}
+	if c := read(64); c >= big {
+		t.Errorf("a 64-task bundle kept a %d-task scratch", c)
 	}
 }

@@ -380,8 +380,9 @@ type Peer struct {
 	tx     *obs.Counter // server tx byte counter; nil when unmetered
 	faults ConnFaults   // notify-duplication seam; nil in production
 
-	mu   sync.Mutex
-	meta any
+	mu      sync.Mutex
+	meta    any
+	scratch any // what a handler keeps on the connection from call to call (Scratch)
 }
 
 // ID returns a server-unique connection id.
@@ -396,6 +397,15 @@ func (p *Peer) SetMeta(v any) { p.mu.Lock(); p.meta = v; p.mu.Unlock() }
 
 // Meta returns the state stored by SetMeta.
 func (p *Peer) Meta() any { p.mu.Lock(); defer p.mu.Unlock(); return p.meta }
+
+// Scratch hands a handler what the connection keeps for it from call to call,
+// a decoder's scratch say, until KeepScratch gives it back: nil the first time,
+// and while another call on the connection has it. Fast handlers run one at a
+// time on the read session, so each finds what the one before it kept.
+func (p *Peer) Scratch() (v any) { p.mu.Lock(); v, p.scratch = p.scratch, nil; p.mu.Unlock(); return v }
+
+// KeepScratch gives the connection what Scratch handed out, for the next call.
+func (p *Peer) KeepScratch(v any) { p.mu.Lock(); p.scratch = v; p.mu.Unlock() }
 
 // Notify pushes a one-way notification to the peer. It is safe to call from
 // any goroutine.

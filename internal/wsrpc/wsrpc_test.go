@@ -192,6 +192,61 @@ func TestPeerMetaAndDisconnectCallback(t *testing.T) {
 	}
 }
 
+// A connection's scratch is held by one call at a time: calls on their own
+// goroutines that find it taken make their own, and every call writes all of
+// what it holds, which -race reports if two ever share one. Fast handlers,
+// one at a time on the read session, always find the last one's.
+func TestPeerScratchIsOneCallsAtATime(t *testing.T) {
+	s := NewServer(ServerOptions{Logf: func(string, ...any) {}})
+	use := func(p *Peer, body json.RawMessage) (any, error) {
+		made := 0
+		v, _ := p.Scratch().(*[]byte)
+		if v == nil {
+			v, made = new([]byte), 1
+		}
+		*v = append((*v)[:0], body...)
+		for i := range *v {
+			(*v)[i]++
+		}
+		p.KeepScratch(v)
+		return made, nil
+	}
+	s.Register("slow", use)
+	s.RegisterFast("fast", use)
+	if err := s.Listen("127.0.0.1:0"); err != nil {
+		t.Fatal(err)
+	}
+	defer s.Close()
+	c, err := Dial(s.Addr(), ClientOptions{})
+	if err != nil {
+		t.Fatal(err)
+	}
+	defer c.Close()
+	var wg sync.WaitGroup
+	for range 8 {
+		wg.Add(1)
+		go func() {
+			defer wg.Done()
+			for range 50 {
+				if err := c.Call("slow", "concurrent", nil); err != nil {
+					t.Error(err)
+					return
+				}
+			}
+		}()
+	}
+	wg.Wait()
+	for i := range 20 {
+		var made int
+		if err := c.Call("fast", "serial", &made); err != nil {
+			t.Fatal(err)
+		}
+		if made != 0 {
+			t.Fatalf("fast call %d found no scratch on its connection", i)
+		}
+	}
+}
+
 func TestClientCloseFailsPendingCalls(t *testing.T) {
 	s := NewServer(ServerOptions{Logf: func(string, ...any) {}})
 	block := make(chan struct{})

@@ -1,12 +1,13 @@
-// Command falkon-executor runs one or more Falkon executors against a
-// dispatcher, the way the provisioner's GRAM requests would start them on
-// compute nodes.
+// Command falkon-executor runs one Falkon executor against a dispatcher, the
+// way the provisioner's GRAM requests would start one on each compute node.
+// Its capacity is -slots: one executor with N slots pulls what N executors
+// would, over one connection and one registration (DESIGN.md §3).
 //
 // Usage:
 //
-//	falkon-executor -dispatcher host:7523                 # one executor
-//	falkon-executor -dispatcher host:7523 -n 8 -slots 2   # eight dual-slot executors
-//	falkon-executor -dispatcher host:7523 -idle 60s       # distributed release
+//	falkon-executor -dispatcher host:7523              # one slot
+//	falkon-executor -dispatcher host:7523 -slots 8     # eight concurrent tasks
+//	falkon-executor -dispatcher host:7523 -idle 60s    # distributed release
 package main
 
 import (
@@ -15,7 +16,6 @@ import (
 	"log"
 	"os"
 	"os/signal"
-	"sync"
 	"syscall"
 	"time"
 
@@ -29,9 +29,8 @@ import (
 func main() {
 	var (
 		dispatcher = flag.String("dispatcher", "127.0.0.1:7523", "dispatcher address")
-		name       = flag.String("name", "", "executor id prefix (default: host-pid)")
-		n          = flag.Int("n", 1, "number of executors to run in this process")
-		slots      = flag.Int("slots", 1, "concurrent tasks per executor (one per processor in the paper)")
+		name       = flag.String("name", "", "executor id (default: host-pid)")
+		slots      = flag.Int("slots", 1, "concurrent tasks (the paper runs one per processor)")
 		idle       = flag.Duration("idle", 0, "distributed release: deregister after this idle time (0 = never)")
 		prefetch   = flag.Int("prefetch", 0, "cap on tasks per work pull (0 = sized by the executor up to the protocol cap of 64, 1 = the paper's per-task dispatch)")
 		secure     = flag.Bool("secure", false, "use the secure-conversation transport profile")
@@ -48,11 +47,10 @@ func main() {
 		host, _ := os.Hostname()
 		*name = fmt.Sprintf("%s-%d", host, os.Getpid())
 	}
-	// One registry for every executor in the process, so /metrics is the
-	// whole process's view.
 	reg := obs.NewRegistry()
 	obs.RegisterBuildInfo(reg, "executor")
 	opts := executor.Options{
+		ID:               *name,
 		DispatcherAddr:   *dispatcher,
 		Slots:            *slots,
 		IdleTimeout:      *idle,
@@ -83,31 +81,17 @@ func main() {
 		opts.PSK = key
 	}
 
-	var wg sync.WaitGroup
-	execs := make([]*executor.Executor, 0, *n)
-	for i := 0; i < *n; i++ {
-		o := opts
-		o.ID = fmt.Sprintf("%s-%d", *name, i)
-		ex, err := executor.Start(o)
-		if err != nil {
-			log.Fatalf("falkon-executor: start %s: %v", o.ID, err)
-		}
-		log.Printf("executor %s registered with %s", o.ID, *dispatcher)
-		execs = append(execs, ex)
-		wg.Add(1)
-		go func() {
-			defer wg.Done()
-			<-ex.Done()
-			log.Printf("executor %s stopped after %d tasks", ex.ID(), ex.TasksRun())
-		}()
+	ex, err := executor.Start(opts)
+	if err != nil {
+		log.Fatalf("falkon-executor: start %s: %v", opts.ID, err)
 	}
+	log.Printf("executor %s registered with %s", opts.ID, *dispatcher)
 
-	if *debugAddr != "" && len(execs) > 0 {
-		// Traces come from the first executor; metrics cover all of them.
+	if *debugAddr != "" {
 		ds, err := obs.ServeDebugOpts(*debugAddr, obs.DebugOptions{
 			Snap:       func() obs.MetricsSnapshot { return fproto.NoteCodec(reg.Snapshot()) },
-			Tracer:     execs[0].Tracer(),
-			SpanHeader: execs[0].SpanHeader,
+			Tracer:     ex.Tracer(),
+			SpanHeader: ex.SpanHeader,
 		})
 		if err != nil {
 			log.Fatalf("falkon-executor: debug server: %v", err)
@@ -118,19 +102,16 @@ func main() {
 
 	sig := make(chan os.Signal, 1)
 	signal.Notify(sig, os.Interrupt, syscall.SIGTERM)
-	done := make(chan struct{})
-	go func() { wg.Wait(); close(done) }()
 	select {
 	case <-sig:
 		log.Println("falkon-executor: stopping")
-		for _, ex := range execs {
-			ex.Stop()
-		}
+		go ex.Stop()
 		// Bounded wait for clean deregistration.
 		select {
-		case <-done:
+		case <-ex.Done():
 		case <-time.After(10 * time.Second):
 		}
-	case <-done: // all executors idle-released
+	case <-ex.Done(): // idle release, or the dispatcher lost
 	}
+	log.Printf("executor %s stopped after %d tasks", ex.ID(), ex.TasksRun())
 }

@@ -150,7 +150,7 @@ const (
 func TestBinariesEndToEnd(t *testing.T) {
 	bin := buildBinaries(t)
 	_, dispAddr := startDispatcher(t, bin, ephemeral, "-quiet", "-stats-every", "0")
-	startProc(t, filepath.Join(bin, "falkon-executor"), "-dispatcher", dispAddr, "-n", "2")
+	startProc(t, filepath.Join(bin, "falkon-executor"), "-dispatcher", dispAddr, "-slots", "2")
 
 	out, err := exec.Command(filepath.Join(bin, "falkon-submit"),
 		"-dispatcher", dispAddr, "-sleep0", "200", "-bundle", "20", "-timeout", "60s").CombinedOutput()
@@ -159,6 +159,57 @@ func TestBinariesEndToEnd(t *testing.T) {
 	}
 	if !strings.Contains(string(out), "completed 200 tasks (0 failed)") {
 		t.Fatalf("submit output: %s", out)
+	}
+}
+
+// A falkon-executor started with -idle runs what it is given, then releases
+// itself: it deregisters, and the process exits 0 once its one executor is
+// done.
+func TestBinariesExecutorIdleExits(t *testing.T) {
+	bin := buildBinaries(t)
+	_, dispAddr := startDispatcher(t, bin, ephemeral, "-quiet", "-stats-every", "0")
+	c, err := client.Connect(client.Options{DispatcherAddr: dispAddr, BundleSize: 8})
+	if err != nil {
+		t.Fatal(err)
+	}
+	defer c.Close()
+	// Queued before the executor registers, so that its idle time cannot run
+	// out before it has been given them.
+	const n = 8
+	var gen task.IDGen
+	if err := c.Submit(task.Batch(&gen, n, 10*time.Millisecond)); err != nil {
+		t.Fatal(err)
+	}
+	ex := exec.Command(filepath.Join(bin, "falkon-executor"), "-dispatcher", dispAddr, "-slots", "2", "-idle", "200ms")
+	var out strings.Builder
+	ex.Stdout, ex.Stderr = &out, &out
+	if err := ex.Start(); err != nil {
+		t.Fatal(err)
+	}
+	t.Cleanup(func() { ex.Process.Kill() })
+	exited := make(chan error, 1)
+	go func() { exited <- ex.Wait() }()
+
+	if _, err := c.WaitN(n, 30*time.Second); err != nil {
+		t.Fatal(err)
+	}
+	select {
+	case err := <-exited:
+		if err != nil {
+			t.Fatalf("falkon-executor after its idle release: %v, want exit 0\n%s", err, out.String())
+		}
+	case <-time.After(30 * time.Second):
+		t.Fatal("falkon-executor still running 30 s after its last task, with -idle 200ms")
+	}
+	if !strings.Contains(out.String(), "idle for 200ms, released") || !strings.Contains(out.String(), fmt.Sprintf("stopped after %d tasks", n)) {
+		t.Fatalf("falkon-executor output:\n%s", out.String())
+	}
+	st, err := c.Stats()
+	if err != nil {
+		t.Fatal(err)
+	}
+	if st.TotalExecutors != 0 {
+		t.Fatalf("%d executors registered after the only one exited, want 0", st.TotalExecutors)
 	}
 }
 
@@ -201,7 +252,7 @@ func TestBinariesThreeTier(t *testing.T) {
 func TestBinariesRootDrainsOnSIGTERM(t *testing.T) {
 	bin := buildBinaries(t)
 	_, leaf := startDispatcher(t, bin, ephemeral, "-quiet", "-stats-every", "0")
-	startProc(t, filepath.Join(bin, "falkon-executor"), "-dispatcher", leaf, "-n", "2")
+	startProc(t, filepath.Join(bin, "falkon-executor"), "-dispatcher", leaf, "-slots", "2")
 	root, rootAddr := startDispatcher(t, bin, ephemeral, "-leaves", leaf, "-quiet", "-stats-every", "0")
 
 	cl, err := client.Connect(client.Options{DispatcherAddr: rootAddr, BundleSize: 20})
@@ -209,7 +260,7 @@ func TestBinariesRootDrainsOnSIGTERM(t *testing.T) {
 		t.Fatal(err)
 	}
 	defer cl.Close()
-	// 40 x 50ms over two single-slot executors: a second of work, all of it
+	// 40 x 50ms over two slots: a second of work, all of it
 	// acknowledged by the root when the signal lands.
 	var gen task.IDGen
 	ts := make([]task.Task, 40)
@@ -681,9 +732,9 @@ func TestBinariesCrashRecovery(t *testing.T) {
 		"-journal-dir", t.TempDir(), "-journal-sync", "group"}
 	disp, dispAddr := startDispatcher(t, bin, ephemeral, dispArgs...)
 	startProc(t, filepath.Join(bin, "falkon-executor"), "-dispatcher", dispAddr,
-		"-n", "2", "-reconnect", "-reconnect-timeout", "60s")
+		"-slots", "2", "-reconnect", "-reconnect-timeout", "60s")
 
-	// A workload long enough (400 x 30ms over 2 single-slot executors, ~6s)
+	// A workload long enough (400 x 30ms over two slots, ~6s)
 	// that the kill below is guaranteed to land mid-run.
 	submit := exec.Command(filepath.Join(bin, "falkon-submit"),
 		"-dispatcher", dispAddr, "-sleep0", "400", "-sleep", "30ms",

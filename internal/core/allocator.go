@@ -14,8 +14,8 @@ import (
 // modelling LRM queue wait plus executor bootstrap (the paper observed
 // 5–65 s; tests use milliseconds).
 type LocalAllocator struct {
-	// Template supplies executor options; ID, IdleTimeout and Allocation
-	// are overwritten per executor.
+	// Template supplies executor options; ID and IdleTimeout are
+	// overwritten per executor.
 	Template executor.Options
 	// StartupDelay is the simulated allocation latency before each executor
 	// registers.
@@ -66,7 +66,6 @@ func (l *LocalAllocator) Allocate(n int, idleTimeout time.Duration) (string, err
 			opts := l.Template
 			opts.ID = fmt.Sprintf("%s-exec-%d", id, i)
 			opts.IdleTimeout = idleTimeout
-			opts.Allocation = id
 			ex, err := executor.Start(opts)
 			l.mu.Lock()
 			l.pending--

@@ -64,9 +64,12 @@ func TestSerialRoundSyscalls(t *testing.T) {
 	}
 	r1, w1, _ := obs.Syscalls()
 	reads, writes := float64(r1-r0)/rounds, float64(w1-w0)/rounds
-	t.Logf("%.3f reads and %.3f writes per task", reads, writes)
 	// The count is the process's: the odd write of the runtime's own (a log
 	// line, a timer's wake-up pipe) is let through, a seventh per task is not.
+	// The census (scripts/flakes.sh) reads the writes over six, so that a
+	// reading is near its ceiling only when those odd writes are.
+	t.Logf("budget: %s read(2) per task %.3f <= 6.5", t.Name(), reads)
+	t.Logf("budget: %s write(2) per task over six %.3f <= 0.02", t.Name(), writes-6)
 	if writes < 6 || writes > 6.02 {
 		t.Errorf("%.3f write(2) per unqueued task, want 6.000 (one per frame)", writes)
 	}

@@ -40,7 +40,8 @@ const (
 // weighs them.
 func TestBytesPerConnectedExecutor(t *testing.T) {
 	w := weighConnected(t, connectedExecutors)
-	t.Logf("%.0f bytes of heap and %.0f of stack per connected idle executor", w.heap, w.stack)
+	t.Logf("budget: %s heap bytes per connected idle executor %.0f <= %d", t.Name(), w.heap, connectedExecutorBytesCeiling)
+	t.Logf("budget: %s stack bytes per connected idle executor %.0f <= %d", t.Name(), w.stack, connectedExecutorStackCeiling)
 	if w.heap > connectedExecutorBytesCeiling {
 		t.Errorf("%.0f bytes of heap per connected idle executor, budget %d", w.heap, connectedExecutorBytesCeiling)
 	}

@@ -171,10 +171,9 @@ type Pusher interface {
 }
 
 // execRef is the transport state hung off a sched.Exec (via Ref): where the
-// executor's pushes go and its provisioner allocation.
+// executor's pushes go.
 type execRef struct {
-	peer       Pusher
-	allocation string
+	peer Pusher
 	// rtt is the executor's last pull round trip as the dispatcher saw it:
 	// reply sent to results delivered, less the run time the results report.
 	// It is the declared run time one grant may hold (assignLocked); zero,

@@ -390,7 +390,7 @@ func (d *Dispatcher) Register(req fproto.RegisterRequest, to Pusher) fproto.Regi
 		ex = d.core.AddExec(req.ExecutorID, req.Slots)
 		// Its slots are not parked until they say so: what is queued now is
 		// announced, never pushed ahead of the register reply.
-		ex.Ref = &execRef{peer: to, allocation: req.Allocation, grants: req.AcceptsGrants}
+		ex.Ref = &execRef{peer: to, grants: req.AcceptsGrants}
 	}
 	d.core.Offer(ex)
 	d.notifyLocked(f, d.now())

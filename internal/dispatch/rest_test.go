@@ -106,7 +106,7 @@ func TestBytesPerTaskAtRest(t *testing.T) {
 				if !ok {
 					continue
 				}
-				t.Logf("%-11s %6.1f bytes per task", stage, perTask[stage])
+				t.Logf("budget: %s %s bytes per task %.1f <= %.0f", t.Name(), stage, perTask[stage], ceiling)
 				if perTask[stage] > ceiling {
 					t.Errorf("%s: %.1f bytes per task, budget %.0f", stage, perTask[stage], ceiling)
 				}
@@ -174,9 +174,10 @@ const idleExecutors = 10_000
 
 // What a dispatcher holds per registered idle executor, through the seam
 // (Register with an in-process Pusher, so no connection): its 16-byte ID, the
-// core's 80-byte sched.Exec, the dispatcher's 64-byte execRef, and its entries
+// core's 80-byte sched.Exec, the dispatcher's 48-byte execRef, and its entries
 // in the core's executor map and idle list (~50 bytes at their load). Measured
-// 212.6–213.1 bytes at -cpu 1, 2 and 4; the ceiling is that plus 15 %. A wsrpc
+// 212.6–213.1 bytes at -cpu 1, 2 and 4 while execRef held the allocation label
+// nothing read, 196.6 since; the ceiling is the first plus 15 %. A wsrpc
 // connection behind each executor adds ~100 KB: EXPERIMENTS.md "The trace ring
 // holds no pointers".
 const idleExecutorBytesCeiling = 245
@@ -196,7 +197,7 @@ func TestBytesPerIdleExecutor(t *testing.T) {
 	if st := d.Stats(); st.TotalExecutors != idleExecutors {
 		t.Fatalf("%d executors registered, want %d", st.TotalExecutors, idleExecutors)
 	}
-	t.Logf("%.1f bytes per registered idle executor", per)
+	t.Logf("budget: %s bytes per registered idle executor %.1f <= %d", t.Name(), per, idleExecutorBytesCeiling)
 	if per > idleExecutorBytesCeiling {
 		t.Errorf("%.1f bytes per registered idle executor, budget %d", per, idleExecutorBytesCeiling)
 	}

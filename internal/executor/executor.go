@@ -55,18 +55,18 @@ type Options struct {
 	// Prefetch caps the tasks asked for in one work pull (dispatcher->executor
 	// bundling). Under the cap the executor sizes each ask itself (see
 	// PullSizer); 0, the default, is the protocol cap of 64, and 1 is the
-	// paper's per-task dispatch.
+	// paper's per-task dispatch. falkon-executor's -prefetch sets it;
+	// ROADMAP item 4 decides whether the cap earns its place.
 	Prefetch int
 	// SleepScale compresses (or stretches) synthetic sleep durations;
-	// default 1.0. Tests use small values so logical seconds pass quickly.
+	// default 1.0. core.Config passes it through, so that the examples and
+	// falkon-workflow can make logical seconds pass quickly.
 	SleepScale float64
-	// Allocation labels the provisioner allocation that started this
-	// executor.
-	Allocation string
 	// Funcs registers EngineFunc bodies by Task.Command.
 	Funcs map[string]Func
 	// DataCost computes synthetic staging time for EngineData tasks; nil
-	// means staging is free.
+	// means staging is free. core.Config passes it through; the stacking
+	// example prices its staging with it.
 	DataCost func(io task.IOSpec) time.Duration
 	// ExecTimeout bounds EngineExec process run time (0 = none).
 	ExecTimeout time.Duration
@@ -76,8 +76,6 @@ type Options struct {
 	// latency, state transitions) plus the wsrpc client's per-method stats.
 	// When nil a private registry is created (see Executor.Metrics).
 	Metrics *obs.Registry
-	// TraceCapacity bounds the task-lifecycle trace ring (default 8192).
-	TraceCapacity int
 
 	// Reconnect keeps the executor alive across dispatcher restarts: on a
 	// dropped connection it re-registers with jittered exponential backoff
@@ -93,8 +91,8 @@ type Options struct {
 	// result-then-die) and transport faults on the dispatcher connection
 	// (chaos testing only).
 	Faults *faultinj.Injector
-	// CrashFunc is what an injected crash calls (default os.Exit); tests
-	// substitute a recorder.
+	// CrashFunc is what an injected crash calls (default os.Exit). A test
+	// substitutes a recorder, since os.Exit would end the test binary.
 	CrashFunc func(code int)
 }
 
@@ -188,7 +186,7 @@ func Start(opts Options) (*Executor, error) {
 	if e.reg == nil {
 		e.reg = obs.NewRegistry()
 	}
-	e.tracer = obs.NewTracer(opts.TraceCapacity)
+	e.tracer = obs.NewTracer(0)
 	e.cDone = e.reg.Counter("falkon_executor_tasks_total")
 	e.cFailed = e.reg.Counter("falkon_executor_failures_total")
 	e.cBusy = e.reg.Counter(obs.Labeled("falkon_executor_transitions_total", "state", "busy"))
@@ -243,7 +241,6 @@ func (e *Executor) register(cli *wsrpc.Client, _ int) error {
 	err := cli.Call(fproto.MethodRegister, fproto.RegisterRequest{
 		ExecutorID:    e.opts.ID,
 		Slots:         e.opts.Slots,
-		Allocation:    e.opts.Allocation,
 		AcceptsGrants: true,
 	}, &reply)
 	if err != nil {

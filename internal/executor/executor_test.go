@@ -325,7 +325,7 @@ func TestExecTimeoutKillsRunawayProcess(t *testing.T) {
 // they happen or, as now, in one call per batch. Stamps never run backwards.
 func TestTraceRingIsBatchAfterBatch(t *testing.T) {
 	d := startDispatcher(t)
-	ex, err := executor.Start(executor.Options{ID: "ring-exec", DispatcherAddr: d.Addr(), TraceCapacity: 1 << 14, Logf: t.Logf})
+	ex, err := executor.Start(executor.Options{ID: "ring-exec", DispatcherAddr: d.Addr(), Logf: t.Logf})
 	if err != nil {
 		t.Fatal(err)
 	}

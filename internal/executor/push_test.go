@@ -103,7 +103,6 @@ func startFakeDispatcher(t *testing.T) *fakeDispatcher {
 		var req struct { // the request as it was before AcceptsGrants
 			ExecutorID string `json:"executor_id"`
 			Slots      int    `json:"slots"`
-			Allocation string `json:"allocation,omitempty"`
 		}
 		if err := json.Unmarshal(body, &req); err != nil {
 			return nil, err

@@ -79,6 +79,8 @@ func TestTreeHopAllocBudget(t *testing.T) {
 	direct, tree := median(objects[0]), median(objects[1])
 	directBytes, treeBytes := median(bytes[0]), median(bytes[1])
 	t.Logf("direct %.2f, tree %.2f allocations per task; direct %.0f, tree %.0f bytes", direct, tree, directBytes, treeBytes)
+	t.Logf("budget: %s hop allocations per task %.2f <= %.2f", t.Name(), tree-direct, treeHopCeiling)
+	t.Logf("budget: %s hop bytes per task %.0f <= %d", t.Name(), treeBytes-directBytes, treeHopBytesCeiling)
 	if hop := tree - direct; hop > treeHopCeiling {
 		t.Errorf("the tree hop costs %.2f allocations per task (%.2f against %.2f direct), budget %.2f", hop, tree, direct, treeHopCeiling)
 	}
@@ -106,7 +108,7 @@ type budgetTier struct {
 // the first two batches after a smaller one read 300 to 1,000 B a task more.
 func newBudgetTier(t *testing.T, tree bool) *budgetTier {
 	t.Helper()
-	front, leaves := bootTier(t, tree, 2, dispatch.Options{})
+	front, leaves := bootTier(t, tree, 2, 1, dispatch.Options{})
 	c, err := client.Connect(client.Options{DispatcherAddr: front, BundleSize: 4096})
 	if err != nil {
 		t.Fatal(err)
@@ -178,10 +180,11 @@ func (b *budgetTier) restartLeaf(t *testing.T) {
 	}
 }
 
-// bootTier boots execs one-slot executors under one dispatcher, or spread
-// over two leaves of a root, and returns the address a client dials and the
-// leaves. opts configures each leaf, and its security profile the executors'.
-func bootTier(tb testing.TB, tree bool, execs int, opts dispatch.Options) (front string, leaves []*dispatch.Dispatcher) {
+// bootTier boots execs executors of slots slots each under one dispatcher, or
+// spread over two leaves of a root, and returns the address a client dials and
+// the leaves. opts configures each leaf, and its security profile the
+// executors'.
+func bootTier(tb testing.TB, tree bool, execs, slots int, opts dispatch.Options) (front string, leaves []*dispatch.Dispatcher) {
 	tb.Helper()
 	leaf := func(i int) *dispatch.Dispatcher {
 		o := opts
@@ -195,7 +198,7 @@ func bootTier(tb testing.TB, tree bool, execs int, opts dispatch.Options) (front
 		leaves = append(leaves, leaf(1))
 	}
 	for i := 0; i < execs; i++ {
-		startExec(tb, executor.Options{ID: fmt.Sprintf("budget-e%d", i), DispatcherAddr: leaves[i%len(leaves)].Addr(), Security: opts.Security, PSK: opts.PSK})
+		startExec(tb, executor.Options{ID: fmt.Sprintf("budget-e%d", i), DispatcherAddr: leaves[i%len(leaves)].Addr(), Slots: slots, Security: opts.Security, PSK: opts.PSK})
 	}
 	if !tree {
 		return leaves[0].Addr(), leaves
@@ -219,22 +222,25 @@ func bootTier(tb testing.TB, tree bool, execs int, opts dispatch.Options) (front
 // bundles of 64 from one client connection, 512 tasks in flight in a closed
 // loop. plain is direct-bulk, journal journal-bulk (group commit, fsync a
 // no-op), tree tree-bulk (a root over two leaves); no workload of the repo
-// benchmark runs the other three: secure is the plain load with every
+// benchmark runs the other four: secure is the plain load with every
 // connection under the secure profile, fair the plain load through a
-// dispatcher with eight tenants declared (the client's the first), and
+// dispatcher with eight tenants declared (the client's the first),
 // tree-journal the tree over journaled leaves, each with a journal directory
-// of its own (a root keeps no journal). It reports the process's
-// heap allocations per task, objects and bytes, as the repo benchmark counts
-// them, and on linux its read(2) and write(2) calls per task, every
-// connection's both ends included; tree minus plain is what a hop of the tree
-// costs.
+// of its own (a root keeps no journal), and slots the plain load on one
+// executor of four slots, which is what one falkon-executor process is
+// (DESIGN.md §3). It reports the process's heap allocations per task, objects
+// and bytes, as the repo benchmark counts them, and on linux its read(2) and
+// write(2) calls per task, every connection's both ends included; tree minus
+// plain is what a hop of the tree costs, and slots against plain is one
+// worker process against four.
 func BenchmarkBulkRound(b *testing.B) {
 	for _, tc := range []struct {
 		name                        string
 		tree, journal, secure, fair bool
+		slots                       int // each executor's; four slots in all
 	}{
 		{name: "plain"}, {name: "journal", journal: true}, {name: "tree", tree: true}, {name: "secure", secure: true},
-		{name: "fair", fair: true}, {name: "tree-journal", tree: true, journal: true},
+		{name: "fair", fair: true}, {name: "tree-journal", tree: true, journal: true}, {name: "slots", slots: 4},
 	} {
 		b.Run(tc.name, func(b *testing.B) {
 			var opts dispatch.Options
@@ -251,7 +257,8 @@ func BenchmarkBulkRound(b *testing.B) {
 				}
 				tenant = opts.Tenants[0].Name
 			}
-			front, _ := bootTier(b, tc.tree, 4, opts)
+			slots := max(tc.slots, 1)
+			front, _ := bootTier(b, tc.tree, 4/slots, slots, opts)
 			c, err := client.Connect(client.Options{DispatcherAddr: front, BundleSize: bulkBundle, Security: opts.Security, PSK: opts.PSK, Tenant: tenant})
 			if err != nil {
 				b.Fatal(err)

@@ -206,7 +206,10 @@ func TestOldLeafCapacityWireCompat(t *testing.T) {
 // dispatcher reads the new request as the old one, and a new dispatcher reads
 // an old request as "does not accept grants". (The grant itself is a
 // GetWorkReply body, pinned above, under a method name old executors ignore;
-// WorkAvailable is pinned above too.)
+// WorkAvailable is pinned above too.) An old executor also labelled its
+// provisioner allocation, which nothing read and the request no longer
+// carries: the request is decoded by encoding/json, so one that still sends
+// the label registers as if it had not.
 func TestRegisterRequestWireCompat(t *testing.T) {
 	type oldRegisterRequest struct {
 		ExecutorID string `json:"executor_id"`
@@ -218,7 +221,6 @@ func TestRegisterRequestWireCompat(t *testing.T) {
 		golden string
 	}{
 		{RegisterRequest{ExecutorID: "exec-3", Slots: 1}, `{"executor_id":"exec-3","slots":1}`},
-		{RegisterRequest{ExecutorID: "exec-3", Slots: 4, Allocation: "alloc-7"}, `{"executor_id":"exec-3","slots":4,"allocation":"alloc-7"}`},
 		{RegisterRequest{ExecutorID: "exec-3", Slots: 1, AcceptsGrants: true}, `{"executor_id":"exec-3","slots":1,"accepts_grants":true}`},
 	} {
 		enc, err := json.Marshal(tc.msg)
@@ -226,7 +228,7 @@ func TestRegisterRequestWireCompat(t *testing.T) {
 			t.Errorf("Marshal(%+v) = %s (%v), want %s", tc.msg, enc, err, tc.golden)
 		}
 		var old oldRegisterRequest
-		if err := json.Unmarshal(enc, &old); err != nil || old != (oldRegisterRequest{tc.msg.ExecutorID, tc.msg.Slots, tc.msg.Allocation}) {
+		if err := json.Unmarshal(enc, &old); err != nil || old != (oldRegisterRequest{ExecutorID: tc.msg.ExecutorID, Slots: tc.msg.Slots}) {
 			t.Errorf("old dispatcher read %s as %+v (%v)", enc, old, err)
 		}
 		oldBytes, _ := json.Marshal(old)
@@ -234,5 +236,10 @@ func TestRegisterRequestWireCompat(t *testing.T) {
 		if err := json.Unmarshal(oldBytes, &back); err != nil || back.AcceptsGrants {
 			t.Errorf("new dispatcher read the old request %s as %+v (%v)", oldBytes, back, err)
 		}
+	}
+	labelled, _ := json.Marshal(oldRegisterRequest{ExecutorID: "exec-3", Slots: 4, Allocation: "alloc-7"})
+	var back RegisterRequest
+	if err := json.Unmarshal(labelled, &back); err != nil || back != (RegisterRequest{ExecutorID: "exec-3", Slots: 4}) {
+		t.Errorf("new dispatcher read the labelled request %s as %+v (%v)", labelled, back, err)
 	}
 }

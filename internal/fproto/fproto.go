@@ -204,9 +204,6 @@ type RegisterRequest struct {
 	// Slots is the executor's concurrent task capacity (the paper maps one
 	// executor per processor, so this is usually 1).
 	Slots int `json:"slots"`
-	// Allocation labels the provisioner allocation that created this
-	// executor ("" for statically started executors).
-	Allocation string `json:"allocation,omitempty"`
 	// AcceptsGrants announces that the executor runs assignments pushed to it
 	// in a NotifyWorkGrant. An executor that predates the field never sends
 	// it and is only ever told that work is available; a dispatcher that

@@ -11,8 +11,8 @@
 #   ./scripts/allocs.sh -bench 'BenchmarkBulkRound/tree-journal' ./internal/forward/
 #
 # (plain, journal and tree are the repo benchmark's bulk workloads; secure,
-# fair — eight tenants declared — and tree-journal — journaled leaves — are the
-# configurations it does not run. With -bench the name's last element is
+# fair — eight tenants declared —, tree-journal — journaled leaves — and
+# slots — one four-slot executor — are the configurations it does not run. With -bench the name's last element is
 # matched whole — a `$` is appended — so `…/tree` is the tree row alone, not
 # tree-journal too.)
 #

@@ -21,11 +21,11 @@
 #
 #   budget: <test> <what> <reading> <= <ceiling>
 #
-# (core's within helper writes them): how many, the highest, its ceiling, how
-# many were over it, and how many came within 5 % of it. A budget with any
-# reading within 5 % is flagged: that is a finding, as a failure is, since the
-# next collector or host may push it over. The exit status is 1 when any test
-# failed or any budget is flagged.
+# (every tier-1 budget test writes them): how many, the highest, its
+# ceiling, how many were over it, and how many came within 5 % of it. A
+# budget with any reading within 5 % is flagged: that is a finding, as a
+# failure is, since the next collector or host may push it over. The exit
+# status is 1 when any test failed or any budget is flagged.
 #
 # The logs go to a temporary directory that is removed afterwards, unless
 # -keep names a directory to copy them to.

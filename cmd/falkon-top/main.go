@@ -42,7 +42,7 @@ func main() {
 	}
 	defer c.Close()
 
-	var lastCompleted int64
+	var lastCompleted, lastRecords, lastFsyncs int64
 	lastBundles := map[string]int64{}
 	lastThrottled := map[string]int64{}
 	lastAt := time.Now()
@@ -58,7 +58,8 @@ func main() {
 		// dispatcher's whole uptime, not one poll interval.
 		rate := 0.0
 		elapsed := now.Sub(lastAt).Seconds()
-		if !first {
+		sampled := !first
+		if sampled {
 			rate = float64(st.Completed-lastCompleted) / elapsed
 		}
 		first = false
@@ -145,9 +146,17 @@ func main() {
 			if st.RecoveredTasks > 0 {
 				recovered = fmt.Sprintf(" recovered=%d", st.RecoveredTasks)
 			}
+			// The interval's records per fsync is how many records a commit
+			// carries: only a submit's wakes the committer, and a grant's and
+			// a delivery's ride it (DESIGN.md §10).
+			perFsync := ""
+			if df := st.JournalFsyncs - lastFsyncs; sampled && df > 0 {
+				perFsync = fmt.Sprintf(" records/fsync=%.1f", float64(st.JournalAppends-lastRecords)/float64(df))
+			}
+			lastRecords, lastFsyncs = st.JournalAppends, st.JournalFsyncs
 			// Records, not tasks: one per submit, grant and delivery.
-			fmt.Printf("\033[Kjournal records=%d fsyncs=%d%s\n",
-				st.JournalAppends, st.JournalFsyncs, recovered)
+			fmt.Printf("\033[Kjournal records=%d fsyncs=%d%s%s\n",
+				st.JournalAppends, st.JournalFsyncs, perFsync, recovered)
 			lines++
 		}
 

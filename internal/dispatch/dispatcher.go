@@ -215,6 +215,9 @@ type resultRun struct {
 	peer *wsrpc.Peer
 	inst *instance
 	end  int
+	// encoded says the run's results were encoded as they were journaled:
+	// the run's share of fx.encoded holds their bytes, which the push splices.
+	encoded bool
 }
 
 // notifyPush is one deferred work notification ({3}): work-available, or
@@ -256,11 +259,18 @@ type fx struct {
 	notifies []notifyPush
 	results  []task.Result // pushed results, run after run
 	runs     []resultRun
-	req      fproto.DeliverRequest
-	grant    []fproto.Relay
-	reply    []fproto.Relay       // of grant, what answers the pull being served
-	ack      fproto.SubmitReply   // what answers the submit being served
-	note     fproto.ResultsNotify // the result push being sent
+	// enc is where the results finalized under a journal are encoded, once,
+	// for their complete record and their push: a Deliver's is its
+	// connection's (handleDeliver), as a submit's task.Scratch is. encoded
+	// holds, in order, the bytes of the pushed results of encoded runs.
+	enc     []byte
+	encoded [][]byte
+	req     fproto.DeliverRequest
+	grant   []fproto.Relay
+	reply   []fproto.Relay        // of grant, what answers the pull being served
+	ack     fproto.SubmitReply    // what answers the submit being served
+	note    fproto.ResultsNotify  // the result push being sent
+	spliced fproto.EncodedResults // or that push, of encoded results
 }
 
 func (f *fx) trace(at time.Duration, kind obs.EventKind, trace uint64, id task.ID, epr, exec string) {
@@ -268,14 +278,19 @@ func (f *fx) trace(at time.Duration, kind obs.EventKind, trace uint64, id task.I
 }
 
 // push defers results for inst's client at peer, extending the current run
-// when it is for the same pair.
-func (f *fx) push(peer *wsrpc.Peer, inst *instance, rs ...task.Result) {
+// when it is for the same pair. encoded, when not nil, is the one result's
+// bytes (see fx.enc).
+func (f *fx) push(peer *wsrpc.Peer, inst *instance, encoded []byte, rs ...task.Result) {
 	f.results = append(f.results, rs...)
-	if n := len(f.runs); n > 0 && f.runs[n-1].peer == peer && f.runs[n-1].inst == inst {
-		f.runs[n-1].end = len(f.results)
+	if encoded != nil {
+		f.encoded = append(f.encoded, encoded)
+	}
+	run := resultRun{peer: peer, inst: inst, end: len(f.results), encoded: encoded != nil}
+	if n := len(f.runs); n > 0 && f.runs[n-1].peer == peer && f.runs[n-1].inst == inst && f.runs[n-1].encoded == run.encoded {
+		f.runs[n-1].end = run.end
 		return
 	}
-	f.runs = append(f.runs, resultRun{peer: peer, inst: inst, end: len(f.results)})
+	f.runs = append(f.runs, run)
 }
 
 // fxPool recycles fx backing arrays between handler calls: every Deliver
@@ -291,7 +306,7 @@ func getFx() *fx { return fxPool.Get().(*fx) }
 func putFx(f *fx) {
 	const keep = 1024
 	if cap(f.events) > keep || cap(f.stamps) > keep || cap(f.notifies) > keep || cap(f.results) > keep || cap(f.runs) > keep ||
-		cap(f.req.Results) > keep || cap(f.grant) > keep {
+		cap(f.req.Results) > keep || cap(f.grant) > keep || cap(f.encoded) > keep {
 		*f = fx{}
 	} else {
 		f.events = emptied(f.events)
@@ -299,9 +314,10 @@ func putFx(f *fx) {
 		f.notifies = emptied(f.notifies)
 		f.results = emptied(f.results)
 		f.runs = emptied(f.runs)
+		f.enc, f.encoded = nil, emptied(f.encoded)
 		f.req = fproto.DeliverRequest{Results: emptied(f.req.Results)}
 		f.grant, f.reply = emptied(f.grant), nil
-		f.ack, f.note = fproto.SubmitReply{}, fproto.ResultsNotify{}
+		f.ack, f.note, f.spliced = fproto.SubmitReply{}, fproto.ResultsNotify{}, fproto.EncodedResults{}
 	}
 	fxPool.Put(f)
 }
@@ -409,11 +425,12 @@ type Dispatcher struct {
 	wal            *wal.Journal
 	recoveredTasks int64 // pending tasks rebuilt at the last Listen
 	// granted and done are the bodies of the dispatch and complete records
-	// being gathered, reused from one record to the next; snapMark is the
-	// count of journaled task transitions (transitionsLocked) at the last
-	// snapshot cut. All three are guarded by mu.
+	// being gathered, reused from one record to the next (done's results lie
+	// in the gathering handler's fx.enc); snapMark is the count of journaled
+	// task transitions (transitionsLocked) at the last snapshot cut. All
+	// three are guarded by mu.
 	granted  []wal.TaskRef
-	done     []wal.CompleteRec
+	done     []wal.Finalized
 	snapMark int64
 	// replSrc is the WAL replication source (nil without
 	// Options.Replication). It is fed by the journal's Mirror hook and
@@ -559,9 +576,13 @@ func (d *Dispatcher) flush(f *fx) {
 		d.tracer.Record(n.at, obs.EvNotified, 0, 0, "", n.exec)
 		d.notify(n.peer, fproto.NotifyWorkAvailable, fproto.WorkAvailable{Queued: n.queued})
 	}
-	start := 0
+	start, encoded := 0, f.encoded
 	for _, run := range f.runs {
-		d.pushResults(f, run.peer, run.inst, f.results[start:run.end])
+		var bodies [][]byte
+		if run.encoded {
+			bodies, encoded = encoded[:run.end-start], encoded[run.end-start:]
+		}
+		d.pushResults(f, run.peer, run.inst, f.results[start:run.end], bodies)
 		start = run.end
 	}
 }
@@ -585,10 +606,16 @@ func (d *Dispatcher) notify(p Pusher, method string, body any) error {
 // array; Notify encodes it, from f.note, before returning and the buffer copies.
 // A tree parent's instance is pushed its results without the fields the
 // parent sets itself (fproto.ParentResults); what is buffered stays whole.
-func (d *Dispatcher) pushResults(f *fx, peer *wsrpc.Peer, inst *instance, rs []task.Result) {
+// encoded, when not nil, is rs as they were encoded for the journal, and the
+// push splices them (f.spliced).
+func (d *Dispatcher) pushResults(f *fx, peer *wsrpc.Peer, inst *instance, rs []task.Result, encoded [][]byte) {
 	f.note = fproto.ResultsNotify{EPR: inst.epr, Results: rs}
 	var body any = &f.note
-	if inst.fromParent {
+	switch {
+	case encoded != nil:
+		f.spliced = fproto.EncodedResults{EPR: inst.epr, Results: encoded}
+		body = &f.spliced
+	case inst.fromParent:
 		body = (*fproto.ParentResults)(&f.note)
 	}
 	for peer != nil {
@@ -1223,18 +1250,23 @@ func (d *Dispatcher) journalCompletesLocked() {
 	if len(d.done) == 0 {
 		return
 	}
-	_ = d.wal.AppendCompletes(&wal.CompleteBatchRec{Results: d.done})
-	d.done = emptied(d.done) // the results may hold kilobytes of output
+	_ = d.wal.AppendCompletes(d.done)
+	d.done = emptied(d.done) // the results lie in a handler's buffer
 }
 
 // finalize delivers a finished result to its instance (push or buffer).
 // Callers hold mu; the push itself is deferred into f, and the journal record
 // to the caller's journalCompletesLocked.
 func (d *Dispatcher) finalize(f *fx, tr taskRef, r task.Result) {
+	var encoded []byte
 	if d.wal != nil {
 		// Logged with the payload so undelivered results survive a crash
-		// and are redelivered on recovery (clients dedupe by task ID).
-		d.done = append(d.done, wal.CompleteRec{EPR: tr.epr, Result: r})
+		// and are redelivered on recovery (clients dedupe by task ID). It is
+		// encoded once, for the record and for its push.
+		from := len(f.enc)
+		f.enc = r.AppendJSON(f.enc)
+		encoded = f.enc[from:len(f.enc):len(f.enc)]
+		d.done = append(d.done, wal.Finalized{EPR: tr.epr, Result: encoded})
 	}
 	if r.Failed() {
 		d.core.Counters.Failed++
@@ -1255,7 +1287,10 @@ func (d *Dispatcher) finalize(f *fx, tr taskRef, r task.Result) {
 		delete(inst.live, r.ID) // pushed: discharged, unless pushResults finds the push failed
 		peer := inst.peer
 		inst.mu.Unlock()
-		f.push(peer, inst, r)
+		if inst.fromParent {
+			encoded = nil // pushed without the fields a parent sets
+		}
+		f.push(peer, inst, encoded, r)
 		return
 	}
 	inst.buf.Add(r)

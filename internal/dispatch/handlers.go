@@ -136,7 +136,7 @@ func (d *Dispatcher) reattachInstance(p *wsrpc.Peer, req *fproto.CreateInstanceR
 	inst.notify = req.WantNotifications
 	if inst.notify {
 		if rs := inst.takeResults(0); len(rs) > 0 {
-			f.push(p, inst, rs...)
+			f.push(p, inst, nil, rs...)
 		}
 	}
 	inst.mu.Unlock()
@@ -193,13 +193,26 @@ func (d *Dispatcher) handleDestroyInstance(_ *wsrpc.Peer, body json.RawMessage) 
 	return struct{}{}, nil
 }
 
-func (d *Dispatcher) handleSubmit(p *wsrpc.Peer, body json.RawMessage) (any, error) {
-	s, _ := p.Scratch().(*task.Scratch) // the connection's (DESIGN.md §9, "Scratch")
-	if s == nil {
-		s = new(task.Scratch)
+// connScratch is what a dispatcher keeps on a connection from call to call
+// (DESIGN.md §9, "Scratch"): the scratch its submits are read through, and the
+// buffer its deliveries' results are encoded in when the dispatcher journals
+// (fx.enc).
+type connScratch struct {
+	tasks   task.Scratch
+	results []byte
+}
+
+func scratchOf(p *wsrpc.Peer) *connScratch {
+	if s, _ := p.Scratch().(*connScratch); s != nil {
+		return s
 	}
+	return new(connScratch)
+}
+
+func (d *Dispatcher) handleSubmit(p *wsrpc.Peer, body json.RawMessage) (any, error) {
+	s := scratchOf(p)
 	var req fproto.Bundle
-	err := req.DecodeInterned(body, d.internEPR, s)
+	err := req.DecodeInterned(body, d.internEPR, &s.tasks)
 	p.KeepScratch(s)
 	if err != nil {
 		return nil, badBody(err)
@@ -241,7 +254,7 @@ func (d *Dispatcher) submit(f *fx, req *fproto.Bundle) error {
 		f.ack = fproto.SubmitReply{RetryAfterMillis: retryAfter}
 		return nil
 	}
-	tasks, deduped := req.Tasks, 0
+	tasks, array, deduped := req.Tasks, req.Array, 0
 	inst.mu.Lock()
 	if inst.live != nil {
 		// Idempotent resubmission: drop tasks whose delivery is still owed
@@ -261,7 +274,7 @@ func (d *Dispatcher) submit(f *fx, req *fproto.Bundle) error {
 					fresh = append(fresh, tasks[i])
 				}
 			}
-			tasks = fresh
+			tasks, array = fresh, nil
 		}
 		for i := range tasks {
 			inst.live[tasks[i].ID] = struct{}{}
@@ -286,7 +299,7 @@ func (d *Dispatcher) submit(f *fx, req *fproto.Bundle) error {
 		if d.wal != nil {
 			// Appended under mu, before any pick can see these tasks: the
 			// accept precedes every dispatch/complete for them in the journal.
-			h, werr = d.wal.AppendAccept(req.EPR, inst.tenant, tasks)
+			h, werr = d.wal.AppendAccept(req.EPR, inst.tenant, tasks, array)
 		}
 		d.notifyLocked(f, now)
 	}
@@ -514,7 +527,21 @@ func (d *Dispatcher) handleDeliver(p *wsrpc.Peer, body json.RawMessage) (any, er
 	err := f.req.DecodeInterned(body, func(b []byte) string { return d.internFrom(p, b) })
 	if err != nil {
 		err = badBody(err)
-	} else if err = d.deliver(f, &f.req); err == nil {
+	} else if d.wal == nil {
+		err = d.deliver(f, &f.req)
+	} else {
+		// The results are encoded in the connection's buffer, which is kept
+		// as its read buffer is: made anew only when it is over 1 MiB and a
+		// delivery used under an eighth of it.
+		s := scratchOf(p)
+		f.enc = s.results[:0]
+		err = d.deliver(f, &f.req)
+		if s.results = f.enc[:0]; cap(f.enc) > 1<<20 && len(f.enc) < cap(f.enc)/8 {
+			s.results = nil
+		}
+		p.KeepScratch(s)
+	}
+	if err == nil {
 		return (*grantReply)(f), nil
 	}
 	putFx(f)

@@ -191,6 +191,51 @@ func TestGracefulCloseLeavesNoPending(t *testing.T) {
 	}
 }
 
+// A delivery's complete record is advisory: nobody waits on it, and it rides
+// the next waited commit. With no later submit to ride, it is written once
+// the journal's advisory bound (5 ms, DESIGN.md §10) has passed, so a crash
+// well after the last result finds every task complete.
+func TestCompletesWrittenWithoutLaterSubmit(t *testing.T) {
+	dir := t.TempDir()
+	d := dispatch.New(dispatch.Options{JournalDir: dir, Logf: t.Logf})
+	if err := d.Listen("127.0.0.1:0"); err != nil {
+		t.Fatal(err)
+	}
+	ex, err := executor.Start(executor.Options{ID: "exec-0", DispatcherAddr: d.Addr(), SleepScale: 0.001})
+	if err != nil {
+		t.Fatal(err)
+	}
+	t.Cleanup(ex.Stop)
+	c, err := client.Connect(client.Options{DispatcherAddr: d.Addr()})
+	if err != nil {
+		t.Fatal(err)
+	}
+	t.Cleanup(func() { c.Close() })
+
+	const n = 100
+	var gen task.IDGen
+	if err := c.Submit(task.Batch(&gen, n, 0)); err != nil {
+		t.Fatal(err)
+	}
+	if _, err := c.WaitN(n, 30*time.Second); err != nil {
+		t.Fatal(err)
+	}
+	time.Sleep(250 * time.Millisecond) // fifty times the bound: a loaded host's delay included
+	d.Abort()
+
+	st, j, _, err := wal.Recover(dir, wal.Options{Sync: wal.SyncPolicy{Mode: wal.SyncOff}})
+	if err != nil {
+		t.Fatal(err)
+	}
+	defer j.Close()
+	if len(st.Pending) != 0 {
+		t.Fatalf("%d of %d completed tasks pending after a crash past the bound", len(st.Pending), n)
+	}
+	if len(st.Instances) != 1 || len(st.Instances[0].Results) != n {
+		t.Fatalf("instances = %d, want one holding %d results", len(st.Instances), n)
+	}
+}
+
 // brokenDisk is the real filesystem until broken is set; from then on every
 // write to a journal file fails.
 type brokenDisk struct {

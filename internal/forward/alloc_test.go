@@ -4,11 +4,13 @@ package forward_test
 
 import (
 	"fmt"
+	"os"
 	"path/filepath"
 	"runtime"
 	"runtime/debug"
 	"slices"
 	"strconv"
+	"strings"
 	"testing"
 	"time"
 
@@ -228,23 +230,30 @@ func bootTier(tb testing.TB, tree bool, execs, slots int, opts dispatch.Options)
 // tree-journal the tree over journaled leaves, each with a journal directory
 // of its own (a root keeps no journal), and slots the plain load on one
 // executor of four slots, which is what one falkon-executor process is
-// (DESIGN.md §3). It reports the process's heap allocations per task, objects
-// and bytes, as the repo benchmark counts them, and on linux its read(2) and
-// write(2) calls per task, every connection's both ends included; tree minus
-// plain is what a hop of the tree costs, and slots against plain is one
-// worker process against four.
+// (DESIGN.md §3), and journal-fsync the journal load with every commit
+// fsynced in the benchmark's temporary directory, whose filesystem and device
+// it logs: what a disk adds. It reports the process's heap allocations per
+// task, objects and bytes, as the repo benchmark counts them, and on linux its
+// read(2) and write(2) calls per task, every connection's both ends included;
+// tree minus plain is what a hop of the tree costs, and slots against plain is
+// one worker process against four. A journaled row adds its fsyncs per task.
 func BenchmarkBulkRound(b *testing.B) {
 	for _, tc := range []struct {
-		name                        string
-		tree, journal, secure, fair bool
-		slots                       int // each executor's; four slots in all
+		name                               string
+		tree, journal, fsync, secure, fair bool
+		slots                              int // each executor's; four slots in all
 	}{
 		{name: "plain"}, {name: "journal", journal: true}, {name: "tree", tree: true}, {name: "secure", secure: true},
 		{name: "fair", fair: true}, {name: "tree-journal", tree: true, journal: true}, {name: "slots", slots: 4},
+		{name: "journal-fsync", journal: true, fsync: true},
 	} {
 		b.Run(tc.name, func(b *testing.B) {
 			var opts dispatch.Options
-			if tc.journal {
+			switch {
+			case tc.fsync:
+				opts.JournalDir = b.TempDir()
+				b.Logf("journal in %s on %s", opts.JournalDir, mountOf(opts.JournalDir))
+			case tc.journal:
 				opts.JournalDir, opts.JournalFS = b.TempDir(), noSyncFS{wal.OS}
 			}
 			if tc.secure {
@@ -258,7 +267,13 @@ func BenchmarkBulkRound(b *testing.B) {
 				tenant = opts.Tenants[0].Name
 			}
 			slots := max(tc.slots, 1)
-			front, _ := bootTier(b, tc.tree, 4/slots, slots, opts)
+			front, leaves := bootTier(b, tc.tree, 4/slots, slots, opts)
+			fsyncs := func() (n int64) {
+				for _, d := range leaves {
+					n += d.Stats().JournalFsyncs
+				}
+				return n
+			}
 			c, err := client.Connect(client.Options{DispatcherAddr: front, BundleSize: bulkBundle, Security: opts.Security, PSK: opts.PSK, Tenant: tenant})
 			if err != nil {
 				b.Fatal(err)
@@ -270,10 +285,14 @@ func BenchmarkBulkRound(b *testing.B) {
 			var m0, m1 runtime.MemStats
 			runtime.ReadMemStats(&m0)
 			r0, w0, counted := obs.Syscalls()
+			s0 := fsyncs()
 			b.ResetTimer()
 			closedLoop(b, c, &gen, n)
 			b.StopTimer()
 			r1, w1, _ := obs.Syscalls()
+			if tc.journal {
+				b.ReportMetric(float64(fsyncs()-s0)/float64(n), "fsyncs/task")
+			}
 			runtime.ReadMemStats(&m1)
 			b.ReportMetric(float64(m1.Mallocs-m0.Mallocs)/float64(n), "allocs/task")
 			b.ReportMetric(float64(m1.TotalAlloc-m0.TotalAlloc)/float64(n), "B/task")
@@ -327,6 +346,29 @@ func closedLoop(b *testing.B, c *client.Client, gen *task.IDGen, n int) {
 			submitted = nil
 		}
 	}
+}
+
+// mountOf names the filesystem and device dir is on, from the longest mount
+// point in /proc/self/mountinfo that holds it.
+func mountOf(dir string) string {
+	raw, err := os.ReadFile("/proc/self/mountinfo")
+	if err != nil {
+		return "an unknown filesystem"
+	}
+	best, what := "", "an unknown filesystem"
+	for _, line := range strings.Split(string(raw), "\n") {
+		// 36 35 98:0 /mnt1 /mnt2 rw,noatime master:1 - ext3 /dev/root rw
+		pre, post, ok := strings.Cut(line, " - ")
+		f, g := strings.Fields(pre), strings.Fields(post)
+		if !ok || len(f) < 5 || len(g) < 2 {
+			continue
+		}
+		at := f[4]
+		if strings.HasPrefix(dir, at) && (at == "/" || len(dir) == len(at) || dir[len(at)] == '/') && len(at) >= len(best) {
+			best, what = at, g[0]+" on "+g[1]+" (mounted at "+at+")"
+		}
+	}
+	return what
 }
 
 // noSyncFS is the real filesystem with fsync a no-op, as the repo benchmark

@@ -178,8 +178,9 @@ func (m *SubmitRequest) DecodeJSON(b []byte) error {
 
 // DecodeInterned decodes b, a SubmitRequest's JSON, into m, with the EPR
 // shared through known, and the tasks read in one pass through s and kept as
-// a dispatcher holds them (task.ReadRelayed). A body outside the canonical
-// layout goes to encoding/json, is counted, and has its tasks encoded again.
+// a dispatcher holds them (task.ReadRelayed), and their array's bytes in b. A
+// body outside the canonical layout goes to encoding/json, is counted, and has
+// its tasks encoded again and no Array.
 func (m *Bundle) DecodeInterned(b []byte, known Intern, s *task.Scratch) error {
 	var r jsonwire.Reader
 	r.Reset(b)
@@ -187,10 +188,12 @@ func (m *Bundle) DecodeInterned(b []byte, known Intern, s *task.Scratch) error {
 	r.Expect(`{"epr":`)
 	m.EPR = r.Interned("", known)
 	r.Expect(`,"tasks":`)
+	array := r.Mark()
 	if !r.Lit(`null`) {
 		r.Expect(`[`)
 		m.Tasks = task.ReadRelayed(&r, s)
 	}
+	m.Array = r.Between(array, r.Mark())
 	r.Expect(`}`)
 	if r.OK() {
 		return nil
@@ -462,7 +465,13 @@ func (m *ParentResults) AppendJSON(dst []byte) []byte {
 	})
 }
 
-func appendResults(dst []byte, epr string, rs []task.Result, appendResult func(*task.Result, []byte) []byte) []byte {
+// AppendJSON appends the ResultsNotify m encodes: its results are spliced in
+// as they were encoded.
+func (m *EncodedResults) AppendJSON(dst []byte) []byte {
+	return appendResults(dst, m.EPR, m.Results, func(r *[]byte, dst []byte) []byte { return append(dst, *r...) })
+}
+
+func appendResults[T any](dst []byte, epr string, rs []T, appendResult func(*T, []byte) []byte) []byte {
 	dst = append(dst, `{"epr":`...)
 	dst = jsonwire.AppendString(dst, epr)
 	dst = append(dst, `,"results":`...)

@@ -265,6 +265,25 @@ func TestRelayedIsWhatWasSent(t *testing.T) {
 	}
 }
 
+// A push of results encoded once, for a journal's record too, is the
+// ResultsNotify of those results, byte for byte.
+func TestEncodedResultsIsResultsNotify(t *testing.T) {
+	g := &gen{rand.New(rand.NewSource(3))}
+	for i := 0; i < 300; i++ {
+		rs := make([]task.Result, 1+g.rng.Intn(4))
+		encoded := make([][]byte, len(rs))
+		for j := range rs {
+			rs[j] = g.result()
+			encoded[j] = rs[j].AppendJSON(nil)
+		}
+		epr := g.str()
+		want := ResultsNotify{EPR: epr, Results: rs}.AppendJSON(nil)
+		if got := (&EncodedResults{EPR: epr, Results: encoded}).AppendJSON(nil); !bytes.Equal(got, want) {
+			t.Fatalf("EncodedResults encodes\n %s\nResultsNotify\n %s", got, want)
+		}
+	}
+}
+
 // DecodeJSON overwrites: a field the body omits is zero afterwards, whatever
 // the receiver held (json.Unmarshal would keep it).
 func TestDecodeJSONOverwritesReceiver(t *testing.T) {
@@ -448,6 +467,10 @@ func checkRelay(t *testing.T, data []byte) {
 	before := CodecFallbacks.Value()
 	berr := b.DecodeInterned(buf, nil, new(task.Scratch))
 	fellBack := CodecFallbacks.Value() != before
+	array := bytes.Clone(b.Array) // which aliases the body
+	if berr == nil && fellBack != (b.Array == nil) {
+		t.Fatalf("Bundle %q: fallback %v and array %q: an array is kept from the fast path alone", data, fellBack, b.Array)
+	}
 	for i := range buf {
 		buf[i] = '#' // the relayed bytes are copies
 	}
@@ -466,8 +489,13 @@ func checkRelay(t *testing.T, data []byte) {
 		// instead of their digits. (The first `,"tasks":` ends the EPR: a
 		// quote a literal holds is escaped.)
 		sent := data[bytes.Index(data, []byte(`,"tasks":`))+len(`,"tasks":`) : len(data)-1]
-		if relayed := task.AppendArray(nil, b.Tasks, (*task.Relayed).AppendJSON); !bytes.Equal(relayed, sent) {
+		relayed := task.AppendArray(nil, b.Tasks, (*task.Relayed).AppendJSON)
+		if !bytes.Equal(relayed, sent) {
 			t.Fatalf("Bundle %q relays its tasks as\n %s\nnot as sent\n %s", data, relayed, sent)
+		}
+		// A journal copies the array in place of relaying its tasks.
+		if !bytes.Equal(array, relayed) {
+			t.Fatalf("Bundle %q keeps its array as\n %s\nand relays it as\n %s", data, array, relayed)
 		}
 	}
 	relays := make([]Relay, len(b.Tasks))
@@ -506,6 +534,25 @@ func checkRelay(t *testing.T, data []byte) {
 			t.Fatalf("Bundle %q: task %d relayed as\n %+v\nwant %+v", data, i, got.Assignments[i].Task, w)
 		}
 	}
+}
+
+// A submit read on the fast path keeps its task array's bytes, which are what
+// its relayed tasks encode: escapes as sent, a trace of 0 that was sent, and
+// IDs of twenty digits included. One that took the fallback keeps none.
+func TestBundleArrayIsItsRelayedTasks(t *testing.T) {
+	for _, body := range []string{
+		`{"epr":"e","tasks":[{"id":18446744073709551615,"args":["q\"uo\\te \u00e9 <>&\u2028"],"trace":0},{"id":1,"engine":1,"duration":5,"trace":18446744073709551615}]}`,
+		`{"epr":"e","tasks":[{"id":12345678901234567890,"engine":2,"io":{"read_bytes":1,"dataset":"d\/x"},"max_retries":3}]}`,
+		`{"epr":"e","tasks":[]}`,
+		`{"epr":"e","tasks":null}`,
+	} {
+		before := CodecFallbacks.Value()
+		checkRelay(t, []byte(body))
+		if CodecFallbacks.Value() != before {
+			t.Fatalf("%s took the fallback", body)
+		}
+	}
+	checkRelay(t, []byte(`{"epr":"e", "tasks":[{"id":1}]}`)) // the fallback
 }
 
 // FuzzBodyCodec: on arbitrary bytes DecodeJSON and json.Unmarshal agree on

@@ -132,6 +132,10 @@ type SubmitRequest struct {
 type Bundle struct {
 	EPR   string
 	Tasks []task.Relayed
+	// Array is the task array as received, when DecodeInterned read it on the
+	// fast path: the bytes task.AppendArray writes of Tasks with
+	// task.Relayed.AppendJSON. It aliases the decoded body.
+	Array []byte
 }
 
 // SubmitReply acknowledges a bundle. When the dispatcher journals, the
@@ -298,6 +302,15 @@ type WorkAvailable struct {
 type ResultsNotify struct {
 	EPR     string        `json:"epr"`
 	Results []task.Result `json:"results"`
+}
+
+// EncodedResults is a ResultsNotify whose results are already encoded, each
+// the bytes task.Result.AppendJSON writes: a dispatcher that journals encodes
+// a result once, for its complete record and for this push. It is sent, never
+// decoded.
+type EncodedResults struct {
+	EPR     string
+	Results [][]byte
 }
 
 // ParentResults is a ResultsNotify as pushed to a tree parent: its results leave

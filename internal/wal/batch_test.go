@@ -277,22 +277,33 @@ func TestAppendMatchesEncodingJSON(t *testing.T) {
 		want = appendRecord(want, r.kind, body)
 	}
 	// The typed entry points, against the same records through Append: an
-	// accept of relayed tasks is an AcceptRec's, byte for byte.
-	if _, err := j.AppendAccept(accept.EPR, accept.Tenant, task.Relay(accept.Tasks)); err != nil {
+	// accept of relayed tasks is an AcceptRec's, byte for byte, and so is one
+	// of their array's bytes; a complete record of encoded results is a
+	// CompleteBatchRec's.
+	relayed := task.Relay(accept.Tasks)
+	if _, err := j.AppendAccept(accept.EPR, accept.Tenant, relayed, nil); err != nil {
+		t.Fatal(err)
+	}
+	array := task.AppendArray(nil, relayed, (*task.Relayed).AppendJSON)
+	if _, err := j.AppendAccept(accept.EPR, accept.Tenant, nil, array); err != nil {
 		t.Fatal(err)
 	}
 	if err := j.AppendDispatches(&grant); err != nil {
 		t.Fatal(err)
 	}
-	if err := j.AppendCompletes(&done); err != nil {
+	var fin []Finalized
+	for _, c := range done.Results {
+		fin = append(fin, Finalized{EPR: c.EPR, Result: c.Result.AppendJSON(nil)})
+	}
+	if err := j.AppendCompletes(fin); err != nil {
 		t.Fatal(err)
 	}
-	for _, i := range []int{1, 7, 8} {
+	for _, i := range []int{1, 1, 7, 8} {
 		body, _ := json.Marshal(recs[i].v)
 		want = appendRecord(want, recs[i].kind, body)
 	}
-	if got := j.Appends(); got != int64(len(recs)+3) {
-		t.Fatalf("appends = %d, want %d", got, len(recs)+3)
+	if got := j.Appends(); got != int64(len(recs)+4) {
+		t.Fatalf("appends = %d, want %d", got, len(recs)+4)
 	}
 	if err := j.Close(); err != nil {
 		t.Fatal(err)

@@ -69,6 +69,13 @@ type CompleteBatchRec struct {
 	Results []CompleteRec `json:"results"`
 }
 
+// Finalized is one CompleteRec as AppendCompletes takes it: the result is the
+// JSON task.Result.AppendJSON wrote of it.
+type Finalized struct {
+	EPR    string
+	Result []byte
+}
+
 // The per-task records encode themselves: appendJSON appends what
 // json.Marshal would (field order, omitempty) up to the string escapes
 // jsonwire leaves out (<, >, &, U+2028, U+2029), which decode the same, and
@@ -77,16 +84,19 @@ type CompleteBatchRec struct {
 // these writers.
 
 func (rec *AcceptRec) appendJSON(dst []byte) []byte {
-	return appendAccept(dst, rec.EPR, rec.Tasks, (*task.Task).AppendJSON, rec.Tenant)
+	dst = task.AppendArray(appendAcceptHead(dst, rec.EPR), rec.Tasks, (*task.Task).AppendJSON)
+	return appendAcceptTail(dst, rec.Tenant)
 }
 
-// appendAccept is the one writer of an accept record's body, whose tasks are
-// Tasks or, from a dispatcher, its relayed tasks.
-func appendAccept[T any](dst []byte, epr string, tasks []T, appendTask func(*T, []byte) []byte, tenant string) []byte {
+// appendAcceptHead and appendAcceptTail write an accept record's body around
+// its task array, which is Tasks or, from a dispatcher, its relayed tasks.
+func appendAcceptHead(dst []byte, epr string) []byte {
 	dst = append(dst, `{"epr":`...)
 	dst = jsonwire.AppendString(dst, epr)
-	dst = append(dst, `,"tasks":`...)
-	dst = task.AppendArray(dst, tasks, appendTask)
+	return append(dst, `,"tasks":`...)
+}
+
+func appendAcceptTail(dst []byte, tenant string) []byte {
 	if tenant != "" {
 		dst = append(dst, `,"tenant":`...)
 		dst = jsonwire.AppendString(dst, tenant)
@@ -113,11 +123,15 @@ func appendTaskRef(dst []byte, epr string, id task.ID) []byte {
 }
 
 func (rec *CompleteRec) appendJSON(dst []byte) []byte {
+	return append(rec.Result.AppendJSON(appendCompleteHead(dst, rec.EPR)), '}')
+}
+
+// appendCompleteHead appends {"epr":…,"result": and leaves the object open
+// for its result.
+func appendCompleteHead(dst []byte, epr string) []byte {
 	dst = append(dst, `{"epr":`...)
-	dst = jsonwire.AppendString(dst, rec.EPR)
-	dst = append(dst, `,"result":`...)
-	dst = rec.Result.AppendJSON(dst)
-	return append(dst, '}')
+	dst = jsonwire.AppendString(dst, epr)
+	return append(dst, `,"result":`...)
 }
 
 func (rec *DispatchBatchRec) appendJSON(dst []byte) []byte {

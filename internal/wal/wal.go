@@ -81,26 +81,40 @@ type Options struct {
 	Mirror func(batch []byte)
 }
 
-// Handle is one AppendWait's durability barrier: the commit batch its record
-// joined.
-type Handle struct{ b *batch }
+// Handle is one waited append's durability barrier: the number of the commit
+// its record goes out in.
+type Handle struct {
+	j   *Journal
+	gen uint64
+}
 
 // Wait blocks until the record is committed per the sync policy and
 // returns the write error, if any. The zero Handle waits for nothing.
 func (h Handle) Wait() error {
-	if h.b == nil {
+	j := h.j
+	if j == nil {
 		return nil
 	}
-	<-h.b.done
-	return h.b.err
+	j.mu.Lock()
+	defer j.mu.Unlock()
+	for j.committed < h.gen && j.err == nil {
+		j.flushed.Wait()
+	}
+	if j.committed >= h.gen {
+		return nil
+	}
+	return j.err
 }
 
-// batch is the completion every AppendWait in one commit batch shares: the
-// flush that takes the batch sets err and closes done.
-type batch struct {
-	done chan struct{}
-	err  error
-}
+// advisoryBound is how long an advisory record — one nobody waits on — waits
+// for a commit to ride: past it the committer writes it alone. Losing that
+// tail in a crash only re-runs tasks (DESIGN.md §10). It is a variable so
+// that tests can stretch it.
+var advisoryBound = 5 * time.Millisecond
+
+// advisoryBytes is the buffered size past which an append wakes the committer
+// whether or not anyone waits on it.
+const advisoryBytes = 1 << 20
 
 var (
 	errClosed  = errors.New("wal: journal closed")
@@ -109,8 +123,10 @@ var (
 
 // Journal is a segmented append-only write-ahead log. Appends go to one
 // buffer under a short mutex, and a committer goroutine flushes it, so many
-// concurrent appends amortize one write+fsync (group commit). Every write to
-// a segment is a flush (see flush).
+// concurrent appends amortize one write+fsync (group commit). Only an append
+// someone waits on wakes the committer; an advisory one rides the next such
+// commit, or is written once the buffer passes advisoryBytes or advisoryBound
+// after it. Every write to a segment is a flush (see flush).
 type Journal struct {
 	dir  string
 	opts Options
@@ -129,8 +145,16 @@ type Journal struct {
 	// spare recycles the buffer the last flush wrote, so steady-state
 	// appends never grow a fresh array.
 	spare []byte
-	// cur is the buffered batch's completion, made by its first AppendWait.
-	cur    *batch
+	// gen is the number of the commit the buffered records go out in, and
+	// committed the last commit written per the sync policy; flushed is
+	// broadcast once a flush is done, written or failed.
+	gen       uint64
+	committed uint64
+	flushed   sync.Cond
+	// armed says tail is set to go off for advisory records buffered since
+	// it last went off.
+	armed  bool
+	tail   *time.Timer
 	err    error // sticky I/O error: the journal fails closed
 	closed bool
 
@@ -199,10 +223,14 @@ func open(dir string, next uint64, opts Options) (*Journal, error) {
 		cBytes:   opts.Metrics.Counter("falkon_wal_bytes_total"),
 		gSegs:    opts.Metrics.Gauge("falkon_wal_segments"),
 		hCommit:  opts.Metrics.Histogram("falkon_wal_commit_seconds"),
+		gen:      1,
 		kick:     make(chan struct{}, 1),
 		stop:     make(chan struct{}),
 		done:     make(chan struct{}),
 	}
+	j.flushed.L = &j.mu
+	j.tail = time.AfterFunc(advisoryBound, j.tailDue)
+	j.tail.Stop()
 	seg, err := j.createSegment(next)
 	if err != nil {
 		return nil, err
@@ -227,7 +255,7 @@ func (j *Journal) createSegment(i uint64) (File, error) {
 	return f, nil
 }
 
-// Append buffers one record without waiting for durability. Its callers hand
+// Append buffers one advisory record. Its callers hand
 // it the cold records (benchmark/layers.go, the per-task kinds too); the
 // dispatcher's per-task transitions go through the typed entry points below,
 // which box nothing.
@@ -259,22 +287,28 @@ func (j *Journal) append(kind Kind, v any, wait bool) (Handle, error) {
 
 // AppendAccept buffers one accept record — an AcceptRec's, of the tasks a
 // dispatcher accepted into instance epr, each appended as received — and
-// returns its durability Handle: the submit acknowledgment waits on it. Like
-// the two below it encodes straight into the append buffer, behind a header
-// sealed afterwards.
-func (j *Journal) AppendAccept(epr, tenant string, tasks []task.Relayed) (Handle, error) {
+// returns its durability Handle: the submit acknowledgment waits on it. array,
+// when not nil, is the tasks' array as received (fproto.Bundle.Array), which
+// is copied instead of encoding them again. Like the two below it encodes
+// straight into the append buffer, behind a header sealed afterwards.
+func (j *Journal) AppendAccept(epr, tenant string, tasks []task.Relayed, array []byte) (Handle, error) {
 	start, err := j.begin(KindAccept)
 	if err != nil {
 		return Handle{}, err
 	}
-	j.buf = appendAccept(j.buf, epr, tasks, (*task.Relayed).AppendJSON, tenant)
+	j.buf = appendAcceptHead(j.buf, epr)
+	if array != nil {
+		j.buf = append(j.buf, array...)
+	} else {
+		j.buf = task.AppendArray(j.buf, tasks, (*task.Relayed).AppendJSON)
+	}
+	j.buf = appendAcceptTail(j.buf, tenant)
 	return j.end(start, true), nil
 }
 
-// AppendDispatches buffers one grant's dispatch record without waiting for
-// durability, as AppendCompletes does a delivery's results: losing the tail
-// only means a task re-runs, and downstream dedupe keeps delivery
-// exactly-once.
+// AppendDispatches buffers one grant's dispatch record, advisory as
+// AppendCompletes's delivery records are: losing the tail only means a task
+// re-runs, and downstream dedupe keeps delivery exactly-once.
 func (j *Journal) AppendDispatches(rec *DispatchBatchRec) error {
 	start, err := j.begin(KindDispatchBatch)
 	if err == nil {
@@ -284,12 +318,21 @@ func (j *Journal) AppendDispatches(rec *DispatchBatchRec) error {
 	return err
 }
 
-// AppendCompletes buffers one complete record for the results finalized
-// together (see AppendDispatches).
-func (j *Journal) AppendCompletes(rec *CompleteBatchRec) error {
+// AppendCompletes buffers one complete record — a CompleteBatchRec's — for
+// the results finalized together, each copied as its caller encoded it (see
+// AppendDispatches).
+func (j *Journal) AppendCompletes(done []Finalized) error {
 	start, err := j.begin(KindCompleteBatch)
 	if err == nil {
-		j.buf = rec.appendJSON(j.buf)
+		j.buf = append(j.buf, `{"results":[`...)
+		for i := range done {
+			if i > 0 {
+				j.buf = append(j.buf, ',')
+			}
+			j.buf = append(appendCompleteHead(j.buf, done[i].EPR), done[i].Result...)
+			j.buf = append(j.buf, '}')
+		}
+		j.buf = append(j.buf, `]}`...)
 		j.end(start, false)
 	}
 	return err
@@ -349,23 +392,43 @@ func (j *Journal) end(start int, wait bool) Handle {
 	return j.release(1, wait)
 }
 
-// release unlocks mu after records were buffered, counts them and wakes the
-// committer. With wait it returns the barrier of the batch they joined.
+// release unlocks mu after records were buffered and counts them. With wait
+// it wakes the committer and returns the barrier of the commit they go out in;
+// advisory records wake it only past advisoryBytes, and otherwise set tail.
 func (j *Journal) release(records int, wait bool) Handle {
 	var h Handle
+	kick := wait || len(j.buf) >= advisoryBytes
 	if wait {
-		if j.cur == nil {
-			j.cur = &batch{done: make(chan struct{})}
-		}
-		h.b = j.cur
+		h = Handle{j: j, gen: j.gen}
+	} else if !kick && !j.armed {
+		j.armed = true
+		j.tail.Reset(advisoryBound)
 	}
 	j.mu.Unlock()
 	j.cAppends.Add(int64(records))
+	if kick {
+		j.wake()
+	}
+	return h
+}
+
+func (j *Journal) wake() {
 	select {
 	case j.kick <- struct{}{}:
 	default:
 	}
-	return h
+}
+
+// tailDue is tail going off: the advisory records buffered since it was set
+// are written now, unless a commit has taken them.
+func (j *Journal) tailDue() {
+	j.mu.Lock()
+	j.armed = false
+	due := len(j.buf) > 0
+	j.mu.Unlock()
+	if due {
+		j.wake()
+	}
 }
 
 // run is the committer loop: every kick flushes what the appends buffered.
@@ -410,8 +473,9 @@ func (j *Journal) flush(mode flushMode) (uint64, error) {
 		j.wmu.Unlock()
 		return 0, errClosed
 	}
-	buf, b := j.buf, j.cur
-	j.buf, j.spare, j.cur = j.spare[:0], nil, nil
+	buf, gen := j.buf, j.gen
+	j.buf, j.spare = j.spare[:0], nil
+	j.gen++
 	j.mu.Unlock()
 
 	if err == nil && mode == flushDrop {
@@ -440,15 +504,26 @@ func (j *Journal) flush(mode flushMode) (uint64, error) {
 		err = j.nextSegment()
 	}
 
+	// The buffer is kept as a connection's read buffer is: made anew only when
+	// it is over 1 MiB and this flush used under an eighth of it. One that
+	// held over an eighth of advisoryBytes is made that size at once, outside
+	// mu, rather than left to grow there in steps as its records are appended.
+	keep := buf[:0]
+	if len(buf) > advisoryBytes/8 && cap(buf) < advisoryBytes {
+		keep = make([]byte, 0, advisoryBytes)
+	}
 	j.mu.Lock()
-	if j.spare == nil && cap(buf) <= 1<<20 {
-		j.spare = buf[:0]
+	if j.spare == nil && (cap(keep) <= 1<<20 || len(buf) >= cap(keep)/8) {
+		j.spare = keep
 	}
 	first := err != nil && j.err == nil
 	if first {
 		j.err = err
+	} else if err == nil {
+		j.committed = gen
 	}
 	closed = j.closed
+	j.flushed.Broadcast()
 	j.mu.Unlock()
 	index := j.segIndex
 	j.wmu.Unlock()
@@ -457,10 +532,6 @@ func (j *Journal) flush(mode flushMode) (uint64, error) {
 		if j.opts.OnError != nil {
 			j.opts.OnError(err)
 		}
-	}
-	if b != nil {
-		b.err = err
-		close(b.done)
 	}
 	if err != nil {
 		return 0, err
@@ -528,6 +599,7 @@ func (j *Journal) shut(mode flushMode) error {
 		return nil
 	}
 	_, err := j.flush(mode)
+	j.tail.Stop()
 	close(j.stop)
 	<-j.done
 	j.wmu.Lock()

@@ -9,10 +9,13 @@
 #   ./scripts/allocs.sh -bench 'BenchmarkBulkRound/secure' ./internal/forward/
 #   ./scripts/allocs.sh -bench 'BenchmarkBulkRound/fair' ./internal/forward/
 #   ./scripts/allocs.sh -bench 'BenchmarkBulkRound/tree-journal' ./internal/forward/
+#   ./scripts/allocs.sh -bench 'BenchmarkBulkRound/journal-fsync' ./internal/forward/
 #
 # (plain, journal and tree are the repo benchmark's bulk workloads; secure,
-# fair — eight tenants declared —, tree-journal — journaled leaves — and
-# slots — one four-slot executor — are the configurations it does not run. With -bench the name's last element is
+# fair — eight tenants declared —, tree-journal — journaled leaves —,
+# slots — one four-slot executor — and journal-fsync — the journal row with
+# every commit fsynced on the disk of the temporary directory, which it logs;
+# no test gates it — are the configurations it does not run. With -bench the name's last element is
 # matched whole — a `$` is appended — so `…/tree` is the tree row alone, not
 # tree-journal too.)
 #

@@ -2,7 +2,7 @@
 # flakes.sh — a flake census: how often named tests fail, and how close the
 # budget tests come to their ceilings, over many runs.
 #
-#   ./scripts/flakes.sh                      # the tier-1 budget tests and the known flakes, 10 runs
+#   ./scripts/flakes.sh                      # the tier-1 budget tests, the known flakes and the journal's timing, 10 runs
 #   ./scripts/flakes.sh -n 50 ./internal/forward:TestTreeHopAllocBudget
 #   ./scripts/flakes.sh -load ./internal/core:TestAllocsPerTaskBudget
 #   ./scripts/flakes.sh -plain ./internal/core:TestAllocsPerTaskBudget
@@ -10,7 +10,10 @@
 # Each argument is <package>:<test regexp>. Each named test's package is built
 # once, plain and with -race (-plain: plain only), and its tests are run N
 # times (-n, default 10) at -cpu 1,2,4 in each build, from the package's
-# directory. -load runs forward's BenchmarkBulkRound/plain beside them, at one
+# directory. With no argument it runs the tier-1 budget tests, the tests
+# that have flaked before, and the journal tests whose timing depends on when
+# the committer writes an advisory record (DESIGN.md §10, "Group commit").
+# -load runs forward's BenchmarkBulkRound/plain beside them, at one
 # P, for as long as they run: the load under which PR 45's rider found
 # sched.TestCycleAllocations failing.
 #
@@ -51,9 +54,12 @@ if [ $# -eq 0 ]; then
     set -- \
         './internal/core:^(TestAllocsPerTaskBudget|TestSerialRoundSyscalls)$' \
         './internal/dispatch:^(TestBytesPerTaskAtRest|TestBytesPerIdleExecutor|TestBytesPerConnectedExecutor|TestExecutorThatDoesNotAcceptGrantsPulls)$' \
+        './internal/dispatch:^(TestCrashRecoveryExactlyOnce|TestAttemptsSurviveCrash|TestJournalRecordsFollowTheProtocol|TestCompletesWrittenWithoutLaterSubmit)$' \
+        './internal/faultinj:^TestWALSurvivesDiskFaults$' \
         './internal/forward:^(TestTreeHopAllocBudget|TestForwarderSpreadsInstancesAcrossDispatchers|TestScratchFailedPushRebuffered)$' \
         './internal/obs:^TestTracerBytesAtRest$' \
-        './internal/sched:^TestCycleAllocations$'
+        './internal/sched:^TestCycleAllocations$' \
+        './internal/wal:^(TestGroupCommitConcurrent|TestAdvisoryRecordWrittenWithinBound)$'
 fi
 
 out=$(mktemp -d)

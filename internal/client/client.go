@@ -54,9 +54,6 @@ type Options struct {
 	// Poll disables pushed result notifications in favour of Collect
 	// polling (the firewall-friendly mode of §6).
 	Poll bool
-	// PollInterval is the Collect long-poll wait when Poll is set
-	// (default 50 ms).
-	PollInterval time.Duration
 
 	// Reconnect enables crash-safe operation: on a dropped connection the
 	// client redials with jittered backoff, re-attaches to its instance,
@@ -131,9 +128,6 @@ type Client struct {
 func Connect(opts Options) (*Client, error) {
 	if opts.BundleSize <= 0 {
 		opts.BundleSize = 1
-	}
-	if opts.PollInterval <= 0 {
-		opts.PollInterval = 50 * time.Millisecond
 	}
 	if opts.ReconnectTimeout <= 0 {
 		opts.ReconnectTimeout = 30 * time.Second
@@ -317,7 +311,7 @@ func (c *Client) pollLoop() {
 		var reply fproto.CollectReply
 		err = cli.Call(fproto.MethodCollect, fproto.CollectRequest{
 			EPR:        c.EPR(),
-			WaitMillis: int(c.opts.PollInterval / time.Millisecond),
+			WaitMillis: 50, // a long poll: it returns as soon as results arrive
 		}, &reply)
 		if err != nil {
 			var remote *wsrpc.RemoteError

@@ -740,7 +740,7 @@ func (d *Dispatcher) Listen(addr string) error {
 }
 
 // restore loads recovered journal state into the empty core: pending tasks
-// re-enter the queue in journal order (outstanding-at-crash work simply
+// re-enter the queue in journal order, as read (outstanding-at-crash work
 // becomes queued again — the executors that held it are gone), instances
 // come back peer-less with their undelivered results buffered for
 // redelivery. Runs before serving starts, so no locks are needed.
@@ -774,7 +774,7 @@ func (d *Dispatcher) restore(st *wal.State) {
 		if !ok {
 			continue // replay proved the instance gone; nothing to owe
 		}
-		d.core.Restore(now, taskRef{epr: p.EPR, t: &task.Relay([]task.Task{p.Task})[0], inst: inst}, p.Attempts)
+		d.core.Restore(now, taskRef{epr: p.EPR, t: &p.Task, inst: inst}, p.Attempts)
 		inst.live[p.Task.ID] = struct{}{}
 		inst.inFlight++
 		// Re-charge per-tenant in-flight accounting (unchecked: the work was
@@ -784,9 +784,9 @@ func (d *Dispatcher) restore(st *wal.State) {
 }
 
 // captureLocked snapshots the dispatcher state for the journal. Callers hold
-// imu and mu, so the capture is a consistent cut.
+// imu and mu, so the capture is a consistent cut: a copy of each task.Relayed.
 func (d *Dispatcher) captureLocked() *wal.State {
-	st := &wal.State{NextEPR: d.nextEPR, Counters: d.core.Counters}
+	st := &wal.State{NextEPR: d.nextEPR, Counters: d.core.Counters, Pending: make([]wal.Pending, 0, d.core.QueueLen()+d.core.OutstandingLen())}
 	for epr, inst := range d.instances {
 		inst.mu.Lock()
 		st.Instances = append(st.Instances, wal.Instance{
@@ -800,10 +800,10 @@ func (d *Dispatcher) captureLocked() *wal.State {
 		inst.mu.Unlock()
 	}
 	d.core.EachQueued(func(it sched.Item[taskRef]) {
-		st.Pending = append(st.Pending, wal.Pending{EPR: it.X.epr, Task: it.X.t.Task(), Attempts: it.Attempts, Tenant: taskTenant(it.X)})
+		st.Pending = append(st.Pending, wal.Pending{EPR: it.X.epr, Task: *it.X.t, Attempts: it.Attempts, Tenant: taskTenant(it.X)})
 	})
 	d.core.EachOutstanding(func(o sched.Outstanding[string, outKey, taskRef]) {
-		st.Pending = append(st.Pending, wal.Pending{EPR: o.Item.X.epr, Task: o.Item.X.t.Task(), Attempts: o.Item.Attempts, Tenant: taskTenant(o.Item.X)})
+		st.Pending = append(st.Pending, wal.Pending{EPR: o.Item.X.epr, Task: *o.Item.X.t, Attempts: o.Item.Attempts, Tenant: taskTenant(o.Item.X)})
 	})
 	return st
 }

@@ -116,7 +116,7 @@ func TestEndToEndSecure(t *testing.T) {
 }
 
 func TestPollingClient(t *testing.T) {
-	_, c, _ := startSystem(t, dispatch.Options{}, client.Options{Poll: true, PollInterval: 20 * time.Millisecond}, 2, executor.Options{})
+	_, c, _ := startSystem(t, dispatch.Options{}, client.Options{Poll: true}, 2, executor.Options{})
 	var gen task.IDGen
 	if err := c.Submit(task.Batch(&gen, 30, 0)); err != nil {
 		t.Fatal(err)

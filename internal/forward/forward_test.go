@@ -148,7 +148,7 @@ func TestForwarderSpreadsInstancesAcrossDispatchers(t *testing.T) {
 
 func TestForwarderPollMode(t *testing.T) {
 	f, _ := startTier(t, 2, 1, 0)
-	c, err := client.Connect(client.Options{DispatcherAddr: f.Addr(), Poll: true, PollInterval: 20 * time.Millisecond})
+	c, err := client.Connect(client.Options{DispatcherAddr: f.Addr(), Poll: true})
 	if err != nil {
 		t.Fatal(err)
 	}

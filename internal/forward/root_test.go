@@ -98,7 +98,7 @@ func TestRootRetainsOnlyInFlight(t *testing.T) {
 		startExec(t, executor.Options{ID: fmt.Sprintf("ret-exec-%d", i), DispatcherAddr: d.Addr(), Slots: 2})
 		leaves = append(leaves, d)
 	}
-	f, c := startRoot(t, client.Options{BundleSize: 500, Poll: true, PollInterval: 5 * time.Millisecond}, leaves...)
+	f, c := startRoot(t, client.Options{BundleSize: 500, Poll: true}, leaves...)
 
 	const n, step = 100_000, 5_000
 	var gen task.IDGen

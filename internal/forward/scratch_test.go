@@ -114,7 +114,7 @@ func TestScratchPollModeCollect(t *testing.T) {
 	scribbling(t)
 	d := startLeaf(t, "127.0.0.1:0", dispatch.Options{})
 	echoExec(t, "echo-0", d.Addr())
-	c, err := client.Connect(client.Options{DispatcherAddr: d.Addr(), BundleSize: 64, Poll: true, PollInterval: 20 * time.Millisecond})
+	c, err := client.Connect(client.Options{DispatcherAddr: d.Addr(), BundleSize: 64, Poll: true})
 	if err != nil {
 		t.Fatal(err)
 	}

@@ -21,7 +21,8 @@ import (
 // the same result: the canonical layout both encoders emit is parsed in one
 // reflection-free pass, and anything else — unknown or reordered keys,
 // whitespace, a value that is malformed or out of range — is handed, whole,
-// to json.Unmarshal. None of these types implements json.Marshaler or
+// to json.Unmarshal. (Only a dispatcher reads a submit, as a Bundle of relayed
+// tasks.) None of these types implements json.Marshaler or
 // json.Unmarshaler, which keeps encoding/json an independent oracle for the
 // differential tests.
 //
@@ -149,31 +150,6 @@ func appendSubmit[T any](dst []byte, epr string, tasks []T, appendTask func(*T, 
 	dst = jsonwire.AppendString(dst, epr)
 	dst = append(dst, `,"tasks":`...)
 	return append(task.AppendArray(dst, tasks, appendTask), '}')
-}
-
-// DecodeJSON decodes b into m.
-func (m *SubmitRequest) DecodeJSON(b []byte) error {
-	var r jsonwire.Reader
-	r.Reset(b)
-	was := m.Tasks
-	*m = SubmitRequest{}
-	r.Expect(`{"epr":`)
-	m.EPR = r.String("")
-	r.Expect(`,"tasks":`)
-	if !r.Lit(`null`) {
-		r.Expect(`[`)
-		first := remembered(was)
-		m.Tasks = room(was, r.Elems())
-		for prev := &first; r.Elem(len(m.Tasks)); {
-			m.Tasks = append(m.Tasks, task.Task{})
-			t := &m.Tasks[len(m.Tasks)-1]
-			t.ParseJSON(&r, prev)
-			prev = t
-		}
-	}
-	r.Expect(`}`)
-	settle(m.Tasks, was)
-	return finish(&r, b, m)
 }
 
 // DecodeInterned decodes b, a SubmitRequest's JSON, into m, with the EPR

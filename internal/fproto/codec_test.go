@@ -20,12 +20,28 @@ import (
 // The body codec's contract, checked against encoding/json as the oracle:
 // what AppendJSON emits, json.Unmarshal reads as the same value; what
 // json.Marshal emits, DecodeJSON reads as the same value on its fast path;
-// and on any bytes at all DecodeJSON and json.Unmarshal agree.
+// and on any bytes at all DecodeJSON and json.Unmarshal agree. A submit is
+// read as a dispatcher reads it (decode, checkRelay).
 
 // bodyMsg is a pointer to one of the eight hot messages.
 type bodyMsg interface {
 	AppendJSON(dst []byte) []byte
-	DecodeJSON(b []byte) error
+}
+
+// decode reads b into m as its receiver reads it: a SubmitRequest as a
+// dispatcher does, as a Bundle whose relayed tasks encoding/json then decodes,
+// and every other message by its DecodeJSON. Only on the fast path is a
+// submit's the value json.Unmarshal reads: relayed after the fallback, an
+// empty Args or Env is left out (checkRelay).
+func decode(m bodyMsg, b []byte) error {
+	req, ok := m.(*SubmitRequest)
+	if !ok {
+		return m.(interface{ DecodeJSON([]byte) error }).DecodeJSON(b)
+	}
+	var bundle Bundle
+	err := bundle.DecodeInterned(b, nil, new(task.Scratch))
+	*req = SubmitRequest{EPR: bundle.EPR, Tasks: relayedTasks(bundle.Tasks)}
+	return err
 }
 
 var bodyKinds = []struct {
@@ -174,11 +190,11 @@ func viaJSON(t testing.TB, fresh func() bodyMsg, v bodyMsg) (ref []byte, want bo
 	return ref, want
 }
 
-// decodeFast runs DecodeJSON and fails the test if it took the fallback.
+// decodeFast runs decode and fails the test if it took the fallback.
 func decodeFast(t testing.TB, m bodyMsg, b []byte) {
 	t.Helper()
 	before := CodecFallbacks.Value()
-	if err := m.DecodeJSON(b); err != nil {
+	if err := decode(m, b); err != nil {
 		t.Fatalf("DecodeJSON(%s): %v", b, err)
 	}
 	if n := CodecFallbacks.Value() - before; n != 0 {
@@ -218,7 +234,8 @@ func TestBodyCodecMatchesEncodingJSON(t *testing.T) {
 // What a dispatcher relays is what it was sent: a tree's interior node sends a
 // leaf a SubmitRequest, and an executor a GetWorkReply, byte for byte. What it
 // keeps of each task's bytes is neither its ID's digits nor its trace's, and
-// what it decodes whole (a snapshot's task) is the task that was sent.
+// the bytes it writes of a task, a journal's snapshot's among them, decode
+// whole to the task that was sent.
 func TestRelayedIsWhatWasSent(t *testing.T) {
 	g := &gen{rand.New(rand.NewSource(2))}
 	for i := 0; i < 300; i++ {
@@ -240,7 +257,9 @@ func TestRelayedIsWhatWasSent(t *testing.T) {
 			t.Fatalf("Bundle encodes\n %s\nSubmitRequest\n %s", got, sent)
 		}
 		var whole SubmitRequest
-		decodeFast(t, &whole, sent)
+		if err := json.Unmarshal(sent, &whole); err != nil {
+			t.Fatal(err)
+		}
 		for i := range tasks {
 			r := &b.Tasks[i]
 			digits := len(strconv.FormatUint(uint64(r.ID), 10))
@@ -250,7 +269,7 @@ func TestRelayedIsWhatWasSent(t *testing.T) {
 			if whole := len(tasks[i].AppendJSON(nil)); len(r.Rest) != whole-len(`{"id":}`)-digits {
 				t.Fatalf("task %s keeps %d bytes of its %d: %s", tasks[i].AppendJSON(nil), len(r.Rest), whole, r.Rest)
 			}
-			if got := r.Task(); !reflect.DeepEqual(got, whole.Tasks[i]) {
+			if got := relayedTasks(b.Tasks[i : i+1])[0]; !reflect.DeepEqual(got, whole.Tasks[i]) {
 				t.Fatalf("task %d decodes whole as\n %+v\nnot as sent\n %+v", i, got, whole.Tasks[i])
 			}
 		}
@@ -327,8 +346,9 @@ func TestDecodeJSONFallback(t *testing.T) {
 		k := bodyKinds[tc.kind]
 		got, want := k.fresh(), k.fresh()
 		before := CodecFallbacks.Value()
-		gerr, werr := got.DecodeJSON([]byte(tc.body)), json.Unmarshal([]byte(tc.body), want)
-		if (gerr == nil) != (werr == nil) || !reflect.DeepEqual(got, want) {
+		if tc.kind == 0 {
+			checkRelay(t, []byte(tc.body))
+		} else if gerr, werr := decode(got, []byte(tc.body)), json.Unmarshal([]byte(tc.body), want); (gerr == nil) != (werr == nil) || !reflect.DeepEqual(got, want) {
 			t.Errorf("%s %s:\n got %+v, %v\nwant %+v, %v", k.name, tc.body, got, gerr, want, werr)
 		}
 		if CodecFallbacks.Value() != before+1 {
@@ -434,21 +454,27 @@ func sliceOf(m bodyMsg) reflect.Value {
 	})
 }
 
-// heldBodies is, per bodyKinds entry that holds a slice, a message whose first
-// element sets every string a later decode into the same value is offered.
+// heldBodies is, per bodyKinds entry that holds a slice and is decoded into
+// a value that held another, a message whose first element sets every string
+// a later decode into the same value is offered.
 var heldBodies = [...]string{
-	0: `{"epr":"e","tasks":[{"id":1,"dir":"/tmp","command":"sleep"},{"id":2}]}`,
 	3: `{"assignments":[{"epr":"falkon-instance-1","task":{"id":1,"dir":"/tmp","command":"sleep"}},{"epr":"e","task":{"id":2}}]}`,
 	4: `{"executor_id":"exec-0","results":[{"epr":"falkon-instance-1","result":{"id":1,"stdout":"out","stderr":"err","err":"boom","executor":"exec-0"},"run_dur":1},{"epr":"e","result":{"id":2},"run_dur":1}]}`,
 	5: `{"assignments":[{"epr":"falkon-instance-1","task":{"id":1,"dir":"/tmp","command":"sleep"}},{"epr":"e","task":{"id":2}}]}`,
 	7: `{"epr":"e","results":[{"id":1,"stdout":"out","stderr":"err","err":"boom","executor":"exec-0"},{"id":2}]}`,
 }
 
-// relayedTasks decodes relayed tasks whole, as an executor does.
+// relayedTasks decodes relayed tasks whole, from the bytes a dispatcher writes
+// of each, through encoding/json. Nil stays nil.
 func relayedTasks(rs []task.Relayed) []task.Task {
+	if rs == nil {
+		return nil
+	}
 	ts := make([]task.Task, len(rs))
 	for i := range rs {
-		ts[i] = rs[i].Task()
+		if err := json.Unmarshal(rs[i].AppendJSON(nil), &ts[i]); err != nil {
+			panic(err)
+		}
 	}
 	return ts
 }
@@ -559,7 +585,7 @@ func TestBundleArrayIsItsRelayedTasks(t *testing.T) {
 // error versus value, and on the value, which neither reusing the input nor
 // appending to a task's strings changes; and what decodes re-encodes to
 // something json.Unmarshal reads back the same. Every input is also read as a
-// dispatcher reads a submit (checkRelay).
+// dispatcher reads a submit (checkRelay), the one way a submit is read.
 func FuzzBodyCodec(f *testing.F) {
 	g := &gen{rand.New(rand.NewSource(2))}
 	for i, k := range bodyKinds {
@@ -605,9 +631,12 @@ func FuzzBodyCodec(f *testing.F) {
 	f.Fuzz(func(t *testing.T, kind uint8, data []byte) {
 		checkRelay(t, data)
 		k := bodyKinds[int(kind)%len(bodyKinds)]
+		if k.name == "SubmitRequest" {
+			return
+		}
 		got, want := k.fresh(), k.fresh()
 		buf := bytes.Clone(data)
-		gerr, werr := got.DecodeJSON(buf), json.Unmarshal(data, want)
+		gerr, werr := decode(got, buf), json.Unmarshal(data, want)
 		disturb(got, buf)
 		if (gerr == nil) != (werr == nil) {
 			t.Fatalf("%s %q: DecodeJSON err %v, json.Unmarshal err %v", k.name, data, gerr, werr)
@@ -623,13 +652,13 @@ func FuzzBodyCodec(f *testing.F) {
 		}
 		for range 2 {
 			buf = bytes.Clone(data)
-			herr := held.DecodeJSON(buf)
+			herr := decode(held, buf)
 			disturb(held, buf)
-			if s := sliceOf(held); s.IsValid() && s.Len() == 0 && sliceOf(want).Len() == 0 && k.name != "SubmitRequest" && k.name != "ResultsNotify" {
+			if s := sliceOf(held); s.IsValid() && s.Len() == 0 && sliceOf(want).Len() == 0 && k.name != "ResultsNotify" {
 				// The one difference: a body without the array (`{}`, or a
 				// Deliver with no results) leaves a value that held one its
-				// array, emptied; a fresh value has none. (Not so the two
-				// messages that say null: theirs is a nil again.)
+				// array, emptied; a fresh value has none. (Not so a
+				// ResultsNotify, which says null: its array is nil again.)
 				s.Set(sliceOf(want))
 			}
 			if (herr == nil) != (werr == nil) || !reflect.DeepEqual(held, want) {
@@ -773,52 +802,35 @@ func bundleOf(n int) SubmitRequest {
 	return req
 }
 
-// What a message carries is allocated once per message: a SubmitRequest whose
-// tasks each have an argument of their own decodes into the Tasks slice, the
-// EPR, the command the tasks share, one chunk of argument bytes and one of
-// Args slices, however many tasks it has. (3 + 2 per task before the chunks.)
-// A dispatcher, which shares the EPR with its instance, reads the same body
-// into a Bundle of relayed tasks and one chunk of their bytes: two objects.
-// And of those the slice is allocated once per message value, not per message:
-// a second decode into the value that took the first allocates one object
-// fewer, for each of the four messages that hold a slice.
+// What a message carries is allocated once per message. A dispatcher, which
+// shares the EPR with its instance, reads a submit of tasks that each have an
+// argument of their own into a Bundle of relayed tasks and one chunk of their
+// bytes — two objects, however many tasks it has or arguments a task has. (As
+// a SubmitRequest decoded whole it took 3 + 2 per task before the chunks, and
+// a few per thousand arguments of one task.) And a message's slice is
+// allocated once per message value, not per message: a second decode into the
+// value that took the first allocates one object fewer, for each of the three
+// messages an executor or a client decodes that hold a slice.
 func TestDecodeAllocsDoNotGrowWithTheBundle(t *testing.T) {
-	for _, n := range []int{1, 64, jsonwire.MaxElems} {
-		req := bundleOf(n)
-		body := req.AppendJSON(nil)
-		var got SubmitRequest
-		if allocs := testing.AllocsPerRun(20, func() { got = SubmitRequest{}; decodeFast(t, &got, body) }); allocs != 5 {
-			t.Errorf("DecodeJSON of a %d-task SubmitRequest allocates %.0f times, want 5", n, allocs)
+	for _, body := range [][]byte{bundleOf(1).AppendJSON(nil), bundleOf(64).AppendJSON(nil), bundleOf(jsonwire.MaxElems).AppendJSON(nil),
+		manyArgs(1, 1000), manyArgs(64, 1000)} {
+		var want SubmitRequest
+		if err := json.Unmarshal(body, &want); err != nil {
+			t.Fatal(err)
 		}
-		if !reflect.DeepEqual(got, req) {
-			t.Fatalf("%d tasks decoded as %+v", n, got)
-		}
-		known := func([]byte) string { return req.EPR }
+		known := func([]byte) string { return want.EPR }
 		var bundle Bundle
 		var scratch task.Scratch
 		before := CodecFallbacks.Value()
 		if allocs := testing.AllocsPerRun(20, func() { _ = bundle.DecodeInterned(body, known, &scratch) }); allocs != 2 || CodecFallbacks.Value() != before {
-			t.Errorf("DecodeInterned of a %d-task Bundle allocates %.0f times, want 2", n, allocs)
+			t.Errorf("DecodeInterned of a %d-task Bundle allocates %.0f times, want 2", len(want.Tasks), allocs)
 		}
-		if relayed := (SubmitRequest{EPR: bundle.EPR, Tasks: relayedTasks(bundle.Tasks)}); !reflect.DeepEqual(relayed, req) {
-			t.Fatalf("%d tasks relayed as %+v", n, relayed)
-		}
-	}
-	// One task with many arguments — the only task, or the last, so that no
-	// element to come sizes a chunk for it — grows its two chunks by doubling,
-	// as append would: a few allocations per thousand arguments, not one each.
-	for _, n := range []int{1, 64} {
-		body := manyArgs(n, 1000)
-		var got, want SubmitRequest
-		if allocs := testing.AllocsPerRun(20, func() { decodeFast(t, &got, body) }); allocs > 30 {
-			t.Errorf("DecodeJSON of %d tasks, the last with 1,000 arguments, allocates %.0f times, want at most 30", n, allocs)
-		}
-		if err := json.Unmarshal(body, &want); err != nil || !reflect.DeepEqual(got, want) {
-			t.Fatalf("%d tasks, the last with 1,000 arguments: decoded differently from encoding/json (%v)", n, err)
+		if relayed := (SubmitRequest{EPR: bundle.EPR, Tasks: relayedTasks(bundle.Tasks)}); !reflect.DeepEqual(relayed, want) {
+			t.Fatalf("%d tasks relayed as %+v", len(want.Tasks), relayed)
 		}
 	}
 	g := &gen{rand.New(rand.NewSource(3))}
-	for _, kind := range []int{0, 3, 4, 5, 7} { // the messages that hold a slice
+	for _, kind := range []int{3, 4, 5, 7} { // the messages that hold a slice
 		k := bodyKinds[kind]
 		var long, short []byte // 64 elements, then 3: the array is kept, its tail let go
 		for len(long) == 0 || len(short) == 0 {
@@ -855,7 +867,7 @@ func TestDecodeAllocsDoNotGrowWithTheBundle(t *testing.T) {
 	var empty SubmitRequest
 	decodeFast(t, &empty, []byte(`{"epr":"e","tasks":[{"id":1,"args":[]}]}`))
 	if args := empty.Tasks[0].Args; args == nil || len(args) != 0 {
-		t.Fatalf(`"args":[] decoded as %#v, want an empty non-nil slice`, args)
+		t.Fatalf(`"args":[] relayed as %#v, want an empty non-nil slice`, args)
 	}
 }
 
@@ -997,11 +1009,17 @@ func BenchmarkResultsNotifyEncode(b *testing.B) {
 	}
 }
 
+// BenchmarkSubmitRequestDecode prices a submit read as a dispatcher reads it,
+// as a Bundle through the scratch its connection keeps, against encoding/json
+// decoding it whole.
 func BenchmarkSubmitRequestDecode(b *testing.B) {
 	for _, s := range benchShapes() {
 		b.Run(s.name, func(b *testing.B) {
+			var bundle Bundle
+			var scratch task.Scratch
+			known := func([]byte) string { return s.submit.EPR }
 			benchmarkDecode(b, s.submit.AppendJSON(nil),
-				func(body []byte) error { return new(SubmitRequest).DecodeJSON(body) },
+				func(body []byte) error { return bundle.DecodeInterned(body, known, &scratch) },
 				func() any { return new(jsonSubmit) })
 		})
 	}
@@ -1019,8 +1037,8 @@ func BenchmarkResultsNotifyDecode(b *testing.B) {
 
 // BenchmarkRelay prices a dispatcher's half of the bulk shape (DESIGN.md §9,
 // "Relay"): reading a submit as a Bundle, and writing its 64 tasks to an
-// executor as a RelayReply. BenchmarkSubmitRequestDecode and a GetWorkReply's
-// AppendJSON are the same legs decoding and encoding every task whole.
+// executor as a RelayReply. A GetWorkReply's AppendJSON is the same leg
+// encoding every task whole.
 func BenchmarkRelay(b *testing.B) {
 	s := benchShapes()[1]
 	body := s.submit.AppendJSON(nil)

@@ -2,7 +2,6 @@ package task
 
 import (
 	"strings"
-	"sync"
 	"time"
 	"unsafe"
 
@@ -50,29 +49,8 @@ func (t *Relayed) AppendJSON(dst []byte) []byte {
 	return append(dst, '}')
 }
 
-// rebuilt holds the buffers Task rebuilds a task's bytes in. A buffer that
-// grew past maxRebuilt bytes, for a task over forty times the size of the
-// repo benchmark's 91 B, is left to the collector.
-var rebuilt = sync.Pool{New: func() any { return new([]byte) }}
-
-const maxRebuilt = 4 << 10
-
-// Task decodes the whole task from its bytes, rebuilt in a buffer that serves
-// call after call. They are canonical, so ParseJSON reads them all, and copies
-// out every string it keeps.
-func (t *Relayed) Task() (out Task) {
-	buf := rebuilt.Get().(*[]byte)
-	*buf = t.AppendJSON((*buf)[:0])
-	var r jsonwire.Reader
-	r.Reset(*buf)
-	out.ParseJSON(&r, &Task{})
-	if cap(*buf) <= maxRebuilt {
-		rebuilt.Put(buf)
-	}
-	return out
-}
-
-// Relay returns tasks as a dispatcher holds them, each encoded by AppendJSON.
+// Relay returns tasks as a dispatcher holds them, each encoded by AppendJSON:
+// the fallback for what ReadRelayed refuses, once encoding/json has read it.
 func Relay(tasks []Task) []Relayed {
 	out := make([]Relayed, len(tasks))
 	var buf []byte

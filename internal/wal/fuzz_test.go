@@ -20,6 +20,8 @@ import (
 //  3. Decoding always terminates and consumes monotonically.
 //  4. AppendFrames accepts the bytes as one span exactly when the decoder
 //     consumes all of them, and then counts the records it decoded.
+//  5. A snapshot record's state that decodes encodes to bytes that decode,
+//     and encode again, to themselves.
 func FuzzJournalDecode(f *testing.F) {
 	for _, seed := range journalSeeds() {
 		f.Add(seed)
@@ -49,6 +51,9 @@ func FuzzJournalDecode(f *testing.F) {
 				t.Fatalf("accepted record re-encodes to %x, consumed %x", re, consumed)
 			}
 			r.apply(rec) // must not panic on any accepted record
+			if rec.kind == KindSnapshot {
+				checkSnapshot(t, rec.body)
+			}
 			if len(rest) >= len(buf) {
 				t.Fatalf("decode did not consume: %d -> %d", len(buf), len(rest))
 			}
@@ -66,6 +71,21 @@ func FuzzJournalDecode(f *testing.F) {
 			t.Fatalf("AppendFrames counted %d records, the decoder %d", n, decoded)
 		}
 	})
+}
+
+// checkSnapshot is property 5 for one snapshot record's body.
+func checkSnapshot(t *testing.T, body []byte) {
+	var st, again State
+	if st.UnmarshalJSON(body) != nil {
+		return
+	}
+	enc, err := st.MarshalJSON()
+	if err != nil || again.UnmarshalJSON(enc) != nil {
+		t.Fatalf("snapshot %q decodes, and encodes as %q, which does not (%v)", body, enc, err)
+	}
+	if re, _ := again.MarshalJSON(); !bytes.Equal(re, enc) {
+		t.Fatalf("snapshot %q encodes as %q, and then as %q", body, enc, re)
+	}
 }
 
 // discardFS is a filesystem with no files that swallows every write.
@@ -121,7 +141,16 @@ func journalSeeds() map[string][]byte {
 	big, _ = marshalRecord(big, KindInstance, InstanceRec{EPR: "falkon-instance-2"})
 	big, _ = marshalRecord(big, KindAccept, AcceptRec{EPR: "falkon-instance-2", Tasks: bigTasks})
 
+	snap := &State{NextEPR: 2, Instances: []Instance{{EPR: epr, Tenant: "default", Submitted: 3,
+		Results: []task.Result{{ID: 1, Stdout: "ok"}}}}}
+	for i, t := range task.Relay([]task.Task{{ID: 2, Command: "a<b", Args: []string{`"q"`}, Trace: 9},
+		{ID: 18446744073709551615, Engine: task.EngineData, IO: &task.IOSpec{Dataset: "d\u00e9"}, Duration: 5}}) {
+		snap.Pending = append(snap.Pending, Pending{EPR: epr, Task: t, Attempts: i, Tenant: "default"})
+	}
+	snapshot, _ := marshalRecord(nil, KindSnapshot, snap)
+
 	return map[string][]byte{
+		"snapshot":         snapshot,
 		"whole-journal":    whole,
 		"torn-tail":        whole[:len(whole)-3],
 		"bitflipped-body":  flip(whole, 10),

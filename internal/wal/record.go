@@ -81,8 +81,8 @@ func (k Kind) String() string {
 // so a record cannot be reinterpreted as a different transition.
 const (
 	headerSize = 8
-	// maxRecord bounds a single record (and rejects absurd lengths decoded
-	// from corrupt headers before any allocation happens).
+	// maxRecord bounds a segment's record, a snapshot's being its file's
+	// (and rejects absurd lengths decoded from corrupt headers).
 	maxRecord = 64 << 20
 )
 
@@ -121,10 +121,13 @@ func marshalRecord(dst []byte, kind Kind, v any) ([]byte, error) {
 }
 
 // appendBody appends v's JSON encoding: by the hand encoders (state.go) for
-// the per-task records, through encoding/json for the cold ones (instance,
-// destroy, snapshot).
+// the per-task records and a snapshot's tasks, through encoding/json for the
+// cold ones (instance, destroy, a snapshot's head).
 func appendBody(dst []byte, kind Kind, v any) ([]byte, error) {
 	switch rec := v.(type) {
+	case *State: // not through json.Marshal, which would escape its tasks' bytes
+		b, err := rec.MarshalJSON()
+		return append(dst, b...), err
 	case AcceptRec:
 		return rec.appendJSON(dst), nil
 	case DispatchRec:
@@ -155,19 +158,11 @@ type rawRecord struct {
 // corruption; the caller treats all three as end-of-journal. rest is the
 // remaining buffer after a successful decode.
 func nextRecord(buf []byte) (rec rawRecord, rest []byte, ok bool) {
-	if len(buf) < headerSize {
+	frame, rest, ok := NextFrame(buf)
+	if !ok {
 		return rawRecord{}, nil, false
 	}
-	n := binary.LittleEndian.Uint32(buf[0:4])
-	crc := binary.LittleEndian.Uint32(buf[4:8])
-	if n == 0 || n > maxRecord || int(n) > len(buf)-headerSize {
-		return rawRecord{}, nil, false // torn or corrupt length
-	}
-	payload := buf[headerSize : headerSize+int(n)]
-	if crc32.Checksum(payload, castagnoli) != crc {
-		return rawRecord{}, nil, false // corrupt payload: reject, never guess
-	}
-	return rawRecord{kind: Kind(payload[0]), body: payload[1:]}, buf[headerSize+int(n):], true
+	return rawRecord{kind: Kind(frame[headerSize]), body: frame[headerSize+1:]}, rest, true
 }
 
 // unmarshal decodes a record body, named so replay call sites stay terse.
@@ -178,18 +173,22 @@ func unmarshal(b []byte, v any) error { return json.Unmarshal(b, v) }
 // remaining buffer, and whether a complete valid record was present. The
 // replication source uses it to count and re-frame committed batches; the
 // returned frame aliases buf.
-func NextFrame(buf []byte) (frame, rest []byte, ok bool) {
+func NextFrame(buf []byte) (frame, rest []byte, ok bool) { return splitFrame(buf, maxRecord) }
+
+// splitFrame is NextFrame for a record of up to limit bytes: a segment's are
+// maxRecord at most, and a snapshot file's one record is as long as the file.
+func splitFrame(buf []byte, limit uint32) (frame, rest []byte, ok bool) {
 	if len(buf) < headerSize {
 		return nil, nil, false
 	}
 	n := binary.LittleEndian.Uint32(buf[0:4])
 	crc := binary.LittleEndian.Uint32(buf[4:8])
-	if n == 0 || n > maxRecord || int(n) > len(buf)-headerSize {
-		return nil, nil, false
+	if n == 0 || n > limit || int(n) > len(buf)-headerSize {
+		return nil, nil, false // torn or corrupt length
 	}
 	end := headerSize + int(n)
 	if crc32.Checksum(buf[headerSize:end], castagnoli) != crc {
-		return nil, nil, false
+		return nil, nil, false // corrupt payload: reject, never guess
 	}
 	return buf[:end], buf[end:], true
 }

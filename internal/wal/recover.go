@@ -2,6 +2,7 @@ package wal
 
 import (
 	"fmt"
+	"math"
 	"os"
 	"path/filepath"
 )
@@ -99,12 +100,12 @@ func readSnapshot(fsys FS, path string) (*State, bool) {
 	if err != nil {
 		return nil, false
 	}
-	rec, _, ok := nextRecord(buf)
-	if !ok || rec.kind != KindSnapshot {
+	frame, _, ok := splitFrame(buf, math.MaxUint32)
+	if !ok || Kind(frame[headerSize]) != KindSnapshot {
 		return nil, false
 	}
 	var st State
-	if unmarshal(rec.body, &st) != nil {
+	if st.UnmarshalJSON(frame[headerSize+1:]) != nil {
 		return nil, false
 	}
 	return &st, true

@@ -1,6 +1,7 @@
 package wal
 
 import (
+	"encoding/json"
 	"strconv"
 	"strings"
 
@@ -177,20 +178,92 @@ type Instance struct {
 }
 
 // Pending is one accepted-but-unfinished task: queued or outstanding at
-// the time of the crash (outstanding work is re-dispatched on recovery).
+// the time of the crash (outstanding work is re-dispatched on recovery), as
+// the dispatcher held it (DESIGN.md §9, "Relay"): State's JSON is its bytes.
 type Pending struct {
-	EPR      string    `json:"epr"`
-	Task     task.Task `json:"task"`
-	Attempts int       `json:"attempts,omitempty"`
-	Tenant   string    `json:"tenant,omitempty"`
+	EPR      string       `json:"epr"`
+	Task     task.Relayed `json:"task"`
+	Attempts int          `json:"attempts,omitempty"`
+	Tenant   string       `json:"tenant,omitempty"`
 }
 
 // State is the dispatcher state a snapshot captures and recovery rebuilds.
+// Its JSON is what encoding/json wrote of it while a Pending held a task.Task.
 type State struct {
 	NextEPR   int64          `json:"next_epr"`
 	Counters  sched.Counters `json:"counters"`
 	Instances []Instance     `json:"instances,omitempty"`
 	Pending   []Pending      `json:"pending,omitempty"`
+}
+
+// state is State without its methods: what encoding/json writes and reads of
+// all but its pending tasks.
+type state State
+
+// MarshalJSON encodes st: all but its pending tasks through encoding/json,
+// and then those, each task as the bytes it was received as.
+func (st State) MarshalJSON() ([]byte, error) {
+	b, err := json.Marshal(state{NextEPR: st.NextEPR, Counters: st.Counters, Instances: st.Instances})
+	if err != nil || len(st.Pending) == 0 {
+		return b, err
+	}
+	b = task.AppendArray(append(b[:len(b)-1], `,"pending":`...), st.Pending, (*Pending).appendJSON)
+	return append(b, '}'), nil
+}
+
+func (p *Pending) appendJSON(dst []byte) []byte {
+	dst = append(jsonwire.AppendString(append(dst, `{"epr":`...), p.EPR), `,"task":`...)
+	dst = p.Task.AppendJSON(dst)
+	if p.Attempts != 0 {
+		dst = jsonwire.AppendInt(append(dst, `,"attempts":`...), int64(p.Attempts))
+	}
+	if p.Tenant != "" {
+		dst = jsonwire.AppendString(append(dst, `,"tenant":`...), p.Tenant)
+	}
+	return append(dst, '}')
+}
+
+// UnmarshalJSON decodes st: a snapshot's, or a standby's baseline. Its tasks
+// are read as one array (readTasks).
+func (st *State) UnmarshalJSON(b []byte) error {
+	var in struct {
+		state
+		Pending []struct {
+			Pending
+			Task json.RawMessage `json:"task"` // in place of Pending's
+		} `json:"pending"` // in place of state's
+	}
+	err := json.Unmarshal(b, &in)
+	if *st = State(in.state); err != nil || len(in.Pending) == 0 {
+		return err
+	}
+	array := append(make([]byte, 0, len(b)), '[')
+	for i := range in.Pending {
+		array = append(append(array, in.Pending[i].Task...), ',')
+	}
+	tasks, err := readTasks(append(array[:len(array)-1], ']'), new(task.Scratch))
+	st.Pending = make([]Pending, len(tasks))
+	for i := range tasks {
+		st.Pending[i], st.Pending[i].Task = in.Pending[i].Pending, tasks[i]
+	}
+	return err
+}
+
+// readTasks reads a JSON array of tasks in one pass, as a dispatcher reads a
+// submit's (task.ReadRelayed), through s. An array that reader refuses — a
+// hand edit, say — goes to encoding/json, and its tasks are encoded again
+// (task.Relay), as fproto.Bundle.DecodeInterned does: recovery decodes a task
+// whole nowhere else.
+func readTasks(array []byte, s *task.Scratch) ([]task.Relayed, error) {
+	var r jsonwire.Reader
+	r.Reset(array)
+	r.Expect(`[`)
+	if tasks := task.ReadRelayed(&r, s); r.OK() {
+		return tasks, nil
+	}
+	var whole []task.Task
+	err := json.Unmarshal(array, &whole)
+	return task.Relay(whole), err
 }
 
 // pendKey identifies an accepted task within the journal's scope.
@@ -208,6 +281,7 @@ type replayer struct {
 	order     []string // instance EPRs in creation order (deterministic output)
 	pending   []Pending
 	pendIdx   map[pendKey]int // index into pending; tombstoned entries (EPR "") skipped on output
+	scratch   task.Scratch    // what accept records' tasks are read through
 }
 
 func newReplayer() *replayer {
@@ -286,19 +360,24 @@ func (r *replayer) apply(rec rawRecord) {
 			}
 		}
 	case KindAccept:
-		var ac AcceptRec
+		var ac struct { // an AcceptRec, its tasks read by readTasks
+			EPR    string          `json:"epr"`
+			Tasks  json.RawMessage `json:"tasks"`
+			Tenant string          `json:"tenant"`
+		}
 		if unmarshal(rec.body, &ac) != nil {
 			return
 		}
+		tasks, err := readTasks(ac.Tasks, &r.scratch)
 		in, ok := r.instances[ac.EPR]
-		if !ok {
+		if err != nil || !ok {
 			return
 		}
 		tenant := ac.Tenant
 		if tenant == "" {
 			tenant = in.Tenant
 		}
-		for _, t := range ac.Tasks {
+		for _, t := range tasks {
 			// The dispatcher only journals tasks it admitted, so a replayed
 			// accept for an ID already pending can only be a duplicated
 			// record — skip it. An accept AFTER that ID completed is a

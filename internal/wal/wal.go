@@ -3,6 +3,7 @@ package wal
 import (
 	"errors"
 	"fmt"
+	"math"
 	"path/filepath"
 	"sort"
 	"strconv"
@@ -622,6 +623,9 @@ func (j *Journal) shut(mode flushMode) error {
 // at any point recovers either the old state or the new one, never a mix.
 func (j *Journal) WriteSnapshot(boundary uint64, st *State) error {
 	frame, err := marshalRecord(nil, KindSnapshot, st)
+	if err == nil && uint64(len(frame)-headerSize) > math.MaxUint32 {
+		err = fmt.Errorf("wal: snapshot of %d bytes does not fit a record", len(frame))
+	}
 	if err != nil {
 		return err
 	}

@@ -327,7 +327,7 @@ func TestSnapshotCompaction(t *testing.T) {
 	snap := &State{
 		NextEPR:   1,
 		Instances: []Instance{{EPR: epr, Submitted: 2}},
-		Pending:   []Pending{{EPR: epr, Task: task.Task{ID: 1}}, {EPR: epr, Task: task.Task{ID: 2}}},
+		Pending:   []Pending{{EPR: epr, Task: task.Relayed{ID: 1}}, {EPR: epr, Task: task.Relayed{ID: 2}}},
 	}
 	snap.Counters.Submitted = 2
 	if err := j.WriteSnapshot(cut, snap); err != nil {

@@ -115,9 +115,6 @@ type frameConn interface {
 	// the connection's corked write buffer — the fast path. It returns the
 	// envelope's encoded size for byte accounting.
 	WriteEnvelope(kind frameKind, seq uint64, method, errStr string, meta envMeta, body frameBody) (int, error)
-	// WriteFrame sends an already-encoded payload verbatim (compat/test
-	// path; the fast path is WriteEnvelope).
-	WriteFrame(p []byte) error
 	// Close never waits for the read session (corkedWriter.close).
 	Close() error
 }
@@ -301,21 +298,6 @@ func (p *plainConn) WriteEnvelope(kind frameKind, seq uint64, method, errStr str
 	}
 	binary.BigEndian.PutUint32(buf[start:], uint32(n))
 	return n, p.cw.endFrame(buf, now)
-}
-
-func (p *plainConn) WriteFrame(b []byte) error {
-	if len(b) > MaxFrameSize {
-		return fmt.Errorf("wsrpc: frame of %d bytes exceeds limit", len(b))
-	}
-	buf, now, err := p.cw.beginFrame(time.Time{})
-	if err != nil {
-		return err
-	}
-	var hdr [4]byte
-	binary.BigEndian.PutUint32(hdr[:], uint32(len(b)))
-	buf = append(buf, hdr[:]...)
-	buf = append(buf, b...)
-	return p.cw.endFrame(buf, now)
 }
 
 func (p *plainConn) Close() error { return p.cw.close() }

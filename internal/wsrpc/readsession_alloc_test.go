@@ -12,7 +12,7 @@ func TestSessionAllocFree(t *testing.T) {
 		t.Run(profile.String(), func(t *testing.T) {
 			p := newSessionPair(t, profile, true)
 			const frames = 500
-			payload := []byte(`{"k":1,"seq":42,"m":"falkon.deliver","b":"ping"}`)
+			body := frameBody{raw: []byte(`"ping"`)}
 			n := 0
 			fn := func([]byte) error {
 				if n++; n%frames == 0 {
@@ -22,7 +22,7 @@ func TestSessionAllocFree(t *testing.T) {
 			}
 			round := func() {
 				for i := 0; i < frames; i++ {
-					if err := p.w.WriteFrame(payload); err != nil {
+					if _, err := p.w.WriteEnvelope(kindCall, 42, "falkon.deliver", "", envMeta{}, body); err != nil {
 						t.Fatal(err)
 					}
 				}

@@ -172,6 +172,22 @@ func collect(t *testing.T, fc frameConn, want int) [][]byte {
 	return got
 }
 
+// send writes p as the body of a frame through WriteEnvelope, the one way the
+// product writes a frame.
+func send(fc frameConn, p []byte) error {
+	_, err := fc.WriteEnvelope(kindCall, 0, "", "", envMeta{}, frameBody{raw: p})
+	return err
+}
+
+// framed is the frames send writes of ps, as a reader is handed them.
+func framed(ps ...[]byte) [][]byte {
+	out := make([][]byte, len(ps))
+	for i, p := range ps {
+		out[i] = appendFrame(nil, kindCall, 0, "", "", envMeta{}, frameBody{raw: p})
+	}
+	return out
+}
+
 func payloads(n, size int) [][]byte {
 	out := make([][]byte, n)
 	for i := range out {
@@ -204,28 +220,28 @@ func TestReadSession(t *testing.T) {
 
 			t.Run(name+"/split-at-every-byte", func(t *testing.T) {
 				p := pair(t)
-				want := payloads(5, 40)
-				want = append(want, []byte{}) // an empty payload is a frame too
+				sent := payloads(5, 40)
+				sent = append(sent, []byte{}) // a frame without a body is a frame too
 				for step := int64(1); step <= 7; step += 2 {
 					p.wire.step.Store(step)
 					go func() {
-						for _, b := range want {
-							p.w.WriteFrame(b)
+						for _, b := range sent {
+							send(p.w, b)
 						}
 					}()
-					sameFrames(t, collect(t, p.r, len(want)), want)
+					sameFrames(t, collect(t, p.r, len(sent)), framed(sent...))
 				}
 			})
 
 			t.Run(name+"/many-frames-in-one-read", func(t *testing.T) {
 				p := pair(t)
-				want := payloads(300, 20)
-				for _, b := range want {
-					if err := p.w.WriteFrame(b); err != nil {
+				want := framed(payloads(300, 20)...)
+				for _, b := range payloads(300, 20) {
+					if err := send(p.w, b); err != nil {
 						t.Fatal(err)
 					}
 				}
-				for unread(p.wire.reader) < 300*(4+27) { // all of it waits in the socket
+				for unread(p.wire.reader) < 300*(4+len(want[0])) { // all of it waits in the socket
 					runtime.Gosched()
 				}
 				sameFrames(t, collect(t, p.r, len(want)), want)
@@ -241,16 +257,19 @@ func TestReadSession(t *testing.T) {
 				if filler == "raw" {
 					reads = &rawReads
 				}
-				// burst writes n frames and waits until all of them sit in the
-				// reader's socket: how many reads take them is the buffer's doing.
+				// burst writes n frames of 107 bytes and waits until all of them
+				// sit in the reader's socket: how many reads take them is the
+				// buffer's doing.
+				envelope := len(framed([]byte("0"))[0]) - 1 // what a frame adds to its body
 				burst := func(n int) [][]byte {
-					want := payloads(n, 100)
+					sent := payloads(n, 100-envelope)
+					want := framed(sent...)
 					size := 0
-					for _, b := range want {
-						if err := p.w.WriteFrame(b); err != nil {
+					for i, b := range sent {
+						if err := send(p.w, b); err != nil {
 							t.Fatal(err)
 						}
-						size += 4 + len(b) + fr.trailer
+						size += 4 + len(want[i]) + fr.trailer
 					}
 					for unread(p.wire.reader) < size {
 						runtime.Gosched()
@@ -272,12 +291,13 @@ func TestReadSession(t *testing.T) {
 					t.Fatalf("a burst of %d frames took %d reads and left a %d-byte buffer, want 1 and %d", len(want), n, c, 32<<10)
 				}
 				// However long the stream, doubling stops at readBufGrown.
-				want = payloads(3000, 100)
+				sent := payloads(3000, 100)
 				go func() {
-					for _, b := range want {
-						p.w.WriteFrame(b)
+					for _, b := range sent {
+						send(p.w, b)
 					}
 				}()
+				want = framed(sent...)
 				sameFrames(t, collect(t, p.r, len(want)), want)
 				if c := cap(fr.buf); c > readBufGrown {
 					t.Fatalf("read buffer grew to %d bytes on frames of %d, want at most %d", c, len(want[0]), readBufGrown)
@@ -287,16 +307,16 @@ func TestReadSession(t *testing.T) {
 			t.Run(name+"/large-frame-then-small", func(t *testing.T) {
 				p := pair(t)
 				big := bytes.Repeat([]byte("0123456789abcdef"), 3<<20/16) // 3 MiB: past the buffer, past the shrink rule's 1 MiB
-				want := append([][]byte{[]byte("before"), big}, payloads(3, 10)...)
+				sent := append([][]byte{[]byte(`"before"`), big}, payloads(3, 10)...)
 				go func() {
-					for _, b := range want {
-						p.w.WriteFrame(b)
+					for _, b := range sent {
+						send(p.w, b)
 					}
 				}()
-				sameFrames(t, collect(t, p.r, len(want)), want)
+				sameFrames(t, collect(t, p.r, len(sent)), framed(sent...))
 				// The next fill finds a buffer of 4 MiB with nothing to hold.
-				go p.w.WriteFrame([]byte("after"))
-				sameFrames(t, collect(t, p.r, 1), [][]byte{[]byte("after")})
+				go send(p.w, []byte(`"after"`))
+				sameFrames(t, collect(t, p.r, 1), framed([]byte(`"after"`)))
 				if c := cap(readerOf(p.r).buf); c != readBufSize {
 					t.Fatalf("read buffer is %d bytes after a large frame has gone, want %d", c, readBufSize)
 				}
@@ -318,7 +338,7 @@ func TestReadSession(t *testing.T) {
 
 			t.Run(name+"/eof-mid-frame", func(t *testing.T) {
 				p := pair(t)
-				if err := p.w.WriteFrame([]byte("whole")); err != nil {
+				if err := send(p.w, []byte(`"whole"`)); err != nil {
 					t.Fatal(err)
 				}
 				if _, err := p.wire.Conn.Write([]byte{0, 0, 1, 0, 'p', 'a', 'r', 't'}); err != nil {
@@ -334,7 +354,7 @@ func TestReadSession(t *testing.T) {
 
 			t.Run(name+"/eof", func(t *testing.T) {
 				p := pair(t)
-				if err := p.w.WriteFrame([]byte("last words")); err != nil {
+				if err := send(p.w, []byte(`"last words"`)); err != nil {
 					t.Fatal(err)
 				}
 				p.wire.Conn.Close()
@@ -365,7 +385,7 @@ func TestSessionSeesEOFBehindData(t *testing.T) {
 		go func() {
 			defer wg.Done()
 			time.Sleep(5 * time.Millisecond) // the session parks
-			p.w.WriteFrame([]byte("goodbye"))
+			send(p.w, []byte(`"goodbye"`))
 			p.wire.Conn.Close()
 			select {
 			case err := <-done:
@@ -403,7 +423,7 @@ func TestSessionLosesNoWakeup(t *testing.T) {
 			if n.Add(1) >= int64(rounds) {
 				return errStop
 			}
-			if err := self.WriteFrame([]byte("ball")); err != nil {
+			if err := send(self, []byte(`"ball"`)); err != nil {
 				return err
 			}
 			runtime.Gosched()
@@ -413,7 +433,7 @@ func TestSessionLosesNoWakeup(t *testing.T) {
 	}
 	go func() { done <- p.r.ReadFrames(pong(p.r)) }()
 	go func() { done <- p.w.ReadFrames(pong(p.w)) }()
-	if err := p.w.WriteFrame([]byte("ball")); err != nil {
+	if err := send(p.w, []byte(`"ball"`)); err != nil {
 		t.Fatal(err)
 	}
 	watchdog := time.NewTimer(2 * time.Minute)

@@ -149,7 +149,7 @@ func TestSecureFrameTamperDetected(t *testing.T) {
 		t.Fatal(sr.err)
 	}
 	tc.arm() // start tampering now that the handshake is done
-	if err := cli.WriteFrame([]byte("sensitive payload")); err != nil {
+	if err := send(cli, []byte(`"sensitive payload"`)); err != nil {
 		t.Fatal(err)
 	}
 	err = sr.fc.ReadFrames(func([]byte) error { return nil })
@@ -259,15 +259,15 @@ func TestWriteStallFailsAndClosesConn(t *testing.T) {
 	p := newPlainConn(cc, flushStats{}, stall)
 
 	read := make(chan struct{})
-	go func() { io.ReadFull(sc, make([]byte, 5)); close(read) }()
-	if err := p.WriteFrame([]byte("a")); err != nil { // arms the deadline
+	go func() { io.ReadFull(sc, make([]byte, 4+len(framed([]byte("1"))[0]))); close(read) }()
+	if err := send(p, []byte("1")); err != nil { // arms the deadline
 		t.Fatal(err)
 	}
 	<-read
 	time.Sleep(stall * 3 / 5) // under half is left
 
 	start := time.Now()
-	err := p.WriteFrame([]byte("b"))
+	err := send(p, []byte("2"))
 	if el := time.Since(start); !errors.Is(err, os.ErrDeadlineExceeded) || el < stall/2 || el > 10*stall {
 		t.Fatalf("write to a peer that never reads: err = %v after %v, want a deadline error within [%v, %v]", err, el, stall/2, stall)
 	}
@@ -275,7 +275,7 @@ func TestWriteStallFailsAndClosesConn(t *testing.T) {
 	if _, err := sc.Read(make([]byte, 1)); err != io.EOF {
 		t.Fatalf("stalled connection not closed: peer's read err = %v", err)
 	}
-	if err := p.WriteFrame([]byte("c")); !errors.Is(err, os.ErrDeadlineExceeded) {
+	if err := send(p, []byte("3")); !errors.Is(err, os.ErrDeadlineExceeded) {
 		t.Fatalf("write after the stall: err = %v, want the sticky failure", err)
 	}
 }
@@ -287,11 +287,12 @@ func TestWriteStallToleratesSlowReader(t *testing.T) {
 	cc, sc := net.Pipe()
 	defer sc.Close()
 	p := newPlainConn(cc, flushStats{}, stall)
-	payload := make([]byte, 4<<10)
+	payload := []byte(`"` + strings.Repeat("x", 4<<10) + `"`)
+	frame := 4 + len(framed(payload)[0])
 	got := make(chan int)
 	go func() {
 		n, chunk := 0, make([]byte, 256)
-		for n < 4+len(payload) {
+		for n < frame {
 			time.Sleep(stall / 4)
 			m, err := sc.Read(chunk)
 			if err != nil {
@@ -301,11 +302,11 @@ func TestWriteStallToleratesSlowReader(t *testing.T) {
 		}
 		got <- n
 	}()
-	if err := p.WriteFrame(payload); err != nil {
+	if err := send(p, payload); err != nil {
 		t.Fatalf("write to a slow reader: %v", err)
 	}
-	if n := <-got; n != 4+len(payload) {
-		t.Fatalf("slow reader received %d of %d bytes", n, 4+len(payload))
+	if n := <-got; n != frame {
+		t.Fatalf("slow reader received %d of %d bytes", n, frame)
 	}
 }
 

@@ -207,20 +207,6 @@ func (s *secureConn) WriteEnvelope(kind frameKind, seq uint64, method, errStr st
 	return n, s.cw.endFrame(s.sealLocked(buf, start), now)
 }
 
-func (s *secureConn) WriteFrame(b []byte) error {
-	if len(b) > MaxFrameSize {
-		return fmt.Errorf("wsrpc: frame of %d bytes exceeds limit", len(b))
-	}
-	buf, now, err := s.cw.beginFrame(time.Time{})
-	if err != nil {
-		return err
-	}
-	start := len(buf)
-	buf = append(buf, 0, 0, 0, 0)
-	buf = append(buf, b...)
-	return s.cw.endFrame(s.sealLocked(buf, start), now)
-}
-
 // ReadFrames opens each record the session yields — MAC over (counter,
 // ciphertext) checked, then decrypted where it lies — and hands fn the
 // plaintext.

@@ -53,7 +53,7 @@ cd "$(dirname "$0")/.."
 if [ $# -eq 0 ]; then
     set -- \
         './internal/core:^(TestAllocsPerTaskBudget|TestSerialRoundSyscalls)$' \
-        './internal/dispatch:^(TestBytesPerTaskAtRest|TestBytesPerIdleExecutor|TestBytesPerConnectedExecutor|TestExecutorThatDoesNotAcceptGrantsPulls)$' \
+        './internal/dispatch:^(TestBytesPerTaskAtRest|TestBytesPerIdleExecutor|TestBytesPerConnectedExecutor|TestExecutorThatDoesNotAcceptGrantsPulls|TestSnapshotCutAllocsPerTask)$' \
         './internal/dispatch:^(TestCrashRecoveryExactlyOnce|TestAttemptsSurviveCrash|TestJournalRecordsFollowTheProtocol|TestCompletesWrittenWithoutLaterSubmit)$' \
         './internal/faultinj:^TestWALSurvivesDiskFaults$' \
         './internal/forward:^(TestTreeHopAllocBudget|TestForwarderSpreadsInstancesAcrossDispatchers|TestScratchFailedPushRebuffered)$' \

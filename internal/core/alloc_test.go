@@ -62,21 +62,22 @@ const bytesPerTaskCeiling = 1080
 // serialAllocsPerTaskCeiling is the plain system driven the opposite way — one
 // task per Submit, one task in flight, read through Results as the repo
 // benchmark reads it: its direct-serial and the paper's Fig. 10 case. Nothing is
-// shared, so it is what one unqueued task costs end to end over its six frames
+// bundled, so it is what one unqueued task costs end to end over its six frames
 // (two calls and two pushes: Submit, the grant, Deliver, the result). Measured
-// 2.01 to 2.08 at -cpu 1, 2 and 4, the lowest of a run's five batches 2.01 or
-// 2.02: the dispatcher's decoded bundle and the one string its task's bytes
-// less their ID and trace are relayed from (DESIGN.md §9, "Relay") — what has
-// to live for the task's queue time. The executor's Args header and bytes are
-// carved from chunks its slot keeps grant after grant (§9, "Chunks"). The
-// ceiling is that plus 0.9: less than one object, because the count repeats
-// to two decimals and one box coming back must fail. serialBytesPerTaskCeiling
-// is its bytes, every batch: 330 to 342 measured, this loop's own batch
-// included, under the 368 it had (330 to 335 then, plus 10 %), which stays:
+// 0.04 at -cpu 1, 2 and 4: the dispatcher carves a one-task bundle's head and
+// the bytes it relays (DESIGN.md §9, "Relay") from two chunks the connection's
+// scratch keeps, a head chunk every 63 tasks and a byte chunk every few dozen,
+// and the executor its Args header and bytes from chunks its slot keeps grant
+// after grant (§9, "Chunks"). The ceiling, 0.25, is far under one object: the
+// count repeats to two decimals, and one object a task coming back — a bundle
+// allocated by itself again — must fail. serialBytesPerTaskCeiling
+// is its bytes, every batch: 326 to 333 measured (330 to 342 before small
+// bundles were carved), this loop's own batch included, under the 368 it had (330 to 335 then, plus 10 %), which stays:
 // the 48 bytes of a task's ID and trace digits a dispatcher kept twice until
 // it wrote them again from its numbers fail it.
 //
-// History of the row, newest first: 4.00 to 4.06 objects and 330 to 335
+// History of the row, newest first: 2.01 to 2.08 objects while every bundle
+// was a slice and a string of its own; 4.00 to 4.06 objects and 330 to 335
 // bytes while the executor's decoder made a chunk pair for every grant; 378 to 383 bytes, 4.00 to 4.06 objects,
 // while the dispatcher kept each task's whole JSON; 6.00 to 6.07 objects and 399 to 400 bytes
 // while the dispatcher decoded every task whole, its command and its Args
@@ -91,7 +92,7 @@ const bytesPerTaskCeiling = 1080
 // grant's; 27.00 to 27.06 while the outstanding record was an object of its
 // own.
 const (
-	serialAllocsPerTaskCeiling = 2.9
+	serialAllocsPerTaskCeiling = 0.25
 	serialBytesPerTaskCeiling  = 368
 )
 

@@ -39,16 +39,3 @@ func ReadJSONL(r io.Reader, gen *IDGen) ([]Task, error) {
 	}
 	return out, nil
 }
-
-// WriteJSONL emits tasks one JSON object per line — the inverse of
-// ReadJSONL.
-func WriteJSONL(w io.Writer, tasks []Task) error {
-	bw := bufio.NewWriter(w)
-	enc := json.NewEncoder(bw)
-	for i := range tasks {
-		if err := enc.Encode(&tasks[i]); err != nil {
-			return err
-		}
-	}
-	return bw.Flush()
-}

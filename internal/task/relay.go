@@ -74,15 +74,35 @@ func Relay(tasks []Task) []Relayed {
 // "Scratch") — and used by one decode at a time. It grows by append to the
 // largest bundle its owner reads, and is made anew, as a connection's read
 // buffer is, once it is over 1 MiB and a bundle uses under an eighth of it.
-type Scratch struct{ rs []received }
+//
+// It also keeps the two chunks a small bundle is carved from (keep): its
+// heads, and its bytes. A chunk is never written where it has handed
+// something out, so keeping any of a bundle's tasks keeps at most one chunk
+// of each kind.
+type Scratch struct {
+	rs    []received
+	heads []Relayed       // the unused tail of the chunk small bundles' heads are carved from
+	full  int             // the capacity of that chunk
+	bytes strings.Builder // and of their Rest; a Builder never rewrites what it has handed out
+}
+
+// A full chunk is 63 heads, which with the 8-byte malloc header a
+// pointer-bearing object over 512 bytes carries fill the 4,096-byte size
+// class (64 would take the 4,864-byte one), or 4,096 bytes. A bundle is small,
+// and carved, when it fills at most an eighth of both.
+const (
+	chunkHeads = (4<<10 - 8) / int(unsafe.Sizeof(Relayed{}))
+	chunkBytes = 4 << 10
+)
 
 // ReadRelayed reads the tasks of an array whose `[` has been consumed, through
 // its `]`, as a dispatcher holds them, in s. It reads them in one pass, each as
 // Task.ParseJSON would and keeping only what a dispatcher reads, and then
-// makes them two allocations of exactly their size: the slice, and one string
-// of every task's Rest, of which a dataset whose literal is its contents is a
-// substring. Nothing of the reader's document is kept. A reader that failed
-// keeps nothing and returns nil.
+// keeps them as two things: the slice, and one string of every task's Rest, of
+// which a dataset whose literal is its contents is a substring — carved from
+// s's chunks for a small bundle, or allocated at exactly their size (keep).
+// Nothing of the reader's document is kept. A reader that failed keeps
+// nothing and returns nil.
 func ReadRelayed(r *jsonwire.Reader, s *Scratch) []Relayed {
 	rs := s.rs[:0]
 	if cap(rs) == 0 {
@@ -94,7 +114,7 @@ func ReadRelayed(r *jsonwire.Reader, s *Scratch) []Relayed {
 	}
 	var out []Relayed
 	if !r.Failed() {
-		out = keep(r, rs)
+		out = keep(r, rs, s)
 	}
 	clear(rs) // an escaped dataset is a string of its own
 	if cap(rs)*int(unsafe.Sizeof(received{})) > 1<<20 && len(rs) < cap(rs)/8 {
@@ -187,19 +207,28 @@ func (t *received) parseJSON(r *jsonwire.Reader) {
 }
 
 // keep makes the tasks parseJSON read from r's document into what a
-// dispatcher holds.
-func keep(r *jsonwire.Reader, rs []received) []Relayed {
+// dispatcher holds. A small bundle — at most an eighth of a full chunk of
+// heads and of bytes — is carved from s's chunks (carve), so that a run of
+// them shares two allocations; any other, the empty one too (a non-nil []),
+// is two allocations of exactly its size.
+func keep(r *jsonwire.Reader, rs []received, s *Scratch) []Relayed {
 	n := 0
 	for i := range rs {
 		n += rs[i].end - rs[i].rest
 	}
-	var b strings.Builder
-	b.Grow(n)
-	for i := range rs {
-		b.Write(r.Between(rs[i].rest, rs[i].end))
+	var out []Relayed
+	var all string
+	if len(rs) > 0 && len(rs) <= chunkHeads/8 && n <= chunkBytes/8 {
+		out, all = s.carve(r, rs, n)
+	} else {
+		var b strings.Builder
+		b.Grow(n)
+		for i := range rs {
+			b.Write(r.Between(rs[i].rest, rs[i].end))
+		}
+		out, all = make([]Relayed, len(rs)), b.String()
 	}
-	all, at := b.String(), 0
-	out := make([]Relayed, len(rs))
+	at := 0
 	for i := range rs {
 		t := &rs[i]
 		out[i] = t.Relayed
@@ -210,4 +239,28 @@ func keep(r *jsonwire.Reader, rs []received) []Relayed {
 		at += t.end - t.rest
 	}
 	return out
+}
+
+// carve cuts the heads of rs, clipped so that appending to them cannot reach
+// the next bundle's, and their n bytes of Rest from s's chunks. A chunk
+// without room is replaced by one with twice its room, or the need if more,
+// up to a full chunk, as jsonwire.Reader.room grows a kept reader's: a Scratch
+// used once allocates what an exactly-sized bundle would.
+func (s *Scratch) carve(r *jsonwire.Reader, rs []received, n int) ([]Relayed, string) {
+	if len(rs) > len(s.heads) {
+		s.full = min(max(len(rs), 2*s.full), chunkHeads)
+		s.heads = make([]Relayed, s.full)
+	}
+	heads := s.heads[:len(rs):len(rs)]
+	s.heads = s.heads[len(rs):]
+	if n > s.bytes.Cap()-s.bytes.Len() {
+		grow := min(max(n, 2*s.bytes.Cap()), chunkBytes)
+		s.bytes.Reset()
+		s.bytes.Grow(grow)
+	}
+	off := s.bytes.Len()
+	for i := range rs {
+		s.bytes.Write(r.Between(rs[i].rest, rs[i].end))
+	}
+	return heads, s.bytes.String()[off:]
 }

@@ -11,7 +11,6 @@ package task
 import (
 	"fmt"
 	"strconv"
-	"strings"
 	"sync/atomic"
 	"time"
 )
@@ -49,22 +48,6 @@ func (e Engine) String() string {
 		return "func"
 	default:
 		return fmt.Sprintf("engine(%d)", uint8(e))
-	}
-}
-
-// ParseEngine converts a workload-file engine name to an Engine.
-func ParseEngine(s string) (Engine, error) {
-	switch strings.ToLower(strings.TrimSpace(s)) {
-	case "sleep", "":
-		return EngineSleep, nil
-	case "data":
-		return EngineData, nil
-	case "exec":
-		return EngineExec, nil
-	case "func":
-		return EngineFunc, nil
-	default:
-		return 0, fmt.Errorf("task: unknown engine %q", s)
 	}
 }
 
@@ -189,10 +172,6 @@ func (r Result) ExecTime() time.Duration { return r.FinishedAt - r.DispatchedAt 
 
 // RunTime is the interval the task actually computed.
 func (r Result) RunTime() time.Duration { return r.FinishedAt - r.StartedAt }
-
-// Overhead is lifecycle time minus pure run time: the paper's Figure 10
-// metric (thread creation + WS pickup + exec setup + result delivery).
-func (r Result) Overhead() time.Duration { return r.ExecTime() - r.RunTime() }
 
 // IDGen hands out monotonically increasing task ids; safe for concurrent
 // use.

@@ -59,6 +59,7 @@ if [ $# -eq 0 ]; then
         './internal/forward:^(TestTreeHopAllocBudget|TestForwarderSpreadsInstancesAcrossDispatchers|TestScratchFailedPushRebuffered)$' \
         './internal/obs:^TestTracerBytesAtRest$' \
         './internal/sched:^TestCycleAllocations$' \
+        './internal/task:^TestSmallBundlesPinAtMostAChunk$' \
         './internal/wal:^(TestGroupCommitConcurrent|TestAdvisoryRecordWrittenWithinBound)$'
 fi
 

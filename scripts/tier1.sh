@@ -61,6 +61,9 @@ go test -run='TestBytesPerTaskAtRest|TestBytesPerIdleExecutor|TestBytesPerConnec
 # over two leaves against one dispatcher, same loop, plus a leaf restart
 # mid-batch.
 go test -run='TestTreeHopAllocBudget' -cpu 1,2,4 -count=1 ./internal/forward/
+# And what a run of small bundles keeps alive: they are carved from the chunks
+# a dispatcher's connection keeps, and a held task pins at most one of each.
+go test -run='TestSmallBundlesPinAtMostAChunk' -cpu 1,2,4 -count=1 ./internal/task/
 # The repo benchmark's smoke run: all four workloads in one process, 2,048
 # tasks a window, exactly-once checked bit per task ID — the check most likely
 # to catch a reused buffer read after it was recycled. (Builds into

@@ -455,14 +455,14 @@ func New(opts Options) *Dispatcher {
 	}
 	var taskRetries func(taskRef) int // nil: Options.MaxRetries alone
 	if !opts.NoRetryOnFailure {
-		taskRetries = func(tr taskRef) int { return tr.t.MaxRetries }
+		taskRetries = func(tr taskRef) int { return tr.t.MaxRetries() }
 	}
 	d := &Dispatcher{
 		opts:  opts,
 		epoch: time.Now(),
 		core: sched.NewCore[string, outKey](sched.Options[taskRef]{
 			MaxRetries:  opts.MaxRetries,
-			Dataset:     func(tr taskRef) string { return tr.t.Dataset },
+			Dataset:     func(tr taskRef) string { return tr.t.Dataset() },
 			TaskRetries: taskRetries,
 			Tenant:      func(tr taskRef) string { return taskTenant(tr) },
 			Declared:    func(tr taskRef) time.Duration { return tr.t.Declared },

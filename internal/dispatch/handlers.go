@@ -603,7 +603,7 @@ func (d *Dispatcher) deliver(f *fx, req *fproto.DeliverRequest) error {
 			r.ExecutorID = req.ExecutorID
 		}
 		r.Trace = o.Item.X.t.Trace
-		d.core.NoteCompletion(ex, o.Item.X.t.Dataset)
+		d.core.NoteCompletion(ex, o.Item.X.t.Dataset())
 		if r.Failed() && !d.opts.NoRetryOnFailure {
 			d.replay(f, &o, "task failed: "+failReason(r))
 			continue

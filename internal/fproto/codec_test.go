@@ -266,8 +266,8 @@ func TestRelayedIsWhatWasSent(t *testing.T) {
 			if r.Trace != 0 {
 				digits += len(`,"trace":`) + len(strconv.FormatUint(r.Trace, 10))
 			}
-			if whole := len(tasks[i].AppendJSON(nil)); len(r.Rest) != whole-len(`{"id":}`)-digits {
-				t.Fatalf("task %s keeps %d bytes of its %d: %s", tasks[i].AppendJSON(nil), len(r.Rest), whole, r.Rest)
+			if whole := len(tasks[i].AppendJSON(nil)); len(r.Rest()) != whole-len(`{"id":}`)-digits {
+				t.Fatalf("task %s keeps %d bytes of its %d: %s", tasks[i].AppendJSON(nil), len(r.Rest()), whole, r.Rest())
 			}
 			if got := relayedTasks(b.Tasks[i : i+1])[0]; !reflect.DeepEqual(got, whole.Tasks[i]) {
 				t.Fatalf("task %d decodes whole as\n %+v\nnot as sent\n %+v", i, got, whole.Tasks[i])
@@ -481,7 +481,8 @@ func relayedTasks(rs []task.Relayed) []task.Task {
 
 // checkRelay is FuzzBodyCodec's half for the dispatcher's reading of a submit
 // (DESIGN.md §9, "Relay"): a Bundle is read where json.Unmarshal reads a
-// SubmitRequest, agrees with it on the five fields a dispatcher reads, and
+// SubmitRequest, agrees with it on the five things a dispatcher reads (the
+// dataset and the retry bound read from the relayed bytes, escaped or not), and
 // relays bytes that an executor's GetWorkReply.DecodeJSON reads, without a
 // fallback, as the tasks json.Unmarshal read; a body the fast path refused is
 // relayed as AppendJSON encodes its tasks.
@@ -535,7 +536,7 @@ func checkRelay(t *testing.T, data []byte) {
 		if w.Engine != task.EngineSleep && w.Engine != task.EngineData {
 			declared = 0
 		}
-		if r.ID != w.ID || r.Trace != w.Trace || r.MaxRetries != w.MaxRetries || r.Declared != declared || r.Dataset != dataset {
+		if r.ID != w.ID || r.Trace != w.Trace || r.MaxRetries() != w.MaxRetries || r.Declared != declared || r.Dataset() != dataset {
 			t.Fatalf("Bundle %q: task %d read as %+v, want %+v", data, i, *r, *w)
 		}
 		if relayed, canonical := string(r.AppendJSON(nil)), string(w.AppendJSON(nil)); fellBack && relayed != canonical {
@@ -571,6 +572,10 @@ func TestBundleArrayIsItsRelayedTasks(t *testing.T) {
 		`{"epr":"e","tasks":[{"id":12345678901234567890,"engine":2,"io":{"read_bytes":1,"dataset":"d\/x"},"max_retries":3}]}`,
 		`{"epr":"e","tasks":[]}`,
 		`{"epr":"e","tasks":null}`,
+		// Datasets past what a head's offset and length fields hold, which
+		// are kept after Rest as an escaped one is, and a negative retry bound.
+		`{"epr":"e","tasks":[{"id":1,"args":["` + strings.Repeat("a", 1<<16) + `"],"io":{"dataset":"d"},"max_retries":-2},` +
+			`{"id":2,"io":{"dataset":"` + strings.Repeat("b", 1<<16) + `"},"max_retries":-9223372036854775808}]}`,
 	} {
 		before := CodecFallbacks.Value()
 		checkRelay(t, []byte(body))
@@ -599,6 +604,7 @@ func FuzzBodyCodec(f *testing.F) {
 	// with an escape, and one in a body the fast path refuses.
 	f.Add(uint8(0), []byte(`{"epr":"e","tasks":[{"id":1,"engine":1,"io":{"read_bytes":5,"dataset":"d0"},"duration":7},{"id":2,"io":{"dataset":"d\u00e9\/1"}}]}`))
 	f.Add(uint8(0), []byte(`{"epr":"e","tasks":[{"id":1,"io":{"dataset":"d0","location":"x"}}]}`))
+	f.Add(uint8(0), []byte(`{"epr":"e","tasks":[{"id":1,"io":{"dataset":"x\\y"},"max_retries":-3},{"id":2,"max_retries":12,"trace":5}]}`))
 	// What a dispatcher writes again rather than keeps: a trace of 0 sent as
 	// such, IDs and traces of twenty digits, and the ID and trace around a
 	// task that sets every member, an escaped dataset among them.

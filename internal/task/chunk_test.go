@@ -24,12 +24,14 @@ const smallBundlePinCeiling = 8192
 
 // A run of small bundles read through one Scratch is carved from its chunks,
 // and a task that outlives the rest keeps at most one chunk of each kind
-// alive. Every 63rd task of 6,300 one-task bundles is held, and each must
+// alive. Every chunkHeads-th task of 100 chunks' worth of one-task bundles is
+// held, so that each held task has a heads chunk of its own, and each must
 // still be the bytes it was sent as once every later bundle has been carved
 // (under -race too); without the race detector the heap they keep is held
 // to smallBundlePinCeiling.
 func TestSmallBundlesPinAtMostAChunk(t *testing.T) {
-	const bundles, every = 6300, 63
+	const every = chunkHeads
+	const bundles = 100 * every
 	sent := func(dst []byte, i int) []byte {
 		return (&Task{ID: ID(i + 1), Command: "sleep", Args: []string{fmt.Sprintf("%016x", i)}}).AppendJSON(dst)
 	}
@@ -62,7 +64,7 @@ func TestSmallBundlesPinAtMostAChunk(t *testing.T) {
 	for k, got := range held {
 		i := k*every + every - 1
 		want := sent(nil, i)
-		if g := got[0].AppendJSON(nil); !bytes.Equal(g, want) || got[0].ID != ID(i+1) || got[0].Trace != 0 || got[0].Dataset != "" {
+		if g := got[0].AppendJSON(nil); !bytes.Equal(g, want) || got[0].ID != ID(i+1) || got[0].Trace != 0 || got[0].Dataset() != "" {
 			t.Fatalf("task %d of %d is %+v, relayed as %s; sent as %s", i+1, bundles, got[0], g, want)
 		}
 	}

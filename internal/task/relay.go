@@ -1,6 +1,7 @@
 package task
 
 import (
+	"strconv"
 	"strings"
 	"time"
 	"unsafe"
@@ -8,21 +9,57 @@ import (
 	"falkon/internal/jsonwire"
 )
 
-// Relayed is a task as a dispatcher holds it (DESIGN.md §9, "Relay"): the five
-// things it reads of a task, and the rest of the task's JSON as received, which
-// AppendJSON puts back around the ID and trace wherever the task goes next.
-// Only an executor decodes a task whole.
+// Relayed is a task as a dispatcher holds it (DESIGN.md §9, "Relay"): the
+// three numbers it reads of a task, and the rest of the task's JSON as
+// received, which AppendJSON puts back around the ID and trace wherever the
+// task goes next. The two more things it reads, the dataset and the retry
+// bound, are read from those bytes (Dataset, MaxRetries). Only an executor
+// decodes a task whole.
+//
+// It is 48 bytes, so that a 64-task bundle's heads and their 8-byte malloc
+// header fill 3,080 bytes of the 3,200-byte size class. bytes is Rest, then a
+// dataset Rest does not hold as written; restLen is Rest's length (a task
+// came in one frame or journal record of at most 64 MiB), and dsAt and dsLen
+// are where in Rest a dataset it holds as written is.
 type Relayed struct {
-	ID         ID
-	Trace      uint64
-	MaxRetries int
-	Declared   time.Duration // what it states it runs for (declared)
-	Dataset    string        // IO.Dataset
-	// Rest is the task's members after its ID and before a trace other than
-	// 0, as received: the task is `{"id":`, ID, Rest, then `,"trace":` and
-	// Trace unless Trace is 0, and `}`. The digits of both numbers are not
-	// kept twice.
-	Rest string
+	ID          ID
+	Trace       uint64
+	Declared    time.Duration // what it states it runs for (declared)
+	bytes       string
+	restLen     uint32
+	dsAt, dsLen uint16
+}
+
+// Rest is the task's members after its ID and before a trace other than 0, as
+// received: the task is `{"id":`, ID, Rest, then `,"trace":` and Trace unless
+// Trace is 0, and `}`. The digits of both numbers are not kept twice.
+func (t *Relayed) Rest() string { return t.bytes[:t.restLen] }
+
+// Dataset is the dataset the task names (IO.Dataset), or "".
+func (t *Relayed) Dataset() string {
+	if len(t.bytes) > int(t.restLen) {
+		return t.bytes[t.restLen:]
+	}
+	return t.bytes[t.dsAt : int(t.dsAt)+int(t.dsLen)]
+}
+
+// MaxRetries is the retry bound the task states, or 0, read from Rest with no
+// allocation each time a replay asks. Rest holds `,"max_retries":` nowhere but
+// as that member: a quote inside a string literal is escaped, and the task's
+// reader takes no member it does not know.
+func (t *Relayed) MaxRetries() int {
+	const key = `,"max_retries":`
+	rest := t.Rest()
+	i := strings.Index(rest, key)
+	if i < 0 {
+		return 0
+	}
+	rest = rest[i+len(key):]
+	if j := strings.IndexByte(rest, ','); j >= 0 {
+		rest = rest[:j]
+	}
+	n, _ := strconv.Atoi(rest) // validated as an int when the task was received
+	return n
 }
 
 // declared is the run time a task states for itself: the synthetic engines'
@@ -41,7 +78,7 @@ func declared(e Engine, d time.Duration) time.Duration {
 func (t *Relayed) AppendJSON(dst []byte) []byte {
 	dst = append(dst, `{"id":`...)
 	dst = jsonwire.AppendUint(dst, uint64(t.ID))
-	dst = append(dst, t.Rest...)
+	dst = append(dst, t.Rest()...)
 	if t.Trace != 0 {
 		dst = append(dst, `,"trace":`...)
 		dst = jsonwire.AppendUint(dst, t.Trace)
@@ -51,18 +88,18 @@ func (t *Relayed) AppendJSON(dst []byte) []byte {
 
 // Relay returns tasks as a dispatcher holds them, each encoded by AppendJSON:
 // the fallback for what ReadRelayed refuses, once encoding/json has read it.
+// It reads their canonical encoding as a submit's is read, so a task is held
+// alike whichever way it came.
 func Relay(tasks []Task) []Relayed {
-	out := make([]Relayed, len(tasks))
-	var buf []byte
-	for i := range tasks {
-		t := tasks[i]
-		out[i] = Relayed{ID: t.ID, Trace: t.Trace, MaxRetries: t.MaxRetries, Declared: declared(t.Engine, t.Duration)}
-		if t.IO != nil {
-			out[i].Dataset = t.IO.Dataset
-		}
-		t.ID, t.Trace = 0, 0
-		buf = t.AppendJSON(buf[:0])
-		out[i].Rest = string(buf[len(`{"id":0`) : len(buf)-1])
+	if tasks == nil {
+		tasks = []Task{} // an array, not null: the tasks are a non-nil []
+	}
+	var r jsonwire.Reader
+	r.Reset(AppendArray(nil, tasks, (*Task).AppendJSON))
+	r.Expect(`[`)
+	out := ReadRelayed(&r, new(Scratch))
+	if !r.OK() {
+		panic("task: ReadRelayed refuses what Task.AppendJSON writes")
 	}
 	return out
 }
@@ -81,15 +118,16 @@ func Relay(tasks []Task) []Relayed {
 // of each kind.
 type Scratch struct {
 	rs    []received
+	tails []byte          // the datasets a bundle's Rest does not hold as written, in task order; dropped once over 1 MiB
 	heads []Relayed       // the unused tail of the chunk small bundles' heads are carved from
 	full  int             // the capacity of that chunk
-	bytes strings.Builder // and of their Rest; a Builder never rewrites what it has handed out
+	bytes strings.Builder // and of their bytes; a Builder never rewrites what it has handed out
 }
 
-// A full chunk is 63 heads, which with the 8-byte malloc header a
-// pointer-bearing object over 512 bytes carries fill the 4,096-byte size
-// class (64 would take the 4,864-byte one), or 4,096 bytes. A bundle is small,
-// and carved, when it fills at most an eighth of both.
+// A full chunk is 85 heads, which with the 8-byte malloc header a
+// pointer-bearing object over 512 bytes carries fill 4,088 bytes of the
+// 4,096-byte size class, or 4,096 bytes. A bundle is small, and carved, when it
+// fills at most an eighth of both: at most 10 tasks.
 const (
 	chunkHeads = (4<<10 - 8) / int(unsafe.Sizeof(Relayed{}))
 	chunkBytes = 4 << 10
@@ -99,45 +137,48 @@ const (
 // its `]`, as a dispatcher holds them, in s. It reads them in one pass, each as
 // Task.ParseJSON would and keeping only what a dispatcher reads, and then
 // keeps them as two things: the slice, and one string of every task's Rest, of
-// which a dataset whose literal is its contents is a substring — carved from
-// s's chunks for a small bundle, or allocated at exactly their size (keep).
-// Nothing of the reader's document is kept. A reader that failed keeps
-// nothing and returns nil.
+// which a dataset whose literal is its contents is a substring, and after each
+// Rest any other dataset's contents — carved from s's chunks for a small
+// bundle, or allocated at exactly their size (keep). Nothing of the reader's
+// document is kept. A reader that failed keeps nothing and returns nil.
 func ReadRelayed(r *jsonwire.Reader, s *Scratch) []Relayed {
 	rs := s.rs[:0]
 	if cap(rs) == 0 {
 		rs = make([]received, 0, r.Elems())
 	}
+	s.tails = s.tails[:0]
 	for r.Elem(len(rs)) {
 		rs = append(rs, received{})
-		rs[len(rs)-1].parseJSON(r)
+		rs[len(rs)-1].parseJSON(r, &s.tails)
 	}
 	var out []Relayed
 	if !r.Failed() {
 		out = keep(r, rs, s)
 	}
-	clear(rs) // an escaped dataset is a string of its own
 	if cap(rs)*int(unsafe.Sizeof(received{})) > 1<<20 && len(rs) < cap(rs)/8 {
 		rs = nil
+	}
+	if cap(s.tails) > 1<<20 {
+		s.tails = nil
 	}
 	s.rs = rs[:0]
 	return out
 }
 
 // received is a task as parseJSON reads it: what a dispatcher keeps, with its
-// Rest and a plain dataset still offsets in the document.
+// Rest still offsets in the document.
 type received struct {
 	Relayed
 	rest, end int // Rest is the document's [rest, end)
-	plain, n  int // and a plain dataset its [plain, plain+n)
+	tail      int // and the next tail bytes of the Scratch's tails its dataset
 }
 
 // parseJSON reads one task into t, which must be zero, as Task.ParseJSON
 // reads it — the same jsonwire primitives, members numbered alike, every
 // string validated — keeping what a dispatcher reads, and where in the
-// document its Rest and its dataset are, when the dataset's literal is its
-// contents.
-func (t *received) parseJSON(r *jsonwire.Reader) {
+// document its Rest is and in Rest its dataset, when the literal is its
+// contents and the head's fields hold its place; any other dataset goes on tails.
+func (t *received) parseJSON(r *jsonwire.Reader, tails *[]byte) {
 	r.Expect(`{"id":`)
 	t.ID = ID(r.Uint())
 	t.rest = r.Mark()
@@ -183,10 +224,11 @@ func (t *received) parseJSON(r *jsonwire.Reader) {
 				case "dataset":
 					at = 4
 					open := r.Mark()
-					if b := r.Str(); r.Mark()-open-2 == len(b) {
-						t.plain, t.n = open+1, len(b) // the literal is its contents
+					b := r.Str()
+					if off := open + 1 - t.rest; r.Mark()-open-2 == len(b) && off < 1<<16 && len(b) < 1<<16 {
+						t.dsAt, t.dsLen = uint16(off), uint16(len(b)) // the literal is its contents
 					} else {
-						t.Dataset = string(b)
+						*tails, t.tail = append(*tails, b...), len(b)
 					}
 				}
 				last = r.InOrder(last, at)
@@ -194,7 +236,7 @@ func (t *received) parseJSON(r *jsonwire.Reader) {
 		case "duration":
 			at, duration = 7, time.Duration(r.Int64())
 		case "max_retries":
-			at, t.MaxRetries = 8, r.Int()
+			at, _ = 8, r.Int() // read again from Rest on replay (MaxRetries)
 		case "stage":
 			at, _ = 9, r.Int()
 		case "trace":
@@ -212,7 +254,7 @@ func (t *received) parseJSON(r *jsonwire.Reader) {
 // them shares two allocations; any other, the empty one too (a non-nil []),
 // is two allocations of exactly its size.
 func keep(r *jsonwire.Reader, rs []received, s *Scratch) []Relayed {
-	n := 0
+	n := len(s.tails)
 	for i := range rs {
 		n += rs[i].end - rs[i].rest
 	}
@@ -223,29 +265,36 @@ func keep(r *jsonwire.Reader, rs []received, s *Scratch) []Relayed {
 	} else {
 		var b strings.Builder
 		b.Grow(n)
-		for i := range rs {
-			b.Write(r.Between(rs[i].rest, rs[i].end))
-		}
+		s.write(&b, r, rs)
 		out, all = make([]Relayed, len(rs)), b.String()
 	}
 	at := 0
 	for i := range rs {
 		t := &rs[i]
+		n := t.end - t.rest + t.tail
 		out[i] = t.Relayed
-		out[i].Rest = all[at : at+t.end-t.rest]
-		if t.n > 0 {
-			out[i].Dataset = out[i].Rest[t.plain-t.rest : t.plain-t.rest+t.n]
-		}
-		at += t.end - t.rest
+		out[i].bytes, out[i].restLen = all[at:at+n], uint32(t.end-t.rest)
+		at += n
 	}
 	return out
 }
 
+// write writes the bytes rs keep to b: each one's Rest, from r's document, and
+// after it its tail of s's tails.
+func (s *Scratch) write(b *strings.Builder, r *jsonwire.Reader, rs []received) {
+	tails := s.tails
+	for i := range rs {
+		b.Write(r.Between(rs[i].rest, rs[i].end))
+		b.Write(tails[:rs[i].tail])
+		tails = tails[rs[i].tail:]
+	}
+}
+
 // carve cuts the heads of rs, clipped so that appending to them cannot reach
-// the next bundle's, and their n bytes of Rest from s's chunks. A chunk
-// without room is replaced by one with twice its room, or the need if more,
-// up to a full chunk, as jsonwire.Reader.room grows a kept reader's: a Scratch
-// used once allocates what an exactly-sized bundle would.
+// the next bundle's, and their n bytes from s's chunks. A chunk without room
+// is replaced by one with twice its room, or the need if more, up to a full
+// chunk, as jsonwire.Reader.room grows a kept reader's: a Scratch used once
+// allocates what an exactly-sized bundle would.
 func (s *Scratch) carve(r *jsonwire.Reader, rs []received, n int) ([]Relayed, string) {
 	if len(rs) > len(s.heads) {
 		s.full = min(max(len(rs), 2*s.full), chunkHeads)
@@ -259,8 +308,6 @@ func (s *Scratch) carve(r *jsonwire.Reader, rs []received, n int) ([]Relayed, st
 		s.bytes.Grow(grow)
 	}
 	off := s.bytes.Len()
-	for i := range rs {
-		s.bytes.Write(r.Between(rs[i].rest, rs[i].end))
-	}
+	s.write(&s.bytes, r, rs)
 	return heads, s.bytes.String()[off:]
 }

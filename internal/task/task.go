@@ -19,9 +19,9 @@ import (
 type Engine uint8
 
 const (
-	// EngineSleep runs a synthetic task of a fixed duration. Args[0] is the
-	// duration in seconds (fractional allowed). "sleep 0" tasks — the
-	// paper's microbenchmark staple — complete immediately.
+	// EngineSleep runs a synthetic task of a fixed duration: the executor
+	// sleeps Duration, and nothing reads the task's Args. "sleep 0" tasks —
+	// the paper's microbenchmark staple — complete immediately.
 	EngineSleep Engine = iota
 	// EngineData models a task that stages data in and/or out before a
 	// fixed compute duration; staging cost is charged by the storage model.

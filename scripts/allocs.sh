@@ -122,6 +122,8 @@ LAYERS
     # The body codec's row by message leg, each a function of fproto's that
     # the leg's samples have on their stack (a value method, or the wrapper a
     # call through an interface adds), out of the codec row's samples only.
+    # An executor decodes its grants through GetWorkReply.DecodeKept, with a
+    # reader it keeps; DecodeJSON is the entry for everything else.
     echo "body codec by message leg                 ms      %"
     leg=$codecSeen
     while IFS=';' read -r name msg fn; do
@@ -135,7 +137,7 @@ submit encode (client);SubmitRequest;AppendJSON
 submit decode (dispatcher);Bundle;DecodeInterned
 grant encode, to a leaf;Bundle;AppendJSON
 grant encode, to an executor;RelayReply;AppendJSON
-grant decode (executor);GetWorkReply|DeliverReply;DecodeJSON
+grant decode (executor);GetWorkReply|DeliverReply;(DecodeJSON|DecodeKept)
 Deliver encode (executor);DeliverRequest;AppendJSON
 Deliver decode (dispatcher);DeliverRequest;DecodeInterned
 result-push encode;ResultsNotify|ParentResults;AppendJSON

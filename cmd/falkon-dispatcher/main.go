@@ -43,6 +43,7 @@ import (
 	"log"
 	"os"
 	"os/signal"
+	"sync"
 	"syscall"
 	"time"
 
@@ -123,12 +124,6 @@ func main() {
 		inj := faultinj.New(spec, opts.Metrics, log.Printf)
 		opts.Faults = inj
 		opts.JournalFS = inj.FS(wal.OS)
-		// A journal that cannot write is fail-stop: crash and let the next
-		// start recover the intact prefix rather than serve un-durable acks.
-		opts.OnJournalError = func(err error) {
-			log.Printf("falkon-dispatcher: journal failed, exiting for recovery: %v", err)
-			os.Exit(3)
-		}
 		log.Printf("falkon-dispatcher: fault injection armed: %s", spec)
 	}
 	if !*quiet {
@@ -176,6 +171,7 @@ type node interface {
 	SpanHeader() obs.DumpHeader
 	Drain(timeout time.Duration) bool
 	Close() error
+	Done() <-chan struct{}
 }
 
 // stringList is a repeatable string flag.
@@ -301,8 +297,10 @@ func runStandby(leaderAddr, dir, id string, syncPolicy wal.SyncPolicy, opts disp
 // runHANode is one member of an elected cluster: standby while another
 // node holds the lease, leader (over its replayed mirror) once it wins.
 // A lost lease is fail-stop: exit 4 and let the supervisor restart the
-// node as a standby. The cluster ID a client's EPR is scoped to is the lease
-// path: only nodes that share a journal lineage share it.
+// node as a standby. A leader whose journal fails stops itself, which stops
+// the node too (releasing the lease): exit 3. The cluster ID a client's EPR
+// is scoped to is the lease path: only nodes that share a journal lineage
+// share it.
 func runHANode(leaseFile string, leaseTTL time.Duration, nodeID, addr, journalDir string, syncPolicy wal.SyncPolicy, opts dispatch.Options, debugAddr string, statsEvery time.Duration) {
 	if journalDir == "" {
 		log.Fatal("falkon-dispatcher: -lease-file requires -journal-dir (the node's journal/mirror directory)")
@@ -313,11 +311,13 @@ func runHANode(leaseFile string, leaseTTL time.Duration, nodeID, addr, journalDi
 	opts.ClusterID = "ha:" + leaseFile
 
 	stop := make(chan struct{})
+	var stopOnce sync.Once
+	halt := func() { stopOnce.Do(func() { close(stop) }) }
 	sig := make(chan os.Signal, 1)
 	signal.Notify(sig, os.Interrupt, syscall.SIGTERM)
 	go func() {
 		<-sig
-		close(stop)
+		halt()
 		<-sig
 		log.Println("falkon-dispatcher: second signal, exiting immediately")
 		os.Exit(1)
@@ -345,22 +345,27 @@ func runHANode(leaseFile string, leaseTTL time.Duration, nodeID, addr, journalDi
 			fmt.Printf("falkon-dispatcher leading on %s (term=%d cluster=%s)\n", d.Addr(), term, opts.ClusterID)
 			startDebug(debugAddr, d)
 			startStatsLoop(statsEvery, d)
+			go func() { <-d.Done(); halt() }()
 			return nil
-		},
-		OnLostLease: func() {
-			// Another leader may already be serving: stop taking writes
-			// immediately; exit 4 tells the supervisor to restart us as a
-			// standby.
-			log.Println("falkon-dispatcher: lease lost, exiting (fail-stop)")
-			os.Exit(4)
 		},
 		Metrics: opts.Metrics,
 		Logf:    log.Printf,
 		Stop:    stop,
 	})
 	switch {
+	case err == replica.ErrLeaseLost:
+		// Another leader may already be serving: stop taking writes
+		// immediately; exit 4 tells the supervisor to restart us as a
+		// standby.
+		log.Println("falkon-dispatcher: lease lost, exiting (fail-stop)")
+		os.Exit(4)
 	case err == replica.ErrNodeStopped && d != nil:
-		awaitShutdownNow(d, journalDir)
+		select {
+		case <-d.Done():
+			exitJournalFailed()
+		default:
+			awaitShutdownNow(d, journalDir)
+		}
 	case err == replica.ErrNodeStopped:
 		log.Println("falkon-dispatcher: node stopped")
 	case err != nil:
@@ -418,11 +423,16 @@ func startStatsLoop(every time.Duration, d node) {
 	}()
 }
 
-// awaitShutdown blocks on SIGINT/SIGTERM, then drains and seals.
+// awaitShutdown blocks on SIGINT/SIGTERM, then drains and seals. A node that
+// stops first has stopped itself, its journal failed: exitJournalFailed.
 func awaitShutdown(d node, journalDir string) {
 	sig := make(chan os.Signal, 1)
 	signal.Notify(sig, os.Interrupt, syscall.SIGTERM)
-	<-sig
+	select {
+	case <-sig:
+	case <-d.Done():
+		exitJournalFailed()
+	}
 	// A second signal skips the drain and exits hard (the journal makes
 	// that safe: the next start replays it).
 	go func() {
@@ -431,6 +441,14 @@ func awaitShutdown(d node, journalDir string) {
 		os.Exit(1)
 	}()
 	shutdown(d, journalDir)
+}
+
+// exitJournalFailed ends the process after its dispatcher stopped itself on a
+// failed journal: exit 3 tells the supervisor to restart it, and the restart
+// recovers the journal's durable prefix.
+func exitJournalFailed() {
+	log.Println("falkon-dispatcher: journal failed, dispatcher stopped; exiting for recovery")
+	os.Exit(3)
 }
 
 // awaitShutdownNow drains and seals without waiting for a signal (the HA

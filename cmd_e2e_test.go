@@ -7,6 +7,7 @@ package falkon_test
 import (
 	"bufio"
 	"encoding/json"
+	"errors"
 	"fmt"
 	"io"
 	"net/http"
@@ -765,6 +766,30 @@ func TestBinariesCrashRecovery(t *testing.T) {
 	}
 	if !strings.Contains(out.String(), "reconnects=") {
 		t.Fatalf("submit never reconnected (crash missed the run?): %s", out.String())
+	}
+}
+
+// A dispatcher whose journal fails stops itself, and the daemon exits 3 for
+// its supervisor to restart it over the journal's durable prefix. Every fsync
+// fails here, so the first waited commit, the client's instance, fails it.
+func TestBinariesJournalFailureExits3(t *testing.T) {
+	bin := buildBinaries(t)
+	disp, dispAddr := startDispatcher(t, bin, ephemeral, "-quiet", "-stats-every", "0",
+		"-journal-dir", t.TempDir(), "-faults", "seed=1,fsyncerr@1")
+	if c, err := client.Connect(client.Options{DispatcherAddr: dispAddr}); err == nil {
+		c.Close()
+		t.Fatal("instance created on a journal that cannot fsync")
+	}
+	exited := make(chan error, 1)
+	go func() { exited <- disp.Wait() }()
+	select {
+	case err := <-exited:
+		var ee *exec.ExitError
+		if !errors.As(err, &ee) || ee.ExitCode() != 3 {
+			t.Fatalf("falkon-dispatcher after its journal failed: %v, want exit status 3", err)
+		}
+	case <-time.After(10 * time.Second):
+		t.Fatal("falkon-dispatcher still running 10 s after its journal failed")
 	}
 }
 

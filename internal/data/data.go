@@ -42,11 +42,6 @@ var (
 	LocalReadWrite = Profile{Name: "LOCAL read+write", AggregateMbps: 32667}
 )
 
-// Profiles lists the four configurations in the paper's legend order.
-func Profiles() []Profile {
-	return []Profile{GPFSRead, GPFSReadWrite, LocalRead, LocalReadWrite}
-}
-
 // bitsPerMb is megabit as used in the paper's figures.
 const bitsPerMb = 1e6
 

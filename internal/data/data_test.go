@@ -46,7 +46,7 @@ func TestOneGBThroughputMatchesPaper(t *testing.T) {
 func TestDataRatePlateaus(t *testing.T) {
 	// As sizes grow, Mb/s approaches each profile's aggregate cap.
 	const gb = 1 << 30
-	for _, p := range Profiles() {
+	for _, p := range []Profile{GPFSRead, GPFSReadWrite, LocalRead, LocalReadWrite} {
 		got := p.DataMbps(gb, dispatchCap)
 		if math.Abs(got-p.AggregateMbps)/p.AggregateMbps > 0.01 {
 			t.Fatalf("%s Mb/s(1GB) = %.0f, want plateau %.0f", p.Name, got, p.AggregateMbps)
@@ -55,7 +55,7 @@ func TestDataRatePlateaus(t *testing.T) {
 }
 
 func TestThroughputMonotonicallyNonIncreasing(t *testing.T) {
-	for _, p := range Profiles() {
+	for _, p := range []Profile{GPFSRead, GPFSReadWrite, LocalRead, LocalReadWrite} {
 		prev := math.Inf(1)
 		for size := int64(1); size <= 1<<30; size *= 4 {
 			got := p.TaskThroughput(size, dispatchCap)

@@ -58,10 +58,3 @@ func (t *Throttle) Cost(io task.IOSpec) time.Duration {
 	})
 	return scaled
 }
-
-// Inflight reports active stagings on a location (tests/observability).
-func (t *Throttle) Inflight(location string) int {
-	t.mu.Lock()
-	defer t.mu.Unlock()
-	return t.inflight[location]
-}

@@ -23,8 +23,8 @@ func TestThrottleContentionSlowsStaging(t *testing.T) {
 	if crowd <= solo {
 		t.Fatalf("second staging (%v) not slower than first (%v)", crowd, solo)
 	}
-	if th.Inflight("shared") != 2 {
-		t.Fatalf("inflight = %d", th.Inflight("shared"))
+	if inflight(th, "shared") != 2 {
+		t.Fatalf("inflight = %d", inflight(th, "shared"))
 	}
 }
 
@@ -33,9 +33,9 @@ func TestThrottleReleasesReservations(t *testing.T) {
 	io := task.IOSpec{ReadBytes: 1 << 20, Location: "local"}
 	th.Cost(io)
 	deadline := time.Now().Add(5 * time.Second)
-	for th.Inflight("local") != 0 {
+	for inflight(th, "local") != 0 {
 		if time.Now().After(deadline) {
-			t.Fatalf("reservation never released: %d", th.Inflight("local"))
+			t.Fatalf("reservation never released: %d", inflight(th, "local"))
 		}
 		time.Sleep(time.Millisecond)
 	}
@@ -61,4 +61,11 @@ func TestThrottleUnknownLocationFallsBack(t *testing.T) {
 	if got := th.Cost(task.IOSpec{ReadBytes: 1 << 20, Location: "tape"}); got <= 0 {
 		t.Fatalf("fallback cost = %v", got)
 	}
+}
+
+// inflight reads the stagings th holds on a location.
+func inflight(th *Throttle, location string) int {
+	th.mu.Lock()
+	defer th.mu.Unlock()
+	return th.inflight[location]
 }

@@ -101,12 +101,6 @@ type Options struct {
 	// nil uses the real OS).
 	JournalFS wal.FS
 
-	// OnJournalError, when set, is invoked once with the journal's first
-	// sticky I/O error. A dispatcher whose journal cannot write can no
-	// longer honor its durability barrier; daemons use this hook to
-	// fail-stop and let recovery replay the intact prefix.
-	OnJournalError func(error)
-
 	// Replication, when set (requires JournalDir), streams the journal to
 	// standby dispatchers: Listen creates a replica.Source fed by the
 	// journal's Mirror hook and serves the attach/fetch replication RPCs.
@@ -403,7 +397,8 @@ type Dispatcher struct {
 	// sized by the capacity hints they receive).
 	parents parents
 
-	closed atomic.Bool
+	closed  atomic.Bool
+	stopped chan struct{} // closed once shutdown has finished (Done)
 	// draining is stored by Drain before it first takes mu and read by
 	// Submit under mu: a submit either sees it and is refused, or has its
 	// tasks queued by the time Drain looks.
@@ -469,6 +464,7 @@ func New(opts Options) *Dispatcher {
 			FairShare:   fairShare,
 		}),
 		instances: make(map[string]*instance),
+		stopped:   make(chan struct{}),
 		reg:       opts.Metrics,
 		tracer:    obs.NewTracer(opts.TraceCapacity),
 	}
@@ -710,7 +706,7 @@ func (d *Dispatcher) Listen(addr string) error {
 			Metrics: d.reg,
 			Logf:    d.opts.Logf,
 			FS:      d.opts.JournalFS,
-			OnError: d.opts.OnJournalError,
+			OnError: d.journalFailed,
 			Mirror:  mirror,
 		})
 		if err != nil {
@@ -920,11 +916,25 @@ func (d *Dispatcher) Addr() string { return d.srv.Addr() }
 // journal.
 func (d *Dispatcher) Close() error { return d.shutdown((*wal.Journal).Close) }
 
-// Abort simulates a crash for tests: the transport drops and the journal
-// is abandoned without flushing its in-memory batch — only records the
-// committer already wrote survive, the same post-condition as a kill -9.
+// Abort stops the dispatcher as a crash would: the transport drops and the
+// journal is abandoned without flushing its in-memory batch — only records
+// the committer already wrote survive, the same post-condition as a kill -9.
+// A dispatcher whose journal fails aborts itself (journalFailed).
 func (d *Dispatcher) Abort() {
 	d.shutdown(func(j *wal.Journal) error { j.Abort(); return nil })
+}
+
+// Done is closed once the dispatcher has stopped: after Close or Abort, or
+// after it stopped itself because its journal failed.
+func (d *Dispatcher) Done() <-chan struct{} { return d.stopped }
+
+// journalFailed is the journal's OnError: a dispatcher that cannot write its
+// journal fails stop (DESIGN.md §11, "Disk"), and a restart recovers the
+// durable prefix. The abort runs on a goroutine of its own, since it waits for
+// the committer, which calls this, and for the handlers.
+func (d *Dispatcher) journalFailed(err error) {
+	d.logf("dispatch: journal failed, stopping: %v", err)
+	go d.Abort()
 }
 
 // shutdown is Close and Abort, which differ only in how the journal ends.
@@ -932,6 +942,7 @@ func (d *Dispatcher) shutdown(endJournal func(*wal.Journal) error) error {
 	if d.closed.Swap(true) {
 		return nil
 	}
+	defer close(d.stopped)
 	d.wakeDrainAlways() // release any Drain blocked on a dead system
 	if d.replSrc != nil {
 		d.replSrc.Close() // release blocked fetches and quorum barriers first
@@ -1229,8 +1240,8 @@ func (d *Dispatcher) assignLocked(f *fx, ex *sched.Exec[string], asked int, kind
 		// One record for the grant, as it is one frame on the wire. Advisory:
 		// recovery restores attempt counts from it, so a task that keeps
 		// killing its dispatcher still runs out of retries. The append fails
-		// only on a journal that has failed closed, which said so through
-		// Options.OnJournalError; the grant stands either way.
+		// only on a journal that has failed closed, and the dispatcher is then
+		// stopping (journalFailed); the grant stands until it has.
 		d.granted = d.granted[:0]
 		for i := first; i < len(as); i++ {
 			d.granted = append(d.granted, wal.TaskRef{EPR: as[i].EPR, ID: as[i].Task.ID})

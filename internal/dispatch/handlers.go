@@ -100,13 +100,13 @@ func (d *Dispatcher) handleCreateInstance(p *wsrpc.Peer, body json.RawMessage) (
 	}
 	d.imu.Unlock()
 	if err != nil {
-		return nil, err
+		return nil, unanswered(p, err)
 	}
 	// The EPR is handed out only once its creation record is durable:
 	// anything the client does with it afterwards is journaled against an
 	// instance recovery will know.
 	if err := h.Wait(); err != nil {
-		return nil, err
+		return nil, unanswered(p, err)
 	}
 	d.replicaBarrier()
 	return fproto.CreateInstanceReply{EPR: epr, Cluster: d.opts.ClusterID}, nil
@@ -144,7 +144,7 @@ func (d *Dispatcher) reattachInstance(p *wsrpc.Peer, req *fproto.CreateInstanceR
 	return fproto.CreateInstanceReply{EPR: req.EPR, Recovered: true, Cluster: d.opts.ClusterID}, nil
 }
 
-func (d *Dispatcher) handleDestroyInstance(_ *wsrpc.Peer, body json.RawMessage) (any, error) {
+func (d *Dispatcher) handleDestroyInstance(p *wsrpc.Peer, body json.RawMessage) (any, error) {
 	req, err := decode[fproto.DestroyInstanceRequest](body)
 	if err != nil {
 		return nil, err
@@ -181,13 +181,14 @@ func (d *Dispatcher) handleDestroyInstance(_ *wsrpc.Peer, body json.RawMessage) 
 	var h wal.Handle
 	if d.wal != nil {
 		// A journal that has failed closed takes no record: the destroy is
-		// refused, or a restart would bring the instance back acknowledged gone.
+		// not acknowledged, or a restart would bring the instance back
+		// acknowledged gone.
 		if h, err = d.wal.AppendWait(wal.KindDestroy, wal.DestroyRec{EPR: req.EPR}); err != nil {
-			return nil, err
+			return nil, unanswered(p, err)
 		}
 	}
 	if err := h.Wait(); err != nil {
-		return nil, err
+		return nil, unanswered(p, err)
 	}
 	d.replicaBarrier()
 	return struct{}{}, nil
@@ -218,16 +219,26 @@ func (d *Dispatcher) handleSubmit(p *wsrpc.Peer, body json.RawMessage) (any, err
 		return nil, badBody(err)
 	}
 	f := getFx()
-	if err := d.submit(f, &req); err != nil {
+	if err := d.submit(p, f, &req); err != nil {
 		putFx(f)
 		return nil, err
 	}
 	return (*submitReply)(f), nil
 }
 
-// submit queues a bundle ({1}) and leaves its acknowledgment ({2}) in f.ack; f
-// is the caller's to release.
-func (d *Dispatcher) submit(f *fx, req *fproto.Bundle) error {
+// unanswered drops p's connection without a reply to the call being served:
+// err is the journal's, which has failed, and the dispatcher is stopping
+// (journalFailed). An error reply would read as a refusal of what may already
+// be in place — a submit's tasks queued — so the client learns what a crash
+// would tell it, and resubmits to the restarted dispatcher.
+func unanswered(p *wsrpc.Peer, err error) error {
+	p.Close()
+	return err
+}
+
+// submit queues a bundle ({1}) from p and leaves its acknowledgment ({2}) in
+// f.ack; f is the caller's to release.
+func (d *Dispatcher) submit(p *wsrpc.Peer, f *fx, req *fproto.Bundle) error {
 	d.imu.RLock()
 	inst, ok := d.instances[req.EPR]
 	d.imu.RUnlock()
@@ -310,14 +321,14 @@ func (d *Dispatcher) submit(f *fx, req *fproto.Bundle) error {
 	d.hLockWait.Observe((t1 - t0).Seconds())
 	d.hSchedCore.Observe((t2 - t1).Seconds())
 	d.hFxFlush.Observe((t3 - t2).Seconds())
-	if werr != nil {
-		return werr
+	if werr == nil {
+		// Durability barrier: the acknowledgment is withheld until the accept
+		// record reaches disk, so an acked task survives any crash. The group
+		// committer amortizes one fsync across concurrent submits.
+		werr = h.Wait()
 	}
-	// Durability barrier: the acknowledgment is withheld until the accept
-	// record reaches disk, so an acked task survives any crash. The group
-	// committer amortizes one fsync across concurrent submits.
-	if err := h.Wait(); err != nil {
-		return err
+	if werr != nil {
+		return unanswered(p, werr)
 	}
 	// Quorum barrier: under -replicate quorum the acknowledgment further
 	// waits until the attached standbys have durably mirrored the record

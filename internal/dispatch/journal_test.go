@@ -17,6 +17,7 @@ import (
 	"falkon/internal/fproto"
 	"falkon/internal/task"
 	"falkon/internal/wal"
+	"falkon/internal/wsrpc"
 )
 
 func TestCrashRecoveryExactlyOnce(t *testing.T) {
@@ -290,4 +291,83 @@ func TestDestroyOnFailedJournalIsRefused(t *testing.T) {
 		t.Fatal("destroy acknowledged though the journal takes no records")
 	}
 	t.Logf("destroy refused: %v", err)
+}
+
+// TestFailedJournalStopsDispatcher: a dispatcher whose journal fails stops
+// itself. The submit whose accept record could not be written is not
+// answered — an error reply would read as a refusal of tasks the dispatcher
+// had queued — and a dispatcher restarted on the same directory gives a
+// reconnecting client exactly one result per task it submitted.
+func TestFailedJournalStopsDispatcher(t *testing.T) {
+	dir := t.TempDir()
+	disk := &brokenDisk{FS: wal.OS}
+	d1 := dispatch.New(dispatch.Options{JournalDir: dir, JournalFS: disk, Logf: t.Logf})
+	if err := d1.Listen("127.0.0.1:0"); err != nil {
+		t.Fatal(err)
+	}
+	t.Cleanup(func() { d1.Close() })
+	addr := d1.Addr()
+	cli, err := wsrpcDial(addr)
+	if err != nil {
+		t.Fatal(err)
+	}
+	defer cli.Close()
+	var created fproto.CreateInstanceReply
+	if err := cli.Call(fproto.MethodCreateInstance, fproto.CreateInstanceRequest{ClientName: "t"}, &created); err != nil {
+		t.Fatal(err)
+	}
+	c, err := client.Connect(client.Options{DispatcherAddr: addr, Reconnect: true})
+	if err != nil {
+		t.Fatal(err)
+	}
+	t.Cleanup(func() { c.Close() })
+
+	disk.broken.Store(true)
+	submit := fproto.SubmitRequest{EPR: created.EPR, Tasks: []task.Task{task.Sleep(1, 0), task.Sleep(2, 0)}}
+	err = cli.Call(fproto.MethodSubmit, &submit, new(fproto.SubmitReply))
+	var remote *wsrpc.RemoteError
+	if err == nil || errors.As(err, &remote) {
+		t.Fatalf("submit on a failed journal answered %v, want a dropped connection", err)
+	}
+	select {
+	case <-d1.Done():
+	case <-time.After(5 * time.Second):
+		t.Fatal("dispatcher still running 5 s after its journal failed")
+	}
+
+	// The client's submit waits out the outage and lands on the restarted
+	// dispatcher, which recovers the client's instance.
+	const n = 20
+	var gen task.IDGen
+	submitted := make(chan error, 1)
+	go func() { submitted <- c.Submit(task.Batch(&gen, n, 0)) }()
+	d2 := dispatch.New(dispatch.Options{JournalDir: dir, Logf: t.Logf})
+	if err := d2.Listen(addr); err != nil {
+		t.Fatal(err)
+	}
+	t.Cleanup(func() { d2.Close() })
+	ex, err := executor.Start(executor.Options{ID: "exec-0", DispatcherAddr: addr, SleepScale: 0.001})
+	if err != nil {
+		t.Fatal(err)
+	}
+	t.Cleanup(ex.Stop)
+	if err := <-submitted; err != nil {
+		t.Fatal(err)
+	}
+	results, err := c.WaitN(n, 30*time.Second)
+	if err != nil {
+		t.Fatal(err)
+	}
+	seen := make(map[task.ID]bool, n)
+	for _, r := range results {
+		if r.Failed() || seen[r.ID] {
+			t.Fatalf("result %+v failed or repeated", r)
+		}
+		seen[r.ID] = true
+	}
+	select {
+	case r := <-c.Results():
+		t.Fatalf("result for %v beyond the %d tasks submitted", r.ID, n)
+	case <-time.After(100 * time.Millisecond):
+	}
 }

@@ -184,9 +184,6 @@ func (l *LRM) armPoll() {
 	})
 }
 
-// FreeNodes returns currently unallocated nodes.
-func (l *LRM) FreeNodes() int { return l.free }
-
 // QueueLen returns the number of queued jobs.
 func (l *LRM) QueueLen() int { return len(l.queue) }
 

@@ -144,14 +144,14 @@ func TestNodeAccountingNeverNegative(t *testing.T) {
 	l := New(e, PBS(), 8)
 	for i := 0; i < 50; i++ {
 		nodes := 1 + e.Rand().Intn(4)
-		at := e.UniformDuration(0, 500*time.Second)
+		at := time.Duration(e.Rand().Int63n(int64(500 * time.Second)))
 		e.At(at, func() {
-			l.Submit(&Job{Nodes: nodes, Duration: e.UniformDuration(0, 30*time.Second)})
+			l.Submit(&Job{Nodes: nodes, Duration: time.Duration(e.Rand().Int63n(int64(30 * time.Second)))})
 		})
 	}
 	e.Run()
-	if l.FreeNodes() != 8 {
-		t.Fatalf("free = %d, want all 8 back", l.FreeNodes())
+	if l.free != 8 {
+		t.Fatalf("free = %d, want all 8 back", l.free)
 	}
 	if l.Completed() != 50 {
 		t.Fatalf("completed = %d", l.Completed())
@@ -191,13 +191,13 @@ func TestGatewayAllocation(t *testing.T) {
 	if readyAt < 5*time.Second || readyAt > 70*time.Second {
 		t.Fatalf("readyAt = %v, want within the paper's startup window", readyAt)
 	}
-	if l.FreeNodes() != 0 {
-		t.Fatalf("free = %d during allocation", l.FreeNodes())
+	if l.free != 0 {
+		t.Fatalf("free = %d during allocation", l.free)
 	}
 	g.Release(a)
 	e.RunUntil(400 * time.Second)
-	if l.FreeNodes() != 32 {
-		t.Fatalf("free = %d after release", l.FreeNodes())
+	if l.free != 32 {
+		t.Fatalf("free = %d after release", l.free)
 	}
 	if g.Submitted() != 1 {
 		t.Fatalf("submitted = %d", g.Submitted())

@@ -98,39 +98,22 @@ func (l *Lease) write(st LeaseState) error {
 	return nil
 }
 
-// TryAcquire attempts to take (or keep) the lease. It succeeds when the
-// lease is vacant, expired, or already held by this node; a takeover or
-// expiry-reacquire bumps the term, a renewal-in-place keeps it. The
-// returned state is the lease as now written (or as currently held by
-// someone else when acquired=false).
-func (l *Lease) TryAcquire() (st LeaseState, acquired bool, err error) {
-	return l.acquire(false)
-}
-
-// TakeOver is TryAcquire for a freshly started process: even a live lease
-// this node already holds is re-taken at a NEW term, because the previous
-// incarnation (which may have died mid-stream) was a different leader as
-// far as replication positions are concerned. A node that kept the same
-// term across a crash-restart would let its standbys "resume" positions
-// from the dead incarnation's stream against the new one's.
+// TakeOver attempts to take the lease for a freshly started process. It
+// succeeds when the lease is vacant, expired, or held by this node, and
+// always at the next term: even a live lease this node already holds is
+// re-taken at a NEW term, because the previous incarnation (which may have
+// died mid-stream) was a different leader as far as replication positions
+// are concerned. A node that kept the same term across a crash-restart would
+// let its standbys "resume" positions from the dead incarnation's stream
+// against the new one's. The returned state is the lease as now written (or
+// as currently held by someone else when acquired=false).
 func (l *Lease) TakeOver() (st LeaseState, acquired bool, err error) {
-	return l.acquire(true)
-}
-
-func (l *Lease) acquire(bumpSelf bool) (st LeaseState, acquired bool, err error) {
 	err = l.withLock(func() error {
 		cur, rerr := l.read()
 		if rerr != nil {
 			return rerr
 		}
 		now := time.Now()
-		if cur.Holder == l.ID && !cur.Expired(now) && !bumpSelf {
-			// Renewal in place: same incarnation, same term.
-			cur.Addr = l.Addr
-			cur.ExpiresUnixNano = now.Add(l.TTL).UnixNano()
-			st, acquired = cur, true
-			return l.write(cur)
-		}
 		if cur.Holder != l.ID && cur.Holder != "" && !cur.Expired(now) {
 			st, acquired = cur, false // someone else holds a live lease
 			return nil

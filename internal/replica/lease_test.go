@@ -16,7 +16,7 @@ func TestLeaseAcquireRenewExclusion(t *testing.T) {
 	l1 := sharedLease(path, "n1", "addr1", time.Hour)
 	l2 := sharedLease(path, "n2", "addr2", time.Hour)
 
-	st, won, err := l1.TryAcquire()
+	st, won, err := l1.TakeOver()
 	if err != nil || !won {
 		t.Fatalf("first acquire: won=%v err=%v", won, err)
 	}
@@ -25,7 +25,7 @@ func TestLeaseAcquireRenewExclusion(t *testing.T) {
 	}
 
 	// A live lease excludes other nodes and reports the current holder.
-	st2, won, err := l2.TryAcquire()
+	st2, won, err := l2.TakeOver()
 	if err != nil || won {
 		t.Fatalf("contending acquire: won=%v err=%v", won, err)
 	}
@@ -36,11 +36,7 @@ func TestLeaseAcquireRenewExclusion(t *testing.T) {
 		t.Fatalf("foreign renew: ok=%v err=%v", ok, err)
 	}
 
-	// Renewal in place (by TryAcquire or Renew) keeps the term.
-	st3, won, err := l1.TryAcquire()
-	if err != nil || !won || st3.Term != 1 {
-		t.Fatalf("re-acquire by holder: won=%v term=%d err=%v", won, st3.Term, err)
-	}
+	// Renewal in place keeps the term.
 	if ok, err := l1.Renew(); err != nil || !ok {
 		t.Fatalf("holder renew: ok=%v err=%v", ok, err)
 	}
@@ -56,7 +52,7 @@ func TestLeaseExpiryBumpsTerm(t *testing.T) {
 	l1 := sharedLease(path, "n1", "addr1", ttl)
 	l2 := sharedLease(path, "n2", "addr2", ttl)
 
-	if _, won, err := l1.TryAcquire(); err != nil || !won {
+	if _, won, err := l1.TakeOver(); err != nil || !won {
 		t.Fatalf("acquire: won=%v err=%v", won, err)
 	}
 	time.Sleep(2 * ttl)
@@ -66,7 +62,7 @@ func TestLeaseExpiryBumpsTerm(t *testing.T) {
 		t.Fatalf("renew past TTL: ok=%v err=%v", ok, err)
 	}
 	// … and the takeover serves a strictly newer term.
-	st, won, err := l2.TryAcquire()
+	st, won, err := l2.TakeOver()
 	if err != nil || !won {
 		t.Fatalf("takeover: won=%v err=%v", won, err)
 	}
@@ -77,7 +73,7 @@ func TestLeaseExpiryBumpsTerm(t *testing.T) {
 	// Even the same node re-acquiring its own expired lease is a new
 	// incarnation: term 3, not a resumed term 2.
 	time.Sleep(2 * ttl)
-	st2, won, err := l2.TryAcquire()
+	st2, won, err := l2.TakeOver()
 	if err != nil || !won || st2.Term != 3 {
 		t.Fatalf("expiry re-acquire by same holder: won=%v state=%+v err=%v", won, st2, err)
 	}
@@ -87,14 +83,13 @@ func TestLeaseTakeOverBumpsOwnLiveTerm(t *testing.T) {
 	path := filepath.Join(t.TempDir(), "lease")
 	l1 := sharedLease(path, "n1", "addr1", time.Hour)
 
-	if st, won, err := l1.TryAcquire(); err != nil || !won || st.Term != 1 {
+	if st, won, err := l1.TakeOver(); err != nil || !won || st.Term != 1 {
 		t.Fatalf("acquire: won=%v state=%+v err=%v", won, st, err)
 	}
 
-	// A crash-restarted process finds its own still-live lease. TryAcquire
-	// would renew it in place at the same term — which is exactly what a new
-	// incarnation must NOT do — so the restart path uses TakeOver, which
-	// bumps even a self-held live lease.
+	// A crash-restarted process finds its own still-live lease. Renewing it
+	// in place at the same term is exactly what a new incarnation must NOT
+	// do, so TakeOver bumps even a self-held live lease.
 	restarted := sharedLease(path, "n1", "addr1", time.Hour)
 	st, won, err := restarted.TakeOver()
 	if err != nil || !won {
@@ -116,13 +111,13 @@ func TestLeaseReleaseHandsOverImmediately(t *testing.T) {
 	l1 := sharedLease(path, "n1", "addr1", time.Hour)
 	l2 := sharedLease(path, "n2", "addr2", time.Hour)
 
-	if _, won, err := l1.TryAcquire(); err != nil || !won {
+	if _, won, err := l1.TakeOver(); err != nil || !won {
 		t.Fatalf("acquire: won=%v err=%v", won, err)
 	}
 	if err := l1.Release(); err != nil {
 		t.Fatal(err)
 	}
-	st, won, err := l2.TryAcquire()
+	st, won, err := l2.TakeOver()
 	if err != nil || !won || st.Term != 2 {
 		t.Fatalf("acquire after release: won=%v state=%+v err=%v", won, st, err)
 	}
@@ -150,9 +145,8 @@ func TestRunNodeElectionTermsAreMonotonic(t *testing.T) {
 				promoted <- term
 				return nil
 			},
-			CheckEvery: 20 * time.Millisecond,
-			Logf:       t.Logf,
-			Stop:       stop,
+			Logf: t.Logf,
+			Stop: stop,
 		})
 	}
 

@@ -24,14 +24,6 @@ type NodeOptions struct {
 	// the standby's journal directory (the standby is already stopped) and
 	// return once it is listening. A Promote error aborts the node.
 	Promote func(term uint64) error
-	// OnLostLease, when set, runs after a leader fails to renew, just
-	// before RunNode returns ErrLeaseLost. The process must stop serving;
-	// the standard reaction is to exit and let a supervisor restart the
-	// node as a standby.
-	OnLostLease func()
-	// CheckEvery paces standby-side acquisition attempts (default TTL/3,
-	// jittered so peers don't stampede the lease file).
-	CheckEvery time.Duration
 	// Metrics receives falkon_elections_total and the role/term gauges.
 	Metrics *obs.Registry
 	// Logf receives node logs; nil silences them.
@@ -48,12 +40,13 @@ var ErrLeaseLost = fmt.Errorf("replica: lease lost")
 var ErrNodeStopped = fmt.Errorf("replica: node stopped")
 
 // RunNode runs one HA cluster member until it stops: follow the current
-// leader as a replication standby, attempt the lease on every tick, and on
-// winning it stop the standby, promote (recover the standby's journal and
-// serve), then renew until the lease is lost. It returns ErrLeaseLost after
-// a failed renewal (the caller exits; the supervisor restarts the node and
-// it rejoins as a standby), ErrNodeStopped on graceful stop, or the first
-// hard error.
+// leader as a replication standby, attempt the lease every TTL/3 (jittered,
+// so peers don't stampede the lease file), and on winning it stop the
+// standby, promote (recover the standby's journal and serve), then renew
+// until the lease is lost. It returns ErrLeaseLost after a failed renewal
+// (the caller must stop serving at once, and exits; the supervisor restarts
+// the node and it rejoins as a standby), ErrNodeStopped on graceful stop, or
+// the first hard error.
 func RunNode(opts NodeOptions) error {
 	if opts.Lease == nil || opts.Promote == nil {
 		return fmt.Errorf("replica: node needs Lease and Promote")
@@ -64,10 +57,7 @@ func RunNode(opts NodeOptions) error {
 	}
 	lease := *opts.Lease
 	lease.ID, lease.Addr = opts.ID, opts.Addr
-	check := opts.CheckEvery
-	if check <= 0 {
-		check = lease.TTL / 3
-	}
+	check := lease.TTL / 3
 	if check <= 0 {
 		check = 500 * time.Millisecond
 	}
@@ -105,7 +95,7 @@ func RunNode(opts NodeOptions) error {
 	defer stopStandby()
 
 	for {
-		// TakeOver, not TryAcquire: RunNode only reaches this loop before it
+		// TakeOver, not a renewal: RunNode only reaches this loop before it
 		// has ever led (after winning it moves to renewLoop and never comes
 		// back), so a lease that already names this node here belongs to a
 		// PREVIOUS incarnation that crashed while holding it. Renewing that
@@ -166,9 +156,6 @@ func renewLoop(lease *Lease, opts NodeOptions, logf func(string, ...any)) error 
 			}
 			if !ok {
 				logf("replica: leader %s lost lease", opts.ID)
-				if opts.OnLostLease != nil {
-					opts.OnLostLease()
-				}
 				return ErrLeaseLost
 			}
 		case <-opts.Stop:

@@ -72,11 +72,6 @@ func clearTail[T any](items []T, n int) {
 // Len returns the number of queued items.
 func (q *Ring[T]) Len() int { return len(q.items) - q.head }
 
-// Slack returns the backing-array slots beyond the live items (dead prefix
-// plus append headroom). The compaction policy keeps the dead prefix below
-// the live count, which tests assert via Slack.
-func (q *Ring[T]) Slack() int { return q.head }
-
 // Window returns up to n items from the queue head without removing them;
 // callers must not retain the slice across mutations.
 func (q *Ring[T]) Window(n int) []T {

@@ -107,7 +107,7 @@ func TestRingRemoveAtAfterCompaction(t *testing.T) {
 		q.Push(next)
 	}
 	want := 1
-	for q.Slack() != 0 || want == 1 { // pop until a compaction has run
+	for q.head != 0 || want == 1 { // pop until a compaction has run
 		v, ok := q.Pop()
 		if !ok {
 			t.Fatal("queue drained before compaction")
@@ -144,8 +144,8 @@ func TestRingDropWhereAfterCompaction(t *testing.T) {
 	for i := 0; i < 2000; i++ { // exactly crosses the compaction threshold
 		q.Pop()
 	}
-	if q.Slack() != 0 {
-		t.Fatalf("slack = %d after deep pops, want compacted", q.Slack())
+	if q.head != 0 {
+		t.Fatalf("slack = %d after deep pops, want compacted", q.head)
 	}
 	dropped := q.DropWhere(func(v int) bool { return v%2 == 0 })
 	if dropped != 1000 {
@@ -174,16 +174,16 @@ func TestRingMemoryBounded(t *testing.T) {
 		if i%3 != 0 { // net growth with heavy churn
 			q.Pop()
 		}
-		if live := q.Len(); live > compactFloor && q.Slack() > live {
+		if live := q.Len(); live > compactFloor && q.head > live {
 			t.Fatalf("dead prefix %d exceeds live %d at op %d (memory > 2x live)",
-				q.Slack(), live, i)
+				q.head, live, i)
 		}
 	}
 	// Drain fully; the bound must hold on the way down too.
 	for q.Len() > 0 {
 		q.Pop()
-		if live := q.Len(); live > compactFloor && q.Slack() > live {
-			t.Fatalf("dead prefix %d exceeds live %d during drain", q.Slack(), live)
+		if live := q.Len(); live > compactFloor && q.head > live {
+			t.Fatalf("dead prefix %d exceeds live %d during drain", q.head, live)
 		}
 	}
 }

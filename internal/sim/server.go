@@ -12,12 +12,10 @@ import (
 // container — are expressed as servers whose per-job service time is the
 // reciprocal rate.
 type Server struct {
-	e       *Engine
-	name    string
-	busy    bool
-	queue   []serverJob
-	served  uint64
-	busyFor time.Duration // accumulated busy time, for utilization
+	e     *Engine
+	name  string
+	busy  bool
+	queue []serverJob
 }
 
 type serverJob struct {
@@ -51,9 +49,7 @@ func (s *Server) startNext() {
 	job := s.queue[0]
 	s.queue = s.queue[1:]
 	s.busy = true
-	s.busyFor += job.service
 	s.e.After(job.service, func() {
-		s.served++
 		if job.done != nil {
 			job.done()
 		}
@@ -67,19 +63,3 @@ func (s *Server) QueueLen() int { return len(s.queue) }
 
 // Busy reports whether a job is currently in service.
 func (s *Server) Busy() bool { return s.busy }
-
-// Served returns the number of completed jobs.
-func (s *Server) Served() uint64 { return s.served }
-
-// Utilization returns busy time divided by elapsed virtual time (0 when no
-// time has elapsed).
-func (s *Server) Utilization() float64 {
-	if s.e.Now() <= 0 {
-		return 0
-	}
-	u := s.busyFor.Seconds() / s.e.Now().Seconds()
-	if u > 1 {
-		u = 1
-	}
-	return u
-}

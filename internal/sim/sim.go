@@ -200,17 +200,6 @@ func (t *Ticker) Stop() {
 	}
 }
 
-// UniformDuration draws a duration uniformly from [lo, hi].
-func (e *Engine) UniformDuration(lo, hi time.Duration) time.Duration {
-	if hi < lo {
-		panic(fmt.Sprintf("sim: invalid uniform range [%v, %v]", lo, hi))
-	}
-	if hi == lo {
-		return lo
-	}
-	return lo + time.Duration(e.rng.Int63n(int64(hi-lo)+1))
-}
-
 // ExpDuration draws an exponentially distributed duration with the given
 // mean. Used for jittered service times.
 func (e *Engine) ExpDuration(mean time.Duration) time.Duration {

@@ -159,7 +159,7 @@ func TestDeterminismAcrossRuns(t *testing.T) {
 		e := New(42)
 		var out []time.Duration
 		for i := 0; i < 100; i++ {
-			d := e.UniformDuration(0, time.Minute)
+			d := time.Duration(e.Rand().Int63n(int64(time.Minute)))
 			e.At(d, func() { out = append(out, e.Now()) })
 		}
 		e.Run()
@@ -173,20 +173,6 @@ func TestDeterminismAcrossRuns(t *testing.T) {
 		if a[i] != b[i] {
 			t.Fatalf("run diverged at %d: %v vs %v", i, a[i], b[i])
 		}
-	}
-}
-
-func TestUniformDurationBounds(t *testing.T) {
-	e := New(7)
-	lo, hi := 5*time.Second, 65*time.Second
-	for i := 0; i < 1000; i++ {
-		d := e.UniformDuration(lo, hi)
-		if d < lo || d > hi {
-			t.Fatalf("UniformDuration(%v,%v) = %v out of range", lo, hi, d)
-		}
-	}
-	if d := e.UniformDuration(lo, lo); d != lo {
-		t.Fatalf("degenerate range returned %v, want %v", d, lo)
 	}
 }
 
@@ -254,9 +240,6 @@ func TestServerSerializesJobs(t *testing.T) {
 			t.Fatalf("done[%d] = %v, want %v", i, done[i], want[i])
 		}
 	}
-	if s.Served() != 4 {
-		t.Fatalf("served = %d, want 4", s.Served())
-	}
 }
 
 func TestServerThroughputMatchesServiceRate(t *testing.T) {
@@ -273,17 +256,6 @@ func TestServerThroughputMatchesServiceRate(t *testing.T) {
 	rate := float64(n) / end.Seconds()
 	if rate < 480 || rate > 495 {
 		t.Fatalf("rate = %.1f jobs/s, want ~487", rate)
-	}
-}
-
-func TestServerUtilization(t *testing.T) {
-	e := New(1)
-	s := NewServer(e, "cpu")
-	s.Submit(time.Second, nil)
-	e.At(4*time.Second, func() {}) // let idle time elapse
-	e.Run()
-	if u := s.Utilization(); u < 0.24 || u > 0.26 {
-		t.Fatalf("utilization = %.3f, want 0.25", u)
 	}
 }
 

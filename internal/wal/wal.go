@@ -68,8 +68,9 @@ type Options struct {
 	// OS). Tests and the chaos harness substitute a fault-injecting FS.
 	FS FS
 	// OnError, when set, is invoked once with the journal's first sticky
-	// I/O error. A journal that cannot write is fail-stop: daemons use
-	// this hook to crash and let recovery replay the intact prefix.
+	// I/O error, on the goroutine that flushed and after the waiters were
+	// released with it. A journal that cannot write is fail-stop: a
+	// dispatcher stops itself here and lets recovery replay the intact prefix.
 	OnError func(error)
 	// Mirror, when set, receives every committed batch of framed records
 	// immediately after its write (and fsync, per the sync policy) succeeds

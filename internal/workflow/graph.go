@@ -9,7 +9,6 @@ package workflow
 
 import (
 	"fmt"
-	"sort"
 	"time"
 )
 
@@ -19,9 +18,6 @@ type Node struct {
 	Stage    string        // human label for per-stage reporting ("mProject")
 	Duration time.Duration // synthetic runtime
 	Deps     []string      // ids this node waits for
-
-	// Func, when set, is executed by live providers instead of sleeping.
-	Func func() error
 }
 
 // Graph is a DAG of nodes.
@@ -193,13 +189,5 @@ func Cluster(nodes []*Node, k int) [][]*Node {
 		out[c] = nodes[i : i+n]
 		i += n
 	}
-	return out
-}
-
-// SortedIDs returns node ids sorted lexically (test helper / deterministic
-// output).
-func (g *Graph) SortedIDs() []string {
-	out := append([]string(nil), g.order...)
-	sort.Strings(out)
 	return out
 }

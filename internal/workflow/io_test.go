@@ -65,7 +65,7 @@ func TestSaveLoadRoundTrip(t *testing.T) {
 	if out.Len() != in.Len() || out.Name != in.Name {
 		t.Fatalf("round trip lost structure: %d/%s", out.Len(), out.Name)
 	}
-	for _, id := range in.SortedIDs() {
+	for _, id := range in.order {
 		a, b := in.Node(id), out.Node(id)
 		if b == nil || a.Duration != b.Duration || a.Stage != b.Stage || len(a.Deps) != len(b.Deps) {
 			t.Fatalf("node %q differs", id)

@@ -14,9 +14,8 @@ func taskOfDur(d time.Duration) task.Task {
 }
 
 // LiveProvider executes workflow nodes on a running in-process Falkon
-// system over real TCP — what the examples use. Nodes with a Func run it
-// in-process on the executor; others sleep their Duration (scaled by the
-// system's SleepScale).
+// system over real TCP — what the examples use. Nodes sleep their Duration
+// (scaled by the system's SleepScale).
 type LiveProvider struct {
 	System *core.System
 
@@ -26,32 +25,6 @@ type LiveProvider struct {
 	nodes map[task.ID]nodeDone
 	start time.Time
 	errs  []error
-}
-
-// FuncCommand is the executor func-registry key LiveProvider uses for
-// nodes carrying a Func. Systems hosting a LiveProvider must register
-// LiveProvider.RunFunc under this name via Config.Funcs.
-const FuncCommand = "workflow.node"
-
-// funcRegistry maps task ids to node funcs for in-process execution.
-var (
-	funcMu  sync.Mutex
-	funcFor = map[task.ID]func() error{}
-)
-
-// RunFunc is the executor-side body for workflow Func nodes.
-func RunFunc(t task.Task) (string, int, error) {
-	funcMu.Lock()
-	fn := funcFor[t.ID]
-	delete(funcFor, t.ID)
-	funcMu.Unlock()
-	if fn == nil {
-		return "", 0, nil
-	}
-	if err := fn(); err != nil {
-		return "", 1, err
-	}
-	return "", 0, nil
 }
 
 // Submit converts nodes to tasks and streams completions back.
@@ -67,12 +40,6 @@ func (p *LiveProvider) Submit(nodes []*Node, each func(n *Node, failed bool)) {
 		id := p.gen.Next()
 		t := taskOfDur(n.Duration)
 		t.ID = id
-		if n.Func != nil {
-			t = task.Task{ID: id, Engine: task.EngineFunc, Command: FuncCommand}
-			funcMu.Lock()
-			funcFor[id] = n.Func
-			funcMu.Unlock()
-		}
 		p.nodes[id] = nodeDone{n: n, each: each}
 		tasks = append(tasks, t)
 	}

@@ -91,7 +91,7 @@ func TestRandomDAGsRespectDependencies(t *testing.T) {
 		if len(times) != n {
 			t.Fatalf("trial %d: ran %d of %d nodes", trial, len(times), n)
 		}
-		for _, id := range g.SortedIDs() {
+		for _, id := range g.order {
 			node := g.Node(id)
 			for _, dep := range node.Deps {
 				if times[id].disp < times[dep].fin {

@@ -5,15 +5,10 @@ import (
 	"testing"
 	"time"
 
-	"falkon/internal/core"
-	"falkon/internal/executor"
 	"falkon/internal/lrm"
 	"falkon/internal/sim"
 	"falkon/internal/simfalkon"
 )
-
-// workflow_testFuncName aliases the live provider's executor registry key.
-const workflow_testFuncName = FuncCommand
 
 func chainGraph(n int, dur time.Duration) *Graph {
 	g := NewGraph("chain")
@@ -307,41 +302,5 @@ func TestFailurePropagationSkipsDependents(t *testing.T) {
 	}
 	if len(rep.Skipped) != 2 {
 		t.Fatalf("skipped = %v, want mid and leaf", rep.Skipped)
-	}
-}
-
-func TestFailureSparesIndependentBranches(t *testing.T) {
-	// Live system: one func that fails, one that succeeds; the successful
-	// branch's dependent still runs.
-	sys, err := core.Start(core.Config{
-		Executors:        2,
-		NoRetryOnFailure: true,
-		Funcs: map[string]executor.Func{
-			workflow_testFuncName: RunFunc,
-		},
-	})
-	if err != nil {
-		t.Fatal(err)
-	}
-	defer sys.Close()
-	g := NewGraph("mixed")
-	g.MustAdd(&Node{ID: "bad", Stage: "roots", Func: func() error { return fmt.Errorf("boom") }})
-	g.MustAdd(&Node{ID: "good", Stage: "roots", Func: func() error { return nil }})
-	g.MustAdd(&Node{ID: "after-bad", Stage: "next", Deps: []string{"bad"}, Func: func() error { return nil }})
-	g.MustAdd(&Node{ID: "after-good", Stage: "next", Deps: []string{"good"}, Func: func() error { return nil }})
-	done := make(chan Report, 1)
-	if err := Run(g, &LiveProvider{System: sys}, func(r Report) { done <- r }); err != nil {
-		t.Fatal(err)
-	}
-	select {
-	case rep := <-done:
-		if len(rep.Failed) != 1 || rep.Failed[0] != "bad" {
-			t.Fatalf("failed = %v", rep.Failed)
-		}
-		if len(rep.Skipped) != 1 || rep.Skipped[0] != "after-bad" {
-			t.Fatalf("skipped = %v", rep.Skipped)
-		}
-	case <-time.After(30 * time.Second):
-		t.Fatal("workflow hung on failure")
 	}
 }

@@ -54,7 +54,7 @@ if [ $# -eq 0 ]; then
     set -- \
         './internal/core:^(TestAllocsPerTaskBudget|TestSerialRoundSyscalls)$' \
         './internal/dispatch:^(TestBytesPerTaskAtRest|TestBytesPerIdleExecutor|TestBytesPerConnectedExecutor|TestExecutorThatDoesNotAcceptGrantsPulls|TestSnapshotCutAllocsPerTask)$' \
-        './internal/dispatch:^(TestCrashRecoveryExactlyOnce|TestAttemptsSurviveCrash|TestJournalRecordsFollowTheProtocol|TestCompletesWrittenWithoutLaterSubmit)$' \
+        './internal/dispatch:^(TestCrashRecoveryExactlyOnce|TestAttemptsSurviveCrash|TestJournalRecordsFollowTheProtocol|TestCompletesWrittenWithoutLaterSubmit|TestFailedJournalStopsDispatcher)$' \
         './internal/faultinj:^TestWALSurvivesDiskFaults$' \
         './internal/forward:^(TestTreeHopAllocBudget|TestForwarderSpreadsInstancesAcrossDispatchers|TestScratchFailedPushRebuffered)$' \
         './internal/obs:^TestTracerBytesAtRest$' \

@@ -36,7 +36,7 @@ func main() {
 		secure     = flag.Bool("secure", false, "use the secure-conversation transport profile")
 		pskFile    = flag.String("psk-file", "", "pre-shared key file (required with -secure)")
 		execT      = flag.Duration("exec-timeout", 0, "kill exec-engine tasks after this long (0 = never)")
-		debugAddr  = flag.String("debug-addr", "", "HTTP address serving /metrics, /events.json, and /debug/pprof/ (empty = off)")
+		debugAddr  = flag.String("debug-addr", "", "HTTP address serving /metrics, /events.json, /spans.jsonl and /debug/pprof/; the executor records trace events only when it is set (empty = off)")
 		reconnect  = flag.Bool("reconnect", false, "survive dispatcher restarts: re-register with backoff instead of stopping")
 		reconnectT = flag.Duration("reconnect-timeout", 30*time.Second, "give up after a continuous outage this long (with -reconnect)")
 		faults     = flag.String("faults", os.Getenv("FALKON_FAULTS"), "fault-injection spec, e.g. seed=42,crash@0.01,stall=2s@0.01 (chaos testing; default $FALKON_FAULTS)")
@@ -60,6 +60,9 @@ func main() {
 		Metrics:          reg,
 		Reconnect:        *reconnect,
 		ReconnectTimeout: *reconnectT,
+	}
+	if *debugAddr != "" { // nothing but the debug server reads the ring
+		opts.Tracer = obs.NewTracer(0)
 	}
 	if *faults != "" {
 		spec, err := faultinj.Parse(*faults)
@@ -90,7 +93,7 @@ func main() {
 	if *debugAddr != "" {
 		ds, err := obs.ServeDebugOpts(*debugAddr, obs.DebugOptions{
 			Snap:       func() obs.MetricsSnapshot { return fproto.NoteCodec(reg.Snapshot()) },
-			Tracer:     ex.Tracer(),
+			Tracer:     opts.Tracer,
 			SpanHeader: ex.SpanHeader,
 		})
 		if err != nil {

@@ -118,6 +118,10 @@ func Additive(step int) provision.AcquisitionPolicy { return provision.Additive(
 // Exponential returns the exponentially-increasing acquisition policy.
 func Exponential() provision.AcquisitionPolicy { return provision.Exponential() }
 
+// Available returns the system-function acquisition policy: each request is
+// capped by free, which reports how many executors the LRM could start now.
+func Available(free func() int) provision.AcquisitionPolicy { return provision.Available(free) }
+
 // MetricsSnapshot is a point-in-time view of a component's instrument
 // registry: counters, gauges, and mergeable latency histograms. Snapshots
 // from several components merge (counters sum, histograms combine), which is

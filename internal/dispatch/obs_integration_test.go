@@ -159,10 +159,12 @@ func TestEventsRPCRoundTrip(t *testing.T) {
 // An executor stamps on its monotonic clock against a base read at register;
 // the dispatcher on its own against its epoch. Placed on one timeline, an
 // in-process executor's start and finish of every task fall between the
-// dispatcher's stamps of handing it out and taking its result back.
+// dispatcher's stamps of handing it out and taking its result back. The two
+// executors record into one ring.
 func TestExecutorStampsFallInsideTheDispatchersSpan(t *testing.T) {
 	const n = 600
-	d, c, execs := startSystem(t, dispatch.Options{}, client.Options{BundleSize: 50}, 2, executor.Options{})
+	tr := obs.NewTracer(0)
+	d, c, _ := startSystem(t, dispatch.Options{}, client.Options{BundleSize: 50}, 2, executor.Options{Tracer: tr})
 	var gen task.IDGen
 	if err := c.Submit(task.Batch(&gen, n, 0)); err != nil {
 		t.Fatal(err)
@@ -191,16 +193,14 @@ func TestExecutorStampsFallInsideTheDispatchersSpan(t *testing.T) {
 	// which the client's last result can beat.
 	for deadline := time.Now().Add(5 * time.Second); ; time.Sleep(2 * time.Millisecond) {
 		seen := 0
-		for _, ex := range execs {
-			evs, _ := ex.Tracer().Since(0, 0)
-			for _, ev := range evs {
-				switch ev.Kind {
-				case obs.EvStarted:
-					at(ev.Task).started = ev.At
-				case obs.EvFinished:
-					at(ev.Task).finished = ev.At
-					seen++
-				}
+		evs, _ := tr.Since(0, 0)
+		for _, ev := range evs {
+			switch ev.Kind {
+			case obs.EvStarted:
+				at(ev.Task).started = ev.At
+			case obs.EvFinished:
+				at(ev.Task).finished = ev.At
+				seen++
 			}
 		}
 		if seen == n || time.Now().After(deadline) {
@@ -221,7 +221,8 @@ func TestExecutorStampsFallInsideTheDispatchersSpan(t *testing.T) {
 // TestExecutorTracerRecordsLifecycle checks the executor-side trace ring:
 // pulled/started/finished/delivered events on the dispatcher timeline.
 func TestExecutorTracerRecordsLifecycle(t *testing.T) {
-	_, c, execs := startSystem(t, dispatch.Options{}, client.Options{}, 1, executor.Options{})
+	tr := obs.NewTracer(0)
+	_, c, execs := startSystem(t, dispatch.Options{}, client.Options{}, 1, executor.Options{Tracer: tr})
 	if err := c.Submit([]task.Task{{ID: 7, Engine: task.EngineSleep}}); err != nil {
 		t.Fatal(err)
 	}
@@ -234,7 +235,7 @@ func TestExecutorTracerRecordsLifecycle(t *testing.T) {
 	kinds := make(map[obs.EventKind]bool)
 	deadline := time.Now().Add(5 * time.Second)
 	for len(kinds) < len(want) {
-		events, _ := execs[0].Tracer().Since(0, 0)
+		events, _ := tr.Since(0, 0)
 		clear(kinds)
 		for _, ev := range events {
 			if ev.Task == 7 {

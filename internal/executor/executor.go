@@ -76,6 +76,11 @@ type Options struct {
 	// latency, state transitions) plus the wsrpc client's per-method stats.
 	// When nil a private registry is created (see Executor.Metrics).
 	Metrics *obs.Registry
+	// Tracer receives the executor's task-lifecycle events, stamped on the
+	// dispatcher's timeline; nil, the default, gathers and records none.
+	// falkon-executor passes one only when -debug-addr will serve it, and
+	// tests that read an executor's events pass their own.
+	Tracer *obs.Tracer
 
 	// Reconnect keeps the executor alive across dispatcher restarts: on a
 	// dropped connection it re-registers with jittered exponential backoff
@@ -114,7 +119,6 @@ type Executor struct {
 	// are atomic because a reconnect re-bases them onto the new dispatcher's
 	// epoch while slots are stamping events.
 	reg         *obs.Registry
-	tracer      *obs.Tracer
 	started     time.Time // clock's zero
 	epoch       atomic.Int64
 	shift       atomic.Int64
@@ -186,7 +190,6 @@ func Start(opts Options) (*Executor, error) {
 	if e.reg == nil {
 		e.reg = obs.NewRegistry()
 	}
-	e.tracer = obs.NewTracer(0)
 	e.cDone = e.reg.Counter("falkon_executor_tasks_total")
 	e.cFailed = e.reg.Counter("falkon_executor_failures_total")
 	e.cBusy = e.reg.Counter(obs.Labeled("falkon_executor_transitions_total", "state", "busy"))
@@ -347,11 +350,6 @@ func (e *Executor) ID() string { return e.opts.ID }
 // Metrics returns the executor's instrument registry.
 func (e *Executor) Metrics() *obs.Registry { return e.reg }
 
-// Tracer returns the executor's task-lifecycle trace ring. Event stamps are
-// relative to the dispatcher's epoch (clock-skew permitting), so they line up
-// with dispatcher-side spans.
-func (e *Executor) Tracer() *obs.Tracer { return e.tracer }
-
 // SpanHeader describes this executor's span dump for offline merging: the
 // dispatcher epoch its events are stamped against, plus the NTP-style clock
 // offset estimated from RPC round trips (dispatcher clock minus local
@@ -463,7 +461,7 @@ func (e *Executor) workLoop(rd *jsonwire.Reader) {
 		// task was picked up and, for a pull, the end of the round trip.
 		if g != nil {
 			got := e.clock()
-			e.traceAssigned(&ps, e.on(got), obs.EvPushed, g.Assignments)
+			e.traceAssigned(&ps, got, obs.EvPushed, g.Assignments)
 			e.runAssignments(cli, &ps, g.Assignments, g, got)
 			continue
 		}
@@ -485,7 +483,7 @@ func (e *Executor) workLoop(rd *jsonwire.Reader) {
 			continue
 		}
 		ps.RTT = got - sent
-		e.traceAssigned(&ps, e.on(got), obs.EvPulled, ps.pulled.Assignments)
+		e.traceAssigned(&ps, got, obs.EvPulled, ps.pulled.Assignments)
 		e.runAssignments(cli, &ps, ps.pulled.Assignments, nil, got)
 	}
 }
@@ -515,13 +513,18 @@ type grant struct {
 
 func (g *grant) DecodeJSON(b []byte) error { return g.DecodeKept(b, g.rd) }
 
-// traceAssigned records how a batch of assignments reached this executor,
-// after whatever events ps has gathered.
-func (e *Executor) traceAssigned(ps *slot, at time.Duration, kind obs.EventKind, as []fproto.Assignment) {
+// traceAssigned records how a batch of assignments reached this executor at
+// clock reading c, after whatever events ps has gathered. With no tracer a
+// slot gathers nothing.
+func (e *Executor) traceAssigned(ps *slot, c time.Duration, kind obs.EventKind, as []fproto.Assignment) {
+	if e.opts.Tracer == nil {
+		return
+	}
+	at := e.on(c)
 	for _, a := range as {
 		ps.evs = append(ps.evs, obs.Event{At: at, Kind: kind, Trace: a.Task.Trace, Task: a.Task.ID, EPR: a.EPR, Executor: e.opts.ID})
 	}
-	e.tracer.RecordAll(ps.evs)
+	e.opts.Tracer.RecordAll(ps.evs)
 	ps.evs = ps.evs[:0]
 }
 
@@ -590,6 +593,7 @@ func (e *Executor) runAssignments(cli *wsrpc.Client, ps *slot, as []fproto.Assig
 	// picked up when the one before it ended, and the slot is idle from when
 	// its last Deliver came back.
 	defer func() { e.markIdle(ran, pickup) }()
+	traced := e.opts.Tracer != nil
 	for len(as) > 0 {
 		results := fproto.Recycle(ps.deliver.Results)
 		ps.run, ps.over, ps.traces = ps.run[:0], ps.over[:0], ps.traces[:0]
@@ -606,10 +610,11 @@ func (e *Executor) runAssignments(cli *wsrpc.Client, ps *slot, as []fproto.Assig
 				kind = obs.EvFailed
 				e.cFailed.Inc()
 			}
-			// Recorded with the batch's other events, after its delivery.
-			ps.evs = append(ps.evs,
-				obs.Event{At: e.on(start), Kind: obs.EvStarted, Trace: a.Task.Trace, Task: r.ID, EPR: a.EPR, Executor: e.opts.ID},
-				obs.Event{At: e.on(end), Kind: kind, Trace: a.Task.Trace, Task: r.ID, EPR: a.EPR, Executor: e.opts.ID})
+			if traced { // recorded with the batch's other events, after its delivery
+				ps.evs = append(ps.evs,
+					obs.Event{At: e.on(start), Kind: obs.EvStarted, Trace: a.Task.Trace, Task: r.ID, EPR: a.EPR, Executor: e.opts.ID},
+					obs.Event{At: e.on(end), Kind: kind, Trace: a.Task.Trace, Task: r.ID, EPR: a.EPR, Executor: e.opts.ID})
+			}
 			ps.traces = append(ps.traces, a.Task.Trace)
 			e.cDone.Inc()
 			ps.run, ps.over = append(ps.run, runDur.Seconds()), append(ps.over, overhead.Seconds())
@@ -650,12 +655,14 @@ func (e *Executor) runAssignments(cli *wsrpc.Client, ps *slot, as []fproto.Assig
 			// acting on the acknowledgment — the duplicate-provoking failure.
 			e.crash("result-then-die")
 		}
-		now := e.on(back)
-		for i, tr := range results {
-			ps.evs = append(ps.evs, obs.Event{At: now, Kind: obs.EvDelivered, Trace: ps.traces[i], Task: tr.Result.ID, EPR: tr.EPR, Executor: e.opts.ID})
+		if traced {
+			now := e.on(back)
+			for i, tr := range results {
+				ps.evs = append(ps.evs, obs.Event{At: now, Kind: obs.EvDelivered, Trace: ps.traces[i], Task: tr.Result.ID, EPR: tr.EPR, Executor: e.opts.ID})
+			}
 		}
 		as = ps.acked.Assignments
-		e.traceAssigned(ps, now, obs.EvAcked, as)
+		e.traceAssigned(ps, back, obs.EvAcked, as)
 	}
 }
 

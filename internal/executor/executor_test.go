@@ -325,7 +325,8 @@ func TestExecTimeoutKillsRunawayProcess(t *testing.T) {
 // they happen or, as now, in one call per batch. Stamps never run backwards.
 func TestTraceRingIsBatchAfterBatch(t *testing.T) {
 	d := startDispatcher(t)
-	ex, err := executor.Start(executor.Options{ID: "ring-exec", DispatcherAddr: d.Addr(), Logf: t.Logf})
+	tr := obs.NewTracer(0)
+	ex, err := executor.Start(executor.Options{ID: "ring-exec", DispatcherAddr: d.Addr(), Logf: t.Logf, Tracer: tr})
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -347,7 +348,7 @@ func TestTraceRingIsBatchAfterBatch(t *testing.T) {
 	// which the client's last result can beat.
 	var evs []obs.Event
 	for deadline := time.Now().Add(5 * time.Second); len(evs) < 4*n && time.Now().Before(deadline); time.Sleep(2 * time.Millisecond) {
-		evs, _ = ex.Tracer().Since(0, 0)
+		evs, _ = tr.Since(0, 0)
 	}
 	if len(evs) != 4*n {
 		t.Fatalf("%d events for %d tasks, want four each", len(evs), n)

@@ -52,9 +52,6 @@ type Exec[E comparable] struct {
 // Free returns the executor's unassigned slots.
 func (x *Exec[E]) Free() int { return x.Slots - x.Assigned }
 
-// Idle reports membership in the idle (has-free-capacity) stack.
-func (x *Exec[E]) Idle() bool { return x.idlePos >= 0 }
-
 // Outstanding records one dispatched task awaiting its result.
 type Outstanding[E comparable, K comparable, T any] struct {
 	Key      K

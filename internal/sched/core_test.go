@@ -77,11 +77,11 @@ func TestIdleStackLIFOWithRemovals(t *testing.T) {
 	c.Offer(a)
 	c.Offer(b)
 	c.Offer(d)
-	if !a.Idle() || !b.Idle() || !d.Idle() {
+	if a.idlePos < 0 || b.idlePos < 0 || d.idlePos < 0 {
 		t.Fatal("offers not recorded")
 	}
 	c.RemoveIdle(b) // O(1) tombstone in the middle
-	if b.Idle() {
+	if b.idlePos >= 0 {
 		t.Fatal("b still idle after removal")
 	}
 	// Pop order must skip the tombstone and preserve LIFO.
@@ -295,7 +295,7 @@ func TestNotificationsCoverQueue(t *testing.T) {
 	if len(ns) != 1 || ns[0].Exec != b || ns[0].Queued != 2 {
 		t.Fatalf("notifications = %+v", ns)
 	}
-	if !b.Notified || b.LastNotifyAt != 9 || b.Idle() {
+	if !b.Notified || b.LastNotifyAt != 9 || b.idlePos >= 0 {
 		t.Fatal("notified state wrong")
 	}
 	// a stays idle for the next kick; b is not re-notified.

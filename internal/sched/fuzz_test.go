@@ -257,15 +257,15 @@ func (r *coreRig) step() bool {
 		if x == nil {
 			return true
 		}
-		want := !x.Idle() && !x.Notified && x.Assigned < x.Slots
-		if got := c.Offer(x); got != want || (got && !x.Idle()) {
+		want := x.idlePos < 0 && !x.Notified && x.Assigned < x.Slots
+		if got := c.Offer(x); got != want || (got && x.idlePos < 0) {
 			return r.fail("Offer(%s) = %v, want %v (free %d, notified %v)", e, got, want, x.Free(), x.Notified)
 		}
 		r.logf("offer %s", e)
 	case opPopIdle:
 		if p, ok := c.PopIdle(); ok {
 			r.logf("pop idle: %s", p.ID)
-			if q, _ := c.Exec(p.ID); q != p || p.Idle() {
+			if q, _ := c.Exec(p.ID); q != p || p.idlePos >= 0 {
 				return r.fail("PopIdle returned %s, not the registered record or still idle", p.ID)
 			}
 		}
@@ -275,7 +275,7 @@ func (r *coreRig) step() bool {
 		}
 		c.RemoveIdle(x)
 		r.logf("remove idle %s", e)
-		if x.Idle() {
+		if x.idlePos >= 0 {
 			return r.fail("%s idle after RemoveIdle", e)
 		}
 	case opPick:
@@ -344,8 +344,8 @@ func (r *coreRig) step() bool {
 		exp := c.Expire(cutoff)
 		r.logf("expire before %d: %d", cutoff, len(exp))
 		for _, o := range exp {
-			if y := r.exec(o.Executor); y != nil && (!y.Suspect || !(y.Idle() || y.Notified || y.Free() <= 0)) {
-				return r.fail("%s lost task %d to the replay timeout: suspect %v, idle %v with %d free", o.Executor, o.Key, y.Suspect, y.Idle(), y.Free())
+			if y := r.exec(o.Executor); y != nil && (!y.Suspect || !(y.idlePos >= 0 || y.Notified || y.Free() <= 0)) {
+				return r.fail("%s lost task %d to the replay timeout: suspect %v, idle %v with %d free", o.Executor, o.Key, y.Suspect, y.idlePos >= 0, y.Free())
 			}
 		}
 		r.replay(exp, want)
@@ -374,8 +374,8 @@ func (r *coreRig) step() bool {
 		r.logf("notifications: %d", len(ns))
 		seen := map[string]bool{}
 		for _, n := range ns {
-			if q := r.exec(n.Exec.ID); q != n.Exec || seen[n.Exec.ID] || n.Exec.Free() <= 0 || !n.Exec.Notified || n.Exec.Idle() || n.Exec.LastNotifyAt != r.now {
-				return r.fail("pushed %s: registered record %v, twice %v, free %d, notified %v, idle %v", n.Exec.ID, q == n.Exec, seen[n.Exec.ID], n.Exec.Free(), n.Exec.Notified, n.Exec.Idle())
+			if q := r.exec(n.Exec.ID); q != n.Exec || seen[n.Exec.ID] || n.Exec.Free() <= 0 || !n.Exec.Notified || n.Exec.idlePos >= 0 || n.Exec.LastNotifyAt != r.now {
+				return r.fail("pushed %s: registered record %v, twice %v, free %d, notified %v, idle %v", n.Exec.ID, q == n.Exec, seen[n.Exec.ID], n.Exec.Free(), n.Exec.Notified, n.Exec.idlePos >= 0)
 			}
 			seen[n.Exec.ID] = true
 		}
@@ -527,8 +527,8 @@ func (r *coreRig) check() error {
 			continue
 		}
 		held := m.count(outstanding, func(t *mTask) bool { return t.holder == e })
-		if x.Slots != want || x.Assigned != held || (x.Idle() && x.Notified) {
-			return fmt.Errorf("%s: %d slots, %d assigned, idle %v, notified %v; model %d slots, %d held", e, x.Slots, x.Assigned, x.Idle(), x.Notified, want, held)
+		if x.Slots != want || x.Assigned != held || (x.idlePos >= 0 && x.Notified) {
+			return fmt.Errorf("%s: %d slots, %d assigned, idle %v, notified %v; model %d slots, %d held", e, x.Slots, x.Assigned, x.idlePos >= 0, x.Notified, want, held)
 		}
 		slots += want
 		if held > 0 {

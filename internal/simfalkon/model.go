@@ -103,9 +103,6 @@ type Exec struct {
 // BusyFor returns the executor's accumulated payload time.
 func (x *Exec) BusyFor() time.Duration { return x.busyFor }
 
-// Idle reports whether the executor is registered and without work.
-func (x *Exec) Idle() bool { return x.idle }
-
 // Lifetime returns registration-to-release (or -to-now for live executors).
 func (x *Exec) Lifetime(now time.Duration) time.Duration {
 	end := x.releasedAt

@@ -55,6 +55,7 @@ if [ $# -eq 0 ]; then
         './internal/core:^(TestAllocsPerTaskBudget|TestSerialRoundSyscalls)$' \
         './internal/dispatch:^(TestBytesPerTaskAtRest|TestBytesPerIdleExecutor|TestBytesPerConnectedExecutor|TestExecutorThatDoesNotAcceptGrantsPulls|TestSnapshotCutAllocsPerTask)$' \
         './internal/dispatch:^(TestCrashRecoveryExactlyOnce|TestAttemptsSurviveCrash|TestJournalRecordsFollowTheProtocol|TestCompletesWrittenWithoutLaterSubmit|TestFailedJournalStopsDispatcher)$' \
+        './internal/executor:^TestBytesPerExecutor$' \
         './internal/faultinj:^TestWALSurvivesDiskFaults$' \
         './internal/forward:^(TestTreeHopAllocBudget|TestForwarderSpreadsInstancesAcrossDispatchers|TestScratchFailedPushRebuffered)$' \
         './internal/obs:^TestTracerBytesAtRest$' \

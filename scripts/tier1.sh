@@ -55,8 +55,9 @@ go test -run='TestBinariesMetricsExposition|TestBinariesSpanMergeAcrossProcesses
 go test -run='TestAllocsPerTaskBudget|TestSerialRoundSyscalls' -cpu 1,2,4 -count=1 ./internal/core/
 # Bytes a dispatcher holds per task queued, per task held, and after 100K
 # drain; per registered idle executor, through the seam and with a connection
-# behind it; and what a full trace ring weighs.
-go test -run='TestBytesPerTaskAtRest|TestBytesPerIdleExecutor|TestBytesPerConnectedExecutor|TestTracerBytesAtRest' -cpu 1,2,4 -count=1 ./internal/dispatch/ ./internal/obs/
+# behind it; what an executor started through executor.Start holds once it
+# has run a batch; and what a full trace ring weighs.
+go test -run='TestBytesPerTaskAtRest|TestBytesPerIdleExecutor|TestBytesPerConnectedExecutor|TestBytesPerExecutor|TestTracerBytesAtRest' -cpu 1,2,4 -count=1 ./internal/dispatch/ ./internal/executor/ ./internal/obs/
 # And what a level of the dispatch tree adds to it, objects and bytes: a root
 # over two leaves against one dispatcher, same loop, plus a leaf restart
 # mid-batch.

@@ -151,14 +151,14 @@ type run struct {
 // exist, who is killed when, and what "healed" means — as a boot function
 // (bootFlat, bootTree, bootStandbys) hands it to runOne.
 type topology struct {
-	what    string                           // the PASS line's "(tree 2 leaves, depth 2)"; empty for the flat run
-	front   string                           // what the client dials
-	execAt  func(i int) string               // what executor i dials
-	victims []*super                         // whom the kills fall on; the report lists their restarts
-	rows    int                              // links the front reports up once healed (0: not a tree)
-	kills   func(cl *client.Client) error    // the kills while the workload runs
-	atRest  func() error                     // one more, once everything has drained
-	check   func(st fproto.StatsReply) error // what the healed front must also say of itself; may be nil
+	what    string                                           // the PASS line's "(tree 2 leaves, depth 2)"; empty for the flat run
+	front   string                                           // what the client dials
+	execAt  func(i int) string                               // what executor i dials
+	victims []*super                                         // whom the kills fall on; the report lists their restarts
+	rows    int                                              // links the front reports up once healed (0: not a tree)
+	kills   func(cl *client.Client) error                    // the kills while the workload runs
+	atRest  func() error                                     // one more, once everything has drained
+	check   func(st fproto.StatsReply, admitted int64) error // what the healed front must also say of itself, given the tasks it admitted; may be nil
 }
 
 // runOne executes a full chaos run for one seed: a mode boots its nodes, and
@@ -286,7 +286,9 @@ func runOne(c cfg, keep bool) (err error) {
 	if t.check != nil {
 		st, err := cl.Stats()
 		if err == nil {
-			err = t.check(st)
+			// The front admitted the workload and every task the client
+			// resubmitted after a reconnect that it no longer held.
+			err = t.check(st, int64(len(ts))+cl.Resubmitted()-cl.Deduped())
 		}
 		if err != nil {
 			return fmt.Errorf("after the kill at rest: %w", err)
@@ -438,35 +440,36 @@ func printFaultCounters(side string, counters map[string]int64) {
 }
 
 // awaitHealed polls the front's stats until nothing is queued or outstanding
-// and wantRows links are up. The stats RPC itself rides the reconnecting
-// client, so this also proves the front is up and serving. A root aggregates
-// queued/outstanding across its live children only — a dead child drops out
-// of the sample — so "drained" must also require every node back up, or the
-// check would pass while a restarted leaf is still replaying journaled work
-// (which must execute and be dropped as dups on the way up before the tree
-// truly reads empty). Roots flatten their children's LeafStats rows upward,
-// so the front's row set covers every root→child edge in the topology — a
-// dead leaf under a live mid still shows up (and a dead mid hides its
-// subtree's rows, shrinking the set below wantRows). A flat dispatcher and an
-// HA leader report no rows, and none are wanted.
+// anywhere and wantRows links are up. The stats RPC itself rides the
+// reconnecting client, so this also proves the front is up and serving. A
+// root reports its own queue and outstanding tasks, and each child's in that
+// child's row; roots flatten their children's LeafStats rows upward, so the
+// front's row set covers every root→child edge in the topology — a dead leaf
+// under a live mid still shows up (and a dead mid hides its subtree's rows,
+// shrinking the set below wantRows). A dead child's row reads empty, so
+// "drained" must also require every node back up, or the check would pass
+// while a restarted leaf is still replaying journaled work (which must execute
+// and be dropped as dups on the way up before the tree truly reads empty). A
+// flat dispatcher and an HA leader report no rows, and none are wanted.
 func awaitHealed(cl *client.Client, wantRows int, timeout time.Duration) error {
 	deadline := time.Now().Add(timeout)
 	for {
 		st, err := cl.Stats()
-		up := 0
+		up, queued, outstanding := 0, st.Queued, st.Outstanding
 		for _, l := range st.Leaves {
 			if l.Up {
 				up++
 			}
+			queued, outstanding = queued+l.Queued, outstanding+l.Outstanding
 		}
-		if err == nil && st.Queued == 0 && st.Outstanding == 0 && up == wantRows {
+		if err == nil && queued == 0 && outstanding == 0 && up == wantRows {
 			return nil
 		}
 		if time.Now().After(deadline) {
 			if err != nil {
 				return fmt.Errorf("stats unavailable: %w", err)
 			}
-			return fmt.Errorf("not healed: queued=%d outstanding=%d nodes up %d/%d", st.Queued, st.Outstanding, up, wantRows)
+			return fmt.Errorf("not healed: queued=%d outstanding=%d nodes up %d/%d", queued, outstanding, up, wantRows)
 		}
 		time.Sleep(200 * time.Millisecond)
 	}

@@ -119,7 +119,7 @@ func bootStandbys(r *run) (topology, error) {
 			}
 			return err
 		},
-		check: func(st fproto.StatsReply) error {
+		check: func(st fproto.StatsReply, _ int64) error {
 			if st.Replication == nil || st.Replication.Role != "leader" {
 				return fmt.Errorf("promoted dispatcher reports no leader replication stats: %+v", st.Replication)
 			}

@@ -97,9 +97,14 @@ func bootTree(r *run) (topology, error) {
 		rows:    treeRows,
 		kills:   r.scheduledKills(killAts, leaves),
 		atRest:  r.killAtRest(leaves[0]),
-		check: func(st fproto.StatsReply) error {
+		check: func(st fproto.StatsReply, admitted int64) error {
 			if st.Depth != r.treeDepth {
 				return fmt.Errorf("root reports tree depth %d, want %d", st.Depth, r.treeDepth)
+			}
+			// The root counts each task it admitted once, whatever its
+			// leaves lost or were sent twice.
+			if st.Submitted != admitted || st.Completed != admitted {
+				return fmt.Errorf("root counts %d submitted and %d completed, want the %d it admitted of each", st.Submitted, st.Completed, admitted)
 			}
 			return nil
 		},

@@ -4,7 +4,9 @@
 // per-stage dispatch latency panel (the paper's Figure 10 breakdown) built
 // from the falkon.metrics histograms. Pointed at a dispatch-tree root, it
 // additionally shows one row per leaf: liveness, queue/outstanding depth,
-// executor split, the root's routed-bundle counters, and bundles/s.
+// executor split, the root's routed-bundle counters, and bundles/s. A root's
+// counters are its own, each client task counted once, so the rate (deltas of
+// Completed) does not drop when a leaf dies or restarts.
 //
 // Usage:
 //

@@ -100,11 +100,12 @@ type Client struct {
 	// the cluster id) instead of abandoning the instance.
 	cluster string
 
-	submitted  int64
-	deduped    int64 // resubmitted tasks the dispatcher already held
-	dupDrops   int64 // redelivered results dropped client-side
-	reconnects int64
-	throttled  int64 // bundles the dispatcher deferred with retry-after
+	submitted   int64
+	resubmitted int64 // tasks sent again after a reconnect
+	deduped     int64 // resubmitted tasks the dispatcher already held
+	dupDrops    int64 // redelivered results dropped client-side
+	reconnects  int64
+	throttled   int64 // bundles the dispatcher deferred with retry-after
 
 	// pending holds the tasks still awaiting results, from just before their
 	// bundle is sent until their result is delivered; it exists only in
@@ -435,7 +436,9 @@ func (c *Client) submitTasks(tasks []task.Task, resubmit bool) (err error) {
 		}
 		c.mu.Lock()
 		c.deduped += int64(reply.Deduped)
-		if !resubmit {
+		if resubmit {
+			c.resubmitted += int64(n)
+		} else {
 			c.submitted += int64(n)
 		}
 		c.mu.Unlock()
@@ -482,6 +485,10 @@ func (c *Client) Reconnects() int64 { c.mu.Lock(); defer c.mu.Unlock(); return c
 // Throttled counts submit bundles the dispatcher deferred with a
 // retry-after hint (tenant admission control) before eventually accepting.
 func (c *Client) Throttled() int64 { c.mu.Lock(); defer c.mu.Unlock(); return c.throttled }
+
+// Resubmitted counts tasks sent again after a reconnect; those the dispatcher
+// did not hold any more (all but Deduped) it admitted, ran and counted again.
+func (c *Client) Resubmitted() int64 { c.mu.Lock(); defer c.mu.Unlock(); return c.resubmitted }
 
 // Deduped counts resubmitted tasks the dispatcher already held (its side
 // of the exactly-once story).

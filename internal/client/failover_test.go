@@ -101,6 +101,17 @@ func TestClientFailsOverToFallbackDispatcher(t *testing.T) {
 	if c.Reconnects() < 1 {
 		t.Fatalf("reconnects = %d, want ≥1", c.Reconnects())
 	}
+	// The fallback admitted exactly what the client resubmitted to it and it
+	// did not hold. The resubmit's reply may land after its results.
+	for deadline := time.Now().Add(5 * time.Second); ; time.Sleep(2 * time.Millisecond) {
+		got, want := root.Stats().Submitted, c.Resubmitted()-c.Deduped()
+		if got == want && want > 0 {
+			break
+		}
+		if time.Now().After(deadline) {
+			t.Fatalf("the fallback admitted %d tasks; the client resubmitted %d, %d of them deduped", got, c.Resubmitted(), c.Deduped())
+		}
+	}
 
 	// The fallback is now home: fresh work flows without the leaf.
 	if err := c.Submit(task.Batch(&gen, 10, 0)); err != nil {

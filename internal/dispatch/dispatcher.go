@@ -1113,15 +1113,20 @@ func (d *Dispatcher) MetricsSnapshot() obs.MetricsSnapshot {
 	d.reg.Gauge(obs.Labeled("falkon_executors", "state", "idle")).Set(int64(st.IdleExecutors))
 	d.reg.Gauge(obs.Labeled("falkon_executors", "state", "busy")).Set(int64(st.BusyExecutors))
 	s := d.reg.Snapshot()
-	// Lifecycle counters live in the scheduling core rather than in the
-	// registry, so fold them into the snapshot here.
+	SetLifecycleCounters(s, st)
+	return fproto.NoteCodec(s)
+}
+
+// SetLifecycleCounters writes a dispatcher's task-lifecycle counters, which
+// live in its scheduling core rather than in its registry, into s: the
+// dispatcher's own, and at a tree root in place of its leaves' sums.
+func SetLifecycleCounters(s obs.MetricsSnapshot, st fproto.StatsReply) {
 	s.Counters["falkon_tasks_submitted_total"] = st.Submitted
 	s.Counters["falkon_tasks_completed_total"] = st.Completed
 	s.Counters["falkon_tasks_failed_total"] = st.Failed
 	s.Counters["falkon_tasks_retried_total"] = st.Retried
 	s.Counters["falkon_tasks_dispatched_total"] = st.Dispatched
 	s.Counters["falkon_duplicate_deliveries_total"] = st.Duplicates
-	return fproto.NoteCodec(s)
 }
 
 // onDisconnect requeues work from dropped executors and detaches dropped

@@ -3,10 +3,11 @@
 // dispatcher at every level). The root is a plain dispatch.Dispatcher whose
 // executors are links (link.go), one per leaf dispatcher, registered with the
 // leaf's worker slots and served by the code that serves a wire executor.
-// This package is the link, and what a root answers for its subtree: stats
-// with a row per leaf, metrics and events merged across the leaves, destroy
-// passed down, and a submit that stocks the leaves before it is acknowledged
-// (DESIGN.md §13). A leaf may itself be such a root.
+// This package is the link, and what a root answers for its subtree: its own
+// stats with a row per leaf, the leaves' metrics merged under its own task
+// counts, their events, destroy passed down, and a submit that stocks the
+// leaves before it is acknowledged (DESIGN.md §13). A leaf may itself be such
+// a root.
 package forward
 
 import (
@@ -159,35 +160,34 @@ func (f *Forwarder) handleDestroyInstance(p *wsrpc.Peer, body json.RawMessage) (
 	return rep, nil
 }
 
-// Stats snapshots the tree from the root: the leaves' totals, the depth, a
-// row per leaf, and of the root's own figures those the leaves cannot know —
-// its queue, what it replayed when a leaf went away, the second results it
-// dropped. A dead leaf contributes its link's counters only.
+// Stats answers for the root as any dispatcher answers for itself — counters,
+// queue, outstanding (what the links hold), instances and tenant rows, each
+// client task counted once — and adds what its links cannot report: the
+// subtree's executors in place of the links, a row per link followed by the
+// rows its child reports (falkon-top and falkon-chaos want the true leaves at
+// any depth), and the depth. A dead leaf contributes its link's row only.
 func (f *Forwarder) Stats() fproto.StatsReply {
-	var agg fproto.StatsReply
+	st := f.Dispatcher.Stats()
+	st.TotalExecutors, st.BusyExecutors = 0, 0
 	for _, l := range f.links {
 		l.mu.Lock()
 		row := l.row
 		l.mu.Unlock()
 		row.Pending = f.Held(l.id)
-		var st fproto.StatsReply
+		var child fproto.StatsReply
 		if row.Up {
-			row.Up = l.call(fproto.MethodStats, nil, &st) == nil
-			row.Queued, row.Outstanding = st.Queued, st.Outstanding
-			row.Executors, row.Busy = st.TotalExecutors, st.BusyExecutors
+			row.Up = l.call(fproto.MethodStats, nil, &child) == nil
+			row.Queued, row.Outstanding = child.Queued, child.Outstanding
+			row.Executors, row.Busy = child.TotalExecutors, child.BusyExecutors
 		}
-		// The child's row, then (in Merge) the rows it reports for its own
-		// leaves: falkon-top and falkon-chaos want the true leaves at any depth.
-		agg.Leaves = append(agg.Leaves, row)
-		agg.Merge(st)
+		st.TotalExecutors += row.Executors
+		st.BusyExecutors += row.Busy
+		st.Depth = max(st.Depth, child.Depth)
+		st.Leaves = append(append(st.Leaves, row), child.Leaves...)
 	}
-	own := f.Dispatcher.Stats()
-	agg.Depth++
-	agg.Queued += own.Queued
-	agg.Retried += own.Retried
-	agg.Duplicates += own.Duplicates
-	agg.Instances = own.Instances
-	return agg
+	st.IdleExecutors = st.TotalExecutors - st.BusyExecutors
+	st.Depth = max(st.Depth, 1) + 1
+	return st
 }
 
 // askLeaves calls method on every leaf that is up and folds each reply in; an
@@ -205,7 +205,8 @@ func askLeaves[T any](f *Forwarder, method string, arg any, fold func(T)) {
 }
 
 // MetricsSnapshot folds every reachable leaf's snapshot into the root's own:
-// counters and gauges sum, histograms merge bucket-wise. The root's own
+// counters and gauges sum, histograms merge bucket-wise, but the task-lifecycle
+// counters are the root's, which counts each client task once. The root's own
 // Figure-10 stages and end-to-end latency (a tenant's share of them included)
 // go under node="root": a task's time at the root contains its time at a
 // leaf, and under the leaves' names every task would count twice.
@@ -223,6 +224,7 @@ func (f *Forwarder) MetricsSnapshot() obs.MetricsSnapshot {
 		agg.Histograms[key] = h
 	}
 	askLeaves(f, fproto.MethodMetrics, nil, func(ms fproto.MetricsReply) { agg.Merge(ms) })
+	dispatch.SetLifecycleCounters(agg, f.Dispatcher.Stats())
 	return agg
 }
 

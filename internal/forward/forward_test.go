@@ -258,7 +258,8 @@ func TestForwarderSecureBothTiers(t *testing.T) {
 // TestForwarderMergeSurvivesDownstreamDisconnect: a dispatcher dying
 // between snapshots must not fail the forwarder's merged metrics or event
 // window — the dead downstream drops out of the sample and the live side's
-// data (counters, histograms, traced span events) still comes through.
+// data (histograms, traced span events) still comes through — nor lower the
+// root's task counts, which are its own.
 func TestForwarderMergeSurvivesDownstreamDisconnect(t *testing.T) {
 	f, dispatchers := startTier(t, 2, 1, 0)
 	c, err := client.Connect(client.Options{DispatcherAddr: f.Addr(), BundleSize: 5})
@@ -285,11 +286,10 @@ func TestForwarderMergeSurvivesDownstreamDisconnect(t *testing.T) {
 		t.Fatal(err)
 	}
 
-	// Baseline: both downstreams contribute.
 	if ms, err := c2.Metrics(); err != nil {
 		t.Fatal(err)
 	} else if got := ms.Counters["falkon_tasks_completed_total"]; got != 20 {
-		t.Fatalf("merged completed before disconnect = %d, want 20", got)
+		t.Fatalf("root completed before disconnect = %d, want 20", got)
 	}
 
 	// The disconnect lands between one snapshot and the next — exactly the
@@ -301,8 +301,8 @@ func TestForwarderMergeSurvivesDownstreamDisconnect(t *testing.T) {
 	if err != nil {
 		t.Fatalf("merged metrics after downstream disconnect: %v", err)
 	}
-	if got := ms.Counters["falkon_tasks_completed_total"]; got != survivorCompleted {
-		t.Fatalf("merged completed after disconnect = %d, want survivor's %d", got, survivorCompleted)
+	if got := ms.Counters["falkon_tasks_completed_total"]; got != 20 {
+		t.Fatalf("root completed after disconnect = %d, want 20 (the survivor alone counts %d)", got, survivorCompleted)
 	}
 	if h := ms.Histogram(obs.MetricE2ESeconds); h.Count != survivorCompleted {
 		t.Fatalf("merged e2e count after disconnect = %d, want %d", h.Count, survivorCompleted)
@@ -366,7 +366,7 @@ func TestForwarderMergesMetricsAndEvents(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	// The merged snapshot must equal the sum over both dispatchers.
+	// With no leaf lost, the root's count is the sum over both dispatchers.
 	var want int64
 	for _, d := range dispatchers {
 		want += d.MetricsSnapshot().Counters["falkon_tasks_completed_total"]
@@ -375,7 +375,7 @@ func TestForwarderMergesMetricsAndEvents(t *testing.T) {
 		t.Fatalf("dispatchers completed %d, want 40", want)
 	}
 	if got := ms.Counters["falkon_tasks_completed_total"]; got != want {
-		t.Fatalf("merged completed = %d, want %d", got, want)
+		t.Fatalf("root completed = %d, want %d", got, want)
 	}
 	if h := ms.Histogram(obs.MetricE2ESeconds); h.Count != 40 {
 		t.Fatalf("merged e2e count = %d, want 40", h.Count)

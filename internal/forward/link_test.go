@@ -56,7 +56,8 @@ func TestAbsorbHintEpochBeatsSeq(t *testing.T) {
 
 // A root built with Root.Tenants admits at the root (ROADMAP 8(e)): a bundle
 // over the tenant's quota is answered with the typed retry-after, so the
-// backpressure lands on the tenant's own client — Throttled counts it; the
+// backpressure lands on the tenant's own client — Throttled counts it, and so
+// does the tenant's row in the root's stats, which are the root's own; the
 // leaf, which has no limits of its own, refuses nothing, and every task still
 // arrives once.
 func TestRootAdmitsUnderItsOwnTenants(t *testing.T) {
@@ -111,7 +112,7 @@ func TestRootAdmitsUnderItsOwnTenants(t *testing.T) {
 		t.Fatal("the client was never handed a retry-after")
 	}
 	var atRoot int64
-	for _, row := range f.Dispatcher.Stats().Tenants {
+	for _, row := range f.Stats().Tenants {
 		if row.Name == "capped" {
 			atRoot = row.Throttled
 		}

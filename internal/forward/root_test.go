@@ -304,3 +304,50 @@ func TestLeafDeathsDoNotFailATask(t *testing.T) {
 		})
 	}
 }
+
+// A root's task counts are its own, so a leaf's death or restart lowers none
+// of them. A journaled leaf is killed at rest the moment the client has every
+// result — inside the journal's advisory bound, so the leaf's last delivery
+// records may not be on disk (DESIGN.md §10) — and restarted over the same
+// journal and address. Once the link has re-attached, the root still reads
+// every task submitted and completed once, in falkon.stats and in
+// falkon.metrics. Each of the four rounds loses some of the leaf's count about
+// half the time, so a root that sums its leaves fails here almost always.
+func TestLeafRestartLowersNoRootCounter(t *testing.T) {
+	const n, rounds = 64, 4
+	opts := dispatch.Options{JournalDir: t.TempDir()}
+	d := startLeaf(t, "127.0.0.1:0", opts)
+	addr := d.Addr()
+	startExec(t, executor.Options{ID: "leaf-exec", DispatcherAddr: addr, Slots: 4})
+	f, c := startRoot(t, client.Options{BundleSize: 16}, d)
+
+	var gen task.IDGen
+	for round := 1; round <= rounds; round++ {
+		if err := c.Submit(task.Batch(&gen, n, 0)); err != nil {
+			t.Fatal(err)
+		}
+		if _, err := c.WaitN(n, 30*time.Second); err != nil {
+			t.Fatal(err)
+		}
+		d.Abort()
+		d = startLeaf(t, addr, opts)
+		if !within(10*time.Second, func() bool {
+			st := f.Stats()
+			return st.Leaves[0].Up && st.Leaves[0].Reconnects >= int64(round)
+		}) {
+			t.Fatalf("round %d: the link never re-attached to the restarted leaf", round)
+		}
+		want := int64(n * round)
+		t.Logf("round %d: the restarted leaf counts %d completed of %d", round, d.Stats().Completed, want)
+		if st := f.Stats(); st.Submitted != want || st.Completed != want {
+			t.Fatalf("round %d: after the leaf's restart the root counts %d submitted and %d completed, want %d of each", round, st.Submitted, st.Completed, want)
+		}
+		ms, err := c.Metrics()
+		if err != nil {
+			t.Fatal(err)
+		}
+		if got := ms.Counters["falkon_tasks_completed_total"]; got != want {
+			t.Fatalf("round %d: after the leaf's restart the root's falkon_tasks_completed_total = %d, want %d", round, got, want)
+		}
+	}
+}

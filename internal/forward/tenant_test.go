@@ -13,8 +13,9 @@ import (
 )
 
 // startTenantTier brings up nDisp leaf dispatchers sharing one tenant
-// config, each with nExec executors, behind a forwarder root.
-func startTenantTier(t *testing.T, nDisp, nExec int, tenants []dispatch.TenantSpec) (*forward.Forwarder, []*dispatch.Dispatcher) {
+// config, each with nExec executors, behind a forwarder root that declares
+// rootTenants.
+func startTenantTier(t *testing.T, nDisp, nExec int, tenants, rootTenants []dispatch.TenantSpec) (*forward.Forwarder, []*dispatch.Dispatcher) {
 	t.Helper()
 	var addrs []string
 	var dispatchers []*dispatch.Dispatcher
@@ -38,7 +39,7 @@ func startTenantTier(t *testing.T, nDisp, nExec int, tenants []dispatch.TenantSp
 		addrs = append(addrs, d.Addr())
 		dispatchers = append(dispatchers, d)
 	}
-	f, err := forward.New(forward.Options{Dispatchers: addrs, Root: dispatch.Options{Logf: t.Logf}})
+	f, err := forward.New(forward.Options{Dispatchers: addrs, Root: dispatch.Options{Logf: t.Logf, Tenants: rootTenants}})
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -50,11 +51,11 @@ func startTenantTier(t *testing.T, nDisp, nExec int, tenants []dispatch.TenantSp
 }
 
 // TestForwarderTenantPassthrough pins tenant identity through the tree: a
-// tenant-scoped client submits via the root, the leaves attribute the work
-// to that tenant, and the root's aggregated stats carry the merged rows.
+// tenant-scoped client submits via the root, which admits the tenant as it
+// declares it (DESIGN.md §13) and counts the work in its own tenant row, and
+// the leaves attribute the work to that tenant.
 func TestForwarderTenantPassthrough(t *testing.T) {
-	tenants := []dispatch.TenantSpec{{Name: "acme", Weight: 2}}
-	f, dispatchers := startTenantTier(t, 2, 1, tenants)
+	f, dispatchers := startTenantTier(t, 2, 1, []dispatch.TenantSpec{{Name: "acme"}}, []dispatch.TenantSpec{{Name: "acme", Weight: 2}})
 	c, err := client.Connect(client.Options{DispatcherAddr: f.Addr(), Tenant: "acme", BundleSize: 10})
 	if err != nil {
 		t.Fatal(err)
@@ -85,8 +86,8 @@ func TestForwarderTenantPassthrough(t *testing.T) {
 	for _, ts := range st.Tenants {
 		if ts.Name == "acme" {
 			found = true
-			if ts.Completed != 60 {
-				t.Fatalf("root aggregates %d acme completions, want 60", ts.Completed)
+			if ts.Completed != 60 || ts.Weight != 2 {
+				t.Fatalf("root's acme row counts %d completions at weight %v, want 60 at the root's weight 2", ts.Completed, ts.Weight)
 			}
 		}
 	}
@@ -102,7 +103,7 @@ func TestForwarderTenantPassthrough(t *testing.T) {
 // attached to a leaf is still held to the leaf's limits.
 func TestTreeAdmitsATenantOnce(t *testing.T) {
 	tenants := []dispatch.TenantSpec{{Name: "metered", Rate: 400, Burst: 8}}
-	f, dispatchers := startTenantTier(t, 2, 1, tenants)
+	f, dispatchers := startTenantTier(t, 2, 1, tenants, nil)
 	c, err := client.Connect(client.Options{DispatcherAddr: f.Addr(), Tenant: "metered", BundleSize: 64})
 	if err != nil {
 		t.Fatal(err)

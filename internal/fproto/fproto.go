@@ -18,7 +18,6 @@
 package fproto
 
 import (
-	"sort"
 	"strings"
 	"time"
 
@@ -394,44 +393,6 @@ type TenantStats struct {
 	// Quota and Rate echo the configured limits (0 = unlimited).
 	Quota int     `json:"quota,omitempty"`
 	Rate  float64 `json:"rate,omitempty"`
-}
-
-// Merge folds one child's reply into a tree node's aggregate: counters
-// sum, tenant rows sum by name (kept name-sorted, limits echoed from the
-// first child that reports the tenant), the child's own leaf rows append —
-// so a root sees true leaves at any depth — and Depth tracks the deepest
-// child.
-func (a *StatsReply) Merge(st StatsReply) {
-	a.Queued += st.Queued
-	a.Outstanding += st.Outstanding
-	a.IdleExecutors += st.IdleExecutors
-	a.BusyExecutors += st.BusyExecutors
-	a.TotalExecutors += st.TotalExecutors
-	a.Submitted += st.Submitted
-	a.Completed += st.Completed
-	a.Failed += st.Failed
-	a.Retried += st.Retried
-	a.Dispatched += st.Dispatched
-	a.Duplicates += st.Duplicates
-	a.CacheHits += st.CacheHits
-	a.CacheMisses += st.CacheMisses
-	a.Depth = max(a.Depth, st.Depth, 1)
-	a.Leaves = append(a.Leaves, st.Leaves...)
-	for _, ts := range st.Tenants {
-		i := sort.Search(len(a.Tenants), func(i int) bool { return a.Tenants[i].Name >= ts.Name })
-		if i == len(a.Tenants) || a.Tenants[i].Name != ts.Name {
-			a.Tenants = append(a.Tenants, TenantStats{})
-			copy(a.Tenants[i+1:], a.Tenants[i:])
-			a.Tenants[i] = TenantStats{Name: ts.Name, Weight: ts.Weight, Quota: ts.Quota, Rate: ts.Rate}
-		}
-		row := &a.Tenants[i]
-		row.Queued += ts.Queued
-		row.InFlight += ts.InFlight
-		row.Submitted += ts.Submitted
-		row.Completed += ts.Completed
-		row.Failed += ts.Failed
-		row.Throttled += ts.Throttled
-	}
 }
 
 // ReplicationStats is the HA tier's row in StatsReply: the answering

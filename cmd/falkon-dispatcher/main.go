@@ -3,7 +3,8 @@
 // Usage:
 //
 //	falkon-dispatcher -addr :7523
-//	falkon-dispatcher -addr :7523 -secure -psk-file key.txt
+//	falkon-dispatcher -addr :7523 -psk-file key.txt
+//	    the secure profile: every executor and client must hold the key
 //
 // Executors (cmd/falkon-executor) and clients (cmd/falkon-submit) connect
 // to the printed address.
@@ -60,8 +61,7 @@ import (
 func main() {
 	var (
 		addr          = flag.String("addr", ":7523", "listen address")
-		secure        = flag.Bool("secure", false, "require the secure-conversation transport profile")
-		pskFile       = flag.String("psk-file", "", "pre-shared key file (required with -secure)")
+		pskFile       = flag.String("psk-file", "", "pre-shared key file: require the secure-conversation transport profile, keyed by it (empty = in the clear)")
 		replayTimeout = flag.Duration("replay-timeout", 0, "re-dispatch tasks unacknowledged for this long (0 = disconnect-based only)")
 		maxRetries    = flag.Int("max-retries", 3, "per-task re-dispatch bound")
 		statsEvery    = flag.Duration("stats-every", 10*time.Second, "periodic stats log interval (0 = off)")
@@ -129,16 +129,8 @@ func main() {
 	if !*quiet {
 		opts.Logf = log.Printf
 	}
-	if *secure {
-		if *pskFile == "" {
-			log.Fatal("falkon-dispatcher: -secure requires -psk-file")
-		}
-		key, err := os.ReadFile(*pskFile)
-		if err != nil {
-			log.Fatalf("falkon-dispatcher: read psk: %v", err)
-		}
-		opts.Security = wsrpc.SecuritySecureConversation
-		opts.PSK = key
+	if opts.PSK, err = wsrpc.ReadKey(*pskFile); err != nil {
+		log.Fatalf("falkon-dispatcher: read psk: %v", err)
 	}
 
 	mode, err := replica.ParseMode(*replicate)
@@ -234,7 +226,7 @@ func runLeader(opts dispatch.Options, leaves []string, bundle int, addr, journal
 	if err := d.Listen(addr); err != nil {
 		log.Fatalf("falkon-dispatcher: %v", err)
 	}
-	fmt.Printf("falkon-dispatcher listening on %s (security=%v)\n", d.Addr(), opts.Security)
+	fmt.Printf("falkon-dispatcher listening on %s (keyed=%v)\n", d.Addr(), len(opts.PSK) > 0)
 	if len(leaves) > 0 {
 		fmt.Printf("falkon-dispatcher relaying to %v\n", leaves)
 	}
@@ -258,14 +250,13 @@ func runStandby(leaderAddr, dir, id string, syncPolicy wal.SyncPolicy, opts disp
 		log.Fatal("falkon-dispatcher: -standby-of requires -journal-dir (the mirror directory)")
 	}
 	sb, err := replica.StartStandby(replica.StandbyOptions{
-		ID:       id,
-		Leader:   func() (string, error) { return leaderAddr, nil },
-		Dir:      dir,
-		Sync:     syncPolicy,
-		Security: opts.Security,
-		PSK:      opts.PSK,
-		Metrics:  opts.Metrics,
-		Logf:     opts.Logf,
+		ID:      id,
+		Leader:  func() (string, error) { return leaderAddr, nil },
+		Dir:     dir,
+		Sync:    syncPolicy,
+		PSK:     opts.PSK,
+		Metrics: opts.Metrics,
+		Logf:    opts.Logf,
 	})
 	if err != nil {
 		log.Fatalf("falkon-dispatcher: %v", err)
@@ -325,16 +316,13 @@ func runHANode(leaseFile string, leaseTTL time.Duration, nodeID, addr, journalDi
 
 	var d *dispatch.Dispatcher
 	err := replica.RunNode(replica.NodeOptions{
-		ID:    nodeID,
-		Addr:  addr,
-		Lease: &replica.Lease{Path: leaseFile, TTL: leaseTTL},
+		Lease: &replica.Lease{Path: leaseFile, TTL: leaseTTL, ID: nodeID, Addr: addr},
 		Standby: replica.StandbyOptions{
-			ID:       nodeID,
-			Dir:      journalDir,
-			Sync:     syncPolicy,
-			Security: opts.Security,
-			PSK:      opts.PSK,
-			Logf:     opts.Logf,
+			Dir:     journalDir,
+			Sync:    syncPolicy,
+			PSK:     opts.PSK,
+			Metrics: opts.Metrics,
+			Logf:    opts.Logf,
 		},
 		Promote: func(term uint64) error {
 			opts.Replication.Term = term
@@ -348,9 +336,8 @@ func runHANode(leaseFile string, leaseTTL time.Duration, nodeID, addr, journalDi
 			go func() { <-d.Done(); halt() }()
 			return nil
 		},
-		Metrics: opts.Metrics,
-		Logf:    log.Printf,
-		Stop:    stop,
+		Logf: log.Printf,
+		Stop: stop,
 	})
 	switch {
 	case err == replica.ErrLeaseLost:
@@ -364,7 +351,8 @@ func runHANode(leaseFile string, leaseTTL time.Duration, nodeID, addr, journalDi
 		case <-d.Done():
 			exitJournalFailed()
 		default:
-			awaitShutdownNow(d, journalDir)
+			// The signal that stopped the node was the shutdown's.
+			shutdown(d, journalDir)
 		}
 	case err == replica.ErrNodeStopped:
 		log.Println("falkon-dispatcher: node stopped")
@@ -449,12 +437,6 @@ func awaitShutdown(d node, journalDir string) {
 func exitJournalFailed() {
 	log.Println("falkon-dispatcher: journal failed, dispatcher stopped; exiting for recovery")
 	os.Exit(3)
-}
-
-// awaitShutdownNow drains and seals without waiting for a signal (the HA
-// node path already consumed the signal to stop the election loop).
-func awaitShutdownNow(d node, journalDir string) {
-	shutdown(d, journalDir)
 }
 
 func shutdown(d node, journalDir string) {

@@ -8,6 +8,7 @@
 //	falkon-executor -dispatcher host:7523              # one slot
 //	falkon-executor -dispatcher host:7523 -slots 8     # eight concurrent tasks
 //	falkon-executor -dispatcher host:7523 -idle 60s    # distributed release
+//	falkon-executor -dispatcher host:7523 -psk-file key.txt  # a keyed dispatcher
 package main
 
 import (
@@ -33,8 +34,7 @@ func main() {
 		slots      = flag.Int("slots", 1, "concurrent tasks (the paper runs one per processor)")
 		idle       = flag.Duration("idle", 0, "distributed release: deregister after this idle time (0 = never)")
 		prefetch   = flag.Int("prefetch", 0, "cap on tasks per work pull (0 = sized by the executor up to the protocol cap of 64, 1 = the paper's per-task dispatch)")
-		secure     = flag.Bool("secure", false, "use the secure-conversation transport profile")
-		pskFile    = flag.String("psk-file", "", "pre-shared key file (required with -secure)")
+		pskFile    = flag.String("psk-file", "", "the dispatcher's pre-shared key file: speak the secure-conversation transport profile (empty = in the clear)")
 		execT      = flag.Duration("exec-timeout", 0, "kill exec-engine tasks after this long (0 = never)")
 		debugAddr  = flag.String("debug-addr", "", "HTTP address serving /metrics, /events.json, /spans.jsonl and /debug/pprof/; the executor records trace events only when it is set (empty = off)")
 		reconnect  = flag.Bool("reconnect", false, "survive dispatcher restarts: re-register with backoff instead of stopping")
@@ -72,17 +72,11 @@ func main() {
 		opts.Faults = faultinj.New(spec, reg, log.Printf)
 		log.Printf("falkon-executor: fault injection armed: %s", spec)
 	}
-	if *secure {
-		if *pskFile == "" {
-			log.Fatal("falkon-executor: -secure requires -psk-file")
-		}
-		key, err := os.ReadFile(*pskFile)
-		if err != nil {
-			log.Fatalf("falkon-executor: read psk: %v", err)
-		}
-		opts.Security = wsrpc.SecuritySecureConversation
-		opts.PSK = key
+	key, err := wsrpc.ReadKey(*pskFile)
+	if err != nil {
+		log.Fatalf("falkon-executor: read psk: %v", err)
 	}
+	opts.PSK = key
 
 	ex, err := executor.Start(opts)
 	if err != nil {

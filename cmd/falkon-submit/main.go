@@ -7,6 +7,7 @@
 //	falkon-submit -dispatcher host:7523 -sleep0 1000 -bundle 50
 //	falkon-submit -dispatcher host:7523 -exec "/bin/echo hi" -count 10
 //	falkon-submit -dispatcher host:7523 -workload tasks.jsonl
+//	falkon-submit -dispatcher host:7523 -psk-file key.txt -sleep0 1000
 //
 // A workload file holds one JSON task per line (see internal/task.Task).
 package main
@@ -37,8 +38,7 @@ func main() {
 		workload   = flag.String("workload", "", "JSONL task file")
 		bundle     = flag.Int("bundle", 1, "client-dispatcher bundle size")
 		poll       = flag.Bool("poll", false, "poll for results instead of notifications")
-		secure     = flag.Bool("secure", false, "use the secure-conversation transport profile")
-		pskFile    = flag.String("psk-file", "", "pre-shared key file (required with -secure)")
+		pskFile    = flag.String("psk-file", "", "the dispatcher's pre-shared key file: speak the secure-conversation transport profile (empty = in the clear)")
 		timeout    = flag.Duration("timeout", 10*time.Minute, "overall wait timeout")
 		reconnect  = flag.Bool("reconnect", false, "survive dispatcher restarts: reattach, resubmit pending tasks idempotently, and dedupe redelivered results")
 		debugAddr  = flag.String("debug-addr", "", "HTTP address serving /metrics and /debug/pprof/ while the run lasts (empty = off)")
@@ -74,17 +74,11 @@ func main() {
 		opts.Faults = faultinj.New(spec, nil, log.Printf)
 		log.Printf("falkon-submit: fault injection armed: %s", spec)
 	}
-	if *secure {
-		if *pskFile == "" {
-			log.Fatal("falkon-submit: -secure requires -psk-file")
-		}
-		key, err := os.ReadFile(*pskFile)
-		if err != nil {
-			log.Fatalf("falkon-submit: read psk: %v", err)
-		}
-		opts.Security = wsrpc.SecuritySecureConversation
-		opts.PSK = key
+	key, err := wsrpc.ReadKey(*pskFile)
+	if err != nil {
+		log.Fatalf("falkon-submit: read psk: %v", err)
 	}
+	opts.PSK = key
 
 	var gen task.IDGen
 	var tasks []task.Task

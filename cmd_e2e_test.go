@@ -6,6 +6,7 @@ package falkon_test
 
 import (
 	"bufio"
+	"context"
 	"encoding/json"
 	"errors"
 	"fmt"
@@ -302,22 +303,40 @@ func TestBinariesLeavesRefuseJournal(t *testing.T) {
 	}
 }
 
+// The key is the security setting: a dispatcher given -psk-file serves only
+// the secure profile, a client without the key is refused, and an empty key
+// file is refused at startup rather than read as no key.
 func TestBinariesSecureDeployment(t *testing.T) {
 	bin := buildBinaries(t)
-	psk := filepath.Join(t.TempDir(), "psk")
+	dir := t.TempDir()
+	psk, empty := filepath.Join(dir, "psk"), filepath.Join(dir, "empty")
 	if err := os.WriteFile(psk, []byte("e2e-shared-key"), 0o600); err != nil {
 		t.Fatal(err)
 	}
-	_, dispAddr := startDispatcher(t, bin, ephemeral, "-quiet", "-stats-every", "0", "-secure", "-psk-file", psk)
-	startProc(t, filepath.Join(bin, "falkon-executor"), "-dispatcher", dispAddr, "-secure", "-psk-file", psk)
+	if err := os.WriteFile(empty, nil, 0o600); err != nil {
+		t.Fatal(err)
+	}
+	ctx, cancel := context.WithTimeout(context.Background(), 15*time.Second) // a dispatcher that starts is killed
+	defer cancel()
+	if out, err := exec.CommandContext(ctx, filepath.Join(bin, "falkon-dispatcher"), "-addr", ephemeral, "-psk-file", empty).CombinedOutput(); err == nil ||
+		!strings.Contains(string(out), "is empty") {
+		t.Fatalf("falkon-dispatcher with an empty key file: %v\n%s", err, out)
+	}
+	_, dispAddr := startDispatcher(t, bin, ephemeral, "-quiet", "-stats-every", "0", "-psk-file", psk)
+	startProc(t, filepath.Join(bin, "falkon-executor"), "-dispatcher", dispAddr, "-psk-file", psk)
 
 	out, err := exec.Command(filepath.Join(bin, "falkon-submit"),
-		"-dispatcher", dispAddr, "-sleep0", "30", "-secure", "-psk-file", psk, "-timeout", "60s").CombinedOutput()
+		"-dispatcher", dispAddr, "-sleep0", "30", "-psk-file", psk, "-timeout", "60s").CombinedOutput()
 	if err != nil {
 		t.Fatalf("secure falkon-submit: %v\n%s", err, out)
 	}
 	if !strings.Contains(string(out), "completed 30 tasks (0 failed)") {
 		t.Fatalf("submit output: %s", out)
+	}
+	out, err = exec.Command(filepath.Join(bin, "falkon-submit"),
+		"-dispatcher", dispAddr, "-sleep0", "3", "-timeout", "30s").CombinedOutput()
+	if err == nil || strings.Contains(string(out), "completed") {
+		t.Fatalf("falkon-submit without the key was served: %v\n%s", err, out)
 	}
 }
 

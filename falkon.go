@@ -42,7 +42,6 @@ import (
 	"falkon/internal/obs"
 	"falkon/internal/provision"
 	"falkon/internal/task"
-	"falkon/internal/wsrpc"
 )
 
 // Task is one unit of work (command, args, synthetic engine, duration).
@@ -82,12 +81,6 @@ type System = core.System
 
 // Func is an in-process task body registered on executors.
 type Func = executor.Func
-
-// Security profiles for the transport.
-const (
-	SecurityNone               = wsrpc.SecurityNone
-	SecuritySecureConversation = wsrpc.SecuritySecureConversation
-)
 
 // Release policies (paper §3.1).
 const (

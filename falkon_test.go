@@ -41,7 +41,6 @@ func TestSystemStaticPool(t *testing.T) {
 func TestSystemSecure(t *testing.T) {
 	sys, err := falkon.Start(falkon.Config{
 		Executors:  2,
-		Security:   falkon.SecuritySecureConversation,
 		PSK:        []byte("system-test-key"),
 		BundleSize: 10,
 		SleepScale: 0.001,

@@ -45,9 +45,8 @@ type Options struct {
 	// the tenant determines fair-share weight, quota, and rate limit; a
 	// pre-tenancy dispatcher ignores the field.
 	Tenant string
-	// Security and PSK must match the dispatcher.
-	Security wsrpc.SecurityProfile
-	PSK      []byte
+	// PSK is the dispatcher's pre-shared key, if it has one.
+	PSK []byte
 	// BundleSize groups submissions into bundles of this many tasks
 	// (default 1 = no bundling). Figure 5 sweeps this parameter.
 	BundleSize int
@@ -148,7 +147,6 @@ func Connect(opts Options) (*Client, error) {
 	c.sess = wsrpc.NewSession(wsrpc.SessionOptions{
 		Addrs: addrs,
 		Client: wsrpc.ClientOptions{
-			Security: opts.Security,
 			PSK:      opts.PSK,
 			OnNotify: c.onNotify,
 			Faults:   opts.Faults,

@@ -12,7 +12,6 @@ import (
 	"falkon/internal/dispatch"
 	"falkon/internal/fproto"
 	"falkon/internal/task"
-	"falkon/internal/wsrpc"
 )
 
 // allocsPerTaskCeiling is the whole runtime's heap allocations per `sleep 0`
@@ -109,7 +108,7 @@ func TestAllocsPerTaskBudget(t *testing.T) {
 	}{
 		{name: "plain"},
 		{name: "secure", cfg: core.Config{
-			Security: wsrpc.SecuritySecureConversation, PSK: []byte("budget-psk"),
+			PSK: []byte("budget-psk"),
 		}},
 		{name: "fair-share", cfg: core.Config{
 			Tenant:  "a",

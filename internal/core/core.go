@@ -16,7 +16,6 @@ import (
 	"falkon/internal/fproto"
 	"falkon/internal/provision"
 	"falkon/internal/task"
-	"falkon/internal/wsrpc"
 )
 
 // ProvisioningConfig enables dynamic resource provisioning.
@@ -46,9 +45,9 @@ type Config struct {
 	// Executors statically starts this many executors at boot (ignored
 	// when Provisioning is set; the provisioner owns the pool then).
 	Executors int
-	// Security and PSK select the transport profile.
-	Security wsrpc.SecurityProfile
-	PSK      []byte
+	// PSK, when set, is the pre-shared key every connection in the system
+	// proves: the secure transport profile.
+	PSK []byte
 	// BundleSize enables client-dispatcher task bundling (default 1).
 	BundleSize int
 	// SleepScale compresses synthetic task durations (default 1.0).
@@ -57,9 +56,6 @@ type Config struct {
 	Funcs map[string]executor.Func
 	// DataCost prices EngineData staging.
 	DataCost func(io task.IOSpec) time.Duration
-	// NoRetryOnFailure reports a failed task instead of re-dispatching it
-	// (see dispatch.Options).
-	NoRetryOnFailure bool
 	// Provisioning, when non-nil, runs a provisioner instead of a static
 	// pool.
 	Provisioning *ProvisioningConfig
@@ -106,12 +102,10 @@ func Start(cfg Config) (*System, error) {
 	}
 	s := &System{cfg: cfg}
 	s.dispatcher = dispatch.New(dispatch.Options{
-		Security:         cfg.Security,
-		PSK:              cfg.PSK,
-		NoRetryOnFailure: cfg.NoRetryOnFailure,
-		Tenants:          cfg.Tenants,
-		JournalDir:       cfg.JournalDir,
-		Logf:             cfg.Logf,
+		PSK:        cfg.PSK,
+		Tenants:    cfg.Tenants,
+		JournalDir: cfg.JournalDir,
+		Logf:       cfg.Logf,
 	})
 	if err := s.dispatcher.Listen("127.0.0.1:0"); err != nil {
 		return nil, err
@@ -119,7 +113,6 @@ func Start(cfg Config) (*System, error) {
 
 	execTemplate := executor.Options{
 		DispatcherAddr: s.dispatcher.Addr(),
-		Security:       cfg.Security,
 		PSK:            cfg.PSK,
 		SleepScale:     cfg.SleepScale,
 		Funcs:          cfg.Funcs,
@@ -170,7 +163,6 @@ func Start(cfg Config) (*System, error) {
 	cli, err := client.Connect(client.Options{
 		DispatcherAddr: s.dispatcher.Addr(),
 		Name:           "core",
-		Security:       cfg.Security,
 		PSK:            cfg.PSK,
 		BundleSize:     cfg.BundleSize,
 		Tenant:         cfg.Tenant,

@@ -52,9 +52,10 @@ type ReplicationOptions struct {
 
 // Options configures a Dispatcher.
 type Options struct {
-	// Security and PSK configure the wsrpc transport profile.
-	Security wsrpc.SecurityProfile
-	PSK      []byte
+	// PSK, when set, is the pre-shared key every executor and client must
+	// hold: the dispatcher then speaks only the secure profile. Empty serves
+	// in the clear.
+	PSK []byte
 
 	// ReplayTimeout re-dispatches tasks whose executor has not responded
 	// within this duration (0 disables timeout-based replay; disconnect-
@@ -65,12 +66,11 @@ type Options struct {
 	// exhausts retries is reported failed.
 	MaxRetries int
 
-	// RetryOnFailure re-dispatches tasks whose result reports failure, per
-	// the paper's replay policy (default true; set NoRetryOnFailure to
-	// disable). A task's own MaxRetries is a bound on what its failures may
-	// cost, so with NoRetryOnFailure it is not consulted: every replay is then
-	// for an executor lost or timed out, and MaxRetries above alone bounds
-	// those (a tree's root, whose leaves enforce the task's bound, sets both).
+	// NoRetryOnFailure reports a task whose result says it failed instead of
+	// re-dispatching it, as the paper's replay policy does. The task's own
+	// MaxRetries, a bound on what its failures may cost, is then not read:
+	// every replay is for an executor lost or timed out, and MaxRetries above
+	// alone bounds those (a tree's root, whose leaves bound the task, sets both).
 	NoRetryOnFailure bool
 
 	// Metrics receives the dispatcher's counters, gauges, and stage
@@ -485,7 +485,7 @@ func New(opts Options) *Dispatcher {
 	d.grantsPushed = d.reg.Counter("falkon_dispatch_grants_pushed_total")
 	d.notifications = d.reg.Counter("falkon_notifications_total")
 	d.notifyErrs = d.reg.Counter("falkon_notify_errors_total")
-	d.srv = wsrpc.NewServer(wsrpc.ServerOptions{Security: opts.Security, PSK: opts.PSK, Logf: d.logf, Metrics: d.reg, Faults: opts.Faults})
+	d.srv = wsrpc.NewServer(wsrpc.ServerOptions{PSK: opts.PSK, Logf: d.logf, Metrics: d.reg, Faults: opts.Faults})
 	d.register()
 	d.srv.OnDisconnect(d.onDisconnect)
 	return d
@@ -633,6 +633,7 @@ func (d *Dispatcher) pushResults(f *fx, peer *wsrpc.Peer, inst *instance, rs []t
 					inst.live[r.ID] = struct{}{}
 				}
 			}
+			inst.grewLive()
 		}
 		inst.mu.Unlock()
 		if detached {
@@ -776,6 +777,9 @@ func (d *Dispatcher) restore(st *wal.State) {
 		// Re-charge per-tenant in-flight accounting (unchecked: the work was
 		// admitted before the crash).
 		d.tenants.admit(inst.tenant, 1, false)
+	}
+	for _, inst := range d.instances {
+		inst.grewLive()
 	}
 }
 
@@ -1301,6 +1305,7 @@ func (d *Dispatcher) finalize(f *fx, tr taskRef, r task.Result) {
 	inst.inFlight--
 	if inst.notify && inst.peer != nil {
 		delete(inst.live, r.ID) // pushed: discharged, unless pushResults finds the push failed
+		inst.shrinkLive()
 		peer := inst.peer
 		inst.mu.Unlock()
 		if inst.fromParent {

@@ -290,6 +290,7 @@ func (d *Dispatcher) submit(p *wsrpc.Peer, f *fx, req *fproto.Bundle) error {
 		for i := range tasks {
 			inst.live[tasks[i].ID] = struct{}{}
 		}
+		inst.grewLive()
 	}
 	inst.submitted += int64(len(tasks))
 	inst.inFlight += len(tasks)
@@ -358,7 +359,7 @@ func (d *Dispatcher) handleCollect(_ *wsrpc.Peer, body json.RawMessage) (any, er
 		}
 		inst.mu.Lock()
 		results := inst.takeResults(req.Max)
-		pendingN := inst.inFlight
+		pendingN := inst.inFlight + len(inst.buf.Results)
 		if len(results) > 0 || req.WaitMillis <= 0 || !time.Now().Before(deadline) {
 			inst.mu.Unlock()
 			return fproto.CollectReply{Results: results, Pending: pendingN}, nil

@@ -36,9 +36,9 @@ type instance struct {
 	peer   *wsrpc.Peer // connection that created the instance
 	notify bool        // push results over peer ({8}) vs. client polling
 
-	// submitted counts tasks accepted; inFlight counts tasks queued,
-	// outstanding, or buffered-but-uncollected; used for Collect's pending
-	// figure.
+	// submitted counts tasks accepted; inFlight counts tasks queued or
+	// outstanding (finalize takes a task off before it buffers the result),
+	// so Collect's pending figure is inFlight plus what buf still holds.
 	submitted int64
 	inFlight  int
 
@@ -55,7 +55,29 @@ type instance struct {
 	// is dropped (its result is still coming), a resubmitted dead task
 	// re-runs (its result was lost with the connection). Nil when the
 	// dispatcher runs without a journal.
-	live map[task.ID]struct{}
+	live     map[task.ID]struct{}
+	livePeak int // live's high-water mark since it was last built
+}
+
+// liveFloor is the high-water mark below which the owed set is never rebuilt.
+const liveFloor = 4096
+
+// grewLive notes the owed set's size after IDs were added. Callers hold in.mu.
+func (in *instance) grewLive() { in.livePeak = max(in.livePeak, len(in.live)) }
+
+// shrinkLive rebuilds the owed set at its live size once it has drained below
+// an eighth of its high-water mark, as sched.Core.shrinkOut does the
+// outstanding table: a Go map keeps every bucket its peak grew. Callers hold
+// in.mu.
+func (in *instance) shrinkLive() {
+	if in.livePeak <= liveFloor || len(in.live) >= in.livePeak/8 {
+		return
+	}
+	live := make(map[task.ID]struct{}, len(in.live))
+	for id := range in.live {
+		live[id] = struct{}{}
+	}
+	in.live, in.livePeak = live, len(live)
 }
 
 // takeResults removes and returns up to max buffered results (0 = all);
@@ -66,6 +88,7 @@ func (in *instance) takeResults(max int) []task.Result {
 		for _, r := range out {
 			delete(in.live, r.ID)
 		}
+		in.shrinkLive()
 	}
 	return out
 }

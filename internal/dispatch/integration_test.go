@@ -9,6 +9,7 @@ import (
 	"falkon/internal/client"
 	"falkon/internal/dispatch"
 	"falkon/internal/executor"
+	"falkon/internal/fproto"
 	"falkon/internal/task"
 	"falkon/internal/wsrpc"
 )
@@ -30,7 +31,6 @@ func startSystem(t *testing.T, dopts dispatch.Options, copts client.Options, nEx
 		o := eopts
 		o.ID = fmt.Sprintf("exec-%d", i)
 		o.DispatcherAddr = d.Addr()
-		o.Security = dopts.Security
 		o.PSK = dopts.PSK
 		if o.SleepScale == 0 {
 			o.SleepScale = 0.001 // compress synthetic seconds to milliseconds
@@ -44,7 +44,6 @@ func startSystem(t *testing.T, dopts dispatch.Options, copts client.Options, nEx
 	}
 
 	copts.DispatcherAddr = d.Addr()
-	copts.Security = dopts.Security
 	copts.PSK = dopts.PSK
 	c, err := client.Connect(copts)
 	if err != nil {
@@ -102,16 +101,23 @@ func TestEndToEndWithBundlingAndManyExecutors(t *testing.T) {
 	}
 }
 
+// A key is the whole security setting: a dispatcher given one serves its
+// keyed executors and clients over the secure profile, and refuses a client
+// without it instead of serving it in the clear.
 func TestEndToEndSecure(t *testing.T) {
 	psk := []byte("integration-key")
-	dopts := dispatch.Options{Security: wsrpc.SecuritySecureConversation, PSK: psk}
-	_, c, _ := startSystem(t, dopts, client.Options{BundleSize: 10}, 2, executor.Options{})
+	dopts := dispatch.Options{PSK: psk, Logf: func(string, ...any) {}}
+	d, c, _ := startSystem(t, dopts, client.Options{BundleSize: 10}, 2, executor.Options{})
 	var gen task.IDGen
 	if err := c.Submit(task.Batch(&gen, 50, 0)); err != nil {
 		t.Fatal(err)
 	}
 	if _, err := c.WaitN(50, 30*time.Second); err != nil {
 		t.Fatal(err)
+	}
+	if bare, err := client.Connect(client.Options{DispatcherAddr: d.Addr()}); err == nil {
+		bare.Close()
+		t.Fatal("a client without the key was served in the clear")
 	}
 }
 
@@ -127,6 +133,55 @@ func TestPollingClient(t *testing.T) {
 	}
 	if len(results) != 30 {
 		t.Fatalf("got %d results", len(results))
+	}
+}
+
+// noPush is an executor inside the test's process that is told of work and
+// does nothing with the news: the test asks for the work itself.
+type noPush struct{}
+
+func (noPush) Notify(string, any) error { return nil }
+
+// Collect's pending figure is what the instance still owes its client:
+// queued, running and undelivered, the results a bounded take left in the
+// buffer included.
+func TestCollectPendingCountsBufferedResults(t *testing.T) {
+	d := dispatch.New(dispatch.Options{Logf: t.Logf})
+	if err := d.Listen("127.0.0.1:0"); err != nil {
+		t.Fatal(err)
+	}
+	defer d.Close()
+	cli, err := wsrpcDial(d.Addr())
+	if err != nil {
+		t.Fatal(err)
+	}
+	defer cli.Close()
+	var inst fproto.CreateInstanceReply
+	if err := cli.Call(fproto.MethodCreateInstance, fproto.CreateInstanceRequest{}, &inst); err != nil {
+		t.Fatal(err)
+	}
+	var gen task.IDGen
+	tasks := task.Batch(&gen, 4, 0)
+	if err := cli.Call(fproto.MethodSubmit, fproto.SubmitRequest{EPR: inst.EPR, Tasks: tasks}, new(fproto.SubmitReply)); err != nil {
+		t.Fatal(err)
+	}
+	d.Register(fproto.RegisterRequest{ExecutorID: "x", Slots: 4}, noPush{})
+	if as, err := d.Stock("x", 4, 4, nil); err != nil || len(as) != 4 {
+		t.Fatalf("stocked %d of 4 tasks: %v", len(as), err)
+	}
+	req := fproto.DeliverRequest{ExecutorID: "x"}
+	for _, tk := range tasks[:3] { // the fourth stays running
+		req.Results = append(req.Results, fproto.TaggedResult{EPR: inst.EPR, Result: task.Result{ID: tk.ID}})
+	}
+	if _, err := d.Deliver(&req); err != nil {
+		t.Fatal(err)
+	}
+	var got fproto.CollectReply
+	if err := cli.Call(fproto.MethodCollect, fproto.CollectRequest{EPR: inst.EPR, Max: 1}, &got); err != nil {
+		t.Fatal(err)
+	}
+	if len(got.Results) != 1 || got.Pending != 3 {
+		t.Fatalf("collected %d results, %d pending; want 1 and 3 (two buffered, one running)", len(got.Results), got.Pending)
 	}
 }
 

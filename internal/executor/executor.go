@@ -46,9 +46,8 @@ type Options struct {
 	// Slots is the number of tasks run concurrently (default 1; the paper
 	// runs one executor per processor).
 	Slots int
-	// Security and PSK must match the dispatcher.
-	Security wsrpc.SecurityProfile
-	PSK      []byte
+	// PSK is the dispatcher's pre-shared key, if it has one.
+	PSK []byte
 	// IdleTimeout implements the distributed resource release policy: an
 	// executor idle this long deregisters and stops (0 = never).
 	IdleTimeout time.Duration
@@ -202,7 +201,6 @@ func Start(opts Options) (*Executor, error) {
 	e.sess = wsrpc.NewSession(wsrpc.SessionOptions{
 		Addrs: addrs,
 		Client: wsrpc.ClientOptions{
-			Security: opts.Security,
 			PSK:      opts.PSK,
 			OnNotify: e.onNotify,
 			Metrics:  e.reg,

@@ -22,7 +22,6 @@ import (
 	"falkon/internal/obs"
 	"falkon/internal/task"
 	"falkon/internal/wal"
-	"falkon/internal/wsrpc"
 )
 
 // treeHopCeiling is what one level of the dispatch tree may add to a task's
@@ -203,7 +202,7 @@ func bootTier(tb testing.TB, tree bool, execs, slots int, opts dispatch.Options)
 		leaves = append(leaves, leaf(1))
 	}
 	for i := 0; i < execs; i++ {
-		startExec(tb, executor.Options{ID: fmt.Sprintf("budget-e%d", i), DispatcherAddr: leaves[i%len(leaves)].Addr(), Slots: slots, Security: opts.Security, PSK: opts.PSK})
+		startExec(tb, executor.Options{ID: fmt.Sprintf("budget-e%d", i), DispatcherAddr: leaves[i%len(leaves)].Addr(), Slots: slots, PSK: opts.PSK})
 	}
 	if !tree {
 		return leaves[0].Addr(), leaves
@@ -228,7 +227,7 @@ func bootTier(tb testing.TB, tree bool, execs, slots int, opts dispatch.Options)
 // loop. plain is direct-bulk, journal journal-bulk (group commit, fsync a
 // no-op), tree tree-bulk (a root over two leaves); no workload of the repo
 // benchmark runs the other four: secure is the plain load with every
-// connection under the secure profile, fair the plain load through a
+// connection keyed, so under the secure profile, fair the plain load through a
 // dispatcher with eight tenants declared (the client's the first),
 // tree-journal the tree over journaled leaves, each with a journal directory
 // of its own (a root keeps no journal), and slots the plain load on one
@@ -260,7 +259,7 @@ func BenchmarkBulkRound(b *testing.B) {
 				opts.JournalDir, opts.JournalFS = b.TempDir(), noSyncFS{wal.OS}
 			}
 			if tc.secure {
-				opts.Security, opts.PSK = wsrpc.SecuritySecureConversation, []byte("bulk-round-key")
+				opts.PSK = []byte("bulk-round-key")
 			}
 			var tenant string
 			if tc.fair {
@@ -277,7 +276,7 @@ func BenchmarkBulkRound(b *testing.B) {
 				}
 				return n
 			}
-			c, err := client.Connect(client.Options{DispatcherAddr: front, BundleSize: bulkBundle, Security: opts.Security, PSK: opts.PSK, Tenant: tenant})
+			c, err := client.Connect(client.Options{DispatcherAddr: front, BundleSize: bulkBundle, PSK: opts.PSK, Tenant: tenant})
 			if err != nil {
 				b.Fatal(err)
 			}

@@ -42,9 +42,9 @@ type Options struct {
 	Backoff backoff.Policy
 	// Root configures the root like any dispatcher (tenants, replay timeout,
 	// fault injection, …), but for NoRetryOnFailure and MaxRetries, which New
-	// sets: retries are the leaves' to count. Its Security, PSK, Metrics and
-	// Logf are the links' too, so one profile and one registry cover the
-	// upstream listener and the downstream connections.
+	// sets: retries are the leaves' to count. Its PSK, Metrics and Logf are
+	// the links' too, so one key and one registry cover the upstream listener
+	// and the downstream connections.
 	Root dispatch.Options
 }
 

@@ -220,20 +220,19 @@ func TestForwarderDestroyInstance(t *testing.T) {
 
 func TestForwarderSecureBothTiers(t *testing.T) {
 	psk := []byte("three-tier-key")
-	sec := wsrpc.SecuritySecureConversation
-	d := dispatch.New(dispatch.Options{Security: sec, PSK: psk, Logf: t.Logf})
+	d := dispatch.New(dispatch.Options{PSK: psk, Logf: t.Logf})
 	if err := d.Listen("127.0.0.1:0"); err != nil {
 		t.Fatal(err)
 	}
 	defer d.Close()
 	ex, err := executor.Start(executor.Options{
-		ID: "sec-exec", DispatcherAddr: d.Addr(), Security: sec, PSK: psk, SleepScale: 0.001,
+		ID: "sec-exec", DispatcherAddr: d.Addr(), PSK: psk, SleepScale: 0.001,
 	})
 	if err != nil {
 		t.Fatal(err)
 	}
 	defer ex.Stop()
-	f, err := forward.New(forward.Options{Dispatchers: []string{d.Addr()}, Root: dispatch.Options{Security: sec, PSK: psk, Logf: t.Logf}})
+	f, err := forward.New(forward.Options{Dispatchers: []string{d.Addr()}, Root: dispatch.Options{PSK: psk, Logf: t.Logf}})
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -241,7 +240,7 @@ func TestForwarderSecureBothTiers(t *testing.T) {
 		t.Fatal(err)
 	}
 	defer f.Close()
-	c, err := client.Connect(client.Options{DispatcherAddr: f.Addr(), Security: sec, PSK: psk, BundleSize: 5})
+	c, err := client.Connect(client.Options{DispatcherAddr: f.Addr(), PSK: psk, BundleSize: 5})
 	if err != nil {
 		t.Fatal(err)
 	}

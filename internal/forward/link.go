@@ -66,7 +66,7 @@ func newLink(f *Forwarder, idx int, addr string) *link {
 	}
 	l.sess = wsrpc.NewSession(wsrpc.SessionOptions{
 		Addrs:     []string{addr},
-		Client:    wsrpc.ClientOptions{Security: f.opts.Root.Security, PSK: f.opts.Root.PSK, OnNotify: l.onNotify, Metrics: f.Metrics()},
+		Client:    wsrpc.ClientOptions{PSK: f.opts.Root.PSK, OnNotify: l.onNotify, Metrics: f.Metrics()},
 		Reconnect: true,
 		Backoff:   f.opts.Backoff,
 		Handshake: func(cli *wsrpc.Client, _ int) error { return l.attach(cli) },

@@ -137,9 +137,7 @@ func TestRunNodeElectionTermsAreMonotonic(t *testing.T) {
 	mirrors := t.TempDir()
 	runNode := func(id string, promoted chan uint64, stop chan struct{}, errc chan error) {
 		errc <- RunNode(NodeOptions{
-			ID:      id,
-			Addr:    "127.0.0.1:0",
-			Lease:   &Lease{Path: lease.Path, TTL: lease.TTL},
+			Lease:   &Lease{Path: lease.Path, TTL: lease.TTL, ID: id, Addr: "127.0.0.1:0"},
 			Standby: StandbyOptions{Dir: filepath.Join(mirrors, id)},
 			Promote: func(term uint64) error {
 				promoted <- term

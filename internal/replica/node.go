@@ -4,28 +4,23 @@ import (
 	"fmt"
 	"math/rand"
 	"time"
-
-	"falkon/internal/obs"
 )
 
 // NodeOptions configures one HA cluster member (RunNode).
 type NodeOptions struct {
-	// ID is this node's identity in the lease file; Addr is the dispatcher
-	// address it advertises when leading.
-	ID   string
-	Addr string
-	// Lease is the shared election lease. Its ID/Addr are overwritten with
-	// this node's.
+	// Lease is the shared election lease; its ID is this node's identity in
+	// the lease file and its Addr the dispatcher address it advertises when
+	// leading.
 	Lease *Lease
 	// Standby configures the replication follower run while another node
-	// leads. Its Leader resolver is overwritten to follow the lease.
+	// leads (its ID defaults to the lease's). Its Leader resolver is
+	// overwritten to follow the lease. Its Metrics receive
+	// falkon_elections_total and the role/term gauges too.
 	Standby StandbyOptions
 	// Promote starts serving as leader at term: build the dispatcher over
 	// the standby's journal directory (the standby is already stopped) and
 	// return once it is listening. A Promote error aborts the node.
 	Promote func(term uint64) error
-	// Metrics receives falkon_elections_total and the role/term gauges.
-	Metrics *obs.Registry
 	// Logf receives node logs; nil silences them.
 	Logf func(format string, args ...any)
 	// Stop, when non-nil, makes RunNode return ErrNodeStopped when closed
@@ -56,18 +51,16 @@ func RunNode(opts NodeOptions) error {
 		logf = func(string, ...any) {}
 	}
 	lease := *opts.Lease
-	lease.ID, lease.Addr = opts.ID, opts.Addr
 	check := lease.TTL / 3
 	if check <= 0 {
 		check = 500 * time.Millisecond
 	}
-	cElections := opts.Metrics.Counter("falkon_elections_total")
-	gRole := opts.Metrics.Gauge("falkon_replica_role")
-	gTerm := opts.Metrics.Gauge("falkon_replica_term")
+	sbOpts := opts.Standby
+	cElections := sbOpts.Metrics.Counter("falkon_elections_total")
+	gRole := sbOpts.Metrics.Gauge("falkon_replica_role")
+	gTerm := sbOpts.Metrics.Gauge("falkon_replica_term")
 
 	// The standby follows whoever the lease names — never ourselves.
-	sbOpts := opts.Standby
-	sbOpts.Metrics = opts.Metrics
 	sbOpts.Leader = func() (string, error) {
 		st, err := lease.Read()
 		if err != nil {
@@ -76,13 +69,13 @@ func RunNode(opts NodeOptions) error {
 		if st.Holder == "" || st.Expired(time.Now()) {
 			return "", fmt.Errorf("replica: no live leader")
 		}
-		if st.Holder == opts.ID {
+		if st.Holder == lease.ID {
 			return "", fmt.Errorf("replica: lease names this node but it is not serving")
 		}
 		return st.Addr, nil
 	}
 	if sbOpts.ID == "" {
-		sbOpts.ID = opts.ID
+		sbOpts.ID = lease.ID
 	}
 
 	var standby *Standby
@@ -107,7 +100,7 @@ func RunNode(opts NodeOptions) error {
 			return err
 		}
 		if won {
-			logf("replica: node %s won lease (term %d)", opts.ID, st.Term)
+			logf("replica: node %s won lease (term %d)", lease.ID, st.Term)
 			stopStandby() // closes its journal; Promote recovers it
 			cElections.Inc()
 			gRole.Set(1)
@@ -115,7 +108,7 @@ func RunNode(opts NodeOptions) error {
 			if err := opts.Promote(st.Term); err != nil {
 				return fmt.Errorf("replica: promote: %w", err)
 			}
-			return renewLoop(&lease, opts, logf)
+			return renewLoop(&lease, check, opts.Stop, logf)
 		}
 		gRole.Set(0)
 		if standby == nil {
@@ -124,7 +117,7 @@ func RunNode(opts NodeOptions) error {
 				return err
 			}
 			standby = sb
-			logf("replica: node %s following %s (term %d)", opts.ID, st.Addr, st.Term)
+			logf("replica: node %s following %s (term %d)", lease.ID, st.Addr, st.Term)
 		}
 		// Jittered wait so cluster peers don't hit the lease in lockstep.
 		d := check/2 + time.Duration(rand.Int63n(int64(check)))
@@ -136,14 +129,10 @@ func RunNode(opts NodeOptions) error {
 	}
 }
 
-// renewLoop keeps a promoted leader's lease alive. Renewal happens at TTL/3
-// so two consecutive misses still fit inside the TTL; a failed renewal is
-// fail-stop.
-func renewLoop(lease *Lease, opts NodeOptions, logf func(string, ...any)) error {
-	every := lease.TTL / 3
-	if every <= 0 {
-		every = 500 * time.Millisecond
-	}
+// renewLoop keeps a promoted leader's lease alive, renewing every TTL/3 (the
+// check period) so two consecutive misses still fit inside the TTL; a failed
+// renewal is fail-stop.
+func renewLoop(lease *Lease, every time.Duration, stop <-chan struct{}, logf func(string, ...any)) error {
 	t := time.NewTicker(every)
 	defer t.Stop()
 	for {
@@ -151,14 +140,14 @@ func renewLoop(lease *Lease, opts NodeOptions, logf func(string, ...any)) error 
 		case <-t.C:
 			ok, err := lease.Renew()
 			if err != nil {
-				logf("replica: leader %s renew error: %v", opts.ID, err)
+				logf("replica: leader %s renew error: %v", lease.ID, err)
 				continue // transient FS error: the TTL is the real deadline
 			}
 			if !ok {
-				logf("replica: leader %s lost lease", opts.ID)
+				logf("replica: leader %s lost lease", lease.ID)
 				return ErrLeaseLost
 			}
-		case <-opts.Stop:
+		case <-stop:
 			lease.Release()
 			return ErrNodeStopped
 		}

@@ -24,9 +24,8 @@ type StandbyOptions struct {
 	Dir string
 	// Sync is the journal's fsync policy (default group: acks mean durable).
 	Sync wal.SyncPolicy
-	// Security and PSK must match the leader's server.
-	Security wsrpc.SecurityProfile
-	PSK      []byte
+	// PSK is the leader's pre-shared key, if it has one.
+	PSK []byte
 	// Metrics receives falkon_replica_* instruments and the journal's
 	// falkon_wal_* ones; nil keeps them unregistered.
 	Metrics *obs.Registry
@@ -112,7 +111,7 @@ func (s *Standby) run() {
 			}
 			continue
 		}
-		cli, err := wsrpc.Dial(addr, wsrpc.ClientOptions{Security: s.opts.Security, PSK: s.opts.PSK})
+		cli, err := wsrpc.Dial(addr, wsrpc.ClientOptions{PSK: s.opts.PSK})
 		if err != nil {
 			s.logf("replica: standby %s: dial %s: %v", s.opts.ID, addr, err)
 			if !s.sleep(sched.Next()) {

@@ -506,16 +506,15 @@ func (j *Journal) flush(mode flushMode) (uint64, error) {
 		err = j.nextSegment()
 	}
 
-	// The buffer is kept as a connection's read buffer is: made anew only when
-	// it is over 1 MiB and this flush used under an eighth of it. One that
-	// held over an eighth of advisoryBytes is made that size at once, outside
-	// mu, rather than left to grow there in steps as its records are appended.
+	// The buffer is kept as a drained cork buffer is, up to advisoryBytes: one
+	// that held over an eighth of that, or that a burst grew past it, is made
+	// that size at once, outside mu, so an idle journal holds at most two.
 	keep := buf[:0]
-	if len(buf) > advisoryBytes/8 && cap(buf) < advisoryBytes {
+	if cap(buf) > advisoryBytes || len(buf) > advisoryBytes/8 && cap(buf) < advisoryBytes {
 		keep = make([]byte, 0, advisoryBytes)
 	}
 	j.mu.Lock()
-	if j.spare == nil && (cap(keep) <= 1<<20 || len(buf) >= cap(keep)/8) {
+	if j.spare == nil {
 		j.spare = keep
 	}
 	first := err != nil && j.err == nil

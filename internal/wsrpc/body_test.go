@@ -42,12 +42,11 @@ func (v *selfCoded) DecodeJSON(b []byte) error {
 // Call arguments, handler replies and notifications that implement
 // BodyAppender are written by their own AppendJSON, and a reply that
 // implements BodyDecoder is read by its own DecodeJSON — on both profiles,
-// and for the duplicated push a fault run sends.
+// which the key alone selects, and for the duplicated push a fault run sends.
 func TestSelfCodedBodies(t *testing.T) {
-	for _, profile := range []SecurityProfile{SecurityNone, SecuritySecureConversation} {
-		t.Run(profile.String(), func(t *testing.T) {
-			psk := []byte("body-test-key")
-			s := NewServer(ServerOptions{Security: profile, PSK: psk, Logf: t.Logf, Faults: dupAll{}})
+	for _, psk := range [][]byte{nil, []byte("body-test-key")} {
+		t.Run(profileFor(SecurityNone, psk).String(), func(t *testing.T) {
+			s := NewServer(ServerOptions{PSK: psk, Logf: t.Logf, Faults: dupAll{}})
 			s.Register("bounce", func(p *Peer, body json.RawMessage) (any, error) {
 				var in selfCoded
 				if err := json.Unmarshal(body, &in); err != nil {
@@ -66,7 +65,7 @@ func TestSelfCodedBodies(t *testing.T) {
 			}
 			defer s.Close()
 			pushed := make(chan selfCoded, 2)
-			c, err := Dial(s.Addr(), ClientOptions{Security: profile, PSK: psk, OnNotify: func(m string, body json.RawMessage) {
+			c, err := Dial(s.Addr(), ClientOptions{PSK: psk, OnNotify: func(m string, body json.RawMessage) {
 				var v selfCoded
 				if err := json.Unmarshal(body, &v); err != nil {
 					t.Errorf("notify body %s: %v", body, err)

@@ -30,10 +30,11 @@ type NotifyHandler func(method string, body json.RawMessage)
 
 // ClientOptions configures Dial.
 type ClientOptions struct {
-	// Security must match the server's profile.
-	Security SecurityProfile
-	// PSK is the pre-shared key for the secure profile.
+	// PSK, when set, is the server's pre-shared key: a key selects the
+	// secure profile.
 	PSK []byte
+	// Security names a profile with no key (see ServerOptions.Security).
+	Security SecurityProfile
 	// OnNotify handles pushed notifications; may be nil.
 	OnNotify NotifyHandler
 	// Metrics, when set, receives per-method call counts and round-trip
@@ -112,7 +113,7 @@ func dial(ctx context.Context, addr string, opts ClientOptions, connect func(ctx
 		}
 	}
 	stop := context.AfterFunc(ctx, func() { c.Close() })
-	fc, err := newFrameConn(c, opts.Security, opts.PSK, true, stats, handshakeTimeout, writeStall)
+	fc, err := newFrameConn(c, profileFor(opts.Security, opts.PSK), opts.PSK, true, stats, handshakeTimeout, writeStall)
 	stop()
 	if err != nil {
 		c.Close()

@@ -13,6 +13,7 @@ import (
 	"hash"
 	"io"
 	"net"
+	"os"
 	"time"
 )
 
@@ -229,6 +230,26 @@ func (s *secureConn) ReadFrames(fn func(raw []byte) error) error {
 }
 
 func (s *secureConn) Close() error { return s.cw.close() }
+
+// profileFor is the profile a side holding psk speaks: a key selects the
+// secure profile, so a keyed server never serves in the clear.
+func profileFor(security SecurityProfile, psk []byte) SecurityProfile {
+	if len(psk) > 0 {
+		return SecuritySecureConversation
+	}
+	return security
+}
+
+// ReadKey reads a daemon's -psk-file: no path is no key, and an empty file is
+// refused rather than read as none.
+func ReadKey(path string) (key []byte, err error) {
+	if path != "" {
+		if key, err = os.ReadFile(path); err == nil && len(key) == 0 {
+			err = fmt.Errorf("pre-shared key file %s is empty", path)
+		}
+	}
+	return key, err
+}
 
 // newFrameConn wraps c according to the profile; psk is required for the
 // secure profile, whose handshake must finish within handshake; stall is the

@@ -32,10 +32,12 @@ type Releaser interface{ Release() }
 
 // ServerOptions configures a Server.
 type ServerOptions struct {
-	// Security selects the connection profile; clients must match.
-	Security SecurityProfile
-	// PSK is the pre-shared key for the secure profile.
+	// PSK, when set, is the pre-shared key every connection must prove: a key
+	// selects the secure profile.
 	PSK []byte
+	// Security names a profile with no key, for benchmark/layers.go and tests
+	// (the secure one then fails every handshake).
+	Security SecurityProfile
 	// Logf, when set, receives connection-level error logs.
 	Logf func(format string, args ...any)
 	// Metrics, when set, receives per-method call counts and handler
@@ -229,7 +231,7 @@ func (s *Server) handleConn(c net.Conn) {
 	if s.opts.Faults != nil {
 		c = s.opts.Faults.WrapConn(c)
 	}
-	fc, err := newFrameConn(c, s.opts.Security, s.opts.PSK, false, s.flushStats, s.handshake, s.writeStall)
+	fc, err := newFrameConn(c, profileFor(s.opts.Security, s.opts.PSK), s.opts.PSK, false, s.flushStats, s.handshake, s.writeStall)
 	if err != nil {
 		s.logf("wsrpc: handshake with %s: %v", remote, err)
 		c.Close()

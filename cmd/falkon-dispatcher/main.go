@@ -324,17 +324,17 @@ func runHANode(leaseFile string, leaseTTL time.Duration, nodeID, addr, journalDi
 			Metrics: opts.Metrics,
 			Logf:    opts.Logf,
 		},
-		Promote: func(term uint64) error {
+		Promote: func(term uint64) (string, error) {
 			opts.Replication.Term = term
 			d = dispatch.New(opts)
 			if err := d.Listen(addr); err != nil {
-				return err
+				return "", err
 			}
 			fmt.Printf("falkon-dispatcher leading on %s (term=%d cluster=%s)\n", d.Addr(), term, opts.ClusterID)
 			startDebug(debugAddr, d)
 			startStatsLoop(statsEvery, d)
 			go func() { <-d.Done(); halt() }()
-			return nil
+			return d.Addr(), nil
 		},
 		Logf: log.Printf,
 		Stop: stop,

@@ -830,3 +830,51 @@ func TestBinariesWorkflow(t *testing.T) {
 		t.Fatalf("workflow output: %s", out)
 	}
 }
+
+// Two -lease-file members told to listen on a port of 0: the lease names the
+// address the leader bound, not the one it was told, so the standby follows
+// the leader's real port and the leader counts it attached.
+func TestBinariesLeaseNamesTheBoundAddress(t *testing.T) {
+	bin := buildBinaries(t)
+	dir := t.TempDir()
+	lease := filepath.Join(dir, "lease")
+	member := func(id string, patterns ...string) []string {
+		_, addrs := startAnnounced(t, filepath.Join(bin, "falkon-dispatcher"), patterns, "-addr", ephemeral, "-debug-addr", ephemeral,
+			"-lease-file", lease, "-lease-ttl", "1s", "-node-id", id, "-journal-dir", filepath.Join(dir, id), "-quiet", "-stats-every", "0")
+		return addrs
+	}
+	addrs := member("a", `leading on (\S+)`, debugEndpoints)
+	leader, debug := addrs[0], addrs[1]
+	named := func() string {
+		var st struct{ Addr string }
+		if b, err := os.ReadFile(lease); err == nil {
+			_ = json.Unmarshal(b, &st) // a lease caught mid-rename reads again
+		}
+		return st.Addr
+	}
+	for deadline := time.Now().Add(5 * time.Second); named() != leader; time.Sleep(10 * time.Millisecond) {
+		if time.Now().After(deadline) {
+			t.Fatalf("the lease names %q, the leader listens on %s", named(), leader)
+		}
+	}
+	if follows := member("b", `following (\S+)`)[0]; follows != leader {
+		t.Fatalf("the standby follows %s, the leader listens on %s", follows, leader)
+	}
+	metrics := func() string {
+		resp, err := http.Get("http://" + debug + "/metrics")
+		if err != nil {
+			t.Fatal(err)
+		}
+		defer resp.Body.Close()
+		body, err := io.ReadAll(resp.Body)
+		if err != nil {
+			t.Fatal(err)
+		}
+		return string(body)
+	}
+	for deadline := time.Now().Add(10 * time.Second); !strings.Contains(metrics(), "\nfalkon_replica_standbys 1\n"); time.Sleep(20 * time.Millisecond) {
+		if time.Now().After(deadline) {
+			t.Fatalf("the leader never counted its standby attached:\n%s", metrics())
+		}
+	}
+}

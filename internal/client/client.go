@@ -19,6 +19,7 @@ import (
 	"errors"
 	"fmt"
 	"math/rand"
+	"slices"
 	"sync"
 	"time"
 
@@ -106,12 +107,16 @@ type Client struct {
 	reconnects  int64
 	throttled   int64 // bundles the dispatcher deferred with retry-after
 
-	// pending holds the tasks still awaiting results, from just before their
-	// bundle is sent until their result is delivered; it exists only in
-	// Reconnect mode. It drives resubmission, and exactly-once delivery: a
-	// result is delivered only if its task is still here, the rule a tree's
-	// root applies to its links. So the client holds O(in-flight) state.
-	pending map[task.ID]task.Task
+	// In Reconnect mode owed holds the IDs of the tasks awaiting results, from
+	// just before their bundle is sent until their result is delivered, and
+	// sent each bundle holding one, as it was sent, for a resubmission (held
+	// counts their tasks, since the results delivered since the last sweep).
+	// A result is delivered only if its task is owed, the rule a tree's root
+	// applies to its links. So the client holds O(in-flight) state.
+	owed  task.Owed
+	sent  [][]task.Relayed
+	held  int
+	since int
 
 	results  chan task.Result
 	pollDone chan struct{}
@@ -140,9 +145,6 @@ func Connect(opts Options) (*Client, error) {
 	addrs := fproto.SplitAddrs(opts.DispatcherAddr)
 	if len(addrs) == 0 {
 		return nil, fmt.Errorf("client: no dispatcher address")
-	}
-	if opts.Reconnect {
-		c.pending = make(map[task.ID]task.Task)
 	}
 	c.sess = wsrpc.NewSession(wsrpc.SessionOptions{
 		Addrs: addrs,
@@ -226,12 +228,18 @@ func (c *Client) handshake(cli *wsrpc.Client, addrIdx int) error {
 func (c *Client) resubmitOwed(*wsrpc.Client) {
 	c.mu.Lock()
 	c.reconnects++
-	resubmit := make([]task.Task, 0, len(c.pending))
-	for _, t := range c.pending {
-		resubmit = append(resubmit, t)
-	}
+	owed := slices.DeleteFunc(slices.Concat(c.sent...), func(t task.Relayed) bool { return !c.owed.Has(t.ID) })
 	c.mu.Unlock()
-	_ = c.submitTasks(resubmit, true)
+	call := submitCalls.Get().(*submitCall)
+	defer putCall(call)
+	for len(owed) > 0 {
+		n := min(c.opts.BundleSize, len(owed))
+		call.bundle.Tasks = owed[:n]
+		if c.send(call, n, owed[0].Trace, true) != nil {
+			return
+		}
+		owed = owed[n:]
+	}
 }
 
 // onNotify receives pushed results. It runs on the read loop; the results
@@ -260,24 +268,26 @@ func (c *Client) ownEPR(b []byte) string {
 // deliver pushes results to the channel, spilling to a goroutine if full so
 // the transport read loop never stalls (the channel is buffered; genuine
 // backpressure is rare); a spill gives up once the session has ended. In
-// Reconnect mode it first drops every result whose task is not pending —
+// Reconnect mode it first drops every result whose task is not owed —
 // redeliveries are expected after a crash (the journal redelivers anything
 // not provably collected) and after resubmission races, and this filter is
 // what makes delivery exactly-once. rs is the caller's to reuse afterwards:
 // the filter runs in place and the spill copies what it keeps.
 func (c *Client) deliver(rs []task.Result) {
-	if c.pending != nil {
+	if c.opts.Reconnect {
 		c.mu.Lock()
 		fresh := rs[:0]
 		for _, r := range rs {
-			if _, owed := c.pending[r.ID]; !owed {
+			if !c.owed.Remove(r.ID) {
 				c.dupDrops++
 				continue
 			}
-			delete(c.pending, r.ID)
 			fresh = append(fresh, r)
 		}
 		rs = fresh
+		if c.since += len(rs); c.since > c.held/2 || c.owed.Len() == 0 {
+			c.sweepLocked()
+		}
 		c.mu.Unlock()
 	}
 	for i, r := range rs {
@@ -296,6 +306,19 @@ func (c *Client) deliver(rs []task.Result) {
 			return
 		}
 	}
+}
+
+// sweepLocked releases every bundle none of whose tasks is owed. It runs once
+// the results since the last outnumber half the tasks held: O(1) a result.
+func (c *Client) sweepLocked() {
+	c.held, c.since = 0, 0
+	c.sent = slices.DeleteFunc(c.sent, func(b []task.Relayed) bool {
+		kept := slices.ContainsFunc(b, func(t task.Relayed) bool { return c.owed.Has(t.ID) })
+		if kept {
+			c.held += len(b)
+		}
+		return !kept
+	})
 }
 
 // pollLoop drives Collect when notifications are disabled. In Reconnect
@@ -342,106 +365,114 @@ func (c *Client) Submit(tasks []task.Task) error {
 			}
 		}
 	}
-	return c.submitTasks(tasks, false)
+	call := submitCalls.Get().(*submitCall)
+	defer putCall(call)
+	for len(tasks) > 0 {
+		n := min(c.opts.BundleSize, len(tasks))
+		call.req.Tasks = tasks[:n]
+		if c.opts.Reconnect {
+			// Owed before it is sent: a result pushed ahead of the submit's
+			// reply finds its task awaited.
+			call.bundle.Tasks = task.Relay(tasks[:n])
+			c.mu.Lock()
+			for i := range call.bundle.Tasks {
+				c.owed.Add(call.bundle.Tasks[i].ID)
+			}
+			c.sent, c.held = append(c.sent, call.bundle.Tasks), c.held+n
+			c.mu.Unlock()
+		}
+		if err := c.send(call, n, tasks[0].Trace, false); err != nil {
+			c.mu.Lock()
+			for i := range call.bundle.Tasks { // refused: no result is owed for it
+				c.owed.Remove(call.bundle.Tasks[i].ID)
+			}
+			c.mu.Unlock()
+			return err
+		}
+		tasks = tasks[n:]
+	}
+	return nil
 }
 
-// submitCall is what one submitTasks hands wsrpc by pointer, bundle after
-// bundle: the request and the reply (DESIGN.md §9, "Scratch": a body handed to
-// Call is state its call site holds). Pooled, since Submit may be concurrent.
+// submitCall is what a submit hands wsrpc by pointer, bundle after bundle: the
+// request, in Reconnect mode the bundle as it is kept, and the reply (DESIGN.md
+// §9, "Scratch": a body handed to Call is state its call site holds). Pooled,
+// since Submit may be concurrent.
 type submitCall struct {
-	req   fproto.SubmitRequest
-	reply fproto.SubmitReply
+	req    fproto.SubmitRequest
+	bundle fproto.Bundle
+	reply  fproto.SubmitReply
 }
 
 var submitCalls = sync.Pool{New: func() any { return new(submitCall) }}
 
-// submitTasks bundles tasks over the current connection; resubmit marks
-// the reconnect path, where the tasks are already pending and failures
+func putCall(call *submitCall) {
+	call.req, call.bundle = fproto.SubmitRequest{}, fproto.Bundle{} // the tasks are not the pool's to keep
+	submitCalls.Put(call)
+}
+
+// send sends the bundle of n tasks in call, call.bundle if it holds one, over
+// the current connection. resubmit marks the reconnect path, where failures
 // bounce back to the supervisor instead of waiting here.
-func (c *Client) submitTasks(tasks []task.Task, resubmit bool) (err error) {
-	call := submitCalls.Get().(*submitCall)
-	owe := !resubmit && c.pending != nil
-	var bundle []task.Task
-	defer func() {
-		call.req = fproto.SubmitRequest{} // the caller's tasks are not the pool's to keep
-		submitCalls.Put(call)
-		if err != nil && owe {
-			c.mu.Lock()
-			for _, t := range bundle { // refused: no result is owed for it
-				delete(c.pending, t.ID)
-			}
-			c.mu.Unlock()
-		}
-	}()
+func (c *Client) send(call *submitCall, n int, trace uint64, resubmit bool) error {
 	reply := &call.reply
-	for len(tasks) > 0 {
-		n := min(c.opts.BundleSize, len(tasks))
-		bundle = tasks[:n]
-		if owe {
-			// Pending before it is sent: a result pushed ahead of the
-			// submit's reply finds its task awaited.
-			c.mu.Lock()
-			for _, t := range bundle {
-				c.pending[t.ID] = t
-			}
-			c.mu.Unlock()
+	for {
+		cli, gen, err := c.sess.Conn()
+		if err != nil {
+			return fmt.Errorf("client: submit: %w", err)
 		}
-		for {
-			cli, gen, err := c.sess.Conn()
-			if err != nil {
-				return fmt.Errorf("client: submit: %w", err)
-			}
-			// The envelope carries the bundle head's trace so transport-level
-			// tooling can follow the submission hop; per-task context rides in
-			// the task bodies. Reset the reply each attempt: its fields are
-			// omitempty on the wire, so a retried call must not inherit the
-			// previous attempt's throttle hint.
-			*reply = fproto.SubmitReply{}
-			call.req = fproto.SubmitRequest{EPR: c.EPR(), Tasks: bundle}
-			err = cli.CallTrace(fproto.MethodSubmit, &call.req, reply, bundle[0].Trace, 0)
-			if err == nil {
-				if reply.RetryAfterMillis > 0 {
-					// Admission backpressure: the dispatcher deferred the whole
-					// bundle (tenant quota or rate limit). Honor the hint with
-					// jitter — throttled clients must not re-flood in lockstep —
-					// then retry the same bundle.
-					c.mu.Lock()
-					c.throttled++
-					c.mu.Unlock()
-					wait := time.Duration(reply.RetryAfterMillis) * time.Millisecond
-					wait += time.Duration(rand.Int63n(int64(wait)/4 + 1))
-					select {
-					case <-time.After(wait):
-					case <-c.sess.Done():
-						return fmt.Errorf("client: closed while awaiting retry-after")
-					}
-					continue
+		// The envelope carries the bundle head's trace so transport-level
+		// tooling can follow the submission hop; per-task context rides in
+		// the task bodies. Reset the reply each attempt: its fields are
+		// omitempty on the wire, so a retried call must not inherit the
+		// previous attempt's throttle hint.
+		*reply = fproto.SubmitReply{}
+		var body any = &call.req
+		if call.req.EPR = c.EPR(); call.bundle.Tasks != nil {
+			call.bundle.EPR, body = call.req.EPR, &call.bundle
+		}
+		err = cli.CallTrace(fproto.MethodSubmit, body, reply, trace, 0)
+		if err == nil {
+			if reply.RetryAfterMillis > 0 {
+				// Admission backpressure: the dispatcher deferred the whole
+				// bundle (tenant quota or rate limit). Honor the hint with
+				// jitter — throttled clients must not re-flood in lockstep —
+				// then retry the same bundle.
+				c.mu.Lock()
+				c.throttled++
+				c.mu.Unlock()
+				wait := time.Duration(reply.RetryAfterMillis) * time.Millisecond
+				wait += time.Duration(rand.Int63n(int64(wait)/4 + 1))
+				select {
+				case <-time.After(wait):
+				case <-c.sess.Done():
+					return fmt.Errorf("client: closed while awaiting retry-after")
 				}
-				break
+				continue
 			}
-			var remote *wsrpc.RemoteError
-			if resubmit || !c.opts.Reconnect || errors.As(err, &remote) {
-				return fmt.Errorf("client: submit: %w", err)
-			}
-			// Connection-level failure: wait out the outage and retry this
-			// bundle on the replacement connection. Tasks the dispatcher
-			// already journaled before the crash come back Deduped. If the
-			// session ends instead, the next Conn says why.
-			c.sess.Await(gen)
+			break
 		}
-		if reply.Accepted != n {
-			return fmt.Errorf("client: submitted %d tasks, dispatcher accepted %d", n, reply.Accepted)
+		var remote *wsrpc.RemoteError
+		if resubmit || !c.opts.Reconnect || errors.As(err, &remote) {
+			return fmt.Errorf("client: submit: %w", err)
 		}
-		c.mu.Lock()
-		c.deduped += int64(reply.Deduped)
-		if resubmit {
-			c.resubmitted += int64(n)
-		} else {
-			c.submitted += int64(n)
-		}
-		c.mu.Unlock()
-		tasks = tasks[n:]
+		// Connection-level failure: wait out the outage and retry this
+		// bundle on the replacement connection. Tasks the dispatcher
+		// already journaled before the crash come back Deduped. If the
+		// session ends instead, the next Conn says why.
+		c.sess.Await(gen)
 	}
+	if reply.Accepted != n {
+		return fmt.Errorf("client: submitted %d tasks, dispatcher accepted %d", n, reply.Accepted)
+	}
+	c.mu.Lock()
+	c.deduped += int64(reply.Deduped)
+	if resubmit {
+		c.resubmitted += int64(n)
+	} else {
+		c.submitted += int64(n)
+	}
+	c.mu.Unlock()
 	return nil
 }
 

@@ -133,7 +133,7 @@ func TestSubmitAfterCloseFails(t *testing.T) {
 }
 
 // A reconnecting client keeps state for the tasks in flight only: once every
-// result of 10,000 tasks is in, its maps hold nothing.
+// result of 10,000 tasks is in, it awaits no ID and holds no bundle.
 func TestReconnectClientStateIsInFlightOnly(t *testing.T) {
 	d := startDispatcher(t, 2)
 	c, err := client.Connect(client.Options{DispatcherAddr: d.Addr(), BundleSize: 500, Reconnect: true})
@@ -149,8 +149,8 @@ func TestReconnectClientStateIsInFlightOnly(t *testing.T) {
 	if _, err := c.WaitN(n, time.Minute); err != nil {
 		t.Fatal(err)
 	}
-	if got := c.MapEntries(); got != 0 {
-		t.Fatalf("after %d tasks the client's maps hold %d entries, want 0", n, got)
+	if owed, held := c.Holds(); owed != 0 || held != 0 {
+		t.Fatalf("after %d tasks the client awaits %d and holds %d, want 0 and 0", n, owed, held)
 	}
 	if got := c.DuplicatesDropped(); got != 0 {
 		t.Fatalf("%d results dropped as duplicates in a run without redelivery", got)

@@ -1,18 +1,9 @@
 package client
 
-import "reflect"
-
-// MapEntries counts the entries of every map the client holds, whatever the
-// field is called: the per-task state a long-lived client keeps.
-func (c *Client) MapEntries() int {
+// Holds is what a reconnecting client keeps for the tasks in flight: the IDs
+// it still awaits, and the tasks of the bundles it keeps for a resubmission.
+func (c *Client) Holds() (owed, held int) {
 	c.mu.Lock()
 	defer c.mu.Unlock()
-	v := reflect.ValueOf(c).Elem()
-	n := 0
-	for i := 0; i < v.NumField(); i++ {
-		if f := v.Field(i); f.Kind() == reflect.Map {
-			n += f.Len()
-		}
-	}
-	return n
+	return c.owed.Len(), c.held
 }

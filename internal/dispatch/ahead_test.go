@@ -390,69 +390,106 @@ func TestBatchLostWithItsExecutorIsDeliveredOnce(t *testing.T) {
 }
 
 // A bundle that reaches a journal-less dispatcher twice (a forwarder re-sends
-// what a restarted leaf owed, twice over) puts two copies of every task in
-// the queue, and a batch deep enough holds both copies of a task at once.
-// The second copy replaces the first's outstanding entry; it must also give
-// its slot back, or the executor stays busy for ever with nothing
-// outstanding and the dispatcher stops notifying it.
+// what a restarted leaf owed, twice over) used to put two copies of every task
+// in the queue, and a batch deep enough held both copies of a task at once.
+// Every node now keeps the set of task IDs it owes, so the second copy is
+// dropped at submit: no grant holds a task twice, each task runs once, and
+// the executor is left idle and still handed work.
 func TestDoublySubmittedBundleLeavesNoBusyExecutor(t *testing.T) {
 	d, c, _ := startSystem(t, dispatch.Options{TraceCapacity: 1 << 16}, client.Options{BundleSize: 64}, 0, executor.Options{})
 	var gen task.IDGen
 	const lead, unique = 64, 16
-	for attempt := 0; ; attempt++ {
-		if attempt == 10 {
-			t.Fatal("no grant ever held both copies of a task")
-		}
-		// Everything is queued before the executor exists: a lead of instant
-		// tasks for its ask to grow on, then the bundle, twice.
-		seq := traceSeq(d)
-		if err := c.Submit(task.Batch(&gen, lead, 0)); err != nil {
-			t.Fatal(err)
-		}
-		bundle := task.Batch(&gen, unique, 0)
-		for copies := 0; copies < 2; copies++ {
-			if err := c.Submit(bundle); err != nil {
-				t.Fatal(err)
-			}
-		}
-		ex, err := executor.Start(executor.Options{ID: fmt.Sprintf("double-%d", attempt), DispatcherAddr: d.Addr()})
-		if err != nil {
-			t.Fatal(err)
-		}
-		defer ex.Stop()
-		if _, err := c.WaitN(lead+unique, 30*time.Second); err != nil {
-			t.Fatal(err)
-		}
-		waitFor(t, "the doubled bundle has drained", func() bool {
-			st := d.Stats()
-			return st.Queued == 0 && st.Outstanding == 0
-		})
-		// Did one grant hold a task twice?
-		both := false
-		grants, _ := grantsSince(d, seq)
-		for _, g := range grants {
-			held := make(map[task.ID]bool)
-			for _, id := range g {
-				both = both || held[id]
-				held[id] = true
-			}
-		}
-		if both {
-			break
-		}
-		ex.Stop() // its asks stayed shallow (a stall of the host in a measured run time): again, afresh
+	// Everything is queued before the executor exists: a lead of instant
+	// tasks for its ask to grow on, then the bundle, twice.
+	seq := traceSeq(d)
+	if err := c.Submit(task.Batch(&gen, lead, 0)); err != nil {
+		t.Fatal(err)
 	}
-	if st := d.Stats(); st.BusyExecutors != 0 || st.Duplicates == 0 {
-		t.Fatalf("busy=%d duplicates=%d after the queue drained, want 0 busy and the late copies counted", st.BusyExecutors, st.Duplicates)
+	bundle := task.Batch(&gen, unique, 0)
+	for copies := 0; copies < 2; copies++ {
+		if err := c.Submit(bundle); err != nil {
+			t.Fatal(err)
+		}
+	}
+	if got := c.Deduped(); got != unique {
+		t.Fatalf("the second copy of the bundle came back with %d tasks deduped, want %d", got, unique)
+	}
+	if st := d.Stats(); st.Queued != lead+unique {
+		t.Fatalf("%d tasks queued, want %d: the second copy was queued", st.Queued, lead+unique)
+	}
+	ex, err := executor.Start(executor.Options{ID: "double", DispatcherAddr: d.Addr()})
+	if err != nil {
+		t.Fatal(err)
+	}
+	defer ex.Stop()
+	if _, err := c.WaitN(lead+unique, 30*time.Second); err != nil {
+		t.Fatal(err)
+	}
+	waitFor(t, "the bundle has drained", func() bool {
+		st := d.Stats()
+		return st.Queued == 0 && st.Outstanding == 0 && st.BusyExecutors == 0
+	})
+	grants, _ := grantsSince(d, seq)
+	for _, g := range grants {
+		held := make(map[task.ID]bool)
+		for _, id := range g {
+			if held[id] {
+				t.Fatalf("a grant held task %v twice: %v", id, g)
+			}
+			held[id] = true
+		}
+	}
+	if st := d.Stats(); st.Completed != lead+unique || st.Duplicates != 0 {
+		t.Fatalf("completed=%d duplicates=%d, want %d and 0", st.Completed, st.Duplicates, lead+unique)
+	}
+	select {
+	case r := <-c.Results():
+		t.Fatalf("a second result: %+v", r)
+	case <-time.After(50 * time.Millisecond):
 	}
 	// And the executor is still offered work.
-	for len(c.Results()) > 0 {
-		<-c.Results() // second results of copies that ran one after the other
-	}
 	if err := c.Submit(task.Batch(&gen, 1, 0)); err != nil {
 		t.Fatal(err)
 	}
 	if _, err := c.WaitN(1, 10*time.Second); err != nil {
-		t.Fatalf("the executor that ran both copies is no longer handed work: %v", err)
+		t.Fatalf("the executor is no longer handed work: %v", err)
+	}
+}
+
+// A bundle that names one task twice queues it once: the submit checks each
+// task against the owed set as it adds it, so the second mention finds the
+// first. The reply counts it deduped, and one result comes back.
+func TestBundleNamingATaskTwiceRunsItOnce(t *testing.T) {
+	for _, opts := range []dispatch.Options{{}, {JournalDir: t.TempDir()}} {
+		d, c, _ := startSystem(t, opts, client.Options{BundleSize: 8}, 1, executor.Options{})
+		var gen task.IDGen
+		ts := task.Batch(&gen, 3, 0)
+		ts = append(ts, ts[1], ts[1]) // 1, 2, 3, 2, 2
+		if err := c.Submit(ts); err != nil {
+			t.Fatal(err)
+		}
+		if got := c.Deduped(); got != 2 {
+			t.Fatalf("journal %q: %d deduped, want 2", opts.JournalDir, got)
+		}
+		rs, err := c.WaitN(3, 10*time.Second)
+		if err != nil {
+			t.Fatal(err)
+		}
+		seen := map[task.ID]bool{}
+		for _, r := range rs {
+			if seen[r.ID] {
+				t.Fatalf("journal %q: task %v ran twice", opts.JournalDir, r.ID)
+			}
+			seen[r.ID] = true
+		}
+		waitFor(t, "the tasks have drained", func() bool { st := d.Stats(); return st.Queued == 0 && st.Outstanding == 0 })
+		if st := d.Stats(); st.Submitted != 3 || st.Completed != 3 {
+			t.Fatalf("journal %q: submitted=%d completed=%d, want 3 and 3", opts.JournalDir, st.Submitted, st.Completed)
+		}
+		select {
+		case r := <-c.Results():
+			t.Fatalf("journal %q: a fourth result: %+v", opts.JournalDir, r)
+		case <-time.After(50 * time.Millisecond):
+		}
 	}
 }

@@ -628,12 +628,12 @@ func (d *Dispatcher) pushResults(f *fx, peer *wsrpc.Peer, inst *instance, rs []t
 		if peer = inst.peer; peer == nil || !inst.notify {
 			peer = nil
 			for _, r := range rs {
-				inst.buf.Add(r)
-				if inst.live != nil {
-					inst.live[r.ID] = struct{}{}
+				// A task resubmitted since its result was pushed is owed
+				// again, by the copy that re-runs: its result is dropped.
+				if inst.live.Add(r.ID) {
+					inst.buf.Add(r)
 				}
 			}
-			inst.grewLive()
 		}
 		inst.mu.Unlock()
 		if detached {
@@ -756,11 +756,12 @@ func (d *Dispatcher) restore(st *wal.State) {
 			notify:    win.Notify,
 			tenant:    tenant,
 			submitted: win.Submitted,
-			buf:       task.ResultBuffer{Results: win.Results},
-			live:      make(map[task.ID]struct{}, len(win.Results)),
+			buf:       task.ResultBuffer{Results: win.Results[:0]},
 		}
-		for _, r := range win.Results {
-			inst.live[r.ID] = struct{}{}
+		for _, r := range win.Results { // each ID's result once
+			if inst.live.Add(r.ID) {
+				inst.buf.Results = append(inst.buf.Results, r)
+			}
 		}
 		d.instances[win.EPR] = inst
 	}
@@ -768,18 +769,14 @@ func (d *Dispatcher) restore(st *wal.State) {
 	for i := range st.Pending {
 		p := &st.Pending[i]
 		inst, ok := d.instances[p.EPR]
-		if !ok {
-			continue // replay proved the instance gone; nothing to owe
+		if !ok || !inst.live.Add(p.Task.ID) {
+			continue // replay proved the instance gone, or its result is buffered
 		}
 		d.core.Restore(now, taskRef{epr: p.EPR, t: &p.Task, inst: inst}, p.Attempts)
-		inst.live[p.Task.ID] = struct{}{}
 		inst.inFlight++
 		// Re-charge per-tenant in-flight accounting (unchecked: the work was
 		// admitted before the crash).
 		d.tenants.admit(inst.tenant, 1, false)
-	}
-	for _, inst := range d.instances {
-		inst.grewLive()
 	}
 }
 
@@ -1304,8 +1301,7 @@ func (d *Dispatcher) finalize(f *fx, tr taskRef, r task.Result) {
 	inst.mu.Lock()
 	inst.inFlight--
 	if inst.notify && inst.peer != nil {
-		delete(inst.live, r.ID) // pushed: discharged, unless pushResults finds the push failed
-		inst.shrinkLive()
+		inst.live.Remove(r.ID) // pushed: discharged, unless pushResults finds the push failed
 		peer := inst.peer
 		inst.mu.Unlock()
 		if inst.fromParent {

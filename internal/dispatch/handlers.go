@@ -3,6 +3,7 @@ package dispatch
 import (
 	"encoding/json"
 	"fmt"
+	"slices"
 	"time"
 
 	"falkon/internal/fproto"
@@ -90,7 +91,6 @@ func (d *Dispatcher) handleCreateInstance(p *wsrpc.Peer, body json.RawMessage) (
 	}
 	var h wal.Handle
 	if d.wal != nil {
-		inst.live = make(map[task.ID]struct{})
 		// The EPR is not handed out until this returns, so the instance
 		// record lands before any accept that references it.
 		h, err = d.wal.AppendWait(wal.KindInstance, wal.InstanceRec{EPR: epr, Name: req.ClientName, Notify: req.WantNotifications, Tenant: tenant})
@@ -267,30 +267,12 @@ func (d *Dispatcher) submit(p *wsrpc.Peer, f *fx, req *fproto.Bundle) error {
 	}
 	tasks, array, deduped := req.Tasks, req.Array, 0
 	inst.mu.Lock()
-	if inst.live != nil {
-		// Idempotent resubmission: drop tasks whose delivery is still owed
-		// (queued, running, or buffered) — their results are coming. Tasks
-		// no longer live re-run; the client dedupes duplicate deliveries.
-		// The bundle is copied only when it holds one: a first submission,
-		// the usual case, is journaled and queued from the decoded request.
-		for i := range tasks {
-			if _, dup := inst.live[tasks[i].ID]; dup {
-				deduped++
-			}
-		}
-		if deduped > 0 {
-			fresh := make([]task.Relayed, 0, len(tasks)-deduped)
-			for i := range tasks {
-				if _, dup := inst.live[tasks[i].ID]; !dup {
-					fresh = append(fresh, tasks[i])
-				}
-			}
-			tasks, array = fresh, nil
-		}
-		for i := range tasks {
-			inst.live[tasks[i].ID] = struct{}{}
-		}
-		inst.grewLive()
+	// Idempotent resubmission: drop each task whose result is still owed, one
+	// the bundle names twice too; the rest run, the client deduping results.
+	// A first submission, dropping none, is journaled and queued as decoded.
+	tasks = slices.DeleteFunc(tasks, func(t task.Relayed) bool { return !inst.live.Add(t.ID) })
+	if deduped = len(req.Tasks) - len(tasks); deduped > 0 {
+		array = nil
 	}
 	inst.submitted += int64(len(tasks))
 	inst.inFlight += len(tasks)

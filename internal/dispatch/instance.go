@@ -49,46 +49,20 @@ type instance struct {
 	// flushes on re-attach.
 	buf task.ResultBuffer
 
-	// live, when journaling, holds every task ID the dispatcher still owes
-	// this client a delivery for: queued, outstanding, or buffered. It is
-	// the dedupe set for idempotent resubmission — a resubmitted live task
-	// is dropped (its result is still coming), a resubmitted dead task
-	// re-runs (its result was lost with the connection). Nil when the
-	// dispatcher runs without a journal.
-	live     map[task.ID]struct{}
-	livePeak int // live's high-water mark since it was last built
-}
-
-// liveFloor is the high-water mark below which the owed set is never rebuilt.
-const liveFloor = 4096
-
-// grewLive notes the owed set's size after IDs were added. Callers hold in.mu.
-func (in *instance) grewLive() { in.livePeak = max(in.livePeak, len(in.live)) }
-
-// shrinkLive rebuilds the owed set at its live size once it has drained below
-// an eighth of its high-water mark, as sched.Core.shrinkOut does the
-// outstanding table: a Go map keeps every bucket its peak grew. Callers hold
-// in.mu.
-func (in *instance) shrinkLive() {
-	if in.livePeak <= liveFloor || len(in.live) >= in.livePeak/8 {
-		return
-	}
-	live := make(map[task.ID]struct{}, len(in.live))
-	for id := range in.live {
-		live[id] = struct{}{}
-	}
-	in.live, in.livePeak = live, len(live)
+	// live holds every task ID the instance still owes its client a result
+	// for — queued, outstanding, or buffered — on every node: a resubmitted
+	// task still owed is dropped (its result is coming), one no longer owed
+	// re-runs (its result was lost with the connection). An ID stands for one
+	// copy: of a task queued or held, or of its buffered result (DESIGN.md §11).
+	live task.Owed
 }
 
 // takeResults removes and returns up to max buffered results (0 = all);
 // collected, their delivery obligation is discharged. Callers hold in.mu.
 func (in *instance) takeResults(max int) []task.Result {
 	out := in.buf.Take(max)
-	if in.live != nil {
-		for _, r := range out {
-			delete(in.live, r.ID)
-		}
-		in.shrinkLive()
+	for _, r := range out {
+		in.live.Remove(r.ID)
 	}
 	return out
 }

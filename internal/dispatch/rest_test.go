@@ -22,20 +22,22 @@ const restTasks = 100_000
 
 // What one dispatcher holds per task at rest — the live heap after a
 // collection, less the heap before the tasks came, ÷ restTasks — measured at
-// -cpu 1, 2 and 4 for tasks of one argument 154.2–155.1 queued, 263.8–264.8
-// outstanding and −2.2 to −1.2 retained; 193.3 queued with three arguments,
-// and 171.3–173.1 queued and −7.8 to −5.0 retained by a journaled
-// dispatcher (176.3–177.3 queued while it was warmed up once). Each ceiling
-// is the highest reading plus 15 %, but the retained rows':
+// -cpu 1, 2 and 4 for tasks of one argument 154.2–155.2 queued, 263.8–264.9
+// outstanding and −2.2 to −1.2 retained; 193.3–193.5 queued with three
+// arguments; 149.3–151.1 queued and −7.8 to −4.8 retained by a journaled
+// dispatcher (171.3–173.1 queued while only a journaled instance kept a table
+// of owed task IDs, a Go map); and 177.8 queued and −2.2 retained for IDs
+// 1,000 apart. Each ceiling is the highest reading plus 15 %, but the
+// retained rows':
 //
 //   - queued (submitted, no executor registered): the bundle's task as the
 //     dispatcher holds it — 48 bytes, and its bytes as received less its ID's
 //     and its trace's digits (task.Relayed.Rest: `,"command":"sleep","args":
 //     [...]`), every task's in one string of the bundle — and the queue's
 //     48-byte entry in a ring array grown by appending (58 bytes a task at
-//     this depth). Two more arguments add 39 bytes, their 19 bytes of JSON
-//     each; a journal adds the instance's table of live task IDs, which the
-//     dedupe of a resubmission reads (~26 bytes a task at its load). While
+//     this depth), and a bit of the instance's owed set, which the dedupe
+//     of a resubmission reads. Two more arguments add 39 bytes, their 19
+//     bytes of JSON each. While
 //     a head was 64 bytes, with the retry bound and the dataset's string
 //     header in it, the rows read 170.2–171.1, 209.4 and 192–198.6; while
 //     the dispatcher kept each task's whole JSON, in one copy of the rest of
@@ -58,13 +60,14 @@ const restTasks = 100_000
 //     warm-up's ring array went too. Without the ring's rule this row read
 //     55–56, without the table's 231, and with pointer slots 108–109. The
 //     ceiling is 8 (a reading below zero has no "plus 15 %"): a drained ring
-//     that keeps its array fails it. A journaled dispatcher retains nothing
-//     more: its instance's table of live task IDs is rebuilt the same way
-//     (instance.shrinkLive; without it the row reads 15.5–16.5), and its
-//     journal keeps two 1 MiB buffers (~10 B a task each at this depth),
-//     which its two warm-ups grew. While the journal kept a buffer at the
-//     size a burst of deliveries grew it to, the row read −6.8 to 13.6. Its
-//     ceiling is 8 too.
+//     that keeps its array fails it. The owed set's window shrinks as it
+//     drains, and its map is dropped once empty. A journaled dispatcher
+//     retains nothing more: its journal keeps two 1 MiB buffers (~10 B a
+//     task each at this depth), which its two warm-ups grew. While the
+//     journal kept a buffer at the size a burst of deliveries grew it to,
+//     the row read −6.8 to 13.6. Its ceiling is 8 too.
+//   - sparse IDs: what an owed set's map costs, for IDs its window cannot
+//     hold at one bit each (task.Owed): ~23 bytes a task over dense IDs.
 const (
 	queuedBytesCeiling            = 179
 	outstandingBytesCeiling       = 305
@@ -72,6 +75,8 @@ const (
 	queuedThreeArgsBytesCeiling   = 223
 	queuedJournaledBytesCeiling   = 204
 	retainedJournaledBytesCeiling = 8
+	queuedSparseBytesCeiling      = 205
+	retainedSparseBytesCeiling    = 8
 )
 
 // discard is an executor inside the test's process that is told of work and
@@ -90,13 +95,16 @@ func TestBytesPerTaskAtRest(t *testing.T) {
 		name     string
 		opts     dispatch.Options
 		args     int
+		stride   task.ID // between one task's ID and the next's
 		ceilings map[string]float64
 	}{
-		{"one-argument", dispatch.Options{}, 1, map[string]float64{
+		{"one-argument", dispatch.Options{}, 1, 1, map[string]float64{
 			"queued": queuedBytesCeiling, "outstanding": outstandingBytesCeiling, "retained": retainedBytesCeiling}},
-		{"three-arguments", dispatch.Options{}, 3, map[string]float64{"queued": queuedThreeArgsBytesCeiling}},
-		{"journaled", dispatch.Options{JournalDir: t.TempDir()}, 1, map[string]float64{
+		{"three-arguments", dispatch.Options{}, 3, 1, map[string]float64{"queued": queuedThreeArgsBytesCeiling}},
+		{"journaled", dispatch.Options{JournalDir: t.TempDir()}, 1, 1, map[string]float64{
 			"queued": queuedJournaledBytesCeiling, "retained": retainedJournaledBytesCeiling}},
+		{"sparse-ids", dispatch.Options{}, 1, 1000, map[string]float64{
+			"queued": queuedSparseBytesCeiling, "retained": retainedSparseBytesCeiling}},
 	} {
 		t.Run(sys.name, func(t *testing.T) {
 			sys.opts.Logf = func(string, ...any) {}
@@ -110,13 +118,13 @@ func TestBytesPerTaskAtRest(t *testing.T) {
 				warmups = 2
 			}
 			for range warmups {
-				cycle(t, d, c, &gen, "warm", 4096, sys.args, func(string) {})
+				cycle(t, d, c, &gen, "warm", 4096, sys.args, sys.stride, func(string) {})
 				d.Deregister("warm")
 			}
 
 			base := liveHeap()
 			perTask := map[string]float64{}
-			cycle(t, d, c, &gen, "rest", restTasks, sys.args, func(stage string) {
+			cycle(t, d, c, &gen, "rest", restTasks, sys.args, sys.stride, func(stage string) {
 				if _, ok := sys.ceilings[stage]; ok {
 					perTask[stage] = float64(int64(liveHeap())-int64(base)) / restTasks
 				}
@@ -136,13 +144,15 @@ func TestBytesPerTaskAtRest(t *testing.T) {
 }
 
 // cycle submits n tasks, each with args 16-byte arguments of its own (one, as
-// in the repo benchmark), registers executor id with n slots, stocks it with
-// all of them, and delivers their results, calling at after each step with
-// "queued", "outstanding" and "retained".
-func cycle(t *testing.T, d *dispatch.Dispatcher, c *client.Client, gen *task.IDGen, id string, n, args int, at func(stage string)) {
+// in the repo benchmark) and an ID stride times one of gen's, registers
+// executor id with n slots, stocks it with all of them, and delivers their
+// results, calling at after each step with "queued", "outstanding" and
+// "retained".
+func cycle(t *testing.T, d *dispatch.Dispatcher, c *client.Client, gen *task.IDGen, id string, n, args int, stride task.ID, at func(stage string)) {
 	t.Helper()
 	ts := task.Batch(gen, n, 0)
 	for i := range ts {
+		ts[i].ID *= stride
 		for a := range args {
 			ts[i].Args = append(ts[i].Args, strconv.FormatUint(uint64(ts[i].ID)|uint64(a+1)<<60, 16))
 		}
@@ -173,7 +183,7 @@ func cycle(t *testing.T, d *dispatch.Dispatcher, c *client.Client, gen *task.IDG
 	for i := 0; i < n; i += len(req.Results) {
 		req.Results = req.Results[:0]
 		for j := i; j < min(n, i+4096); j++ {
-			req.Results = append(req.Results, fproto.TaggedResult{EPR: epr, Result: task.Result{ID: first + task.ID(j)}})
+			req.Results = append(req.Results, fproto.TaggedResult{EPR: epr, Result: task.Result{ID: first + task.ID(j)*stride}})
 		}
 		if _, err := d.Deliver(&req); err != nil {
 			t.Fatal(err)

@@ -351,3 +351,44 @@ func TestLeafRestartLowersNoRootCounter(t *testing.T) {
 		}
 	}
 }
+
+// A client that reconnects to a live root resubmits every task it awaits, and
+// the root runs none of them again: it still owes each one, queued, held by
+// its leaf, or its result buffered for the client, and drops it from the
+// resubmission.
+func TestRootDedupesAReconnectingClient(t *testing.T) {
+	leaf := startLeaf(t, "127.0.0.1:0", dispatch.Options{})
+	ex, err := executor.Start(executor.Options{ID: "slow-exec", DispatcherAddr: leaf.Addr(), Slots: 3, SleepScale: 1})
+	if err != nil {
+		t.Fatal(err)
+	}
+	t.Cleanup(ex.Stop)
+	wire := &wireLog{}
+	f, c := startRoot(t, client.Options{BundleSize: 2, Reconnect: true, Backoff: fastBackoff, Faults: wire}, leaf)
+
+	const n = 6
+	var gen task.IDGen
+	if err := c.Submit(task.Batch(&gen, n, 500*time.Millisecond)); err != nil {
+		t.Fatal(err)
+	}
+	wire.mu.Lock()
+	wire.conns[len(wire.conns)-1].Close() // the client's connection drops
+	wire.mu.Unlock()
+	if !within(5*time.Second, func() bool { return c.Resubmitted() == n }) {
+		t.Fatalf("the client resubmitted %d of the %d tasks it awaits", c.Resubmitted(), n)
+	}
+	if got := c.Deduped(); got != n {
+		t.Fatalf("the root dropped %d of %d resubmitted tasks as owed", got, n)
+	}
+	if _, err := c.WaitN(n, 30*time.Second); err != nil {
+		t.Fatal(err)
+	}
+	if root, down := f.Stats(), leaf.Stats(); root.Submitted != n || down.Submitted != n || down.Completed != n {
+		t.Fatalf("root admitted %d, leaf admitted %d and completed %d, want %d each", root.Submitted, down.Submitted, down.Completed, n)
+	}
+	select {
+	case r := <-c.Results():
+		t.Fatalf("a seventh result: %+v", r)
+	case <-time.After(50 * time.Millisecond):
+	}
+}

@@ -6,6 +6,7 @@ import (
 	"net"
 	"net/http"
 	"net/http/pprof"
+	"runtime/metrics"
 	"strconv"
 	"time"
 )
@@ -51,7 +52,18 @@ func ServeDebugOpts(addr string, o DebugOptions) (*DebugServer, error) {
 	mux := http.NewServeMux()
 	mux.HandleFunc("/metrics", func(w http.ResponseWriter, _ *http.Request) {
 		w.Header().Set("Content-Type", "text/plain; version=0.0.4")
-		_ = snap().WriteProm(w)
+		s := snap()
+		if s.Gauges == nil {
+			s.Gauges = make(map[string]int64)
+		}
+		// The process's own heap objects (live and not yet swept) and
+		// goroutines, read at the scrape through runtime/metrics, which
+		// does not stop the world as runtime.ReadMemStats does.
+		ms := []metrics.Sample{{Name: "/memory/classes/heap/objects:bytes"}, {Name: "/sched/goroutines:goroutines"}}
+		metrics.Read(ms)
+		s.Gauges["falkon_process_heap_bytes"] = int64(ms[0].Value.Uint64())
+		s.Gauges["falkon_process_goroutines"] = int64(ms[1].Value.Uint64())
+		_ = s.WriteProm(w)
 	})
 	mux.HandleFunc("/spans.jsonl", func(w http.ResponseWriter, _ *http.Request) {
 		var h DumpHeader

@@ -4,6 +4,8 @@ import (
 	"encoding/json"
 	"io"
 	"net/http"
+	"regexp"
+	"strconv"
 	"strings"
 	"testing"
 	"time"
@@ -211,8 +213,20 @@ func TestDebugServerEndpoints(t *testing.T) {
 		body, _ := io.ReadAll(resp.Body)
 		return string(body)
 	}
-	if out := get("/metrics"); !strings.Contains(out, "demo_total 1") {
+	out := get("/metrics")
+	if !strings.Contains(out, "demo_total 1") {
 		t.Fatalf("/metrics = %q", out)
+	}
+	// The process's own heap and goroutines, read at the scrape: a heap of at
+	// least the registry and tracer, and this goroutine and the server's.
+	for name, least := range map[string]int64{"falkon_process_heap_bytes": 1 << 10, "falkon_process_goroutines": 2} {
+		m := regexp.MustCompile(`(?m)^` + name + ` (\d+)$`).FindStringSubmatch(out)
+		if m == nil {
+			t.Fatalf("/metrics has no %s:\n%s", name, out)
+		}
+		if v, _ := strconv.ParseInt(m[1], 10, 64); v < least {
+			t.Fatalf("%s %d, want at least %d", name, v, least)
+		}
 	}
 	if out := get("/events.json"); !strings.Contains(out, `"kind":"enqueued"`) {
 		t.Fatalf("/events.json = %q", out)

@@ -134,9 +134,9 @@ func (l *Lease) TakeOver() (st LeaseState, acquired bool, err error) {
 	return st, acquired, err
 }
 
-// Renew extends a held lease. ok=false means the lease was lost — expired
-// past the TTL or taken by another node — and the caller must stop serving
-// immediately (fail-stop: a lost lease means another leader may exist).
+// Renew extends a held lease, naming Addr. ok=false means the lease was lost
+// — expired past the TTL or taken by another node — and the caller must stop
+// serving immediately (fail-stop: a lost lease means another leader may exist).
 func (l *Lease) Renew() (ok bool, err error) {
 	err = l.withLock(func() error {
 		cur, rerr := l.read()
@@ -148,7 +148,7 @@ func (l *Lease) Renew() (ok bool, err error) {
 			ok = false
 			return nil
 		}
-		cur.ExpiresUnixNano = now.Add(l.TTL).UnixNano()
+		cur.ExpiresUnixNano, cur.Addr = now.Add(l.TTL).UnixNano(), l.Addr
 		ok = true
 		return l.write(cur)
 	})

@@ -139,9 +139,9 @@ func TestRunNodeElectionTermsAreMonotonic(t *testing.T) {
 		errc <- RunNode(NodeOptions{
 			Lease:   &Lease{Path: lease.Path, TTL: lease.TTL, ID: id, Addr: "127.0.0.1:0"},
 			Standby: StandbyOptions{Dir: filepath.Join(mirrors, id)},
-			Promote: func(term uint64) error {
+			Promote: func(term uint64) (string, error) {
 				promoted <- term
-				return nil
+				return "127.0.0.1:0", nil
 			},
 			Logf: t.Logf,
 			Stop: stop,

@@ -19,8 +19,9 @@ type NodeOptions struct {
 	Standby StandbyOptions
 	// Promote starts serving as leader at term: build the dispatcher over
 	// the standby's journal directory (the standby is already stopped) and
-	// return once it is listening. A Promote error aborts the node.
-	Promote func(term uint64) error
+	// return the address it listens on once it does, which the lease names
+	// from then on. A Promote error aborts the node.
+	Promote func(term uint64) (addr string, err error)
 	// Logf receives node logs; nil silences them.
 	Logf func(format string, args ...any)
 	// Stop, when non-nil, makes RunNode return ErrNodeStopped when closed
@@ -105,9 +106,11 @@ func RunNode(opts NodeOptions) error {
 			cElections.Inc()
 			gRole.Set(1)
 			gTerm.Set(int64(st.Term))
-			if err := opts.Promote(st.Term); err != nil {
+			addr, err := opts.Promote(st.Term)
+			if err != nil {
 				return fmt.Errorf("replica: promote: %w", err)
 			}
+			lease.Addr = addr // the bound address, not the asked-for one (a port of 0): renewals write it
 			return renewLoop(&lease, check, opts.Stop, logf)
 		}
 		gRole.Set(0)

@@ -32,11 +32,10 @@ type Exec[E comparable] struct {
 	// delivers).
 	Notified bool
 	// Suspect marks an executor the core took a slot back from without its
-	// word — the replay timeout expired its task (Expire), or a second copy
-	// of a task it holds replaced the entry (Assign). It has said nothing and
-	// may be hung; like Notified, the flag clears when the executor next
-	// pulls or delivers, and until then the live runtime hands it no work it
-	// has not asked for.
+	// word — the replay timeout expired its task (Expire). It has said
+	// nothing and may be hung; like Notified, the flag clears when the
+	// executor next pulls or delivers, and until then the live runtime hands
+	// it no work it has not asked for.
 	Suspect bool
 	// LastNotifyAt is when the last work-available push was sent — the
 	// anchor of the Figure-10 enqueue→notify stage.
@@ -466,21 +465,14 @@ func (c *Core[E, K, T]) NoteCompletion(x *Exec[E], dataset string) {
 // attempt count and recording the outstanding entry. NotifiedAt is
 // clamped so that the enqueue→notify stage ends at the last push sent to
 // this executor, or absorbs the whole wait when no push followed the
-// enqueue (piggy-backed and re-pulled assignments).
+// enqueue (piggy-backed and re-pulled assignments). key must not be
+// outstanding: a caller queues one copy of a task at a time (the dispatcher's
+// owed set, DESIGN.md §11).
 func (c *Core[E, K, T]) Assign(now time.Duration, x *Exec[E], key K, it Item[T]) Outstanding[E, K, T] {
 	it.Attempts++
 	notifiedAt := x.LastNotifyAt
 	if notifiedAt < it.QueuedAt || notifiedAt > now {
 		notifiedAt = now
-	}
-	if old, dup := c.out[key]; dup {
-		// A second copy of a task that is still outstanding (a client or a
-		// tree parent sent it twice): this entry replaces the first, so the
-		// first holder's slot is given back here — its result will find this
-		// entry or none, and whichever result comes second is the duplicate.
-		if holder := c.release(old.Executor); holder != nil {
-			holder.Suspect = true
-		}
 	}
 	o := Outstanding[E, K, T]{Key: key, Item: it, Executor: x.ID, DispatchedAt: now, NotifiedAt: notifiedAt}
 	c.out[key] = o

@@ -153,57 +153,6 @@ func TestPickWithinRefusalIsNotAPop(t *testing.T) {
 	}
 }
 
-// A second copy of a task that is still outstanding must not leak a slot:
-// however the two copies are assigned and completed, Assigned returns to 0,
-// the late result counts as a duplicate and the executors are offerable.
-func TestAssignTwiceDoesNotLeakASlot(t *testing.T) {
-	t.Run("same executor", func(t *testing.T) {
-		c := newGrantCore(nil)
-		x := c.AddExec("x", 1)
-		c.Assign(0, x, 7, Item[dtask]{X: dtask{id: 7}})
-		c.Assign(0, x, 7, Item[dtask]{X: dtask{id: 7}})
-		if x.Assigned != 1 {
-			t.Fatalf("Assigned = %d with one outstanding entry", x.Assigned)
-		}
-		if _, ok := c.Complete("x", 7); !ok {
-			t.Fatal("first result refused")
-		}
-		if _, ok := c.Complete("x", 7); ok {
-			t.Fatal("second result accepted")
-		}
-		if x.Assigned != 0 || c.Counters.Duplicates != 1 || c.OutstandingLen() != 0 {
-			t.Fatalf("Assigned=%d Duplicates=%d outstanding=%d, want 0 1 0", x.Assigned, c.Counters.Duplicates, c.OutstandingLen())
-		}
-		if !c.Offer(x) {
-			t.Fatal("executor not offerable after its only task completed")
-		}
-	})
-	t.Run("two executors", func(t *testing.T) {
-		c := newGrantCore(nil)
-		a, b := c.AddExec("a", 1), c.AddExec("b", 1)
-		c.Assign(0, a, 7, Item[dtask]{X: dtask{id: 7}})
-		c.Assign(0, b, 7, Item[dtask]{X: dtask{id: 7}})
-		if a.Assigned != 0 || b.Assigned != 1 {
-			t.Fatalf("Assigned a=%d b=%d, want 0 1: the entry is b's now", a.Assigned, b.Assigned)
-		}
-		if !a.Suspect || b.Suspect {
-			t.Fatalf("Suspect a=%v b=%v, want true false: a's slot came back without a word from a", a.Suspect, b.Suspect)
-		}
-		if _, ok := c.Complete("a", 7); ok {
-			t.Fatal("the replaced holder's result accepted")
-		}
-		if _, ok := c.Complete("b", 7); !ok {
-			t.Fatal("the holder's result refused")
-		}
-		if a.Assigned != 0 || b.Assigned != 0 || c.Counters.Duplicates != 1 {
-			t.Fatalf("Assigned a=%d b=%d Duplicates=%d, want 0 0 1", a.Assigned, b.Assigned, c.Counters.Duplicates)
-		}
-		if !c.Offer(a) || !c.Offer(b) {
-			t.Fatal("an executor is not offerable with nothing outstanding")
-		}
-	})
-}
-
 // A slot the replay timeout takes back marks its executor suspect, all of its
 // slots: the executor said nothing. One whose result arrived is not.
 func TestExpireMarksTheExecutorSuspect(t *testing.T) {

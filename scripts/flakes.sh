@@ -52,12 +52,13 @@ cd "$(dirname "$0")/.."
 
 if [ $# -eq 0 ]; then
     set -- \
+        './internal/client:^TestBytesPerOwedTask$' \
         './internal/core:^(TestAllocsPerTaskBudget|TestSerialRoundSyscalls)$' \
         './internal/dispatch:^(TestBytesPerTaskAtRest|TestBytesPerIdleExecutor|TestBytesPerConnectedExecutor|TestExecutorThatDoesNotAcceptGrantsPulls|TestSnapshotCutAllocsPerTask)$' \
         './internal/dispatch:^(TestCrashRecoveryExactlyOnce|TestAttemptsSurviveCrash|TestJournalRecordsFollowTheProtocol|TestCompletesWrittenWithoutLaterSubmit|TestFailedJournalStopsDispatcher)$' \
         './internal/executor:^TestBytesPerExecutor$' \
         './internal/faultinj:^TestWALSurvivesDiskFaults$' \
-        './internal/forward:^(TestTreeHopAllocBudget|TestForwarderSpreadsInstancesAcrossDispatchers|TestScratchFailedPushRebuffered)$' \
+        './internal/forward:^(TestTreeHopAllocBudget|TestForwarderSpreadsInstancesAcrossDispatchers|TestScratchFailedPushRebuffered|TestRootDedupesAReconnectingClient)$' \
         './internal/obs:^TestTracerBytesAtRest$' \
         './internal/sched:^TestCycleAllocations$' \
         './internal/task:^TestSmallBundlesPinAtMostAChunk$' \

@@ -54,10 +54,11 @@ go test -run='TestBinariesMetricsExposition|TestBinariesSpanMergeAcrossProcesses
 # unqueued task: six write(2) and at most 6.5 read(2).
 go test -run='TestAllocsPerTaskBudget|TestSerialRoundSyscalls' -cpu 1,2,4 -count=1 ./internal/core/
 # Bytes a dispatcher holds per task queued, per task held, and after 100K
-# drain; per registered idle executor, through the seam and with a connection
-# behind it; what an executor started through executor.Start holds once it
-# has run a batch; and what a full trace ring weighs.
-go test -run='TestBytesPerTaskAtRest|TestBytesPerIdleExecutor|TestBytesPerConnectedExecutor|TestBytesPerExecutor|TestTracerBytesAtRest' -cpu 1,2,4 -count=1 ./internal/dispatch/ ./internal/executor/ ./internal/obs/
+# drain, for dense task IDs and sparse ones; per registered idle executor,
+# through the seam and with a connection behind it; what an executor started
+# through executor.Start holds once it has run a batch; what a full trace ring
+# weighs; and what a reconnecting client holds per task it awaits.
+go test -run='TestBytesPerTaskAtRest|TestBytesPerIdleExecutor|TestBytesPerConnectedExecutor|TestBytesPerExecutor|TestTracerBytesAtRest|TestBytesPerOwedTask' -cpu 1,2,4 -count=1 ./internal/dispatch/ ./internal/executor/ ./internal/obs/ ./internal/client/
 # And what a level of the dispatch tree adds to it, objects and bytes: a root
 # over two leaves against one dispatcher, same loop, plus a leaf restart
 # mid-batch.

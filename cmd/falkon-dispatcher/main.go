@@ -50,7 +50,6 @@ import (
 
 	"falkon/internal/dispatch"
 	"falkon/internal/faultinj"
-	"falkon/internal/forward"
 	"falkon/internal/fproto"
 	"falkon/internal/obs"
 	"falkon/internal/replica"
@@ -94,8 +93,10 @@ func main() {
 	if err != nil {
 		log.Fatalf("falkon-dispatcher: %v", err)
 	}
-	if *leaves != "" && (*journalDir != "" || *replicate != "" || *standbyOf != "" || *leaseFile != "") {
-		log.Fatal("falkon-dispatcher: -leaves cannot be combined with -journal-dir, -replicate, -standby-of or -lease-file: " +
+	// A root refuses -journal-dir and -replicate itself (dispatch.Options.Leaves);
+	// these two modes never build one.
+	if *leaves != "" && (*standbyOf != "" || *leaseFile != "") {
+		log.Fatal("falkon-dispatcher: -leaves cannot be combined with -standby-of or -lease-file: " +
 			"a root keeps its tasks in memory until its crash test exists (ROADMAP 6(a)); journal the leaves")
 	}
 	// One registry for the process, whichever mode it runs in: what -faults
@@ -114,6 +115,8 @@ func main() {
 		JournalDir:    *journalDir,
 		JournalSync:   syncPolicy,
 		SnapshotEvery: *snapEvery,
+		Leaves:        fproto.SplitAddrs(*leaves),
+		Bundle:        *bundle,
 	}
 	obs.RegisterBuildInfo(opts.Metrics, component)
 	if *faults != "" {
@@ -147,23 +150,8 @@ func main() {
 	case *leaseFile != "":
 		runHANode(*leaseFile, *leaseTTL, *nodeID, *addr, *journalDir, syncPolicy, opts, *debugAddr, *statsEvery)
 	default:
-		runLeader(opts, fproto.SplitAddrs(*leaves), *bundle, *addr, *journalDir, syncPolicy, *debugAddr, *statsEvery)
+		runLeader(opts, *addr, *journalDir, syncPolicy, *debugAddr, *statsEvery)
 	}
-}
-
-// node is what this command serves once it leads: a dispatcher, or with
-// -leaves a tree root — the same dispatcher with links for executors, whose
-// stats and metrics answer for its subtree.
-type node interface {
-	Listen(addr string) error
-	Addr() string
-	Stats() fproto.StatsReply
-	MetricsSnapshot() obs.MetricsSnapshot
-	Tracer() *obs.Tracer
-	SpanHeader() obs.DumpHeader
-	Drain(timeout time.Duration) bool
-	Close() error
-	Done() <-chan struct{}
 }
 
 // stringList is a repeatable string flag.
@@ -207,28 +195,18 @@ func loadTenants(path string, flags []string) ([]dispatch.TenantSpec, error) {
 }
 
 // runLeader is the classic single-dispatcher path (optionally accepting
-// standby replicas when -replicate is set), and with leaves the tree root's:
-// the two differ in how the node is built and in nothing after.
-func runLeader(opts dispatch.Options, leaves []string, bundle int, addr, journalDir string, syncPolicy wal.SyncPolicy, debugAddr string, statsEvery time.Duration) {
+// standby replicas when -replicate is set), and with leaves the tree root's.
+func runLeader(opts dispatch.Options, addr, journalDir string, syncPolicy wal.SyncPolicy, debugAddr string, statsEvery time.Duration) {
 	if opts.Replication != nil {
 		opts.Replication.Term = 1
 	}
-	var d node
-	if len(leaves) > 0 {
-		f, err := forward.New(forward.Options{Dispatchers: leaves, Bundle: bundle, Root: opts})
-		if err != nil {
-			log.Fatalf("falkon-dispatcher: %v", err)
-		}
-		d = f
-	} else {
-		d = dispatch.New(opts)
-	}
+	d := dispatch.New(opts)
 	if err := d.Listen(addr); err != nil {
 		log.Fatalf("falkon-dispatcher: %v", err)
 	}
 	fmt.Printf("falkon-dispatcher listening on %s (keyed=%v)\n", d.Addr(), len(opts.PSK) > 0)
-	if len(leaves) > 0 {
-		fmt.Printf("falkon-dispatcher relaying to %v\n", leaves)
+	if len(opts.Leaves) > 0 {
+		fmt.Printf("falkon-dispatcher relaying to %v\n", opts.Leaves)
 	}
 	if journalDir != "" {
 		fmt.Printf("falkon-dispatcher journaling to %s (sync=%v)\n", journalDir, syncPolicy)
@@ -362,7 +340,7 @@ func runHANode(leaseFile string, leaseTTL time.Duration, nodeID, addr, journalDi
 }
 
 // startDebug serves /metrics, /events.json and pprof for a node.
-func startDebug(debugAddr string, d node) func() {
+func startDebug(debugAddr string, d *dispatch.Dispatcher) func() {
 	if debugAddr == "" {
 		return func() {}
 	}
@@ -379,7 +357,7 @@ func startDebug(debugAddr string, d node) func() {
 }
 
 // startStatsLoop logs a stats line every interval.
-func startStatsLoop(every time.Duration, d node) {
+func startStatsLoop(every time.Duration, d *dispatch.Dispatcher) {
 	if every <= 0 {
 		return
 	}
@@ -413,7 +391,7 @@ func startStatsLoop(every time.Duration, d node) {
 
 // awaitShutdown blocks on SIGINT/SIGTERM, then drains and seals. A node that
 // stops first has stopped itself, its journal failed: exitJournalFailed.
-func awaitShutdown(d node, journalDir string) {
+func awaitShutdown(d *dispatch.Dispatcher, journalDir string) {
 	sig := make(chan os.Signal, 1)
 	signal.Notify(sig, os.Interrupt, syscall.SIGTERM)
 	select {
@@ -439,7 +417,7 @@ func exitJournalFailed() {
 	os.Exit(3)
 }
 
-func shutdown(d node, journalDir string) {
+func shutdown(d *dispatch.Dispatcher, journalDir string) {
 	log.Println("falkon-dispatcher: draining (up to 30s)")
 	if !d.Drain(30 * time.Second) {
 		log.Println("falkon-dispatcher: drain timed out; closing with work in flight")

@@ -1,7 +1,8 @@
 // Threetier: the paper's §6 Figure 16 architecture, live in one process —
 // two dispatchers each managing their own executors (as they would on
-// cluster manager nodes straddling public/private networks), a forwarder in
-// front, and the unmodified client library talking to the forwarder.
+// cluster manager nodes straddling public/private networks), a root in front
+// — a dispatcher whose executors are links to them — and the unmodified
+// client library talking to the root.
 package main
 
 import (
@@ -12,7 +13,6 @@ import (
 	"falkon"
 	"falkon/internal/dispatch"
 	"falkon/internal/executor"
-	"falkon/internal/forward"
 )
 
 func main() {
@@ -38,16 +38,13 @@ func main() {
 		fmt.Printf("site %d: dispatcher %s with 4 executors\n", i, d.Addr())
 	}
 
-	// Tier 2: the forwarder in "public IP space".
-	fwd, err := forward.New(forward.Options{Dispatchers: dispAddrs})
-	if err != nil {
-		log.Fatal(err)
-	}
+	// Tier 2: the root in "public IP space".
+	fwd := dispatch.New(dispatch.Options{Leaves: dispAddrs})
 	if err := fwd.Listen("127.0.0.1:0"); err != nil {
 		log.Fatal(err)
 	}
 	defer fwd.Close()
-	fmt.Printf("forwarder: %s relaying to %d sites\n\n", fwd.Addr(), len(dispAddrs))
+	fmt.Printf("root: %s relaying to %d sites\n\n", fwd.Addr(), len(dispAddrs))
 
 	// Tier 1: four ordinary clients; their instances spread round-robin
 	// across the sites.

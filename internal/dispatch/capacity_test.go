@@ -9,7 +9,6 @@ import (
 
 	"falkon/internal/dispatch"
 	"falkon/internal/executor"
-	"falkon/internal/forward"
 	"falkon/internal/fproto"
 	"falkon/internal/task"
 	"falkon/internal/wsrpc"
@@ -137,10 +136,7 @@ func TestCapacityHintsComposeThroughATree(t *testing.T) {
 		leaves = append(leaves, d.Addr())
 	}
 	tier := func(children ...string) string {
-		f, err := forward.New(forward.Options{Dispatchers: children, Root: dispatch.Options{Logf: t.Logf}})
-		if err != nil {
-			t.Fatal(err)
-		}
+		f := dispatch.New(dispatch.Options{Leaves: children, Logf: t.Logf})
 		if err := f.Listen("127.0.0.1:0"); err != nil {
 			t.Fatal(err)
 		}

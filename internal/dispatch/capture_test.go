@@ -152,7 +152,7 @@ func cutSystem(t *testing.T, dir string, queued, outstanding int) *Dispatcher {
 		}
 	}
 	d.Register(fproto.RegisterRequest{ExecutorID: "held", Slots: outstanding}, ignore{})
-	for d.Held("held") < outstanding {
+	for d.held("held") < outstanding {
 		if _, err := d.Stock("held", 1, 1, nil); err != nil {
 			t.Fatal(err)
 		}

@@ -14,11 +14,11 @@
 // them after releasing it, so no I/O ever runs inside the scheduler's
 // critical section. One dispatcher is one queue, as in the paper; the way to
 // more than one lock's worth of throughput is more dispatchers under a root
-// that is itself a dispatcher: the executor's verbs are Go methods as well as
-// wire handlers (Register, Deregister, Stock, Deliver) and its
-// pushes go to a Pusher, so a tree's root registers its links to leaf
-// dispatchers as executors of an ordinary Dispatcher (internal/forward,
-// DESIGN.md §12–13).
+// that is itself a dispatcher, one whose Options name its leaves: the
+// executor's verbs are Go methods as well as wire handlers (Register,
+// Deregister, Stock, Deliver) and its pushes go to a Pusher, so a root
+// registers its links to the leaves (link.go) as executors of its core
+// (DESIGN.md §12–13).
 //
 // In keeping with the paper's design (§1, §7), the dispatcher deliberately
 // omits LRM features: there are no priorities, no multiple queues, no
@@ -27,6 +27,7 @@ package dispatch
 
 import (
 	"fmt"
+	"math"
 	"sync"
 	"sync/atomic"
 	"time"
@@ -53,8 +54,8 @@ type ReplicationOptions struct {
 // Options configures a Dispatcher.
 type Options struct {
 	// PSK, when set, is the pre-shared key every executor and client must
-	// hold: the dispatcher then speaks only the secure profile. Empty serves
-	// in the clear.
+	// hold: the dispatcher then speaks only the secure profile, and dials its
+	// leaves with it. Empty serves in the clear.
 	PSK []byte
 
 	// ReplayTimeout re-dispatches tasks whose executor has not responded
@@ -63,19 +64,26 @@ type Options struct {
 	ReplayTimeout time.Duration
 
 	// MaxRetries bounds per-task re-dispatches (default 3). A task that
-	// exhausts retries is reported failed.
+	// exhausts retries is reported failed. A dispatcher with Leaves ignores
+	// it (see Leaves).
 	MaxRetries int
 
-	// NoRetryOnFailure reports a task whose result says it failed instead of
-	// re-dispatching it, as the paper's replay policy does. The task's own
-	// MaxRetries, a bound on what its failures may cost, is then not read:
-	// every replay is for an executor lost or timed out, and MaxRetries above
-	// alone bounds those (a tree's root, whose leaves bound the task, sets both).
-	NoRetryOnFailure bool
+	// Leaves lists leaf dispatcher addresses: with any, this dispatcher is a
+	// dispatch tree's root, whose executors are links to them (DESIGN.md §13),
+	// dialed by Listen and redialed with backoff. A leaf's final word stays
+	// final and its death costs a task no retry, so a root retries no failure
+	// and bounds no replay; and it keeps no journal (JournalDir, Replication).
+	Leaves []string
+
+	// Bundle is the root→leaf bundle size: the most tasks a link asks the
+	// root's queue for at a time, one downstream submit carries, and a leaf is
+	// stocked with per worker slot (default 64; read only with Leaves).
+	Bundle int
 
 	// Metrics receives the dispatcher's counters, gauges, and stage
-	// latency histograms (plus the wsrpc transport's per-method metrics).
-	// Nil creates a private registry, retrievable via Metrics().
+	// latency histograms (plus the wsrpc transport's per-method metrics,
+	// its links' included). Nil creates a private registry, retrievable via
+	// Metrics().
 	Metrics *obs.Registry
 
 	// TraceCapacity bounds the task-lifecycle event ring (default 8192
@@ -157,7 +165,7 @@ func taskTenant(tr taskRef) string {
 
 // Pusher is where an executor's work pushes ({3}) go: for a wire executor the
 // connection, which encodes the body; an executor inside this process (a tree
-// root's link to a leaf, internal/forward) is handed the value itself —
+// root's link to a leaf) is handed the value itself —
 // fproto.WorkAvailable, or *fproto.RelayReply for a grant, which is the
 // pusher's only until Notify returns.
 type Pusher interface {
@@ -397,6 +405,11 @@ type Dispatcher struct {
 	// sized by the capacity hints they receive).
 	parents parents
 
+	// links are a root's executors, one per leaf (root.go), set by Listen
+	// before it serves; leafWG counts their goroutines.
+	links  []*link
+	leafWG sync.WaitGroup
+
 	closed  atomic.Bool
 	stopped chan struct{} // closed once shutdown has finished (Done)
 	// draining is stored by Drain before it first takes mu and read by
@@ -448,9 +461,14 @@ func New(opts Options) *Dispatcher {
 	if len(opts.Tenants) > 0 {
 		fairShare = &sched.FairShare{Weights: tenantWeights(opts.Tenants)}
 	}
-	var taskRetries func(taskRef) int // nil: Options.MaxRetries alone
-	if !opts.NoRetryOnFailure {
-		taskRetries = func(tr taskRef) int { return tr.t.MaxRetries() }
+	if opts.Bundle <= 0 {
+		opts.Bundle = 64
+	}
+	// A root reads neither bound (Options.Leaves); replays there are for a
+	// leaf lost, and every task's failures are its leaf's to bound.
+	taskRetries := func(tr taskRef) int { return tr.t.MaxRetries() }
+	if len(opts.Leaves) > 0 {
+		opts.MaxRetries, taskRetries = math.MaxInt32, nil
 	}
 	d := &Dispatcher{
 		opts:  opts,
@@ -684,8 +702,18 @@ func (d *Dispatcher) notifyLocked(f *fx, now time.Duration) {
 // Listen binds the dispatcher to addr (":0" for an ephemeral port) and
 // starts serving. With JournalDir set, it first recovers surviving state
 // from the journal — instances, queued and in-flight tasks, and
-// undelivered results all outlive a crash.
+// undelivered results all outlive a crash. With Leaves, it first dials and
+// attaches every leaf.
 func (d *Dispatcher) Listen(addr string) error {
+	if len(d.opts.Leaves) > 0 {
+		if d.opts.JournalDir != "" || d.opts.Replication != nil {
+			return fmt.Errorf("dispatch: -leaves cannot be combined with -journal-dir or -replicate (Options.JournalDir, Options.Replication): " +
+				"a root keeps its tasks in memory until its crash test exists (ROADMAP 6(a)); journal the leaves")
+		}
+		if err := d.attachLeaves(); err != nil {
+			return err
+		}
+	}
 	if d.opts.Replication != nil && d.opts.JournalDir == "" {
 		return fmt.Errorf("dispatch: replication requires a journal (JournalDir)")
 	}
@@ -726,6 +754,7 @@ func (d *Dispatcher) Listen(addr string) error {
 		}
 	}
 	if err := d.srv.Listen(addr); err != nil {
+		d.closeLeaves()
 		return err
 	}
 	if d.opts.ReplayTimeout > 0 {
@@ -944,6 +973,7 @@ func (d *Dispatcher) shutdown(endJournal func(*wal.Journal) error) error {
 		return nil
 	}
 	defer close(d.stopped)
+	d.closeLeaves()
 	d.wakeDrainAlways() // release any Drain blocked on a dead system
 	if d.replSrc != nil {
 		d.replSrc.Close() // release blocked fetches and quorum barriers first
@@ -1026,8 +1056,20 @@ func (d *Dispatcher) Drain(timeout time.Duration) bool {
 }
 
 // Stats snapshots dispatcher state (also served as an RPC for remote
-// provisioners).
+// provisioners). A root answers as any dispatcher answers for itself —
+// counters, queue, outstanding (what the links hold), instances and tenant
+// rows, each client task counted once — and adds its subtree (addSubtree).
 func (d *Dispatcher) Stats() fproto.StatsReply {
+	st := d.ownStats()
+	if len(d.links) > 0 {
+		d.addSubtree(&st)
+	}
+	return st
+}
+
+// ownStats is Stats of this dispatcher alone: a root's links count as its
+// executors.
+func (d *Dispatcher) ownStats() fproto.StatsReply {
 	var st fproto.StatsReply
 	var tenantQueued map[string]int
 	if d.tenants != nil {
@@ -1067,21 +1109,9 @@ func (d *Dispatcher) Stats() fproto.StatsReply {
 	return st
 }
 
-// InstanceTenant returns the tenant instance epr was created under; ok is
-// false once the instance is gone.
-func (d *Dispatcher) InstanceTenant(epr string) (tenant string, ok bool) {
-	d.imu.RLock()
-	inst := d.instances[epr]
-	d.imu.RUnlock()
-	if inst == nil {
-		return "", false
-	}
-	return inst.tenant, true
-}
-
-// Held returns how many tasks executor id holds: dispatched to it and not yet
+// held returns how many tasks executor id holds: dispatched to it and not yet
 // answered.
-func (d *Dispatcher) Held(id string) int {
+func (d *Dispatcher) held(id string) int {
 	d.mu.Lock()
 	defer d.mu.Unlock()
 	if ex, ok := d.core.Exec(id); ok {
@@ -1105,8 +1135,12 @@ func (d *Dispatcher) SpanHeader() obs.DumpHeader {
 }
 
 // MetricsSnapshot captures the full registry plus live queue/executor
-// gauges and lifecycle counters — the falkon.metrics RPC body.
+// gauges and lifecycle counters — the falkon.metrics RPC body. A root's is
+// its subtree's (subtreeMetrics).
 func (d *Dispatcher) MetricsSnapshot() obs.MetricsSnapshot {
+	if len(d.links) > 0 {
+		return d.subtreeMetrics()
+	}
 	st := d.Stats()
 	d.reg.Gauge("falkon_queue_depth").Set(int64(st.Queued))
 	d.reg.Gauge("falkon_outstanding_tasks").Set(int64(st.Outstanding))
@@ -1114,14 +1148,14 @@ func (d *Dispatcher) MetricsSnapshot() obs.MetricsSnapshot {
 	d.reg.Gauge(obs.Labeled("falkon_executors", "state", "idle")).Set(int64(st.IdleExecutors))
 	d.reg.Gauge(obs.Labeled("falkon_executors", "state", "busy")).Set(int64(st.BusyExecutors))
 	s := d.reg.Snapshot()
-	SetLifecycleCounters(s, st)
+	setLifecycleCounters(s, st)
 	return fproto.NoteCodec(s)
 }
 
-// SetLifecycleCounters writes a dispatcher's task-lifecycle counters, which
+// setLifecycleCounters writes a dispatcher's task-lifecycle counters, which
 // live in its scheduling core rather than in its registry, into s: the
 // dispatcher's own, and at a tree root in place of its leaves' sums.
-func SetLifecycleCounters(s obs.MetricsSnapshot, st fproto.StatsReply) {
+func setLifecycleCounters(s obs.MetricsSnapshot, st fproto.StatsReply) {
 	s.Counters["falkon_tasks_submitted_total"] = st.Submitted
 	s.Counters["falkon_tasks_completed_total"] = st.Completed
 	s.Counters["falkon_tasks_failed_total"] = st.Failed

@@ -8,3 +8,6 @@ func TenantKeys() []string {
 	}
 	return keys
 }
+
+// Held returns how many tasks executor id holds.
+func (d *Dispatcher) Held(id string) int { return d.held(id) }

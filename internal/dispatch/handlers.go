@@ -19,27 +19,26 @@ import (
 // (RegisterFast): the handlers only take the scheduler mutex briefly and
 // defer I/O through fx/flush, so skipping the per-call goroutine removes the
 // dominant scheduling overhead on the Submit/Deliver hot path. Collect
-// long-polls and must keep its own goroutine.
+// long-polls and must keep its own goroutine, and so, at a root, must the five
+// verbs that answer for the subtree: each may wait on a leaf, and a client's
+// next call must not wait behind that (root.go).
 func (d *Dispatcher) register() {
+	subtree := d.srv.RegisterFast
+	if len(d.opts.Leaves) > 0 {
+		subtree = d.srv.Register
+	}
 	d.srv.RegisterFast(fproto.MethodCreateInstance, d.handleCreateInstance)
-	d.srv.RegisterFast(fproto.MethodDestroyInstance, d.handleDestroyInstance)
-	d.srv.RegisterFast(fproto.MethodSubmit, d.handleSubmit)
+	subtree(fproto.MethodDestroyInstance, d.handleDestroyInstance)
+	subtree(fproto.MethodSubmit, d.handleSubmit)
 	d.srv.Register(fproto.MethodCollect, d.handleCollect)
 	d.srv.RegisterFast(fproto.MethodRegister, d.handleRegister)
 	d.srv.RegisterFast(fproto.MethodDeregister, d.handleDeregister)
 	d.srv.RegisterFast(fproto.MethodGetWork, d.handleGetWork)
 	d.srv.RegisterFast(fproto.MethodDeliver, d.handleDeliver)
 	d.srv.RegisterFast(fproto.MethodAttachParent, d.handleAttachParent)
-	d.srv.RegisterFast(fproto.MethodStats, d.handleStats)
-	d.srv.RegisterFast(fproto.MethodMetrics, d.handleMetrics)
-	d.srv.RegisterFast(fproto.MethodEvents, d.handleEvents)
-}
-
-// Override replaces one protocol handler before Listen and returns the one it
-// replaced: a tree root (internal/forward) is this dispatcher with some verbs
-// answered for the whole subtree.
-func (d *Dispatcher) Override(method string, h wsrpc.Handler) wsrpc.Handler {
-	return d.srv.Override(method, h)
+	subtree(fproto.MethodStats, d.handleStats)
+	subtree(fproto.MethodMetrics, d.handleMetrics)
+	subtree(fproto.MethodEvents, d.handleEvents)
 }
 
 // decode is for the cold requests; the per-task ones (Submit, GetWork,
@@ -158,23 +157,10 @@ func (d *Dispatcher) handleDestroyInstance(p *wsrpc.Peer, body json.RawMessage) 
 	inst.destroyed.Store(true)
 	delete(d.instances, req.EPR)
 	d.imu.Unlock()
-	// Sweep the instance's tasks out of the core, queued and outstanding. A
-	// submit racing the destroy may still land tasks afterwards; they are
-	// dropped at pick time by the destroyed check, and replay tombstones them
-	// the same way. An executor that still answers for a swept task delivers a
-	// duplicate; one that never will (a child dispatcher the instance is being
-	// destroyed on too) is not left holding it for ever.
-	ofInst := func(tr taskRef) bool { return tr.epr == req.EPR }
 	f := getFx()
 	defer putFx(f)
 	d.mu.Lock()
-	dropped := d.core.DropQueued(ofInst)
-	if shed := d.core.DropOutstanding(ofInst); shed > 0 {
-		dropped += shed
-		d.notifyLocked(f, d.now()) // the slots it freed may be wanted
-	}
-	// Swept tasks never reach finalize; retire their tenant charge here.
-	d.tenants.release(inst.tenant, dropped, false)
+	d.sweepLocked(f, inst)
 	d.mu.Unlock()
 	d.flush(f)
 	d.wakeDrain()
@@ -191,7 +177,36 @@ func (d *Dispatcher) handleDestroyInstance(p *wsrpc.Peer, body json.RawMessage) 
 		return nil, unanswered(p, err)
 	}
 	d.replicaBarrier()
+	d.destroyOnLeaves(req.EPR)
 	return struct{}{}, nil
+}
+
+// ofInstance is the destroy sweep's test of a task in the core.
+var ofInstance = func(inst *instance) func(taskRef) bool {
+	return func(tr taskRef) bool { return tr.epr == inst.epr }
+}
+
+// sweepLocked takes a destroyed instance's tasks out of the core, queued and
+// outstanding; one that holds none (inFlight, raised only under mu) costs no
+// sweep. A submit racing the destroy may still land tasks afterwards; they
+// are dropped at pick time by the destroyed check, and replay tombstones them
+// the same way. An executor that still answers for a swept task delivers a
+// duplicate; one that never will (a child dispatcher the instance is being
+// destroyed on too) is not left holding it for ever. Callers hold mu.
+func (d *Dispatcher) sweepLocked(f *fx, inst *instance) {
+	inst.mu.Lock()
+	idle := inst.inFlight == 0
+	inst.mu.Unlock()
+	if idle {
+		return
+	}
+	dropped := d.core.DropQueued(ofInstance(inst))
+	if shed := d.core.DropOutstanding(ofInstance(inst)); shed > 0 {
+		dropped += shed
+		d.notifyLocked(f, d.now()) // the slots it freed may be wanted
+	}
+	// Swept tasks never reach finalize; retire their tenant charge here.
+	d.tenants.release(inst.tenant, dropped, false)
 }
 
 // connScratch is what a dispatcher keeps on a connection from call to call
@@ -223,6 +238,7 @@ func (d *Dispatcher) handleSubmit(p *wsrpc.Peer, body json.RawMessage) (any, err
 		putFx(f)
 		return nil, err
 	}
+	d.stockLeaves()
 	return (*submitReply)(f), nil
 }
 
@@ -598,7 +614,7 @@ func (d *Dispatcher) deliver(f *fx, req *fproto.DeliverRequest) error {
 		}
 		r.Trace = o.Item.X.t.Trace
 		d.core.NoteCompletion(ex, o.Item.X.t.Dataset())
-		if r.Failed() && !d.opts.NoRetryOnFailure {
+		if r.Failed() && len(d.opts.Leaves) == 0 { // a leaf's failure is final (Options.Leaves)
 			d.replay(f, &o, "task failed: "+failReason(r))
 			continue
 		}
@@ -651,10 +667,14 @@ func (d *Dispatcher) handleMetrics(_ *wsrpc.Peer, _ json.RawMessage) (any, error
 	return d.MetricsSnapshot(), nil
 }
 
+// handleEvents answers with the trace ring, or at a root with its leaves'
+// (leafEvents), where a task's executor-side story is.
 func (d *Dispatcher) handleEvents(_ *wsrpc.Peer, body json.RawMessage) (any, error) {
 	req, err := decode[fproto.EventsRequest](body)
 	if err != nil {
 		return nil, err
+	} else if len(d.links) > 0 {
+		return d.leafEvents(*req), nil
 	}
 	events, next := d.tracer.Since(req.SinceSeq, req.Max)
 	return fproto.EventsReply{Events: events, NextSeq: next}, nil

@@ -262,13 +262,17 @@ func TestRetriesExhausted(t *testing.T) {
 	}
 }
 
+// A dispatcher with leaves retries no failure: a leaf has had the task's
+// retries, and its final word stays final (Options.Leaves). The failing
+// executor here is the root's own, its one leaf having none.
 func TestNoRetryOnFailure(t *testing.T) {
 	eopts := executor.Options{
 		Funcs: map[string]executor.Func{
 			"fail": func(task.Task) (string, int, error) { return "", 3, nil },
 		},
 	}
-	_, c, _ := startSystem(t, dispatch.Options{NoRetryOnFailure: true}, client.Options{}, 1, eopts)
+	leaf, _, _ := startSystem(t, dispatch.Options{}, client.Options{}, 0, eopts)
+	_, c, _ := startSystem(t, dispatch.Options{Leaves: []string{leaf.Addr()}}, client.Options{}, 1, eopts)
 	if err := c.Submit([]task.Task{{ID: 1, Engine: task.EngineFunc, Command: "fail"}}); err != nil {
 		t.Fatal(err)
 	}

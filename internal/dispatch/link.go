@@ -1,4 +1,4 @@
-package forward
+package dispatch
 
 import (
 	"encoding/json"
@@ -6,22 +6,27 @@ import (
 	"sync"
 	"time"
 
-	"falkon/internal/executor"
 	"falkon/internal/fproto"
+	"falkon/internal/sched"
 	"falkon/internal/wsrpc"
 )
 
-// link is one leaf dispatcher as the root sees it: an executor of the root's
-// scheduling core, registered with the worker slots the leaf last reported
-// (its capacity hint's Executors) and deregistered while it reports none or
-// its connection is down — which has the root requeue what the link held, as
-// for any executor that goes away. Holding fewer tasks than slots, the link is
-// on offer like any executor with a free slot: told of work, it pulls. Past
-// that it keeps its leaf stocked as deep as dispatch-ahead's rule allows
-// (due), pulling after every result frame it delivers and when a submit
-// arrives at the root. Which tasks it holds is the root's outstanding table.
+// rootName identifies a root to its leaves (attach-parent, downstream
+// instance names).
+const rootName = "falkon-forwarder"
+
+// link is one leaf dispatcher as its root sees it (DESIGN.md §13): an
+// executor of the root's scheduling core, registered with the worker slots
+// the leaf last reported (its capacity hint's Executors) and deregistered
+// while it reports none or its connection is down — which has the root
+// requeue what the link held, as for any executor that goes away. Holding
+// fewer tasks than slots, the link is on offer like any executor with a free
+// slot: told of work, it pulls. Past that it keeps its leaf stocked as deep as
+// dispatch-ahead's rule allows (due), pulling after every result frame it
+// delivers and when a submit arrives at the root. Which tasks it holds is the
+// root's outstanding table.
 type link struct {
-	f    *Forwarder
+	d    *Dispatcher
 	id   string // the executor ID the link registers under
 	addr string
 	sess *wsrpc.Session // set once in newLink, before the leaf is dialed
@@ -32,8 +37,8 @@ type link struct {
 	mu    sync.Mutex
 	row   fproto.LeafStats // Leaf, Up and the link's own counters
 	cap   fproto.CapacityHint
-	slots int                // registered with the root; 0 = not registered
-	sizer executor.PullSizer // fed the leaf's submit round trip and its results' run times
+	slots int             // registered with the root; 0 = not registered
+	sizer sched.PullSizer // fed the leaf's submit round trip and its results' run times
 	// down maps a root instance's EPR to the instance the link created for it
 	// on the leaf (on the first grant that carries its work); real maps back.
 	down, real map[string]string
@@ -59,27 +64,26 @@ type link struct {
 
 // newLink builds the link and (unopened) the session that owns its connection:
 // redialed for ever, attached as a tree parent before the link can register.
-func newLink(f *Forwarder, idx int, addr string) *link {
+func newLink(d *Dispatcher, idx int, addr string) *link {
 	l := &link{
-		f: f, id: fmt.Sprintf("leaf-%d@%s", idx, addr), addr: addr, row: fproto.LeafStats{Leaf: addr},
+		d: d, id: fmt.Sprintf("leaf-%d@%s", idx, addr), addr: addr, row: fproto.LeafStats{Leaf: addr},
 		down: make(map[string]string), real: make(map[string]string), kick: make(chan struct{}, 1),
 	}
 	l.sess = wsrpc.NewSession(wsrpc.SessionOptions{
 		Addrs:     []string{addr},
-		Client:    wsrpc.ClientOptions{PSK: f.opts.Root.PSK, OnNotify: l.onNotify, Metrics: f.Metrics()},
+		Client:    wsrpc.ClientOptions{PSK: d.opts.PSK, OnNotify: l.onNotify, Metrics: d.reg},
 		Reconnect: true,
-		Backoff:   f.opts.Backoff,
 		Handshake: func(cli *wsrpc.Client, _ int) error { return l.attach(cli) },
 		OnDown: func() {
-			f.logf("forward: leaf %s down, its tasks go back on the root's queue", addr)
+			d.logf("dispatch: leaf %s down, its tasks go back on the root's queue", addr)
 			l.update(func() { l.row.Up = false })
 		},
 		OnUp: func(*wsrpc.Client) {
-			f.logf("forward: leaf %s reconnected", addr)
+			d.logf("dispatch: leaf %s reconnected", addr)
 			l.update(func() { l.row.Up, l.row.Reconnects = true, l.row.Reconnects+1 })
 		},
 	})
-	f.wg.Add(1)
+	d.leafWG.Add(1)
 	go l.run()
 	return l
 }
@@ -141,14 +145,14 @@ func (l *link) update(change func()) {
 	case want == l.slots:
 	case want > 0:
 		// Under an ID this pusher already holds, a resize: what it holds stays.
-		l.f.Register(fproto.RegisterRequest{ExecutorID: l.id, Slots: want}, l)
+		l.d.Register(fproto.RegisterRequest{ExecutorID: l.id, Slots: want}, l)
 	default:
-		l.row.Reroutes += int64(l.f.Deregister(l.id))
+		l.row.Reroutes += int64(l.d.Deregister(l.id))
 	}
 	l.slots = want
 }
 
-// Notify makes the link a dispatch.Pusher: the root's work-available push has
+// Notify makes the link a Pusher: the root's work-available push has
 // the link's goroutine stock the leaf. (The link does not announce that it
 // takes grants in the push: one cut for an idle slot would split a bundle that
 // stock is about to take whole.)
@@ -166,9 +170,9 @@ func (l *link) Notify(string, any) error {
 // room.
 func (l *link) due() int {
 	l.mu.Lock()
-	depth := l.slots * l.sizer.Ask(l.f.opts.Bundle)
+	depth := l.slots * l.sizer.Ask(l.d.opts.Bundle)
 	l.mu.Unlock()
-	return max(depth-l.f.Held(l.id), 0)
+	return max(depth-l.d.held(l.id), 0)
 }
 
 // onNotify handles the leaf's pushes, on its read loop: capacity hints resize
@@ -211,7 +215,7 @@ func (l *link) onNotify(method string, body json.RawMessage) {
 		l.tagged = append(l.tagged, fproto.TaggedResult{EPR: epr, Result: *r, RunDur: r.FinishedAt - r.StartedAt})
 	}
 	// An error means the link is not registered: the root requeued these tasks.
-	_, err := l.f.Deliver(&fproto.DeliverRequest{ExecutorID: l.id, Results: l.tagged})
+	_, err := l.d.Deliver(&fproto.DeliverRequest{ExecutorID: l.id, Results: l.tagged})
 	clear(l.tagged) // the results' output strings, twice
 	clear(n.Results)
 	if err == nil {
@@ -227,12 +231,13 @@ func (l *link) downEPR(b []byte) string {
 	return l.down[l.real[string(b)]]
 }
 
-// run is the link's goroutine: it restocks the leaf when kicked.
+// run is the link's goroutine: it restocks the leaf when kicked, until the
+// session ends.
 func (l *link) run() {
-	defer l.f.wg.Done()
+	defer l.d.leafWG.Done()
 	for {
 		select {
-		case <-l.f.stop:
+		case <-l.sess.Done():
 			return
 		case <-l.kick:
 			l.stock(true)
@@ -259,7 +264,7 @@ func (l *link) stock(wait bool) bool {
 		return true
 	}
 	var err error
-	l.stocked, err = l.f.Stock(l.id, min(want, l.f.opts.Bundle), want, fproto.Recycle(l.stocked))
+	l.stocked, err = l.d.Stock(l.id, min(want, l.d.opts.Bundle), want, fproto.Recycle(l.stocked))
 	l.send(l.stocked)
 	clear(l.stocked) // the tasks' strings
 	return err != nil || len(l.stocked) >= want
@@ -275,7 +280,7 @@ func (l *link) stock(wait bool) bool {
 func (l *link) send(as []fproto.Relay) {
 	cli, _, err := l.sess.Conn()
 	for start, end := 0, 0; err == nil && start < len(as); start = end {
-		for end = start + 1; end < len(as) && as[end].EPR == as[start].EPR && end-start < l.f.opts.Bundle; end++ {
+		for end = start + 1; end < len(as) && as[end].EPR == as[start].EPR && end-start < l.d.opts.Bundle; end++ {
 		}
 		var down string
 		if down, err = l.ensureDown(cli, as[start].EPR); down == "" {
@@ -302,7 +307,7 @@ func (l *link) send(as []fproto.Relay) {
 		l.mu.Unlock()
 	}
 	if err != nil && cli != nil {
-		l.f.logf("forward: submit to leaf %s: %v", l.addr, err)
+		l.d.logf("dispatch: submit to leaf %s: %v", l.addr, err)
 		cli.Close()
 	}
 }
@@ -313,8 +318,10 @@ func (l *link) ensureDown(cli *wsrpc.Client, epr string) (string, error) {
 	l.mu.Lock()
 	down := l.down[epr]
 	l.mu.Unlock()
-	tenant, ok := l.f.InstanceTenant(epr)
-	if !ok {
+	l.d.imu.RLock()
+	inst := l.d.instances[epr]
+	l.d.imu.RUnlock()
+	if inst == nil {
 		return "", nil
 	} else if down != "" {
 		return down, nil
@@ -323,7 +330,7 @@ func (l *link) ensureDown(cli *wsrpc.Client, epr string) (string, error) {
 	// the tenant goes down verbatim, so the leaf admits under the right name.
 	var rep fproto.CreateInstanceReply
 	err := cli.Call(fproto.MethodCreateInstance, fproto.CreateInstanceRequest{
-		ClientName: rootName + "/" + epr, WantNotifications: true, Tenant: tenant,
+		ClientName: rootName + "/" + epr, WantNotifications: true, Tenant: inst.tenant,
 	}, &rep)
 	if err == nil {
 		l.mu.Lock()

@@ -7,8 +7,8 @@ import (
 	"falkon/internal/wsrpc"
 )
 
-// parents tracks the connections registered as tree parents (forwarder
-// roots) via falkon.attach-parent. Parents receive a NotifyCapacity push
+// parents tracks the connections registered as tree parents (dispatchers
+// with leaves) via falkon.attach-parent. Parents receive a NotifyCapacity push
 // whenever the dispatcher's worker slots change.
 type parents struct {
 	wsrpc.PeerSet

@@ -127,7 +127,7 @@ func TestSnapshotAndBaselineReadAsParentShape(t *testing.T) {
 		t.Fatal(err)
 	}
 	d.Register(fproto.RegisterRequest{ExecutorID: "x", Slots: 1}, ignore{})
-	for d.Held("x") < 1 {
+	for d.held("x") < 1 {
 		if _, err := d.Stock("x", 1, 1, nil); err != nil {
 			t.Fatal(err)
 		}

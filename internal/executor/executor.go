@@ -27,6 +27,7 @@ import (
 	"falkon/internal/fproto"
 	"falkon/internal/jsonwire"
 	"falkon/internal/obs"
+	"falkon/internal/sched"
 	"falkon/internal/task"
 	"falkon/internal/wsrpc"
 )
@@ -53,7 +54,7 @@ type Options struct {
 	IdleTimeout time.Duration
 	// Prefetch caps the tasks asked for in one work pull (dispatcher->executor
 	// bundling). Under the cap the executor sizes each ask itself (see
-	// PullSizer); 0, the default, is the protocol cap of 64, and 1 is the
+	// sched.PullSizer); 0, the default, is the protocol cap of 64, and 1 is the
 	// paper's per-task dispatch. falkon-executor's -prefetch sets it;
 	// ROADMAP item 4 decides whether the cap earns its place.
 	Prefetch int
@@ -492,7 +493,7 @@ func (e *Executor) workLoop(rd *jsonwire.Reader) {
 // encoded from deliver, before the next reply is decoded over the assignments
 // it was.
 type slot struct {
-	PullSizer
+	sched.PullSizer
 	evs     []obs.Event // trace events gathered for the tracer to take in one call
 	run     []float64   // the batch's run and overhead seconds, for the histograms
 	over    []float64
@@ -664,71 +665,8 @@ func (e *Executor) runAssignments(cli *wsrpc.Client, ps *slot, as []fproto.Assig
 	}
 }
 
-const (
-	maxPull      = 64       // the most tasks one pull asks for
-	resultBudget = 64 << 10 // the most output (Stdout+Stderr) one Deliver is sized to carry
-	sizerBlock   = 128      // half the PullSizer's window, in results
-)
-
-// PullSizer is one slot's half of dispatch-ahead: it sizes the slot's next
-// pull from the last pull's round trip (RTT) and the run times and outputs of
-// the slot's last sizerBlock to 2*sizerBlock results, kept as two blocks: [0]
-// is being filled, [1] is the one before. Of a block's run times it reads the
-// second largest, so that one reading the host stalled under — a result that
-// took a scheduler quantum, not its own time — does not hold the ask at 1 for
-// the 128 to 256 tasks it stays in the window; a workload that really has
-// long tasks has more than one of them per block. A link of a dispatch tree
-// (internal/forward) sizes what it keeps at its leaf with the same rule.
-type PullSizer struct {
-	RTT time.Duration
-	run [2][2]time.Duration // per block: the largest run time, and the next
-	out [2]int
-	n   int // results in block 0
-}
-
-// Observe folds one finished task into the window.
-func (p *PullSizer) Observe(run time.Duration, out int) {
-	if p.n == sizerBlock {
-		p.run[1], p.out[1] = p.run[0], p.out[0]
-		p.run[0], p.out[0], p.n = [2]time.Duration{}, 0, 0
-	}
-	p.n++
-	run = max(run, 1) // 0 is "no result seen"
-	if top := &p.run[0]; run > top[0] {
-		top[0], top[1] = run, top[0]
-	} else if run > top[1] {
-		top[1] = run
-	}
-	p.out[0] = max(p.out[0], out)
-}
-
-// Ask is the tasks to ask for in the next pull, at most limit.
-func (p *PullSizer) Ask(limit int) int {
-	run := max(p.run[0][1], p.run[1][1])
-	if run == 0 {
-		run = p.run[0][0] // the first result of all is all there is to go by
-	}
-	return pullSize(p.RTT, run, max(p.out[0], p.out[1]), limit)
-}
-
-// pullSize is the rule: 1 + ⌊rtt ÷ run⌋ tasks, so that a batch adds no more
-// head-of-line and result-return delay than the one round trip it saves; no
-// more than resultBudget ÷ out, so that its results fit one frame of that
-// size; limit at most; and 1 until both a round trip and a result have been
-// seen (rtt or run zero).
-func pullSize(rtt, run time.Duration, out, limit int) int {
-	if rtt <= 0 || run <= 0 {
-		return 1
-	}
-	n := limit
-	if q := rtt / run; q < time.Duration(limit) {
-		n = 1 + int(q)
-	}
-	if out > 0 {
-		n = min(n, resultBudget/out)
-	}
-	return max(1, min(n, limit))
-}
+// maxPull is the most tasks one pull asks for.
+const maxPull = 64
 
 // runTask executes one task and returns its result and when it started and
 // ended, as clock readings. cacheHit marks data-aware assignments whose input

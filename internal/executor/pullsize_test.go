@@ -3,19 +3,25 @@ package executor
 import (
 	"testing"
 	"time"
+
+	"falkon/internal/sched"
 )
 
-// The executor's half of dispatch-ahead, as counts: what a slot asks for
-// after a given history of results, at a 50 µs pull round trip.
+// sizerBlock is half the sizer's window, in results.
+const sizerBlock = 128
+
+// The executor's half of dispatch-ahead (sched.PullSizer, a slot's sizer), as
+// counts: what a slot asks for after a given history of results, at a 50 µs
+// pull round trip.
 func TestPullSizer(t *testing.T) {
 	const rtt = 50 * time.Microsecond
-	sleep0 := func(p *PullSizer, n int) {
+	sleep0 := func(p *sched.PullSizer, n int) {
 		for i := 0; i < n; i++ {
 			p.Observe(100*time.Nanosecond, 0)
 		}
 	}
 
-	var p PullSizer
+	var p sched.PullSizer
 	if got := p.Ask(maxPull); got != 1 {
 		t.Fatalf("nothing observed: ask %d, want 1", got)
 	}
@@ -59,6 +65,8 @@ func TestPullSizer(t *testing.T) {
 	}
 }
 
+// The rule itself, read through a sizer that has seen one round trip and one
+// result (run 0: none).
 func TestPullSize(t *testing.T) {
 	const us = time.Microsecond
 	rows := []struct {
@@ -80,7 +88,11 @@ func TestPullSize(t *testing.T) {
 		{50 * us, 1, 128 << 10, 64, 1}, // one result over the budget still goes
 	}
 	for _, r := range rows {
-		if got := pullSize(r.rtt, r.run, r.out, r.limit); got != r.want {
+		p := sched.PullSizer{RTT: r.rtt}
+		if r.run > 0 {
+			p.Observe(r.run, r.out)
+		}
+		if got := p.Ask(r.limit); got != r.want {
 			t.Errorf("pullSize(rtt %v, run %v, out %d, limit %d) = %d, want %d", r.rtt, r.run, r.out, r.limit, got, r.want)
 		}
 	}

@@ -17,7 +17,6 @@ import (
 	"falkon/internal/client"
 	"falkon/internal/dispatch"
 	"falkon/internal/executor"
-	"falkon/internal/forward"
 	"falkon/internal/fproto"
 	"falkon/internal/obs"
 	"falkon/internal/task"
@@ -207,12 +206,7 @@ func bootTier(tb testing.TB, tree bool, execs, slots int, opts dispatch.Options)
 	if !tree {
 		return leaves[0].Addr(), leaves
 	}
-	f, err := forward.New(forward.Options{
-		Dispatchers: []string{leaves[0].Addr(), leaves[1].Addr()}, Backoff: fastBackoff, Root: dispatch.Options{Logf: tb.Logf},
-	})
-	if err != nil {
-		tb.Fatal(err)
-	}
+	f := dispatch.New(dispatch.Options{Leaves: []string{leaves[0].Addr(), leaves[1].Addr()}, Logf: tb.Logf})
 	if err := f.Listen("127.0.0.1:0"); err != nil {
 		tb.Fatal(err)
 	}

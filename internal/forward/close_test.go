@@ -9,7 +9,6 @@ import (
 	"falkon/internal/client"
 	"falkon/internal/dispatch"
 	"falkon/internal/executor"
-	"falkon/internal/forward"
 	"falkon/internal/fproto"
 	"falkon/internal/task"
 	"falkon/internal/wsrpc"
@@ -60,8 +59,8 @@ func TestForwarderCloseWhileLeavesPushCapacity(t *testing.T) {
 	defer close(stop)
 
 	for i := 0; i < 200; i++ {
-		f, err := forward.New(forward.Options{Dispatchers: addrs})
-		if err != nil {
+		f := dispatch.New(dispatch.Options{Leaves: addrs})
+		if err := f.Listen("127.0.0.1:0"); err != nil {
 			t.Fatal(err)
 		}
 		closed := make(chan struct{})
@@ -103,10 +102,7 @@ func TestRootClosesAfterItsExecutors(t *testing.T) {
 			}
 			leaves, addrs, execs = append(leaves, d), append(addrs, d.Addr()), append(execs, ex)
 		}
-		f, err := forward.New(forward.Options{Dispatchers: addrs, Backoff: fastBackoff})
-		if err != nil {
-			t.Fatal(err)
-		}
+		f := dispatch.New(dispatch.Options{Leaves: addrs})
 		if err := f.Listen("127.0.0.1:0"); err != nil {
 			t.Fatal(err)
 		}

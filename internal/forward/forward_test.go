@@ -17,7 +17,7 @@ import (
 
 // startTier brings up nDisp dispatchers each with nExec executors, plus a
 // forwarder in front with root→leaf bundles of bundle tasks (0: the default).
-func startTier(t *testing.T, nDisp, nExec, bundle int) (*forward.Forwarder, []*dispatch.Dispatcher) {
+func startTier(t *testing.T, nDisp, nExec, bundle int) (*dispatch.Dispatcher, []*dispatch.Dispatcher) {
 	t.Helper()
 	var addrs []string
 	var dispatchers []*dispatch.Dispatcher
@@ -41,10 +41,7 @@ func startTier(t *testing.T, nDisp, nExec, bundle int) (*forward.Forwarder, []*d
 		addrs = append(addrs, d.Addr())
 		dispatchers = append(dispatchers, d)
 	}
-	f, err := forward.New(forward.Options{Dispatchers: addrs, Bundle: bundle, Root: dispatch.Options{Logf: t.Logf}})
-	if err != nil {
-		t.Fatal(err)
-	}
+	f := dispatch.New(dispatch.Options{Leaves: addrs, Bundle: bundle, Logf: t.Logf})
 	if err := f.Listen("127.0.0.1:0"); err != nil {
 		t.Fatal(err)
 	}
@@ -95,7 +92,17 @@ func TestForwarderSpreadsInstancesAcrossDispatchers(t *testing.T) {
 	f, dispatchers := startTier(t, 2, 0, bundle)
 	dispatchers[0].Register(fproto.RegisterRequest{ExecutorID: "parked", Slots: 1}, parked{})
 	startExec(t, executor.Options{ID: "d1-e0", DispatcherAddr: dispatchers[1].Addr()})
-	if !within(5*time.Second, func() bool { return f.Dispatcher.Stats().TotalExecutors == 2 }) {
+	// A root's capacity hint is the slots its core has registered: a link's
+	// are its leaf's, one here.
+	probe, err := wsrpc.Dial(f.Addr(), wsrpc.ClientOptions{})
+	if err != nil {
+		t.Fatal(err)
+	}
+	defer probe.Close()
+	if !within(5*time.Second, func() bool {
+		var hint fproto.CapacityHint
+		return probe.Call(fproto.MethodAttachParent, fproto.AttachParentRequest{}, &hint) == nil && hint.Executors == 2
+	}) {
 		t.Fatal("the root never registered a link to each leaf")
 	}
 
@@ -232,10 +239,7 @@ func TestForwarderSecureBothTiers(t *testing.T) {
 		t.Fatal(err)
 	}
 	defer ex.Stop()
-	f, err := forward.New(forward.Options{Dispatchers: []string{d.Addr()}, Root: dispatch.Options{PSK: psk, Logf: t.Logf}})
-	if err != nil {
-		t.Fatal(err)
-	}
+	f := dispatch.New(dispatch.Options{Leaves: []string{d.Addr()}, PSK: psk, Logf: t.Logf})
 	if err := f.Listen("127.0.0.1:0"); err != nil {
 		t.Fatal(err)
 	}

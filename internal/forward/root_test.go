@@ -10,7 +10,6 @@ import (
 	"falkon/internal/dispatch"
 	"falkon/internal/executor"
 	"falkon/internal/faultinj"
-	"falkon/internal/forward"
 	"falkon/internal/fproto"
 	"falkon/internal/task"
 	"falkon/internal/wsrpc"
@@ -22,16 +21,13 @@ import (
 // would: through falkon.stats and falkon.collect on the root.
 
 // startRoot puts a root over the given leaves and connects a client to it.
-func startRoot(t *testing.T, copts client.Options, leaves ...*dispatch.Dispatcher) (*forward.Forwarder, *client.Client) {
+func startRoot(t *testing.T, copts client.Options, leaves ...*dispatch.Dispatcher) (*dispatch.Dispatcher, *client.Client) {
 	t.Helper()
 	var addrs []string
 	for _, d := range leaves {
 		addrs = append(addrs, d.Addr())
 	}
-	f, err := forward.New(forward.Options{Dispatchers: addrs, Bundle: 8, Backoff: fastBackoff, Root: dispatch.Options{Logf: t.Logf}})
-	if err != nil {
-		t.Fatal(err)
-	}
+	f := dispatch.New(dispatch.Options{Leaves: addrs, Bundle: 8, Logf: t.Logf})
 	if err := f.Listen("127.0.0.1:0"); err != nil {
 		t.Fatal(err)
 	}
@@ -150,7 +146,7 @@ func TestRootPlacesDatasetsByLocality(t *testing.T) {
 	if _, err := c.WaitN(len(ts), 30*time.Second); err != nil {
 		t.Fatal(err)
 	}
-	if own := f.Dispatcher.Stats(); own.CacheHits == 0 || own.CacheHits+own.CacheMisses > int64(len(ts)) {
+	if own := f.Stats(); own.CacheHits == 0 || own.CacheHits+own.CacheMisses > int64(len(ts)) {
 		t.Fatalf("the root's own picks: %d cache hits, %d misses for %d tasks", own.CacheHits, own.CacheMisses, len(ts))
 	}
 }

@@ -8,14 +8,13 @@ import (
 	"falkon/internal/client"
 	"falkon/internal/dispatch"
 	"falkon/internal/executor"
-	"falkon/internal/forward"
 	"falkon/internal/task"
 )
 
 // startTenantTier brings up nDisp leaf dispatchers sharing one tenant
 // config, each with nExec executors, behind a forwarder root that declares
 // rootTenants.
-func startTenantTier(t *testing.T, nDisp, nExec int, tenants, rootTenants []dispatch.TenantSpec) (*forward.Forwarder, []*dispatch.Dispatcher) {
+func startTenantTier(t *testing.T, nDisp, nExec int, tenants, rootTenants []dispatch.TenantSpec) (*dispatch.Dispatcher, []*dispatch.Dispatcher) {
 	t.Helper()
 	var addrs []string
 	var dispatchers []*dispatch.Dispatcher
@@ -39,10 +38,7 @@ func startTenantTier(t *testing.T, nDisp, nExec int, tenants, rootTenants []disp
 		addrs = append(addrs, d.Addr())
 		dispatchers = append(dispatchers, d)
 	}
-	f, err := forward.New(forward.Options{Dispatchers: addrs, Root: dispatch.Options{Logf: t.Logf, Tenants: rootTenants}})
-	if err != nil {
-		t.Fatal(err)
-	}
+	f := dispatch.New(dispatch.Options{Leaves: addrs, Logf: t.Logf, Tenants: rootTenants})
 	if err := f.Listen("127.0.0.1:0"); err != nil {
 		t.Fatal(err)
 	}

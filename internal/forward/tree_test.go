@@ -3,6 +3,7 @@ package forward_test
 import (
 	"encoding/json"
 	"fmt"
+	"os"
 	"testing"
 	"time"
 
@@ -10,7 +11,6 @@ import (
 	"falkon/internal/client"
 	"falkon/internal/dispatch"
 	"falkon/internal/executor"
-	"falkon/internal/forward"
 	"falkon/internal/fproto"
 	"falkon/internal/task"
 	"falkon/internal/wsrpc"
@@ -18,6 +18,13 @@ import (
 
 // fastBackoff keeps restart tests snappy.
 var fastBackoff = backoff.Policy{Base: 10 * time.Millisecond, Max: 100 * time.Millisecond, Jitter: 0.2}
+
+// TestMain makes fastBackoff the policy of every session that names none,
+// a root's links to its leaves among them.
+func TestMain(m *testing.M) {
+	backoff.Default = fastBackoff
+	os.Exit(m.Run())
+}
 
 // TestForwarderSurvivesLeafRestart is the resilience regression for the
 // pass-through era, where a restarted downstream dispatcher killed (or
@@ -40,10 +47,7 @@ func TestForwarderSurvivesLeafRestart(t *testing.T) {
 	}
 	t.Cleanup(ex.Stop)
 
-	f, err := forward.New(forward.Options{Dispatchers: []string{addr}, Bundle: 10, Backoff: fastBackoff, Root: dispatch.Options{Logf: t.Logf}})
-	if err != nil {
-		t.Fatal(err)
-	}
+	f := dispatch.New(dispatch.Options{Leaves: []string{addr}, Bundle: 10, Logf: t.Logf})
 	if err := f.Listen("127.0.0.1:0"); err != nil {
 		t.Fatal(err)
 	}
@@ -124,10 +128,7 @@ func TestForwarderLeafDeathExactlyOnce(t *testing.T) {
 		addrs = append(addrs, d.Addr())
 		ds = append(ds, d)
 	}
-	f, err := forward.New(forward.Options{Dispatchers: addrs, Bundle: 8, Backoff: fastBackoff, Root: dispatch.Options{Logf: t.Logf}})
-	if err != nil {
-		t.Fatal(err)
-	}
+	f := dispatch.New(dispatch.Options{Leaves: addrs, Bundle: 8, Logf: t.Logf})
 	if err := f.Listen("127.0.0.1:0"); err != nil {
 		t.Fatal(err)
 	}
@@ -188,10 +189,7 @@ func TestForwarderRoutesByCapacity(t *testing.T) {
 		}
 		t.Cleanup(ex.Stop)
 	}
-	f, err := forward.New(forward.Options{Dispatchers: []string{empty.Addr(), busy.Addr()}, Bundle: 10, Root: dispatch.Options{Logf: t.Logf}})
-	if err != nil {
-		t.Fatal(err)
-	}
+	f := dispatch.New(dispatch.Options{Leaves: []string{empty.Addr(), busy.Addr()}, Bundle: 10, Logf: t.Logf})
 	if err := f.Listen("127.0.0.1:0"); err != nil {
 		t.Fatal(err)
 	}
@@ -231,10 +229,7 @@ func TestForwarderOfForwardersRoutesByCapacity(t *testing.T) {
 		}
 		t.Cleanup(func() { d.Close() })
 		ds = append(ds, d)
-		mid, err := forward.New(forward.Options{Dispatchers: []string{d.Addr()}, Bundle: 10, Root: dispatch.Options{Logf: t.Logf}})
-		if err != nil {
-			t.Fatal(err)
-		}
+		mid := dispatch.New(dispatch.Options{Leaves: []string{d.Addr()}, Bundle: 10, Logf: t.Logf})
 		if err := mid.Listen("127.0.0.1:0"); err != nil {
 			t.Fatal(err)
 		}
@@ -251,12 +246,9 @@ func TestForwarderOfForwardersRoutesByCapacity(t *testing.T) {
 		}
 		t.Cleanup(ex.Stop)
 	}
-	root, err := forward.New(forward.Options{Dispatchers: mids, Bundle: 10, Root: dispatch.Options{Logf: t.Logf}})
-	if err != nil {
-		t.Fatalf("a forwarder must accept a forwarder as its leaf: %v", err)
-	}
+	root := dispatch.New(dispatch.Options{Leaves: mids, Bundle: 10, Logf: t.Logf})
 	if err := root.Listen("127.0.0.1:0"); err != nil {
-		t.Fatal(err)
+		t.Fatalf("a forwarder must accept a forwarder as its leaf: %v", err)
 	}
 	t.Cleanup(func() { root.Close() })
 	if st := root.Stats(); st.Depth != 3 {
@@ -285,7 +277,7 @@ func TestForwarderOfForwardersRoutesByCapacity(t *testing.T) {
 
 // TestForwarderRejectsLeafWithoutCapacityProtocol pins the end of the
 // round-robin fallback: every dispatcher in this repo answers attach-parent,
-// so a leaf that does not is a misconfiguration New reports, not a peer to
+// so a leaf that does not is a misconfiguration Listen reports, not a peer to
 // route blind.
 func TestForwarderRejectsLeafWithoutCapacityProtocol(t *testing.T) {
 	srv := wsrpc.NewServer(wsrpc.ServerOptions{Logf: t.Logf}) // no attach-parent handler
@@ -293,17 +285,17 @@ func TestForwarderRejectsLeafWithoutCapacityProtocol(t *testing.T) {
 		t.Fatal(err)
 	}
 	t.Cleanup(func() { srv.Close() })
-	f, err := forward.New(forward.Options{Dispatchers: []string{srv.Addr()}, Root: dispatch.Options{Logf: t.Logf}})
-	if err == nil {
+	f := dispatch.New(dispatch.Options{Leaves: []string{srv.Addr()}, Logf: t.Logf})
+	if err := f.Listen("127.0.0.1:0"); err == nil {
 		f.Close()
-		t.Fatal("New accepted a leaf that refuses attach-parent")
+		t.Fatal("Listen accepted a leaf that refuses attach-parent")
 	}
 }
 
 // TestForwarderAttachCapacityPushRace pins a startup ordering bug: a leaf
 // starts pushing capacity notifies the moment attach-parent lands, and a
 // push can outrace the attach reply — the notify handler used to index the
-// leaf table before New had populated it, panicking the root's read loop.
+// leaf table before the root had populated it, panicking the root's read loop.
 // The fake leaf notifies before replying; the client's in-order frame
 // dispatch turns that into a deterministic reproduction.
 func TestForwarderAttachCapacityPushRace(t *testing.T) {
@@ -319,9 +311,9 @@ func TestForwarderAttachCapacityPushRace(t *testing.T) {
 	}
 	t.Cleanup(func() { srv.Close() })
 
-	f, err := forward.New(forward.Options{Dispatchers: []string{srv.Addr()}, Root: dispatch.Options{Logf: t.Logf}})
-	if err != nil {
-		t.Fatalf("New must survive a capacity push racing the attach reply: %v", err)
+	f := dispatch.New(dispatch.Options{Leaves: []string{srv.Addr()}, Logf: t.Logf})
+	if err := f.Listen("127.0.0.1:0"); err != nil {
+		t.Fatalf("Listen must survive a capacity push racing the attach reply: %v", err)
 	}
 	f.Close()
 }

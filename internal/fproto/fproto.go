@@ -164,10 +164,10 @@ type AttachParentRequest struct {
 // many worker slots it has. The attach-parent call returns one and the node
 // pushes another (NotifyCapacity) whenever the count changes — an executor
 // registers, resizes, deregisters or disconnects. A parent registers its link
-// to the node, in its own scheduling core, with Executors slots
-// (internal/forward). (A leaf from before this was a slot count sends queue
-// depths along, and a copy under "capacity" in its submit acknowledgments;
-// both are ignored.)
+// to the node, in its own scheduling core, with Executors slots (dispatch's
+// link.go). (A leaf from before this was a slot count sends queue depths
+// along, and a copy under "capacity" in its submit acknowledgments; both are
+// ignored.)
 type CapacityHint struct {
 	// Executors is the worker slots registered — slots, not executors, so
 	// that an interior node, whose executors are links, reports the workers

@@ -448,6 +448,72 @@ func (c *Core[E, K, T]) PickAny() (it Item[T], ok bool) {
 	return it, ok
 }
 
+const (
+	resultBudget = 64 << 10 // the most output (Stdout+Stderr) one Deliver is sized to carry
+	sizerBlock   = 128      // half the PullSizer's window, in results
+)
+
+// PullSizer is the pulling side's half of dispatch-ahead, as Share and
+// PickWithin are the dispatcher's: an executor's slot sizes its next pull by
+// it, and a tree root's link what it keeps at its leaf. It reads the last
+// pull's round trip (RTT) and the run times and outputs of the last
+// sizerBlock to 2*sizerBlock results, kept as two blocks: [0] is being
+// filled, [1] is the one before. Of a block's run times it reads the second
+// largest, so that one reading the host stalled under — a result that took a
+// scheduler quantum, not its own time — does not hold the ask at 1 for the
+// 128 to 256 tasks it stays in the window; a workload that really has long
+// tasks has more than one of them per block.
+type PullSizer struct {
+	RTT time.Duration
+	run [2][2]time.Duration // per block: the largest run time, and the next
+	out [2]int
+	n   int // results in block 0
+}
+
+// Observe folds one finished task into the window.
+func (p *PullSizer) Observe(run time.Duration, out int) {
+	if p.n == sizerBlock {
+		p.run[1], p.out[1] = p.run[0], p.out[0]
+		p.run[0], p.out[0], p.n = [2]time.Duration{}, 0, 0
+	}
+	p.n++
+	run = max(run, 1) // 0 is "no result seen"
+	if top := &p.run[0]; run > top[0] {
+		top[0], top[1] = run, top[0]
+	} else if run > top[1] {
+		top[1] = run
+	}
+	p.out[0] = max(p.out[0], out)
+}
+
+// Ask is the tasks to ask for in the next pull, at most limit.
+func (p *PullSizer) Ask(limit int) int {
+	run := max(p.run[0][1], p.run[1][1])
+	if run == 0 {
+		run = p.run[0][0] // the first result of all is all there is to go by
+	}
+	return pullSize(p.RTT, run, max(p.out[0], p.out[1]), limit)
+}
+
+// pullSize is the rule: 1 + ⌊rtt ÷ run⌋ tasks, so that a batch adds no more
+// head-of-line and result-return delay than the one round trip it saves; no
+// more than resultBudget ÷ out, so that its results fit one frame of that
+// size; limit at most; and 1 until both a round trip and a result have been
+// seen (rtt or run zero).
+func pullSize(rtt, run time.Duration, out, limit int) int {
+	if rtt <= 0 || run <= 0 {
+		return 1
+	}
+	n := limit
+	if q := rtt / run; q < time.Duration(limit) {
+		n = 1 + int(q)
+	}
+	if out > 0 {
+		n = min(n, resultBudget/out)
+	}
+	return max(1, min(n, limit))
+}
+
 // NoteCompletion records that x holds dataset after running a task that
 // reads it. The first dataset x finishes makes its cache, and from then on
 // its picks look for the datasets it holds; "" records nothing.

@@ -133,20 +133,6 @@ func (s *Server) RegisterFast(method string, h Handler) {
 	s.methods[method].fast = true
 }
 
-// Override replaces the handler a method was registered with (before Serve,
-// like Register) and returns the old one, for the new one to call: how a tree
-// root answers for its subtree on a dispatcher's server. The new handler runs
-// on a goroutine of its own, whatever the old one did.
-func (s *Server) Override(method string, h Handler) Handler {
-	var old Handler
-	if m := s.methods[method]; m != nil {
-		old = m.h
-		delete(s.methods, method)
-	}
-	s.Register(method, h)
-	return old
-}
-
 // OnDisconnect installs a callback invoked (once) whenever a peer's
 // connection ends, before its resources are released.
 func (s *Server) OnDisconnect(fn func(*Peer)) { s.onDrop = fn }

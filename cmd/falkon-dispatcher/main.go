@@ -69,7 +69,7 @@ func main() {
 		journalDir    = flag.String("journal-dir", "", "write-ahead task journal directory; recovers state from it on start (empty = no journal)")
 		journalSync   = flag.String("journal-sync", "group", "journal durability: group (fsync per commit batch) or off (never fsync)")
 		snapEvery     = flag.Int("snapshot-every", 0, "journaled task transitions (a dispatch, a completion) between snapshot compactions (0 = default 65536, <0 = never)")
-		faults        = flag.String("faults", os.Getenv("FALKON_FAULTS"), "fault-injection spec, e.g. seed=42,drop@0.01,fsyncerr@0.02 (chaos testing; default $FALKON_FAULTS)")
+		faults        = flag.String("faults", "", "fault-injection spec, e.g. seed=42,drop@0.01,fsyncerr@0.02 (chaos testing)")
 		tenantsFile   = flag.String("tenants", "", "tenant config file: one name:weight=4,quota=10000,rate=5000,burst=1000 spec per line ('#' comments); any tenant declared turns on fair-share (SFQ) scheduling")
 		leaves        = flag.String("leaves", "", "comma-separated leaf dispatcher addresses: run as the root of a dispatch tree, whose executors are links to them (a leaf may itself have -leaves)")
 		bundle        = flag.Int("bundle", 0, "root→leaf bundle size with -leaves (0 = default 64)")

@@ -39,7 +39,7 @@ func main() {
 		debugAddr  = flag.String("debug-addr", "", "HTTP address serving /metrics, /events.json, /spans.jsonl and /debug/pprof/; the executor records trace events only when it is set (empty = off)")
 		reconnect  = flag.Bool("reconnect", false, "survive dispatcher restarts: re-register with backoff instead of stopping")
 		reconnectT = flag.Duration("reconnect-timeout", 30*time.Second, "give up after a continuous outage this long (with -reconnect)")
-		faults     = flag.String("faults", os.Getenv("FALKON_FAULTS"), "fault-injection spec, e.g. seed=42,crash@0.01,stall=2s@0.01 (chaos testing; default $FALKON_FAULTS)")
+		faults     = flag.String("faults", "", "fault-injection spec, e.g. seed=42,crash@0.01,stall=2s@0.01 (chaos testing)")
 	)
 	flag.Parse()
 

@@ -42,7 +42,7 @@ func main() {
 		timeout    = flag.Duration("timeout", 10*time.Minute, "overall wait timeout")
 		reconnect  = flag.Bool("reconnect", false, "survive dispatcher restarts: reattach, resubmit pending tasks idempotently, and dedupe redelivered results")
 		debugAddr  = flag.String("debug-addr", "", "HTTP address serving /metrics and /debug/pprof/ while the run lasts (empty = off)")
-		faults     = flag.String("faults", os.Getenv("FALKON_FAULTS"), "fault-injection spec, e.g. seed=42,latency=2ms@0.05 (chaos testing; default $FALKON_FAULTS)")
+		faults     = flag.String("faults", "", "fault-injection spec, e.g. seed=42,latency=2ms@0.05 (chaos testing)")
 		tenant     = flag.String("tenant", "", "tenant to submit as (empty = the default tenant)")
 	)
 	flag.Parse()

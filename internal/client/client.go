@@ -23,7 +23,6 @@ import (
 	"sync"
 	"time"
 
-	"falkon/internal/backoff"
 	"falkon/internal/fproto"
 	"falkon/internal/task"
 	"falkon/internal/wsrpc"
@@ -64,8 +63,6 @@ type Options struct {
 	// ReconnectTimeout bounds one continuous outage (default 30s); past it
 	// the client gives up and Submit/WaitN fail.
 	ReconnectTimeout time.Duration
-	// Backoff tunes the redial schedule (zero value = backoff.Default).
-	Backoff backoff.Policy
 
 	// Faults, when set, interposes transport fault injection on every
 	// dial (chaos testing only).
@@ -155,7 +152,6 @@ func Connect(opts Options) (*Client, error) {
 		},
 		Reconnect:        opts.Reconnect,
 		ReconnectTimeout: opts.ReconnectTimeout,
-		Backoff:          opts.Backoff,
 		Handshake:        c.handshake,
 		OnUp:             c.resubmitOwed,
 	})
@@ -235,7 +231,7 @@ func (c *Client) resubmitOwed(*wsrpc.Client) {
 	for len(owed) > 0 {
 		n := min(c.opts.BundleSize, len(owed))
 		call.bundle.Tasks = owed[:n]
-		if c.send(call, n, owed[0].Trace, true) != nil {
+		if c.send(call, n, true) != nil {
 			return
 		}
 		owed = owed[n:]
@@ -381,7 +377,7 @@ func (c *Client) Submit(tasks []task.Task) error {
 			c.sent, c.held = append(c.sent, call.bundle.Tasks), c.held+n
 			c.mu.Unlock()
 		}
-		if err := c.send(call, n, tasks[0].Trace, false); err != nil {
+		if err := c.send(call, n, false); err != nil {
 			c.mu.Lock()
 			for i := range call.bundle.Tasks { // refused: no result is owed for it
 				c.owed.Remove(call.bundle.Tasks[i].ID)
@@ -414,24 +410,22 @@ func putCall(call *submitCall) {
 // send sends the bundle of n tasks in call, call.bundle if it holds one, over
 // the current connection. resubmit marks the reconnect path, where failures
 // bounce back to the supervisor instead of waiting here.
-func (c *Client) send(call *submitCall, n int, trace uint64, resubmit bool) error {
+func (c *Client) send(call *submitCall, n int, resubmit bool) error {
 	reply := &call.reply
 	for {
 		cli, gen, err := c.sess.Conn()
 		if err != nil {
 			return fmt.Errorf("client: submit: %w", err)
 		}
-		// The envelope carries the bundle head's trace so transport-level
-		// tooling can follow the submission hop; per-task context rides in
-		// the task bodies. Reset the reply each attempt: its fields are
-		// omitempty on the wire, so a retried call must not inherit the
-		// previous attempt's throttle hint.
+		// Reset the reply each attempt: its fields are omitempty on the
+		// wire, so a retried call must not inherit the previous attempt's
+		// throttle hint.
 		*reply = fproto.SubmitReply{}
 		var body any = &call.req
 		if call.req.EPR = c.EPR(); call.bundle.Tasks != nil {
 			call.bundle.EPR, body = call.req.EPR, &call.bundle
 		}
-		err = cli.CallTrace(fproto.MethodSubmit, body, reply, trace, 0)
+		err = cli.Call(fproto.MethodSubmit, body, reply)
 		if err == nil {
 			if reply.RetryAfterMillis > 0 {
 				// Admission backpressure: the dispatcher deferred the whole

@@ -1,6 +1,7 @@
 package client_test
 
 import (
+	"os"
 	"testing"
 	"time"
 
@@ -11,6 +12,13 @@ import (
 	"falkon/internal/fproto"
 	"falkon/internal/task"
 )
+
+// TestMain makes every session in this package's tests redial quickly, so
+// the failover tests are snappy.
+func TestMain(m *testing.M) {
+	backoff.Default = backoff.Policy{Base: 10 * time.Millisecond, Max: 100 * time.Millisecond, Jitter: 0.2}
+	os.Exit(m.Run())
+}
 
 // TestSplitAddrs pins the dispatcher-chain syntax shared by the client and
 // executor attach paths.
@@ -43,7 +51,6 @@ func TestSplitAddrs(t *testing.T) {
 // the fallback — resubmitting owed work under a fresh instance, since EPRs
 // don't travel between dispatchers — and to keep delivering exactly once.
 func TestClientFailsOverToFallbackDispatcher(t *testing.T) {
-	fast := backoff.Policy{Base: 10 * time.Millisecond, Max: 100 * time.Millisecond, Jitter: 0.2}
 	leaf := dispatch.New(dispatch.Options{Logf: t.Logf})
 	if err := leaf.Listen("127.0.0.1:0"); err != nil {
 		t.Fatal(err)
@@ -57,7 +64,7 @@ func TestClientFailsOverToFallbackDispatcher(t *testing.T) {
 	// client to the fallback.
 	ex, err := executor.Start(executor.Options{
 		ID: "fo-exec", DispatcherAddr: leaf.Addr() + "," + root.Addr(),
-		SleepScale: 0.001, Reconnect: true, Backoff: fast,
+		SleepScale: 0.001, Reconnect: true,
 	})
 	if err != nil {
 		t.Fatal(err)
@@ -66,7 +73,7 @@ func TestClientFailsOverToFallbackDispatcher(t *testing.T) {
 
 	c, err := client.Connect(client.Options{
 		DispatcherAddr: leaf.Addr() + "," + root.Addr(),
-		BundleSize:     10, Reconnect: true, Backoff: fast,
+		BundleSize:     10, Reconnect: true,
 	})
 	if err != nil {
 		t.Fatal(err)

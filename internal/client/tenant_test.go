@@ -4,7 +4,6 @@ import (
 	"testing"
 	"time"
 
-	"falkon/internal/backoff"
 	"falkon/internal/client"
 	"falkon/internal/dispatch"
 	"falkon/internal/executor"
@@ -54,7 +53,6 @@ func TestClientHonorsRetryAfter(t *testing.T) {
 // attribute the work correctly), and the reconnected client still honors
 // the fallback's retry-after throttling.
 func TestReconnectingClientKeepsTenant(t *testing.T) {
-	fast := backoff.Policy{Base: 10 * time.Millisecond, Max: 100 * time.Millisecond, Jitter: 0.2}
 	tenants := []dispatch.TenantSpec{{Name: "roamer", Rate: 400, Burst: 8}}
 	leaf := dispatch.New(dispatch.Options{Logf: t.Logf, Tenants: tenants})
 	if err := leaf.Listen("127.0.0.1:0"); err != nil {
@@ -67,7 +65,7 @@ func TestReconnectingClientKeepsTenant(t *testing.T) {
 	t.Cleanup(func() { root.Close() })
 	ex, err := executor.Start(executor.Options{
 		ID: "tn-exec", DispatcherAddr: leaf.Addr() + "," + root.Addr(),
-		SleepScale: 0.001, Reconnect: true, Backoff: fast,
+		SleepScale: 0.001, Reconnect: true,
 	})
 	if err != nil {
 		t.Fatal(err)
@@ -76,7 +74,7 @@ func TestReconnectingClientKeepsTenant(t *testing.T) {
 
 	c, err := client.Connect(client.Options{
 		DispatcherAddr: leaf.Addr() + "," + root.Addr(),
-		Tenant:         "roamer", BundleSize: 8, Reconnect: true, Backoff: fast,
+		Tenant:         "roamer", BundleSize: 8, Reconnect: true,
 	})
 	if err != nil {
 		t.Fatal(err)

@@ -445,11 +445,11 @@ type Dispatcher struct {
 	// consulted by the quorum barriers on the acknowledgment paths.
 	replSrc   *replica.Source
 	snapEvery int64
-	// smu serializes snapshot kickoff against Close so snapWG.Add never
-	// races snapWG.Wait; snapBusy collapses concurrent kickoffs.
-	smu      sync.Mutex
-	snapBusy bool
-	snapWG   sync.WaitGroup
+	// snapKick (one slot) wakes the snapshotter; shutdown's send on snapStop
+	// is taken only between snapshots, and ends it. Both are nil without a
+	// journal.
+	snapKick chan struct{}
+	snapStop chan struct{}
 }
 
 // New constructs a dispatcher (not yet listening).
@@ -746,6 +746,8 @@ func (d *Dispatcher) Listen(addr string) error {
 		if d.snapEvery == 0 {
 			d.snapEvery = 1 << 16
 		}
+		d.snapKick, d.snapStop = make(chan struct{}, 1), make(chan struct{})
+		go d.snapshotter() // like the journal's committer, it lives until shutdown
 		d.restore(st)
 		d.recoveredTasks = int64(info.Pending)
 		if info.Records > 0 || info.SnapshotIndex > 0 {
@@ -892,28 +894,42 @@ func (d *Dispatcher) snapshotDueLocked() bool {
 	return d.wal != nil && d.snapEvery >= 0 && d.transitionsLocked()-d.snapMark >= d.snapEvery
 }
 
-// startSnapshot kicks an asynchronous snapshot unless one is running. The
-// kickoff serializes with Close via smu so snapWG.Add never races
-// snapWG.Wait.
+// startSnapshot kicks the snapshotter. A kick while one is waiting is the
+// same kick.
 func (d *Dispatcher) startSnapshot() {
-	d.smu.Lock()
-	if d.snapBusy || d.closed.Load() {
-		d.smu.Unlock()
-		return
+	select {
+	case d.snapKick <- struct{}{}:
+	default:
 	}
-	d.snapBusy = true
-	d.snapWG.Add(1)
-	d.smu.Unlock()
-	go d.snapshot()
+}
+
+// snapshotter is a journaled dispatcher's one snapshot writer: it takes a
+// snapshot each time it is kicked, until shutdown stops it.
+func (d *Dispatcher) snapshotter() {
+	for {
+		select {
+		case <-d.snapKick:
+			d.snapshot()
+		case <-d.snapStop:
+			return
+		}
+	}
 }
 
 // snapshot writes a snapshot at a cut, so the captured state is exactly the
-// journal prefix below it; the (slower) snapshot write happens unlocked.
+// journal prefix below it; the (slower) snapshot write happens unlocked. A
+// kick that came while the last snapshot ran may be stale — that cut
+// restarted the cadence — so the cadence is asked again first; only this
+// goroutine cuts with markSnap, so what it answers holds until the cut.
 func (d *Dispatcher) snapshot() {
-	defer d.snapWG.Done()
+	d.mu.Lock()
+	due := d.snapshotDueLocked()
+	d.mu.Unlock()
+	if !due {
+		return
+	}
 	cut, st, _, err := d.cut(true)
 	if err != nil {
-		d.endSnapshot()
 		d.logf("dispatch: journal rotate failed: %v", err)
 		return
 	}
@@ -921,7 +937,6 @@ func (d *Dispatcher) snapshot() {
 	start := time.Now()
 	err = d.wal.WriteSnapshot(cut, st)
 	dur := time.Since(start)
-	d.endSnapshot()
 	if err != nil {
 		d.logf("dispatch: snapshot failed: %v", err)
 		return
@@ -930,12 +945,6 @@ func (d *Dispatcher) snapshot() {
 	d.reg.Gauge("falkon_wal_snapshot_unixtime").Set(time.Now().Unix())
 	d.reg.Histogram("falkon_wal_snapshot_seconds").Observe(dur.Seconds())
 	d.logf("dispatch: journal snapshot %d (%d pending, %d instances) in %v", cut, len(st.Pending), len(st.Instances), dur)
-}
-
-func (d *Dispatcher) endSnapshot() {
-	d.smu.Lock()
-	d.snapBusy = false
-	d.smu.Unlock()
 }
 
 // Addr returns the bound address.
@@ -984,11 +993,7 @@ func (d *Dispatcher) shutdown(endJournal func(*wal.Journal) error) error {
 	}
 	err := d.srv.Close()
 	if d.wal != nil {
-		// smu barrier: any maybeSnapshot that passed the closed check has
-		// finished its Add by the time we acquire smu, so Wait is safe.
-		d.smu.Lock()
-		d.smu.Unlock() //nolint:staticcheck // empty section is the barrier
-		d.snapWG.Wait()
+		d.snapStop <- struct{}{} // taken between snapshots: none is written after this
 		if werr := endJournal(d.wal); err == nil {
 			err = werr
 		}

@@ -140,7 +140,7 @@ func (d *Dispatcher) reattachInstance(p *wsrpc.Peer, req *fproto.CreateInstanceR
 	}
 	inst.mu.Unlock()
 	d.flush(f)
-	return fproto.CreateInstanceReply{EPR: req.EPR, Recovered: true, Cluster: d.opts.ClusterID}, nil
+	return fproto.CreateInstanceReply{EPR: req.EPR, Cluster: d.opts.ClusterID}, nil
 }
 
 func (d *Dispatcher) handleDestroyInstance(p *wsrpc.Peer, body json.RawMessage) (any, error) {
@@ -424,7 +424,7 @@ func (d *Dispatcher) Register(req fproto.RegisterRequest, to Pusher) fproto.Regi
 	}
 	d.flush(f)
 	d.noteCapacityChange()
-	return fproto.RegisterReply{OK: true, DispatcherEpoch: d.epoch.UnixNano()}
+	return fproto.RegisterReply{DispatcherEpoch: d.epoch.UnixNano()}
 }
 
 func (d *Dispatcher) handleDeregister(_ *wsrpc.Peer, body json.RawMessage) (any, error) {

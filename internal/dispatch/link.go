@@ -291,8 +291,7 @@ func (l *link) send(as []fproto.Relay) {
 			l.sub.Tasks = append(l.sub.Tasks, *a.Task)
 		}
 		sent := time.Now()
-		// The head's trace rides the envelope across the EPR rewrite.
-		err = cli.CallTrace(fproto.MethodSubmit, &l.sub, &l.rep, as[start].Task.Trace, 0)
+		err = cli.Call(fproto.MethodSubmit, &l.sub, &l.rep)
 		clear(l.sub.Tasks) // the bundles the tasks' bytes are in
 		if err == nil && l.rep.Accepted != end-start {
 			err = fmt.Errorf("leaf accepted %d of %d tasks (retry after %d ms)", l.rep.Accepted, end-start, l.rep.RetryAfterMillis)

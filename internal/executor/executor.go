@@ -22,7 +22,6 @@ import (
 	"sync/atomic"
 	"time"
 
-	"falkon/internal/backoff"
 	"falkon/internal/faultinj"
 	"falkon/internal/fproto"
 	"falkon/internal/jsonwire"
@@ -89,8 +88,6 @@ type Options struct {
 	Reconnect bool
 	// ReconnectTimeout bounds one continuous outage (default 30s).
 	ReconnectTimeout time.Duration
-	// Backoff tunes the re-register schedule (zero value = backoff.Default).
-	Backoff backoff.Policy
 
 	// Faults, when set, injects executor faults (crash mid-task, stall,
 	// result-then-die) and transport faults on the dispatcher connection
@@ -209,7 +206,6 @@ func Start(opts Options) (*Executor, error) {
 		},
 		Reconnect:        opts.Reconnect,
 		ReconnectTimeout: opts.ReconnectTimeout,
-		Backoff:          opts.Backoff,
 		Handshake:        e.register,
 		OnUp:             e.onReconnect,
 		Retries:          e.cRegRetries,
@@ -388,14 +384,14 @@ func (e *Executor) Done() <-chan struct{} { return e.done }
 // Stop deregisters and shuts the executor down, waiting for in-flight tasks
 // to finish delivering.
 func (e *Executor) Stop() {
-	e.shutdown("stopped")
+	e.shutdown()
 	<-e.done
 }
 
 // releaseIdle implements the distributed release policy once the idle
 // timeout expires.
 func (e *Executor) releaseIdle() {
-	if e.shutdown("idle release") {
+	if e.shutdown() {
 		e.logf("executor %s: idle for %v, released", e.opts.ID, e.opts.IdleTimeout)
 	}
 }
@@ -403,7 +399,7 @@ func (e *Executor) releaseIdle() {
 // shutdown begins the stop sequence once: a best-effort deregistration (the
 // dispatcher also handles disconnects), then the stop signal. It reports
 // whether this call was the one that began it.
-func (e *Executor) shutdown(reason string) bool {
+func (e *Executor) shutdown() bool {
 	e.mu.Lock()
 	if e.stopped {
 		e.mu.Unlock()
@@ -412,7 +408,7 @@ func (e *Executor) shutdown(reason string) bool {
 	e.stopped = true
 	e.mu.Unlock()
 	if cli, _, err := e.sess.Conn(); err == nil {
-		_ = cli.Call(fproto.MethodDeregister, fproto.DeregisterRequest{ExecutorID: e.opts.ID, Reason: reason}, nil)
+		_ = cli.Call(fproto.MethodDeregister, fproto.DeregisterRequest{ExecutorID: e.opts.ID}, nil)
 	}
 	close(e.stop)
 	return true
@@ -497,7 +493,7 @@ type slot struct {
 	evs     []obs.Event // trace events gathered for the tracer to take in one call
 	run     []float64   // the batch's run and overhead seconds, for the histograms
 	over    []float64
-	traces  []uint64 // the batch's trace IDs, which its results do not carry
+	traces  []uint64 // the batch's trace IDs, which its results do not carry; gathered only for a tracer
 	ask     fproto.GetWorkRequest
 	pulled  grant
 	deliver fproto.DeliverRequest
@@ -613,17 +609,12 @@ func (e *Executor) runAssignments(cli *wsrpc.Client, ps *slot, as []fproto.Assig
 				ps.evs = append(ps.evs,
 					obs.Event{At: e.on(start), Kind: obs.EvStarted, Trace: a.Task.Trace, Task: r.ID, EPR: a.EPR, Executor: e.opts.ID},
 					obs.Event{At: e.on(end), Kind: kind, Trace: a.Task.Trace, Task: r.ID, EPR: a.EPR, Executor: e.opts.ID})
+				ps.traces = append(ps.traces, a.Task.Trace)
 			}
-			ps.traces = append(ps.traces, a.Task.Trace)
 			e.cDone.Inc()
 			ps.run, ps.over = append(ps.run, runDur.Seconds()), append(ps.over, overhead.Seconds())
 			ps.Observe(runDur, len(r.Stdout)+len(r.Stderr))
-			results = append(results, fproto.TaggedResult{
-				EPR:         a.EPR,
-				Result:      r,
-				RunDur:      runDur,
-				OverheadDur: overhead,
-			})
+			results = append(results, fproto.TaggedResult{EPR: a.EPR, Result: r, RunDur: runDur})
 			ran++
 		}
 		e.hRun.ObserveAll(ps.run)
@@ -634,10 +625,8 @@ func (e *Executor) runAssignments(cli *wsrpc.Client, ps *slot, as []fproto.Assig
 			e.release(pushed)
 			pushed = nil
 		}
-		// The envelope carries the batch head's trace (per-result context
-		// rides in the result bodies), so the return hop is attributable too.
 		ps.deliver = fproto.DeliverRequest{ExecutorID: e.opts.ID, Results: results, WantWork: true, MaxNew: ps.Ask(e.opts.Prefetch)}
-		err := cli.CallTrace(fproto.MethodDeliver, &ps.deliver, &ps.acked, ps.traces[0], 0)
+		err := cli.Call(fproto.MethodDeliver, &ps.deliver, &ps.acked)
 		back := e.clock()
 		waited := back - pickup // from the last task's end
 		pickup = back

@@ -110,7 +110,9 @@ func startFakeDispatcher(t *testing.T) *fakeDispatcher {
 		f.mu.Lock()
 		f.peer = p
 		f.mu.Unlock()
-		return fproto.RegisterReply{OK: true}, nil
+		return struct { // the reply as it was then: no epoch, and an "ok" nothing read
+			OK bool `json:"ok"`
+		}{true}, nil
 	})
 	f.srv.RegisterFast(fproto.MethodDeregister, func(*wsrpc.Peer, json.RawMessage) (any, error) { return struct{}{}, nil })
 	f.srv.RegisterFast(fproto.MethodGetWork, func(_ *wsrpc.Peer, body json.RawMessage) (any, error) {

@@ -222,7 +222,7 @@ func Parse(in string) (Spec, error) {
 }
 
 // String renders the spec in the exact form Parse reads, so a schedule can
-// be handed to a child process through a flag or FALKON_FAULTS.
+// be handed to a child process through its -faults flag.
 func (s Spec) String() string {
 	var b strings.Builder
 	fmt.Fprintf(&b, "seed=%d", s.Seed)

@@ -54,7 +54,7 @@ func startLeaf(t testing.TB, addr string, opts dispatch.Options) *dispatch.Dispa
 
 func startExec(t testing.TB, opts executor.Options) *executor.Executor {
 	t.Helper()
-	opts.SleepScale, opts.Reconnect, opts.Backoff = 0.001, true, fastBackoff
+	opts.SleepScale, opts.Reconnect = 0.001, true
 	ex, err := executor.Start(opts)
 	if err != nil {
 		t.Fatal(err)
@@ -360,7 +360,7 @@ func TestRootDedupesAReconnectingClient(t *testing.T) {
 	}
 	t.Cleanup(ex.Stop)
 	wire := &wireLog{}
-	f, c := startRoot(t, client.Options{BundleSize: 2, Reconnect: true, Backoff: fastBackoff, Faults: wire}, leaf)
+	f, c := startRoot(t, client.Options{BundleSize: 2, Reconnect: true, Faults: wire}, leaf)
 
 	const n = 6
 	var gen task.IDGen

@@ -203,7 +203,7 @@ func TestScratchFailedPushRebuffered(t *testing.T) {
 	scribbling(t)
 	faults := &dieOnPush{fired: make(chan struct{})}
 	d := startLeaf(t, "127.0.0.1:0", dispatch.Options{JournalDir: t.TempDir(), Faults: faults})
-	c, err := client.Connect(client.Options{DispatcherAddr: d.Addr(), BundleSize: 64, Reconnect: true, Backoff: fastBackoff})
+	c, err := client.Connect(client.Options{DispatcherAddr: d.Addr(), BundleSize: 64, Reconnect: true})
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -271,7 +271,9 @@ func TestScratchJournalRecovery(t *testing.T) {
 		t.Fatal(err)
 	}
 	defer cli.Close()
-	if err := cli.Call(fproto.MethodCreateInstance, fproto.CreateInstanceRequest{EPR: inst.EPR}, &inst); err != nil || !inst.Recovered {
+	// A re-attach names the instance it asks for; an unknown one is an error.
+	epr := inst.EPR
+	if err := cli.Call(fproto.MethodCreateInstance, fproto.CreateInstanceRequest{EPR: epr}, &inst); err != nil || inst.EPR != epr {
 		t.Fatalf("reattach: %+v, %v", inst, err)
 	}
 	var got fproto.CollectReply

@@ -16,13 +16,10 @@ import (
 	"falkon/internal/wsrpc"
 )
 
-// fastBackoff keeps restart tests snappy.
-var fastBackoff = backoff.Policy{Base: 10 * time.Millisecond, Max: 100 * time.Millisecond, Jitter: 0.2}
-
-// TestMain makes fastBackoff the policy of every session that names none,
-// a root's links to its leaves among them.
+// TestMain makes every session redial quickly — clients, executors and a
+// root's links to its leaves — so restart tests are snappy.
 func TestMain(m *testing.M) {
-	backoff.Default = fastBackoff
+	backoff.Default = backoff.Policy{Base: 10 * time.Millisecond, Max: 100 * time.Millisecond, Jitter: 0.2}
 	os.Exit(m.Run())
 }
 
@@ -40,7 +37,7 @@ func TestForwarderSurvivesLeafRestart(t *testing.T) {
 	addr := d1.Addr()
 	ex, err := executor.Start(executor.Options{
 		ID: "restart-exec", DispatcherAddr: addr, SleepScale: 0.001,
-		Reconnect: true, Backoff: fastBackoff,
+		Reconnect: true,
 	})
 	if err != nil {
 		t.Fatal(err)

@@ -346,10 +346,6 @@ func (m DeliverRequest) AppendJSON(dst []byte) []byte {
 			dst = tr.Result.AppendJSON(dst)
 			dst = append(dst, `,"run_dur":`...)
 			dst = jsonwire.AppendInt(dst, int64(tr.RunDur))
-			if tr.OverheadDur != 0 {
-				dst = append(dst, `,"overhead_dur":`...)
-				dst = jsonwire.AppendInt(dst, int64(tr.OverheadDur))
-			}
 			dst = append(dst, '}')
 		}
 		dst = append(dst, ']')
@@ -390,9 +386,6 @@ func (m *DeliverRequest) DecodeInterned(b []byte, known Intern) error {
 			tr.Result.ParseJSON(&r, &prev.Result, known)
 			r.Expect(`,"run_dur":`)
 			tr.RunDur = time.Duration(r.Int64())
-			if r.Lit(`,"overhead_dur":`) {
-				tr.OverheadDur = time.Duration(r.Int64())
-			}
 			r.Expect(`}`)
 			prev = tr
 		}

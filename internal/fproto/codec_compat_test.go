@@ -134,8 +134,8 @@ func TestBodyCodecWireCompat(t *testing.T) {
 			&oldAssignments{}},
 		{&DeliverRequest{ExecutorID: "exec-3"}, `{"executor_id":"exec-3"}`, &oldDeliverRequest{}},
 		{&DeliverRequest{ExecutorID: "exec-3", WantWork: true, MaxNew: 4, Results: []TaggedResult{
-			{EPR: "falkon-instance-1", Result: res, RunDur: 1234, OverheadDur: 56}, {EPR: "falkon-instance-1", Result: ok}}},
-			`{"executor_id":"exec-3","results":[{"epr":"falkon-instance-1","result":` + goldResult + `,"run_dur":1234,"overhead_dur":56},{"epr":"falkon-instance-1","result":` + goldOK + `,"run_dur":0}],"want_work":true,"max_new":4}`,
+			{EPR: "falkon-instance-1", Result: res, RunDur: 1234}, {EPR: "falkon-instance-1", Result: ok}}},
+			`{"executor_id":"exec-3","results":[{"epr":"falkon-instance-1","result":` + goldResult + `,"run_dur":1234},{"epr":"falkon-instance-1","result":` + goldOK + `,"run_dur":0}],"want_work":true,"max_new":4}`,
 			&oldDeliverRequest{}},
 		{&DeliverReply{Assignments: []Assignment{{EPR: "falkon-instance-1", Task: sleep}}},
 			`{"assignments":[{"epr":"falkon-instance-1","task":` + goldSleep + `}]}`, &oldAssignments{}},
@@ -163,6 +163,74 @@ func TestBodyCodecWireCompat(t *testing.T) {
 		}
 		if back, _ := json.Marshal(tc.old); string(back) != tc.golden {
 			t.Errorf("old peer read %s as %s", enc, back)
+		}
+	}
+}
+
+// Four fields that no receiver read have left the messages: a result's
+// overhead_dur, the register reply's ok, the create reply's recovered and the
+// deregister request's reason. A peer that still sends one is not cut off. Its
+// Deliver is no longer canonical, so it decodes through the encoding/json
+// fallback, which drops the unknown key; the other three were encoding/json's
+// already. And a reader of the old shape reads what is sent now.
+func TestUnreadFieldsWireCompat(t *testing.T) {
+	const oldDeliver = `{"executor_id":"exec-3","results":[{"epr":"e","result":{"id":7,"executor":"exec-3"},"run_dur":1234,"overhead_dur":56}],"want_work":true}`
+	before := CodecFallbacks.Value()
+	var del DeliverRequest
+	if err := del.DecodeJSON([]byte(oldDeliver)); err != nil {
+		t.Fatal(err)
+	}
+	want := DeliverRequest{ExecutorID: "exec-3", WantWork: true,
+		Results: []TaggedResult{{EPR: "e", Result: task.Result{ID: 7, ExecutorID: "exec-3"}, RunDur: 1234}}}
+	if !reflect.DeepEqual(del, want) {
+		t.Errorf("old executor's Deliver read as %+v, want %+v", del, want)
+	}
+	if n := CodecFallbacks.Value() - before; n != 1 {
+		t.Errorf("%d fallbacks, want 1", n)
+	}
+	var old oldDeliverRequest
+	if err := json.Unmarshal(want.AppendJSON(nil), &old); err != nil || len(old.Results) != 1 ||
+		old.Results[0].RunDur != 1234 || old.Results[0].OverheadDur != 0 || old.Results[0].Result.ID != 7 {
+		t.Errorf("old dispatcher read the new Deliver as %+v (%v)", old, err)
+	}
+
+	for _, tc := range []struct {
+		old  string
+		msg  any // a pointer to the zero value
+		want any
+		now  string // what the message encodes to now
+		back any    // the old shape, read from now
+	}{
+		{`{"ok":true,"dispatcher_epoch":1700000000000000000}`, new(RegisterReply),
+			&RegisterReply{DispatcherEpoch: 1700000000000000000}, `{"dispatcher_epoch":1700000000000000000}`,
+			&struct {
+				OK              bool  `json:"ok"`
+				DispatcherEpoch int64 `json:"dispatcher_epoch,omitempty"`
+			}{DispatcherEpoch: 1700000000000000000}},
+		{`{"epr":"falkon-instance-1","recovered":true,"cluster":"ha:x"}`, new(CreateInstanceReply),
+			&CreateInstanceReply{EPR: "falkon-instance-1", Cluster: "ha:x"}, `{"epr":"falkon-instance-1","cluster":"ha:x"}`,
+			&struct {
+				EPR       string `json:"epr"`
+				Recovered bool   `json:"recovered,omitempty"`
+				Cluster   string `json:"cluster,omitempty"`
+			}{EPR: "falkon-instance-1", Cluster: "ha:x"}},
+		{`{"executor_id":"exec-3","reason":"idle release"}`, new(DeregisterRequest),
+			&DeregisterRequest{ExecutorID: "exec-3"}, `{"executor_id":"exec-3"}`,
+			&struct {
+				ExecutorID string `json:"executor_id"`
+				Reason     string `json:"reason,omitempty"`
+			}{ExecutorID: "exec-3"}},
+	} {
+		if err := json.Unmarshal([]byte(tc.old), tc.msg); err != nil || !reflect.DeepEqual(tc.msg, tc.want) {
+			t.Errorf("%s read as %+v (%v), want %+v", tc.old, tc.msg, err, tc.want)
+		}
+		enc, _ := json.Marshal(tc.want)
+		if string(enc) != tc.now {
+			t.Errorf("Marshal(%+v) = %s, want %s", tc.want, enc, tc.now)
+		}
+		got := reflect.New(reflect.TypeOf(tc.back).Elem()).Interface()
+		if err := json.Unmarshal(enc, got); err != nil || !reflect.DeepEqual(got, tc.back) {
+			t.Errorf("old reader read %s as %+v (%v), want %+v", enc, got, err, tc.back)
 		}
 	}
 }

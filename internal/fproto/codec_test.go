@@ -73,8 +73,7 @@ var bodyKinds = []struct {
 		if n := g.count(); n >= 0 {
 			m.Results = make([]TaggedResult, n)
 			for i := range m.Results {
-				m.Results[i] = TaggedResult{EPR: g.str(), Result: g.result(),
-					RunDur: time.Duration(g.i64()), OverheadDur: time.Duration(g.i64())}
+				m.Results[i] = TaggedResult{EPR: g.str(), Result: g.result(), RunDur: time.Duration(g.i64())}
 			}
 		}
 		return m

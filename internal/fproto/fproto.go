@@ -105,9 +105,6 @@ type CreateInstanceRequest struct {
 // subsequent calls (the paper's factory/instance EPR).
 type CreateInstanceReply struct {
 	EPR string `json:"epr"`
-	// Recovered reports that this reply re-attached to a surviving
-	// instance rather than creating a fresh one.
-	Recovered bool `json:"recovered,omitempty"`
 	// Cluster is the dispatcher's HA cluster id ("" when not replicated).
 	// Clients echo it on cross-address re-attach (see
 	// CreateInstanceRequest.Cluster).
@@ -216,15 +213,14 @@ type RegisterRequest struct {
 
 // RegisterReply acknowledges registration.
 type RegisterReply struct {
-	OK bool `json:"ok"`
-	// DispatcherEpoch is reserved for future cross-process time mapping.
+	// DispatcherEpoch is the dispatcher's boot time (unix nanos): the zero
+	// of the timeline the executor stamps its trace events on.
 	DispatcherEpoch int64 `json:"dispatcher_epoch,omitempty"`
 }
 
 // DeregisterRequest removes an executor (e.g. distributed idle release).
 type DeregisterRequest struct {
 	ExecutorID string `json:"executor_id"`
-	Reason     string `json:"reason,omitempty"`
 }
 
 // GetWorkRequest pulls tasks after a WorkAvailable notification ({4}).
@@ -271,9 +267,6 @@ type TaggedResult struct {
 	// start/finish stamps onto its own epoch using this value, avoiding
 	// cross-process clock skew.
 	RunDur time.Duration `json:"run_dur"`
-	// OverheadDur is the executor-side setup cost (thread + exec setup),
-	// measured from work pickup to task start.
-	OverheadDur time.Duration `json:"overhead_dur,omitempty"`
 }
 
 // DeliverRequest returns results ({6}) and optionally asks for new work so

@@ -43,7 +43,7 @@ func (c *nopConn) SetWriteDeadline(time.Time) error { return nil }
 func TestWriteEnvelopeAllocFree(t *testing.T) {
 	p := newPlainConn(&nopConn{}, flushStats{}, writeStall)
 	body, _ := json.Marshal("ping")
-	meta := envMeta{trace: 7, recvNS: 1700000000000000000, sendNS: 1700000000000000100}
+	meta := envMeta{recvNS: 1700000000000000000, sendNS: 1700000000000000100}
 	for i := 0; i < 8; i++ { // warm the cork buffer to steady-state capacity
 		if _, err := p.WriteEnvelope(kindCall, uint64(i), "falkon.deliver", "", meta, frameBody{raw: body}); err != nil {
 			t.Fatal(err)

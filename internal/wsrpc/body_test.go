@@ -189,11 +189,13 @@ func (dupAll) DupNotify() bool              { return true }
 // around a well-formed body, the reference parser accepts with the same
 // fields — so the shortcut never widens or bends the wire language.
 func FuzzFrameEnvelope(f *testing.F) {
-	f.Add([]byte(`{"k":1,"seq":7,"m":"falkon.submit","tr":9,"b":{"epr":"e","tasks":null}}`), uint8(0), uint64(7), "falkon.submit", "", uint64(9), uint64(0), int64(0), int64(0))
-	f.Add([]byte(`{"k":2,"seq":7,"e":"no such \"method\"","rt":-1,"st":1700000000000000000}`), uint8(1), uint64(1<<63), "", "boom\n<é>", uint64(0), uint64(3), int64(-1), int64(1<<62))
-	f.Add([]byte(`{"k":03,"seq":18446744073709551616,"m":"caf\xc3","b":[1] }`), uint8(2), uint64(0), "m\x00\xff", "", uint64(1), uint64(1), int64(1), int64(1))
-	f.Add([]byte(` {"seq":1,"k":3,"b":"reordered"}`), uint8(2), uint64(0), "", "", uint64(0), uint64(0), int64(0), int64(0))
-	f.Fuzz(func(t *testing.T, raw []byte, kindSel uint8, seq uint64, method, errStr string, trace, parent uint64, recvNS, sendNS int64) {
+	f.Add([]byte(`{"k":1,"seq":7,"m":"falkon.submit","b":{"epr":"e","tasks":null}}`), uint8(0), uint64(7), "falkon.submit", "", int64(0), int64(0))
+	f.Add([]byte(`{"k":2,"seq":7,"e":"no such \"method\"","rt":-1,"st":1700000000000000000}`), uint8(1), uint64(1<<63), "", "boom\n<é>", int64(-1), int64(1<<62))
+	f.Add([]byte(`{"k":03,"seq":18446744073709551616,"m":"caf\xc3","b":[1] }`), uint8(2), uint64(0), "m\x00\xff", "", int64(1), int64(1))
+	f.Add([]byte(` {"seq":1,"k":3,"b":"reordered"}`), uint8(2), uint64(0), "", "", int64(0), int64(0))
+	// An older peer's envelope, with the trace fields this one no longer has.
+	f.Add([]byte(`{"k":1,"seq":7,"m":"falkon.deliver","tr":9,"ps":3,"b":{"executor_id":"x"}}`), uint8(0), uint64(7), "falkon.deliver", "", int64(0), int64(0))
+	f.Fuzz(func(t *testing.T, raw []byte, kindSel uint8, seq uint64, method, errStr string, recvNS, sendNS int64) {
 		// Arbitrary bytes: accepted by the shortcut implies accepted, and read
 		// the same, by the reference (given a body that is JSON at all — the
 		// shortcut does not look inside it, its consumer does).
@@ -213,10 +215,10 @@ func FuzzFrameEnvelope(f *testing.F) {
 			body, _ = json.Marshal(string(raw))
 		}
 		kind := frameKind(kindSel%3) + kindCall
-		meta := envMeta{trace: trace, parent: parent, recvNS: recvNS, sendNS: sendNS}
+		meta := envMeta{recvNS: recvNS, sendNS: sendNS}
 		mine := appendFrame(nil, kind, seq, method, errStr, meta, frameBody{raw: body})
 		refRaw, err := encodeFrame(&frame{Kind: kind, Seq: seq, Method: method, Err: errStr,
-			Trace: trace, Parent: parent, RecvNS: recvNS, SendNS: sendNS, Body: body})
+			RecvNS: recvNS, SendNS: sendNS, Body: body})
 		if err != nil {
 			t.Fatal(err)
 		}
@@ -229,8 +231,7 @@ func FuzzFrameEnvelope(f *testing.F) {
 			t.Fatalf("decodeFrame rejects appendFrame output %q: %v", mine, err)
 		}
 		if got.Kind != want.Kind || got.Seq != want.Seq || got.Method != want.Method || got.Err != want.Err ||
-			got.Trace != want.Trace || got.Parent != want.Parent || got.RecvNS != want.RecvNS ||
-			got.SendNS != want.SendNS || !sameJSON(got.Body, want.Body) {
+			got.RecvNS != want.RecvNS || got.SendNS != want.SendNS || !sameJSON(got.Body, want.Body) {
 			t.Fatalf("appendFrame wrote %q, encodeFrame %q: they decode differently", mine, refRaw)
 		}
 		for _, enc := range [][]byte{mine, refRaw} {
@@ -244,7 +245,7 @@ func FuzzFrameEnvelope(f *testing.F) {
 // sameFrame compares a fast-parsed view with a reference-decoded frame.
 func sameFrame(v frameView, f *frame) bool {
 	return v.kind == f.Kind && v.seq == f.Seq && string(v.method) == f.Method && string(v.errs) == f.Err &&
-		v.trace == f.Trace && v.parent == f.Parent && v.recvNS == f.RecvNS && v.sendNS == f.SendNS &&
+		v.recvNS == f.RecvNS && v.sendNS == f.SendNS &&
 		sameJSON(v.body, f.Body)
 }
 

@@ -74,10 +74,9 @@ type Client struct {
 
 // callSlot is where one call waits for its reply: the read loop fills in the
 // reply's envelope fields and copies its body into the slot's own buffer
-// (the read buffer is reused by the next read), then signals ready. Slots are
-// recycled through callSlots, but only by a call that received its reply:
-// one abandoned on ctx.Done() may still be written by the read loop, and one
-// failed by teardown has a closed channel.
+// (the read buffer is reused by the next read), then signals ready. A call
+// puts its slot back in callSlots once it has read the reply; one failed by
+// teardown has a closed channel and is not reused.
 type callSlot struct {
 	ready          chan struct{} // buffered 1; closed by teardown
 	errs           string
@@ -214,25 +213,6 @@ func (c *Client) Done() <-chan struct{} { return c.done }
 // (which may be nil to discard). It blocks until the reply arrives or the
 // connection fails.
 func (c *Client) Call(method string, arg, reply any) error {
-	return c.CallContext(context.Background(), method, arg, reply)
-}
-
-// CallContext is Call with cancellation: when ctx ends first, the call
-// returns ctx's error and the eventual reply is discarded (the connection
-// stays usable — wsrpc has no per-call cancel on the wire, matching WS
-// semantics).
-func (c *Client) CallContext(ctx context.Context, method string, arg, reply any) error {
-	return c.call(ctx, method, arg, reply, 0, 0)
-}
-
-// CallTrace is Call with a trace context: the call frame carries the trace
-// and parent span IDs in its envelope, so the server can attribute the RPC
-// to a distributed task timeline without decoding the body.
-func (c *Client) CallTrace(method string, arg, reply any, trace, parent uint64) error {
-	return c.call(context.Background(), method, arg, reply, trace, parent)
-}
-
-func (c *Client) call(ctx context.Context, method string, arg, reply any, trace, parent uint64) error {
 	body, err := bodyOf(arg)
 	if err != nil {
 		return fmt.Errorf("wsrpc: marshal %s arg: %w", method, err)
@@ -261,7 +241,7 @@ func (c *Client) call(ctx context.Context, method string, arg, reply any, trace,
 	c.mu.Unlock()
 
 	start := time.Now()
-	n, err := c.fc.WriteEnvelope(kindCall, seq, method, "", envMeta{trace: trace, parent: parent, now: start}, body)
+	n, err := c.fc.WriteEnvelope(kindCall, seq, method, "", envMeta{now: start}, body)
 	if err == nil && c.txBytes != nil {
 		c.txBytes.Add(int64(n))
 	}
@@ -274,48 +254,36 @@ func (c *Client) call(ctx context.Context, method string, arg, reply any, trace,
 		return fmt.Errorf("wsrpc: call %s: %w", method, err)
 	}
 
-	select {
-	case _, ok := <-slot.ready:
-		if !ok {
-			return ErrClientClosed
-		}
-		end := time.Now()
-		if slot.recvNS > 0 && slot.sendNS > 0 {
-			c.noteOffset(start, end, slot.recvNS, slot.sendNS)
-		}
-		if ms != nil {
-			ms.calls.Inc()
-			ms.lat.Observe(end.Sub(start).Seconds())
-		}
-		if slot.errs != "" {
-			err = &RemoteError{Msg: slot.errs}
-		} else if reply != nil && len(slot.body) > 0 {
-			// Both decoders copy what they keep, so the buffer is free again.
-			if d, ok := reply.(BodyDecoder); ok {
-				err = d.DecodeJSON(slot.body)
-			} else {
-				err = json.Unmarshal(slot.body, reply)
-			}
-			if err != nil {
-				err = fmt.Errorf("wsrpc: decode %s reply: %w", method, err)
-			}
-		}
-		if cap(slot.body) > maxPooledBody {
-			slot.body = nil
-		}
-		slot.errs = ""
-		callSlots.Put(slot)
-		return err
-	case <-ctx.Done():
-		// Abandon the call; drop the pending slot so a late reply is
-		// discarded by the read loop.
-		c.mu.Lock()
-		if c.pending != nil {
-			delete(c.pending, seq)
-		}
-		c.mu.Unlock()
-		return ctx.Err()
+	if _, ok := <-slot.ready; !ok {
+		return ErrClientClosed
 	}
+	end := time.Now()
+	if slot.recvNS > 0 && slot.sendNS > 0 {
+		c.noteOffset(start, end, slot.recvNS, slot.sendNS)
+	}
+	if ms != nil {
+		ms.calls.Inc()
+		ms.lat.Observe(end.Sub(start).Seconds())
+	}
+	if slot.errs != "" {
+		err = &RemoteError{Msg: slot.errs}
+	} else if reply != nil && len(slot.body) > 0 {
+		// Both decoders copy what they keep, so the buffer is free again.
+		if d, ok := reply.(BodyDecoder); ok {
+			err = d.DecodeJSON(slot.body)
+		} else {
+			err = json.Unmarshal(slot.body, reply)
+		}
+		if err != nil {
+			err = fmt.Errorf("wsrpc: decode %s reply: %w", method, err)
+		}
+	}
+	if cap(slot.body) > maxPooledBody {
+		slot.body = nil
+	}
+	slot.errs = ""
+	callSlots.Put(slot)
+	return err
 }
 
 // noteOffset folds one round trip's (t0, t3) client stamps and (t1, t2)

@@ -219,14 +219,6 @@ func appendFrame(dst []byte, kind frameKind, seq uint64, method, errStr string, 
 		dst = append(dst, `,"e":`...)
 		dst = jsonwire.AppendString(dst, errStr)
 	}
-	if meta.trace != 0 {
-		dst = append(dst, `,"tr":`...)
-		dst = jsonwire.AppendUint(dst, meta.trace)
-	}
-	if meta.parent != 0 {
-		dst = append(dst, `,"ps":`...)
-		dst = jsonwire.AppendUint(dst, meta.parent)
-	}
 	if meta.recvNS != 0 {
 		dst = append(dst, `,"rt":`...)
 		dst = jsonwire.AppendInt(dst, meta.recvNS)

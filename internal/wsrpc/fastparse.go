@@ -11,8 +11,6 @@ type frameView struct {
 	seq    uint64
 	method []byte
 	errs   []byte
-	trace  uint64
-	parent uint64
 	recvNS int64
 	sendNS int64
 	body   []byte
@@ -29,17 +27,18 @@ func parseFrame(raw []byte) (frameView, error) {
 		return frameView{}, err
 	}
 	return frameView{kind: f.Kind, seq: f.Seq, method: []byte(f.Method), errs: []byte(f.Err),
-		trace: f.Trace, parent: f.Parent, recvNS: f.RecvNS, sendNS: f.SendNS, body: f.Body}, nil
+		recvNS: f.RecvNS, sendNS: f.SendNS, body: f.Body}, nil
 }
 
 // fastParseFrame parses the canonical envelope layout that both appendFrame
 // and encoding/json emit for the frame struct:
 //
-//	{"k":N,"seq":N[,"m":"..."][,"e":"..."][,"tr":N][,"ps":N][,"rt":N][,"st":N][,"b":...]}
+//	{"k":N,"seq":N[,"m":"..."][,"e":"..."][,"rt":N][,"st":N][,"b":...]}
 //
 // in that field order, with no whitespace. It returns ok=false for anything
-// non-canonical — reordered or unknown fields, escaped strings, whitespace,
-// numbers with leading zeros — and the caller falls back to decodeFrame, so
+// non-canonical — reordered or unknown fields (an older peer's tr/ps among
+// them), escaped strings, whitespace, numbers with leading zeros — and the
+// caller falls back to decodeFrame, so
 // the accepted wire language is unchanged; this is purely an allocation-free
 // shortcut for the common case.
 // The body slice is not validated as JSON here: it is json.Unmarshal'ed by
@@ -71,18 +70,6 @@ func fastParseFrame(raw []byte) (frameView, bool) {
 	}
 	if jsonwire.HasPrefix(p, `,"e":"`) {
 		v.errs, p, ok = jsonwire.ParsePlainString(p[6:])
-		if !ok {
-			return v, false
-		}
-	}
-	if jsonwire.HasPrefix(p, `,"tr":`) {
-		v.trace, p, ok = jsonwire.ParseUint(p[6:])
-		if !ok {
-			return v, false
-		}
-	}
-	if jsonwire.HasPrefix(p, `,"ps":`) {
-		v.parent, p, ok = jsonwire.ParseUint(p[6:])
 		if !ok {
 			return v, false
 		}

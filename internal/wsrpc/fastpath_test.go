@@ -22,7 +22,7 @@ import (
 // compatibility bar the wire format defines.
 func TestAppendFrameDecodeEquivalence(t *testing.T) {
 	prop := func(kindSel uint8, seq uint64, method, errStr, bodyStr string, hasBody bool,
-		trace, parent uint64, recvNS, sendNS int64) bool {
+		recvNS, sendNS int64) bool {
 		kind := frameKind(kindSel%3) + kindCall
 		var body []byte
 		if hasBody {
@@ -32,7 +32,7 @@ func TestAppendFrameDecodeEquivalence(t *testing.T) {
 			}
 			body = b
 		}
-		meta := envMeta{trace: trace, parent: parent, recvNS: recvNS, sendNS: sendNS}
+		meta := envMeta{recvNS: recvNS, sendNS: sendNS}
 		raw := appendFrame(nil, kind, seq, method, errStr, meta, frameBody{raw: body})
 		got, err := decodeFrame(raw)
 		if err != nil {
@@ -40,7 +40,7 @@ func TestAppendFrameDecodeEquivalence(t *testing.T) {
 			return false
 		}
 		refRaw, err := encodeFrame(&frame{Kind: kind, Seq: seq, Method: method, Err: errStr,
-			Trace: trace, Parent: parent, RecvNS: recvNS, SendNS: sendNS, Body: body})
+			RecvNS: recvNS, SendNS: sendNS, Body: body})
 		if err != nil {
 			return false
 		}
@@ -49,7 +49,6 @@ func TestAppendFrameDecodeEquivalence(t *testing.T) {
 			return false
 		}
 		if got.Kind != want.Kind || got.Seq != want.Seq || got.Method != want.Method || got.Err != want.Err ||
-			got.Trace != want.Trace || got.Parent != want.Parent ||
 			got.RecvNS != want.RecvNS || got.SendNS != want.SendNS ||
 			!bytes.Equal(got.Body, want.Body) {
 			t.Logf("appendFrame=%s encodeFrame=%s", raw, refRaw)
@@ -59,8 +58,7 @@ func TestAppendFrameDecodeEquivalence(t *testing.T) {
 		// the frame at all.
 		if v, ok := fastParseFrame(raw); ok {
 			if v.kind != want.Kind || v.seq != want.Seq || string(v.method) != want.Method ||
-				string(v.errs) != want.Err || v.trace != want.Trace || v.parent != want.Parent ||
-				v.recvNS != want.RecvNS || v.sendNS != want.SendNS || !bytes.Equal(v.body, want.Body) {
+				string(v.errs) != want.Err || v.recvNS != want.RecvNS || v.sendNS != want.SendNS || !bytes.Equal(v.body, want.Body) {
 				t.Logf("fastParseFrame diverges on %s", raw)
 				return false
 			}
@@ -73,7 +71,9 @@ func TestAppendFrameDecodeEquivalence(t *testing.T) {
 }
 
 // Property: fastParseFrame never accepts a frame and report fields different
-// from decodeFrame's, whatever bytes arrive.
+// from decodeFrame's, whatever bytes arrive. And an older peer's envelope,
+// which may carry a trace (tr) and parent span (ps), reads as the same frame
+// without them: the fast parse refuses it and the fallback drops the keys.
 func TestFastParseAgreesWithDecode(t *testing.T) {
 	prop := func(raw []byte) bool {
 		v, ok := fastParseFrame(raw)
@@ -85,11 +85,35 @@ func TestFastParseAgreesWithDecode(t *testing.T) {
 			return false // fast parser accepted what the robust one rejects
 		}
 		return v.kind == f.Kind && v.seq == f.Seq && string(v.method) == f.Method &&
-			string(v.errs) == f.Err && v.trace == f.Trace && v.parent == f.Parent &&
-			v.recvNS == f.RecvNS && v.sendNS == f.SendNS && bytes.Equal(v.body, f.Body)
+			string(v.errs) == f.Err && v.recvNS == f.RecvNS && v.sendNS == f.SendNS &&
+			bytes.Equal(v.body, f.Body)
 	}
 	if err := quick.Check(prop, &quick.Config{MaxCount: 2000}); err != nil {
 		t.Fatal(err)
+	}
+
+	for _, c := range []struct{ old, now string }{
+		{`{"k":1,"seq":7,"m":"falkon.submit","tr":9,"b":{"epr":"e"}}`, `{"k":1,"seq":7,"m":"falkon.submit","b":{"epr":"e"}}`},
+		{`{"k":1,"seq":8,"m":"falkon.deliver","tr":9,"ps":3,"b":[1]}`, `{"k":1,"seq":8,"m":"falkon.deliver","b":[1]}`},
+		{`{"k":2,"seq":8,"tr":9,"rt":5,"st":6,"b":{}}`, `{"k":2,"seq":8,"rt":5,"st":6,"b":{}}`},
+		{`{"k":2,"seq":9,"e":"boom","tr":1}`, `{"k":2,"seq":9,"e":"boom"}`},
+	} {
+		if _, ok := fastParseFrame([]byte(c.old)); ok {
+			t.Errorf("fastParseFrame accepts %s, which is not canonical", c.old)
+		}
+		got, err := parseFrame([]byte(c.old))
+		if err != nil {
+			t.Fatalf("parseFrame(%s): %v", c.old, err)
+		}
+		want, ok := fastParseFrame([]byte(c.now))
+		if !ok {
+			t.Fatalf("fastParseFrame refuses %s", c.now)
+		}
+		if got.kind != want.kind || got.seq != want.seq || !bytes.Equal(got.method, want.method) ||
+			!bytes.Equal(got.errs, want.errs) || got.recvNS != want.recvNS || got.sendNS != want.sendNS ||
+			!bytes.Equal(got.body, want.body) {
+			t.Errorf("%s reads as %+v, want %+v", c.old, got, want)
+		}
 	}
 }
 

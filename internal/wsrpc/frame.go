@@ -37,30 +37,28 @@ const (
 	kindNotify
 )
 
-// frame is the wire envelope. The trace/timing fields are optional: calls
-// may carry a trace context (tr/ps), replies echo the trace and stamp the
-// server's receive/send clock (rt/st, unix nanos) so clients can estimate
-// the per-connection clock offset NTP-style from ordinary round trips. Old
-// peers ignore the extra fields (encoding/json drops unknown keys), so the
+// frame is the wire envelope. The timing fields are optional: replies stamp
+// the server's receive/send clock (rt/st, unix nanos) so clients can estimate
+// the per-connection clock offset NTP-style from ordinary round trips. Trace
+// context rides in the bodies that name tasks, not here. An envelope with a
+// key this struct lacks (the tr/ps trace fields older peers write) is not
+// canonical: it takes encoding/json's path, which drops unknown keys, so the
 // wire stays compatible in both directions.
 type frame struct {
 	Kind   frameKind       `json:"k"`
 	Seq    uint64          `json:"seq"`
 	Method string          `json:"m,omitempty"`
 	Err    string          `json:"e,omitempty"`
-	Trace  uint64          `json:"tr,omitempty"`
-	Parent uint64          `json:"ps,omitempty"`
 	RecvNS int64           `json:"rt,omitempty"`
 	SendNS int64           `json:"st,omitempty"`
 	Body   json.RawMessage `json:"b,omitempty"`
 }
 
-// envMeta carries a frame's optional trace/timing envelope fields through
-// the write path without widening every call site to nine parameters. now is
-// not on the wire: it is a reading of the clock the caller has just taken
-// (zero for none), which the cork's write-stall check uses for its own.
+// envMeta carries a frame's optional timing envelope fields through the
+// write path. now is not on the wire: it is a reading of the clock the caller
+// has just taken (zero for none), which the cork's write-stall check uses for
+// its own.
 type envMeta struct {
-	trace, parent  uint64
 	recvNS, sendNS int64
 	now            time.Time
 }

@@ -271,7 +271,7 @@ func (s *Server) handleConn(c net.Conn) {
 		}
 		m := s.methods[string(v.method)] // no-alloc map lookup
 		if m == nil {
-			s.reply(peer, v.seq, v.trace, recvNS, start, nil, fmt.Errorf("wsrpc: no such method %q", v.method))
+			s.reply(peer, v.seq, recvNS, start, nil, fmt.Errorf("wsrpc: no such method %q", v.method))
 			return nil
 		}
 		if m.fast {
@@ -283,7 +283,7 @@ func (s *Server) handleConn(c net.Conn) {
 				m.calls.Inc()
 				m.lat.Observe(end.Sub(start).Seconds())
 			}
-			s.reply(peer, v.seq, v.trace, recvNS, end, res, herr)
+			s.reply(peer, v.seq, recvNS, end, res, herr)
 			return nil
 		}
 		// Goroutine dispatch: the handler runs concurrently with further
@@ -294,7 +294,7 @@ func (s *Server) handleConn(c net.Conn) {
 		default:
 		}
 		body := json.RawMessage(append(buf[:0], v.body...))
-		seq, trace := v.seq, v.trace
+		seq := v.seq
 		calls.Add(1)
 		go func() {
 			defer calls.Done()
@@ -305,7 +305,7 @@ func (s *Server) handleConn(c net.Conn) {
 				m.calls.Inc()
 				m.lat.Observe(end.Sub(start).Seconds())
 			}
-			s.reply(peer, seq, trace, recvNS, end, res, herr)
+			s.reply(peer, seq, recvNS, end, res, herr)
 			if cap(body) <= corkRetainBuffer {
 				select {
 				case spare <- body:
@@ -320,13 +320,12 @@ func (s *Server) handleConn(c net.Conn) {
 	}
 }
 
-// reply sends a kindReply frame carrying the call's trace, the receive
-// stamp taken when the call frame arrived, and a send stamp — the t1/t2 pair
-// of the client's clock-offset estimate. now is the caller's reading of the
-// clock as the handler returned: the send stamp, and where the write's time
-// starts. Errors are logged, not returned, because the reader loop owns
+// reply sends a kindReply frame carrying the receive stamp taken when the
+// call frame arrived and a send stamp — the t1/t2 pair of the client's
+// clock-offset estimate. now is the caller's reading of the clock as the
+// handler returned: the send stamp, and where the write's time starts. Errors are logged, not returned, because the reader loop owns
 // connection teardown.
-func (s *Server) reply(p *Peer, seq, trace uint64, recvNS int64, now time.Time, res any, herr error) {
+func (s *Server) reply(p *Peer, seq uint64, recvNS int64, now time.Time, res any, herr error) {
 	var errStr string
 	var body frameBody
 	if herr != nil {
@@ -336,7 +335,7 @@ func (s *Server) reply(p *Peer, seq, trace uint64, recvNS int64, now time.Time, 
 	} else {
 		body = b
 	}
-	meta := envMeta{trace: trace, recvNS: recvNS, sendNS: now.UnixNano(), now: now}
+	meta := envMeta{recvNS: recvNS, sendNS: now.UnixNano(), now: now}
 	n, err := p.fc.WriteEnvelope(kindReply, seq, "", errStr, meta, body)
 	if s.hWrite != nil {
 		s.hWrite.Observe(time.Since(now).Seconds())

@@ -29,8 +29,6 @@ type SessionOptions struct {
 	// ReconnectTimeout bounds one continuous outage; past it the session
 	// ends (0 = redial forever).
 	ReconnectTimeout time.Duration
-	// Backoff paces redials (zero value = backoff.Default).
-	Backoff backoff.Policy
 	// Handshake runs on every fresh connection before it is published
 	// (register, attach, ...); addrIdx is the connection's index in Addrs.
 	// On error the connection is closed and never seen by Conn.
@@ -44,6 +42,7 @@ type SessionOptions struct {
 	Retries *obs.Counter
 
 	connect func(ctx context.Context, network, addr string) (net.Conn, error) // tests dial a fake network
+	backoff backoff.Policy                                                    // tests pace redials (zero value = backoff.Default)
 }
 
 // Session is one supervised connection to whichever address of a chain
@@ -209,7 +208,7 @@ func (s *Session) run(cli *Client) {
 // nil once the session was closed or the outage outlasted its bound.
 func (s *Session) redial() *Client {
 	start := time.Now()
-	sched := backoff.NewSchedule(s.opts.Backoff)
+	sched := backoff.NewSchedule(s.opts.backoff)
 	for {
 		select {
 		case <-s.ctx.Done():

@@ -1,7 +1,6 @@
 package wsrpc
 
 import (
-	"context"
 	"encoding/json"
 	"errors"
 	"fmt"
@@ -374,40 +373,6 @@ func TestDuplicateRegisterPanics(t *testing.T) {
 		}
 	}()
 	s.Register("m", func(*Peer, json.RawMessage) (any, error) { return nil, nil })
-}
-
-func TestCallContextCancellation(t *testing.T) {
-	s := NewServer(ServerOptions{Logf: func(string, ...any) {}})
-	block := make(chan struct{})
-	s.Register("block", func(_ *Peer, _ json.RawMessage) (any, error) {
-		<-block
-		return "late", nil
-	})
-	s.Register("quick", func(_ *Peer, _ json.RawMessage) (any, error) {
-		return "ok", nil
-	})
-	if err := s.Listen("127.0.0.1:0"); err != nil {
-		t.Fatal(err)
-	}
-	defer func() { close(block); s.Close() }()
-	c, err := Dial(s.Addr(), ClientOptions{})
-	if err != nil {
-		t.Fatal(err)
-	}
-	defer c.Close()
-
-	ctx, cancel := context.WithTimeout(context.Background(), 50*time.Millisecond)
-	defer cancel()
-	err = c.CallContext(ctx, "block", nil, nil)
-	if !errors.Is(err, context.DeadlineExceeded) {
-		t.Fatalf("err = %v, want deadline exceeded", err)
-	}
-	// The connection survives: a later call works and the abandoned reply
-	// is discarded.
-	var got string
-	if err := c.Call("quick", nil, &got); err != nil || got != "ok" {
-		t.Fatalf("follow-up call: %q, %v", got, err)
-	}
 }
 
 // The client's per-method instruments are looked up once and cached; their

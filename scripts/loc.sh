@@ -51,6 +51,6 @@ fields() {
 
 for spec in dispatch.Options forward.Options sched.Options core.Config client.Options executor.Options \
     dispatch.ReplicationOptions replica.StandbyOptions replica.SourceOptions replica.NodeOptions wal.Options \
-    wsrpc.ServerOptions wsrpc.ClientOptions; do
+    wsrpc.ServerOptions wsrpc.ClientOptions wsrpc.SessionOptions; do
     printf '%7d  fields, %s\n' "$(fields "${spec%%.*}" "${spec#*.}")" "$spec"
 done

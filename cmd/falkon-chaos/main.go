@@ -193,8 +193,8 @@ func runOne(c cfg, keep bool) (err error) {
 		return err
 	}
 
-	// Executors under supervision, reconnecting so each rides out its
-	// dispatcher's restarts: injected crashes (crash mid-task,
+	// Executors under supervision; each redials through its dispatcher's
+	// restarts, as every executor does: injected crashes (crash mid-task,
 	// result-then-die) kill the process; the supervisor restarts it with a
 	// fresh derived seed so a first-op crash can't loop forever.
 	for i := 0; i < c.execs; i++ {
@@ -203,7 +203,6 @@ func runOne(c cfg, keep bool) (err error) {
 				"-dispatcher", t.execAt(i),
 				"-name", fmt.Sprintf("chaos-ex%d", i),
 				"-slots", fmt.Sprint(c.slots),
-				"-reconnect",
 				"-reconnect-timeout", "60s",
 				"-faults", executorSpec(c.seed, i, restart).String(),
 			)

@@ -21,12 +21,9 @@
 //
 // Multi-tenancy (DESIGN.md §15):
 //
-//	falkon-dispatcher -addr :7523 -tenants tenants.conf
-//	    per-tenant admission control (quotas, rate limits) from a config
-//	    file, and weighted fair-share scheduling across tenants: declaring
-//	    any tenant turns it on
 //	falkon-dispatcher -addr :7523 -tenant 'prod:weight=4' -tenant 'batch:rate=500'
-//	    the same, declared inline
+//	    per-tenant admission control (quotas, rate limits) and weighted
+//	    fair-share scheduling across tenants: declaring any tenant turns it on
 //
 // A dispatch tree (paper §6, Figure 16; DESIGN.md §13) is this command at
 // every level:
@@ -70,7 +67,6 @@ func main() {
 		journalSync   = flag.String("journal-sync", "group", "journal durability: group (fsync per commit batch) or off (never fsync)")
 		snapEvery     = flag.Int("snapshot-every", 0, "journaled task transitions (a dispatch, a completion) between snapshot compactions (0 = default 65536, <0 = never)")
 		faults        = flag.String("faults", "", "fault-injection spec, e.g. seed=42,drop@0.01,fsyncerr@0.02 (chaos testing)")
-		tenantsFile   = flag.String("tenants", "", "tenant config file: one name:weight=4,quota=10000,rate=5000,burst=1000 spec per line ('#' comments); any tenant declared turns on fair-share (SFQ) scheduling")
 		leaves        = flag.String("leaves", "", "comma-separated leaf dispatcher addresses: run as the root of a dispatch tree, whose executors are links to them (a leaf may itself have -leaves)")
 		bundle        = flag.Int("bundle", 0, "root→leaf bundle size with -leaves (0 = default 64)")
 
@@ -81,10 +77,10 @@ func main() {
 		nodeID    = flag.String("node-id", "", "HA node identity in the lease file (default: -addr)")
 	)
 	var tenantFlags stringList
-	flag.Var(&tenantFlags, "tenant", "one tenant spec, name or name:weight=4,quota=100,rate=50,burst=10 (repeatable; merged with -tenants; any tenant declared turns on fair-share scheduling)")
+	flag.Var(&tenantFlags, "tenant", "one tenant spec, name or name:weight=4,quota=100,rate=50,burst=10 (repeatable; any tenant declared turns on fair-share (SFQ) scheduling)")
 	flag.Parse()
 
-	tenants, err := loadTenants(*tenantsFile, tenantFlags)
+	tenants, err := dispatch.ParseTenantSpecs(tenantFlags)
 	if err != nil {
 		log.Fatalf("falkon-dispatcher: %v", err)
 	}
@@ -161,37 +157,6 @@ func (s *stringList) String() string { return fmt.Sprint(*s) }
 func (s *stringList) Set(v string) error {
 	*s = append(*s, v)
 	return nil
-}
-
-// loadTenants merges the -tenants file with repeatable -tenant flags,
-// rejecting a tenant declared in both places.
-func loadTenants(path string, flags []string) ([]dispatch.TenantSpec, error) {
-	var tenants []dispatch.TenantSpec
-	if path != "" {
-		fileSpecs, err := dispatch.LoadTenantsFile(path)
-		if err != nil {
-			return nil, err
-		}
-		tenants = fileSpecs
-	}
-	if len(flags) == 0 {
-		return tenants, nil
-	}
-	flagSpecs, err := dispatch.ParseTenantSpecs(flags)
-	if err != nil {
-		return nil, err
-	}
-	seen := make(map[string]struct{}, len(tenants))
-	for _, t := range tenants {
-		seen[t.Name] = struct{}{}
-	}
-	for _, t := range flagSpecs {
-		if _, dup := seen[t.Name]; dup {
-			return nil, fmt.Errorf("tenant %q declared in both -tenants file and -tenant flag", t.Name)
-		}
-		tenants = append(tenants, t)
-	}
-	return tenants, nil
 }
 
 // runLeader is the classic single-dispatcher path (optionally accepting

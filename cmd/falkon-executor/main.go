@@ -37,8 +37,7 @@ func main() {
 		pskFile    = flag.String("psk-file", "", "the dispatcher's pre-shared key file: speak the secure-conversation transport profile (empty = in the clear)")
 		execT      = flag.Duration("exec-timeout", 0, "kill exec-engine tasks after this long (0 = never)")
 		debugAddr  = flag.String("debug-addr", "", "HTTP address serving /metrics, /events.json, /spans.jsonl and /debug/pprof/; the executor records trace events only when it is set (empty = off)")
-		reconnect  = flag.Bool("reconnect", false, "survive dispatcher restarts: re-register with backoff instead of stopping")
-		reconnectT = flag.Duration("reconnect-timeout", 30*time.Second, "give up after a continuous outage this long (with -reconnect)")
+		reconnectT = flag.Duration("reconnect-timeout", 30*time.Second, "after a dropped connection, re-register with backoff; stop once one outage lasts this long")
 		faults     = flag.String("faults", "", "fault-injection spec, e.g. seed=42,crash@0.01,stall=2s@0.01 (chaos testing)")
 	)
 	flag.Parse()
@@ -58,7 +57,6 @@ func main() {
 		ExecTimeout:      *execT,
 		Logf:             log.Printf,
 		Metrics:          reg,
-		Reconnect:        *reconnect,
 		ReconnectTimeout: *reconnectT,
 	}
 	if *debugAddr != "" { // nothing but the debug server reads the ring
@@ -108,7 +106,7 @@ func main() {
 		case <-ex.Done():
 		case <-time.After(10 * time.Second):
 		}
-	case <-ex.Done(): // idle release, or the dispatcher lost
+	case <-ex.Done(): // idle release, or an outage past -reconnect-timeout
 	}
 	log.Printf("executor %s stopped after %d tasks", ex.ID(), ex.TasksRun())
 }

@@ -28,6 +28,7 @@ import (
 	"falkon/internal/fproto"
 	"falkon/internal/obs"
 	"falkon/internal/task"
+	"falkon/internal/wal"
 	"falkon/internal/wsrpc"
 )
 
@@ -752,7 +753,7 @@ func TestBinariesCrashRecovery(t *testing.T) {
 		"-journal-dir", t.TempDir(), "-journal-sync", "group"}
 	disp, dispAddr := startDispatcher(t, bin, ephemeral, dispArgs...)
 	startProc(t, filepath.Join(bin, "falkon-executor"), "-dispatcher", dispAddr,
-		"-slots", "2", "-reconnect", "-reconnect-timeout", "60s")
+		"-slots", "2", "-reconnect-timeout", "60s")
 
 	// A workload long enough (400 x 30ms over two slots, ~6s)
 	// that the kill below is guaranteed to land mid-run.
@@ -876,5 +877,71 @@ func TestBinariesLeaseNamesTheBoundAddress(t *testing.T) {
 		if time.Now().After(deadline) {
 			t.Fatalf("the leader never counted its standby attached:\n%s", metrics())
 		}
+	}
+}
+
+// A permanent standby (-standby-of) mirrors its leader's journal into a
+// directory of its own that recovers as the leader's: its instance and every
+// completion. SIGTERM seals the mirror.
+func TestBinariesStandbyMirrorsItsLeader(t *testing.T) {
+	bin := buildBinaries(t)
+	dir := t.TempDir()
+	_, leader := startDispatcher(t, bin, ephemeral, "-quiet", "-stats-every", "0",
+		"-journal-dir", filepath.Join(dir, "leader"), "-replicate", "async")
+	mirror := filepath.Join(dir, "standby")
+	standby, _ := startAnnounced(t, filepath.Join(bin, "falkon-dispatcher"), []string{`standby of (\S+),`},
+		"-standby-of", leader, "-journal-dir", mirror, "-quiet", "-stats-every", "0")
+	startProc(t, filepath.Join(bin, "falkon-executor"), "-dispatcher", leader, "-slots", "2")
+
+	c, err := client.Connect(client.Options{DispatcherAddr: leader, BundleSize: 10})
+	if err != nil {
+		t.Fatal(err)
+	}
+	defer c.Close()
+	const n = 50
+	var gen task.IDGen
+	if err := c.Submit(task.Batch(&gen, n, time.Millisecond)); err != nil {
+		t.Fatal(err)
+	}
+	if _, err := c.WaitN(n, 30*time.Second); err != nil {
+		t.Fatal(err)
+	}
+	// Caught up: the standby has acked the leader's end, and the end held
+	// still across a poll, so the completions' records (written within the
+	// journal's 5 ms advisory bound) are in it.
+	var end int64 = -1
+	for deadline := time.Now().Add(10 * time.Second); ; time.Sleep(50 * time.Millisecond) {
+		st, err := c.Stats()
+		if err != nil {
+			t.Fatal(err)
+		}
+		r := st.Replication
+		if r != nil && len(r.Standbys) == 1 && r.Standbys[0].Lag == 0 && r.End == end {
+			break
+		}
+		if r != nil {
+			end = r.End
+		}
+		if time.Now().After(deadline) {
+			t.Fatalf("the standby never caught up with its leader: %+v", r)
+		}
+	}
+
+	if err := standby.Process.Signal(syscall.SIGTERM); err != nil {
+		t.Fatal(err)
+	}
+	if err := standby.Wait(); err != nil {
+		t.Fatalf("standby after SIGTERM: %v, want exit 0", err)
+	}
+	st, j, _, err := wal.Recover(mirror, wal.Options{Sync: wal.SyncPolicy{Mode: wal.SyncOff}})
+	if err != nil {
+		t.Fatal(err)
+	}
+	defer j.Close()
+	if len(st.Instances) != 1 || st.Instances[0].EPR != c.EPR() {
+		t.Fatalf("the mirror recovers instances %+v, want the leader's one, %s", st.Instances, c.EPR())
+	}
+	if st.Counters.Completed != n {
+		t.Fatalf("the mirror recovers %d completions, want %d", st.Counters.Completed, n)
 	}
 }

@@ -64,7 +64,7 @@ func TestClientFailsOverToFallbackDispatcher(t *testing.T) {
 	// client to the fallback.
 	ex, err := executor.Start(executor.Options{
 		ID: "fo-exec", DispatcherAddr: leaf.Addr() + "," + root.Addr(),
-		SleepScale: 0.001, Reconnect: true,
+		SleepScale: 0.001,
 	})
 	if err != nil {
 		t.Fatal(err)

@@ -65,7 +65,7 @@ func TestReconnectingClientKeepsTenant(t *testing.T) {
 	t.Cleanup(func() { root.Close() })
 	ex, err := executor.Start(executor.Options{
 		ID: "tn-exec", DispatcherAddr: leaf.Addr() + "," + root.Addr(),
-		SleepScale: 0.001, Reconnect: true,
+		SleepScale: 0.001,
 	})
 	if err != nil {
 		t.Fatal(err)

@@ -79,7 +79,7 @@ func (l *LocalAllocator) Allocate(n int, idleTimeout time.Duration) (string, err
 			// one still inside Start when Deallocate ran is stopped too: it
 			// finds cancel closed when Start returns.
 			select {
-			case <-ex.Done(): // idle self-release or dispatcher gone
+			case <-ex.Done(): // idle self-release, or an outage past its bound
 			case <-a.cancel:
 				ex.Stop()
 			}

@@ -76,7 +76,7 @@ type Config struct {
 type System struct {
 	cfg         Config
 	dispatcher  *dispatch.Dispatcher // nil for attached remote systems
-	remoteAddr  string
+	addr        string
 	cli         *client.Client
 	execs       []*executor.Executor
 	provisioner *provision.Provisioner
@@ -91,7 +91,7 @@ func Attach(addr string, copts client.Options) (*System, error) {
 	if err != nil {
 		return nil, err
 	}
-	return &System{cli: cli, remoteAddr: addr}, nil
+	return &System{cli: cli, addr: addr}, nil
 }
 
 // Start boots the system: dispatcher first, then the executor pool (static
@@ -110,9 +110,10 @@ func Start(cfg Config) (*System, error) {
 	if err := s.dispatcher.Listen("127.0.0.1:0"); err != nil {
 		return nil, err
 	}
+	s.addr = s.dispatcher.Addr()
 
 	execTemplate := executor.Options{
-		DispatcherAddr: s.dispatcher.Addr(),
+		DispatcherAddr: s.addr,
 		PSK:            cfg.PSK,
 		SleepScale:     cfg.SleepScale,
 		Funcs:          cfg.Funcs,
@@ -161,7 +162,7 @@ func Start(cfg Config) (*System, error) {
 	}
 
 	cli, err := client.Connect(client.Options{
-		DispatcherAddr: s.dispatcher.Addr(),
+		DispatcherAddr: s.addr,
 		Name:           "core",
 		PSK:            cfg.PSK,
 		BundleSize:     cfg.BundleSize,
@@ -177,12 +178,7 @@ func Start(cfg Config) (*System, error) {
 
 // Addr returns the dispatcher's address (for attaching external executors
 // or clients).
-func (s *System) Addr() string {
-	if s.dispatcher == nil {
-		return s.remoteAddr
-	}
-	return s.dispatcher.Addr()
-}
+func (s *System) Addr() string { return s.addr }
 
 // Submit sends tasks through the system's client.
 func (s *System) Submit(tasks []task.Task) error { return s.cli.Submit(tasks) }
@@ -195,36 +191,24 @@ func (s *System) WaitN(n int, timeout time.Duration) ([]task.Result, error) {
 	return s.cli.WaitN(n, timeout)
 }
 
-// Stats snapshots dispatcher state (over the wire for attached systems).
+// Stats snapshots dispatcher state through the system's client; a failed
+// call reads as the zero value.
 func (s *System) Stats() fproto.StatsReply {
-	if s.dispatcher == nil {
-		st, err := s.cli.Stats()
-		if err != nil {
-			return fproto.StatsReply{}
-		}
-		return st
+	st, err := s.cli.Stats()
+	if err != nil {
+		return fproto.StatsReply{}
 	}
-	return s.dispatcher.Stats()
+	return st
 }
 
 // Metrics snapshots the dispatcher's full instrument registry — counters,
-// gauges, and stage/RPC latency histograms (over the wire for attached
-// systems).
-func (s *System) Metrics() (fproto.MetricsReply, error) {
-	if s.dispatcher == nil {
-		return s.cli.Metrics()
-	}
-	return s.dispatcher.MetricsSnapshot(), nil
-}
+// gauges, and stage/RPC latency histograms — through the system's client.
+func (s *System) Metrics() (fproto.MetricsReply, error) { return s.cli.Metrics() }
 
-// Events returns task-lifecycle trace events after sinceSeq; max bounds the
-// batch (0 = all retained).
+// Events returns task-lifecycle trace events after sinceSeq, through the
+// system's client; max bounds the batch (0 = all retained).
 func (s *System) Events(sinceSeq uint64, max int) (fproto.EventsReply, error) {
-	if s.dispatcher == nil {
-		return s.cli.Events(sinceSeq, max)
-	}
-	events, next := s.dispatcher.Tracer().Since(sinceSeq, max)
-	return fproto.EventsReply{Events: events, NextSeq: next}, nil
+	return s.cli.Events(sinceSeq, max)
 }
 
 // Client returns the system's connected client (for advanced use).

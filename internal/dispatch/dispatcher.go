@@ -416,10 +416,6 @@ type Dispatcher struct {
 	// Submit under mu: a submit either sees it and is refused, or has its
 	// tasks queued by the time Drain looks.
 	draining atomic.Bool
-	// dmu/drained implement the drain condition: Drain re-checks empty()
-	// itself; handlers just broadcast after removing work, with mu released.
-	dmu     sync.Mutex
-	drained *sync.Cond
 
 	sweeperStop chan struct{}
 	sweeperDone chan struct{}
@@ -490,7 +486,6 @@ func New(opts Options) *Dispatcher {
 		d.tenants = newTenantTable(opts.Tenants, d.now)
 		d.tHists = make(map[string]*tenantHists)
 	}
-	d.drained = sync.NewCond(&d.dmu)
 	for i, stage := range obs.Stages {
 		d.hStage[i] = d.reg.Histogram(obs.StageKey(stage))
 	}
@@ -983,7 +978,6 @@ func (d *Dispatcher) shutdown(endJournal func(*wal.Journal) error) error {
 	}
 	defer close(d.stopped)
 	d.closeLeaves()
-	d.wakeDrainAlways() // release any Drain blocked on a dead system
 	if d.replSrc != nil {
 		d.replSrc.Close() // release blocked fetches and quorum barriers first
 	}
@@ -1001,26 +995,6 @@ func (d *Dispatcher) shutdown(endJournal func(*wal.Journal) error) error {
 	return err
 }
 
-// wakeDrain nudges blocked Drain calls after a handler (having released mu)
-// removed work from the system. One atomic load when not draining; Drain
-// re-checks the real condition itself.
-func (d *Dispatcher) wakeDrain() {
-	if !d.draining.Load() {
-		return
-	}
-	d.wakeDrainAlways()
-}
-
-// wakeDrainAlways broadcasts under dmu: taking the lock first means a
-// Drain that just observed a non-empty system is either still holding dmu
-// (we wait, it will re-check after Wait) or already parked in Wait (the
-// broadcast lands) — never between the two, so no wakeup is lost.
-func (d *Dispatcher) wakeDrainAlways() {
-	d.dmu.Lock()
-	d.drained.Broadcast()
-	d.dmu.Unlock()
-}
-
 // empty reports the drain condition: no task queued or outstanding.
 func (d *Dispatcher) empty() bool {
 	d.mu.Lock()
@@ -1028,34 +1002,22 @@ func (d *Dispatcher) empty() bool {
 	return d.core.Empty()
 }
 
+// drainPoll is how often Drain looks at the core.
+const drainPoll = 5 * time.Millisecond
+
 // Drain puts the dispatcher into drain mode: new submissions are rejected
 // while queued and in-flight tasks complete. It returns once the system is
-// empty or the timeout expires (0 = wait forever), reporting whether the
-// drain finished. The wait is event-driven: handlers broadcast after
-// removing work, and Drain re-evaluates the emptiness condition, so it wakes as the last result arrives rather than on a poll
-// tick.
+// empty, or once the timeout expires (0 = wait forever) or the dispatcher is
+// closed, reporting whether the drain finished. It asks the core whether the
+// system is empty every drainPoll, so no handler has to tell it.
 func (d *Dispatcher) Drain(timeout time.Duration) bool {
 	d.draining.Store(true)
-	d.dmu.Lock()
-	defer d.dmu.Unlock()
-	timedOut := false
-	if timeout > 0 {
-		t := time.AfterFunc(timeout, func() {
-			d.dmu.Lock()
-			timedOut = true
-			d.dmu.Unlock()
-			d.drained.Broadcast()
-		})
-		defer t.Stop()
-	}
+	start := time.Now()
 	for !d.empty() {
-		if timedOut {
+		if d.closed.Load() || (timeout > 0 && time.Since(start) >= timeout) {
 			return false
 		}
-		if d.closed.Load() {
-			return d.empty()
-		}
-		d.drained.Wait()
+		time.Sleep(drainPoll)
 	}
 	return true
 }
@@ -1207,7 +1169,6 @@ func (d *Dispatcher) onDisconnect(p *wsrpc.Peer) {
 		d.notifyLocked(f, d.now())
 	}
 	d.mu.Unlock()
-	d.wakeDrain()
 	if len(dropped) > 0 {
 		d.logf("dispatch: executor %s dropped with %d tasks in flight", meta, len(dropped))
 	}
@@ -1377,7 +1338,6 @@ func (d *Dispatcher) sweeper() {
 			d.notifyLocked(f, d.now())
 		}
 		d.mu.Unlock()
-		d.wakeDrain()
 		if len(expired) > 0 {
 			d.logf("dispatch: replayed %d timed-out tasks", len(expired))
 		}

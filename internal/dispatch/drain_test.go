@@ -33,19 +33,18 @@ func TestDrainEmptySystemReturnsImmediately(t *testing.T) {
 	}
 }
 
-// TestDrainWakesPromptly pins the sync.Cond behaviour: Drain must wake on
-// the empty transition itself, not on a poll tick.
+// TestDrainWakesPromptly: a Drain blocked on a queued task returns soon
+// after the core is emptied, with nothing but the core told of it.
 func TestDrainWakesPromptly(t *testing.T) {
 	d := New(Options{})
 	enqueueRaw(d, "x", task.Task{ID: 1})
 
 	done := make(chan bool, 1)
 	go func() { done <- d.Drain(10 * time.Second) }()
-	time.Sleep(20 * time.Millisecond) // let Drain block on the condition
+	time.Sleep(20 * time.Millisecond) // let Drain find the queue non-empty
 
 	start := time.Now()
 	dropAllQueued(d)
-	d.wakeDrain()
 
 	select {
 	case ok := <-done:
@@ -56,7 +55,7 @@ func TestDrainWakesPromptly(t *testing.T) {
 		t.Fatal("drain never woke after the system emptied")
 	}
 	if el := time.Since(start); el > 100*time.Millisecond {
-		t.Fatalf("drain woke after %v, want immediate broadcast wake", el)
+		t.Fatalf("drain woke after %v, want within 100ms", el)
 	}
 }
 
@@ -69,5 +68,31 @@ func TestDrainTimesOutWhileWorkRemains(t *testing.T) {
 	}
 	if el := time.Since(start); el < 40*time.Millisecond || el > 2*time.Second {
 		t.Fatalf("timed-out drain returned after %v", el)
+	}
+}
+
+// TestCloseReleasesDrain: Close ends a Drain that is waiting on work no
+// executor will run, within one poll interval (plus the same 100 ms
+// allowance for scheduling), reporting that the drain did not finish.
+func TestCloseReleasesDrain(t *testing.T) {
+	d := New(Options{})
+	enqueueRaw(d, "x", task.Task{ID: 1})
+
+	done := make(chan bool, 1)
+	go func() { done <- d.Drain(10 * time.Second) }()
+	time.Sleep(20 * time.Millisecond) // let Drain find the queue non-empty
+
+	d.Close()
+	start := time.Now()
+	select {
+	case ok := <-done:
+		if ok {
+			t.Fatal("drain reported finished with a task still queued")
+		}
+	case <-time.After(time.Second):
+		t.Fatal("drain still blocked a second after Close")
+	}
+	if el, bound := time.Since(start), drainPoll+100*time.Millisecond; el > bound {
+		t.Fatalf("drain returned %v after Close, want within %v", el, bound)
 	}
 }

@@ -163,7 +163,6 @@ func (d *Dispatcher) handleDestroyInstance(p *wsrpc.Peer, body json.RawMessage) 
 	d.sweepLocked(f, inst)
 	d.mu.Unlock()
 	d.flush(f)
-	d.wakeDrain()
 	var h wal.Handle
 	if d.wal != nil {
 		// A journal that has failed closed takes no record: the destroy is
@@ -419,7 +418,6 @@ func (d *Dispatcher) Register(req fproto.RegisterRequest, to Pusher) fproto.Regi
 	d.notifyLocked(f, d.now())
 	d.mu.Unlock()
 	if len(dropped) > 0 {
-		d.wakeDrain()
 		d.logf("dispatch: executor %s re-registered with %d tasks in flight on its old connection", req.ExecutorID, len(dropped))
 	}
 	d.flush(f)
@@ -446,7 +444,6 @@ func (d *Dispatcher) Deregister(id string) int {
 	d.replayAll(f, dropped, "executor deregistered")
 	d.notifyLocked(f, d.now())
 	d.mu.Unlock()
-	d.wakeDrain()
 	d.flush(f)
 	d.noteCapacityChange()
 	return len(dropped)
@@ -639,7 +636,6 @@ func (d *Dispatcher) deliver(f *fx, req *fproto.DeliverRequest) error {
 	snap := d.snapshotDueLocked()
 	d.mu.Unlock()
 	t2 := d.now()
-	d.wakeDrain()
 	if snap {
 		d.startSnapshot()
 	}

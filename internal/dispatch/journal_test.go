@@ -32,7 +32,6 @@ func TestCrashRecoveryExactlyOnce(t *testing.T) {
 		ID:               "exec-0",
 		DispatcherAddr:   addr,
 		SleepScale:       0.001,
-		Reconnect:        true,
 		ReconnectTimeout: 30 * time.Second,
 	})
 	if err != nil {

@@ -124,7 +124,6 @@ func TestExecutorReregisterRacingDispatchedTasks(t *testing.T) {
 		DispatcherAddr:   d.Addr(),
 		SleepScale:       0.001,
 		Slots:            2,
-		Reconnect:        true,
 		ReconnectTimeout: 30 * time.Second,
 		Faults:           inj,
 	})
@@ -186,7 +185,6 @@ func TestAbortDuringSnapshotCompaction(t *testing.T) {
 		ID:               "exec-0",
 		DispatcherAddr:   addr,
 		SleepScale:       0.001,
-		Reconnect:        true,
 		ReconnectTimeout: 30 * time.Second,
 	})
 	if err != nil {

@@ -3,7 +3,6 @@ package dispatch
 import (
 	"fmt"
 	"math"
-	"os"
 	"slices"
 	"sort"
 	"strconv"
@@ -134,31 +133,6 @@ func ParseTenantSpecs(specs []string) ([]TenantSpec, error) {
 		out = append(out, spec)
 	}
 	return out, nil
-}
-
-// LoadTenantsFile reads tenant specs from a config file: one spec per
-// line, '#' comments and blank lines ignored.
-func LoadTenantsFile(path string) ([]TenantSpec, error) {
-	raw, err := os.ReadFile(path)
-	if err != nil {
-		return nil, fmt.Errorf("tenants file: %w", err)
-	}
-	var lines []string
-	for _, line := range strings.Split(string(raw), "\n") {
-		if i := strings.IndexByte(line, '#'); i >= 0 {
-			line = line[:i]
-		}
-		line = strings.TrimSpace(line)
-		if line == "" {
-			continue
-		}
-		lines = append(lines, line)
-	}
-	specs, err := ParseTenantSpecs(lines)
-	if err != nil {
-		return nil, fmt.Errorf("tenants file %s: %w", path, err)
-	}
-	return specs, nil
 }
 
 // tenantState is one tenant's runtime admission state.

@@ -3,8 +3,6 @@ package dispatch
 import (
 	"fmt"
 	"math"
-	"os"
-	"path/filepath"
 	"strconv"
 	"strings"
 	"testing"
@@ -68,35 +66,6 @@ func TestParseTenantSpecsRejectsDuplicates(t *testing.T) {
 	specs, err := ParseTenantSpecs([]string{"a:weight=2", "b:rate=100"})
 	if err != nil || len(specs) != 2 {
 		t.Fatalf("valid list rejected: %v (%d specs)", err, len(specs))
-	}
-}
-
-func TestLoadTenantsFile(t *testing.T) {
-	path := filepath.Join(t.TempDir(), "tenants.conf")
-	content := `# production tenants
-prod:weight=4,quota=10000   # the big one
-batch:weight=1,rate=500
-
-interactive:weight=8
-`
-	if err := os.WriteFile(path, []byte(content), 0o644); err != nil {
-		t.Fatal(err)
-	}
-	specs, err := LoadTenantsFile(path)
-	if err != nil {
-		t.Fatal(err)
-	}
-	if len(specs) != 3 || specs[0].Name != "prod" || specs[0].Quota != 10000 || specs[2].Weight != 8 {
-		t.Fatalf("parsed specs = %+v", specs)
-	}
-	// Errors carry the file path for operator diagnosis.
-	bad := filepath.Join(t.TempDir(), "bad.conf")
-	os.WriteFile(bad, []byte("a:weight=-1\n"), 0o644)
-	if _, err := LoadTenantsFile(bad); err == nil || !strings.Contains(err.Error(), "bad.conf") {
-		t.Fatalf("bad file error = %v", err)
-	}
-	if _, err := LoadTenantsFile(filepath.Join(t.TempDir(), "missing.conf")); err == nil {
-		t.Fatal("missing file not reported")
 	}
 }
 
@@ -262,8 +231,8 @@ func TestTenantWeightExtraction(t *testing.T) {
 	}
 }
 
-// FuzzTenantSpec: ParseTenantSpec takes what an operator types after -tenant
-// or into a -tenants file. On any string it returns an error or a spec the
+// FuzzTenantSpec: ParseTenantSpec takes what an operator types after
+// -tenant. On any string it returns an error or a spec the
 // admission table and the fair-share weights can use as is — a name, a
 // finite weight > 0, finite non-negative limits — and that spec, written back
 // out in the syntax it came in, parses to itself.

@@ -4,6 +4,12 @@
 // itself, once a slot has told the dispatcher it is waiting — runs them, and
 // delivers results with piggy-backed requests for more work.
 //
+// An executor's life is not tied to one dispatcher connection: after a drop
+// it re-registers with backoff (the dispatcher may be restarting over its
+// journal, or a standby taking over), and stops only when it is told to,
+// when the idle release takes it, or when one outage outlasts
+// Options.ReconnectTimeout.
+//
 // Besides the real fork/exec engine, the executor supports synthetic task
 // engines (sleep, data, func) so experiments and tests can run without
 // process-spawn noise, optionally compressing synthetic durations through
@@ -40,8 +46,8 @@ type Options struct {
 	ID string
 	// DispatcherAddr is the dispatcher's wsrpc address, or a comma-separated
 	// chain tried in order ("leaf:5001,root:5000"): in a hierarchical tree
-	// the executor registers with its leaf and, in Reconnect mode, fails
-	// over to the next address in the chain when the leaf stays down.
+	// the executor registers with its leaf and, after a dropped connection,
+	// fails over to the next address in the chain when the leaf stays down.
 	DispatcherAddr string
 	// Slots is the number of tasks run concurrently (default 1; the paper
 	// runs one executor per processor).
@@ -81,12 +87,10 @@ type Options struct {
 	// tests that read an executor's events pass their own.
 	Tracer *obs.Tracer
 
-	// Reconnect keeps the executor alive across dispatcher restarts: on a
-	// dropped connection it re-registers with jittered exponential backoff
-	// instead of stopping. Retries are counted in
-	// falkon_register_retries_total.
-	Reconnect bool
-	// ReconnectTimeout bounds one continuous outage (default 30s).
+	// ReconnectTimeout bounds one continuous outage (default 30s): on a
+	// dropped connection the executor re-registers with jittered
+	// exponential backoff, and stops once an outage lasts longer than this.
+	// Retries are counted in falkon_register_retries_total.
 	ReconnectTimeout time.Duration
 
 	// Faults, when set, injects executor faults (crash mid-task, stall,
@@ -204,7 +208,7 @@ func Start(opts Options) (*Executor, error) {
 			Metrics:  e.reg,
 			Faults:   opts.Faults,
 		},
-		Reconnect:        opts.Reconnect,
+		Reconnect:        true,
 		ReconnectTimeout: opts.ReconnectTimeout,
 		Handshake:        e.register,
 		OnUp:             e.onReconnect,
@@ -378,7 +382,7 @@ func (e *Executor) TasksRun() int64 {
 }
 
 // Done is closed once the executor has fully stopped (explicit Stop, idle
-// release, or dispatcher disconnect).
+// release, or an outage longer than ReconnectTimeout).
 func (e *Executor) Done() <-chan struct{} { return e.done }
 
 // Stop deregisters and shuts the executor down, waiting for in-flight tasks
@@ -431,7 +435,7 @@ func (e *Executor) workLoop(rd *jsonwire.Reader) {
 		var g *fproto.GetWorkReply
 		select {
 		case <-e.stop:
-		case <-e.sess.Done(): // dropped without Reconnect, or gave up redialing
+		case <-e.sess.Done(): // gave up redialing
 		case <-idleC:
 			if !e.idleExpired() {
 				continue // another slot was busy; re-arm

@@ -54,7 +54,7 @@ func startLeaf(t testing.TB, addr string, opts dispatch.Options) *dispatch.Dispa
 
 func startExec(t testing.TB, opts executor.Options) *executor.Executor {
 	t.Helper()
-	opts.SleepScale, opts.Reconnect = 0.001, true
+	opts.SleepScale = 0.001
 	ex, err := executor.Start(opts)
 	if err != nil {
 		t.Fatal(err)

@@ -37,7 +37,6 @@ func TestForwarderSurvivesLeafRestart(t *testing.T) {
 	addr := d1.Addr()
 	ex, err := executor.Start(executor.Options{
 		ID: "restart-exec", DispatcherAddr: addr, SleepScale: 0.001,
-		Reconnect: true,
 	})
 	if err != nil {
 		t.Fatal(err)

@@ -175,7 +175,6 @@ func TestFailoverToPromotedStandby(t *testing.T) {
 		ID:               "exec-0",
 		DispatcherAddr:   chain,
 		SleepScale:       0.001,
-		Reconnect:        true,
 		ReconnectTimeout: 30 * time.Second,
 	})
 	if err != nil {

@@ -78,7 +78,7 @@ go test -run='^$' -fuzz=FuzzJournalDecode -fuzztime=5s ./internal/wal/
 # oracle: on any bytes the fast decoders and json.Unmarshal must agree.
 go test -run='^$' -fuzz=FuzzBodyCodec -fuzztime=5s ./internal/fproto/
 go test -run='^$' -fuzz=FuzzFrameEnvelope -fuzztime=5s ./internal/wsrpc/
-# And over the one parser an operator types into (-tenant, -tenants): it
+# And over the one parser an operator types into (-tenant): it
 # never panics, and what it accepts is usable and parses back to itself.
 go test -run='^$' -fuzz=FuzzTenantSpec -fuzztime=5s ./internal/dispatch/
 # And over the scheduling state machine every dispatcher drives: operation

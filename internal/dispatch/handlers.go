@@ -580,7 +580,7 @@ func (d *Dispatcher) deliver(f *fx, req *fproto.DeliverRequest) error {
 	sent, ran := now, time.Duration(0)
 	for i := range req.Results {
 		tr := &req.Results[i]
-		o, ok := d.core.Complete(req.ExecutorID, outKey{tr.EPR, tr.Result.ID})
+		o, ok := d.core.CompleteFrom(ex, outKey{tr.EPR, tr.Result.ID})
 		if !ok {
 			continue // duplicate delivery, counted by the core
 		}

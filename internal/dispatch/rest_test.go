@@ -22,13 +22,12 @@ const restTasks = 100_000
 
 // What one dispatcher holds per task at rest — the live heap after a
 // collection, less the heap before the tasks came, ÷ restTasks — measured at
-// -cpu 1, 2 and 4 for tasks of one argument 154.2–155.2 queued, 263.8–264.9
-// outstanding and −2.2 to −1.2 retained; 193.3–193.5 queued with three
-// arguments; 149.3–151.1 queued and −7.8 to −4.8 retained by a journaled
-// dispatcher (171.3–173.1 queued while only a journaled instance kept a table
-// of owed task IDs, a Go map); and 177.8 queued and −2.2 retained for IDs
-// 1,000 apart. Each ceiling is the highest reading plus 15 %, but the
-// retained rows':
+// -cpu 1, 2 and 4 for tasks of one argument 154.2–155.2 queued, 209.6
+// outstanding and 7.1 retained; 193.5 queued with three arguments; 149.3–151.1
+// queued and 1.9–3.6 retained by a journaled dispatcher (171.3–173.1 queued
+// while only a journaled instance kept a table of owed task IDs, a Go map);
+// and 177.8 queued and 6.2 retained for IDs 1,000 apart. Each ceiling is the highest reading plus
+// 15 %, but the retained rows':
 //
 //   - queued (submitted, no executor registered): the bundle's task as the
 //     dispatcher holds it — 48 bytes, and its bytes as received less its ID's
@@ -46,31 +45,39 @@ const restTasks = 100_000
 //     argument) the first read 254–255, and the next 421–422.
 //   - outstanding (granted to an executor that has not delivered): the same
 //     but the queue's ring, which gave its array back as it drained, and the
-//     outstanding table — a 128-byte slot, key and record, at the map's load.
-//     It read 279.9–280.9 with 64-byte heads, and 340.6–341.7 while the
-//     whole JSON was kept. While each record was
-//     a 104-byte share of an 8 KiB chunk behind a pointer slot this row read
-//     408–409: a slot by value costs ~13 bytes a task more while the table is
-//     full, and no allocation to fill. While the drained ring kept its array
-//     it read 398–399.
-//   - retained once every result is delivered, per task the table once held:
-//     nothing. The outstanding table is rebuilt at its live size once it
-//     drains below an eighth of its high-water mark (sched.Core.shrinkOut),
-//     and the queue's ring likewise (sched.Ring.Pop); below zero because the
-//     warm-up's ring array went too. Without the ring's rule this row read
-//     55–56, without the table's 231, and with pointer slots 108–109. The
-//     ceiling is 8 (a reading below zero has no "plus 15 %"): a drained ring
-//     that keeps its array fails it. The owed set's window shrinks as it
-//     drains, and its map is dropped once empty. A journaled dispatcher
-//     retains nothing more: its journal keeps two 1 MiB buffers (~10 B a
-//     task each at this depth), which its two warm-ups grew. While the
-//     journal kept a buffer at the size a burst of deliveries grew it to,
-//     the row read −6.8 to 13.6. Its ceiling is 8 too.
+//     executor's outstanding queue — a 104-byte record in an array grown by
+//     appending. While the records lived in one Go map (a 128-byte slot, key
+//     and record, at the map's load) this row read 263.8–264.9; 279.9–280.9
+//     with 64-byte heads as well, and 340.6–341.7 while the whole JSON was
+//     kept. While each record was a 104-byte share of an 8 KiB chunk behind a
+//     pointer slot it read 408–409, and while the drained ring kept its array
+//     398–399.
+//   - retained once every result is delivered, per task the queue once held:
+//     a drained outstanding queue gives back an array over 8,192 records
+//     (sched.outQueue.drain), and the queue's ring likewise (sched.Ring.Pop).
+//     What this row reads is buffers the measured cycle's bursts grow past
+//     what the warm-up grew — the result push's encoding buffer and the
+//     client's send buffer, ~1.1 MB — less warm-up arrays that go (~0.6 MB).
+//     While the outstanding table was a Go map, its warm-up had left a ~1 MB
+//     map that the cycle rebuilt smaller, and the row read −2.2 to −1.2.
+//     Without the ring's rule it read 55–56, with a map that was never
+//     rebuilt 231, and with pointer slots 108–109; a drained queue that kept
+//     its array would add over 100. The
+//     ceiling is 8: a drained ring or queue that keeps its array fails it.
+//     The owed set's window shrinks as it drains, and its map is dropped once
+//     empty. A journaled dispatcher retains nothing more: its journal keeps
+//     two 1 MiB buffers (~10 B a task each at this depth), which its two
+//     warm-ups grew. It may still be writing a snapshot cut during the cycle,
+//     whose captured state (~12 B a task) it holds until written, so a
+//     retained row reads the lowest of five collections 100 ms apart (one
+//     reading made it 11.9, once in 15). While the journal kept a buffer at
+//     the size a burst of deliveries grew it to, the row read −6.8 to 13.6.
+//     Its ceiling is 8 too.
 //   - sparse IDs: what an owed set's map costs, for IDs its window cannot
 //     hold at one bit each (task.Owed): ~23 bytes a task over dense IDs.
 const (
 	queuedBytesCeiling            = 179
-	outstandingBytesCeiling       = 305
+	outstandingBytesCeiling       = 241
 	retainedBytesCeiling          = 8
 	queuedThreeArgsBytesCeiling   = 223
 	queuedJournaledBytesCeiling   = 204
@@ -125,9 +132,15 @@ func TestBytesPerTaskAtRest(t *testing.T) {
 			base := liveHeap()
 			perTask := map[string]float64{}
 			cycle(t, d, c, &gen, "rest", restTasks, sys.args, sys.stride, func(stage string) {
-				if _, ok := sys.ceilings[stage]; ok {
-					perTask[stage] = float64(int64(liveHeap())-int64(base)) / restTasks
+				if _, ok := sys.ceilings[stage]; !ok {
+					return
 				}
+				heap := liveHeap()
+				for i := 0; stage == "retained" && i < 4; i++ {
+					time.Sleep(100 * time.Millisecond) // a snapshot being written goes
+					heap = min(heap, liveHeap())
+				}
+				perTask[stage] = float64(int64(heap)-int64(base)) / restTasks
 			})
 			for _, stage := range []string{"queued", "outstanding", "retained"} {
 				ceiling, ok := sys.ceilings[stage]
@@ -204,10 +217,12 @@ const idleExecutors = 10_000
 
 // What a dispatcher holds per registered idle executor, through the seam
 // (Register with an in-process Pusher, so no connection): its 16-byte ID, the
-// core's 80-byte sched.Exec, the dispatcher's 48-byte execRef, and its entries
+// core's 96-byte sched.Exec, the dispatcher's 48-byte execRef, and its entries
 // in the core's executor map and idle list (~50 bytes at their load). Measured
 // 212.6–213.1 bytes at -cpu 1, 2 and 4 while execRef held the allocation label
-// nothing read, 196.6 since; the ceiling is the first plus 15 %. A wsrpc
+// nothing read, 196.6 after, and 212.6 since the sched.Exec names its queue of
+// outstanding tasks (an 80-byte record until then; an executor that is never
+// granted a task has no queue); the ceiling is the first plus 15 %. A wsrpc
 // connection behind each executor adds ~100 KB: EXPERIMENTS.md "The trace ring
 // holds no pointers".
 const idleExecutorBytesCeiling = 245

@@ -46,6 +46,9 @@ type Exec[E comparable] struct {
 	Ref   any
 
 	idlePos int // index in the idle stack, -1 when absent
+	// out is the executor's outstanding records (an *outQueue), nil until it
+	// is first assigned a task: an executor that never runs one costs none.
+	out any
 }
 
 // Free returns the executor's unassigned slots.
@@ -111,9 +114,10 @@ type Options[T any] struct {
 }
 
 // Core is the scheduling state machine: pending queue, executor table
-// with idle tracking, outstanding table, replay bookkeeping, and the pick
-// rule. It is not safe for concurrent use — the live dispatcher
-// serializes access under its mutex, the simulator is single-threaded.
+// with idle tracking, each executor's queue of outstanding tasks, replay
+// bookkeeping, and the pick rule. It is not safe for concurrent use — the
+// live dispatcher serializes access under its mutex, the simulator is
+// single-threaded.
 //
 // Type parameters: E identifies executors, K identifies outstanding
 // (dispatched, unacknowledged) tasks, T is the caller's task payload.
@@ -126,12 +130,13 @@ type Core[E comparable, K comparable, T any] struct {
 	slots int        // sum of Slots over execs
 	idle  []*Exec[E] // LIFO stack; nil slots are tombstones
 	dead  int        // tombstone count in idle
-	// out holds each outstanding record by value, in the map's own slot (Go
-	// stores a key and value of up to 128 bytes each inline): assigning a task
-	// allocates nothing. peak is its high-water mark since it was last built
-	// (see shrinkOut).
-	out  map[K]Outstanding[E, K, T]
-	peak int
+	// nout counts the outstanding records, which live in their executors'
+	// queues (outQueue).
+	nout int
+	// reads counts the outstanding records the sweeps (DropExecutor,
+	// DropOutstanding, Expire) have read: the tests hold each sweep to the
+	// records it must touch.
+	reads int
 	// notes is what Notifications returns, kept from call to call.
 	notes []Notification[E]
 
@@ -148,7 +153,6 @@ func NewCore[E comparable, K comparable, T any](opts Options[T]) *Core[E, K, T] 
 	c := &Core[E, K, T]{
 		opts:  opts,
 		execs: make(map[E]*Exec[E]),
-		out:   make(map[K]Outstanding[E, K, T]),
 	}
 	c.SetFairShare(opts.FairShare)
 	return c
@@ -196,10 +200,10 @@ func (c *Core[E, K, T]) TenantQueueLens(dst map[string]int) {
 }
 
 // OutstandingLen returns dispatched, unacknowledged tasks.
-func (c *Core[E, K, T]) OutstandingLen() int { return len(c.out) }
+func (c *Core[E, K, T]) OutstandingLen() int { return c.nout }
 
 // Empty reports that nothing is queued or outstanding (drain condition).
-func (c *Core[E, K, T]) Empty() bool { return c.QueueLen() == 0 && len(c.out) == 0 }
+func (c *Core[E, K, T]) Empty() bool { return c.QueueLen() == 0 && c.nout == 0 }
 
 // Enqueue admits a new task at now. Requeues go through Requeue instead so
 // Submitted counts tasks, not attempts.
@@ -220,11 +224,18 @@ func (c *Core[E, K, T]) Restore(now time.Duration, x T, attempts int) {
 // callback must not mutate the core.
 func (c *Core[E, K, T]) EachQueued(fn func(Item[T])) { c.queue.each(fn) }
 
-// EachOutstanding visits every outstanding entry in unspecified order
-// (snapshot capture). The callback must not mutate the core.
+// EachOutstanding visits every outstanding entry, executor by executor in
+// unspecified order and each executor's in grant order (snapshot capture).
+// The callback must not mutate the core.
 func (c *Core[E, K, T]) EachOutstanding(fn func(Outstanding[E, K, T])) {
-	for _, o := range c.out {
-		fn(o)
+	for _, x := range c.execs {
+		if q := c.outOf(x); q != nil {
+			for _, o := range q.recs[q.head:] {
+				if o.Item.Attempts != 0 {
+					fn(o)
+				}
+			}
+		}
 	}
 }
 
@@ -238,32 +249,40 @@ func (c *Core[E, K, T]) DropQueued(match func(T) bool) int {
 // removed. A result that still arrives for one is a duplicate.
 func (c *Core[E, K, T]) DropOutstanding(match func(T) bool) int {
 	dropped := 0
-	for k, o := range c.out {
-		if !match(o.Item.X) {
+	for _, x := range c.execs {
+		q := c.outOf(x)
+		if q == nil {
 			continue
 		}
-		delete(c.out, k)
-		dropped++
-		if x := c.release(o.Executor); x != nil {
+		n := dropped
+		for p := q.head; p < len(q.recs); p++ {
+			c.reads++
+			if o := &q.recs[p]; o.Item.Attempts != 0 && match(o.Item.X) {
+				c.take(x, q, p)
+				dropped++
+			}
+		}
+		if dropped > n {
 			c.Offer(x)
 		}
 	}
-	c.shrinkOut()
 	return dropped
 }
 
-// AddExec registers (or re-registers, replacing scheduling state but
-// keeping outstanding entries) an executor with the given slot capacity.
+// AddExec registers an executor with the given slot capacity. Under an ID
+// already registered it starts a fresh scheduling record, which takes over
+// the old one's outstanding entries: Assigned goes on counting them.
 func (c *Core[E, K, T]) AddExec(id E, slots int) *Exec[E] {
 	if slots <= 0 {
 		slots = 1
 	}
+	x := &Exec[E]{ID: id, Slots: slots, idlePos: -1}
 	if old, ok := c.execs[id]; ok {
 		c.RemoveIdle(old)
 		c.slots -= old.Slots
+		x.Assigned, x.out, old.out = old.Assigned, old.out, nil
 	}
 	c.slots += slots
-	x := &Exec[E]{ID: id, Slots: slots, idlePos: -1}
 	c.execs[id] = x
 	return x
 }
@@ -300,7 +319,9 @@ func (c *Core[E, K, T]) Resize(x *Exec[E], slots int) {
 }
 
 // DropExecutor removes an executor (disconnect, deregister, release) and
-// returns its outstanding tasks for the caller to replay or finalize.
+// returns its outstanding tasks, in grant order, for the caller to replay or
+// finalize: its own queue's array, read and handed back with no other
+// executor's task visited.
 func (c *Core[E, K, T]) DropExecutor(id E) (x *Exec[E], dropped []Outstanding[E, K, T]) {
 	x, ok := c.execs[id]
 	if !ok {
@@ -309,13 +330,12 @@ func (c *Core[E, K, T]) DropExecutor(id E) (x *Exec[E], dropped []Outstanding[E,
 	delete(c.execs, id)
 	c.slots -= x.Slots
 	c.RemoveIdle(x)
-	for k, o := range c.out {
-		if o.Executor == id {
-			delete(c.out, k)
-			dropped = append(dropped, o)
-		}
+	if q := c.outOf(x); q != nil && x.Assigned > 0 {
+		c.reads += len(q.recs) - q.head
+		q.compact(x.Assigned)
+		dropped, c.nout = q.recs, c.nout-x.Assigned
 	}
-	c.shrinkOut()
+	x.out = nil
 	return x, dropped
 }
 
@@ -528,22 +548,30 @@ func (c *Core[E, K, T]) NoteCompletion(x *Exec[E], dataset string) {
 }
 
 // Assign marks it dispatched to x at now under key, incrementing the
-// attempt count and recording the outstanding entry. NotifiedAt is
-// clamped so that the enqueue→notify stage ends at the last push sent to
-// this executor, or absorbs the whole wait when no push followed the
-// enqueue (piggy-backed and re-pulled assignments). key must not be
-// outstanding: a caller queues one copy of a task at a time (the dispatcher's
-// owed set, DESIGN.md §11).
-func (c *Core[E, K, T]) Assign(now time.Duration, x *Exec[E], key K, it Item[T]) Outstanding[E, K, T] {
+// attempt count and appending the outstanding entry to x's queue. NotifiedAt
+// is clamped so that the enqueue→notify stage ends at the last push sent to
+// this executor, or absorbs the whole wait when no push followed the enqueue
+// (piggy-backed and re-pulled assignments). key must not be outstanding: a
+// caller queues one copy of a task at a time (the dispatcher's owed set,
+// DESIGN.md §11).
+func (c *Core[E, K, T]) Assign(now time.Duration, x *Exec[E], key K, it Item[T]) (o Outstanding[E, K, T]) {
 	it.Attempts++
 	notifiedAt := x.LastNotifyAt
 	if notifiedAt < it.QueuedAt || notifiedAt > now {
 		notifiedAt = now
 	}
-	o := Outstanding[E, K, T]{Key: key, Item: it, Executor: x.ID, DispatchedAt: now, NotifiedAt: notifiedAt}
-	c.out[key] = o
-	c.peak = max(c.peak, len(c.out))
+	q := c.outOf(x)
+	if q == nil {
+		q = new(outQueue[E, K, T])
+		x.out = q
+	}
+	if n := len(q.recs); n > 0 && n == cap(q.recs) && 2*x.Assigned <= n {
+		q.compact(x.Assigned) // half the array is taken: reuse it rather than grow it
+	}
+	o = Outstanding[E, K, T]{Key: key, Item: it, Executor: x.ID, DispatchedAt: now, NotifiedAt: notifiedAt}
+	q.recs = append(q.recs, o)
 	x.Assigned++
+	c.nout++
 	c.Counters.Dispatched++
 	return o
 }
@@ -551,69 +579,177 @@ func (c *Core[E, K, T]) Assign(now time.Duration, x *Exec[E], key K, it Item[T])
 // Complete acknowledges key's result from executor id, removing the
 // outstanding entry and freeing the slot. ok=false marks a duplicate
 // (late result after replay, or bogus delivery), which is counted.
-func (c *Core[E, K, T]) Complete(id E, key K) (Outstanding[E, K, T], bool) {
-	o, ok := c.out[key]
-	if !ok || o.Executor != id {
+func (c *Core[E, K, T]) Complete(id E, key K) (o Outstanding[E, K, T], ok bool) {
+	x, ok := c.execs[id]
+	if !ok {
 		c.Counters.Duplicates++
-		return Outstanding[E, K, T]{}, false
+		return o, false
 	}
-	delete(c.out, key)
-	c.release(o.Executor)
-	c.shrinkOut()
+	q, p := c.locate(x, key)
+	if p < 0 {
+		return o, false
+	}
+	o = q.recs[p]
+	c.take(x, q, p)
 	return o, true
 }
 
-// outFloor is the high-water mark below which the outstanding table is never
-// rebuilt: no table a closed loop of a few bundles in flight keeps pays for it.
-const outFloor = 4096
-
-// shrinkOut rebuilds the outstanding table at its live size once it has
-// drained below an eighth of its high-water mark. A Go map never gives back
-// the slots it grew, and each slot holds a whole record, so without this a
-// burst of 100,000 tasks in flight would leave 17.5 MB behind it; the copy is
-// of at most an eighth of the entries the table once held.
-func (c *Core[E, K, T]) shrinkOut() {
-	if c.peak <= outFloor || len(c.out) >= c.peak/8 {
-		return
+// CompleteFrom is Complete for a caller that holds the executor's record: a
+// result in grant order costs no lookup by key or by ID.
+func (c *Core[E, K, T]) CompleteFrom(x *Exec[E], key K) (o Outstanding[E, K, T], ok bool) {
+	q, p := c.locate(x, key)
+	if p < 0 {
+		return o, false
 	}
-	out := make(map[K]Outstanding[E, K, T], len(c.out))
-	for k, o := range c.out {
-		out[k] = o
-	}
-	c.out, c.peak = out, len(out)
+	o = q.recs[p]
+	c.take(x, q, p)
+	return o, true
 }
 
-// release gives back the slot an outstanding entry held on executor id:
-// Assigned counts the entries in out that name the executor, whichever way
-// an entry leaves.
-func (c *Core[E, K, T]) release(id E) *Exec[E] {
-	x, ok := c.execs[id]
-	if !ok || x.Assigned == 0 {
-		return nil
+// locate returns x's queue and the position in it of key's record, or -1 for
+// a duplicate, which it counts. A result in grant order is the queue's head
+// or the record just past the last completion; any other is looked up.
+func (c *Core[E, K, T]) locate(x *Exec[E], key K) (*outQueue[E, K, T], int) {
+	if q := c.outOf(x); q != nil && x.Assigned > 0 {
+		if q.recs[q.head].Key == key {
+			return q, q.head
+		}
+		if p := q.next; p < len(q.recs) && q.recs[p].Item.Attempts != 0 && q.recs[p].Key == key {
+			return q, p
+		}
+		if p := q.lookup(key); p >= 0 {
+			return q, p
+		}
 	}
-	x.Assigned--
-	return x
+	c.Counters.Duplicates++
+	return nil, -1
+}
+
+// outOf returns x's outstanding records, nil before its first assignment.
+func (c *Core[E, K, T]) outOf(x *Exec[E]) *outQueue[E, K, T] {
+	q, _ := x.out.(*outQueue[E, K, T])
+	return q
+}
+
+// take removes the live record at p from x's queue, freeing its slot.
+func (c *Core[E, K, T]) take(x *Exec[E], q *outQueue[E, K, T], p int) {
+	q.recs[p] = Outstanding[E, K, T]{} // references released, and Attempts 0: taken
+	c.nout--
+	if x.Assigned--; x.Assigned == 0 {
+		q.drain()
+		return
+	}
+	q.next = p + 1
+	for q.recs[q.head].Item.Attempts == 0 {
+		q.head++
+	}
 }
 
 // Expire removes every outstanding task dispatched before cutoff (the
 // timeout half of the replay policy), freeing the executors' slots and
 // re-offering them. The caller replays or finalizes the returned entries.
+// A queue is in grant order, which is dispatch order, so each is read from
+// its head up to its first record dispatched at or after cutoff.
 func (c *Core[E, K, T]) Expire(cutoff time.Duration) []Outstanding[E, K, T] {
 	var expired []Outstanding[E, K, T]
-	for k, o := range c.out {
-		if o.DispatchedAt < cutoff {
-			delete(c.out, k)
-			expired = append(expired, o)
+	for _, x := range c.execs {
+		q := c.outOf(x)
+		if q == nil {
+			continue
 		}
-	}
-	for _, o := range expired {
-		if x := c.release(o.Executor); x != nil {
+		n := len(expired)
+		for p := q.head; p < len(q.recs); p++ {
+			c.reads++
+			o := &q.recs[p]
+			if o.Item.Attempts == 0 {
+				continue
+			}
+			if o.DispatchedAt >= cutoff {
+				break
+			}
+			expired = append(expired, *o)
+			c.take(x, q, p)
+		}
+		if len(expired) > n {
 			x.Suspect = true
 			c.Offer(x)
 		}
 	}
-	c.shrinkOut()
 	return expired
+}
+
+// outQueue is one executor's outstanding records in grant order. A result
+// that arrives in that order — every one-slot executor's, and each slot's
+// batch on a multi-slot one — is at the head or just past the last
+// completion, and is found with no hashing. Results out of that order (a tree
+// link's leaf returns them one leaf executor at a time) are found through idx,
+// a key index filled from the first one on and emptied when the queue drains. A
+// taken record is zeroed where it lies, so Item.Attempts is 0 on it and at
+// least 1 on a live one (Assign counts the attempt); the executor's Assigned
+// is the number of live ones.
+type outQueue[E comparable, K comparable, T any] struct {
+	recs []Outstanding[E, K, T]
+	head int // recs[:head] are taken, and recs[head] is live while any is
+	next int // just past the last completion: where an in-order result is
+	// idx holds the positions of recs[:indexed]'s live records by key, as they
+	// were when indexed: a record taken since is found taken where it lies.
+	idx     map[K]int
+	indexed int
+}
+
+// lookup returns the position of the live record under key through the
+// index, indexing the records appended since it last missed; -1 when none.
+func (q *outQueue[E, K, T]) lookup(key K) int {
+	if q.idx == nil {
+		q.idx, q.indexed = make(map[K]int, len(q.recs)-q.head), q.head
+	}
+	for {
+		if p, ok := q.idx[key]; ok && q.recs[p].Item.Attempts != 0 {
+			return p
+		}
+		if q.indexed == len(q.recs) {
+			return -1
+		}
+		for ; q.indexed < len(q.recs); q.indexed++ {
+			if o := &q.recs[q.indexed]; o.Item.Attempts != 0 {
+				q.idx[o.Key] = q.indexed
+			}
+		}
+	}
+}
+
+// compact moves the n live records to the front of the array, in grant
+// order; into an array of twice their number instead once they would fill
+// under an eighth of one larger than shrinkFloor (as Ring.Pop does).
+func (q *outQueue[E, K, T]) compact(n int) {
+	live, shrink := q.recs[:0], cap(q.recs) > shrinkFloor && 8*n < cap(q.recs)
+	if shrink {
+		live = make([]Outstanding[E, K, T], 0, 2*n)
+	}
+	for _, o := range q.recs[q.head:] {
+		if o.Item.Attempts != 0 {
+			live = append(live, o)
+		}
+	}
+	if shrink {
+		q.idx = nil
+	} else {
+		clear(q.recs[n:]) // the moved records' old copies
+	}
+	clear(q.idx)
+	q.recs, q.head, q.next, q.indexed = live, 0, 0, 0
+}
+
+// drain resets a queue whose last record was taken. Its array and its index,
+// emptied, are kept for the next grants up to shrinkFloor records, and given
+// back beyond: a burst of 100,000 tasks in flight leaves nothing behind.
+func (q *outQueue[E, K, T]) drain() {
+	q.recs = q.recs[:0]
+	if cap(q.recs) > shrinkFloor {
+		q.recs, q.idx = nil, nil
+	}
+	clear(q.idx)
+	q.head, q.next, q.indexed = 0, 0, 0
 }
 
 // retryLimit returns the retry bound applying to it (the per-task

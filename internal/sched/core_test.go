@@ -383,9 +383,9 @@ func BenchmarkCorePickAssignComplete(b *testing.B) {
 
 // What the benchmark's sched.cycle_allocs row reads: an enqueue → pick →
 // assign → complete cycle allocates nothing, in objects or in bytes: the
-// outstanding record lives in the table's own slot. Records carved from shared
-// chunks, one allocation per 102 of this test's, fail it, as does one per
-// cycle. MemStats are the process's, so what else runs in it (the race
+// outstanding record lives in its executor's queue, whose array a drained
+// queue keeps. Records carved from shared chunks, one allocation per 102 of
+// this test's, fail it, as does one per cycle. MemStats are the process's, so what else runs in it (the race
 // detector's runtime, a test beside this one) can land in a batch of cycles:
 // the lowest of five batches is read. An allocation the cycle makes lands in
 // every batch.

@@ -12,14 +12,16 @@ import (
 // FuzzCore drives a Core through a sequence of operations decoded from the
 // fuzz input — enqueue and restore; add, resize and drop an executor; offer,
 // pop and remove idle; pick (Pick, PickWithin, PickAny), then assign;
-// complete by the holder, by another executor, or twice; expire, drop queued
-// or outstanding, each orphan replayed as the dispatcher does — and after
-// every one holds it to a reference model (coreModel):
+// complete by the holder in any order, a run of an executor's tasks in grant
+// order, by another executor, or twice; expire, drop queued or outstanding,
+// each orphan replayed as the dispatcher does — and after every one holds it
+// to a reference model (coreModel):
 //
 //   - every task is in exactly one of queued, outstanding, finished, dropped,
 //     with the attempts and stamps the model gave it;
 //   - Exec.Assigned is the count of outstanding entries naming the executor,
-//     and Slots what it registered or was resized to;
+//     and Slots what it registered or was resized to; AddExec under a live ID
+//     keeps the ID's entries, and the new record's Assigned counts them;
 //   - a completion counts once, and only from the holder; any other is a
 //     counted duplicate;
 //   - a task is requeued while its attempts are within its retry bound and
@@ -31,10 +33,7 @@ import (
 //     weighted service by more than the SFQ bound, 1/w₁ + 1/w₂.
 //
 // An executor whose slots are taken by assignments or a shrink stays on the
-// idle stack and is skipped when popped, so "idle" here is Offer's word. A
-// live ID is never re-added: AddExec under a registered ID starts a new
-// record at Assigned 0 while the old record's entries stay, which the
-// Assigned invariant is not stated for.
+// idle stack and is skipped when popped, so "idle" here is Offer's word.
 func FuzzCore(f *testing.F) {
 	// Each op is two bytes, (op, arg); the first two bytes configure the core.
 	f.Add([]byte{0, 2})
@@ -43,6 +42,11 @@ func FuzzCore(f *testing.F) {
 	f.Add([]byte{3, 2, opAdd, 0, opAdd, 1, opResize, 9, opEnqueue, 37, opRestore, 13, opNote, 4,
 		opEnqueue, 40, opOffer, 1, opNotify, 0, opPick, 5, opPick, 1, opCompleteOther, 65, opCompleteTwice, 0,
 		opDropQueued, 1, opDropOut, 0, opDrop, 0, opPopIdle, 0, opRemoveIdle, 1, opUnnotify, 1})
+	// Grants to a two-slot executor, results out of grant order and in runs,
+	// a re-registration under the live ID, and an expiry over what is left.
+	f.Add([]byte{0, 1, opAdd, 4, opEnqueue, 0, opEnqueue, 0, opEnqueue, 0, opEnqueue, 0, opEnqueue, 0, opEnqueue, 0,
+		opPick, 88, opPick, 88, opPick, 88, opCompleteOK, 3, opCompleteRun, 68, opAdd, 8, opCompleteOther, 1,
+		opCompleteRun, 0, opPick, 0, opExpire, 1, opCompleteRun, 96})
 	f.Fuzz(func(t *testing.T, in []byte) {
 		r := newCoreRig(in)
 		for r.step() {
@@ -73,6 +77,7 @@ const (
 	opNotify
 	opNote
 	opUnnotify
+	opCompleteRun
 	nOps
 )
 
@@ -104,6 +109,7 @@ type mTask struct {
 	queuedAt               time.Duration
 	holder                 string // while outstanding
 	dispatched, notified   time.Duration
+	grant                  int // the order it was last assigned in, over all executors
 }
 
 // coreModel is what the core must agree with: every task's state, every
@@ -116,6 +122,7 @@ type coreModel struct {
 	weights   map[string]float64 // nil: fair share off
 	served    map[string]float64 // picks per tenant over its weight
 	pairStart map[[2]string]float64
+	grants    int // assignments so far
 }
 
 func (m *coreModel) count(state int, match func(*mTask) bool) int {
@@ -136,6 +143,13 @@ func (m *coreModel) out() []*mTask {
 			ts = append(ts, &m.tasks[i])
 		}
 	}
+	return ts
+}
+
+// heldBy lists the tasks e holds, in grant order.
+func (m *coreModel) heldBy(e string) []*mTask {
+	ts := slices.DeleteFunc(m.out(), func(t *mTask) bool { return t.holder != e })
+	slices.SortFunc(ts, func(a, b *mTask) int { return a.grant - b.grant })
 	return ts
 }
 
@@ -226,12 +240,11 @@ func (r *coreRig) step() bool {
 		m.tasks = append(m.tasks, mt)
 		r.logf("%s task %d %+v attempts %d", [...]string{"enqueue", "restore"}[op], t.id, t, mt.attempts)
 	case opAdd:
-		if x != nil {
-			return true
-		}
 		m.slots[e] = 1 + arg/4%3
-		c.AddExec(e, m.slots[e])
-		r.logf("add %s, %d slots", e, m.slots[e])
+		if y := c.AddExec(e, m.slots[e]); y == x {
+			return r.fail("AddExec(%s) returned the record it replaced", e)
+		}
+		r.logf("add %s, %d slots (registered before: %v)", e, m.slots[e], x != nil)
 	case opResize:
 		if x == nil {
 			return true
@@ -310,17 +323,16 @@ func (r *coreRig) step() bool {
 			by = fuzzExecs[(slices.Index(fuzzExecs, t.holder)+1+arg/64%3)%4]
 		}
 		r.logf("complete task %d by %s (holder %s, op %d)", t.id, by, t.holder, op)
-		o, ok := c.Complete(by, t.id)
 		if op == opCompleteOther {
 			m.counters.Duplicates++
-			if ok {
+			if _, ok := c.Complete(by, t.id); ok {
 				return r.fail("Complete(%s, %d) accepted from a non-holder", by, t.id)
 			}
 			return true
 		}
-		if !ok || o.Key != t.id || o.Executor != t.holder || o.Item.Attempts != t.attempts || o.DispatchedAt != t.dispatched ||
-			o.NotifiedAt != t.notified || o.Item.QueuedAt != t.queuedAt {
-			return r.fail("Complete(%s, %d) = %+v, %v; the model holds %+v", by, t.id, o, ok, *t)
+		o, ok := c.Complete(by, t.id)
+		if !r.completed(t, o, ok) {
+			return true
 		}
 		if op == opCompleteFailed {
 			r.replay([]Outstanding[string, int, fuzzTask]{o}, []int{t.id})
@@ -369,6 +381,22 @@ func (r *coreRig) step() bool {
 				t.state = dropped
 			}
 		}
+	case opCompleteRun:
+		// What a slot's Deliver brings: a run of the tasks one executor holds,
+		// in the order they were granted to it, from the record the caller holds.
+		held := m.heldBy(e)
+		if len(held) == 0 {
+			return true
+		}
+		from := arg / 4 % len(held)
+		run := held[from:min(len(held), from+1+arg/32)]
+		r.logf("complete %d of %s's tasks in grant order from task %d", len(run), e, run[0].id)
+		for _, t := range run {
+			if o, ok := c.CompleteFrom(x, t.id); !r.completed(t, o, ok) {
+				return true
+			}
+			t.state = finished
+		}
 	case opNotify:
 		ns := c.Notifications(r.now)
 		r.logf("notifications: %d", len(ns))
@@ -391,6 +419,16 @@ func (r *coreRig) step() bool {
 		}
 		x.Notified, x.Suspect = false, false // what a pull or a delivery does
 		r.logf("%s heard from", e)
+	}
+	return true
+}
+
+// completed holds one completion of t by its holder to the model; false when
+// it failed the run.
+func (r *coreRig) completed(t *mTask, o Outstanding[string, int, fuzzTask], ok bool) bool {
+	if !ok || o.Key != t.id || o.Executor != t.holder || o.Item.Attempts != t.attempts || o.DispatchedAt != t.dispatched ||
+		o.NotifiedAt != t.notified || o.Item.QueuedAt != t.queuedAt {
+		return !r.fail("completion of task %d by %s = %+v, %v; the model holds %+v", t.id, t.holder, o, ok, *t)
 	}
 	return true
 }
@@ -443,8 +481,9 @@ func (r *coreRig) pick(x *Exec[string], mode int, room time.Duration) *mTask {
 		notified = r.now
 	}
 	o := c.Assign(r.now, x, t.id, it)
-	t.state, t.holder, t.dispatched, t.notified = outstanding, x.ID, r.now, notified
+	t.state, t.holder, t.dispatched, t.notified, t.grant = outstanding, x.ID, r.now, notified, m.grants
 	t.attempts++
+	m.grants++
 	m.counters.Dispatched++
 	if o.Item.Attempts != t.attempts || o.NotifiedAt != notified || o.DispatchedAt != r.now || o.Executor != x.ID {
 		r.fail("Assign gave %+v; want attempts %d, notified %d", o, t.attempts, notified)

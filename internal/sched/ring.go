@@ -45,8 +45,8 @@ func (q *Ring[T]) Pop() (T, bool) {
 	q.head++
 	// Compact once the dead prefix dominates, bounding memory at 2x live;
 	// into an array sized for the live items once they would fill under an
-	// eighth of this one, as the outstanding table is rebuilt
-	// (Core.shrinkOut): a drained queue keeps no array its peak grew.
+	// eighth of this one, as an executor's outstanding queue is compacted
+	// (outQueue.compact): a drained queue keeps no array its peak grew.
 	if q.head > compactFloor && q.head*2 >= len(q.items) {
 		live := q.items[q.head:]
 		if cap(q.items) > shrinkFloor && len(live) < cap(q.items)/8 {

@@ -10,6 +10,7 @@
 #   ./scripts/allocs.sh -bench 'BenchmarkBulkRound/fair' ./internal/forward/
 #   ./scripts/allocs.sh -bench 'BenchmarkBulkRound/tree-journal' ./internal/forward/
 #   ./scripts/allocs.sh -bench 'BenchmarkBulkRound/journal-fsync' ./internal/forward/
+#   ./scripts/allocs.sh -bench -runs 3 'BenchmarkBulkRound/plain' ./internal/forward/
 #
 # (plain, journal and tree are the repo benchmark's bulk workloads; secure,
 # fair — eight tenants declared —, tree-journal — journaled leaves —,
@@ -36,6 +37,12 @@
 # 3 % where one P reads 39 % and 9 %). The test binary and the
 # profiles go to a temporary directory that is removed afterwards.
 #
+# -runs N (with -bench) runs the profiled benchmark N times and merges the N
+# CPU profiles (pprof sums the profiles it is given) before printing the time
+# ledger: one run's layer shares move by a third from run to run, so read a
+# ledger of three or more. The allocation tables come from one run, since
+# allocation counts repeat.
+#
 # Reconciling the profile with MemStats.Mallocs (what the tests and the repo
 # benchmark report): an object under 16 bytes that holds no pointer — a short
 # string such as a command or an executor ID — shares a 16-byte block of the
@@ -44,13 +51,16 @@
 # serial row of TestAllocsPerTaskBudget read when this note was written).
 set -euo pipefail
 
-bench=0
-if [ "${1:-}" = "-bench" ]; then
-    bench=1
-    shift
-fi
-if [ $# -ne 2 ]; then
-    echo "usage: $0 [-bench] <test-or-benchmark-regexp> <package>" >&2
+bench=0 runs=1
+while [ $# -gt 2 ]; do
+    case $1 in
+    -bench) bench=1; shift ;;
+    -runs) runs=$2; shift 2 ;;
+    *) break ;;
+    esac
+done
+if [ $# -ne 2 ] || { [ "$runs" != 1 ] && [ "$bench" = 0 ]; }; then
+    echo "usage: $0 [-bench [-runs N]] <test-or-benchmark-regexp> <package>" >&2
     exit 2
 fi
 cd "$(dirname "$0")/.."
@@ -67,7 +77,10 @@ for index in alloc_objects alloc_space; do
     go tool pprof -sample_index=$index -top -nodecount=40 "$out/test.bin" "$out/mem.prof"
 done
 if [ "$bench" = 1 ]; then
-    go test -run '^$' -bench "$1" -benchtime 600000x -cpu 1 -count=1 -o "$out/test.bin" -cpuprofile "$out/cpu.prof" "$2" | tee "$out/bench.txt"
+    for ((r = 1; r <= runs; r++)); do
+        go test -run '^$' -bench "$1" -benchtime 600000x -cpu 1 -count=1 -o "$out/test.bin" -cpuprofile "$out/cpu.$r.prof" "$2" | tee -a "$out/bench.txt"
+    done
+    go tool pprof -proto "$out/test.bin" "$out"/cpu.*.prof >"$out/cpu.prof" 2>/dev/null
     go tool pprof -top -nodecount=40 "$out/test.bin" "$out/cpu.prof"
     go tool pprof -top -cum -nodecount=60 "$out/test.bin" "$out/cpu.prof"
     # The time ledger: every sample goes to the first layer below that has a

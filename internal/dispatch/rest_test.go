@@ -24,10 +24,10 @@ const restTasks = 100_000
 // collection, less the heap before the tasks came, ÷ restTasks — measured at
 // -cpu 1, 2 and 4 for tasks of one argument 154.2–155.2 queued, 209.6
 // outstanding and 7.1 retained; 193.5 queued with three arguments; 149.3–151.1
-// queued and 1.9–3.6 retained by a journaled dispatcher (171.3–173.1 queued
+// queued and 1.6–3.5 retained by a journaled dispatcher (171.3–173.1 queued
 // while only a journaled instance kept a table of owed task IDs, a Go map);
-// and 177.8 queued and 6.2 retained for IDs 1,000 apart. Each ceiling is the highest reading plus
-// 15 %, but the retained rows':
+// and 177.8 queued and 6.2 retained for IDs 1,000 apart. Each ceiling is the
+// highest reading plus 15 %, but the retained rows':
 //
 //   - queued (submitted, no executor registered): the bundle's task as the
 //     dispatcher holds it — 48 bytes, and its bytes as received less its ID's
@@ -62,17 +62,18 @@ const restTasks = 100_000
 //     map that the cycle rebuilt smaller, and the row read −2.2 to −1.2.
 //     Without the ring's rule it read 55–56, with a map that was never
 //     rebuilt 231, and with pointer slots 108–109; a drained queue that kept
-//     its array would add over 100. The
-//     ceiling is 8: a drained ring or queue that keeps its array fails it.
+//     its array would add over 100. The ceiling is 8: a drained ring or
+//     queue that keeps its array fails it.
 //     The owed set's window shrinks as it drains, and its map is dropped once
 //     empty. A journaled dispatcher retains nothing more: its journal keeps
 //     two 1 MiB buffers (~10 B a task each at this depth), which its two
-//     warm-ups grew. It may still be writing a snapshot cut during the cycle,
-//     whose captured state (~12 B a task) it holds until written, so a
-//     retained row reads the lowest of five collections 100 ms apart (one
-//     reading made it 11.9, once in 15). While the journal kept a buffer at
-//     the size a burst of deliveries grew it to, the row read −6.8 to 13.6.
-//     Its ceiling is 8 too.
+//     warm-ups grew. Until they are written, a snapshot cut during the cycle
+//     holds its captured state (~12 B a task) and the last deliveries' records
+//     a buffer a burst may have grown past 1 MiB, so each reading first waits
+//     for both (Dispatcher.SettleJournal; read without it, this row made
+//     11.9 to 34.2 in about one run of 15 to 120). While the journal kept a
+//     buffer at the size a burst of deliveries grew it to, the row read −6.8
+//     to 13.6. Its ceiling is 8 too.
 //   - sparse IDs: what an owed set's map costs, for IDs its window cannot
 //     hold at one bit each (task.Owed): ~23 bytes a task over dense IDs.
 const (
@@ -132,15 +133,12 @@ func TestBytesPerTaskAtRest(t *testing.T) {
 			base := liveHeap()
 			perTask := map[string]float64{}
 			cycle(t, d, c, &gen, "rest", restTasks, sys.args, sys.stride, func(stage string) {
-				if _, ok := sys.ceilings[stage]; !ok {
-					return
+				if _, ok := sys.ceilings[stage]; ok {
+					if err := d.SettleJournal(); err != nil {
+						t.Fatal(err)
+					}
+					perTask[stage] = float64(int64(liveHeap())-int64(base)) / restTasks
 				}
-				heap := liveHeap()
-				for i := 0; stage == "retained" && i < 4; i++ {
-					time.Sleep(100 * time.Millisecond) // a snapshot being written goes
-					heap = min(heap, liveHeap())
-				}
-				perTask[stage] = float64(int64(heap)-int64(base)) / restTasks
 			})
 			for _, stage := range []string{"queued", "outstanding", "retained"} {
 				ceiling, ok := sys.ceilings[stage]

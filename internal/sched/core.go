@@ -133,10 +133,6 @@ type Core[E comparable, K comparable, T any] struct {
 	// nout counts the outstanding records, which live in their executors'
 	// queues (outQueue).
 	nout int
-	// reads counts the outstanding records the sweeps (DropExecutor,
-	// DropOutstanding, Expire) have read: the tests hold each sweep to the
-	// records it must touch.
-	reads int
 	// notes is what Notifications returns, kept from call to call.
 	notes []Notification[E]
 
@@ -256,7 +252,6 @@ func (c *Core[E, K, T]) DropOutstanding(match func(T) bool) int {
 		}
 		n := dropped
 		for p := q.head; p < len(q.recs); p++ {
-			c.reads++
 			if o := &q.recs[p]; o.Item.Attempts != 0 && match(o.Item.X) {
 				c.take(x, q, p)
 				dropped++
@@ -331,7 +326,6 @@ func (c *Core[E, K, T]) DropExecutor(id E) (x *Exec[E], dropped []Outstanding[E,
 	c.slots -= x.Slots
 	c.RemoveIdle(x)
 	if q := c.outOf(x); q != nil && x.Assigned > 0 {
-		c.reads += len(q.recs) - q.head
 		q.compact(x.Assigned)
 		dropped, c.nout = q.recs, c.nout-x.Assigned
 	}
@@ -553,7 +547,8 @@ func (c *Core[E, K, T]) NoteCompletion(x *Exec[E], dataset string) {
 // this executor, or absorbs the whole wait when no push followed the enqueue
 // (piggy-backed and re-pulled assignments). key must not be outstanding: a
 // caller queues one copy of a task at a time (the dispatcher's owed set,
-// DESIGN.md §11).
+// DESIGN.md §11). now must not decrease between assignments to one executor:
+// Expire relies on it.
 func (c *Core[E, K, T]) Assign(now time.Duration, x *Exec[E], key K, it Item[T]) (o Outstanding[E, K, T]) {
 	it.Attempts++
 	notifiedAt := x.LastNotifyAt
@@ -585,13 +580,7 @@ func (c *Core[E, K, T]) Complete(id E, key K) (o Outstanding[E, K, T], ok bool) 
 		c.Counters.Duplicates++
 		return o, false
 	}
-	q, p := c.locate(x, key)
-	if p < 0 {
-		return o, false
-	}
-	o = q.recs[p]
-	c.take(x, q, p)
-	return o, true
+	return c.CompleteFrom(x, key)
 }
 
 // CompleteFrom is Complete for a caller that holds the executor's record: a
@@ -659,12 +648,11 @@ func (c *Core[E, K, T]) Expire(cutoff time.Duration) []Outstanding[E, K, T] {
 		}
 		n := len(expired)
 		for p := q.head; p < len(q.recs); p++ {
-			c.reads++
 			o := &q.recs[p]
 			if o.Item.Attempts == 0 {
 				continue
 			}
-			if o.DispatchedAt >= cutoff {
+			if !dispatchedBefore(o.DispatchedAt, cutoff) {
 				break
 			}
 			expired = append(expired, *o)
@@ -677,6 +665,9 @@ func (c *Core[E, K, T]) Expire(cutoff time.Duration) []Outstanding[E, K, T] {
 	}
 	return expired
 }
+
+// dispatchedBefore is Expire's test of a live record.
+var dispatchedBefore = func(at, cutoff time.Duration) bool { return at < cutoff }
 
 // outQueue is one executor's outstanding records in grant order. A result
 // that arrives in that order — every one-slot executor's, and each slot's

@@ -220,7 +220,6 @@ func runOne(c cfg, keep bool) (err error) {
 			DispatcherAddr:   t.front,
 			Name:             "falkon-chaos" + tag,
 			BundleSize:       20,
-			Reconnect:        true,
 			ReconnectTimeout: 60 * time.Second,
 			Faults:           cinj,
 		})

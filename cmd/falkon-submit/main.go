@@ -17,7 +17,9 @@ import (
 	"fmt"
 	"log"
 	"os"
+	"os/signal"
 	"strings"
+	"syscall"
 	"time"
 
 	"falkon/internal/client"
@@ -40,7 +42,6 @@ func main() {
 		poll       = flag.Bool("poll", false, "poll for results instead of notifications")
 		pskFile    = flag.String("psk-file", "", "the dispatcher's pre-shared key file: speak the secure-conversation transport profile (empty = in the clear)")
 		timeout    = flag.Duration("timeout", 10*time.Minute, "overall wait timeout")
-		reconnect  = flag.Bool("reconnect", false, "survive dispatcher restarts: reattach, resubmit pending tasks idempotently, and dedupe redelivered results")
 		debugAddr  = flag.String("debug-addr", "", "HTTP address serving /metrics and /debug/pprof/ while the run lasts (empty = off)")
 		faults     = flag.String("faults", "", "fault-injection spec, e.g. seed=42,latency=2ms@0.05 (chaos testing)")
 		tenant     = flag.String("tenant", "", "tenant to submit as (empty = the default tenant)")
@@ -63,7 +64,6 @@ func main() {
 		Name:           "falkon-submit",
 		BundleSize:     *bundle,
 		Poll:           *poll,
-		Reconnect:      *reconnect,
 		Tenant:         *tenant,
 	}
 	if *faults != "" {
@@ -109,17 +109,23 @@ func main() {
 	if err != nil {
 		log.Fatalf("falkon-submit: %v", err)
 	}
-	defer c.Close()
+	// Every exit from here closes the client, which destroys its instance, so
+	// that no dispatcher runs the rest of the job for nobody.
+	fail := func(err error) { c.Close(); log.Fatalf("falkon-submit: %v", err) }
+	stop := make(chan os.Signal, 1)
+	signal.Notify(stop, os.Interrupt, syscall.SIGTERM)
+	go func() { fail(fmt.Errorf("%v", <-stop)) }()
 
 	start := time.Now()
 	if err := c.Submit(tasks); err != nil {
-		log.Fatalf("falkon-submit: %v", err)
+		fail(err)
 	}
 	results, err := c.WaitN(len(tasks), *timeout)
 	if err != nil {
-		log.Fatalf("falkon-submit: %v", err)
+		fail(err)
 	}
 	elapsed := time.Since(start)
+	c.Close()
 
 	failed := 0
 	var queue, exec []time.Duration
@@ -136,7 +142,7 @@ func main() {
 		float64(len(results))/elapsed.Seconds())
 	fmt.Printf("queue time  mean=%v min=%v max=%v\n", qs.Mean.Round(time.Microsecond), qs.Min.Round(time.Microsecond), qs.Max.Round(time.Microsecond))
 	fmt.Printf("exec time   mean=%v min=%v max=%v\n", es.Mean.Round(time.Microsecond), es.Min.Round(time.Microsecond), es.Max.Round(time.Microsecond))
-	if *reconnect && (c.Reconnects() > 0 || c.DuplicatesDropped() > 0 || c.Deduped() > 0) {
+	if c.Reconnects() > 0 || c.DuplicatesDropped() > 0 || c.Deduped() > 0 {
 		fmt.Printf("recovery    reconnects=%d resubmit-deduped=%d duplicate-results-dropped=%d\n",
 			c.Reconnects(), c.Deduped(), c.DuplicatesDropped())
 	}

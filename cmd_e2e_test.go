@@ -759,7 +759,7 @@ func TestBinariesCrashRecovery(t *testing.T) {
 	// that the kill below is guaranteed to land mid-run.
 	submit := exec.Command(filepath.Join(bin, "falkon-submit"),
 		"-dispatcher", dispAddr, "-sleep0", "400", "-sleep", "30ms",
-		"-bundle", "20", "-reconnect", "-timeout", "120s")
+		"-bundle", "20", "-timeout", "120s")
 	var out strings.Builder
 	submit.Stdout = &out
 	submit.Stderr = &out
@@ -786,6 +786,31 @@ func TestBinariesCrashRecovery(t *testing.T) {
 	}
 	if !strings.Contains(out.String(), "reconnects=") {
 		t.Fatalf("submit never reconnected (crash missed the run?): %s", out.String())
+	}
+}
+
+// falkon-submit closes its client on every exit after it connected, a failed
+// one too: a run that times out leaves no instance behind to run the rest of
+// the job for nobody.
+func TestBinariesSubmitTimeoutLeavesNoInstance(t *testing.T) {
+	bin := buildBinaries(t)
+	_, dispAddr := startDispatcher(t, bin, ephemeral, "-quiet", "-stats-every", "0")
+	out, err := exec.Command(filepath.Join(bin, "falkon-submit"),
+		"-dispatcher", dispAddr, "-sleep0", "50", "-sleep", "1s", "-timeout", "200ms").CombinedOutput()
+	if err == nil {
+		t.Fatalf("falkon-submit with no executor and a 200ms timeout exited 0:\n%s", out)
+	}
+	cli, err := wsrpc.Dial(dispAddr, wsrpc.ClientOptions{})
+	if err != nil {
+		t.Fatal(err)
+	}
+	defer cli.Close()
+	var st fproto.StatsReply
+	if err := cli.Call(fproto.MethodStats, nil, &st); err != nil {
+		t.Fatal(err)
+	}
+	if st.Instances != 0 {
+		t.Fatalf("after falkon-submit timed out the dispatcher holds %d instances, want 0:\n%s", st.Instances, out)
 	}
 }
 

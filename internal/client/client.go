@@ -3,13 +3,14 @@
 // client-dispatcher bundling, and collects results either through pushed
 // notifications (message {8} of Figure 2) or by polling.
 //
-// With Reconnect enabled the client also rides out dispatcher restarts:
-// it redials with jittered backoff, re-attaches to its instance (which a
-// journaling dispatcher recovers from disk), idempotently resubmits every
-// task still awaiting a result, and delivers a result only while its task
-// is still awaited — so the application sees each result exactly once no
-// matter how many times the dispatcher crashed in between, and the client
-// keeps state for the tasks in flight only.
+// Every client rides out a dispatcher restart: it redials with jittered
+// backoff, re-attaches to its instance (which a journaling dispatcher recovers
+// from disk), idempotently resubmits every task still awaiting a result, and
+// delivers a result only while its task is still awaited — so the application
+// sees each result exactly once no matter how many times the dispatcher
+// crashed in between. For that it keeps each bundle as it encoded it, once,
+// until the last of its results is in, and hands the bundle's storage to a
+// later Submit: its state is the tasks in flight only.
 package client
 
 import (
@@ -24,6 +25,7 @@ import (
 	"time"
 
 	"falkon/internal/fproto"
+	"falkon/internal/jsonwire"
 	"falkon/internal/task"
 	"falkon/internal/wsrpc"
 )
@@ -54,12 +56,6 @@ type Options struct {
 	// polling (the firewall-friendly mode of §6).
 	Poll bool
 
-	// Reconnect enables crash-safe operation: on a dropped connection the
-	// client redials with jittered backoff, re-attaches to its instance,
-	// resubmits tasks still awaiting results (the dispatcher dedupes ones
-	// it already holds), and drops a result whose task is no longer
-	// awaited.
-	Reconnect bool
 	// ReconnectTimeout bounds one continuous outage (default 30s); past it
 	// the client gives up and Submit/WaitN fail.
 	ReconnectTimeout time.Duration
@@ -104,16 +100,19 @@ type Client struct {
 	reconnects  int64
 	throttled   int64 // bundles the dispatcher deferred with retry-after
 
-	// In Reconnect mode owed holds the IDs of the tasks awaiting results, from
-	// just before their bundle is sent until their result is delivered, and
-	// sent each bundle holding one, as it was sent, for a resubmission (held
-	// counts their tasks, since the results delivered since the last sweep).
-	// A result is delivered only if its task is owed, the rule a tree's root
-	// applies to its links. So the client holds O(in-flight) state.
-	owed  task.Owed
-	sent  [][]task.Relayed
-	held  int
-	since int
+	// owed holds the IDs of the tasks awaiting results, from just before their
+	// bundle is sent until their result is delivered, and sent each bundle
+	// holding one, as it was sent, for a resubmission (held counts their
+	// tasks, since the results delivered since the last sweep). A result is
+	// delivered only if its task is owed, the rule a tree's root applies to its
+	// links. free is the bundles the sweep released, freeBytes of storage at
+	// most, for Submit to encode into. So the client holds O(in-flight) state.
+	owed      task.Owed
+	sent      []*bundle
+	held      int
+	since     int
+	free      []*bundle
+	freeBytes int
 
 	results  chan task.Result
 	pollDone chan struct{}
@@ -150,7 +149,6 @@ func Connect(opts Options) (*Client, error) {
 			OnNotify: c.onNotify,
 			Faults:   opts.Faults,
 		},
-		Reconnect:        opts.Reconnect,
 		ReconnectTimeout: opts.ReconnectTimeout,
 		Handshake:        c.handshake,
 		OnUp:             c.resubmitOwed,
@@ -217,24 +215,31 @@ func (c *Client) handshake(cli *wsrpc.Client, addrIdx int) error {
 }
 
 // resubmitOwed runs after every reconnect: it idempotently resubmits each
-// task still awaiting a result. The dispatcher drops the ones it still holds
-// (reply.Deduped) and re-runs the ones that died with the crash. An error
-// here needs no handling: if the connection died again the session redials
-// and calls back, and a rejected bundle is no worse off than before.
+// task still awaiting a result, its bytes as they were sent, in bundles of
+// BundleSize. The dispatcher drops the ones it still holds (reply.Deduped) and
+// re-runs the ones that died with the crash. An error here needs no handling:
+// if the connection died again the session redials and calls back, and a
+// rejected bundle is no worse off than before.
 func (c *Client) resubmitOwed(*wsrpc.Client) {
 	c.mu.Lock()
 	c.reconnects++
-	owed := slices.DeleteFunc(slices.Concat(c.sent...), func(t task.Relayed) bool { return !c.owed.Has(t.ID) })
+	var owed bundle // a copy: a sent bundle's storage may go to a Submit
+	for _, b := range c.sent {
+		for i := range b.ends {
+			if c.owed.Has(b.id(i)) {
+				owed.array = append(append(owed.array, b.span(i, i+1)...), ',')
+				owed.ends = append(owed.ends, uint32(len(owed.array)))
+			}
+		}
+	}
 	c.mu.Unlock()
 	call := submitCalls.Get().(*submitCall)
 	defer putCall(call)
-	for len(owed) > 0 {
-		n := min(c.opts.BundleSize, len(owed))
-		call.bundle.Tasks = owed[:n]
-		if c.send(call, n, true) != nil {
+	for i := 0; i < len(owed.ends); i += c.opts.BundleSize {
+		j := min(i+c.opts.BundleSize, len(owed.ends))
+		if c.send(call, owed.span(i, j), j-i, true) != nil {
 			return
 		}
-		owed = owed[n:]
 	}
 }
 
@@ -261,31 +266,29 @@ func (c *Client) ownEPR(b []byte) string {
 	return ""
 }
 
-// deliver pushes results to the channel, spilling to a goroutine if full so
-// the transport read loop never stalls (the channel is buffered; genuine
-// backpressure is rare); a spill gives up once the session has ended. In
-// Reconnect mode it first drops every result whose task is not owed —
-// redeliveries are expected after a crash (the journal redelivers anything
-// not provably collected) and after resubmission races, and this filter is
-// what makes delivery exactly-once. rs is the caller's to reuse afterwards:
-// the filter runs in place and the spill copies what it keeps.
+// deliver drops every result whose task is not owed — redeliveries are
+// expected after a crash (the journal redelivers anything not provably
+// collected) and after resubmission races, and this filter is what makes
+// delivery exactly-once — and pushes the rest to the channel, spilling to a
+// goroutine if full so the transport read loop never stalls (the channel is
+// buffered; genuine backpressure is rare); a spill gives up once the session
+// has ended. rs is the caller's to reuse afterwards: the filter runs in place
+// and the spill copies what it keeps.
 func (c *Client) deliver(rs []task.Result) {
-	if c.opts.Reconnect {
-		c.mu.Lock()
-		fresh := rs[:0]
-		for _, r := range rs {
-			if !c.owed.Remove(r.ID) {
-				c.dupDrops++
-				continue
-			}
-			fresh = append(fresh, r)
+	c.mu.Lock()
+	fresh := rs[:0]
+	for _, r := range rs {
+		if !c.owed.Remove(r.ID) {
+			c.dupDrops++
+			continue
 		}
-		rs = fresh
-		if c.since += len(rs); c.since > c.held/2 || c.owed.Len() == 0 {
-			c.sweepLocked()
-		}
-		c.mu.Unlock()
+		fresh = append(fresh, r)
 	}
+	rs = fresh
+	if c.since += len(rs); c.since > c.held/2 || c.owed.Len() == 0 {
+		c.sweepLocked()
+	}
+	c.mu.Unlock()
 	for i, r := range rs {
 		select {
 		case c.results <- r:
@@ -304,21 +307,32 @@ func (c *Client) deliver(rs []task.Result) {
 	}
 }
 
-// sweepLocked releases every bundle none of whose tasks is owed. It runs once
-// the results since the last outnumber half the tasks held: O(1) a result.
+// maxFree bounds the storage the free list keeps, as corkRetainBuffer bounds
+// a drained cork: enough for a steady load to encode every bundle into storage
+// a released one left, little for a drained client to hold.
+const maxFree = 64 << 10
+
+// sweepLocked releases every bundle none of whose tasks is owed, to the free
+// list while it has room. It runs once the results since the last outnumber
+// half the tasks held: O(1) a result.
 func (c *Client) sweepLocked() {
 	c.held, c.since = 0, 0
-	c.sent = slices.DeleteFunc(c.sent, func(b []task.Relayed) bool {
-		kept := slices.ContainsFunc(b, func(t task.Relayed) bool { return c.owed.Has(t.ID) })
-		if kept {
-			c.held += len(b)
+	c.sent = slices.DeleteFunc(c.sent, func(b *bundle) bool {
+		for i := range b.ends {
+			if b.busy || c.owed.Has(b.id(i)) {
+				c.held += len(b.ends)
+				return false
+			}
 		}
-		return !kept
+		if size := cap(b.array) + 4*cap(b.ends); c.freeBytes+size <= maxFree {
+			c.free, c.freeBytes = append(c.free, b), c.freeBytes+size
+		}
+		return true
 	})
 }
 
-// pollLoop drives Collect when notifications are disabled. In Reconnect
-// mode it survives connection swaps by waiting out each outage.
+// pollLoop drives Collect when notifications are disabled. It survives
+// connection swaps by waiting out each outage.
 func (c *Client) pollLoop() {
 	defer close(c.pollDone)
 	for {
@@ -333,7 +347,7 @@ func (c *Client) pollLoop() {
 		}, &reply)
 		if err != nil {
 			var remote *wsrpc.RemoteError
-			if !c.opts.Reconnect || errors.As(err, &remote) || !c.sess.Await(gen) {
+			if errors.As(err, &remote) || !c.sess.Await(gen) {
 				return
 			}
 			continue
@@ -345,9 +359,9 @@ func (c *Client) pollLoop() {
 }
 
 // Submit sends tasks to the dispatcher in bundles of BundleSize. With a
-// journaling dispatcher the acknowledgment means the bundle is durable; in
-// Reconnect mode a bundle interrupted by a connection drop is retried
-// after the reconnect (the dispatcher dedupes tasks it already accepted).
+// journaling dispatcher the acknowledgment means the bundle is durable; a
+// bundle interrupted by a connection drop is retried after the reconnect
+// (the dispatcher dedupes tasks it already accepted).
 //
 // Submit assigns each task a trace ID (in the caller's slice, so callers
 // can correlate with span dumps) unless one is already set; a resubmitted
@@ -365,24 +379,42 @@ func (c *Client) Submit(tasks []task.Task) error {
 	defer putCall(call)
 	for len(tasks) > 0 {
 		n := min(c.opts.BundleSize, len(tasks))
-		call.req.Tasks = tasks[:n]
-		if c.opts.Reconnect {
-			// Owed before it is sent: a result pushed ahead of the submit's
-			// reply finds its task awaited.
-			call.bundle.Tasks = task.Relay(tasks[:n])
-			c.mu.Lock()
-			for i := range call.bundle.Tasks {
-				c.owed.Add(call.bundle.Tasks[i].ID)
-			}
-			c.sent, c.held = append(c.sent, call.bundle.Tasks), c.held+n
-			c.mu.Unlock()
+		var b *bundle // storage a released one left, if the sweep left any
+		c.mu.Lock()
+		if k := len(c.free); k > 0 {
+			b, c.free[k-1], c.free = c.free[k-1], nil, c.free[:k-1]
+			c.freeBytes -= cap(b.array) + 4*cap(b.ends)
+		} else {
+			b = new(bundle)
 		}
-		if err := c.send(call, n, false); err != nil {
-			c.mu.Lock()
-			for i := range call.bundle.Tasks { // refused: no result is owed for it
-				c.owed.Remove(call.bundle.Tasks[i].ID)
+		c.mu.Unlock()
+		b.array, b.ends = b.array[:0], slices.Grow(b.ends[:0], n)
+		for i := range tasks[:n] {
+			b.array = append(tasks[i].AppendJSON(b.array), ',')
+			b.ends = append(b.ends, uint32(len(b.array)))
+			if i == 0 { // the rest differ from the first in their digits
+				b.array = slices.Grow(b.array, (n-1)*len(b.array)+n)
 			}
-			c.mu.Unlock()
+		}
+		// Owed before it is sent: a result pushed ahead of the submit's reply
+		// finds its task awaited.
+		c.mu.Lock()
+		for i := range tasks[:n] {
+			c.owed.Add(tasks[i].ID)
+		}
+		b.busy = true
+		c.sent, c.held = append(c.sent, b), c.held+n
+		c.mu.Unlock()
+		err := c.send(call, b.span(0, n), n, false)
+		c.mu.Lock()
+		b.busy = false
+		if err != nil { // refused: no result is owed for it
+			for i := range tasks[:n] {
+				c.owed.Remove(tasks[i].ID)
+			}
+		}
+		c.mu.Unlock()
+		if err != nil {
 			return err
 		}
 		tasks = tasks[n:]
@@ -390,27 +422,62 @@ func (c *Client) Submit(tasks []task.Task) error {
 	return nil
 }
 
-// submitCall is what a submit hands wsrpc by pointer, bundle after bundle: the
-// request, in Reconnect mode the bundle as it is kept, and the reply (DESIGN.md
-// §9, "Scratch": a body handed to Call is state its call site holds). Pooled,
-// since Submit may be concurrent.
+// bundle is a bundle as the client sent it, kept until none of its tasks is
+// owed, so that a reattach can send those again: its tasks as encoded, once,
+// each followed by a comma, and the offset past each one's comma. A task's ID
+// is read back from its bytes. busy marks a bundle a Submit is still sending,
+// and so reading, which the sweep keeps.
+type bundle struct {
+	array []byte
+	ends  []uint32
+	busy  bool
+}
+
+// span is the encoding of tasks i to j-1 of the bundle, as a JSON array holds
+// them.
+func (b *bundle) span(i, j int) []byte {
+	start := 0
+	if i > 0 {
+		start = int(b.ends[i-1])
+	}
+	return b.array[start : b.ends[j-1]-1]
+}
+
+// id is the bundle's i-th task's ID: Task.AppendJSON writes it first.
+func (b *bundle) id(i int) task.ID {
+	id, _, _ := jsonwire.ParseUint(b.span(i, i+1)[len(`{"id":`):])
+	return task.ID(id)
+}
+
+// submitCall is what a submit hands wsrpc by pointer, bundle after bundle
+// (DESIGN.md §9, "Scratch": a body handed to Call is state its call site
+// holds): the body, a SubmitRequest whose tasks are encoded already, and the
+// reply. Pooled, since Submit may be concurrent.
 type submitCall struct {
-	req    fproto.SubmitRequest
-	bundle fproto.Bundle
-	reply  fproto.SubmitReply
+	epr   string
+	tasks []byte
+	reply fproto.SubmitReply
 }
 
 var submitCalls = sync.Pool{New: func() any { return new(submitCall) }}
 
 func putCall(call *submitCall) {
-	call.req, call.bundle = fproto.SubmitRequest{}, fproto.Bundle{} // the tasks are not the pool's to keep
+	call.tasks = nil // the tasks are not the pool's to keep
 	submitCalls.Put(call)
 }
 
-// send sends the bundle of n tasks in call, call.bundle if it holds one, over
-// the current connection. resubmit marks the reconnect path, where failures
-// bounce back to the supervisor instead of waiting here.
-func (c *Client) send(call *submitCall, n int, resubmit bool) error {
+// AppendJSON writes the bytes SubmitRequest.AppendJSON would.
+func (call *submitCall) AppendJSON(dst []byte) []byte {
+	dst = append(dst, `{"epr":`...)
+	dst = jsonwire.AppendString(dst, call.epr)
+	dst = append(dst, `,"tasks":[`...)
+	return append(append(dst, call.tasks...), ']', '}')
+}
+
+// send sends the bundle of n tasks encoded in tasks over the current
+// connection. resubmit marks the reconnect path, where failures bounce back to
+// the supervisor instead of waiting here.
+func (c *Client) send(call *submitCall, tasks []byte, n int, resubmit bool) error {
 	reply := &call.reply
 	for {
 		cli, gen, err := c.sess.Conn()
@@ -421,11 +488,8 @@ func (c *Client) send(call *submitCall, n int, resubmit bool) error {
 		// wire, so a retried call must not inherit the previous attempt's
 		// throttle hint.
 		*reply = fproto.SubmitReply{}
-		var body any = &call.req
-		if call.req.EPR = c.EPR(); call.bundle.Tasks != nil {
-			call.bundle.EPR, body = call.req.EPR, &call.bundle
-		}
-		err = cli.Call(fproto.MethodSubmit, body, reply)
+		call.epr, call.tasks = c.EPR(), tasks
+		err = cli.Call(fproto.MethodSubmit, call, reply)
 		if err == nil {
 			if reply.RetryAfterMillis > 0 {
 				// Admission backpressure: the dispatcher deferred the whole
@@ -447,7 +511,7 @@ func (c *Client) send(call *submitCall, n int, resubmit bool) error {
 			break
 		}
 		var remote *wsrpc.RemoteError
-		if resubmit || !c.opts.Reconnect || errors.As(err, &remote) {
+		if resubmit || errors.As(err, &remote) {
 			return fmt.Errorf("client: submit: %w", err)
 		}
 		// Connection-level failure: wait out the outage and retry this
@@ -475,9 +539,9 @@ func (c *Client) send(call *submitCall, n int, resubmit bool) error {
 func (c *Client) Results() <-chan task.Result { return c.results }
 
 // WaitN blocks until n results arrive (cumulative across calls is not
-// tracked; n results are read from the stream) or the timeout expires. In
-// Reconnect mode it keeps waiting across dispatcher restarts and only
-// fails once the client closes or gives up reconnecting.
+// tracked; n results are read from the stream) or the timeout expires. It
+// keeps waiting across dispatcher restarts and only fails once the client
+// closes or gives up reconnecting.
 func (c *Client) WaitN(n int, timeout time.Duration) ([]task.Result, error) {
 	out := make([]task.Result, 0, n)
 	var deadline <-chan time.Time

@@ -133,21 +133,38 @@ func TestSubmitAfterCloseFails(t *testing.T) {
 }
 
 // A reconnecting client keeps state for the tasks in flight only: once every
-// result of 10,000 tasks is in, it awaits no ID and holds no bundle.
+// result of 10,000 tasks, submitted from four goroutines at once (so that
+// bundles are sent, released and their storage reused concurrently), is in,
+// it awaits no ID and holds no bundle.
 func TestReconnectClientStateIsInFlightOnly(t *testing.T) {
 	d := startDispatcher(t, 2)
-	c, err := client.Connect(client.Options{DispatcherAddr: d.Addr(), BundleSize: 500, Reconnect: true})
+	c, err := client.Connect(client.Options{DispatcherAddr: d.Addr(), BundleSize: 50})
 	if err != nil {
 		t.Fatal(err)
 	}
 	defer c.Close()
-	const n = 10000
+	const n, submitters = 10000, 4
 	var gen task.IDGen
-	if err := c.Submit(task.Batch(&gen, n, 0)); err != nil {
+	batch := task.Batch(&gen, n, 0)
+	errs := make(chan error, submitters)
+	for k := range submitters {
+		go func() { errs <- c.Submit(batch[k*n/submitters : (k+1)*n/submitters]) }()
+	}
+	for range submitters {
+		if err := <-errs; err != nil {
+			t.Fatal(err)
+		}
+	}
+	rs, err := c.WaitN(n, time.Minute)
+	if err != nil {
 		t.Fatal(err)
 	}
-	if _, err := c.WaitN(n, time.Minute); err != nil {
-		t.Fatal(err)
+	seen := make(map[task.ID]bool, n)
+	for _, r := range rs {
+		if seen[r.ID] {
+			t.Fatalf("task %v delivered twice", r.ID)
+		}
+		seen[r.ID] = true
 	}
 	if owed, held := c.Holds(); owed != 0 || held != 0 {
 		t.Fatalf("after %d tasks the client awaits %d and holds %d, want 0 and 0", n, owed, held)

@@ -35,7 +35,7 @@ func TestRedeliveredResultsAreDroppedInPlace(t *testing.T) {
 		t.Fatal(err)
 	}
 	defer srv.Close()
-	c, err := client.Connect(client.Options{DispatcherAddr: srv.Addr(), Reconnect: true})
+	c, err := client.Connect(client.Options{DispatcherAddr: srv.Addr()})
 	if err != nil {
 		t.Fatal(err)
 	}

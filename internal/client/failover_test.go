@@ -73,7 +73,7 @@ func TestClientFailsOverToFallbackDispatcher(t *testing.T) {
 
 	c, err := client.Connect(client.Options{
 		DispatcherAddr: leaf.Addr() + "," + root.Addr(),
-		BundleSize:     10, Reconnect: true,
+		BundleSize:     10,
 	})
 	if err != nil {
 		t.Fatal(err)

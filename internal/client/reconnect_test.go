@@ -10,6 +10,7 @@ import (
 
 	"falkon/internal/client"
 	"falkon/internal/dispatch"
+	"falkon/internal/executor"
 	"falkon/internal/fproto"
 	"falkon/internal/task"
 )
@@ -75,7 +76,7 @@ func TestReconnectRerunsOnlyLostResults(t *testing.T) {
 	}
 	t.Cleanup(func() { d.Close() })
 	faults := &cutter{}
-	c, err := client.Connect(client.Options{DispatcherAddr: d.Addr(), BundleSize: 4, Reconnect: true, Faults: faults})
+	c, err := client.Connect(client.Options{DispatcherAddr: d.Addr(), BundleSize: 4, Faults: faults})
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -165,5 +166,64 @@ func waitUntil(t *testing.T, what string, cond func() bool) {
 		if time.Now().After(deadline) {
 			t.Fatalf("timed out waiting until %s", what)
 		}
+	}
+}
+
+// A client made with only the options the repo benchmark sets rides out a
+// journaled dispatcher's crash and restart mid-run: it reattaches, resubmits
+// what it still awaits, and gets every result exactly once.
+func TestDefaultClientRidesOutAJournaledRestart(t *testing.T) {
+	dir := t.TempDir()
+	start := func(addr string) *dispatch.Dispatcher {
+		d := dispatch.New(dispatch.Options{JournalDir: dir, Logf: t.Logf})
+		if err := d.Listen(addr); err != nil {
+			t.Fatal(err)
+		}
+		t.Cleanup(func() { d.Close() })
+		return d
+	}
+	d := start("127.0.0.1:0")
+	addr := d.Addr()
+	ex, err := executor.Start(executor.Options{ID: "e0", DispatcherAddr: addr, SleepScale: 0.001})
+	if err != nil {
+		t.Fatal(err)
+	}
+	t.Cleanup(ex.Stop)
+	c, err := client.Connect(client.Options{DispatcherAddr: addr, Name: "default", BundleSize: 64})
+	if err != nil {
+		t.Fatal(err)
+	}
+	defer c.Close()
+
+	const n = 1000
+	var gen task.IDGen
+	if err := c.Submit(task.Batch(&gen, n, time.Second)); err != nil { // 1 ms each, on one slot
+		t.Fatal(err)
+	}
+	waitUntil(t, "some results are in", func() bool { return len(c.Results()) > 0 })
+	d.Abort()
+	start(addr)
+
+	rs, err := c.WaitN(n, time.Minute)
+	if err != nil {
+		t.Fatal(err)
+	}
+	seen := map[task.ID]bool{}
+	for _, r := range rs {
+		if seen[r.ID] {
+			t.Fatalf("task %v delivered twice", r.ID)
+		}
+		seen[r.ID] = true
+	}
+	select {
+	case r := <-c.Results():
+		t.Fatalf("a result past the %d owed: %+v", n, r)
+	case <-time.After(50 * time.Millisecond):
+	}
+	if c.Reconnects() < 1 {
+		t.Fatal("the client never reconnected: the crash missed the run")
+	}
+	if owed, held := c.Holds(); owed != 0 || held != 0 {
+		t.Fatalf("after every result the client awaits %d and holds %d tasks", owed, held)
 	}
 }

@@ -17,15 +17,16 @@ import (
 // owedTasks is how many tasks the owed-bytes test leaves awaiting results.
 const owedTasks = 100_000
 
-// What a Reconnect client holds per task it awaits, beyond the caller's own
-// slice — the live heap after a collection, less the heap before the submit,
-// ÷ owedTasks — read 98.5–98.6 in 30 runs at -cpu 1, 2 and 4 for tasks of
-// one argument in bundles of 64, which are 86–87 bytes on the wire. The
-// ceiling is the highest reading plus 15 %, below the wire bytes plus 32. A
-// task is held as it was sent (task.Relayed: a 48-byte head, and its bytes
-// less its ID's and its trace's digits, in one string of the bundle), and its
-// ID as a bit of the owed set. While the client kept a task.Task copy of
-// every task in a map the row read 166.2.
+// What a client holds per task it awaits, beyond the caller's own slice — the
+// live heap after a collection, less the heap before the submit, ÷ owedTasks —
+// read 101.3–101.4 at -cpu 1, 2 and 4 for tasks of one argument in bundles of
+// 64, which are 86–87 bytes on the wire. A task is held as it was sent: its
+// bytes and a comma in the bundle's array (presized from its first task, in a
+// malloc size class ~8 % over), a 4-byte end offset, and its ID as a bit of
+// the owed set. The ceiling is what it was set to, the highest reading (98.6)
+// plus 15 %, while each task was kept as a task.Relayed (a 48-byte head, and
+// its bytes less its ID's and its trace's digits); while the client kept a
+// task.Task copy of every task in a map the row read 166.2.
 const owedBytesCeiling = 113
 
 // accepting is a dispatcher that accepts every submit and runs nothing.
@@ -50,9 +51,9 @@ func accepting(t *testing.T) string {
 }
 
 // TestBytesPerOwedTask submits owedTasks tasks that never finish through a
-// reconnecting client, and weighs what it keeps of them.
+// client, and weighs what it keeps of them.
 func TestBytesPerOwedTask(t *testing.T) {
-	c, err := client.Connect(client.Options{DispatcherAddr: accepting(t), BundleSize: 64, Reconnect: true})
+	c, err := client.Connect(client.Options{DispatcherAddr: accepting(t), BundleSize: 64})
 	if err != nil {
 		t.Fatal(err)
 	}

@@ -74,7 +74,7 @@ func TestReconnectingClientKeepsTenant(t *testing.T) {
 
 	c, err := client.Connect(client.Options{
 		DispatcherAddr: leaf.Addr() + "," + root.Addr(),
-		Tenant:         "roamer", BundleSize: 8, Reconnect: true,
+		Tenant:         "roamer", BundleSize: 8,
 	})
 	if err != nil {
 		t.Fatal(err)

@@ -42,7 +42,6 @@ func TestCrashRecoveryExactlyOnce(t *testing.T) {
 	c, err := client.Connect(client.Options{
 		DispatcherAddr: addr,
 		BundleSize:     25,
-		Reconnect:      true,
 	})
 	if err != nil {
 		t.Fatal(err)
@@ -110,7 +109,7 @@ func TestJournaledSubmitDedupe(t *testing.T) {
 	}
 	t.Cleanup(func() { d.Close() })
 
-	c, err := client.Connect(client.Options{DispatcherAddr: d.Addr(), Reconnect: true})
+	c, err := client.Connect(client.Options{DispatcherAddr: d.Addr()})
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -315,7 +314,7 @@ func TestFailedJournalStopsDispatcher(t *testing.T) {
 	if err := cli.Call(fproto.MethodCreateInstance, fproto.CreateInstanceRequest{ClientName: "t"}, &created); err != nil {
 		t.Fatal(err)
 	}
-	c, err := client.Connect(client.Options{DispatcherAddr: addr, Reconnect: true})
+	c, err := client.Connect(client.Options{DispatcherAddr: addr})
 	if err != nil {
 		t.Fatal(err)
 	}

@@ -178,7 +178,7 @@ func TestFailedPushBuffersForReattach(t *testing.T) {
 		t.Fatal(err)
 	}
 	defer d.Close()
-	c, err := client.Connect(client.Options{DispatcherAddr: d.Addr(), BundleSize: 8, Reconnect: true}) // the first connection
+	c, err := client.Connect(client.Options{DispatcherAddr: d.Addr(), BundleSize: 8}) // the first connection
 	if err != nil {
 		t.Fatal(err)
 	}

@@ -37,7 +37,6 @@ func TestClientRedialMidSubmitBatch(t *testing.T) {
 	c, err := client.Connect(client.Options{
 		DispatcherAddr: addr,
 		BundleSize:     10,
-		Reconnect:      true,
 		Faults:         inj,
 	})
 	if err != nil {
@@ -132,7 +131,7 @@ func TestExecutorReregisterRacingDispatchedTasks(t *testing.T) {
 	}
 	t.Cleanup(ex.Stop)
 
-	c, err := client.Connect(client.Options{DispatcherAddr: d.Addr(), BundleSize: 20, Reconnect: true})
+	c, err := client.Connect(client.Options{DispatcherAddr: d.Addr(), BundleSize: 20})
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -192,7 +191,7 @@ func TestAbortDuringSnapshotCompaction(t *testing.T) {
 	}
 	t.Cleanup(ex.Stop)
 
-	c, err := client.Connect(client.Options{DispatcherAddr: addr, BundleSize: 10, Reconnect: true})
+	c, err := client.Connect(client.Options{DispatcherAddr: addr, BundleSize: 10})
 	if err != nil {
 		t.Fatal(err)
 	}

@@ -3,16 +3,16 @@
 package dispatch_test
 
 import (
+	"encoding/json"
 	"runtime"
 	"strconv"
 	"testing"
 	"time"
 
-	"falkon/internal/client"
 	"falkon/internal/dispatch"
-	"falkon/internal/executor"
 	"falkon/internal/fproto"
 	"falkon/internal/task"
+	"falkon/internal/wsrpc"
 )
 
 // restTasks is how deep the at-rest test queues: deep enough that what one
@@ -94,7 +94,7 @@ type discard struct{}
 func (discard) Notify(string, any) error { return nil }
 
 // The dispatcher driven through the seam a tree's links use (Register with a
-// Pusher, Stock, Deliver), by a client over loopback: restTasks tasks queued
+// Pusher, Stock, Deliver), by a bare client over loopback: restTasks tasks queued
 // with no executor registered, then granted to one in-process executor with a
 // slot for each, then delivered. Between the steps, nothing moves. Each system
 // is weighed at the steps it has a ceiling for.
@@ -116,7 +116,12 @@ func TestBytesPerTaskAtRest(t *testing.T) {
 	} {
 		t.Run(sys.name, func(t *testing.T) {
 			sys.opts.Logf = func(string, ...any) {}
-			d, c, _ := startSystem(t, sys.opts, client.Options{BundleSize: 4096}, 0, executor.Options{})
+			d := dispatch.New(sys.opts)
+			if err := d.Listen("127.0.0.1:0"); err != nil {
+				t.Fatal(err)
+			}
+			t.Cleanup(func() { d.Close() })
+			c := dialBare(t, d.Addr())
 			var gen task.IDGen
 			// Buffers, pools and per-method instruments reach steady state. A
 			// journal's two append buffers are made 1 MiB each by a flush of
@@ -154,23 +159,61 @@ func TestBytesPerTaskAtRest(t *testing.T) {
 	}
 }
 
-// cycle submits n tasks, each with args 16-byte arguments of its own (one, as
-// in the repo benchmark) and an ID stride times one of gen's, registers
+// bare is a client that keeps nothing of what it submits: a connection, its
+// instance, what it decodes each results push into (as a client.Client does),
+// and the count of each push. A client.Client keeps every bundle it sent until
+// its results are in, ~100 bytes a task that client.TestBytesPerOwedTask
+// weighs, and would put them in these readings of what a dispatcher holds.
+type bare struct {
+	cli  *wsrpc.Client
+	epr  string
+	push fproto.ResultsNotify
+	got  chan int
+}
+
+func dialBare(t *testing.T, addr string) *bare {
+	t.Helper()
+	b := &bare{got: make(chan int, 1024)}
+	cli, err := wsrpc.Dial(addr, wsrpc.ClientOptions{OnNotify: func(method string, body json.RawMessage) {
+		if method == fproto.NotifyResults && b.push.DecodeJSON(body) == nil {
+			b.got <- len(b.push.Results)
+		}
+	}})
+	if err != nil {
+		t.Fatal(err)
+	}
+	t.Cleanup(func() { cli.Close() })
+	var inst fproto.CreateInstanceReply
+	if err := cli.Call(fproto.MethodCreateInstance, fproto.CreateInstanceRequest{ClientName: "rest", WantNotifications: true}, &inst); err != nil {
+		t.Fatal(err)
+	}
+	b.cli, b.epr = cli, inst.EPR
+	return b
+}
+
+// cycle submits n tasks in bundles of 4,096, each task with args 16-byte
+// arguments of its own (one, as in the repo benchmark), a trace as a client
+// gives it, and an ID stride times one of gen's, registers
 // executor id with n slots, stocks it with all of them, and delivers their
 // results, calling at after each step with "queued", "outstanding" and
 // "retained".
-func cycle(t *testing.T, d *dispatch.Dispatcher, c *client.Client, gen *task.IDGen, id string, n, args int, stride task.ID, at func(stage string)) {
+func cycle(t *testing.T, d *dispatch.Dispatcher, c *bare, gen *task.IDGen, id string, n, args int, stride task.ID, at func(stage string)) {
 	t.Helper()
 	ts := task.Batch(gen, n, 0)
 	for i := range ts {
 		ts[i].ID *= stride
+		ts[i].Trace = 0x9e3779b97f4a7c15 + uint64(ts[i].ID)
 		for a := range args {
 			ts[i].Args = append(ts[i].Args, strconv.FormatUint(uint64(ts[i].ID)|uint64(a+1)<<60, 16))
 		}
 	}
 	first := ts[0].ID
-	if err := c.Submit(ts); err != nil {
-		t.Fatal(err)
+	for sent := 0; sent < n; sent += 4096 {
+		var reply fproto.SubmitReply
+		bundle := fproto.SubmitRequest{EPR: c.epr, Tasks: ts[sent:min(n, sent+4096)]}
+		if err := c.cli.Call(fproto.MethodSubmit, bundle, &reply); err != nil || reply.Accepted != len(bundle.Tasks) {
+			t.Fatalf("submit: %v, accepted %d of %d", err, reply.Accepted, len(bundle.Tasks))
+		}
 	}
 	at("queued")
 
@@ -184,12 +227,7 @@ func cycle(t *testing.T, d *dispatch.Dispatcher, c *client.Client, gen *task.IDG
 	}
 	at("outstanding")
 
-	got := make(chan error, 1)
-	go func() {
-		_, err := c.WaitN(n, time.Minute)
-		got <- err
-	}()
-	epr := c.EPR()
+	epr := c.epr
 	req := fproto.DeliverRequest{ExecutorID: id}
 	for i := 0; i < n; i += len(req.Results) {
 		req.Results = req.Results[:0]
@@ -200,8 +238,13 @@ func cycle(t *testing.T, d *dispatch.Dispatcher, c *client.Client, gen *task.IDG
 			t.Fatal(err)
 		}
 	}
-	if err := <-got; err != nil {
-		t.Fatal(err)
+	for got := 0; got < n; {
+		select {
+		case k := <-c.got:
+			got += k
+		case <-time.After(time.Minute):
+			t.Fatalf("%d of %d results pushed", got, n)
+		}
 	}
 	if st := d.Stats(); st.Queued != 0 || st.Outstanding != 0 {
 		t.Fatalf("after the deliveries: queued %d, outstanding %d", st.Queued, st.Outstanding)

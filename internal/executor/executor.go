@@ -208,7 +208,6 @@ func Start(opts Options) (*Executor, error) {
 			Metrics:  e.reg,
 			Faults:   opts.Faults,
 		},
-		Reconnect:        true,
 		ReconnectTimeout: opts.ReconnectTimeout,
 		Handshake:        e.register,
 		OnUp:             e.onReconnect,

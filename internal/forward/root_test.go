@@ -360,7 +360,7 @@ func TestRootDedupesAReconnectingClient(t *testing.T) {
 	}
 	t.Cleanup(ex.Stop)
 	wire := &wireLog{}
-	f, c := startRoot(t, client.Options{BundleSize: 2, Reconnect: true, Faults: wire}, leaf)
+	f, c := startRoot(t, client.Options{BundleSize: 2, Faults: wire}, leaf)
 
 	const n = 6
 	var gen task.IDGen

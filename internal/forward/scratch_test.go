@@ -138,7 +138,7 @@ func TestScratchClientSpill(t *testing.T) {
 	d := startLeaf(t, "127.0.0.1:0", dispatch.Options{})
 	echoExec(t, "echo-0", d.Addr())
 	echoExec(t, "echo-1", d.Addr())
-	c, err := client.Connect(client.Options{DispatcherAddr: d.Addr(), BundleSize: 64, Reconnect: true})
+	c, err := client.Connect(client.Options{DispatcherAddr: d.Addr(), BundleSize: 64})
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -203,7 +203,7 @@ func TestScratchFailedPushRebuffered(t *testing.T) {
 	scribbling(t)
 	faults := &dieOnPush{fired: make(chan struct{})}
 	d := startLeaf(t, "127.0.0.1:0", dispatch.Options{JournalDir: t.TempDir(), Faults: faults})
-	c, err := client.Connect(client.Options{DispatcherAddr: d.Addr(), BundleSize: 64, Reconnect: true})
+	c, err := client.Connect(client.Options{DispatcherAddr: d.Addr(), BundleSize: 64})
 	if err != nil {
 		t.Fatal(err)
 	}

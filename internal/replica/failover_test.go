@@ -110,7 +110,7 @@ func TestStandbyReplaysLeaderLiveSet(t *testing.T) {
 	// journals carry the identical record sequence.
 	waitStandbyAttached(t, leader)
 
-	c, err := client.Connect(client.Options{DispatcherAddr: addr, BundleSize: 10, Reconnect: true})
+	c, err := client.Connect(client.Options{DispatcherAddr: addr, BundleSize: 10})
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -182,7 +182,7 @@ func TestFailoverToPromotedStandby(t *testing.T) {
 	}
 	t.Cleanup(ex.Stop)
 
-	c, err := client.Connect(client.Options{DispatcherAddr: chain, BundleSize: 20, Reconnect: true})
+	c, err := client.Connect(client.Options{DispatcherAddr: chain, BundleSize: 20})
 	if err != nil {
 		t.Fatal(err)
 	}

@@ -24,8 +24,6 @@ type SessionOptions struct {
 	// Client holds what every dial of the chain shares: security profile,
 	// notify handler, metrics, fault injection.
 	Client ClientOptions
-	// Reconnect replaces a dropped connection instead of ending the session.
-	Reconnect bool
 	// ReconnectTimeout bounds one continuous outage; past it the session
 	// ends (0 = redial forever).
 	ReconnectTimeout time.Duration
@@ -47,10 +45,10 @@ type SessionOptions struct {
 
 // Session is one supervised connection to whichever address of a chain
 // answers: it dials, runs the caller's handshake, publishes the connection,
-// and — in Reconnect mode — replaces it with jittered backoff whenever it
-// drops. A generation identifies one published connection: it moves only on
-// publish, so a caller whose call failed on generation g waits in Await(g)
-// for the replacement instead of watching the connection itself.
+// and replaces it with jittered backoff whenever it drops. A generation
+// identifies one published connection: it moves only on publish, so a caller
+// whose call failed on generation g waits in Await(g) for the replacement
+// instead of watching the connection itself.
 //
 // No hook runs under the session's lock, and Close waits for the session
 // goroutine: callers must not call Close from a hook, nor while holding a
@@ -145,8 +143,8 @@ func (s *Session) Await(gen int) bool {
 	return s.err == nil
 }
 
-// Done is closed once the session has ended: Close, a drop without
-// Reconnect, or an outage longer than ReconnectTimeout.
+// Done is closed once the session has ended: Close, or an outage longer than
+// ReconnectTimeout.
 func (s *Session) Done() <-chan struct{} { return s.done }
 
 // Close ends the session, closes its connection and waits for the session
@@ -187,10 +185,6 @@ func (s *Session) run(cli *Client) {
 		}
 		if s.ctx.Err() != nil {
 			return // Close also drops the connection: check which it was
-		}
-		if !s.opts.Reconnect {
-			s.end(fmt.Errorf("wsrpc: connection lost: %w", ErrClientClosed))
-			return
 		}
 		if s.opts.OnDown != nil {
 			s.opts.OnDown()

@@ -146,7 +146,7 @@ func waitFor(t *testing.T, ch <-chan struct{}, what string) {
 func TestSessionChainStartsAtLastGoodAddress(t *testing.T) {
 	n := newFakeNet(t, "a", "b")
 	n.setDown("a", true)
-	s := openSession(t, n, SessionOptions{Addrs: []string{"a", "b"}, Reconnect: true, backoff: noDelay})
+	s := openSession(t, n, SessionOptions{Addrs: []string{"a", "b"}, backoff: noDelay})
 	if got := n.takeDials(); !reflect.DeepEqual(got, []string{"a", "b"}) {
 		t.Fatalf("first connect dialed %v, want [a b]", got)
 	}
@@ -205,7 +205,7 @@ func TestSessionHandshakeFailureIsNeverPublished(t *testing.T) {
 		}
 		return nil
 	}
-	s = openSession(t, n, SessionOptions{Addrs: []string{"a"}, Reconnect: true, backoff: noDelay, Handshake: handshake})
+	s = openSession(t, n, SessionOptions{Addrs: []string{"a"}, backoff: noDelay, Handshake: handshake})
 	first, _, _ := s.Conn()
 
 	mu.Lock()
@@ -244,14 +244,8 @@ func TestSessionEndReleasesWaiters(t *testing.T) {
 		wantErr string
 	}{
 		{
-			name:    "drop without Reconnect",
-			opts:    SessionOptions{},
-			end:     func(_ *testing.T, n *fakeNet, _ *sessionUnderTest) { n.cut("a") },
-			wantErr: ErrClientClosed.Error(),
-		},
-		{
 			name: "outage past the bound",
-			opts: SessionOptions{Reconnect: true, ReconnectTimeout: 20 * time.Millisecond, backoff: noDelay},
+			opts: SessionOptions{ReconnectTimeout: 20 * time.Millisecond, backoff: noDelay},
 			end: func(_ *testing.T, n *fakeNet, _ *sessionUnderTest) {
 				n.setDown("a", true)
 				n.cut("a")
@@ -260,7 +254,7 @@ func TestSessionEndReleasesWaiters(t *testing.T) {
 		},
 		{
 			name: "Close during backoff",
-			opts: SessionOptions{Reconnect: true, backoff: backoff.Policy{Base: time.Hour, Max: time.Hour}},
+			opts: SessionOptions{backoff: backoff.Policy{Base: time.Hour, Max: time.Hour}},
 			end: func(t *testing.T, n *fakeNet, s *sessionUnderTest) {
 				n.cut("a")
 				<-s.downs // the redial is now asleep for an hour
@@ -309,7 +303,7 @@ func TestSessionEndReleasesWaiters(t *testing.T) {
 // and closing a session that never opened is harmless.
 func TestSessionOpenFailsWithoutRetry(t *testing.T) {
 	n := newFakeNet(t)
-	s := NewSession(SessionOptions{Addrs: []string{"x", "y"}, Reconnect: true, backoff: noDelay, connect: n.connect})
+	s := NewSession(SessionOptions{Addrs: []string{"x", "y"}, backoff: noDelay, connect: n.connect})
 	if err := s.Open(); err == nil || !strings.Contains(err.Error(), "x") {
 		t.Fatalf("Open error = %v, want the first address's dial error", err)
 	}

@@ -17,8 +17,9 @@
 # slots — one four-slot executor — and journal-fsync — the journal row with
 # every commit fsynced on the disk of the temporary directory, which it logs;
 # no test gates it — are the configurations it does not run. With -bench the name's last element is
-# matched whole — a `$` is appended — so `…/tree` is the tree row alone, not
-# tree-journal too.)
+# matched whole — anchored with `^` and `$`, since go test matches each
+# /-separated element of -bench unanchored — so `…/journal` is the journal row
+# alone, not tree-journal too.)
 #
 # Runs the test with every allocation sampled (-memprofilerate=1) and prints
 # the objects allocated per function, most first, then the bytes: the
@@ -69,7 +70,10 @@ out=$(mktemp -d)
 trap 'rm -rf "$out"' EXIT
 run=(-run "$1")
 if [ "$bench" = 1 ]; then
-    set -- "$1\$" "$2"
+    case $1 in
+    */*) set -- "${1%/*}/^${1##*/}\$" "$2" ;;
+    *) set -- "^$1\$" "$2" ;;
+    esac
     run=(-run '^$' -bench "$1" -benchtime 20000x -cpu 1)
 fi
 go test "${run[@]}" -count=1 -o "$out/test.bin" -memprofile "$out/mem.prof" -memprofilerate=1 "$2"

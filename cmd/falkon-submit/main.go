@@ -39,7 +39,6 @@ func main() {
 		count      = flag.Int("count", 1, "repetitions of -exec")
 		workload   = flag.String("workload", "", "JSONL task file")
 		bundle     = flag.Int("bundle", 1, "client-dispatcher bundle size")
-		poll       = flag.Bool("poll", false, "poll for results instead of notifications")
 		pskFile    = flag.String("psk-file", "", "the dispatcher's pre-shared key file: speak the secure-conversation transport profile (empty = in the clear)")
 		timeout    = flag.Duration("timeout", 10*time.Minute, "overall wait timeout")
 		debugAddr  = flag.String("debug-addr", "", "HTTP address serving /metrics and /debug/pprof/ while the run lasts (empty = off)")
@@ -63,7 +62,6 @@ func main() {
 		DispatcherAddr: *dispatcher,
 		Name:           "falkon-submit",
 		BundleSize:     *bundle,
-		Poll:           *poll,
 		Tenant:         *tenant,
 	}
 	if *faults != "" {

@@ -1,7 +1,8 @@
 // Package client implements the Falkon client library: it creates a
 // dispatcher instance (factory/instance pattern), submits tasks with
-// client-dispatcher bundling, and collects results either through pushed
-// notifications (message {8} of Figure 2) or by polling.
+// client-dispatcher bundling, and receives their results as the dispatcher
+// pushes them on the client's own connection (message {8} of Figure 2, which
+// here carries the results themselves: there is no call that fetches them).
 //
 // Every client rides out a dispatcher restart: it redials with jittered
 // backoff, re-attaches to its instance (which a journaling dispatcher recovers
@@ -52,9 +53,6 @@ type Options struct {
 	// BundleSize groups submissions into bundles of this many tasks
 	// (default 1 = no bundling). Figure 5 sweeps this parameter.
 	BundleSize int
-	// Poll disables pushed result notifications in favour of Collect
-	// polling (the firewall-friendly mode of §6).
-	Poll bool
 
 	// ReconnectTimeout bounds one continuous outage (default 30s); past it
 	// the client gives up and Submit/WaitN fail.
@@ -114,8 +112,7 @@ type Client struct {
 	free      []*bundle
 	freeBytes int
 
-	results  chan task.Result
-	pollDone chan struct{}
+	results chan task.Result
 
 	// pushed is what every results push is decoded into, and so the one array
 	// their results pass through (DESIGN.md §9, "Scratch"). It is the read
@@ -156,10 +153,6 @@ func Connect(opts Options) (*Client, error) {
 	if err := c.sess.Open(); err != nil {
 		return nil, err
 	}
-	if opts.Poll {
-		c.pollDone = make(chan struct{})
-		go c.pollLoop()
-	}
 	return c, nil
 }
 
@@ -183,11 +176,10 @@ func (c *Client) EPR() string { c.mu.Lock(); defer c.mu.Unlock(); return c.epr }
 func (c *Client) handshake(cli *wsrpc.Client, addrIdx int) error {
 	c.mu.Lock()
 	req := fproto.CreateInstanceRequest{
-		ClientName:        c.opts.Name,
-		WantNotifications: !c.opts.Poll,
-		EPR:               c.epr,
-		Cluster:           c.cluster,
-		Tenant:            c.opts.Tenant,
+		ClientName: c.opts.Name,
+		EPR:        c.epr,
+		Cluster:    c.cluster,
+		Tenant:     c.opts.Tenant,
 	}
 	if addrIdx != c.eprIdx && req.Cluster == "" {
 		// Failed over to a standalone dispatcher: the EPR means nothing
@@ -268,7 +260,7 @@ func (c *Client) ownEPR(b []byte) string {
 
 // deliver drops every result whose task is not owed — redeliveries are
 // expected after a crash (the journal redelivers anything not provably
-// collected) and after resubmission races, and this filter is what makes
+// delivered) and after resubmission races, and this filter is what makes
 // delivery exactly-once — and pushes the rest to the channel, spilling to a
 // goroutine if full so the transport read loop never stalls (the channel is
 // buffered; genuine backpressure is rare); a spill gives up once the session
@@ -329,33 +321,6 @@ func (c *Client) sweepLocked() {
 		}
 		return true
 	})
-}
-
-// pollLoop drives Collect when notifications are disabled. It survives
-// connection swaps by waiting out each outage.
-func (c *Client) pollLoop() {
-	defer close(c.pollDone)
-	for {
-		cli, gen, err := c.sess.Conn()
-		if err != nil {
-			return
-		}
-		var reply fproto.CollectReply
-		err = cli.Call(fproto.MethodCollect, fproto.CollectRequest{
-			EPR:        c.EPR(),
-			WaitMillis: 50, // a long poll: it returns as soon as results arrive
-		}, &reply)
-		if err != nil {
-			var remote *wsrpc.RemoteError
-			if errors.As(err, &remote) || !c.sess.Await(gen) {
-				return
-			}
-			continue
-		}
-		if len(reply.Results) > 0 {
-			c.deliver(reply.Results)
-		}
-	}
 }
 
 // Submit sends tasks to the dispatcher in bundles of BundleSize. With a
@@ -621,9 +586,5 @@ func (c *Client) Close() error {
 	if cli, _, err := c.sess.Conn(); err == nil {
 		_ = cli.Call(fproto.MethodDestroyInstance, fproto.DestroyInstanceRequest{EPR: c.EPR()}, nil)
 	}
-	err := c.sess.Close()
-	if c.pollDone != nil {
-		<-c.pollDone
-	}
-	return err
+	return c.sess.Close()
 }

@@ -396,7 +396,7 @@ type Dispatcher struct {
 
 	// imu guards the instance table and EPR allocation — deliberately a
 	// separate, small lock so instance lifecycle never contends with
-	// scheduling. Submit/Collect take it only for the map lookup.
+	// scheduling. Submit takes it only for the map lookup.
 	imu       sync.RWMutex
 	instances map[string]*instance
 	nextEPR   int64
@@ -638,13 +638,12 @@ func (d *Dispatcher) pushResults(f *fx, peer *wsrpc.Peer, inst *instance, rs []t
 		if detached {
 			inst.peer = nil
 		}
-		if peer = inst.peer; peer == nil || !inst.notify {
-			peer = nil
+		if peer = inst.peer; peer == nil {
 			for _, r := range rs {
 				// A task resubmitted since its result was pushed is owed
 				// again, by the copy that re-runs: its result is dropped.
 				if inst.live.Add(r.ID) {
-					inst.buf.Add(r)
+					inst.buf = append(inst.buf, r)
 				}
 			}
 		}
@@ -779,14 +778,13 @@ func (d *Dispatcher) restore(st *wal.State) {
 		inst := &instance{
 			epr:       win.EPR,
 			name:      win.Name,
-			notify:    win.Notify,
 			tenant:    tenant,
 			submitted: win.Submitted,
-			buf:       task.ResultBuffer{Results: win.Results[:0]},
+			buf:       win.Results[:0],
 		}
 		for _, r := range win.Results { // each ID's result once
 			if inst.live.Add(r.ID) {
-				inst.buf.Results = append(inst.buf.Results, r)
+				inst.buf = append(inst.buf, r)
 			}
 		}
 		d.instances[win.EPR] = inst
@@ -815,10 +813,9 @@ func (d *Dispatcher) captureLocked() *wal.State {
 		st.Instances = append(st.Instances, wal.Instance{
 			EPR:       epr,
 			Name:      inst.name,
-			Notify:    inst.notify,
 			Tenant:    inst.tenant,
 			Submitted: inst.submitted,
-			Results:   append([]task.Result(nil), inst.buf.Results...),
+			Results:   append([]task.Result(nil), inst.buf...),
 		})
 		inst.mu.Unlock()
 	}
@@ -1300,7 +1297,7 @@ func (d *Dispatcher) finalize(f *fx, tr taskRef, r task.Result) {
 	}
 	inst.mu.Lock()
 	inst.inFlight--
-	if inst.notify && inst.peer != nil {
+	if inst.peer != nil {
 		inst.live.Remove(r.ID) // pushed: discharged, unless pushResults finds the push failed
 		peer := inst.peer
 		inst.mu.Unlock()
@@ -1310,7 +1307,7 @@ func (d *Dispatcher) finalize(f *fx, tr taskRef, r task.Result) {
 		f.push(peer, inst, encoded, r)
 		return
 	}
-	inst.buf.Add(r)
+	inst.buf = append(inst.buf, r)
 	inst.mu.Unlock()
 }
 

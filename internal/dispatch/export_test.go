@@ -29,3 +29,17 @@ func (d *Dispatcher) SettleJournal() error {
 	_, err := d.wal.Rotate()
 	return err
 }
+
+// Owes reports what instance epr holds for its client: the results buffered
+// for its next reattach, and the tasks it still owes a result for.
+func (d *Dispatcher) Owes(epr string) (buffered, owed int) {
+	d.imu.RLock()
+	inst := d.instances[epr]
+	d.imu.RUnlock()
+	if inst == nil {
+		return 0, 0
+	}
+	inst.mu.Lock()
+	defer inst.mu.Unlock()
+	return len(inst.buf), inst.live.Len()
+}

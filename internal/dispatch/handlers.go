@@ -14,14 +14,13 @@ import (
 	"falkon/internal/wsrpc"
 )
 
-// register installs the protocol handlers on the wsrpc server. Everything
-// except Collect dispatches inline on the connection's read goroutine
+// register installs the protocol handlers on the wsrpc server. At a plain
+// dispatcher every verb dispatches inline on the connection's read goroutine
 // (RegisterFast): the handlers only take the scheduler mutex briefly and
 // defer I/O through fx/flush, so skipping the per-call goroutine removes the
-// dominant scheduling overhead on the Submit/Deliver hot path. Collect
-// long-polls and must keep its own goroutine, and so, at a root, must the five
-// verbs that answer for the subtree: each may wait on a leaf, and a client's
-// next call must not wait behind that (root.go).
+// dominant scheduling overhead on the Submit/Deliver hot path. At a root the
+// five verbs that answer for the subtree keep a goroutine each: each may wait
+// on a leaf, and a client's next call must not wait behind that (root.go).
 func (d *Dispatcher) register() {
 	subtree := d.srv.RegisterFast
 	if len(d.opts.Leaves) > 0 {
@@ -30,7 +29,6 @@ func (d *Dispatcher) register() {
 	d.srv.RegisterFast(fproto.MethodCreateInstance, d.handleCreateInstance)
 	subtree(fproto.MethodDestroyInstance, d.handleDestroyInstance)
 	subtree(fproto.MethodSubmit, d.handleSubmit)
-	d.srv.Register(fproto.MethodCollect, d.handleCollect)
 	d.srv.RegisterFast(fproto.MethodRegister, d.handleRegister)
 	d.srv.RegisterFast(fproto.MethodDeregister, d.handleDeregister)
 	d.srv.RegisterFast(fproto.MethodGetWork, d.handleGetWork)
@@ -84,7 +82,6 @@ func (d *Dispatcher) handleCreateInstance(p *wsrpc.Peer, body json.RawMessage) (
 		epr:        epr,
 		name:       req.ClientName,
 		peer:       p,
-		notify:     req.WantNotifications,
 		tenant:     tenant,
 		fromParent: d.parents.Has(p),
 	}
@@ -92,7 +89,7 @@ func (d *Dispatcher) handleCreateInstance(p *wsrpc.Peer, body json.RawMessage) (
 	if d.wal != nil {
 		// The EPR is not handed out until this returns, so the instance
 		// record lands before any accept that references it.
-		h, err = d.wal.AppendWait(wal.KindInstance, wal.InstanceRec{EPR: epr, Name: req.ClientName, Notify: req.WantNotifications, Tenant: tenant})
+		h, err = d.wal.AppendWait(wal.KindInstance, wal.InstanceRec{EPR: epr, Name: req.ClientName, Tenant: tenant})
 	}
 	if err == nil {
 		d.instances[epr] = inst
@@ -132,11 +129,8 @@ func (d *Dispatcher) reattachInstance(p *wsrpc.Peer, req *fproto.CreateInstanceR
 	}
 	inst.mu.Lock()
 	inst.peer = p
-	inst.notify = req.WantNotifications
-	if inst.notify {
-		if rs := inst.takeResults(0); len(rs) > 0 {
-			f.push(p, inst, nil, rs...)
-		}
+	if rs := inst.takeResults(); len(rs) > 0 {
+		f.push(p, inst, nil, rs...)
 	}
 	inst.mu.Unlock()
 	d.flush(f)
@@ -339,36 +333,6 @@ func (d *Dispatcher) submit(p *wsrpc.Peer, f *fx, req *fproto.Bundle) error {
 	}
 	f.ack = fproto.SubmitReply{Accepted: len(req.Tasks), Deduped: deduped}
 	return nil
-}
-
-func (d *Dispatcher) handleCollect(_ *wsrpc.Peer, body json.RawMessage) (any, error) {
-	req, err := decode[fproto.CollectRequest](body)
-	if err != nil {
-		return nil, err
-	}
-	deadline := time.Now().Add(time.Duration(req.WaitMillis) * time.Millisecond)
-	for {
-		d.imu.RLock()
-		inst, ok := d.instances[req.EPR]
-		d.imu.RUnlock()
-		if !ok || inst.destroyed.Load() {
-			return nil, fmt.Errorf("dispatch: no such instance %q", req.EPR)
-		}
-		inst.mu.Lock()
-		results := inst.takeResults(req.Max)
-		pendingN := inst.inFlight + len(inst.buf.Results)
-		if len(results) > 0 || req.WaitMillis <= 0 || !time.Now().Before(deadline) {
-			inst.mu.Unlock()
-			return fproto.CollectReply{Results: results, Pending: pendingN}, nil
-		}
-		// Block until results arrive or the deadline passes.
-		w := inst.buf.Wait()
-		inst.mu.Unlock()
-		select {
-		case <-w:
-		case <-time.After(time.Until(deadline)):
-		}
-	}
 }
 
 func (d *Dispatcher) handleRegister(p *wsrpc.Peer, body json.RawMessage) (any, error) {

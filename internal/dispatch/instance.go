@@ -12,8 +12,8 @@ import (
 // the paper's factory/instance pattern: each client gets its own queue
 // accounting and result buffer, cleanly separated from other clients.
 //
-// The instance carries its own small mutex: Collect, reattach and a failed
-// result push work on one client's state without the scheduler lock.
+// The instance carries its own small mutex: reattach and a failed result push
+// work on one client's state without the scheduler lock.
 type instance struct {
 	epr  string
 	name string
@@ -32,22 +32,19 @@ type instance struct {
 
 	// mu guards everything below. Lock order: Dispatcher.mu may be held
 	// when taking mu (finalize); never the reverse.
-	mu     sync.Mutex
-	peer   *wsrpc.Peer // connection that created the instance
-	notify bool        // push results over peer ({8}) vs. client polling
+	mu   sync.Mutex
+	peer *wsrpc.Peer // the client's connection, which results are pushed on ({8})
 
 	// submitted counts tasks accepted; inFlight counts tasks queued or
-	// outstanding (finalize takes a task off before it buffers the result),
-	// so Collect's pending figure is inFlight plus what buf still holds.
+	// outstanding (finalize takes a task off before it pushes or buffers the
+	// result).
 	submitted int64
 	inFlight  int
 
-	// buf holds finished tasks awaiting Collect (only when notify is
-	// false — pushed results never buffer). A notify instance whose peer is
-	// detached (client dropped, a push at it failed, or recovered from the
-	// journal and not yet re-attached) buffers here too, and the buffer
-	// flushes on re-attach.
-	buf task.ResultBuffer
+	// buf is the one place a finished result waits: while the instance has no
+	// peer (its client dropped, a push at it failed, or it was recovered from
+	// the journal and not yet re-attached). The next reattach pushes it all.
+	buf []task.Result
 
 	// live holds every task ID the instance still owes its client a result
 	// for — queued, outstanding, or buffered — on every node: a resubmitted
@@ -57,10 +54,11 @@ type instance struct {
 	live task.Owed
 }
 
-// takeResults removes and returns up to max buffered results (0 = all);
-// collected, their delivery obligation is discharged. Callers hold in.mu.
-func (in *instance) takeResults(max int) []task.Result {
-	out := in.buf.Take(max)
+// takeResults removes and returns every buffered result; pushed, their
+// delivery obligation is discharged. Callers hold in.mu.
+func (in *instance) takeResults() []task.Result {
+	out := in.buf
+	in.buf = nil // the array is the caller's now
 	for _, r := range out {
 		in.live.Remove(r.ID)
 	}

@@ -6,18 +6,21 @@ import (
 	"falkon/internal/task"
 )
 
-// Collecting a buffered result discharges the delivery obligation that the
-// instance's owed set records.
+// Taking the buffered results to push them discharges the delivery obligation
+// that the instance's owed set records, and leaves the instance holding none.
 func TestTakeResultsClearsLive(t *testing.T) {
 	in := &instance{epr: "x"}
 	in.live.Add(1)
 	in.live.Add(2)
-	in.buf.Add(task.Result{ID: 1})
-	in.buf.Add(task.Result{ID: 2})
-	if got := in.takeResults(1); len(got) != 1 || got[0].ID != 1 {
-		t.Fatalf("take(1) = %v", got)
+	in.live.Add(3) // still running: owed, not buffered
+	in.buf = append(in.buf, task.Result{ID: 1}, task.Result{ID: 2})
+	if got := in.takeResults(); len(got) != 2 || got[0].ID != 1 || got[1].ID != 2 {
+		t.Fatalf("takeResults = %v", got)
 	}
-	if in.live.Has(1) || !in.live.Has(2) || in.live.Len() != 1 {
-		t.Fatalf("%d owed, want only the uncollected task", in.live.Len())
+	if in.buf != nil || in.live.Has(1) || in.live.Has(2) || !in.live.Has(3) || in.live.Len() != 1 {
+		t.Fatalf("%d buffered, %d owed; want none buffered and only the running task owed", len(in.buf), in.live.Len())
+	}
+	if got := in.takeResults(); len(got) != 0 {
+		t.Fatalf("second takeResults = %v", got)
 	}
 }

@@ -6,7 +6,12 @@ package dispatch_test
 // delivered exactly once through the reconnecting client.
 
 import (
+	"encoding/binary"
 	"errors"
+	"fmt"
+	"hash/crc32"
+	"os"
+	"path/filepath"
 	"sync/atomic"
 	"testing"
 	"time"
@@ -367,5 +372,93 @@ func TestFailedJournalStopsDispatcher(t *testing.T) {
 	case r := <-c.Results():
 		t.Fatalf("result for %v beyond the %d tasks submitted", r.ID, n)
 	case <-time.After(100 * time.Millisecond):
+	}
+}
+
+// A journal written while a client could poll for its results instead of
+// being pushed them: a snapshot and a segment whose instances carry "notify",
+// true or false, and results buffered for them. Each record is as that
+// dispatcher's encoders wrote it (a false "notify" it left out; here it is
+// spelled out, which decodes the same). It recovers, and a reattach to each
+// instance is pushed its buffered results, once.
+const pollEraSnapshot = `{"next_epr":1,` +
+	`"counters":{"Submitted":3,"Completed":2,"Failed":0,"Retried":0,"Dispatched":3,"Duplicates":0,"CacheHits":0,"CacheMisses":0},` +
+	`"instances":[{"epr":"falkon-instance-1","name":"poller","notify":false,"tenant":"default","submitted":3,` +
+	`"results":[{"id":1,"stdout":"out-1","executor":"x","attempts":1},{"id":2,"stdout":"out-2","executor":"x","attempts":1}]}],` +
+	`"pending":[{"epr":"falkon-instance-1","task":{"id":3,"command":"sleep"},"attempts":1,"tenant":"default"}]}`
+
+var pollEraSegment = []struct {
+	kind wal.Kind
+	body string
+}{
+	{wal.KindInstance, `{"epr":"falkon-instance-2","name":"poller-2","notify":false,"tenant":"default"}`},
+	{wal.KindInstance, `{"epr":"falkon-instance-3","name":"pusher","notify":true,"tenant":"default"}`},
+	{wal.KindAccept, `{"epr":"falkon-instance-2","tasks":[{"id":10,"command":"sleep"},{"id":11,"command":"sleep"}],"tenant":"default"}`},
+	{wal.KindAccept, `{"epr":"falkon-instance-3","tasks":[{"id":20,"command":"sleep"}],"tenant":"default"}`},
+	{wal.KindDispatchBatch, `{"exec":"x","tasks":[{"epr":"falkon-instance-2","id":10},{"epr":"falkon-instance-2","id":11},{"epr":"falkon-instance-3","id":20}]}`},
+	{wal.KindCompleteBatch, `{"results":[` +
+		`{"epr":"falkon-instance-1","result":{"id":3,"stdout":"out-3","executor":"x","attempts":1}},` +
+		`{"epr":"falkon-instance-2","result":{"id":10,"stdout":"out-10","executor":"x","attempts":1}},` +
+		`{"epr":"falkon-instance-3","result":{"id":20,"stdout":"out-20","executor":"x","attempts":1}}]}`},
+}
+
+// walFrame frames body as a journal record of kind: its length and CRC-32C,
+// then the kind byte and the body.
+func walFrame(dst []byte, kind wal.Kind, body string) []byte {
+	payload := append([]byte{byte(kind)}, body...)
+	dst = binary.LittleEndian.AppendUint32(dst, uint32(len(payload)))
+	dst = binary.LittleEndian.AppendUint32(dst, crc32.Checksum(payload, crc32.MakeTable(crc32.Castagnoli)))
+	return append(dst, payload...)
+}
+
+func TestPollEraJournalRecoversAndPushes(t *testing.T) {
+	dir := t.TempDir()
+	if err := os.WriteFile(filepath.Join(dir, "snap-00000001.snap"), walFrame(nil, wal.KindSnapshot, pollEraSnapshot), 0o644); err != nil {
+		t.Fatal(err)
+	}
+	var seg []byte
+	for _, r := range pollEraSegment {
+		seg = walFrame(seg, r.kind, r.body)
+	}
+	if err := os.WriteFile(filepath.Join(dir, "seg-00000001.wal"), seg, 0o644); err != nil {
+		t.Fatal(err)
+	}
+	d := dispatch.New(dispatch.Options{JournalDir: dir, Logf: t.Logf})
+	if err := d.Listen("127.0.0.1:0"); err != nil {
+		t.Fatal(err)
+	}
+	defer d.Close()
+	if st := d.Stats(); st.Instances != 3 || st.Queued != 1 || st.RecoveredTasks != 1 {
+		t.Fatalf("recovered %d instances and %d queued tasks (%d recovered), want 3 and 1 (task 11)", st.Instances, st.Queued, st.RecoveredTasks)
+	}
+	for _, want := range []struct {
+		epr     string
+		results []task.ID
+		owed    int // still owed once the buffer is pushed
+	}{
+		{"falkon-instance-1", []task.ID{1, 2, 3}, 0},
+		{"falkon-instance-2", []task.ID{10}, 1},
+		{"falkon-instance-3", []task.ID{20}, 0},
+	} {
+		if buffered, _ := d.Owes(want.epr); buffered != len(want.results) {
+			t.Fatalf("%s buffers %d results, want %d", want.epr, buffered, len(want.results))
+		}
+		sink := dialSink(t, d.Addr())
+		defer sink.Close()
+		if err := sink.Call(fproto.MethodCreateInstance, fproto.CreateInstanceRequest{EPR: want.epr}, nil); err != nil {
+			t.Fatalf("reattach %s: %v", want.epr, err)
+		}
+		got := sink.take() // pushed ahead of the reattach's reply
+		if len(got) != len(want.results) {
+			t.Fatalf("%s was pushed %+v, want results %v", want.epr, got, want.results)
+		}
+		for i, r := range got {
+			if r.ID != want.results[i] || r.Stdout != fmt.Sprintf("out-%d", r.ID) {
+				t.Fatalf("%s was pushed %+v, want results %v", want.epr, got, want.results)
+			}
+		}
+		if buffered, owed := d.Owes(want.epr); buffered != 0 || owed != want.owed {
+			t.Fatalf("%s buffers %d results and owes %d after the reattach, want 0 and %d", want.epr, buffered, owed, want.owed)
+		}
 	}
 }

@@ -5,6 +5,7 @@ package dispatch_test
 // Deliver — and a snapshot cadence that still counts tasks.
 
 import (
+	"fmt"
 	"strings"
 	"testing"
 	"time"
@@ -139,23 +140,18 @@ func TestAttemptsSurviveCrash(t *testing.T) {
 	pull(second)
 	second.cli.Close() // lost with the task's second attempt
 
-	cli2, err := wsrpcDial(d2.Addr())
-	if err != nil {
-		t.Fatal(err)
-	}
+	// The client reattaches; the result, buffered or not yet finalized, is
+	// pushed to it.
+	cli2 := dialSink(t, d2.Addr())
 	defer cli2.Close()
 	if err := cli2.Call(fproto.MethodCreateInstance, fproto.CreateInstanceRequest{EPR: inst.EPR}, nil); err != nil {
 		t.Fatal(err)
 	}
-	var got fproto.CollectReply
-	if err := cli2.Call(fproto.MethodCollect, fproto.CollectRequest{EPR: inst.EPR, WaitMillis: 3000}, &got); err != nil {
-		t.Fatal(err)
-	}
-	if len(got.Results) != 1 {
+	got := cli2.await(t, 1, 3*time.Second, func(int) string {
 		st := d2.Stats()
-		t.Fatalf("no result after the second attempt was lost (queued %d, retried %d): the task is waiting to run a third time", st.Queued, st.Retried)
-	}
-	if r := got.Results[0]; !r.Failed() || !strings.HasPrefix(r.Err, "retries exhausted") || r.Attempts != 2 {
+		return fmt.Sprintf("no result after the second attempt was lost (queued %d, retried %d): the task is waiting to run a third time", st.Queued, st.Retried)
+	})
+	if r := got[0]; len(got) != 1 || !r.Failed() || !strings.HasPrefix(r.Err, "retries exhausted") || r.Attempts != 2 {
 		t.Fatalf("result %+v, want retries exhausted after 2 attempts", r)
 	}
 }

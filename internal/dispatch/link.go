@@ -324,11 +324,11 @@ func (l *link) ensureDown(cli *wsrpc.Client, epr string) (string, error) {
 	} else if down != "" {
 		return down, nil
 	}
-	// Results stream upward as they finish, whether the client polls or not;
-	// the tenant goes down verbatim, so the leaf admits under the right name.
+	// Results stream upward as they finish; the tenant goes down verbatim,
+	// so the leaf admits under the right name.
 	var rep fproto.CreateInstanceReply
 	err := cli.Call(fproto.MethodCreateInstance, fproto.CreateInstanceRequest{
-		ClientName: rootName + "/" + epr, WantNotifications: true, Tenant: inst.tenant,
+		ClientName: rootName + "/" + epr, Tenant: inst.tenant,
 	}, &rep)
 	if err == nil {
 		l.mu.Lock()

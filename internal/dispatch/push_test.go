@@ -59,7 +59,7 @@ func TestResultPushFramingAndOrder(t *testing.T) {
 	}
 	defer cli.Close()
 	var inst fproto.CreateInstanceReply
-	if err := cli.Call(fproto.MethodCreateInstance, fproto.CreateInstanceRequest{WantNotifications: true}, &inst); err != nil {
+	if err := cli.Call(fproto.MethodCreateInstance, fproto.CreateInstanceRequest{}, &inst); err != nil {
 		t.Fatal(err)
 	}
 	var gen task.IDGen
@@ -170,7 +170,10 @@ func (c *dropConn) Write(p []byte) (int, error) {
 // A result pushed at a connection that has just died is still owed. It must
 // buffer for the reattach (not vanish), stay in the resubmission dedupe set
 // (so the reconnecting client's resubmit does not run the task again), and
-// the failure must be counted where an operator can see it.
+// the failure must be counted where an operator can see it. The results that
+// finish while the client is away buffer too, and the reattach pushes each
+// buffered result once: the client drops no second copy, and the instance
+// is left holding no result and owing nothing.
 func TestFailedPushBuffersForReattach(t *testing.T) {
 	faults := &dropFirst{}
 	d := dispatch.New(dispatch.Options{JournalDir: t.TempDir(), Faults: faults, Logf: t.Logf})
@@ -241,6 +244,11 @@ func TestFailedPushBuffersForReattach(t *testing.T) {
 	}
 	if ran.Load() != n {
 		t.Errorf("executors ran %d tasks for %d submitted: a result lost with the connection was re-executed", ran.Load(), n)
+	}
+	// What waited for the reattach was pushed and discharged: the instance
+	// holds no result and owes nothing.
+	if buffered, owed := d.Owes(c.EPR()); buffered != 0 || owed != 0 {
+		t.Errorf("after every result arrived the instance buffers %d results and owes %d", buffered, owed)
 	}
 	// The failure (without one, no push hit the dead connection and nothing
 	// above was tested) is on the wire for falkon-top and in the registry for
@@ -383,15 +391,12 @@ func TestNeverReadingClientIsDroppedAndBuffered(t *testing.T) {
 	}
 
 	// More work finishes for the dropped client's instance; whoever
-	// reattaches to it collects every one of those results. (In a function of
-	// its own so that nothing of the collecting connection, whose read buffer
-	// grows to the largest reply, outlives it into the heap check.)
+	// reattaches to it is pushed every one of those results. (In a function of
+	// its own so that nothing of the reattached connection, whose read buffer
+	// grows to the largest push, outlives it into the heap check.)
 	const late = 20
 	func() {
-		rc, err := wsrpcDial(d.Addr())
-		if err != nil {
-			t.Fatal(err)
-		}
+		rc := dialSink(t, d.Addr())
 		defer rc.Close()
 		lateTasks := make([]task.Task, late)
 		for i := range lateTasks {
@@ -404,14 +409,10 @@ func TestNeverReadingClientIsDroppedAndBuffered(t *testing.T) {
 			t.Fatal(err)
 		}
 		got, gotLate := make(map[task.ID]bool), 0
-		for deadline := time.Now().Add(20 * time.Second); gotLate < late; {
-			var reply fproto.CollectReply
-			if err := rc.Call(fproto.MethodCollect, fproto.CollectRequest{EPR: stalled.EPR(), WaitMillis: 200}, &reply); err != nil {
-				t.Fatal(err)
-			}
-			for _, r := range reply.Results {
+		for deadline := time.Now().Add(20 * time.Second); gotLate < late; time.Sleep(time.Millisecond) {
+			for _, r := range rc.take() {
 				if got[r.ID] {
-					t.Fatalf("result %v collected twice", r.ID)
+					t.Fatalf("result %v pushed twice", r.ID)
 				}
 				got[r.ID] = true
 				if r.ID > 1000 {
@@ -419,7 +420,7 @@ func TestNeverReadingClientIsDroppedAndBuffered(t *testing.T) {
 				}
 			}
 			if time.Now().After(deadline) {
-				t.Fatalf("collected %d of the %d results that finished after the drop", gotLate, late)
+				t.Fatalf("pushed %d of the %d results that finished after the drop", gotLate, late)
 			}
 		}
 		if len(got) == late {
@@ -434,4 +435,138 @@ func TestNeverReadingClientIsDroppedAndBuffered(t *testing.T) {
 	if grew := int64(end.HeapAlloc) - int64(base.HeapAlloc); grew > 4<<20 {
 		t.Errorf("heap holds %d KiB more than before the stall", grew>>10)
 	}
+}
+
+// A push that a stalled peer never takes fails when the write bound drops the
+// peer, and its results, which finalize discharged on the strength of the
+// attached peer, are owed again: buffered, and pushed to whoever reattaches.
+// One executor delivers one batch, larger than the socket buffers hold, so the
+// push in flight when the bound trips is that batch's own: no other frame
+// shares the cork buffer that dies with the connection, and every result of
+// the batch must come back. (TestNeverReadingClientIsDroppedAndBuffered cannot
+// tell a re-buffered result from one finalized after the drop.)
+func TestStalledPushIsRebuffered(t *testing.T) {
+	d := dispatch.New(dispatch.Options{Faults: shortWrites{deadline: 250 * time.Millisecond}, Logf: t.Logf})
+	if err := d.Listen("127.0.0.1:0"); err != nil {
+		t.Fatal(err)
+	}
+	defer d.Close()
+	deaf := &deafness{}
+	stalled, err := wsrpc.Dial(d.Addr(), wsrpc.ClientOptions{Faults: deaf})
+	if err != nil {
+		t.Fatal(err)
+	}
+	defer stalled.Close()
+	var inst fproto.CreateInstanceReply
+	if err := stalled.Call(fproto.MethodCreateInstance, fproto.CreateInstanceRequest{}, &inst); err != nil {
+		t.Fatal(err)
+	}
+	deaf.stopReading.Store(true)
+
+	// 64 results of 32 KiB: 2 MiB, past the 256 KiB send buffer shortWrites
+	// sets and the 8 KiB receive buffer deafness sets.
+	const n = 64
+	ec, err := wsrpcDial(d.Addr())
+	if err != nil {
+		t.Fatal(err)
+	}
+	defer ec.Close()
+	var gen task.IDGen
+	if err := ec.Call(fproto.MethodSubmit, fproto.SubmitRequest{EPR: inst.EPR, Tasks: task.Batch(&gen, n, 0)}, nil); err != nil {
+		t.Fatal(err)
+	}
+	if err := ec.Call(fproto.MethodRegister, fproto.RegisterRequest{ExecutorID: "x", Slots: 1}, nil); err != nil {
+		t.Fatal(err)
+	}
+	blob := strings.Repeat("r", 32<<10)
+	req := fproto.DeliverRequest{ExecutorID: "x"}
+	for len(req.Results) < n {
+		var work fproto.GetWorkReply
+		if err := ec.Call(fproto.MethodGetWork, fproto.GetWorkRequest{ExecutorID: "x", Max: n}, &work); err != nil {
+			t.Fatal(err)
+		}
+		if len(work.Assignments) == 0 {
+			t.Fatalf("granted %d of %d tasks", len(req.Results), n)
+		}
+		for _, a := range work.Assignments {
+			req.Results = append(req.Results, fproto.TaggedResult{EPR: a.EPR, Result: task.Result{ID: a.Task.ID, Stdout: blob}})
+		}
+	}
+	if err := ec.Call(fproto.MethodDeliver, req, nil); err != nil { // returns once the push has failed
+		t.Fatal(err)
+	}
+	if st := d.Stats(); st.NotifyErrors == 0 {
+		t.Fatal("the push at the stalled peer did not fail")
+	}
+
+	sink := dialSink(t, d.Addr())
+	defer sink.Close()
+	if err := sink.Call(fproto.MethodCreateInstance, fproto.CreateInstanceRequest{EPR: inst.EPR}, nil); err != nil {
+		t.Fatal(err)
+	}
+	got := make(map[task.ID]bool, n)
+	for _, r := range sink.take() { // pushed ahead of the reattach's reply
+		if got[r.ID] || r.Stdout != blob {
+			t.Fatalf("result %d pushed twice or not whole", r.ID)
+		}
+		got[r.ID] = true
+	}
+	if len(got) != n {
+		t.Fatalf("the reattach was pushed %d of the %d results of the failed push", len(got), n)
+	}
+	if buffered, owed := d.Owes(inst.EPR); buffered != 0 || owed != 0 {
+		t.Errorf("after the reattach the instance buffers %d results and owes %d", buffered, owed)
+	}
+}
+
+// resultSink is a raw client connection that keeps what is pushed to it ({8}):
+// the results, as a test reads them instead of through a client.Client, which
+// would drop a second copy before the test saw it.
+type resultSink struct {
+	*wsrpc.Client
+	mu      sync.Mutex
+	results []task.Result
+}
+
+// dialSink connects a resultSink to addr; the caller closes it.
+func dialSink(t *testing.T, addr string) *resultSink {
+	t.Helper()
+	s := new(resultSink)
+	cli, err := wsrpc.Dial(addr, wsrpc.ClientOptions{OnNotify: func(method string, body json.RawMessage) {
+		var rn fproto.ResultsNotify
+		if method != fproto.NotifyResults || rn.DecodeJSON(body) != nil {
+			return
+		}
+		s.mu.Lock()
+		s.results = append(s.results, rn.Results...)
+		s.mu.Unlock()
+	}})
+	if err != nil {
+		t.Fatal(err)
+	}
+	s.Client = cli
+	return s
+}
+
+// take removes and returns what has been pushed so far.
+func (s *resultSink) take() []task.Result {
+	s.mu.Lock()
+	defer s.mu.Unlock()
+	rs := s.results
+	s.results = nil
+	return rs
+}
+
+// await returns the first n results pushed, failing t if they are not all
+// there within timeout; what(n) names them in the failure.
+func (s *resultSink) await(t *testing.T, n int, timeout time.Duration, what func(got int) string) []task.Result {
+	t.Helper()
+	var rs []task.Result
+	for deadline := time.Now().Add(timeout); len(rs) < n; time.Sleep(time.Millisecond) {
+		rs = append(rs, s.take()...)
+		if len(rs) < n && time.Now().After(deadline) {
+			t.Fatal(what(len(rs)))
+		}
+	}
+	return rs
 }

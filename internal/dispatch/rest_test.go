@@ -184,7 +184,7 @@ func dialBare(t *testing.T, addr string) *bare {
 	}
 	t.Cleanup(func() { cli.Close() })
 	var inst fproto.CreateInstanceReply
-	if err := cli.Call(fproto.MethodCreateInstance, fproto.CreateInstanceRequest{ClientName: "rest", WantNotifications: true}, &inst); err != nil {
+	if err := cli.Call(fproto.MethodCreateInstance, fproto.CreateInstanceRequest{ClientName: "rest"}, &inst); err != nil {
 		t.Fatal(err)
 	}
 	b.cli, b.epr = cli, inst.EPR

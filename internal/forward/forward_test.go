@@ -153,22 +153,6 @@ func TestForwarderSpreadsInstancesAcrossDispatchers(t *testing.T) {
 	}
 }
 
-func TestForwarderPollMode(t *testing.T) {
-	f, _ := startTier(t, 2, 1, 0)
-	c, err := client.Connect(client.Options{DispatcherAddr: f.Addr(), Poll: true})
-	if err != nil {
-		t.Fatal(err)
-	}
-	defer c.Close()
-	var gen task.IDGen
-	if err := c.Submit(task.Batch(&gen, 20, 0)); err != nil {
-		t.Fatal(err)
-	}
-	if _, err := c.WaitN(20, 30*time.Second); err != nil {
-		t.Fatal(err)
-	}
-}
-
 func TestForwarderAggregatedStats(t *testing.T) {
 	f, _ := startTier(t, 3, 2, 0)
 	cli, err := wsrpc.Dial(f.Addr(), wsrpc.ClientOptions{})

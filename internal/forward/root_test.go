@@ -12,13 +12,13 @@ import (
 	"falkon/internal/faultinj"
 	"falkon/internal/fproto"
 	"falkon/internal/task"
-	"falkon/internal/wsrpc"
 )
 
 // What the root keeps for a task is in its dispatcher's books — the
 // outstanding table, counted per link as LeafStats.Pending, and the
-// instance's result buffer — so these tests read them the way an operator
-// would: through falkon.stats and falkon.collect on the root.
+// instance's result buffer and owed set — so these tests read them the way an
+// operator would: through falkon.stats on the root, a reattach and a
+// resubmission.
 
 // startRoot puts a root over the given leaves and connects a client to it.
 func startRoot(t *testing.T, copts client.Options, leaves ...*dispatch.Dispatcher) (*dispatch.Dispatcher, *client.Client) {
@@ -83,7 +83,7 @@ func pending(st fproto.StatsReply) (n int) {
 
 // A root must hold state for what is in flight, not for everything it ever
 // delivered: after 100,000 tasks nothing is queued, nothing is counted against
-// a link, and a poll-mode instance has nothing buffered or owed.
+// a link, and the instance has nothing buffered or owed.
 func TestRootRetainsOnlyInFlight(t *testing.T) {
 	if testing.Short() {
 		t.Skip("100,000 tasks")
@@ -94,7 +94,7 @@ func TestRootRetainsOnlyInFlight(t *testing.T) {
 		startExec(t, executor.Options{ID: fmt.Sprintf("ret-exec-%d", i), DispatcherAddr: d.Addr(), Slots: 2})
 		leaves = append(leaves, d)
 	}
-	f, c := startRoot(t, client.Options{BundleSize: 500, Poll: true}, leaves...)
+	f, c := startRoot(t, client.Options{BundleSize: 500}, leaves...)
 
 	const n, step = 100_000, 5_000
 	var gen task.IDGen
@@ -110,17 +110,23 @@ func TestRootRetainsOnlyInFlight(t *testing.T) {
 	if st.Queued != 0 || st.Outstanding != 0 || pending(st) != 0 {
 		t.Fatalf("after %d delivered tasks the tree holds queued=%d outstanding=%d pending=%d, want none", n, st.Queued, st.Outstanding, pending(st))
 	}
-	cli, err := wsrpc.Dial(f.Addr(), wsrpc.ClientOptions{})
-	if err != nil {
+	// A reattach is pushed whatever the instance buffered, before its reply:
+	// nothing. A resubmission of a delivered task is deduped only if the
+	// instance still owes its result: neither the first nor the last is.
+	sink := dialSink(t, f.Addr())
+	defer sink.Close()
+	if err := sink.Call(fproto.MethodCreateInstance, fproto.CreateInstanceRequest{EPR: c.EPR()}, nil); err != nil {
 		t.Fatal(err)
 	}
-	defer cli.Close()
-	var rep fproto.CollectReply
-	if err := cli.Call(fproto.MethodCollect, fproto.CollectRequest{EPR: c.EPR()}, &rep); err != nil {
+	if rs := sink.take(); len(rs) != 0 {
+		t.Fatalf("the instance still buffers %d results", len(rs))
+	}
+	var rep fproto.SubmitReply
+	if err := sink.Call(fproto.MethodSubmit, fproto.SubmitRequest{EPR: c.EPR(), Tasks: []task.Task{task.Sleep(1, 0), task.Sleep(n, 0)}}, &rep); err != nil {
 		t.Fatal(err)
 	}
-	if len(rep.Results) != 0 || rep.Pending != 0 {
-		t.Fatalf("the instance still buffers %d results and owes %d", len(rep.Results), rep.Pending)
+	if rep.Accepted != 2 || rep.Deduped != 0 {
+		t.Fatalf("resubmitting two delivered tasks: accepted %d, deduped %d; the instance still owes a result it delivered", rep.Accepted, rep.Deduped)
 	}
 }
 

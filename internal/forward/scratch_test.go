@@ -1,6 +1,7 @@
 package forward_test
 
 import (
+	"encoding/json"
 	"errors"
 	"fmt"
 	"net"
@@ -108,26 +109,51 @@ func checkEchoes(t *testing.T, rs []task.Result, first, n int) {
 	}
 }
 
-// Poll mode: results are parked in the instance's buffer, copied out of the
-// Deliver request they arrived in, until a Collect takes them.
-func TestScratchPollModeCollect(t *testing.T) {
+// A detached instance: results are parked in the instance's buffer, copied
+// out of the Deliver request they arrived in, until a reattach pushes them.
+func TestScratchDetachedBuffer(t *testing.T) {
 	scribbling(t)
-	d := startLeaf(t, "127.0.0.1:0", dispatch.Options{})
-	echoExec(t, "echo-0", d.Addr())
-	c, err := client.Connect(client.Options{DispatcherAddr: d.Addr(), BundleSize: 64, Poll: true})
-	if err != nil {
-		t.Fatal(err)
-	}
-	t.Cleanup(func() { c.Close() })
 	const n = 3000
-	if err := c.Submit(echoTasks(1, n)); err != nil {
+	d, epr, _ := runDetached(t, t.TempDir(), n)
+	sink := dialSink(t, d.Addr())
+	defer sink.Close()
+	if err := sink.Call(fproto.MethodCreateInstance, fproto.CreateInstanceRequest{EPR: epr}, nil); err != nil {
 		t.Fatal(err)
 	}
-	rs, err := c.WaitN(n, time.Minute)
+	checkEchoes(t, sink.take(), 1, n) // pushed ahead of the reattach's reply
+}
+
+// runDetached runs n echo tasks for an instance no connection is attached to,
+// journaled in dir, and returns the dispatcher that ran them, the instance
+// and the executor. The instance is detached for certain by a restart: the
+// journal brings it back with its tasks and without its client.
+func runDetached(t *testing.T, dir string, n int) (*dispatch.Dispatcher, string, *executor.Executor) {
+	t.Helper()
+	d1 := startLeaf(t, "127.0.0.1:0", dispatch.Options{JournalDir: dir})
+	cli, err := wsrpc.Dial(d1.Addr(), wsrpc.ClientOptions{})
 	if err != nil {
 		t.Fatal(err)
 	}
-	checkEchoes(t, rs, 1, n)
+	defer cli.Close()
+	var inst fproto.CreateInstanceReply
+	if err := cli.Call(fproto.MethodCreateInstance, fproto.CreateInstanceRequest{ClientName: "scratch"}, &inst); err != nil {
+		t.Fatal(err)
+	}
+	const bundle = 64
+	tasks := echoTasks(1, n)
+	for i := 0; i < n; i += bundle {
+		if err := cli.Call(fproto.MethodSubmit, fproto.SubmitRequest{EPR: inst.EPR, Tasks: tasks[i:min(i+bundle, n)]}, nil); err != nil {
+			t.Fatal(err)
+		}
+	}
+	d1.Abort() // every submit was acknowledged, so every task is in the journal
+
+	d2 := startLeaf(t, "127.0.0.1:0", dispatch.Options{JournalDir: dir})
+	ex := echoExec(t, "echo-0", d2.Addr())
+	if !within(time.Minute, func() bool { return d2.Stats().Completed == int64(n) }) {
+		t.Fatalf("completed %d of %d", d2.Stats().Completed, n)
+	}
+	return d2, inst.EPR, ex
 }
 
 // Push mode with a client that does not read: past the 4,096 its results
@@ -238,49 +264,20 @@ func TestScratchFailedPushRebuffered(t *testing.T) {
 func TestScratchJournalRecovery(t *testing.T) {
 	scribbling(t)
 	dir := t.TempDir()
-	d1 := dispatch.New(dispatch.Options{JournalDir: dir, Logf: t.Logf})
-	if err := d1.Listen("127.0.0.1:0"); err != nil {
-		t.Fatal(err)
-	}
-	defer d1.Close()
-	addr := d1.Addr()
-	ex := echoExec(t, "echo-0", addr)
-	// A poll-mode instance nobody collects from: every result stays owed.
-	cli, err := wsrpc.Dial(addr, wsrpc.ClientOptions{})
-	if err != nil {
-		t.Fatal(err)
-	}
-	var inst fproto.CreateInstanceReply
-	if err := cli.Call(fproto.MethodCreateInstance, fproto.CreateInstanceRequest{ClientName: "scratch"}, &inst); err != nil {
-		t.Fatal(err)
-	}
 	const n = 2000
-	if err := cli.Call(fproto.MethodSubmit, fproto.SubmitRequest{EPR: inst.EPR, Tasks: echoTasks(1, n)}, nil); err != nil {
-		t.Fatal(err)
-	}
-	if !within(time.Minute, func() bool { return d1.Stats().Completed == n }) {
-		t.Fatalf("completed %d of %d", d1.Stats().Completed, n)
-	}
+	d2, epr, ex := runDetached(t, dir, n)
 	ex.Stop()
-	cli.Close()
-	d1.Close()
+	d2.Close()
 
-	d2 := startLeaf(t, addr, dispatch.Options{JournalDir: dir})
-	cli, err = wsrpc.Dial(d2.Addr(), wsrpc.ClientOptions{})
-	if err != nil {
-		t.Fatal(err)
-	}
-	defer cli.Close()
+	d3 := startLeaf(t, "127.0.0.1:0", dispatch.Options{JournalDir: dir})
+	sink := dialSink(t, d3.Addr())
+	defer sink.Close()
 	// A re-attach names the instance it asks for; an unknown one is an error.
-	epr := inst.EPR
-	if err := cli.Call(fproto.MethodCreateInstance, fproto.CreateInstanceRequest{EPR: epr}, &inst); err != nil || inst.EPR != epr {
+	var inst fproto.CreateInstanceReply
+	if err := sink.Call(fproto.MethodCreateInstance, fproto.CreateInstanceRequest{EPR: epr}, &inst); err != nil || inst.EPR != epr {
 		t.Fatalf("reattach: %+v, %v", inst, err)
 	}
-	var got fproto.CollectReply
-	if err := cli.Call(fproto.MethodCollect, fproto.CollectRequest{EPR: inst.EPR}, &got); err != nil {
-		t.Fatal(err)
-	}
-	checkEchoes(t, got.Results, 1, n)
+	checkEchoes(t, sink.take(), 1, n) // pushed ahead of the reattach's reply
 }
 
 // A tree of two leaves: every result passes through a leaf's scratch, the
@@ -304,4 +301,42 @@ func TestScratchTreeOfTwoLeaves(t *testing.T) {
 		t.Fatal(err)
 	}
 	checkEchoes(t, rs, 1, n)
+}
+
+// resultSink is a raw client connection that keeps what is pushed to it ({8}):
+// the results, as a test reads them instead of through a client.Client, which
+// would drop a second copy before the test saw it.
+type resultSink struct {
+	*wsrpc.Client
+	mu      sync.Mutex
+	results []task.Result
+}
+
+// dialSink connects a resultSink to addr; the caller closes it.
+func dialSink(t *testing.T, addr string) *resultSink {
+	t.Helper()
+	s := new(resultSink)
+	cli, err := wsrpc.Dial(addr, wsrpc.ClientOptions{OnNotify: func(method string, body json.RawMessage) {
+		var rn fproto.ResultsNotify
+		if method != fproto.NotifyResults || rn.DecodeJSON(body) != nil {
+			return
+		}
+		s.mu.Lock()
+		s.results = append(s.results, rn.Results...)
+		s.mu.Unlock()
+	}})
+	if err != nil {
+		t.Fatal(err)
+	}
+	s.Client = cli
+	return s
+}
+
+// take removes and returns what has been pushed so far.
+func (s *resultSink) take() []task.Result {
+	s.mu.Lock()
+	defer s.mu.Unlock()
+	rs := s.results
+	s.results = nil
+	return rs
 }

@@ -9,8 +9,12 @@
 //	       the assignments itself, to a slot the executor left waiting
 //	{6,7}  executor  -> dispatcher  Deliver (results + ack; piggy-backed new
 //	       tasks ride back on the reply)
-//	{8}    dispatcher -> client     Results notification
-//	{9,10} client    -> dispatcher  Collect (poll alternative to {8})
+//	{8}    dispatcher -> client     Results notification: the push carries
+//	       the results themselves, on the connection the client opened
+//
+// The paper's {9,10}, a call that fetched the results {8} announced, has no
+// message here: results reach a client only by {8}, and a client whose
+// connection is gone has its results buffered until it reattaches.
 //
 // Everything is JSON. The messages of {1}–{8}, which carry tasks or run once
 // per task, encode and decode themselves (codec.go); the rest go through
@@ -44,7 +48,6 @@ const (
 	MethodCreateInstance  = "falkon.create-instance"
 	MethodDestroyInstance = "falkon.destroy-instance"
 	MethodSubmit          = "falkon.submit"
-	MethodCollect         = "falkon.collect"
 	MethodRegister        = "falkon.register"
 	MethodDeregister      = "falkon.deregister"
 	MethodGetWork         = "falkon.get-work"
@@ -78,9 +81,6 @@ const (
 type CreateInstanceRequest struct {
 	// ClientName is a friendly label for logs.
 	ClientName string `json:"client,omitempty"`
-	// WantNotifications asks the dispatcher to push results over the
-	// client's connection ({8}); otherwise the client polls with Collect.
-	WantNotifications bool `json:"want_notifications,omitempty"`
 	// EPR, when set, re-attaches to an existing instance instead of
 	// creating one — the reconnect path after a dispatcher restart (the
 	// instance survives in the journal) or a dropped client connection.
@@ -179,23 +179,6 @@ type CapacityHint struct {
 	// restarted leaf's early hints would lose to the dead incarnation's
 	// high-Seq leftovers and the parent would size its link on stale capacity.
 	Epoch int64 `json:"epoch,omitempty"`
-}
-
-// CollectRequest polls for finished results ({9,10}).
-type CollectRequest struct {
-	EPR string `json:"epr"`
-	// Max bounds the number of results returned (0 means no bound).
-	Max int `json:"max,omitempty"`
-	// WaitMillis, when positive, blocks up to that long for at least one
-	// result.
-	WaitMillis int `json:"wait_millis,omitempty"`
-}
-
-// CollectReply returns finished results and the number still pending
-// (queued + running + undelivered).
-type CollectReply struct {
-	Results []task.Result `json:"results,omitempty"`
-	Pending int           `json:"pending"`
 }
 
 // RegisterRequest announces a new executor.

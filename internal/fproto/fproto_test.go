@@ -85,7 +85,7 @@ func TestStatsReplyRoundTrip(t *testing.T) {
 func TestMethodNamesAreNamespaced(t *testing.T) {
 	for _, m := range []string{
 		MethodCreateInstance, MethodDestroyInstance, MethodSubmit,
-		MethodCollect, MethodRegister, MethodDeregister, MethodGetWork,
+		MethodRegister, MethodDeregister, MethodGetWork,
 		MethodDeliver, MethodStats, NotifyWorkAvailable, NotifyWorkGrant, NotifyResults,
 	} {
 		if len(m) < 8 || m[:7] != "falkon." {

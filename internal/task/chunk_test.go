@@ -15,11 +15,14 @@ var raceBuild bool
 
 // smallBundlePinCeiling is what one held task of a run of one-task bundles may
 // keep alive: one chunk of heads and one of bytes (Scratch), 4,096 bytes
-// each. A run of tasks of one 16-byte argument reads 6,611 to 6,669 at -cpu
-// 1, 2 and 4: each held task has a heads chunk of its own, and every ~89
-// tasks share a bytes chunk. While every bundle was a slice and a string of
-// exactly their size it read −268 to −262: a held task's own ~112 bytes are
-// under what the heap between the two readings moves by.
+// each. A run of tasks of one 16-byte argument reads 8,026 to 8,030 at -cpu
+// 1, 2 and 4: each held task has a heads chunk of its own, and ~96 of the 100
+// a bytes chunk of their own too (the test holds every chunkHeads-th, 85, and
+// a bytes chunk holds ~89 of these tasks), so the reading sits by design just
+// under the ceiling. The same loop holding nothing reads under 40 B a task.
+// While every bundle was a slice and a string of exactly their size it read
+// −268 to −262: a held task's own ~112 bytes are under what the heap between
+// the two readings moves by.
 const smallBundlePinCeiling = 8192
 
 // A run of small bundles read through one Scratch is carved from its chunks,
@@ -39,6 +42,11 @@ func TestSmallBundlesPinAtMostAChunk(t *testing.T) {
 	body := make([]byte, 0, 256)
 	var s Scratch
 	var r jsonwire.Reader
+	// Twice: what a sync.Pool holds survives one collection in its victim
+	// cache. The testing package's matcher for an unanchored -run pattern is
+	// ~36 KB of such a pool (regexp's backtracker); read at the first
+	// collection and gone by the last, it took ~370 B off each held task.
+	runtime.GC()
 	runtime.GC()
 	var before, after runtime.MemStats
 	runtime.ReadMemStats(&before)

@@ -36,7 +36,7 @@ const (
 	// recovery uses it to restore attempt counts).
 	KindDispatch Kind = 4
 	// KindComplete records a finalized result, including its payload, so
-	// results awaiting collection survive a crash and are redelivered.
+	// results awaiting delivery survive a crash and are redelivered.
 	KindComplete Kind = 5
 	// KindDispatchBatch records one grant — the executor and every task it
 	// was handed — and replays as that many KindDispatch records in order.

@@ -15,9 +15,13 @@ import (
 
 // InstanceRec records an instance creation.
 type InstanceRec struct {
-	EPR    string `json:"epr"`
-	Name   string `json:"name,omitempty"`
-	Notify bool   `json:"notify,omitempty"`
+	EPR  string `json:"epr"`
+	Name string `json:"name,omitempty"`
+	// Notify is what journals written while a client could poll for its
+	// results hold: whether they were pushed to it. Every client is pushed
+	// its results now; a dispatcher leaves the field out and replay ignores
+	// it.
+	Notify bool `json:"notify,omitempty"`
 	// Tenant is the owning tenant ("" in pre-tenancy journals, which
 	// recovery maps to the default tenant).
 	Tenant string `json:"tenant,omitempty"`
@@ -167,10 +171,9 @@ func (rec *CompleteBatchRec) appendJSON(dst []byte) []byte {
 type Instance struct {
 	EPR       string `json:"epr"`
 	Name      string `json:"name,omitempty"`
-	Notify    bool   `json:"notify,omitempty"`
 	Tenant    string `json:"tenant,omitempty"`
 	Submitted int64  `json:"submitted,omitempty"`
-	// Results are finalized results not yet known to be collected; recovery
+	// Results are finalized results not yet known to be delivered; recovery
 	// redelivers them (clients dedupe by task ID). Together with Pending
 	// they form the instance's live task set — the dedupe set behind
 	// idempotent resubmission across restarts.
@@ -336,7 +339,7 @@ func (r *replayer) apply(rec rawRecord) {
 		if _, ok := r.instances[in.EPR]; ok {
 			return
 		}
-		r.instances[in.EPR] = &Instance{EPR: in.EPR, Name: in.Name, Notify: in.Notify, Tenant: in.Tenant}
+		r.instances[in.EPR] = &Instance{EPR: in.EPR, Name: in.Name, Tenant: in.Tenant}
 		r.order = append(r.order, in.EPR)
 	case KindDestroy:
 		var de DestroyRec

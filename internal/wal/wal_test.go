@@ -92,7 +92,7 @@ func TestJournalRoundTrip(t *testing.T) {
 		t.Fatalf("instances = %d, want 1", len(st.Instances))
 	}
 	in := st.Instances[0]
-	if in.EPR != epr || in.Name != "cli" || !in.Notify || in.Submitted != 3 {
+	if in.EPR != epr || in.Name != "cli" || in.Submitted != 3 {
 		t.Errorf("instance = %+v", in)
 	}
 	if len(in.Results) != 1 || in.Results[0].ID != 1 || in.Results[0].Stdout != "done" {

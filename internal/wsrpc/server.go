@@ -127,7 +127,8 @@ func (s *Server) Register(name string, h Handler) {
 // read goroutine instead of a goroutine per call. This removes the
 // per-call goroutine spawn on hot methods, but the handler must be
 // non-blocking: while it runs, no further frame is read from that
-// connection (long-polling handlers like collect must stay on Register).
+// connection (long-polling handlers, such as the replica fetch, must stay on
+// Register).
 func (s *Server) RegisterFast(method string, h Handler) {
 	s.Register(method, h)
 	s.methods[method].fast = true

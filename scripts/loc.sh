@@ -3,9 +3,9 @@
 # total: the figure ROADMAP.md and CHANGES.md quote when a PR's point is to
 # shrink the code. Lines as `wc -l` counts them (comments and blanks
 # included), so the number moves only when files do. Under the total, the
-# flags each daemon defines (what its -h lists), then the exported fields of
-# the option structs a library caller sets: the deployment surface's other
-# figures.
+# flags each daemon defines (what its -h lists), the exported fields of the
+# option structs a library caller sets, and the wire's verbs and pushes: the
+# deployment surface's other figures.
 set -euo pipefail
 
 cd "$(dirname "$0")/.."
@@ -53,4 +53,12 @@ for spec in dispatch.Options forward.Options sched.Options core.Config client.Op
     dispatch.ReplicationOptions replica.StandbyOptions replica.SourceOptions replica.NodeOptions wal.Options \
     wsrpc.ServerOptions wsrpc.ClientOptions wsrpc.SessionOptions; do
     printf '%7d  fields, %s\n' "$(fields "${spec%%.*}" "${spec#*.}")" "$spec"
+done
+
+# The wire: the verbs a dispatcher answers (fproto.Method*) and the
+# notifications it pushes (fproto.Notify*), as fproto declares their names.
+for kind in Method:verbs Notify:pushes; do
+    printf '%7d  wire %s, fproto.%s*\n' \
+        "$(find internal/fproto -name '*.go' ! -name '*_test.go' -exec cat {} + |
+            grep -cE "^[[:space:]]*${kind%%:*}[A-Z][A-Za-z]*[[:space:]]*=[[:space:]]*\"")" "${kind#*:}" "${kind%%:*}"
 done

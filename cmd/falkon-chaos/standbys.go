@@ -34,8 +34,8 @@ func bootStandbys(r *run) (topology, error) {
 		}
 	}
 	// Executors and the client follow the full address chain: whoever leads
-	// is in it, and the cluster id the leader stamps on an instance makes its
-	// EPR valid on every member.
+	// is in it, and a member that takes over replayed the leader's journal, so
+	// it holds the client's instance under the EPR it was minted.
 	chain := strings.Join(addrs, ",")
 	leasePath := filepath.Join(r.workDir, "lease")
 	lease := &replica.Lease{Path: leasePath}

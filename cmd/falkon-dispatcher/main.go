@@ -140,13 +140,17 @@ func main() {
 		opts.Replication = &dispatch.ReplicationOptions{Mode: mode}
 	}
 
+	// Caught from before the first address is printed: a signal sent as soon
+	// as a node announces itself drains it rather than killing it.
+	sig := make(chan os.Signal, 1)
+	signal.Notify(sig, os.Interrupt, syscall.SIGTERM)
 	switch {
 	case *standbyOf != "":
-		runStandby(*standbyOf, *journalDir, *nodeID, syncPolicy, opts, *debugAddr, *statsEvery)
+		runStandby(sig, *standbyOf, *journalDir, *nodeID, syncPolicy, opts, *debugAddr, *statsEvery)
 	case *leaseFile != "":
-		runHANode(*leaseFile, *leaseTTL, *nodeID, *addr, *journalDir, syncPolicy, opts, *debugAddr, *statsEvery)
+		runHANode(sig, *leaseFile, *leaseTTL, *nodeID, *addr, *journalDir, syncPolicy, opts, *debugAddr, *statsEvery)
 	default:
-		runLeader(opts, *addr, *journalDir, syncPolicy, *debugAddr, *statsEvery)
+		runLeader(sig, opts, *addr, *journalDir, syncPolicy, *debugAddr, *statsEvery)
 	}
 }
 
@@ -161,7 +165,7 @@ func (s *stringList) Set(v string) error {
 
 // runLeader is the classic single-dispatcher path (optionally accepting
 // standby replicas when -replicate is set), and with leaves the tree root's.
-func runLeader(opts dispatch.Options, addr, journalDir string, syncPolicy wal.SyncPolicy, debugAddr string, statsEvery time.Duration) {
+func runLeader(sig <-chan os.Signal, opts dispatch.Options, addr, journalDir string, syncPolicy wal.SyncPolicy, debugAddr string, statsEvery time.Duration) {
 	if opts.Replication != nil {
 		opts.Replication.Term = 1
 	}
@@ -182,13 +186,13 @@ func runLeader(opts dispatch.Options, addr, journalDir string, syncPolicy wal.Sy
 	closeDebug := startDebug(debugAddr, d)
 	defer closeDebug()
 	startStatsLoop(statsEvery, d)
-	awaitShutdown(d, journalDir)
+	awaitShutdown(sig, d, journalDir)
 }
 
 // runStandby mirrors a fixed leader's journal forever: no serving, no
 // election — a warm spare an operator promotes by restarting it as a
 // leader over the mirror directory.
-func runStandby(leaderAddr, dir, id string, syncPolicy wal.SyncPolicy, opts dispatch.Options, debugAddr string, statsEvery time.Duration) {
+func runStandby(sig <-chan os.Signal, leaderAddr, dir, id string, syncPolicy wal.SyncPolicy, opts dispatch.Options, debugAddr string, statsEvery time.Duration) {
 	if dir == "" {
 		log.Fatal("falkon-dispatcher: -standby-of requires -journal-dir (the mirror directory)")
 	}
@@ -221,8 +225,6 @@ func runStandby(leaderAddr, dir, id string, syncPolicy wal.SyncPolicy, opts disp
 			}
 		}()
 	}
-	sig := make(chan os.Signal, 1)
-	signal.Notify(sig, os.Interrupt, syscall.SIGTERM)
 	<-sig
 	sb.Stop()
 	log.Println("falkon-dispatcher: standby stopped, mirror sealed")
@@ -232,23 +234,18 @@ func runStandby(leaderAddr, dir, id string, syncPolicy wal.SyncPolicy, opts disp
 // node holds the lease, leader (over its replayed mirror) once it wins.
 // A lost lease is fail-stop: exit 4 and let the supervisor restart the
 // node as a standby. A leader whose journal fails stops itself, which stops
-// the node too (releasing the lease): exit 3. The cluster ID a client's EPR
-// is scoped to is the lease path: only nodes that share a journal lineage
-// share it.
-func runHANode(leaseFile string, leaseTTL time.Duration, nodeID, addr, journalDir string, syncPolicy wal.SyncPolicy, opts dispatch.Options, debugAddr string, statsEvery time.Duration) {
+// the node too (releasing the lease): exit 3.
+func runHANode(sig <-chan os.Signal, leaseFile string, leaseTTL time.Duration, nodeID, addr, journalDir string, syncPolicy wal.SyncPolicy, opts dispatch.Options, debugAddr string, statsEvery time.Duration) {
 	if journalDir == "" {
 		log.Fatal("falkon-dispatcher: -lease-file requires -journal-dir (the node's journal/mirror directory)")
 	}
 	if nodeID == "" {
 		nodeID = addr
 	}
-	opts.ClusterID = "ha:" + leaseFile
 
 	stop := make(chan struct{})
 	var stopOnce sync.Once
 	halt := func() { stopOnce.Do(func() { close(stop) }) }
-	sig := make(chan os.Signal, 1)
-	signal.Notify(sig, os.Interrupt, syscall.SIGTERM)
 	go func() {
 		<-sig
 		halt()
@@ -273,7 +270,7 @@ func runHANode(leaseFile string, leaseTTL time.Duration, nodeID, addr, journalDi
 			if err := d.Listen(addr); err != nil {
 				return "", err
 			}
-			fmt.Printf("falkon-dispatcher leading on %s (term=%d cluster=%s)\n", d.Addr(), term, opts.ClusterID)
+			fmt.Printf("falkon-dispatcher leading on %s (term=%d)\n", d.Addr(), term)
 			startDebug(debugAddr, d)
 			startStatsLoop(statsEvery, d)
 			go func() { <-d.Done(); halt() }()
@@ -356,9 +353,7 @@ func startStatsLoop(every time.Duration, d *dispatch.Dispatcher) {
 
 // awaitShutdown blocks on SIGINT/SIGTERM, then drains and seals. A node that
 // stops first has stopped itself, its journal failed: exitJournalFailed.
-func awaitShutdown(d *dispatch.Dispatcher, journalDir string) {
-	sig := make(chan os.Signal, 1)
-	signal.Notify(sig, os.Interrupt, syscall.SIGTERM)
+func awaitShutdown(sig <-chan os.Signal, d *dispatch.Dispatcher, journalDir string) {
 	select {
 	case <-sig:
 	case <-d.Done():

@@ -79,17 +79,6 @@ type Client struct {
 
 	mu  sync.Mutex
 	epr string
-	// eprIdx is the chain address the current instance was created on — EPRs
-	// are per-dispatcher, so a reconnect that lands elsewhere must not
-	// reattach by EPR (the same name could be a stranger's instance there)
-	// and starts fresh instead.
-	eprIdx int
-	// cluster is the HA cluster id the dispatcher reported at create time
-	// ("" for a standalone dispatcher). Within a cluster the EPR is valid
-	// on every member — standbys replay the leader's journal — so a
-	// failover to another address in the chain reattaches by EPR (scoped by
-	// the cluster id) instead of abandoning the instance.
-	cluster string
 
 	submitted   int64
 	resubmitted int64 // tasks sent again after a reconnect
@@ -171,37 +160,29 @@ func (c *Client) EPR() string { c.mu.Lock(); defer c.mu.Unlock(); return c.epr }
 
 // handshake gives a fresh connection its instance before the session
 // publishes it: the first connection creates one; a replacement re-attaches
-// to it (a journaling dispatcher recovers it across restarts) and falls back
-// to a fresh instance where the EPR is unknown.
-func (c *Client) handshake(cli *wsrpc.Client, addrIdx int) error {
+// to it, at whichever address of the chain answered (a journaling dispatcher
+// recovers it across restarts, an HA standby from the leader's journal), and
+// falls back to a fresh instance where the EPR is unknown. The EPR is unique
+// when minted, so no other dispatcher resolves it to a stranger's instance.
+func (c *Client) handshake(cli *wsrpc.Client) error {
 	c.mu.Lock()
-	req := fproto.CreateInstanceRequest{
-		ClientName: c.opts.Name,
-		EPR:        c.epr,
-		Cluster:    c.cluster,
-		Tenant:     c.opts.Tenant,
-	}
-	if addrIdx != c.eprIdx && req.Cluster == "" {
-		// Failed over to a standalone dispatcher: the EPR means nothing
-		// (or worse) there. Within an HA cluster the EPR stays valid on
-		// every member, so keep it and let the new leader replay it.
-		req.EPR = ""
-	}
+	req := fproto.CreateInstanceRequest{ClientName: c.opts.Name, EPR: c.epr, Tenant: c.opts.Tenant}
 	c.mu.Unlock()
 	var reply fproto.CreateInstanceReply
 	err := cli.Call(fproto.MethodCreateInstance, req, &reply)
 	var remote *wsrpc.RemoteError
 	if errors.As(err, &remote) && req.EPR != "" {
 		// The dispatcher is up but doesn't know the instance (no journal,
-		// or it was pruned): start fresh; resubmitOwed re-sends everything.
-		req.EPR, req.Cluster = "", ""
+		// another dispatcher, or it was pruned): start fresh; resubmitOwed
+		// re-sends everything.
+		req.EPR = ""
 		err = cli.Call(fproto.MethodCreateInstance, req, &reply)
 	}
 	if err != nil {
 		return fmt.Errorf("client: create instance: %w", err)
 	}
 	c.mu.Lock()
-	c.epr, c.eprIdx, c.cluster = reply.EPR, addrIdx, reply.Cluster
+	c.epr = reply.EPR
 	c.mu.Unlock()
 	return nil
 }

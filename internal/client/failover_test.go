@@ -48,8 +48,9 @@ func TestSplitAddrs(t *testing.T) {
 
 // TestClientFailsOverToFallbackDispatcher attaches a client to a leaf with a
 // root-fallback chain, kills the leaf, and expects the client to re-home on
-// the fallback — resubmitting owed work under a fresh instance, since EPRs
-// don't travel between dispatchers — and to keep delivering exactly once.
+// the fallback — offering its EPR there, which the fallback never held and
+// refuses, then resubmitting owed work under a fresh instance — and to keep
+// delivering exactly once.
 func TestClientFailsOverToFallbackDispatcher(t *testing.T) {
 	leaf := dispatch.New(dispatch.Options{Logf: t.Logf})
 	if err := leaf.Listen("127.0.0.1:0"); err != nil {
@@ -89,6 +90,7 @@ func TestClientFailsOverToFallbackDispatcher(t *testing.T) {
 	}
 
 	// Owed work in flight, then the leaf crashes for good (no restart).
+	eprBefore := c.EPR()
 	if err := c.Submit(task.Batch(&gen, 30, 2*time.Second)); err != nil { // 2ms real
 		t.Fatal(err)
 	}
@@ -107,6 +109,14 @@ func TestClientFailsOverToFallbackDispatcher(t *testing.T) {
 	}
 	if c.Reconnects() < 1 {
 		t.Fatalf("reconnects = %d, want ≥1", c.Reconnects())
+	}
+	// The client offered its EPR to the fallback, which never held it and
+	// refused it: the client lives on a fresh instance there, the only one.
+	if epr := c.EPR(); epr == eprBefore || epr == "" {
+		t.Fatalf("EPR %q on the fallback, was %q on the leaf: want a fresh instance", epr, eprBefore)
+	}
+	if st := root.Stats(); st.Instances != 1 {
+		t.Fatalf("the fallback holds %d instances, want the client's fresh one only", st.Instances)
 	}
 	// The fallback admitted exactly what the client resubmitted to it and it
 	// did not hold. The resubmit's reply may land after its results.

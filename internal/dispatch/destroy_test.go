@@ -25,8 +25,8 @@ func TestDestroyingAnIdleInstanceVisitsNoTask(t *testing.T) {
 	one := new(task.Relayed)
 	for i := 0; i < queued; i++ {
 		d.core.Enqueue(0, taskRef{epr: busy.epr, t: one, inst: busy})
+		busy.live.Add(task.ID(i + 1))
 	}
-	busy.inFlight = queued
 
 	visits := 0
 	defer func(of func(*instance) func(taskRef) bool) { ofInstance = of }(ofInstance)

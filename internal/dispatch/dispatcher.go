@@ -116,12 +116,6 @@ type Options struct {
 	// destroy) additionally wait for standby acks.
 	Replication *ReplicationOptions
 
-	// ClusterID names the HA cluster this dispatcher serves. Clients echo
-	// it on cross-address re-attach; a dispatcher serving a different
-	// cluster rejects the attach so an EPR never resolves against an
-	// unrelated journal. Empty means standalone.
-	ClusterID string
-
 	// Faults, when set, interposes transport fault injection on every
 	// accepted connection (chaos testing only).
 	Faults wsrpc.ConnFaults
@@ -394,12 +388,11 @@ type Dispatcher struct {
 	mu   sync.Mutex
 	core *dcore
 
-	// imu guards the instance table and EPR allocation — deliberately a
-	// separate, small lock so instance lifecycle never contends with
-	// scheduling. Submit takes it only for the map lookup.
+	// imu guards the instance table — deliberately a separate, small lock so
+	// instance lifecycle never contends with scheduling. Submit takes it only
+	// for the map lookup.
 	imu       sync.RWMutex
 	instances map[string]*instance
-	nextEPR   int64
 
 	// parents tracks attached tree parents (roots whose link to this node is
 	// sized by the capacity hints they receive).
@@ -767,7 +760,6 @@ func (d *Dispatcher) Listen(addr string) error {
 // come back peer-less with their undelivered results buffered for
 // redelivery. Runs before serving starts, so no locks are needed.
 func (d *Dispatcher) restore(st *wal.State) {
-	d.nextEPR = st.NextEPR
 	d.core.Counters = st.Counters
 	d.snapMark = d.transitionsLocked() // what the journal just replayed is not new
 	for _, win := range st.Instances {
@@ -797,7 +789,6 @@ func (d *Dispatcher) restore(st *wal.State) {
 			continue // replay proved the instance gone, or its result is buffered
 		}
 		d.core.Restore(now, taskRef{epr: p.EPR, t: &p.Task, inst: inst}, p.Attempts)
-		inst.inFlight++
 		// Re-charge per-tenant in-flight accounting (unchecked: the work was
 		// admitted before the crash).
 		d.tenants.admit(inst.tenant, 1, false)
@@ -807,7 +798,7 @@ func (d *Dispatcher) restore(st *wal.State) {
 // captureLocked snapshots the dispatcher state for the journal. Callers hold
 // imu and mu, so the capture is a consistent cut: a copy of each task.Relayed.
 func (d *Dispatcher) captureLocked() *wal.State {
-	st := &wal.State{NextEPR: d.nextEPR, Counters: d.core.Counters, Pending: make([]wal.Pending, 0, d.core.QueueLen()+d.core.OutstandingLen())}
+	st := &wal.State{Counters: d.core.Counters, Pending: make([]wal.Pending, 0, d.core.QueueLen()+d.core.OutstandingLen())}
 	for epr, inst := range d.instances {
 		inst.mu.Lock()
 		st.Instances = append(st.Instances, wal.Instance{
@@ -1296,7 +1287,6 @@ func (d *Dispatcher) finalize(f *fx, tr taskRef, r task.Result) {
 		return
 	}
 	inst.mu.Lock()
-	inst.inFlight--
 	if inst.peer != nil {
 		inst.live.Remove(r.ID) // pushed: discharged, unless pushResults finds the push failed
 		peer := inst.peer

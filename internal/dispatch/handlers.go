@@ -1,6 +1,9 @@
 package dispatch
 
 import (
+	crand "crypto/rand"
+	"encoding/binary"
+	"encoding/hex"
 	"encoding/json"
 	"fmt"
 	"slices"
@@ -76,8 +79,7 @@ func (d *Dispatcher) handleCreateInstance(p *wsrpc.Peer, body json.RawMessage) (
 		tenant = DefaultTenant // pre-tenancy clients land here
 	}
 	d.imu.Lock()
-	d.nextEPR++
-	epr := fmt.Sprintf("falkon-instance-%d", d.nextEPR)
+	epr := d.mintEPRLocked()
 	inst := &instance{
 		epr:        epr,
 		name:       req.ClientName,
@@ -105,20 +107,32 @@ func (d *Dispatcher) handleCreateInstance(p *wsrpc.Peer, body json.RawMessage) (
 		return nil, unanswered(p, err)
 	}
 	d.replicaBarrier()
-	return fproto.CreateInstanceReply{EPR: epr, Cluster: d.opts.ClusterID}, nil
+	return fproto.CreateInstanceReply{EPR: epr}, nil
+}
+
+// mintEPRLocked names a new instance: 64 random bits as 16 hex digits, unique
+// when minted. So an EPR resolves only where its instance's history is — this
+// process, its journal, an HA standby's replay of it — and no dispatcher
+// restarted without a journal, or met further along a client's chain, hands
+// the name to another client. The live table is checked, so no two instances
+// of one process share one. Callers hold imu for writing.
+func (d *Dispatcher) mintEPRLocked() string {
+	for {
+		var b [8]byte
+		if _, err := crand.Read(b[:]); err != nil {
+			binary.LittleEndian.PutUint64(b[:], uint64(time.Now().UnixNano())) // uniqueness degrades; the table still holds
+		}
+		epr := hex.EncodeToString(b[:])
+		if _, taken := d.instances[epr]; !taken {
+			return epr
+		}
+	}
 }
 
 // reattachInstance re-binds a surviving instance (recovered from the
 // journal, or orphaned by a dropped client connection) to a new peer and
 // flushes any results buffered while detached.
 func (d *Dispatcher) reattachInstance(p *wsrpc.Peer, req *fproto.CreateInstanceRequest) (any, error) {
-	if req.Cluster != "" && req.Cluster != d.opts.ClusterID {
-		// A cluster-scoped reattach against the wrong cluster must fail even
-		// if an EPR happens to collide: this dispatcher's journal never held
-		// the instance's history. The client falls back to a fresh create.
-		return nil, fmt.Errorf("dispatch: instance %q belongs to cluster %q, this dispatcher serves %q",
-			req.EPR, req.Cluster, d.opts.ClusterID)
-	}
 	f := getFx()
 	defer putFx(f)
 	d.imu.RLock()
@@ -134,7 +148,7 @@ func (d *Dispatcher) reattachInstance(p *wsrpc.Peer, req *fproto.CreateInstanceR
 	}
 	inst.mu.Unlock()
 	d.flush(f)
-	return fproto.CreateInstanceReply{EPR: req.EPR, Cluster: d.opts.ClusterID}, nil
+	return fproto.CreateInstanceReply{EPR: req.EPR}, nil
 }
 
 func (d *Dispatcher) handleDestroyInstance(p *wsrpc.Peer, body json.RawMessage) (any, error) {
@@ -180,15 +194,15 @@ var ofInstance = func(inst *instance) func(taskRef) bool {
 }
 
 // sweepLocked takes a destroyed instance's tasks out of the core, queued and
-// outstanding; one that holds none (inFlight, raised only under mu) costs no
-// sweep. A submit racing the destroy may still land tasks afterwards; they
+// outstanding; one that holds none — it owes no result but those it buffers,
+// and it owes more only under mu — costs no sweep. A submit racing the destroy may still land tasks afterwards; they
 // are dropped at pick time by the destroyed check, and replay tombstones them
 // the same way. An executor that still answers for a swept task delivers a
 // duplicate; one that never will (a child dispatcher the instance is being
 // destroyed on too) is not left holding it for ever. Callers hold mu.
 func (d *Dispatcher) sweepLocked(f *fx, inst *instance) {
 	inst.mu.Lock()
-	idle := inst.inFlight == 0
+	idle := inst.live.Len() == len(inst.buf)
 	inst.mu.Unlock()
 	if idle {
 		return
@@ -284,7 +298,6 @@ func (d *Dispatcher) submit(p *wsrpc.Peer, f *fx, req *fproto.Bundle) error {
 		array = nil
 	}
 	inst.submitted += int64(len(tasks))
-	inst.inFlight += len(tasks)
 	inst.mu.Unlock()
 	// Refund the deduped portion of the bundle: those tasks were charged at
 	// admission but are already in flight from an earlier submission.

@@ -35,11 +35,8 @@ type instance struct {
 	mu   sync.Mutex
 	peer *wsrpc.Peer // the client's connection, which results are pushed on ({8})
 
-	// submitted counts tasks accepted; inFlight counts tasks queued or
-	// outstanding (finalize takes a task off before it pushes or buffers the
-	// result).
+	// submitted counts tasks accepted.
 	submitted int64
-	inFlight  int
 
 	// buf is the one place a finished result waits: while the instance has no
 	// peer (its client dropped, a push at it failed, or it was recovered from
@@ -50,7 +47,8 @@ type instance struct {
 	// for — queued, outstanding, or buffered — on every node: a resubmitted
 	// task still owed is dropped (its result is coming), one no longer owed
 	// re-runs (its result was lost with the connection). An ID stands for one
-	// copy: of a task queued or held, or of its buffered result (DESIGN.md §11).
+	// copy: of a task queued or held, or of its buffered result (DESIGN.md §11),
+	// so live.Len() − len(buf) tasks are queued or outstanding.
 	live task.Owed
 }
 

@@ -7,11 +7,13 @@ package dispatch_test
 
 import (
 	"encoding/binary"
+	"encoding/json"
 	"errors"
 	"fmt"
 	"hash/crc32"
 	"os"
 	"path/filepath"
+	"strings"
 	"sync/atomic"
 	"testing"
 	"time"
@@ -460,5 +462,111 @@ func TestPollEraJournalRecoversAndPushes(t *testing.T) {
 		if buffered, owed := d.Owes(want.epr); buffered != 0 || owed != want.owed {
 			t.Fatalf("%s buffers %d results and owes %d after the reattach, want 0 and %d", want.epr, buffered, owed, want.owed)
 		}
+	}
+}
+
+// A journal written while EPRs were a per-process sequence: a snapshot that
+// carries the sequence ("next_epr") and instances named falkon-instance-N,
+// and a segment that creates one more and destroys one, as that dispatcher's
+// encoders wrote them. It recovers, each live instance reattaches by its old
+// EPR — sent by a client of that time, with the HA cluster ID it echoed — and
+// is pushed its buffered results; the destroyed one is refused. A fresh
+// create is minted a random name, which a restart on the journal recovers.
+const sequenceEraSnapshot = `{"next_epr":2,` +
+	`"counters":{"Submitted":2,"Completed":1,"Failed":0,"Retried":0,"Dispatched":2,"Duplicates":0,"CacheHits":0,"CacheMisses":0},` +
+	`"instances":[{"epr":"falkon-instance-1","name":"first","tenant":"default","submitted":2,` +
+	`"results":[{"id":1,"stdout":"out-1","executor":"x","attempts":1}]},` +
+	`{"epr":"falkon-instance-2","name":"second","tenant":"default"}],` +
+	`"pending":[{"epr":"falkon-instance-1","task":{"id":2,"command":"sleep"},"attempts":1,"tenant":"default"}]}`
+
+var sequenceEraSegment = []struct {
+	kind wal.Kind
+	body string
+}{
+	{wal.KindInstance, `{"epr":"falkon-instance-3","name":"third","tenant":"default"}`},
+	{wal.KindDestroy, `{"epr":"falkon-instance-2"}`},
+	{wal.KindAccept, `{"epr":"falkon-instance-3","tasks":[{"id":5,"command":"sleep"}],"tenant":"default"}`},
+	{wal.KindDispatchBatch, `{"exec":"x","tasks":[{"epr":"falkon-instance-3","id":5}]}`},
+	{wal.KindCompleteBatch, `{"results":[` +
+		`{"epr":"falkon-instance-1","result":{"id":2,"stdout":"out-2","executor":"x","attempts":1}},` +
+		`{"epr":"falkon-instance-3","result":{"id":5,"stdout":"out-5","executor":"x","attempts":1}}]}`},
+}
+
+func TestSequenceEraJournalRecoversAndReattaches(t *testing.T) {
+	dir := t.TempDir()
+	if err := os.WriteFile(filepath.Join(dir, "snap-00000001.snap"), walFrame(nil, wal.KindSnapshot, sequenceEraSnapshot), 0o644); err != nil {
+		t.Fatal(err)
+	}
+	var seg []byte
+	for _, r := range sequenceEraSegment {
+		seg = walFrame(seg, r.kind, r.body)
+	}
+	if err := os.WriteFile(filepath.Join(dir, "seg-00000001.wal"), seg, 0o644); err != nil {
+		t.Fatal(err)
+	}
+	d := dispatch.New(dispatch.Options{JournalDir: dir, Logf: t.Logf})
+	if err := d.Listen("127.0.0.1:0"); err != nil {
+		t.Fatal(err)
+	}
+	if st := d.Stats(); st.Instances != 2 || st.Queued != 0 {
+		d.Close()
+		t.Fatalf("recovered %d instances and %d queued tasks, want 2 and none", st.Instances, st.Queued)
+	}
+	reattach := func(epr string) ([]task.ID, error) {
+		sink := dialSink(t, d.Addr())
+		defer sink.Close()
+		old := json.RawMessage(`{"client":"old","epr":"` + epr + `","cluster":"ha:/var/lib/falkon/lease"}`)
+		var reply fproto.CreateInstanceReply
+		if err := sink.Call(fproto.MethodCreateInstance, old, &reply); err != nil {
+			return nil, err
+		}
+		if reply.EPR != epr {
+			t.Errorf("reattach to %s answered %q", epr, reply.EPR)
+		}
+		var ids []task.ID
+		for _, r := range sink.take() { // pushed ahead of the reattach's reply
+			if r.Stdout != fmt.Sprintf("out-%d", r.ID) {
+				t.Errorf("%s was pushed %+v", epr, r)
+			}
+			ids = append(ids, r.ID)
+		}
+		return ids, nil
+	}
+	for _, want := range []struct {
+		epr     string
+		results []task.ID
+	}{
+		{"falkon-instance-1", []task.ID{1, 2}},
+		{"falkon-instance-3", []task.ID{5}},
+	} {
+		got, err := reattach(want.epr)
+		if err != nil || fmt.Sprint(got) != fmt.Sprint(want.results) {
+			t.Errorf("reattach to %s was pushed %v (%v), want %v", want.epr, got, err, want.results)
+		}
+	}
+	if _, err := reattach("falkon-instance-2"); err == nil {
+		t.Error("a reattach to the destroyed falkon-instance-2 was accepted")
+	}
+
+	sink := dialSink(t, d.Addr())
+	var fresh fproto.CreateInstanceReply
+	err := sink.Call(fproto.MethodCreateInstance, fproto.CreateInstanceRequest{ClientName: "new"}, &fresh)
+	sink.Close()
+	if err != nil || len(fresh.EPR) != 16 || strings.Trim(fresh.EPR, "0123456789abcdef") != "" {
+		t.Fatalf("a fresh create was minted %q (%v), want 16 hex digits", fresh.EPR, err)
+	}
+	if err := d.Close(); err != nil {
+		t.Fatal(err)
+	}
+	d = dispatch.New(dispatch.Options{JournalDir: dir, Logf: t.Logf})
+	if err := d.Listen("127.0.0.1:0"); err != nil {
+		t.Fatal(err)
+	}
+	defer d.Close()
+	if st := d.Stats(); st.Instances != 3 {
+		t.Fatalf("a restart recovered %d instances, want the two old ones and %s", st.Instances, fresh.EPR)
+	}
+	if _, err := reattach(fresh.EPR); err != nil {
+		t.Fatalf("reattach to %s after a restart: %v", fresh.EPR, err)
 	}
 }

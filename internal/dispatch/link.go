@@ -72,7 +72,7 @@ func newLink(d *Dispatcher, idx int, addr string) *link {
 	l.sess = wsrpc.NewSession(wsrpc.SessionOptions{
 		Addrs:     []string{addr},
 		Client:    wsrpc.ClientOptions{PSK: d.opts.PSK, OnNotify: l.onNotify, Metrics: d.reg},
-		Handshake: func(cli *wsrpc.Client, _ int) error { return l.attach(cli) },
+		Handshake: l.attach,
 		OnDown: func() {
 			d.logf("dispatch: leaf %s down, its tasks go back on the root's queue", addr)
 			l.update(func() { l.row.Up = false })

@@ -237,7 +237,7 @@ func Start(opts Options) (*Executor, error) {
 
 // register is the session handshake: no slot sees a connection the
 // dispatcher has not registered this executor on.
-func (e *Executor) register(cli *wsrpc.Client, _ int) error {
+func (e *Executor) register(cli *wsrpc.Client) error {
 	var reply fproto.RegisterReply
 	err := cli.Call(fproto.MethodRegister, fproto.RegisterRequest{
 		ExecutorID:    e.opts.ID,

@@ -207,13 +207,23 @@ func TestUnreadFieldsWireCompat(t *testing.T) {
 				OK              bool  `json:"ok"`
 				DispatcherEpoch int64 `json:"dispatcher_epoch,omitempty"`
 			}{DispatcherEpoch: 1700000000000000000}},
+		// An HA cluster scoped an EPR while EPRs were a per-process sequence;
+		// a minted EPR is unique, so the scope went and its field drops.
 		{`{"epr":"falkon-instance-1","recovered":true,"cluster":"ha:x"}`, new(CreateInstanceReply),
-			&CreateInstanceReply{EPR: "falkon-instance-1", Cluster: "ha:x"}, `{"epr":"falkon-instance-1","cluster":"ha:x"}`,
+			&CreateInstanceReply{EPR: "falkon-instance-1"}, `{"epr":"falkon-instance-1"}`,
 			&struct {
 				EPR       string `json:"epr"`
 				Recovered bool   `json:"recovered,omitempty"`
 				Cluster   string `json:"cluster,omitempty"`
-			}{EPR: "falkon-instance-1", Cluster: "ha:x"}},
+			}{EPR: "falkon-instance-1"}},
+		{`{"client":"c","epr":"falkon-instance-1","cluster":"ha:x","tenant":"t"}`, new(CreateInstanceRequest),
+			&CreateInstanceRequest{ClientName: "c", EPR: "falkon-instance-1", Tenant: "t"}, `{"client":"c","epr":"falkon-instance-1","tenant":"t"}`,
+			&struct {
+				ClientName string `json:"client,omitempty"`
+				EPR        string `json:"epr,omitempty"`
+				Cluster    string `json:"cluster,omitempty"`
+				Tenant     string `json:"tenant,omitempty"`
+			}{ClientName: "c", EPR: "falkon-instance-1", Tenant: "t"}},
 		{`{"executor_id":"exec-3","reason":"idle release"}`, new(DeregisterRequest),
 			&DeregisterRequest{ExecutorID: "exec-3"}, `{"executor_id":"exec-3"}`,
 			&struct {

@@ -85,14 +85,10 @@ type CreateInstanceRequest struct {
 	// creating one — the reconnect path after a dispatcher restart (the
 	// instance survives in the journal) or a dropped client connection.
 	// Unknown EPRs are an error; the client falls back to a fresh create.
+	// An EPR is random and unique when minted, so a client offers it at any
+	// address of its chain: only a dispatcher holding the instance's
+	// history (its own journal, or an HA standby's replay of it) knows it.
 	EPR string `json:"epr,omitempty"`
-	// Cluster, when set alongside EPR, scopes the re-attach to an HA
-	// cluster: a client failing over across a leader's address chain sends
-	// the cluster id it learned at create time, and any dispatcher serving
-	// a different cluster rejects the attach (the client then falls back to
-	// a fresh create). Within the cluster the EPR is valid on every member,
-	// because standbys replay the leader's journal.
-	Cluster string `json:"cluster,omitempty"`
 	// Tenant names the tenant this instance submits under — the unit of
 	// fair-share weighting, quota, and rate limiting. "" maps to the
 	// "default" tenant, which keeps the wire compatible both ways: old
@@ -102,13 +98,10 @@ type CreateInstanceRequest struct {
 }
 
 // CreateInstanceReply carries the endpoint reference the client uses on all
-// subsequent calls (the paper's factory/instance EPR).
+// subsequent calls (the paper's factory/instance EPR): 16 hex digits of a
+// random 64-bit name, which no other instance has held.
 type CreateInstanceReply struct {
 	EPR string `json:"epr"`
-	// Cluster is the dispatcher's HA cluster id ("" when not replicated).
-	// Clients echo it on cross-address re-attach (see
-	// CreateInstanceRequest.Cluster).
-	Cluster string `json:"cluster,omitempty"`
 }
 
 // DestroyInstanceRequest tears an instance down; queued tasks are dropped.

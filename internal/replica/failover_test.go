@@ -21,11 +21,10 @@ import (
 )
 
 // startLeader boots a journaling dispatcher with replication enabled.
-func startLeader(t *testing.T, dir, addr, cluster string, term uint64) *dispatch.Dispatcher {
+func startLeader(t *testing.T, dir, addr string, term uint64) *dispatch.Dispatcher {
 	t.Helper()
 	d := dispatch.New(dispatch.Options{
 		JournalDir:  dir,
-		ClusterID:   cluster,
 		Replication: &dispatch.ReplicationOptions{Term: term, Mode: replica.ModeQuorum},
 		Logf:        t.Logf,
 	})
@@ -94,7 +93,7 @@ func recoverState(t *testing.T, dir string) *wal.State {
 // to replay to the exact same state as the leader's own journal.
 func TestStandbyReplaysLeaderLiveSet(t *testing.T) {
 	ldir, mdir := t.TempDir(), t.TempDir()
-	leader := startLeader(t, ldir, "127.0.0.1:0", "ha-test", 1)
+	leader := startLeader(t, ldir, "127.0.0.1:0", 1)
 	addr := leader.Addr()
 
 	sb, err := replica.StartStandby(replica.StandbyOptions{
@@ -152,10 +151,11 @@ func TestStandbyReplaysLeaderLiveSet(t *testing.T) {
 // TestFailoverToPromotedStandby runs the full failover path on a second
 // address: client and executor follow their address chains to a dispatcher
 // promoted from the standby's mirror, the client reattaches to its instance
-// by cluster-scoped EPR, and the workload finishes exactly once.
+// by EPR (the mirror holds it; no other dispatcher could), and the workload
+// finishes exactly once.
 func TestFailoverToPromotedStandby(t *testing.T) {
 	ldir, mdir := t.TempDir(), t.TempDir()
-	leader := startLeader(t, ldir, "127.0.0.1:0", "ha-test", 1)
+	leader := startLeader(t, ldir, "127.0.0.1:0", 1)
 	addrA := leader.Addr()
 	addrB := reserveAddr(t)
 	chain := fmt.Sprintf("%s,%s", addrA, addrB)
@@ -203,7 +203,7 @@ func TestFailoverToPromotedStandby(t *testing.T) {
 	// chain's fallback address at the next term.
 	leader.Abort()
 	sb.Stop()
-	promoted := startLeader(t, mdir, addrB, "ha-test", 2)
+	promoted := startLeader(t, mdir, addrB, 2)
 	t.Cleanup(func() { promoted.Close() })
 
 	rest, err := c.WaitN(n-len(first), 60*time.Second)
@@ -228,7 +228,7 @@ func TestFailoverToPromotedStandby(t *testing.T) {
 		t.Fatal("client never failed over")
 	}
 	if got := c.EPR(); got != eprBefore {
-		t.Fatalf("failover abandoned the instance: EPR %q -> %q (cluster reattach should preserve it)", eprBefore, got)
+		t.Fatalf("failover abandoned the instance: EPR %q -> %q (the promoted mirror holds it, so the reattach should find it)", eprBefore, got)
 	}
 	st := promoted.Stats()
 	if st.RecoveredTasks == 0 {

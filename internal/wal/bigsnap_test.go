@@ -25,7 +25,7 @@ func TestSnapshotPastMaxRecordRecovers(t *testing.T) {
 	body = ""
 	st, j, info := mustRecover(t, dir, testOpts())
 	defer j.Close()
-	if info.SnapshotIndex != 1 || st.NextEPR != 7 || len(st.Instances) != 1 || len(st.Instances[0].Name) != maxRecord {
-		t.Fatalf("recovered snapshot %d, next EPR %d, %d instances; want the 64 MiB snapshot", info.SnapshotIndex, st.NextEPR, len(st.Instances))
+	if info.SnapshotIndex != 1 || len(st.Instances) != 1 || st.Instances[0].EPR != "falkon-instance-7" || len(st.Instances[0].Name) != maxRecord {
+		t.Fatalf("recovered snapshot %d, %d instances; want the 64 MiB snapshot", info.SnapshotIndex, len(st.Instances))
 	}
 }

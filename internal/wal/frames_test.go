@@ -92,14 +92,14 @@ func TestAppendFramesRoundTrip(t *testing.T) {
 func TestRebaselineOverExisting(t *testing.T) {
 	dir := t.TempDir()
 	_, j, _ := mustRecover(t, dir, Options{})
-	baseline(t, j, &State{NextEPR: 1})
+	baseline(t, j, &State{})
 	frame := appendRecord(nil, KindInstance, []byte(`{"epr":"falkon-instance-1"}`))
 	if _, h, err := j.AppendFrames(frame); err != nil || h.Wait() != nil {
 		t.Fatalf("AppendFrames: %v", err)
 	}
 
 	// New leader incarnation: a fresh cut with a different state.
-	next := &State{NextEPR: 9, Instances: []Instance{{EPR: "falkon-instance-9"}}}
+	next := &State{Instances: []Instance{{EPR: "falkon-instance-9"}}}
 	baseline(t, j, next)
 	if err := j.Close(); err != nil {
 		t.Fatalf("Close: %v", err)

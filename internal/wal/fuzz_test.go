@@ -141,7 +141,7 @@ func journalSeeds() map[string][]byte {
 	big, _ = marshalRecord(big, KindInstance, InstanceRec{EPR: "falkon-instance-2"})
 	big, _ = marshalRecord(big, KindAccept, AcceptRec{EPR: "falkon-instance-2", Tasks: bigTasks})
 
-	snap := &State{NextEPR: 2, Instances: []Instance{{EPR: epr, Tenant: "default", Submitted: 3,
+	snap := &State{Instances: []Instance{{EPR: epr, Tenant: "default", Submitted: 3,
 		Results: []task.Result{{ID: 1, Stdout: "ok"}}}}}
 	for i, t := range task.Relay([]task.Task{{ID: 2, Command: "a<b", Args: []string{`"q"`}, Trace: 9},
 		{ID: 18446744073709551615, Engine: task.EngineData, IO: &task.IOSpec{Dataset: "d\u00e9"}, Duration: 5}}) {

@@ -2,8 +2,6 @@ package wal
 
 import (
 	"encoding/json"
-	"strconv"
-	"strings"
 
 	"falkon/internal/jsonwire"
 	"falkon/internal/sched"
@@ -191,9 +189,9 @@ type Pending struct {
 }
 
 // State is the dispatcher state a snapshot captures and recovery rebuilds.
-// Its JSON is what encoding/json wrote of it while a Pending held a task.Task.
+// Its JSON is what encoding/json wrote of it while a Pending held a task.Task;
+// an older snapshot's "next_epr", from when EPRs were a sequence, is ignored.
 type State struct {
-	NextEPR   int64          `json:"next_epr"`
 	Counters  sched.Counters `json:"counters"`
 	Instances []Instance     `json:"instances,omitempty"`
 	Pending   []Pending      `json:"pending,omitempty"`
@@ -206,7 +204,7 @@ type state State
 // MarshalJSON encodes st: all but its pending tasks through encoding/json,
 // and then those, each task as the bytes it was received as.
 func (st State) MarshalJSON() ([]byte, error) {
-	b, err := json.Marshal(state{NextEPR: st.NextEPR, Counters: st.Counters, Instances: st.Instances})
+	b, err := json.Marshal(state{Counters: st.Counters, Instances: st.Instances})
 	if err != nil || len(st.Pending) == 0 {
 		return b, err
 	}
@@ -278,7 +276,6 @@ type pendKey struct {
 // replayer folds journal records into a State. It mirrors the dispatcher's
 // own transitions but is pure data: no clock, no transport.
 type replayer struct {
-	nextEPR   int64
 	counters  sched.Counters
 	instances map[string]*Instance
 	order     []string // instance EPRs in creation order (deterministic output)
@@ -296,7 +293,6 @@ func newReplayer() *replayer {
 
 // load seeds the replayer from a snapshot's State.
 func (r *replayer) load(st *State) {
-	r.nextEPR = st.NextEPR
 	r.counters = st.Counters
 	for i := range st.Instances {
 		in := st.Instances[i]
@@ -309,20 +305,6 @@ func (r *replayer) load(st *State) {
 	}
 }
 
-// eprSeq extracts the numeric suffix of a dispatcher-minted EPR
-// ("falkon-instance-42" → 42), or 0 for foreign formats.
-func eprSeq(epr string) int64 {
-	i := strings.LastIndexByte(epr, '-')
-	if i < 0 {
-		return 0
-	}
-	n, err := strconv.ParseInt(epr[i+1:], 10, 64)
-	if err != nil {
-		return 0
-	}
-	return n
-}
-
 // apply folds one journal record into the state. Unknown kinds and records
 // referencing unknown instances or tasks are ignored: the journal replays
 // what it can prove, never guesses.
@@ -332,9 +314,6 @@ func (r *replayer) apply(rec rawRecord) {
 		var in InstanceRec
 		if unmarshal(rec.body, &in) != nil || in.EPR == "" {
 			return
-		}
-		if n := eprSeq(in.EPR); n > r.nextEPR {
-			r.nextEPR = n
 		}
 		if _, ok := r.instances[in.EPR]; ok {
 			return
@@ -455,7 +434,7 @@ func (r *replayer) complete(cr *CompleteRec) {
 // state materializes the folded State: live instances in creation order,
 // live pending tasks in accept order.
 func (r *replayer) state() *State {
-	st := &State{NextEPR: r.nextEPR, Counters: r.counters}
+	st := &State{Counters: r.counters}
 	for _, epr := range r.order {
 		st.Instances = append(st.Instances, *r.instances[epr])
 	}

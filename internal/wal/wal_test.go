@@ -108,9 +108,6 @@ func TestJournalRoundTrip(t *testing.T) {
 	if st.Pending[1].Task.ID != 3 || st.Pending[1].Attempts != 0 {
 		t.Errorf("pending[1] = %+v, want id 3 attempts 0", st.Pending[1])
 	}
-	if st.NextEPR != 1 {
-		t.Errorf("NextEPR = %d, want 1", st.NextEPR)
-	}
 	if st.Counters.Submitted != 3 || st.Counters.Completed != 1 || st.Counters.Dispatched != 2 {
 		t.Errorf("counters = %+v", st.Counters)
 	}
@@ -185,9 +182,6 @@ func TestDestroyDropsPending(t *testing.T) {
 	}
 	if len(st.Pending) != 1 || st.Pending[0].Task.ID != 2 {
 		t.Fatalf("pending = %+v", st.Pending)
-	}
-	if st.NextEPR != 2 {
-		t.Errorf("NextEPR = %d, want 2 (destroyed EPRs never reissued)", st.NextEPR)
 	}
 }
 
@@ -325,7 +319,6 @@ func TestSnapshotCompaction(t *testing.T) {
 	// Simulate the dispatcher capturing state at the cut: task 1 pending,
 	// task 2 pending, instance live.
 	snap := &State{
-		NextEPR:   1,
 		Instances: []Instance{{EPR: epr, Submitted: 2}},
 		Pending:   []Pending{{EPR: epr, Task: task.Relayed{ID: 1}}, {EPR: epr, Task: task.Relayed{ID: 2}}},
 	}

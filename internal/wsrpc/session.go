@@ -28,9 +28,9 @@ type SessionOptions struct {
 	// ends (0 = redial forever).
 	ReconnectTimeout time.Duration
 	// Handshake runs on every fresh connection before it is published
-	// (register, attach, ...); addrIdx is the connection's index in Addrs.
+	// (register, attach, ...), whichever address of Addrs it reached.
 	// On error the connection is closed and never seen by Conn.
-	Handshake func(cli *Client, addrIdx int) error
+	Handshake func(cli *Client) error
 	// OnDown runs when the published connection drops and a redial begins;
 	// OnUp runs after each replacement is published (never for the first
 	// connection). Both run on the session's goroutine, one at a time.
@@ -236,7 +236,7 @@ func (s *Session) connect() (*Client, error) {
 		cli, err := dial(s.ctx, s.opts.Addrs[idx], s.opts.Client, s.opts.connect)
 		if err == nil && s.opts.Handshake != nil {
 			stop := context.AfterFunc(s.ctx, func() { cli.Close() })
-			err = s.opts.Handshake(cli, idx)
+			err = s.opts.Handshake(cli)
 			stop()
 			if err != nil {
 				cli.Close()

@@ -188,7 +188,7 @@ func TestSessionHandshakeFailureIsNeverPublished(t *testing.T) {
 	failures, calls := 0, 0
 	var rejected []*Client
 	var s *sessionUnderTest
-	handshake := func(cli *Client, addrIdx int) error {
+	handshake := func(cli *Client) error {
 		if err := cli.Call("echo", 1, nil); err != nil {
 			return err
 		}

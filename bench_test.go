@@ -96,12 +96,6 @@ func BenchmarkAblGC(b *testing.B) { benchExperiment(b, "abl-gc", 0.5) }
 // Data-aware dispatch with executor caching (paper §6 extension).
 func BenchmarkAblDataAware(b *testing.B) { benchExperiment(b, "abl-dataaware", 0.5) }
 
-// Task pre-fetching (paper §6 extension).
-func BenchmarkAblPrefetch(b *testing.B) { benchExperiment(b, "abl-prefetch", 0.25) }
-
-// Grid-trace replay: Falkon vs GRAM4+PBS on the cited workload structure.
-func BenchmarkAblTrace(b *testing.B) { benchExperiment(b, "abl-trace", 0.25) }
-
 // 3-tier sharding at BlueGene/P scale (paper §6 extension).
 func BenchmarkAbl3Tier(b *testing.B) { benchExperiment(b, "abl-3tier", 0.1) }
 

@@ -5,7 +5,7 @@
 //	falkon-bench -experiment fig3            # one experiment
 //	falkon-bench -experiment fig8 -scale 0.1 # scaled-down endurance run
 //	falkon-bench -all                        # everything
-//	falkon-bench -list                       # available ids
+//	falkon-bench -list                       # available ids, each with what it backs
 package main
 
 import (
@@ -22,14 +22,14 @@ func main() {
 		experiment = flag.String("experiment", "", "comma-separated experiment ids (fig3, table2, ...)")
 		scale      = flag.Float64("scale", 1.0, "experiment scale in (0, 1]: fractions shrink task counts")
 		all        = flag.Bool("all", false, "run every experiment")
-		list       = flag.Bool("list", false, "list experiment ids and exit")
+		list       = flag.Bool("list", false, "list experiment ids, each with the paper artifact or DESIGN.md section it backs, and exit")
 		plot       = flag.Bool("plot", false, "render ASCII charts for figure experiments")
 	)
 	flag.Parse()
 
 	if *list {
 		for _, id := range bench.IDs() {
-			fmt.Println(id)
+			fmt.Printf("%-16s %s\n", id, bench.Backs(id))
 		}
 		return
 	}

@@ -49,7 +49,7 @@ func buildBinaries(t *testing.T) string {
 		if buildErr != nil {
 			return
 		}
-		for _, c := range []string{"falkon-dispatcher", "falkon-executor", "falkon-submit", "falkon-bench", "falkon-trace", "falkon-workflow", "falkon-top", "falkon-spans"} {
+		for _, c := range []string{"falkon-dispatcher", "falkon-executor", "falkon-submit", "falkon-bench", "falkon-workflow", "falkon-top", "falkon-spans"} {
 			cmd := exec.Command("go", "build", "-o", filepath.Join(binDir, c), "./cmd/"+c)
 			if out, err := cmd.CombinedOutput(); err != nil {
 				buildErr = fmt.Errorf("build %s: %v\n%s", c, err, out)
@@ -365,7 +365,7 @@ func TestBinariesWorkloadFile(t *testing.T) {
 	}
 }
 
-func TestBinariesBenchAndTrace(t *testing.T) {
+func TestBinariesBench(t *testing.T) {
 	bin := buildBinaries(t)
 	out, err := exec.Command(filepath.Join(bin, "falkon-bench"), "-experiment", "fig11").CombinedOutput()
 	if err != nil {
@@ -373,14 +373,6 @@ func TestBinariesBenchAndTrace(t *testing.T) {
 	}
 	if !strings.Contains(string(out), "1000 tasks, 17820 CPU seconds") {
 		t.Fatalf("bench output: %s", out)
-	}
-	tr := filepath.Join(t.TempDir(), "g.trace")
-	if out, err := exec.Command(filepath.Join(bin, "falkon-trace"), "-generate", "-jobs", "100", "-out", tr).CombinedOutput(); err != nil {
-		t.Fatalf("falkon-trace -generate: %v\n%s", err, out)
-	}
-	out, err = exec.Command(filepath.Join(bin, "falkon-trace"), "-stats", tr).CombinedOutput()
-	if err != nil || !strings.Contains(string(out), "100 jobs") {
-		t.Fatalf("falkon-trace -stats: %v\n%s", err, out)
 	}
 }
 

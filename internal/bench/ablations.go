@@ -16,11 +16,11 @@ import (
 // turning it off.
 
 func init() {
-	register("abl-pushpull", ablPushPull)
-	register("abl-piggyback", ablPiggyback)
-	register("abl-acquisition", ablAcquisition)
-	register("abl-release", ablRelease)
-	register("abl-gc", ablGC)
+	register("abl-pushpull", "DESIGN.md §6", ablPushPull)
+	register("abl-piggyback", "DESIGN.md §6", ablPiggyback)
+	register("abl-acquisition", "DESIGN.md §6", ablAcquisition)
+	register("abl-release", "DESIGN.md §6", ablRelease)
+	register("abl-gc", "DESIGN.md §6", ablGC)
 }
 
 // ablPushPull compares the hybrid push/pull protocol against a pure pull

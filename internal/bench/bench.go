@@ -86,15 +86,25 @@ func (r *Result) Render() string {
 // Driver produces one experiment at the given scale (0 < scale <= 1).
 type Driver func(scale float64) *Result
 
-// registry maps experiment ids to drivers.
-var registry = map[string]Driver{}
+// experiment is one registered driver and what it backs.
+type experiment struct {
+	backs string
+	run   Driver
+}
 
-// register adds a driver (called from each experiment file's init).
-func register(id string, d Driver) {
+// registry maps experiment ids to drivers.
+var registry = map[string]experiment{}
+
+// register adds a driver (called from each experiment file's init). backs
+// names what the experiment reproduces or supports: a paper artifact
+// ("Figure 8", "Table 3") or the DESIGN.md section whose decision it
+// evaluates ("DESIGN.md §6"). An experiment that can name neither has no
+// place here.
+func register(id, backs string, d Driver) {
 	if _, dup := registry[id]; dup {
 		panic("bench: duplicate experiment " + id)
 	}
-	registry[id] = d
+	registry[id] = experiment{backs, d}
 }
 
 // IDs lists registered experiment ids in sorted order.
@@ -107,16 +117,19 @@ func IDs() []string {
 	return out
 }
 
+// Backs returns what experiment id backs, as register recorded it.
+func Backs(id string) string { return registry[id].backs }
+
 // Run executes one experiment by id.
 func Run(id string, scale float64) (*Result, error) {
-	d, ok := registry[id]
+	x, ok := registry[id]
 	if !ok {
 		return nil, fmt.Errorf("bench: unknown experiment %q (have %s)", id, strings.Join(IDs(), ", "))
 	}
 	if scale <= 0 || scale > 1 {
 		return nil, fmt.Errorf("bench: scale %v out of (0, 1]", scale)
 	}
-	return d(scale), nil
+	return x.run(scale), nil
 }
 
 // helpers ------------------------------------------------------------------

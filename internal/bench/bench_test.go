@@ -84,6 +84,41 @@ func TestIDsCoverEveryPaperArtifact(t *testing.T) {
 	}
 }
 
+// An experiment stays only while it reproduces a paper artifact or backs a
+// decision DESIGN.md argues for; register records which, and this holds the
+// record to something that exists: a figure or table the ID is named after,
+// or a numbered DESIGN.md section that names the experiment.
+func TestEveryExperimentNamesWhatItBacks(t *testing.T) {
+	doc, err := os.ReadFile("../../DESIGN.md")
+	if err != nil {
+		t.Fatal(err)
+	}
+	// sections maps "N" to the text under DESIGN.md's "## N." heading.
+	sections := map[string]string{}
+	for _, part := range regexp.MustCompile(`(?m)^## `).Split(string(doc), -1) {
+		if num, _, ok := strings.Cut(part, ". "); ok {
+			sections[num] = part
+		}
+	}
+	artifact := regexp.MustCompile(`^(Figure|Table) ([0-9]+)$`)
+	section := regexp.MustCompile(`^DESIGN\.md §([0-9]+)$`)
+	for _, id := range IDs() {
+		backs := Backs(id)
+		if m := artifact.FindStringSubmatch(backs); m != nil {
+			prefix := map[string]string{"Figure": "fig", "Table": "table"}[m[1]] + m[2]
+			if id != prefix && !strings.HasPrefix(id, prefix+"-") {
+				t.Errorf("%s backs %q, but its ID does not start with %s", id, backs, prefix)
+			}
+		} else if m := section.FindStringSubmatch(backs); m != nil {
+			if !strings.Contains(sections[m[1]], "`"+id+"`") {
+				t.Errorf("%s backs %q, but that DESIGN.md section does not name it", id, backs)
+			}
+		} else {
+			t.Errorf("%s backs %q, which names neither a figure, a table nor a DESIGN.md section", id, backs)
+		}
+	}
+}
+
 // This package regenerates the paper on the simulator, in virtual time.
 // Timing the live runtime belongs in benchmark/ (reference loop, GOMAXPROCS
 // recorded) or in an exact-count test beside the code it counts; a second

@@ -9,7 +9,7 @@ import (
 )
 
 func init() {
-	register("abl-dataaware", ablDataAware)
+	register("abl-dataaware", "DESIGN.md §7", ablDataAware)
 }
 
 // ablDataAware evaluates the paper's §6 proposal — data caching in

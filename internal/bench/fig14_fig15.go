@@ -12,9 +12,9 @@ import (
 )
 
 func init() {
-	register("fig14", fig14)
-	register("fig15", fig15)
-	register("table5", table5)
+	register("fig14", "Figure 14", fig14)
+	register("fig15", "Figure 15", fig15)
+	register("table5", "Table 5", table5)
 }
 
 // fig14 regenerates Figure 14: fMRI workflow execution time for GRAM4+PBS,

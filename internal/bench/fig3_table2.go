@@ -52,8 +52,8 @@ func lrmThroughput(prof lrm.Profile, jobs, nodes int) float64 {
 }
 
 func init() {
-	register("fig3", fig3)
-	register("table2", table2)
+	register("fig3", "Figure 3", fig3)
+	register("table2", "Table 2", table2)
 }
 
 // fig3 regenerates Figure 3: throughput as a function of executor count for

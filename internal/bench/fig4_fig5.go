@@ -8,8 +8,8 @@ import (
 )
 
 func init() {
-	register("fig4", fig4)
-	register("fig5", fig5)
+	register("fig4", "Figure 4", fig4)
+	register("fig5", "Figure 5", fig5)
 }
 
 // fig4Sizes sweeps 1 B to 1 GB in decades, as in Figure 4's log axis.

@@ -10,7 +10,7 @@ import (
 )
 
 func init() {
-	register("fig4-sim", fig4Sim)
+	register("fig4-sim", "Figure 4", fig4Sim)
 }
 
 // fig4Sim re-derives Figure 4 dynamically instead of analytically: 128

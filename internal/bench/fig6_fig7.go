@@ -10,8 +10,8 @@ import (
 )
 
 func init() {
-	register("fig6", fig6)
-	register("fig7", fig7)
+	register("fig6", "Figure 6", fig6)
+	register("fig7", "Figure 7", fig7)
 }
 
 // falkonMakespan simulates nTasks sleep tasks of length dur on nExec

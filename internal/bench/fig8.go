@@ -9,7 +9,7 @@ import (
 )
 
 func init() {
-	register("fig8", fig8)
+	register("fig8", "Figure 8", fig8)
 }
 
 // fig8 regenerates Figure 8: the 2-million-task endurance run on 64

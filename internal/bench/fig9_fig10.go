@@ -9,8 +9,8 @@ import (
 )
 
 func init() {
-	register("fig9", fig9)
-	register("fig10", fig10)
+	register("fig9", "Figure 9", fig9)
+	register("fig10", "Figure 10", fig10)
 }
 
 // scale54K builds the 54,000-executor experiment: 900 executors per

@@ -12,11 +12,11 @@ import (
 )
 
 func init() {
-	register("fig11", fig11)
-	register("table3", table3)
-	register("table4", table4)
-	register("fig12", func(scale float64) *Result { return figTrace("fig12", 15*time.Second) })
-	register("fig13", func(scale float64) *Result { return figTrace("fig13", 180*time.Second) })
+	register("fig11", "Figure 11", fig11)
+	register("table3", "Table 3", table3)
+	register("table4", "Table 4", table4)
+	register("fig12", "Figure 12", func(scale float64) *Result { return figTrace("fig12", 15*time.Second) })
+	register("fig13", "Figure 13", func(scale float64) *Result { return figTrace("fig13", 180*time.Second) })
 }
 
 // fig11 prints the 18-stage synthetic workload (Figure 11).

@@ -7,7 +7,7 @@ import (
 )
 
 func init() {
-	register("table1", table1)
+	register("table1", "Table 1", table1)
 }
 
 // table1 prints the testbed platforms (Table 1) as modeled by

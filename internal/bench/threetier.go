@@ -9,7 +9,7 @@ import (
 )
 
 func init() {
-	register("abl-3tier", abl3Tier)
+	register("abl-3tier", "DESIGN.md §13", abl3Tier)
 }
 
 // abl3Tier evaluates the paper's §6 3-tier aspiration at scale: "scaling

@@ -84,46 +84,6 @@ func TestPurePullLatencyBoundedByInterval(t *testing.T) {
 	}
 }
 
-func TestPrefetchKeepsExecutorBusy(t *testing.T) {
-	run := func(prefetch bool) time.Duration {
-		e := sim.New(6)
-		p := NoSecurity()
-		p.Prefetch = prefetch
-		m := New(e, p)
-		m.AddExecutor(0, nil)
-		m.PreloadQueue(100, 100*time.Millisecond)
-		return e.Run()
-	}
-	base := run(false)
-	pf := run(true)
-	if pf >= base {
-		t.Fatalf("prefetch (%v) not faster than baseline (%v) for a single executor", pf, base)
-	}
-}
-
-func TestPrefetchConservesTasks(t *testing.T) {
-	e := sim.New(6)
-	p := NoSecurity()
-	p.Prefetch = true
-	m := New(e, p)
-	m.KeepRecords = true
-	for i := 0; i < 4; i++ {
-		m.AddExecutor(0, nil)
-	}
-	m.PreloadQueue(200, 10*time.Millisecond)
-	e.Run()
-	if m.Completed() != 200 || len(m.Records) != 200 {
-		t.Fatalf("completed %d, records %d", m.Completed(), len(m.Records))
-	}
-	seen := map[int]bool{}
-	for _, r := range m.Records {
-		if seen[r.ID] {
-			t.Fatalf("task %d completed twice", r.ID)
-		}
-		seen[r.ID] = true
-	}
-}
-
 func TestDataAwareCacheHitsSkipStaging(t *testing.T) {
 	// The next-available arm is the same workload with no dataset named.
 	run := func(aware bool) (time.Duration, int, int) {
@@ -193,7 +153,6 @@ func TestSubmittedEqualsCompletedInvariant(t *testing.T) {
 	modes := []func(p *Profile){
 		func(p *Profile) {},
 		func(p *Profile) { p.NoPiggyback = true },
-		func(p *Profile) { p.Prefetch = true },
 	}
 	for i, mode := range modes {
 		for _, named := range []bool{false, true} {

@@ -549,30 +549,13 @@ func (m *Model) runOn(x *Exec, it sched.Item[mtask]) {
 	}
 	startedAt := dispatchedAt + over
 	m.E.After(over+t.dur, func() {
-		// Pre-fetching (§6): grab the next task at run completion — its
-		// pull round trip was hidden behind execution, but the dispatcher
-		// still paid a GetWork call for it.
-		var next *sched.Item[mtask]
-		if m.P.Prefetch {
-			if nt, ok := m.pickFor(x); ok {
-				next = &nt
-				m.dispSubmit(m.P.GetWorkCost, func() {})
-			}
-		}
-		m.dispSubmit(m.P.DeliverCost, func() {
-			m.finish(x, o, startedAt, next != nil)
-		})
-		if next != nil {
-			m.runOn(x, *next)
-		}
+		m.dispSubmit(m.P.DeliverCost, func() { m.finish(x, o, startedAt) })
 	})
 }
 
 // finish records o's completion on x and piggy-backs the next task if one
-// is queued; otherwise x goes idle. prefetched marks completions whose
-// successor was already claimed at run end (Prefetch mode), so finish must
-// neither piggy-back nor idle the executor.
-func (m *Model) finish(x *Exec, o sched.Outstanding[int, int, mtask], startedAt time.Duration, prefetched bool) {
+// is queued; otherwise x goes idle.
+func (m *Model) finish(x *Exec, o sched.Outstanding[int, int, mtask], startedAt time.Duration) {
 	now := m.E.Now()
 	m.core.Complete(x.sx.ID, o.Key)
 	t := o.Item.X
@@ -584,7 +567,7 @@ func (m *Model) finish(x *Exec, o sched.Outstanding[int, int, mtask], startedAt 
 	if p := m.P.FailureProb; p > 0 && m.E.Rand().Float64() < p {
 		if m.core.Requeue(o.Item) {
 			m.kick()
-			m.afterDelivery(x, prefetched)
+			m.afterDelivery(x)
 			return
 		}
 		taskFailed = true
@@ -622,15 +605,12 @@ func (m *Model) finish(x *Exec, o sched.Outstanding[int, int, mtask], startedAt 
 	if m.OnTaskDone != nil {
 		m.OnTaskDone(rec)
 	}
-	m.afterDelivery(x, prefetched)
+	m.afterDelivery(x)
 }
 
 // afterDelivery advances the executor after a result delivery: piggy-back
 // the next task, or transition to idle.
-func (m *Model) afterDelivery(x *Exec, prefetched bool) {
-	if prefetched {
-		return // the executor is already running its next task
-	}
+func (m *Model) afterDelivery(x *Exec) {
 	if !m.P.NoPiggyback {
 		if it, ok := m.pickFor(x); ok {
 			// Piggy-back: the delivery acknowledgment already carried the

@@ -85,13 +85,6 @@ type Profile struct {
 	// path instead (ablation of §3.4's optimization).
 	NoPiggyback bool
 
-	// Prefetch overlaps communication with execution (§6 future work):
-	// while a task runs, the executor requests the next one, paying an
-	// extra GetWorkCost per task on the dispatcher but hiding the delivery
-	// round trip. Trade-off: more dispatcher messages per task, less
-	// executor idle time.
-	Prefetch bool
-
 	// PurePullInterval, when positive, replaces the hybrid push/pull
 	// protocol with a pure pull model: idle executors poll the dispatcher
 	// at this interval instead of waiting for notifications. Each poll

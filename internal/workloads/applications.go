@@ -58,42 +58,22 @@ type CatalogEntry struct {
 	Application string
 	TasksPer    string // typical #tasks per workflow (as printed)
 	Stages      string
-	// TypicalTasks is a concrete task count usable by generators.
-	TypicalTasks int
-	// TypicalStages is a concrete stage count usable by generators.
-	TypicalStages int
 }
 
 // Catalog returns Table 5.
 func Catalog() []CatalogEntry {
 	return []CatalogEntry{
-		{"ATLAS: High Energy Physics Event Simulation", "500K", "1", 500_000, 1},
-		{"fMRI DBIC: AIRSN Image Processing", "100s", "12", 300, 12},
-		{"FOAM: Ocean/Atmosphere Model", "2000", "3", 2000, 3},
-		{"GADU: Genomics", "40K", "4", 40_000, 4},
-		{"HNL: fMRI Aphasia Study", "500", "4", 500, 4},
-		{"NVO/NASA: Photorealistic Montage/Morphology", "1000s", "16", 2000, 16},
-		{"QuarkNet/I2U2: Physics Science Education", "10s", "3~6", 30, 4},
-		{"RadCAD: Radiology Classifier Training", "1000s", "5", 2000, 5},
-		{"SIDGrid: EEG Wavelet Processing, Gaze Analysis", "100s", "20", 300, 20},
-		{"SDSS: Coadd, Cluster Search", "40K, 500K", "2, 8", 40_000, 2},
-		{"SDSS: Stacking, AstroPortal", "10Ks ~ 100Ks", "2 ~ 4", 50_000, 3},
-		{"MolDyn: Molecular Dynamics", "1Ks ~ 20Ks", "8", 10_000, 8},
+		{"ATLAS: High Energy Physics Event Simulation", "500K", "1"},
+		{"fMRI DBIC: AIRSN Image Processing", "100s", "12"},
+		{"FOAM: Ocean/Atmosphere Model", "2000", "3"},
+		{"GADU: Genomics", "40K", "4"},
+		{"HNL: fMRI Aphasia Study", "500", "4"},
+		{"NVO/NASA: Photorealistic Montage/Morphology", "1000s", "16"},
+		{"QuarkNet/I2U2: Physics Science Education", "10s", "3~6"},
+		{"RadCAD: Radiology Classifier Training", "1000s", "5"},
+		{"SIDGrid: EEG Wavelet Processing, Gaze Analysis", "100s", "20"},
+		{"SDSS: Coadd, Cluster Search", "40K, 500K", "2, 8"},
+		{"SDSS: Stacking, AstroPortal", "10Ks ~ 100Ks", "2 ~ 4"},
+		{"MolDyn: Molecular Dynamics", "1Ks ~ 20Ks", "8"},
 	}
-}
-
-// Generate builds a staged workload approximating a catalog entry: tasks
-// spread evenly over its stages with the given per-task duration.
-func (c CatalogEntry) Generate(perTask time.Duration) Workload {
-	stages := make([]Stage, c.TypicalStages)
-	per := c.TypicalTasks / c.TypicalStages
-	rem := c.TypicalTasks % c.TypicalStages
-	for i := range stages {
-		n := per
-		if i < rem {
-			n++
-		}
-		stages[i] = Stage{Count: n, Duration: perTask}
-	}
-	return Workload{Name: c.Application, Stages: stages}
 }

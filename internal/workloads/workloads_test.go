@@ -151,15 +151,8 @@ func TestCatalogMatchesTable5(t *testing.T) {
 		t.Fatalf("catalog rows = %d, want 12", len(cat))
 	}
 	for _, c := range cat {
-		if c.TypicalTasks <= 0 || c.TypicalStages <= 0 {
+		if c.Application == "" || c.TasksPer == "" || c.Stages == "" {
 			t.Fatalf("bad entry %+v", c)
-		}
-		w := c.Generate(time.Second)
-		if w.TotalTasks() != c.TypicalTasks {
-			t.Fatalf("%s generated %d tasks, want %d", c.Application, w.TotalTasks(), c.TypicalTasks)
-		}
-		if len(w.Stages) != c.TypicalStages {
-			t.Fatalf("%s generated %d stages, want %d", c.Application, len(w.Stages), c.TypicalStages)
 		}
 	}
 }

@@ -1199,7 +1199,8 @@ func (d *Dispatcher) replay(f *fx, o *sched.Outstanding[string, outKey, taskRef]
 // assignLocked answers a pull by executor ex for asked tasks from the
 // queue, recording what it grants as outstanding, and returns
 // the protocol assignments. The grant is the dispatcher's half of
-// dispatch-ahead: at most an even share of the queue (sched.Core.Share), and
+// dispatch-ahead: at most an even share of the queue for the slots free to
+// take it, and of all the work held for every slot (sched.Core.Share), and
 // it stops short of the first task whose declared run time would take the
 // batch past the executor's last round trip (sched.Core.PickWithin) — so an
 // idle slot is never starved by a neighbour's batch and a task that says it

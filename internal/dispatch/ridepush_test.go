@@ -465,3 +465,38 @@ func TestSilentMultiSlotExecutorIsNotFedAgain(t *testing.T) {
 		t.Fatalf("completed=%d failed=%d queued=%d outstanding=%d pushed=%d, want 2 0 0 0 2", st.Completed, st.Failed, st.Queued, st.Outstanding, pushedGrants(d))
 	}
 }
+
+// One bundle that finds every slot waiting is split evenly over them: 64
+// tasks pushed to four parked one-slot executors go as four grants of 16,
+// and none is left queued. An even share of the queue over every registered
+// slot, busy or free, would cut them 16, 12, 9, 7 and leave 20 behind.
+func TestBundleIsSplitEvenlyOverFreeSlots(t *testing.T) {
+	const execs, bundle = 4, 64
+	d, c, _ := startSystem(t, dispatch.Options{}, client.Options{BundleSize: bundle}, 0, executor.Options{})
+	for i := range execs {
+		x := dialRawExec(t, d.Addr(), fmt.Sprintf("parked-%d", i), 1, true)
+		var ack fproto.DeliverReply // asks for a full bundle, and is answered with nothing: parked
+		if err := x.cli.Call(fproto.MethodDeliver, fproto.DeliverRequest{ExecutorID: x.id, WantWork: true, MaxNew: bundle}, &ack); err != nil || len(ack.Assignments) != 0 {
+			t.Fatalf("deliver: %v, an empty queue handed out %d tasks", err, len(ack.Assignments))
+		}
+	}
+	before := d.MetricsSnapshot().Histogram("falkon_dispatch_grant_tasks")
+	var gen task.IDGen
+	if err := c.Submit(task.Batch(&gen, bundle, 0)); err != nil {
+		t.Fatal(err)
+	}
+	waitFor(t, "every parked slot is handed a grant", func() bool { return pushedGrants(d) == execs })
+	grants := d.MetricsSnapshot().Histogram("falkon_dispatch_grant_tasks")
+	perExec := map[string]int{}
+	evs, _ := d.Tracer().Since(0, 0)
+	for _, ev := range evs {
+		if ev.Kind == obs.EvPushed {
+			perExec[ev.Executor]++
+		}
+	}
+	want := map[string]int{"parked-0": 16, "parked-1": 16, "parked-2": 16, "parked-3": 16}
+	if fmt.Sprint(perExec) != fmt.Sprint(want) || grants.Count-before.Count != execs || grants.Sum-before.Sum != bundle || d.Stats().Queued != 0 {
+		t.Fatalf("pushed %v in %d grants of %v tasks, %d left queued; want %v in %d of %d, 0 left",
+			perExec, grants.Count-before.Count, grants.Sum-before.Sum, d.Stats().Queued, want, execs, bundle)
+	}
+}

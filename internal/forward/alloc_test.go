@@ -11,6 +11,7 @@ import (
 	"slices"
 	"strconv"
 	"strings"
+	"sync/atomic"
 	"testing"
 	"time"
 
@@ -201,7 +202,8 @@ func bootTier(tb testing.TB, tree bool, execs, slots int, opts dispatch.Options)
 		leaves = append(leaves, leaf(1))
 	}
 	for i := 0; i < execs; i++ {
-		startExec(tb, executor.Options{ID: fmt.Sprintf("budget-e%d", i), DispatcherAddr: leaves[i%len(leaves)].Addr(), Slots: slots, PSK: opts.PSK})
+		startExec(tb, executor.Options{ID: fmt.Sprintf("budget-e%d", i), DispatcherAddr: leaves[i%len(leaves)].Addr(), Slots: slots, PSK: opts.PSK,
+			Funcs: map[string]executor.Func{"mixed": mixedFunc}})
 	}
 	if !tree {
 		return leaves[0].Addr(), leaves
@@ -228,20 +230,29 @@ func bootTier(tb testing.TB, tree bool, execs, slots int, opts dispatch.Options)
 // executor of four slots, which is what one falkon-executor process is
 // (DESIGN.md §3), and journal-fsync the journal load with every commit
 // fsynced in the benchmark's temporary directory, whose filesystem and device
-// it logs: what a disk adds. It reports the process's heap allocations per
-// task, objects and bytes, as the repo benchmark counts them, and on linux its
-// read(2) and write(2) calls per task, every connection's both ends included;
-// tree minus plain is what a hop of the tree costs, and slots against plain is
-// one worker process against four. A journaled row adds its fsyncs per task.
+// it logs: what a disk adds; and mixed the plain load with task lengths that
+// differ, which no sleep task of the repo benchmark has: func tasks, which
+// declare no run time, of which every 20th sleeps 2 ms and the rest return at
+// once (ROADMAP item 4's question, whether a batch holds a short task behind
+// a long one). It reports the process's heap allocations per task, objects
+// and bytes, as the repo benchmark counts them, and on linux its read(2) and
+// write(2) calls per task, every connection's both ends included, and the
+// tasks in a leaf's grant to an executor, on average; tree minus plain is
+// what a hop of the tree costs, and slots against plain is one worker
+// process against four. A journaled row adds its fsyncs per task, a
+// tree row each leaf's share of the tasks, and mixed its tasks/s, the 95th
+// percentile of a task's latency (its bundle's submit to its result) and the
+// slots' efficiency: the run time its executors reported over four slots'
+// wall-clock time.
 func BenchmarkBulkRound(b *testing.B) {
 	for _, tc := range []struct {
-		name                               string
-		tree, journal, fsync, secure, fair bool
-		slots                              int // each executor's; four slots in all
+		name                                      string
+		tree, journal, fsync, secure, fair, mixed bool
+		slots                                     int // each executor's; four slots in all
 	}{
 		{name: "plain"}, {name: "journal", journal: true}, {name: "tree", tree: true}, {name: "secure", secure: true},
 		{name: "fair", fair: true}, {name: "tree-journal", tree: true, journal: true}, {name: "slots", slots: 4},
-		{name: "journal-fsync", journal: true, fsync: true},
+		{name: "journal-fsync", journal: true, fsync: true}, {name: "mixed", mixed: true},
 	} {
 		b.Run(tc.name, func(b *testing.B) {
 			var opts dispatch.Options
@@ -270,26 +281,63 @@ func BenchmarkBulkRound(b *testing.B) {
 				}
 				return n
 			}
+			completed := func() (n []int64) {
+				for _, d := range leaves {
+					n = append(n, d.Stats().Completed)
+				}
+				return n
+			}
+			grants := func() (n, tasks float64) {
+				for _, d := range leaves {
+					h := d.MetricsSnapshot().Histogram("falkon_dispatch_grant_tasks")
+					n, tasks = n+float64(h.Count), tasks+h.Sum
+				}
+				return n, tasks
+			}
 			c, err := client.Connect(client.Options{DispatcherAddr: front, BundleSize: bulkBundle, PSK: opts.PSK, Tenant: tenant})
 			if err != nil {
 				b.Fatal(err)
 			}
 			b.Cleanup(func() { c.Close() })
 			var gen task.IDGen
-			closedLoop(b, c, &gen, 1024)
+			var mixed *mixedLoop
+			if tc.mixed {
+				mixed = new(mixedLoop)
+			}
+			closedLoop(b, c, &gen, 1024, mixed)
 			n := (b.N + bulkBundle - 1) / bulkBundle * bulkBundle
+			if mixed != nil {
+				*mixed = mixedLoop{sent: make([]atomic.Int64, n/bulkBundle), lat: make([]time.Duration, 0, n)}
+			}
+			s0, done0 := fsyncs(), completed()
+			g0, gt0 := grants()
 			var m0, m1 runtime.MemStats
 			runtime.ReadMemStats(&m0)
 			r0, w0, counted := obs.Syscalls()
-			s0 := fsyncs()
 			b.ResetTimer()
-			closedLoop(b, c, &gen, n)
+			start := time.Now()
+			closedLoop(b, c, &gen, n, mixed)
+			wall := time.Since(start)
 			b.StopTimer()
 			r1, w1, _ := obs.Syscalls()
+			runtime.ReadMemStats(&m1) // before what reads the counts below allocates
+			if g1, gt1 := grants(); g1 > g0 {
+				b.ReportMetric((gt1-gt0)/(g1-g0), "tasks/grant")
+			}
 			if tc.journal {
 				b.ReportMetric(float64(fsyncs()-s0)/float64(n), "fsyncs/task")
 			}
-			runtime.ReadMemStats(&m1)
+			if tc.tree {
+				for i, done := range completed() {
+					b.ReportMetric(float64(done-done0[i])/float64(n), "leaf"+strconv.Itoa(i)+"-share")
+				}
+			}
+			if mixed != nil {
+				slices.Sort(mixed.lat)
+				b.ReportMetric(float64(n)/wall.Seconds(), "tasks/s")
+				b.ReportMetric(float64(mixed.lat[len(mixed.lat)*95/100])/float64(time.Millisecond), "p95-ms")
+				b.ReportMetric(float64(mixed.run)/float64(4*wall), "slot-eff")
+			}
 			b.ReportMetric(float64(m1.Mallocs-m0.Mallocs)/float64(n), "allocs/task")
 			b.ReportMetric(float64(m1.TotalAlloc-m0.TotalAlloc)/float64(n), "B/task")
 			if counted {
@@ -305,12 +353,36 @@ const (
 	bulkInFlight = 512
 )
 
+// mixedLoop is what closedLoop keeps of a mixed load: when each bundle was
+// submitted (Unix nanoseconds; sent[0] is the bundle of the loop's first task
+// ID), each task's latency, and the run time its executor reported, summed.
+type mixedLoop struct {
+	first task.ID
+	sent  []atomic.Int64
+	lat   []time.Duration
+	run   time.Duration
+}
+
+// mixedFunc is the mixed load's task: every 20th sleeps 2 ms, the rest return
+// at once.
+func mixedFunc(t task.Task) (string, int, error) {
+	if t.ID%20 == 0 {
+		time.Sleep(2 * time.Millisecond)
+	}
+	return "", 0, nil
+}
+
 // closedLoop runs n tasks, a whole number of bundles, through c with at most
 // bulkInFlight unanswered: a goroutine submits a bundle whenever there is room
-// for one, and this one takes the results.
-func closedLoop(b *testing.B, c *client.Client, gen *task.IDGen, n int) {
+// for one, and this one takes the results. With mixed set, the tasks are
+// mixedFunc's, and their latencies and run times are kept there if it has
+// room for them.
+func closedLoop(b *testing.B, c *client.Client, gen *task.IDGen, n int, mixed *mixedLoop) {
 	room := make(chan struct{}, bulkInFlight/bulkBundle)
 	submitted := make(chan error, 1)
+	if mixed != nil {
+		mixed.first = gen.Next() + 1 // the IDs are consecutive: this goroutine's, then the submitter's
+	}
 	go func() {
 		// The argument's string is the loop's one object per task, as in the
 		// repo benchmark: the tasks and their Args arrays are reused.
@@ -321,6 +393,12 @@ func closedLoop(b *testing.B, c *client.Client, gen *task.IDGen, n int) {
 				ts[i] = task.Sleep(gen.Next(), 0)
 				args[i][0] = strconv.FormatUint(uint64(ts[i].ID)|1<<60, 16)
 				ts[i].Args = args[i][:]
+				if mixed != nil {
+					ts[i].Engine, ts[i].Command = task.EngineFunc, "mixed"
+				}
+			}
+			if k := sent / bulkBundle; mixed != nil && k < len(mixed.sent) {
+				mixed.sent[k].Store(time.Now().UnixNano())
 			}
 			if err := c.Submit(ts); err != nil {
 				submitted <- err
@@ -331,7 +409,12 @@ func closedLoop(b *testing.B, c *client.Client, gen *task.IDGen, n int) {
 	}()
 	for got := 0; got < n || submitted != nil; {
 		select {
-		case <-c.Results():
+		case r := <-c.Results():
+			if mixed != nil && len(mixed.lat) < cap(mixed.lat) {
+				k := int(r.ID-mixed.first) / bulkBundle
+				mixed.lat = append(mixed.lat, time.Duration(time.Now().UnixNano()-mixed.sent[k].Load()))
+				mixed.run += r.RunTime()
+			}
 			if got++; got%bulkBundle == 0 {
 				<-room
 			}

@@ -54,6 +54,11 @@ type Exec[E comparable] struct {
 // Free returns the executor's unassigned slots.
 func (x *Exec[E]) Free() int { return x.Slots - x.Assigned }
 
+// unheld is Free, or 0 for an executor that holds more than its slots (it
+// shrank, or re-registered narrower, with its tasks still out): its share of
+// the core's free-slot count.
+func (x *Exec[E]) unheld() int { return max(x.Free(), 0) }
+
 // Outstanding records one dispatched task awaiting its result.
 type Outstanding[E comparable, K comparable, T any] struct {
 	Key      K
@@ -128,6 +133,7 @@ type Core[E comparable, K comparable, T any] struct {
 	queue *fairQueue[T]
 	execs map[E]*Exec[E]
 	slots int        // sum of Slots over execs
+	free  int        // sum of max(Slots-Assigned, 0) over execs (Share)
 	idle  []*Exec[E] // LIFO stack; nil slots are tombstones
 	dead  int        // tombstone count in idle
 	// nout counts the outstanding records, which live in their executors'
@@ -275,9 +281,11 @@ func (c *Core[E, K, T]) AddExec(id E, slots int) *Exec[E] {
 	if old, ok := c.execs[id]; ok {
 		c.RemoveIdle(old)
 		c.slots -= old.Slots
+		c.free -= old.unheld()
 		x.Assigned, x.out, old.out = old.Assigned, old.out, nil
 	}
 	c.slots += slots
+	c.free += x.unheld()
 	c.execs[id] = x
 	return x
 }
@@ -310,7 +318,9 @@ func (c *Core[E, K, T]) Resize(x *Exec[E], slots int) {
 		slots = 1
 	}
 	c.slots += slots - x.Slots
+	c.free -= x.unheld()
 	x.Slots = slots
+	c.free += x.unheld()
 }
 
 // DropExecutor removes an executor (disconnect, deregister, release) and
@@ -324,6 +334,7 @@ func (c *Core[E, K, T]) DropExecutor(id E) (x *Exec[E], dropped []Outstanding[E,
 	}
 	delete(c.execs, id)
 	c.slots -= x.Slots
+	c.free -= x.unheld()
 	c.RemoveIdle(x)
 	if q := c.outOf(x); q != nil && x.Assigned > 0 {
 		q.compact(x.Assigned)
@@ -391,12 +402,22 @@ const Unbounded = time.Duration(1<<63 - 1)
 
 // Share is the even-share half of the grant rule (dispatch-ahead): an
 // executor that asks for asked tasks in one pull gets at most
-// ⌈queued ÷ registered slots⌉ and never less than 1, so one executor's
-// batch never holds a task an idle slot could be running. A pull reply is
-// then Share tasks at most: the first from Pick, the rest from PickWithin.
+// ⌈queued ÷ free slots⌉, so that no slot free to take work is left without
+// its share of the queue, and at most ⌈(queued + outstanding) ÷ registered
+// slots⌉, an even share of all the work the core holds, so that one slot
+// never takes the whole queue while its neighbours are busy; never less
+// than 1. The free slots — Σ max(Slots − Assigned, 0), the asker's among
+// them, since it has just delivered or is waiting — are a count kept as
+// slots and assignments change, not a loop; with none free the first bound
+// is skipped. A pull reply is then Share tasks at most: the first from
+// Pick, the rest from PickWithin.
 func (c *Core[E, K, T]) Share(asked int) int {
+	queued := c.QueueLen()
+	if c.free > 0 {
+		asked = min(asked, (queued+c.free-1)/c.free)
+	}
 	if c.slots > 0 {
-		asked = min(asked, (c.QueueLen()+c.slots-1)/c.slots)
+		asked = min(asked, (queued+c.nout+c.slots-1)/c.slots)
 	}
 	return max(asked, 1)
 }
@@ -565,6 +586,9 @@ func (c *Core[E, K, T]) Assign(now time.Duration, x *Exec[E], key K, it Item[T])
 	}
 	o = Outstanding[E, K, T]{Key: key, Item: it, Executor: x.ID, DispatchedAt: now, NotifiedAt: notifiedAt}
 	q.recs = append(q.recs, o)
+	if x.Assigned < x.Slots {
+		c.free--
+	}
 	x.Assigned++
 	c.nout++
 	c.Counters.Dispatched++
@@ -624,7 +648,10 @@ func (c *Core[E, K, T]) outOf(x *Exec[E]) *outQueue[E, K, T] {
 func (c *Core[E, K, T]) take(x *Exec[E], q *outQueue[E, K, T], p int) {
 	q.recs[p] = Outstanding[E, K, T]{} // references released, and Attempts 0: taken
 	c.nout--
-	if x.Assigned--; x.Assigned == 0 {
+	if x.Assigned--; x.Assigned < x.Slots {
+		c.free++
+	}
+	if x.Assigned == 0 {
 		q.drain()
 		return
 	}

@@ -26,6 +26,10 @@ import (
 //     counted duplicate;
 //   - a task is requeued while its attempts are within its retry bound and
 //     never dispatched more than bound+1 times; past it, it finishes failed;
+//   - the core's count of free slots is the model's, Σ max(slots − held, 0),
+//     and a grant's share is the rule's, from the model's counts: the ask,
+//     cut to an even share of the queue over the free slots and of all the
+//     work held over the registered ones;
 //   - an executor goes idle only with a free slot and no push pending, a push
 //     goes only to a registered executor with a free slot, and nothing that
 //     left the table is on the idle stack;
@@ -302,7 +306,12 @@ func (r *coreRig) step() bool {
 			// A grant, as the dispatcher cuts one: Share(asked) picks at most,
 			// the first whatever it declares, the rest within the budget.
 			room, budget := Unbounded, [...]time.Duration{Unbounded, 15, 0}[arg/96]
-			for n := c.Share(1 + arg/12%8); n > 0; n-- {
+			asked := 1 + arg/12%8
+			n := c.Share(asked)
+			if err := r.checkShare(asked, n); err != nil {
+				return r.fail("%v", err)
+			}
+			for ; n > 0; n-- {
 				t := r.pick(x, 1, room)
 				if t == nil {
 					break
@@ -577,12 +586,49 @@ func (r *coreRig) check() error {
 	if total, b := c.ExecStats(); c.Slots() != slots || total != len(m.slots) || b != busy {
 		return fmt.Errorf("core: %d slots, %d executors, %d busy; model %d, %d, %d", c.Slots(), total, b, slots, len(m.slots), busy)
 	}
+	if free, _ := m.freeSlots(); c.free != free {
+		return fmt.Errorf("core: %d free slots; model %d", c.free, free)
+	}
 	if got := c.Counters; got.Submitted != m.counters.Submitted || got.Dispatched != m.counters.Dispatched ||
 		got.Retried != m.counters.Retried || got.Duplicates != m.counters.Duplicates {
 		return fmt.Errorf("counters %+v, model %+v", got, m.counters)
 	}
 	if m.weights != nil {
 		return r.checkFairShare()
+	}
+	return nil
+}
+
+// freeSlots is the model's count of slots free to take work: each
+// registered executor's slots less what it holds, none for one that holds
+// more than it has.
+func (m *coreModel) freeSlots() (free, slots int) {
+	for e, n := range m.slots {
+		free += max(n-m.count(outstanding, func(t *mTask) bool { return t.holder == e }), 0)
+		slots += n
+	}
+	return free, slots
+}
+
+// checkShare holds a grant of n for an ask of asked to the rule, from the
+// model's counts: the ask, cut to an even share of the queue over the free
+// slots and of all the work held over the registered ones, and at least 1 —
+// so never below an even share of the queue over the registered slots.
+func (r *coreRig) checkShare(asked, n int) error {
+	m := &r.m
+	free, slots := m.freeSlots()
+	queued, held := m.count(queued, nil), m.count(outstanding, nil)
+	ceil := func(a, b int) int { return (a + b - 1) / b }
+	want, floor := asked, asked
+	if free > 0 {
+		want = min(want, ceil(queued, free))
+	}
+	if slots > 0 {
+		want = min(want, ceil(queued+held, slots))
+		floor = min(floor, ceil(queued, slots))
+	}
+	if want, floor = max(want, 1), max(floor, 1); n != want || n < floor {
+		return fmt.Errorf("Share(%d) = %d with %d queued, %d held, %d of %d slots free: want %d, at least %d", asked, n, queued, held, free, slots, want, floor)
 	}
 	return nil
 }

@@ -51,28 +51,33 @@ const (
 // TestGrantClamp is the dispatcher's half of dispatch-ahead as counts: what
 // a sequence of pulls, each asking for `asked`, is granted out of a queue of
 // tasks with the given declared run times, spread over execs executors of
-// slots slots each (pull i comes from executor i mod execs).
+// slots slots each. The first held executors hold one task each before the
+// pulls (the first held tasks of the queue), and pull i comes from executor
+// (held + i) mod execs, so the pulls start at the first one free.
 func TestGrantClamp(t *testing.T) {
 	zeros := func(n int) []time.Duration { return make([]time.Duration, n) }
 	rows := []struct {
-		name         string
-		declared     []time.Duration
-		execs, slots int
-		asked        int
-		budget       time.Duration
-		want         []int // tasks granted, pull by pull
+		name               string
+		declared           []time.Duration
+		execs, slots, held int
+		asked              int
+		budget             time.Duration
+		want               []int // tasks granted, pull by pull
 	}{
-		{"4 tasks, 4 free one-slot executors, asked 64: 1 each", zeros(4), 4, 1, 64, 100 * us, []int{1, 1, 1, 1, 0}},
-		{"4 tasks, one 4-slot executor, asked 64: 1 per pull", zeros(4), 1, 4, 64, 100 * us, []int{1, 1, 1, 1, 0}},
-		{"deep queue: the ask is the limit", zeros(512), 4, 1, 64, 100 * us, []int{64, 64, 64, 64}},
-		{"share rounds up and shrinks with the queue", zeros(10), 4, 1, 64, 100 * us, []int{3, 2, 2, 1, 1, 1, 0}},
-		{"an executor that asks for 1 gets per-task dispatch", zeros(100), 1, 1, 1, 100 * us, []int{1, 1, 1}},
-		{"an ask below 1 is an ask for 1", zeros(100), 1, 1, 0, 100 * us, []int{1, 1}},
-		{"empty queue", nil, 2, 1, 64, 100 * us, []int{0}},
-		{"a declared 1 s task ends the grant and rides alone", []time.Duration{0, 0, 0, s1, 0, 0}, 1, 1, 64, 100 * us, []int{3, 1, 2, 0}},
-		{"two long tasks never share a grant", []time.Duration{s1, s1, s1}, 1, 1, 64, 100 * us, []int{1, 1, 1}},
-		{"declared times add up to the budget", []time.Duration{40 * us, 40 * us, 40 * us, 40 * us, 40 * us}, 1, 1, 64, 100 * us, []int{2, 2, 1}},
-		{"no round trip seen yet: nothing declared is bundled", []time.Duration{us, us, 0, 0}, 1, 1, 64, 0, []int{1, 1, 2}},
+		{"4 tasks, 4 free one-slot executors, asked 64: 1 each", zeros(4), 4, 1, 0, 64, 100 * us, []int{1, 1, 1, 1, 0}},
+		{"4 tasks, one 4-slot executor, asked 64: 1 per pull", zeros(4), 1, 4, 0, 64, 100 * us, []int{1, 1, 1, 1, 0}},
+		{"deep queue: the ask is the limit", zeros(512), 4, 1, 0, 64, 100 * us, []int{64, 64, 64, 64}},
+		{"share rounds up and shrinks with the queue", zeros(10), 4, 1, 0, 64, 100 * us, []int{3, 3, 2, 2, 0, 0, 0}},
+		{"64 tasks at 4 free slots: 16 each, none left", zeros(64), 4, 1, 0, 64, 100 * us, []int{16, 16, 16, 16, 0}},
+		{"4 queued, 3 of 4 slots hold one each: the free slot takes 2", zeros(7), 4, 1, 3, 64, 100 * us, []int{2, 2, 0}},
+		{"no slot free: an even share of all the work held", zeros(12), 4, 1, 4, 64, 100 * us, []int{3, 3, 2, 0}},
+		{"an executor that asks for 1 gets per-task dispatch", zeros(100), 1, 1, 0, 1, 100 * us, []int{1, 1, 1}},
+		{"an ask below 1 is an ask for 1", zeros(100), 1, 1, 0, 0, 100 * us, []int{1, 1}},
+		{"empty queue", nil, 2, 1, 0, 64, 100 * us, []int{0}},
+		{"a declared 1 s task ends the grant and rides alone", []time.Duration{0, 0, 0, s1, 0, 0}, 1, 1, 0, 64, 100 * us, []int{3, 1, 2, 0}},
+		{"two long tasks never share a grant", []time.Duration{s1, s1, s1}, 1, 1, 0, 64, 100 * us, []int{1, 1, 1}},
+		{"declared times add up to the budget", []time.Duration{40 * us, 40 * us, 40 * us, 40 * us, 40 * us}, 1, 1, 0, 64, 100 * us, []int{2, 2, 1}},
+		{"no round trip seen yet: nothing declared is bundled", []time.Duration{us, us, 0, 0}, 1, 1, 0, 64, 0, []int{1, 1, 2}},
 	}
 	for _, row := range rows {
 		t.Run(row.name, func(t *testing.T) {
@@ -84,10 +89,14 @@ func TestGrantClamp(t *testing.T) {
 			for i, d := range row.declared {
 				c.Enqueue(0, dtask{id: i, d: d})
 			}
+			for _, x := range xs[:row.held] {
+				it, _, _ := c.Pick(x)
+				c.Assign(0, x, it.X.id, it)
+			}
 			var got []int
-			next := 0
+			next := row.held
 			for i := range row.want {
-				ids := grant(c, xs[i%len(xs)], row.asked, row.budget)
+				ids := grant(c, xs[(row.held+i)%len(xs)], row.asked, row.budget)
 				for _, id := range ids {
 					if id != next {
 						t.Fatalf("pull %d granted task %d, want FIFO order (next %d)", i, id, next)
@@ -103,29 +112,51 @@ func TestGrantClamp(t *testing.T) {
 	}
 }
 
-// The share is of the slots registered now: an executor that leaves, or
-// re-registers with another width, moves it.
+// The share is of the slots free now and of those registered: an executor
+// that takes work, leaves, is resized or re-registers with another width
+// moves it, and one that holds more tasks than it has slots counts no slot
+// free until it holds fewer.
 func TestShareFollowsRegisteredSlots(t *testing.T) {
 	c := newGrantCore(nil)
 	for i := 0; i < 64; i++ {
 		c.Enqueue(0, dtask{id: i})
 	}
-	if got := c.Share(64); got != 64 {
-		t.Fatalf("no executor registered: share %d, want the ask", got)
+	check := func(what string, free, share int) {
+		t.Helper()
+		if got := c.Share(64); c.free != free || got != share {
+			t.Fatalf("%s: %d free slots, share %d; want %d, %d", what, c.free, got, free, share)
+		}
 	}
+	check("no executor registered: the ask", 0, 64)
 	c.AddExec("a", 1)
 	c.AddExec("b", 3)
-	if got := c.Share(64); got != 16 {
-		t.Fatalf("4 slots: share %d, want 16", got)
-	}
-	c.AddExec("b", 1) // re-register, narrower
-	if got := c.Share(64); got != 32 {
-		t.Fatalf("2 slots: share %d, want 32", got)
-	}
+	check("4 slots, all free", 4, 16)
+	b := c.AddExec("b", 1) // re-register, narrower
+	check("2 slots", 2, 32)
 	c.DropExecutor("a")
-	if got := c.Share(64); got != 64 {
-		t.Fatalf("1 slot: share %d, want 64", got)
+	check("1 slot", 1, 64)
+	c.Resize(b, 4)
+	check("resized to 4 slots", 4, 16)
+	for range 3 {
+		it, _, _ := c.Pick(b)
+		c.Assign(0, b, it.X.id, it)
 	}
+	// 61 queued over 1 free slot, but 64 held over 4 slots is 16 a slot.
+	check("3 of 4 slots busy", 1, 16)
+	c.Resize(b, 2)
+	check("3 tasks in 2 slots: none free", 0, 32)
+	c.AddExec("c", 2)
+	check("2 free slots beside it", 2, 16)
+	if _, ok := c.Complete("b", 0); !ok {
+		t.Fatal("result refused")
+	}
+	check("2 tasks in 2 slots: still none free", 2, 16)
+	if _, ok := c.Complete("b", 1); !ok {
+		t.Fatal("result refused")
+	}
+	check("1 task in 2 slots: one free", 3, 16)
+	c.DropExecutor("b")
+	check("b gone with its task", 2, 31)
 }
 
 // A refused PickWithin leaves the queue as it found it, under every queue

@@ -54,12 +54,21 @@ const allocsPerTaskCeiling = 0.20
 // on the executor and the client were slices made per message, about 170
 // bytes per task each). What is left is mostly the price of this loop's
 // 4,096-task bundles, not of the task path (scripts/allocs.sh, bytes per
-// task): its 4,096 enqueue events, more than a pooled fx keeps, 241; the
+// task): its 4,096 enqueue events, more than an fx on a dispatcher's free list keeps (1,024), 241; the
 // batch, its arguments and the results slice the loop itself builds, 305.
 // Since every client keeps each bundle it sent until its results are in,
 // each batch's 4,096-task bundle is ~92 B a task more, allocated afresh (it is
 // over the client's 64 KiB free list): 785 to 951 B in 30 batches a row.
 const bytesPerTaskCeiling = 1080
+
+// collectedAllocsPerTask is how many more allocations per task the collected
+// row, the plain loop with a collection before each measured batch, may read
+// than the plain row: measured 0.001 to 0.009 in 9 runs at -cpu 1, 2 and 4
+// (both read 0.02 to 0.03), at most ~35 objects a 4,096-task batch. A
+// collection empties what is still pooled (wsrpc's call slots, the client's
+// submit calls), and that is all it costs; the dispatcher's handler scratch is
+// on a free list a collection does not empty.
+const collectedAllocsPerTask = 0.02
 
 // serialAllocsPerTaskCeiling is the plain system driven the opposite way — one
 // task per Submit, one task in flight, read through Results as the repo
@@ -108,8 +117,10 @@ func TestAllocsPerTaskBudget(t *testing.T) {
 		name   string
 		cfg    core.Config
 		serial bool // one task per Submit, one in flight (batches of 1,024)
+		gc     bool // a collection before each measured batch
 	}{
 		{name: "plain"},
+		{name: "collected", gc: true},
 		{name: "secure", cfg: core.Config{
 			PSK: []byte("budget-psk"),
 		}},
@@ -127,7 +138,7 @@ func TestAllocsPerTaskBudget(t *testing.T) {
 			// One bundle per batch: how deep the executor's pulls find the
 			// queue is then the cap, not a race with the submitting client.
 			cfg.Executors, cfg.BundleSize, cfg.Logf = 1, 4096, t.Logf
-			objects, bytes := allocsPerTask(t, cfg, row.serial)
+			objects, bytes := allocsPerTask(t, cfg, row.serial, row.gc)
 			perTask[row.name] = objects
 			ceiling, byteCeiling := allocsPerTaskCeiling, float64(bytesPerTaskCeiling)
 			if row.serial {
@@ -142,6 +153,12 @@ func TestAllocsPerTaskBudget(t *testing.T) {
 			}
 		})
 	}
+	// What a handler, a call and a submit use for a message is kept on free
+	// lists a collection does not empty: one that had emptied them would have
+	// them all made again in the batch after it.
+	d := perTask["collected"] - perTask["plain"]
+	t.Logf("collected %.4f, plain %.4f allocations per task", perTask["collected"], perTask["plain"])
+	within(t, "allocations per task a collection adds", d, collectedAllocsPerTask)
 	// The secure profile seals frames in place, the fair-share pick walks
 	// tenant queues that already exist and the journal writes its records into
 	// a buffer it keeps: none may cost an object per task. (ROADMAP item 5 set
@@ -168,10 +185,10 @@ func within(t *testing.T, what string, reading, ceiling float64) {
 // allocations per task over a measured batch, the lowest of the batches
 // measured, and the bytes of every batch, on however many Ps the test was
 // given (tier 1 runs it with -cpu 1,2,4: the count is the code's, not the
-// host's). serial submits a batch one task at a time, each once the one
+// host's). gc collects before each measured batch. serial submits a batch one task at a time, each once the one
 // before has come back, and makes the batch 1,024. A batch's tasks are built
 // at once either way, so what the loop itself allocates is per batch.
-func allocsPerTask(t *testing.T, cfg core.Config, serial bool) (objects float64, bytes []float64) {
+func allocsPerTask(t *testing.T, cfg core.Config, serial, gc bool) (objects float64, bytes []float64) {
 	t.Helper()
 	sys, err := core.Start(cfg)
 	if err != nil {
@@ -218,6 +235,9 @@ func allocsPerTask(t *testing.T, cfg core.Config, serial bool) (objects float64,
 	objects = math.Inf(1)
 	for batch := 0; batch < 5; batch++ {
 		var m0, m1 runtime.MemStats
+		if gc {
+			runtime.GC()
+		}
 		runtime.ReadMemStats(&m0)
 		run(tasks)
 		runtime.ReadMemStats(&m1)

@@ -127,6 +127,53 @@ func TestDeclaredLongTasksAreNotBundled(t *testing.T) {
 	}
 }
 
+// The even share is a hedge against a run time mispredicted from history, and
+// work that states none keeps it (sched.Core.Grant): once 2,048 instant func
+// tasks have every slot asking for deep batches, four func tasks of 50 ms,
+// which state no run time, are cut one a slot, on four one-slot executors and
+// on one four-slot executor alike, and take about one task's time. Granted to
+// one slot, they would take four.
+func TestUnstatedWorkIsCutOverTheFreeSlots(t *testing.T) {
+	const slow = 50 * time.Millisecond
+	funcs := map[string]executor.Func{
+		"instant": func(task.Task) (string, int, error) { return "", 0, nil },
+		"slow": func(task.Task) (string, int, error) {
+			time.Sleep(slow)
+			return "", 0, nil
+		},
+	}
+	for _, row := range []struct {
+		name         string
+		execs, slots int
+	}{{"four one-slot executors", 4, 1}, {"one four-slot executor", 1, 4}} {
+		t.Run(row.name, func(t *testing.T) {
+			_, c, _ := startSystem(t, dispatch.Options{}, client.Options{BundleSize: 64}, row.execs, executor.Options{Slots: row.slots, Funcs: funcs})
+			var gen task.IDGen
+			run := func(n int, fn string) time.Duration {
+				t.Helper()
+				ts := make([]task.Task, n)
+				for i := range ts {
+					ts[i] = task.Task{ID: gen.Next(), Engine: task.EngineFunc, Command: fn}
+				}
+				start := time.Now()
+				if err := c.Submit(ts); err != nil {
+					t.Fatal(err)
+				}
+				if _, err := c.WaitN(n, 30*time.Second); err != nil {
+					t.Fatal(err)
+				}
+				return time.Since(start)
+			}
+			run(2048, "instant")
+			took := run(4, "slow")
+			t.Logf("four func tasks of %v took %v", slow, took)
+			if took >= 2*slow {
+				t.Fatalf("four func tasks of %v took %v, want about one task's time: they were not cut over the four free slots", slow, took)
+			}
+		})
+	}
+}
+
 // cuts is a dispatcher-side wsrpc.ConnFaults that remembers every accepted
 // connection, in order, so that a test can sever one.
 type cuts struct {

@@ -247,8 +247,9 @@ type stampRec struct {
 // decoded into req, every grant — pushed, or replied with — is cut from
 // grant, and what the handler sends — its reply (ack, reply) and its result
 // pushes (note) — is a field handed to wsrpc by pointer. A wire handler's fx
-// goes back to the pool when wsrpc has written its reply (grantReply,
-// submitReply): one per handler in flight, not one per connection.
+// goes back to the dispatcher's free list (fxFree) when wsrpc has written its
+// reply (grantReply, submitReply): one per handler in flight, not one per
+// connection.
 type fx struct {
 	events   []obs.Event // deferred tracer records
 	stamps   []stampRec
@@ -267,6 +268,7 @@ type fx struct {
 	ack     fproto.SubmitReply    // what answers the submit being served
 	note    fproto.ResultsNotify  // the result push being sent
 	spliced fproto.EncodedResults // or that push, of encoded results
+	free    *fxFree               // the free list f goes back to
 }
 
 func (f *fx) trace(at time.Duration, kind obs.EventKind, trace uint64, id task.ID, epr, exec string) {
@@ -289,21 +291,43 @@ func (f *fx) push(peer *wsrpc.Peer, inst *instance, encoded []byte, rs ...task.R
 	f.runs = append(f.runs, run)
 }
 
-// fxPool recycles fx backing arrays between handler calls: every Deliver
-// gathers a handful of effects, and without reuse the append growth paths
-// dominate the dispatcher's allocation profile.
-var fxPool = sync.Pool{New: func() any { return new(fx) }}
+// fxFree is a dispatcher's free list of fx (DESIGN.md §9, "Scratch"): every
+// Deliver gathers a handful of effects, and without reuse the append growth
+// paths dominate the dispatcher's allocation profile. It keeps at most fxKeep
+// of them, one per handler in flight on a loaded dispatcher, and unlike a
+// sync.Pool a collection does not empty it: each emptying had every array an
+// fx holds grown again.
+type fxFree struct {
+	mu   sync.Mutex
+	list []*fx
+}
 
-func getFx() *fx { return fxPool.Get().(*fx) }
+// fxKeep is the most fx a dispatcher keeps, and fxCap the most elements an
+// array of one keeps: one burst does not park megabytes.
+const (
+	fxKeep = 8
+	fxCap  = 1024
+)
 
-// putFx clears element references (peers, results, strings) so the pooled
-// arrays don't pin them, and drops arrays that grew unusually large so one
-// burst doesn't park megabytes in the pool.
-func putFx(f *fx) {
-	const keep = 1024
-	if cap(f.events) > keep || cap(f.stamps) > keep || cap(f.notifies) > keep || cap(f.results) > keep || cap(f.runs) > keep ||
-		cap(f.req.Results) > keep || cap(f.grant) > keep || cap(f.encoded) > keep {
-		*f = fx{}
+func (l *fxFree) get() *fx {
+	l.mu.Lock()
+	if n := len(l.list); n > 0 {
+		f := l.list[n-1]
+		l.list[n-1], l.list = nil, l.list[:n-1]
+		l.mu.Unlock()
+		return f
+	}
+	l.mu.Unlock()
+	return &fx{free: l}
+}
+
+// release gives f back to its free list, with element references (peers,
+// results, strings) cleared so its arrays don't pin them, and arrays that grew
+// past fxCap dropped; a full list drops f.
+func (f *fx) release() {
+	if cap(f.events) > fxCap || cap(f.stamps) > fxCap || cap(f.notifies) > fxCap || cap(f.results) > fxCap || cap(f.runs) > fxCap ||
+		cap(f.req.Results) > fxCap || cap(f.grant) > fxCap || cap(f.encoded) > fxCap {
+		*f = fx{free: f.free}
 	} else {
 		f.events = emptied(f.events)
 		f.stamps = emptied(f.stamps)
@@ -315,7 +339,12 @@ func putFx(f *fx) {
 		f.grant, f.reply = emptied(f.grant), nil
 		f.ack, f.note, f.spliced = fproto.SubmitReply{}, fproto.ResultsNotify{}, fproto.EncodedResults{}
 	}
-	fxPool.Put(f)
+	l := f.free
+	l.mu.Lock()
+	if len(l.list) < fxKeep {
+		l.list = append(l.list, f)
+	}
+	l.mu.Unlock()
 }
 
 // emptied returns s with length 0 and no reference left in its array.
@@ -332,14 +361,14 @@ func (g *grantReply) AppendJSON(dst []byte) []byte {
 	return fproto.RelayReply{Assignments: g.reply}.AppendJSON(dst)
 }
 
-func (g *grantReply) Release() { putFx((*fx)(g)) }
+func (g *grantReply) Release() { (*fx)(g).release() }
 
 // submitReply is a handler's fx as the reply to a submit, released likewise.
 type submitReply fx
 
 func (r *submitReply) AppendJSON(dst []byte) []byte { return r.ack.AppendJSON(dst) }
 
-func (r *submitReply) Release() { putFx((*fx)(r)) }
+func (r *submitReply) Release() { (*fx)(r).release() }
 
 // Dispatcher is the Falkon dispatch service. Create with New, then Listen.
 type Dispatcher struct {
@@ -349,6 +378,7 @@ type Dispatcher struct {
 
 	reg    *obs.Registry
 	tracer *obs.Tracer
+	fxs    fxFree // handlers' scratch
 	// hStage indexes the Figure-10 stage latency histograms in obs.Stages
 	// order; hE2E is the end-to-end (enqueue→deliver) histogram the stages
 	// partition exactly.
@@ -467,7 +497,7 @@ func New(opts Options) *Dispatcher {
 			Dataset:     func(tr taskRef) string { return tr.t.Dataset() },
 			TaskRetries: taskRetries,
 			Tenant:      func(tr taskRef) string { return taskTenant(tr) },
-			Declared:    func(tr taskRef) time.Duration { return tr.t.Declared },
+			Declared:    func(tr taskRef) (time.Duration, bool) { return tr.t.Declared, tr.t.Whole() },
 			FairShare:   fairShare,
 		}),
 		instances: make(map[string]*instance),
@@ -1143,8 +1173,8 @@ func (d *Dispatcher) onDisconnect(p *wsrpc.Peer) {
 		d.imu.RUnlock()
 		return
 	}
-	f := getFx()
-	defer putFx(f)
+	f := d.fxs.get()
+	defer f.release()
 	d.mu.Lock()
 	ex, ok := d.core.Exec(meta)
 	if !ok || ex.Ref.(*execRef).peer != p {
@@ -1199,34 +1229,31 @@ func (d *Dispatcher) replay(f *fx, o *sched.Outstanding[string, outKey, taskRef]
 // assignLocked answers a pull by executor ex for asked tasks from the
 // queue, recording what it grants as outstanding, and returns
 // the protocol assignments. The grant is the dispatcher's half of
-// dispatch-ahead: at most an even share of the queue for the slots free to
-// take it, and of all the work held for every slot (sched.Core.Share), and
-// it stops short of the first task whose declared run time would take the
-// batch past the executor's last round trip (sched.Core.PickWithin) — so an
-// idle slot is never starved by a neighbour's batch and a task that says it
-// is long rides alone. kind is how the assignments travel: the reply to a
-// work pull, a deliver acknowledgment, or the work push itself, whose now is
-// the notification's own stamp. The assignments are cut from f.grant, and are
-// the caller's until f is released. Callers hold mu.
+// dispatch-ahead (sched.Core.Grant): tasks in pick order up to the ask, of
+// which those that state no whole run time are at most an even share of the
+// queue for the slots free to take it, and of all the work held for every
+// slot, and it stops short of the first task whose declared run time would
+// take the batch past the executor's last round trip — so an idle slot is
+// never starved by a neighbour's batch of work whose length is a guess, and a
+// task that says it is long rides alone. kind is how the assignments travel:
+// the reply to a work pull, a deliver acknowledgment, or the work push
+// itself, whose now is the notification's own stamp. The assignments are cut
+// from f.grant, and are the caller's until f is released. Callers hold mu.
 func (d *Dispatcher) assignLocked(f *fx, ex *sched.Exec[string], asked int, kind obs.EventKind, now time.Duration) []fproto.Relay {
 	as, first := f.grant, len(f.grant)
-	n := first + min(d.core.Share(asked), d.core.QueueLen())
-	room := sched.Unbounded // the first task is granted whatever it declares
-	for len(as) < n {
-		it, hit, ok := d.core.PickWithin(ex, room)
+	g := d.core.Grant(asked, ex.Ref.(*execRef).rtt)
+	for {
+		it, hit, ok := d.core.PickWithin(ex, &g)
 		if !ok {
 			break
 		}
 		if it.X.inst == nil || it.X.inst.destroyed.Load() {
 			// Instance destroyed while queued: the task is shed here and
 			// never finalizes, so retire its tenant in-flight charge now.
+			d.core.Refund(&g, it)
 			d.tenants.release(taskTenant(it.X), 1, false)
 			continue
 		}
-		if len(as) == first {
-			room = ex.Ref.(*execRef).rtt
-		}
-		room -= it.X.t.Declared
 		d.core.Assign(now, ex, outKey{it.X.epr, it.X.t.ID}, it)
 		f.trace(now, kind, it.X.t.Trace, it.X.t.ID, it.X.epr, ex.ID)
 		as = append(as, fproto.Relay{EPR: it.X.epr, Task: it.X.t, CacheHit: hit})
@@ -1318,7 +1345,7 @@ func (d *Dispatcher) sweeper() {
 		case <-tick.C:
 		}
 		cutoff := d.now() - d.opts.ReplayTimeout
-		f := getFx()
+		f := d.fxs.get()
 		d.mu.Lock()
 		expired := d.core.Expire(cutoff)
 		d.replayAll(f, expired, "replay timeout")
@@ -1330,6 +1357,6 @@ func (d *Dispatcher) sweeper() {
 			d.logf("dispatch: replayed %d timed-out tasks", len(expired))
 		}
 		d.flush(f)
-		putFx(f)
+		f.release()
 	}
 }

@@ -133,8 +133,8 @@ func (d *Dispatcher) mintEPRLocked() string {
 // journal, or orphaned by a dropped client connection) to a new peer and
 // flushes any results buffered while detached.
 func (d *Dispatcher) reattachInstance(p *wsrpc.Peer, req *fproto.CreateInstanceRequest) (any, error) {
-	f := getFx()
-	defer putFx(f)
+	f := d.fxs.get()
+	defer f.release()
 	d.imu.RLock()
 	inst, ok := d.instances[req.EPR]
 	d.imu.RUnlock()
@@ -165,8 +165,8 @@ func (d *Dispatcher) handleDestroyInstance(p *wsrpc.Peer, body json.RawMessage) 
 	inst.destroyed.Store(true)
 	delete(d.instances, req.EPR)
 	d.imu.Unlock()
-	f := getFx()
-	defer putFx(f)
+	f := d.fxs.get()
+	defer f.release()
 	d.mu.Lock()
 	d.sweepLocked(f, inst)
 	d.mu.Unlock()
@@ -240,9 +240,9 @@ func (d *Dispatcher) handleSubmit(p *wsrpc.Peer, body json.RawMessage) (any, err
 	if err != nil {
 		return nil, badBody(err)
 	}
-	f := getFx()
+	f := d.fxs.get()
 	if err := d.submit(p, f, &req); err != nil {
-		putFx(f)
+		f.release()
 		return nil, err
 	}
 	d.stockLeaves()
@@ -372,8 +372,8 @@ func (d *Dispatcher) handleRegister(p *wsrpc.Peer, body json.RawMessage) (any, e
 // delivers a batch only on the connection it arrived on. From the pusher that
 // holds the ID, a registration changes the slot count and nothing else.
 func (d *Dispatcher) Register(req fproto.RegisterRequest, to Pusher) fproto.RegisterReply {
-	f := getFx()
-	defer putFx(f)
+	f := d.fxs.get()
+	defer f.release()
 	d.mu.Lock()
 	ex, ok := d.core.Exec(req.ExecutorID)
 	var dropped []sched.Outstanding[string, outKey, taskRef]
@@ -414,8 +414,8 @@ func (d *Dispatcher) handleDeregister(_ *wsrpc.Peer, body json.RawMessage) (any,
 // Deregister removes an executor and applies the replay policy to what it
 // held, reporting how many tasks that was.
 func (d *Dispatcher) Deregister(id string) int {
-	f := getFx()
-	defer putFx(f)
+	f := d.fxs.get()
+	defer f.release()
 	d.mu.Lock()
 	_, dropped := d.core.DropExecutor(id)
 	d.replayAll(f, dropped, "executor deregistered")
@@ -442,9 +442,9 @@ func (d *Dispatcher) handleGetWork(p *wsrpc.Peer, body json.RawMessage) (any, er
 	if err := req.DecodeInterned(body, func(b []byte) string { return d.internFrom(p, b) }); err != nil {
 		return nil, badBody(err)
 	}
-	f := getFx()
+	f := d.fxs.get()
 	if err := d.stock(f, req.ExecutorID, req.Max, 1); err != nil {
-		putFx(f)
+		f.release()
 		return nil, err
 	}
 	return (*grantReply)(f), nil
@@ -456,8 +456,8 @@ func (d *Dispatcher) handleGetWork(p *wsrpc.Peer, body json.RawMessage) (any, er
 // process that keeps a queue of its own stocked — a tree's link to a leaf —
 // brings the slice it reuses. (A wire executor sends its asks one by one.)
 func (d *Dispatcher) Stock(id string, ask, want int, dst []fproto.Relay) ([]fproto.Relay, error) {
-	f := getFx()
-	defer putFx(f)
+	f := d.fxs.get()
+	defer f.release()
 	err := d.stock(f, id, ask, want)
 	return append(dst, f.reply...), err
 }
@@ -507,7 +507,7 @@ func (d *Dispatcher) pullLocked(f *fx, ex *sched.Exec[string], asked int, kind o
 }
 
 func (d *Dispatcher) handleDeliver(p *wsrpc.Peer, body json.RawMessage) (any, error) {
-	f := getFx()
+	f := d.fxs.get()
 	err := f.req.DecodeInterned(body, func(b []byte) string { return d.internFrom(p, b) })
 	if err != nil {
 		err = badBody(err)
@@ -528,15 +528,15 @@ func (d *Dispatcher) handleDeliver(p *wsrpc.Peer, body json.RawMessage) (any, er
 	if err == nil {
 		return (*grantReply)(f), nil
 	}
-	putFx(f)
+	f.release()
 	return nil, err
 }
 
 // Deliver takes an executor's results ({6}) and answers the work request they
 // piggy-back ({7}). It keeps nothing of req.
 func (d *Dispatcher) Deliver(req *fproto.DeliverRequest) ([]fproto.Relay, error) {
-	f := getFx()
-	defer putFx(f)
+	f := d.fxs.get()
+	defer f.release()
 	err := d.deliver(f, req)
 	return append([]fproto.Relay(nil), f.reply...), err
 }

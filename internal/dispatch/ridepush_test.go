@@ -10,6 +10,7 @@ import (
 	"encoding/json"
 	"fmt"
 	"math"
+	"slices"
 	"sync"
 	"testing"
 	"time"
@@ -466,37 +467,98 @@ func TestSilentMultiSlotExecutorIsNotFedAgain(t *testing.T) {
 	}
 }
 
-// One bundle that finds every slot waiting is split evenly over them: 64
-// tasks pushed to four parked one-slot executors go as four grants of 16,
-// and none is left queued. An even share of the queue over every registered
-// slot, busy or free, would cut them 16, 12, 9, 7 and leave 20 behind.
+// One bundle of work that states no run time and finds every slot waiting is
+// split evenly over them: 64 func tasks pushed to four parked one-slot
+// executors go as four grants of 16, and none is left queued. An even share of
+// the queue over every registered slot, busy or free, would cut them 16, 12,
+// 9, 7 and leave 20 behind. (Sleep tasks state their whole run time, and go
+// as one grant: TestStatedBundleIsOneGrant.)
 func TestBundleIsSplitEvenlyOverFreeSlots(t *testing.T) {
-	const execs, bundle = 4, 64
-	d, c, _ := startSystem(t, dispatch.Options{}, client.Options{BundleSize: bundle}, 0, executor.Options{})
+	perExec, grants := pushParked(t, funcTasks(new(task.IDGen), 64))
+	want := map[string]int{"parked-0": 16, "parked-1": 16, "parked-2": 16, "parked-3": 16}
+	if fmt.Sprint(perExec) != fmt.Sprint(want) || fmt.Sprint(grants) != "[16 16 16 16]" {
+		t.Fatalf("pushed %v in grants of %v; want %v in four of 16", perExec, grants, want)
+	}
+}
+
+// Work that states its whole run time is granted by that statement, not cut
+// into even shares: 64 `sleep 0` tasks reach four parked slots that asked for
+// 64 as one grant of 64. A bundle that mixes them with func tasks, which state
+// none, is granted in pick order: the sleeps fill up to the ask, the func
+// tasks stop each grant at its share of the queue for the free slots.
+func TestStatedBundleIsOneGrant(t *testing.T) {
+	var gen task.IDGen
+	for _, row := range []struct {
+		name   string
+		tasks  []task.Task
+		grants string
+	}{
+		{"64 sleep 0", task.Batch(&gen, 64, 0), "[64]"},
+		// 16 queued over 4 free slots: a share of 4 func tasks, then 3 of 8
+		// over 3, then the last with the 4 sleeps behind it.
+		{"4 sleeps, 8 func tasks, 4 sleeps", slices.Concat(task.Batch(&gen, 4, 0), funcTasks(&gen, 8), task.Batch(&gen, 4, 0)), "[8 3 5]"},
+	} {
+		t.Run(row.name, func(t *testing.T) {
+			if _, grants := pushParked(t, row.tasks); fmt.Sprint(grants) != row.grants {
+				t.Fatalf("pushed in grants of %v, want %s", grants, row.grants)
+			}
+		})
+	}
+}
+
+// funcTasks is n func tasks, which state no run time.
+func funcTasks(gen *task.IDGen, n int) []task.Task {
+	ts := make([]task.Task, n)
+	for i := range ts {
+		ts[i] = task.Task{ID: gen.Next(), Engine: task.EngineFunc, Command: "f"}
+	}
+	return ts
+}
+
+// pushParked submits ts as one bundle to a dispatcher whose four one-slot
+// executors are parked, each having asked for len(ts) tasks, and returns the
+// tasks each was pushed and the grants' sizes, in the order they were cut. It
+// fails unless every task was pushed, in the order submitted.
+func pushParked(t *testing.T, ts []task.Task) (perExec map[string]int, grants []int) {
+	t.Helper()
+	const execs = 4
+	d, c, _ := startSystem(t, dispatch.Options{}, client.Options{BundleSize: len(ts)}, 0, executor.Options{})
 	for i := range execs {
 		x := dialRawExec(t, d.Addr(), fmt.Sprintf("parked-%d", i), 1, true)
-		var ack fproto.DeliverReply // asks for a full bundle, and is answered with nothing: parked
-		if err := x.cli.Call(fproto.MethodDeliver, fproto.DeliverRequest{ExecutorID: x.id, WantWork: true, MaxNew: bundle}, &ack); err != nil || len(ack.Assignments) != 0 {
+		var ack fproto.DeliverReply // asks for the whole bundle, and is answered with nothing: parked
+		if err := x.cli.Call(fproto.MethodDeliver, fproto.DeliverRequest{ExecutorID: x.id, WantWork: true, MaxNew: len(ts)}, &ack); err != nil || len(ack.Assignments) != 0 {
 			t.Fatalf("deliver: %v, an empty queue handed out %d tasks", err, len(ack.Assignments))
 		}
 	}
-	before := d.MetricsSnapshot().Histogram("falkon_dispatch_grant_tasks")
-	var gen task.IDGen
-	if err := c.Submit(task.Batch(&gen, bundle, 0)); err != nil {
+	if err := c.Submit(ts); err != nil {
 		t.Fatal(err)
 	}
-	waitFor(t, "every parked slot is handed a grant", func() bool { return pushedGrants(d) == execs })
-	grants := d.MetricsSnapshot().Histogram("falkon_dispatch_grant_tasks")
-	perExec := map[string]int{}
+	waitFor(t, "every task is pushed", func() bool { return d.Stats().Outstanding == len(ts) })
+	perExec = map[string]int{}
+	var last string
 	evs, _ := d.Tracer().Since(0, 0)
 	for _, ev := range evs {
-		if ev.Kind == obs.EvPushed {
-			perExec[ev.Executor]++
+		if ev.Kind != obs.EvPushed {
+			continue
 		}
+		if ev.Task != ts[sum(grants)].ID {
+			t.Fatalf("task %d pushed where task %d is next in pick order", ev.Task, ts[sum(grants)].ID)
+		}
+		if perExec[ev.Executor]++; ev.Executor != last || len(grants) == 0 {
+			grants = append(grants, 0)
+		}
+		grants[len(grants)-1]++
+		last = ev.Executor
 	}
-	want := map[string]int{"parked-0": 16, "parked-1": 16, "parked-2": 16, "parked-3": 16}
-	if fmt.Sprint(perExec) != fmt.Sprint(want) || grants.Count-before.Count != execs || grants.Sum-before.Sum != bundle || d.Stats().Queued != 0 {
-		t.Fatalf("pushed %v in %d grants of %v tasks, %d left queued; want %v in %d of %d, 0 left",
-			perExec, grants.Count-before.Count, grants.Sum-before.Sum, d.Stats().Queued, want, execs, bundle)
+	if n := pushedGrants(d); n != int64(len(grants)) || d.Stats().Queued != 0 {
+		t.Fatalf("%d grants pushed, %d told apart by executor, %d tasks left queued", n, len(grants), d.Stats().Queued)
 	}
+	return perExec, grants
+}
+
+func sum(xs []int) (n int) {
+	for _, x := range xs {
+		n += x
+	}
+	return n
 }

@@ -203,7 +203,7 @@ func bootTier(tb testing.TB, tree bool, execs, slots int, opts dispatch.Options)
 	}
 	for i := 0; i < execs; i++ {
 		startExec(tb, executor.Options{ID: fmt.Sprintf("budget-e%d", i), DispatcherAddr: leaves[i%len(leaves)].Addr(), Slots: slots, PSK: opts.PSK,
-			Funcs: map[string]executor.Func{"mixed": mixedFunc}})
+			Funcs: map[string]executor.Func{"mixed": mixedFunc, "instant": instantFunc}})
 	}
 	if !tree {
 		return leaves[0].Addr(), leaves
@@ -234,7 +234,10 @@ func bootTier(tb testing.TB, tree bool, execs, slots int, opts dispatch.Options)
 // differ, which no sleep task of the repo benchmark has: func tasks, which
 // declare no run time, of which every 20th sleeps 2 ms and the rest return at
 // once (ROADMAP item 4's question, whether a batch holds a short task behind
-// a long one). It reports the process's heap allocations per task, objects
+// a long one); and func the plain load with func tasks that all return at
+// once: work that states no run time, which a grant still cuts into even
+// shares over the free slots where it hands stated work out whole (the sleep
+// tasks of plain). It reports the process's heap allocations per task, objects
 // and bytes, as the repo benchmark counts them, and on linux its read(2) and
 // write(2) calls per task, every connection's both ends included, and the
 // tasks in a leaf's grant to an executor, on average; tree minus plain is
@@ -248,11 +251,12 @@ func BenchmarkBulkRound(b *testing.B) {
 	for _, tc := range []struct {
 		name                                      string
 		tree, journal, fsync, secure, fair, mixed bool
-		slots                                     int // each executor's; four slots in all
+		slots                                     int    // each executor's; four slots in all
+		fn                                        string // the func tasks run, "" for sleep 0
 	}{
 		{name: "plain"}, {name: "journal", journal: true}, {name: "tree", tree: true}, {name: "secure", secure: true},
 		{name: "fair", fair: true}, {name: "tree-journal", tree: true, journal: true}, {name: "slots", slots: 4},
-		{name: "journal-fsync", journal: true, fsync: true}, {name: "mixed", mixed: true},
+		{name: "journal-fsync", journal: true, fsync: true}, {name: "mixed", mixed: true, fn: "mixed"}, {name: "func", fn: "instant"},
 	} {
 		b.Run(tc.name, func(b *testing.B) {
 			var opts dispatch.Options
@@ -304,7 +308,7 @@ func BenchmarkBulkRound(b *testing.B) {
 			if tc.mixed {
 				mixed = new(mixedLoop)
 			}
-			closedLoop(b, c, &gen, 1024, mixed)
+			closedLoop(b, c, &gen, 1024, tc.fn, mixed)
 			n := (b.N + bulkBundle - 1) / bulkBundle * bulkBundle
 			if mixed != nil {
 				*mixed = mixedLoop{sent: make([]atomic.Int64, n/bulkBundle), lat: make([]time.Duration, 0, n)}
@@ -316,7 +320,7 @@ func BenchmarkBulkRound(b *testing.B) {
 			r0, w0, counted := obs.Syscalls()
 			b.ResetTimer()
 			start := time.Now()
-			closedLoop(b, c, &gen, n, mixed)
+			closedLoop(b, c, &gen, n, tc.fn, mixed)
 			wall := time.Since(start)
 			b.StopTimer()
 			r1, w1, _ := obs.Syscalls()
@@ -363,6 +367,9 @@ type mixedLoop struct {
 	run   time.Duration
 }
 
+// instantFunc is the func load's task: it returns at once.
+func instantFunc(task.Task) (string, int, error) { return "", 0, nil }
+
 // mixedFunc is the mixed load's task: every 20th sleeps 2 ms, the rest return
 // at once.
 func mixedFunc(t task.Task) (string, int, error) {
@@ -374,10 +381,10 @@ func mixedFunc(t task.Task) (string, int, error) {
 
 // closedLoop runs n tasks, a whole number of bundles, through c with at most
 // bulkInFlight unanswered: a goroutine submits a bundle whenever there is room
-// for one, and this one takes the results. With mixed set, the tasks are
-// mixedFunc's, and their latencies and run times are kept there if it has
-// room for them.
-func closedLoop(b *testing.B, c *client.Client, gen *task.IDGen, n int, mixed *mixedLoop) {
+// for one, and this one takes the results. The tasks are `sleep 0`, or with fn
+// set the executors' func of that name. With mixed set, their latencies and
+// run times are kept there if it has room for them.
+func closedLoop(b *testing.B, c *client.Client, gen *task.IDGen, n int, fn string, mixed *mixedLoop) {
 	room := make(chan struct{}, bulkInFlight/bulkBundle)
 	submitted := make(chan error, 1)
 	if mixed != nil {
@@ -393,8 +400,8 @@ func closedLoop(b *testing.B, c *client.Client, gen *task.IDGen, n int, mixed *m
 				ts[i] = task.Sleep(gen.Next(), 0)
 				args[i][0] = strconv.FormatUint(uint64(ts[i].ID)|1<<60, 16)
 				ts[i].Args = args[i][:]
-				if mixed != nil {
-					ts[i].Engine, ts[i].Command = task.EngineFunc, "mixed"
+				if fn != "" {
+					ts[i].Engine, ts[i].Command = task.EngineFunc, fn
 				}
 			}
 			if k := sent / bulkBundle; mixed != nil && k < len(mixed.sent) {

@@ -480,8 +480,9 @@ func relayedTasks(rs []task.Relayed) []task.Task {
 
 // checkRelay is FuzzBodyCodec's half for the dispatcher's reading of a submit
 // (DESIGN.md §9, "Relay"): a Bundle is read where json.Unmarshal reads a
-// SubmitRequest, agrees with it on the five things a dispatcher reads (the
-// dataset and the retry bound read from the relayed bytes, escaped or not), and
+// SubmitRequest, agrees with it on the six things a dispatcher reads (the
+// dataset and the retry bound read from the relayed bytes, escaped or not, and
+// whether the declared run time is the task's whole one), and
 // relays bytes that an executor's GetWorkReply.DecodeJSON reads, without a
 // fallback, as the tasks json.Unmarshal read; a body the fast path refused is
 // relayed as AppendJSON encodes its tasks.
@@ -535,8 +536,10 @@ func checkRelay(t *testing.T, data []byte) {
 		if w.Engine != task.EngineSleep && w.Engine != task.EngineData {
 			declared = 0
 		}
-		if r.ID != w.ID || r.Trace != w.Trace || r.MaxRetries() != w.MaxRetries || r.Declared != declared || r.Dataset() != dataset {
-			t.Fatalf("Bundle %q: task %d read as %+v, want %+v", data, i, *r, *w)
+		// The whole of it for a sleep, and for a data task that stages no io.
+		whole := w.Engine == task.EngineSleep || w.Engine == task.EngineData && w.IO == nil
+		if r.ID != w.ID || r.Trace != w.Trace || r.MaxRetries() != w.MaxRetries || r.Declared != declared || r.Whole() != whole || r.Dataset() != dataset {
+			t.Fatalf("Bundle %q: task %d read as %+v (whole %v), want %+v (whole %v)", data, i, *r, r.Whole(), *w, whole)
 		}
 		if relayed, canonical := string(r.AppendJSON(nil)), string(w.AppendJSON(nil)); fellBack && relayed != canonical {
 			t.Fatalf("Bundle %q took the fallback and relays task %d as %s, not %s", data, i, relayed, canonical)
@@ -569,6 +572,11 @@ func TestBundleArrayIsItsRelayedTasks(t *testing.T) {
 	for _, body := range []string{
 		`{"epr":"e","tasks":[{"id":18446744073709551615,"args":["q\"uo\\te \u00e9 <>&\u2028"],"trace":0},{"id":1,"engine":1,"duration":5,"trace":18446744073709551615}]}`,
 		`{"epr":"e","tasks":[{"id":12345678901234567890,"engine":2,"io":{"read_bytes":1,"dataset":"d\/x"},"max_retries":3}]}`,
+		// Every engine with and without an io: the run time stated is the whole
+		// of it for a sleep, and for a data task with none.
+		`{"epr":"e","tasks":[{"id":1,"duration":5},{"id":2,"io":{},"duration":5},{"id":3,"engine":1,"duration":5},` +
+			`{"id":4,"engine":1,"io":{"read_bytes":1,"dataset":"d"},"duration":5},{"id":5,"engine":2,"command":"c","duration":5},` +
+			`{"id":6,"engine":2,"io":{"write_bytes":2},"duration":5},{"id":7,"engine":3,"command":"f"},{"id":8,"engine":3,"io":{}}]}`,
 		`{"epr":"e","tasks":[]}`,
 		`{"epr":"e","tasks":null}`,
 		// Datasets past what a head's offset and length fields hold, which
@@ -603,6 +611,10 @@ func FuzzBodyCodec(f *testing.F) {
 	// with an escape, and one in a body the fast path refuses.
 	f.Add(uint8(0), []byte(`{"epr":"e","tasks":[{"id":1,"engine":1,"io":{"read_bytes":5,"dataset":"d0"},"duration":7},{"id":2,"io":{"dataset":"d\u00e9\/1"}}]}`))
 	f.Add(uint8(0), []byte(`{"epr":"e","tasks":[{"id":1,"io":{"dataset":"d0","location":"x"}}]}`))
+	// Every engine with and without an io (Relayed.Whole).
+	f.Add(uint8(0), []byte(`{"epr":"e","tasks":[{"id":1,"duration":5},{"id":2,"io":{},"duration":5},{"id":3,"engine":1,"duration":5},`+
+		`{"id":4,"engine":1,"io":{"read_bytes":1},"duration":5},{"id":5,"engine":2,"command":"c"},{"id":6,"engine":2,"io":{}},`+
+		`{"id":7,"engine":3,"command":"f","duration":9},{"id":8,"engine":3,"io":{"dataset":"d"}},{"id":9,"engine":4}]}`))
 	f.Add(uint8(0), []byte(`{"epr":"e","tasks":[{"id":1,"io":{"dataset":"x\\y"},"max_retries":-3},{"id":2,"max_retries":12,"trace":5}]}`))
 	// What a dispatcher writes again rather than keeps: a trace of 0 sent as
 	// such, IDs and traces of twenty digits, and the ID and trace around a

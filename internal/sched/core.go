@@ -111,8 +111,9 @@ type Options[T any] struct {
 	// Declared extracts the run time a task states for itself (0 = none
 	// stated) — the paper's "clients assign each task an estimated
 	// runtime", which is what makes dispatcher→executor bundling safe with
-	// mixed task sizes (see PickWithin); nil treats every task as unstated.
-	Declared func(T) time.Duration
+	// mixed task sizes (see Grant) — and whether that is its whole run time;
+	// nil treats every task as unstated.
+	Declared func(T) (run time.Duration, whole bool)
 	// FairShare enables the weighted fair-share tenant layer (see the
 	// FairShare type); nil queues all work as one FIFO flow.
 	FairShare *FairShare
@@ -397,20 +398,18 @@ func (c *Core[E, K, T]) RemoveIdle(x *Exec[E]) {
 	}
 }
 
-// Unbounded is the PickWithin room that refuses nothing.
-const Unbounded = time.Duration(1<<63 - 1)
-
 // Share is the even-share half of the grant rule (dispatch-ahead): an
 // executor that asks for asked tasks in one pull gets at most
-// ⌈queued ÷ free slots⌉, so that no slot free to take work is left without
-// its share of the queue, and at most ⌈(queued + outstanding) ÷ registered
-// slots⌉, an even share of all the work the core holds, so that one slot
-// never takes the whole queue while its neighbours are busy; never less
-// than 1. The free slots — Σ max(Slots − Assigned, 0), the asker's among
-// them, since it has just delivered or is waiting — are a count kept as
-// slots and assignments change, not a loop; with none free the first bound
-// is skipped. A pull reply is then Share tasks at most: the first from
-// Pick, the rest from PickWithin.
+// ⌈queued ÷ free slots⌉ tasks that state no whole run time, so that no slot
+// free to take work is left without its share of the queue, and at most
+// ⌈(queued + outstanding) ÷ registered slots⌉, an even share of all the work
+// the core holds, so that one slot never takes the whole queue while its
+// neighbours are busy; never less than 1. The free slots — Σ max(Slots −
+// Assigned, 0), the asker's among them, since it has just delivered or is
+// waiting — are a count kept as slots and assignments change, not a loop;
+// with none free the first bound is skipped. It is a hedge against a run
+// time mispredicted from history, which a task that states its whole run
+// time does not need (Grant).
 func (c *Core[E, K, T]) Share(asked int) int {
 	queued := c.QueueLen()
 	if c.free > 0 {
@@ -422,23 +421,70 @@ func (c *Core[E, K, T]) Share(asked int) int {
 	return max(asked, 1)
 }
 
+// Grant is what is left of one pull reply's budget, which PickWithin spends
+// task by task.
+type Grant struct {
+	ask, taken int
+	unstated   int           // tasks that state no whole run time still to take: Share
+	room       time.Duration // declared run time still to take, once a task is in
+}
+
+// Grant opens the budget of one pull reply (dispatch-ahead) to an executor
+// that asked for asked tasks and whose last round trip took rtt. Tasks are
+// taken in pick order up to the ask, and the reply stops at the first that
+// would take it past either of two more limits, never skipping ahead, so
+// SFQ order and locality hold:
+//   - Share(asked) of the tasks that state no whole run time (exec, func,
+//     and data tasks that stage an io), which are cut evenly over the free
+//     slots against a run time mispredicted from history. A task whose
+//     statement is its whole run time (a sleep, or a data task with no io)
+//     counts only against the ask and the next limit;
+//   - rtt of declared run time: the first task goes whatever it declares,
+//     and a later one only while the reply's declared times stay within the
+//     round trip it saves. A task that says it is long therefore rides
+//     alone: it neither waits behind a batch nor holds a batch's results
+//     back while it runs.
+func (c *Core[E, K, T]) Grant(asked int, rtt time.Duration) Grant {
+	return Grant{ask: max(asked, 1), unstated: c.Share(asked), room: rtt}
+}
+
+// admits reports whether the next task, which declares run and whole, fits.
+func (g *Grant) admits(run time.Duration, whole bool) bool {
+	return g.taken < g.ask && (whole || g.unstated > 0) && (g.taken == 0 || run <= g.room)
+}
+
+// spend takes a task that declares run and whole out of g, or with n = -1
+// gives it back (Refund).
+func (g *Grant) spend(run time.Duration, whole bool, n int) {
+	g.taken += n
+	if !whole {
+		g.unstated -= n
+	}
+	g.room -= time.Duration(n) * run
+}
+
+// declared is Options.Declared, or nothing stated without one.
+func (c *Core[E, K, T]) declared(x T) (time.Duration, bool) {
+	if c.opts.Declared == nil {
+		return 0, false
+	}
+	return c.opts.Declared(x)
+}
+
 // Pick selects the next task for x, removing it from the queue and
 // reporting whether it is a dataset cache hit. The queue is served in FIFO
 // (or SFQ) order, except that an executor whose cache holds a dataset takes
 // the first task within the window that reads one it holds: locality comes
 // from the tasks that name their data, and a queue naming none pops as is.
 func (c *Core[E, K, T]) Pick(x *Exec[E]) (it Item[T], hit, ok bool) {
-	return c.PickWithin(x, Unbounded)
+	return c.PickWithin(x, nil)
 }
 
-// PickWithin is Pick for the second and later tasks of one pull reply:
-// when the task Pick would select declares (Options.Declared) more run time
-// than room — what is left of the reply's budget after the declared times
-// already in it — the queue is left untouched and ok is false. A task that
-// says it is long therefore rides alone: it neither waits behind a batch
-// nor holds a batch's results back while it runs. A nil x consults no
-// cache (PickAny).
-func (c *Core[E, K, T]) PickWithin(x *Exec[E], room time.Duration) (it Item[T], hit, ok bool) {
+// PickWithin is Pick for the tasks of one pull reply, which spends g: when the
+// task Pick would select does not fit what is left of g (Core.Grant), the
+// queue is left untouched and ok is false. A nil g refuses nothing, and a nil
+// x consults no cache (PickAny).
+func (c *Core[E, K, T]) PickWithin(x *Exec[E], g *Grant) (it Item[T], hit, ok bool) {
 	// SFQ selects the tenant first and locality comes second: the window
 	// scan runs within that tenant's ring, so a cache hit never lets one
 	// tenant jump another's turn.
@@ -456,8 +502,12 @@ func (c *Core[E, K, T]) PickWithin(x *Exec[E], room time.Duration) (it Item[T], 
 			}
 		}
 	}
-	if room != Unbounded && c.opts.Declared != nil && c.opts.Declared(ring.Window(at + 1)[at].X) > room {
-		return it, false, false
+	if g != nil {
+		run, whole := c.declared(ring.Window(at + 1)[at].X)
+		if !g.admits(run, whole) {
+			return it, false, false
+		}
+		g.spend(run, whole, 1)
 	}
 	if at == 0 {
 		it, _ = ring.Pop()
@@ -475,11 +525,18 @@ func (c *Core[E, K, T]) PickWithin(x *Exec[E], room time.Duration) (it Item[T], 
 	return it, hit, true
 }
 
+// Refund gives back to g what PickWithin spent of it on it, a task the caller
+// sheds instead of granting.
+func (c *Core[E, K, T]) Refund(g *Grant, it Item[T]) {
+	run, whole := c.declared(it.X)
+	g.spend(run, whole, -1)
+}
+
 // PickAny pops the next task with no executor's dataset cache consulted.
 // Under fair-share the pop still runs the SFQ arbitration, so the queue
 // drains in the same weighted order an executor's pick would give it.
 func (c *Core[E, K, T]) PickAny() (it Item[T], ok bool) {
-	it, _, ok = c.PickWithin(nil, Unbounded)
+	it, _, ok = c.PickWithin(nil, nil)
 	return it, ok
 }
 

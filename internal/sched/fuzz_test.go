@@ -29,7 +29,9 @@ import (
 //   - the core's count of free slots is the model's, Σ max(slots − held, 0),
 //     and a grant's share is the rule's, from the model's counts: the ask,
 //     cut to an even share of the queue over the free slots and of all the
-//     work held over the registered ones;
+//     work held over the registered ones; a grant holds no more tasks than
+//     asked, no more that state no whole run time than that share, and no
+//     more declared run time past its first task than the round trip;
 //   - an executor goes idle only with a free slot and no push pending, a push
 //     goes only to a registered executor with a free slot, and nothing that
 //     left the table is on the idle stack;
@@ -86,11 +88,12 @@ const (
 )
 
 // fuzzTask is FuzzCore's payload: a task names its tenant, dataset, declared
-// run time and retry bound (0: the core's).
+// run time, whether that is its whole run time, and retry bound (0: the core's).
 type fuzzTask struct {
 	id, retries int
 	tn, ds      string
 	d           time.Duration
+	whole       bool
 }
 
 var (
@@ -179,7 +182,7 @@ func newCoreRig(in []byte) *coreRig {
 		Dataset:     func(x fuzzTask) string { return x.ds },
 		TaskRetries: func(x fuzzTask) int { return x.retries },
 		Tenant:      func(x fuzzTask) string { return x.tn },
-		Declared:    func(x fuzzTask) time.Duration { return x.d },
+		Declared:    func(x fuzzTask) (time.Duration, bool) { return x.d, x.whole },
 	}
 	if cfg&1 != 0 {
 		r.m.weights = map[string]float64{}
@@ -229,7 +232,7 @@ func (r *coreRig) step() bool {
 	x := r.exec(e)
 	switch op {
 	case opEnqueue, opRestore:
-		t := fuzzTask{id: len(m.tasks) + 1, tn: fuzzTenants[arg%3], retries: arg / 3 % 4, ds: fuzzDatasets[arg/12%3], d: time.Duration(arg/36%2) * 10}
+		t := fuzzTask{id: len(m.tasks) + 1, tn: fuzzTenants[arg%3], retries: arg / 3 % 4, ds: fuzzDatasets[arg/12%3], d: time.Duration(arg/36%2) * 10, whole: arg/72%2 == 1}
 		mt := mTask{fuzzTask: t, queuedAt: r.now, limit: t.retries}
 		if mt.limit == 0 {
 			mt.limit = m.maxRetry
@@ -301,25 +304,32 @@ func (r *coreRig) step() bool {
 		}
 		switch arg / 4 % 3 {
 		case 0:
-			r.pick(x, 0, Unbounded)
+			r.pick(x, 0, nil)
 		case 1:
-			// A grant, as the dispatcher cuts one: Share(asked) picks at most,
-			// the first whatever it declares, the rest within the budget.
-			room, budget := Unbounded, [...]time.Duration{Unbounded, 15, 0}[arg/96]
+			// A grant, as the dispatcher cuts one (Core.Grant).
+			rtt := [...]time.Duration{math.MaxInt64, 15, 0}[arg/96]
 			asked := 1 + arg/12%8
-			n := c.Share(asked)
-			if err := r.checkShare(asked, n); err != nil {
+			share := c.Share(asked)
+			if err := r.checkShare(asked, share); err != nil {
 				return r.fail("%v", err)
 			}
-			for ; n > 0; n-- {
-				t := r.pick(x, 1, room)
-				if t == nil {
-					break
+			g := c.Grant(asked, rtt)
+			var n, unstated int
+			var run time.Duration
+			for t := r.pick(x, 1, &g); t != nil; t = r.pick(x, 1, &g) {
+				if n > 0 && run+t.d > rtt {
+					return r.fail("grant took task %d, declaring %d, past %d of %d round trip", t.id, t.d, run, rtt)
 				}
-				room = min(room, budget) - t.d
+				if n++; !t.whole {
+					unstated++
+				}
+				run += t.d
+			}
+			if n > asked || unstated > share {
+				return r.fail("grant of %d tasks, %d stating no whole run time, for an ask of %d and a share of %d", n, unstated, asked, share)
 			}
 		case 2:
-			r.pick(x, 2, Unbounded)
+			r.pick(x, 2, nil)
 		}
 	case opCompleteOK, opCompleteFailed, opCompleteOther, opCompleteTwice:
 		out := m.out()
@@ -451,9 +461,9 @@ func (r *coreRig) fail(format string, args ...any) bool {
 	return true
 }
 
-// pick picks for x (mode 0 Pick, 1 PickWithin room, 2 PickAny) and assigns
+// pick picks for x (mode 0 Pick, 1 PickWithin g, 2 PickAny) and assigns
 // what it got to x, which it returns.
-func (r *coreRig) pick(x *Exec[string], mode int, room time.Duration) *mTask {
+func (r *coreRig) pick(x *Exec[string], mode int, g *Grant) *mTask {
 	c, m := r.c, &r.m
 	var it Item[fuzzTask]
 	var hit, ok bool
@@ -461,18 +471,18 @@ func (r *coreRig) pick(x *Exec[string], mode int, room time.Duration) *mTask {
 	case 0:
 		it, hit, ok = c.Pick(x)
 	case 1:
-		it, hit, ok = c.PickWithin(x, room)
+		it, hit, ok = c.PickWithin(x, g)
 	case 2:
 		it, ok = c.PickAny()
 	}
 	if !ok {
-		r.logf("pick for %s (mode %d, room %d): none", x.ID, mode, room)
-		if room == Unbounded && m.count(queued, nil) > 0 {
+		r.logf("pick for %s (mode %d, grant %+v): none", x.ID, mode, g)
+		if g == nil && m.count(queued, nil) > 0 {
 			r.fail("nothing picked from %d queued", m.count(queued, nil))
 		}
 		return nil
 	}
-	r.logf("pick for %s (mode %d, room %d): task %d, hit %v", x.ID, mode, room, it.X.id, hit)
+	r.logf("pick for %s (mode %d, grant %+v): task %d, hit %v", x.ID, mode, g, it.X.id, hit)
 	if it.X.id < 1 || it.X.id > len(m.tasks) {
 		r.fail("picked task %d, which was never queued", it.X.id)
 		return nil

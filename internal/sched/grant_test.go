@@ -6,41 +6,36 @@ import (
 	"time"
 )
 
-// dtask is a task that may declare its run time; tenant matters only under
-// fair-share.
+// dtask is a task that may declare its run time, and state that it is the
+// whole of it; tenant matters only under fair-share.
 type dtask struct {
 	id     int
 	d      time.Duration
+	whole  bool
 	tenant string
 }
 
 func newGrantCore(fair *FairShare) *Core[string, int, dtask] {
 	return NewCore[string, int, dtask](Options[dtask]{
-		Declared:  func(t dtask) time.Duration { return t.d },
+		Declared:  func(t dtask) (time.Duration, bool) { return t.d, t.whole },
 		Tenant:    func(t dtask) string { return t.tenant },
 		FairShare: fair,
 	})
 }
 
-// grant answers one pull by x the way a runtime does (Share's contract):
-// at most Share(asked) tasks, the first from Pick, the rest from PickWithin
-// against what is left of budget. It returns the granted task ids, assigned.
-func grant(c *Core[string, int, dtask], x *Exec[string], asked int, budget time.Duration) []int {
+// grant answers one pull by x the way a runtime does: PickWithin until the
+// Grant is spent. It returns the granted task ids, assigned.
+func grant(c *Core[string, int, dtask], x *Exec[string], asked int, rtt time.Duration) []int {
 	var ids []int
-	room := Unbounded
-	for n := c.Share(asked); len(ids) < n; {
-		it, _, ok := c.PickWithin(x, room)
+	g := c.Grant(asked, rtt)
+	for {
+		it, _, ok := c.PickWithin(x, &g)
 		if !ok {
-			break
+			return ids
 		}
-		if len(ids) == 0 {
-			room = budget
-		}
-		room -= it.X.d
 		c.Assign(0, x, it.X.id, it)
 		ids = append(ids, it.X.id)
 	}
-	return ids
 }
 
 const (
@@ -48,36 +43,55 @@ const (
 	s1 = time.Second
 )
 
+// unstated is n tasks that state no run time (exec, func); sleeps are tasks
+// that state these whole run times, and stated n that state 0.
+func unstated(n int) []dtask { return make([]dtask, n) }
+
+func sleeps(ds ...time.Duration) []dtask {
+	ts := make([]dtask, len(ds))
+	for i, d := range ds {
+		ts[i] = dtask{d: d, whole: true}
+	}
+	return ts
+}
+
+func stated(n int) []dtask { return sleeps(make([]time.Duration, n)...) }
+
 // TestGrantClamp is the dispatcher's half of dispatch-ahead as counts: what
 // a sequence of pulls, each asking for `asked`, is granted out of a queue of
-// tasks with the given declared run times, spread over execs executors of
-// slots slots each. The first held executors hold one task each before the
-// pulls (the first held tasks of the queue), and pull i comes from executor
-// (held + i) mod execs, so the pulls start at the first one free.
+// tasks, spread over execs executors of slots slots each. The first held
+// executors hold one task each before the pulls (the first held tasks of the
+// queue), and pull i comes from executor (held + i) mod execs, so the pulls
+// start at the first one free.
 func TestGrantClamp(t *testing.T) {
-	zeros := func(n int) []time.Duration { return make([]time.Duration, n) }
 	rows := []struct {
 		name               string
-		declared           []time.Duration
+		tasks              []dtask
 		execs, slots, held int
 		asked              int
-		budget             time.Duration
+		rtt                time.Duration
 		want               []int // tasks granted, pull by pull
 	}{
-		{"4 tasks, 4 free one-slot executors, asked 64: 1 each", zeros(4), 4, 1, 0, 64, 100 * us, []int{1, 1, 1, 1, 0}},
-		{"4 tasks, one 4-slot executor, asked 64: 1 per pull", zeros(4), 1, 4, 0, 64, 100 * us, []int{1, 1, 1, 1, 0}},
-		{"deep queue: the ask is the limit", zeros(512), 4, 1, 0, 64, 100 * us, []int{64, 64, 64, 64}},
-		{"share rounds up and shrinks with the queue", zeros(10), 4, 1, 0, 64, 100 * us, []int{3, 3, 2, 2, 0, 0, 0}},
-		{"64 tasks at 4 free slots: 16 each, none left", zeros(64), 4, 1, 0, 64, 100 * us, []int{16, 16, 16, 16, 0}},
-		{"4 queued, 3 of 4 slots hold one each: the free slot takes 2", zeros(7), 4, 1, 3, 64, 100 * us, []int{2, 2, 0}},
-		{"no slot free: an even share of all the work held", zeros(12), 4, 1, 4, 64, 100 * us, []int{3, 3, 2, 0}},
-		{"an executor that asks for 1 gets per-task dispatch", zeros(100), 1, 1, 0, 1, 100 * us, []int{1, 1, 1}},
-		{"an ask below 1 is an ask for 1", zeros(100), 1, 1, 0, 0, 100 * us, []int{1, 1}},
+		{"4 tasks, 4 free one-slot executors, asked 64: 1 each", unstated(4), 4, 1, 0, 64, 100 * us, []int{1, 1, 1, 1, 0}},
+		{"4 tasks, one 4-slot executor, asked 64: 1 per pull", unstated(4), 1, 4, 0, 64, 100 * us, []int{1, 1, 1, 1, 0}},
+		{"deep queue: the ask is the limit", unstated(512), 4, 1, 0, 64, 100 * us, []int{64, 64, 64, 64}},
+		{"share rounds up and shrinks with the queue", unstated(10), 4, 1, 0, 64, 100 * us, []int{3, 3, 2, 2, 0, 0, 0}},
+		{"64 tasks at 4 free slots: 16 each, none left", unstated(64), 4, 1, 0, 64, 100 * us, []int{16, 16, 16, 16, 0}},
+		{"4 queued, 3 of 4 slots hold one each: the free slot takes 2", unstated(7), 4, 1, 3, 64, 100 * us, []int{2, 2, 0}},
+		{"no slot free: an even share of all the work held", unstated(12), 4, 1, 4, 64, 100 * us, []int{3, 3, 2, 0}},
+		{"an executor that asks for 1 gets per-task dispatch", unstated(100), 1, 1, 0, 1, 100 * us, []int{1, 1, 1}},
+		{"an ask below 1 is an ask for 1", unstated(100), 1, 1, 0, 0, 100 * us, []int{1, 1}},
 		{"empty queue", nil, 2, 1, 0, 64, 100 * us, []int{0}},
-		{"a declared 1 s task ends the grant and rides alone", []time.Duration{0, 0, 0, s1, 0, 0}, 1, 1, 0, 64, 100 * us, []int{3, 1, 2, 0}},
-		{"two long tasks never share a grant", []time.Duration{s1, s1, s1}, 1, 1, 0, 64, 100 * us, []int{1, 1, 1}},
-		{"declared times add up to the budget", []time.Duration{40 * us, 40 * us, 40 * us, 40 * us, 40 * us}, 1, 1, 0, 64, 100 * us, []int{2, 2, 1}},
-		{"no round trip seen yet: nothing declared is bundled", []time.Duration{us, us, 0, 0}, 1, 1, 0, 64, 0, []int{1, 1, 2}},
+		{"64 stated tasks at 4 free slots: one grant of 64", stated(64), 4, 1, 0, 64, 100 * us, []int{64, 0}},
+		{"stated tasks: the ask is the limit", stated(100), 4, 1, 0, 64, 100 * us, []int{64, 36, 0}},
+		{"an executor that asks for 1 gets one stated task", stated(3), 4, 1, 0, 1, 100 * us, []int{1, 1, 1, 0}},
+		{"stated fill to the ask, unstated stop at the share, in pick order",
+			append(append(stated(4), unstated(8)...), stated(4)...), 4, 1, 0, 64, 100 * us, []int{8, 3, 5, 0}},
+		{"a declared 1 s task ends the grant and rides alone", sleeps(0, 0, 0, s1, 0, 0), 1, 1, 0, 64, 100 * us, []int{3, 1, 2, 0}},
+		{"two long tasks never share a grant", sleeps(s1, s1, s1), 1, 1, 0, 64, 100 * us, []int{1, 1, 1}},
+		{"a long stated task ends a grant of stated ones", sleeps(0, 0, s1, 0), 4, 1, 0, 64, 100 * us, []int{2, 1, 1, 0}},
+		{"declared times add up to the budget", sleeps(40*us, 40*us, 40*us, 40*us, 40*us), 1, 1, 0, 64, 100 * us, []int{2, 2, 1}},
+		{"no round trip seen yet: nothing declared is bundled", sleeps(us, us, 0, 0), 1, 1, 0, 64, 0, []int{1, 1, 2}},
 	}
 	for _, row := range rows {
 		t.Run(row.name, func(t *testing.T) {
@@ -86,8 +100,9 @@ func TestGrantClamp(t *testing.T) {
 			for i := range xs {
 				xs[i] = c.AddExec(string(rune('a'+i)), row.slots)
 			}
-			for i, d := range row.declared {
-				c.Enqueue(0, dtask{id: i, d: d})
+			for i, x := range row.tasks {
+				x.id = i
+				c.Enqueue(0, x)
 			}
 			for _, x := range xs[:row.held] {
 				it, _, _ := c.Pick(x)
@@ -96,7 +111,7 @@ func TestGrantClamp(t *testing.T) {
 			var got []int
 			next := row.held
 			for i := range row.want {
-				ids := grant(c, xs[(row.held+i)%len(xs)], row.asked, row.budget)
+				ids := grant(c, xs[(row.held+i)%len(xs)], row.asked, row.rtt)
 				for _, id := range ids {
 					if id != next {
 						t.Fatalf("pull %d granted task %d, want FIFO order (next %d)", i, id, next)
@@ -160,28 +175,65 @@ func TestShareFollowsRegisteredSlots(t *testing.T) {
 }
 
 // A refused PickWithin leaves the queue as it found it, under every queue
-// layout: the same task is what an unrestricted Pick returns next, and
-// under fair-share the refusal charges no tenant.
+// layout and whichever limit refuses: the same task is what an unrestricted
+// Pick returns next, and under fair-share the refusal charges no tenant.
 func TestPickWithinRefusalIsNotAPop(t *testing.T) {
 	for _, fair := range []*FairShare{nil, {Weights: map[string]float64{"a": 1, "b": 1}}} {
-		c := newGrantCore(fair)
-		x := c.AddExec("x", 1)
-		c.Enqueue(0, dtask{id: 0, d: s1, tenant: "a"})
-		c.Enqueue(0, dtask{id: 1, tenant: "b"})
-		c.Enqueue(0, dtask{id: 2, tenant: "a"})
-		if _, _, ok := c.PickWithin(x, 100*us); ok {
-			t.Fatalf("fair=%v: a 1 s task was picked into 100 µs of room", fair != nil)
-		}
-		if n := c.QueueLen(); n != 3 {
-			t.Fatalf("fair=%v: refusal left %d queued, want 3", fair != nil, n)
-		}
-		for want := 0; want < 3; want++ {
-			it, _, ok := c.Pick(x)
-			if !ok || it.X.id != want {
-				t.Fatalf("fair=%v: pick %d returned %+v ok=%v", fair != nil, want, it.X, ok)
+		for _, g := range []Grant{
+			{ask: 64, taken: 1, unstated: 64, room: 100 * us}, // 1 s into 100 µs of room
+			{ask: 64, unstated: 0},                            // past the share
+			{ask: 1, taken: 1, unstated: 64, room: s1},        // past the ask
+		} {
+			c := newGrantCore(fair)
+			x := c.AddExec("x", 1)
+			c.Enqueue(0, dtask{id: 0, d: s1, tenant: "a"})
+			c.Enqueue(0, dtask{id: 1, tenant: "b"})
+			c.Enqueue(0, dtask{id: 2, tenant: "a"})
+			if _, _, ok := c.PickWithin(x, &g); ok {
+				t.Fatalf("fair=%v: task 0 was picked into %+v", fair != nil, g)
+			}
+			if n := c.QueueLen(); n != 3 {
+				t.Fatalf("fair=%v: refusal left %d queued, want 3", fair != nil, n)
+			}
+			for want := 0; want < 3; want++ {
+				it, _, ok := c.Pick(x)
+				if !ok || it.X.id != want {
+					t.Fatalf("fair=%v: pick %d returned %+v ok=%v", fair != nil, want, it.X, ok)
+				}
 			}
 		}
 	}
+}
+
+// A task the caller sheds is refunded: the grant is as it was before the pick,
+// so the next task is its first, granted whatever it declares.
+func TestRefundedTaskLeavesTheGrantAsItWas(t *testing.T) {
+	c := newGrantCore(nil)
+	x := c.AddExec("x", 1)
+	c.Enqueue(0, dtask{id: 0})
+	c.Enqueue(0, dtask{id: 1, d: s1, whole: true})
+	c.Enqueue(0, dtask{id: 2})
+	g := c.Grant(2, 100*us)
+	want := g
+	it, _, ok := c.PickWithin(x, &g)
+	if !ok || it.X.id != 0 {
+		t.Fatalf("first pick: %+v %v", it.X, ok)
+	}
+	c.Refund(&g, it)
+	if g != want {
+		t.Fatalf("refunded grant %+v, want %+v", g, want)
+	}
+	if ids := []int{pickID(c, x, &g), pickID(c, x, &g)}; !reflect.DeepEqual(ids, []int{1, -1}) {
+		t.Fatalf("granted %v after the refund, want the 1 s task alone", ids)
+	}
+}
+
+// pickID is the ID PickWithin picks, or -1.
+func pickID(c *Core[string, int, dtask], x *Exec[string], g *Grant) int {
+	if it, _, ok := c.PickWithin(x, g); ok {
+		return it.X.id
+	}
+	return -1
 }
 
 // A slot the replay timeout takes back marks its executor suspect, all of its

@@ -30,15 +30,24 @@ type Relayed struct {
 	dsAt, dsLen uint16
 }
 
+// wholeBit is the bit of restLen that is Whole; Rest is never that long.
+const wholeBit = 1 << 31
+
 // Rest is the task's members after its ID and before a trace other than 0, as
 // received: the task is `{"id":`, ID, Rest, then `,"trace":` and Trace unless
 // Trace is 0, and `}`. The digits of both numbers are not kept twice.
-func (t *Relayed) Rest() string { return t.bytes[:t.restLen] }
+func (t *Relayed) Rest() string { return t.bytes[:t.restLen&^wholeBit] }
+
+// Whole reports whether Declared is the task's whole run time: a sleep task's,
+// or a data task's that names no io. A data task that does is staged for a
+// time its executor prices on a cache miss (executor.Options.DataCost), which
+// the task does not state; exec and func tasks state none.
+func (t *Relayed) Whole() bool { return t.restLen&wholeBit != 0 }
 
 // Dataset is the dataset the task names (IO.Dataset), or "".
 func (t *Relayed) Dataset() string {
-	if len(t.bytes) > int(t.restLen) {
-		return t.bytes[t.restLen:]
+	if end := int(t.restLen &^ wholeBit); len(t.bytes) > end {
+		return t.bytes[end:]
 	}
 	return t.bytes[t.dsAt : int(t.dsAt)+int(t.dsLen)]
 }
@@ -63,13 +72,14 @@ func (t *Relayed) MaxRetries() int {
 }
 
 // declared is the run time a task states for itself: the synthetic engines'
-// Duration (the paper's client-supplied runtime estimate). Exec and func
+// Duration (the paper's client-supplied runtime estimate), and whether that is
+// the whole of it (Relayed.Whole): io says the task names an io. Exec and func
 // tasks state none.
-func declared(e Engine, d time.Duration) time.Duration {
+func declared(e Engine, d time.Duration, io bool) (time.Duration, bool) {
 	if e == EngineSleep || e == EngineData {
-		return d
+		return d, e == EngineSleep || !io
 	}
-	return 0
+	return 0, false
 }
 
 // AppendJSON appends the task's JSON. It is the bytes the task was received as:
@@ -184,12 +194,17 @@ func (t *received) parseJSON(r *jsonwire.Reader, tails *[]byte) {
 	t.rest = r.Mark()
 	var engine Engine
 	var duration time.Duration
+	var io bool
 	for last := 0; ; {
 		at, mark := 0, r.Mark()
 		switch string(r.Key(false)) {
 		case "":
 			r.Expect(`}`)
-			if t.Declared = declared(engine, duration); t.end == 0 {
+			var whole bool
+			if t.Declared, whole = declared(engine, duration, io); whole {
+				t.restLen = wholeBit // keep adds Rest's length
+			}
+			if t.end == 0 {
 				t.end = mark
 			}
 			return
@@ -206,7 +221,7 @@ func (t *received) parseJSON(r *jsonwire.Reader, tails *[]byte) {
 			at = 5
 			r.SkipStrings()
 		case "io":
-			at = 6
+			at, io = 6, true
 			r.Expect(`{`)
 		io:
 			for last := 0; ; {
@@ -273,7 +288,7 @@ func keep(r *jsonwire.Reader, rs []received, s *Scratch) []Relayed {
 		t := &rs[i]
 		n := t.end - t.rest + t.tail
 		out[i] = t.Relayed
-		out[i].bytes, out[i].restLen = all[at:at+n], uint32(t.end-t.rest)
+		out[i].bytes, out[i].restLen = all[at:at+n], t.restLen|uint32(t.end-t.rest)
 		at += n
 	}
 	return out

@@ -248,8 +248,8 @@ type stampRec struct {
 // grant, and what the handler sends — its reply (ack, reply) and its result
 // pushes (note) — is a field handed to wsrpc by pointer. A wire handler's fx
 // goes back to the dispatcher's free list (fxFree) when wsrpc has written its
-// reply (grantReply, submitReply): one per handler in flight, not one per
-// connection.
+// reply (grantReply, submitReply): the list holds one per handler in flight at
+// the busiest moment, not one per connection.
 type fx struct {
 	events   []obs.Event // deferred tracer records
 	stamps   []stampRec
@@ -293,21 +293,20 @@ func (f *fx) push(peer *wsrpc.Peer, inst *instance, encoded []byte, rs ...task.R
 
 // fxFree is a dispatcher's free list of fx (DESIGN.md §9, "Scratch"): every
 // Deliver gathers a handful of effects, and without reuse the append growth
-// paths dominate the dispatcher's allocation profile. It keeps at most fxKeep
-// of them, one per handler in flight on a loaded dispatcher, and unlike a
-// sync.Pool a collection does not empty it: each emptying had every array an
-// fx holds grown again.
+// paths dominate the dispatcher's allocation profile. It keeps every fx given
+// back, so it holds as many as were ever in handlers at once, and no more. A
+// connection's handlers run on its read loop one at a time, so on a leaf that
+// is at most one a connection and the sweeper's; a tree root's links and the
+// submits it runs on goroutines add theirs. Unlike a sync.Pool a collection
+// does not empty it: each emptying had every array an fx holds grown again.
 type fxFree struct {
 	mu   sync.Mutex
 	list []*fx
 }
 
-// fxKeep is the most fx a dispatcher keeps, and fxCap the most elements an
-// array of one keeps: one burst does not park megabytes.
-const (
-	fxKeep = 8
-	fxCap  = 1024
-)
+// fxCap is the most elements an array of a kept fx keeps: one burst does not
+// park megabytes.
+const fxCap = 1024
 
 func (l *fxFree) get() *fx {
 	l.mu.Lock()
@@ -323,7 +322,7 @@ func (l *fxFree) get() *fx {
 
 // release gives f back to its free list, with element references (peers,
 // results, strings) cleared so its arrays don't pin them, and arrays that grew
-// past fxCap dropped; a full list drops f.
+// past fxCap dropped.
 func (f *fx) release() {
 	if cap(f.events) > fxCap || cap(f.stamps) > fxCap || cap(f.notifies) > fxCap || cap(f.results) > fxCap || cap(f.runs) > fxCap ||
 		cap(f.req.Results) > fxCap || cap(f.grant) > fxCap || cap(f.encoded) > fxCap {
@@ -341,9 +340,7 @@ func (f *fx) release() {
 	}
 	l := f.free
 	l.mu.Lock()
-	if len(l.list) < fxKeep {
-		l.list = append(l.list, f)
-	}
+	l.list = append(l.list, f)
 	l.mu.Unlock()
 }
 

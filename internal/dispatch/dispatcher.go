@@ -211,9 +211,6 @@ type resultRun struct {
 	peer *wsrpc.Peer
 	inst *instance
 	end  int
-	// encoded says the run's results were encoded as they were journaled:
-	// the run's share of fx.encoded holds their bytes, which the push splices.
-	encoded bool
 }
 
 // notifyPush is one deferred work notification ({3}): work-available, or
@@ -245,8 +242,9 @@ type stampRec struct {
 //
 // It is also the handler's scratch (DESIGN.md §9, "Scratch"): a Deliver is
 // decoded into req, every grant — pushed, or replied with — is cut from
-// grant, and what the handler sends — its reply (ack, reply) and its result
-// pushes (note) — is a field handed to wsrpc by pointer. A wire handler's fx
+// grant, the complete records of the results a journaling dispatcher
+// finalizes are written in enc, and what the handler sends — its reply (ack,
+// reply) and its result pushes (note) — is a field handed to wsrpc by pointer. A wire handler's fx
 // goes back to the dispatcher's free list (fxFree) when wsrpc has written its
 // reply (grantReply, submitReply): the list holds one per handler in flight at
 // the busiest moment, not one per connection.
@@ -254,21 +252,15 @@ type fx struct {
 	events   []obs.Event // deferred tracer records
 	stamps   []stampRec
 	notifies []notifyPush
-	results  []task.Result // pushed results, run after run
+	results  []task.RelayedResult // pushed results, run after run
 	runs     []resultRun
-	// enc is where the results finalized under a journal are encoded, once,
-	// for their complete record and their push: a Deliver's is its
-	// connection's (handleDeliver), as a submit's task.Scratch is. encoded
-	// holds, in order, the bytes of the pushed results of encoded runs.
-	enc     []byte
-	encoded [][]byte
-	req     fproto.DeliverRequest
-	grant   []fproto.Relay
-	reply   []fproto.Relay        // of grant, what answers the pull being served
-	ack     fproto.SubmitReply    // what answers the submit being served
-	note    fproto.ResultsNotify  // the result push being sent
-	spliced fproto.EncodedResults // or that push, of encoded results
-	free    *fxFree               // the free list f goes back to
+	enc      []byte
+	req      fproto.Delivery
+	grant    []fproto.Relay
+	reply    []fproto.Relay        // of grant, what answers the pull being served
+	ack      fproto.SubmitReply    // what answers the submit being served
+	note     fproto.RelayedResults // the result push being sent
+	free     *fxFree               // the free list f goes back to
 }
 
 func (f *fx) trace(at time.Duration, kind obs.EventKind, trace uint64, id task.ID, epr, exec string) {
@@ -276,15 +268,11 @@ func (f *fx) trace(at time.Duration, kind obs.EventKind, trace uint64, id task.I
 }
 
 // push defers results for inst's client at peer, extending the current run
-// when it is for the same pair. encoded, when not nil, is the one result's
-// bytes (see fx.enc).
-func (f *fx) push(peer *wsrpc.Peer, inst *instance, encoded []byte, rs ...task.Result) {
+// when it is for the same pair.
+func (f *fx) push(peer *wsrpc.Peer, inst *instance, rs ...task.RelayedResult) {
 	f.results = append(f.results, rs...)
-	if encoded != nil {
-		f.encoded = append(f.encoded, encoded)
-	}
-	run := resultRun{peer: peer, inst: inst, end: len(f.results), encoded: encoded != nil}
-	if n := len(f.runs); n > 0 && f.runs[n-1].peer == peer && f.runs[n-1].inst == inst && f.runs[n-1].encoded == run.encoded {
+	run := resultRun{peer: peer, inst: inst, end: len(f.results)}
+	if n := len(f.runs); n > 0 && f.runs[n-1].peer == peer && f.runs[n-1].inst == inst {
 		f.runs[n-1].end = run.end
 		return
 	}
@@ -304,9 +292,9 @@ type fxFree struct {
 	list []*fx
 }
 
-// fxCap is the most elements an array of a kept fx keeps: one burst does not
-// park megabytes.
-const fxCap = 1024
+// fxCap is the most elements an array of a kept fx keeps, and fxEnc the most
+// bytes its enc keeps: one burst does not park megabytes.
+const fxCap, fxEnc = 1024, 1 << 20
 
 func (l *fxFree) get() *fx {
 	l.mu.Lock()
@@ -325,7 +313,7 @@ func (l *fxFree) get() *fx {
 // past fxCap dropped.
 func (f *fx) release() {
 	if cap(f.events) > fxCap || cap(f.stamps) > fxCap || cap(f.notifies) > fxCap || cap(f.results) > fxCap || cap(f.runs) > fxCap ||
-		cap(f.req.Results) > fxCap || cap(f.grant) > fxCap || cap(f.encoded) > fxCap {
+		cap(f.req.Results) > fxCap || cap(f.grant) > fxCap || cap(f.enc) > fxEnc {
 		*f = fx{free: f.free}
 	} else {
 		f.events = emptied(f.events)
@@ -333,10 +321,10 @@ func (f *fx) release() {
 		f.notifies = emptied(f.notifies)
 		f.results = emptied(f.results)
 		f.runs = emptied(f.runs)
-		f.enc, f.encoded = nil, emptied(f.encoded)
-		f.req = fproto.DeliverRequest{Results: emptied(f.req.Results)}
+		f.enc = f.enc[:0]
+		f.req = fproto.Delivery{Results: emptied(f.req.Results)}
 		f.grant, f.reply = emptied(f.grant), nil
-		f.ack, f.note, f.spliced = fproto.SubmitReply{}, fproto.ResultsNotify{}, fproto.EncodedResults{}
+		f.ack, f.note = fproto.SubmitReply{}, fproto.RelayedResults{}
 	}
 	l := f.free
 	l.mu.Lock()
@@ -605,13 +593,9 @@ func (d *Dispatcher) flush(f *fx) {
 		d.tracer.Record(n.at, obs.EvNotified, 0, 0, "", n.exec)
 		d.notify(n.peer, fproto.NotifyWorkAvailable, fproto.WorkAvailable{Queued: n.queued})
 	}
-	start, encoded := 0, f.encoded
+	start := 0
 	for _, run := range f.runs {
-		var bodies [][]byte
-		if run.encoded {
-			bodies, encoded = encoded[:run.end-start], encoded[run.end-start:]
-		}
-		d.pushResults(f, run.peer, run.inst, f.results[start:run.end], bodies)
+		d.pushResults(f, run.peer, run.inst, f.results[start:run.end])
 		start = run.end
 	}
 }
@@ -632,23 +616,14 @@ func (d *Dispatcher) notify(p Pusher, method string, body any) error {
 // and the run goes to the connection that reattached meanwhile or, with
 // none, back into the buffer and the live set, where the next reattach
 // finds it and a resubmission dedupes against it. rs aliases f's pooled
-// array; Notify encodes it, from f.note, before returning and the buffer copies.
-// A tree parent's instance is pushed its results without the fields the
-// parent sets itself (fproto.ParentResults); what is buffered stays whole.
-// encoded, when not nil, is rs as they were encoded for the journal, and the
-// push splices them (f.spliced).
-func (d *Dispatcher) pushResults(f *fx, peer *wsrpc.Peer, inst *instance, rs []task.Result, encoded [][]byte) {
-	f.note = fproto.ResultsNotify{EPR: inst.epr, Results: rs}
-	var body any = &f.note
-	switch {
-	case encoded != nil:
-		f.spliced = fproto.EncodedResults{EPR: inst.epr, Results: encoded}
-		body = &f.spliced
-	case inst.fromParent:
-		body = (*fproto.ParentResults)(&f.note)
-	}
+// array, and their bytes the frame they came in: Notify splices them, from
+// f.note, before returning, and what is buffered is a copy (Keep). A tree
+// parent's instance is pushed its results without the fields the parent sets
+// itself (fproto.RelayedResults.Parent); what is buffered stays whole.
+func (d *Dispatcher) pushResults(f *fx, peer *wsrpc.Peer, inst *instance, rs []task.RelayedResult) {
+	f.note = fproto.RelayedResults{EPR: inst.epr, Results: rs, Parent: inst.fromParent}
 	for peer != nil {
-		err := d.notify(peer, fproto.NotifyResults, body)
+		err := d.notify(peer, fproto.NotifyResults, &f.note)
 		if err == nil {
 			return
 		}
@@ -663,6 +638,7 @@ func (d *Dispatcher) pushResults(f *fx, peer *wsrpc.Peer, inst *instance, rs []t
 				// A task resubmitted since its result was pushed is owed
 				// again, by the copy that re-runs: its result is dropped.
 				if inst.live.Add(r.ID) {
+					r.Keep()
 					inst.buf = append(inst.buf, r)
 				}
 			}
@@ -799,11 +775,10 @@ func (d *Dispatcher) restore(st *wal.State) {
 			name:      win.Name,
 			tenant:    tenant,
 			submitted: win.Submitted,
-			buf:       win.Results[:0],
 		}
-		for _, r := range win.Results { // each ID's result once
-			if inst.live.Add(r.ID) {
-				inst.buf = append(inst.buf, r)
+		for i := range win.Results { // each ID's result once
+			if inst.live.Add(win.Results[i].ID) {
+				inst.buf = append(inst.buf, task.RelayResult(&win.Results[i]))
 			}
 		}
 		d.instances[win.EPR] = inst
@@ -828,12 +803,16 @@ func (d *Dispatcher) captureLocked() *wal.State {
 	st := &wal.State{Counters: d.core.Counters, Pending: make([]wal.Pending, 0, d.core.QueueLen()+d.core.OutstandingLen())}
 	for epr, inst := range d.instances {
 		inst.mu.Lock()
+		var rs []task.Result
+		for i := range inst.buf {
+			rs = append(rs, inst.buf[i].Result())
+		}
 		st.Instances = append(st.Instances, wal.Instance{
 			EPR:       epr,
 			Name:      inst.name,
 			Tenant:    inst.tenant,
 			Submitted: inst.submitted,
-			Results:   append([]task.Result(nil), inst.buf...),
+			Results:   rs,
 		})
 		inst.mu.Unlock()
 	}
@@ -1210,7 +1189,7 @@ func (d *Dispatcher) replay(f *fx, o *sched.Outstanding[string, outKey, taskRef]
 		f.trace(d.now(), obs.EvRetried, o.Item.X.t.Trace, o.Item.X.t.ID, o.Item.X.epr, o.Executor)
 		return
 	}
-	d.finalize(f, o.Item.X, task.Result{
+	r := task.RelayResult(&task.Result{
 		ID:           o.Item.X.t.ID,
 		Trace:        o.Item.X.t.Trace,
 		Err:          "retries exhausted: " + reason,
@@ -1221,6 +1200,7 @@ func (d *Dispatcher) replay(f *fx, o *sched.Outstanding[string, outKey, taskRef]
 		FinishedAt:   d.now(),
 		Attempts:     o.Item.Attempts,
 	})
+	d.finalize(f, o.Item.X, &r)
 }
 
 // assignLocked answers a pull by executor ex for asked tasks from the
@@ -1286,21 +1266,20 @@ func (d *Dispatcher) journalCompletesLocked() {
 
 // finalize delivers a finished result to its instance (push or buffer).
 // Callers hold mu; the push itself is deferred into f, and the journal record
-// to the caller's journalCompletesLocked.
-func (d *Dispatcher) finalize(f *fx, tr taskRef, r task.Result) {
-	var encoded []byte
+// to the caller's journalCompletesLocked. r's bytes may be a view of the frame
+// it came in: what is buffered is a copy.
+func (d *Dispatcher) finalize(f *fx, tr taskRef, r *task.RelayedResult) {
 	if d.wal != nil {
 		// Logged with the payload so undelivered results survive a crash
-		// and are redelivered on recovery (clients dedupe by task ID). It is
-		// encoded once, for the record and for its push.
+		// and are redelivered on recovery (clients dedupe by task ID): the
+		// push's splice, written in f.enc.
 		from := len(f.enc)
 		f.enc = r.AppendJSON(f.enc)
-		encoded = f.enc[from:len(f.enc):len(f.enc)]
-		d.done = append(d.done, wal.Finalized{EPR: tr.epr, Result: encoded})
+		d.done = append(d.done, wal.Finalized{EPR: tr.epr, Result: f.enc[from:len(f.enc):len(f.enc)]})
 	}
 	if r.Failed() {
 		d.core.Counters.Failed++
-		f.trace(d.now(), obs.EvFailed, r.Trace, r.ID, tr.epr, r.ExecutorID)
+		f.trace(d.now(), obs.EvFailed, r.Trace, r.ID, tr.epr, r.Result().ExecutorID)
 	} else {
 		d.core.Counters.Completed++
 	}
@@ -1316,13 +1295,12 @@ func (d *Dispatcher) finalize(f *fx, tr taskRef, r task.Result) {
 		inst.live.Remove(r.ID) // pushed: discharged, unless pushResults finds the push failed
 		peer := inst.peer
 		inst.mu.Unlock()
-		if inst.fromParent {
-			encoded = nil // pushed without the fields a parent sets
-		}
-		f.push(peer, inst, encoded, r)
+		f.push(peer, inst, *r)
 		return
 	}
-	inst.buf = append(inst.buf, r)
+	kept := *r
+	kept.Keep()
+	inst.buf = append(inst.buf, kept)
 	inst.mu.Unlock()
 }
 

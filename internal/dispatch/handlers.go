@@ -144,7 +144,7 @@ func (d *Dispatcher) reattachInstance(p *wsrpc.Peer, req *fproto.CreateInstanceR
 	inst.mu.Lock()
 	inst.peer = p
 	if rs := inst.takeResults(); len(rs) > 0 {
-		f.push(p, inst, nil, rs...)
+		f.push(p, inst, rs...)
 	}
 	inst.mu.Unlock()
 	d.flush(f)
@@ -216,26 +216,19 @@ func (d *Dispatcher) sweepLocked(f *fx, inst *instance) {
 	d.tenants.release(inst.tenant, dropped, false)
 }
 
-// connScratch is what a dispatcher keeps on a connection from call to call
-// (DESIGN.md §9, "Scratch"): the scratch its submits are read through, and the
-// buffer its deliveries' results are encoded in when the dispatcher journals
-// (fx.enc).
-type connScratch struct {
-	tasks   task.Scratch
-	results []byte
-}
-
-func scratchOf(p *wsrpc.Peer) *connScratch {
-	if s, _ := p.Scratch().(*connScratch); s != nil {
+// scratchOf is what a dispatcher keeps on a connection from call to call
+// (DESIGN.md §9, "Scratch"): the scratch its submits are read through.
+func scratchOf(p *wsrpc.Peer) *task.Scratch {
+	if s, _ := p.Scratch().(*task.Scratch); s != nil {
 		return s
 	}
-	return new(connScratch)
+	return new(task.Scratch)
 }
 
 func (d *Dispatcher) handleSubmit(p *wsrpc.Peer, body json.RawMessage) (any, error) {
 	s := scratchOf(p)
 	var req fproto.Bundle
-	err := req.DecodeInterned(body, d.internEPR, &s.tasks)
+	err := req.DecodeInterned(body, d.internEPR, s)
 	p.KeepScratch(s)
 	if err != nil {
 		return nil, badBody(err)
@@ -511,19 +504,8 @@ func (d *Dispatcher) handleDeliver(p *wsrpc.Peer, body json.RawMessage) (any, er
 	err := f.req.DecodeInterned(body, func(b []byte) string { return d.internFrom(p, b) })
 	if err != nil {
 		err = badBody(err)
-	} else if d.wal == nil {
-		err = d.deliver(f, &f.req)
 	} else {
-		// The results are encoded in the connection's buffer, which is kept
-		// as its read buffer is: made anew only when it is over 1 MiB and a
-		// delivery used under an eighth of it.
-		s := scratchOf(p)
-		f.enc = s.results[:0]
 		err = d.deliver(f, &f.req)
-		if s.results = f.enc[:0]; cap(f.enc) > 1<<20 && len(f.enc) < cap(f.enc)/8 {
-			s.results = nil
-		}
-		p.KeepScratch(s)
 	}
 	if err == nil {
 		return (*grantReply)(f), nil
@@ -537,12 +519,14 @@ func (d *Dispatcher) handleDeliver(p *wsrpc.Peer, body json.RawMessage) (any, er
 func (d *Dispatcher) Deliver(req *fproto.DeliverRequest) ([]fproto.Relay, error) {
 	f := d.fxs.get()
 	defer f.release()
-	err := d.deliver(f, req)
+	f.req.From(req)
+	err := d.deliver(f, &f.req)
 	return append([]fproto.Relay(nil), f.reply...), err
 }
 
-// deliver is Deliver with the grant left in f.reply; f is the caller's to release.
-func (d *Dispatcher) deliver(f *fx, req *fproto.DeliverRequest) error {
+// deliver is Deliver with the grant left in f.reply; f is the caller's to
+// release. The results are req's, stamped where they lie.
+func (d *Dispatcher) deliver(f *fx, req *fproto.Delivery) error {
 	t0 := d.now()
 	d.mu.Lock()
 	t1 := d.now()
@@ -556,14 +540,13 @@ func (d *Dispatcher) deliver(f *fx, req *fproto.DeliverRequest) error {
 	// dispatched, ran for what its results report.
 	sent, ran := now, time.Duration(0)
 	for i := range req.Results {
-		tr := &req.Results[i]
-		o, ok := d.core.CompleteFrom(ex, outKey{tr.EPR, tr.Result.ID})
+		r := &req.Results[i]
+		o, ok := d.core.CompleteFrom(ex, outKey{r.EPR, r.ID})
 		if !ok {
 			continue // duplicate delivery, counted by the core
 		}
 		sent = min(sent, o.DispatchedAt)
-		ran += tr.RunDur
-		r := tr.Result
+		ran += r.RunDur
 		// Rebase executor-local timing onto the dispatcher epoch: the run
 		// duration is trusted, absolute stamps are not (clock skew). The
 		// core clamped NotifiedAt at assignment; Stamps.Clamp enforces the
@@ -573,7 +556,7 @@ func (d *Dispatcher) deliver(f *fx, req *fproto.DeliverRequest) error {
 			Queued:     o.Item.QueuedAt,
 			Notified:   o.NotifiedAt,
 			Dispatched: o.DispatchedAt,
-			Started:    now - tr.RunDur,
+			Started:    now - r.RunDur,
 			Finished:   now,
 		}.Clamp()
 		r.QueuedAt = st.Queued
@@ -581,20 +564,16 @@ func (d *Dispatcher) deliver(f *fx, req *fproto.DeliverRequest) error {
 		r.StartedAt = st.Started
 		r.FinishedAt = st.Finished
 		r.Attempts = o.Item.Attempts
-		if r.ExecutorID == "" {
-			// Otherwise the result says who ran it: below a tree's interior
-			// node that is an executor of a leaf, not the link that delivers.
-			r.ExecutorID = req.ExecutorID
-		}
+		r.RanOn(req.ExecutorID)
 		r.Trace = o.Item.X.t.Trace
 		d.core.NoteCompletion(ex, o.Item.X.t.Dataset())
 		if r.Failed() && len(d.opts.Leaves) == 0 { // a leaf's failure is final (Options.Leaves)
 			d.replay(f, &o, "task failed: "+failReason(r))
 			continue
 		}
-		f.trace(st.Started, obs.EvStarted, r.Trace, r.ID, tr.EPR, req.ExecutorID)
-		f.trace(st.Finished, obs.EvFinished, r.Trace, r.ID, tr.EPR, req.ExecutorID)
-		f.trace(now, obs.EvDelivered, r.Trace, r.ID, tr.EPR, req.ExecutorID)
+		f.trace(st.Started, obs.EvStarted, r.Trace, r.ID, r.EPR, req.ExecutorID)
+		f.trace(st.Finished, obs.EvFinished, r.Trace, r.ID, r.EPR, req.ExecutorID)
+		f.trace(now, obs.EvDelivered, r.Trace, r.ID, r.EPR, req.ExecutorID)
 		var tenant string
 		if d.tenants != nil {
 			tenant = taskTenant(o.Item.X) // labels per-tenant histograms in flush
@@ -624,12 +603,13 @@ func (d *Dispatcher) deliver(f *fx, req *fproto.DeliverRequest) error {
 	return nil
 }
 
-// failReason summarizes a failed result for logs.
-func failReason(r task.Result) string {
-	if r.Err != "" {
-		return r.Err
+// failReason summarizes a failed result for logs, read from its bytes.
+func failReason(r *task.RelayedResult) string {
+	res := r.Result()
+	if res.Err != "" {
+		return res.Err
 	}
-	return fmt.Sprintf("exit code %d", r.ExitCode)
+	return fmt.Sprintf("exit code %d", res.ExitCode)
 }
 
 func (d *Dispatcher) handleStats(_ *wsrpc.Peer, _ json.RawMessage) (any, error) {

@@ -41,7 +41,8 @@ type instance struct {
 	// buf is the one place a finished result waits: while the instance has no
 	// peer (its client dropped, a push at it failed, or it was recovered from
 	// the journal and not yet re-attached). The next reattach pushes it all.
-	buf []task.Result
+	// Each result's bytes are its own (task.RelayedResult.Keep).
+	buf []task.RelayedResult
 
 	// live holds every task ID the instance still owes its client a result
 	// for — queued, outstanding, or buffered — on every node: a resubmitted
@@ -54,7 +55,7 @@ type instance struct {
 
 // takeResults removes and returns every buffered result; pushed, their
 // delivery obligation is discharged. Callers hold in.mu.
-func (in *instance) takeResults() []task.Result {
+func (in *instance) takeResults() []task.RelayedResult {
 	out := in.buf
 	in.buf = nil // the array is the caller's now
 	for _, r := range out {

@@ -13,7 +13,7 @@ func TestTakeResultsClearsLive(t *testing.T) {
 	in.live.Add(1)
 	in.live.Add(2)
 	in.live.Add(3) // still running: owed, not buffered
-	in.buf = append(in.buf, task.Result{ID: 1}, task.Result{ID: 2})
+	in.buf = append(in.buf, task.RelayedResult{ID: 1}, task.RelayedResult{ID: 2})
 	if got := in.takeResults(); len(got) != 2 || got[0].ID != 1 || got[1].ID != 2 {
 		t.Fatalf("takeResults = %v", got)
 	}

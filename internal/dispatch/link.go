@@ -44,18 +44,17 @@ type link struct {
 	down, real map[string]string
 
 	// dmu guards the link's scratch for a delivery: pushed, what the leaf's push
-	// is decoded into, and tagged, the same results as handed to the root. smu
+	// is read into, and delivered, the same results as handed to the root. smu
 	// guards what goes down the wire (the link's goroutine and submit handlers
 	// take turns, so a downstream instance is created once), stocked, a
 	// stocking's grants, and sub and rep, the submit that carries a run of
 	// them down and its reply, handed to Call by pointer.
-	dmu, smu sync.Mutex
-	pushed   fproto.ResultsNotify
-	execs    fproto.Seen // the leaf's executor IDs its pushes name
-	tagged   []fproto.TaggedResult
-	stocked  []fproto.Relay
-	sub      fproto.Bundle
-	rep      fproto.SubmitReply
+	dmu, smu  sync.Mutex
+	pushed    fproto.RelayedResults
+	delivered fproto.Delivery
+	stocked   []fproto.Relay
+	sub       fproto.Bundle
+	rep       fproto.SubmitReply
 
 	// kick (buffered 1) has the link's goroutine stock the leaf: a downstream
 	// call from a root handler or this leaf's read loop could wait on itself.
@@ -176,7 +175,8 @@ func (l *link) due() int {
 
 // onNotify handles the leaf's pushes, on its read loop: capacity hints resize
 // the link; a result notification is one delivery to the root, after which the
-// link's goroutine restocks the leaf.
+// link's goroutine restocks the leaf. The results go to the root as they were
+// read, their bytes a view of the push, which the root splices into its own.
 func (l *link) onNotify(method string, body json.RawMessage) {
 	if method == fproto.NotifyCapacity {
 		var h fproto.CapacityHint
@@ -188,12 +188,12 @@ func (l *link) onNotify(method string, body json.RawMessage) {
 		return
 	}
 	// One delivery at a time (an old connection's read loop may be draining
-	// beside its replacement's), through one pair of buffers: the root keeps
-	// nothing of a request.
+	// beside its replacement's), through one buffer: the root keeps nothing
+	// of a request.
 	l.dmu.Lock()
 	defer l.dmu.Unlock()
 	n := &l.pushed
-	if n.DecodeInterned(body, l.downEPR, l.execs.Intern) != nil {
+	if n.DecodeInterned(body, l.downEPR) != nil {
 		return
 	}
 	l.mu.Lock()
@@ -201,22 +201,23 @@ func (l *link) onNotify(method string, body json.RawMessage) {
 	if ok {
 		l.row.Results += int64(len(n.Results))
 		for i := range n.Results {
-			l.sizer.Observe(n.Results[i].FinishedAt-n.Results[i].StartedAt, 0)
+			l.sizer.Observe(n.Results[i].RunDur, 0)
 		}
 	}
 	l.mu.Unlock()
 	if !ok {
 		return // an instance this root dropped or destroyed
 	}
-	l.tagged = fproto.Recycle(l.tagged)
 	for i := range n.Results {
-		r := &n.Results[i]
-		l.tagged = append(l.tagged, fproto.TaggedResult{EPR: epr, Result: *r, RunDur: r.FinishedAt - r.StartedAt})
+		n.Results[i].EPR = epr
 	}
+	l.delivered = fproto.Delivery{ExecutorID: l.id, Results: n.Results}
+	f := l.d.fxs.get()
 	// An error means the link is not registered: the root requeued these tasks.
-	_, err := l.d.Deliver(&fproto.DeliverRequest{ExecutorID: l.id, Results: l.tagged})
-	clear(l.tagged) // the results' output strings, twice
-	clear(n.Results)
+	err := l.d.deliver(f, &l.delivered)
+	f.release()
+	l.delivered = fproto.Delivery{}
+	clear(n.Results) // views of the push
 	if err == nil {
 		l.Notify("", nil)
 	}

@@ -203,7 +203,7 @@ func bootTier(tb testing.TB, tree bool, execs, slots int, opts dispatch.Options)
 	}
 	for i := 0; i < execs; i++ {
 		startExec(tb, executor.Options{ID: fmt.Sprintf("budget-e%d", i), DispatcherAddr: leaves[i%len(leaves)].Addr(), Slots: slots, PSK: opts.PSK,
-			Funcs: map[string]executor.Func{"mixed": mixedFunc, "instant": instantFunc}})
+			Funcs: map[string]executor.Func{"mixed": mixedFunc, "instant": instantFunc, "stdout": stdoutFunc}})
 	}
 	if !tree {
 		return leaves[0].Addr(), leaves
@@ -237,7 +237,9 @@ func bootTier(tb testing.TB, tree bool, execs, slots int, opts dispatch.Options)
 // a long one); and func the plain load with func tasks that all return at
 // once: work that states no run time, which a grant still cuts into even
 // shares over the free slots where it hands stated work out whole (the sleep
-// tasks of plain). It reports the process's heap allocations per task, objects
+// tasks of plain); and stdout the func load with each task returning 1 KiB of
+// stdout, sixteen lines, where every other row's tasks print nothing: what a
+// result's bytes cost a dispatcher that relays them. It reports the process's heap allocations per task, objects
 // and bytes, as the repo benchmark counts them, and on linux its read(2) and
 // write(2) calls per task, every connection's both ends included, and the
 // tasks in a leaf's grant to an executor, on average; tree minus plain is
@@ -257,6 +259,7 @@ func BenchmarkBulkRound(b *testing.B) {
 		{name: "plain"}, {name: "journal", journal: true}, {name: "tree", tree: true}, {name: "secure", secure: true},
 		{name: "fair", fair: true}, {name: "tree-journal", tree: true, journal: true}, {name: "slots", slots: 4},
 		{name: "journal-fsync", journal: true, fsync: true}, {name: "mixed", mixed: true, fn: "mixed"}, {name: "func", fn: "instant"},
+		{name: "stdout", fn: "stdout"},
 	} {
 		b.Run(tc.name, func(b *testing.B) {
 			var opts dispatch.Options
@@ -369,6 +372,13 @@ type mixedLoop struct {
 
 // instantFunc is the func load's task: it returns at once.
 func instantFunc(task.Task) (string, int, error) { return "", 0, nil }
+
+// stdoutFunc is the stdout load's task: it returns at once, with stdoutKiB.
+func stdoutFunc(task.Task) (string, int, error) { return stdoutKiB, 0, nil }
+
+// stdoutKiB is 1 KiB of output: sixteen 64-byte lines, each ending in a
+// newline, which the wire escapes.
+var stdoutKiB = strings.Repeat(strings.Repeat("x", 63)+"\n", 16)
 
 // mixedFunc is the mixed load's task: every 20th sleeps 2 ms, the rest return
 // at once.

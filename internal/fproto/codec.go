@@ -401,6 +401,61 @@ func (m *DeliverRequest) DecodeInterned(b []byte, known Intern) error {
 	return finish(&r, b, m)
 }
 
+// DecodeInterned decodes b, a DeliverRequest's JSON, into m, with the executor
+// ID and the results' EPRs shared through known, and each result read in one
+// pass as a dispatcher holds it (task.RelayedResult.ReadJSON), its bytes a view
+// of b. A body outside the canonical layout goes to encoding/json, is counted,
+// and has its results encoded again.
+func (m *Delivery) DecodeInterned(b []byte, known Intern) error {
+	var r jsonwire.Reader
+	r.Reset(b)
+	was := m.Results
+	*m = Delivery{Results: was[:0]}
+	r.Expect(`{"executor_id":`)
+	m.ExecutorID = r.Interned("", known)
+	if r.Lit(`,"results":[`) {
+		m.Results = room(was, r.Elems())
+		for epr := ""; r.Elem(len(m.Results)); {
+			m.Results = append(m.Results, task.RelayedResult{})
+			res := &m.Results[len(m.Results)-1]
+			r.Expect(`{"epr":`)
+			epr = r.Interned(epr, known)
+			res.EPR = epr
+			r.Expect(`,"result":`)
+			res.ReadJSON(&r)
+			r.Expect(`,"run_dur":`)
+			res.RunDur = time.Duration(r.Int64())
+			r.Expect(`}`)
+		}
+	}
+	if r.Lit(`,"want_work":`) {
+		m.WantWork = r.Bool()
+	}
+	if r.Lit(`,"max_new":`) {
+		m.MaxNew = r.Int()
+	}
+	r.Expect(`}`)
+	settle(m.Results, was)
+	if r.OK() {
+		return nil
+	}
+	var req DeliverRequest
+	err := finish(&r, b, &req)
+	m.From(&req)
+	return err
+}
+
+// From sets m to req, each result as task.RelayResult relays it.
+func (m *Delivery) From(req *DeliverRequest) {
+	*m = Delivery{ExecutorID: req.ExecutorID, Results: m.Results[:0], WantWork: req.WantWork, MaxNew: req.MaxNew}
+	for i := range req.Results {
+		tr := &req.Results[i]
+		res := task.RelayResult(&tr.Result)
+		res.EPR, res.RunDur = tr.EPR, tr.RunDur
+		m.Results = append(m.Results, res)
+	}
+}
+
 // AppendJSON appends m's JSON encoding to dst.
 func (m WorkAvailable) AppendJSON(dst []byte) []byte {
 	dst = append(dst, `{"queued":`...)
@@ -425,19 +480,14 @@ func (m ResultsNotify) AppendJSON(dst []byte) []byte {
 }
 
 // AppendJSON appends m's JSON encoding to dst: a ResultsNotify's, each result
-// without the four fields its receiver sets.
-func (m *ParentResults) AppendJSON(dst []byte) []byte {
-	return appendResults(dst, m.EPR, m.Results, func(r *task.Result, dst []byte) []byte {
-		up := *r
-		up.QueuedAt, up.DispatchedAt, up.Attempts, up.Trace = 0, 0, 0, 0
-		return up.AppendJSON(dst)
-	})
-}
-
-// AppendJSON appends the ResultsNotify m encodes: its results are spliced in
-// as they were encoded.
-func (m *EncodedResults) AppendJSON(dst []byte) []byte {
-	return appendResults(dst, m.EPR, m.Results, func(r *[]byte, dst []byte) []byte { return append(dst, *r...) })
+// spliced from its bytes (task.RelayedResult.AppendJSON), or to a parent
+// without what the parent sets.
+func (m *RelayedResults) AppendJSON(dst []byte) []byte {
+	appendOne := (*task.RelayedResult).AppendJSON
+	if m.Parent {
+		appendOne = (*task.RelayedResult).AppendParent
+	}
+	return appendResults(dst, m.EPR, m.Results, appendOne)
 }
 
 func appendResults[T any](dst []byte, epr string, rs []T, appendResult func(*T, []byte) []byte) []byte {
@@ -474,4 +524,38 @@ func (m *ResultsNotify) DecodeInterned(b []byte, known, execs Intern) error {
 	r.Expect(`}`)
 	settle(m.Results, was)
 	return finish(&r, b, m)
+}
+
+// DecodeInterned decodes b, a ResultsNotify's JSON, into m, with the EPR shared
+// through known and each result read as a dispatcher holds it, its bytes a
+// view of b; a body outside the canonical layout goes to encoding/json, as
+// for a Delivery. Parent is left false.
+func (m *RelayedResults) DecodeInterned(b []byte, known Intern) error {
+	var r jsonwire.Reader
+	r.Reset(b)
+	was := m.Results
+	*m = RelayedResults{}
+	r.Expect(`{"epr":`)
+	m.EPR = r.Interned("", known)
+	r.Expect(`,"results":`)
+	if !r.Lit(`null`) {
+		r.Expect(`[`)
+		m.Results = room(was, r.Elems())
+		for r.Elem(len(m.Results)) {
+			m.Results = append(m.Results, task.RelayedResult{})
+			m.Results[len(m.Results)-1].ReadJSON(&r)
+		}
+	}
+	r.Expect(`}`)
+	settle(m.Results, was)
+	if r.OK() {
+		return nil
+	}
+	var n ResultsNotify
+	err := finish(&r, b, &n)
+	*m = RelayedResults{EPR: n.EPR, Results: was[:0]}
+	for i := range n.Results {
+		m.Results = append(m.Results, task.RelayResult(&n.Results[i]))
+	}
+	return err
 }

@@ -283,21 +283,29 @@ func TestRelayedIsWhatWasSent(t *testing.T) {
 	}
 }
 
-// A push of results encoded once, for a journal's record too, is the
-// ResultsNotify of those results, byte for byte.
-func TestEncodedResultsIsResultsNotify(t *testing.T) {
+// A push of results as a dispatcher holds them is the ResultsNotify of those
+// results, byte for byte, and to a tree parent the one of those results less
+// what the parent sets.
+func TestRelayedResultsIsResultsNotify(t *testing.T) {
 	g := &gen{rand.New(rand.NewSource(3))}
 	for i := 0; i < 300; i++ {
 		rs := make([]task.Result, 1+g.rng.Intn(4))
-		encoded := make([][]byte, len(rs))
+		relayed := make([]task.RelayedResult, len(rs))
+		up := make([]task.Result, len(rs))
 		for j := range rs {
 			rs[j] = g.result()
-			encoded[j] = rs[j].AppendJSON(nil)
+			relayed[j] = task.RelayResult(&rs[j])
+			up[j] = rs[j]
+			up[j].QueuedAt, up[j].DispatchedAt, up[j].Attempts, up[j].Trace = 0, 0, 0, 0
 		}
 		epr := g.str()
 		want := ResultsNotify{EPR: epr, Results: rs}.AppendJSON(nil)
-		if got := (&EncodedResults{EPR: epr, Results: encoded}).AppendJSON(nil); !bytes.Equal(got, want) {
-			t.Fatalf("EncodedResults encodes\n %s\nResultsNotify\n %s", got, want)
+		if got := (&RelayedResults{EPR: epr, Results: relayed}).AppendJSON(nil); !bytes.Equal(got, want) {
+			t.Fatalf("RelayedResults encodes\n %s\nResultsNotify\n %s", got, want)
+		}
+		want = ResultsNotify{EPR: epr, Results: up}.AppendJSON(nil)
+		if got := (&RelayedResults{EPR: epr, Results: relayed, Parent: true}).AppendJSON(nil); !bytes.Equal(got, want) {
+			t.Fatalf("RelayedResults to a parent encodes\n %s\nResultsNotify\n %s", got, want)
 		}
 	}
 }

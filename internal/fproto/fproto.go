@@ -257,6 +257,16 @@ type DeliverRequest struct {
 	MaxNew   int  `json:"max_new,omitempty"`
 }
 
+// Delivery is a DeliverRequest as a dispatcher reads it: each result as it
+// holds it (DESIGN.md §9, "Relay"), with the EPR and run time its TaggedResult
+// gives.
+type Delivery struct {
+	ExecutorID string
+	Results    []task.RelayedResult
+	WantWork   bool
+	MaxNew     int
+}
+
 // DeliverReply acknowledges results and piggy-backs new work: a GetWorkReply.
 type DeliverReply = GetWorkReply
 
@@ -272,18 +282,15 @@ type ResultsNotify struct {
 	Results []task.Result `json:"results"`
 }
 
-// EncodedResults is a ResultsNotify whose results are already encoded, each
-// the bytes task.Result.AppendJSON writes: a dispatcher that journals encodes
-// a result once, for its complete record and for this push. It is sent, never
-// decoded.
-type EncodedResults struct {
+// RelayedResults is a ResultsNotify as a dispatcher pushes it and a tree root
+// reads a leaf's: each result as it holds it (DESIGN.md §9, "Relay").
+type RelayedResults struct {
 	EPR     string
-	Results [][]byte
+	Results []task.RelayedResult
+	// Parent says the push goes to a tree parent, which sets queued_at,
+	// dispatched_at, attempts and trace itself: they are left out.
+	Parent bool
 }
-
-// ParentResults is a ResultsNotify as pushed to a tree parent: its results leave
-// out queued_at, dispatched_at, attempts and trace, which the parent sets.
-type ParentResults ResultsNotify
 
 // StatsReply summarizes dispatcher state; the provisioner polls this
 // ({POLL} in Figure 2).

@@ -360,6 +360,10 @@ func (r *Reader) OK() bool { return !r.bad && r.at == len(r.doc) }
 // Failed reports whether something so far did not parse.
 func (r *Reader) Failed() bool { return r.bad }
 
+// Fail fails the reader: for a value that parses but that a decoder does not
+// take on the fast path.
+func (r *Reader) Fail() { r.bad = true }
+
 // Lit consumes s if the input continues with it, and reports whether it did.
 // It is how optional (omitempty) fields and loop ends are tested; a miss is
 // not a failure.

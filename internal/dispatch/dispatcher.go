@@ -322,9 +322,9 @@ func (f *fx) release() {
 		f.results = emptied(f.results)
 		f.runs = emptied(f.runs)
 		f.enc = f.enc[:0]
-		f.req = fproto.Delivery{Results: emptied(f.req.Results)}
+		f.req.Results = emptied(f.req.Results) // the reader it keeps stays
 		f.grant, f.reply = emptied(f.grant), nil
-		f.ack, f.note = fproto.SubmitReply{}, fproto.RelayedResults{}
+		f.ack, f.note.Results = fproto.SubmitReply{}, nil
 	}
 	l := f.free
 	l.mu.Lock()

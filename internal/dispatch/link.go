@@ -211,12 +211,12 @@ func (l *link) onNotify(method string, body json.RawMessage) {
 	for i := range n.Results {
 		n.Results[i].EPR = epr
 	}
-	l.delivered = fproto.Delivery{ExecutorID: l.id, Results: n.Results}
+	l.delivered.ExecutorID, l.delivered.Results = l.id, n.Results
 	f := l.d.fxs.get()
 	// An error means the link is not registered: the root requeued these tasks.
 	err := l.d.deliver(f, &l.delivered)
 	f.release()
-	l.delivered = fproto.Delivery{}
+	l.delivered.Results = nil
 	clear(n.Results) // views of the push
 	if err == nil {
 		l.Notify("", nil)

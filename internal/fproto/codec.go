@@ -405,12 +405,13 @@ func (m *DeliverRequest) DecodeInterned(b []byte, known Intern) error {
 // ID and the results' EPRs shared through known, and each result read in one
 // pass as a dispatcher holds it (task.RelayedResult.ReadJSON), its bytes a view
 // of b. A body outside the canonical layout goes to encoding/json, is counted,
-// and has its results encoded again.
+// and has its results encoded again. A result's output is validated in the
+// reader m keeps, so an escaped one costs nothing once m has read its like.
 func (m *Delivery) DecodeInterned(b []byte, known Intern) error {
-	var r jsonwire.Reader
+	r := &m.rd
 	r.Reset(b)
 	was := m.Results
-	*m = Delivery{Results: was[:0]}
+	m.ExecutorID, m.Results, m.WantWork, m.MaxNew = "", was[:0], false, 0
 	r.Expect(`{"executor_id":`)
 	m.ExecutorID = r.Interned("", known)
 	if r.Lit(`,"results":[`) {
@@ -422,7 +423,7 @@ func (m *Delivery) DecodeInterned(b []byte, known Intern) error {
 			epr = r.Interned(epr, known)
 			res.EPR = epr
 			r.Expect(`,"result":`)
-			res.ReadJSON(&r)
+			res.ReadJSON(r)
 			r.Expect(`,"run_dur":`)
 			res.RunDur = time.Duration(r.Int64())
 			r.Expect(`}`)
@@ -440,14 +441,14 @@ func (m *Delivery) DecodeInterned(b []byte, known Intern) error {
 		return nil
 	}
 	var req DeliverRequest
-	err := finish(&r, b, &req)
+	err := finish(r, b, &req)
 	m.From(&req)
 	return err
 }
 
 // From sets m to req, each result as task.RelayResult relays it.
 func (m *Delivery) From(req *DeliverRequest) {
-	*m = Delivery{ExecutorID: req.ExecutorID, Results: m.Results[:0], WantWork: req.WantWork, MaxNew: req.MaxNew}
+	m.ExecutorID, m.Results, m.WantWork, m.MaxNew = req.ExecutorID, m.Results[:0], req.WantWork, req.MaxNew
 	for i := range req.Results {
 		tr := &req.Results[i]
 		res := task.RelayResult(&tr.Result)
@@ -531,10 +532,10 @@ func (m *ResultsNotify) DecodeInterned(b []byte, known, execs Intern) error {
 // view of b; a body outside the canonical layout goes to encoding/json, as
 // for a Delivery. Parent is left false.
 func (m *RelayedResults) DecodeInterned(b []byte, known Intern) error {
-	var r jsonwire.Reader
+	r := &m.rd
 	r.Reset(b)
 	was := m.Results
-	*m = RelayedResults{}
+	m.EPR, m.Results, m.Parent = "", nil, false
 	r.Expect(`{"epr":`)
 	m.EPR = r.Interned("", known)
 	r.Expect(`,"results":`)
@@ -543,7 +544,7 @@ func (m *RelayedResults) DecodeInterned(b []byte, known Intern) error {
 		m.Results = room(was, r.Elems())
 		for r.Elem(len(m.Results)) {
 			m.Results = append(m.Results, task.RelayedResult{})
-			m.Results[len(m.Results)-1].ReadJSON(&r)
+			m.Results[len(m.Results)-1].ReadJSON(r)
 		}
 	}
 	r.Expect(`}`)
@@ -552,8 +553,8 @@ func (m *RelayedResults) DecodeInterned(b []byte, known Intern) error {
 		return nil
 	}
 	var n ResultsNotify
-	err := finish(&r, b, &n)
-	*m = RelayedResults{EPR: n.EPR, Results: was[:0]}
+	err := finish(r, b, &n)
+	m.EPR, m.Results = n.EPR, was[:0]
 	for i := range n.Results {
 		m.Results = append(m.Results, task.RelayResult(&n.Results[i]))
 	}

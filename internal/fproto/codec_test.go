@@ -573,6 +573,134 @@ func checkRelay(t *testing.T, data []byte) {
 	}
 }
 
+// checkResultRelay is FuzzBodyCodec's half for a dispatcher's reading of
+// results (DESIGN.md §9, "Relay"): data read as a leaf's push
+// (RelayedResults) and as a Deliver (Delivery) agrees with json.Unmarshal,
+// the oracle, on error versus value and on what a dispatcher reads of each
+// result — the ID, the EPR, whether it failed, its run time — and splices, with
+// what a dispatcher sets, to bytes json.Unmarshal reads as the oracle's result
+// with the same set (checkSplice).
+func checkResultRelay(t *testing.T, data []byte) {
+	var want ResultsNotify
+	werr := json.Unmarshal(data, &want)
+	var got RelayedResults
+	buf := bytes.Clone(data)
+	if gerr := got.DecodeInterned(buf, nil); (gerr == nil) != (werr == nil) {
+		t.Fatalf("RelayedResults %q: DecodeInterned err %v, json.Unmarshal err %v", data, gerr, werr)
+	} else if gerr == nil {
+		if got.EPR != want.EPR || len(got.Results) != len(want.Results) {
+			t.Fatalf("RelayedResults %q: EPR %q and %d results, want %q and %d", data, got.EPR, len(got.Results), want.EPR, len(want.Results))
+		}
+		for i := range got.Results {
+			w := &want.Results[i]
+			checkSplice(t, data, &got.Results[i], w, "", w.FinishedAt-w.StartedAt)
+		}
+		checkKept(t, data, buf, got.Results)
+	}
+	var wantDel DeliverRequest
+	werr = json.Unmarshal(data, &wantDel)
+	var del Delivery
+	buf = bytes.Clone(data)
+	if gerr := del.DecodeInterned(buf, nil); (gerr == nil) != (werr == nil) {
+		t.Fatalf("Delivery %q: DecodeInterned err %v, json.Unmarshal err %v", data, gerr, werr)
+	} else if gerr == nil {
+		if del.ExecutorID != wantDel.ExecutorID || del.WantWork != wantDel.WantWork || del.MaxNew != wantDel.MaxNew || len(del.Results) != len(wantDel.Results) {
+			t.Fatalf("Delivery %q read as %+v, want %+v", data, del, wantDel)
+		}
+		for i := range del.Results {
+			w := &wantDel.Results[i]
+			checkSplice(t, data, &del.Results[i], &w.Result, w.EPR, w.RunDur)
+		}
+		checkKept(t, data, buf, del.Results)
+	}
+}
+
+// checkKept holds results read from buf to their bytes being their own once
+// kept: buf may change under them.
+func checkKept(t *testing.T, data, buf []byte, rs []task.RelayedResult) {
+	t.Helper()
+	spliced := make([][]byte, len(rs))
+	for i := range rs {
+		rs[i].Keep()
+		spliced[i] = rs[i].AppendJSON(nil)
+	}
+	for i := range buf {
+		buf[i] = '#'
+	}
+	for i := range rs {
+		if again := rs[i].AppendJSON(nil); !bytes.Equal(again, spliced[i]) {
+			t.Fatalf("%q: a kept result splices to %s once its frame is overwritten, %s before", data, again, spliced[i])
+		}
+	}
+}
+
+// checkSplice holds one result r read from data to w, what json.Unmarshal read
+// of it, with epr and run time runDur. Stamped as a dispatcher stamps a
+// result, r splices to bytes that read as w so stamped, as its client and as
+// Result decodes them — and, read from w's canonical encoding instead, to
+// Result.AppendJSON's bytes, byte for byte, whole and as a tree parent is
+// pushed it.
+func checkSplice(t *testing.T, data []byte, r *task.RelayedResult, w *task.Result, epr string, runDur time.Duration) {
+	t.Helper()
+	if r.ID != w.ID || r.EPR != epr || r.Failed() != w.Failed() || r.RunDur != runDur {
+		t.Fatalf("%q: result read as ID %d, EPR %q, failed %v, run %v; want %d, %q, %v, %v",
+			data, r.ID, r.EPR, r.Failed(), r.RunDur, w.ID, epr, w.Failed(), runDur)
+	}
+	stamp := func(r *task.RelayedResult) {
+		r.QueuedAt, r.DispatchedAt, r.StartedAt, r.FinishedAt, r.Attempts, r.Trace = 1, 2, 3, 4, 5, 6
+		r.RanOn("exec-set")
+	}
+	set := *w
+	set.QueuedAt, set.DispatchedAt, set.StartedAt, set.FinishedAt, set.Attempts, set.Trace = 1, 2, 3, 4, 5, 6
+	if set.ExecutorID == "" {
+		set.ExecutorID = "exec-set"
+	}
+	stamp(r)
+	var back task.Result
+	if err := json.Unmarshal(r.AppendJSON(nil), &back); err != nil || back != set || r.Result() != set {
+		t.Fatalf("%q: a result splices to %s, which reads as %+v (%v) and decodes as %+v, want %+v", data, r.AppendJSON(nil), back, err, r.Result(), set)
+	}
+	canonical := task.RelayResult(w)
+	stamp(&canonical)
+	if got, want := canonical.AppendJSON(nil), set.AppendJSON(nil); !bytes.Equal(got, want) {
+		t.Fatalf("%q: read from %s and spliced, a result is\n %s\nnot Result.AppendJSON's\n %s", data, w.AppendJSON(nil), got, want)
+	}
+	up := set
+	up.QueuedAt, up.DispatchedAt, up.Attempts, up.Trace = 0, 0, 0, 0
+	if got, want := canonical.AppendParent(nil), up.AppendJSON(nil); !bytes.Equal(got, want) {
+		t.Fatalf("%q: spliced for a parent, a result is\n %s\nnot\n %s", data, got, want)
+	}
+}
+
+// The results a dispatcher relays, read from pushes and Deliver bodies: output
+// with escapes in stdout, stderr and err, a failure by exit code alone and by
+// err alone, an executor named and not, every stamp, a body the fast path
+// refuses for its spacing, and an executor named "" that it refuses.
+func TestResultRelay(t *testing.T) {
+	for _, body := range resultRelaySeeds {
+		checkResultRelay(t, []byte(body))
+	}
+	before := CodecFallbacks.Value()
+	var n RelayedResults
+	if err := n.DecodeInterned([]byte(resultRelaySeeds[0]), nil); err != nil || CodecFallbacks.Value() != before {
+		t.Fatalf("%s took the fallback (%v)", resultRelaySeeds[0], err)
+	}
+	var d Delivery
+	if err := d.DecodeInterned([]byte(resultRelaySeeds[1]), nil); err != nil || CodecFallbacks.Value() != before {
+		t.Fatalf("%s took the fallback (%v)", resultRelaySeeds[1], err)
+	}
+}
+
+var resultRelaySeeds = []string{
+	`{"epr":"e","results":[{"id":3,"exit_code":2,"stdout":"a\nb\"c\u00e9","stderr":"t\tb\\","err":"boom \u2028<>&","executor":"exec-0",` +
+		`"queued_at":1,"dispatched_at":2,"started_at":5,"finished_at":9,"attempts":1,"trace":7},{"id":4,"err":"e"},{"id":5,"exit_code":-1},{"id":6}]}`,
+	`{"executor_id":"x","results":[{"epr":"e","result":{"id":3,"stdout":"out\n","stderr":"w\"arn","err":"\u00e9","executor":"y"},"run_dur":12},` +
+		`{"epr":"f","result":{"id":18446744073709551615,"started_at":4},"run_dur":-3}],"want_work":true,"max_new":64}`,
+	`{"epr":"e", "results":[{"id":1,"stdout":"s"}]}`,
+	`{"executor_id":"x","results":[{"epr":"e","result":{"id":1,"executor":""},"run_dur":1}]}`,
+	`{"epr":"e","results":[{"id":1,"exit_code":0,"stdout":"","executor":"z"}]}`,
+}
+
 // A submit read on the fast path keeps its task array's bytes, which are what
 // its relayed tasks encode: escapes as sent, a trace of 0 that was sent, and
 // IDs of twenty digits included. One that took the fallback keeps none.
@@ -605,7 +733,8 @@ func TestBundleArrayIsItsRelayedTasks(t *testing.T) {
 // error versus value, and on the value, which neither reusing the input nor
 // appending to a task's strings changes; and what decodes re-encodes to
 // something json.Unmarshal reads back the same. Every input is also read as a
-// dispatcher reads a submit (checkRelay), the one way a submit is read.
+// dispatcher reads a submit (checkRelay), the one way a submit is read, and as
+// it reads results (checkResultRelay).
 func FuzzBodyCodec(f *testing.F) {
 	g := &gen{rand.New(rand.NewSource(2))}
 	for i, k := range bodyKinds {
@@ -653,8 +782,13 @@ func FuzzBodyCodec(f *testing.F) {
 		`{"id":3,"stdout":"other","executor":"exec-7"}`, `{"id":3}`} {
 		f.Add(uint8(7), []byte(`{"epr":"falkon-instance-1","results":[`+first+`]}`))
 	}
+	// Results with output, as checkResultRelay reads them.
+	for _, body := range resultRelaySeeds {
+		f.Add(uint8(7), []byte(body))
+	}
 	f.Fuzz(func(t *testing.T, kind uint8, data []byte) {
 		checkRelay(t, data)
+		checkResultRelay(t, data)
 		k := bodyKinds[int(kind)%len(bodyKinds)]
 		if k.name == "SubmitRequest" {
 			return

@@ -156,9 +156,10 @@ grant encode, to a leaf;Bundle;AppendJSON
 grant encode, to an executor;RelayReply;AppendJSON
 grant decode (executor);GetWorkReply|DeliverReply;(DecodeJSON|DecodeKept)
 Deliver encode (executor);DeliverRequest;AppendJSON
-Deliver decode (dispatcher);DeliverRequest;DecodeInterned
-result-push encode;ResultsNotify|ParentResults;AppendJSON
-result-push decode;ResultsNotify;DecodeInterned
+Deliver decode (dispatcher);Delivery;DecodeInterned
+result-push encode;ResultsNotify|RelayedResults;AppendJSON
+result-push decode (a root's link);RelayedResults;DecodeInterned
+result-push decode (client);ResultsNotify;DecodeInterned
 LEGS
     printf '%-38s %6d  %5.1f\n' "the rest of the codec" "$codecMs" "$(echo "$codecMs $total" | awk '{ print 100 * $1 / $2 }')"
 fi

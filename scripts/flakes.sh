@@ -54,7 +54,7 @@ if [ $# -eq 0 ]; then
     set -- \
         './internal/client:^TestBytesPerOwedTask$' \
         './internal/core:^(TestAllocsPerTaskBudget|TestSerialRoundSyscalls)$' \
-        './internal/dispatch:^(TestBytesPerTaskAtRest|TestBytesPerIdleExecutor|TestBytesPerConnectedExecutor|TestExecutorThatDoesNotAcceptGrantsPulls|TestSnapshotCutAllocsPerTask)$' \
+        './internal/dispatch:^(TestBytesPerTaskAtRest|TestBytesPerIdleExecutor|TestBytesPerConnectedExecutor|TestExecutorThatDoesNotAcceptGrantsPulls|TestSnapshotCutAllocsPerTask|TestAllocsPerDeliveredResult)$' \
         './internal/dispatch:^(TestCrashRecoveryExactlyOnce|TestAttemptsSurviveCrash|TestJournalRecordsFollowTheProtocol|TestCompletesWrittenWithoutLaterSubmit|TestFailedJournalStopsDispatcher)$' \
         './internal/executor:^TestBytesPerExecutor$' \
         './internal/faultinj:^TestWALSurvivesDiskFaults$' \

@@ -57,7 +57,8 @@ go test -run='TestAllocsPerTaskBudget|TestSerialRoundSyscalls' -cpu 1,2,4 -count
 # drain, for dense task IDs and sparse ones; per registered idle executor,
 # through the seam and with a connection behind it; what an executor started
 # through executor.Start holds once it has run a batch; what a full trace ring
-# weighs; and what a reconnecting client holds per task it awaits.
+# weighs; what a reconnecting client holds per task it awaits; and what a
+# dispatcher allocates per result it is delivered and pushes on.
 go test -run='TestBytesPerTaskAtRest|TestBytesPerIdleExecutor|TestBytesPerConnectedExecutor|TestBytesPerExecutor|TestTracerBytesAtRest|TestBytesPerOwedTask|TestAllocsPerDeliveredResult' -cpu 1,2,4 -count=1 ./internal/dispatch/ ./internal/executor/ ./internal/obs/ ./internal/client/
 # And what a level of the dispatch tree adds to it, objects and bytes: a root
 # over two leaves against one dispatcher, same loop, plus a leaf restart

@@ -241,13 +241,13 @@ type stampRec struct {
 // writes.
 //
 // It is also the handler's scratch (DESIGN.md §9, "Scratch"): a Deliver is
-// decoded into req, every grant — pushed, or replied with — is cut from
-// grant, the complete records of the results a journaling dispatcher
-// finalizes are written in enc, and what the handler sends — its reply (ack,
-// reply) and its result pushes (note) — is a field handed to wsrpc by pointer. A wire handler's fx
-// goes back to the dispatcher's free list (fxFree) when wsrpc has written its
-// reply (grantReply, submitReply): the list holds one per handler in flight at
-// the busiest moment, not one per connection.
+// read into req, every grant — pushed, or replied with — is cut from grant,
+// the complete records of the results a journaling dispatcher finalizes are
+// written in enc, and what the handler sends — its reply (ack, reply) and its
+// result pushes (note) — is a field handed to wsrpc by pointer. A wire
+// handler's fx goes back to the dispatcher's free list (fxFree) when wsrpc has
+// written its reply (grantReply, submitReply): the list holds one per handler
+// in flight at the busiest moment, not one per connection.
 type fx struct {
 	events   []obs.Event // deferred tracer records
 	stamps   []stampRec

@@ -1271,10 +1271,10 @@ func (d *Dispatcher) journalCompletesLocked() {
 func (d *Dispatcher) finalize(f *fx, tr taskRef, r *task.RelayedResult) {
 	if d.wal != nil {
 		// Logged with the payload so undelivered results survive a crash
-		// and are redelivered on recovery (clients dedupe by task ID): the
-		// push's splice, written in f.enc.
+		// and are redelivered on recovery (clients dedupe by task ID),
+		// written in f.enc once: its push copies those bytes.
 		from := len(f.enc)
-		f.enc = r.AppendJSON(f.enc)
+		f.enc = r.AppendOnce(f.enc)
 		d.done = append(d.done, wal.Finalized{EPR: tr.epr, Result: f.enc[from:len(f.enc):len(f.enc)]})
 	}
 	if r.Failed() {

@@ -660,6 +660,23 @@ func checkSplice(t *testing.T, data []byte, r *task.RelayedResult, w *task.Resul
 	if err := json.Unmarshal(r.AppendJSON(nil), &back); err != nil || back != set || r.Result() != set {
 		t.Fatalf("%q: a result splices to %s, which reads as %+v (%v) and decodes as %+v, want %+v", data, r.AppendJSON(nil), back, err, r.Result(), set)
 	}
+	// Written once for a journal's record, it is written again as those bytes:
+	// whole, for a parent, and kept.
+	once := *r
+	written := once.AppendOnce(nil)
+	record := bytes.Clone(written)
+	for _, kept := range []bool{false, true} {
+		if kept {
+			once.Keep()
+			for i := range written {
+				written[i] = '#'
+			}
+		}
+		if whole, up := once.AppendJSON(nil), once.AppendParent(nil); !bytes.Equal(record, r.AppendJSON(nil)) ||
+			!bytes.Equal(whole, record) || !bytes.Equal(up, r.AppendParent(nil)) || once.Result() != set {
+			t.Fatalf("%q: written once as %s, a result is written again as %s, and for a parent as %s, not %s", data, record, whole, up, r.AppendParent(nil))
+		}
+	}
 	canonical := task.RelayResult(w)
 	stamp(&canonical)
 	if got, want := canonical.AppendJSON(nil), set.AppendJSON(nil); !bytes.Equal(got, want) {

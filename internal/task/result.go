@@ -31,6 +31,10 @@ type RelayedResult struct {
 	exec   string // the executor AppendJSON names after rest, when rest names none
 	failed bool
 	named  bool // rest names the executor
+	// spliced says rest is what AppendJSON wrote of the result, after its ID
+	// and before its `}`, with the set fields from setAt on (AppendOnce).
+	spliced bool
+	setAt   uint32
 }
 
 // Failed reports whether the task failed: Result.Failed of the whole result.
@@ -57,14 +61,51 @@ func (r *RelayedResult) AppendJSON(dst []byte) []byte { return r.appendJSON(dst,
 // queued_at, dispatched_at, attempts and trace, which the parent sets.
 func (r *RelayedResult) AppendParent(dst []byte) []byte { return r.appendJSON(dst, false) }
 
+// AppendOnce is AppendJSON for a result written twice — a journal's record,
+// then its push — whose fields are set: what it appends becomes the result's
+// bytes, so AppendJSON copies them, and AppendParent the part before the set
+// fields, instead of writing each field again. Those bytes are dst's until
+// the result is kept.
+func (r *RelayedResult) AppendOnce(dst []byte) []byte {
+	dst = append(dst, `{"id":`...)
+	dst = jsonwire.AppendUint(dst, uint64(r.ID))
+	from := len(dst)
+	dst = r.appendMembers(dst)
+	set := len(dst)
+	dst = r.appendSet(dst, true)
+	r.rest, r.setAt, r.spliced = dst[from:len(dst):len(dst)], uint32(set-from), true
+	r.named, r.exec = r.named || r.exec != "", ""
+	return append(dst, '}')
+}
+
 func (r *RelayedResult) appendJSON(dst []byte, whole bool) []byte {
 	dst = append(dst, `{"id":`...)
 	dst = jsonwire.AppendUint(dst, uint64(r.ID))
+	switch {
+	case r.spliced && whole:
+		dst = append(dst, r.rest...)
+	case r.spliced:
+		dst = r.appendSet(append(dst, r.rest[:r.setAt]...), false)
+	default:
+		dst = r.appendSet(r.appendMembers(dst), whole)
+	}
+	return append(dst, '}')
+}
+
+// appendMembers appends rest and the executor rest does not name: the
+// members before the set fields.
+func (r *RelayedResult) appendMembers(dst []byte) []byte {
 	dst = append(dst, r.rest...)
 	if r.exec != "" {
 		dst = append(dst, `,"executor":`...)
 		dst = jsonwire.AppendString(dst, r.exec)
 	}
+	return dst
+}
+
+// appendSet appends the set fields, each left out when zero, or only the two
+// a tree parent reads.
+func (r *RelayedResult) appendSet(dst []byte, whole bool) []byte {
 	if whole && r.QueuedAt != 0 {
 		dst = append(dst, `,"queued_at":`...)
 		dst = jsonwire.AppendInt(dst, int64(r.QueuedAt))
@@ -89,7 +130,7 @@ func (r *RelayedResult) appendJSON(dst []byte, whole bool) []byte {
 		dst = append(dst, `,"trace":`...)
 		dst = jsonwire.AppendUint(dst, r.Trace)
 	}
-	return append(dst, '}')
+	return dst
 }
 
 // ReadJSON reads one result into r, which must be zero, as Result.ParseJSON

@@ -90,11 +90,20 @@ const hexDigits = "0123456789abcdef"
 // standard encoder emits them. (encoding/json additionally escapes <, >, &,
 // U+2028 and U+2029 for HTML and JavaScript embedding; those decode
 // identically unescaped, so the wire stays compatible with peers using
-// json.Unmarshal.)
+// json.Unmarshal.) A run of plain ASCII is passed over eight bytes a step
+// (special).
 func AppendString(dst []byte, s string) []byte {
 	dst = append(dst, '"')
 	start := 0
 	for i := 0; i < len(s); {
+		if len(s)-i >= 8 {
+			m := special(word(s[i:]))
+			if m == 0 {
+				i += 8
+				continue
+			}
+			i += bits.TrailingZeros64(m) / 8
+		}
 		c := s[i]
 		if c < utf8.RuneSelf {
 			if c >= 0x20 && c != '"' && c != '\\' {
@@ -206,10 +215,19 @@ func ParseInt(p []byte) (int64, []byte, bool) {
 // the caller has already consumed, up to and including the closing quote,
 // and returns its contents as a slice of p. A literal with an escape, a raw
 // control character or malformed UTF-8 is not ok (Reader.Str decodes the
-// first; encoding/json rejects the second and repairs the third).
+// first; encoding/json rejects the second and repairs the third). A run of
+// plain ASCII is passed over eight bytes a step (special).
 func ParsePlainString(p []byte) ([]byte, []byte, bool) {
 	ascii := true
-	for i := 0; i < len(p); i++ {
+	for i := 0; i < len(p); {
+		if len(p)-i >= 8 {
+			m := special(binary.LittleEndian.Uint64(p[i:]))
+			if m == 0 {
+				i += 8
+				continue
+			}
+			i += bits.TrailingZeros64(m) / 8
+		}
 		switch c := p[i]; {
 		case c == '"':
 			if !ascii && !utf8.Valid(p[:i]) {
@@ -221,14 +239,71 @@ func ParsePlainString(p []byte) ([]byte, []byte, bool) {
 		case c >= utf8.RuneSelf:
 			ascii = false
 		}
+		i++
 	}
 	return nil, p, false
 }
 
+// special flags, in the high bit of its byte, each byte of w (eight bytes of a
+// literal, read little-endian) that ends a run of plain ASCII: a quote, a
+// backslash, a control character or a byte of a multi-byte rune. A borrow
+// out of a flagged byte may flag the byte above it too, never one below, so
+// the lowest flag is the first such byte.
+func special(w uint64) uint64 {
+	const ones = 0x0101010101010101
+	q, b := w^(ones*'"'), w^(ones*'\\')
+	return ((q-ones)&^q | (b-ones)&^b | (w-ones*0x20)&^w | w) & (ones * 0x80)
+}
+
+// word is the first eight bytes of s, little-endian: one load.
+func word(s string) uint64 {
+	_ = s[7]
+	return uint64(s[0]) | uint64(s[1])<<8 | uint64(s[2])<<16 | uint64(s[3])<<24 |
+		uint64(s[4])<<32 | uint64(s[5])<<40 | uint64(s[6])<<48 | uint64(s[7])<<56
+}
+
+// scanString is appendUnquoted without the decoding: it checks what
+// appendUnquoted checks — every escape, no raw control character, UTF-8 —
+// and returns the index of the closing quote. The plain runs between escapes
+// are checked for UTF-8 one by one: an escape decodes to whole runes, so the
+// decoded string is valid exactly when every run is.
+func scanString(p []byte) (int, bool) {
+	plain, ascii := 0, true
+	for i := 0; i < len(p); {
+		if len(p)-i >= 8 {
+			m := special(binary.LittleEndian.Uint64(p[i:]))
+			if m == 0 {
+				i += 8
+				continue
+			}
+			i += bits.TrailingZeros64(m) / 8
+		}
+		switch c := p[i]; {
+		case c == '"':
+			return i, ascii || utf8.Valid(p[plain:i])
+		case c < 0x20:
+			return 0, false
+		case c == '\\':
+			if !ascii && !utf8.Valid(p[plain:i]) {
+				return 0, false
+			}
+			_, n := unescape(p[i:])
+			if n == 0 {
+				return 0, false
+			}
+			i += n
+			plain, ascii = i, true
+			continue
+		case c >= utf8.RuneSelf:
+			ascii = false
+		}
+		i++
+	}
+	return 0, false
+}
+
 // appendUnquoted is ParsePlainString for literals that may contain escapes:
-// it appends the decoded contents to dst. Every JSON escape is decoded,
-// \uXXXX surrogate pairs included; a lone surrogate is not ok (encoding/json
-// substitutes U+FFFD, and that choice stays in one place).
+// it appends the decoded contents to dst.
 func appendUnquoted(dst, p []byte) (out, rest []byte, ok bool) {
 	base := len(dst)
 	for i := 0; i < len(p); {
@@ -246,45 +321,55 @@ func appendUnquoted(dst, p []byte) (out, rest []byte, ok bool) {
 			i++
 			continue
 		}
-		if i+1 >= len(p) {
-			break
-		}
-		i += 2
-		switch p[i-1] {
-		case '"', '\\', '/':
-			dst = append(dst, p[i-1])
-		case 'b':
-			dst = append(dst, '\b')
-		case 'f':
-			dst = append(dst, '\f')
-		case 'n':
-			dst = append(dst, '\n')
-		case 'r':
-			dst = append(dst, '\r')
-		case 't':
-			dst = append(dst, '\t')
-		case 'u':
-			r, n := hex4(p[i:])
-			if n == 0 {
-				return dst[:base], p, false
-			}
-			i += n
-			if utf16.IsSurrogate(r) {
-				if !HasPrefix(p[i:], `\u`) {
-					return dst[:base], p, false
-				}
-				r2, n2 := hex4(p[i+2:])
-				if r = utf16.DecodeRune(r, r2); n2 == 0 || r == utf8.RuneError {
-					return dst[:base], p, false
-				}
-				i += 2 + n2
-			}
-			dst = utf8.AppendRune(dst, r)
-		default:
+		r, n := unescape(p[i:])
+		if n == 0 {
 			return dst[:base], p, false
 		}
+		dst = utf8.AppendRune(dst, r)
+		i += n
 	}
 	return dst[:base], p, false
+}
+
+// unescape decodes the escape p starts with, its backslash included: the rune
+// it stands for and its length, or a length of 0 where it is not one. Every
+// JSON escape is decoded, \uXXXX surrogate pairs included; a lone surrogate is
+// not one (encoding/json substitutes U+FFFD, and that choice stays in one
+// place).
+func unescape(p []byte) (rune, int) {
+	if len(p) < 2 {
+		return 0, 0
+	}
+	switch c := p[1]; c {
+	case '"', '\\', '/':
+		return rune(c), 2
+	case 'b':
+		return '\b', 2
+	case 'f':
+		return '\f', 2
+	case 'n':
+		return '\n', 2
+	case 'r':
+		return '\r', 2
+	case 't':
+		return '\t', 2
+	case 'u':
+		r, n := hex4(p[2:])
+		switch {
+		case n == 0:
+			return 0, 0
+		case !utf16.IsSurrogate(r):
+			return r, 6
+		case !HasPrefix(p[6:], `\u`):
+			return 0, 0
+		}
+		r2, n2 := hex4(p[8:])
+		if r = utf16.DecodeRune(r, r2); n2 == 0 || r == utf8.RuneError {
+			return 0, 0
+		}
+		return r, 12
+	}
+	return 0, 0
 }
 
 // hex4 decodes four hex digits; n is 4, or 0 when p does not start with four.
@@ -431,6 +516,23 @@ func (r *Reader) Bool() bool {
 	return false
 }
 
+// SkipStr reads a string literal as Str does, checking all Str checks, and
+// decodes nothing: it returns the length of the literal's contents as
+// written, which is 0 only for "".
+func (r *Reader) SkipStr() int {
+	if !r.Lit(`"`) {
+		r.bad = true
+		return 0
+	}
+	n, ok := scanString(r.rest())
+	if ok {
+		r.at += n + 1
+	} else {
+		r.bad = true
+	}
+	return n
+}
+
 // Str reads a string literal and returns its decoded contents.
 func (r *Reader) Str() []byte {
 	if !r.Lit(`"`) {
@@ -539,7 +641,7 @@ func (r *Reader) Between(from, to int) []byte { return r.doc[from:to] }
 func (r *Reader) SkipStrings() {
 	r.Expect(`[`)
 	for n := 0; r.elem(n); n++ {
-		r.Str()
+		r.SkipStr()
 	}
 }
 

@@ -1,13 +1,17 @@
 package jsonwire
 
 import (
+	"encoding/binary"
 	"encoding/json"
 	"math"
+	"math/bits"
+	"math/rand"
 	"runtime"
 	"strconv"
 	"strings"
 	"testing"
 	"testing/quick"
+	"unicode/utf8"
 )
 
 // uintEdges are the integers around ParseUint's one overflow check: nineteen
@@ -141,6 +145,9 @@ func TestParseStringsAgainstEncodingJSON(t *testing.T) {
 			t.Errorf("%s: taken = %v, want %v", tc.lit, ok, tc.take)
 			continue
 		}
+		if n, okScan := scanString([]byte(tc.lit[1:])); okScan != ok || ok && n != len(tc.lit)-2 {
+			t.Errorf("%s: scanString = %d, %v; appendUnquoted took it: %v", tc.lit, n, okScan, ok)
+		}
 		plain, prest, okPlain := ParsePlainString([]byte(tc.lit[1:]))
 		if okPlain && (!ok || string(plain) != string(got[5:]) || len(prest) != len(rest)) {
 			t.Errorf("%s: ParsePlainString took it as %q, appendUnquoted as %q, %v", tc.lit, plain, got, ok)
@@ -163,10 +170,68 @@ func TestParseStringsAgainstEncodingJSON(t *testing.T) {
 			return false
 		}
 		got, rest, ok := appendUnquoted(nil, lit[1:])
-		return ok && len(rest) == 0 && string(got) == want
+		n, okScan := scanString(lit[1:])
+		return ok && len(rest) == 0 && string(got) == want && okScan && n == len(lit)-2
 	}
 	if err := quick.Check(prop, &quick.Config{MaxCount: 2000}); err != nil {
 		t.Fatal(err)
+	}
+}
+
+// special's lowest flag is the first byte that ends a plain ASCII run, in any
+// eight bytes; the literals above run it over plain runs, escapes and
+// multi-byte runes at every offset.
+func TestSpecialFindsTheFirstByte(t *testing.T) {
+	ends := func(c byte) bool { return c == '"' || c == '\\' || c < 0x20 || c >= utf8.RuneSelf }
+	prop := func(w uint64) bool {
+		var b [8]byte
+		binary.LittleEndian.PutUint64(b[:], w)
+		first := 8
+		for i, c := range b {
+			if ends(c) {
+				first = i
+				break
+			}
+		}
+		m := special(w)
+		return first == 8 && m == 0 || first < 8 && bits.TrailingZeros64(m)/8 == first
+	}
+	// Random words are mostly high bytes: draw bytes from the edges too.
+	edges := []byte{0, 0x1f, 0x20, 0x21, '"', '#', '[', '\\', ']', 0x7f, 0x80, 0xff, 'a'}
+	rng := rand.New(rand.NewSource(1))
+	for i := 0; i < 100000; i++ {
+		var b [8]byte
+		for j := range b {
+			b[j] = edges[rng.Intn(len(edges))]
+		}
+		if w := binary.LittleEndian.Uint64(b[:]); !prop(w) {
+			t.Fatalf("special(%q) = %#x", b, special(w))
+		}
+	}
+	if err := quick.Check(prop, &quick.Config{MaxCount: 100000}); err != nil {
+		t.Fatal(err)
+	}
+}
+
+// SkipStr reads what Str reads, and reports the literal's length as written.
+func TestSkipStr(t *testing.T) {
+	for _, tc := range []struct {
+		lit string
+		n   int
+		ok  bool
+	}{
+		{`""`, 0, true}, {`"plain and longer than eight"`, 27, true}, {`"a\nb"`, 4, true},
+		{`"é 世界 \u00e9 \ud83d\ude00"`, 29, true}, {"\"raw\nnewline\"", 0, false}, {`"\ud800"`, 0, false},
+		{"\"caf\xc3\\n\"", 0, false}, {`"unterminated`, 0, false}, {`plain`, 0, false},
+	} {
+		var r, s Reader
+		r.Reset([]byte(tc.lit))
+		s.Reset([]byte(tc.lit))
+		n := r.SkipStr()
+		s.Str()
+		if r.OK() != tc.ok || s.OK() != tc.ok || tc.ok && n != tc.n {
+			t.Errorf("%s: SkipStr = %d, OK %v; Str OK %v; want %d, %v", tc.lit, n, r.OK(), s.OK(), tc.n, tc.ok)
+		}
 	}
 }
 

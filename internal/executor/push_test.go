@@ -127,7 +127,7 @@ func startFakeDispatcher(t *testing.T) *fakeDispatcher {
 	})
 	f.srv.RegisterFast(fproto.MethodDeliver, func(_ *wsrpc.Peer, body json.RawMessage) (any, error) {
 		var req fproto.DeliverRequest
-		if err := req.DecodeJSON(body); err != nil {
+		if err := json.Unmarshal(body, &req); err != nil {
 			return nil, err
 		}
 		f.mu.Lock()

@@ -360,55 +360,14 @@ func (m DeliverRequest) AppendJSON(dst []byte) []byte {
 	return append(dst, '}')
 }
 
-// DecodeJSON decodes b into m.
-func (m *DeliverRequest) DecodeJSON(b []byte) error { return m.DecodeInterned(b, nil) }
-
-// DecodeInterned is DecodeJSON with the executor ID and the results' EPRs
-// shared through known. A result that names an executor (this repo's
-// executors leave it to the request) shares the request's when it is the same.
-func (m *DeliverRequest) DecodeInterned(b []byte, known Intern) error {
-	var r jsonwire.Reader
-	r.Reset(b)
-	was := m.Results
-	*m = DeliverRequest{Results: was[:0]}
-	r.Expect(`{"executor_id":`)
-	m.ExecutorID = r.Interned("", known)
-	if r.Lit(`,"results":[`) {
-		first := remembered(was)
-		first.Result.ExecutorID = m.ExecutorID
-		m.Results = room(was, r.Elems())
-		for prev := &first; r.Elem(len(m.Results)); {
-			m.Results = append(m.Results, TaggedResult{})
-			tr := &m.Results[len(m.Results)-1]
-			r.Expect(`{"epr":`)
-			tr.EPR = r.Interned(prev.EPR, known)
-			r.Expect(`,"result":`)
-			tr.Result.ParseJSON(&r, &prev.Result, known)
-			r.Expect(`,"run_dur":`)
-			tr.RunDur = time.Duration(r.Int64())
-			r.Expect(`}`)
-			prev = tr
-		}
-	}
-	if r.Lit(`,"want_work":`) {
-		m.WantWork = r.Bool()
-	}
-	if r.Lit(`,"max_new":`) {
-		m.MaxNew = r.Int()
-	}
-	r.Expect(`}`)
-	settle(m.Results, was)
-	return finish(&r, b, m)
-}
-
 // DecodeInterned decodes b, a DeliverRequest's JSON, into m, with the executor
 // ID and the results' EPRs shared through known, and each result read in one
 // pass as a dispatcher holds it (task.RelayedResult.ReadJSON), its bytes a view
 // of b. A body outside the canonical layout goes to encoding/json, is counted,
-// and has its results encoded again. A result's output is validated in the
-// reader m keeps, so an escaped one costs nothing once m has read its like.
+// and has its results encoded again.
 func (m *Delivery) DecodeInterned(b []byte, known Intern) error {
-	r := &m.rd
+	var rd jsonwire.Reader
+	r := &rd
 	r.Reset(b)
 	was := m.Results
 	m.ExecutorID, m.Results, m.WantWork, m.MaxNew = "", was[:0], false, 0
@@ -532,7 +491,8 @@ func (m *ResultsNotify) DecodeInterned(b []byte, known, execs Intern) error {
 // view of b; a body outside the canonical layout goes to encoding/json, as
 // for a Delivery. Parent is left false.
 func (m *RelayedResults) DecodeInterned(b []byte, known Intern) error {
-	r := &m.rd
+	var rd jsonwire.Reader
+	r := &rd
 	r.Reset(b)
 	was := m.Results
 	m.EPR, m.Results, m.Parent = "", nil, false

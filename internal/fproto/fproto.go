@@ -25,7 +25,6 @@ import (
 	"strings"
 	"time"
 
-	"falkon/internal/jsonwire"
 	"falkon/internal/obs"
 	"falkon/internal/task"
 )
@@ -266,7 +265,6 @@ type Delivery struct {
 	Results    []task.RelayedResult
 	WantWork   bool
 	MaxNew     int
-	rd         jsonwire.Reader // kept from body to body, with its unescape buffer
 }
 
 // DeliverReply acknowledges results and piggy-backs new work: a GetWorkReply.
@@ -292,7 +290,6 @@ type RelayedResults struct {
 	// Parent says the push goes to a tree parent, which sets queued_at,
 	// dispatched_at, attempts and trace itself: they are left out.
 	Parent bool
-	rd     jsonwire.Reader // as Delivery's
 }
 
 // StatsReply summarizes dispatcher state; the provisioner polls this

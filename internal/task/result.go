@@ -9,10 +9,11 @@ import (
 
 // RelayedResult is a result as a dispatcher holds it (DESIGN.md §9, "Relay"):
 // the head it reads of a result in one pass — the ID, the instance, whether it
-// failed and the run time it reports — and the bytes of the members it never
-// reads, exit_code through executor, as received. The members a dispatcher
-// sets are fields, which AppendJSON writes after those bytes, where
-// Result.AppendJSON writes them: last. Only a client decodes a result whole.
+// failed and the run time it reports — and the bytes of the result from its
+// start through the members it never reads, exit_code to executor, as
+// received. The members a dispatcher sets are fields, which AppendJSON writes
+// after those bytes, where Result.AppendJSON writes them: last. Only a client
+// decodes a result whole.
 //
 // Its bytes are a view of the document it was read from, a frame that is valid
 // while the handler that read it runs; a result kept past that is Kept first.
@@ -27,12 +28,12 @@ type RelayedResult struct {
 	Attempts                                      int
 	Trace                                         uint64
 
-	rest   []byte // exit_code … executor, as received
+	rest   []byte // `{"id":` and the ID through exit_code … executor, as received
 	exec   string // the executor AppendJSON names after rest, when rest names none
 	failed bool
 	named  bool // rest names the executor
-	// spliced says rest is what AppendJSON wrote of the result, after its ID
-	// and before its `}`, with the set fields from setAt on (AppendOnce).
+	// spliced says rest is what AppendJSON wrote of the result, all but its
+	// `}`, with the set fields from setAt on (AppendOnce).
 	spliced bool
 	setAt   uint32
 }
@@ -67,8 +68,6 @@ func (r *RelayedResult) AppendParent(dst []byte) []byte { return r.appendJSON(ds
 // fields, instead of writing each field again. Those bytes are dst's until
 // the result is kept.
 func (r *RelayedResult) AppendOnce(dst []byte) []byte {
-	dst = append(dst, `{"id":`...)
-	dst = jsonwire.AppendUint(dst, uint64(r.ID))
 	from := len(dst)
 	dst = r.appendMembers(dst)
 	set := len(dst)
@@ -79,8 +78,6 @@ func (r *RelayedResult) AppendOnce(dst []byte) []byte {
 }
 
 func (r *RelayedResult) appendJSON(dst []byte, whole bool) []byte {
-	dst = append(dst, `{"id":`...)
-	dst = jsonwire.AppendUint(dst, uint64(r.ID))
 	switch {
 	case r.spliced && whole:
 		dst = append(dst, r.rest...)
@@ -135,13 +132,14 @@ func (r *RelayedResult) appendSet(dst []byte, whole bool) []byte {
 
 // ReadJSON reads one result into r, which must be zero, as Result.ParseJSON
 // reads it — the same jsonwire primitives, members numbered alike, every
-// string validated — with exit_code through executor kept as a view of the
-// reader's document. It refuses an executor named "", which RanOn would
-// name again: no encoder leaves one in.
+// string checked as it would be decoded, none decoded — with the result up to
+// the first member a dispatcher sets kept as a view of the reader's document.
+// It refuses an executor named "", which RanOn would name again: no encoder
+// leaves one in.
 func (r *RelayedResult) ReadJSON(rd *jsonwire.Reader) {
+	from, end := rd.Mark(), -1
 	rd.Expect(`{"id":`)
 	r.ID = ID(rd.Uint())
-	from, end := rd.Mark(), -1
 	for last := 0; ; {
 		at, mark := 0, rd.Mark()
 		switch string(rd.Key(false)) {
@@ -159,15 +157,15 @@ func (r *RelayedResult) ReadJSON(rd *jsonwire.Reader) {
 			at = 1
 			r.failed = rd.Int() != 0
 		case "stdout":
-			at, _ = 2, rd.Str()
+			at, _ = 2, rd.SkipStr()
 		case "stderr":
-			at, _ = 3, rd.Str()
+			at, _ = 3, rd.SkipStr()
 		case "err":
 			at = 4
-			r.failed = len(rd.Str()) > 0 || r.failed
+			r.failed = rd.SkipStr() > 0 || r.failed
 		case "executor":
 			at, r.named = 5, true
-			if len(rd.Str()) == 0 {
+			if rd.SkipStr() == 0 {
 				rd.Fail()
 			}
 		case "queued_at":

@@ -38,6 +38,41 @@ func TestSnapshotCutAllocsPerTask(t *testing.T) {
 	}
 }
 
+// A cut copies an instance's buffered results as the dispatcher holds them,
+// bytes it never writes again, and decodes them whole for the snapshot only
+// once it has let go of imu and mu: under the locks, 64 buffered results of
+// 64 KiB of stdout and of stderr each cost the few objects an instance does
+// (four, for one instance), not a decode of 8 MiB of output.
+func TestSnapshotCutDecodesBufferedResultsOutsideTheLocks(t *testing.T) {
+	d := cutSystem(t, t.TempDir(), 0, 0)
+	out := strings.Repeat("a line of output\n", 64<<10/17)
+	d.imu.Lock()
+	d.mu.Lock()
+	if len(d.instances) != 1 {
+		t.Fatalf("%d instances, want 1", len(d.instances))
+	}
+	for _, inst := range d.instances {
+		inst.mu.Lock()
+		for i := range 64 {
+			inst.buf = append(inst.buf, task.RelayResult(&task.Result{ID: task.ID(i + 1), Stdout: out, Stderr: out, ExecutorID: "x"}))
+		}
+		inst.mu.Unlock()
+	}
+	locked := testing.AllocsPerRun(5, func() { d.captureLocked() })
+	d.mu.Unlock()
+	d.imu.Unlock()
+	if locked > 8 {
+		t.Errorf("capturing 64 buffered results under the locks allocates %.0f objects, want at most 8", locked)
+	}
+	_, st, _, err := d.cut(false)
+	if err != nil {
+		t.Fatal(err)
+	}
+	if rs := st.Instances[0].Results; len(rs) != 64 || rs[63].ID != 64 || rs[63].Stdout != out || rs[63].Stderr != out || rs[63].ExecutorID != "x" {
+		t.Fatalf("the snapshot holds %d buffered results, want the 64 whole", len(rs))
+	}
+}
+
 // What a cut and a recovery cost per task, at the queue depths
 // FALKON_CUT_QUEUED lists (comma-separated; the test is skipped without it),
 // each with 1,000 tasks outstanding besides: the time the cut holds imu and

@@ -28,6 +28,7 @@ package dispatch
 import (
 	"fmt"
 	"math"
+	"slices"
 	"sync"
 	"sync/atomic"
 	"time"
@@ -292,8 +293,11 @@ type fxFree struct {
 	list []*fx
 }
 
-// fxCap is the most elements an array of a kept fx keeps, and fxEnc the most
-// bytes its enc keeps: one burst does not park megabytes.
+// fxCap is the most elements an array of a kept fx keeps: one burst does not
+// park megabytes. Its enc is kept as a connection's read buffer is (wsrpc):
+// made anew only when it is over fxEnc and a handler used under an eighth of
+// it, so a load whose deliveries write megabytes of records keeps writing
+// them in one buffer.
 const fxCap, fxEnc = 1024, 1 << 20
 
 func (l *fxFree) get() *fx {
@@ -309,11 +313,15 @@ func (l *fxFree) get() *fx {
 }
 
 // release gives f back to its free list, with element references (peers,
-// results, strings) cleared so its arrays don't pin them, and arrays that grew
-// past fxCap dropped.
+// results, strings) cleared so its arrays don't pin them, arrays that grew
+// past fxCap dropped, and enc kept by its own rule (fxEnc).
 func (f *fx) release() {
+	enc := f.enc[:0]
+	if cap(enc) > fxEnc && len(f.enc) < cap(enc)/8 {
+		enc = nil
+	}
 	if cap(f.events) > fxCap || cap(f.stamps) > fxCap || cap(f.notifies) > fxCap || cap(f.results) > fxCap || cap(f.runs) > fxCap ||
-		cap(f.req.Results) > fxCap || cap(f.grant) > fxCap || cap(f.enc) > fxEnc {
+		cap(f.req.Results) > fxCap || cap(f.grant) > fxCap {
 		*f = fx{free: f.free}
 	} else {
 		f.events = emptied(f.events)
@@ -321,11 +329,11 @@ func (f *fx) release() {
 		f.notifies = emptied(f.notifies)
 		f.results = emptied(f.results)
 		f.runs = emptied(f.runs)
-		f.enc = f.enc[:0]
-		f.req.Results = emptied(f.req.Results) // the reader it keeps stays
+		f.req = fproto.Delivery{Results: emptied(f.req.Results)}
 		f.grant, f.reply = emptied(f.grant), nil
-		f.ack, f.note.Results = fproto.SubmitReply{}, nil
+		f.ack, f.note = fproto.SubmitReply{}, fproto.RelayedResults{}
 	}
+	f.enc = enc
 	l := f.free
 	l.mu.Lock()
 	l.list = append(l.list, f)
@@ -798,22 +806,22 @@ func (d *Dispatcher) restore(st *wal.State) {
 }
 
 // captureLocked snapshots the dispatcher state for the journal. Callers hold
-// imu and mu, so the capture is a consistent cut: a copy of each task.Relayed.
-func (d *Dispatcher) captureLocked() *wal.State {
-	st := &wal.State{Counters: d.core.Counters, Pending: make([]wal.Pending, 0, d.core.QueueLen()+d.core.OutstandingLen())}
+// imu and mu, so the capture is a consistent cut: a copy of each task.Relayed,
+// and of each instance's buffered results as the dispatcher holds them, in
+// buffered, one array an instance, in st.Instances order. Their bytes are
+// their own (task.RelayedResult.Keep) and never change, so the caller decodes
+// them (decodeBuffered) once it has let go of the locks.
+func (d *Dispatcher) captureLocked() (st *wal.State, buffered [][]task.RelayedResult) {
+	st = &wal.State{Counters: d.core.Counters, Pending: make([]wal.Pending, 0, d.core.QueueLen()+d.core.OutstandingLen())}
 	for epr, inst := range d.instances {
 		inst.mu.Lock()
-		var rs []task.Result
-		for i := range inst.buf {
-			rs = append(rs, inst.buf[i].Result())
-		}
 		st.Instances = append(st.Instances, wal.Instance{
 			EPR:       epr,
 			Name:      inst.name,
 			Tenant:    inst.tenant,
 			Submitted: inst.submitted,
-			Results:   rs,
 		})
+		buffered = append(buffered, slices.Clone(inst.buf))
 		inst.mu.Unlock()
 	}
 	d.core.EachQueued(func(it sched.Item[taskRef]) {
@@ -822,7 +830,19 @@ func (d *Dispatcher) captureLocked() *wal.State {
 	d.core.EachOutstanding(func(o sched.Outstanding[string, outKey, taskRef]) {
 		st.Pending = append(st.Pending, wal.Pending{EPR: o.Item.X.epr, Task: *o.Item.X.t, Attempts: o.Item.Attempts, Tenant: taskTenant(o.Item.X)})
 	})
-	return st
+	return st, buffered
+}
+
+// decodeBuffered decodes what captureLocked copied of the instances' buffers
+// into st, as the journal's snapshot holds results: whole.
+func decodeBuffered(st *wal.State, buffered [][]task.RelayedResult) {
+	for i, rs := range buffered {
+		var whole []task.Result
+		for j := range rs {
+			whole = append(whole, rs[j].Result())
+		}
+		st.Instances[i].Results = whole
+	}
 }
 
 // cut is a consistent cut of the journal and the state it holds: under imu
@@ -833,6 +853,8 @@ func (d *Dispatcher) captureLocked() *wal.State {
 // applies the stream from there replays the history the leader's own journal
 // holds. markSnap restarts the snapshot cadence at the cut.
 func (d *Dispatcher) cut(markSnap bool) (boundary uint64, st *wal.State, streamEnd int64, err error) {
+	var buffered [][]task.RelayedResult
+	defer func() { decodeBuffered(st, buffered) }() // deferred first, so run once the locks are let go
 	d.imu.Lock()
 	defer d.imu.Unlock()
 	d.mu.Lock()
@@ -846,7 +868,8 @@ func (d *Dispatcher) cut(markSnap bool) (boundary uint64, st *wal.State, streamE
 	if d.replSrc != nil {
 		streamEnd = d.replSrc.End()
 	}
-	return boundary, d.captureLocked(), streamEnd, nil
+	st, buffered = d.captureLocked()
+	return boundary, st, streamEnd, nil
 }
 
 // replicaBaseline is an attaching standby's baseline: the state at a cut and

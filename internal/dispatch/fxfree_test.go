@@ -38,3 +38,24 @@ func TestFreeListKeepsEveryHandlerInFlight(t *testing.T) {
 		delete(kept, f)
 	}
 }
+
+// A kept fx keeps its records buffer as a connection keeps its read buffer: a
+// journaling load whose deliveries each write megabytes of records (64
+// results of 32 KiB of output) writes them into the buffer the last one grew,
+// and only a buffer over 1 MiB that a handler used under an eighth of is let
+// go — the buffer alone, not the fx's other arrays.
+func TestReleaseKeepsTheRecordsBufferALoadFills(t *testing.T) {
+	var l fxFree
+	f := l.get()
+	f.grant = append(f.grant, make([]fproto.Relay, 64)...)
+	f.enc = append(f.enc, make([]byte, 2<<20)...)
+	f.release()
+	if g := l.get(); g != f || cap(g.enc) < 2<<20 || len(g.enc) != 0 || cap(g.grant) < 64 {
+		t.Fatalf("a 2 MiB buffer a handler filled came back with cap %d (len %d), its fx the same: %v", cap(g.enc), len(g.enc), g == f)
+	}
+	f.enc = append(f.enc, make([]byte, 100<<10)...)
+	f.release()
+	if g := l.get(); g != f || g.enc != nil || cap(g.grant) < 64 {
+		t.Fatalf("a 2 MiB buffer a handler used 100 KiB of came back with cap %d; grant %d", cap(g.enc), cap(g.grant))
+	}
+}

@@ -515,7 +515,9 @@ func (d *Dispatcher) handleDeliver(p *wsrpc.Peer, body json.RawMessage) (any, er
 }
 
 // Deliver takes an executor's results ({6}) and answers the work request they
-// piggy-back ({7}). It keeps nothing of req.
+// piggy-back ({7}). It keeps nothing of req. It is the in-process seam tests
+// deliver through: a wire Deliver is read as a Delivery (handleDeliver), and
+// req's results are encoded to be read as one.
 func (d *Dispatcher) Deliver(req *fproto.DeliverRequest) ([]fproto.Relay, error) {
 	f := d.fxs.get()
 	defer f.release()

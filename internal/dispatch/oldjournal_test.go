@@ -43,9 +43,10 @@ func TestRecoversJournalWrittenWithShards(t *testing.T) {
 	defer d.Close()
 	d.imu.Lock()
 	d.mu.Lock()
-	got := d.captureLocked()
+	got, buffered := d.captureLocked()
 	d.mu.Unlock()
 	d.imu.Unlock()
+	decodeBuffered(got, buffered)
 
 	byID := func(p []wal.Pending) {
 		sort.Slice(p, func(i, j int) bool { return p[i].Task.ID < p[j].Task.ID })

@@ -262,13 +262,16 @@ func word(s string) uint64 {
 		uint64(s[4])<<32 | uint64(s[5])<<40 | uint64(s[6])<<48 | uint64(s[7])<<56
 }
 
-// scanString is appendUnquoted without the decoding: it checks what
-// appendUnquoted checks — every escape, no raw control character, UTF-8 —
-// and returns the index of the closing quote. The plain runs between escapes
-// are checked for UTF-8 one by one: an escape decodes to whole runes, so the
-// decoded string is valid exactly when every run is.
-func scanString(p []byte) (int, bool) {
-	plain, ascii := 0, true
+// unquote reads the rest of a string literal whose opening quote the caller
+// has consumed, appending its decoded contents to dst when decode is set, and
+// returns the index of the closing quote. It checks what encoding/json would
+// decode alike — every escape (unescape), no raw control character, UTF-8 —
+// and on failure the caller drops what it appended. UTF-8 is checked a plain
+// run between escapes at a time: an escape decodes to whole runes, so the
+// decoded string is valid exactly when every run is. A run of plain ASCII is
+// passed over eight bytes a step (special).
+func unquote(dst, p []byte, decode bool) ([]byte, int, bool) {
+	start, ascii := 0, true
 	for i := 0; i < len(p); {
 		if len(p)-i >= 8 {
 			m := special(binary.LittleEndian.Uint64(p[i:]))
@@ -279,56 +282,44 @@ func scanString(p []byte) (int, bool) {
 			i += bits.TrailingZeros64(m) / 8
 		}
 		switch c := p[i]; {
-		case c == '"':
-			return i, ascii || utf8.Valid(p[plain:i])
-		case c < 0x20:
-			return 0, false
-		case c == '\\':
-			if !ascii && !utf8.Valid(p[plain:i]) {
-				return 0, false
+		case c == '"' || c == '\\':
+			if !ascii && !utf8.Valid(p[start:i]) {
+				return dst, 0, false
 			}
-			_, n := unescape(p[i:])
+			if decode {
+				dst = append(dst, p[start:i]...)
+			}
+			if c == '"' {
+				return dst, i, true
+			}
+			r, n := unescape(p[i:])
 			if n == 0 {
-				return 0, false
+				return dst, 0, false
+			}
+			if decode {
+				dst = utf8.AppendRune(dst, r)
 			}
 			i += n
-			plain, ascii = i, true
+			start, ascii = i, true
 			continue
+		case c < 0x20:
+			return dst, 0, false
 		case c >= utf8.RuneSelf:
 			ascii = false
 		}
 		i++
 	}
-	return 0, false
+	return dst, 0, false
 }
 
 // appendUnquoted is ParsePlainString for literals that may contain escapes:
 // it appends the decoded contents to dst.
 func appendUnquoted(dst, p []byte) (out, rest []byte, ok bool) {
-	base := len(dst)
-	for i := 0; i < len(p); {
-		c := p[i]
-		switch {
-		case c == '"':
-			if !utf8.Valid(dst[base:]) {
-				return dst[:base], p, false
-			}
-			return dst, p[i+1:], true
-		case c < 0x20:
-			return dst[:base], p, false
-		case c != '\\':
-			dst = append(dst, c)
-			i++
-			continue
-		}
-		r, n := unescape(p[i:])
-		if n == 0 {
-			return dst[:base], p, false
-		}
-		dst = utf8.AppendRune(dst, r)
-		i += n
+	out, end, ok := unquote(dst, p, true)
+	if !ok {
+		return dst, p, false
 	}
-	return dst[:base], p, false
+	return out, p[end+1:], true
 }
 
 // unescape decodes the escape p starts with, its backslash included: the rune
@@ -524,7 +515,7 @@ func (r *Reader) SkipStr() int {
 		r.bad = true
 		return 0
 	}
-	n, ok := scanString(r.rest())
+	_, n, ok := unquote(nil, r.rest(), false)
 	if ok {
 		r.at += n + 1
 	} else {

@@ -145,8 +145,8 @@ func TestParseStringsAgainstEncodingJSON(t *testing.T) {
 			t.Errorf("%s: taken = %v, want %v", tc.lit, ok, tc.take)
 			continue
 		}
-		if n, okScan := scanString([]byte(tc.lit[1:])); okScan != ok || ok && n != len(tc.lit)-2 {
-			t.Errorf("%s: scanString = %d, %v; appendUnquoted took it: %v", tc.lit, n, okScan, ok)
+		if _, n, okScan := unquote(nil, []byte(tc.lit[1:]), false); okScan != ok || ok && n != len(tc.lit)-2 {
+			t.Errorf("%s: unquote without decoding = %d, %v; appendUnquoted took it: %v", tc.lit, n, okScan, ok)
 		}
 		plain, prest, okPlain := ParsePlainString([]byte(tc.lit[1:]))
 		if okPlain && (!ok || string(plain) != string(got[5:]) || len(prest) != len(rest)) {
@@ -170,7 +170,7 @@ func TestParseStringsAgainstEncodingJSON(t *testing.T) {
 			return false
 		}
 		got, rest, ok := appendUnquoted(nil, lit[1:])
-		n, okScan := scanString(lit[1:])
+		_, n, okScan := unquote(nil, lit[1:], false)
 		return ok && len(rest) == 0 && string(got) == want && okScan && n == len(lit)-2
 	}
 	if err := quick.Check(prop, &quick.Config{MaxCount: 2000}); err != nil {

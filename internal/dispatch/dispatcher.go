@@ -1302,7 +1302,8 @@ func (d *Dispatcher) finalize(f *fx, tr taskRef, r *task.RelayedResult) {
 	}
 	if r.Failed() {
 		d.core.Counters.Failed++
-		f.trace(d.now(), obs.EvFailed, r.Trace, r.ID, tr.epr, r.Result().ExecutorID)
+		_, _, exec := r.Failure()
+		f.trace(d.now(), obs.EvFailed, r.Trace, r.ID, tr.epr, exec)
 	} else {
 		d.core.Counters.Completed++
 	}

@@ -607,11 +607,11 @@ func (d *Dispatcher) deliver(f *fx, req *fproto.Delivery) error {
 
 // failReason summarizes a failed result for logs, read from its bytes.
 func failReason(r *task.RelayedResult) string {
-	res := r.Result()
-	if res.Err != "" {
-		return res.Err
+	code, err, _ := r.Failure()
+	if err != "" {
+		return err
 	}
-	return fmt.Sprintf("exit code %d", res.ExitCode)
+	return fmt.Sprintf("exit code %d", code)
 }
 
 func (d *Dispatcher) handleStats(_ *wsrpc.Peer, _ json.RawMessage) (any, error) {

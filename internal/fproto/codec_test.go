@@ -44,13 +44,22 @@ func decode(m bodyMsg, b []byte) error {
 	return err
 }
 
-// DecodeJSON reads b as a dispatcher reads a Deliver, through a Delivery and
-// its fallback, and then decodes each result whole: the tests' reader of a
-// Deliver body, which no program reads whole.
+// DecodeJSON reads b as a dispatcher reads a Deliver, through a Delivery, and
+// then decodes each result whole: the tests' reader of a Deliver body, which
+// no program reads whole. A body the Delivery hands to encoding/json it reads
+// as encoding/json does, an empty array apart from none.
 func (m *DeliverRequest) DecodeJSON(b []byte) error {
+	before := CodecFallbacks.Value()
 	var d Delivery
 	err := d.DecodeInterned(b, nil)
+	if CodecFallbacks.Value() != before {
+		*m = DeliverRequest{}
+		return json.Unmarshal(b, m)
+	}
 	*m = DeliverRequest{ExecutorID: d.ExecutorID, WantWork: d.WantWork, MaxNew: d.MaxNew}
+	if d.Results != nil {
+		m.Results = make([]TaggedResult, 0, len(d.Results))
+	}
 	for i := range d.Results {
 		r := &d.Results[i]
 		m.Results = append(m.Results, TaggedResult{EPR: r.EPR, Result: r.Result(), RunDur: r.RunDur})
@@ -673,6 +682,14 @@ func checkSplice(t *testing.T, data []byte, r *task.RelayedResult, w *task.Resul
 	if err := json.Unmarshal(r.AppendJSON(nil), &back); err != nil || back != set || r.Result() != set {
 		t.Fatalf("%q: a result splices to %s, which reads as %+v (%v) and decodes as %+v, want %+v", data, r.AppendJSON(nil), back, err, r.Result(), set)
 	}
+	// What a failure's report reads of it is what it decodes to.
+	failure := func(r *task.RelayedResult) {
+		t.Helper()
+		if code, err, exec := r.Failure(); code != set.ExitCode || err != set.Err || exec != set.ExecutorID {
+			t.Fatalf("%q: Failure reads exit code %d, err %q, executor %q; want %d, %q, %q", data, code, err, exec, set.ExitCode, set.Err, set.ExecutorID)
+		}
+	}
+	failure(r)
 	// Written once for a journal's record, it is written again as those bytes:
 	// whole, for a parent, and kept.
 	once := *r
@@ -689,6 +706,7 @@ func checkSplice(t *testing.T, data []byte, r *task.RelayedResult, w *task.Resul
 			!bytes.Equal(whole, record) || !bytes.Equal(up, r.AppendParent(nil)) || once.Result() != set {
 			t.Fatalf("%q: written once as %s, a result is written again as %s, and for a parent as %s, not %s", data, record, whole, up, r.AppendParent(nil))
 		}
+		failure(&once)
 	}
 	canonical := task.RelayResult(w)
 	stamp(&canonical)

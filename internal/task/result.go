@@ -188,6 +188,36 @@ func (r *RelayedResult) ReadJSON(rd *jsonwire.Reader) {
 	}
 }
 
+// Failure reads what a failure's report needs of the result — its exit code,
+// err and executor — from its bytes, passing over its output without copying
+// it: a dispatcher reads a failed result under its lock, where Result would
+// copy up to 128 KiB of output.
+func (r *RelayedResult) Failure() (exitCode int, err, executor string) {
+	rest := r.rest
+	if r.spliced {
+		rest = rest[:r.setAt]
+	}
+	var rd jsonwire.Reader
+	rd.Reset(rest)
+	rd.Expect(`{"id":`)
+	rd.Uint()
+	executor = r.exec
+	for {
+		switch string(rd.Key(false)) {
+		case "":
+			return exitCode, err, executor
+		case "exit_code":
+			exitCode = rd.Int()
+		case "err":
+			err = string(rd.Str())
+		case "executor":
+			executor = string(rd.Str())
+		default: // stdout, stderr
+			rd.SkipStr()
+		}
+	}
+}
+
 // RelayResult is res as a dispatcher holds it, with bytes of its own: a result
 // a dispatcher makes itself, recovers from its journal, or was handed through
 // encoding/json.
@@ -202,9 +232,8 @@ func RelayResult(res *Result) RelayedResult {
 	return out
 }
 
-// Result decodes the result whole, as its client does: for the cold paths
-// that read what a dispatcher otherwise does not, a failure's reason and a
-// snapshot of what it buffers.
+// Result decodes the result whole, as its client does: for a snapshot of what
+// a dispatcher buffers.
 func (r *RelayedResult) Result() Result {
 	var rd jsonwire.Reader
 	rd.Reset(r.AppendJSON(nil))
